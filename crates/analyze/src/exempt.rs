@@ -49,10 +49,12 @@ impl PathRule {
 ///   decision, DESIGN.md #18), and the FIFO property test which rings
 ///   doorbells by hand on purpose.
 /// - `staging-buffer`: `pcie::dma` owns the one sanctioned bounce
-///   (`gather_copy`'s fixed 16 KiB block), and the backend's cold paths
-///   (`Recv`, the small/feature-off RMA arms) legitimately stage — the
-///   rule guards the zero-copy RMA path (DESIGN.md #19) against staging
-///   vecs creeping back in.
+///   (`gather_copy`'s fixed 16 KiB block), and `backend/mod.rs` stays
+///   exempt for its `Recv` arm only, which stages a chunk because
+///   `scif_recv` can block.  Neither RMA arm stages: `backend/rma.rs` and
+///   the scif RMA engine are in scope with no exemption, so a
+///   length-sized vec cannot creep back onto the single-pass data plane
+///   (DESIGN.md #19).
 pub const EXEMPTIONS: &[PathRule] = &[
     PathRule {
         rule: "queue-router",
@@ -106,7 +108,7 @@ pub const SCOPES: &[PathRule] = &[
         rule: "staging-buffer",
         prefixes: &["crates/core/src/backend/", "crates/pcie/src/"],
         contains: &[],
-        suffixes: &["scif/src/rma.rs"],
+        suffixes: &["scif/src/rma.rs", "scif/src/window.rs"],
     },
 ];
 
@@ -191,15 +193,20 @@ mod tests {
         // In scope: the RMA engine and the backend, where staging used to
         // live; out of scope: unrelated crates.
         assert!(in_scope("staging-buffer", Path::new("crates/scif/src/rma.rs")));
+        assert!(in_scope("staging-buffer", Path::new("crates/scif/src/window.rs")));
         assert!(in_scope("staging-buffer", Path::new("crates/core/src/backend/mod.rs")));
+        assert!(in_scope("staging-buffer", Path::new("crates/core/src/backend/rma.rs")));
         assert!(in_scope("staging-buffer", Path::new("crates/pcie/src/dma.rs")));
         assert!(!in_scope("staging-buffer", Path::new("crates/core/src/frontend/mod.rs")));
         assert!(!in_scope("staging-buffer", Path::new("crates/bench/src/support.rs")));
         // Exempt: the sanctioned bounce in pcie::dma and the backend's
-        // cold paths; NOT exempt: the zero-copy RMA engine itself.
+        // `Recv` arm; NOT exempt: the backend's RMA replay and the scif
+        // RMA engine.
         assert!(is_exempt("staging-buffer", Path::new("crates/pcie/src/dma.rs")));
         assert!(is_exempt("staging-buffer", Path::new("crates/core/src/backend/mod.rs")));
+        assert!(!is_exempt("staging-buffer", Path::new("crates/core/src/backend/rma.rs")));
         assert!(!is_exempt("staging-buffer", Path::new("crates/scif/src/rma.rs")));
+        assert!(!is_exempt("staging-buffer", Path::new("crates/scif/src/window.rs")));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! **ZERO-COPY** — zero-copy large-RMA vs the staged seed path, cache-cold.
 //!
 //! ABL-CACHE showed the *warm* registration cache closing the Fig. 5 gap,
-//! but a cold cache still pays the full per-request translation plus the
-//! staging bounce.  The zero-copy redesign (DESIGN.md #19) maps the guest
-//! window straight into the device aperture and gathers DMA over it, so
-//! even a cache-cold large read pays one huge-page pin sweep plus a
-//! scatter-gather build instead of the per-page replay.  This experiment
-//! sweeps the ABL-CACHE sizes four ways —
+//! but a cold cache still pays the full per-request translation.  The
+//! mapped arm (DESIGN.md #19) maps the guest window straight into the
+//! device aperture, so even a cache-cold large read pays one huge-page pin
+//! sweep plus a scatter-gather build instead of the per-page replay — a
+//! difference in what is charged; bytes move once on every arm.  This
+//! experiment sweeps the ABL-CACHE sizes four ways —
 //!
 //! * native (host process, no virtualization),
 //! * vPHI zero-copy **off**, cache disabled (the seed / Fig. 5 charging),
@@ -18,7 +18,7 @@
 //! reaches ≥95% of native at 256 MiB, and the 1-byte Fig. 4 anchor is
 //! byte-identical with the feature on and off.  The traced 256 MiB read
 //! shows the shift: the `dma-map` stage appears only on the zero-copy VM,
-//! and `backend-replay` shrinks by what staging used to charge.
+//! and `backend-replay` shrinks by what the staged arm charges.
 
 use vphi::backend::RegCacheConfig;
 use vphi::builder::{VmConfig, VphiHost};

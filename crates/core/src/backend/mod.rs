@@ -13,24 +13,26 @@
 mod dispatch;
 pub mod notify;
 mod reg_cache;
+mod rma;
 
 pub use dispatch::{dispatch_policy, request_payload_len, Dispatch, DispatchPolicy};
 pub use notify::{LaneNotifier, LaneNotifyCounters, BATCH_BUCKETS};
 pub use reg_cache::{RegCacheConfig, RegCacheSnapshot, RegCacheStats, RegistrationCache};
+use rma::RmaDir;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
-use vphi_pcie::{Aperture, ApertureMap, MapKey, SgList};
+use vphi_pcie::{Aperture, ApertureMap};
 use vphi_phi::PhiBoard;
 use vphi_scif::window::{WindowBacking, WindowBytes};
 use vphi_scif::{
     MappedRegion, NodeId, Port, Prot, ScifAddr, ScifEndpoint, ScifError, ScifFabric, ScifResult,
     HOST_NODE,
 };
-use vphi_sim_core::cost::{HUGE_PAGE_SIZE, KMALLOC_MAX_SIZE, PAGE_SIZE};
+use vphi_sim_core::cost::PAGE_SIZE;
 use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_sync::{LockClass, TrackedMutex};
 use vphi_trace::{OpCtx, Stage, TraceCtx, Tracer};
@@ -43,7 +45,8 @@ use crate::mmapping::MappedRegionBacking;
 use crate::protocol::{rma_flags_from_wire, VphiRequest, VphiResponse};
 
 /// Pinned guest pages exposed to the host SCIF driver as window backing —
-/// the zero-copy guest-memory-registration path of the paper.
+/// the zero-copy guest-memory-registration path of the paper, and how a
+/// replayed RMA reaches the guest's buffer (`backend/rma.rs`).
 pub struct GuestWindowBytes {
     mem: Arc<GuestMemory>,
     gpa: Gpa,
@@ -107,8 +110,9 @@ pub struct BackendStats {
     pub map_hits: AtomicU64,
     /// Scatter-gather descriptors built for zero-copy transfers.
     pub sg_descriptors: AtomicU64,
-    /// Bytes that skipped the backend staging buffer entirely (the
-    /// bounce `vec![0u8; len]` the zero-copy path retires).
+    /// Bytes moved by RMAs that took the mapped arm (charged the window
+    /// pin + aperture map instead of the staged arm's per-page translate;
+    /// neither arm stages bytes).
     pub staging_bytes_avoided: AtomicU64,
 }
 
@@ -122,10 +126,11 @@ pub struct BackendOptions {
     /// so only the exposed remainder of staging lands on the critical
     /// path.  Off by default to keep the calibrated figures byte-stable.
     pub pipeline_rma: bool,
-    /// Zero-copy large RMA: map registered windows into the device
-    /// aperture and gather straight between guest memory and the wire —
-    /// no staging copy at all (DESIGN.md #19).  Off by default to keep
-    /// the calibrated figures byte-stable.
+    /// Mapped large RMA: requests above `KMALLOC_MAX_SIZE` are charged a
+    /// huge-page window pin, aperture map and scatter-gather build
+    /// instead of the per-page pin + translate (DESIGN.md #19).  Bytes
+    /// move once either way.  Off by default to keep the calibrated
+    /// figures byte-stable.
     pub zero_copy_rma: bool,
 }
 
@@ -436,79 +441,6 @@ impl BackendInner {
         chain.descriptors.get(1..n.saturating_sub(1)).unwrap_or(&[])
     }
 
-    /// Per-page pin + GPA→HVA translation charge for an RMA buffer — the
-    /// term that caps vPHI remote-read throughput at 72% of native.
-    ///
-    /// With the registration cache enabled the charge is paid once per
-    /// `(endpoint, range)`: a hit pays only the constant probe, the way
-    /// native SCIF amortizes registration across transfers.
-    fn charge_translate(&self, epd: u64, gpa: u64, bytes: u64, tl: &mut Timeline) {
-        if self.reg_cache.enabled() {
-            tl.charge(SpanLabel::RegCacheLookup, self.cost().reg_cache_lookup);
-            let probe = self.reg_cache.probe(epd, gpa, bytes, false);
-            // LRU evictions can push out entries whose windows the
-            // zero-copy path mapped; their device subwindows go with them.
-            for key in probe.evicted {
-                self.aperture.unmap_window(key);
-            }
-            if probe.hit {
-                return;
-            }
-        }
-        let pages = bytes.div_ceil(PAGE_SIZE).max(1);
-        self.stats.pages_translated.fetch_add(pages, Ordering::Relaxed);
-        let chunk = KMALLOC_MAX_SIZE;
-        if self.pipeline_rma && bytes > chunk {
-            // Double-buffered staging pipeline: the transfer's own DMA
-            // charge (inside the SCIF replay) covers the wire; here we
-            // charge only the staging the pipeline could not hide behind
-            // earlier chunks' DMA.
-            let exposed = self.fabric.shared().rma_pipeline_exposure(bytes, chunk);
-            tl.charge(SpanLabel::PageTranslate, exposed);
-        } else {
-            tl.charge(SpanLabel::PageTranslate, self.cost().page_translate * pages);
-        }
-    }
-
-    /// Zero-copy map charge: probe the mapping cache, pin + map the
-    /// window into the device aperture on a cold miss, and build the
-    /// scatter-gather descriptor list.  Returns the map key and the SG
-    /// list covering `[gpa, gpa+len)`; the caller brackets this in the
-    /// `dma-map` stage span so stage sums reconcile exactly.
-    fn charge_map(&self, epd: u64, gpa: u64, len: u64, tl: &mut Timeline) -> (MapKey, SgList) {
-        let key: MapKey = (epd, gpa / PAGE_SIZE);
-        let cost = self.cost();
-        let mut cold = true;
-        if self.reg_cache.enabled() {
-            tl.charge(SpanLabel::RegCacheLookup, cost.reg_cache_lookup);
-            let probe = self.reg_cache.probe(epd, gpa, len, true);
-            for k in probe.evicted {
-                self.aperture.unmap_window(k);
-            }
-            cold = !probe.hit || self.aperture.lookup(key).is_none();
-        }
-        // The mapping covers from the window's containing huge page so an
-        // unaligned start still lands inside the subwindow.
-        let map_len = (gpa % HUGE_PAGE_SIZE) + len;
-        let sub = self
-            .aperture
-            .map_window(key, map_len)
-            // Aperture exhaustion: fall back to addressing the whole
-            // device window (timing identical, bookkeeping degraded).
-            .unwrap_or_else(|| self.aperture.device());
-        if cold {
-            tl.charge(SpanLabel::WindowPin, cost.pin_window(len));
-            self.stats.windows_mapped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.map_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let sg = SgList::for_range(sub.base(), gpa % HUGE_PAGE_SIZE, len).unwrap_or_default();
-        tl.charge(SpanLabel::SgBuild, cost.sg_descriptor * (sg.len().max(1) as u64));
-        self.stats.sg_descriptors.fetch_add(sg.len() as u64, Ordering::Relaxed);
-        self.stats.staging_bytes_avoided.fetch_add(len, Ordering::Relaxed);
-        (key, sg)
-    }
-
     /// Execute one decoded request against the host SCIF driver.
     fn execute(&self, req: &VphiRequest, chain: &DescChain, ctx: &mut OpCtx<'_>) -> VphiResponse {
         let r: ScifResult<(u64, u64)> = (|| match *req {
@@ -631,74 +563,10 @@ impl BackendInner {
                 Ok((0, 0))
             }
             VphiRequest::VreadFrom { epd, roffset, len, flags } => {
-                let ep = self.ep(epd)?;
-                let d = self.payload(chain).first().copied().ok_or(ScifError::Inval)?;
-                // `len` is guest-controlled: it must fit the descriptor's
-                // buffer AND map to real guest memory *before* it sizes a
-                // host allocation.
-                if len > u64::from(d.len) {
-                    return Err(ScifError::Inval);
-                }
-                self.guest_mem
-                    .with_slice(Gpa(d.addr), len, |_| ())
-                    .map_err(|_| ScifError::Inval)?;
-                if self.zero_copy_rma && len > KMALLOC_MAX_SIZE {
-                    // Zero-copy: pin + map the window, then gather the
-                    // device bytes straight into guest memory — the
-                    // staging bounce buffer below never exists.
-                    let span = ctx.begin("dma-map", Stage::DmaMap);
-                    let (key, _sg) = self.charge_map(epd, d.addr, len, ctx.tl);
-                    ctx.end(span);
-                    let _io = self.aperture.begin_io(key);
-                    let dst = GuestWindowBytes::new(Arc::clone(&self.guest_mem), Gpa(d.addr), len);
-                    ep.vreadfrom_window(
-                        &dst,
-                        0,
-                        len,
-                        roffset,
-                        rma_flags_from_wire(flags),
-                        &mut *ctx,
-                    )?;
-                } else {
-                    self.charge_translate(epd, d.addr, len, ctx.tl);
-                    let mut buf = vec![0u8; len as usize];
-                    ep.vreadfrom(&mut buf, roffset, rma_flags_from_wire(flags), &mut *ctx)?;
-                    self.guest_mem.write(Gpa(d.addr), &buf).map_err(|_| ScifError::Inval)?;
-                }
-                Ok((len, 0))
+                self.guest_rma(RmaDir::Read, epd, roffset, len, flags, chain, ctx)
             }
             VphiRequest::VwriteTo { epd, roffset, len, flags } => {
-                let ep = self.ep(epd)?;
-                let d = self.payload(chain).first().copied().ok_or(ScifError::Inval)?;
-                if len > u64::from(d.len) {
-                    return Err(ScifError::Inval);
-                }
-                self.guest_mem
-                    .with_slice(Gpa(d.addr), len, |_| ())
-                    .map_err(|_| ScifError::Inval)?;
-                if self.zero_copy_rma && len > KMALLOC_MAX_SIZE {
-                    let span = ctx.begin("dma-map", Stage::DmaMap);
-                    let (key, _sg) = self.charge_map(epd, d.addr, len, ctx.tl);
-                    ctx.end(span);
-                    let _io = self.aperture.begin_io(key);
-                    let src = GuestWindowBytes::new(Arc::clone(&self.guest_mem), Gpa(d.addr), len);
-                    ep.vwriteto_window(
-                        &src,
-                        0,
-                        len,
-                        roffset,
-                        rma_flags_from_wire(flags),
-                        &mut *ctx,
-                    )?;
-                } else {
-                    self.charge_translate(epd, d.addr, len, ctx.tl);
-                    let buf = self
-                        .guest_mem
-                        .with_slice(Gpa(d.addr), len, |s| s.to_vec())
-                        .map_err(|_| ScifError::Inval)?;
-                    ep.vwriteto(&buf, roffset, rma_flags_from_wire(flags), &mut *ctx)?;
-                }
-                Ok((len, 0))
+                self.guest_rma(RmaDir::Write, epd, roffset, len, flags, chain, ctx)
             }
             VphiRequest::ReadFrom { epd, loffset, len, roffset, flags } => {
                 self.ep(epd)?.readfrom(

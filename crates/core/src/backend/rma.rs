@@ -1,0 +1,156 @@
+//! The backend's RMA data plane: replaying a guest `scif_vreadfrom` /
+//! `scif_vwriteto` onto the host SCIF driver.
+//!
+//! The guest buffer is never staged.  Its pinned pages are handed to the
+//! host driver as a window backing ([`GuestWindowBytes`]) and the bytes
+//! move once, device ↔ guest memory, inside `v*_window` — the paper's
+//! "maps the buffer to its address space avoiding again any copies"
+//! (§III).  What distinguishes the *staged* and *mapped* arms is only the
+//! virtual time the request is charged for making those pages reachable:
+//! per-page pin + translate (`charge_translate`), or a huge-page window
+//! pin, aperture map and scatter-gather build (`charge_map`).
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use vphi_pcie::{MapKey, SgList};
+use vphi_scif::window::WindowBacking;
+use vphi_scif::{ScifError, ScifResult};
+use vphi_sim_core::cost::{HUGE_PAGE_SIZE, KMALLOC_MAX_SIZE, PAGE_SIZE};
+use vphi_sim_core::{SpanLabel, Timeline};
+use vphi_trace::{OpCtx, Stage};
+use vphi_virtio::DescChain;
+use vphi_vmm::Gpa;
+
+use super::{BackendInner, GuestWindowBytes};
+use crate::protocol::rma_flags_from_wire;
+
+/// Which way a guest RMA moves bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum RmaDir {
+    /// `scif_vreadfrom`: remote window → guest buffer.
+    Read,
+    /// `scif_vwriteto`: guest buffer → remote window.
+    Write,
+}
+
+impl BackendInner {
+    /// Per-page pin + GPA→HVA translation charge for an RMA buffer — the
+    /// term that caps vPHI remote-read throughput at 72% of native.
+    ///
+    /// With the registration cache enabled the charge is paid once per
+    /// `(endpoint, range)`: a hit pays only the constant probe, the way
+    /// native SCIF amortizes registration across transfers.
+    fn charge_translate(&self, epd: u64, gpa: u64, bytes: u64, tl: &mut Timeline) {
+        if self.reg_cache.enabled() {
+            tl.charge(SpanLabel::RegCacheLookup, self.cost().reg_cache_lookup);
+            let probe = self.reg_cache.probe(epd, gpa, bytes, false);
+            // LRU evictions can push out entries whose windows the
+            // mapped arm mapped; their device subwindows go with them.
+            for key in probe.evicted {
+                self.aperture.unmap_window(key);
+            }
+            if probe.hit {
+                return;
+            }
+        }
+        let pages = bytes.div_ceil(PAGE_SIZE).max(1);
+        self.stats.pages_translated.fetch_add(pages, Ordering::Relaxed);
+        let chunk = KMALLOC_MAX_SIZE;
+        if self.pipeline_rma && bytes > chunk {
+            // Double-buffered staging pipeline: the transfer's own DMA
+            // charge (inside the SCIF replay) covers the wire; here we
+            // charge only the staging the pipeline could not hide behind
+            // earlier chunks' DMA.
+            let exposed = self.fabric.shared().rma_pipeline_exposure(bytes, chunk);
+            tl.charge(SpanLabel::PageTranslate, exposed);
+        } else {
+            tl.charge(SpanLabel::PageTranslate, self.cost().page_translate * pages);
+        }
+    }
+
+    /// Map charge: probe the mapping cache, pin + map the window into the
+    /// device aperture on a cold miss, and build the scatter-gather
+    /// descriptor list covering `[gpa, gpa+len)`.  Returns the map key;
+    /// the caller brackets this in the `dma-map` stage span so stage sums
+    /// reconcile exactly.
+    fn charge_map(&self, epd: u64, gpa: u64, len: u64, tl: &mut Timeline) -> MapKey {
+        let key: MapKey = (epd, gpa / PAGE_SIZE);
+        let cost = self.cost();
+        let mut cold = true;
+        if self.reg_cache.enabled() {
+            tl.charge(SpanLabel::RegCacheLookup, cost.reg_cache_lookup);
+            let probe = self.reg_cache.probe(epd, gpa, len, true);
+            for k in probe.evicted {
+                self.aperture.unmap_window(k);
+            }
+            cold = !probe.hit || self.aperture.lookup(key).is_none();
+        }
+        // The mapping covers from the window's containing huge page so an
+        // unaligned start still lands inside the subwindow.
+        let map_len = (gpa % HUGE_PAGE_SIZE) + len;
+        let sub = self
+            .aperture
+            .map_window(key, map_len)
+            // Aperture exhaustion: fall back to addressing the whole
+            // device window (timing identical, bookkeeping degraded).
+            .unwrap_or_else(|| self.aperture.device());
+        if cold {
+            tl.charge(SpanLabel::WindowPin, cost.pin_window(len));
+            self.stats.windows_mapped.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.stats.map_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        let sg = SgList::for_range(sub.base(), gpa % HUGE_PAGE_SIZE, len).unwrap_or_default();
+        tl.charge(SpanLabel::SgBuild, cost.sg_descriptor * (sg.len().max(1) as u64));
+        self.stats.sg_descriptors.fetch_add(sg.len() as u64, Ordering::Relaxed);
+        self.stats.staging_bytes_avoided.fetch_add(len, Ordering::Relaxed);
+        key
+    }
+
+    /// Replay one guest `VreadFrom` / `VwriteTo`: validate once, charge
+    /// the arm the request takes, then move the bytes in a single pass
+    /// between the remote window and the guest's own pages.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn guest_rma(
+        &self,
+        dir: RmaDir,
+        epd: u64,
+        roffset: u64,
+        len: u64,
+        flags: u8,
+        chain: &DescChain,
+        ctx: &mut OpCtx<'_>,
+    ) -> ScifResult<(u64, u64)> {
+        let ep = self.ep(epd)?;
+        let d = self.payload(chain).first().copied().ok_or(ScifError::Inval)?;
+        // `len` is guest-controlled: it must fit the descriptor's buffer
+        // AND map to real guest memory before anything is charged or moved.
+        if len > u64::from(d.len) {
+            return Err(ScifError::Inval);
+        }
+        self.guest_mem.with_slice(Gpa(d.addr), len, |_| ()).map_err(|_| ScifError::Inval)?;
+        // The mapped arm keeps its subwindow's in-flight guard for the
+        // duration of the transfer, so an unmap quiesces behind it.
+        let _io = if self.zero_copy_rma && len > KMALLOC_MAX_SIZE {
+            let span = ctx.begin("dma-map", Stage::DmaMap);
+            let key = self.charge_map(epd, d.addr, len, ctx.tl);
+            ctx.end(span);
+            self.aperture.begin_io(key)
+        } else {
+            self.charge_translate(epd, d.addr, len, ctx.tl);
+            None
+        };
+        let guest = WindowBacking::External(Arc::new(GuestWindowBytes::new(
+            Arc::clone(&self.guest_mem),
+            Gpa(d.addr),
+            len,
+        )));
+        let flags = rma_flags_from_wire(flags);
+        match dir {
+            RmaDir::Read => ep.vreadfrom_window(&guest, 0, len, roffset, flags, &mut *ctx)?,
+            RmaDir::Write => ep.vwriteto_window(&guest, 0, len, roffset, flags, &mut *ctx)?,
+        }
+        Ok((len, 0))
+    }
+}

@@ -54,11 +54,11 @@ pub struct VmConfig {
     /// chunks overlapped with device DMA.  Off by default so the
     /// calibrated figures stay byte-stable; MQ-SCALE turns it on.
     pub pipeline_rma: bool,
-    /// Zero-copy large RMA: pin registered windows into the device
-    /// aperture and scatter-gather straight between guest memory and the
-    /// wire, retiring the backend staging copy (DESIGN.md #19).  Off by
-    /// default so the calibrated figures stay byte-stable; ZERO-COPY
-    /// turns it on.
+    /// Mapped large RMA: requests above `KMALLOC_MAX_SIZE` pin the guest
+    /// window into the device aperture and charge a scatter-gather build
+    /// instead of the staged arm's per-page pin + translate
+    /// (DESIGN.md #19; bytes move once on either arm).  Off by default so
+    /// the calibrated figures stay byte-stable; ZERO-COPY turns it on.
     pub zero_copy_rma: bool,
 }
 

@@ -78,7 +78,7 @@ pub struct VphiDebugReport {
     pub map_hits: u64,
     /// Scatter-gather descriptors built for zero-copy transfers.
     pub sg_descriptors: u64,
-    /// Bytes that skipped the backend staging bounce buffer.
+    /// Bytes moved by RMAs that took the mapped arm.
     pub staging_bytes_avoided: u64,
     // vmm
     pub vm_paused: SimDuration,

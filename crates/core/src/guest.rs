@@ -656,7 +656,18 @@ impl GuestScif {
         sq: &mut Sq,
         ctx: impl Into<OpCtx<'a>>,
     ) -> ScifResult<Vec<SubmitToken>> {
+        // Staging charges the caller's timeline, so the batch's trace root
+        // is adopted here, ahead of it, the way `send`/`recv` do; the
+        // driver's own adoption in `submit_batch` disarms itself when
+        // nested.
         let mut ctx = ctx.into();
+        let root = ctx.adopt_root(&self.driver.channel().trace, "submit-batch");
+        let r = self.submit_inner(sq, &mut ctx);
+        ctx.finish_root(root, 0);
+        r
+    }
+
+    fn submit_inner(&self, sq: &mut Sq, ctx: &mut OpCtx<'_>) -> ScifResult<Vec<SubmitToken>> {
         let entries = std::mem::take(&mut sq.entries);
         for e in &entries {
             if let SqOp::Send(data) = &e.op {
@@ -745,7 +756,7 @@ impl GuestScif {
             }
             return Err(err);
         }
-        let tokens = self.driver.submit_batch(batch, &mut ctx)?;
+        let tokens = self.driver.submit_batch(batch, &mut *ctx)?;
         Ok(tokens.into_iter().map(SubmitToken::from_raw).collect())
     }
 

@@ -23,10 +23,11 @@ const BOUNCE_BLOCK: usize = 16 * 1024;
 /// Move `len` bytes from a reader to a writer through a fixed-size bounce
 /// block, without materializing the payload.  `read(offset, buf)` fills
 /// `buf` from source offset `offset`; `write(offset, buf)` stores it at
-/// the same destination offset.  Used by the zero-copy RMA path to move
-/// bytes between pinned windows: functional effect only — the wire cost is
-/// charged separately by the caller (staging is never charged virtual
-/// time; see DESIGN.md #19).
+/// the same destination offset.  The RMA engine's fallback for window
+/// pairs it cannot copy in a single pass (two stores of one lock class, a
+/// timed region), and the reference its copy selection is tested against:
+/// functional effect only — the wire cost is charged separately by the
+/// caller (see DESIGN.md #19).
 pub fn gather_copy<E>(
     len: u64,
     mut read: impl FnMut(u64, &mut [u8]) -> Result<(), E>,

@@ -74,15 +74,9 @@ impl DeviceRegion {
     /// so paper-scale throughput experiments can RMA against them without
     /// committing gigabytes of simulation-host RAM.
     pub fn read(&self, at: u64, buf: &mut [u8]) -> Result<(), MemError> {
-        let end = at.checked_add(buf.len() as u64).ok_or(MemError::OutOfBounds)?;
-        if end > self.len {
-            return Err(MemError::OutOfBounds);
-        }
+        let range = self.range(at, buf.len() as u64)?;
         match self.backing.as_ref() {
-            Some(backing) => {
-                let data = backing.lock();
-                buf.copy_from_slice(&data[at as usize..end as usize]);
-            }
+            Some(backing) => buf.copy_from_slice(&backing.lock()[range]),
             None => buf.fill(0),
         }
         Ok(())
@@ -92,13 +86,9 @@ impl DeviceRegion {
     ///
     /// Writes to timed (unbacked) regions are range-checked and discarded.
     pub fn write(&self, at: u64, buf: &[u8]) -> Result<(), MemError> {
-        let end = at.checked_add(buf.len() as u64).ok_or(MemError::OutOfBounds)?;
-        if end > self.len {
-            return Err(MemError::OutOfBounds);
-        }
+        let range = self.range(at, buf.len() as u64)?;
         if let Some(backing) = self.backing.as_ref() {
-            let mut data = backing.lock();
-            data[at as usize..end as usize].copy_from_slice(buf);
+            backing.lock()[range].copy_from_slice(buf);
         }
         Ok(())
     }
@@ -108,6 +98,41 @@ impl DeviceRegion {
         let backing = self.backing.as_ref().ok_or(MemError::Unbacked)?;
         let mut data = backing.lock();
         Ok(f(&mut data))
+    }
+
+    /// Run `f` over `[at, at + len)` borrowed in place, the data lock held
+    /// for the duration — the source view of a single-pass RMA.  A timed
+    /// region has no bytes to lend (`Unbacked`): callers fall back to
+    /// [`read`](Self::read), which keeps the read-as-zero semantics.
+    pub fn with_range<R>(
+        &self,
+        at: u64,
+        len: u64,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, MemError> {
+        let range = self.range(at, len)?;
+        let data = self.backing.as_ref().ok_or(MemError::Unbacked)?.lock();
+        Ok(f(&data[range]))
+    }
+
+    /// Mutable twin of [`with_range`](Self::with_range) — the destination
+    /// view.  `Unbacked` callers fall back to [`write`](Self::write),
+    /// which range-checks and discards.
+    pub fn with_range_mut<R>(
+        &self,
+        at: u64,
+        len: u64,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R, MemError> {
+        let range = self.range(at, len)?;
+        let mut data = self.backing.as_ref().ok_or(MemError::Unbacked)?.lock();
+        Ok(f(&mut data[range]))
+    }
+
+    /// `[at, at + len)` as an index range, if it lies inside the region.
+    fn range(&self, at: u64, len: u64) -> Result<std::ops::Range<usize>, MemError> {
+        let end = at.checked_add(len).filter(|&end| end <= self.len);
+        end.map(|end| at as usize..end as usize).ok_or(MemError::OutOfBounds)
     }
 }
 
@@ -328,6 +353,25 @@ mod tests {
         assert!(r.with_bytes_mut(|_| ()).is_err());
         // Capacity is still accounted.
         assert_eq!(m.allocated(), 64 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn range_views_alias_the_region_and_check_bounds() {
+        let m = DeviceMemory::new(MIB);
+        let r = m.alloc(2 * PAGE_SIZE).unwrap();
+        r.with_range_mut(PAGE_SIZE - 2, 4, |s| s.copy_from_slice(&[1, 2, 3, 4])).unwrap();
+        let mut out = [0u8; 4];
+        r.read(PAGE_SIZE - 2, &mut out).unwrap();
+        assert_eq!(out, [1, 2, 3, 4]);
+        assert_eq!(r.with_range(PAGE_SIZE - 2, 4, |s| s.to_vec()).unwrap(), [1, 2, 3, 4]);
+        // Bounds are checked before `f` runs.
+        assert_eq!(r.with_range(2 * PAGE_SIZE - 1, 2, |_| ()), Err(MemError::OutOfBounds));
+        assert_eq!(r.with_range_mut(u64::MAX, 2, |_| ()), Err(MemError::OutOfBounds));
+        // A timed region has nothing to lend, in range or not.
+        let t = m.alloc_timed(PAGE_SIZE).unwrap();
+        assert_eq!(t.with_range(0, 8, |_| ()), Err(MemError::Unbacked));
+        assert_eq!(t.with_range_mut(0, 8, |_| ()), Err(MemError::Unbacked));
+        assert_eq!(t.with_range(PAGE_SIZE, 8, |_| ()), Err(MemError::OutOfBounds));
     }
 
     #[test]

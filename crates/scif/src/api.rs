@@ -228,13 +228,13 @@ impl ScifEndpoint {
         })
     }
 
-    /// Zero-copy `scif_vreadfrom` into an externally-pinned destination
-    /// (the backend's mapped-window path — see
+    /// `scif_vreadfrom` into an externally-pinned destination (how the
+    /// backend replays a guest's RMA onto its pinned pages — see
     /// [`EndpointCore::vreadfrom_window`](crate::endpoint::EndpointCore::vreadfrom_window)).
     #[allow(clippy::too_many_arguments)]
     pub fn vreadfrom_window<'a>(
         &self,
-        dst: &dyn crate::window::WindowBytes,
+        dst: &WindowBacking,
         dst_off: u64,
         len: u64,
         roffset: u64,
@@ -248,11 +248,11 @@ impl ScifEndpoint {
         })
     }
 
-    /// Zero-copy `scif_vwriteto` from an externally-pinned source.
+    /// `scif_vwriteto` from an externally-pinned source.
     #[allow(clippy::too_many_arguments)]
     pub fn vwriteto_window<'a>(
         &self,
-        src: &dyn crate::window::WindowBytes,
+        src: &WindowBacking,
         src_off: u64,
         len: u64,
         roffset: u64,

@@ -13,13 +13,12 @@
 
 use std::sync::Arc;
 
-use vphi_pcie::gather_copy;
 use vphi_sim_core::{SimTime, SpanLabel, Timeline};
 
 use crate::endpoint::{EndpointCore, EpState, RmaCompletion};
 use crate::error::{ScifError, ScifResult};
 use crate::types::{Prot, RmaFlags};
-use crate::window::{WindowBacking, WindowBytes};
+use crate::window::WindowBacking;
 
 /// Check connection and fetch the peer for an RMA call.
 fn rma_peer(ep: &EndpointCore) -> ScifResult<Arc<EndpointCore>> {
@@ -27,6 +26,24 @@ fn rma_peer(ep: &EndpointCore) -> ScifResult<Arc<EndpointCore>> {
         return Err(ScifError::NotConn);
     }
     ep.peer_core()
+}
+
+/// Resolve `[offset, offset + len)` of `ep`'s registered space to its
+/// backing and the offset within it, checking `need`.  The backing is
+/// cloned out of the table lock — a strong (pinned) reference — so the
+/// bytes move with no table lock held.
+fn window_range(
+    ep: &EndpointCore,
+    offset: u64,
+    len: u64,
+    need: Prot,
+) -> ScifResult<(WindowBacking, u64)> {
+    let windows = ep.windows.lock();
+    let w = windows.lookup(offset, len)?;
+    if !w.prot.contains(need) {
+        return Err(ScifError::Access);
+    }
+    Ok((w.backing.clone(), offset - w.offset))
 }
 
 impl EndpointCore {
@@ -92,30 +109,9 @@ impl EndpointCore {
             return Err(ScifError::Inval);
         }
         let peer = rma_peer(self)?;
-        // Clone each window's backing out of its table lock: the clone is
-        // a strong (pinned) reference, so the bytes can be moved with no
-        // locks held and without materializing the payload.
-        let (src, src_base) = {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roffset, len)?;
-            if !w.prot.contains(Prot::READ) {
-                return Err(ScifError::Access);
-            }
-            (w.backing.clone(), roffset - w.offset)
-        };
-        let (dst, dst_base) = {
-            let windows = self.windows.lock();
-            let w = windows.lookup(loffset, len)?;
-            if !w.prot.contains(Prot::WRITE) {
-                return Err(ScifError::Access);
-            }
-            (w.backing.clone(), loffset - w.offset)
-        };
-        gather_copy(
-            len,
-            |off, buf| src.read(src_base + off, buf),
-            |off, buf| dst.write(dst_base + off, buf),
-        )?;
+        let (src, src_at) = window_range(&peer, roffset, len, Prot::READ)?;
+        let (dst, dst_at) = window_range(self, loffset, len, Prot::WRITE)?;
+        src.copy_to(src_at, &dst, dst_at, len)?;
         self.charge_rma(&peer, len, flags, tl)
     }
 
@@ -133,40 +129,22 @@ impl EndpointCore {
             return Err(ScifError::Inval);
         }
         let peer = rma_peer(self)?;
-        let (src, src_base) = {
-            let windows = self.windows.lock();
-            let w = windows.lookup(loffset, len)?;
-            if !w.prot.contains(Prot::READ) {
-                return Err(ScifError::Access);
-            }
-            (w.backing.clone(), loffset - w.offset)
-        };
-        let (dst, dst_base) = {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roffset, len)?;
-            if !w.prot.contains(Prot::WRITE) {
-                return Err(ScifError::Access);
-            }
-            (w.backing.clone(), roffset - w.offset)
-        };
-        gather_copy(
-            len,
-            |off, buf| src.read(src_base + off, buf),
-            |off, buf| dst.write(dst_base + off, buf),
-        )?;
+        let (src, src_at) = window_range(self, loffset, len, Prot::READ)?;
+        let (dst, dst_at) = window_range(&peer, roffset, len, Prot::WRITE)?;
+        src.copy_to(src_at, &dst, dst_at, len)?;
         self.charge_rma(&peer, len, flags, tl)
     }
 
-    /// Zero-copy `scif_vreadfrom` over an externally-pinned destination:
-    /// pull `len` bytes from the peer's registered offset `roffset`
-    /// straight into `dst` at `dst_off` — no intermediate payload buffer.
+    /// `scif_vreadfrom` over an externally-pinned destination: pull `len`
+    /// bytes from the peer's registered offset `roffset` straight into
+    /// `dst` at `dst_off` — one copy, no intermediate payload buffer.
     /// Validation and cost charging are identical to [`vreadfrom`], so the
-    /// mapped path keeps native timing parity.
+    /// backend's replay keeps native timing parity.
     ///
     /// [`vreadfrom`]: EndpointCore::vreadfrom
     pub fn vreadfrom_window(
         &self,
-        dst: &dyn WindowBytes,
+        dst: &WindowBacking,
         dst_off: u64,
         len: u64,
         roffset: u64,
@@ -177,30 +155,19 @@ impl EndpointCore {
             return Err(ScifError::Inval);
         }
         let peer = rma_peer(self)?;
-        let (src, src_base) = {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roffset, len)?;
-            if !w.prot.contains(Prot::READ) {
-                return Err(ScifError::Access);
-            }
-            (w.backing.clone(), roffset - w.offset)
-        };
-        gather_copy(
-            len,
-            |off, buf| src.read(src_base + off, buf),
-            |off, buf| dst.write(dst_off + off, buf),
-        )?;
+        let (src, src_at) = window_range(&peer, roffset, len, Prot::READ)?;
+        src.copy_to(src_at, dst, dst_off, len)?;
         self.charge_rma(&peer, len, flags, tl)
     }
 
-    /// Zero-copy `scif_vwriteto` from an externally-pinned source: push
-    /// `len` bytes from `src` at `src_off` into the peer's registered
-    /// offset `roffset`.  See [`vreadfrom_window`].
+    /// `scif_vwriteto` from an externally-pinned source: push `len` bytes
+    /// from `src` at `src_off` into the peer's registered offset
+    /// `roffset`.  See [`vreadfrom_window`].
     ///
     /// [`vreadfrom_window`]: EndpointCore::vreadfrom_window
     pub fn vwriteto_window(
         &self,
-        src: &dyn WindowBytes,
+        src: &WindowBacking,
         src_off: u64,
         len: u64,
         roffset: u64,
@@ -211,19 +178,8 @@ impl EndpointCore {
             return Err(ScifError::Inval);
         }
         let peer = rma_peer(self)?;
-        let (dst, dst_base) = {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roffset, len)?;
-            if !w.prot.contains(Prot::WRITE) {
-                return Err(ScifError::Access);
-            }
-            (w.backing.clone(), roffset - w.offset)
-        };
-        gather_copy(
-            len,
-            |off, buf| src.read(src_off + off, buf),
-            |off, buf| dst.write(dst_base + off, buf),
-        )?;
+        let (dst, dst_at) = window_range(&peer, roffset, len, Prot::WRITE)?;
+        src.copy_to(src_off, &dst, dst_at, len)?;
         self.charge_rma(&peer, len, flags, tl)
     }
 
@@ -525,7 +481,7 @@ mod tests {
         let (roff, rbuf) = register_pinned(&server, 4 * PAGE_SIZE, Prot::READ_WRITE).unwrap();
         rbuf.lock().iter_mut().enumerate().for_each(|(i, b)| *b = (i % 251) as u8);
 
-        // Pull via the zero-copy entry point into a pinned local backing.
+        // Pull via the window entry point into a pinned local backing.
         let local = WindowBacking::Pinned(crate::types::pinned_buf(4 * PAGE_SIZE as usize));
         let mut tl_win = Timeline::new();
         client
@@ -535,12 +491,12 @@ mod tests {
         let mut tl_plain = Timeline::new();
         client.vreadfrom(&mut expect, roff, RmaFlags::SYNC, &mut tl_plain).unwrap();
         let mut got = vec![0u8; expect.len()];
-        WindowBytes::read(&local, 0, &mut got).unwrap();
+        local.read(0, &mut got).unwrap();
         assert_eq!(got, expect, "window read matches plain vreadfrom");
         assert_eq!(tl_win.total(), tl_plain.total(), "identical cost charging");
 
         // Push back with a pattern and verify through the peer buffer.
-        WindowBytes::write(&local, 0, &vec![0xA5; 4 * PAGE_SIZE as usize]).unwrap();
+        local.write(0, &vec![0xA5; 4 * PAGE_SIZE as usize]).unwrap();
         let mut tl_w = Timeline::new();
         client.vwriteto_window(&local, 0, 4 * PAGE_SIZE, roff, RmaFlags::SYNC, &mut tl_w).unwrap();
         assert!(rbuf.lock().iter().all(|&b| b == 0xA5));
@@ -555,6 +511,47 @@ mod tests {
             client.vreadfrom_window(&local, 0, 0, roff, RmaFlags::SYNC, &mut tl_w),
             Err(ScifError::Inval)
         );
+    }
+
+    #[test]
+    fn refused_window_rma_moves_no_bytes() {
+        let (f, client, server) = setup();
+        let dev_node = f.node(NodeId(1)).unwrap();
+        let remote = dev_node.board().unwrap().memory().alloc(PAGE_SIZE).unwrap();
+        remote.write(0, &[0xD0; 64]).unwrap();
+        let window = |prot| {
+            server
+                .register(None, PAGE_SIZE, prot, WindowBacking::Device(Arc::clone(&remote)))
+                .unwrap()
+        };
+        let (ro_off, wo_off) = (window(Prot::READ), window(Prot::WRITE));
+        let (loff, lbuf) = register_pinned(&client, PAGE_SIZE, Prot::READ_WRITE).unwrap();
+        lbuf.lock().fill(0x10);
+        let local = WindowBacking::Pinned(Arc::clone(&lbuf));
+        let mut tl = Timeline::new();
+        let sync = RmaFlags::SYNC;
+
+        // Protection: writes into the read-only window, reads from the
+        // write-only one.
+        let access = Err(ScifError::Access);
+        assert_eq!(client.vwriteto_window(&local, 0, 64, ro_off, sync, &mut tl), access);
+        assert_eq!(client.writeto(loff, 64, ro_off, sync, &mut tl), access);
+        assert_eq!(client.vreadfrom_window(&local, 0, 64, wo_off, sync, &mut tl), access);
+        assert_eq!(client.readfrom(loff, 64, wo_off, sync, &mut tl), access);
+        // Range: off the end of the remote window, then of the local store.
+        let range = Err(ScifError::OutOfRange);
+        let tail = PAGE_SIZE - 32;
+        assert_eq!(client.vreadfrom_window(&local, 0, 64, ro_off + tail, sync, &mut tl), range);
+        assert_eq!(client.readfrom(loff, 64, ro_off + tail, sync, &mut tl), range);
+        assert_eq!(client.vreadfrom_window(&local, tail, 64, ro_off, sync, &mut tl), range);
+        assert_eq!(client.vwriteto_window(&local, tail, 64, wo_off, sync, &mut tl), range);
+        assert_eq!(client.writeto(loff + tail, 64, wo_off, sync, &mut tl), range);
+
+        assert!(lbuf.lock().iter().all(|&b| b == 0x10), "local bytes moved");
+        let mut now = [0u8; 128];
+        remote.read(0, &mut now).unwrap();
+        assert!(now[..64] == [0xD0; 64] && now[64..] == [0; 64], "remote bytes moved");
+        assert_eq!(tl.total(), SimDuration::ZERO, "a refused RMA is charged nothing");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use vphi_pcie::gather_copy;
 use vphi_phi::DeviceRegion;
 use vphi_sim_core::cost::{HUGE_PAGE_SIZE, PAGE_SIZE};
 
@@ -21,6 +22,11 @@ use crate::types::{PinnedBuf, Prot};
 /// vPHI backend over *guest physical memory*, so that a window registered
 /// from inside a VM aliases the guest's pinned pages (no copies, exactly
 /// the paper's guest-memory-registration design).
+///
+/// [`WindowBacking::copy_to`] calls `read`/`write` while it holds the other
+/// side's `PinnedBuf` or `PhiMemData` lock, so an implementation may only
+/// take locks that nest inside those (`GuestMemState` or later), and must
+/// check the range before it moves a byte.
 pub trait WindowBytes: Send + Sync {
     /// Total backing length in bytes.
     fn len(&self) -> u64;
@@ -72,10 +78,7 @@ impl WindowBacking {
         match self {
             WindowBacking::Pinned(b) => {
                 let data = b.lock();
-                let end = at as usize + out.len();
-                if end > data.len() {
-                    return Err(ScifError::OutOfRange);
-                }
+                let end = range_end(data.len() as u64, at, out.len() as u64)?;
                 out.copy_from_slice(&data[at as usize..end]);
                 Ok(())
             }
@@ -89,10 +92,7 @@ impl WindowBacking {
         match self {
             WindowBacking::Pinned(b) => {
                 let mut buf = b.lock();
-                let end = at as usize + data.len();
-                if end > buf.len() {
-                    return Err(ScifError::OutOfRange);
-                }
+                let end = range_end(buf.len() as u64, at, data.len() as u64)?;
                 buf[at as usize..end].copy_from_slice(data);
                 Ok(())
             }
@@ -109,21 +109,56 @@ impl WindowBacking {
             WindowBacking::Device(r) => Some(r.offset() / PAGE_SIZE),
         }
     }
+
+    /// Move `len` bytes from `self[at..]` to `dst[dst_at..]` — the data
+    /// movement of every window RMA, one `memcpy` and no allocation.
+    ///
+    /// The side whose lock is outermost in the hierarchy (`PinnedBuf` 80 →
+    /// `PhiMemData` 82 → `GuestMemState` 84, where external stores sit)
+    /// lends its byte range for the duration of the copy and the other
+    /// side reads or writes the lent slice directly.  Two sides of one
+    /// lock class cannot nest, and a timed GDDR region has no bytes to
+    /// lend: those pairs go through [`gather_copy`]'s fixed bounce block.
+    ///
+    /// Both ranges are checked before a byte moves, so a failed copy
+    /// leaves `dst` untouched.
+    pub fn copy_to(&self, at: u64, dst: &WindowBacking, dst_at: u64, len: u64) -> ScifResult<()> {
+        use WindowBacking::{Device, External, Pinned};
+        let oob = |_| ScifError::OutOfRange;
+        match (self, dst) {
+            (Pinned(p), Device(_) | External(_)) => {
+                let data = p.lock();
+                let end = range_end(data.len() as u64, at, len)?;
+                dst.write(dst_at, &data[at as usize..end])
+            }
+            (Device(_) | External(_), Pinned(p)) => {
+                let mut data = p.lock();
+                let end = range_end(data.len() as u64, dst_at, len)?;
+                self.read(at, &mut data[dst_at as usize..end])
+            }
+            (Device(r), External(e)) if r.is_backed() => {
+                r.with_range(at, len, |bytes| e.write(dst_at, bytes)).map_err(oob)?
+            }
+            (External(e), Device(r)) if r.is_backed() => {
+                r.with_range_mut(dst_at, len, |bytes| e.read(at, bytes)).map_err(oob)?
+            }
+            _ => {
+                range_end(self.len(), at, len)?;
+                range_end(dst.len(), dst_at, len)?;
+                gather_copy(
+                    len,
+                    |off, buf| self.read(at + off, buf),
+                    |off, buf| dst.write(dst_at + off, buf),
+                )
+            }
+        }
+    }
 }
 
-/// A backing *is* external byte storage — lets a cloned-out backing be
-/// handed to the zero-copy RMA entry points (`vreadfrom_window` /
-/// `vwriteto_window`) as the local side of a transfer.
-impl WindowBytes for WindowBacking {
-    fn len(&self) -> u64 {
-        WindowBacking::len(self)
-    }
-    fn read(&self, at: u64, out: &mut [u8]) -> ScifResult<()> {
-        WindowBacking::read(self, at, out)
-    }
-    fn write(&self, at: u64, data: &[u8]) -> ScifResult<()> {
-        WindowBacking::write(self, at, data)
-    }
+/// End index of `[at, at + len)` within a store of `store_len` bytes.
+fn range_end(store_len: u64, at: u64, len: u64) -> ScifResult<usize> {
+    let end = at.checked_add(len).filter(|&end| end <= store_len).ok_or(ScifError::OutOfRange)?;
+    Ok(end as usize)
 }
 
 /// One registered window.

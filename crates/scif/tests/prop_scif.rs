@@ -173,3 +173,157 @@ proptest! {
         client.close();
     }
 }
+
+// ------------------------------------------------- RMA copy selection
+
+mod copy_selection {
+    use std::sync::Arc;
+
+    use proptest::prelude::*;
+
+    use vphi_pcie::gather_copy;
+    use vphi_phi::DeviceMemory;
+    use vphi_scif::types::pinned_buf;
+    use vphi_scif::window::{WindowBacking, WindowBytes};
+    use vphi_scif::{ScifError, ScifResult};
+    use vphi_sim_core::cost::HUGE_PAGE_SIZE;
+    use vphi_sync::{LockClass, TrackedMutex};
+
+    const BOUNCE: u64 = 16 * 1024;
+    /// Every store spans the first huge-page boundary with room to spare.
+    const STORE: u64 = HUGE_PAGE_SIZE + 8 * BOUNCE;
+    /// Sentinel bytes checked either side of a destination range.
+    const GUARD: u64 = 64;
+
+    /// An external store the way the vPHI backend provides one: bytes
+    /// behind a lock of guest memory's class, range-checked before a copy.
+    struct ExtStore(TrackedMutex<Vec<u8>>);
+
+    impl ExtStore {
+        fn range(&self, at: u64, len: usize) -> ScifResult<std::ops::Range<usize>> {
+            let end = at.checked_add(len as u64).filter(|&end| end <= STORE);
+            end.map(|end| at as usize..end as usize).ok_or(ScifError::OutOfRange)
+        }
+    }
+
+    impl WindowBytes for ExtStore {
+        fn len(&self) -> u64 {
+            STORE
+        }
+        fn read(&self, at: u64, out: &mut [u8]) -> ScifResult<()> {
+            let range = self.range(at, out.len())?;
+            out.copy_from_slice(&self.0.lock()[range]);
+            Ok(())
+        }
+        fn write(&self, at: u64, data: &[u8]) -> ScifResult<()> {
+            let range = self.range(at, data.len())?;
+            self.0.lock()[range].copy_from_slice(data);
+            Ok(())
+        }
+    }
+
+    /// The four kinds of store a window can sit on; `true` if it keeps
+    /// bytes (a timed GDDR region reads as zeros and drops writes).
+    fn store(kind: usize, gddr: &DeviceMemory) -> (WindowBacking, bool) {
+        match kind {
+            0 => (WindowBacking::Pinned(pinned_buf(STORE as usize)), true),
+            1 => (WindowBacking::Device(gddr.alloc(STORE).unwrap()), true),
+            2 => (WindowBacking::Device(gddr.alloc_timed(STORE).unwrap()), false),
+            _ => {
+                let bytes = TrackedMutex::new(LockClass::GuestMemState, vec![0u8; STORE as usize]);
+                (WindowBacking::External(Arc::new(ExtStore(bytes))), true)
+            }
+        }
+    }
+
+    /// An offset a few bytes short of a 16 KiB multiple or of the 2 MiB
+    /// huge-page boundary, so ranges starting there straddle it.
+    fn near_edge() -> impl Strategy<Value = u64> {
+        (prop_oneof![Just(BOUNCE), Just(3 * BOUNCE), Just(HUGE_PAGE_SIZE)], 0u64..200)
+            .prop_map(|(edge, before)| edge - GUARD - before)
+    }
+
+    /// Lengths around one and two bounce blocks, and short ones.
+    fn straddling_len() -> impl Strategy<Value = u64> {
+        prop_oneof![1u64..700, BOUNCE - 3..BOUNCE + 4, 2 * BOUNCE - 3..2 * BOUNCE + 700]
+    }
+
+    fn read_all(b: &WindowBacking, at: u64, len: u64) -> Vec<u8> {
+        let mut out = vec![0u8; len as usize];
+        b.read(at, &mut out).unwrap();
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every ordered pair of store kinds (so both directions of each
+        /// pairing): `copy_to` leaves exactly the bytes the `gather_copy`
+        /// reference leaves, nothing outside the range, and — the lock
+        /// audit being on in test builds — nests no lock out of order.
+        #[test]
+        fn copy_to_matches_the_bounce_reference(
+            pair in 0usize..16,
+            src_at in near_edge(),
+            dst_at in near_edge(),
+            len in straddling_len(),
+            seed: u8,
+        ) {
+            let gddr = DeviceMemory::new(4 * STORE);
+            let (src, src_keeps) = store(pair / 4, &gddr);
+            let (dst, dst_keeps) = store(pair % 4, &gddr);
+            let pattern: Vec<u8> =
+                (0..len).map(|i| seed.wrapping_add(i as u8).wrapping_mul(31) | 1).collect();
+            src.write(src_at, &pattern).unwrap();
+            let framed = len + 2 * GUARD;
+            dst.write(dst_at - GUARD, &vec![0xEE; framed as usize]).unwrap();
+
+            // The reference: the same transfer through the bounce block
+            // into a plain copy of the destination's bytes.
+            let mut expect = read_all(&dst, dst_at - GUARD, framed);
+            gather_copy(
+                len,
+                |off, buf| src.read(src_at + off, buf),
+                |off, buf| -> ScifResult<()> {
+                    let at = (GUARD + off) as usize;
+                    expect[at..at + buf.len()].copy_from_slice(buf);
+                    Ok(())
+                },
+            )
+            .unwrap();
+            if !dst_keeps {
+                expect.fill(0);
+            }
+
+            prop_assert_eq!(src.copy_to(src_at, &dst, dst_at, len), Ok(()));
+            prop_assert!(read_all(&dst, dst_at - GUARD, framed) == expect, "pair {pair}");
+            if src_keeps {
+                prop_assert!(read_all(&src, src_at, len) == pattern, "source changed");
+            }
+        }
+
+        /// A range that runs off either store fails with `OutOfRange`
+        /// before a byte moves.
+        #[test]
+        fn out_of_range_copies_leave_the_destination_untouched(
+            pair in 0usize..16,
+            at in near_edge(),
+            len in straddling_len(),
+            src_overruns: bool,
+        ) {
+            let gddr = DeviceMemory::new(4 * STORE);
+            let (src, _) = store(pair / 4, &gddr);
+            let (dst, _) = store(pair % 4, &gddr);
+            dst.write(STORE - 4 * BOUNCE, &vec![0xEE; 4 * BOUNCE as usize]).unwrap();
+            let before = read_all(&dst, STORE - 4 * BOUNCE, 4 * BOUNCE);
+
+            // One side ends a byte past its store, the other is in range.
+            let overrun = STORE - len + 1;
+            let (src_at, dst_at) = if src_overruns { (overrun, at) } else { (at, overrun) };
+            prop_assert_eq!(src.copy_to(src_at, &dst, dst_at, len), Err(ScifError::OutOfRange));
+            prop_assert_eq!(src.copy_to(u64::MAX, &dst, at, len), Err(ScifError::OutOfRange));
+            prop_assert!(read_all(&dst, STORE - 4 * BOUNCE, 4 * BOUNCE) == before, "pair {pair}");
+            prop_assert!(read_all(&dst, at, len).iter().all(|&b| b == 0), "pair {pair}");
+        }
+    }
+}

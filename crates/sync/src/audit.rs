@@ -231,6 +231,18 @@ mod imp {
         VIOLATIONS.load(Ordering::Relaxed)
     }
 
+    /// Snapshot of the order graph: every `(held, acquired)` class pair
+    /// some thread has nested so far, in class-index order.
+    pub fn order_edges() -> Vec<(LockClass, LockClass)> {
+        let mut edges = Vec::new();
+        for from in LockClass::ALL {
+            let succ = EDGES[from.index()].load(Ordering::Acquire);
+            let nested = LockClass::ALL.into_iter().filter(|to| succ & (1 << to.index()) != 0);
+            edges.extend(nested.map(|to| (from, to)));
+        }
+        edges
+    }
+
     pub fn held_depth() -> usize {
         HELD.with(|h| h.borrow().len())
     }
@@ -271,6 +283,10 @@ mod imp {
         0
     }
 
+    pub fn order_edges() -> Vec<(LockClass, LockClass)> {
+        Vec::new()
+    }
+
     pub fn held_depth() -> usize {
         0
     }
@@ -279,7 +295,7 @@ mod imp {
 }
 
 pub use imp::{
-    assert_lockless, capture_violations, held_depth, on_acquire, on_release, stats,
+    assert_lockless, capture_violations, held_depth, on_acquire, on_release, order_edges, stats,
     violation_count, ENABLED,
 };
 
@@ -309,6 +325,7 @@ mod tests {
         let _h = inner.lock();
         drop(g);
         assert!(stats().order_edges > before);
+        assert!(order_edges().contains(&(LockClass::TestOuter, LockClass::TestInner)));
         assert_eq!(held_depth(), 1);
     }
 

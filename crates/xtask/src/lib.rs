@@ -46,14 +46,14 @@
 //!    property test: a stray kick bypasses EVENT_IDX suppression and the
 //!    kicks-per-submission ledger the open-loop figure is built on.
 //! 9. `staging-buffer` — repeat-form `vec![_; len]` allocation is banned
-//!    on the RMA path (`scif/src/rma.rs`, the backend, `pcie/`): the
-//!    zero-copy design (DESIGN.md #19) moves bytes through
-//!    `pcie::dma::gather_copy`'s fixed bounce block and scatter-gather
-//!    descriptor lists, so a fresh length-sized staging vec is exactly the
-//!    copy the feature retired.  The sanctioned bounce (`pcie/src/dma.rs`)
-//!    and the backend's cold paths (`Recv`, small/feature-off RMA in
-//!    `backend/mod.rs`) are exempt; `#[cfg(test)]` items are skipped
-//!    because tests stage reference buffers on purpose.
+//!    on the RMA path (`scif/src/rma.rs` and `window.rs`, the backend,
+//!    `pcie/`): every RMA moves its bytes once, straight between the two
+//!    stores (DESIGN.md #19), with `pcie::dma::gather_copy`'s fixed bounce
+//!    block as the fallback, so a fresh length-sized staging vec is
+//!    exactly the copy that design retired.  The sanctioned bounce
+//!    (`pcie/src/dma.rs`) and `backend/mod.rs` (for its `Recv` arm only)
+//!    are exempt; `#[cfg(test)]` items are skipped because tests stage
+//!    reference buffers on purpose.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -339,7 +339,7 @@ fn scan_staging(tokens: &[TokenTree], rel: &Path, out: &mut Vec<Violation>) {
                         file: rel.to_path_buf(),
                         line: tokens[i].line(),
                         rule: "staging-buffer",
-                        message: "vec![_; len] builds a length-sized staging buffer on the RMA path; zero-copy transfers go through pcie::dma (gather_copy / SgList) — staging is allowed only in the exempt cold paths (DESIGN.md #19)".into(),
+                        message: "vec![_; len] builds a length-sized staging buffer on the RMA path; RMA bytes move once between the two stores (WindowBacking::copy_to, gather_copy as fallback) — staging is allowed only in the exempt cold paths (DESIGN.md #19)".into(),
                     });
                 }
             }
@@ -707,7 +707,9 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "staging-buffer");
         assert_eq!(v[0].line, 1);
-        // The sanctioned bounce and the backend cold path are exempt;
+        // The backend's RMA replay is in scope with no exemption.
+        assert_eq!(lint("crates/core/src/backend/rma.rs", src).len(), 1);
+        // The sanctioned bounce and the backend's `Recv` arm are exempt;
         // out-of-scope crates are not this rule's business.
         assert!(lint("crates/pcie/src/dma.rs", src).is_empty());
         assert!(lint("crates/core/src/backend/mod.rs", src).is_empty());

@@ -366,3 +366,124 @@ fn drop_after_card_reset_closes_exactly_once() {
     vm.shutdown();
     dev.join().unwrap();
 }
+
+/// A card-side peer serving `conns` connections on `port`: each gets
+/// `region` registered at window offset 0 and one ready byte, and is held
+/// open until its client hangs up.
+fn gddr_window_server(
+    host: &VphiHost,
+    port: u16,
+    region: std::sync::Arc<vphi_phi::DeviceRegion>,
+    conns: usize,
+) -> std::thread::JoinHandle<()> {
+    let server = host.device_endpoint(0).unwrap();
+    let mut tl = Timeline::new();
+    server.bind(Port(port), &mut tl).unwrap();
+    server.listen(conns, &mut tl).unwrap();
+    std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        let held: Vec<_> = (0..conns)
+            .map(|_| {
+                let conn = server.accept(&mut tl).unwrap();
+                let backing = vphi_scif::window::WindowBacking::Device(region.clone());
+                conn.register(Some(0), region.len(), Prot::READ_WRITE, backing, &mut tl).unwrap();
+                conn.send(&[1], &mut tl).unwrap();
+                conn
+            })
+            .collect();
+        for conn in held {
+            let _ = conn.recv(&mut [0u8; 1], &mut tl);
+        }
+    })
+}
+
+/// A failed RMA is the same failure through vPHI as natively, on every
+/// arm of the backend's data plane, and costs the guest that one call:
+/// a DMA-engine error is `EAGAIN`, an uncorrectable ECC error `EIO`, no
+/// window, mapping or in-flight guard is left behind, and the retry moves
+/// the right bytes.  (What the destination holds after the *failed* call
+/// is unspecified, natively too: the copy precedes the fallible link
+/// charge — DESIGN.md #19.)
+#[test]
+fn failed_rma_matches_native_and_retries_clean() {
+    use vphi_sim_core::cost::{KMALLOC_MAX_SIZE, PAGE_SIZE};
+
+    let large = KMALLOC_MAX_SIZE + PAGE_SIZE;
+    let arms = [(false, 16 * PAGE_SIZE), (false, large), (true, large)];
+    let faults =
+        [(FaultSite::PcieDmaError, ScifError::Again), (FaultSite::PhiEccError, ScifError::Io)];
+    let mut port = 984;
+    for (site, errno) in faults {
+        for (zero_copy, len) in arms {
+            for write in [false, true] {
+                port += 1;
+                let case = format!("{} zero_copy={zero_copy} len={len} write={write}", site.name());
+                let host = VphiHost::new(1);
+                let region = host.board(0).memory().alloc(len).unwrap();
+                let dev = gddr_window_server(&host, port, region.clone(), 2);
+                let vm = host.spawn_vm(VmConfig::builder().zero_copy_rma(zero_copy).build());
+                let mut tl = Timeline::new();
+                let addr = ScifAddr::new(host.device_node(0), Port(port));
+                let native = host.native_endpoint().unwrap();
+                native.connect(addr, &mut tl).unwrap();
+                native.recv(&mut [0u8; 1], &mut tl).unwrap();
+                let ep = vm.open_scif(&mut tl).unwrap();
+                ep.connect(addr, &mut tl).unwrap();
+                ep.recv(&mut [0u8; 1], &mut tl).unwrap();
+
+                let pattern: Vec<u8> = (0..len).map(|i| (i % 251) as u8 + 1).collect();
+                let buf = vm.alloc_buf(len).unwrap();
+                if write {
+                    buf.fill(0, &pattern).unwrap();
+                } else {
+                    region.write(0, &pattern).unwrap();
+                }
+                let guest_rma = |tl: &mut Timeline| match write {
+                    true => ep.vwriteto(&buf, 0, RmaFlags::SYNC, tl),
+                    false => ep.vreadfrom(&buf, 0, RmaFlags::SYNC, tl),
+                };
+
+                // The site's next two crossings fail: the native call's,
+                // then the guest's.
+                let plan = FaultPlan {
+                    seed: 0,
+                    points: [1, 2]
+                        .map(|nth| vphi_faults::FaultPoint { site, nth, param: 0 })
+                        .into(),
+                };
+                let injector = host.arm_faults(plan);
+                let mut scratch = pattern.clone();
+                let native_result = match write {
+                    true => native.vwriteto(&scratch, 0, RmaFlags::SYNC, &mut tl),
+                    false => native.vreadfrom(&mut scratch, 0, RmaFlags::SYNC, &mut tl),
+                };
+                assert_eq!(native_result, Err(errno), "{case}: native");
+                assert_eq!(guest_rma(&mut tl), Err(errno), "{case}: guest");
+                assert_eq!(injector.fired_at(site), 2, "{case}");
+
+                let backend = vm.backend().inner();
+                assert_eq!(backend.aperture().inflight_total(), 0, "{case}: in-flight guard");
+                assert_eq!(backend.window_entries(), 0, "{case}: window");
+                assert_eq!(vm.frontend().pending_tokens(), 0, "{case}: token");
+                assert!(host.board(0).is_online(), "{case}: a per-transfer fault");
+
+                // The retry is an ordinary RMA.
+                assert_eq!(guest_rma(&mut tl), Ok(()), "{case}: retry");
+                let mut moved = vec![0u8; len as usize];
+                if write {
+                    region.read(0, &mut moved).unwrap();
+                } else {
+                    buf.peek(0, &mut moved).unwrap();
+                }
+                assert!(moved == pattern, "{case}: retry moved the wrong bytes");
+
+                ep.close(&mut tl).unwrap();
+                native.close();
+                assert_eq!(backend.aperture().mapped_windows(), 0, "{case}: mapping");
+                assert_eq!(vm.backend().open_endpoints(), 0, "{case}: endpoint");
+                vm.shutdown();
+                dev.join().unwrap();
+            }
+        }
+    }
+}

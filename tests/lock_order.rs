@@ -145,3 +145,114 @@ fn captured_violations_do_not_count_globally() {
     assert!(!v.is_empty());
     assert_eq!(vphi_sync::audit::violation_count(), before, "captured reports must not count");
 }
+
+/// A peer that accepts one connection on `listener` (already bound and
+/// listening), registers `backing` at window offset 0, says so with one
+/// byte, and holds the window until the other side hangs up.
+fn window_peer(
+    listener: vphi_scif::ScifEndpoint,
+    backing: vphi_scif::window::WindowBacking,
+    len: u64,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut tl = vphi_sim_core::Timeline::new();
+        let conn = listener.accept(&mut tl).unwrap();
+        conn.register(Some(0), len, vphi_scif::Prot::READ_WRITE, backing, &mut tl).unwrap();
+        conn.send(&[1], &mut tl).unwrap();
+        let _ = conn.recv(&mut [0u8; 1], &mut tl);
+    })
+}
+
+/// The single-pass RMA data plane is the one place that takes a
+/// byte-store lock while holding another: whichever store's lock is
+/// outermost (`PinnedBuf` 80 → `PhiMemData` 82 → `GuestMemState` 84) lends
+/// its bytes and the other side copies under its own lock.  Drive every
+/// guest RMA call on both large-RMA arms against a GDDR window and a
+/// pinned host window, plus native window-to-window RMA, and check the
+/// audit saw exactly those ascending nestings, no violation, and — the
+/// clock asserting it on every advance — no lock held across a charge.
+#[test]
+fn rma_nests_byte_store_locks_in_ascending_order_only() {
+    use vphi::builder::{VmConfig, VphiHost};
+    use vphi_scif::types::pinned_buf;
+    use vphi_scif::window::WindowBacking;
+    use vphi_scif::{Port, Prot, RmaFlags, ScifAddr};
+    use vphi_sim_core::cost::{KMALLOC_MAX_SIZE, PAGE_SIZE};
+    use vphi_sim_core::Timeline;
+
+    let violations_before = vphi_sync::audit::violation_count();
+    let large = KMALLOC_MAX_SIZE + PAGE_SIZE;
+    let sync = RmaFlags::SYNC;
+    let mut tl = Timeline::new();
+    let mut port = 940;
+
+    for zero_copy in [false, true] {
+        let host = VphiHost::new(1);
+        let vm = host.spawn_vm(VmConfig::builder().zero_copy_rma(zero_copy).build());
+        // One peer on the card over GDDR, one on the host over pinned pages.
+        let gddr = host.board(0).memory().alloc(large).unwrap();
+        let peers = [
+            (host.device_endpoint(0).unwrap(), WindowBacking::Device(gddr)),
+            (host.native_endpoint().unwrap(), WindowBacking::Pinned(pinned_buf(large as usize))),
+        ];
+        for (listener, backing) in peers {
+            port += 1;
+            let addr = ScifAddr::new(listener.core().node_id(), Port(port));
+            listener.bind(addr.port, &mut tl).unwrap();
+            listener.listen(1, &mut tl).unwrap();
+            let peer = window_peer(listener, backing, large);
+
+            let ep = vm.open_scif(&mut tl).unwrap();
+            ep.connect(addr, &mut tl).unwrap();
+            ep.recv(&mut [0u8; 1], &mut tl).unwrap();
+            // ≤ 4 MiB is staged on both configs; above it the arm differs.
+            for len in [PAGE_SIZE, large] {
+                let buf = vm.alloc_buf(len).unwrap();
+                ep.vwriteto(&buf, 0, sync, &mut tl).unwrap();
+                ep.vreadfrom(&buf, 0, sync, &mut tl).unwrap();
+                let loff = ep.register(&buf, Prot::READ_WRITE, None, &mut tl).unwrap();
+                ep.writeto(loff, len, 0, sync, &mut tl).unwrap();
+                ep.readfrom(loff, len, 0, sync, &mut tl).unwrap();
+                ep.unregister(loff, len, &mut tl).unwrap();
+            }
+            ep.close(&mut tl).unwrap();
+            peer.join().unwrap();
+        }
+
+        // Native window-to-window RMA: pinned host pages against GDDR.
+        port += 1;
+        let listener = host.device_endpoint(0).unwrap();
+        listener.bind(Port(port), &mut tl).unwrap();
+        listener.listen(1, &mut tl).unwrap();
+        let gddr = host.board(0).memory().alloc(PAGE_SIZE).unwrap();
+        let peer = window_peer(listener, WindowBacking::Device(gddr), PAGE_SIZE);
+        let native = host.native_endpoint().unwrap();
+        native.connect(ScifAddr::new(host.device_node(0), Port(port)), &mut tl).unwrap();
+        native.recv(&mut [0u8; 1], &mut tl).unwrap();
+        let pinned = WindowBacking::Pinned(pinned_buf(PAGE_SIZE as usize));
+        let loff = native.register(None, PAGE_SIZE, Prot::READ_WRITE, pinned, &mut tl).unwrap();
+        native.writeto(loff, PAGE_SIZE, 0, sync, &mut tl).unwrap();
+        native.readfrom(loff, PAGE_SIZE, 0, sync, &mut tl).unwrap();
+        native.close();
+        peer.join().unwrap();
+
+        assert_eq!(vm.backend().inner().aperture().inflight_total(), 0);
+        vm.shutdown();
+    }
+
+    assert_eq!(vphi_sync::audit::violation_count(), violations_before);
+    let stores = [LockClass::PinnedBuf, LockClass::PhiMemData, LockClass::GuestMemState];
+    let nested: Vec<_> = vphi_sync::audit::order_edges()
+        .into_iter()
+        .filter(|(held, _)| stores.contains(held))
+        .collect();
+    assert_eq!(
+        nested,
+        [
+            (LockClass::PinnedBuf, LockClass::PhiMemData),
+            (LockClass::PinnedBuf, LockClass::GuestMemState),
+            (LockClass::PhiMemData, LockClass::GuestMemState),
+        ],
+        "a byte-store lock may only be held while taking a later byte store's"
+    );
+}

@@ -8,10 +8,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vphi::builder::{VmConfig, VphiHost, VphiVm};
+use vphi::{Cq, Sq, SqEntry};
 use vphi_faults::FaultPlan;
 use vphi_scif::window::WindowBacking;
 use vphi_scif::{Port, Prot, RmaFlags, ScifAddr, ScifError};
-use vphi_sim_core::Timeline;
+use vphi_sim_core::{SimDuration, Timeline};
 use vphi_trace::{SpanRec, Stage, TraceConfig};
 
 /// A device-side echo server that registers a 4 KiB window per
@@ -20,6 +21,17 @@ fn echo_window_server(
     host: &VphiHost,
     port: u16,
     stop: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<()> {
+    window_server(host, port, stop, true)
+}
+
+/// The same server; with `echo` off it sends one byte once its window is
+/// registered and then swallows whatever it receives.
+fn window_server(
+    host: &VphiHost,
+    port: u16,
+    stop: Arc<AtomicBool>,
+    echo: bool,
 ) -> std::thread::JoinHandle<()> {
     let server = host.device_endpoint(0).unwrap();
     let board = Arc::clone(host.board(0));
@@ -40,11 +52,14 @@ fn echo_window_server(
                             &mut tl,
                         );
                     }
+                    if !echo {
+                        let _ = conn.send(&[1], &mut tl);
+                    }
                     loop {
                         let mut buf = [0u8; 5];
                         match conn.recv(&mut buf, &mut tl) {
                             Ok(5) => {
-                                if conn.send(&buf, &mut tl).is_err() {
+                                if echo && conn.send(&buf, &mut tl).is_err() {
                                     break;
                                 }
                             }
@@ -201,6 +216,67 @@ fn trace_encoding_is_byte_stable() {
     // Virtual time is the only clock in the encoding, so two identical
     // schedules encode identically — byte for byte.
     assert_eq!(a, b);
+}
+
+/// One 16-entry batch (ten 500-byte sends, five 4 KiB `vreadfrom`s, one
+/// 5 000-byte send) submitted and reaped on a fresh stack.  Returns the
+/// virtual time the caller's timeline gained and, when traced, the stage
+/// sums of the traces the two calls produced.
+fn one_batch(port: u16, traced: bool) -> (SimDuration, Option<SimDuration>) {
+    let host = VphiHost::new(1);
+    let tracer = traced.then(|| host.arm_tracing(TraceConfig::default()));
+    let stop = Arc::new(AtomicBool::new(false));
+    let server = window_server(&host, port, Arc::clone(&stop), false);
+    let vm = host.spawn_vm(VmConfig::default());
+    let mut tl = Timeline::new();
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(ScifAddr::new(host.device_node(0), Port(port)), &mut tl).unwrap();
+    let mut ready = [0u8; 1];
+    assert_eq!(ep.recv(&mut ready, &mut tl), Ok(1), "server window registered");
+    let bufs: Vec<_> = (0..5).map(|_| vm.alloc_buf(4096).unwrap()).collect();
+
+    let mut sq = Sq::new();
+    for i in 0..16 {
+        sq.push(match i {
+            3 | 6 | 9 | 12 | 15 => SqEntry::vreadfrom(&bufs[i / 3 - 1], 0, RmaFlags::SYNC),
+            7 => SqEntry::send(&[7u8; 5_000]),
+            _ => SqEntry::send(&[i as u8; 500]),
+        });
+    }
+    let before = tl.total();
+    let tokens = ep.submit(&mut sq, &mut tl).unwrap();
+    assert_eq!(tokens.len(), 16);
+    let mut cq = Cq::new();
+    cq.watch(&tokens);
+    assert_eq!(ep.reap(&mut cq, 16, 16, &mut tl).unwrap(), 16);
+    let virt = tl.total() - before;
+    assert!(cq.drain().iter().all(|c| c.result.is_ok()));
+
+    let staged = tracer.map(|tracer| {
+        let batch: Vec<_> = tracer
+            .summaries(vm.vm().id())
+            .into_iter()
+            .filter(|s| s.op == "submit-batch" || s.op == "reap")
+            .collect();
+        assert_eq!(batch.len(), 2, "one submit and one reap trace: {batch:?}");
+        batch.iter().flat_map(|s| s.stages).sum::<SimDuration>()
+    });
+    ep.close(&mut tl).unwrap();
+    stop.store(true, Ordering::Relaxed);
+    vm.shutdown();
+    server.join().unwrap();
+    (virt, staged)
+}
+
+/// Every nanosecond a batch charges its caller lands in a trace: the
+/// payload staging `submit` does ahead of the driver's `submit_batch`
+/// included.  Tracing itself moves no virtual time.
+#[test]
+fn batch_stage_sums_reconcile_with_the_callers_timeline() {
+    let (traced_virt, staged) = one_batch(933, true);
+    assert_eq!(staged, Some(traced_virt), "stage sums vs the caller's virtual time");
+    let (untraced_virt, _) = one_batch(934, false);
+    assert_eq!(untraced_virt, traced_virt, "tracing changed the batch's virtual time");
 }
 
 #[test]
