@@ -49,12 +49,12 @@ impl PathRule {
 ///   decision, DESIGN.md #18), and the FIFO property test which rings
 ///   doorbells by hand on purpose.
 /// - `staging-buffer`: `pcie::dma` owns the one sanctioned bounce
-///   (`gather_copy`'s fixed 16 KiB block), and `backend/mod.rs` stays
-///   exempt for its `Recv` arm only, which stages a chunk because
-///   `scif_recv` can block.  Neither RMA arm stages: `backend/rma.rs` and
-///   the scif RMA engine are in scope with no exemption, so a
-///   length-sized vec cannot creep back onto the single-pass data plane
-///   (DESIGN.md #19).
+///   (`gather_copy`'s fixed 16 KiB block) and is the only exemption.  The
+///   rule's scope is both data planes: the RMA path (`backend/rma.rs`,
+///   the scif RMA engine and windows) and the message path
+///   (`backend/mod.rs`, whose `Send`/`Recv` arms move bytes guest memory ↔
+///   queue in place, the scif endpoint and its message queue), so a
+///   length-sized vec cannot creep back onto either (DESIGN.md #19, #20).
 pub const EXEMPTIONS: &[PathRule] = &[
     PathRule {
         rule: "queue-router",
@@ -82,7 +82,7 @@ pub const EXEMPTIONS: &[PathRule] = &[
         rule: "staging-buffer",
         prefixes: &[],
         contains: &[],
-        suffixes: &["pcie/src/dma.rs", "core/src/backend/mod.rs"],
+        suffixes: &["pcie/src/dma.rs"],
     },
 ];
 
@@ -108,7 +108,12 @@ pub const SCOPES: &[PathRule] = &[
         rule: "staging-buffer",
         prefixes: &["crates/core/src/backend/", "crates/pcie/src/"],
         contains: &[],
-        suffixes: &["scif/src/rma.rs", "scif/src/window.rs"],
+        suffixes: &[
+            "scif/src/rma.rs",
+            "scif/src/window.rs",
+            "scif/src/queue.rs",
+            "scif/src/endpoint.rs",
+        ],
     },
 ];
 
@@ -190,23 +195,37 @@ mod tests {
 
     #[test]
     fn staging_buffer_scoping_guards_the_zero_copy_path() {
-        // In scope: the RMA engine and the backend, where staging used to
-        // live; out of scope: unrelated crates.
-        assert!(in_scope("staging-buffer", Path::new("crates/scif/src/rma.rs")));
-        assert!(in_scope("staging-buffer", Path::new("crates/scif/src/window.rs")));
-        assert!(in_scope("staging-buffer", Path::new("crates/core/src/backend/mod.rs")));
-        assert!(in_scope("staging-buffer", Path::new("crates/core/src/backend/rma.rs")));
-        assert!(in_scope("staging-buffer", Path::new("crates/pcie/src/dma.rs")));
+        // In scope: the RMA engine, the message queue and endpoint, and
+        // the backend, where staging used to live; out of scope:
+        // unrelated crates.
+        for scoped in [
+            "crates/scif/src/rma.rs",
+            "crates/scif/src/window.rs",
+            "crates/scif/src/queue.rs",
+            "crates/scif/src/endpoint.rs",
+            "crates/core/src/backend/mod.rs",
+            "crates/core/src/backend/rma.rs",
+            "crates/pcie/src/dma.rs",
+        ] {
+            assert!(in_scope("staging-buffer", Path::new(scoped)), "{scoped} should be in scope");
+        }
         assert!(!in_scope("staging-buffer", Path::new("crates/core/src/frontend/mod.rs")));
         assert!(!in_scope("staging-buffer", Path::new("crates/bench/src/support.rs")));
-        // Exempt: the sanctioned bounce in pcie::dma and the backend's
-        // `Recv` arm; NOT exempt: the backend's RMA replay and the scif
-        // RMA engine.
+        // Exempt: the sanctioned bounce in pcie::dma, and nothing else.
         assert!(is_exempt("staging-buffer", Path::new("crates/pcie/src/dma.rs")));
-        assert!(is_exempt("staging-buffer", Path::new("crates/core/src/backend/mod.rs")));
-        assert!(!is_exempt("staging-buffer", Path::new("crates/core/src/backend/rma.rs")));
-        assert!(!is_exempt("staging-buffer", Path::new("crates/scif/src/rma.rs")));
-        assert!(!is_exempt("staging-buffer", Path::new("crates/scif/src/window.rs")));
+        for guarded in [
+            "crates/core/src/backend/mod.rs",
+            "crates/core/src/backend/rma.rs",
+            "crates/scif/src/rma.rs",
+            "crates/scif/src/window.rs",
+            "crates/scif/src/queue.rs",
+            "crates/scif/src/endpoint.rs",
+        ] {
+            assert!(
+                !is_exempt("staging-buffer", Path::new(guarded)),
+                "{guarded} must not be exempt"
+            );
+        }
     }
 
     #[test]

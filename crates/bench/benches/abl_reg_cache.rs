@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use vphi::backend::RegCacheConfig;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi_bench::abl_cache::abl_cache;
-use vphi_bench::support::{render_table, spawn_device_window, wait_for_guest_window};
+use vphi_bench::support::{render_table, spawn_device_window};
 use vphi_scif::{Port, RmaFlags, ScifAddr};
 use vphi_sim_core::units::{format_bytes, format_throughput, MIB};
 use vphi_sim_core::Timeline;
@@ -54,7 +54,7 @@ fn bench(c: &mut Criterion) {
         let mut tl = Timeline::new();
         let guest = vm.open_scif(&mut tl).unwrap();
         guest.connect(ScifAddr::new(host.device_node(0), port), &mut tl).unwrap();
-        wait_for_guest_window(&guest, &vm);
+        server.wait_registered();
 
         let mut group = c.benchmark_group(format!("abl_reg_cache/{label}"));
         group.sample_size(10);

@@ -4,9 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use vphi::builder::{VmConfig, VphiHost};
 use vphi_bench::fig5::fig5_throughput;
-use vphi_bench::support::{
-    render_table, spawn_device_window, wait_for_guest_window, wait_for_native_window,
-};
+use vphi_bench::support::{render_table, spawn_device_window};
 use vphi_scif::{Port, RmaFlags, ScifAddr};
 use vphi_sim_core::units::{format_bytes, format_throughput, MIB};
 use vphi_sim_core::Timeline;
@@ -44,13 +42,13 @@ fn bench(c: &mut Criterion) {
     let native = host.native_endpoint().unwrap();
     let mut tl = Timeline::new();
     native.connect(ScifAddr::new(host.device_node(0), Port(902)), &mut tl).unwrap();
-    wait_for_native_window(&native);
+    server.wait_registered();
 
     let server2 = spawn_device_window(&host, Port(903), size);
     let vm = host.spawn_vm(VmConfig::default());
     let guest = vm.open_scif(&mut tl).unwrap();
     guest.connect(ScifAddr::new(host.device_node(0), Port(903)), &mut tl).unwrap();
-    wait_for_guest_window(&guest, &vm);
+    server2.wait_registered();
 
     let mut group = c.benchmark_group("fig5");
     group.sample_size(20);

@@ -1,9 +1,12 @@
 //! Implementation microbenchmarks: wall-clock cost of the hot primitives
-//! every request crosses (virtqueue, wait queue, SCIF loopback, window
-//! lookup).  These guard the simulator's own performance.
+//! every request crosses (virtqueue, wait queue, message queue, SCIF
+//! loopback, window lookup) and of one 64 KiB guest send through all of
+//! them.  These guard the simulator's own performance.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
+use vphi::builder::{VmConfig, VphiHost};
+use vphi_bench::support::spawn_device_sink;
 use vphi_sim_core::{CostModel, SimDuration, Timeline, VirtualClock};
 use vphi_virtio::{Descriptor, UsedElem, VirtQueue};
 use vphi_vmm::WaitQueue;
@@ -65,6 +68,51 @@ fn bench_scif_loopback(c: &mut Criterion) {
     });
 }
 
+/// The message queue alone: one write and one read of the whole payload,
+/// the per-hop copy of every `scif_send`/`scif_recv`.
+fn bench_msgqueue(c: &mut Criterion) {
+    let q = vphi_scif::queue::MsgQueue::with_default_capacity();
+    for (label, bytes) in [("64B", 64usize), ("4KiB", 4 << 10), ("64KiB", 64 << 10)] {
+        let data = vec![0xA5u8; bytes];
+        let mut out = vec![0u8; bytes];
+        let mut group = c.benchmark_group("msgqueue");
+        group.throughput(Throughput::Bytes(bytes as u64));
+        group.bench_function(format!("msgqueue_roundtrip_{label}"), |b| {
+            b.iter(|| {
+                q.write_all(std::hint::black_box(&data));
+                q.read_exact(&mut out)
+            })
+        });
+        group.finish();
+    }
+}
+
+/// One blocking 64 KiB guest send end to end: staging, ring, backend,
+/// guest memory → message queue, with a card-side sink draining it.
+fn bench_guest_send(c: &mut Criterion) {
+    let host = VphiHost::new(1);
+    let sink = spawn_device_sink(&host, vphi_scif::Port(78));
+    let vm = host.spawn_vm(VmConfig::default());
+    let mut tl = Timeline::new();
+    let guest = vm.open_scif(&mut tl).unwrap();
+    guest
+        .connect(vphi_scif::ScifAddr::new(host.device_node(0), vphi_scif::Port(78)), &mut tl)
+        .unwrap();
+    let data = vec![0xA5u8; 64 << 10];
+    let mut group = c.benchmark_group("guest");
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.bench_function("guest_send_64KiB", |b| {
+        b.iter(|| {
+            let mut tl = Timeline::new();
+            guest.send(std::hint::black_box(&data), &mut tl).unwrap()
+        })
+    });
+    group.finish();
+    guest.close(&mut tl).unwrap();
+    vm.shutdown();
+    sink.join().unwrap();
+}
+
 fn bench_cost_model(c: &mut Criterion) {
     let m = CostModel::paper_calibrated();
     c.bench_function("cost_model_link_transfer", |b| {
@@ -78,6 +126,7 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1))
         .sample_size(20);
-    targets = bench_virtqueue, bench_waitqueue, bench_scif_loopback, bench_cost_model
+    targets = bench_virtqueue, bench_waitqueue, bench_msgqueue, bench_scif_loopback,
+        bench_guest_send, bench_cost_model
 }
 criterion_main!(benches);

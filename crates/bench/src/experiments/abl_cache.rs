@@ -21,7 +21,7 @@ use vphi_scif::{Port, RmaFlags, ScifAddr};
 use vphi_sim_core::units::{KIB, MIB};
 use vphi_sim_core::Timeline;
 
-use crate::support::{spawn_device_window, wait_for_guest_window, wait_for_native_window};
+use crate::support::spawn_device_window;
 
 /// One x-axis point (bandwidths in bytes/s of virtual time).
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +71,7 @@ pub fn abl_cache() -> AblCacheReport {
     let native = host.native_endpoint().expect("native endpoint");
     let mut tl = Timeline::new();
     native.connect(ScifAddr::new(host.device_node(0), Port(870)), &mut tl).expect("connect");
-    wait_for_native_window(&native);
+    server.wait_registered();
 
     // vPHI client with the registration cache disabled (seed charging).
     let server_cold = spawn_device_window(&host, Port(871), max);
@@ -82,7 +82,7 @@ pub fn abl_cache() -> AblCacheReport {
     guest_cold
         .connect(ScifAddr::new(host.device_node(0), Port(871)), &mut tl)
         .expect("cold connect");
-    wait_for_guest_window(&guest_cold, &vm_cold);
+    server_cold.wait_registered();
 
     // vPHI client with the cache enabled; each measurement re-reads a
     // buffer the cache has already seen.
@@ -92,7 +92,7 @@ pub fn abl_cache() -> AblCacheReport {
     guest_warm
         .connect(ScifAddr::new(host.device_node(0), Port(872)), &mut tl)
         .expect("warm connect");
-    wait_for_guest_window(&guest_warm, &vm_warm);
+    server_warm.wait_registered();
 
     let mut rows = Vec::new();
     let mut native_buf = vec![0u8; max as usize];
@@ -163,13 +163,11 @@ mod tests {
         for row in &report.rows {
             assert!(row.warm_bw >= row.cold_bw, "warm slower than cold at {}: {row:?}", row.bytes);
         }
-        // Each size does one warming miss and one measured hit; the
-        // window-wait probe contributes one extra miss up front.
+        // Each size does one warming miss and one measured hit.
         let sizes = abl_cache_sizes().len() as u64;
-        assert_eq!(report.warm_misses, sizes + 1);
+        assert_eq!(report.warm_misses, sizes);
         assert_eq!(report.warm_hits, sizes);
-        let expected_rate = sizes as f64 / (2 * sizes + 1) as f64;
-        assert!((report.hit_rate - expected_rate).abs() < 1e-9);
+        assert!((report.hit_rate - 0.5).abs() < 1e-9);
         // The disabled VM never probes the cache.
         assert_eq!(report.cold_probes, 0);
     }

@@ -10,7 +10,7 @@ use vphi_scif::{Port, RmaFlags, ScifAddr};
 use vphi_sim_core::units::{KIB, MIB};
 use vphi_sim_core::Timeline;
 
-use crate::support::{spawn_device_window, wait_for_guest_window, wait_for_native_window};
+use crate::support::spawn_device_window;
 
 /// One x-axis point of Figure 5 (bandwidths in bytes/s of virtual time).
 #[derive(Debug, Clone, PartialEq)]
@@ -41,14 +41,14 @@ pub fn fig5_throughput() -> Vec<Fig5Row> {
     let native = host.native_endpoint().expect("native endpoint");
     let mut tl = Timeline::new();
     native.connect(ScifAddr::new(host.device_node(0), Port(810)), &mut tl).expect("connect");
-    wait_for_native_window(&native);
+    server.wait_registered();
 
     // vPHI client.
     let server2 = spawn_device_window(&host, Port(811), max);
     let vm = host.spawn_vm(VmConfig::builder().mem_size(max + 64 * MIB).build());
     let guest = vm.open_scif(&mut tl).expect("guest open");
     guest.connect(ScifAddr::new(host.device_node(0), Port(811)), &mut tl).expect("guest connect");
-    wait_for_guest_window(&guest, &vm);
+    server2.wait_registered();
 
     let mut rows = Vec::new();
     let mut native_buf = vec![0u8; max as usize];

@@ -26,7 +26,7 @@ use vphi_scif::{Port, RmaFlags, ScifAddr};
 use vphi_sim_core::units::{KIB, MIB};
 use vphi_sim_core::{SimDuration, SimTime, SpanLabel, Timeline};
 
-use crate::support::{spawn_device_sink, spawn_device_window, wait_for_guest_window};
+use crate::support::{spawn_device_sink, spawn_device_window};
 
 /// The queue-count axis of the figure.
 pub const MQ_QUEUE_COUNTS: &[u16] = &[1, 2, 4];
@@ -229,7 +229,7 @@ fn rma_cold_read(pipeline: bool, port: Port) -> SimDuration {
     let mut tl = Timeline::new();
     let guest = vm.open_scif(&mut tl).expect("open");
     guest.connect(ScifAddr::new(host.device_node(0), port), &mut tl).expect("connect");
-    wait_for_guest_window(&guest, &vm);
+    server.wait_registered();
     let gbuf = vm.alloc_buf(RMA_BYTES).expect("buf");
     let mut read_tl = Timeline::new();
     guest.vreadfrom(&gbuf, 0, RmaFlags::SYNC, &mut read_tl).expect("vread");

@@ -18,7 +18,7 @@ use vphi_sim_core::stats::jain_fairness;
 use vphi_sim_core::units::MIB;
 use vphi_sim_core::{SimDuration, SimTime, SpanLabel, Timeline};
 
-use crate::support::{spawn_device_window, wait_for_guest_window};
+use crate::support::spawn_device_window;
 
 /// One row of the sharing table.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +55,7 @@ fn share_point(n: usize, bytes_each: u64) -> ShareRow {
     let mut tl = Timeline::new();
     let guest = vm.open_scif(&mut tl).expect("open");
     guest.connect(ScifAddr::new(host.device_node(0), Port(860)), &mut tl).expect("connect");
-    wait_for_guest_window(&guest, &vm);
+    server.wait_registered();
     let gbuf = vm.alloc_buf(bytes_each).expect("buf");
     let mut read_tl = Timeline::new();
     guest.vreadfrom(&gbuf, 0, RmaFlags::SYNC, &mut read_tl).expect("vread");

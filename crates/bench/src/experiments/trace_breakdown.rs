@@ -26,9 +26,7 @@ use vphi_sim_core::{SimDuration, Timeline};
 use vphi_trace::{HistRow, OpCtx, Stage, TraceConfig, TraceCtx, TraceHook, STAGE_COUNT};
 
 use crate::fig5::fig5_sizes;
-use crate::support::{
-    spawn_device_sink_on, spawn_device_window, wait_for_guest_window, wait_for_native_window,
-};
+use crate::support::{spawn_device_sink_on, spawn_device_window};
 
 /// Calls per disarmed-probe microbenchmark loop.
 const PROBE_LOOPS: u64 = 2_000_000;
@@ -203,13 +201,13 @@ pub fn trace_breakdown() -> TraceBreakdownReport {
     let native = host2.native_endpoint().expect("native endpoint");
     let mut tl = Timeline::new();
     native.connect(ScifAddr::new(host2.device_node(0), Port(872)), &mut tl).expect("connect");
-    wait_for_native_window(&native);
+    server.wait_registered();
 
     let server2 = spawn_device_window(&host2, Port(873), max);
     let vm2 = host2.spawn_vm(VmConfig::builder().mem_size(max + 64 * MIB).build());
     let guest2 = vm2.open_scif(&mut tl).expect("guest open");
     guest2.connect(ScifAddr::new(host2.device_node(0), Port(873)), &mut tl).expect("guest connect");
-    wait_for_guest_window(&guest2, &vm2);
+    server2.wait_registered();
     let vm2_id = vm2.vm().id();
 
     let mut rows = Vec::new();

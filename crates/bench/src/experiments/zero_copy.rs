@@ -29,9 +29,7 @@ use vphi_sim_core::{SimDuration, Timeline};
 use vphi_trace::{TraceConfig, STAGE_COUNT};
 
 use crate::abl_cache::abl_cache_sizes;
-use crate::support::{
-    spawn_device_sink_on, spawn_device_window, wait_for_guest_window, wait_for_native_window,
-};
+use crate::support::{spawn_device_sink_on, spawn_device_window};
 
 /// One x-axis point (bandwidths in bytes/s of virtual time).
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +114,7 @@ pub fn zero_copy() -> ZeroCopyReport {
     let native = host.native_endpoint().expect("native endpoint");
     let mut tl = Timeline::new();
     native.connect(ScifAddr::new(host.device_node(0), Port(882)), &mut tl).expect("connect");
-    wait_for_native_window(&native);
+    server.wait_registered();
 
     // --- vPHI, zero-copy off, cache disabled: the seed charging. ---
     let server_off = spawn_device_window(&host, Port(883), max);
@@ -125,7 +123,7 @@ pub fn zero_copy() -> ZeroCopyReport {
     );
     let guest_off = vm_off.open_scif(&mut tl).expect("off open");
     guest_off.connect(ScifAddr::new(host.device_node(0), Port(883)), &mut tl).expect("off connect");
-    wait_for_guest_window(&guest_off, &vm_off);
+    server_off.wait_registered();
 
     // --- vPHI, zero-copy on, cache disabled: every read pins cold. ---
     let server_cold = spawn_device_window(&host, Port(884), max);
@@ -140,7 +138,7 @@ pub fn zero_copy() -> ZeroCopyReport {
     guest_cold
         .connect(ScifAddr::new(host.device_node(0), Port(884)), &mut tl)
         .expect("cold connect");
-    wait_for_guest_window(&guest_cold, &vm_cold);
+    server_cold.wait_registered();
 
     // --- vPHI, zero-copy on, default cache: measured read is warm. ---
     let server_warm = spawn_device_window(&host, Port(885), max);
@@ -150,7 +148,7 @@ pub fn zero_copy() -> ZeroCopyReport {
     guest_warm
         .connect(ScifAddr::new(host.device_node(0), Port(885)), &mut tl)
         .expect("warm connect");
-    wait_for_guest_window(&guest_warm, &vm_warm);
+    server_warm.wait_registered();
 
     let mut rows = Vec::new();
     let mut peak_stages_off = [SimDuration::ZERO; STAGE_COUNT];

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use vphi::builder::VphiHost;
 use vphi_scif::window::WindowBacking;
-use vphi_scif::{Port, Prot, RmaFlags, ScifEndpoint};
+use vphi_scif::{Port, Prot};
 use vphi_sim_core::Timeline;
 
 /// A device-side server that accepts one connection and drains bytes
@@ -49,18 +49,35 @@ pub fn spawn_device_sink_on(
     handle
 }
 
+/// A running [`spawn_device_window`] server.
+pub struct DeviceWindow {
+    thread: std::thread::JoinHandle<()>,
+    registered: std::sync::mpsc::Receiver<()>,
+}
+
+impl DeviceWindow {
+    /// Block until the server has registered its window.  It registers
+    /// after `accept`, so a client calls this once its `connect` has
+    /// returned and before its first RMA.
+    pub fn wait_registered(&self) {
+        self.registered.recv().expect("window server died before registering");
+    }
+
+    /// Wait for the server to exit (it does when the peer hangs up).
+    pub fn join(self) -> std::thread::Result<()> {
+        self.thread.join()
+    }
+}
+
 /// A device-side server that registers a `window_len` GDDR window at
 /// offset 0 (the paper's remote-memory benchmark server) and parks until
 /// the peer closes.
-pub fn spawn_device_window(
-    host: &VphiHost,
-    port: Port,
-    window_len: u64,
-) -> std::thread::JoinHandle<()> {
+pub fn spawn_device_window(host: &VphiHost, port: Port, window_len: u64) -> DeviceWindow {
     let board = Arc::clone(host.board(0));
     let server = host.device_endpoint(0).expect("device endpoint");
     let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
+    let (registered_tx, registered) = std::sync::mpsc::channel();
+    let thread = std::thread::spawn(move || {
         let mut tl = Timeline::new();
         server.bind(port, &mut tl).expect("bind");
         server.listen(4, &mut tl).expect("listen");
@@ -76,40 +93,15 @@ pub fn spawn_device_window(
             &mut tl,
         )
         .expect("register");
+        // A client that never waits has dropped its end; that is its call.
+        let _ = registered_tx.send(());
         // Park until the peer hangs up.
         let mut b = [0u8; 1];
         let _ = conn.core().recv(&mut b, &mut tl);
         let _ = board.memory().free(offset);
     });
     ready_rx.recv().expect("server thread died before listening");
-    handle
-}
-
-/// Retry a tiny remote read until the device window appears (wall-clock
-/// rendezvous with the server thread).
-pub fn wait_for_native_window(ep: &ScifEndpoint) {
-    let mut b = [0u8; 1];
-    for _ in 0..2000 {
-        let mut tl = Timeline::new();
-        if ep.vreadfrom(&mut b, 0, RmaFlags::SYNC, &mut tl).is_ok() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    panic!("device window never appeared (native)");
-}
-
-/// Guest-side variant of [`wait_for_native_window`].
-pub fn wait_for_guest_window(guest: &vphi::GuestScif, vm: &vphi::VphiVm) {
-    let buf = vm.alloc_buf(1).expect("guest buf");
-    for _ in 0..2000 {
-        let mut tl = Timeline::new();
-        if guest.vreadfrom(&buf, 0, RmaFlags::SYNC, &mut tl).is_ok() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    panic!("device window never appeared (guest)");
+    DeviceWindow { thread, registered }
 }
 
 /// Render a simple fixed-width table.

@@ -441,6 +441,30 @@ impl BackendInner {
         chain.descriptors.get(1..n.saturating_sub(1)).unwrap_or(&[])
     }
 
+    /// The guest ranges a `Send`/`Recv` of `len` bytes moves through: each
+    /// payload descriptor in turn, the last cut to what is left of `len`.
+    /// Every range is checked against guest RAM here, before the first
+    /// byte moves, so a request that names memory the guest does not have
+    /// is refused whole: nothing reaches the peer, nothing leaves the
+    /// queue.  The bytes then go guest memory ↔ message queue in place
+    /// (`send_with`/`recv_with`), with no buffer of the backend's between.
+    fn message_spans<'c>(
+        &self,
+        chain: &'c DescChain,
+        len: u32,
+    ) -> ScifResult<impl Iterator<Item = (Gpa, usize)> + 'c> {
+        let mut left = u64::from(len);
+        let spans = self.payload(chain).iter().map_while(move |d| {
+            let take = u64::from(d.len).min(left);
+            left -= take;
+            (take > 0).then_some((Gpa(d.addr), take as usize))
+        });
+        for (gpa, take) in spans.clone() {
+            self.guest_mem.with_slice(gpa, take as u64, |_| ()).map_err(|_| ScifError::Inval)?;
+        }
+        Ok(spans)
+    }
+
     /// Execute one decoded request against the host SCIF driver.
     fn execute(&self, req: &VphiRequest, chain: &DescChain, ctx: &mut OpCtx<'_>) -> VphiResponse {
         let r: ScifResult<(u64, u64)> = (|| match *req {
@@ -471,30 +495,26 @@ impl BackendInner {
             VphiRequest::Send { epd, len } => {
                 let ep = self.ep(epd)?;
                 let mut sent = 0u64;
-                for d in self.payload(chain) {
-                    let take = (d.len as u64).min(len as u64 - sent) as usize;
-                    if take == 0 {
-                        break;
-                    }
-                    let data = self
-                        .guest_mem
-                        .with_slice(Gpa(d.addr), take as u64, |s| s.to_vec())
-                        .map_err(|_| ScifError::Inval)?;
-                    sent += ep.send(&data, &mut *ctx)? as u64;
+                for (gpa, take) in self.message_spans(chain, len)? {
+                    let fill = |at: usize, dst: &mut [u8]| {
+                        self.guest_mem
+                            .read(gpa.offset(at as u64), dst)
+                            .map_err(|_| ScifError::Inval)
+                    };
+                    sent += ep.send_with(take, fill, &mut *ctx)? as u64;
                 }
                 Ok((sent, 0))
             }
             VphiRequest::Recv { epd, len } => {
                 let ep = self.ep(epd)?;
                 let mut got = 0u64;
-                for d in self.payload(chain) {
-                    let want = (d.len as u64).min(len as u64 - got) as usize;
-                    if want == 0 {
-                        break;
-                    }
-                    let mut buf = vec![0u8; want];
-                    let n = ep.recv(&mut buf, &mut *ctx)?;
-                    self.guest_mem.write(Gpa(d.addr), &buf[..n]).map_err(|_| ScifError::Inval)?;
+                for (gpa, want) in self.message_spans(chain, len)? {
+                    let drain = |at: usize, src: &[u8]| {
+                        self.guest_mem
+                            .write(gpa.offset(at as u64), src)
+                            .map_err(|_| ScifError::Inval)
+                    };
+                    let n = ep.recv_with(want, drain, &mut *ctx)?;
                     got += n as u64;
                     if n < want {
                         break; // peer closed

@@ -1057,41 +1057,37 @@ impl FrontendDriver {
     ) -> Vec<ReapedOp> {
         let budget = budget.min(interest.len());
         let target = min.min(budget);
-        let mut out: Vec<ReapedOp> = Vec::new();
-        let mut reaped: HashSet<ReqToken> = HashSet::new();
-        // Pass 1: everything already completed, no waiting.
-        for &token in interest {
-            if out.len() >= budget {
-                break;
-            }
-            if let Some(done) = self.channel.try_take(token) {
-                reaped.insert(token);
-                out.push(self.finish_reaped(token, Some(done), ctx));
-            }
-        }
-        // Pass 2: block oldest-first until the floor is met, opportunistic
-        // drains between blocking waits (others complete while we sleep).
-        for &token in interest {
-            if out.len() >= target {
-                break;
-            }
-            if reaped.contains(&token) || !self.pending.lock().contains_key(&token) {
-                continue;
-            }
-            reaped.insert(token);
-            out.push(self.block_on(token, ctx));
-            for &t2 in interest {
+        let mut out: Vec<ReapedOp> = Vec::with_capacity(budget);
+        // `open[i]`: `interest[i]` has not been reaped by this call.
+        let mut open = vec![true; interest.len()];
+        let mut from = 0;
+        loop {
+            // Take what has already completed, no waiting: all of
+            // `interest` first, then (others complete while we sleep) what
+            // follows the token just blocked on — everything before it is
+            // reaped or was never pending.
+            for i in from..interest.len() {
                 if out.len() >= budget {
                     break;
                 }
-                if reaped.contains(&t2) {
+                if !open[i] {
                     continue;
                 }
-                if let Some(done) = self.channel.try_take(t2) {
-                    reaped.insert(t2);
-                    out.push(self.finish_reaped(t2, Some(done), ctx));
+                if let Some(done) = self.channel.try_take(interest[i]) {
+                    open[i] = false;
+                    out.push(self.finish_reaped(interest[i], Some(done), ctx));
                 }
             }
+            if out.len() >= target {
+                break;
+            }
+            // Floor not met: block on the oldest token still pending.
+            let oldest = (from..interest.len())
+                .find(|&i| open[i] && self.pending.lock().contains_key(&interest[i]));
+            let Some(i) = oldest else { break };
+            open[i] = false;
+            out.push(self.block_on(interest[i], ctx));
+            from = i + 1;
         }
         out
     }
@@ -1221,8 +1217,8 @@ impl FrontendDriver {
             self.kernel.copy_from_user(buf, chunk, tl).map_err(|_| ScifError::Inval)?;
             descs.push(Descriptor::readable(buf.gpa.0, chunk.len() as u32));
             bufs.push(buf);
-            self.stats.lock().chunks_sent += 1;
         }
+        self.stats.lock().chunks_sent += bufs.len() as u64;
         Ok((bufs, descs))
     }
 

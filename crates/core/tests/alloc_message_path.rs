@@ -1,0 +1,165 @@
+//! Allocation regression test for the message data plane (DESIGN.md #20).
+//!
+//! A `scif_send`/`scif_recv` payload is copied once per hop, between
+//! stores that already exist: the guest's staging buffer, the message
+//! queue's ring, the receiver's buffer.  Nothing on the way may allocate
+//! a buffer sized by the payload.  This binary installs a counting global
+//! allocator — it sees every thread: the caller, the backend's shard
+//! threads, the event loop — and asserts that, once the rings have grown
+//! and the pools are warm, the blocking and the batched paths make no heap
+//! allocation of 32 KiB or more while moving 64 KiB payloads.
+//!
+//! One `#[test]` only: the counter is process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use vphi::builder::{VmConfig, VphiHost};
+use vphi::{Cq, Sq, SqEntry};
+use vphi_scif::types::pinned_buf;
+use vphi_scif::window::WindowBacking;
+use vphi_scif::{Port, Prot, RmaFlags, ScifAddr};
+use vphi_sim_core::Timeline;
+
+/// Allocations at or above this size count as payload-sized.
+const LARGE: usize = 32 << 10;
+const PAYLOAD: usize = 64 << 10;
+
+/// Large allocations since the last reset, and the largest of them.
+static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+struct CountingAlloc;
+
+fn note(size: usize) {
+    if size >= LARGE {
+        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(size, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, the
+// allocator the process would otherwise use, so `System`'s guarantees are
+// this allocator's; the only addition is two relaxed atomic updates, which
+// neither allocate nor touch the memory being managed.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
+        // `layout`, which is `System.alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: the caller guarantees `ptr` came from this allocator —
+        // that is, from `System` — with `layout`, and that `new_size` is
+        // valid for it.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator —
+        // that is, from `System` — with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Run `body` and return how many large allocations the process made
+/// meanwhile, with the largest one's size.
+fn large_allocs_during(body: impl FnOnce()) -> (usize, usize) {
+    LARGE_ALLOCS.store(0, Ordering::Relaxed);
+    LARGEST.store(0, Ordering::Relaxed);
+    body();
+    (LARGE_ALLOCS.load(Ordering::Relaxed), LARGEST.load(Ordering::Relaxed))
+}
+
+#[test]
+fn warm_message_path_makes_no_payload_sized_allocation() {
+    let host = VphiHost::new(1);
+    let listener = host.device_endpoint(0).unwrap();
+    let mut tl = Timeline::new();
+    listener.bind(Port(990), &mut tl).unwrap();
+    listener.listen(1, &mut tl).unwrap();
+    let acceptor = std::thread::spawn(move || listener.accept(&mut Timeline::new()).unwrap());
+    let vm = host.spawn_vm(VmConfig::default());
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(ScifAddr::new(host.device_node(0), Port(990)), &mut tl).unwrap();
+    let card = acceptor.join().unwrap();
+    // A window for the batch's RMA reads.
+    let window = WindowBacking::Pinned(pinned_buf(4096));
+    card.register(Some(0), 4096, Prot::READ_WRITE, window, &mut tl).unwrap();
+
+    let data: Vec<u8> = (0..PAYLOAD).map(|i| (i % 251) as u8).collect();
+    let mut out = vec![0u8; PAYLOAD];
+    let rma_buf = vm.alloc_buf(4096).unwrap();
+    // The serving benchmark's batch shape: 1 KiB sends, 4 KiB RMA reads,
+    // 64 KiB sends.
+    let batch_bytes: usize = (0..16).map(|i| [1 << 10, 0, PAYLOAD][i % 3]).sum();
+    let mut drained = vec![0u8; batch_bytes];
+    let build_batch = || {
+        let mut sq = Sq::new();
+        for i in 0..16 {
+            sq.push(match i % 3 {
+                0 => SqEntry::send(&data[..1 << 10]),
+                1 => SqEntry::vreadfrom(&rma_buf, 0, RmaFlags::SYNC),
+                _ => SqEntry::send(&data),
+            });
+        }
+        sq
+    };
+
+    // Each round is built outside the measured window (`SqEntry::send`
+    // copies its payload on construction; that copy is the API's, made
+    // before `submit`) and run inside it.
+    let mut round = |measured: bool| {
+        let mut sq = build_batch();
+        let mut tl = Timeline::new();
+        let counted = large_allocs_during(|| {
+            // Blocking guest send, received on the card.
+            assert_eq!(ep.send(&data, &mut tl), Ok(PAYLOAD));
+            assert_eq!(card.recv(&mut out, &mut tl), Ok(PAYLOAD));
+            // Blocking guest recv.
+            assert_eq!(card.send(&data, &mut tl), Ok(PAYLOAD));
+            assert_eq!(ep.recv(&mut out, &mut tl), Ok(PAYLOAD));
+            // One batch, from submit to its last reap; the card drains it
+            // afterwards, so the ring holds all of it at once.
+            let mut cq = Cq::new();
+            cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+            assert_eq!(ep.reap(&mut cq, 16, 16, &mut tl), Ok(16));
+            assert!(cq.drain().iter().all(|e| e.result.is_ok()));
+            assert_eq!(card.recv(&mut drained, &mut tl), Ok(batch_bytes));
+        });
+        assert_eq!(out, data);
+        if measured {
+            assert_eq!(
+                counted.0, 0,
+                "{} allocation(s) of >= {LARGE} bytes on the warm message path, largest {}",
+                counted.0, counted.1
+            );
+        }
+    };
+    // Warm-up: the rings grow to the batch's footprint, the slot pools,
+    // timelines and the waiter's tables reach their working size.
+    for _ in 0..3 {
+        round(false);
+    }
+    // The counter itself works: a payload-sized buffer shows up.
+    let (n, largest) = large_allocs_during(|| drop(std::hint::black_box(vec![0u8; PAYLOAD])));
+    assert_eq!((n, largest), (1, PAYLOAD));
+    for _ in 0..3 {
+        round(true);
+    }
+
+    ep.close(&mut tl).unwrap();
+    vm.shutdown();
+}

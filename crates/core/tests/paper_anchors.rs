@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use vphi::builder::{VmConfig, VphiHost};
 use vphi_scif::window::WindowBacking;
-use vphi_scif::{Port, Prot, RmaFlags, ScifAddr, ScifEndpoint};
+use vphi_scif::{Port, Prot, RmaFlags, ScifAddr};
 use vphi_sim_core::units::MIB;
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 
@@ -41,16 +41,18 @@ fn spawn_device_sink(host: &VphiHost, port: Port) -> std::thread::JoinHandle<()>
     handle
 }
 
-/// Device server that registers a GDDR window and parks.
+/// Device server that registers a GDDR window and parks.  It registers
+/// after `accept`, so the client waits on the returned channel between its
+/// `connect` and its first RMA.
 fn spawn_device_window(
     host: &VphiHost,
     port: Port,
     window_len: u64,
-) -> (std::thread::JoinHandle<()>, Arc<vphi_phi::PhiBoard>) {
+) -> (std::thread::JoinHandle<()>, std::sync::mpsc::Receiver<()>) {
     let board = Arc::clone(host.board(0));
     let server = host.device_endpoint(0).unwrap();
-    let b2 = Arc::clone(&board);
     let (tx, rx) = std::sync::mpsc::channel();
+    let (registered_tx, registered) = std::sync::mpsc::channel();
     let h = std::thread::spawn(move || {
         let mut tl = Timeline::new();
         server.bind(port, &mut tl).unwrap();
@@ -60,7 +62,7 @@ fn spawn_device_window(
         // Timed region: capacity accounting only (reads as zeros) — the
         // throughput benchmark never checks payload contents, matching how
         // the paper's benchmark registers an uninitialized device area.
-        let region = b2.memory().alloc_timed(window_len).unwrap();
+        let region = board.memory().alloc_timed(window_len).unwrap();
         conn.register(
             Some(0),
             window_len,
@@ -69,12 +71,13 @@ fn spawn_device_window(
             &mut tl,
         )
         .unwrap();
+        registered_tx.send(()).unwrap();
         // Park until the peer hangs up.
         let mut b = [0u8; 1];
         let _ = conn.core().recv(&mut b, &mut tl);
     });
     rx.recv().unwrap();
-    (h, board)
+    (h, registered)
 }
 
 #[test]
@@ -162,12 +165,11 @@ fn fig5_remote_read_peak_is_72_percent_of_native() {
     let size = 256 * MIB;
 
     // --- native remote read ---
-    let (server, _board) = spawn_device_window(&host, Port(720), size);
+    let (server, registered) = spawn_device_window(&host, Port(720), size);
     let native = host.native_endpoint().unwrap();
     let mut tl = Timeline::new();
     native.connect(ScifAddr::new(host.device_node(0), Port(720)), &mut tl).unwrap();
-    // Give the device thread time to register its window.
-    wait_for_window(&native);
+    registered.recv().unwrap();
     let mut buf = vec![0u8; size as usize];
     let mut native_tl = Timeline::new();
     native.vreadfrom(&mut buf, 0, RmaFlags::SYNC, &mut native_tl).unwrap();
@@ -178,11 +180,11 @@ fn fig5_remote_read_peak_is_72_percent_of_native() {
     server.join().unwrap();
 
     // --- vPHI remote read ---
-    let (server, _board) = spawn_device_window(&host, Port(721), size);
+    let (server, registered) = spawn_device_window(&host, Port(721), size);
     let vm = host.spawn_vm(VmConfig::builder().mem_size(384 * MIB).build());
     let guest = vm.open_scif(&mut tl).unwrap();
     guest.connect(ScifAddr::new(host.device_node(0), Port(721)), &mut tl).unwrap();
-    wait_for_guest_window(&guest, &vm);
+    registered.recv().unwrap();
     let gbuf = vm.alloc_buf(size).unwrap();
     let mut vphi_tl = Timeline::new();
     guest.vreadfrom(&gbuf, 0, RmaFlags::SYNC, &mut vphi_tl).unwrap();
@@ -196,30 +198,4 @@ fn fig5_remote_read_peak_is_72_percent_of_native() {
     guest.close(&mut tl).unwrap();
     vm.shutdown();
     server.join().unwrap();
-}
-
-/// Wait (wall clock) until the device-side window is registered, by
-/// retrying a tiny read.
-fn wait_for_window(ep: &ScifEndpoint) {
-    let mut b = [0u8; 1];
-    for _ in 0..1000 {
-        let mut tl = Timeline::new();
-        if ep.vreadfrom(&mut b, 0, RmaFlags::SYNC, &mut tl).is_ok() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    panic!("device window never appeared");
-}
-
-fn wait_for_guest_window(guest: &vphi::GuestScif, vm: &vphi::VphiVm) {
-    let buf = vm.alloc_buf(1).unwrap();
-    for _ in 0..1000 {
-        let mut tl = Timeline::new();
-        if guest.vreadfrom(&buf, 0, RmaFlags::SYNC, &mut tl).is_ok() {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    panic!("device window never appeared (guest)");
 }

@@ -26,6 +26,7 @@ use crate::endpoint::{EndpointCore, EpState};
 use crate::error::ScifResult;
 use crate::fabric::ScifFabric;
 use crate::mmap::MappedRegion;
+use crate::queue::{copy_from, copy_into};
 use crate::types::{NodeId, Port, Prot, RmaFlags, ScifAddr};
 use crate::window::WindowBacking;
 
@@ -123,19 +124,41 @@ impl ScifEndpoint {
 
     /// `scif_send` with `SCIF_SEND_BLOCK`.
     pub fn send<'a>(&self, data: &[u8], ctx: impl Into<OpCtx<'a>>) -> ScifResult<usize> {
-        let mut ctx = ctx.into();
-        ctx.in_span("scif_send", Stage::HostScif, |c| {
-            self.syscall(c);
-            self.core.send(data, c.tl)
-        })
+        self.send_with(data.len(), copy_from(data), ctx)
     }
 
     /// `scif_recv` with `SCIF_RECV_BLOCK`.
     pub fn recv<'a>(&self, out: &mut [u8], ctx: impl Into<OpCtx<'a>>) -> ScifResult<usize> {
+        self.recv_with(out.len(), copy_into(out), ctx)
+    }
+
+    /// `scif_send` straight out of a store of the caller's — see
+    /// [`EndpointCore::send_with`].
+    pub fn send_with<'a>(
+        &self,
+        len: usize,
+        fill: impl FnMut(usize, &mut [u8]) -> ScifResult<()>,
+        ctx: impl Into<OpCtx<'a>>,
+    ) -> ScifResult<usize> {
+        let mut ctx = ctx.into();
+        ctx.in_span("scif_send", Stage::HostScif, |c| {
+            self.syscall(c);
+            self.core.send_with(len, fill, c.tl)
+        })
+    }
+
+    /// `scif_recv` straight into a store of the caller's — see
+    /// [`EndpointCore::recv_with`].
+    pub fn recv_with<'a>(
+        &self,
+        len: usize,
+        drain: impl FnMut(usize, &[u8]) -> ScifResult<()>,
+        ctx: impl Into<OpCtx<'a>>,
+    ) -> ScifResult<usize> {
         let mut ctx = ctx.into();
         ctx.in_span("scif_recv", Stage::HostScif, |c| {
             self.syscall(c);
-            self.core.recv(out, c.tl)
+            self.core.recv_with(len, drain, c.tl)
         })
     }
 

@@ -15,7 +15,7 @@ use vphi_sync::{LockClass, TrackedMutex};
 
 use crate::error::{ScifError, ScifResult};
 use crate::fabric::{enqueue_connect, FabricShared, Listener, NodeCore};
-use crate::queue::MsgQueue;
+use crate::queue::{copy_from, copy_into, MsgQueue};
 use crate::types::{NodeId, Port, Prot, ScifAddr};
 use crate::window::{WindowBacking, WindowTable};
 
@@ -265,26 +265,55 @@ impl EndpointCore {
     /// `scif_send` (blocking): delivers all of `data` to the peer's
     /// receive queue, charging the full delivery path.
     pub fn send(&self, data: &[u8], tl: &mut Timeline) -> ScifResult<usize> {
+        self.send_with(data.len(), copy_from(data), tl)
+    }
+
+    /// `scif_send` of `len` bytes that live in a store of the caller's
+    /// (the vPHI backend sends straight out of guest memory): `fill(at,
+    /// dst)` writes bytes `at..at + dst.len()` of the message into a
+    /// stretch of the peer's receive queue.  Same checks, charges and
+    /// blocking as [`send`](Self::send).  `fill` runs under the queue lock
+    /// — see [`MsgQueue::write_all_with`] for what it may do — and its
+    /// error ends the send.
+    pub fn send_with(
+        &self,
+        len: usize,
+        fill: impl FnMut(usize, &mut [u8]) -> ScifResult<()>,
+        tl: &mut Timeline,
+    ) -> ScifResult<usize> {
         if self.state() != EpState::Connected {
             return Err(ScifError::NotConn);
         }
         let peer = self.peer_core()?;
         let q = self.send_q.get().ok_or(ScifError::NotConn)?;
         // Copy user -> kernel.
-        tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(data.len() as u64));
-        if !q.write_all(data) {
+        tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(len as u64));
+        if !q.write_all_with(len, fill)? {
             return Err(ScifError::ConnReset);
         }
-        self.shared.charge_message_path(self.node.id(), peer.node_id(), data.len() as u64, tl)?;
+        self.shared.charge_message_path(self.node.id(), peer.node_id(), len as u64, tl)?;
         self.shared.activity.bump();
-        Ok(data.len())
+        Ok(len)
     }
 
     /// `scif_recv` with `SCIF_RECV_BLOCK`: blocks until `out` is full (or
     /// the peer closed — then returns the short count).
     pub fn recv(&self, out: &mut [u8], tl: &mut Timeline) -> ScifResult<usize> {
+        self.recv_with(out.len(), copy_into(out), tl)
+    }
+
+    /// `scif_recv` of `len` bytes into a store of the caller's, the twin
+    /// of [`send_with`](Self::send_with): `drain(at, src)` is shown bytes
+    /// `at..at + src.len()` of the receive in place in the queue.  Bytes a
+    /// failing `drain` was shown stay queued.
+    pub fn recv_with(
+        &self,
+        len: usize,
+        drain: impl FnMut(usize, &[u8]) -> ScifResult<()>,
+        tl: &mut Timeline,
+    ) -> ScifResult<usize> {
         let q = self.recv_q.get().ok_or(ScifError::NotConn)?;
-        let n = q.read_exact(out);
+        let n = q.read_exact_with(len, drain)?;
         tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(n as u64));
         self.shared.activity.bump();
         Ok(n)

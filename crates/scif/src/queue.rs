@@ -4,8 +4,18 @@
 //! of N bytes may be consumed by several receives and vice versa.  Each
 //! connected endpoint pair owns two of these queues, one per direction.
 //! Threads really block here; virtual time is charged by the callers.
+//!
+//! The bytes sit in a ring that grows on demand up to the queue's
+//! capacity and is never pre-sized.  Every transfer is at most two slice
+//! copies, one per contiguous half of the ring, and the *lending* calls
+//! ([`MsgQueue::write_all_with`], [`MsgQueue::read_exact_with`]) hand those
+//! halves to a closure, so a caller whose bytes live in another store (the
+//! vPHI backend, over guest memory) moves them straight between the two
+//! with no buffer in between.  The closure runs under the `MsgQueue` lock
+//! and may take only locks that nest inside it (the byte-storage leaves:
+//! `GuestMemState`); it never runs across a condvar wait.
 
-use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::time::Duration;
 
 use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
@@ -17,9 +27,88 @@ pub const DEFAULT_CAPACITY: usize = 16 * 1024 * 1024;
 /// Wall-clock guard so a deadlocked test fails instead of hanging.
 const WALL_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// A growable byte ring: `len` filled bytes starting at `head`, wrapping
+/// at `buf.len()`.
+#[derive(Debug, Default)]
+struct Ring {
+    buf: Vec<u8>,
+    head: usize,
+    len: usize,
+}
+
+impl Ring {
+    /// Make room for `total` queued bytes, doubling like a `Vec` so growth
+    /// is amortised, and never past `capacity`.
+    fn reserve(&mut self, total: usize, capacity: usize) {
+        if total <= self.buf.len() {
+            return;
+        }
+        let size = total.max(self.buf.len() * 2).min(capacity);
+        let mut grown = Vec::with_capacity(size);
+        let (a, b) = self.filled(self.len);
+        grown.extend_from_slice(a);
+        grown.extend_from_slice(b);
+        grown.resize(size, 0);
+        self.buf = grown;
+        self.head = 0;
+    }
+
+    /// The first `n` filled bytes (`n <= len`) as the ring's two halves.
+    fn filled(&self, n: usize) -> (&[u8], &[u8]) {
+        let first = n.min(self.buf.len() - self.head);
+        (&self.buf[self.head..self.head + first], &self.buf[..n - first])
+    }
+
+    /// The first `n` free bytes (`0 < n <= buf.len() - len`) as the ring's
+    /// two halves.
+    fn spare(&mut self, n: usize) -> (&mut [u8], &mut [u8]) {
+        let tail = (self.head + self.len) % self.buf.len();
+        let first = n.min(self.buf.len() - tail);
+        let (wrapped, from_tail) = self.buf.split_at_mut(tail);
+        (&mut from_tail[..first], &mut wrapped[..n - first])
+    }
+
+    /// Append `n` bytes produced by `fill(offset, half)`.  Nothing is
+    /// queued if a half fails.
+    fn push_with<E>(
+        &mut self,
+        n: usize,
+        capacity: usize,
+        mut fill: impl FnMut(usize, &mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.reserve(self.len + n, capacity);
+        let (a, b) = self.spare(n);
+        fill(0, a)?;
+        if !b.is_empty() {
+            fill(a.len(), b)?;
+        }
+        self.len += n;
+        Ok(())
+    }
+
+    /// Remove the first `n` bytes (`0 < n <= len`) after showing them to
+    /// `drain(offset, half)`.  Nothing is consumed if a half fails.
+    fn pop_with<E>(
+        &mut self,
+        n: usize,
+        mut drain: impl FnMut(usize, &[u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (a, b) = self.filled(n);
+        drain(0, a)?;
+        if !b.is_empty() {
+            drain(a.len(), b)?;
+        }
+        self.len -= n;
+        // An empty ring restarts at the front, so a queue that is drained
+        // between messages keeps handing out one contiguous half.
+        self.head = if self.len == 0 { 0 } else { (self.head + n) % self.buf.len() };
+        Ok(())
+    }
+}
+
 #[derive(Debug)]
 struct QInner {
-    buf: VecDeque<u8>,
+    ring: Ring,
     closed: bool,
 }
 
@@ -32,13 +121,37 @@ pub struct MsgQueue {
     capacity: usize,
 }
 
+/// Unwrap the result of a lending call whose closure cannot fail.
+fn infallible<T>(r: Result<T, Infallible>) -> T {
+    match r {
+        Ok(v) => v,
+        Err(never) => match never {},
+    }
+}
+
+/// The `fill` of a write whose bytes are the slice `data`.
+pub(crate) fn copy_from<E>(data: &[u8]) -> impl FnMut(usize, &mut [u8]) -> Result<(), E> + '_ {
+    move |at, dst| {
+        dst.copy_from_slice(&data[at..at + dst.len()]);
+        Ok(())
+    }
+}
+
+/// The `drain` of a read whose bytes go to the slice `out`.
+pub(crate) fn copy_into<E>(out: &mut [u8]) -> impl FnMut(usize, &[u8]) -> Result<(), E> + '_ {
+    move |at, src| {
+        out[at..at + src.len()].copy_from_slice(src);
+        Ok(())
+    }
+}
+
 impl MsgQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         MsgQueue {
             inner: TrackedMutex::new(
                 LockClass::MsgQueue,
-                QInner { buf: VecDeque::new(), closed: false },
+                QInner { ring: Ring::default(), closed: false },
             ),
             readable: TrackedCondvar::new(),
             writable: TrackedCondvar::new(),
@@ -56,7 +169,7 @@ impl MsgQueue {
 
     /// Bytes currently queued.
     pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
+        self.inner.lock().ring.len
     }
 
     pub fn is_empty(&self) -> bool {
@@ -69,47 +182,57 @@ impl MsgQueue {
 
     /// Free space right now.
     pub fn space(&self) -> usize {
-        let g = self.inner.lock();
-        self.capacity - g.buf.len()
+        self.capacity - self.len()
     }
 
     /// Blocking write of all of `data`.  Blocks while the queue is full.
     /// Returns `false` if the queue was closed before everything was
     /// written.
     pub fn write_all(&self, data: &[u8]) -> bool {
-        let mut remaining = data;
+        infallible(self.write_all_with(data.len(), copy_from(data)))
+    }
+
+    /// Blocking write of `len` bytes the caller produces in place: as space
+    /// opens up, `fill(at, dst)` is handed a free stretch of the ring and
+    /// must write bytes `at..at + dst.len()` of the message into it.
+    /// Returns `Ok(false)` if the queue was closed before everything was
+    /// written.  A failing `fill` ends the write with its error; the bytes
+    /// of that call never become visible to the reader.
+    pub fn write_all_with<E>(
+        &self,
+        len: usize,
+        mut fill: impl FnMut(usize, &mut [u8]) -> Result<(), E>,
+    ) -> Result<bool, E> {
+        let mut done = 0;
         let mut g = self.inner.lock();
-        while !remaining.is_empty() {
+        while done < len {
             if g.closed {
-                return false;
+                return Ok(false);
             }
-            let space = self.capacity - g.buf.len();
+            let space = self.capacity - g.ring.len;
             if space == 0 {
                 if self.writable.wait_for(&mut g, WALL_TIMEOUT).timed_out() {
-                    return false;
+                    return Ok(false);
                 }
                 continue;
             }
-            let take = space.min(remaining.len());
-            g.buf.extend(&remaining[..take]);
-            remaining = &remaining[take..];
+            let take = space.min(len - done);
+            g.ring.push_with(take, self.capacity, |at, dst| fill(done + at, dst))?;
+            done += take;
             self.readable.notify_all();
         }
-        true
+        Ok(true)
     }
 
     /// Non-blocking write; returns bytes accepted (0 when full or closed).
     pub fn write_some(&self, data: &[u8]) -> usize {
         let mut g = self.inner.lock();
-        if g.closed {
+        let take = (self.capacity - g.ring.len).min(data.len());
+        if g.closed || take == 0 {
             return 0;
         }
-        let space = self.capacity - g.buf.len();
-        let take = space.min(data.len());
-        g.buf.extend(&data[..take]);
-        if take > 0 {
-            self.readable.notify_all();
-        }
+        infallible(g.ring.push_with(take, self.capacity, copy_from(data)));
+        self.readable.notify_all();
         take
     }
 
@@ -118,53 +241,67 @@ impl MsgQueue {
     /// the full-length semantic is requested by the caller loop).  Returns
     /// the byte count read, or 0 if the queue is closed and drained.
     pub fn read_some(&self, out: &mut [u8]) -> usize {
-        if out.is_empty() {
-            return 0;
-        }
-        let mut g = self.inner.lock();
-        loop {
-            if !g.buf.is_empty() {
-                let take = g.buf.len().min(out.len());
-                for slot in out.iter_mut().take(take) {
-                    *slot = g.buf.pop_front().expect("len checked");
-                }
-                self.writable.notify_all();
-                return take;
-            }
-            if g.closed {
-                return 0;
-            }
-            if self.readable.wait_for(&mut g, WALL_TIMEOUT).timed_out() {
-                return 0;
-            }
-        }
+        infallible(self.read_with(out.len(), false, copy_into(out)))
     }
 
     /// Blocking read of exactly `out.len()` bytes (the `SCIF_RECV_BLOCK`
     /// full-length semantic).  Returns the bytes actually read, which is
     /// short only if the queue closed first.
     pub fn read_exact(&self, out: &mut [u8]) -> usize {
-        let mut filled = 0;
-        while filled < out.len() {
-            let n = self.read_some(&mut out[filled..]);
-            if n == 0 {
+        infallible(self.read_with(out.len(), true, copy_into(out)))
+    }
+
+    /// [`read_exact`](Self::read_exact) for a caller that consumes the
+    /// bytes in place: as data arrives, `drain(at, src)` is shown a filled
+    /// stretch of the ring holding bytes `at..at + src.len()` of the read.
+    /// Returns the bytes consumed, short only if the queue closed first.
+    /// A failing `drain` ends the read with its error; the bytes of that
+    /// call stay queued.
+    pub fn read_exact_with<E>(
+        &self,
+        len: usize,
+        drain: impl FnMut(usize, &[u8]) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        self.read_with(len, true, drain)
+    }
+
+    /// The blocking read loop: hand over what is queued, then either
+    /// return (`exact` off) or wait for the rest.
+    fn read_with<E>(
+        &self,
+        len: usize,
+        exact: bool,
+        mut drain: impl FnMut(usize, &[u8]) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        let mut done = 0;
+        let mut g = self.inner.lock();
+        while done < len {
+            if g.ring.len > 0 {
+                let take = g.ring.len.min(len - done);
+                g.ring.pop_with(take, |at, src| drain(done + at, src))?;
+                done += take;
+                self.writable.notify_all();
+                if !exact {
+                    break;
+                }
+                continue;
+            }
+            if g.closed || self.readable.wait_for(&mut g, WALL_TIMEOUT).timed_out() {
                 break;
             }
-            filled += n;
         }
-        filled
+        Ok(done)
     }
 
     /// Non-blocking read; returns bytes read (possibly 0).
     pub fn try_read(&self, out: &mut [u8]) -> usize {
         let mut g = self.inner.lock();
-        let take = g.buf.len().min(out.len());
-        for slot in out.iter_mut().take(take) {
-            *slot = g.buf.pop_front().expect("len checked");
+        let take = g.ring.len.min(out.len());
+        if take == 0 {
+            return 0;
         }
-        if take > 0 {
-            self.writable.notify_all();
-        }
+        infallible(g.ring.pop_with(take, copy_into(out)));
+        self.writable.notify_all();
         take
     }
 
@@ -272,6 +409,31 @@ mod tests {
         assert_eq!(q.space(), 2);
         q.close();
         assert_eq!(q.write_some(b"x"), 0);
+    }
+
+    #[test]
+    fn ring_grows_on_demand_and_never_past_capacity() {
+        let ring_size = |q: &MsgQueue| q.inner.lock().ring.buf.len();
+        // A fresh queue owns no bytes, whatever its capacity.
+        let q = MsgQueue::with_default_capacity();
+        assert_eq!(ring_size(&q), 0);
+        assert!(q.write_all(&[1u8; 100]));
+        assert_eq!(ring_size(&q), 100);
+        // Growth at least doubles, and keeps what is queued in order.
+        assert!(q.write_all(&[2u8; 10]));
+        assert_eq!(ring_size(&q), 200);
+        let mut out = [0u8; 110];
+        assert_eq!(q.read_exact(&mut out), 110);
+        assert!(out[..100].iter().all(|&b| b == 1) && out[100..].iter().all(|&b| b == 2));
+        // Draining does not shrink it; refilling within its size does not
+        // grow it.
+        assert!(q.write_all(&[3u8; 200]));
+        assert_eq!(ring_size(&q), 200);
+        // The capacity caps the doubling.
+        let small = MsgQueue::new(150);
+        assert_eq!(small.write_some(&[4u8; 100]), 100);
+        assert_eq!(small.write_some(&[4u8; 100]), 50);
+        assert_eq!(ring_size(&small), 150);
     }
 
     #[test]

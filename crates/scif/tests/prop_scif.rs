@@ -327,3 +327,368 @@ mod copy_selection {
         }
     }
 }
+
+// ------------------------------------------------- message-queue ring
+
+/// The message queue's byte ring against a byte-at-a-time reference:
+/// every transfer call, wrap point and growth step must show the reader
+/// the same stream, counts, EOF and short returns as a queue that moves
+/// one byte per step.
+mod ring_model {
+    use std::collections::VecDeque;
+    use std::sync::Arc;
+
+    use proptest::prelude::*;
+
+    use vphi_scif::queue::MsgQueue;
+
+    /// Byte `i` of the one stream every test writes, so a byte that is
+    /// lost, repeated or out of order shows at the position it happens.
+    fn stream_byte(i: u64) -> u8 {
+        (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
+    }
+
+    fn stream(from: u64, len: usize) -> Vec<u8> {
+        (0..len as u64).map(|i| stream_byte(from + i)).collect()
+    }
+
+    /// The reference: a bounded queue that moves one byte at a time.
+    struct Model {
+        bytes: VecDeque<u8>,
+        capacity: usize,
+        closed: bool,
+    }
+
+    impl Model {
+        fn space(&self) -> usize {
+            self.capacity - self.bytes.len()
+        }
+
+        /// Non-blocking write: bytes accepted.
+        fn write(&mut self, data: &[u8]) -> usize {
+            let mut accepted = 0;
+            for &b in data {
+                if self.closed || self.bytes.len() == self.capacity {
+                    break;
+                }
+                self.bytes.push_back(b);
+                accepted += 1;
+            }
+            accepted
+        }
+
+        /// Non-blocking read of up to `len` bytes.
+        fn read(&mut self, len: usize) -> Vec<u8> {
+            let mut out = Vec::new();
+            while out.len() < len {
+                match self.bytes.pop_front() {
+                    Some(b) => out.push(b),
+                    None => break,
+                }
+            }
+            out
+        }
+    }
+
+    /// A lending closure's view of one call: the offsets it was handed
+    /// must tile the transfer in order, in at most two calls per stretch
+    /// of ring (one per contiguous half).
+    #[derive(Default)]
+    struct Lent {
+        calls: usize,
+        bytes: usize,
+    }
+
+    impl Lent {
+        fn note(&mut self, at: usize, len: usize) {
+            assert_eq!(at, self.bytes, "lent offsets must be contiguous");
+            assert!(len > 0, "an empty half is never lent");
+            self.calls += 1;
+            self.bytes += len;
+        }
+    }
+
+    /// Drive `ops` through a queue of `capacity` bytes and the model.
+    /// Blocking calls are only issued where they cannot block (the
+    /// flow-control tests below cover where they do), so the whole run is
+    /// one thread and exactly reproducible.
+    fn run(capacity: usize, ops: &[(u8, u16)]) {
+        let q = MsgQueue::new(capacity);
+        let mut model = Model { bytes: VecDeque::new(), capacity, closed: false };
+        // Stream position of the next byte to write.
+        let mut written = 0u64;
+        for (step, &(kind, raw)) in ops.iter().enumerate() {
+            let len = raw as usize % (2 * capacity + 2);
+            let ctx = format!("step {step}: op {kind} len {len} capacity {capacity}");
+            // What a blocking write / read may ask for without blocking.
+            let fits = if model.closed { len } else { len.min(model.space()) };
+            let ready = if model.closed { len } else { len.min(model.bytes.len()) };
+            match kind {
+                0 => {
+                    let data = stream(written, fits);
+                    let accepted = model.write(&data);
+                    assert_eq!(q.write_all(&data), accepted == fits, "{ctx}");
+                    written += accepted as u64;
+                }
+                1 => {
+                    let data = stream(written, len);
+                    let accepted = model.write(&data);
+                    assert_eq!(q.write_some(&data), accepted, "{ctx}");
+                    written += accepted as u64;
+                }
+                2 => {
+                    let data = stream(written, fits);
+                    let accepted = model.write(&data);
+                    let mut lent = Lent::default();
+                    let ok = q.write_all_with(fits, |at, dst| {
+                        lent.note(at, dst.len());
+                        dst.copy_from_slice(&data[at..at + dst.len()]);
+                        Ok::<(), ()>(())
+                    });
+                    assert_eq!(ok, Ok(accepted == fits), "{ctx}");
+                    assert_eq!(lent.bytes, accepted, "{ctx}");
+                    assert!(lent.calls <= 2, "{ctx}: one stretch is at most two halves");
+                    written += accepted as u64;
+                }
+                3 => {
+                    // A fill that fails on its last half: nothing of the
+                    // write may become visible.
+                    let data = stream(written, fits);
+                    let mut calls = 0;
+                    let r = q.write_all_with(fits, |at, dst| {
+                        calls += 1;
+                        dst.copy_from_slice(&data[at..at + dst.len()]);
+                        if at + dst.len() == fits {
+                            Err("refused")
+                        } else {
+                            Ok(())
+                        }
+                    });
+                    if fits == 0 || model.closed {
+                        assert_eq!((r, calls), (Ok(fits == 0), 0), "{ctx}");
+                    } else {
+                        assert_eq!(r, Err("refused"), "{ctx}");
+                    }
+                }
+                4 => {
+                    let expect = model.read(ready);
+                    let mut out = vec![0u8; ready];
+                    assert_eq!(q.read_exact(&mut out), expect.len(), "{ctx}");
+                    assert_eq!(&out[..expect.len()], &expect[..], "{ctx}");
+                }
+                5 => {
+                    // `read_some` blocks only on an empty open queue.
+                    let want = if model.bytes.is_empty() && !model.closed { 0 } else { len };
+                    let expect = model.read(want);
+                    let mut out = vec![0u8; want];
+                    assert_eq!(q.read_some(&mut out), expect.len(), "{ctx}");
+                    assert_eq!(&out[..expect.len()], &expect[..], "{ctx}");
+                }
+                6 => {
+                    let expect = model.read(len);
+                    let mut out = vec![0u8; len];
+                    assert_eq!(q.try_read(&mut out), expect.len(), "{ctx}");
+                    assert_eq!(&out[..expect.len()], &expect[..], "{ctx}");
+                }
+                7 => {
+                    let expect = model.read(ready);
+                    let mut out = vec![0u8; ready];
+                    let mut lent = Lent::default();
+                    let n = q.read_exact_with(ready, |at, src| {
+                        lent.note(at, src.len());
+                        out[at..at + src.len()].copy_from_slice(src);
+                        Ok::<(), ()>(())
+                    });
+                    assert_eq!(n, Ok(expect.len()), "{ctx}");
+                    assert_eq!(lent.bytes, expect.len(), "{ctx}");
+                    assert!(lent.calls <= 2, "{ctx}: one stretch is at most two halves");
+                    assert_eq!(&out[..expect.len()], &expect[..], "{ctx}");
+                }
+                8 => {
+                    // A drain that fails on its last half: nothing of the
+                    // read may be consumed.
+                    let avail = ready.min(model.bytes.len());
+                    let r = q.read_exact_with(ready, |at, src| {
+                        if at + src.len() == avail {
+                            Err("refused")
+                        } else {
+                            Ok(())
+                        }
+                    });
+                    assert_eq!(r, if avail == 0 { Ok(0) } else { Err("refused") }, "{ctx}");
+                }
+                _ => {
+                    q.close();
+                    model.closed = true;
+                }
+            }
+            assert_eq!(q.len(), model.bytes.len(), "{ctx}");
+            assert_eq!(q.space(), model.space(), "{ctx}");
+            assert_eq!(q.is_closed(), model.closed, "{ctx}");
+        }
+        // Whatever is left drains as the model says, then EOF (or, on an
+        // open queue, nothing more without blocking).
+        let rest = model.read(capacity);
+        let mut out = vec![0u8; capacity];
+        assert_eq!(q.try_read(&mut out), rest.len());
+        assert_eq!(&out[..rest.len()], &rest[..]);
+        assert_eq!(q.try_read(&mut out), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleavings of every transfer call and `close`, on
+        /// capacities from one byte up, with lengths drawn around the
+        /// capacity so they straddle the wrap point and every doubling of
+        /// the ring on the way there.
+        #[test]
+        fn ring_matches_the_byte_at_a_time_model(
+            capacity in prop_oneof![1usize..10, 10usize..200, 200usize..5000],
+            ops in prop::collection::vec((0u8..40, any::<u16>()), 1..120),
+        ) {
+            // One op in ten closes (kinds 36..40), so most runs keep the
+            // stream open long enough to wrap several times.
+            let ops: Vec<(u8, u16)> =
+                ops.into_iter().map(|(kind, raw)| (if kind < 36 { kind % 9 } else { 9 }, raw)).collect();
+            run(capacity, &ops);
+        }
+
+        /// A writer blocked on flow control and a concurrent reader: the
+        /// message is many times the capacity, so the writer can only
+        /// finish through the reader's drains, and the stream arrives
+        /// intact whichever call each side uses.
+        #[test]
+        fn flow_control_hands_the_stream_over_intact(
+            capacity in 1usize..80,
+            message in 0usize..6000,
+            read_sizes in prop::collection::vec(1usize..200, 1..12),
+            lending_writer: bool,
+            reader in 0u8..3,
+        ) {
+            let q = Arc::new(MsgQueue::new(capacity));
+            let data = stream(0, message);
+            let writer = std::thread::spawn({
+                let (q, data) = (Arc::clone(&q), data.clone());
+                move || {
+                    let ok = if lending_writer {
+                        q.write_all_with(data.len(), |at, dst| {
+                            dst.copy_from_slice(&data[at..at + dst.len()]);
+                            Ok::<(), ()>(())
+                        })
+                    } else {
+                        Ok(q.write_all(&data))
+                    };
+                    q.close();
+                    ok
+                }
+            });
+            let mut got = Vec::new();
+            for i in 0.. {
+                let want = read_sizes[i % read_sizes.len()];
+                let mut buf = vec![0u8; want];
+                let n = match reader {
+                    0 => q.read_some(&mut buf),
+                    1 => q.read_exact(&mut buf),
+                    _ => q
+                        .read_exact_with(want, |at, src| {
+                            buf[at..at + src.len()].copy_from_slice(src);
+                            Ok::<(), ()>(())
+                        })
+                        .unwrap(),
+                };
+                got.extend_from_slice(&buf[..n]);
+                // Short of `want` only at EOF for the exact reads; zero
+                // only at EOF for `read_some`.
+                if n == 0 || (reader != 0 && n < want) {
+                    break;
+                }
+            }
+            prop_assert_eq!(writer.join().unwrap(), Ok(true));
+            prop_assert_eq!(got, data);
+        }
+
+        /// Close while a writer is blocked mid-message: the writer reports
+        /// the failure, the reader gets exactly the bytes queued before
+        /// the close — a prefix of the message — and then EOF.
+        #[test]
+        fn close_mid_write_leaves_a_clean_prefix(
+            capacity in 1usize..300,
+            excess in 1usize..300,
+            lending_writer: bool,
+        ) {
+            let q = Arc::new(MsgQueue::new(capacity));
+            let data = stream(0, capacity + excess);
+            let writer = std::thread::spawn({
+                let (q, data) = (Arc::clone(&q), data.clone());
+                move || {
+                    if lending_writer {
+                        q.write_all_with(data.len(), |at, dst| {
+                            dst.copy_from_slice(&data[at..at + dst.len()]);
+                            Ok::<(), ()>(())
+                        })
+                    } else {
+                        Ok(q.write_all(&data))
+                    }
+                }
+            });
+            // A full queue is the writer's blocked state (nobody reads):
+            // from here it can only wait, so the close lands mid-write.
+            while q.len() < capacity {
+                assert!(!writer.is_finished(), "writer ended before it filled the queue");
+                std::thread::yield_now();
+            }
+            q.close();
+            prop_assert_eq!(writer.join().unwrap(), Ok(false));
+            let mut out = vec![0u8; data.len()];
+            prop_assert_eq!(q.read_exact(&mut out), capacity);
+            prop_assert_eq!(&out[..capacity], &data[..capacity]);
+            prop_assert_eq!(q.read_some(&mut out), 0);
+        }
+    }
+
+    /// Every (ring position, transfer length) pair of small rings, through
+    /// both copying and lending calls: the wrap split exhaustively rather
+    /// than by chance.
+    #[test]
+    fn every_wrap_position_round_trips() {
+        for capacity in 1..=17usize {
+            for start in 0..capacity {
+                for len in 0..=capacity {
+                    let q = MsgQueue::new(capacity);
+                    // Grow the ring to its full size, then park its head
+                    // at `start` with `backlog` bytes queued ahead of the
+                    // transfer under test.
+                    let backlog = (capacity - len).min(start);
+                    let fill = stream(0, capacity);
+                    assert!(q.write_all(&fill));
+                    let mut sink = vec![0u8; capacity];
+                    assert_eq!(q.read_exact(&mut sink), capacity);
+                    assert!(q.write_all(&fill[..start]));
+                    assert_eq!(q.read_exact(&mut sink[..start - backlog]), start - backlog);
+
+                    let data = stream(1000, len);
+                    assert_eq!(
+                        q.write_all_with(len, |at, dst| {
+                            dst.copy_from_slice(&data[at..at + dst.len()]);
+                            Ok::<(), ()>(())
+                        }),
+                        Ok(true)
+                    );
+                    assert_eq!(q.len(), backlog + len);
+                    let mut out = vec![0u8; backlog + len];
+                    assert_eq!(
+                        q.read_exact_with(backlog + len, |at, src| {
+                            out[at..at + src.len()].copy_from_slice(src);
+                            Ok::<(), ()>(())
+                        }),
+                        Ok(backlog + len)
+                    );
+                    let ctx = format!("capacity {capacity} start {start} len {len}");
+                    assert_eq!(&out[..backlog], &fill[start - backlog..start], "{ctx}");
+                    assert_eq!(&out[backlog..], &data[..], "{ctx}");
+                }
+            }
+        }
+    }
+}

@@ -46,13 +46,15 @@
 //!    property test: a stray kick bypasses EVENT_IDX suppression and the
 //!    kicks-per-submission ledger the open-loop figure is built on.
 //! 9. `staging-buffer` — repeat-form `vec![_; len]` allocation is banned
-//!    on the RMA path (`scif/src/rma.rs` and `window.rs`, the backend,
-//!    `pcie/`): every RMA moves its bytes once, straight between the two
-//!    stores (DESIGN.md #19), with `pcie::dma::gather_copy`'s fixed bounce
-//!    block as the fallback, so a fresh length-sized staging vec is
-//!    exactly the copy that design retired.  The sanctioned bounce
-//!    (`pcie/src/dma.rs`) and `backend/mod.rs` (for its `Recv` arm only)
-//!    are exempt; `#[cfg(test)]` items are skipped because tests stage
+//!    on both data planes: the RMA path (`scif/src/rma.rs` and
+//!    `window.rs`, the backend, `pcie/`) and the message path
+//!    (`scif/src/queue.rs` and `endpoint.rs`, the backend's `Send`/`Recv`
+//!    arms).  Every RMA and every message moves its bytes once per hop,
+//!    straight between the two stores (DESIGN.md #19, #20), with
+//!    `pcie::dma::gather_copy`'s fixed bounce block as the RMA fallback,
+//!    so a fresh length-sized staging vec is exactly the copy those
+//!    designs retired.  Only the sanctioned bounce (`pcie/src/dma.rs`) is
+//!    exempt; `#[cfg(test)]` items are skipped because tests stage
 //!    reference buffers on purpose.
 
 use std::fmt;
@@ -339,7 +341,7 @@ fn scan_staging(tokens: &[TokenTree], rel: &Path, out: &mut Vec<Violation>) {
                         file: rel.to_path_buf(),
                         line: tokens[i].line(),
                         rule: "staging-buffer",
-                        message: "vec![_; len] builds a length-sized staging buffer on the RMA path; RMA bytes move once between the two stores (WindowBacking::copy_to, gather_copy as fallback) — staging is allowed only in the exempt cold paths (DESIGN.md #19)".into(),
+                        message: "vec![_; len] builds a length-sized staging buffer on a data path; RMA and message bytes move once per hop between the two stores (WindowBacking::copy_to with gather_copy as fallback, MsgQueue's lending calls) — only pcie::dma's fixed bounce is exempt (DESIGN.md #19, #20)".into(),
                     });
                 }
             }
@@ -707,12 +709,15 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "staging-buffer");
         assert_eq!(v[0].line, 1);
-        // The backend's RMA replay is in scope with no exemption.
+        // The backend (RMA replay and message arms alike) and the message
+        // queue are in scope with no exemption.
         assert_eq!(lint("crates/core/src/backend/rma.rs", src).len(), 1);
-        // The sanctioned bounce and the backend's `Recv` arm are exempt;
-        // out-of-scope crates are not this rule's business.
+        assert_eq!(lint("crates/core/src/backend/mod.rs", src).len(), 1);
+        assert_eq!(lint("crates/scif/src/queue.rs", src).len(), 1);
+        assert_eq!(lint("crates/scif/src/endpoint.rs", src).len(), 1);
+        // The sanctioned bounce is exempt; out-of-scope crates are not
+        // this rule's business.
         assert!(lint("crates/pcie/src/dma.rs", src).is_empty());
-        assert!(lint("crates/core/src/backend/mod.rs", src).is_empty());
         assert!(lint("crates/core/src/frontend/mod.rs", src).is_empty());
         // List-form vecs and non-vec macros stay legal on the path.
         let ok = "fn f() { let v = vec![1, 2, 3]; let w = Vec::with_capacity(9); }";

@@ -487,3 +487,64 @@ fn failed_rma_matches_native_and_retries_clean() {
         }
     }
 }
+
+/// A `Send`/`Recv` whose descriptor chain names memory the guest does not
+/// have is *refused* (DESIGN.md #20): `EINVAL`, with every descriptor
+/// checked before the first byte moves — nothing reaches the peer from
+/// the descriptors that were fine, nothing leaves the receive queue — and
+/// the next well-formed request on the endpoint sees the stream intact.
+#[test]
+fn message_outside_guest_ram_is_refused_whole() {
+    use vphi_virtio::Descriptor;
+
+    let host = VphiHost::new(1);
+    let server = host.device_endpoint(0).unwrap();
+    let mut tl = Timeline::new();
+    server.bind(Port(1010), &mut tl).unwrap();
+    server.listen(1, &mut tl).unwrap();
+    let acceptor = std::thread::spawn(move || server.accept(&mut Timeline::new()).unwrap());
+    let vm = host.spawn_vm(VmConfig::default());
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(ScifAddr::new(host.device_node(0), Port(1010)), &mut tl).unwrap();
+    let card = acceptor.join().unwrap();
+
+    let driver = vm.frontend();
+    let ram = vm.vm().mem().size();
+    // Three ways out of guest RAM: straddling its end, wholly past it, and
+    // an address whose end overflows.
+    let outside = [(ram - 2, 4), (ram + 4096, 4), (u64::MAX - 1, 4)];
+
+    for (addr, len) in outside {
+        // Send: a good 4-byte descriptor, then the bad one.
+        let (bufs, mut descs) = driver.stage_out(b"lost", &mut tl).unwrap();
+        descs.push(Descriptor::readable(addr, len));
+        let req = VphiRequest::Send { epd: ep.epd(), len: 8 };
+        let resp = driver.transact(&req, &descs, 8, &mut tl).unwrap();
+        assert_eq!(resp.into_result(), Err(ScifError::Inval), "send from {addr:#x}");
+        driver.free_staging(bufs);
+        assert_eq!(card.core().recv_pending(), 0, "send from {addr:#x}: bytes reached the peer");
+    }
+    assert_eq!(ep.send(b"intact", &mut tl), Ok(6));
+    let mut got = [0u8; 6];
+    assert_eq!(card.recv(&mut got, &mut tl), Ok(6));
+    assert_eq!(&got, b"intact");
+
+    card.send(b"0123456789", &mut tl).unwrap();
+    for (addr, len) in outside {
+        // Recv: a good 4-byte descriptor, then the bad one.
+        let (bufs, mut descs) = driver.stage_in(4, &mut tl).unwrap();
+        descs.push(Descriptor::writable(addr, len));
+        let req = VphiRequest::Recv { epd: ep.epd(), len: 8 };
+        let resp = driver.transact(&req, &descs, 8, &mut tl).unwrap();
+        assert_eq!(resp.into_result(), Err(ScifError::Inval), "recv into {addr:#x}");
+        driver.free_staging(bufs);
+    }
+    let mut got = [0u8; 10];
+    assert_eq!(ep.recv(&mut got, &mut tl), Ok(10));
+    assert_eq!(&got, b"0123456789", "a refused recv consumed bytes");
+
+    assert_eq!(driver.pending_tokens(), 0);
+    assert_eq!(driver.channel().inflight_count(), 0);
+    ep.close(&mut tl).unwrap();
+    vm.shutdown();
+}

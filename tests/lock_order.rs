@@ -256,3 +256,69 @@ fn rma_nests_byte_store_locks_in_ascending_order_only() {
         "a byte-store lock may only be held while taking a later byte store's"
     );
 }
+
+/// The message data plane's one nesting: the queue waits for space or
+/// data, then lends a stretch of its ring — still under the `MsgQueue`
+/// lock (42) — to the backend, which copies from or into guest memory
+/// under `GuestMemState` (84).  Drive guest `send`, `recv` and a batched
+/// submit of sends, at sizes that wrap and grow the ring, and check the
+/// audit saw that edge and no other out of `MsgQueue`, no violation, and —
+/// the clock asserting it on every advance — no lock held across a charge.
+#[test]
+fn messages_nest_guest_memory_inside_the_queue_lock_only() {
+    use vphi::builder::{VmConfig, VphiHost};
+    use vphi::{Cq, Sq, SqEntry};
+    use vphi_scif::{Port, ScifAddr};
+    use vphi_sim_core::Timeline;
+
+    let violations_before = vphi_sync::audit::violation_count();
+    let host = VphiHost::new(1);
+    let listener = host.device_endpoint(0).unwrap();
+    let mut tl = Timeline::new();
+    listener.bind(Port(960), &mut tl).unwrap();
+    listener.listen(1, &mut tl).unwrap();
+    let acceptor = std::thread::spawn(move || listener.accept(&mut Timeline::new()).unwrap());
+    let vm = host.spawn_vm(VmConfig::default());
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(ScifAddr::new(host.device_node(0), Port(960)), &mut tl).unwrap();
+    let card = acceptor.join().unwrap();
+
+    let sizes = [1usize, 4096, 64 << 10, (64 << 10) - 7];
+    let mut scratch = vec![0u8; 64 << 10];
+    for len in sizes {
+        let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        // Guest → card, blocking.
+        assert_eq!(ep.send(&data, &mut tl), Ok(len));
+        assert_eq!(card.recv(&mut scratch[..len], &mut tl), Ok(len));
+        assert_eq!(&scratch[..len], &data[..]);
+        // Card → guest, blocking.
+        assert_eq!(card.send(&data, &mut tl), Ok(len));
+        assert_eq!(ep.recv(&mut scratch[..len], &mut tl), Ok(len));
+        assert_eq!(&scratch[..len], &data[..]);
+    }
+    // Guest → card, one batch.
+    let mut sq = Sq::new();
+    for len in sizes {
+        sq.push(SqEntry::send(&scratch[..len]));
+    }
+    let mut cq = Cq::new();
+    cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+    assert_eq!(ep.reap(&mut cq, sizes.len(), sizes.len(), &mut tl), Ok(sizes.len()));
+    let sent: usize = sizes.iter().sum();
+    let mut drained = vec![0u8; sent];
+    assert_eq!(card.recv(&mut drained, &mut tl), Ok(sent));
+
+    ep.close(&mut tl).unwrap();
+    vm.shutdown();
+
+    assert_eq!(vphi_sync::audit::violation_count(), violations_before);
+    let under_queue: Vec<_> = vphi_sync::audit::order_edges()
+        .into_iter()
+        .filter(|(held, _)| *held == LockClass::MsgQueue)
+        .collect();
+    assert_eq!(
+        under_queue,
+        [(LockClass::MsgQueue, LockClass::GuestMemState)],
+        "the queue lock may only be held while taking guest memory's"
+    );
+}
