@@ -46,8 +46,9 @@ impl PathRule {
 ///   MSI must pass through.
 /// - `kick-doorbell`: the queue implementation itself (and its tests), the
 ///   frontend (whose batch submitter owns the one-doorbell-per-lane
-///   decision, DESIGN.md #18), and the FIFO property test which rings
-///   doorbells by hand on purpose.
+///   decision, DESIGN.md #18, and whose blocking path owns the
+///   serviced-on-this-thread kick, #21), and the FIFO property test which
+///   rings doorbells by hand on purpose.
 /// - `staging-buffer`: `pcie::dma` owns the one sanctioned bounce
 ///   (`gather_copy`'s fixed 16 KiB block) and is the only exemption.  The
 ///   rule's scope is both data planes: the RMA path (`backend/rma.rs`,

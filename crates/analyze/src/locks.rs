@@ -31,8 +31,10 @@ use syn::{Delimiter, TokenTree};
 use crate::model::{is_keyword, Workspace};
 use crate::report::{Finding, Summary};
 
-/// Methods that acquire a tracked lock when the receiver resolves.
-const ACQUIRE_METHODS: &[&str] = &["lock", "lock_or_recover", "try_lock", "read", "write"];
+/// Methods that acquire a tracked lock — or enter a `TrackedRole`, which
+/// orders like one — when the receiver resolves.
+const ACQUIRE_METHODS: &[&str] =
+    &["lock", "lock_or_recover", "try_lock", "read", "write", "enter", "try_enter"];
 
 /// Callee names never resolved interprocedurally: ubiquitous std method
 /// names that would otherwise alias unrelated in-tree functions
@@ -179,9 +181,9 @@ const NO_RESOLVE: &[&str] = &[
     "notify_all",
 ];
 
-/// Calls whose closure argument runs on another thread: the spawner's
-/// held set does not apply inside it.
-const SPAWN_LIKE: &[&str] = &["spawn", "spawn_worker"];
+/// Calls whose closure argument runs on another thread, or later (a
+/// registered handler): the caller's held set does not apply inside it.
+const SPAWN_LIKE: &[&str] = &["spawn", "spawn_worker", "set_exit_handler"];
 
 /// The class table exported by `vphi-sync`, keyed by variant name.
 pub struct ClassTable {

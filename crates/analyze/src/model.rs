@@ -231,7 +231,7 @@ impl LockFields {
     }
 }
 
-const TRACKED_CTORS: &[&str] = &["TrackedMutex", "TrackedRwLock"];
+const TRACKED_CTORS: &[&str] = &["TrackedMutex", "TrackedRwLock", "TrackedRole"];
 
 /// Find `TrackedMutex::new(LockClass::X, ..)` (and the RwLock form) and
 /// map the nearest enclosing binding name — `field: ..` struct init or

@@ -39,6 +39,7 @@ pub fn in_scope(rel: &str) -> bool {
             | "crates/core/src/protocol.rs"
             | "crates/core/src/backend/mod.rs"
             | "crates/core/src/backend/dispatch.rs"
+            | "crates/core/src/backend/drain.rs"
             | "crates/core/src/backend/rma.rs"
     ) || rel.starts_with("crates/analyze/fixtures/")
 }

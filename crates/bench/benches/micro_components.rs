@@ -87,30 +87,70 @@ fn bench_msgqueue(c: &mut Criterion) {
     }
 }
 
-/// One blocking 64 KiB guest send end to end: staging, ring, backend,
-/// guest memory → message queue, with a card-side sink draining it.
+/// Blocking guest calls end to end.  A 64 KiB send (staging, ring,
+/// backend, guest memory → message queue) and a 1-byte send (nothing but
+/// the fixed per-request path: marshal, ring, kick, the backend's replay,
+/// completion) against a card-side sink, then a 4 KiB echo (a send and the
+/// recv of its reply: two requests and a wait on the card between them).
 fn bench_guest_send(c: &mut Criterion) {
     let host = VphiHost::new(1);
     let sink = spawn_device_sink(&host, vphi_scif::Port(78));
-    let vm = host.spawn_vm(VmConfig::default());
+    let echo_server = host.device_endpoint(0).unwrap();
     let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).unwrap();
-    guest
-        .connect(vphi_scif::ScifAddr::new(host.device_node(0), vphi_scif::Port(78)), &mut tl)
-        .unwrap();
-    let data = vec![0xA5u8; 64 << 10];
+    echo_server.bind(vphi_scif::Port(79), &mut tl).unwrap();
+    echo_server.listen(1, &mut tl).unwrap();
+    let echo = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        let conn = echo_server.accept(&mut tl).unwrap();
+        let mut page = vec![0u8; 4 << 10];
+        while conn.recv(&mut page, &mut tl) == Ok(page.len()) {
+            conn.send(&page, &mut tl).unwrap();
+        }
+    });
+    let vm = host.spawn_vm(VmConfig::default());
+    let connect = |port| {
+        let guest = vm.open_scif(&mut Timeline::new()).unwrap();
+        let addr = vphi_scif::ScifAddr::new(host.device_node(0), vphi_scif::Port(port));
+        guest.connect(addr, &mut Timeline::new()).unwrap();
+        guest
+    };
+    let guest = connect(78);
+    let echoed = connect(79);
+
+    for (label, bytes) in [("guest_send_64KiB", 64usize << 10), ("guest_send_1B_blocking", 1)] {
+        let data = vec![0xA5u8; bytes];
+        let mut group = c.benchmark_group("guest");
+        group.throughput(Throughput::Bytes(bytes as u64));
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let mut tl = Timeline::new();
+                guest.send(std::hint::black_box(&data), &mut tl).unwrap()
+            })
+        });
+        group.finish();
+    }
+    let page = vec![0x5Au8; 4 << 10];
+    let mut back = vec![0u8; 4 << 10];
     let mut group = c.benchmark_group("guest");
-    group.throughput(Throughput::Bytes(data.len() as u64));
-    group.bench_function("guest_send_64KiB", |b| {
+    group.throughput(Throughput::Bytes(2 * page.len() as u64));
+    group.bench_function("guest_echo_4KiB_blocking", |b| {
         b.iter(|| {
             let mut tl = Timeline::new();
-            guest.send(std::hint::black_box(&data), &mut tl).unwrap()
+            guest_echo(&echoed, std::hint::black_box(&page), &mut back, &mut tl)
         })
     });
     group.finish();
+
     guest.close(&mut tl).unwrap();
+    echoed.close(&mut tl).unwrap();
     vm.shutdown();
     sink.join().unwrap();
+    echo.join().unwrap();
+}
+
+fn guest_echo(ep: &vphi::GuestScif, page: &[u8], back: &mut [u8], tl: &mut Timeline) -> usize {
+    ep.send(page, &mut *tl).unwrap();
+    ep.recv(back, &mut *tl).unwrap()
 }
 
 fn bench_cost_model(c: &mut Criterion) {

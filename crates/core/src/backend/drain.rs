@@ -1,0 +1,163 @@
+//! Who services a kick (DESIGN.md #21).
+//!
+//! One drain pass, two callers.  A lane's **shard thread** runs it after
+//! `wait_kick`, for work nobody is blocked on: batches (`submit_batch`),
+//! deadline re-kicks, and whatever a blocking kicker left behind.  A
+//! **blocking caller** runs it on its own thread, as the handler of the
+//! vm-exit its kick just took (`VirtQueue::kick_blocking`): "QEMU handles
+//! events as they are produced and during that time the whole VM is in
+//! blocking mode" (paper §III), so that caller had nothing to overlap
+//! with and handing its chain to another thread only bought two context
+//! switches.  The lane's executor role makes the two mutually exclusive,
+//! which is what keeps per-lane FIFO.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use super::BackendInner;
+
+impl BackendInner {
+    /// The shard thread's turn on lane `q`: wait for the executor role,
+    /// then drain everything, and again while more keeps arriving.
+    pub(super) fn drain_as_shard(self: &Arc<Self>, q: usize) {
+        let _executor = self.channel.lane_queue(q).executor.enter();
+        self.drain_lane(q, u64::MAX);
+    }
+
+    /// A blocking caller's vm-exit on lane `q`: drain what was ahead of
+    /// its chain (avail index `through`), then the chain itself, nothing
+    /// behind.  Only if the lane is idle: a kicker never waits for the
+    /// role.  When another executor holds it, that executor or the shard
+    /// (the kick rings it for whatever is left on the ring) runs the
+    /// chain, and the caller sleeps on its token exactly as it did before
+    /// there was anything to service inline — so it is never held up by
+    /// work that was not ahead of it.
+    pub(super) fn drain_as_kicker(self: &Arc<Self>, q: usize, through: u64) {
+        if let Some(_executor) = self.channel.lane_queue(q).executor.try_enter() {
+            self.drain_lane(q, through);
+        }
+    }
+
+    /// Drain lane `q`'s avail ring in ring order through avail index
+    /// `through`.  The caller holds the lane's executor role.
+    fn drain_lane(self: &Arc<Self>, q: usize, through: u64) {
+        let queue = self.channel.lane_queue(q);
+        while !self.channel.is_shutdown() {
+            // While a pass is draining a burst, further guest kicks are
+            // redundant — VRING_USED_F_NO_NOTIFY spares the guest those
+            // vm-exits.  Suppression is lifted *before* the burst's last
+            // completion is delivered, so a synchronous requester's next
+            // kick behaves exactly as a lone request's.  (Interrupt
+            // elision is the lane notifier's job.)
+            queue.set_suppress_kick(true);
+            let mut batch = Vec::new();
+            while let Ok(Some(chain)) = queue.pop_avail_through(through) {
+                batch.push(chain);
+            }
+            let burst = batch.len();
+            if burst > 0 {
+                self.stats.burst_drains.fetch_add(1, Ordering::Relaxed);
+                self.stats.burst_chains.fetch_add(burst as u64, Ordering::Relaxed);
+            }
+            if burst <= 1 {
+                queue.set_suppress_kick(false);
+            }
+            for (i, chain) in batch.into_iter().enumerate() {
+                if i + 1 == burst && burst > 1 {
+                    queue.set_suppress_kick(false);
+                }
+                self.process(q, chain);
+            }
+            // A chain posted while kicks were suppressed never delivered
+            // its kick; the shard picks it up before blocking.  A bounded
+            // pass has popped all it may: the kicker rings the shard for
+            // the rest on its way out.
+            if through != u64::MAX || !queue.avail_pending() {
+                return;
+            }
+        }
+        // A dead device executes nothing more.  Whoever waits on a chain
+        // still on the ring reads `ENODEV` off the shutdown flag; the pass
+        // only takes the chain's inflight entry off the books.  (Its
+        // descriptors die with the ring, as they do whenever a waiter saw
+        // the flag before its completion: no guest is left to
+        // `take_used`.)
+        while let Ok(Some(chain)) = queue.pop_avail_through(through) {
+            drop(self.channel.claim(q, chain.head));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::Ordering;
+
+    use vphi_faults::{FaultPlan, FaultSite};
+    use vphi_scif::{Port, ScifAddr};
+    use vphi_sim_core::Timeline;
+
+    use crate::builder::{VmConfig, VphiHost};
+    use crate::{Cq, Sq, SqEntry};
+
+    /// The bounded-drain invariant, with the ring contents pinned instead
+    /// of raced: a batch whose doorbell is lost leaves three chains on an
+    /// idle lane, and a kicker's pass bounded at the second must run the
+    /// first two and leave the third where it is.
+    #[test]
+    fn a_kickers_pass_runs_nothing_behind_its_own_chain() {
+        let host = VphiHost::new(1);
+        let server = host.device_endpoint(0).unwrap();
+        let mut tl = Timeline::new();
+        server.bind(Port(990), &mut tl).unwrap();
+        server.listen(1, &mut tl).unwrap();
+        let sink = std::thread::spawn(move || {
+            let mut tl = Timeline::new();
+            let conn = server.accept(&mut tl).unwrap();
+            let mut frames = [0u8; 3];
+            assert_eq!(conn.recv(&mut frames, &mut tl), Ok(3));
+            frames
+        });
+        let vm = host.spawn_vm(VmConfig::builder().num_queues(1).build());
+        let ep = vm.open_scif(&mut tl).unwrap();
+        ep.connect(ScifAddr::new(host.device_node(0), Port(990)), &mut tl).unwrap();
+
+        // The batch's one doorbell is the next kick: lose it.  A long
+        // first deadline keeps the reap's re-kick out of the picture.
+        host.arm_faults(FaultPlan::single(FaultSite::VirtioKickLost, 1, 0));
+        let mut sq = Sq::new();
+        for frame in 1..=3u8 {
+            sq.push(SqEntry::send(&[frame]).deadline_ms(60_000));
+        }
+        let mut cq = Cq::new();
+        cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+
+        let inner = vm.backend().inner();
+        let queue = vm.frontend().channel().lane_queue(0);
+        // The ring was empty before the batch: its chains sit at the three
+        // avail indices after everything popped so far.
+        let popped = queue.counters().chains_popped;
+        let served = inner.stats.requests.load(Ordering::Relaxed);
+
+        // A busy lane is left alone altogether.
+        {
+            let _busy = queue.executor.enter();
+            inner.drain_as_kicker(0, popped + 3);
+            assert_eq!(queue.counters().chains_popped, popped);
+        }
+        inner.drain_as_kicker(0, popped + 2);
+        assert_eq!(queue.counters().chains_popped, popped + 2);
+        assert_eq!(inner.stats.requests.load(Ordering::Relaxed), served + 2);
+        assert!(queue.avail_pending(), "the chain behind the bound stays on the ring");
+        // A pass the ring has already moved beyond finds nothing to do.
+        inner.drain_as_kicker(0, popped + 1);
+        assert_eq!(queue.counters().chains_popped, popped + 2);
+
+        inner.drain_as_shard(0);
+        assert_eq!(queue.counters().chains_popped, popped + 3);
+        assert_eq!(ep.reap(&mut cq, 3, 3, &mut tl), Ok(3));
+        assert!(cq.drain().iter().all(|done| done.result == Ok((1, 0))));
+        assert_eq!(sink.join().unwrap(), [1, 2, 3], "ring order is execution order");
+        ep.close(&mut tl).unwrap();
+        vm.shutdown();
+    }
+}

@@ -11,6 +11,7 @@
 //! on `/dev/mic/scif` in parallel — nothing in the host driver changes.
 
 mod dispatch;
+mod drain;
 pub mod notify;
 mod reg_cache;
 mod rma;
@@ -726,9 +727,11 @@ fn wire_prot(p: u8) -> Prot {
 /// The virtual PCI device QEMU exposes to the guest.
 pub struct BackendDevice {
     inner: Arc<BackendInner>,
-    /// The sharded executor's service threads, one per queue lane.  They
-    /// share the endpoint table, registration cache and dead-guest GC
-    /// through [`BackendInner`]; only the ring they drain is private.
+    /// The sharded executor's service threads, one per queue lane, for
+    /// kicks nobody blocks on (a blocking caller's kick is serviced on its
+    /// own thread).  They share the endpoint table, registration cache
+    /// and dead-guest GC through [`BackendInner`]; only the ring they
+    /// drain is private.
     shards: TrackedMutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -896,51 +899,32 @@ impl VirtualPciDevice for BackendDevice {
         if self.inner.running.swap(true, Ordering::AcqRel) {
             return;
         }
-        // The sharded executor: one service thread per queue lane, all
-        // sharing the endpoint table, registration cache and dead-guest
-        // GC through `BackendInner`.
+        // The sharded executor: per queue lane, one service thread for
+        // the work nobody is blocked on and one exit handler for the kicks
+        // of callers who are (`backend/drain.rs`).  All share the endpoint
+        // table, registration cache and dead-guest GC through
+        // `BackendInner`.
         let mut shards = self.shards.lock();
         for q in 0..self.inner.channel.queue_count() {
+            // Weak: the queue outlives the device inside the channel, and
+            // the device owns the channel.
+            let device = Arc::downgrade(&self.inner);
+            self.inner.channel.lane_queue(q).set_exit_handler(Box::new(move |through| {
+                if let Some(inner) = device.upgrade() {
+                    inner.drain_as_kicker(q, through);
+                }
+            }));
             let inner = Arc::clone(&self.inner);
             let handle = std::thread::Builder::new()
                 .name(format!("vphi-backend-{}-q{q}", inner.name))
                 .spawn(move || {
                     let queue = Arc::clone(inner.channel.lane_queue(q));
                     while inner.running.load(Ordering::Acquire) && queue.wait_kick() {
-                        loop {
-                            // While the loop is draining a burst, further guest
-                            // kicks are redundant — VRING_USED_F_NO_NOTIFY
-                            // spares the guest those vm-exits.  Suppression is
-                            // lifted *before* the burst's last completion is
-                            // delivered, so a synchronous requester's next kick
-                            // behaves exactly as a lone request's.  (Interrupt
-                            // elision is the lane notifier's job now.)
-                            queue.set_suppress_kick(true);
-                            let mut batch = Vec::new();
-                            while let Ok(Some(chain)) = queue.pop_avail() {
-                                batch.push(chain);
-                            }
-                            let burst = batch.len();
-                            if burst > 0 {
-                                inner.stats.burst_drains.fetch_add(1, Ordering::Relaxed);
-                                inner.stats.burst_chains.fetch_add(burst as u64, Ordering::Relaxed);
-                            }
-                            if burst <= 1 {
-                                queue.set_suppress_kick(false);
-                            }
-                            for (i, chain) in batch.into_iter().enumerate() {
-                                if i + 1 == burst && burst > 1 {
-                                    queue.set_suppress_kick(false);
-                                }
-                                inner.process(q, chain);
-                            }
-                            // A chain posted while kicks were suppressed never
-                            // delivered its kick; pick it up before blocking.
-                            if !queue.avail_pending() {
-                                break;
-                            }
-                        }
+                        inner.drain_as_shard(q);
                     }
+                    // Stopped: take whatever never got its kick off the
+                    // books (a dead device's pass executes nothing).
+                    inner.drain_as_shard(q);
                 })
                 .expect("spawn vphi backend shard");
             shards.push(handle);
@@ -955,10 +939,18 @@ impl VirtualPciDevice for BackendDevice {
         for lane in self.inner.channel.lanes() {
             lane.queue.shutdown();
         }
+        // Close any endpoints the guest leaked — explicitly, and before
+        // waiting for the shards: a handler parked inside one of them (on
+        // a shard, or a blocking caller inside its own vm-exit, with the
+        // lane's shard queued behind it for the executor role) holds a
+        // reference of its own and has to be woken, not waited for.
+        let leaked: Vec<Arc<ScifEndpoint>> =
+            self.inner.eps.lock().endpoints.drain().map(|(_, ep)| ep).collect();
+        for ep in &leaked {
+            ep.close();
+        }
         for h in self.shards.lock().drain(..) {
             let _ = h.join();
         }
-        // Close any endpoints the guest leaked.
-        self.inner.eps.lock().endpoints.clear();
     }
 }

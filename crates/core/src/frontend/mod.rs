@@ -17,7 +17,13 @@
 //!   `used_event` threshold and sleeps on a **per-token** waiter — the
 //!   backend's lane notifier injects an MSI only when a completion
 //!   crosses an armed threshold, and delivery wakes exactly the token it
-//!   completed (no wake-all thundering herd, no spurious re-checks).
+//!   completed (no wake-all thundering herd, no spurious re-checks);
+//! * that spin-then-sleep is what the *model* charges every request.  The
+//!   host thread behind a blocking call (`transact`) does neither: its
+//!   kick's vm-exit is serviced on that thread (DESIGN.md #21), so the
+//!   reply is there when it looks.  Real sleeping on the per-token waiter
+//!   is left to reaps of batched tokens, worker-dispatched requests
+//!   (`accept`) and kicks that were suppressed or lost.
 
 mod waiting;
 
@@ -243,9 +249,11 @@ impl VphiChannel {
         ))
     }
 
-    /// Backend: deliver the completion and wake exactly its requester.
-    /// The completed-table insert happens-before the directed wake, so a
-    /// woken waiter's re-check always finds its reply.
+    /// Backend: deliver the completion and wake exactly its requester —
+    /// if it sleeps.  (A blocking caller whose own thread ran the request
+    /// is not parked, and the wake finds no slot; it takes the reply on
+    /// its first check.)  The completed-table insert happens-before the
+    /// directed wake, so a woken waiter's re-check always finds its reply.
     pub fn complete(&self, token: ReqToken, completion: Completion) {
         self.completed.lock().insert(token, completion);
         self.waitq.wake(token);
@@ -307,6 +315,17 @@ pub struct FrontendStats {
     /// Tokens reaped as [`ScifError::Canceled`] after endpoint close or
     /// card reset.
     pub tokens_canceled: u64,
+}
+
+impl FrontendStats {
+    /// One finished wait, by the notifier's verdict.
+    fn count_wait(&mut self, slept: bool) {
+        if slept {
+            self.interrupt_waits += 1;
+        } else {
+            self.polling_waits += 1;
+        }
+    }
 }
 
 /// The spin-budget learning state (DESIGN.md #16).  One lock, taken
@@ -387,6 +406,9 @@ struct PendingOp {
 /// hands back for the blocking path to kick, wait on, and demarshal.
 struct SubmittedOp {
     lane_queue: Arc<VirtQueue>,
+    /// The chain's position on the lane's avail ring: how far the
+    /// blocking kick drains.
+    avail_idx: u64,
     token: ReqToken,
     hint: NotifyHint,
     op: &'static str,
@@ -651,13 +673,22 @@ impl FrontendDriver {
     ) -> ScifResult<VphiResponse> {
         let sub = self.submit_one(req, extra, payload_bytes, ctx)?;
         let cost = self.kernel.cost();
-        // Kick inside the wait span, not before it: the kick is what wakes
-        // the backend thread, so allocating the wait span's id first keeps
-        // span numbering single-threaded — and traces byte-stable.  The
-        // span then covers the handoff vmexit plus the scheme's wait, and
-        // in a trace view brackets the backend subtree it waited on.
+        // Kick inside the wait span, not before it: the kick is what
+        // starts the backend (here, or on a shard thread it wakes), so
+        // allocating the wait span's id first keeps span numbering
+        // single-threaded — and traces byte-stable.  The span then covers
+        // the handoff vmexit plus the scheme's wait, and in a trace view
+        // brackets the backend subtree it waited on.
+        //
+        // This caller is about to do nothing but wait for `sub.token`, so
+        // its kick's vm-exit is serviced right here, on this thread
+        // (DESIGN.md #21): when `kick_blocking` returns, the backend has
+        // run the request and the completion sits in the completed table
+        // for the wait's first check.  Only a suppressed or lost kick, or
+        // a worker-dispatched request, leaves something to sleep for.
         let wait = ctx.begin("wait-complete", Stage::Completion);
-        let delivered = sub.lane_queue.kick(cost.vmexit_kick, ctx.tl);
+        let delivered = sub.lane_queue.kick_blocking(sub.avail_idx, cost.vmexit_kick, ctx.tl);
+        let waited = self.wait_for_completion(&sub.lane_queue, sub.token, BACKOFF_BASE, ctx.tl);
         {
             let mut stats = self.stats.lock();
             stats.requests += 1;
@@ -666,9 +697,11 @@ impl FrontendDriver {
             } else {
                 stats.kicks_suppressed += 1;
             }
+            if let Ok(done) = &waited {
+                stats.count_wait(done.slept);
+            }
         }
-        let done = match self.wait_for_completion(&sub.lane_queue, sub.token, BACKOFF_BASE, ctx.tl)
-        {
+        let done = match waited {
             Ok(d) => d,
             Err(e) => {
                 ctx.end(wait);
@@ -755,10 +788,11 @@ impl FrontendDriver {
             lane_queue.publish_used_event(lane_queue.used_seq());
         }
         let token = self.channel.submit(q, head, Timeline::with_capacity(16), ctx.fork(), hint);
-        lane_queue.publish_avail(head, cost.ring_push, ctx.tl);
+        let avail_idx = lane_queue.publish_avail(head, cost.ring_push, ctx.tl);
         ctx.end(ring);
         Ok(SubmittedOp {
             lane_queue,
+            avail_idx,
             token,
             hint,
             op: req.name(),
@@ -816,6 +850,11 @@ impl FrontendDriver {
             }
             None
         };
+        // A blocking caller's completion is already here (it serviced its
+        // own kick): no jitter draw, no lock beyond the table's.
+        if let Some(r) = pred() {
+            return r;
+        }
         let mut outcome = None;
         let mut deadline = base;
         for _attempt in 0..=MAX_DEADLINE_RETRIES {
@@ -842,7 +881,8 @@ impl FrontendDriver {
     /// Charge the wait's virtual-time cost by *outcome* and feed the
     /// spin-budget policy.  The backend's notifier decided —
     /// deterministically, from the hint it was handed — whether this
-    /// waiter was still spinning when the reply landed.
+    /// waiter was still spinning when the reply landed.  (The matching
+    /// `FrontendStats::count_wait` rides the caller's one stats update.)
     fn account_wait(
         &self,
         op: &'static str,
@@ -852,14 +892,6 @@ impl FrontendDriver {
         tl: &mut Timeline,
     ) {
         let cost = self.kernel.cost();
-        {
-            let mut stats = self.stats.lock();
-            if done.slept {
-                stats.interrupt_waits += 1;
-            } else {
-                stats.polling_waits += 1;
-            }
-        }
         if done.slept {
             // Armed the interrupt and slept: wake-up, ring re-check,
             // reschedule — the paper's dominant overhead term.
@@ -1144,6 +1176,7 @@ impl FrontendDriver {
             canceled,
         } = p;
         let mut data = None;
+        let slept = done.as_ref().map(|done| done.slept);
         let mut result = match done {
             Some(done) => {
                 self.account_wait(op, payload_bytes, hint, &done, ctx.tl);
@@ -1175,6 +1208,9 @@ impl FrontendDriver {
         }
         {
             let mut stats = self.stats.lock();
+            if let Some(slept) = slept {
+                stats.count_wait(slept);
+            }
             stats.tokens_reaped += 1;
             if result == Err(ScifError::Canceled) {
                 stats.tokens_canceled += 1;

@@ -20,6 +20,7 @@ use proptest::prelude::*;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
 use vphi::frontend::WaitScheme;
+use vphi::{Cq, Sq, SqEntry};
 use vphi_faults::{FaultPlan, FaultPoint, FaultSite};
 use vphi_scif::{Port, ScifAddr};
 use vphi_sim_core::rng::SplitMix64;
@@ -194,18 +195,18 @@ proptest! {
     }
 }
 
-/// Targeted: a lost MSI on a completion the requester is *parked* for.
+/// A lost MSI on the completion of a request that stalls in the backend.
 ///
 /// The ordering is forced, not raced: the device sink stalls 600 ms
-/// before its first recv, so the guest's fifth 4 MiB chunk blocks in the
-/// backend behind the 16 MiB SCIF queue until the sink drains.  Its
-/// requester has long since armed the threshold and parked when the
-/// completion finally lands — quietly, because its MSI is the one the
-/// plan loses (crossing 7: open=1, connect=2, chunks 3–7).  Recovery has
-/// exactly one path left: the wall-clock deadline expires and the
-/// re-check finds the reply on the used ring.
-#[test]
-fn lost_msi_recovers_via_deadline_retry() {
+/// before its first recv, so the guest's fifth 4 MiB send blocks in the
+/// backend behind the 16 MiB SCIF queue until the sink drains.  That
+/// send's completion MSI is the one the plan loses (crossing 7: open=1,
+/// connect=2, sends 3–7), so it lands quietly.  `batched` picks who runs
+/// the send: a shard thread, for five one-entry batches each reaped before
+/// the next is submitted (every completion crosses the threshold armed at
+/// its own submit), or the guest thread itself, for one blocking
+/// five-chunk `send`.
+fn lost_msi_on_a_stalled_send(port: u16, batched: bool) -> VphiDebugReport {
     const CHUNK: u64 = 4 * MIB; // KMALLOC_MAX_SIZE, the default chunk
     let host = VphiHost::new(1);
     let injector = host.arm_faults(FaultPlan::single(FaultSite::PcieMsiLost, 7, 0));
@@ -213,7 +214,7 @@ fn lost_msi_recovers_via_deadline_retry() {
     let (tx, rx) = std::sync::mpsc::channel();
     let sink = std::thread::spawn(move || {
         let mut tl = Timeline::new();
-        server.bind(Port(876), &mut tl).unwrap();
+        server.bind(Port(port), &mut tl).unwrap();
         server.listen(4, &mut tl).unwrap();
         tx.send(()).unwrap();
         let conn = server.accept(&mut tl).unwrap();
@@ -231,20 +232,55 @@ fn lost_msi_recovers_via_deadline_retry() {
     let vm = host.spawn_vm(VmConfig::builder().scheme(WaitScheme::Interrupt).build());
     let mut tl = Timeline::new();
     let ep = vm.open_scif(&mut tl).expect("open");
-    ep.connect(ScifAddr::new(host.device_node(0), Port(876)), &mut tl).expect("connect");
-    let len = (5 * CHUNK) as usize;
+    ep.connect(ScifAddr::new(host.device_node(0), Port(port)), &mut tl).expect("connect");
+    let chunk = vec![0u8; CHUNK as usize];
     let mut send_tl = Timeline::new();
-    assert_eq!(ep.send(&vec![0u8; len], &mut send_tl).expect("send"), len);
+    if batched {
+        let mut cq = Cq::new();
+        for _ in 0..5 {
+            let mut sq = Sq::new();
+            sq.push(SqEntry::send(&chunk));
+            cq.watch(&ep.submit(&mut sq, &mut send_tl).expect("submit"));
+            assert_eq!(ep.reap(&mut cq, 1, 1, &mut send_tl), Ok(1));
+            for done in cq.drain() {
+                assert_eq!(done.result, Ok((CHUNK, 0)));
+            }
+        }
+    } else {
+        let len = (5 * CHUNK) as usize;
+        assert_eq!(ep.send(&chunk.repeat(5), &mut send_tl).expect("send"), len);
+    }
     ep.close(&mut tl).expect("close");
 
     let report = VphiDebugReport::collect(&vm);
     assert_eq!(injector.fired_at(FaultSite::PcieMsiLost), 1);
     assert_eq!(report.msi_lost, 1);
-    assert!(report.deadline_retries >= 1, "recovery goes through the deadline re-check");
     assert_ledger_balances(&report);
     assert_eq!(vm.frontend().channel().inflight_count(), 0);
+    assert_eq!(vm.frontend().pending_tokens(), 0);
     vm.shutdown();
     let _ = sink.join();
+    report
+}
+
+/// Targeted: a lost MSI on a completion the requester is *parked* for.
+/// The shard completes the stalled send while its requester sleeps in
+/// `reap`, threshold armed; with the interrupt gone, recovery has exactly
+/// one path left: the wall-clock deadline expires and the re-check finds
+/// the reply on the used ring.
+#[test]
+fn lost_msi_recovers_via_deadline_retry() {
+    let report = lost_msi_on_a_stalled_send(876, true);
+    assert!(report.deadline_retries >= 1, "recovery goes through the deadline re-check");
+}
+
+/// The blocking twin: the caller ran the stalled send on its own thread,
+/// so it is not asleep when the reply lands quietly — its first look at
+/// the completed table finds it, and no deadline is involved.
+#[test]
+fn lost_msi_on_a_blocking_call_needs_no_deadline() {
+    let report = lost_msi_on_a_stalled_send(878, false);
+    assert_eq!(report.deadline_retries, 0, "an inline caller takes the quiet reply at once");
 }
 
 /// Targeted: a delayed used-ring publish is pure virtual latency — the

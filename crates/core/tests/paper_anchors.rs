@@ -199,3 +199,63 @@ fn fig5_remote_read_peak_is_72_percent_of_native() {
     vm.shutdown();
     server.join().unwrap();
 }
+
+/// Virtual time of a single-threaded blocking caller is a pure function
+/// of the config (ROADMAP item 1, the blocking-caller half).  The caller
+/// services its own kick, so the queue's kick-suppression flag — the one
+/// piece of ring state a *host* thread's progress used to leak into a
+/// `Timeline` through (a cache-cold 64 MiB `vreadfrom` read 14,955,976 ns
+/// or, one `VmExitKick` short, 14,945,476 ns, by where the scheduler had
+/// left the shard thread) — is only ever toggled by the thread that reads
+/// it next.  Fresh host per repeat; 200 repeats in release (CI), fewer in
+/// a debug build, where each one moves 64 MiB an order of magnitude slower.
+#[test]
+fn blocking_calls_repeat_bit_for_bit_on_fresh_hosts() {
+    const REPEATS: usize = if cfg!(debug_assertions) { 25 } else { 200 };
+    const RMA_BYTES: u64 = 64 * MIB;
+    let mut first: Option<(SimDuration, SimDuration)> = None;
+    for repeat in 0..REPEATS {
+        let host = VphiHost::new(1);
+        let sink = spawn_device_sink(&host, Port(730));
+        let (window, registered) = spawn_device_window(&host, Port(731), RMA_BYTES);
+        // The registration cache is off: every read is the cold path.
+        let vm = host.spawn_vm(
+            VmConfig::builder()
+                .mem_size(RMA_BYTES + 64 * MIB)
+                .reg_cache(vphi::backend::RegCacheConfig::disabled())
+                .build(),
+        );
+        let mut tl = Timeline::new();
+        let node = host.device_node(0);
+
+        let reader = vm.open_scif(&mut tl).unwrap();
+        reader.connect(ScifAddr::new(node, Port(731)), &mut tl).unwrap();
+        registered.recv().unwrap();
+        let gbuf = vm.alloc_buf(RMA_BYTES).unwrap();
+        let mut read_tl = Timeline::new();
+        reader.vreadfrom(&gbuf, 0, RmaFlags::SYNC, &mut read_tl).unwrap();
+
+        let sender = vm.open_scif(&mut tl).unwrap();
+        sender.connect(ScifAddr::new(node, Port(730)), &mut tl).unwrap();
+        let mut send_tl = Timeline::new();
+        sender.send(&[1], &mut send_tl).unwrap();
+
+        drop(gbuf);
+        reader.close(&mut tl).unwrap();
+        sender.close(&mut tl).unwrap();
+
+        let totals = (read_tl.total(), send_tl.total());
+        assert_eq!(*first.get_or_insert(totals), totals, "repeat {repeat} diverged");
+        // Every delivered kick opened exactly one suppression window, on
+        // the kicker's own thread: no shard ever drained for this guest.
+        for lane in vm.frontend().channel().lanes() {
+            let c = lane.queue.counters();
+            assert_eq!(c.suppress_windows, c.kicks, "repeat {repeat}: {c:?}");
+        }
+        assert_eq!(vm.frontend().stats().kicks_suppressed, 0);
+        vm.shutdown();
+        sink.join().unwrap();
+        window.join().unwrap();
+    }
+    assert_eq!(first.unwrap().1, SimDuration::from_micros(382));
+}

@@ -130,6 +130,77 @@ fn fifo_round(num_queues: u16, seed: u64) -> HashSet<u64> {
     tokens
 }
 
+/// The same property with the two execution paths mixed on a lane: two
+/// guest threads, each owning one endpoint, interleave blocking sends
+/// (serviced on the calling thread) with 16-entry batches (serviced by the
+/// lane's shard) in a seeded pattern.  Each keeps a batch *in flight*
+/// across its blocking calls, so an inline drain regularly finds batch
+/// entries ahead of its own chain and has to run them first, in order.
+/// With one queue both endpoints share the lane; more queues let the hash
+/// decide.
+fn mixed_fifo_round(num_queues: u16, seed: u64) {
+    const BATCH: usize = 16;
+    let host = VphiHost::new(1);
+    let stop = Arc::new(AtomicBool::new(false));
+    let server = ordered_server(&host, 964, 2, Arc::clone(&stop));
+    let vm = Arc::new(host.spawn_vm(VmConfig::builder().num_queues(num_queues).build()));
+    let addr = ScifAddr::new(host.device_node(0), Port(964));
+
+    let guests: Vec<_> = (0..2u64)
+        .map(|t| {
+            let vm = Arc::clone(&vm);
+            std::thread::spawn(move || {
+                let mut rng = SplitMix64::new(seed ^ t.wrapping_mul(0x9E37_79B9));
+                let mut tl = Timeline::new();
+                let ep = vm.open_scif(&mut tl).unwrap();
+                ep.connect(addr, &mut tl).unwrap();
+                let mut cq = Cq::new();
+                let mut seq = 0u32;
+                let mut frame = || {
+                    seq += 1;
+                    (seq - 1).to_le_bytes()
+                };
+                for _ in 0..ROUNDS {
+                    for _ in 0..rng.next_u64() % 3 {
+                        assert_eq!(ep.send(&frame(), &mut tl), Ok(4));
+                    }
+                    let mut sq = Sq::new();
+                    for _ in 0..BATCH {
+                        sq.push(SqEntry::send(&frame()));
+                    }
+                    cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+                    // Blocking calls with the batch still outstanding.
+                    for _ in 0..1 + rng.next_u64() % 3 {
+                        assert_eq!(ep.send(&frame(), &mut tl), Ok(4));
+                    }
+                    assert_eq!(ep.reap(&mut cq, BATCH, BATCH, &mut tl), Ok(BATCH));
+                    for c in cq.drain() {
+                        assert_eq!(c.result, Ok((4, 0)));
+                    }
+                }
+                ep.close(&mut tl).unwrap();
+                seq
+            })
+        })
+        .collect();
+    let mut sent: Vec<u32> = guests.into_iter().map(|g| g.join().expect("guest")).collect();
+
+    stop.store(true, Ordering::Relaxed);
+    let observed = server.join().expect("server");
+    assert_eq!(vm.frontend().pending_tokens(), 0, "tokens left pending after reaps");
+    assert_eq!(vm.frontend().channel().inflight_count(), 0);
+    vm.shutdown();
+    for seqs in &observed {
+        let want: Vec<u32> = (0..seqs.len() as u32).collect();
+        assert_eq!(seqs, &want, "out-of-order delivery with {num_queues} queues");
+    }
+    let mut sizes: Vec<u32> = observed.iter().map(|s| s.len() as u32).collect();
+    sizes.sort_unstable();
+    sent.sort_unstable();
+    assert_eq!(sizes, sent, "sent/received frame counts diverged");
+    assert_eq!(vphi_sync::audit::violation_count(), 0);
+}
+
 /// A seeded card reset between submit and reap: every outstanding token
 /// must still be reaped exactly once (with whatever error the dead card
 /// produced), and nothing — tokens, endpoints, windows — may leak.
@@ -201,6 +272,13 @@ proptest! {
     fn batched_submissions_keep_per_endpoint_fifo(seed in any::<u64>()) {
         for &q in &[1u16, 2, 4, 8] {
             fifo_round(q, seed);
+        }
+    }
+
+    #[test]
+    fn blocking_calls_and_batches_mixed_keep_per_endpoint_fifo(seed in any::<u64>()) {
+        for &q in &[1u16, 2, 4] {
+            mixed_fifo_round(q, seed);
         }
     }
 

@@ -48,14 +48,26 @@ impl Doorbell {
 
     /// Ring the doorbell once, waking all waiters.
     pub fn ring(&self) {
-        // An injected drop loses the MMIO write on the wire: no count, no
-        // wake.  Waiters recover via their own timeouts/retries.
+        self.ring_with(|| true);
+    }
+
+    /// [`ring`](Doorbell::ring) for a writer that can service the ring
+    /// itself: a delivered write runs `service` on the calling thread in
+    /// place of the wake-up, and wakes the waiters only if `service`
+    /// reports work left for them.  The write crosses the wire, and the
+    /// fault site, exactly once either way.
+    pub fn ring_with(&self, service: impl FnOnce() -> bool) {
+        // An injected drop loses the MMIO write on the wire: no service,
+        // no count, no wake.  Waiters recover via their own
+        // timeouts/retries.
         if self.faults.fire(FaultSite::PcieDoorbellDrop).is_some() {
             return;
         }
-        let mut st = self.state.lock();
-        st.rung += 1;
-        self.cond.notify_all();
+        if service() {
+            let mut st = self.state.lock();
+            st.rung += 1;
+            self.cond.notify_all();
+        }
     }
 
     /// Block until at least one unconsumed ring is available (or shutdown).
@@ -138,6 +150,32 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         d.ring();
         assert!(waiter.join().unwrap());
+    }
+
+    #[test]
+    fn a_self_serviced_ring_wakes_waiters_only_for_what_is_left() {
+        use vphi_faults::{FaultInjector, FaultPlan};
+
+        let d = Doorbell::new();
+        let mut serviced = 0;
+        d.ring_with(|| {
+            serviced += 1;
+            false
+        });
+        assert_eq!((serviced, d.pending()), (1, 0));
+        d.ring_with(|| {
+            serviced += 1;
+            true
+        });
+        assert_eq!((serviced, d.pending()), (2, 1));
+        // A write lost on the wire reaches nobody, the writer included.
+        let plan = FaultPlan::single(FaultSite::PcieDoorbellDrop, 1, 0);
+        assert!(d.fault_hook().arm(Arc::new(FaultInjector::new(plan))));
+        d.ring_with(|| {
+            serviced += 1;
+            true
+        });
+        assert_eq!((serviced, d.pending()), (2, 1));
     }
 
     #[test]

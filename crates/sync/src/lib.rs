@@ -14,6 +14,13 @@
 //! * **locks held across a `sim-core` virtual-clock advance** (via
 //!   [`audit::assert_lockless`], called by `VirtualClock`).
 //!
+//! A [`TrackedRole`] is the one primitive that is exclusive without being
+//! a lock over data: it names *which thread is executing* something (a
+//! virtqueue lane's one executor) and is held across the blocking calls
+//! and clock advances that execution makes.  It takes part in the order
+//! and layer checks like any class and is exempt only from the
+//! lock-across-clock check.
+//!
 //! Violations panic with both acquisition sites in debug/test builds; the
 //! `sync-audit` feature turns the same checks on in release builds.  When
 //! neither is active the wrappers compile down to the plain `parking_lot`
@@ -166,12 +173,17 @@ pub enum LockClass {
     // --- zero-copy RMA (PR 10) ---
     /// Device-aperture window-mapping table (`pcie::ApertureMap`).
     ApertureWindows = 53,
+    // --- vm-exit servicing on the kicking thread (PR 14) ---
+    /// A virtqueue lane's executor role ([`TrackedRole`], not a lock):
+    /// whoever holds it — the lane's shard thread or a blocking kicker —
+    /// is the one thread draining that lane's avail ring.
+    LaneExecutor = 54,
 }
 
 impl LockClass {
     /// Number of classes (adjacency bitmasks are `u64`, so this must stay
     /// ≤ 64).
-    pub const COUNT: usize = 54;
+    pub const COUNT: usize = 55;
 
     /// Every class, in discriminant order — the hierarchy exported **as
     /// data** so offline tools (`vphi-analyze`) can consume the same
@@ -232,6 +244,7 @@ impl LockClass {
         LockClass::NotifyPolicy,
         LockClass::FrontendPending,
         LockClass::ApertureWindows,
+        LockClass::LaneExecutor,
     ];
 
     /// The class's source-level name, exactly as it is spelled at
@@ -293,6 +306,7 @@ impl LockClass {
             LockClass::NotifyPolicy => "NotifyPolicy",
             LockClass::FrontendPending => "FrontendPending",
             LockClass::ApertureWindows => "ApertureWindows",
+            LockClass::LaneExecutor => "LaneExecutor",
         }
     }
 
@@ -359,6 +373,9 @@ impl LockClass {
             // the backend maps/unmaps after the cache probe and before
             // replaying the SCIF op.
             LockClass::ApertureWindows => 29,
+            // Outermost of all: entered with nothing held, and held across
+            // a whole request handler — which may take any class below.
+            LockClass::LaneExecutor => 6,
         }
     }
 
@@ -504,6 +521,59 @@ impl TrackedCondvar {
 impl std::fmt::Debug for TrackedCondvar {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("TrackedCondvar { .. }")
+    }
+}
+
+// ----------------------------------------------------------------- Role
+
+/// An exclusive *role*: at most one thread holds it, the others park until
+/// it is free.  Unlike a mutex it guards no data and is meant to be held
+/// across blocking calls and virtual-clock advances — it says who is
+/// executing, not what is being touched.  The audit therefore runs the
+/// order, layer and nesting checks on it (a role's class sits outermost:
+/// entering it with a lock held is a layer inversion) but skips it in
+/// [`audit::assert_lockless`].
+pub struct TrackedRole {
+    class: LockClass,
+    owner: parking_lot::Mutex<()>,
+}
+
+impl TrackedRole {
+    pub const fn new(class: LockClass) -> Self {
+        TrackedRole { class, owner: parking_lot::Mutex::new(()) }
+    }
+
+    /// Take the role, parking while another thread holds it.
+    #[track_caller]
+    pub fn enter(&self) -> TrackedRoleGuard<'_> {
+        let token = audit::on_acquire(self.class, AcqKind::Role, Location::caller());
+        TrackedRoleGuard { _owner: self.owner.lock(), token }
+    }
+
+    /// Take the role if nobody holds it.
+    #[track_caller]
+    pub fn try_enter(&self) -> Option<TrackedRoleGuard<'_>> {
+        let owner = self.owner.try_lock()?;
+        let token = audit::on_acquire(self.class, AcqKind::Role, Location::caller());
+        Some(TrackedRoleGuard { _owner: owner, token })
+    }
+}
+
+impl std::fmt::Debug for TrackedRole {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TrackedRole").field("class", &self.class).finish()
+    }
+}
+
+/// Holding this is holding the role; dropping it hands the role on.
+pub struct TrackedRoleGuard<'a> {
+    _owner: parking_lot::MutexGuard<'a, ()>,
+    token: Token,
+}
+
+impl Drop for TrackedRoleGuard<'_> {
+    fn drop(&mut self) {
+        audit::on_release(self.token);
     }
 }
 

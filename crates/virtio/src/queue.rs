@@ -8,12 +8,12 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use vphi_faults::{FaultHook, FaultSite};
 use vphi_pcie::Doorbell;
 use vphi_sim_core::{SpanLabel, Timeline};
-use vphi_sync::{LockClass, TrackedMutex};
+use vphi_sync::{LockClass, TrackedMutex, TrackedRole};
 
 use crate::ring::{DescChain, Descriptor, UsedElem};
 
@@ -66,6 +66,12 @@ struct QueueState {
     table: Vec<Option<Descriptor>>,
     free: Vec<u16>,
     avail: VecDeque<u16>,
+    /// Chains ever popped off the avail ring (the device's
+    /// `last_avail_idx`).  The ring holds, front to back, the chains at
+    /// avail indices `last_avail_idx + 1 ..= last_avail_idx + avail.len()`
+    /// — the latter being the driver's `avail->idx`, the count ever
+    /// published.
+    last_avail_idx: u64,
     used: VecDeque<UsedElem>,
     /// `VRING_USED_F_NO_NOTIFY`: device asks the guest not to kick.
     suppress_kick: bool,
@@ -97,11 +103,25 @@ pub struct QueueCounters {
     pub suppress_windows: u64,
 }
 
+/// The device's handler for a kick vm-exit taken by a blocking caller:
+/// drains the avail ring through the given avail index, on the calling
+/// thread.
+pub type ExitHandler = Box<dyn Fn(u64) + Send + Sync>;
+
 /// A split virtqueue of `size` descriptors.
 pub struct VirtQueue {
     size: u16,
     state: TrackedMutex<QueueState>,
     pub notifiers: Notifiers,
+    /// Set once by the device at start; see
+    /// [`kick_blocking`](VirtQueue::kick_blocking).
+    exit_handler: OnceLock<ExitHandler>,
+    /// Who is draining the avail ring right now: the device's service
+    /// thread for this queue, or a blocking kicker.  Held for a whole
+    /// drain pass — pops, suppression window and the request handlers —
+    /// so chains are executed one at a time, in ring order, whoever pops
+    /// them.
+    pub executor: TrackedRole,
     faults: FaultHook,
     kicks: AtomicU64,
     chains_popped: AtomicU64,
@@ -130,11 +150,14 @@ impl VirtQueue {
                     table: vec![None; size as usize],
                     free: (0..size).rev().collect(),
                     avail: VecDeque::new(),
+                    last_avail_idx: 0,
                     used: VecDeque::new(),
                     suppress_kick: false,
                 },
             ),
             notifiers: Notifiers::default(),
+            exit_handler: OnceLock::new(),
+            executor: TrackedRole::new(LockClass::LaneExecutor),
             faults: FaultHook::new(),
             kicks: AtomicU64::new(0),
             chains_popped: AtomicU64::new(0),
@@ -216,13 +239,16 @@ impl VirtQueue {
 
     /// Expose a prepared chain on the avail ring and charge the
     /// `RingPush` cost.  From this point the device side can pop it.
+    /// Returns the chain's avail index — its position in the ring's
+    /// lifetime FIFO, which [`kick_blocking`](VirtQueue::kick_blocking)
+    /// takes as the bound of its drain.
     pub fn publish_avail(
         &self,
         head: u16,
         cost_ring_push: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
-    ) {
-        self.publish_avail_batch(&[head], cost_ring_push, tl);
+    ) -> u64 {
+        self.publish_avail_batch(&[head], cost_ring_push, tl)
     }
 
     /// Expose a whole batch of prepared chains on the avail ring under one
@@ -232,39 +258,81 @@ impl VirtQueue {
     /// [`kick`](VirtQueue::kick) for all of them, one vm-exit instead of
     /// N.  The device side may start popping published heads the moment
     /// the lock drops, so per-head bookkeeping must already be registered.
+    /// Returns the avail index of the batch's last chain.
     pub fn publish_avail_batch(
         &self,
         heads: &[u16],
         cost_ring_push: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
-    ) {
-        {
+    ) -> u64 {
+        let avail_idx = {
             let mut st = self.state.lock();
-            for &head in heads {
-                st.avail.push_back(head);
-            }
-        }
+            st.avail.extend(heads);
+            st.last_avail_idx + st.avail.len() as u64
+        };
         for _ in heads {
             tl.charge(SpanLabel::RingPush, cost_ring_push);
         }
+        avail_idx
     }
 
-    /// Notify the device (one vm-exit unless suppressed).  Returns whether
-    /// a kick was actually delivered.
-    pub fn kick(&self, cost_vmexit: vphi_sim_core::SimDuration, tl: &mut Timeline) -> bool {
+    /// The vm-exit both kick entry points are: nothing if the device
+    /// suppressed notifications, else the `VmExitKick` charge, the kick
+    /// count, and the two sites where the notification can be lost, in
+    /// wire order.  An injected loss pays the vm-exit but never reaches
+    /// the device; the frontend's request deadline re-kicks.  A delivered
+    /// one runs `service` on this thread and wakes the service thread if
+    /// it reports work left.  Returns whether a kick was issued.
+    fn vmexit(
+        &self,
+        cost_vmexit: vphi_sim_core::SimDuration,
+        tl: &mut Timeline,
+        service: impl FnOnce() -> bool,
+    ) -> bool {
         let suppressed = self.state.lock().suppress_kick;
         if suppressed {
             return false;
         }
         tl.charge(SpanLabel::VmExitKick, cost_vmexit);
-        // An injected lost kick pays the vm-exit but never reaches the
-        // device; the frontend's request deadline re-kicks.
         self.kicks.fetch_add(1, Ordering::Relaxed);
-        if self.faults.fire(FaultSite::VirtioKickLost).is_some() {
-            return true;
+        if self.faults.fire(FaultSite::VirtioKickLost).is_none() {
+            self.notifiers.kick.ring_with(service);
         }
-        self.notifiers.kick.ring();
         true
+    }
+
+    /// Notify the device (one vm-exit unless suppressed) and carry on: the
+    /// device's service thread wakes and drains the ring while the caller
+    /// does something else.  Returns whether a kick was actually
+    /// delivered.
+    pub fn kick(&self, cost_vmexit: vphi_sim_core::SimDuration, tl: &mut Timeline) -> bool {
+        self.vmexit(cost_vmexit, tl, || true)
+    }
+
+    /// The kick of a caller that will do nothing but wait for the chain it
+    /// published at avail index `through`.  The vm-exit is the same as
+    /// [`kick`](VirtQueue::kick)'s — same suppression check, charge, count
+    /// and loss sites — but a delivered one is serviced the way a KVM exit
+    /// is, on the thread that took it: the device's
+    /// [exit handler](VirtQueue::set_exit_handler) drains the ring in FIFO
+    /// order up to and including `through`, so the caller never executes
+    /// work that was not ahead of it.  Whatever is on the ring afterwards
+    /// — published behind the caller's chain, or all of it, if the handler
+    /// found the queue's executor busy and left — is handed to the service
+    /// thread on the way out.  With no handler registered this is `kick`.
+    pub fn kick_blocking(
+        &self,
+        through: u64,
+        cost_vmexit: vphi_sim_core::SimDuration,
+        tl: &mut Timeline,
+    ) -> bool {
+        self.vmexit(cost_vmexit, tl, || match self.exit_handler.get() {
+            Some(service) => {
+                service(through);
+                self.avail_pending()
+            }
+            None => true,
+        })
     }
 
     /// Drain completed chains from the used ring, releasing their
@@ -317,13 +385,30 @@ impl VirtQueue {
 
     // ---- device (backend) side ---------------------------------------------
 
+    /// Register the handler [`kick_blocking`](VirtQueue::kick_blocking)
+    /// runs on the kicking thread.  One-shot (the device sets it when it
+    /// starts); returns `false` if one was already registered.
+    pub fn set_exit_handler(&self, handler: ExitHandler) -> bool {
+        self.exit_handler.set(handler).is_ok()
+    }
+
     /// Pop the next available chain, resolving its descriptors.
     pub fn pop_avail(&self) -> Result<Option<DescChain>, QueueError> {
+        self.pop_avail_through(u64::MAX)
+    }
+
+    /// [`pop_avail`](VirtQueue::pop_avail), but only a chain published at
+    /// avail index `through` or earlier.
+    pub fn pop_avail_through(&self, through: u64) -> Result<Option<DescChain>, QueueError> {
         let mut st = self.state.lock();
+        if st.last_avail_idx >= through {
+            return Ok(None);
+        }
         let head = match st.avail.pop_front() {
             Some(h) => h,
             None => return Ok(None),
         };
+        st.last_avail_idx += 1;
         self.chains_popped.fetch_add(1, Ordering::Relaxed);
         let mut descriptors = Vec::new();
         let mut idx = head;
@@ -483,6 +568,78 @@ mod tests {
         assert_eq!(seq, 1);
         assert!(q.used_pending());
         assert_eq!(q.used_seq(), 1);
+    }
+
+    #[test]
+    fn avail_indices_count_publishes_and_bound_the_pops() {
+        let q = VirtQueue::new(8);
+        let mut tl = Timeline::new();
+        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)]).unwrap();
+        assert_eq!(q.publish_avail(h1, PUSH, &mut tl), 1);
+        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)]).unwrap();
+        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)]).unwrap();
+        assert_eq!(q.publish_avail_batch(&[h2, h3], PUSH, &mut tl), 3);
+        // Through index 2: the first two chains in ring order, not the
+        // third, however often asked.
+        assert_eq!(q.pop_avail_through(2).unwrap().unwrap().head, h1);
+        assert_eq!(q.pop_avail_through(2).unwrap().unwrap().head, h2);
+        assert_eq!(q.pop_avail_through(2).unwrap(), None);
+        assert!(q.avail_pending());
+        // A bound the ring has already passed pops nothing.
+        assert_eq!(q.pop_avail_through(1).unwrap(), None);
+        assert_eq!(q.pop_avail().unwrap().unwrap().head, h3);
+        // Indices keep counting across an empty ring.
+        let h4 = q.prepare_chain(&[Descriptor::readable(0x4, 1)]).unwrap();
+        assert_eq!(q.publish_avail(h4, PUSH, &mut tl), 4);
+    }
+
+    #[test]
+    fn blocking_kick_runs_the_exit_handler_on_the_kicking_thread() {
+        let q = VirtQueue::new(8);
+        let seen = Arc::new(TrackedMutex::new(LockClass::TestInner, Vec::new()));
+        let (q2, seen2) = (Arc::downgrade(&q), Arc::clone(&seen));
+        assert!(q.set_exit_handler(Box::new(move |through| {
+            let q = q2.upgrade().unwrap();
+            while let Ok(Some(chain)) = q.pop_avail_through(through) {
+                seen2.lock().push((std::thread::current().id(), chain.head));
+            }
+        })));
+        assert!(!q.set_exit_handler(Box::new(|_| ())), "the handler is set once");
+        let mut tl = Timeline::new();
+        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)]).unwrap();
+        let mine = q.publish_avail(h1, PUSH, &mut tl);
+        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)]).unwrap();
+        q.publish_avail(h2, PUSH, &mut tl);
+        assert!(q.kick_blocking(mine, KICK, &mut tl));
+        // The same vm-exit as `kick`: one charge, one counted kick.
+        assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
+        assert_eq!(q.counters().kicks, 1);
+        // Serviced here, through the kicker's own chain and no further …
+        assert_eq!(*seen.lock(), [(std::thread::current().id(), h1)]);
+        // … and the chain behind it was handed to the service thread.
+        assert!(q.avail_pending());
+        assert!(q.notifiers.kick.try_consume());
+        // Nothing left behind: no ring.
+        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)]).unwrap();
+        q.pop_avail().unwrap().unwrap();
+        let mine = q.publish_avail(h3, PUSH, &mut tl);
+        assert!(q.kick_blocking(mine, KICK, &mut tl));
+        assert!(!q.notifiers.kick.try_consume());
+        // A suppressed kick is no vm-exit at all, as for `kick`.
+        q.set_suppress_kick(true);
+        assert!(!q.kick_blocking(mine, KICK, &mut tl));
+        assert_eq!(seen.lock().len(), 2);
+        assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK * 2);
+    }
+
+    #[test]
+    fn blocking_kick_without_a_handler_rings_the_doorbell() {
+        let q = VirtQueue::new(4);
+        let mut tl = Timeline::new();
+        q.add_chain(&[Descriptor::readable(0, 4)], PUSH, &mut tl).unwrap();
+        assert!(q.kick_blocking(1, KICK, &mut tl));
+        assert!(q.wait_kick());
+        assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
     }
 
     #[test]

@@ -6,7 +6,12 @@
 //! back to the event-driven mode unfreezing the VM." (paper §III)
 //!
 //! vPHI picks blocking dispatch for most SCIF ops and worker dispatch for
-//! indefinite waits (`scif_accept`).  We track both modes' virtual costs:
+//! indefinite waits (`scif_accept`).  A blocking handler runs on whichever
+//! host thread services the kick: the guest thread that took the vm-exit
+//! when it is a blocking call's own (as on KVM, where the vCPU thread that
+//! exits runs the handler — and the caller, frozen with the rest of the
+//! VM, had nothing to overlap with anyway), the backend's per-lane service
+//! thread otherwise (DESIGN.md #21).  We track both modes' virtual costs:
 //! blocking handlers accumulate **VM pause time** (the guest can't run),
 //! workers charge a spawn/retire overhead instead — the exact trade-off
 //! the paper discusses and the ABL-BLOCK ablation sweeps.

@@ -8,6 +8,13 @@
 //! the fixed scheme (DESIGN.md #16): each sleeper registers a per-token
 //! slot and completion delivery wakes exactly the slot(s) it completed, so
 //! an N-sleeper lane no longer pays N−1 spurious wakeups per completion.
+//!
+//! Who sleeps here: a requester whose reply is produced by *another*
+//! thread — a reap of batched tokens, an `accept` on a QEMU worker, a
+//! request whose kick was suppressed or lost.  A blocking call whose kick
+//! is delivered runs its request on its own thread (DESIGN.md #21) and
+//! finds the reply on `wait_for`'s first predicate check, without
+//! registering a slot.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -40,10 +40,12 @@
 //!    EVENT_IDX suppression decision and the pending-batch flush live
 //!    (DESIGN.md #16).  A direct injection would bypass both and corrupt
 //!    the irqs-injected/suppressed ledger.
-//! 8. `kick-doorbell` — `.kick()` is banned outside `crates/virtio/` (the
-//!    doorbell itself), the frontend (whose batch submitter amortizes one
-//!    doorbell per touched lane, DESIGN.md #18), and the multi-queue FIFO
-//!    property test: a stray kick bypasses EVENT_IDX suppression and the
+//! 8. `kick-doorbell` — `.kick()` and `.kick_blocking()` are banned
+//!    outside `crates/virtio/` (the doorbell itself), the frontend (whose
+//!    batch submitter amortizes one doorbell per touched lane, DESIGN.md
+//!    #18, and whose blocking path is the one caller entitled to service
+//!    its own vm-exit, #21), and the multi-queue FIFO property test: a
+//!    stray kick bypasses EVENT_IDX suppression and the
 //!    kicks-per-submission ledger the open-loop figure is built on.
 //! 9. `staging-buffer` — repeat-form `vec![_; len]` allocation is banned
 //!    on both data planes: the RMA path (`scif/src/rma.rs` and
@@ -146,7 +148,10 @@ const BANNED_SYNC: &[&str] = &["Mutex", "RwLock", "Condvar"];
 const QUEUE_SUBMIT: &[&str] =
     &["add_chain", "prepare_chain", "publish_avail", "publish_avail_batch"];
 
-/// Rules 1, 2, 4, 6, 7: fixed token sequences within one nesting level.
+/// The virtqueue's kick entry points, frontend-only (rule 8).
+const KICKS: &[&str] = &["kick", "kick_blocking"];
+
+/// Rules 1, 2, 4, 6, 7, 8: fixed token sequences within one nesting level.
 fn scan_sequences(
     tokens: &[TokenTree],
     rel: &Path,
@@ -282,7 +287,7 @@ fn scan_sequences(
         // Rule 8: direct doorbell ring outside the frontend batch submitter.
         if check_kick
             && punct(i) == Some('.')
-            && ident(i + 1) == Some("kick")
+            && ident(i + 1).is_some_and(|name| KICKS.contains(&name))
             && matches!(
                 tokens.get(i + 2),
                 Some(TokenTree::Group(g)) if g.delimiter == Delimiter::Parenthesis
@@ -292,7 +297,7 @@ fn scan_sequences(
                 file: rel.to_path_buf(),
                 line: tokens[i + 1].line(),
                 rule: "kick-doorbell",
-                message: ".kick() rings a doorbell directly; submissions must go through the frontend's batch submitter so one kick covers the lane's whole batch and the kicks-per-submission ledger holds (DESIGN.md #18)".into(),
+                message: "a virtqueue kick outside the frontend; submissions must go through its batch submitter (one kick covers the lane's whole batch and the kicks-per-submission ledger holds, DESIGN.md #18) or its blocking path (the one caller that services its own vm-exit, #21)".into(),
             });
         }
     }
@@ -680,6 +685,16 @@ mod tests {
         // bypass the kicks-per-submission ledger exists to catch.
         assert_eq!(lint("crates/bench/src/experiments/open_loop.rs", src).len(), 1);
         assert_eq!(lint("crates/core/src/guest.rs", src).len(), 1);
+        // The self-servicing kick is no way around the rule: it would run
+        // the backend's drain pass on whatever thread called it.
+        let inline = "fn f(q: &VirtQueue, tl: &mut Timeline) { q.kick_blocking(idx, cost, tl); }";
+        for rel in
+            ["crates/core/src/backend/drain.rs", "crates/core/src/guest.rs", "tests/chaos.rs"]
+        {
+            let v = lint(rel, inline);
+            assert_eq!(v.len(), 1, "{rel}: {v:?}");
+            assert_eq!(v[0].rule, "kick-doorbell");
+        }
     }
 
     #[test]
@@ -688,6 +703,9 @@ mod tests {
         assert!(lint("crates/core/src/frontend/mod.rs", src).is_empty());
         assert!(lint("crates/virtio/src/queue.rs", src).is_empty());
         assert!(lint("crates/core/tests/mq_fifo.rs", src).is_empty());
+        let inline = "fn f(q: &VirtQueue, tl: &mut Timeline) { q.kick_blocking(idx, cost, tl); }";
+        assert!(lint("crates/core/src/frontend/mod.rs", inline).is_empty());
+        assert!(lint("crates/virtio/src/queue.rs", inline).is_empty());
         // Non-call mentions and other methods are not this rule's business.
         let other = "fn f() { let kick = cost.vmexit_kick; note(kick); }";
         assert!(lint("crates/core/src/backend/mod.rs", other).is_empty());

@@ -167,3 +167,144 @@ fn accept_on_a_worker_does_not_block_other_requests() {
     native.close();
     vm.shutdown();
 }
+
+/// Endpoints opened on `vm` until `want(lane)` accepts one; the rest are
+/// closed again.
+fn open_on_lane(
+    vm: &vphi::builder::VphiVm,
+    want: impl Fn(usize) -> bool,
+    tl: &mut Timeline,
+) -> (vphi::GuestScif, usize) {
+    let channel = vm.frontend().channel();
+    loop {
+        let ep = vm.open_scif(&mut *tl).unwrap();
+        let lane = channel.route(&vphi::VphiRequest::Close { epd: ep.epd() });
+        if want(lane) {
+            return (ep, lane);
+        }
+        ep.close(&mut *tl).unwrap();
+    }
+}
+
+/// A blocking caller services its own vm-exit, so a guest thread parked in
+/// `recv` sits *inside the backend* holding its lane's executor role.
+/// That must cost the rest of the guest nothing: a second thread's round
+/// trips on another lane are serviced on *its* thread, concurrently, and —
+/// nobody having handed anything to a shard — no requester ever sleeps on
+/// the wait queue.
+#[test]
+fn a_caller_parked_in_recv_does_not_stall_other_lanes() {
+    let host = VphiHost::new(1);
+    // Card side: the first connection hears nothing until released, the
+    // second is echoed.
+    let server = host.device_endpoint(0).unwrap();
+    let mut tl = Timeline::new();
+    server.bind(Port(982), &mut tl).unwrap();
+    server.listen(2, &mut tl).unwrap();
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    let card = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        let silent = server.accept(&mut tl).unwrap();
+        let echoed = server.accept(&mut tl).unwrap();
+        let echo = std::thread::spawn(move || {
+            let mut tl = Timeline::new();
+            let mut msg = [0u8; 4];
+            while echoed.recv(&mut msg, &mut tl) == Ok(4) {
+                echoed.send(&msg, &mut tl).unwrap();
+            }
+        });
+        released.recv().unwrap();
+        silent.send(b"done", &mut tl).unwrap();
+        echo.join().unwrap();
+    });
+
+    let vm = Arc::new(host.spawn_vm(VmConfig::default()));
+    let channel = Arc::clone(vm.frontend().channel());
+    let addr = ScifAddr::new(host.device_node(0), Port(982));
+    let (parked, parked_lane) = open_on_lane(&vm, |_| true, &mut tl);
+    let (busy, _) = open_on_lane(&vm, |lane| lane != parked_lane, &mut tl);
+    parked.connect(addr, &mut tl).unwrap();
+    busy.connect(addr, &mut tl).unwrap();
+
+    let requests =
+        || vm.backend().inner().stats.requests.load(std::sync::atomic::Ordering::Relaxed);
+    let settled = requests();
+    let sleeper = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        let mut word = [0u8; 4];
+        let got = parked.recv(&mut word, &mut tl).map(|n| (n, word));
+        parked.close(&mut tl).unwrap();
+        got
+    });
+    while requests() == settled {
+        std::thread::yield_now();
+    }
+    // The recv is executing — on its caller's thread, which therefore is
+    // the lane's executor until the card speaks.
+    let lane_queue = channel.lane_queue(parked_lane);
+    assert!(lane_queue.executor.try_enter().is_none());
+
+    for round in 0..50u32 {
+        let msg = round.to_le_bytes();
+        busy.send(&msg, &mut tl).unwrap();
+        let mut back = [0u8; 4];
+        assert_eq!(busy.recv(&mut back, &mut tl), Ok(4));
+        assert_eq!(back, msg);
+    }
+    assert!(lane_queue.executor.try_enter().is_none(), "the parked recv came back unasked");
+    assert_eq!(requests(), settled + 101, "fifty round trips ran beside the parked recv");
+
+    release.send(()).unwrap();
+    assert_eq!(sleeper.join().unwrap(), Ok((4, *b"done")));
+    busy.close(&mut tl).unwrap();
+    assert_eq!(channel.waitq.sleep_count(), 0, "every call was serviced where it was made");
+    assert_eq!(vm.frontend().stats().kicks_suppressed, 0);
+    vm.shutdown();
+    card.join().unwrap();
+    assert_eq!(vphi_sync::audit::violation_count(), 0, "lock-order violations detected");
+}
+
+/// `scif_accept` may wait forever, so it still goes to a QEMU worker
+/// thread (paper §III) — from a blocking caller's inline drain exactly as
+/// from a shard's: the drain hands the request over and leaves, the lane
+/// is free while the accept is parked, and the caller sleeps on its token
+/// until the worker completes it.
+#[test]
+fn a_blocking_callers_accept_goes_to_a_worker_and_frees_the_lane() {
+    let host = VphiHost::new(1);
+    let vm = Arc::new(host.spawn_vm(VmConfig::default()));
+    let channel = Arc::clone(vm.frontend().channel());
+    let mut tl = Timeline::new();
+    let (listener, lane) = open_on_lane(&vm, |_| true, &mut tl);
+    let lport = listener.bind(Port::ANY, &mut tl).unwrap();
+    listener.listen(2, &mut tl).unwrap();
+
+    let stats = &vm.backend().inner().stats;
+    let dispatched = || stats.worker_dispatches.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(dispatched(), 0);
+    let accepter = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        let peer = listener.accept(&mut tl).map(|(_conn, peer)| peer);
+        listener.close(&mut tl).unwrap();
+        peer
+    });
+    while dispatched() == 0 || channel.waitq.sleep_count() == 0 {
+        std::thread::yield_now();
+    }
+    // Parked on a worker, caller asleep: the lane it came in on is free …
+    assert!(channel.lane_queue(lane).executor.try_enter().is_some(), "accept pinned its lane");
+    // … and another endpoint's calls on that very lane go straight through.
+    let (neighbour, _) = open_on_lane(&vm, |l| l == lane, &mut tl);
+    neighbour.bind(Port::ANY, &mut tl).unwrap();
+    neighbour.close(&mut tl).unwrap();
+
+    let native = host.native_endpoint().unwrap();
+    native.connect(ScifAddr::new(vphi_scif::HOST_NODE, lport), &mut tl).unwrap();
+    assert_eq!(accepter.join().unwrap().unwrap().node, vphi_scif::HOST_NODE);
+    assert_eq!(dispatched(), 1, "one accept, one worker");
+    assert_eq!(vm.backend().inner().queue_worker_dispatches(lane), 1);
+    // Only the accept's caller ever slept (once more per expired deadline).
+    assert_eq!(channel.waitq.sleep_count(), 1 + vm.frontend().stats().deadline_retries);
+    native.close();
+    vm.shutdown();
+}

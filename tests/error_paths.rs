@@ -548,3 +548,194 @@ fn message_outside_guest_ram_is_refused_whole() {
     ep.close(&mut tl).unwrap();
     vm.shutdown();
 }
+
+// ---- a blocking caller services its own vm-exit (DESIGN.md #21) -----------
+
+/// What strikes while one caller sits inside its own vm-exit with a
+/// second queued behind it.
+#[derive(Clone, Copy, Debug)]
+enum Strike {
+    GuestDeath,
+    VmShutdown,
+    CardReset,
+}
+
+fn spin_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// Two guest threads on one lane, a card-side peer that never sends.  The
+/// first caller's `recv` runs on its own thread and parks there, inside
+/// the backend, holding the lane's executor role; the second caller's
+/// `recv` is published behind it (its kick finds the lane busy and rings
+/// the shard, which queues for the role; the caller sleeps on its token).
+/// Then `strike` lands — the guest's death from a third thread's request
+/// on another lane.  Returns both callers' results, after the zero-leak
+/// audit.
+fn strike_during_an_inline_drain(
+    port: u16,
+    strike: Strike,
+) -> (Result<usize, ScifError>, Result<usize, ScifError>) {
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+
+    let host = VphiHost::new(1);
+    let server = host.device_endpoint(0).unwrap();
+    let mut tl = Timeline::new();
+    server.bind(Port(port), &mut tl).unwrap();
+    server.listen(2, &mut tl).unwrap();
+    let card = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        let conns = [server.accept(&mut tl).unwrap(), server.accept(&mut tl).unwrap()];
+        // Hold both connections open, silently, until the guest side goes.
+        for conn in &conns {
+            let _ = conn.recv(&mut [0u8; 1], &mut tl);
+        }
+    });
+    let vm = Arc::new(host.spawn_vm(VmConfig::default()));
+    let channel = Arc::clone(vm.frontend().channel());
+    let lane_of = |ep: &vphi::GuestScif| channel.route(&VphiRequest::Close { epd: ep.epd() });
+
+    // Open endpoints until two share a lane and a third sits on another.
+    let mut eps: Vec<Arc<vphi::GuestScif>> = Vec::new();
+    let (pair, bystander) = loop {
+        eps.push(Arc::new(vm.open_scif(&mut tl).unwrap()));
+        let lanes: Vec<usize> = eps.iter().map(|ep| lane_of(ep)).collect();
+        let twins = (0..eps.len())
+            .flat_map(|i| (i + 1..eps.len()).map(move |j| (i, j)))
+            .find(|&(i, j)| lanes[i] == lanes[j]);
+        let picked = twins.and_then(|(i, j)| {
+            let away = lanes.iter().position(|&lane| lane != lanes[i])?;
+            Some(([Arc::clone(&eps[i]), Arc::clone(&eps[j])], Arc::clone(&eps[away])))
+        });
+        if let Some(picked) = picked {
+            break picked;
+        }
+    };
+    let addr = ScifAddr::new(host.device_node(0), Port(port));
+    for ep in &pair {
+        ep.connect(addr, &mut tl).unwrap();
+    }
+
+    let requests = || vm.backend().inner().stats.requests.load(Ordering::Relaxed);
+    let settled = requests();
+    let recv_on = |ep: &Arc<vphi::GuestScif>| {
+        let ep = Arc::clone(ep);
+        std::thread::spawn(move || ep.recv(&mut [0u8; 1], &mut Timeline::new()))
+    };
+    let first = recv_on(&pair[0]);
+    spin_until("the first recv is executing", || requests() == settled + 1);
+    let second = recv_on(&pair[1]);
+    spin_until("the second recv is queued behind it", || channel.inflight_count() == 1);
+
+    match strike {
+        Strike::GuestDeath => {
+            // The next request the backend starts is the guest's last.
+            host.arm_faults(FaultPlan::single(FaultSite::VmmGuestDeath, 1, 0));
+            assert_eq!(bystander.bind(Port::ANY, &mut tl), Err(ScifError::NoDev));
+        }
+        Strike::VmShutdown => vm.shutdown(),
+        Strike::CardReset => {
+            host.reset_card(0);
+        }
+    }
+    let results = (first.join().unwrap(), second.join().unwrap());
+
+    // Dead device or quarantined card: any errno is fair on the way out.
+    for ep in &eps {
+        let _ = ep.close(&mut tl);
+    }
+    assert_eq!(vm.backend().open_endpoints(), 0, "{strike:?}: leaked endpoints");
+    assert_eq!(vm.backend().inner().window_entries(), 0, "{strike:?}: leaked windows");
+    assert_eq!(vm.backend().inner().aperture().mapped_windows(), 0, "{strike:?}: leaked mappings");
+    assert_eq!(vm.frontend().pending_tokens(), 0, "{strike:?}: leaked tokens");
+    // The queued chain is taken off the books by whoever holds the lane
+    // next — run (card reset) or, on a dead device, discarded — which is
+    // the shard, a moment after the first caller leaves.
+    spin_until("the queued request's inflight entry is gone", || channel.inflight_count() == 0);
+    vm.shutdown();
+    card.join().unwrap();
+    results
+}
+
+/// The guest dies (a third thread's request on another lane is its last)
+/// with one caller inside its own vm-exit and one queued behind it.  The
+/// dead-guest GC closes the first caller's endpoint under it: its `recv`
+/// really ran and really ended, with the zero bytes of a hang-up.  The
+/// queued request is never started — a dead device executes nothing more —
+/// so its caller reads `ENODEV` off the shutdown flag.  (On the shard this
+/// one was a race between the GC's wake-up and the shard running the
+/// request into the emptied endpoint table: `ENODEV` or `EINVAL`.)
+#[test]
+fn guest_death_during_an_inline_drain() {
+    let (inside, queued) = strike_during_an_inline_drain(984, Strike::GuestDeath);
+    assert_eq!(inside, Ok(0));
+    assert_eq!(queued, Err(ScifError::NoDev));
+}
+
+/// `vm.shutdown()` in the same position.  It closes the guest's endpoints
+/// before it waits for the shards, so the caller parked inside the backend
+/// comes out (a hang-up again) and the shard queued behind it for the
+/// executor role can be joined; the queued caller reads `ENODEV`.
+#[test]
+fn vm_shutdown_during_an_inline_drain() {
+    let start = std::time::Instant::now();
+    let (inside, queued) = strike_during_an_inline_drain(985, Strike::VmShutdown);
+    assert_eq!(inside, Ok(0));
+    assert_eq!(queued, Err(ScifError::NoDev));
+    assert!(start.elapsed() < std::time::Duration::from_secs(20), "shutdown waited on a handler");
+}
+
+/// A card reset in the same position quarantines both endpoints: each
+/// `recv` ends with a hang-up, the first on its caller's thread, the
+/// second on the shard once the lane is free — exactly what two requests
+/// queued on the shard came to.
+#[test]
+fn card_reset_during_an_inline_drain() {
+    let (inside, queued) = strike_during_an_inline_drain(986, Strike::CardReset);
+    assert_eq!(inside, Ok(0));
+    assert_eq!(queued, Ok(0));
+}
+
+/// A lost kick on a blocking call: the vm-exit was paid for, nothing was
+/// serviced, and the caller is asleep on its token like any other
+/// requester whose reply comes from another thread.  The deadline's
+/// re-kick is an ordinary doorbell, so the lane's shard runs the request.
+#[test]
+fn lost_kick_on_a_blocking_call_recovers_through_the_shard() {
+    let host = VphiHost::new(1);
+    let server = host.device_endpoint(0).unwrap();
+    let mut tl = Timeline::new();
+    server.bind(Port(987), &mut tl).unwrap();
+    server.listen(1, &mut tl).unwrap();
+    let card = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        let conn = server.accept(&mut tl).unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(conn.recv(&mut byte, &mut tl), Ok(1));
+        byte[0]
+    });
+    let vm = host.spawn_vm(VmConfig::default());
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(ScifAddr::new(host.device_node(0), Port(987)), &mut tl).unwrap();
+    let waitq = &vm.frontend().channel().waitq;
+    assert_eq!(waitq.sleep_count(), 0, "open and connect were serviced where they were called");
+
+    let injector = host.arm_faults(FaultPlan::single(FaultSite::VirtioKickLost, 1, 0));
+    let mut send_tl = Timeline::new();
+    assert_eq!(ep.send(&[7], &mut send_tl), Ok(1));
+    assert_eq!(card.join().unwrap(), 7);
+    assert_eq!(injector.fired_at(FaultSite::VirtioKickLost), 1);
+    assert_eq!(vm.frontend().stats().deadline_retries, 1);
+    assert!(waitq.sleep_count() >= 1, "the caller slept while the shard ran its request");
+    // Both vm-exits are on the call's bill: the lost one and the re-kick.
+    let kick = host.cost().vmexit_kick;
+    assert_eq!(send_tl.total_for(vphi_sim_core::SpanLabel::VmExitKick), kick * 2);
+    assert_eq!(vm.frontend().channel().inflight_count(), 0);
+    ep.close(&mut tl).unwrap();
+    vm.shutdown();
+}

@@ -322,3 +322,89 @@ fn messages_nest_guest_memory_inside_the_queue_lock_only() {
         "the queue lock may only be held while taking guest memory's"
     );
 }
+
+/// A blocking guest call runs the backend on the calling thread, under
+/// the lane's executor role (DESIGN.md #21) — the one thing a request
+/// handler runs *under*, and not a lock: it is held across the handler's
+/// blocking SCIF calls and its clock advances.  Drive the blocking calls
+/// that cross the most of the stack and check what the audit saw: no
+/// violation (so nothing was held when the role was entered — it is
+/// outermost — and no *lock* was held across a clock advance, which
+/// `connect`'s link transaction and every RMA would have tripped), the
+/// role at the root of the handlers' acquisitions, and nothing ever
+/// acquired before it.
+#[test]
+fn blocking_calls_run_under_the_executor_role_and_nothing_else() {
+    use vphi::builder::{VmConfig, VphiHost};
+    use vphi_scif::window::WindowBacking;
+    use vphi_scif::{Port, Prot, RmaFlags, ScifAddr};
+    use vphi_sim_core::cost::PAGE_SIZE;
+    use vphi_sim_core::Timeline;
+
+    let violations_before = vphi_sync::audit::violation_count();
+    let host = VphiHost::new(1);
+    let mut tl = Timeline::new();
+    let listener = host.device_endpoint(0).unwrap();
+    listener.bind(Port(965), &mut tl).unwrap();
+    listener.listen(1, &mut tl).unwrap();
+    let gddr = host.board(0).memory().alloc(PAGE_SIZE).unwrap();
+    let peer = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        let conn = listener.accept(&mut tl).unwrap();
+        conn.register(Some(0), PAGE_SIZE, Prot::READ_WRITE, WindowBacking::Device(gddr), &mut tl)
+            .unwrap();
+        conn.send(&[1], &mut tl).unwrap();
+        let mut word = [0u8; 4];
+        assert_eq!(conn.recv(&mut word, &mut tl), Ok(4));
+        conn.send(&word, &mut tl).unwrap();
+        let _ = conn.recv(&mut [0u8; 1], &mut tl);
+    });
+
+    let vm = host.spawn_vm(VmConfig::default());
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(ScifAddr::new(host.device_node(0), Port(965)), &mut tl).unwrap();
+    ep.recv(&mut [0u8; 1], &mut tl).unwrap();
+    ep.send(b"ping", &mut tl).unwrap();
+    let mut back = [0u8; 4];
+    assert_eq!(ep.recv(&mut back, &mut tl), Ok(4));
+    let buf = vm.alloc_buf(PAGE_SIZE).unwrap();
+    ep.vreadfrom(&buf, 0, RmaFlags::SYNC, &mut tl).unwrap();
+    let off = ep.register(&buf, Prot::READ_WRITE, None, &mut tl).unwrap();
+    ep.unregister(off, PAGE_SIZE, &mut tl).unwrap();
+    ep.close(&mut tl).unwrap();
+    peer.join().unwrap();
+    // Every one of those was serviced where it was called.
+    assert_eq!(vm.frontend().channel().waitq.sleep_count(), 0);
+    vm.shutdown();
+
+    assert_eq!(vphi_sync::audit::violation_count(), violations_before);
+    let edges = vphi_sync::audit::order_edges();
+    let role = LockClass::LaneExecutor;
+    let into_role: Vec<_> = edges.iter().filter(|(_, acquired)| *acquired == role).collect();
+    assert!(into_role.is_empty(), "the executor role is entered with nothing held: {into_role:?}");
+    // The handlers' first-level locks now hang off the role …
+    for under in [
+        LockClass::BackendEndpoints,
+        LockClass::EndpointState,
+        LockClass::MsgQueue,
+        LockClass::WindowTable,
+        LockClass::VirtQueueState,
+        LockClass::FrontendCompleted,
+        LockClass::GuestMemState,
+    ] {
+        assert!(edges.contains(&(role, under)), "no {role:?} → {under:?} edge: {edges:?}");
+    }
+    // … and the calling guest thread brought no lock of its own into the
+    // backend: the frontend's tables are leaves here, as on a shard.
+    for frontend in [
+        LockClass::FrontendInflight,
+        LockClass::FrontendPending,
+        LockClass::FrontendStats,
+        LockClass::FrontendSlots,
+        LockClass::NotifyPolicy,
+        LockClass::FrontendBackoff,
+    ] {
+        let nested: Vec<_> = edges.iter().filter(|(held, _)| *held == frontend).collect();
+        assert!(nested.is_empty(), "{frontend:?} held across a backend call: {nested:?}");
+    }
+}
