@@ -163,7 +163,6 @@ pub const CONTRACTS: &[AtomicContract] = &[
     counter("queue_worker_dispatches"),
     counter("batch_hist"),
     counter("crossings"),
-    counter("suppress_windows"),
     counter("blocking_events"),
     counter("live_workers"),
     counter("live"),

@@ -43,13 +43,6 @@ impl BackendInner {
     fn drain_lane(self: &Arc<Self>, q: usize, through: u64) {
         let queue = self.channel.lane_queue(q);
         while !self.channel.is_shutdown() {
-            // While a pass is draining a burst, further guest kicks are
-            // redundant — VRING_USED_F_NO_NOTIFY spares the guest those
-            // vm-exits.  Suppression is lifted *before* the burst's last
-            // completion is delivered, so a synchronous requester's next
-            // kick behaves exactly as a lone request's.  (Interrupt
-            // elision is the lane notifier's job.)
-            queue.set_suppress_kick(true);
             let mut batch = Vec::new();
             while let Ok(Some(chain)) = queue.pop_avail_through(through) {
                 batch.push(chain);
@@ -59,19 +52,12 @@ impl BackendInner {
                 self.stats.burst_drains.fetch_add(1, Ordering::Relaxed);
                 self.stats.burst_chains.fetch_add(burst as u64, Ordering::Relaxed);
             }
-            if burst <= 1 {
-                queue.set_suppress_kick(false);
-            }
-            for (i, chain) in batch.into_iter().enumerate() {
-                if i + 1 == burst && burst > 1 {
-                    queue.set_suppress_kick(false);
-                }
+            for chain in batch {
                 self.process(q, chain);
             }
-            // A chain posted while kicks were suppressed never delivered
-            // its kick; the shard picks it up before blocking.  A bounded
-            // pass has popped all it may: the kicker rings the shard for
-            // the rest on its way out.
+            // The shard picks up a chain posted during the pass before it
+            // goes back to blocking.  A bounded pass has popped all it
+            // may: the kicker rings the shard for the rest on its way out.
             if through != u64::MAX || !queue.avail_pending() {
                 return;
             }

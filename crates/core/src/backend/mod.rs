@@ -37,7 +37,7 @@ use vphi_sim_core::cost::PAGE_SIZE;
 use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_sync::{LockClass, TrackedMutex};
 use vphi_trace::{OpCtx, Stage, TraceCtx, Tracer};
-use vphi_virtio::{DescChain, Descriptor, UsedElem, VirtQueue};
+use vphi_virtio::{DescChain, Descriptor, UsedElem};
 use vphi_vmm::vm::VirtualPciDevice;
 use vphi_vmm::{Gpa, GuestMemory, IrqChip, KvmModule, QemuEventLoop, VmaFlags};
 
@@ -752,56 +752,6 @@ impl BackendDevice {
         event_loop: Arc<QemuEventLoop>,
         fabric: Arc<ScifFabric>,
         boards: Vec<Arc<PhiBoard>>,
-    ) -> Arc<Self> {
-        Self::with_policy(
-            name,
-            channel,
-            guest_mem,
-            guest_irq,
-            kvm,
-            event_loop,
-            fabric,
-            boards,
-            DispatchPolicy::PAPER,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_policy(
-        name: impl Into<String>,
-        channel: Arc<VphiChannel>,
-        guest_mem: Arc<GuestMemory>,
-        guest_irq: Arc<IrqChip>,
-        kvm: Arc<KvmModule>,
-        event_loop: Arc<QemuEventLoop>,
-        fabric: Arc<ScifFabric>,
-        boards: Vec<Arc<PhiBoard>>,
-        policy: DispatchPolicy,
-    ) -> Arc<Self> {
-        Self::with_options(
-            name,
-            channel,
-            guest_mem,
-            guest_irq,
-            kvm,
-            event_loop,
-            fabric,
-            boards,
-            policy,
-            BackendOptions::default(),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_options(
-        name: impl Into<String>,
-        channel: Arc<VphiChannel>,
-        guest_mem: Arc<GuestMemory>,
-        guest_irq: Arc<IrqChip>,
-        kvm: Arc<KvmModule>,
-        event_loop: Arc<QemuEventLoop>,
-        fabric: Arc<ScifFabric>,
-        boards: Vec<Arc<PhiBoard>>,
         policy: DispatchPolicy,
         options: BackendOptions,
     ) -> Arc<Self> {
@@ -885,14 +835,6 @@ impl BackendDevice {
 impl VirtualPciDevice for BackendDevice {
     fn name(&self) -> &str {
         &self.inner.name
-    }
-
-    fn queue(&self) -> Arc<VirtQueue> {
-        Arc::clone(&self.inner.channel.queue)
-    }
-
-    fn queues(&self) -> Vec<Arc<VirtQueue>> {
-        self.inner.channel.lanes().iter().map(|l| Arc::clone(&l.queue)).collect()
     }
 
     fn start(&self) {

@@ -386,7 +386,7 @@ impl VphiHost {
             config.scheme,
             config.chunk_size,
         );
-        let backend = BackendDevice::with_options(
+        let backend = BackendDevice::new(
             format!("vphi{}", vm.id()),
             channel,
             Arc::clone(vm.mem()),

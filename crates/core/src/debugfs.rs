@@ -23,8 +23,9 @@ pub struct QueueReport {
     pub chains_popped: u64,
     /// Requests this lane's shard handed to a QEMU worker thread.
     pub worker_dispatches: u64,
-    /// Kick-suppression windows (`VRING_USED_F_NO_NOTIFY`) this lane
-    /// opened while its shard drained a burst.
+    /// Retired with the kick-suppression flag and always 0; the field
+    /// outlives it until the benchmark that reads it is re-based
+    /// (ROADMAP item 2).
     pub suppress_windows: u64,
     /// Completion MSIs this lane's notifier injected.
     pub irqs_injected: u64,
@@ -50,7 +51,6 @@ pub struct VphiDebugReport {
     pub spurious_wakeups: u64,
     // adaptive completion notification
     pub kicks_delivered: u64,
-    pub kicks_suppressed: u64,
     /// Completion MSIs injected, summed over lanes.
     pub irqs_injected: u64,
     /// Completions suppressed (spinner-reaped or batched), summed over
@@ -125,9 +125,9 @@ impl VphiDebugReport {
                     kicks: c.kicks,
                     chains_popped: c.chains_popped,
                     worker_dispatches: be.queue_worker_dispatches(q),
-                    suppress_windows: c.suppress_windows,
                     irqs_injected: notify[q].irqs_injected,
                     irqs_suppressed: notify[q].irqs_suppressed,
+                    ..QueueReport::default()
                 }
             })
             .collect();
@@ -151,7 +151,6 @@ impl VphiDebugReport {
             wait_queue_sleeps: vm.frontend().channel().waitq.sleep_count(),
             spurious_wakeups: vm.frontend().channel().waitq.spurious_count(),
             kicks_delivered: fe.kicks_delivered,
-            kicks_suppressed: fe.kicks_suppressed,
             irqs_injected: notify.iter().map(|n| n.irqs_injected).sum(),
             irqs_suppressed: notify.iter().map(|n| n.irqs_suppressed).sum(),
             completions_per_irq,
@@ -233,10 +232,7 @@ impl VphiDebugReport {
         group(
             "virtio",
             &[
-                (
-                    "kicks sent/suppressed",
-                    format!("{}/{}", self.kicks_delivered, self.kicks_suppressed),
-                ),
+                ("kicks sent", self.kicks_delivered.to_string()),
                 ("irqs inj/sup", format!("{}/{}", self.irqs_injected, self.irqs_suppressed)),
                 ("irq injections", self.irq_injections.to_string()),
                 ("cpl-per-irq hist", hist),
@@ -249,11 +245,8 @@ impl VphiDebugReport {
             .flat_map(|(i, q)| {
                 [
                     (
-                        format!("q{i} kick/pop/disp/sup"),
-                        format!(
-                            "{}/{}/{}/{}",
-                            q.kicks, q.chains_popped, q.worker_dispatches, q.suppress_windows
-                        ),
+                        format!("q{i} kick/pop/disp"),
+                        format!("{}/{}/{}", q.kicks, q.chains_popped, q.worker_dispatches),
                     ),
                     (
                         format!("q{i} irq inj/sup"),
@@ -357,7 +350,6 @@ mod tests {
         // waiter's threshold crossed, one MSI injected carrying exactly
         // one completion — and the directed wake was not spurious.
         assert_eq!(after_open.kicks_delivered, 1);
-        assert_eq!(after_open.kicks_suppressed, 0);
         assert_eq!(after_open.irqs_injected, 1);
         assert_eq!(after_open.irqs_suppressed, 0);
         assert_eq!(after_open.completions_per_irq[0], 1);
@@ -436,7 +428,6 @@ mod tests {
             wait_queue_sleeps: 6,
             spurious_wakeups: 47,
             kicks_delivered: 7,
-            kicks_suppressed: 8,
             irqs_injected: 9,
             irqs_suppressed: 48,
             completions_per_irq: {
@@ -450,17 +441,17 @@ mod tests {
                     kicks: 39,
                     chains_popped: 40,
                     worker_dispatches: 41,
-                    suppress_windows: 42,
                     irqs_injected: 51,
                     irqs_suppressed: 52,
+                    ..QueueReport::default()
                 },
                 QueueReport {
                     kicks: 43,
                     chains_popped: 44,
                     worker_dispatches: 45,
-                    suppress_windows: 46,
                     irqs_injected: 53,
                     irqs_suppressed: 54,
+                    ..QueueReport::default()
                 },
             ],
             backend_requests: 10,
@@ -509,14 +500,14 @@ vphi7:
     spurious wakeups        47
     deadline retries        23
   virtio:
-    kicks sent/suppressed   7/8
+    kicks sent              7
     irqs inj/sup            9/48
     irq injections          21
     cpl-per-irq hist        2^0:49 2^2:50
   queues:
-    q0 kick/pop/disp/sup    39/40/41/42
+    q0 kick/pop/disp        39/40/41
     q0 irq inj/sup          51/52
-    q1 kick/pop/disp/sup    43/44/45/46
+    q1 kick/pop/disp        43/44/45
     q1 irq inj/sup          53/54
   backend:
     requests                10

@@ -23,7 +23,7 @@
 //!   kick's vm-exit is serviced on that thread (DESIGN.md #21), so the
 //!   reply is there when it looks.  Real sleeping on the per-token waiter
 //!   is left to reaps of batched tokens, worker-dispatched requests
-//!   (`accept`) and kicks that were suppressed or lost.
+//!   (`accept`), kicks that found their lane busy and kicks that were lost.
 
 mod waiting;
 
@@ -293,10 +293,9 @@ pub struct FrontendStats {
     pub interrupt_waits: u64,
     pub polling_waits: u64,
     pub chunks_sent: u64,
-    /// Kicks the device declined (`VRING_USED_F_NO_NOTIFY`): the backend
-    /// was already draining, so no vm-exit was charged.
-    pub kicks_suppressed: u64,
-    /// Kicks that actually caused a vm-exit.
+    /// Publishes that kicked (one vm-exit each): every blocking request
+    /// and every touched lane of a batch.  Deadline re-kicks are counted
+    /// by `deadline_retries`.
     pub kicks_delivered: u64,
     /// Times a request's completion deadline expired and the frontend
     /// re-kicked the device (recovers lost kicks and lost MSIs).
@@ -684,19 +683,15 @@ impl FrontendDriver {
         // its kick's vm-exit is serviced right here, on this thread
         // (DESIGN.md #21): when `kick_blocking` returns, the backend has
         // run the request and the completion sits in the completed table
-        // for the wait's first check.  Only a suppressed or lost kick, or
-        // a worker-dispatched request, leaves something to sleep for.
+        // for the wait's first check.  Only a lost kick, a busy lane or a
+        // worker-dispatched request leaves something to sleep for.
         let wait = ctx.begin("wait-complete", Stage::Completion);
-        let delivered = sub.lane_queue.kick_blocking(sub.avail_idx, cost.vmexit_kick, ctx.tl);
+        sub.lane_queue.kick_blocking(sub.avail_idx, cost.vmexit_kick, ctx.tl);
         let waited = self.wait_for_completion(&sub.lane_queue, sub.token, BACKOFF_BASE, ctx.tl);
         {
             let mut stats = self.stats.lock();
             stats.requests += 1;
-            if delivered {
-                stats.kicks_delivered += 1;
-            } else {
-                stats.kicks_suppressed += 1;
-            }
+            stats.kicks_delivered += 1;
             if let Ok(done) = &waited {
                 stats.count_wait(done.slept);
             }
@@ -738,28 +733,7 @@ impl FrontendDriver {
         ctx.set_queue(q as u16);
         let lane_queue = Arc::clone(&self.channel.lanes[q].queue);
 
-        // Marshal the request header into a preallocated slot.
-        let marshal = ctx.begin("guest-syscall", Stage::GuestSyscall);
-        self.kernel.charge_syscall(ctx.tl);
-        let (req_buf, resp_buf, pooled) = match self.take_slot(ctx.tl) {
-            Ok(slot) => slot,
-            Err(e) => {
-                ctx.end(marshal);
-                return Err(e);
-            }
-        };
-        if self.kernel.mem().write(req_buf.gpa, &req.encode()).is_err() {
-            ctx.end(marshal);
-            self.return_slot(req_buf, resp_buf, pooled);
-            return Err(ScifError::Inval);
-        }
-        ctx.end(marshal);
-
-        // Build the chain: header, payload descriptors, response header.
-        let mut chain = Vec::with_capacity(extra.len() + 2);
-        chain.push(Descriptor::readable(req_buf.gpa.0, REQ_SIZE as u32));
-        chain.extend_from_slice(extra);
-        chain.push(Descriptor::writable(resp_buf.gpa.0, RESP_SIZE as u32));
+        let (req_buf, resp_buf, pooled, chain) = self.marshal(req, extra, ctx)?;
 
         // Post and stash the cross-boundary timeline.
         let ring = ctx.begin("virtio-ring", Stage::VirtioRing);
@@ -801,6 +775,39 @@ impl FrontendDriver {
             resp_buf,
             pooled,
         })
+    }
+
+    /// The guest-syscall stage of one request, blocking or batched: charge
+    /// the syscall, encode the header into a preallocated slot, and lay
+    /// out the chain — request header, `extra` payload descriptors,
+    /// response header.  On error the slot is already back in the pool.
+    fn marshal(
+        &self,
+        req: &VphiRequest,
+        extra: &[Descriptor],
+        ctx: &mut OpCtx<'_>,
+    ) -> ScifResult<(KmallocBuf, KmallocBuf, bool, Vec<Descriptor>)> {
+        let marshal = ctx.begin("guest-syscall", Stage::GuestSyscall);
+        self.kernel.charge_syscall(ctx.tl);
+        let (req_buf, resp_buf, pooled) = match self.take_slot(ctx.tl) {
+            Ok(slot) => slot,
+            Err(e) => {
+                ctx.end(marshal);
+                return Err(e);
+            }
+        };
+        if self.kernel.mem().write(req_buf.gpa, &req.encode()).is_err() {
+            ctx.end(marshal);
+            self.return_slot(req_buf, resp_buf, pooled);
+            return Err(ScifError::Inval);
+        }
+        ctx.end(marshal);
+
+        let mut chain = Vec::with_capacity(extra.len() + 2);
+        chain.push(Descriptor::readable(req_buf.gpa.0, REQ_SIZE as u32));
+        chain.extend_from_slice(extra);
+        chain.push(Descriptor::writable(resp_buf.gpa.0, RESP_SIZE as u32));
+        Ok((req_buf, resp_buf, pooled, chain))
     }
 
     /// Drain the used ring and decode the response — the tail every
@@ -963,7 +970,7 @@ impl FrontendDriver {
         // entry's pending/inflight state and used-event threshold are
         // already registered, so the backend may claim the whole burst
         // the instant the batch publish lands.
-        let (mut delivered, mut suppressed) = (0u64, 0u64);
+        let mut kicks = 0u64;
         for (q, heads) in lane_heads.iter().enumerate() {
             if heads.is_empty() {
                 continue;
@@ -971,11 +978,8 @@ impl FrontendDriver {
             let lane_queue = Arc::clone(self.channel.lane_queue(q));
             let ring = ctx.begin("virtio-ring", Stage::VirtioRing);
             lane_queue.publish_avail_batch(heads, cost.ring_push, ctx.tl);
-            if lane_queue.kick(cost.vmexit_kick, ctx.tl) {
-                delivered += 1;
-            } else {
-                suppressed += 1;
-            }
+            lane_queue.kick(cost.vmexit_kick, ctx.tl);
+            kicks += 1;
             ctx.end(ring);
         }
         {
@@ -983,9 +987,8 @@ impl FrontendDriver {
             stats.requests += tokens.len() as u64;
             stats.batches_submitted += 1;
             stats.batch_entries += tokens.len() as u64;
-            stats.batch_kicks += delivered + suppressed;
-            stats.kicks_delivered += delivered;
-            stats.kicks_suppressed += suppressed;
+            stats.batch_kicks += kicks;
+            stats.kicks_delivered += kicks;
         }
         Ok(tokens)
     }
@@ -1004,28 +1007,13 @@ impl FrontendDriver {
         ctx.set_queue(q as u16);
         let lane_queue = Arc::clone(&self.channel.lanes[q].queue);
 
-        let marshal = ctx.begin("guest-syscall", Stage::GuestSyscall);
-        self.kernel.charge_syscall(ctx.tl);
-        let (req_buf, resp_buf, pooled) = match self.take_slot(ctx.tl) {
-            Ok(slot) => slot,
+        let (req_buf, resp_buf, pooled, chain) = match self.marshal(&req, &descs, ctx) {
+            Ok(m) => m,
             Err(e) => {
-                ctx.end(marshal);
                 self.free_staging(staging);
                 return Err(e);
             }
         };
-        if self.kernel.mem().write(req_buf.gpa, &req.encode()).is_err() {
-            ctx.end(marshal);
-            self.return_slot(req_buf, resp_buf, pooled);
-            self.free_staging(staging);
-            return Err(ScifError::Inval);
-        }
-        ctx.end(marshal);
-
-        let mut chain = Vec::with_capacity(descs.len() + 2);
-        chain.push(Descriptor::readable(req_buf.gpa.0, REQ_SIZE as u32));
-        chain.extend_from_slice(&descs);
-        chain.push(Descriptor::writable(resp_buf.gpa.0, RESP_SIZE as u32));
         let head = match lane_queue.prepare_chain(&chain) {
             Ok(h) => h,
             Err(_) => {

@@ -38,19 +38,18 @@ struct Ring {
 
 impl Ring {
     /// Make room for `total` queued bytes, doubling like a `Vec` so growth
-    /// is amortised, and never past `capacity`.
+    /// is amortised, and never past `capacity`.  The buffer is straightened
+    /// and extended in place, not replaced: a ring that keeps its
+    /// allocation leaves no freed predecessors behind, whose place in the
+    /// allocator's arenas differs from run to run (DESIGN.md #20).
     fn reserve(&mut self, total: usize, capacity: usize) {
         if total <= self.buf.len() {
             return;
         }
         let size = total.max(self.buf.len() * 2).min(capacity);
-        let mut grown = Vec::with_capacity(size);
-        let (a, b) = self.filled(self.len);
-        grown.extend_from_slice(a);
-        grown.extend_from_slice(b);
-        grown.resize(size, 0);
-        self.buf = grown;
+        self.buf.rotate_left(self.head);
         self.head = 0;
+        self.buf.resize(size, 0);
     }
 
     /// The first `n` filled bytes (`n <= len`) as the ring's two halves.
@@ -429,6 +428,17 @@ mod tests {
         // grow it.
         assert!(q.write_all(&[3u8; 200]));
         assert_eq!(ring_size(&q), 200);
+        // A ring that has wrapped is straightened as it grows.
+        let wrapped = MsgQueue::new(1000);
+        assert!(wrapped.write_all(&[5u8; 100]));
+        assert_eq!(wrapped.read_exact(&mut [0u8; 60]), 60);
+        assert!(wrapped.write_all(&[6u8; 50]));
+        assert!(wrapped.write_all(&[7u8; 30]));
+        assert_eq!(ring_size(&wrapped), 200);
+        let mut out = [0u8; 120];
+        assert_eq!(wrapped.read_exact(&mut out), 120);
+        assert!(out[..40].iter().all(|&b| b == 5) && out[40..90].iter().all(|&b| b == 6));
+        assert!(out[90..].iter().all(|&b| b == 7));
         // The capacity caps the doubling.
         let small = MsgQueue::new(150);
         assert_eq!(small.write_some(&[4u8; 100]), 100);

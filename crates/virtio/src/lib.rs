@@ -14,9 +14,9 @@
 //! * [`queue::VirtQueue`] — the descriptor table + avail ring + used ring
 //!   under one lock, with a guest-side API (`add_chain`, `take_used`) and
 //!   a device-side API (`pop_avail`, `push_used`).
-//! * [`queue::Notifiers`] — the kick doorbell (guest → device) and the
-//!   used-buffer callback (device → guest interrupt), with the standard
-//!   suppression flags.
+//! * [`queue::Notifiers`] — the kick doorbell (guest → device).  The
+//!   device → guest interrupt is decided outside the queue, from the
+//!   EVENT_IDX `used_event`/`used_seq` pair it carries.
 
 pub mod queue;
 pub mod ring;

@@ -73,8 +73,6 @@ struct QueueState {
     /// published.
     last_avail_idx: u64,
     used: VecDeque<UsedElem>,
-    /// `VRING_USED_F_NO_NOTIFY`: device asks the guest not to kick.
-    suppress_kick: bool,
 }
 
 impl QueueState {
@@ -95,12 +93,10 @@ impl QueueState {
 /// Monotonic per-queue counters (multi-queue debugfs rows).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueCounters {
-    /// Kicks actually delivered (not suppressed).
+    /// Kicks issued: one vm-exit each.
     pub kicks: u64,
     /// Chains popped off the avail ring by the device side.
     pub chains_popped: u64,
-    /// Kick-suppression windows opened (false → true transitions).
-    pub suppress_windows: u64,
 }
 
 /// The device's handler for a kick vm-exit taken by a blocking caller:
@@ -118,14 +114,12 @@ pub struct VirtQueue {
     exit_handler: OnceLock<ExitHandler>,
     /// Who is draining the avail ring right now: the device's service
     /// thread for this queue, or a blocking kicker.  Held for a whole
-    /// drain pass — pops, suppression window and the request handlers —
-    /// so chains are executed one at a time, in ring order, whoever pops
-    /// them.
+    /// drain pass — pops and the request handlers — so chains are
+    /// executed one at a time, in ring order, whoever pops them.
     pub executor: TrackedRole,
     faults: FaultHook,
     kicks: AtomicU64,
     chains_popped: AtomicU64,
-    suppress_windows: AtomicU64,
     /// Monotonic count of used-ring pushes (the EVENT_IDX "new" index).
     used_seq: AtomicU64,
     /// Guest-published interrupt threshold (`VIRTIO_F_EVENT_IDX`): the
@@ -152,7 +146,6 @@ impl VirtQueue {
                     avail: VecDeque::new(),
                     last_avail_idx: 0,
                     used: VecDeque::new(),
-                    suppress_kick: false,
                 },
             ),
             notifiers: Notifiers::default(),
@@ -161,7 +154,6 @@ impl VirtQueue {
             faults: FaultHook::new(),
             kicks: AtomicU64::new(0),
             chains_popped: AtomicU64::new(0),
-            suppress_windows: AtomicU64::new(0),
             used_seq: AtomicU64::new(0),
             used_event: AtomicU64::new(0),
         })
@@ -172,7 +164,6 @@ impl VirtQueue {
         QueueCounters {
             kicks: self.kicks.load(Ordering::Relaxed),
             chains_popped: self.chains_popped.load(Ordering::Relaxed),
-            suppress_windows: self.suppress_windows.load(Ordering::Relaxed),
         }
     }
 
@@ -276,44 +267,39 @@ impl VirtQueue {
         avail_idx
     }
 
-    /// The vm-exit both kick entry points are: nothing if the device
-    /// suppressed notifications, else the `VmExitKick` charge, the kick
-    /// count, and the two sites where the notification can be lost, in
-    /// wire order.  An injected loss pays the vm-exit but never reaches
-    /// the device; the frontend's request deadline re-kicks.  A delivered
-    /// one runs `service` on this thread and wakes the service thread if
-    /// it reports work left.  Returns whether a kick was issued.
+    /// The vm-exit both kick entry points are: the `VmExitKick` charge,
+    /// the kick count, and the two sites where the notification can be
+    /// lost, in wire order.  Every kick pays it — the avail side has no
+    /// notification suppression, so the charge is a function of the
+    /// publish alone (DESIGN.md #16).  An injected loss pays the vm-exit
+    /// but never reaches the device; the frontend's request deadline
+    /// re-kicks.  A delivered one runs `service` on this thread and wakes
+    /// the service thread if it reports work left.
     fn vmexit(
         &self,
         cost_vmexit: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
         service: impl FnOnce() -> bool,
-    ) -> bool {
-        let suppressed = self.state.lock().suppress_kick;
-        if suppressed {
-            return false;
-        }
+    ) {
         tl.charge(SpanLabel::VmExitKick, cost_vmexit);
         self.kicks.fetch_add(1, Ordering::Relaxed);
         if self.faults.fire(FaultSite::VirtioKickLost).is_none() {
             self.notifiers.kick.ring_with(service);
         }
-        true
     }
 
-    /// Notify the device (one vm-exit unless suppressed) and carry on: the
-    /// device's service thread wakes and drains the ring while the caller
-    /// does something else.  Returns whether a kick was actually
-    /// delivered.
-    pub fn kick(&self, cost_vmexit: vphi_sim_core::SimDuration, tl: &mut Timeline) -> bool {
+    /// Notify the device (one vm-exit) and carry on: the device's service
+    /// thread wakes and drains the ring while the caller does something
+    /// else.
+    pub fn kick(&self, cost_vmexit: vphi_sim_core::SimDuration, tl: &mut Timeline) {
         self.vmexit(cost_vmexit, tl, || true)
     }
 
     /// The kick of a caller that will do nothing but wait for the chain it
     /// published at avail index `through`.  The vm-exit is the same as
-    /// [`kick`](VirtQueue::kick)'s — same suppression check, charge, count
-    /// and loss sites — but a delivered one is serviced the way a KVM exit
-    /// is, on the thread that took it: the device's
+    /// [`kick`](VirtQueue::kick)'s — same charge, count and loss sites —
+    /// but a delivered one is serviced the way a KVM exit is, on the
+    /// thread that took it: the device's
     /// [exit handler](VirtQueue::set_exit_handler) drains the ring in FIFO
     /// order up to and including `through`, so the caller never executes
     /// work that was not ahead of it.  Whatever is on the ring afterwards
@@ -325,7 +311,7 @@ impl VirtQueue {
         through: u64,
         cost_vmexit: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
-    ) -> bool {
+    ) {
         self.vmexit(cost_vmexit, tl, || match self.exit_handler.get() {
             Some(service) => {
                 service(through);
@@ -428,9 +414,7 @@ impl VirtQueue {
         Ok(Some(DescChain { head, descriptors }))
     }
 
-    /// Whether undelivered chains sit on the avail ring.  The backend
-    /// re-checks this after lifting kick suppression: a chain posted in
-    /// the suppressed window never delivered its kick.
+    /// Whether undelivered chains sit on the avail ring.
     pub fn avail_pending(&self) -> bool {
         !self.state.lock().avail.is_empty()
     }
@@ -462,15 +446,6 @@ impl VirtQueue {
             tl.charge(SpanLabel::UsedPush, vphi_sim_core::SimDuration::from_micros(delay_us));
         }
         new_seq
-    }
-
-    /// Device-side kick suppression.
-    pub fn set_suppress_kick(&self, suppress: bool) {
-        let mut st = self.state.lock();
-        if suppress && !st.suppress_kick {
-            self.suppress_windows.fetch_add(1, Ordering::Relaxed);
-        }
-        st.suppress_kick = suppress;
     }
 
     /// Shut the queue down: wakes any device thread blocked in
@@ -550,7 +525,7 @@ mod tests {
         let dev = std::thread::spawn(move || q2.wait_kick());
         let mut tl = Timeline::new();
         q.add_chain(&[Descriptor::readable(0, 4)], PUSH, &mut tl).unwrap();
-        assert!(q.kick(KICK, &mut tl));
+        q.kick(KICK, &mut tl);
         assert!(dev.join().unwrap());
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
     }
@@ -610,7 +585,7 @@ mod tests {
         let mine = q.publish_avail(h1, PUSH, &mut tl);
         let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)]).unwrap();
         q.publish_avail(h2, PUSH, &mut tl);
-        assert!(q.kick_blocking(mine, KICK, &mut tl));
+        q.kick_blocking(mine, KICK, &mut tl);
         // The same vm-exit as `kick`: one charge, one counted kick.
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
         assert_eq!(q.counters().kicks, 1);
@@ -623,11 +598,8 @@ mod tests {
         let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)]).unwrap();
         q.pop_avail().unwrap().unwrap();
         let mine = q.publish_avail(h3, PUSH, &mut tl);
-        assert!(q.kick_blocking(mine, KICK, &mut tl));
+        q.kick_blocking(mine, KICK, &mut tl);
         assert!(!q.notifiers.kick.try_consume());
-        // A suppressed kick is no vm-exit at all, as for `kick`.
-        q.set_suppress_kick(true);
-        assert!(!q.kick_blocking(mine, KICK, &mut tl));
         assert_eq!(seen.lock().len(), 2);
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK * 2);
     }
@@ -637,18 +609,9 @@ mod tests {
         let q = VirtQueue::new(4);
         let mut tl = Timeline::new();
         q.add_chain(&[Descriptor::readable(0, 4)], PUSH, &mut tl).unwrap();
-        assert!(q.kick_blocking(1, KICK, &mut tl));
+        q.kick_blocking(1, KICK, &mut tl);
         assert!(q.wait_kick());
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
-    }
-
-    #[test]
-    fn kick_suppression() {
-        let q = VirtQueue::new(4);
-        q.set_suppress_kick(true);
-        let mut tl = Timeline::new();
-        assert!(!q.kick(KICK, &mut tl));
-        assert_eq!(tl.total(), SimDuration::ZERO);
     }
 
     #[test]
@@ -774,24 +737,15 @@ mod tests {
     }
 
     #[test]
-    fn per_queue_counters_track_kicks_pops_and_suppress_windows() {
+    fn per_queue_counters_track_kicks_and_pops() {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
         assert_eq!(q.counters(), QueueCounters::default());
         let head = q.add_chain(&[Descriptor::readable(0, 1)], PUSH, &mut tl).unwrap();
-        assert!(q.kick(KICK, &mut tl));
+        q.kick(KICK, &mut tl);
         q.pop_avail().unwrap().unwrap();
         q.push_used(UsedElem { id: head, len: 0 }, PUSH, &mut tl);
         q.take_used().unwrap();
-        // A suppression window: opening counts once, re-asserting doesn't,
-        // and a suppressed kick is not a delivered kick.
-        q.set_suppress_kick(true);
-        q.set_suppress_kick(true);
-        assert!(!q.kick(KICK, &mut tl));
-        q.set_suppress_kick(false);
-        q.set_suppress_kick(true);
-        q.set_suppress_kick(false);
-        let c = q.counters();
-        assert_eq!(c, QueueCounters { kicks: 1, chains_popped: 1, suppress_windows: 2 });
+        assert_eq!(q.counters(), QueueCounters { kicks: 1, chains_popped: 1 });
     }
 }

@@ -9,7 +9,6 @@ use std::sync::Arc;
 
 use vphi_sim_core::CostModel;
 use vphi_sync::{LockClass, TrackedMutex};
-use vphi_virtio::VirtQueue;
 
 use crate::event_loop::QemuEventLoop;
 use crate::guest_mem::GuestMemory;
@@ -19,13 +18,6 @@ use crate::kvm::{KvmModule, KvmPatch};
 /// A paravirtual PCI device plugged into a VM.
 pub trait VirtualPciDevice: Send + Sync {
     fn name(&self) -> &str;
-    /// The device's primary virtqueue (queue 0).
-    fn queue(&self) -> Arc<VirtQueue>;
-    /// Every virtqueue the device exposes, in queue-index order.  Single
-    /// queue devices get the default.
-    fn queues(&self) -> Vec<Arc<VirtQueue>> {
-        vec![self.queue()]
-    }
     /// Begin servicing the queues (spawn the backend service threads).
     fn start(&self);
     /// Stop servicing and release resources.
@@ -127,16 +119,12 @@ mod tests {
     use vphi_sim_core::units::MIB;
 
     struct DummyDev {
-        q: Arc<VirtQueue>,
         running: AtomicBool,
     }
 
     impl VirtualPciDevice for DummyDev {
         fn name(&self) -> &str {
             "dummy"
-        }
-        fn queue(&self) -> Arc<VirtQueue> {
-            Arc::clone(&self.q)
         }
         fn start(&self) {
             self.running.store(true, Ordering::Release);
@@ -158,7 +146,7 @@ mod tests {
     fn attach_start_stop_lifecycle() {
         let cost = Arc::new(CostModel::paper_calibrated());
         let vm = Vm::new(16 * MIB, cost, KvmPatch::PfnPhi);
-        let dev = Arc::new(DummyDev { q: VirtQueue::new(8), running: AtomicBool::new(false) });
+        let dev = Arc::new(DummyDev { running: AtomicBool::new(false) });
         vm.attach(Arc::clone(&dev) as Arc<dyn VirtualPciDevice>);
         assert!(dev.running.load(Ordering::Acquire));
         assert_eq!(vm.device_count(), 1);

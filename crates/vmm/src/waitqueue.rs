@@ -11,10 +11,10 @@
 //!
 //! Who sleeps here: a requester whose reply is produced by *another*
 //! thread — a reap of batched tokens, an `accept` on a QEMU worker, a
-//! request whose kick was suppressed or lost.  A blocking call whose kick
-//! is delivered runs its request on its own thread (DESIGN.md #21) and
-//! finds the reply on `wait_for`'s first predicate check, without
-//! registering a slot.
+//! request whose kick was lost or found its lane busy.  A blocking call
+//! whose kick is delivered runs its request on its own thread (DESIGN.md
+//! #21) and finds the reply on `wait_for`'s first predicate check,
+//! without registering a slot.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
