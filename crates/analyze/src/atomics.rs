@@ -116,7 +116,9 @@ pub const CONTRACTS: &[AtomicContract] = &[
     flag("stop", "crates/vmm"),
     flag("flag", "crates/vmm"),
     flag("done", "crates/vmm"),
-    flag("timed_rx", "crates/scif"),
+    // A poller's wake-up filter: the Release add before a hub bump
+    // pairs with the Acquire load the woken poller makes.
+    flag("events", "crates/scif"),
     flag("active_threads", "crates/phi-device"),
     AtomicContract {
         field: "ready",
@@ -169,6 +171,7 @@ pub const CONTRACTS: &[AtomicContract] = &[
     counter("vm_paused_ns"),
     counter("worker_events"),
     counter("wakeups"),
+    counter("parks"),
     counter("sleeps"),
     counter("spurious"),
     counter("broadcasts"),

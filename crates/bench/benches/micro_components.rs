@@ -1,7 +1,9 @@
 //! Implementation microbenchmarks: wall-clock cost of the hot primitives
 //! every request crosses (virtqueue, wait queue, message queue, SCIF
-//! loopback, window lookup) and of one 64 KiB guest send through all of
-//! them.  These guard the simulator's own performance.
+//! loopback, window lookup), of one 64 KiB guest send through all of
+//! them, and of a whole `micnativeloadex` launch and its 4 MiB timed-lane
+//! chunk, guest beside native.  These guard the simulator's own
+//! performance.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
@@ -26,7 +28,7 @@ fn bench_virtqueue(c: &mut Criterion) {
                 .unwrap();
             let chain = q.pop_avail().unwrap().unwrap();
             q.push_used(UsedElem { id: chain.head, len: 32 }, push, &mut tl);
-            q.take_used().unwrap();
+            q.take_used(|_| ()).unwrap();
             head
         })
     });
@@ -153,6 +155,64 @@ fn guest_echo(ep: &vphi::GuestScif, page: &[u8], back: &mut [u8], tl: &mut Timel
     ep.recv(back, &mut *tl).unwrap()
 }
 
+/// One `micnativeloadex` of the dgemm sample with the COI daemon up —
+/// its accept thread parked, as on any card that is being shared — and
+/// the call a launch is mostly made of: a 4 MiB `send_timed` chunk (36 of
+/// a guest launch's 55 requests).  Guest beside native, because what
+/// parks on the fabric is woken, or left alone, by both.
+fn bench_loadex(c: &mut Criterion) {
+    use vphi_coi::transport::CoiEnv;
+    use vphi_coi::{CoiDaemon, GuestEnv, NativeEnv};
+    use vphi_mic_tools::{micnativeloadex, MicBinary};
+
+    let host = VphiHost::new(1);
+    let daemon = CoiDaemon::spawn(&host, 0).unwrap();
+    let vm = host.spawn_vm(VmConfig::default());
+    let envs: [(&str, Arc<dyn CoiEnv>); 2] = [
+        ("loadex_dgemm_guest", Arc::new(GuestEnv::new(&vm))),
+        ("loadex_dgemm_native", Arc::new(NativeEnv::new(&host))),
+    ];
+    let binary = MicBinary::dgemm_sample(2048);
+    let mut group = c.benchmark_group("loadex");
+    for (label, env) in &envs {
+        group.bench_function(*label, |b| {
+            b.iter(|| micnativeloadex(env, 0, &binary, 224).unwrap().total_time)
+        });
+    }
+    group.finish();
+
+    const CHUNK: u64 = 4 << 20;
+    let sink = host.device_endpoint(0).unwrap();
+    let mut tl = Timeline::new();
+    sink.bind(vphi_scif::Port(80), &mut tl).unwrap();
+    sink.listen(2, &mut tl).unwrap();
+    let addr = vphi_scif::ScifAddr::new(host.device_node(0), vphi_scif::Port(80));
+    // The timed lane needs no reader: the card side only holds the
+    // connections open.
+    let card = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        [sink.accept(&mut tl).unwrap(), sink.accept(&mut tl).unwrap()]
+    });
+    let guest = vm.open_scif(&mut tl).unwrap();
+    guest.connect(addr, &mut tl).unwrap();
+    let native = host.native_endpoint().unwrap();
+    native.connect(addr, &mut tl).unwrap();
+    let _peers = card.join().unwrap();
+    let mut group = c.benchmark_group("send_timed");
+    group.throughput(Throughput::Bytes(CHUNK));
+    group.bench_function("guest_send_timed_4MiB", |b| {
+        b.iter(|| guest.send_timed(CHUNK, &mut Timeline::new()).unwrap())
+    });
+    group.bench_function("native_send_timed_4MiB", |b| {
+        b.iter(|| native.send_timed(CHUNK, &mut Timeline::new()).unwrap())
+    });
+    group.finish();
+
+    guest.close(&mut tl).unwrap();
+    vm.shutdown();
+    daemon.shutdown();
+}
+
 fn bench_cost_model(c: &mut Criterion) {
     let m = CostModel::paper_calibrated();
     c.bench_function("cost_model_link_transfer", |b| {
@@ -167,6 +227,6 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(1))
         .sample_size(20);
     targets = bench_virtqueue, bench_waitqueue, bench_msgqueue, bench_scif_loopback,
-        bench_guest_send, bench_cost_model
+        bench_guest_send, bench_loadex, bench_cost_model
 }
 criterion_main!(benches);

@@ -42,15 +42,25 @@ impl BackendInner {
     /// `through`.  The caller holds the lane's executor role.
     fn drain_lane(self: &Arc<Self>, q: usize, through: u64) {
         let queue = self.channel.lane_queue(q);
+        // A bounded pass knows its burst before it starts — whatever was
+        // published up to `through` — so it runs each chain as it pops it.
+        // The shard's burst is what one doorbell amortized: everything on
+        // the ring when it got there, popped before any of it runs.
+        let bounded = through != u64::MAX;
         while !self.channel.is_shutdown() {
             let mut batch = Vec::new();
+            let mut burst = 0u64;
             while let Ok(Some(chain)) = queue.pop_avail_through(through) {
-                batch.push(chain);
+                burst += 1;
+                if bounded {
+                    self.process(q, chain);
+                } else {
+                    batch.push(chain);
+                }
             }
-            let burst = batch.len();
             if burst > 0 {
                 self.stats.burst_drains.fetch_add(1, Ordering::Relaxed);
-                self.stats.burst_chains.fetch_add(burst as u64, Ordering::Relaxed);
+                self.stats.burst_chains.fetch_add(burst, Ordering::Relaxed);
             }
             for chain in batch {
                 self.process(q, chain);

@@ -175,7 +175,7 @@ mod tests {
         let head = queue.add_chain(&[Descriptor::readable(0, 1)], PUSH, tl).unwrap();
         queue.pop_avail().unwrap().unwrap();
         let seq = queue.push_used(UsedElem { id: head, len: 0 }, PUSH, tl);
-        queue.take_used().unwrap();
+        queue.take_used(|_| ()).unwrap();
         seq
     }
 

@@ -350,6 +350,37 @@ fn budget_from_estimate(est_ns: u64) -> u64 {
     est_ns.saturating_add(est_ns / 2)
 }
 
+/// Chains this long or shorter are laid out on the caller's stack: the
+/// two headers and up to two payload descriptors, which covers every
+/// blocking call (one staging chunk per request, at most).  A batch entry
+/// staged in more chunks than that takes the heap.
+const INLINE_CHAIN: usize = 4;
+
+/// Lay out one request's descriptor chain — request header, the `extra`
+/// payload descriptors, response header — and lend it to `f`.
+fn with_chain<R>(
+    req_buf: &KmallocBuf,
+    extra: &[Descriptor],
+    resp_buf: &KmallocBuf,
+    f: impl FnOnce(&[Descriptor]) -> R,
+) -> R {
+    let head = Descriptor::readable(req_buf.gpa.0, REQ_SIZE as u32);
+    let tail = Descriptor::writable(resp_buf.gpa.0, RESP_SIZE as u32);
+    let len = extra.len() + 2;
+    if len <= INLINE_CHAIN {
+        let mut chain = [head; INLINE_CHAIN];
+        chain[1..len - 1].copy_from_slice(extra);
+        chain[len - 1] = tail;
+        f(&chain[..len])
+    } else {
+        let mut chain = Vec::with_capacity(len);
+        chain.push(head);
+        chain.extend_from_slice(extra);
+        chain.push(tail);
+        f(&chain)
+    }
+}
+
 /// One payload bucket's spin-burn accounting (see
 /// [`FrontendDriver::wait_profile`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -733,11 +764,13 @@ impl FrontendDriver {
         ctx.set_queue(q as u16);
         let lane_queue = Arc::clone(&self.channel.lanes[q].queue);
 
-        let (req_buf, resp_buf, pooled, chain) = self.marshal(req, extra, ctx)?;
+        let (req_buf, resp_buf, pooled) = self.marshal(req, ctx)?;
 
         // Post and stash the cross-boundary timeline.
         let ring = ctx.begin("virtio-ring", Stage::VirtioRing);
-        let head = match lane_queue.prepare_chain(&chain) {
+        let prepared =
+            with_chain(&req_buf, extra, &resp_buf, |chain| lane_queue.prepare_chain(chain));
+        let head = match prepared {
             Ok(h) => h,
             Err(_) => {
                 ctx.end(ring);
@@ -778,15 +811,13 @@ impl FrontendDriver {
     }
 
     /// The guest-syscall stage of one request, blocking or batched: charge
-    /// the syscall, encode the header into a preallocated slot, and lay
-    /// out the chain — request header, `extra` payload descriptors,
-    /// response header.  On error the slot is already back in the pool.
+    /// the syscall and encode the header into a preallocated slot.  On
+    /// error the slot is already back in the pool.
     fn marshal(
         &self,
         req: &VphiRequest,
-        extra: &[Descriptor],
         ctx: &mut OpCtx<'_>,
-    ) -> ScifResult<(KmallocBuf, KmallocBuf, bool, Vec<Descriptor>)> {
+    ) -> ScifResult<(KmallocBuf, KmallocBuf, bool)> {
         let marshal = ctx.begin("guest-syscall", Stage::GuestSyscall);
         self.kernel.charge_syscall(ctx.tl);
         let (req_buf, resp_buf, pooled) = match self.take_slot(ctx.tl) {
@@ -802,12 +833,7 @@ impl FrontendDriver {
             return Err(ScifError::Inval);
         }
         ctx.end(marshal);
-
-        let mut chain = Vec::with_capacity(extra.len() + 2);
-        chain.push(Descriptor::readable(req_buf.gpa.0, REQ_SIZE as u32));
-        chain.extend_from_slice(extra);
-        chain.push(Descriptor::writable(resp_buf.gpa.0, RESP_SIZE as u32));
-        Ok((req_buf, resp_buf, pooled, chain))
+        Ok((req_buf, resp_buf, pooled))
     }
 
     /// Drain the used ring and decode the response — the tail every
@@ -821,7 +847,7 @@ impl FrontendDriver {
         resp_buf: KmallocBuf,
         pooled: bool,
     ) -> ScifResult<VphiResponse> {
-        let drained = lane_queue.take_used();
+        let drained = lane_queue.take_used(|_| ());
         let mut resp_bytes = [0u8; RESP_SIZE];
         let read = self.kernel.mem().read(resp_buf.gpa, &mut resp_bytes);
         self.return_slot(req_buf, resp_buf, pooled);
@@ -1007,14 +1033,16 @@ impl FrontendDriver {
         ctx.set_queue(q as u16);
         let lane_queue = Arc::clone(&self.channel.lanes[q].queue);
 
-        let (req_buf, resp_buf, pooled, chain) = match self.marshal(&req, &descs, ctx) {
+        let (req_buf, resp_buf, pooled) = match self.marshal(&req, ctx) {
             Ok(m) => m,
             Err(e) => {
                 self.free_staging(staging);
                 return Err(e);
             }
         };
-        let head = match lane_queue.prepare_chain(&chain) {
+        let prepared =
+            with_chain(&req_buf, &descs, &resp_buf, |chain| lane_queue.prepare_chain(chain));
+        let head = match prepared {
             Ok(h) => h,
             Err(_) => {
                 self.return_slot(req_buf, resp_buf, pooled);

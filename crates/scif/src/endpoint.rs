@@ -8,13 +8,14 @@
 //! any state -- close --> Closed
 //! ```
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use vphi_sim_core::{SimTime, SpanLabel, Timeline};
-use vphi_sync::{LockClass, TrackedMutex};
+use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
 
 use crate::error::{ScifError, ScifResult};
-use crate::fabric::{enqueue_connect, FabricShared, Listener, NodeCore};
+use crate::fabric::{enqueue_connect, FabricShared, Listener, NodeCore, WaitCounter, WALL_TIMEOUT};
 use crate::queue::{copy_from, copy_into, MsgQueue};
 use crate::types::{NodeId, Port, Prot, ScifAddr};
 use crate::window::{WindowBacking, WindowTable};
@@ -37,12 +38,29 @@ pub(crate) struct RmaCompletion {
     pub completes_at: SimTime,
 }
 
+/// The receive side of an endpoint's *timed bulk lane* (see
+/// [`send_timed`](EndpointCore::send_timed)).
+#[derive(Debug, Default)]
+struct TimedLane {
+    /// Bytes sent and not yet received.
+    avail: u64,
+    /// The least a parked `recv_timed` still needs; 0 when nobody is
+    /// parked.  The send whose bytes cross it is the one that signals.
+    want: u64,
+    /// Either side closed: a receiver short of bytes gets `ECONNRESET`.
+    hup: bool,
+}
+
 /// The kernel-side object behind one SCIF endpoint descriptor.
 pub struct EndpointCore {
     id: u64,
     pub(crate) shared: Arc<FabricShared>,
     pub(crate) node: Arc<NodeCore>,
     state: TrackedMutex<EpState>,
+    /// Paired with `state`: where this endpoint's `connect` sleeps.
+    /// Signalled by whoever moves it out of `Connecting` — the acceptor,
+    /// `close`, or the listener's teardown.
+    connect_done: TrackedCondvar,
     local_port: TrackedMutex<Option<Port>>,
     listener: TrackedMutex<Option<Arc<Listener>>>,
     pub(crate) recv_q: OnceLock<Arc<MsgQueue>>,
@@ -52,9 +70,14 @@ pub struct EndpointCore {
     pub(crate) windows: TrackedMutex<WindowTable>,
     pub(crate) rma_pending: TrackedMutex<Vec<RmaCompletion>>,
     pub(crate) next_marker: TrackedMutex<u64>,
-    /// Bytes available on the *timed bulk lane* (see
-    /// [`send_timed`](EndpointCore::send_timed)).
-    timed_rx: std::sync::atomic::AtomicU64,
+    timed: TrackedMutex<TimedLane>,
+    /// Paired with `timed`: where this endpoint's `recv_timed` sleeps.
+    timed_ready: TrackedCondvar,
+    /// Things that happened to this endpoint which a `poll` of it, or of
+    /// its peer, could see: bumped just before each hub bump, so a woken
+    /// poller can tell its own connections' traffic from everybody else's.
+    events: AtomicU64,
+    waits: WaitCounter,
 }
 
 impl std::fmt::Debug for EndpointCore {
@@ -75,6 +98,7 @@ impl EndpointCore {
             shared,
             node,
             state: TrackedMutex::new(LockClass::EndpointState, EpState::Unbound),
+            connect_done: TrackedCondvar::new(),
             local_port: TrackedMutex::new(LockClass::EpPort, None),
             listener: TrackedMutex::new(LockClass::EpListener, None),
             recv_q: OnceLock::new(),
@@ -84,7 +108,10 @@ impl EndpointCore {
             windows: TrackedMutex::new(LockClass::WindowTable, WindowTable::new()),
             rma_pending: TrackedMutex::new(LockClass::RmaPending, Vec::new()),
             next_marker: TrackedMutex::new(LockClass::RmaMarker, 1),
-            timed_rx: std::sync::atomic::AtomicU64::new(0),
+            timed: TrackedMutex::new(LockClass::TimedLane, TimedLane::default()),
+            timed_ready: TrackedCondvar::new(),
+            events: AtomicU64::new(0),
+            waits: WaitCounter::default(),
         })
     }
 
@@ -114,6 +141,33 @@ impl EndpointCore {
 
     pub(crate) fn peer_core(&self) -> ScifResult<Arc<EndpointCore>> {
         self.peer.get().and_then(Weak::upgrade).ok_or(ScifError::ConnReset)
+    }
+
+    /// Events on this connection so far — this end's and the peer's — for
+    /// [`poll`](crate::poll::poll)'s wake-up filter.
+    pub(crate) fn connection_events(&self) -> u64 {
+        let peer = self.peer.get().and_then(Weak::upgrade);
+        let theirs = peer.map_or(0, |p| p.events.load(Ordering::Acquire));
+        self.events.load(Ordering::Acquire).wrapping_add(theirs)
+    }
+
+    /// Record an event a poller could see; every hub bump below follows
+    /// one.  The add's release half pairs with the `Acquire` load a
+    /// poller makes after the hub woke it.
+    fn note_event(&self) {
+        self.events.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// How often `accept`, `connect` or `recv_timed` went to sleep on
+    /// this endpoint, and how often one was woken: `(parks, wakeups)`.
+    #[cfg(any(test, debug_assertions))]
+    pub fn wait_counts(&self) -> (u64, u64) {
+        self.waits.counts()
+    }
+
+    /// Connections waiting in this listening endpoint's backlog.
+    pub fn backlog_len(&self) -> usize {
+        self.listener.lock().as_ref().map_or(0, |l| l.pending.lock().len())
     }
 
     /// `scif_bind`.
@@ -171,23 +225,33 @@ impl EndpointCore {
             *self.state.lock() = EpState::Bound;
             return Err(e);
         }
-        // Wait for accept (or listener teardown).
-        let mut seen = self.shared.activity.version();
+        // Wait for whoever moves us out of `Connecting`: the acceptor, our
+        // own `close`, or the listener's teardown (back to `Bound`).
+        let mut st = self.state.lock();
         loop {
-            match self.state() {
+            match *st {
                 EpState::Connected => {
                     return Ok(self.peer_addr().expect("connected implies peer"));
                 }
                 EpState::Closed => return Err(ScifError::ConnReset),
-                _ => {}
+                EpState::Connecting => {}
+                _ => return Err(ScifError::ConnRefused),
             }
-            match self.shared.activity.wait_change(seen) {
-                Some(v) => seen = v,
-                None => {
-                    *self.state.lock() = EpState::Bound;
-                    return Err(ScifError::ConnRefused);
-                }
+            self.waits.park();
+            if self.connect_done.wait_for(&mut st, WALL_TIMEOUT).timed_out() {
+                *st = EpState::Bound;
+                return Err(ScifError::ConnRefused);
             }
+            self.waits.woke();
+        }
+    }
+
+    /// The listener this endpoint queued on went away before accepting it.
+    pub(crate) fn refuse(&self) {
+        let mut st = self.state.lock();
+        if *st == EpState::Connecting {
+            *st = EpState::Bound;
+            self.connect_done.notify_all();
         }
     }
 
@@ -195,20 +259,11 @@ impl EndpointCore {
     /// pending connection and returns the new connected endpoint.
     pub fn accept(self: &Arc<Self>, tl: &mut Timeline) -> ScifResult<Arc<EndpointCore>> {
         loop {
-            match self.try_accept(tl)? {
-                Some(ep) => return Ok(ep),
-                None => {
-                    let seen = self.shared.activity.version();
-                    // Re-check in case a connector raced in before we read
-                    // the version.
-                    if let Some(ep) = self.try_accept(tl)? {
-                        return Ok(ep);
-                    }
-                    if self.shared.activity.wait_change(seen).is_none() {
-                        return Err(ScifError::Again);
-                    }
-                }
+            if let Some(ep) = self.try_accept(tl)? {
+                return Ok(ep);
             }
+            let listener = self.listener.lock().clone().ok_or(ScifError::Inval)?;
+            listener.wait_arrival(&self.waits)?;
         }
     }
 
@@ -221,7 +276,7 @@ impl EndpointCore {
         if self.state() != EpState::Listening {
             return Err(ScifError::Inval);
         }
-        let listener = self.listener.lock().as_ref().map(Arc::clone).ok_or(ScifError::Inval)?;
+        let listener = self.listener.lock().clone().ok_or(ScifError::Inval)?;
         let connector = {
             let mut pending = listener.pending.lock();
             loop {
@@ -255,9 +310,14 @@ impl EndpointCore {
             .set(ScifAddr::new(self.node.id(), port))
             .map_err(|_| ScifError::Inval)?;
         *newep.state.lock() = EpState::Connected;
-        *connector.state.lock() = EpState::Connected;
+        {
+            let mut st = connector.state.lock();
+            *st = EpState::Connected;
+            connector.connect_done.notify_all();
+        }
         // Accept acknowledgement control message back to the connector.
         self.shared.charge_message_path(self.node.id(), conn_addr.node, 64, tl)?;
+        connector.note_event();
         self.shared.activity.bump();
         Ok(Some(newep))
     }
@@ -292,6 +352,7 @@ impl EndpointCore {
             return Err(ScifError::ConnReset);
         }
         self.shared.charge_message_path(self.node.id(), peer.node_id(), len as u64, tl)?;
+        self.note_event();
         self.shared.activity.bump();
         Ok(len)
     }
@@ -315,6 +376,7 @@ impl EndpointCore {
         let q = self.recv_q.get().ok_or(ScifError::NotConn)?;
         let n = q.read_exact_with(len, drain)?;
         tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(n as u64));
+        self.note_event();
         self.shared.activity.bump();
         Ok(n)
     }
@@ -325,6 +387,7 @@ impl EndpointCore {
         let n = q.try_read(out);
         tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(n as u64));
         if n > 0 {
+            self.note_event();
             self.shared.activity.bump();
         }
         Ok(n)
@@ -342,44 +405,44 @@ impl EndpointCore {
         }
         let peer = self.peer_core()?;
         tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(len));
-        peer.timed_rx.fetch_add(len, std::sync::atomic::Ordering::AcqRel);
+        {
+            let mut lane = peer.timed.lock();
+            lane.avail += len;
+            // Wake a parked receiver once, when it has all it asked for:
+            // a transfer sent in 36 chunks is one wake-up, not 36.
+            if lane.want != 0 && lane.avail >= lane.want {
+                lane.want = 0;
+                peer.timed_ready.notify_all();
+            }
+        }
         self.shared.charge_message_path(self.node.id(), peer.node_id(), len, tl)?;
+        self.note_event();
         self.shared.activity.bump();
         Ok(len)
     }
 
     /// Receive `len` bytes from the timed bulk lane (blocking).
     pub fn recv_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
-        use std::sync::atomic::Ordering;
-        let mut seen = self.shared.activity.version();
-        loop {
-            let avail = self.timed_rx.load(Ordering::Acquire);
-            if avail >= len {
-                match self.timed_rx.compare_exchange(
-                    avail,
-                    avail - len,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(len));
-                        return Ok(len);
-                    }
-                    Err(_) => continue,
-                }
-            }
-            if self.state() == EpState::Closed {
+        let mut lane = self.timed.lock();
+        while lane.avail < len {
+            // Never connected, or either side hung up.
+            if lane.hup || self.peer.get().is_none() {
                 return Err(ScifError::ConnReset);
             }
-            let peer_gone = self.peer_core().map(|p| p.state() == EpState::Closed).unwrap_or(true);
-            if peer_gone {
-                return Err(ScifError::ConnReset);
+            // Several receivers may park here; the sender is told the
+            // least any of them needs, and whoever it wakes short of its
+            // own amount asks again.
+            lane.want = if lane.want == 0 { len } else { lane.want.min(len) };
+            self.waits.park();
+            if self.timed_ready.wait_for(&mut lane, WALL_TIMEOUT).timed_out() {
+                return Err(ScifError::Again);
             }
-            match self.shared.activity.wait_change(seen) {
-                Some(v) => seen = v,
-                None => return Err(ScifError::Again),
-            }
+            self.waits.woke();
         }
+        lane.avail -= len;
+        drop(lane);
+        tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(len));
+        Ok(len)
     }
 
     /// Bytes waiting to be received.
@@ -423,6 +486,7 @@ impl EndpointCore {
                 return;
             }
             *st = EpState::Closed;
+            self.connect_done.notify_all();
         }
         if let Some(q) = self.send_q.get() {
             q.close();
@@ -430,16 +494,31 @@ impl EndpointCore {
         if let Some(q) = self.recv_q.get() {
             q.close();
         }
-        if let Some(l) = self.listener.lock().take() {
-            l.closed.store(true, std::sync::atomic::Ordering::Release);
-        }
-        if let Some(p) = *self.local_port.lock() {
+        // Stop listening.  Releasing the port is what tears the listener
+        // down — wakes `accept`, refuses the backlog — and that takes each
+        // connector's state lock, so no slot guard may be alive across it:
+        // the slot is emptied first, the port read through its accessor.
+        drop(self.listener.lock().take());
+        if let Some(p) = self.local_port() {
             self.node.release_port(p);
         }
         // Closing the fd releases every registration (the driver unpins
         // the window pages) — nothing may leak past a close.
         self.windows.lock().release_all();
+        self.hang_up_timed_lanes();
+        self.note_event();
         self.shared.activity.bump();
+    }
+
+    /// A `recv_timed` parked on either end of the connection gets
+    /// `ECONNRESET` once the bytes already sent run out.
+    fn hang_up_timed_lanes(&self) {
+        let peer = self.peer.get().and_then(Weak::upgrade);
+        for ep in std::iter::once(self).chain(peer.as_deref()) {
+            let mut lane = ep.timed.lock();
+            lane.hup = true;
+            ep.timed_ready.notify_all();
+        }
     }
 }
 
@@ -453,6 +532,7 @@ impl Drop for EndpointCore {
             if let Some(q) = self.recv_q.get() {
                 q.close();
             }
+            self.hang_up_timed_lanes();
         }
     }
 }
@@ -607,7 +687,7 @@ mod tests {
             c1c.connect(ScifAddr::new(dev, Port(106)), &mut tl)
         });
         // Give the first connect time to enqueue.
-        while server.listener.lock().as_ref().unwrap().pending.lock().is_empty() {
+        while server.backlog_len() == 0 {
             std::thread::yield_now();
         }
         let c2 = fabric.open(HOST_NODE).unwrap();
@@ -617,6 +697,41 @@ mod tests {
         let mut tl2 = Timeline::new();
         server.accept(&mut tl2).unwrap();
         t1.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn releasing_the_port_ends_accept_and_refuses_the_backlog() {
+        // The port can go away under a listening endpoint that is itself
+        // still open; whoever waits on the listener hears of it.
+        let (fabric, dev) = test_fabric();
+        let accept_on = |server: &Arc<EndpointCore>| {
+            let server = Arc::clone(server);
+            std::thread::spawn(move || server.accept(&mut Timeline::new()).map(|_| ()))
+        };
+        let idle = fabric.open(dev).unwrap();
+        idle.bind(Port(111)).unwrap();
+        idle.listen(1).unwrap();
+        let acceptor = accept_on(&idle);
+        while idle.wait_counts().0 == 0 {
+            std::thread::yield_now();
+        }
+        idle.node.release_port(Port(111));
+        assert_eq!(acceptor.join().unwrap(), Err(ScifError::Inval));
+
+        let deaf = fabric.open(dev).unwrap();
+        deaf.bind(Port(112)).unwrap();
+        deaf.listen(1).unwrap();
+        let client = fabric.open(HOST_NODE).unwrap();
+        let c2 = Arc::clone(&client);
+        let connector = std::thread::spawn(move || {
+            c2.connect(ScifAddr::new(dev, Port(112)), &mut Timeline::new())
+        });
+        while deaf.backlog_len() == 0 {
+            std::thread::yield_now();
+        }
+        deaf.node.release_port(Port(112));
+        assert_eq!(connector.join().unwrap(), Err(ScifError::ConnRefused));
+        assert_eq!(client.state(), EpState::Bound);
     }
 
     #[test]

@@ -19,8 +19,9 @@ use crate::types::{NodeId, Port, ScifAddr, HOST_NODE};
 /// rather than hang.
 pub(crate) const WALL_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A wake-any hub: blocking fabric operations (accept, connect, poll) wait
-/// on this and re-check their condition whenever anything happens.
+/// A wake-any hub for the one primitive that waits on *any of N*
+/// endpoints: `poll`.  Everything that knows which object it waits for
+/// sleeps on that object's own condvar instead (DESIGN.md #22).
 #[derive(Debug)]
 pub(crate) struct ActivityHub {
     version: TrackedMutex<u64>,
@@ -43,21 +44,8 @@ impl ActivityHub {
         self.cond.notify_all();
     }
 
-    /// Wait until the hub version changes from `seen`; returns the new
-    /// version, or `None` on wall timeout.
-    pub fn wait_change(&self, seen: u64) -> Option<u64> {
-        let mut v = self.version.lock();
-        while *v == seen {
-            if self.cond.wait_for(&mut v, WALL_TIMEOUT).timed_out() {
-                return None;
-            }
-        }
-        Some(*v)
-    }
-
-    /// Like [`wait_change`](ActivityHub::wait_change) but bounded by
-    /// `timeout`; returns the current version either way, plus whether it
-    /// changed.
+    /// Wait up to `timeout` for the hub version to change from `seen`;
+    /// returns the current version either way, plus whether it changed.
     pub fn wait_change_for(&self, seen: u64, timeout: Duration) -> (u64, bool) {
         let mut v = self.version.lock();
         let deadline = std::time::Instant::now() + timeout;
@@ -83,10 +71,47 @@ pub(crate) struct PendingConn {
     pub connector: Weak<EndpointCore>,
 }
 
+/// How often `accept`/`connect`/`recv_timed` went to sleep on an endpoint
+/// and how often they were woken — the tests' evidence that a waiter was
+/// parked and that unrelated traffic left it alone.  Compiled out of
+/// release builds.
+#[derive(Debug, Default)]
+pub(crate) struct WaitCounter {
+    #[cfg(any(test, debug_assertions))]
+    parks: AtomicU64,
+    #[cfg(any(test, debug_assertions))]
+    wakeups: AtomicU64,
+}
+
+impl WaitCounter {
+    /// About to wait.  Call under the mutex the condvar pairs with, so a
+    /// signal sent after this is seen cannot be missed.
+    pub fn park(&self) {
+        #[cfg(any(test, debug_assertions))]
+        self.parks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Back from a wait that did not time out.
+    pub fn woke(&self) {
+        #[cfg(any(test, debug_assertions))]
+        self.wakeups.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `(parks, wakeups)` so far.
+    #[cfg(any(test, debug_assertions))]
+    pub fn counts(&self) -> (u64, u64) {
+        (self.parks.load(Ordering::Relaxed), self.wakeups.load(Ordering::Relaxed))
+    }
+}
+
 /// A listening port's state.
 pub(crate) struct Listener {
     pub backlog: usize,
     pub pending: TrackedMutex<VecDeque<PendingConn>>,
+    /// Paired with `pending`: where a parked `accept` sleeps.  Signalled
+    /// by a connector's arrival and by teardown.
+    arrived: TrackedCondvar,
+    /// Written under `pending`, so a sleeper cannot miss it.
     pub closed: AtomicBool,
 }
 
@@ -95,7 +120,43 @@ impl Listener {
         Listener {
             backlog: backlog.max(1),
             pending: TrackedMutex::new(LockClass::ListenerPending, VecDeque::new()),
+            arrived: TrackedCondvar::new(),
             closed: AtomicBool::new(false),
+        }
+    }
+
+    /// Park until a connector is queued.  `EINVAL` once the listener is
+    /// torn down (nobody can queue any more), `EAGAIN` on wall timeout.
+    pub fn wait_arrival(&self, waits: &WaitCounter) -> ScifResult<()> {
+        let mut pending = self.pending.lock();
+        while pending.is_empty() {
+            if self.closed.load(Ordering::Acquire) {
+                return Err(ScifError::Inval);
+            }
+            waits.park();
+            if self.arrived.wait_for(&mut pending, WALL_TIMEOUT).timed_out() {
+                return Err(ScifError::Again);
+            }
+            waits.woke();
+        }
+        Ok(())
+    }
+
+    /// Stop listening: wake the acceptor and refuse every connector still
+    /// in the backlog, at once — nobody is left to accept them, and a
+    /// `connect` waits on nothing but its own state.  Call with no lock
+    /// held (refusing takes each connector's `EndpointState`).
+    pub fn teardown(&self) {
+        let orphans: Vec<PendingConn> = {
+            let mut pending = self.pending.lock();
+            self.closed.store(true, Ordering::Release);
+            self.arrived.notify_all();
+            pending.drain(..).collect()
+        };
+        for conn in orphans {
+            if let Some(connector) = conn.connector.upgrade() {
+                connector.refuse();
+            }
         }
     }
 }
@@ -103,7 +164,8 @@ impl Listener {
 /// One SCIF node's driver state (the host's `scif.ko` or the uOS's).
 pub struct NodeCore {
     id: NodeId,
-    ports: TrackedMutex<HashMap<Port, Arc<Listener>>>,
+    /// Every bound port, with its listener once `listen` attached one.
+    ports: TrackedMutex<HashMap<Port, Option<Arc<Listener>>>>,
     next_ephemeral: AtomicU16,
     /// The board behind this node; `None` for the host node.
     board: Option<Arc<PhiBoard>>,
@@ -135,21 +197,17 @@ impl NodeCore {
             }
             port
         };
-        // Binding reserves the port; a Listener object is only attached on
-        // listen().  We reserve with a placeholder closed listener.
-        let l = Listener::new(1);
-        l.closed.store(true, Ordering::Release);
-        ports.insert(chosen, Arc::new(l));
+        ports.insert(chosen, None);
         Ok(chosen)
     }
 
     pub(crate) fn start_listening(&self, port: Port, backlog: usize) -> ScifResult<Arc<Listener>> {
         let mut ports = self.ports.lock();
         match ports.get(&port) {
-            Some(existing) if !existing.closed.load(Ordering::Acquire) => Err(ScifError::AddrInUse),
+            Some(Some(live)) if !live.closed.load(Ordering::Acquire) => Err(ScifError::AddrInUse),
             _ => {
                 let l = Arc::new(Listener::new(backlog));
-                ports.insert(port, Arc::clone(&l));
+                ports.insert(port, Some(Arc::clone(&l)));
                 Ok(l)
             }
         }
@@ -157,13 +215,14 @@ impl NodeCore {
 
     pub(crate) fn listener(&self, port: Port) -> Option<Arc<Listener>> {
         let ports = self.ports.lock();
-        ports.get(&port).filter(|l| !l.closed.load(Ordering::Acquire)).map(Arc::clone)
+        let attached = ports.get(&port)?.as_ref()?;
+        (!attached.closed.load(Ordering::Acquire)).then(|| Arc::clone(attached))
     }
 
     pub(crate) fn release_port(&self, port: Port) {
-        let mut ports = self.ports.lock();
-        if let Some(l) = ports.remove(&port) {
-            l.closed.store(true, Ordering::Release);
+        let released = self.ports.lock().remove(&port);
+        if let Some(l) = released.flatten() {
+            l.teardown();
         }
     }
 
@@ -177,6 +236,9 @@ pub struct FabricShared {
     pub cost: Arc<CostModel>,
     pub clock: Arc<VirtualClock>,
     pub(crate) activity: ActivityHub,
+    /// Fabric-wide events ([`bump_activity`](FabricShared::bump_activity))
+    /// — the part of a poller's wake-up filter no endpoint owns.
+    events: AtomicU64,
     nodes: TrackedRwLock<BTreeMap<NodeId, Arc<NodeCore>>>,
     next_ep_id: AtomicU64,
 }
@@ -194,11 +256,19 @@ impl FabricShared {
         self.next_ep_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Wake every blocked fabric waiter to re-check its condition — used
-    /// by recovery paths (card reset, endpoint quarantine) that change
-    /// state outside the normal message flow.
+    /// Wake every poller to re-scan its set — used by recovery paths
+    /// (card reset, endpoint quarantine, a board fault) that change state
+    /// outside the normal message flow.  Threads parked in `accept`,
+    /// `connect` or `recv_timed` hear of those through the `close` of the
+    /// endpoint they wait on.
     pub fn bump_activity(&self) {
+        self.events.fetch_add(1, Ordering::AcqRel);
         self.activity.bump();
+    }
+
+    /// Count of fabric-wide events so far (see [`crate::poll`]).
+    pub(crate) fn events(&self) -> u64 {
+        self.events.load(Ordering::Acquire)
     }
 
     /// Staging time a chunked, double-buffered RMA pipeline exposes on
@@ -229,9 +299,9 @@ impl FabricShared {
     /// refuses new traffic with `ENODEV` until it is reset.
     fn check_board(&self, board: &Arc<PhiBoard>) -> ScifResult<()> {
         if board.poll_faults().is_some() {
-            // The fault just struck: wake blocked waiters so they observe
-            // the failure instead of sleeping until their wall timeout.
-            self.activity.bump();
+            // The fault just struck: wake pollers so they observe the
+            // failure instead of sleeping until their wall timeout.
+            self.bump_activity();
             return Err(ScifError::NoDev);
         }
         if board.is_failed() || !board.is_online() {
@@ -337,6 +407,7 @@ impl ScifFabric {
             cost,
             clock,
             activity: ActivityHub::default(),
+            events: AtomicU64::new(0),
             nodes: TrackedRwLock::new(LockClass::FabricNodes, BTreeMap::new()),
             next_ep_id: AtomicU64::new(1),
         });
@@ -401,14 +472,14 @@ pub(crate) fn enqueue_connect(
 ) -> ScifResult<()> {
     let node = shared.node(target.node)?;
     let listener = node.listener(target.port).ok_or(ScifError::ConnRefused)?;
-    {
-        let mut pending = listener.pending.lock();
-        if pending.len() >= listener.backlog {
-            return Err(ScifError::ConnRefused);
-        }
-        pending.push_back(PendingConn { connector: Arc::downgrade(connector) });
+    let mut pending = listener.pending.lock();
+    // `closed` again, under the lock teardown drains the backlog under: a
+    // connector queued behind that drain would never be refused.
+    if listener.closed.load(Ordering::Acquire) || pending.len() >= listener.backlog {
+        return Err(ScifError::ConnRefused);
     }
-    shared.activity.bump();
+    pending.push_back(PendingConn { connector: Arc::downgrade(connector) });
+    listener.arrived.notify_one();
     Ok(())
 }
 
@@ -512,9 +583,9 @@ mod tests {
         let hub = Arc::new(ActivityHub::default());
         let v0 = hub.version();
         let h2 = Arc::clone(&hub);
-        let waiter = std::thread::spawn(move || h2.wait_change(v0));
+        let waiter = std::thread::spawn(move || h2.wait_change_for(v0, WALL_TIMEOUT));
         std::thread::sleep(Duration::from_millis(10));
         hub.bump();
-        assert_eq!(waiter.join().unwrap(), Some(v0 + 1));
+        assert_eq!(waiter.join().unwrap(), (v0 + 1, true));
     }
 }

@@ -11,6 +11,7 @@ use vphi_sim_core::{SpanLabel, Timeline};
 
 use crate::endpoint::{EndpointCore, EpState};
 use crate::error::{ScifError, ScifResult};
+use crate::fabric::FabricShared;
 
 /// Poll event bits, mirroring POLLIN/POLLOUT/POLLHUP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,17 +83,30 @@ fn ready_events(ep: &EndpointCore, interest: PollEvents) -> PollEvents {
     r
 }
 
+/// Everything that has happened so far on the polled connections, plus
+/// the fabric-wide events: moves iff a re-scan could read differently.
+fn events_seen(fds: &[PollFd], shared: &FabricShared) -> u64 {
+    fds.iter().fold(shared.events(), |sum, fd| sum.wrapping_add(fd.ep.connection_events()))
+}
+
 /// Poll a set of endpoints.  Blocks (really) until at least one endpoint
 /// is ready or `wall_timeout` elapses; charges one `PollWait` span per
-/// wake-up iteration.  Returns the number of ready entries (0 = timeout).
+/// scan.  The hub wakes a poller for any endpoint's traffic; only a
+/// wake-up that follows an event on a *polled* connection (or a
+/// fabric-wide one) is followed by a scan, so what a poller is charged
+/// does not depend on how busy other tenants are.  Returns the number of
+/// ready entries (0 = timeout).
 pub fn poll(fds: &mut [PollFd], wall_timeout: Duration, tl: &mut Timeline) -> ScifResult<usize> {
     if fds.is_empty() {
         return Err(ScifError::Inval);
     }
     let shared = Arc::clone(&fds[0].ep.shared);
     let deadline = std::time::Instant::now() + wall_timeout;
+    // Hub version first, events second: an event after either read shows
+    // in at least one of them.
     let mut seen = shared.activity.version();
     loop {
+        let scanned = events_seen(fds, &shared);
         let mut ready = 0;
         for fd in fds.iter_mut() {
             fd.revents = ready_events(&fd.ep, fd.events);
@@ -105,25 +119,21 @@ pub fn poll(fds: &mut [PollFd], wall_timeout: Duration, tl: &mut Timeline) -> Sc
             return Ok(ready);
         }
         tl.charge(SpanLabel::PollWait, shared.cost.poll_iteration);
-        // Re-check after reading the version to close the race, then wait
-        // bounded by the remaining timeout.
-        let v = shared.activity.version();
-        if v != seen {
+        while events_seen(fds, &shared) == scanned {
+            // Recompute the remaining budget immediately before sleeping:
+            // every spurious wake-up re-enters here, and a stale
+            // `remaining` would let each one extend the total wait past
+            // `wall_timeout`.
+            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+            if remaining.is_zero() {
+                return Ok(0);
+            }
+            let (v, changed) = shared.activity.wait_change_for(seen, remaining);
+            if !changed {
+                return Ok(0);
+            }
             seen = v;
-            continue;
         }
-        // Recompute the remaining budget immediately before sleeping:
-        // every spurious wake-up re-enters here, and a stale `remaining`
-        // would let each one extend the total wait past `wall_timeout`.
-        let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-        if remaining.is_zero() {
-            return Ok(0);
-        }
-        let (v, changed) = shared.activity.wait_change_for(seen, remaining);
-        if !changed {
-            return Ok(0);
-        }
-        seen = v;
     }
 }
 
@@ -135,15 +145,23 @@ mod tests {
     use vphi_phi::{PhiBoard, PhiSpec};
     use vphi_sim_core::{CostModel, VirtualClock};
 
-    fn setup() -> (Arc<EndpointCore>, Arc<EndpointCore>) {
+    fn fabric_with_device() -> (ScifFabric, crate::types::NodeId) {
         let cost = Arc::new(CostModel::paper_calibrated());
         let clock = Arc::new(VirtualClock::new());
         let fabric = ScifFabric::new(Arc::clone(&cost), Arc::clone(&clock));
         let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost, clock));
         board.boot();
         let dev = fabric.add_device(board);
+        (fabric, dev)
+    }
+
+    fn pair_on(
+        fabric: &ScifFabric,
+        dev: crate::types::NodeId,
+        port: Port,
+    ) -> (Arc<EndpointCore>, Arc<EndpointCore>) {
         let server = fabric.open(dev).unwrap();
-        server.bind(Port(9)).unwrap();
+        server.bind(port).unwrap();
         server.listen(2).unwrap();
         let client = fabric.open(HOST_NODE).unwrap();
         let s2 = Arc::clone(&server);
@@ -152,8 +170,13 @@ mod tests {
             s2.accept(&mut tl).unwrap()
         });
         let mut tl = Timeline::new();
-        client.connect(ScifAddr::new(dev, Port(9)), &mut tl).unwrap();
+        client.connect(ScifAddr::new(dev, port), &mut tl).unwrap();
         (client, acc.join().unwrap())
+    }
+
+    fn setup() -> (Arc<EndpointCore>, Arc<EndpointCore>) {
+        let (fabric, dev) = fabric_with_device();
+        pair_on(&fabric, dev, Port(9))
     }
 
     #[test]
@@ -232,6 +255,59 @@ mod tests {
         // Pre-fix, ~12 bumps × a stale full-ish budget each could stretch
         // this to many times the timeout; allow generous scheduling slack.
         assert!(elapsed < Duration::from_millis(500), "poll overstayed: {elapsed:?}");
+    }
+
+    #[test]
+    fn other_tenants_traffic_costs_a_poller_nothing() {
+        // What a poll of an idle endpoint is charged, and what it returns,
+        // is the same whether the rest of the fabric is silent or busy:
+        // the hub wakes the poller for every message anywhere, and none
+        // of those wake-ups is a scan.
+        let idle_poll = |busy: bool| {
+            let (fabric, dev) = fabric_with_device();
+            let (_client, server) = pair_on(&fabric, dev, Port(9));
+            let (a, b) = pair_on(&fabric, dev, Port(10));
+            let polled = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let done = Arc::clone(&polled);
+            let tenant = std::thread::spawn(move || {
+                // At least 2,000 messages, and for as long as the poll runs.
+                let mut tl = Timeline::new();
+                let mut byte = [0u8; 1];
+                let mut sent = 0;
+                while busy && (sent < 2_000 || !done.load(std::sync::atomic::Ordering::Relaxed)) {
+                    a.send(&[1], &mut tl).unwrap();
+                    b.recv(&mut byte, &mut tl).unwrap();
+                    sent += 1;
+                }
+            });
+            let mut fds = [PollFd::new(server, PollEvents::IN)];
+            let mut tl = Timeline::new();
+            let n = poll(&mut fds, Duration::from_millis(50), &mut tl).unwrap();
+            polled.store(true, std::sync::atomic::Ordering::Relaxed);
+            tenant.join().unwrap();
+            (n, tl.total_for(SpanLabel::PollWait))
+        };
+        let quiet = idle_poll(false);
+        assert_eq!(quiet.0, 0);
+        assert_eq!(idle_poll(true), quiet);
+    }
+
+    #[test]
+    fn a_fabric_wide_event_makes_a_poller_look_again() {
+        // `bump_activity` (card reset, quarantine, a board fault) belongs
+        // to no endpoint, and a poller still re-scans after it.
+        let (_client, server) = setup();
+        let shared = Arc::clone(&server.shared);
+        let mut fds = [PollFd::new(server, PollEvents::IN)];
+        let recovery = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(15));
+            shared.bump_activity();
+        });
+        let mut tl = Timeline::new();
+        assert_eq!(poll(&mut fds, Duration::from_millis(60), &mut tl), Ok(0));
+        recovery.join().unwrap();
+        let scans = 2;
+        assert_eq!(tl.total_for(SpanLabel::PollWait), fds[0].ep.shared.cost.poll_iteration * scans);
     }
 
     #[test]

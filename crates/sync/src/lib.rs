@@ -178,12 +178,16 @@ pub enum LockClass {
     /// whoever holds it — the lane's shard thread or a blocking kicker —
     /// is the one thread draining that lane's avail ring.
     LaneExecutor = 54,
+    // --- directed fabric wake-ups (PR 16) ---
+    /// An endpoint's timed-bulk-lane receive state (`recv_timed` parks on
+    /// the condvar paired with it).
+    TimedLane = 55,
 }
 
 impl LockClass {
     /// Number of classes (adjacency bitmasks are `u64`, so this must stay
     /// ≤ 64).
-    pub const COUNT: usize = 55;
+    pub const COUNT: usize = 56;
 
     /// Every class, in discriminant order — the hierarchy exported **as
     /// data** so offline tools (`vphi-analyze`) can consume the same
@@ -245,6 +249,7 @@ impl LockClass {
         LockClass::FrontendPending,
         LockClass::ApertureWindows,
         LockClass::LaneExecutor,
+        LockClass::TimedLane,
     ];
 
     /// The class's source-level name, exactly as it is spelled at
@@ -307,6 +312,7 @@ impl LockClass {
             LockClass::FrontendPending => "FrontendPending",
             LockClass::ApertureWindows => "ApertureWindows",
             LockClass::LaneExecutor => "LaneExecutor",
+            LockClass::TimedLane => "TimedLane",
         }
     }
 
@@ -376,6 +382,9 @@ impl LockClass {
             // Outermost of all: entered with nothing held, and held across
             // a whole request handler — which may take any class below.
             LockClass::LaneExecutor => 6,
+            // A fabric leaf beside the message queue (42): taken with
+            // nothing held, nothing taken under it.
+            LockClass::TimedLane => 43,
         }
     }
 

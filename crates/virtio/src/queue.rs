@@ -321,14 +321,14 @@ impl VirtQueue {
         })
     }
 
-    /// Drain completed chains from the used ring, releasing their
-    /// descriptors.  An out-of-range `id` or `next` link is guest-visible
-    /// ring corruption; a missing (already freed) entry just stops that
+    /// Drain completed chains from the used ring in order, releasing
+    /// their descriptors and showing each element to `each`.  An
+    /// out-of-range `id` or `next` link is guest-visible ring corruption
+    /// and ends the drain; a missing (already freed) entry just stops that
     /// chain's walk.
-    pub fn take_used(&self) -> Result<Vec<UsedElem>, QueueError> {
+    pub fn take_used(&self, mut each: impl FnMut(UsedElem)) -> Result<(), QueueError> {
         let mut st = self.state.lock();
-        let drained: Vec<UsedElem> = st.used.drain(..).collect();
-        for u in &drained {
+        while let Some(u) = st.used.pop_front() {
             let mut i = st.idx(u.id)?;
             while let Some(d) = st.table[i].take() {
                 st.free.push(i as u16);
@@ -338,8 +338,9 @@ impl VirtQueue {
                     break;
                 }
             }
+            each(u);
         }
-        Ok(drained)
+        Ok(())
     }
 
     /// Whether completions are waiting.
@@ -498,7 +499,8 @@ mod tests {
 
         q.push_used(UsedElem { id: head, len: 64 }, PUSH, &mut tl);
         assert!(q.used_pending());
-        let used = q.take_used().unwrap();
+        let mut used = Vec::new();
+        q.take_used(|u| used.push(u)).unwrap();
         assert_eq!(used, vec![UsedElem { id: head, len: 64 }]);
         assert_eq!(q.free_descriptors(), 8);
         assert!(!q.used_pending());
@@ -672,7 +674,9 @@ mod tests {
             let chain = q.pop_avail().unwrap().unwrap();
             assert_eq!(chain.head, head);
             q.push_used(UsedElem { id: head, len: 8 }, PUSH, &mut tl);
-            assert_eq!(q.take_used().unwrap().len(), 1);
+            let mut taken = 0;
+            q.take_used(|_| taken += 1).unwrap();
+            assert_eq!(taken, 1);
             assert_eq!(q.free_descriptors(), 4);
         }
     }
@@ -707,7 +711,7 @@ mod tests {
         let h1 = q.add_chain(&[Descriptor::readable(0x1, 1)], PUSH, &mut tl).unwrap();
         q.pop_avail().unwrap().unwrap();
         assert_eq!(q.push_used(UsedElem { id: h1, len: 0 }, PUSH, &mut tl), 1);
-        q.take_used().unwrap();
+        q.take_used(|_| ()).unwrap();
         q.publish_used_event(1);
         assert_eq!(q.used_event(), 1);
         let h2 = q.add_chain(&[Descriptor::readable(0x2, 1)], PUSH, &mut tl).unwrap();
@@ -745,7 +749,7 @@ mod tests {
         q.kick(KICK, &mut tl);
         q.pop_avail().unwrap().unwrap();
         q.push_used(UsedElem { id: head, len: 0 }, PUSH, &mut tl);
-        q.take_used().unwrap();
+        q.take_used(|_| ()).unwrap();
         assert_eq!(q.counters(), QueueCounters { kicks: 1, chains_popped: 1 });
     }
 }

@@ -82,7 +82,8 @@ proptest! {
                     }
                 }
                 QOp::TakeUsed => {
-                    let drained = q.take_used().unwrap();
+                    let mut drained = Vec::new();
+                    q.take_used(|u| drained.push(u)).unwrap();
                     prop_assert_eq!(drained.len(), used.len());
                     for (elem, (head, n)) in drained.iter().zip(&used) {
                         prop_assert_eq!(elem.id, *head);

@@ -739,3 +739,175 @@ fn lost_kick_on_a_blocking_call_recovers_through_the_shard() {
     ep.close(&mut tl).unwrap();
     vm.shutdown();
 }
+
+/// A blocking guest call on its own thread; `within` is how long the test
+/// lets it take.
+fn guest_call<T: Send + 'static>(
+    call: impl FnOnce() -> T + Send + 'static,
+) -> impl FnOnce(&str) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let thread = std::thread::spawn(move || tx.send(call()).unwrap());
+    move |what| {
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .unwrap_or_else(|_| panic!("{what}: still blocked a second after its wake-up event"));
+        thread.join().unwrap();
+        result
+    }
+}
+
+/// A guest `connect` sits in the backlog of a card-side listener that
+/// closes without accepting it.  The call runs on its caller's thread,
+/// inside the backend, holding its lane's executor role, and a second
+/// endpoint's `send` is queued on the same lane behind it — so a connector
+/// nobody tells is a lane nobody can use.  It used to wait on "anything
+/// happened anywhere" and re-check only its own state: with another pair
+/// talking (a bystander sends a byte a millisecond here) it never came
+/// back.  Now the listener's teardown refuses it on the spot, the guest
+/// reads `ECONNREFUSED`, and the lane goes on to run the queued send.
+#[test]
+fn guest_connect_behind_a_closed_listener_is_refused_and_frees_its_lane() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let host = VphiHost::new(1);
+    let dev = host.device_node(0);
+    let mut tl = Timeline::new();
+    let listen = |port: u16, backlog: usize| {
+        let ep = host.device_endpoint(0).unwrap();
+        let mut tl = Timeline::new();
+        ep.bind(Port(port), &mut tl).unwrap();
+        ep.listen(backlog, &mut tl).unwrap();
+        ep
+    };
+    let deaf = listen(970, 2);
+    let sink = listen(971, 2);
+    let card = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        let guest = sink.accept(&mut tl).unwrap();
+        let bystander = sink.accept(&mut tl).unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(guest.recv(&mut byte, &mut tl), Ok(1));
+        // Drain the bystander until it hangs up.
+        while bystander.recv(&mut [0u8; 1], &mut tl) == Ok(1) {}
+        byte[0]
+    });
+
+    // One lane: whatever the guest submits queues behind the connect.
+    let vm = Arc::new(host.spawn_vm(VmConfig::builder().num_queues(1).build()));
+    let sender = Arc::new(vm.open_scif(&mut tl).unwrap());
+    sender.connect(ScifAddr::new(dev, Port(971)), &mut tl).unwrap();
+    let connector = Arc::new(vm.open_scif(&mut tl).unwrap());
+
+    let native = host.native_endpoint().unwrap();
+    native.connect(ScifAddr::new(dev, Port(971)), &mut tl).unwrap();
+    let quiet = Arc::new(AtomicBool::new(false));
+    let bystander = {
+        let quiet = Arc::clone(&quiet);
+        std::thread::spawn(move || {
+            let mut tl = Timeline::new();
+            while !quiet.load(Ordering::Relaxed) {
+                native.send(&[0], &mut tl).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        })
+    };
+
+    let connecting = {
+        let connector = Arc::clone(&connector);
+        guest_call(move || connector.connect(ScifAddr::new(dev, Port(970)), &mut Timeline::new()))
+    };
+    spin_until("the connect sits in the backlog", || deaf.core().backlog_len() == 1);
+    let channel = Arc::clone(vm.frontend().channel());
+    let sending = {
+        let sender = Arc::clone(&sender);
+        guest_call(move || sender.send(&[42], &mut Timeline::new()))
+    };
+    spin_until("the send is queued behind it", || channel.inflight_count() == 1);
+
+    deaf.close();
+    assert_eq!(connecting("connect behind a closed listener"), Err(ScifError::ConnRefused));
+    assert_eq!(sending("the send queued behind the connect"), Ok(1));
+
+    // Refused, not broken: the endpoint is still the guest's to use.
+    assert_eq!(
+        connector.connect(ScifAddr::new(dev, Port(9999)), &mut tl),
+        Err(ScifError::ConnRefused)
+    );
+    quiet.store(true, Ordering::Relaxed);
+    bystander.join().unwrap();
+    assert_eq!(card.join().unwrap(), 42);
+    connector.close(&mut tl).unwrap();
+    sender.close(&mut tl).unwrap();
+    spin_until("the lane is idle", || channel.inflight_count() == 0);
+    assert_eq!(vm.backend().open_endpoints(), 0, "leaked endpoints");
+    assert_eq!(vm.backend().inner().window_entries(), 0, "leaked windows");
+    assert_eq!(vm.backend().inner().aperture().mapped_windows(), 0, "leaked mappings");
+    assert_eq!(vm.frontend().pending_tokens(), 0, "leaked tokens");
+    vm.shutdown();
+}
+
+/// A board fault, then the card's reset, with a `recv_timed` parked on
+/// either end of a guest↔card connection.  The fault itself ends neither
+/// wait (it never did: the traffic that trips it reads `ENODEV`, a
+/// sleeper has nothing to read).  The reset quarantines the guest's
+/// endpoint, and that `close` is what both sleepers hear — the guest's
+/// own and, across the connection, the card's — each with `ECONNRESET`,
+/// at once rather than on the next message somebody happens to send.
+#[test]
+fn card_reset_ends_timed_receives_parked_on_both_ends() {
+    use std::sync::Arc;
+
+    let host = VphiHost::new(1);
+    let dev = host.device_node(0);
+    let mut tl = Timeline::new();
+    let server = host.device_endpoint(0).unwrap();
+    server.bind(Port(972), &mut tl).unwrap();
+    server.listen(2, &mut tl).unwrap();
+    let (conns_tx, conns_rx) = std::sync::mpsc::channel();
+    let card = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        for _ in 0..2 {
+            conns_tx.send(server.accept(&mut tl).unwrap()).unwrap();
+        }
+    });
+    // Two VMs on the card, so the one that trips the fault is not queued
+    // behind the one that sleeps.
+    let sleeper_vm = host.spawn_vm(VmConfig::default());
+    let tripper_vm = host.spawn_vm(VmConfig::default());
+    let sleeper = Arc::new(sleeper_vm.open_scif(&mut tl).unwrap());
+    sleeper.connect(ScifAddr::new(dev, Port(972)), &mut tl).unwrap();
+    let card_side = Arc::new(conns_rx.recv().unwrap());
+    let tripper = tripper_vm.open_scif(&mut tl).unwrap();
+    tripper.connect(ScifAddr::new(dev, Port(972)), &mut tl).unwrap();
+    let _tripper_peer = conns_rx.recv().unwrap();
+    card.join().unwrap();
+
+    let requests =
+        || sleeper_vm.backend().inner().stats.requests.load(std::sync::atomic::Ordering::Relaxed);
+    let settled = requests();
+    let guest_waiting = {
+        let sleeper = Arc::clone(&sleeper);
+        guest_call(move || sleeper.recv_timed(4096, &mut Timeline::new()))
+    };
+    let card_waiting = {
+        let card_side = Arc::clone(&card_side);
+        guest_call(move || card_side.recv_timed(4096, &mut Timeline::new()))
+    };
+    spin_until("the guest's recv_timed is executing", || requests() == settled + 1);
+
+    host.arm_faults(FaultPlan::single(FaultSite::PhiCoreLockup, 1, 0));
+    assert_eq!(tripper.send(b"x", &mut tl), Err(ScifError::NoDev));
+    assert!(host.board(0).is_failed());
+    host.reset_card(0);
+
+    assert_eq!(guest_waiting("the guest's recv_timed"), Err(ScifError::ConnReset));
+    assert_eq!(card_waiting("the card's recv_timed"), Err(ScifError::ConnReset));
+    let _ = sleeper.close(&mut tl);
+    let _ = tripper.close(&mut tl);
+    for vm in [&sleeper_vm, &tripper_vm] {
+        assert_eq!(vm.backend().open_endpoints(), 0, "leaked endpoints");
+        assert_eq!(vm.frontend().pending_tokens(), 0, "leaked tokens");
+        vm.shutdown();
+    }
+}

@@ -408,3 +408,123 @@ fn blocking_calls_run_under_the_executor_role_and_nothing_else() {
         assert!(nested.is_empty(), "{frontend:?} held across a backend call: {nested:?}");
     }
 }
+
+/// Each blocking fabric primitive sleeps on a condvar paired with the
+/// mutex that guards what it waits for (DESIGN.md #22): `accept` with the
+/// listener's backlog, `connect` with its own endpoint state,
+/// `recv_timed` with its timed lane.  The signallers take that one mutex
+/// and nothing under it — a listener's teardown first lets go of the
+/// backlog, then takes each orphaned connector's state.  Drive connect /
+/// accept / refuse-on-teardown / `send_timed` / `recv_timed` / close
+/// through a guest and natively and check what the audit saw: no
+/// violation, the timed lane and the backlog as leaves, and the backlog
+/// reached only from the listener slot (the `backlog_len` probe) or with
+/// nothing but the executor role held.
+#[test]
+fn directed_wakeups_signal_under_one_mutex_each() {
+    use vphi::builder::{VmConfig, VphiHost};
+    use vphi_scif::{Port, ScifAddr, ScifError};
+    use vphi_sim_core::Timeline;
+
+    let violations_before = vphi_sync::audit::violation_count();
+    let host = VphiHost::new(1);
+    let dev = host.device_node(0);
+    let mut tl = Timeline::new();
+    let listen = |port: u16| {
+        let ep = host.device_endpoint(0).unwrap();
+        let mut tl = Timeline::new();
+        ep.bind(Port(port), &mut tl).unwrap();
+        ep.listen(2, &mut tl).unwrap();
+        ep
+    };
+    let wait_for_backlog = |ep: &vphi_scif::ScifEndpoint| {
+        while ep.core().backlog_len() == 0 {
+            std::thread::yield_now();
+        }
+    };
+
+    // Card side: a server that accepts two connections (one guest, one
+    // native), trades timed-lane bytes with each, and waits for each to
+    // hang up; and a listener that never accepts.
+    let server = listen(966);
+    let deaf = listen(967);
+    let card = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        for _ in 0..2 {
+            let conn = server.accept(&mut tl).unwrap();
+            assert_eq!(conn.recv_timed(3 << 20, &mut tl), Ok(3 << 20));
+            assert_eq!(conn.send_timed(1 << 20, &mut tl), Ok(1 << 20));
+            assert_eq!(conn.recv_timed(1, &mut tl), Err(ScifError::ConnReset));
+        }
+    });
+
+    let vm = Arc::new(host.spawn_vm(VmConfig::default()));
+    let guest = vm.open_scif(&mut tl).unwrap();
+    guest.connect(ScifAddr::new(dev, Port(966)), &mut tl).unwrap();
+    assert_eq!(guest.send_timed(3 << 20, &mut tl), Ok(3 << 20));
+    assert_eq!(guest.recv_timed(1 << 20, &mut tl), Ok(1 << 20));
+    guest.close(&mut tl).unwrap();
+    let native = host.native_endpoint().unwrap();
+    native.connect(ScifAddr::new(dev, Port(966)), &mut tl).unwrap();
+    assert_eq!(native.send_timed(3 << 20, &mut tl), Ok(3 << 20));
+    assert_eq!(native.recv_timed(1 << 20, &mut tl), Ok(1 << 20));
+    native.close();
+    card.join().unwrap();
+
+    // Refused on teardown, natively and through the guest.
+    let orphan = host.native_endpoint().unwrap();
+    let guest_orphan = vm.open_scif(&mut tl).unwrap();
+    let refused = std::thread::scope(|s| {
+        let native_connect =
+            s.spawn(|| orphan.connect(ScifAddr::new(dev, Port(967)), &mut Timeline::new()));
+        wait_for_backlog(&deaf);
+        let guest_connect =
+            s.spawn(|| guest_orphan.connect(ScifAddr::new(dev, Port(967)), &mut Timeline::new()));
+        while deaf.core().backlog_len() < 2 {
+            std::thread::yield_now();
+        }
+        deaf.close();
+        [native_connect.join().unwrap(), guest_connect.join().unwrap()]
+    });
+    assert_eq!(refused, [Err(ScifError::ConnRefused); 2]);
+    guest_orphan.close(&mut tl).unwrap();
+
+    // A guest listener: `accept` parks on a worker, a native connector
+    // arrives, and the close of the listening endpoint ends the next one.
+    let guest_listener = Arc::new(vm.open_scif(&mut tl).unwrap());
+    let port = guest_listener.bind(Port::ANY, &mut tl).unwrap();
+    guest_listener.listen(1, &mut tl).unwrap();
+    let client = host.native_endpoint().unwrap();
+    let accepted = std::thread::scope(|s| {
+        let accepting = s.spawn(|| guest_listener.accept(&mut Timeline::new()));
+        client.connect(ScifAddr::new(vphi_scif::HOST_NODE, port), &mut tl).unwrap();
+        accepting.join().unwrap()
+    });
+    let (conn, _) = accepted.unwrap();
+    conn.close(&mut tl).unwrap();
+    guest_listener.close(&mut tl).unwrap();
+    vm.shutdown();
+
+    assert_eq!(vphi_sync::audit::violation_count(), violations_before);
+    let edges = vphi_sync::audit::order_edges();
+    for leaf in [LockClass::TimedLane, LockClass::ListenerPending] {
+        let under: Vec<_> = edges.iter().filter(|(held, _)| *held == leaf).collect();
+        assert!(under.is_empty(), "a lock taken under {leaf:?}: {under:?}");
+    }
+    let holding = |acquired: LockClass| -> Vec<LockClass> {
+        edges.iter().filter(|(_, a)| *a == acquired).map(|(held, _)| *held).collect()
+    };
+    assert_eq!(holding(LockClass::TimedLane), [LockClass::LaneExecutor]);
+    assert_eq!(
+        holding(LockClass::ListenerPending),
+        [LockClass::EpListener, LockClass::LaneExecutor]
+    );
+    // `connect` waits with its own state lock and no other.
+    let under_state: Vec<_> =
+        edges.iter().filter(|(held, _)| *held == LockClass::EndpointState).map(|e| e.1).collect();
+    assert_eq!(
+        under_state,
+        [LockClass::EpPort, LockClass::EpListener, LockClass::NodePorts],
+        "bind and listen are all that nest under an endpoint's state"
+    );
+}
