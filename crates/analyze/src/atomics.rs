@@ -107,9 +107,28 @@ pub const CONTRACTS: &[AtomicContract] = &[
         store: MemOrd::SeqCst,
         rmw: MemOrd::SeqCst,
     },
+    // The per-token wait queue's "is anybody registered?" count
+    // (DESIGN.md #23): a waiter announces itself, then re-checks its
+    // predicate; a waker publishes, then looks for an announcement.  The
+    // same store-then-load-the-other-side shape as the pair above.
+    AtomicContract {
+        field: "registered",
+        scope: "crates/vmm",
+        load: MemOrd::SeqCst,
+        store: MemOrd::SeqCst,
+        rmw: MemOrd::SeqCst,
+    },
     // Lifecycle / publication flags: Release store publishes, Acquire
     // load observes.
     flag("shutdown", "core/src/frontend"),
+    // The request-slot table (DESIGN.md #23): a slot's state word is
+    // written under its lock (or by its one holder) and read without it;
+    // the live bitmap hands a slot from one holder to the next; the
+    // head → slot route is written before the head is published.
+    flag("word", "core/src/frontend"),
+    flag("live", "core/src/frontend"),
+    flag("head_slot", "core/src/frontend"),
+    flag("any_busy_poll", "core/src/frontend"),
     flag("running", ""),
     flag("closed", ""),
     flag("unmapped", "crates/core"),
@@ -143,11 +162,24 @@ pub const CONTRACTS: &[AtomicContract] = &[
     counter("worker_dispatches"),
     counter("irqs_injected"),
     counter("irqs_suppressed"),
+    // A lane notifier's suppressed-while-sleeping batch size.
+    counter("pending"),
+    // `FrontendStats`, kept as atomics (`requests` is shared with the
+    // backend's counter of the same name).
+    counter("interrupt_waits"),
+    counter("polling_waits"),
+    counter("chunks_sent"),
+    counter("kicks_delivered"),
+    counter("deadline_retries"),
+    counter("batches_submitted"),
+    counter("batch_entries"),
+    counter("batch_kicks"),
+    counter("tokens_reaped"),
+    counter("tokens_canceled"),
     counter("evictions"),
     counter("hits"),
     counter("invalidations"),
     counter("misses"),
-    counter("next_token"),
     counter("next_packet_id"),
     counter("uploads"),
     counter("bytes_total"),

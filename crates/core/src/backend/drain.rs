@@ -32,30 +32,46 @@ impl BackendInner {
     /// chain, and the caller sleeps on its token exactly as it did before
     /// there was anything to service inline — so it is never held up by
     /// work that was not ahead of it.
-    pub(super) fn drain_as_kicker(self: &Arc<Self>, q: usize, through: u64) {
-        if let Some(_executor) = self.channel.lane_queue(q).executor.try_enter() {
-            self.drain_lane(q, through);
+    ///
+    /// Returns whether chains are left on the ring for the shard — what the
+    /// kick rings it for on the way out.
+    pub(super) fn drain_as_kicker(self: &Arc<Self>, q: usize, through: u64) -> bool {
+        let queue = self.channel.lane_queue(q);
+        match queue.executor.try_enter() {
+            Some(_executor) => self.drain_lane(q, through),
+            None => queue.avail_pending(),
         }
     }
 
     /// Drain lane `q`'s avail ring in ring order through avail index
-    /// `through`.  The caller holds the lane's executor role.
-    fn drain_lane(self: &Arc<Self>, q: usize, through: u64) {
+    /// `through`, and report whether the pass left chains on the ring.
+    /// The caller holds the lane's executor role.
+    fn drain_lane(self: &Arc<Self>, q: usize, through: u64) -> bool {
         let queue = self.channel.lane_queue(q);
         // A bounded pass knows its burst before it starts — whatever was
-        // published up to `through` — so it runs each chain as it pops it.
-        // The shard's burst is what one doorbell amortized: everything on
-        // the ring when it got there, popped before any of it runs.
+        // published up to `through` — so it runs each chain as it pops it,
+        // and each pop tells it whether another is due: it never asks the
+        // ring a question whose answer it has.  The shard's burst is what
+        // one doorbell amortized: everything on the ring when it got
+        // there, popped before any of it runs.
         let bounded = through != u64::MAX;
         while !self.channel.is_shutdown() {
             let mut batch = Vec::new();
             let mut burst = 0u64;
-            while let Ok(Some(chain)) = queue.pop_avail_through(through) {
+            // What the last pop saw behind it; a pass that pops nothing
+            // (its chain was somebody else's burst) has to look.
+            let mut left = None;
+            while let Ok(Some(popped)) = queue.pop_avail_bounded(through) {
                 burst += 1;
+                left = Some(popped.left_on_ring);
+                let last = !popped.more_in_bound;
                 if bounded {
-                    self.process(q, chain);
+                    self.process(q, popped.chain);
                 } else {
-                    batch.push(chain);
+                    batch.push(popped.chain);
+                }
+                if last {
+                    break;
                 }
             }
             if burst > 0 {
@@ -65,22 +81,27 @@ impl BackendInner {
             for chain in batch {
                 self.process(q, chain);
             }
-            // The shard picks up a chain posted during the pass before it
-            // goes back to blocking.  A bounded pass has popped all it
-            // may: the kicker rings the shard for the rest on its way out.
-            if through != u64::MAX || !queue.avail_pending() {
-                return;
+            // A bounded pass has popped all it may: the kicker rings the
+            // shard for the rest on its way out.  The shard picks up a
+            // chain posted during the pass before it goes back to
+            // blocking.
+            if bounded {
+                return left.unwrap_or_else(|| queue.avail_pending());
+            }
+            if !queue.avail_pending() {
+                return false;
             }
         }
         // A dead device executes nothing more.  Whoever waits on a chain
         // still on the ring reads `ENODEV` off the shutdown flag; the pass
-        // only takes the chain's inflight entry off the books.  (Its
-        // descriptors die with the ring, as they do whenever a waiter saw
-        // the flag before its completion: no guest is left to
-        // `take_used`.)
+        // only lets go of the chain's slot.  (Its descriptors die with the
+        // ring, as they do whenever a waiter saw the flag before its
+        // completion: no guest is left to `take_used`.)
         while let Ok(Some(chain)) = queue.pop_avail_through(through) {
-            drop(self.channel.claim(q, chain.head));
+            let (token, ..) = self.channel.claim(q, chain.head);
+            self.channel.retire(token);
         }
+        queue.avail_pending()
     }
 }
 

@@ -319,6 +319,7 @@ impl BackendInner {
             // backend span was opened yet, so the trace fork dies clean:
             // the frontend's root still finishes on the ENODEV path.)
             self.guest_died();
+            self.channel.retire(token);
             return;
         }
         let cost = self.cost();
@@ -350,10 +351,10 @@ impl BackendInner {
 
         match self.policy.dispatch(&req) {
             Dispatch::Blocking => {
-                let el = Arc::clone(&self.event_loop);
-                let resp = el.run(vphi_vmm::event_loop::Dispatch::Blocking, &mut tl, |tl| {
-                    self.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
-                });
+                let resp =
+                    self.event_loop.run(vphi_vmm::event_loop::Dispatch::Blocking, &mut tl, |tl| {
+                        self.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
+                    });
                 OpCtx::new(&mut tl, trace.clone()).end(replay);
                 self.finish(q, token, &chain, resp, tl, trace, hint);
             }
@@ -461,7 +462,7 @@ impl BackendInner {
             (take > 0).then_some((Gpa(d.addr), take as usize))
         });
         for (gpa, take) in spans.clone() {
-            self.guest_mem.with_slice(gpa, take as u64, |_| ()).map_err(|_| ScifError::Inval)?;
+            self.guest_mem.check_range(gpa, take as u64).map_err(|_| ScifError::Inval)?;
         }
         Ok(spans)
     }
@@ -852,9 +853,8 @@ impl VirtualPciDevice for BackendDevice {
             // the device owns the channel.
             let device = Arc::downgrade(&self.inner);
             self.inner.channel.lane_queue(q).set_exit_handler(Box::new(move |through| {
-                if let Some(inner) = device.upgrade() {
-                    inner.drain_as_kicker(q, through);
-                }
+                // A device that is gone leaves the ring to nobody.
+                device.upgrade().is_some_and(|inner| inner.drain_as_kicker(q, through))
             }));
             let inner = Arc::clone(&self.inner);
             let handle = std::thread::Builder::new()

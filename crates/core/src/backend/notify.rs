@@ -24,9 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi_sim_core::Timeline;
-use vphi_sync::{LockClass, TrackedMutex};
 use vphi_virtio::{need_event, VirtQueue};
-use vphi_vmm::IrqChip;
+use vphi_vmm::{IrqChip, IrqLine};
 
 use crate::frontend::NotifyHint;
 
@@ -64,11 +63,14 @@ impl LaneNotifyCounters {
 /// One virtqueue lane's interrupt gate.
 pub struct LaneNotifier {
     vector: u32,
-    chip: Arc<IrqChip>,
+    /// The lane's MSI vector on the guest's chip, resolved at start.
+    line: IrqLine,
     queue: Arc<VirtQueue>,
     /// Completions suppressed while their requester slept, awaiting the
-    /// next injected irq on this lane (the batch the irq will flush).
-    pending: TrackedMutex<u64>,
+    /// next injected irq on this lane (the batch the irq will flush).  A
+    /// count and nothing else: an add that races a flush lands in this
+    /// batch or the next.
+    pending: AtomicU64,
     irqs_injected: AtomicU64,
     irqs_suppressed: AtomicU64,
     batch_hist: [AtomicU64; BATCH_BUCKETS],
@@ -88,9 +90,9 @@ impl LaneNotifier {
     pub fn new(vector: u32, chip: Arc<IrqChip>, queue: Arc<VirtQueue>) -> Self {
         LaneNotifier {
             vector,
-            chip,
+            line: chip.line(vector),
             queue,
-            pending: TrackedMutex::new(LockClass::LaneNotifier, 0),
+            pending: AtomicU64::new(0),
             irqs_injected: AtomicU64::new(0),
             irqs_suppressed: AtomicU64::new(0),
             batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -117,16 +119,11 @@ impl LaneNotifier {
     /// this irq delivers its own completion plus every completion
     /// suppressed-while-sleeping since the last irq.
     pub fn deliver_irq(&self, tl: &mut Timeline) {
-        let flushed = {
-            let mut pending = self.pending.lock();
-            let f = *pending + 1;
-            *pending = 0;
-            f
-        };
+        let flushed = self.pending.swap(0, Ordering::Relaxed) + 1;
         self.irqs_injected.fetch_add(1, Ordering::Relaxed);
         let bucket = (63 - flushed.leading_zeros() as usize).min(BATCH_BUCKETS - 1);
         self.batch_hist[bucket].fetch_add(1, Ordering::Relaxed);
-        self.chip.inject(self.vector, tl);
+        self.line.inject(tl);
     }
 
     /// Record a completion that did not inject.  `sleeping` completions
@@ -135,7 +132,7 @@ impl LaneNotifier {
     pub fn note_suppressed(&self, sleeping: bool) {
         self.irqs_suppressed.fetch_add(1, Ordering::Relaxed);
         if sleeping {
-            *self.pending.lock() += 1;
+            self.pending.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -144,7 +141,7 @@ impl LaneNotifier {
     /// deadline retry recovers it).  The backend's `msi_lost` counter
     /// owns the event itself.
     pub fn note_msi_lost(&self) {
-        *self.pending.lock() += 1;
+        self.pending.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counter snapshot.

@@ -129,7 +129,7 @@ impl BackendInner {
         if len > u64::from(d.len) {
             return Err(ScifError::Inval);
         }
-        self.guest_mem.with_slice(Gpa(d.addr), len, |_| ()).map_err(|_| ScifError::Inval)?;
+        self.guest_mem.check_range(Gpa(d.addr), len).map_err(|_| ScifError::Inval)?;
         // The mapped arm keeps its subwindow's in-flight guard for the
         // duration of the transfer, so an unmap quiesces behind it.
         let _io = if self.zero_copy_rma && len > KMALLOC_MAX_SIZE {

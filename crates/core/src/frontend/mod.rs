@@ -10,8 +10,10 @@
 //!   in a kmalloc'd buffer and post it on the virtio ring;
 //! * stage large send/recv payloads through `KMALLOC_MAX_SIZE` chunks
 //!   (the x86_64 contiguous-allocation limit — paper §III);
-//! * multiplex concurrent guest requests and orchestrate the waiting
-//!   user-space threads via the chosen [`WaitScheme`];
+//! * multiplex concurrent guest requests — each one a slot of its lane's
+//!   request-slot table for as long as it is in flight (DESIGN.md #23,
+//!   `slots.rs`) — and orchestrate the waiting user-space threads via the
+//!   chosen [`WaitScheme`];
 //! * adaptive completion notification (DESIGN.md #16): each requester
 //!   spins up to a per-(op, payload-bucket) budget, then publishes a
 //!   `used_event` threshold and sleeps on a **per-token** waiter — the
@@ -25,11 +27,14 @@
 //!   is left to reaps of batched tokens, worker-dispatched requests
 //!   (`accept`), kicks that found their lane busy and kicks that were lost.
 
+mod slots;
 mod waiting;
 
+pub use slots::ReqToken;
 pub use waiting::{SpinBudget, WaitScheme};
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi_scif::{ScifError, ScifResult, SqFlags};
@@ -39,9 +44,10 @@ use vphi_sync::{LockClass, TrackedMutex};
 use vphi_trace::{size_bucket, OpCtx, Stage, TraceCtx, TraceHook};
 use vphi_virtio::{Descriptor, VirtQueue};
 use vphi_vmm::kernel::KmallocBuf;
-use vphi_vmm::{GuestKernel, TokenWaitQueue};
+use vphi_vmm::{Gpa, GuestKernel, TokenWaitQueue};
 
-use crate::protocol::{GuestEpd, VphiRequest, VphiResponse, REQ_SIZE, RESP_SIZE};
+use crate::protocol::{GuestEpd, VphiRequest, VphiResponse, OPCODES, REQ_SIZE, RESP_SIZE};
+use slots::{BatchOp, SlotBody, SlotState, SlotTable};
 
 /// The vPHI interrupt vector of queue 0 on the guest's IRQ chip.  Queue
 /// `q` injects on `VPHI_IRQ_VECTOR + q` — one MSI vector per virtqueue,
@@ -66,17 +72,8 @@ const BACKOFF_SEED: u64 = 0x05EE_DBAC_C0FF_5EED;
 /// Re-kick attempts before the frontend declares the request lost.
 const MAX_DEADLINE_RETRIES: u32 = 50;
 
-/// A unique per-request completion token.
-///
-/// Virtqueue head ids are *recycled* as soon as any thread drains the used
-/// ring, so two concurrent requesters could otherwise collide on the same
-/// head and steal each other's completion.  The token is bound to the head
-/// at submit time and unbound when the backend pops the chain — the window
-/// in which the head cannot be reused.
-pub type ReqToken = u64;
-
 /// The waiter's pre-kick declaration of how it will wait, riding the
-/// inflight table to the backend's lane notifier.  The budget is in
+/// request's slot to the backend's lane notifier.  The budget is in
 /// *virtual* nanoseconds: the backend compares its own service time
 /// against it to learn deterministically whether the requester was still
 /// spinning or had gone to sleep when the completion landed.
@@ -116,29 +113,24 @@ pub struct Completion {
     pub svc_ns: u64,
 }
 
-/// One virtqueue lane: the ring plus its private head→request routing
-/// table.  Head ids are per-queue, so each lane keeps its own inflight
-/// map — two lanes can recycle the same head without colliding.
+/// One virtqueue lane: the ring plus the slot table its requests live in.
+/// Head ids are per-queue, so each lane routes its own heads to its own
+/// slots — two lanes can recycle the same head without colliding.
 pub struct QueueLane {
     pub queue: Arc<VirtQueue>,
-    /// head → (token, request timeline, trace fork, notify hint),
-    /// travelling frontend → backend.
-    inflight: TrackedMutex<HashMap<u16, (ReqToken, Timeline, TraceCtx, NotifyHint)>>,
+    slots: SlotTable,
 }
 
 /// The shared state both halves of the split driver touch: the virtio
-/// queue lanes plus the request-routing tables.
+/// queue lanes, each with its request-slot table (`frontend/slots.rs`).
 pub struct VphiChannel {
     /// Lane 0's ring, aliased as a named field so single-queue call sites
     /// (tests, benches, control-plane ops) read naturally.
     pub queue: Arc<VirtQueue>,
     lanes: Vec<QueueLane>,
-    /// token → completion, travelling backend → frontend.
-    completed: TrackedMutex<HashMap<ReqToken, Completion>>,
-    next_token: std::sync::atomic::AtomicU64,
     /// Set when the backend stops servicing (VM shutdown): guest calls
     /// fail fast with `ENODEV` instead of waiting on a dead ring.
-    shutdown: std::sync::atomic::AtomicBool,
+    shutdown: AtomicBool,
     /// The frontend's sleeping requesters, parked per token: completion
     /// delivery wakes exactly the requester it completed (broadcast is
     /// reserved for shutdown).
@@ -158,18 +150,16 @@ impl VphiChannel {
     /// `queue_size` descriptors each.
     pub fn with_queues(queue_size: u16, num_queues: u16) -> Arc<Self> {
         assert!(num_queues > 0, "a vPHI device needs at least one virtqueue");
-        let lanes: Vec<QueueLane> = (0..num_queues)
-            .map(|_| QueueLane {
+        let lanes: Vec<QueueLane> = (0..num_queues as usize)
+            .map(|q| QueueLane {
                 queue: VirtQueue::new(queue_size),
-                inflight: TrackedMutex::new(LockClass::FrontendInflight, HashMap::new()),
+                slots: SlotTable::new(q, queue_size),
             })
             .collect();
         Arc::new(VphiChannel {
             queue: Arc::clone(&lanes[0].queue),
             lanes,
-            completed: TrackedMutex::new(LockClass::FrontendCompleted, HashMap::new()),
-            next_token: std::sync::atomic::AtomicU64::new(1),
-            shutdown: std::sync::atomic::AtomicBool::new(false),
+            shutdown: AtomicBool::new(false),
             waitq: Arc::new(TokenWaitQueue::new()),
             trace: TraceHook::new(),
         })
@@ -195,13 +185,12 @@ impl VphiChannel {
     /// lands on the same lane — per-endpoint FIFO order survives any
     /// queue count.
     pub fn route(&self, req: &VphiRequest) -> usize {
-        match req.routing_epd() {
-            None => 0,
-            Some(epd) => {
-                let h = vphi_sim_core::rng::SplitMix64::new(epd).next_u64();
-                (h % self.lanes.len() as u64) as usize
-            }
-        }
+        req.routing_epd().map_or(0, |epd| self.route_epd(epd))
+    }
+
+    fn route_epd(&self, epd: GuestEpd) -> usize {
+        let h = vphi_sim_core::rng::SplitMix64::new(epd).next_u64();
+        (h % self.lanes.len() as u64) as usize
     }
 
     /// Mark the device gone and wake every sleeper so it can fail fast.
@@ -215,33 +204,24 @@ impl VphiChannel {
     /// everyone only once the teardown is complete — so a waiter that
     /// observes `ENODEV` can rely on the GC having already finished.
     pub fn mark_shutdown_quiet(&self) {
-        self.shutdown.store(true, std::sync::atomic::Ordering::Release);
+        self.shutdown.store(true, Ordering::Release);
     }
 
     pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(std::sync::atomic::Ordering::Acquire)
+        self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Frontend: stash the request timeline, the trace fork the backend's
-    /// spans attach to, and the notify hint before kicking lane `q`;
-    /// returns the token the requester waits on.
-    pub fn submit(
-        &self,
-        q: usize,
-        head: u16,
-        tl: Timeline,
-        trace: TraceCtx,
-        hint: NotifyHint,
-    ) -> ReqToken {
-        let token = self.next_token.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.lanes[q].inflight.lock().insert(head, (token, tl, trace, hint));
-        token
+    /// The lane `token` was issued on, if it names one.
+    fn lane_of(&self, token: ReqToken) -> Option<&QueueLane> {
+        self.lanes.get(slots::token_lane(token))
     }
 
-    /// Backend: claim the request's token, timeline, trace fork, and
-    /// notify hint after popping lane `q`.
+    /// Backend: claim the request registered for `head` after popping it
+    /// off lane `q` — its token, timeline, trace fork and notify hint.  A
+    /// head nobody registered yields the token-0 sentinel: the chain still
+    /// runs, and completes to nobody.
     pub fn claim(&self, q: usize, head: u16) -> (ReqToken, Timeline, TraceCtx, NotifyHint) {
-        self.lanes[q].inflight.lock().remove(&head).unwrap_or((
+        self.lanes[q].slots.claim(head).unwrap_or((
             0,
             Timeline::new(),
             TraceCtx::default(),
@@ -251,38 +231,74 @@ impl VphiChannel {
 
     /// Backend: deliver the completion and wake exactly its requester —
     /// if it sleeps.  (A blocking caller whose own thread ran the request
-    /// is not parked, and the wake finds no slot; it takes the reply on
-    /// its first check.)  The completed-table insert happens-before the
+    /// is not parked, and the wake finds nobody registered; it takes the
+    /// reply on its first check.)  The slot is `Completed` before the
     /// directed wake, so a woken waiter's re-check always finds its reply.
+    /// A completion for a request its submitter abandoned frees the slot
+    /// instead; one for a generation that is over is dropped.
     pub fn complete(&self, token: ReqToken, completion: Completion) {
-        self.completed.lock().insert(token, completion);
-        self.waitq.wake(token);
+        if self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion))) {
+            self.waitq.wake(token);
+        }
     }
 
     /// Deliver a completion *without* waking anyone — models a lost
     /// completion MSI: the reply sits on the ring until the requester's
     /// deadline expires and its re-check finds it.
     pub fn complete_quiet(&self, token: ReqToken, completion: Completion) {
-        self.completed.lock().insert(token, completion);
+        if let Some(lane) = self.lane_of(token) {
+            lane.slots.finish(token, Some(completion));
+        }
     }
 
-    /// Frontend: non-blocking check for a specific completion.
-    pub fn try_take(&self, token: ReqToken) -> Option<Completion> {
-        self.completed.lock().remove(&token)
+    /// Backend: let go of `token` without a completion — the device died
+    /// with the request on its ring or in its hands.  The submitter reads
+    /// `ENODEV` off the shutdown flag and frees the slot; if it already
+    /// gave up, this does.
+    pub fn retire(&self, token: ReqToken) {
+        if let Some(lane) = self.lane_of(token) {
+            lane.slots.finish(token, None);
+        }
     }
 
+    /// Requests submitted and not yet claimed by the backend.
     pub fn inflight_count(&self) -> usize {
-        self.lanes.iter().map(|l| l.inflight.lock().len()).sum()
+        self.lanes.iter().map(|l| l.slots.count_in(SlotState::Published)).sum()
+    }
+
+    /// Slots held by anybody — a requester between reserve and release, or
+    /// the backend's half of a request its submitter abandoned.  Zero on an
+    /// idle channel (leak detector).
+    pub fn live_slots(&self) -> usize {
+        self.lanes.iter().map(|l| l.slots.live_count()).sum()
     }
 }
 
 impl std::fmt::Debug for VphiChannel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let completed: usize =
+            self.lanes.iter().map(|l| l.slots.count_in(SlotState::Completed)).sum();
         f.debug_struct("VphiChannel")
             .field("queues", &self.lanes.len())
             .field("inflight", &self.inflight_count())
-            .field("completed", &self.completed.lock().len())
+            .field("completed", &completed)
             .finish()
+    }
+}
+
+impl QueueLane {
+    /// Bind the prepared slot `token` to `head` and arm the used-event
+    /// threshold — both before the head is visible on the avail ring: the
+    /// backend may pop and claim the chain the instant it is published
+    /// (another requester's kick can have woken it), a claim that finds no
+    /// registered slot completes to nobody, and the backend's
+    /// inject-or-suppress decision must see this waiter's threshold, never
+    /// a stale one.  A pure spinner arms nothing (it needs no interrupt).
+    fn register(&self, token: ReqToken, head: u16, hint: NotifyHint) {
+        self.slots.register(token, head);
+        if hint != NotifyHint::SPIN {
+            self.queue.publish_used_event(self.queue.used_seq());
+        }
     }
 }
 
@@ -316,29 +332,74 @@ pub struct FrontendStats {
     pub tokens_canceled: u64,
 }
 
-impl FrontendStats {
+/// [`FrontendStats`] as the driver keeps it: one relaxed atomic per
+/// counter.  They publish nothing — a snapshot taken mid-request may show
+/// the request in one counter and not yet in another.
+#[derive(Debug, Default)]
+struct StatCounters {
+    requests: AtomicU64,
+    interrupt_waits: AtomicU64,
+    polling_waits: AtomicU64,
+    chunks_sent: AtomicU64,
+    kicks_delivered: AtomicU64,
+    deadline_retries: AtomicU64,
+    batches_submitted: AtomicU64,
+    batch_entries: AtomicU64,
+    batch_kicks: AtomicU64,
+    tokens_reaped: AtomicU64,
+    tokens_canceled: AtomicU64,
+}
+
+impl StatCounters {
     /// One finished wait, by the notifier's verdict.
-    fn count_wait(&mut self, slept: bool) {
+    fn count_wait(&self, slept: bool) {
         if slept {
-            self.interrupt_waits += 1;
+            self.interrupt_waits.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.polling_waits += 1;
+            self.polling_waits.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn snapshot(&self) -> FrontendStats {
+        FrontendStats {
+            requests: self.requests.load(Ordering::Relaxed),
+            interrupt_waits: self.interrupt_waits.load(Ordering::Relaxed),
+            polling_waits: self.polling_waits.load(Ordering::Relaxed),
+            chunks_sent: self.chunks_sent.load(Ordering::Relaxed),
+            kicks_delivered: self.kicks_delivered.load(Ordering::Relaxed),
+            deadline_retries: self.deadline_retries.load(Ordering::Relaxed),
+            batches_submitted: self.batches_submitted.load(Ordering::Relaxed),
+            batch_entries: self.batch_entries.load(Ordering::Relaxed),
+            batch_kicks: self.batch_kicks.load(Ordering::Relaxed),
+            tokens_reaped: self.tokens_reaped.load(Ordering::Relaxed),
+            tokens_canceled: self.tokens_canceled.load(Ordering::Relaxed),
         }
     }
 }
 
+/// Payload pow2 buckets: `size_bucket` of a `u64` is 0 ..= 64.
+const BUCKETS: usize = 65;
+
 /// The spin-budget learning state (DESIGN.md #16).  One lock, taken
-/// briefly at submit (budget lookup) and at completion (EWMA update +
-/// burn accounting) — never held across a wait.
-#[derive(Debug, Default)]
+/// briefly at completion (EWMA update + burn accounting) and, by the
+/// schemes that consult it, at submit (budget lookup) — never held across
+/// a wait.  The tables are arrays indexed by request opcode and payload
+/// bucket: a lookup is two bounds checks, not a hash.
 struct NotifyPolicy {
-    /// (op, payload pow2 bucket) → EWMA of backend service ns.
-    ewma: HashMap<(&'static str, u8), u64>,
+    /// opcode → payload pow2 bucket → EWMA of backend service ns.  An
+    /// op's row is allocated when its first request completes.
+    ewma: [Option<Box<[Option<u64>; BUCKETS]>>; OPCODES],
     /// Endpoints pinned to busy-poll by [`FrontendDriver::set_busy_poll`].
     busy_poll: HashSet<GuestEpd>,
     /// payload bucket → (virtual ns burned spinning, true service ns):
     /// the ABL-WAIT spin-cycles-burned vs latency trade-off.
-    burn: HashMap<u8, (u64, u64)>,
+    burn: [Option<(u64, u64)>; BUCKETS],
+}
+
+impl Default for NotifyPolicy {
+    fn default() -> Self {
+        NotifyPolicy { ewma: Default::default(), busy_poll: HashSet::new(), burn: [None; BUCKETS] }
+    }
 }
 
 /// EWMA smoothing: `est ← est·3/4 + sample/4`.
@@ -358,14 +419,9 @@ const INLINE_CHAIN: usize = 4;
 
 /// Lay out one request's descriptor chain — request header, the `extra`
 /// payload descriptors, response header — and lend it to `f`.
-fn with_chain<R>(
-    req_buf: &KmallocBuf,
-    extra: &[Descriptor],
-    resp_buf: &KmallocBuf,
-    f: impl FnOnce(&[Descriptor]) -> R,
-) -> R {
-    let head = Descriptor::readable(req_buf.gpa.0, REQ_SIZE as u32);
-    let tail = Descriptor::writable(resp_buf.gpa.0, RESP_SIZE as u32);
+fn with_chain<R>(headers: Headers, extra: &[Descriptor], f: impl FnOnce(&[Descriptor]) -> R) -> R {
+    let head = Descriptor::readable(headers.req.0, REQ_SIZE as u32);
+    let tail = Descriptor::writable(headers.resp.0, RESP_SIZE as u32);
     let len = extra.len() + 2;
     if len <= INLINE_CHAIN {
         let mut chain = [head; INLINE_CHAIN];
@@ -378,6 +434,19 @@ fn with_chain<R>(
         chain.extend_from_slice(extra);
         chain.push(tail);
         f(&chain)
+    }
+}
+
+/// Where a slot's two headers sit in its header buffer.
+#[derive(Clone, Copy)]
+struct Headers {
+    req: Gpa,
+    resp: Gpa,
+}
+
+impl Headers {
+    fn of(buf: KmallocBuf) -> Headers {
+        Headers { req: buf.gpa, resp: buf.gpa.offset(REQ_SIZE as u64) }
     }
 }
 
@@ -395,8 +464,8 @@ pub struct WaitBucketProfile {
 
 /// One entry of an async batch, as handed to
 /// [`FrontendDriver::submit_batch`]: the wire request plus its staged
-/// payload.  Staging ownership transfers to the driver's pending table
-/// and is released when the entry's token is reaped.
+/// payload.  Staging ownership transfers to the entry's request slot and
+/// is released when the entry's token is reaped.
 pub struct BatchEntry {
     /// The wire request (its `routing_epd` picks the lane).
     pub req: VphiRequest,
@@ -413,39 +482,28 @@ pub struct BatchEntry {
     pub flags: SqFlags,
 }
 
-/// A token's frontend-side state between submit and reap: everything the
-/// blocking path keeps on its stack, parked in the pending table instead.
-struct PendingOp {
-    lane_queue: Arc<VirtQueue>,
-    hint: NotifyHint,
-    op: &'static str,
-    payload_bytes: u64,
-    req_buf: KmallocBuf,
-    resp_buf: KmallocBuf,
-    pooled: bool,
-    staging: Vec<KmallocBuf>,
-    inbound: Option<u64>,
-    deadline_ms: Option<u32>,
-    epd: Option<GuestEpd>,
-    /// Set by [`FrontendDriver::cancel_epd`]: the reap drains the backend
-    /// completion (nothing leaks) but reports `ECANCELED`.
-    canceled: bool,
-}
-
 /// A published-but-not-awaited operation — what [`FrontendDriver::submit_one`]
 /// hands back for the blocking path to kick, wait on, and demarshal.
+/// Everything else about the request is in its slot.
 struct SubmittedOp {
-    lane_queue: Arc<VirtQueue>,
+    /// The lane the request was routed to.
+    q: usize,
     /// The chain's position on the lane's avail ring: how far the
     /// blocking kick drains.
     avail_idx: u64,
     token: ReqToken,
-    hint: NotifyHint,
-    op: &'static str,
+    op: u8,
     payload_bytes: u64,
-    req_buf: KmallocBuf,
-    resp_buf: KmallocBuf,
-    pooled: bool,
+}
+
+/// What a requester takes out of its slot with the completion.
+struct Taken {
+    /// Whether the requester was asleep when the completion landed.
+    slept: bool,
+    /// Backend service time up to the used push — what the EWMA learns.
+    svc_ns: u64,
+    hint: NotifyHint,
+    batch: Option<BatchOp>,
 }
 
 /// One reaped token: its wire result and any unstaged inbound payload.
@@ -464,19 +522,16 @@ pub struct FrontendDriver {
     /// Staging chunk size for large transfers — `KMALLOC_MAX_SIZE` in the
     /// paper; configurable for the ABL-CHUNK ablation.
     chunk_size: u64,
-    stats: TrackedMutex<FrontendStats>,
+    stats: StatCounters,
     /// Shared RNG jittering the re-kick backoff so requesters that lost
     /// the same kick don't hammer the doorbell in lockstep.
     backoff_rng: TrackedMutex<vphi_sim_core::rng::SplitMix64>,
-    /// Preallocated request/response header slots (a slab, allocated once
-    /// at module insertion — per-request kmalloc is only paid for payload
-    /// staging, as in the real driver).
-    slots: TrackedMutex<Vec<(KmallocBuf, KmallocBuf)>>,
     /// Spin-budget EWMA table, busy-poll overrides, burn accounting.
     policy: TrackedMutex<NotifyPolicy>,
-    /// token → submitted-but-unreaped state (the SQ/CQ bookkeeping).
-    /// Locked briefly at submit, cancel and reap — never across a wait.
-    pending: TrackedMutex<HashMap<ReqToken, PendingOp>>,
+    /// Whether `policy.busy_poll` holds any endpoint at all — so that a
+    /// request's hint, in the common case of none pinned, does not take
+    /// the policy lock to find that out.
+    any_busy_poll: AtomicBool,
 }
 
 impl std::fmt::Debug for FrontendDriver {
@@ -514,31 +569,18 @@ impl FrontendDriver {
                 && chunk_size.is_multiple_of(vphi_sim_core::cost::PAGE_SIZE),
             "invalid staging chunk size {chunk_size}"
         );
-        // Preallocate the header slab (module-init cost, not charged to
-        // any request).
-        let mut init_tl = Timeline::new();
-        let mut slots = Vec::new();
-        for _ in 0..64 {
-            if let (Ok(req), Ok(resp)) = (
-                kernel.kmalloc(REQ_SIZE as u64, &mut init_tl),
-                kernel.kmalloc(RESP_SIZE as u64, &mut init_tl),
-            ) {
-                slots.push((req, resp));
-            }
-        }
         Arc::new(FrontendDriver {
             kernel,
             channel,
             scheme,
             chunk_size,
-            stats: TrackedMutex::new(LockClass::FrontendStats, FrontendStats::default()),
+            stats: StatCounters::default(),
             backoff_rng: TrackedMutex::new(
                 LockClass::FrontendBackoff,
                 vphi_sim_core::rng::SplitMix64::new(BACKOFF_SEED),
             ),
-            slots: TrackedMutex::new(LockClass::FrontendSlots, slots),
             policy: TrackedMutex::new(LockClass::NotifyPolicy, NotifyPolicy::default()),
-            pending: TrackedMutex::new(LockClass::FrontendPending, HashMap::new()),
+            any_busy_poll: AtomicBool::new(false),
         })
     }
 
@@ -553,23 +595,19 @@ impl FrontendDriver {
         } else {
             policy.busy_poll.remove(&epd);
         }
+        self.any_busy_poll.store(!policy.busy_poll.is_empty(), Ordering::Release);
     }
 
     /// Per-payload-bucket spin-burn vs true-service accounting, sorted by
     /// bucket — the ABL-WAIT CPU-cost column.
     pub fn wait_profile(&self) -> Vec<WaitBucketProfile> {
         let policy = self.policy.lock();
-        let mut rows: Vec<WaitBucketProfile> = policy
-            .burn
-            .iter()
-            .map(|(&bucket, &(spin_burn_ns, svc_ns))| WaitBucketProfile {
-                bucket,
-                spin_burn_ns,
-                svc_ns,
+        (0u8..)
+            .zip(policy.burn.iter())
+            .filter_map(|(bucket, row)| {
+                row.map(|(spin_burn_ns, svc_ns)| WaitBucketProfile { bucket, spin_burn_ns, svc_ns })
             })
-            .collect();
-        rows.sort_by_key(|r| r.bucket);
-        rows
+            .collect()
     }
 
     /// The spin budget this request declares before its kick.
@@ -582,9 +620,11 @@ impl FrontendDriver {
     /// cost, in which case spinning can never win and it sleeps at once.
     fn notify_hint(&self, req: &VphiRequest, payload_bytes: u64) -> NotifyHint {
         let cost = self.kernel.cost();
-        if let Some(epd) = req.routing_epd() {
-            if self.policy.lock().busy_poll.contains(&epd) {
-                return NotifyHint::SPIN;
+        if self.any_busy_poll.load(Ordering::Acquire) {
+            if let Some(epd) = req.routing_epd() {
+                if self.policy.lock().busy_poll.contains(&epd) {
+                    return NotifyHint::SPIN;
+                }
             }
         }
         match self.scheme {
@@ -594,14 +634,11 @@ impl FrontendDriver {
                 NotifyHint { budget_ns: budget.as_nanos() }
             }
             WaitScheme::Adaptive(SpinBudget::Ewma) => {
-                let key = (req.name(), size_bucket(payload_bytes));
-                let est = self
-                    .policy
-                    .lock()
-                    .ewma
-                    .get(&key)
-                    .copied()
-                    .unwrap_or_else(|| cost.paravirtual_floor_no_wait().as_nanos());
+                let bucket = size_bucket(payload_bytes) as usize;
+                let learned = self.policy.lock().ewma[req.opcode() as usize]
+                    .as_ref()
+                    .and_then(|row| row[bucket]);
+                let est = learned.unwrap_or_else(|| cost.paravirtual_floor_no_wait().as_nanos());
                 let budget_ns = budget_from_estimate(est);
                 if budget_ns >= cost.guest_wakeup.as_nanos() {
                     NotifyHint::SLEEP
@@ -617,13 +654,14 @@ impl FrontendDriver {
     /// completion burned exactly the service time; a sleeper burned only
     /// its (smaller) budget before parking — so per bucket, reported burn
     /// never exceeds true service time.
-    fn learn(&self, op: &'static str, payload_bytes: u64, hint: NotifyHint, done: &Completion) {
-        let bucket = size_bucket(payload_bytes);
+    fn learn(&self, op: u8, payload_bytes: u64, done: &Taken) {
+        let bucket = size_bucket(payload_bytes) as usize;
         let mut policy = self.policy.lock();
-        let est = policy.ewma.entry((op, bucket)).or_insert(done.svc_ns);
+        let row = policy.ewma[op as usize].get_or_insert_with(|| Box::new([None; BUCKETS]));
+        let est = row[bucket].get_or_insert(done.svc_ns);
         *est = *est - (*est >> EWMA_SHIFT) + (done.svc_ns >> EWMA_SHIFT);
-        let burned = if done.slept { hint.budget_ns.min(done.svc_ns) } else { done.svc_ns };
-        let (spin, svc) = policy.burn.entry(bucket).or_insert((0, 0));
+        let burned = if done.slept { done.hint.budget_ns.min(done.svc_ns) } else { done.svc_ns };
+        let (spin, svc) = policy.burn[bucket].get_or_insert((0, 0));
         *spin += burned;
         *svc += done.svc_ns;
     }
@@ -631,26 +669,6 @@ impl FrontendDriver {
     /// The staging chunk size used for large transfers.
     pub fn chunk_size(&self) -> u64 {
         self.chunk_size
-    }
-
-    /// Grab a header slot, falling back to a charged kmalloc pair when the
-    /// slab is exhausted (more than 64 concurrent requests).
-    fn take_slot(&self, tl: &mut Timeline) -> ScifResult<(KmallocBuf, KmallocBuf, bool)> {
-        if let Some((req, resp)) = self.slots.lock().pop() {
-            return Ok((req, resp, true));
-        }
-        let req = self.kernel.kmalloc(REQ_SIZE as u64, tl).map_err(|_| ScifError::NoMem)?;
-        let resp = self.kernel.kmalloc(RESP_SIZE as u64, tl).map_err(|_| ScifError::NoMem)?;
-        Ok((req, resp, false))
-    }
-
-    fn return_slot(&self, req: KmallocBuf, resp: KmallocBuf, pooled: bool) {
-        if pooled {
-            self.slots.lock().push((req, resp));
-        } else {
-            let _ = self.kernel.kfree(req);
-            let _ = self.kernel.kfree(resp);
-        }
     }
 
     pub fn scheme(&self) -> WaitScheme {
@@ -666,7 +684,31 @@ impl FrontendDriver {
     }
 
     pub fn stats(&self) -> FrontendStats {
-        *self.stats.lock()
+        self.stats.snapshot()
+    }
+
+    /// Reserve a request slot on lane `q` and return its token and
+    /// headers.  A slot's header buffer is kmalloc'd the first time it is
+    /// used and stays with it — the slab the real driver sets up at module
+    /// insertion, grown on demand and charged to no request.  `ENOMEM`
+    /// when every slot of the lane is held, or guest memory is exhausted.
+    fn take_slot(&self, q: usize) -> ScifResult<(ReqToken, Headers)> {
+        let slots = &self.channel.lanes[q].slots;
+        let (token, slot) = slots.reserve().ok_or(ScifError::NoMem)?;
+        if let Some(&buf) = slot.headers.get() {
+            return Ok((token, Headers::of(buf)));
+        }
+        match self.kernel.kmalloc((REQ_SIZE + RESP_SIZE) as u64, &mut Timeline::new()) {
+            Ok(buf) => {
+                // Only the slot's holder initializes it, and only once.
+                let _ = slot.headers.set(buf);
+                Ok((token, Headers::of(buf)))
+            }
+            Err(_) => {
+                slots.release(token);
+                Err(ScifError::NoMem)
+            }
+        }
     }
 
     /// The core request cycle: marshal → ring → kick → wait → demarshal.
@@ -679,7 +721,7 @@ impl FrontendDriver {
     /// not already inside a trace (multi-chunk ops root at the `GuestScif`
     /// layer), this request becomes a trace root, with child spans for the
     /// guest-syscall, virtio-ring, and completion-wait phases and a forked
-    /// context riding the inflight table to the backend.
+    /// context riding the request's slot to the backend.
     pub fn transact<'a>(
         &self,
         req: &VphiRequest,
@@ -703,6 +745,7 @@ impl FrontendDriver {
     ) -> ScifResult<VphiResponse> {
         let sub = self.submit_one(req, extra, payload_bytes, ctx)?;
         let cost = self.kernel.cost();
+        let lane = &self.channel.lanes[sub.q];
         // Kick inside the wait span, not before it: the kick is what
         // starts the backend (here, or on a shard thread it wakes), so
         // allocating the wait span's id first keeps span numbering
@@ -713,38 +756,34 @@ impl FrontendDriver {
         // This caller is about to do nothing but wait for `sub.token`, so
         // its kick's vm-exit is serviced right here, on this thread
         // (DESIGN.md #21): when `kick_blocking` returns, the backend has
-        // run the request and the completion sits in the completed table
-        // for the wait's first check.  Only a lost kick, a busy lane or a
-        // worker-dispatched request leaves something to sleep for.
+        // run the request and the slot is `Completed` for the wait's first
+        // check.  Only a lost kick, a busy lane or a worker-dispatched
+        // request leaves something to sleep for.
         let wait = ctx.begin("wait-complete", Stage::Completion);
-        sub.lane_queue.kick_blocking(sub.avail_idx, cost.vmexit_kick, ctx.tl);
-        let waited = self.wait_for_completion(&sub.lane_queue, sub.token, BACKOFF_BASE, ctx.tl);
-        {
-            let mut stats = self.stats.lock();
-            stats.requests += 1;
-            stats.kicks_delivered += 1;
-            if let Ok(done) = &waited {
-                stats.count_wait(done.slept);
-            }
-        }
+        lane.queue.kick_blocking(sub.avail_idx, cost.vmexit_kick, ctx.tl);
+        let waited = self.wait_for_completion(lane, sub.token, BACKOFF_BASE, ctx.tl);
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.stats.kicks_delivered.fetch_add(1, Ordering::Relaxed);
         let done = match waited {
-            Ok(d) => d,
+            Ok(done) => done,
             Err(e) => {
                 ctx.end(wait);
-                self.return_slot(sub.req_buf, sub.resp_buf, sub.pooled);
+                // The backend may be alive and merely slow: the slot, and
+                // the response buffer it can still write, stay out of
+                // circulation until it lets go.
+                lane.slots.abandon(sub.token);
                 return Err(e);
             }
         };
-        self.account_wait(sub.op, sub.payload_bytes, sub.hint, &done, ctx.tl);
-        ctx.tl.absorb(&done.tl);
+        self.stats.count_wait(done.slept);
+        self.learn(sub.op, sub.payload_bytes, &done);
         ctx.end(wait);
-        self.demarshal(sub.lane_queue, sub.req_buf, sub.resp_buf, sub.pooled)
+        self.demarshal(lane, sub.token)
     }
 
-    /// Marshal one request, prepare its chain, register its token, and
-    /// publish it on its lane's avail ring — everything the blocking and
-    /// batched paths share up to the doorbell.  The caller kicks: the
-    /// blocking path immediately, the batch path once per touched lane.
+    /// Marshal one request, fill in its slot, and publish its chain on its
+    /// lane's avail ring — everything the blocking path does up to the
+    /// doorbell, which the caller rings.
     fn submit_one(
         &self,
         req: &VphiRequest,
@@ -762,98 +801,114 @@ impl FrontendDriver {
         // FIFO order holds regardless of queue count.
         let q = self.channel.route(req);
         ctx.set_queue(q as u16);
-        let lane_queue = Arc::clone(&self.channel.lanes[q].queue);
+        let lane = &self.channel.lanes[q];
 
-        let (req_buf, resp_buf, pooled) = self.marshal(req, ctx)?;
+        let (token, headers) = self.marshal(req, q, ctx)?;
 
-        // Post and stash the cross-boundary timeline.
+        // Post: the slot carries the cross-boundary timeline, the trace
+        // fork and the hint; `register` binds it to the chain's head
+        // inside the ring's critical section, before the head is visible.
         let ring = ctx.begin("virtio-ring", Stage::VirtioRing);
-        let prepared =
-            with_chain(&req_buf, extra, &resp_buf, |chain| lane_queue.prepare_chain(chain));
-        let head = match prepared {
-            Ok(h) => h,
-            Err(_) => {
-                ctx.end(ring);
-                self.return_slot(req_buf, resp_buf, pooled);
-                return Err(ScifError::NoMem);
-            }
-        };
-        // The inflight entry must exist before the head is visible on the
-        // avail ring: the backend may pop and claim the chain the instant
-        // it is published (another requester's kick can have woken it),
-        // and a claim that finds no entry falls back to the token-0
-        // sentinel — completing to nobody and stranding this requester
-        // until its deadline retries exhaust.
-        //
-        // The used-event threshold is armed *before* publish too — the
-        // prepare/publish discipline again: once the head is visible the
-        // backend can complete it instantly, and its inject-or-suppress
-        // decision must see this waiter's threshold, never a stale one.
-        // A pure spinner arms nothing (it needs no interrupt).
         let hint = self.notify_hint(req, payload_bytes);
-        if hint != NotifyHint::SPIN {
-            lane_queue.publish_used_event(lane_queue.used_seq());
-        }
-        let token = self.channel.submit(q, head, Timeline::with_capacity(16), ctx.fork(), hint);
-        let avail_idx = lane_queue.publish_avail(head, cost.ring_push, ctx.tl);
+        self.prepare_slot(lane, token, hint, ctx.fork(), None);
+        let published = with_chain(headers, extra, |chain| {
+            lane.queue.publish_chain(chain, cost.ring_push, ctx.tl, |head| {
+                lane.register(token, head, hint)
+            })
+        });
         ctx.end(ring);
-        Ok(SubmittedOp {
-            lane_queue,
-            avail_idx,
-            token,
-            hint,
-            op: req.name(),
-            payload_bytes,
-            req_buf,
-            resp_buf,
-            pooled,
-        })
+        match published {
+            Ok(avail_idx) => {
+                Ok(SubmittedOp { q, avail_idx, token, op: req.opcode(), payload_bytes })
+            }
+            Err(_) => {
+                lane.slots.abandon(token);
+                Err(ScifError::NoMem)
+            }
+        }
+    }
+
+    /// Fill in a reserved slot, releasing whatever staging an abandoned
+    /// earlier owner had to leave in it.
+    fn prepare_slot(
+        &self,
+        lane: &QueueLane,
+        token: ReqToken,
+        hint: NotifyHint,
+        trace: TraceCtx,
+        batch: Option<BatchOp>,
+    ) {
+        if let Some(stale) = lane.slots.prepare(token, hint, trace, batch) {
+            self.free_staging(stale.staging);
+        }
     }
 
     /// The guest-syscall stage of one request, blocking or batched: charge
-    /// the syscall and encode the header into a preallocated slot.  On
-    /// error the slot is already back in the pool.
+    /// the syscall, reserve a slot on lane `q` and encode the header into
+    /// its request buffer.  On error the slot is already free again.
     fn marshal(
         &self,
         req: &VphiRequest,
+        q: usize,
         ctx: &mut OpCtx<'_>,
-    ) -> ScifResult<(KmallocBuf, KmallocBuf, bool)> {
+    ) -> ScifResult<(ReqToken, Headers)> {
         let marshal = ctx.begin("guest-syscall", Stage::GuestSyscall);
         self.kernel.charge_syscall(ctx.tl);
-        let (req_buf, resp_buf, pooled) = match self.take_slot(ctx.tl) {
-            Ok(slot) => slot,
-            Err(e) => {
-                ctx.end(marshal);
-                return Err(e);
+        let slot = self.take_slot(q).and_then(|(token, headers)| {
+            if self.kernel.mem().write(headers.req, &req.encode()).is_err() {
+                self.channel.lanes[q].slots.release(token);
+                return Err(ScifError::Inval);
             }
-        };
-        if self.kernel.mem().write(req_buf.gpa, &req.encode()).is_err() {
-            ctx.end(marshal);
-            self.return_slot(req_buf, resp_buf, pooled);
-            return Err(ScifError::Inval);
-        }
+            Ok((token, headers))
+        });
         ctx.end(marshal);
-        Ok((req_buf, resp_buf, pooled))
+        slot
     }
 
-    /// Drain the used ring and decode the response — the tail every
-    /// completed token runs, blocking or reaped.  A corrupt used id means
-    /// the device side scribbled on the ring; surface it after the slot
-    /// is returned.
-    fn demarshal(
-        &self,
-        lane_queue: Arc<VirtQueue>,
-        req_buf: KmallocBuf,
-        resp_buf: KmallocBuf,
-        pooled: bool,
-    ) -> ScifResult<VphiResponse> {
-        let drained = lane_queue.take_used(|_| ());
+    /// Drain the used ring, decode the response and free the slot — the
+    /// tail every completed token runs, blocking or reaped.  The slot is
+    /// released only after its response buffer has been read: until then
+    /// nobody else may be handed it.  A corrupt used id means the device
+    /// side scribbled on the ring; surface it after the slot is released.
+    fn demarshal(&self, lane: &QueueLane, token: ReqToken) -> ScifResult<VphiResponse> {
+        let drained = lane.queue.take_used(|_| ());
         let mut resp_bytes = [0u8; RESP_SIZE];
-        let read = self.kernel.mem().read(resp_buf.gpa, &mut resp_bytes);
-        self.return_slot(req_buf, resp_buf, pooled);
+        let read = lane.slots.headers(token).is_some_and(|buf| {
+            self.kernel.mem().read(Headers::of(buf).resp, &mut resp_bytes).is_ok()
+        });
+        lane.slots.release(token);
         drained.map_err(|_| ScifError::Inval)?;
-        read.map_err(|_| ScifError::Inval)?;
+        if !read {
+            return Err(ScifError::Inval);
+        }
         VphiResponse::decode(&resp_bytes).ok_or(ScifError::Inval)
+    }
+
+    /// Take `token`'s completion out of its slot, if it is there: charge
+    /// the wait's virtual-time cost by *outcome* — the backend's notifier
+    /// decided, deterministically, from the hint it was handed, whether
+    /// this waiter was still spinning when the reply landed — then absorb
+    /// the backend's service timeline.
+    fn try_take(&self, lane: &QueueLane, token: ReqToken, tl: &mut Timeline) -> Option<Taken> {
+        let cost = self.kernel.cost();
+        lane.slots.try_take(token, |body: &mut SlotBody| {
+            if body.slept {
+                // Armed the interrupt and slept: wake-up, ring re-check,
+                // reschedule — the paper's dominant overhead term.
+                tl.charge(SpanLabel::GuestWakeup, cost.guest_wakeup);
+            } else {
+                // Caught it spinning: near-zero latency to observe the
+                // completion, but the vCPU burned the service time.
+                tl.charge(SpanLabel::PollWait, cost.poll_observe);
+            }
+            tl.absorb(&body.tl);
+            Taken {
+                slept: body.slept,
+                svc_ns: body.svc_ns,
+                hint: body.hint,
+                batch: body.batch.take(),
+            }
+        })
     }
 
     /// Block until `token` completes or the device dies — the single wait
@@ -867,15 +922,15 @@ impl FrontendDriver {
     /// instead of arriving as a synchronized 200 ms drumbeat.
     fn wait_for_completion(
         &self,
-        lane_queue: &Arc<VirtQueue>,
+        lane: &QueueLane,
         token: ReqToken,
         base: std::time::Duration,
         tl: &mut Timeline,
-    ) -> ScifResult<Completion> {
+    ) -> ScifResult<Taken> {
         let cost = self.kernel.cost();
         let channel = &self.channel;
-        let pred = || {
-            if let Some(done) = channel.try_take(token) {
+        let pred = |tl: &mut Timeline| {
+            if let Some(done) = self.try_take(lane, token, tl) {
                 return Some(Ok(done));
             }
             if channel.is_shutdown() {
@@ -884,57 +939,29 @@ impl FrontendDriver {
             None
         };
         // A blocking caller's completion is already here (it serviced its
-        // own kick): no jitter draw, no lock beyond the table's.
-        if let Some(r) = pred() {
+        // own kick): no jitter draw, no lock beyond the slot's.
+        if let Some(r) = pred(tl) {
             return r;
         }
-        let mut outcome = None;
         let mut deadline = base;
         for _attempt in 0..=MAX_DEADLINE_RETRIES {
             let jittered = {
                 let mut rng = self.backoff_rng.lock();
                 deadline.mul_f64(0.5 + rng.next_f64() * 0.5)
             };
-            if let Some(r) = channel.waitq.wait_for(token, jittered, pred) {
-                outcome = Some(r);
-                break;
+            if let Some(r) = channel.waitq.wait_for(token, jittered, || pred(tl)) {
+                return r;
             }
             // Deadline expired with no completion and no shutdown: the
             // kick or the completion interrupt may have been lost.
             // Re-kick so the backend re-scans the avail ring, and if the
-            // reply already sits in `completed` (quiet completion), the
-            // next attempt's immediate predicate check takes it.
-            self.stats.lock().deadline_retries += 1;
-            lane_queue.kick(cost.vmexit_kick, tl);
+            // reply already sits in the slot (quiet completion), the next
+            // attempt's immediate predicate check takes it.
+            self.stats.deadline_retries.fetch_add(1, Ordering::Relaxed);
+            lane.queue.kick(cost.vmexit_kick, tl);
             deadline = (deadline * 2).min(BACKOFF_CAP);
         }
-        outcome.unwrap_or(Err(ScifError::Again))
-    }
-
-    /// Charge the wait's virtual-time cost by *outcome* and feed the
-    /// spin-budget policy.  The backend's notifier decided —
-    /// deterministically, from the hint it was handed — whether this
-    /// waiter was still spinning when the reply landed.  (The matching
-    /// `FrontendStats::count_wait` rides the caller's one stats update.)
-    fn account_wait(
-        &self,
-        op: &'static str,
-        payload_bytes: u64,
-        hint: NotifyHint,
-        done: &Completion,
-        tl: &mut Timeline,
-    ) {
-        let cost = self.kernel.cost();
-        if done.slept {
-            // Armed the interrupt and slept: wake-up, ring re-check,
-            // reschedule — the paper's dominant overhead term.
-            tl.charge(SpanLabel::GuestWakeup, cost.guest_wakeup);
-        } else {
-            // Caught it spinning: near-zero latency to observe the
-            // completion, but the vCPU burned the service time.
-            tl.charge(SpanLabel::PollWait, cost.poll_observe);
-        }
-        self.learn(op, payload_bytes, hint, done);
+        Err(ScifError::Again)
     }
 
     // ---- async submission (SQ/CQ) ------------------------------------------
@@ -993,36 +1020,33 @@ impl FrontendDriver {
             }
         }
         // One doorbell per touched lane covers every entry on it.  Each
-        // entry's pending/inflight state and used-event threshold are
-        // already registered, so the backend may claim the whole burst
-        // the instant the batch publish lands.
+        // entry's slot and used-event threshold are already registered, so
+        // the backend may claim the whole burst the instant the batch
+        // publish lands.
         let mut kicks = 0u64;
-        for (q, heads) in lane_heads.iter().enumerate() {
+        for (lane, heads) in self.channel.lanes.iter().zip(&lane_heads) {
             if heads.is_empty() {
                 continue;
             }
-            let lane_queue = Arc::clone(self.channel.lane_queue(q));
             let ring = ctx.begin("virtio-ring", Stage::VirtioRing);
-            lane_queue.publish_avail_batch(heads, cost.ring_push, ctx.tl);
-            lane_queue.kick(cost.vmexit_kick, ctx.tl);
+            lane.queue.publish_avail_batch(heads, cost.ring_push, ctx.tl);
+            lane.queue.kick(cost.vmexit_kick, ctx.tl);
             kicks += 1;
             ctx.end(ring);
         }
-        {
-            let mut stats = self.stats.lock();
-            stats.requests += tokens.len() as u64;
-            stats.batches_submitted += 1;
-            stats.batch_entries += tokens.len() as u64;
-            stats.batch_kicks += kicks;
-            stats.kicks_delivered += kicks;
-        }
+        let entries = tokens.len() as u64;
+        self.stats.requests.fetch_add(entries, Ordering::Relaxed);
+        self.stats.batches_submitted.fetch_add(1, Ordering::Relaxed);
+        self.stats.batch_entries.fetch_add(entries, Ordering::Relaxed);
+        self.stats.batch_kicks.fetch_add(kicks, Ordering::Relaxed);
+        self.stats.kicks_delivered.fetch_add(kicks, Ordering::Relaxed);
         Ok(tokens)
     }
 
-    /// Marshal + prepare one batch entry and park its state in the
-    /// pending table.  Publish happens at the batch flush; the pending
-    /// and inflight entries must exist before that (the same
-    /// inflight-before-publish discipline as the blocking path).
+    /// Marshal + prepare one batch entry, its bookkeeping parked in its
+    /// slot.  Publish happens at the batch flush; the slot must be
+    /// registered before that (the same register-before-publish discipline
+    /// as the blocking path).
     fn prepare_batch_entry(
         &self,
         entry: BatchEntry,
@@ -1031,49 +1055,39 @@ impl FrontendDriver {
         let BatchEntry { req, staging, descs, payload_bytes, inbound, flags } = entry;
         let q = self.channel.route(&req);
         ctx.set_queue(q as u16);
-        let lane_queue = Arc::clone(&self.channel.lanes[q].queue);
+        let lane = &self.channel.lanes[q];
 
-        let (req_buf, resp_buf, pooled) = match self.marshal(&req, ctx) {
+        let (token, headers) = match self.marshal(&req, q, ctx) {
             Ok(m) => m,
             Err(e) => {
                 self.free_staging(staging);
                 return Err(e);
             }
         };
-        let prepared =
-            with_chain(&req_buf, &descs, &resp_buf, |chain| lane_queue.prepare_chain(chain));
-        let head = match prepared {
-            Ok(h) => h,
-            Err(_) => {
-                self.return_slot(req_buf, resp_buf, pooled);
-                self.free_staging(staging);
-                return Err(ScifError::NoMem);
-            }
-        };
         let hint =
             if flags.busy_poll { NotifyHint::SPIN } else { self.notify_hint(&req, payload_bytes) };
-        if hint != NotifyHint::SPIN {
-            lane_queue.publish_used_event(lane_queue.used_seq());
+        let batch = BatchOp {
+            op: req.opcode(),
+            payload_bytes,
+            staging,
+            inbound,
+            deadline_ms: flags.deadline_ms,
+            epd: req.routing_epd(),
+            canceled: false,
+        };
+        self.prepare_slot(lane, token, hint, ctx.fork(), Some(batch));
+        match with_chain(headers, &descs, |chain| lane.queue.prepare_chain(chain)) {
+            Ok(head) => {
+                lane.register(token, head, hint);
+                Ok((q, head, token))
+            }
+            Err(_) => {
+                if let Some(batch) = lane.slots.abandon(token) {
+                    self.free_staging(batch.staging);
+                }
+                Err(ScifError::NoMem)
+            }
         }
-        let token = self.channel.submit(q, head, Timeline::with_capacity(16), ctx.fork(), hint);
-        self.pending.lock().insert(
-            token,
-            PendingOp {
-                lane_queue,
-                hint,
-                op: req.name(),
-                payload_bytes,
-                req_buf,
-                resp_buf,
-                pooled,
-                staging,
-                inbound,
-                deadline_ms: flags.deadline_ms,
-                epd: req.routing_epd(),
-                canceled: false,
-            },
-        );
-        Ok((q, head, token))
     }
 
     /// Reap completed tokens from `interest`, oldest-first: a
@@ -1121,20 +1135,23 @@ impl FrontendDriver {
                 if !open[i] {
                     continue;
                 }
-                if let Some(done) = self.channel.try_take(interest[i]) {
+                let Some(lane) = self.channel.lane_of(interest[i]) else { continue };
+                if let Some(done) = self.try_take(lane, interest[i], ctx.tl) {
                     open[i] = false;
-                    out.push(self.finish_reaped(interest[i], Some(done), ctx));
+                    out.push(self.finish_reaped(lane, interest[i], Some(done), ctx));
                 }
             }
             if out.len() >= target {
                 break;
             }
             // Floor not met: block on the oldest token still pending.
-            let oldest = (from..interest.len())
-                .find(|&i| open[i] && self.pending.lock().contains_key(&interest[i]));
-            let Some(i) = oldest else { break };
+            let oldest = (from..interest.len()).find_map(|i| {
+                let lane = self.channel.lane_of(interest[i]).filter(|_| open[i])?;
+                lane.slots.is_pending(interest[i]).then_some((i, lane))
+            });
+            let Some((i, lane)) = oldest else { break };
             open[i] = false;
-            out.push(self.block_on(interest[i], ctx));
+            out.push(self.block_on(lane, interest[i], ctx));
             from = i + 1;
         }
         out
@@ -1145,72 +1162,62 @@ impl FrontendDriver {
     /// buffer cannot be recycled while the backend can still write it —
     /// but a dead device will never complete, so shutdown drains
     /// whatever already arrived and gives up waiting.
-    fn block_on(&self, token: ReqToken, ctx: &mut OpCtx<'_>) -> ReapedOp {
-        let (lane_queue, deadline_ms) = {
-            let pending = self.pending.lock();
-            let p = pending.get(&token).expect("block_on on a non-pending token");
-            (Arc::clone(&p.lane_queue), p.deadline_ms)
-        };
+    fn block_on(&self, lane: &QueueLane, token: ReqToken, ctx: &mut OpCtx<'_>) -> ReapedOp {
+        let deadline_ms = lane
+            .slots
+            .with_pending(token, |body| body.batch.as_ref().and_then(|b| b.deadline_ms))
+            .flatten();
         let wait = ctx.begin("wait-complete", Stage::Completion);
         let done = if self.channel.is_shutdown() {
-            self.channel.try_take(token)
+            self.try_take(lane, token, ctx.tl)
         } else {
             let base = deadline_ms
                 .map(|ms| std::time::Duration::from_millis(ms as u64))
                 .unwrap_or(BACKOFF_BASE);
-            self.wait_for_completion(&lane_queue, token, base, ctx.tl).ok()
+            self.wait_for_completion(lane, token, base, ctx.tl).ok()
         };
         ctx.end(wait);
-        self.finish_reaped(token, done, ctx)
+        self.finish_reaped(lane, token, done, ctx)
     }
 
-    /// Retire one token: account the wait, drain the used ring, decode,
+    /// Retire one token: feed the policy, drain the used ring, decode,
     /// unstage inbound data, release every buffer, and apply the canceled
     /// verdict.  This is the async twin of the blocking path's
-    /// account/absorb/demarshal tail — same charges, same order.
+    /// learn/demarshal tail — same charges, same order.  `done` is `None`
+    /// for a token whose wait gave up.
     fn finish_reaped(
         &self,
+        lane: &QueueLane,
         token: ReqToken,
-        done: Option<Completion>,
+        done: Option<Taken>,
         ctx: &mut OpCtx<'_>,
     ) -> ReapedOp {
-        let Some(p) = self.pending.lock().remove(&token) else {
-            return ReapedOp { token, result: Err(ScifError::Inval), data: None };
-        };
-        let PendingOp {
-            lane_queue,
-            hint,
-            op,
-            payload_bytes,
-            req_buf,
-            resp_buf,
-            pooled,
-            staging,
-            inbound,
-            deadline_ms: _,
-            epd: _,
-            canceled,
-        } = p;
         let mut data = None;
         let slept = done.as_ref().map(|done| done.slept);
-        let mut result = match done {
-            Some(done) => {
-                self.account_wait(op, payload_bytes, hint, &done, ctx.tl);
-                ctx.tl.absorb(&done.tl);
-                self.demarshal(lane_queue, req_buf, resp_buf, pooled)
-                    .and_then(|resp| resp.into_result())
+        let (mut result, batch) = match done {
+            Some(mut done) => {
+                let batch = done.batch.take();
+                if let Some(batch) = &batch {
+                    self.learn(batch.op, batch.payload_bytes, &done);
+                }
+                (self.demarshal(lane, token).and_then(|resp| resp.into_result()), batch)
             }
-            None => {
-                // No completion will ever arrive (dead device): the ring
-                // is gone with it, so the headers can be released safely.
-                self.return_slot(req_buf, resp_buf, pooled);
-                Err(ScifError::Canceled)
-            }
+            // The wait gave up.  If the backend has let go of the slot (a
+            // dead device's drain pass retired it) its buffers come back
+            // now; if it may yet complete, they stay with the abandoned
+            // slot until it does.
+            None => (Err(ScifError::Canceled), lane.slots.abandon(token)),
         };
-        if canceled {
-            // Drained on the caller's behalf, not run for it.
-            result = Err(ScifError::Canceled);
-        }
+        let (staging, inbound) = match batch {
+            Some(batch) => {
+                if batch.canceled {
+                    // Drained on the caller's behalf, not run for it.
+                    result = Err(ScifError::Canceled);
+                }
+                (batch.staging, batch.inbound)
+            }
+            None => (Vec::new(), None),
+        };
         match (inbound, &result) {
             (Some(len), Ok((got, _))) => {
                 let take = (*got).min(len) as usize;
@@ -1222,15 +1229,12 @@ impl FrontendDriver {
             }
             _ => self.free_staging(staging),
         }
-        {
-            let mut stats = self.stats.lock();
-            if let Some(slept) = slept {
-                stats.count_wait(slept);
-            }
-            stats.tokens_reaped += 1;
-            if result == Err(ScifError::Canceled) {
-                stats.tokens_canceled += 1;
-            }
+        if let Some(slept) = slept {
+            self.stats.count_wait(slept);
+        }
+        self.stats.tokens_reaped.fetch_add(1, Ordering::Relaxed);
+        if result == Err(ScifError::Canceled) {
+            self.stats.tokens_canceled.fetch_add(1, Ordering::Relaxed);
         }
         ReapedOp { token, result, data }
     }
@@ -1240,18 +1244,48 @@ impl FrontendDriver {
     /// Returns how many tokens were marked.
     pub fn cancel_epd(&self, epd: GuestEpd) -> usize {
         let mut n = 0;
-        for p in self.pending.lock().values_mut() {
-            if p.epd == Some(epd) && !p.canceled {
-                p.canceled = true;
+        // Every request of one endpoint rides the lane its epd hashes to.
+        self.channel.lanes[self.channel.route_epd(epd)].slots.for_each_pending_batch(|batch| {
+            if batch.epd == Some(epd) && !batch.canceled {
+                batch.canceled = true;
                 n += 1;
             }
-        }
+        });
         n
     }
 
     /// Tokens submitted and not yet reaped (leak detector).
     pub fn pending_tokens(&self) -> usize {
-        self.pending.lock().len()
+        let mut n = 0;
+        for lane in &self.channel.lanes {
+            lane.slots.for_each_pending_batch(|_| n += 1);
+        }
+        n
+    }
+
+    /// Stage one outbound chunk (at most [`chunk_size`](Self::chunk_size)
+    /// bytes) into a kmalloc'd buffer, returning it and its descriptor.
+    /// Charges the allocation and the user→kernel copy.  A blocking call
+    /// stages, sends and frees one chunk at a time, so it needs no list.
+    pub fn stage_chunk_out(
+        &self,
+        chunk: &[u8],
+        tl: &mut Timeline,
+    ) -> ScifResult<(KmallocBuf, Descriptor)> {
+        let buf = self.kernel.kmalloc(chunk.len() as u64, tl).map_err(|_| ScifError::NoMem)?;
+        self.kernel.copy_from_user(buf, chunk, tl).map_err(|_| ScifError::Inval)?;
+        self.stats.chunks_sent.fetch_add(1, Ordering::Relaxed);
+        Ok((buf, Descriptor::readable(buf.gpa.0, chunk.len() as u32)))
+    }
+
+    /// Allocate writable staging for one inbound chunk of `len` bytes.
+    pub fn stage_chunk_in(
+        &self,
+        len: u64,
+        tl: &mut Timeline,
+    ) -> ScifResult<(KmallocBuf, Descriptor)> {
+        let buf = self.kernel.kmalloc(len, tl).map_err(|_| ScifError::NoMem)?;
+        Ok((buf, Descriptor::writable(buf.gpa.0, len as u32)))
     }
 
     /// Stage `data` into kmalloc chunks (≤ `KMALLOC_MAX_SIZE` each),
@@ -1265,12 +1299,10 @@ impl FrontendDriver {
         let mut bufs = Vec::new();
         let mut descs = Vec::new();
         for chunk in data.chunks(self.chunk_size as usize) {
-            let buf = self.kernel.kmalloc(chunk.len() as u64, tl).map_err(|_| ScifError::NoMem)?;
-            self.kernel.copy_from_user(buf, chunk, tl).map_err(|_| ScifError::Inval)?;
-            descs.push(Descriptor::readable(buf.gpa.0, chunk.len() as u32));
+            let (buf, desc) = self.stage_chunk_out(chunk, tl)?;
+            descs.push(desc);
             bufs.push(buf);
         }
-        self.stats.lock().chunks_sent += bufs.len() as u64;
         Ok((bufs, descs))
     }
 
@@ -1285,12 +1317,28 @@ impl FrontendDriver {
         let mut remaining = len;
         while remaining > 0 {
             let take = remaining.min(self.chunk_size);
-            let buf = self.kernel.kmalloc(take, tl).map_err(|_| ScifError::NoMem)?;
-            descs.push(Descriptor::writable(buf.gpa.0, take as u32));
+            let (buf, desc) = self.stage_chunk_in(take, tl)?;
+            descs.push(desc);
             bufs.push(buf);
             remaining -= take;
         }
         Ok((bufs, descs))
+    }
+
+    /// Copy one staged inbound chunk back to the user buffer (as much of
+    /// it as `out` takes) and free it.
+    pub fn unstage_chunk(
+        &self,
+        buf: KmallocBuf,
+        out: &mut [u8],
+        tl: &mut Timeline,
+    ) -> ScifResult<()> {
+        let take = (buf.len as usize).min(out.len());
+        if take > 0 {
+            self.kernel.copy_to_user(&mut out[..take], buf, tl).map_err(|_| ScifError::Inval)?;
+        }
+        let _ = self.kernel.kfree(buf);
+        Ok(())
     }
 
     /// Copy staged inbound data back to the user buffer and free staging.
@@ -1301,17 +1349,10 @@ impl FrontendDriver {
         tl: &mut Timeline,
     ) -> ScifResult<()> {
         let mut at = 0usize;
-        for buf in &bufs {
-            let take = (buf.len as usize).min(out.len() - at);
-            if take > 0 {
-                self.kernel
-                    .copy_to_user(&mut out[at..at + take], *buf, tl)
-                    .map_err(|_| ScifError::Inval)?;
-                at += take;
-            }
-        }
         for buf in bufs {
-            let _ = self.kernel.kfree(buf);
+            let take = (buf.len as usize).min(out.len() - at);
+            self.unstage_chunk(buf, &mut out[at..at + take], tl)?;
+            at += take;
         }
         Ok(())
     }
@@ -1578,6 +1619,110 @@ mod tests {
         backend.join().unwrap();
         assert_eq!(d.stats().requests, 8);
         assert_eq!(d.channel().inflight_count(), 0);
+    }
+
+    /// The containment bug the slot table closes: a requester that gives
+    /// up (`EAGAIN` after its deadline retries) used to hand its header
+    /// pair straight to the next request while a live, merely slow backend
+    /// could still write the old response into it.  Abandoned, the slot
+    /// keeps its buffers until the backend lets go.
+    #[test]
+    fn an_abandoned_slot_stays_out_of_circulation_until_the_late_completion() {
+        let d = driver(WaitScheme::Interrupt);
+        let channel = Arc::clone(d.channel());
+        let lane = &channel.lanes[0];
+        let cost = Arc::clone(d.kernel().cost());
+        let mem = Arc::clone(d.kernel().mem());
+        let mut tl = Timeline::new();
+        let resp_of = |token| Headers::of(lane.slots.headers(token).unwrap()).resp;
+        let slot_of = |token: ReqToken| (token >> 32) & 0xFFFF;
+        // The backend's half of one request: pop, claim, (later) answer.
+        let claim_next = || {
+            let chain = lane.queue.pop_avail().unwrap().unwrap();
+            let (token, tl, ..) = channel.claim(0, chain.head);
+            (chain, token, tl)
+        };
+        let answer = |chain: &vphi_virtio::DescChain, token, mut btl: Timeline, v: u64| {
+            let resp = chain.descriptors.last().unwrap();
+            mem.write(Gpa(resp.addr), &VphiResponse::ok(v, v).encode()).unwrap();
+            let elem = vphi_virtio::UsedElem { id: chain.head, len: RESP_SIZE as u32 };
+            lane.queue.push_used(elem, cost.used_push, &mut btl);
+            channel.complete(token, Completion { tl: btl, slept: false, svc_ns: 1 });
+        };
+
+        // A request the backend claims and then sits on.
+        let first = d.submit_one(&VphiRequest::Open, &[], 0, &mut OpCtx::from(&mut tl)).unwrap();
+        let (first_chain, claimed, first_tl) = claim_next();
+        assert_eq!(claimed, first.token);
+        // Its requester gives up.  The backend's half keeps the slot held.
+        assert!(lane.slots.abandon(first.token).is_none());
+        assert_eq!(channel.live_slots(), 1);
+        assert!(d.try_take(lane, first.token, &mut tl).is_none());
+
+        // The next request gets a different slot, with buffers of its own …
+        let second = d.submit_one(&VphiRequest::Open, &[], 0, &mut OpCtx::from(&mut tl)).unwrap();
+        assert_ne!(slot_of(second.token), slot_of(first.token));
+        assert_ne!(resp_of(second.token), resp_of(first.token));
+        let (second_chain, claimed, second_tl) = claim_next();
+        assert_eq!(claimed, second.token);
+        answer(&second_chain, second.token, second_tl, 2);
+
+        // … so the late completion of the first lands where nobody reads,
+        // frees the slot exactly once, and delivers to nobody.
+        answer(&first_chain, first.token, first_tl, 1);
+        assert_eq!(channel.live_slots(), 1, "the abandoned slot is free, the second is not");
+        assert!(d.try_take(lane, first.token, &mut tl).is_none());
+        channel.complete(first.token, Completion { tl: Timeline::new(), slept: true, svc_ns: 9 });
+        assert_eq!(channel.live_slots(), 1, "a repeated completion frees nothing");
+
+        // The second requester reads its own answer.
+        assert!(d.try_take(lane, second.token, &mut tl).is_some());
+        assert!(d.try_take(lane, second.token, &mut tl).is_none(), "a token takes once");
+        assert_eq!(d.demarshal(lane, second.token), Ok(VphiResponse::ok(2, 2)));
+        assert_eq!(channel.live_slots(), 0);
+
+        // The freed slot comes back under a new generation: the old token
+        // names a request that is over, whatever the slot does next.
+        let third = d.submit_one(&VphiRequest::Open, &[], 0, &mut OpCtx::from(&mut tl)).unwrap();
+        assert_eq!(slot_of(third.token), slot_of(first.token));
+        assert_ne!(third.token, first.token);
+        let (third_chain, claimed, third_tl) = claim_next();
+        assert_eq!(claimed, third.token);
+        channel.complete(first.token, Completion { tl: Timeline::new(), slept: true, svc_ns: 9 });
+        assert!(d.try_take(lane, third.token, &mut tl).is_none(), "a stale completion reached it");
+        answer(&third_chain, third.token, third_tl, 3);
+        assert!(d.try_take(lane, first.token, &mut tl).is_none());
+        assert!(d.try_take(lane, third.token, &mut tl).is_some());
+        assert_eq!(d.demarshal(lane, third.token), Ok(VphiResponse::ok(3, 3)));
+        assert_eq!((channel.live_slots(), channel.inflight_count()), (0, 0));
+    }
+
+    /// A dead device lets go of its requests without completing them; the
+    /// slot is free once both sides have, in either order.
+    #[test]
+    fn a_retired_slot_is_freed_by_whoever_lets_go_last() {
+        let d = driver(WaitScheme::Interrupt);
+        let channel = Arc::clone(d.channel());
+        let lane = &channel.lanes[0];
+        let mut tl = Timeline::new();
+        for requester_first in [true, false] {
+            let op = d.submit_one(&VphiRequest::Open, &[], 0, &mut OpCtx::from(&mut tl)).unwrap();
+            assert_eq!(channel.inflight_count(), 1);
+            let chain = lane.queue.pop_avail().unwrap().unwrap();
+            let (token, ..) = channel.claim(0, chain.head);
+            assert_eq!((token, channel.inflight_count()), (op.token, 0));
+            if requester_first {
+                lane.slots.abandon(token);
+                assert_eq!(channel.live_slots(), 1);
+                channel.retire(token);
+            } else {
+                channel.retire(token);
+                assert_eq!(channel.live_slots(), 1);
+                assert!(d.try_take(lane, token, &mut tl).is_none());
+                lane.slots.abandon(token);
+            }
+            assert_eq!(channel.live_slots(), 0);
+        }
     }
 
     #[test]

@@ -1,0 +1,503 @@
+//! The per-lane **request-slot table** (DESIGN.md #23).
+//!
+//! A request in flight *is* a slot: one array element per lane holds its
+//! header buffers, the timeline the backend charges (recycled, never
+//! reallocated), the trace fork, the notify hint, a batch entry's
+//! bookkeeping and the completion cell.  The token a requester waits on
+//! packs (lane, slot, generation), so finding a request's state is an
+//! index and a generation check, and a completion addressed to an earlier
+//! owner of a slot — or of a virtqueue head — cannot reach the present one.
+//!
+//! Two parties hold a slot between publish and completion: the requester
+//! and the backend.  Each lets go once — the requester by taking the
+//! completion or by abandoning the request, the backend by completing it
+//! or by retiring it — and the slot returns to the free set when the
+//! second one does.  An abandoned slot therefore keeps its header buffers
+//! (and a batch entry's staging) out of circulation for as long as a late
+//! backend may still write into them.
+//!
+//! ```text
+//!            reserve        register        claim          complete
+//!   Free ──────────▶ Prepared ─────▶ Published ────▶ Claimed ──────▶ Completed
+//!    ▲                                   │              │  │ retire      │
+//!    │                          abandon  ▼     abandon  ▼  ▼             │ try_take
+//!    │                               Abandoned ◀────────  Retired        │ + release
+//!    │   complete / retire (the backend lets go last) │      │ abandon   │
+//!    └────────────────────────────────────────────────┴──────┴───────────┘
+//! ```
+
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+use vphi_sim_core::Timeline;
+use vphi_sync::{LockClass, TrackedMutex, TrackedMutexGuard};
+use vphi_trace::TraceCtx;
+use vphi_vmm::kernel::KmallocBuf;
+
+use super::{Completion, NotifyHint};
+use crate::protocol::GuestEpd;
+
+/// A unique per-request completion token: `lane << 48 | slot << 32 |
+/// generation`.
+///
+/// Virtqueue head ids are *recycled* as soon as any thread drains the used
+/// ring, and a slot is recycled as soon as both of its holders let go, so
+/// neither identifies a request on its own.  The generation — bumped every
+/// time a slot is reserved, never 0 — does: a token whose generation is not
+/// the slot's current one names a request that is over.  `0` is never
+/// issued.
+pub type ReqToken = u64;
+
+fn token_of(lane: usize, slot: usize, generation: u32) -> ReqToken {
+    (lane as u64) << 48 | (slot as u64) << 32 | u64::from(generation)
+}
+
+/// The lane a token was issued on.
+pub(super) fn token_lane(token: ReqToken) -> usize {
+    (token >> 48) as usize
+}
+
+fn token_slot(token: ReqToken) -> usize {
+    (token >> 32) as usize & 0xFFFF
+}
+
+fn token_generation(token: ReqToken) -> u32 {
+    token as u32
+}
+
+/// Where a slot is in its request's life.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(super) enum SlotState {
+    /// Not carrying a request.  (Reserved-but-idle when its live bit is
+    /// set: the requester holds it before `prepare` and between taking the
+    /// completion and `release`.)
+    Free = 0,
+    /// Body filled in by the requester; no head yet.
+    Prepared = 1,
+    /// Bound to a virtqueue head, visible to the device (or about to be).
+    Published = 2,
+    /// The backend took the request's timeline and is running it.
+    Claimed = 3,
+    /// The backend delivered a completion; the requester has yet to take it.
+    Completed = 4,
+    /// The backend let go without a completion (dead device); the
+    /// requester has yet to notice.
+    Retired = 5,
+    /// The requester gave up; the backend has yet to let go.
+    Abandoned = 6,
+}
+
+impl SlotState {
+    fn from_bits(bits: u64) -> SlotState {
+        match bits & 0xFF {
+            1 => SlotState::Prepared,
+            2 => SlotState::Published,
+            3 => SlotState::Claimed,
+            4 => SlotState::Completed,
+            5 => SlotState::Retired,
+            6 => SlotState::Abandoned,
+            _ => SlotState::Free,
+        }
+    }
+}
+
+/// A slot's lock-free summary: `generation << 32 | head << 8 | state`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Word {
+    generation: u32,
+    head: u16,
+    state: SlotState,
+}
+
+impl Word {
+    fn unpack(bits: u64) -> Word {
+        Word {
+            generation: (bits >> 32) as u32,
+            head: (bits >> 8) as u16,
+            state: SlotState::from_bits(bits),
+        }
+    }
+
+    fn pack(self) -> u64 {
+        u64::from(self.generation) << 32 | u64::from(self.head) << 8 | self.state as u64
+    }
+
+    fn with(self, state: SlotState) -> Word {
+        Word { state, ..self }
+    }
+}
+
+/// What a batch entry keeps between submit and reap — everything the
+/// blocking path has on its stack instead.
+pub(super) struct BatchOp {
+    pub op: u8,
+    pub payload_bytes: u64,
+    pub staging: Vec<KmallocBuf>,
+    pub inbound: Option<u64>,
+    pub deadline_ms: Option<u32>,
+    pub epd: Option<GuestEpd>,
+    /// Set by `cancel_epd`: the reap drains the backend completion
+    /// (nothing leaks) but reports `ECANCELED`.
+    pub canceled: bool,
+}
+
+/// The lock-protected part of a slot.  Who writes what, by state:
+/// the requester fills `hint`, `trace` and `batch` in `Prepared`; the
+/// backend takes `tl` and `trace` at `Claimed` and gives `tl` back, with
+/// `slept` and `svc_ns`, at `Completed`; the requester reads those three
+/// and takes `batch` when it takes the completion.
+pub(super) struct SlotBody {
+    /// The backend's service timeline.  Lives here between requests, so
+    /// its spans' storage is allocated once per slot.
+    pub tl: Timeline,
+    pub trace: TraceCtx,
+    pub hint: NotifyHint,
+    pub slept: bool,
+    pub svc_ns: u64,
+    /// A batch entry's bookkeeping.  Left in place when the entry is
+    /// abandoned — its staging must stay allocated while the backend can
+    /// still write it — and handed to the slot's next owner to free.
+    pub batch: Option<BatchOp>,
+}
+
+/// One request slot.
+pub(super) struct RequestSlot {
+    word: AtomicU64,
+    /// The slot's header buffer — the request header with the response
+    /// header behind it — allocated the first time the slot is used and
+    /// kept.
+    pub headers: OnceLock<KmallocBuf>,
+    body: TrackedMutex<SlotBody>,
+}
+
+impl RequestSlot {
+    fn new() -> Self {
+        RequestSlot {
+            word: AtomicU64::new(0),
+            headers: OnceLock::new(),
+            body: TrackedMutex::new(
+                LockClass::RequestSlot,
+                SlotBody {
+                    tl: Timeline::new(),
+                    trace: TraceCtx::default(),
+                    hint: NotifyHint::SLEEP,
+                    slept: false,
+                    svc_ns: 0,
+                    batch: None,
+                },
+            ),
+        }
+    }
+
+    fn word(&self) -> Word {
+        Word::unpack(self.word.load(Ordering::Acquire))
+    }
+
+    /// Every transition out of `Published` is made under the body lock, so
+    /// the two holders cannot both believe they let go last; the word is
+    /// atomic only so that it can be *read* without the lock.
+    fn set(&self, word: Word) {
+        self.word.store(word.pack(), Ordering::Release);
+    }
+}
+
+/// Slots per lazily allocated block.
+const BLOCK: usize = 16;
+
+/// One lane's slots, its free set and its head → slot routing.
+pub(super) struct SlotTable {
+    lane: usize,
+    /// Blocks of [`BLOCK`] slots, allocated on first use and kept: a lane
+    /// that never has more than a few requests in flight never pays for
+    /// `queue_size` of them.
+    blocks: Box<[OnceLock<Box<[RequestSlot; BLOCK]>>]>,
+    /// Bit set ⇔ the slot is held by a requester or by the backend.
+    live: Box<[AtomicU64]>,
+    /// Virtqueue head → the slot registered for it.  Written before the
+    /// head is visible on the avail ring, read after it is popped.
+    head_slot: Box<[AtomicU16]>,
+}
+
+impl SlotTable {
+    /// A table for a lane of `queue_size` descriptors: a chain takes at
+    /// least one, so no more requests than that are ever in flight.
+    pub fn new(lane: usize, queue_size: u16) -> Self {
+        let slots = queue_size as usize;
+        SlotTable {
+            lane,
+            blocks: (0..slots.div_ceil(BLOCK)).map(|_| OnceLock::new()).collect(),
+            live: (0..slots.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            head_slot: (0..slots).map(|_| AtomicU16::new(0)).collect(),
+        }
+    }
+
+    fn capacity(&self) -> usize {
+        self.head_slot.len()
+    }
+
+    /// Whether `head` — guest-written ring memory — is a head of this lane.
+    fn routes(&self, head: u16) -> bool {
+        (head as usize) < self.head_slot.len()
+    }
+
+    /// Slot `i`, if its block exists.
+    fn get(&self, i: usize) -> Option<&RequestSlot> {
+        self.blocks.get(i / BLOCK)?.get().map(|block| &block[i % BLOCK])
+    }
+
+    /// The slot `token` names, if the token is this lane's and current.
+    fn current(&self, token: ReqToken) -> Option<(&RequestSlot, Word)> {
+        let slot = self.get(token_slot(token))?;
+        let word = slot.word();
+        (word.generation == token_generation(token)).then_some((slot, word))
+    }
+
+    /// `token`'s slot with its body locked.  The word is read under the
+    /// lock: every transition another party could make takes it, so the
+    /// state cannot move while the guard lives.
+    fn lock(
+        &self,
+        token: ReqToken,
+    ) -> Option<(&RequestSlot, TrackedMutexGuard<'_, SlotBody>, Word)> {
+        let (slot, _) = self.current(token)?;
+        let body = slot.body.lock();
+        let word = slot.word();
+        (word.generation == token_generation(token)).then_some((slot, body, word))
+    }
+
+    /// The header buffer of `token`'s slot.
+    pub fn headers(&self, token: ReqToken) -> Option<KmallocBuf> {
+        self.current(token)?.0.headers.get().copied()
+    }
+
+    fn release_bit(&self, i: usize) {
+        self.live[i / 64].fetch_and(!(1 << (i % 64)), Ordering::AcqRel);
+    }
+
+    fn live_bits(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.live.len()).flat_map(|w| {
+            let mut bits = self.live[w].load(Ordering::Acquire);
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// Slots held by anybody.
+    pub fn live_count(&self) -> usize {
+        self.live_bits().count()
+    }
+
+    /// Live slots in `state`.
+    pub fn count_in(&self, state: SlotState) -> usize {
+        self.live_bits().filter(|&i| self.get(i).is_some_and(|s| s.word().state == state)).count()
+    }
+
+    /// Requester: take the lowest free slot (so a quiet lane keeps reusing
+    /// the same warm few) and start a new generation on it.  `None` when
+    /// every slot is held.
+    pub fn reserve(&self) -> Option<(ReqToken, &RequestSlot)> {
+        for w in 0..self.live.len() {
+            let mut seen = self.live[w].load(Ordering::Acquire);
+            loop {
+                let bit = (!seen).trailing_zeros() as usize;
+                let i = w * 64 + bit;
+                if bit == 64 || i >= self.capacity() {
+                    break;
+                }
+                let prev = self.live[w].fetch_or(1 << bit, Ordering::AcqRel);
+                if prev & (1 << bit) != 0 {
+                    seen = prev;
+                    continue;
+                }
+                let block = self.blocks[i / BLOCK]
+                    .get_or_init(|| Box::new(std::array::from_fn(|_| RequestSlot::new())));
+                let slot = &block[i % BLOCK];
+                let generation = slot.word().generation.wrapping_add(1).max(1);
+                slot.set(Word { generation, head: 0, state: SlotState::Free });
+                return Some((token_of(self.lane, i, generation), slot));
+            }
+        }
+        None
+    }
+
+    /// Requester: fill in the reserved slot's body.  Returns the batch
+    /// bookkeeping an abandoned previous owner left behind, whose staging
+    /// the caller frees.
+    pub fn prepare(
+        &self,
+        token: ReqToken,
+        hint: NotifyHint,
+        trace: TraceCtx,
+        batch: Option<BatchOp>,
+    ) -> Option<BatchOp> {
+        let (slot, mut body, word) = self.lock(token)?;
+        body.hint = hint;
+        body.trace = trace;
+        let stale = std::mem::replace(&mut body.batch, batch);
+        slot.set(word.with(SlotState::Prepared));
+        stale
+    }
+
+    /// Requester: bind the prepared slot to virtqueue `head`.  Runs before
+    /// the head is visible on the avail ring.
+    pub fn register(&self, token: ReqToken, head: u16) {
+        if let Some((slot, word)) = self.current(token).filter(|_| self.routes(head)) {
+            self.head_slot[head as usize].store(token_slot(token) as u16, Ordering::Release);
+            slot.set(Word { head, state: SlotState::Published, ..word });
+        }
+    }
+
+    /// Requester: give a reserved slot back.  Only its holder calls this,
+    /// and only with the slot idle: straight after `reserve` failed to get
+    /// further, or after `try_take`.
+    pub fn release(&self, token: ReqToken) {
+        if let Some((slot, word)) = self.current(token) {
+            slot.set(word.with(SlotState::Free));
+            self.release_bit(token_slot(token));
+        }
+    }
+
+    /// Backend: take the request registered for `head` — its token,
+    /// timeline, trace fork and notify hint.  `None` for a head nobody
+    /// registered (a chain published around the frontend).
+    pub fn claim(&self, head: u16) -> Option<(ReqToken, Timeline, TraceCtx, NotifyHint)> {
+        if !self.routes(head) {
+            return None;
+        }
+        let i = self.head_slot[head as usize].load(Ordering::Acquire) as usize;
+        let slot = self.get(i)?;
+        let mut body = slot.body.lock();
+        let word = slot.word();
+        if word.head != head {
+            return None;
+        }
+        match word.state {
+            SlotState::Published => slot.set(word.with(SlotState::Claimed)),
+            // The requester gave up before the device got here; the chain
+            // still runs, and its completion frees the slot.
+            SlotState::Abandoned => {}
+            _ => return None,
+        }
+        let tl = std::mem::take(&mut body.tl);
+        let trace = std::mem::take(&mut body.trace);
+        Some((token_of(self.lane, i, word.generation), tl, trace, body.hint))
+    }
+
+    /// Backend: let go of `token`'s slot, with a completion or (dead
+    /// device) without one.  Returns whether a requester is still there to
+    /// be told.
+    pub fn finish(&self, token: ReqToken, completion: Option<Completion>) -> bool {
+        let Some((slot, mut body, word)) = self.lock(token) else { return false };
+        match (word.state, completion) {
+            (SlotState::Claimed, Some(Completion { tl, slept, svc_ns })) => {
+                body.tl = tl;
+                body.slept = slept;
+                body.svc_ns = svc_ns;
+                slot.set(word.with(SlotState::Completed));
+                true
+            }
+            (SlotState::Claimed | SlotState::Published, None) => {
+                slot.set(word.with(SlotState::Retired));
+                true
+            }
+            (SlotState::Abandoned, completion) => {
+                // Nobody reads the spans; their storage still goes home.
+                if let Some(Completion { mut tl, .. }) = completion {
+                    tl.clear();
+                    body.tl = tl;
+                }
+                slot.set(word.with(SlotState::Free));
+                drop(body);
+                self.release_bit(token_slot(token));
+                false
+            }
+            // Not the backend's to finish: never claimed, or finished
+            // already.
+            _ => false,
+        }
+    }
+
+    /// Requester: take `token`'s completion, if it has one.  `f` runs
+    /// under the slot lock over the completed body (absorb the timeline,
+    /// take the batch bookkeeping); the slot is then idle, still held
+    /// — its response header has yet to be read — until
+    /// [`release`](SlotTable::release).  A token takes at most once.
+    pub fn try_take<R>(&self, token: ReqToken, f: impl FnOnce(&mut SlotBody) -> R) -> Option<R> {
+        // The usual answer — not yet — costs no lock.
+        self.current(token).filter(|(_, word)| word.state == SlotState::Completed)?;
+        let (slot, mut body, word) = self.lock(token)?;
+        if word.state != SlotState::Completed {
+            return None;
+        }
+        let r = f(&mut body);
+        body.tl.clear();
+        slot.set(word.with(SlotState::Free));
+        Some(r)
+    }
+
+    /// Requester: give up on `token`.  If the backend already let go, the
+    /// slot is free and its batch bookkeeping (if any) comes back for the
+    /// caller to release; otherwise the slot stays held, with everything
+    /// in it, until the backend does.
+    pub fn abandon(&self, token: ReqToken) -> Option<BatchOp> {
+        let (slot, mut body, word) = self.lock(token)?;
+        match word.state {
+            SlotState::Completed | SlotState::Retired | SlotState::Prepared => {
+                let batch = body.batch.take();
+                body.tl.clear();
+                slot.set(word.with(SlotState::Free));
+                drop(body);
+                self.release_bit(token_slot(token));
+                batch
+            }
+            SlotState::Published | SlotState::Claimed => {
+                slot.set(word.with(SlotState::Abandoned));
+                None
+            }
+            SlotState::Free | SlotState::Abandoned => None,
+        }
+    }
+
+    /// Run `f` over the body of `token`'s slot if the token still names a
+    /// request its submitter is waiting on.
+    pub fn with_pending<R>(
+        &self,
+        token: ReqToken,
+        f: impl FnOnce(&mut SlotBody) -> R,
+    ) -> Option<R> {
+        let (_, mut body, word) = self.lock(token)?;
+        is_pending(word.state).then(|| f(&mut body))
+    }
+
+    /// Whether `token` names a request submitted and neither taken nor
+    /// abandoned.
+    pub fn is_pending(&self, token: ReqToken) -> bool {
+        self.current(token).is_some_and(|(_, word)| is_pending(word.state))
+    }
+
+    /// Run `f` over every batch entry a submitter is still waiting on.
+    pub fn for_each_pending_batch(&self, mut f: impl FnMut(&mut BatchOp)) {
+        for i in self.live_bits() {
+            let Some(slot) = self.get(i) else { continue };
+            let mut body = slot.body.lock();
+            if is_pending(slot.word().state) {
+                if let Some(batch) = body.batch.as_mut() {
+                    f(batch);
+                }
+            }
+        }
+    }
+}
+
+fn is_pending(state: SlotState) -> bool {
+    matches!(
+        state,
+        SlotState::Published | SlotState::Claimed | SlotState::Completed | SlotState::Retired
+    )
+}

@@ -332,14 +332,16 @@ impl GuestScif {
         let r = (|ctx: &mut OpCtx<'_>| {
             let mut sent = 0usize;
             for chunk in data.chunks(self.driver.chunk_size() as usize) {
-                let (bufs, descs) = self.driver.stage_out(chunk, ctx.tl)?;
+                let (buf, desc) = self.driver.stage_chunk_out(chunk, ctx.tl)?;
+                // A failed transaction keeps its staging: a backend that
+                // is slow rather than dead may still read it.
                 let resp = self.driver.transact(
                     &VphiRequest::Send { epd: self.epd, len: chunk.len() as u32 },
-                    &descs,
+                    &[desc],
                     chunk.len() as u64,
                     &mut *ctx,
                 )?;
-                self.driver.free_staging(bufs);
+                let _ = self.driver.kernel().kfree(buf);
                 let (n, _) = resp.into_result()?;
                 sent += n as usize;
             }
@@ -358,15 +360,15 @@ impl GuestScif {
             let mut got = 0usize;
             while got < out.len() {
                 let want = (out.len() - got).min(self.driver.chunk_size() as usize);
-                let (bufs, descs) = self.driver.stage_in(want as u64, ctx.tl)?;
+                let (buf, desc) = self.driver.stage_chunk_in(want as u64, ctx.tl)?;
                 let resp = self.driver.transact(
                     &VphiRequest::Recv { epd: self.epd, len: want as u32 },
-                    &descs,
+                    &[desc],
                     want as u64,
                     &mut *ctx,
                 )?;
                 let (n, _) = resp.into_result()?;
-                self.driver.unstage(bufs, &mut out[got..got + n as usize], ctx.tl)?;
+                self.driver.unstage_chunk(buf, &mut out[got..got + n as usize], ctx.tl)?;
                 got += n as usize;
                 if (n as usize) < want {
                     break; // peer closed
@@ -388,7 +390,7 @@ impl GuestScif {
         let mut ctx = ctx.into();
         let root = ctx.adopt_root(&self.driver.channel().trace, "send_timed");
         let r = (|ctx: &mut OpCtx<'_>| {
-            let cost = Arc::clone(self.driver.kernel().cost());
+            let cost = self.driver.kernel().cost();
             let mut sent = 0u64;
             let mut remaining = len;
             while remaining > 0 {
@@ -419,7 +421,7 @@ impl GuestScif {
         let mut ctx = ctx.into();
         let root = ctx.adopt_root(&self.driver.channel().trace, "recv_timed");
         let r = (|ctx: &mut OpCtx<'_>| {
-            let cost = Arc::clone(self.driver.kernel().cost());
+            let cost = self.driver.kernel().cost();
             let mut got = 0u64;
             let mut remaining = len;
             while remaining > 0 {

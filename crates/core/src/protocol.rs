@@ -82,8 +82,14 @@ pub enum VphiRequest {
     Poll { epd: GuestEpd, events: u8, timeout_ms: u32 },
 }
 
+/// One past the largest [`VphiRequest::opcode`]: the size of a table
+/// indexed by opcode.
+pub(crate) const OPCODES: usize = 25;
+
 impl VphiRequest {
-    fn opcode(&self) -> u8 {
+    /// The request's wire opcode — also its dense index (`< OPCODES`) into
+    /// per-op tables.
+    pub(crate) fn opcode(&self) -> u8 {
         match self {
             VphiRequest::Open => 1,
             VphiRequest::Bind { .. } => 2,
@@ -527,6 +533,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for req in all_requests() {
             assert!(seen.insert(req.opcode()), "duplicate opcode for {}", req.name());
+            assert!((req.opcode() as usize) < OPCODES, "{} outgrew OPCODES", req.name());
         }
     }
 

@@ -55,6 +55,7 @@ mod imp {
 
     thread_local! {
         static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
+        static THREAD_ACQUISITIONS: RefCell<[u64; NCLASS]> = const { RefCell::new([0; NCLASS]) };
         static CAPTURE: RefCell<Option<Vec<String>>> = const { RefCell::new(None) };
     }
 
@@ -148,6 +149,7 @@ mod imp {
 
     pub fn on_acquire(class: LockClass, kind: AcqKind, site: &'static Location<'static>) -> Token {
         ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
+        THREAD_ACQUISITIONS.with(|t| t.borrow_mut()[class.index()] += 1);
         HELD.with(|h| {
             let mut held = h.borrow_mut();
             if !held.is_empty() {
@@ -236,6 +238,14 @@ mod imp {
         VIOLATIONS.load(Ordering::Relaxed)
     }
 
+    /// Tracked acquisitions the *calling thread* has made so far, per
+    /// class (indexed by [`LockClass::index`]).  [`stats`] counts the
+    /// whole process; a lock budget for one call path reads the thread
+    /// that runs it, so tests sharing the process cannot inflate it.
+    pub fn thread_acquisitions() -> [u64; NCLASS] {
+        THREAD_ACQUISITIONS.with(|t| *t.borrow())
+    }
+
     /// Snapshot of the order graph: every `(held, acquired)` class pair
     /// some thread has nested so far, in class-index order.
     pub fn order_edges() -> Vec<(LockClass, LockClass)> {
@@ -288,6 +298,10 @@ mod imp {
         0
     }
 
+    pub fn thread_acquisitions() -> [u64; LockClass::COUNT] {
+        [0; LockClass::COUNT]
+    }
+
     pub fn order_edges() -> Vec<(LockClass, LockClass)> {
         Vec::new()
     }
@@ -301,7 +315,7 @@ mod imp {
 
 pub use imp::{
     assert_lockless, capture_violations, held_depth, on_acquire, on_release, order_edges, stats,
-    violation_count, ENABLED,
+    thread_acquisitions, violation_count, ENABLED,
 };
 
 // In a plain release build the detector is the no-op module and there is
@@ -319,6 +333,17 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock_or_recover(), 2);
         assert!(stats().acquisitions >= before + 2);
+    }
+
+    #[test]
+    fn thread_ledger_counts_this_threads_acquisitions_by_class() {
+        let m = std::sync::Arc::new(TrackedMutex::new(LockClass::TestInner, ()));
+        let before = thread_acquisitions()[LockClass::TestInner.index()];
+        drop(m.lock());
+        let other = std::sync::Arc::clone(&m);
+        std::thread::spawn(move || drop(other.lock())).join().unwrap();
+        drop(m.lock());
+        assert_eq!(thread_acquisitions()[LockClass::TestInner.index()], before + 2);
     }
 
     #[test]

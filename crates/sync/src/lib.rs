@@ -118,76 +118,67 @@ pub enum LockClass {
     /// Guest wake-all wait queue (predicates run under this lock).
     WaitQueue = 30,
     // --- frontend driver ---
-    /// Frontend head → in-flight request table.
-    FrontendInflight = 31,
-    /// Frontend token → completed reply table.
-    FrontendCompleted = 32,
-    /// Frontend per-driver counters.
-    FrontendStats = 33,
-    /// Frontend preallocated header slots.
-    FrontendSlots = 34,
+    /// One request slot of a lane's slot table (DESIGN.md #23): the
+    /// request's timeline, trace fork, notify hint, batch bookkeeping and
+    /// completion cell.  A leaf: nothing is acquired under it.
+    RequestSlot = 31,
     // --- byte-storage leaves (innermost real locks) ---
     /// Pinned user/guest pages (`scif::PinnedBuf`).
-    PinnedBuf = 35,
+    PinnedBuf = 32,
     /// GDDR region backing bytes.
-    PhiMemData = 36,
+    PhiMemData = 33,
     /// Guest physical-memory arena.
-    GuestMemState = 37,
+    GuestMemState = 34,
     /// VMA test/backing byte buffers.
-    VmaData = 38,
+    VmaData = 35,
     // --- test-only classes (isolated from the real hierarchy) ---
     /// Regression tests: an outer-layer test lock.
-    TestOuter = 39,
+    TestOuter = 36,
     /// Regression tests: ABBA partner A.
-    TestA = 40,
+    TestA = 37,
     /// Regression tests: ABBA partner B.
-    TestB = 41,
+    TestB = 38,
     /// Regression tests: an inner-layer test lock.
-    TestInner = 42,
+    TestInner = 39,
     // --- host control plane (outermost; added for card-reset recovery) ---
     /// `VphiHost` attached-backend registry, walked during card reset.
-    HostAttached = 43,
+    HostAttached = 40,
     // --- tracing leaves (vphi-trace; taken with arbitrary locks held
     // *released*, never while inside another tracked section) ---
     /// Tracer span rings + request summaries.
-    TraceRings = 44,
+    TraceRings = 41,
     /// Tracer latency histograms.
-    TraceHists = 45,
+    TraceHists = 42,
     // --- multi-queue transport (PR 5) ---
     /// Backend shard-thread join handles (one service thread per queue).
-    BackendShards = 46,
+    BackendShards = 43,
     /// Frontend shared re-kick backoff RNG (seeded, jittered).
-    FrontendBackoff = 47,
+    FrontendBackoff = 44,
     // --- adaptive completion notification (PR 6) ---
     /// Per-token wait-queue registry (token → slot map).
-    TokenWaiters = 48,
+    TokenWaiters = 45,
     /// One sleeping requester's slot (signal count + condvar).
-    TokenSlot = 49,
-    /// Per-lane notifier batch state (pending-completion counter).
-    LaneNotifier = 50,
+    TokenSlot = 46,
     /// Frontend spin-budget policy (EWMA table + busy-poll set).
-    NotifyPolicy = 51,
-    // --- async submission (PR 9) ---
-    /// Frontend token → pending submission table (SQ/CQ bookkeeping).
-    FrontendPending = 52,
+    NotifyPolicy = 47,
     // --- zero-copy RMA (PR 10) ---
     /// Device-aperture window-mapping table (`pcie::ApertureMap`).
-    ApertureWindows = 53,
+    ApertureWindows = 48,
     // --- vm-exit servicing on the kicking thread (PR 14) ---
     /// A virtqueue lane's executor role ([`TrackedRole`], not a lock):
     /// whoever holds it — the lane's shard thread or a blocking kicker —
     /// is the one thread draining that lane's avail ring.
-    LaneExecutor = 54,
+    LaneExecutor = 49,
     // --- directed fabric wake-ups (PR 16) ---
     /// An endpoint's timed-bulk-lane receive state (`recv_timed` parks on
     /// the condvar paired with it).
-    TimedLane = 55,
+    TimedLane = 50,
 }
 
 impl LockClass {
     /// Number of classes (adjacency bitmasks are `u64`, so this must stay
     /// ≤ 64).
-    pub const COUNT: usize = 56;
+    pub const COUNT: usize = 51;
 
     /// Every class, in discriminant order — the hierarchy exported **as
     /// data** so offline tools (`vphi-analyze`) can consume the same
@@ -225,10 +216,7 @@ impl LockClass {
         LockClass::IrqVectors,
         LockClass::MsiHandlers,
         LockClass::WaitQueue,
-        LockClass::FrontendInflight,
-        LockClass::FrontendCompleted,
-        LockClass::FrontendStats,
-        LockClass::FrontendSlots,
+        LockClass::RequestSlot,
         LockClass::PinnedBuf,
         LockClass::PhiMemData,
         LockClass::GuestMemState,
@@ -244,9 +232,7 @@ impl LockClass {
         LockClass::FrontendBackoff,
         LockClass::TokenWaiters,
         LockClass::TokenSlot,
-        LockClass::LaneNotifier,
         LockClass::NotifyPolicy,
-        LockClass::FrontendPending,
         LockClass::ApertureWindows,
         LockClass::LaneExecutor,
         LockClass::TimedLane,
@@ -288,10 +274,7 @@ impl LockClass {
             LockClass::IrqVectors => "IrqVectors",
             LockClass::MsiHandlers => "MsiHandlers",
             LockClass::WaitQueue => "WaitQueue",
-            LockClass::FrontendInflight => "FrontendInflight",
-            LockClass::FrontendCompleted => "FrontendCompleted",
-            LockClass::FrontendStats => "FrontendStats",
-            LockClass::FrontendSlots => "FrontendSlots",
+            LockClass::RequestSlot => "RequestSlot",
             LockClass::PinnedBuf => "PinnedBuf",
             LockClass::PhiMemData => "PhiMemData",
             LockClass::GuestMemState => "GuestMemState",
@@ -307,9 +290,7 @@ impl LockClass {
             LockClass::FrontendBackoff => "FrontendBackoff",
             LockClass::TokenWaiters => "TokenWaiters",
             LockClass::TokenSlot => "TokenSlot",
-            LockClass::LaneNotifier => "LaneNotifier",
             LockClass::NotifyPolicy => "NotifyPolicy",
-            LockClass::FrontendPending => "FrontendPending",
             LockClass::ApertureWindows => "ApertureWindows",
             LockClass::LaneExecutor => "LaneExecutor",
             LockClass::TimedLane => "TimedLane",
@@ -351,10 +332,9 @@ impl LockClass {
             LockClass::IrqVectors => 66,
             LockClass::MsiHandlers => 68,
             LockClass::WaitQueue => 70,
-            LockClass::FrontendInflight => 72,
-            LockClass::FrontendCompleted => 74,
-            LockClass::FrontendStats => 76,
-            LockClass::FrontendSlots => 78,
+            // Where the inflight and completed tables sat: above the
+            // per-token waiter slot (72), whose wait predicate probes it.
+            LockClass::RequestSlot => 74,
             LockClass::PinnedBuf => 80,
             LockClass::PhiMemData => 82,
             LockClass::GuestMemState => 84,
@@ -370,11 +350,7 @@ impl LockClass {
             LockClass::FrontendBackoff => 79,
             LockClass::TokenWaiters => 71,
             LockClass::TokenSlot => 72,
-            LockClass::LaneNotifier => 69,
             LockClass::NotifyPolicy => 77,
-            // Between the inflight table (72) and the completed table
-            // (74): never held across a wait or another frontend lock.
-            LockClass::FrontendPending => 73,
             // Between the registration cache (28) and the fabric (30):
             // the backend maps/unmaps after the cache probe and before
             // replaying the SCIF op.

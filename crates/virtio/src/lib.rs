@@ -21,5 +21,5 @@
 pub mod queue;
 pub mod ring;
 
-pub use queue::{need_event, Notifiers, QueueCounters, QueueError, VirtQueue};
-pub use ring::{DescChain, DescFlags, Descriptor, UsedElem};
+pub use queue::{need_event, Notifiers, Popped, QueueCounters, QueueError, VirtQueue};
+pub use ring::{DescChain, DescFlags, DescList, Descriptor, UsedElem};

@@ -15,7 +15,7 @@ use vphi_pcie::Doorbell;
 use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_sync::{LockClass, TrackedMutex, TrackedRole};
 
-use crate::ring::{DescChain, Descriptor, UsedElem};
+use crate::ring::{DescChain, DescList, Descriptor, UsedElem};
 
 /// Errors from queue operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,6 +76,32 @@ struct QueueState {
 }
 
 impl QueueState {
+    /// Write `descriptors` into free table entries, linked in order, and
+    /// return the head index.  Entries come off the free stack in pop
+    /// order; nothing is allocated.
+    fn write_chain(&mut self, descriptors: &[Descriptor]) -> Result<u16, QueueError> {
+        let n = descriptors.len();
+        if n == 0 {
+            return Err(QueueError::EmptyChain);
+        }
+        if self.free.len() < n {
+            return Err(QueueError::NoSpace);
+        }
+        let top = self.free.len() - 1;
+        for (i, desc) in descriptors.iter().enumerate() {
+            let mut d = *desc;
+            d.flags.next = i + 1 < n;
+            if d.flags.next {
+                d.next = self.free[top - i - 1];
+            }
+            let idx = self.free[top - i];
+            self.table[idx as usize] = Some(d);
+        }
+        let head = self.free[top];
+        self.free.truncate(top + 1 - n);
+        Ok(head)
+    }
+
     /// Bounds-check a guest-controlled descriptor index (`avail` head,
     /// `next` link, used-elem `id`) before it addresses the table.  Ring
     /// memory is guest-writable, so every index read from it goes through
@@ -101,8 +127,22 @@ pub struct QueueCounters {
 
 /// The device's handler for a kick vm-exit taken by a blocking caller:
 /// drains the avail ring through the given avail index, on the calling
+/// thread, and reports whether it left chains on the ring for the service
 /// thread.
-pub type ExitHandler = Box<dyn Fn(u64) + Send + Sync>;
+pub type ExitHandler = Box<dyn Fn(u64) -> bool + Send + Sync>;
+
+/// A popped chain and what the pop left on the avail ring, read under the
+/// same lock acquisition — so a drain pass knows whether to pop again, and
+/// a kicker whether to ring the service thread, without asking the ring a
+/// second time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Popped {
+    pub chain: DescChain,
+    /// Another chain sits on the ring at or before the pop's bound.
+    pub more_in_bound: bool,
+    /// Chains are still on the ring, bound or not.
+    pub left_on_ring: bool,
+}
 
 /// A split virtqueue of `size` descriptors.
 pub struct VirtQueue {
@@ -201,31 +241,39 @@ impl VirtQueue {
     /// their stores the same way — descriptor table first, avail-ring
     /// entry last — because the device may consume a published head
     /// instantly.  A driver that must register per-request bookkeeping
-    /// keyed by the head (the vPHI channel's inflight table) does so
+    /// keyed by the head (the vPHI channel's request slots) does so
     /// between this call and [`publish_avail`](VirtQueue::publish_avail);
     /// publishing first races a device woken by *another* thread's kick.
     pub fn prepare_chain(&self, descriptors: &[Descriptor]) -> Result<u16, QueueError> {
-        if descriptors.is_empty() {
-            return Err(QueueError::EmptyChain);
-        }
-        let mut st = self.state.lock();
-        if st.free.len() < descriptors.len() {
-            return Err(QueueError::NoSpace);
-        }
-        let at = st.free.len() - descriptors.len();
-        let mut indices = st.free.split_off(at);
-        indices.reverse(); // allocate in the stack's pop order
-        for (i, (&idx, desc)) in indices.iter().zip(descriptors).enumerate() {
-            let mut d = *desc;
-            if i + 1 < indices.len() {
-                d.flags.next = true;
-                d.next = indices[i + 1];
-            } else {
-                d.flags.next = false;
-            }
-            st.table[idx as usize] = Some(d);
-        }
-        Ok(indices[0])
+        self.state.lock().write_chain(descriptors)
+    }
+
+    /// [`prepare_chain`](VirtQueue::prepare_chain) and
+    /// [`publish_avail`](VirtQueue::publish_avail) as one critical
+    /// section, for a driver that publishes one chain at a time.  The
+    /// ordering rule is unchanged: `register` runs with the head known and
+    /// the descriptors written but *before* the head is visible on the
+    /// avail ring, so head-keyed bookkeeping (and the `used_event`
+    /// threshold) is in place when the device — possibly already running,
+    /// woken by another thread's kick — pops the chain.  It runs under the
+    /// ring lock and must not block or touch the ring.  Returns the
+    /// chain's avail index; charges one `RingPush`.
+    pub fn publish_chain(
+        &self,
+        descriptors: &[Descriptor],
+        cost_ring_push: vphi_sim_core::SimDuration,
+        tl: &mut Timeline,
+        register: impl FnOnce(u16),
+    ) -> Result<u64, QueueError> {
+        let avail_idx = {
+            let mut st = self.state.lock();
+            let head = st.write_chain(descriptors)?;
+            register(head);
+            st.avail.push_back(head);
+            st.last_avail_idx + st.avail.len() as u64
+        };
+        tl.charge(SpanLabel::RingPush, cost_ring_push);
+        Ok(avail_idx)
     }
 
     /// Expose a prepared chain on the avail ring and charge the
@@ -313,10 +361,7 @@ impl VirtQueue {
         tl: &mut Timeline,
     ) {
         self.vmexit(cost_vmexit, tl, || match self.exit_handler.get() {
-            Some(service) => {
-                service(through);
-                self.avail_pending()
-            }
+            Some(service) => service(through),
             None => true,
         })
     }
@@ -387,6 +432,12 @@ impl VirtQueue {
     /// [`pop_avail`](VirtQueue::pop_avail), but only a chain published at
     /// avail index `through` or earlier.
     pub fn pop_avail_through(&self, through: u64) -> Result<Option<DescChain>, QueueError> {
+        Ok(self.pop_avail_bounded(through)?.map(|popped| popped.chain))
+    }
+
+    /// [`pop_avail_through`](VirtQueue::pop_avail_through), also reporting
+    /// what is left on the ring behind the popped chain.
+    pub fn pop_avail_bounded(&self, through: u64) -> Result<Option<Popped>, QueueError> {
         let mut st = self.state.lock();
         if st.last_avail_idx >= through {
             return Ok(None);
@@ -397,7 +448,7 @@ impl VirtQueue {
         };
         st.last_avail_idx += 1;
         self.chains_popped.fetch_add(1, Ordering::Relaxed);
-        let mut descriptors = Vec::new();
+        let mut descriptors = DescList::new();
         let mut idx = head;
         loop {
             let i = st.idx(idx)?;
@@ -412,7 +463,9 @@ impl VirtQueue {
                 break;
             }
         }
-        Ok(Some(DescChain { head, descriptors }))
+        let left_on_ring = !st.avail.is_empty();
+        let more_in_bound = left_on_ring && st.last_avail_idx < through;
+        Ok(Some(Popped { chain: DescChain { head, descriptors }, more_in_bound, left_on_ring }))
     }
 
     /// Whether undelivered chains sit on the avail ring.
@@ -571,17 +624,70 @@ mod tests {
     }
 
     #[test]
+    fn a_pop_reports_what_it_left_on_the_ring() {
+        let q = VirtQueue::new(8);
+        let mut tl = Timeline::new();
+        for addr in 1..=3 {
+            q.add_chain(&[Descriptor::readable(addr, 1)], PUSH, &mut tl).unwrap();
+        }
+        // Bounded at 2: after the first pop one more is in bound, after the
+        // second none is, and one chain stays on the ring behind the bound.
+        let first = q.pop_avail_bounded(2).unwrap().unwrap();
+        assert_eq!((first.more_in_bound, first.left_on_ring), (true, true));
+        let second = q.pop_avail_bounded(2).unwrap().unwrap();
+        assert_eq!((second.more_in_bound, second.left_on_ring), (false, true));
+        assert_eq!(q.pop_avail_bounded(2).unwrap(), None);
+        let last = q.pop_avail_bounded(u64::MAX).unwrap().unwrap();
+        assert_eq!((last.more_in_bound, last.left_on_ring), (false, false));
+    }
+
+    #[test]
+    fn publish_chain_registers_before_the_head_is_visible() {
+        let q = VirtQueue::new(4);
+        let mut tl = Timeline::new();
+        let mut registered = None;
+        let idx = q
+            .publish_chain(
+                &[Descriptor::readable(0x1000, 8), Descriptor::writable(0x2000, 8)],
+                PUSH,
+                &mut tl,
+                |head| registered = Some(head),
+            )
+            .unwrap();
+        assert_eq!(idx, 1);
+        assert_eq!(tl.total(), PUSH);
+        let chain = q.pop_avail().unwrap().unwrap();
+        assert_eq!(Some(chain.head), registered);
+        assert_eq!(chain.descriptors.len(), 2);
+        // A chain that does not fit registers nothing and publishes nothing.
+        let too_long = [Descriptor::readable(0, 1); 3];
+        let mut called = false;
+        assert_eq!(
+            q.publish_chain(&too_long, PUSH, &mut tl, |_| called = true),
+            Err(QueueError::NoSpace)
+        );
+        assert!(!called && !q.avail_pending());
+        assert_eq!(tl.total(), PUSH);
+    }
+
+    #[test]
     fn blocking_kick_runs_the_exit_handler_on_the_kicking_thread() {
         let q = VirtQueue::new(8);
         let seen = Arc::new(TrackedMutex::new(LockClass::TestInner, Vec::new()));
         let (q2, seen2) = (Arc::downgrade(&q), Arc::clone(&seen));
         assert!(q.set_exit_handler(Box::new(move |through| {
             let q = q2.upgrade().unwrap();
-            while let Ok(Some(chain)) = q.pop_avail_through(through) {
-                seen2.lock().push((std::thread::current().id(), chain.head));
+            let mut left = q.avail_pending();
+            while let Ok(Some(popped)) = q.pop_avail_bounded(through) {
+                seen2.lock().push((std::thread::current().id(), popped.chain.head));
+                left = popped.left_on_ring;
+                if !popped.more_in_bound {
+                    break;
+                }
             }
+            left
         })));
-        assert!(!q.set_exit_handler(Box::new(|_| ())), "the handler is set once");
+        assert!(!q.set_exit_handler(Box::new(|_| false)), "the handler is set once");
         let mut tl = Timeline::new();
         let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)]).unwrap();
         let mine = q.publish_avail(h1, PUSH, &mut tl);

@@ -38,12 +38,92 @@ impl Descriptor {
     }
 }
 
+/// Chains this long or shorter keep their descriptors in the popped value
+/// itself: two headers and up to two payload descriptors, which is every
+/// chain a blocking call builds.
+const INLINE_DESCS: usize = 4;
+
+/// A chain's descriptors, in order; reads as a slice.  Short chains (the
+/// common case) are stored inline, so popping one allocates nothing.
+#[derive(Clone)]
+pub struct DescList {
+    inline: [Descriptor; INLINE_DESCS],
+    inline_len: usize,
+    /// The whole list, once it has outgrown `inline`.
+    spilled: Vec<Descriptor>,
+}
+
+impl DescList {
+    pub fn new() -> Self {
+        DescList {
+            inline: [Descriptor::readable(0, 0); INLINE_DESCS],
+            inline_len: 0,
+            spilled: Vec::new(),
+        }
+    }
+
+    pub fn push(&mut self, d: Descriptor) {
+        if !self.spilled.is_empty() {
+            self.spilled.push(d);
+        } else if self.inline_len < INLINE_DESCS {
+            self.inline[self.inline_len] = d;
+            self.inline_len += 1;
+        } else {
+            self.spilled.reserve(2 * INLINE_DESCS);
+            self.spilled.extend_from_slice(&self.inline);
+            self.spilled.push(d);
+        }
+    }
+}
+
+impl Default for DescList {
+    fn default() -> Self {
+        DescList::new()
+    }
+}
+
+impl std::ops::Deref for DescList {
+    type Target = [Descriptor];
+
+    fn deref(&self) -> &[Descriptor] {
+        if self.spilled.is_empty() {
+            &self.inline[..self.inline_len]
+        } else {
+            &self.spilled
+        }
+    }
+}
+
+impl FromIterator<Descriptor> for DescList {
+    fn from_iter<I: IntoIterator<Item = Descriptor>>(iter: I) -> Self {
+        let mut list = DescList::new();
+        for d in iter {
+            list.push(d);
+        }
+        list
+    }
+}
+
+impl PartialEq for DescList {
+    fn eq(&self, other: &DescList) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for DescList {}
+
+impl std::fmt::Debug for DescList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A popped chain, resolved into its ordered descriptors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DescChain {
     /// Head descriptor index — the id pushed back on the used ring.
     pub head: u16,
-    pub descriptors: Vec<Descriptor>,
+    pub descriptors: DescList,
 }
 
 impl DescChain {
@@ -88,15 +168,25 @@ mod tests {
     fn chain_partitions_by_direction() {
         let chain = DescChain {
             head: 3,
-            descriptors: vec![
+            descriptors: DescList::from_iter([
                 Descriptor::readable(0x1000, 64),
                 Descriptor::readable(0x2000, 128),
                 Descriptor::writable(0x3000, 256),
-            ],
+            ]),
         };
         assert_eq!(chain.readable().count(), 2);
         assert_eq!(chain.writable().count(), 1);
         assert_eq!(chain.total_len(), 64 + 128 + 256);
         assert_eq!(chain.writable().next().unwrap().addr, 0x3000);
+    }
+
+    #[test]
+    fn a_descriptor_list_reads_the_same_inline_or_spilled() {
+        let descs: Vec<Descriptor> = (0..9).map(|i| Descriptor::readable(i, i as u32)).collect();
+        for n in 0..descs.len() {
+            let list: DescList = descs[..n].iter().copied().collect();
+            assert_eq!(&*list, &descs[..n], "{n} descriptors");
+            assert_eq!(list.last(), descs[..n].last());
+        }
     }
 }

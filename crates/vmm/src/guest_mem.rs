@@ -55,8 +55,10 @@ impl std::error::Error for GuestMemError {}
 #[derive(Debug)]
 struct MemState {
     arena: Vec<u8>,
-    /// start → len of free spans.
-    free: BTreeMap<u64, u64>,
+    /// `(start, len)` of free spans, sorted by start and coalesced: no two
+    /// touch.  A handful at most, so first-fit is a short scan and a
+    /// split or a merge edits one entry in place.
+    free: Vec<(u64, u64)>,
     /// start → len of live allocations.
     live: BTreeMap<u64, u64>,
 }
@@ -71,13 +73,15 @@ pub struct GuestMemory {
 impl GuestMemory {
     pub fn new(size: u64) -> Self {
         assert!(size > 0 && size.is_multiple_of(PAGE_SIZE), "guest memory must be whole pages");
-        let mut free = BTreeMap::new();
-        free.insert(0, size);
         GuestMemory {
             size,
             state: TrackedMutex::new(
                 LockClass::GuestMemState,
-                MemState { arena: vec![0u8; size as usize], free, live: BTreeMap::new() },
+                MemState {
+                    arena: vec![0u8; size as usize],
+                    free: vec![(0, size)],
+                    live: BTreeMap::new(),
+                },
             ),
         }
     }
@@ -99,16 +103,14 @@ impl GuestMemory {
         }
         let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
         let mut st = self.state.lock();
-        let slot = st
-            .free
-            .iter()
-            .find(|(_, &flen)| flen >= len)
-            .map(|(&off, &flen)| (off, flen))
-            .ok_or(GuestMemError::OutOfMemory)?;
-        let (off, flen) = slot;
-        st.free.remove(&off);
-        if flen > len {
-            st.free.insert(off + len, flen - len);
+        // First fit, lowest address.
+        let i =
+            st.free.iter().position(|&(_, flen)| flen >= len).ok_or(GuestMemError::OutOfMemory)?;
+        let (off, flen) = st.free[i];
+        if flen == len {
+            st.free.remove(i);
+        } else {
+            st.free[i] = (off + len, flen - len);
         }
         st.live.insert(off, len);
         Ok(Gpa(off))
@@ -118,25 +120,29 @@ impl GuestMemory {
     pub fn free(&self, gpa: Gpa) -> Result<(), GuestMemError> {
         let mut st = self.state.lock();
         let len = st.live.remove(&gpa.0).ok_or(GuestMemError::BadFree)?;
-        let mut start = gpa.0;
-        let mut flen = len;
-        if let Some(&next_len) = st.free.get(&(start + flen)) {
-            st.free.remove(&(start + flen));
-            flen += next_len;
-        }
-        if let Some((&prev_off, &prev_len)) = st.free.range(..start).next_back() {
-            if prev_off + prev_len == start {
-                st.free.remove(&prev_off);
-                start = prev_off;
-                flen += prev_len;
+        // The span goes back between `free[i - 1]` and `free[i]`, merged
+        // with whichever of them it touches.
+        let i = st.free.partition_point(|&(start, _)| start < gpa.0);
+        let joins_prev = i > 0 && st.free[i - 1].0 + st.free[i - 1].1 == gpa.0;
+        let joins_next = i < st.free.len() && gpa.0 + len == st.free[i].0;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                st.free[i - 1].1 += len + st.free[i].1;
+                st.free.remove(i);
             }
+            (true, false) => st.free[i - 1].1 += len,
+            (false, true) => st.free[i] = (gpa.0, len + st.free[i].1),
+            (false, false) => st.free.insert(i, (gpa.0, len)),
         }
-        st.free.insert(start, flen);
         Ok(())
     }
 
-    fn check(&self, gpa: Gpa, len: usize) -> Result<(), GuestMemError> {
-        let end = gpa.0.checked_add(len as u64).ok_or(GuestMemError::OutOfBounds)?;
+    /// Whether `[gpa, gpa + len)` lies inside guest RAM.  Lock-free — the
+    /// arena's size never changes — so a caller that only needs to
+    /// validate a guest-supplied range (before moving any byte of a
+    /// multi-range request) does not take the arena lock to ask.
+    pub fn check_range(&self, gpa: Gpa, len: u64) -> Result<(), GuestMemError> {
+        let end = gpa.0.checked_add(len).ok_or(GuestMemError::OutOfBounds)?;
         if end > self.size {
             return Err(GuestMemError::OutOfBounds);
         }
@@ -145,7 +151,7 @@ impl GuestMemory {
 
     /// Guest/host read of physical memory.
     pub fn read(&self, gpa: Gpa, out: &mut [u8]) -> Result<(), GuestMemError> {
-        self.check(gpa, out.len())?;
+        self.check_range(gpa, out.len() as u64)?;
         let st = self.state.lock();
         out.copy_from_slice(&st.arena[gpa.0 as usize..gpa.0 as usize + out.len()]);
         Ok(())
@@ -153,7 +159,7 @@ impl GuestMemory {
 
     /// Guest/host write of physical memory.
     pub fn write(&self, gpa: Gpa, data: &[u8]) -> Result<(), GuestMemError> {
-        self.check(gpa, data.len())?;
+        self.check_range(gpa, data.len() as u64)?;
         let mut st = self.state.lock();
         st.arena[gpa.0 as usize..gpa.0 as usize + data.len()].copy_from_slice(data);
         Ok(())
@@ -168,7 +174,7 @@ impl GuestMemory {
         len: u64,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, GuestMemError> {
-        self.check(gpa, len as usize)?;
+        self.check_range(gpa, len)?;
         let st = self.state.lock();
         Ok(f(&st.arena[gpa.0 as usize..(gpa.0 + len) as usize]))
     }
@@ -180,7 +186,7 @@ impl GuestMemory {
         len: u64,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R, GuestMemError> {
-        self.check(gpa, len as usize)?;
+        self.check_range(gpa, len)?;
         let mut st = self.state.lock();
         Ok(f(&mut st.arena[gpa.0 as usize..(gpa.0 + len) as usize]))
     }
@@ -215,6 +221,11 @@ mod tests {
         assert_eq!(&out, b"guest");
         assert_eq!(m.read(Gpa(MIB), &mut out), Err(GuestMemError::OutOfBounds));
         assert_eq!(m.write(Gpa(u64::MAX), &[1]), Err(GuestMemError::OutOfBounds));
+        // The same verdicts without touching the arena.
+        assert_eq!(m.check_range(gpa, PAGE_SIZE), Ok(()));
+        assert_eq!(m.check_range(Gpa(MIB - 1), 1), Ok(()));
+        assert_eq!(m.check_range(Gpa(MIB - 1), 2), Err(GuestMemError::OutOfBounds));
+        assert_eq!(m.check_range(Gpa(1), u64::MAX), Err(GuestMemError::OutOfBounds));
     }
 
     #[test]

@@ -24,6 +24,22 @@ impl std::fmt::Debug for IrqChip {
     }
 }
 
+/// One vector of a chip, looked up once: what a device that always raises
+/// the same vector holds, so that an injection is the raise and nothing
+/// else.
+pub struct IrqLine {
+    vector: Arc<MsiVector>,
+    cost: Arc<CostModel>,
+}
+
+impl IrqLine {
+    /// Inject the line's vector into the guest, charging the injection
+    /// cost.
+    pub fn inject(&self, tl: &mut Timeline) {
+        self.vector.raise(tl, self.cost.irq_inject);
+    }
+}
+
 impl IrqChip {
     pub fn new(cost: Arc<CostModel>) -> Self {
         IrqChip { cost, vectors: TrackedMutex::new(LockClass::IrqVectors, HashMap::new()) }
@@ -39,10 +55,14 @@ impl IrqChip {
         self.vector(n).register(handler);
     }
 
+    /// Vector `n` as a line of its own.
+    pub fn line(&self, n: u32) -> IrqLine {
+        IrqLine { vector: self.vector(n), cost: Arc::clone(&self.cost) }
+    }
+
     /// Inject vector `n` into the guest, charging the injection cost.
     pub fn inject(&self, n: u32, tl: &mut Timeline) {
-        let v = self.vector(n);
-        v.raise(tl, self.cost.irq_inject);
+        self.line(n).inject(tl);
     }
 
     /// Times vector `n` has fired.
@@ -86,5 +106,9 @@ mod tests {
         chip.inject(1, &mut tl);
         assert_eq!(chip.inject_count(1), 1);
         assert_eq!(chip.inject_count(2), 0);
+        // A line is the same vector, resolved ahead of time.
+        chip.line(1).inject(&mut tl);
+        assert_eq!(chip.inject_count(1), 2);
+        assert_eq!(tl.total_for(vphi_sim_core::SpanLabel::IrqInject), chip.cost.irq_inject * 2);
     }
 }

@@ -34,7 +34,7 @@ pub mod waitqueue;
 
 pub use event_loop::QemuEventLoop;
 pub use guest_mem::{Gpa, GuestMemError, GuestMemory};
-pub use irq::IrqChip;
+pub use irq::{IrqChip, IrqLine};
 pub use kernel::GuestKernel;
 pub use kvm::KvmModule;
 pub use vm::Vm;

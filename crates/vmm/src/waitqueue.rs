@@ -17,7 +17,7 @@
 //! without registering a slot.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -157,6 +157,11 @@ impl TokenSlot {
 #[derive(Debug)]
 pub struct TokenWaitQueue {
     slots: TrackedMutex<HashMap<u64, Arc<TokenSlot>>>,
+    /// Waiters between their registration and their removal from `slots`.
+    /// While it reads 0 a [`wake`](TokenWaitQueue::wake) has nobody to
+    /// signal and leaves the registry lock alone — the common case: a
+    /// caller that serviced its own kick never registers.
+    registered: AtomicU64,
     wakeups: AtomicU64,
     sleeps: AtomicU64,
     spurious: AtomicU64,
@@ -167,6 +172,7 @@ impl Default for TokenWaitQueue {
     fn default() -> Self {
         TokenWaitQueue {
             slots: TrackedMutex::new(LockClass::TokenWaiters, HashMap::new()),
+            registered: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             sleeps: AtomicU64::new(0),
             spurious: AtomicU64::new(0),
@@ -194,14 +200,24 @@ impl TokenWaitQueue {
         if let Some(v) = pred() {
             return Some(v);
         }
+        // Announce, then look again (`wait_on` re-runs the predicate before
+        // it parks); a waker publishes, then looks for an announcement.
+        // With a full fence between the two steps on both sides, one of
+        // them sees the other: a wake is skipped only for a waiter whose
+        // re-check finds what the waker published.
+        self.registered.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
         let slot = Arc::clone(
             self.slots.lock().entry(token).or_insert_with(|| Arc::new(TokenSlot::new())),
         );
         let got = self.wait_on(&slot, timeout, &mut pred);
-        let mut slots = self.slots.lock();
-        if slots.get(&token).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
-            slots.remove(&token);
+        {
+            let mut slots = self.slots.lock();
+            if slots.get(&token).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
+                slots.remove(&token);
+            }
         }
+        self.registered.fetch_sub(1, Ordering::SeqCst);
         got
     }
 
@@ -244,10 +260,16 @@ impl TokenWaitQueue {
 
     /// Wake the sleeper registered for `token` (if any).  The signal is
     /// recorded even if the sleeper has not parked yet; a wake with no
-    /// registered slot is a no-op (the completion is already in the
-    /// completed table and the fast path takes it).
+    /// registered slot is a no-op (the completion is already where the
+    /// waiter's predicate looks and its fast path takes it) and, when no
+    /// waiter is registered at all, lock-free.  Call it *after* publishing
+    /// what the predicate reads.
     pub fn wake(&self, token: u64) {
         self.wakeups.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        if self.registered.load(Ordering::SeqCst) == 0 {
+            return;
+        }
         let slot = self.slots.lock().get(&token).map(Arc::clone);
         if let Some(slot) = slot {
             *slot.signals.lock() += 1;
@@ -278,7 +300,7 @@ impl TokenWaitQueue {
     /// Directed wakes after which the woken waiter's predicate was still
     /// false.  With per-token delivery this stays ~0 (a nonzero value
     /// means a wake outran its completion's visibility, which the
-    /// completed-table insert ordering forbids, or a broadcast raced in).
+    /// publish-before-wake ordering forbids, or a broadcast raced in).
     pub fn spurious_count(&self) -> u64 {
         self.spurious.load(Ordering::Relaxed)
     }
@@ -491,5 +513,21 @@ mod tests {
         // on the fast path without sleeping.
         assert_eq!(wq.wait_for(99, Duration::from_secs(1), || Some(5)), Some(5));
         assert_eq!(wq.sleep_count(), 0);
+    }
+
+    #[test]
+    fn wake_with_nobody_registered_leaves_the_registry_lock_alone() {
+        let wq = TokenWaitQueue::new();
+        let registry = LockClass::TokenWaiters.index();
+        let before = vphi_sync::audit::thread_acquisitions()[registry];
+        wq.wake(1);
+        assert_eq!(wq.wait_for(1, Duration::from_secs(1), || Some(())), Some(()));
+        assert_eq!(vphi_sync::audit::thread_acquisitions()[registry], before);
+        // A waiter that has to park registers, and is counted out again.
+        assert_eq!(wq.wait_for(1, Duration::from_millis(5), || None::<()>), None);
+        if vphi_sync::audit::ENABLED {
+            assert_eq!(vphi_sync::audit::thread_acquisitions()[registry], before + 2);
+        }
+        assert_eq!(wq.registered.load(Ordering::SeqCst), 0);
     }
 }

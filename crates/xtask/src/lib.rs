@@ -28,12 +28,12 @@
 //!    timeline from untraced callers and propagates trace context from
 //!    traced ones.  `#[deprecated]` shims are exempt.
 //! 6. `queue-router` — `.add_chain()` / `.prepare_chain()` /
-//!    `.publish_avail()` are banned outside `crates/virtio/` and the
-//!    frontend: every submission must go through the frontend's queue
-//!    router so the per-endpoint lane hash (DESIGN.md #15) cannot be
-//!    bypassed with a hand-picked queue index.  The virtio microbench and
-//!    the multi-queue FIFO property test drive rings directly on purpose
-//!    and are exempt by path.
+//!    `.publish_chain()` / `.publish_avail()` are banned outside
+//!    `crates/virtio/` and the frontend: every submission must go through
+//!    the frontend's queue router so the per-endpoint lane hash
+//!    (DESIGN.md #15) cannot be bypassed with a hand-picked queue index.
+//!    The virtio microbench and the multi-queue FIFO property test drive
+//!    rings directly on purpose and are exempt by path.
 //! 7. `msi-notifier` — `.inject()` is banned outside `crates/vmm/` (the
 //!    `IrqChip` itself) and `core/src/backend/notify.rs`: every completion
 //!    MSI must go through the lane's `LaneNotifier`, the single place the
@@ -146,7 +146,7 @@ const BANNED_SYNC: &[&str] = &["Mutex", "RwLock", "Condvar"];
 
 /// Queue-submission methods only the router path may call (rule 6).
 const QUEUE_SUBMIT: &[&str] =
-    &["add_chain", "prepare_chain", "publish_avail", "publish_avail_batch"];
+    &["add_chain", "prepare_chain", "publish_chain", "publish_avail", "publish_avail_batch"];
 
 /// The virtqueue's kick entry points, frontend-only (rule 8).
 const KICKS: &[&str] = &["kick", "kick_blocking"];
@@ -714,6 +714,12 @@ mod tests {
     #[test]
     fn batched_avail_publication_is_router_only_too() {
         let src = "fn f(q: &VirtQueue) { q.publish_avail_batch(&heads, cost, &mut tl); }";
+        let v = lint("crates/core/src/backend/mod.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "queue-router");
+        assert!(lint("crates/core/src/frontend/mod.rs", src).is_empty());
+        // So is the merged prepare-and-publish section.
+        let src = "fn f(q: &VirtQueue) { q.publish_chain(&chain, cost, &mut tl, |_| ()); }";
         let v = lint("crates/core/src/backend/mod.rs", src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "queue-router");

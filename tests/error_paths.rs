@@ -911,3 +911,123 @@ fn card_reset_ends_timed_receives_parked_on_both_ends() {
         vm.shutdown();
     }
 }
+
+/// A card-side peer for the abandoned-request cases: accepts one
+/// connection, stays silent until told to send `frame`, then swallows
+/// `expect` bytes of whatever the guest sends afterwards.
+fn silent_then_talkative_peer(
+    host: &VphiHost,
+    port: u16,
+    frame: [u8; 16],
+    expect: usize,
+) -> (std::sync::mpsc::Sender<()>, std::thread::JoinHandle<Vec<u8>>) {
+    let server = host.device_endpoint(0).unwrap();
+    let mut tl = Timeline::new();
+    server.bind(Port(port), &mut tl).unwrap();
+    server.listen(1, &mut tl).unwrap();
+    let (speak, spoken) = std::sync::mpsc::channel();
+    let peer = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        let conn = server.accept(&mut tl).unwrap();
+        let _ = spoken.recv();
+        let _ = conn.send(&frame, &mut tl);
+        let mut got = vec![0u8; expect];
+        let n = conn.recv(&mut got, &mut tl).unwrap_or(0);
+        got.truncate(n);
+        got
+    });
+    (speak, peer)
+}
+
+/// A reaped token gives up — `EAGAIN` after its deadline retries, which a
+/// zero first deadline spends at once — while the backend is alive and
+/// merely slow: the lane's shard is parked in `scif_recv` on a peer that
+/// has not sent yet.  The header pair used to go straight back to the
+/// pool, and the inbound staging buffer to the allocator, with that
+/// backend still holding their addresses.  Abandoned, the slot keeps both
+/// until the late completion: the token is off the books at once, the slot
+/// is not; the peer's frame then lands in memory nobody else was handed,
+/// the slot comes free, and the requests after it read their own replies.
+#[test]
+fn abandoned_reap_on_a_slow_backend_keeps_its_buffers_until_the_late_completion() {
+    let host = VphiHost::new(1);
+    let (speak, peer) = silent_then_talkative_peer(&host, 984, [0xAB; 16], 4);
+    let vm = host.spawn_vm(VmConfig::builder().num_queues(1).build());
+    let mut tl = Timeline::new();
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(ScifAddr::new(host.device_node(0), Port(984)), &mut tl).unwrap();
+    let channel = vm.frontend().channel();
+    let guest_ram = vm.vm().kernel().mem();
+    let allocated_before = guest_ram.allocated();
+
+    let mut sq = Sq::new();
+    sq.push(SqEntry::recv(16).deadline_ms(0));
+    let mut cq = Cq::new();
+    cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+    // The shard has the request and is inside the peer's silence.
+    spin_until("the recv is claimed", || channel.inflight_count() == 0);
+    assert_eq!(ep.reap(&mut cq, 1, 1, &mut tl), Ok(1));
+    let gave_up = cq.drain();
+    assert_eq!(gave_up[0].result, Err(ScifError::Canceled));
+    assert!(vm.frontend().stats().deadline_retries > 0, "the wait really ran out of retries");
+    assert_eq!(vm.frontend().pending_tokens(), 0, "the token is off the books");
+    assert_eq!(channel.live_slots(), 1, "the backend's half of the request holds the slot");
+    assert!(guest_ram.allocated() > allocated_before, "its staging is still allocated");
+
+    // The backend finishes late: into buffers that are still the slot's.
+    speak.send(()).unwrap();
+    spin_until("the late completion frees the slot", || channel.live_slots() == 0);
+    // The lane is usable, and a request reusing the slot reads its own
+    // reply — and takes the abandoned staging off the books.
+    assert_eq!(ep.send(b"next", &mut tl), Ok(4));
+    assert_eq!(peer.join().unwrap(), b"next");
+    assert_eq!(guest_ram.allocated(), allocated_before, "staging leaked");
+
+    ep.close(&mut tl).unwrap();
+    assert_eq!(vm.frontend().pending_tokens(), 0);
+    assert_eq!((channel.inflight_count(), channel.live_slots()), (0, 0));
+    assert_eq!(vm.backend().open_endpoints(), 0);
+    vm.shutdown();
+    assert_eq!(vphi_sync::audit::violation_count(), 0);
+}
+
+/// The same on a device that dies instead.  The handler parked in the
+/// first `recv` has its endpoint closed under it and completes — short
+/// read — like any other; the two chains published behind it never run:
+/// the dead lane's drain pass retires them, and their reaps, reading the
+/// shutdown flag instead of waiting, find the slots already let go or
+/// abandon them for the pass to free.  Nothing stays held either way.
+#[test]
+fn abandoned_reaps_on_a_dead_device_are_retired_by_the_lane() {
+    let host = VphiHost::new(1);
+    let (_speak, peer) = silent_then_talkative_peer(&host, 985, [0; 16], 0);
+    let vm = host.spawn_vm(VmConfig::builder().num_queues(1).build());
+    let mut tl = Timeline::new();
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(ScifAddr::new(host.device_node(0), Port(985)), &mut tl).unwrap();
+    let channel = std::sync::Arc::clone(vm.frontend().channel());
+
+    // One recv the shard parks in …
+    let mut cq = Cq::new();
+    let mut sq = Sq::new();
+    sq.push(SqEntry::recv(16).deadline_ms(60_000));
+    cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+    spin_until("the first recv is claimed", || channel.inflight_count() == 0);
+    // … and two published behind it, which stay on the ring.
+    for _ in 0..2 {
+        sq.push(SqEntry::recv(16).deadline_ms(60_000));
+    }
+    cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+    assert_eq!((channel.inflight_count(), channel.live_slots()), (2, 3));
+
+    vm.shutdown();
+    assert_eq!(ep.reap(&mut cq, 3, 3, &mut tl), Ok(3));
+    let reaped = cq.drain();
+    let canceled = reaped.iter().filter(|done| done.result == Err(ScifError::Canceled)).count();
+    assert_eq!(canceled, 2, "the chains that never ran are canceled: {reaped:?}");
+    assert_eq!(vm.frontend().pending_tokens(), 0);
+    spin_until("every slot is let go", || channel.live_slots() == 0);
+    assert_eq!(channel.inflight_count(), 0);
+    drop(peer);
+    assert_eq!(vphi_sync::audit::violation_count(), 0);
+}

@@ -389,21 +389,14 @@ fn blocking_calls_run_under_the_executor_role_and_nothing_else() {
         LockClass::MsgQueue,
         LockClass::WindowTable,
         LockClass::VirtQueueState,
-        LockClass::FrontendCompleted,
+        LockClass::RequestSlot,
         LockClass::GuestMemState,
     ] {
         assert!(edges.contains(&(role, under)), "no {role:?} → {under:?} edge: {edges:?}");
     }
     // … and the calling guest thread brought no lock of its own into the
-    // backend: the frontend's tables are leaves here, as on a shard.
-    for frontend in [
-        LockClass::FrontendInflight,
-        LockClass::FrontendPending,
-        LockClass::FrontendStats,
-        LockClass::FrontendSlots,
-        LockClass::NotifyPolicy,
-        LockClass::FrontendBackoff,
-    ] {
+    // backend: the frontend's locks are leaves here, as on a shard.
+    for frontend in [LockClass::RequestSlot, LockClass::NotifyPolicy, LockClass::FrontendBackoff] {
         let nested: Vec<_> = edges.iter().filter(|(held, _)| *held == frontend).collect();
         assert!(nested.is_empty(), "{frontend:?} held across a backend call: {nested:?}");
     }
@@ -527,4 +520,126 @@ fn directed_wakeups_signal_under_one_mutex_each() {
         [LockClass::EpPort, LockClass::EpListener, LockClass::NodePorts],
         "bind and listen are all that nest under an endpoint's state"
     );
+}
+
+/// The lock budget of the fixed per-request path (DESIGN.md #23).  A
+/// blocking guest call is serviced on the calling thread, so that thread's
+/// acquisition ledger is the request's: 1,000 calls each of a 4 MiB
+/// `send_timed` chunk and of a blocking 1-byte `send`, through a guest and
+/// natively, warm.  The guest numbers are ceilings the request-slot table
+/// brought down from 35 and 39; the native twins share no guest code and
+/// stay where they were.
+#[test]
+fn the_fixed_request_path_stays_inside_its_lock_budget() {
+    use vphi::builder::{VmConfig, VphiHost};
+    use vphi_scif::{Port, ScifAddr};
+    use vphi_sim_core::Timeline;
+
+    const CALLS: u64 = 1_000;
+    const WARM: u64 = 8;
+    const CHUNK: u64 = 4 << 20;
+
+    let violations_before = vphi_sync::audit::violation_count();
+    let host = VphiHost::new(1);
+    let mut tl = Timeline::new();
+    let listener = host.device_endpoint(0).unwrap();
+    listener.bind(Port(968), &mut tl).unwrap();
+    listener.listen(2, &mut tl).unwrap();
+    // Card side: per connection, swallow the timed chunks, then the bytes.
+    let card = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        let mut bytes = vec![0u8; (CALLS + WARM) as usize];
+        for _ in 0..2 {
+            let conn = listener.accept(&mut tl).unwrap();
+            assert_eq!(
+                conn.recv_timed((CALLS + WARM) * CHUNK, &mut tl),
+                Ok((CALLS + WARM) * CHUNK)
+            );
+            assert_eq!(conn.recv(&mut bytes, &mut tl), Ok(bytes.len()));
+            let _ = conn.recv(&mut [0u8; 1], &mut tl);
+        }
+    });
+
+    // Per-call acquisitions of `call`, by class, on this thread.
+    let per_call = |call: &mut dyn FnMut()| -> Vec<(LockClass, f64)> {
+        for _ in 0..WARM {
+            call();
+        }
+        let before = vphi_sync::audit::thread_acquisitions();
+        for _ in 0..CALLS {
+            call();
+        }
+        let after = vphi_sync::audit::thread_acquisitions();
+        LockClass::ALL
+            .into_iter()
+            .map(|c| (c, (after[c.index()] - before[c.index()]) as f64 / CALLS as f64))
+            .filter(|&(_, n)| n > 0.0)
+            .collect()
+    };
+    let total = |ledger: &[(LockClass, f64)]| ledger.iter().map(|&(_, n)| n).sum::<f64>();
+
+    let vm = host.spawn_vm(VmConfig::default());
+    let guest = vm.open_scif(&mut tl).unwrap();
+    guest.connect(ScifAddr::new(host.device_node(0), Port(968)), &mut tl).unwrap();
+    let guest_chunk = per_call(&mut || {
+        assert_eq!(guest.send_timed(CHUNK, &mut Timeline::new()), Ok(CHUNK));
+    });
+    let guest_byte = per_call(&mut || {
+        assert_eq!(guest.send(&[7], &mut Timeline::new()), Ok(1));
+    });
+    guest.close(&mut tl).unwrap();
+
+    let native = host.native_endpoint().unwrap();
+    native.connect(ScifAddr::new(host.device_node(0), Port(968)), &mut tl).unwrap();
+    let native_chunk = per_call(&mut || {
+        assert_eq!(native.send_timed(CHUNK, &mut Timeline::new()), Ok(CHUNK));
+    });
+    let native_byte = per_call(&mut || {
+        assert_eq!(native.send(&[7], &mut Timeline::new()), Ok(1));
+    });
+    native.close();
+    card.join().unwrap();
+    vm.shutdown();
+
+    assert_eq!(vphi_sync::audit::violation_count(), violations_before);
+    for (what, ledger, budget) in [
+        ("guest 4 MiB send_timed chunk", &guest_chunk, 26.0),
+        ("guest blocking 1-byte send", &guest_byte, 29.0),
+        ("native 4 MiB send_timed chunk", &native_chunk, 7.0),
+        ("native 1-byte send", &native_byte, 7.0),
+    ] {
+        let n = total(ledger);
+        println!("{what}: {n:.2} tracked acquisitions per call {ledger:?}");
+        assert!(
+            n <= budget,
+            "{what}: {n:.2} tracked acquisitions per call, budget {budget}: {ledger:?}"
+        );
+    }
+    // The native twins run no guest code: their ledgers did not move.
+    assert_eq!(total(&native_chunk), 7.0);
+    assert_eq!(total(&native_byte), 7.0);
+    // Guest-only classes the slot table retired from the path stay off it:
+    // no per-token waiter registry for a caller that serviced its own
+    // kick, one policy update per request, four ring sections.
+    let per_class = |ledger: &[(LockClass, f64)], class| {
+        ledger.iter().find(|&&(c, _)| c == class).map_or(0.0, |&(_, n)| n)
+    };
+    for ledger in [&guest_chunk, &guest_byte] {
+        assert_eq!(per_class(ledger, LockClass::TokenWaiters), 0.0);
+        assert_eq!(per_class(ledger, LockClass::NotifyPolicy), 1.0);
+        assert!(per_class(ledger, LockClass::VirtQueueState) <= 4.0);
+        assert_eq!(per_class(ledger, LockClass::RequestSlot), 4.0);
+    }
+    // The slot lock is a leaf, and what it is taken under is the role, the
+    // waiter's own parking slot (its wait predicate probes the request
+    // slot) and nothing else.
+    let edges = vphi_sync::audit::order_edges();
+    let under: Vec<_> = edges.iter().filter(|(held, _)| *held == LockClass::RequestSlot).collect();
+    assert!(under.is_empty(), "a lock taken under the slot lock: {under:?}");
+    for (held, _) in edges.iter().filter(|(_, acquired)| *acquired == LockClass::RequestSlot) {
+        assert!(
+            [LockClass::LaneExecutor, LockClass::TokenSlot].contains(held),
+            "the slot lock taken under {held:?}"
+        );
+    }
 }
