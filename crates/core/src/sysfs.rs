@@ -6,10 +6,13 @@
 //! including micnativeloadex, rely on this information … we expose the
 //! same information that is provided in the host." (paper §III)
 //!
-//! The frontend fetches the host table once over the ring and serves it to
-//! guest tools as `/sys/class/mic/micN`.
+//! The frontend fetches the host table over the ring and serves it to
+//! guest tools as `/sys/class/mic/micN`.  Each fetch is a snapshot: a tool
+//! that must see the card's *current* state — micnativeloadex's preflight
+//! refuses a card that was reset since the last launch — fetches again,
+//! so a fetch is on the launch path and keeps the table as the text the
+//! host sent.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vphi_scif::{ScifError, ScifResult};
@@ -23,7 +26,8 @@ use crate::protocol::VphiRequest;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuestSysfs {
     mic_index: u32,
-    attrs: BTreeMap<String, String>,
+    /// The host's table as sent: one `key=value` per line.
+    text: String,
 }
 
 impl GuestSysfs {
@@ -42,23 +46,20 @@ impl GuestSysfs {
         driver.kernel().mem().read(buf.gpa, &mut bytes).map_err(|_| ScifError::Inval)?;
         let _ = driver.kernel().kfree(buf);
         let text = String::from_utf8(bytes).map_err(|_| ScifError::Inval)?;
-        Ok(GuestSysfs { mic_index, attrs: parse_table(&text) })
+        Ok(GuestSysfs { mic_index, text })
     }
 
     pub fn mic_index(&self) -> u32 {
         self.mic_index
     }
 
+    /// The value of `key`: lines without a `=` are skipped, keys and
+    /// values are trimmed, the last of several lines for one key wins.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.attrs.get(key).map(String::as_str)
-    }
-
-    pub fn len(&self) -> usize {
-        self.attrs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
+        self.text.lines().rev().find_map(|line| {
+            let (k, v) = line.split_once('=')?;
+            (k.trim() == key).then_some(v.trim())
+        })
     }
 
     /// The preflight micnativeloadex performs: an online x100 card.
@@ -67,38 +68,71 @@ impl GuestSysfs {
     }
 }
 
-fn parse_table(text: &str) -> BTreeMap<String, String> {
-    text.lines()
-        .filter_map(|line| {
-            let (k, v) = line.split_once('=')?;
-            Some((k.trim().to_string(), v.trim().to_string()))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    fn table(text: &str) -> GuestSysfs {
+        GuestSysfs { mic_index: 0, text: text.to_string() }
+    }
+
+    /// The table as the frontend used to build it on every fetch — what
+    /// `get` must keep answering like.
+    fn parse_table(text: &str) -> BTreeMap<String, String> {
+        text.lines()
+            .filter_map(|line| {
+                let (k, v) = line.split_once('=')?;
+                Some((k.trim().to_string(), v.trim().to_string()))
+            })
+            .collect()
+    }
 
     #[test]
     fn table_parser_handles_noise() {
-        let t = parse_table("a=1\nb = two \n\nmalformed-line\nc=3");
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.get("a").map(String::as_str), Some("1"));
-        assert_eq!(t.get("b").map(String::as_str), Some("two"));
-        assert_eq!(t.get("c").map(String::as_str), Some("3"));
+        let t = table("a=1\nb = two \n\nmalformed-line\nc=3");
+        assert_eq!(t.get("a"), Some("1"));
+        assert_eq!(t.get("b"), Some("two"));
+        assert_eq!(t.get("c"), Some("3"));
+        assert_eq!(t.get("malformed-line"), None);
+        assert_eq!(t.get(""), None);
     }
 
     #[test]
     fn usability_check() {
-        let mut attrs = BTreeMap::new();
-        attrs.insert("state".into(), "online".into());
-        attrs.insert("family".into(), "x100".into());
-        let s = GuestSysfs { mic_index: 0, attrs: attrs.clone() };
-        assert!(s.card_is_usable());
+        assert!(table("state=online\nfamily=x100").card_is_usable());
+        assert!(!table("state=offline\nfamily=x100").card_is_usable());
+        // The last line for a key is the one that counts.
+        assert!(!table("state=online\nfamily=x100\nstate=offline").card_is_usable());
+    }
 
-        attrs.insert("state".into(), "offline".into());
-        let s = GuestSysfs { mic_index: 0, attrs };
-        assert!(!s.card_is_usable());
+    proptest! {
+        /// Duplicate keys, padded keys and values, empty ones, values
+        /// holding `=`, lines with no `=` at all.
+        #[test]
+        fn get_answers_like_the_parsed_table(
+            lines in prop::collection::vec(
+                (0usize..6, 0usize..6, 0usize..4, any::<bool>()),
+                0..12,
+            ),
+        ) {
+            const KEYS: [&str; 6] = ["state", " state", "family ", "a=b", "", "\tsku"];
+            const VALUES: [&str; 6] = ["online", " x100 ", "", "a=b", "=", "two words"];
+            const SEPARATORS: [&str; 4] = ["=", " = ", "", "=="];
+            let text: String = lines
+                .iter()
+                .map(|&(k, v, sep, crlf)| {
+                    let end = if crlf { "\r\n" } else { "\n" };
+                    format!("{}{}{}{end}", KEYS[k], SEPARATORS[sep], VALUES[v])
+                })
+                .collect();
+            let model = parse_table(&text);
+            let sysfs = table(&text);
+            for key in KEYS.iter().map(|k| k.trim()).chain(["a", "b", "online", "missing"]) {
+                let expected = model.get(key).map(String::as_str);
+                prop_assert_eq!(sysfs.get(key), expected, "key {:?} of {:?}", key, text);
+            }
+        }
     }
 }

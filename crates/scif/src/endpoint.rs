@@ -416,8 +416,9 @@ impl EndpointCore {
             }
         }
         self.shared.charge_message_path(self.node.id(), peer.node_id(), len, tl)?;
-        self.note_event();
-        self.shared.activity.bump();
+        // Not a poll event, and no hub bump: `poll` reads the byte lane
+        // (`recv_pending`, `send_space`) and hang-up, never this lane, and
+        // `recv_timed` sleeps on `timed_ready`.
         Ok(len)
     }
 

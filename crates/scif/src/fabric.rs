@@ -266,6 +266,14 @@ impl FabricShared {
         self.activity.bump();
     }
 
+    /// How often the poll hub was bumped — every bump wakes every parked
+    /// poller, so a count that stands still is the tests' evidence that
+    /// none was woken.  Compiled out of release builds.
+    #[cfg(any(test, debug_assertions))]
+    pub fn hub_bumps(&self) -> u64 {
+        self.activity.version()
+    }
+
     /// Count of fabric-wide events so far (see [`crate::poll`]).
     pub(crate) fn events(&self) -> u64 {
         self.events.load(Ordering::Acquire)

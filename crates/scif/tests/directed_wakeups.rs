@@ -2,7 +2,9 @@
 //! `recv_timed` sleep on the object they wait for.  Unrelated traffic
 //! wakes none of them, every event that concerns one of them still wakes
 //! it promptly, and a listener that goes away refuses the connectors it
-//! never accepted — also while the rest of the fabric keeps talking.
+//! never accepted — also while the rest of the fabric keeps talking.  The
+//! one waiter left on the fabric-wide hub, `poll`, hears nothing of the
+//! timed lane it cannot read (DESIGN.md #24) and everything it can.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -12,8 +14,9 @@ use std::time::{Duration, Instant};
 
 use vphi_phi::{PhiBoard, PhiSpec};
 use vphi_scif::endpoint::{EndpointCore, EpState};
-use vphi_scif::{NodeId, Port, ScifAddr, ScifError, ScifFabric, HOST_NODE};
-use vphi_sim_core::{CostModel, Timeline, VirtualClock};
+use vphi_scif::poll::poll;
+use vphi_scif::{NodeId, PollEvents, PollFd, Port, ScifAddr, ScifError, ScifFabric, HOST_NODE};
+use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
 
 fn fabric_with_device() -> (ScifFabric, NodeId) {
     let cost = Arc::new(CostModel::paper_calibrated());
@@ -322,6 +325,81 @@ fn two_timed_receivers_on_one_endpoint_both_finish() {
     assert_eq!(small.within(PROMPT, "the smaller recv_timed"), Ok(10));
     sender.send_timed(100, &mut tl).unwrap();
     assert_eq!(large.within(PROMPT, "the larger recv_timed"), Ok(100));
+}
+
+/// `poll` reads the byte lane and hang-up, never the timed lane: timed
+/// sends on a polled connection, in either direction, for as long as the
+/// poll runs, neither bump the hub (so no poller anywhere is woken) nor
+/// cost this poller a second scan.  What it can read still ends its wait
+/// at once — a byte, the peer's close — and a card reset makes it look
+/// again.
+#[test]
+fn a_poller_hears_the_byte_lane_a_close_and_a_reset_but_no_timed_send() {
+    let (fabric, dev) = fabric_with_device();
+    let scan = fabric.shared().cost.poll_iteration;
+    /// What a poll of one endpoint for input came to: the verdict, what
+    /// came ready, the scans paid.
+    type Polled = (Result<usize, ScifError>, PollEvents, SimDuration);
+    fn poll_in(ep: &Arc<EndpointCore>, timeout: Duration) -> Polled {
+        let mut fds = [PollFd::new(Arc::clone(ep), PollEvents::IN)];
+        let mut tl = Timeline::new();
+        let verdict = poll(&mut fds, timeout, &mut tl);
+        (verdict, fds[0].revents, tl.total_for(SpanLabel::PollWait))
+    }
+    /// The same on a thread of its own, given time to reach the hub (which
+    /// keeps no park count).
+    fn polling(ep: &Arc<EndpointCore>, timeout: Duration) -> Blocked<Polled> {
+        let ep = Arc::clone(ep);
+        let parked = blocked(move || poll_in(&ep, timeout));
+        std::thread::sleep(Duration::from_millis(20));
+        parked
+    }
+    let mut tl = Timeline::new();
+
+    let (sender, receiver) = connected_pair(&fabric, dev, 770);
+    #[cfg(debug_assertions)]
+    let bumps = fabric.shared().hub_bumps();
+    let polled = Arc::new(AtomicBool::new(false));
+    let chunks = {
+        let (sender, receiver, polled) =
+            (Arc::clone(&sender), Arc::clone(&receiver), Arc::clone(&polled));
+        blocked(move || {
+            // At least 1,000 each way, and for as long as the poll runs.
+            let mut tl = Timeline::new();
+            let mut sent = 0;
+            while sent < 1_000 || !polled.load(Ordering::Relaxed) {
+                sender.send_timed(4 << 20, &mut tl).unwrap();
+                receiver.send_timed(1, &mut tl).unwrap();
+                sent += 1;
+            }
+        })
+    };
+    let quiet = poll_in(&receiver, Duration::from_millis(100));
+    polled.store(true, Ordering::Relaxed);
+    chunks.within(PROMPT, "the timed senders");
+    assert_eq!(quiet, (Ok(0), PollEvents::NONE, scan), "one scan, then asleep until the timeout");
+    #[cfg(debug_assertions)]
+    assert_eq!(fabric.shared().hub_bumps(), bumps, "a timed send woke the pollers");
+
+    let waiting = polling(&receiver, Duration::from_secs(10));
+    sender.send(&[1], &mut tl).unwrap();
+    let (verdict, revents, _) = waiting.within(PROMPT, "poll on a byte");
+    assert_eq!((verdict, revents), (Ok(1), PollEvents::IN));
+
+    let (sender, receiver) = connected_pair(&fabric, dev, 771);
+    let waiting = polling(&receiver, Duration::from_secs(10));
+    sender.close();
+    let (verdict, revents, _) = waiting.within(PROMPT, "poll on the peer's close");
+    assert_eq!(verdict, Ok(1));
+    assert!(revents.contains(PollEvents::HUP));
+
+    // A reset (what `VphiHost::reset_card` does at this layer) belongs to
+    // no endpoint; the poller scans again, finds nothing, waits on.
+    let (_sender, receiver) = connected_pair(&fabric, dev, 772);
+    let waiting = polling(&receiver, Duration::from_millis(200));
+    fabric.node(dev).unwrap().board().unwrap().reset();
+    fabric.shared().bump_activity();
+    assert_eq!(waiting.within(PROMPT, "poll across a reset"), (Ok(0), PollEvents::NONE, scan * 2));
 }
 
 /// A `connect` whose listener closes before accepting it is told so at

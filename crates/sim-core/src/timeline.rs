@@ -98,19 +98,49 @@ pub struct Span {
 }
 
 /// An ordered record of the spans charged to one request.
+///
+/// A caller may keep one timeline across thousands of requests (a
+/// `micnativeloadex` launch charges 850 spans into one), so what the
+/// request path asks of it — [`charge`](Self::charge),
+/// [`absorb`](Self::absorb), [`total`](Self::total) — is O(1) in the spans
+/// already there; the methods that walk `spans` are for reports.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timeline {
     spans: Vec<Span>,
+    /// Sum of `spans`' durations, kept by every method that edits `spans`.
+    total: SimDuration,
+}
+
+#[cfg(any(test, debug_assertions))]
+thread_local! {
+    static SPAN_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Spans the calling thread has been handed by a [`Timeline`] so far,
+/// through the slice accessors (`spans`, `spans_from`) and the scanning
+/// methods (`total_for`, `virtualization_overhead`, `breakdown`,
+/// `Display`) — the tests' evidence that the request path walks none but
+/// its own.  Compiled out of release builds.
+#[cfg(any(test, debug_assertions))]
+pub fn span_visits() -> u64 {
+    SPAN_VISITS.with(std::cell::Cell::get)
+}
+
+#[inline]
+fn visit(spans: &[Span]) -> &[Span] {
+    #[cfg(any(test, debug_assertions))]
+    SPAN_VISITS.with(|v| v.set(v.get() + spans.len() as u64));
+    spans
 }
 
 impl Timeline {
     pub fn new() -> Self {
-        Timeline { spans: Vec::new() }
+        Timeline::default()
     }
 
     /// Pre-size for a known span count (hot-path requests charge ~12 spans).
     pub fn with_capacity(n: usize) -> Self {
-        Timeline { spans: Vec::with_capacity(n) }
+        Timeline { spans: Vec::with_capacity(n), total: SimDuration::ZERO }
     }
 
     /// Charge `duration` under `label`.  Zero-duration charges are dropped
@@ -118,6 +148,7 @@ impl Timeline {
     pub fn charge(&mut self, label: SpanLabel, duration: SimDuration) {
         if !duration.is_zero() {
             self.spans.push(Span { label, duration });
+            self.total += duration;
         }
     }
 
@@ -125,10 +156,23 @@ impl Timeline {
     /// SCIF call made by the backend, returns its own timeline).
     pub fn absorb(&mut self, other: &Timeline) {
         self.spans.extend_from_slice(&other.spans);
+        self.total += other.total;
     }
 
+    /// Every span, for a report.  Not for the request path: the caller's
+    /// timeline may hold thousands.
     pub fn spans(&self) -> &[Span] {
-        &self.spans
+        visit(&self.spans)
+    }
+
+    /// The spans charged since the timeline was [`len`](Self::len) `start`
+    /// long — one request's own slice of a timeline its caller reuses.
+    pub fn spans_from(&self, start: usize) -> &[Span] {
+        visit(&self.spans[start.min(self.spans.len())..])
+    }
+
+    pub fn len(&self) -> usize {
+        self.spans.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -137,23 +181,27 @@ impl Timeline {
 
     /// Total virtual time across all spans — the request's latency.
     pub fn total(&self) -> SimDuration {
-        self.spans.iter().map(|s| s.duration).sum()
+        self.total
     }
 
     /// Total charged under one label.
     pub fn total_for(&self, label: SpanLabel) -> SimDuration {
-        self.spans.iter().filter(|s| s.label == label).map(|s| s.duration).sum()
+        visit(&self.spans).iter().filter(|s| s.label == label).map(|s| s.duration).sum()
     }
 
     /// Total charged to virtualization-overhead labels.
     pub fn virtualization_overhead(&self) -> SimDuration {
-        self.spans.iter().filter(|s| s.label.is_virtualization_overhead()).map(|s| s.duration).sum()
+        visit(&self.spans)
+            .iter()
+            .filter(|s| s.label.is_virtualization_overhead())
+            .map(|s| s.duration)
+            .sum()
     }
 
     /// Collapse to `(label, total)` pairs in first-appearance order.
     pub fn breakdown(&self) -> Vec<(SpanLabel, SimDuration)> {
         let mut out: Vec<(SpanLabel, SimDuration)> = Vec::new();
-        for s in &self.spans {
+        for s in visit(&self.spans) {
             match out.iter_mut().find(|(l, _)| *l == s.label) {
                 Some((_, d)) => *d += s.duration,
                 None => out.push((s.label, s.duration)),
@@ -164,6 +212,7 @@ impl Timeline {
 
     pub fn clear(&mut self) {
         self.spans.clear();
+        self.total = SimDuration::ZERO;
     }
 }
 

@@ -67,6 +67,51 @@ proptest! {
         prop_assert_eq!(ta.total(), ta_total + tb_total);
     }
 
+    /// The running total is the sum of `spans()` whatever edited them, and
+    /// equality and the rendering depend on the spans alone.
+    #[test]
+    fn running_total_tracks_every_edit(
+        ops in prop::collection::vec((0u8..8, 0usize..4, 0u64..1_000), 0..80),
+    ) {
+        const LABELS: [SpanLabel; 4] =
+            [SpanLabel::HostSyscall, SpanLabel::GuestWakeup, SpanLabel::RingPush, SpanLabel::Other(7)];
+        let mut tl = Timeline::new();
+        let mut other = Timeline::with_capacity(4);
+        for (op, label, ns) in ops {
+            match op {
+                // Every fourth charge is a zero, which must stay dropped.
+                0..=3 => tl.charge(LABELS[label], SimDuration(if op == 3 { 0 } else { ns })),
+                4 => other.charge(LABELS[label], SimDuration(ns)),
+                5 => tl.absorb(&other),
+                6 => tl = tl.clone(),
+                _ => {
+                    if ns < 100 {
+                        tl.clear();
+                        prop_assert!(tl.is_empty());
+                    } else {
+                        other.clear();
+                    }
+                }
+            }
+            for t in [&tl, &other] {
+                prop_assert_eq!(t.total(), t.spans().iter().map(|s| s.duration).sum::<SimDuration>());
+                prop_assert_eq!(t.len(), t.spans().len());
+                prop_assert!(t.spans().iter().all(|s| !s.duration.is_zero()));
+            }
+        }
+        // The same spans charged one by one into a fresh timeline: equal,
+        // and rendered alike, however the total was arrived at.
+        let mut rebuilt = Timeline::new();
+        for s in tl.spans() {
+            rebuilt.charge(s.label, s.duration);
+        }
+        prop_assert_eq!(&rebuilt, &tl);
+        prop_assert_eq!(rebuilt.to_string(), tl.to_string());
+        prop_assert!(tl.to_string().starts_with(&format!("timeline total={}\n", tl.total())));
+        rebuilt.charge(SpanLabel::HostSyscall, SimDuration(1));
+        prop_assert_ne!(&rebuilt, &tl);
+    }
+
     // ----------------------------------------------------------- statistics
 
     #[test]

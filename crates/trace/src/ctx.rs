@@ -129,7 +129,7 @@ pub struct RootSpan {
     armed: bool,
     name: &'static str,
     start_total: SimDuration,
-    /// `tl.spans().len()` at adoption — the start of this request's slice.
+    /// `tl.len()` at adoption — the start of this request's slice.
     tl_start: usize,
 }
 
@@ -147,13 +147,13 @@ impl<'a> OpCtx<'a> {
     }
 
     /// Open a child span under the current parent.  Disarmed contexts pay
-    /// one branch.
+    /// one branch and do not touch the timeline.
     #[inline]
     pub fn begin(&mut self, name: &'static str, stage: Stage) -> OpenSpan {
-        let start_total = self.tl.total();
         match self.trace.inner.as_mut() {
             None => OpenSpan::DISARMED,
             Some(inner) => {
+                let start_total = self.tl.total();
                 let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
                 let prev_parent = inner.parent;
                 inner.parent = id;
@@ -229,7 +229,7 @@ impl<'a> OpCtx<'a> {
             zero,
             queue: 0,
         });
-        RootSpan { armed: true, name: op, start_total: zero, tl_start: self.tl.spans().len() }
+        RootSpan { armed: true, name: op, start_total: zero, tl_start: self.tl.len() }
     }
 
     /// Close a root adopted by [`adopt_root`](Self::adopt_root): record the
@@ -245,7 +245,7 @@ impl<'a> OpCtx<'a> {
         };
         let total = self.tl.total();
         let mut stages = [SimDuration::ZERO; crate::STAGE_COUNT];
-        for span in &self.tl.spans()[root.tl_start.min(self.tl.spans().len())..] {
+        for span in self.tl.spans_from(root.tl_start) {
             stages[Stage::of(span.label).index()] += span.duration;
         }
         inner.tracer.record(SpanRec {

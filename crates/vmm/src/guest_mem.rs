@@ -5,8 +5,6 @@
 //! the arena — which is exactly the mapping trick the paper uses to avoid
 //! copies between the guest and QEMU.
 
-use std::collections::BTreeMap;
-
 use vphi_sim_core::cost::PAGE_SIZE;
 use vphi_sync::{LockClass, TrackedMutex};
 
@@ -59,8 +57,12 @@ struct MemState {
     /// touch.  A handful at most, so first-fit is a short scan and a
     /// split or a merge edits one entry in place.
     free: Vec<(u64, u64)>,
-    /// start → len of live allocations.
-    live: BTreeMap<u64, u64>,
+    /// Live allocations by start page: `live[p]` is the page count of the
+    /// allocation starting at page `p`, 0 where none starts.  Zeroed pages
+    /// the allocator never reached are never touched.
+    live: Vec<u32>,
+    /// Bytes in live allocations.
+    allocated: u64,
 }
 
 /// The VM's physical memory.
@@ -73,6 +75,8 @@ pub struct GuestMemory {
 impl GuestMemory {
     pub fn new(size: u64) -> Self {
         assert!(size > 0 && size.is_multiple_of(PAGE_SIZE), "guest memory must be whole pages");
+        let pages = size / PAGE_SIZE;
+        assert!(pages <= u64::from(u32::MAX), "guest memory beyond the live table's page counts");
         GuestMemory {
             size,
             state: TrackedMutex::new(
@@ -80,7 +84,8 @@ impl GuestMemory {
                 MemState {
                     arena: vec![0u8; size as usize],
                     free: vec![(0, size)],
-                    live: BTreeMap::new(),
+                    live: vec![0; pages as usize],
+                    allocated: 0,
                 },
             ),
         }
@@ -91,7 +96,7 @@ impl GuestMemory {
     }
 
     pub fn allocated(&self) -> u64 {
-        self.state.lock().live.values().sum()
+        self.state.lock().allocated
     }
 
     /// Allocate `len` bytes of guest-physically-contiguous memory
@@ -112,14 +117,25 @@ impl GuestMemory {
         } else {
             st.free[i] = (off + len, flen - len);
         }
-        st.live.insert(off, len);
+        st.live[(off / PAGE_SIZE) as usize] = (len / PAGE_SIZE) as u32;
+        st.allocated += len;
         Ok(Gpa(off))
     }
 
-    /// Free a previous allocation (by its exact base).
+    /// Free a previous allocation (by its exact base).  `BadFree` for
+    /// anything else: an unaligned or out-of-range address, a page no live
+    /// allocation starts at, a second free.
     pub fn free(&self, gpa: Gpa) -> Result<(), GuestMemError> {
+        if !gpa.0.is_multiple_of(PAGE_SIZE) {
+            return Err(GuestMemError::BadFree);
+        }
         let mut st = self.state.lock();
-        let len = st.live.remove(&gpa.0).ok_or(GuestMemError::BadFree)?;
+        let pages = st.live.get_mut(gpa.page() as usize).ok_or(GuestMemError::BadFree)?;
+        let len = u64::from(std::mem::take(pages)) * PAGE_SIZE;
+        if len == 0 {
+            return Err(GuestMemError::BadFree);
+        }
+        st.allocated -= len;
         // The span goes back between `free[i - 1]` and `free[i]`, merged
         // with whichever of them it touches.
         let i = st.free.partition_point(|&(start, _)| start < gpa.0);
