@@ -13,6 +13,7 @@ use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
 use vphi_virtio::{Descriptor, UsedElem, VirtQueue};
 use vphi_vmm::WaitQueue;
 
+#[expect(clippy::disallowed_methods, reason = "times the bare ring, no frontend above it")]
 fn bench_virtqueue(c: &mut Criterion) {
     let q = VirtQueue::new(256);
     let push = SimDuration::from_nanos(650);

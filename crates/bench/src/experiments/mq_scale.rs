@@ -16,9 +16,9 @@
 //!    and because virtual time is queue-count-independent, so must the
 //!    default 4-queue config.
 //! 3. **Pipelined DMA.**  A ≥ 64 MiB cold-path remote read with
-//!    `pipeline_rma` on must beat monolithic staging by ≥ 20%.
+//!    `RmaCharge::Pipelined` must beat monolithic staging by ≥ 20%.
 
-use vphi::backend::RegCacheConfig;
+use vphi::backend::{RegCacheConfig, RmaCharge};
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::frontend::VphiChannel;
 use vphi::protocol::VphiRequest;
@@ -169,8 +169,8 @@ pub fn mq_scale() -> MqScaleReport {
         anchor_default: one_byte_latency(VmConfig::default(), Port(880)),
         anchor_single_queue: one_byte_latency(VmConfig::builder().num_queues(1).build(), Port(881)),
         rma_bytes: RMA_BYTES,
-        rma_monolithic: rma_cold_read(false, Port(882)),
-        rma_pipelined: rma_cold_read(true, Port(883)),
+        rma_monolithic: rma_cold_read(RmaCharge::PerPage, Port(882)),
+        rma_pipelined: rma_cold_read(RmaCharge::Pipelined, Port(883)),
     }
 }
 
@@ -216,14 +216,14 @@ fn one_byte_latency(config: VmConfig, port: Port) -> SimDuration {
 /// One cold-path remote read of [`RMA_BYTES`] with the registration
 /// cache disabled (every read pays the translate charge, which is where
 /// pipelining overlaps staging with device DMA).
-fn rma_cold_read(pipeline: bool, port: Port) -> SimDuration {
+fn rma_cold_read(charge: RmaCharge, port: Port) -> SimDuration {
     let host = VphiHost::new(1);
     let server = spawn_device_window(&host, port, RMA_BYTES);
     let vm = host.spawn_vm(
         VmConfig::builder()
             .mem_size(RMA_BYTES + 64 * MIB)
             .reg_cache(RegCacheConfig::disabled())
-            .pipeline_rma(pipeline)
+            .rma(charge)
             .build(),
     );
     let mut tl = Timeline::new();

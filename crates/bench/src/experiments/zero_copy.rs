@@ -20,7 +20,7 @@
 //! shows the shift: the `dma-map` stage appears only on the zero-copy VM,
 //! and `backend-replay` shrinks by what the staged arm charges.
 
-use vphi::backend::RegCacheConfig;
+use vphi::backend::{RegCacheConfig, RmaCharge};
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
 use vphi_scif::{Port, RmaFlags, ScifAddr};
@@ -107,7 +107,7 @@ pub fn zero_copy() -> ZeroCopyReport {
     // --- The Fig. 4 anchor, feature off and on (must be identical). ---
     let anchor_off = one_byte_anchor(&host, Port(880), VmConfig::default());
     let anchor_zc =
-        one_byte_anchor(&host, Port(881), VmConfig::builder().zero_copy_rma(true).build());
+        one_byte_anchor(&host, Port(881), VmConfig::builder().rma(RmaCharge::Mapped).build());
 
     // --- Native client against a device window. ---
     let server = spawn_device_window(&host, Port(882), max);
@@ -131,7 +131,7 @@ pub fn zero_copy() -> ZeroCopyReport {
         VmConfig::builder()
             .mem_size(max + 64 * MIB)
             .reg_cache(RegCacheConfig::disabled())
-            .zero_copy_rma(true)
+            .rma(RmaCharge::Mapped)
             .build(),
     );
     let guest_cold = vm_cold.open_scif(&mut tl).expect("cold open");
@@ -143,7 +143,7 @@ pub fn zero_copy() -> ZeroCopyReport {
     // --- vPHI, zero-copy on, default cache: measured read is warm. ---
     let server_warm = spawn_device_window(&host, Port(885), max);
     let vm_warm =
-        host.spawn_vm(VmConfig::builder().mem_size(max + 64 * MIB).zero_copy_rma(true).build());
+        host.spawn_vm(VmConfig::builder().mem_size(max + 64 * MIB).rma(RmaCharge::Mapped).build());
     let guest_warm = vm_warm.open_scif(&mut tl).expect("warm open");
     guest_warm
         .connect(ScifAddr::new(host.device_node(0), Port(885)), &mut tl)

@@ -7,16 +7,9 @@
 //! not know beforehand when a corresponding scif_connect() request will
 //! arrive." (paper §III)
 
-use crate::protocol::VphiRequest;
+use vphi_vmm::event_loop::Dispatch;
 
-/// Where a request's handler runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dispatch {
-    /// In the QEMU event loop — the VM pauses until the handler returns.
-    Blocking,
-    /// On a QEMU worker thread — the VM keeps running.
-    Worker,
-}
+use crate::protocol::VphiRequest;
 
 /// Bytes of payload a request moves (drives the size-based hybrid
 /// dispatch the paper proposes as future work).
@@ -72,19 +65,16 @@ impl Default for DispatchPolicy {
     }
 }
 
-/// The paper's policy as a free function (back-compat shim for callers
-/// that don't configure a policy).
-pub fn dispatch_policy(req: &VphiRequest) -> Dispatch {
-    DispatchPolicy::PAPER.dispatch(req)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn accept_goes_to_a_worker() {
-        assert_eq!(dispatch_policy(&VphiRequest::Accept { epd: 1 }), Dispatch::Worker);
+        assert_eq!(
+            DispatchPolicy::PAPER.dispatch(&VphiRequest::Accept { epd: 1 }),
+            Dispatch::Worker
+        );
     }
 
     #[test]
@@ -110,15 +100,26 @@ mod tests {
 
     #[test]
     fn data_transfers_block_the_vm() {
-        assert_eq!(dispatch_policy(&VphiRequest::Send { epd: 1, len: 4096 }), Dispatch::Blocking);
-        assert_eq!(dispatch_policy(&VphiRequest::Recv { epd: 1, len: 4096 }), Dispatch::Blocking);
         assert_eq!(
-            dispatch_policy(&VphiRequest::VreadFrom { epd: 1, roffset: 0, len: 1, flags: 0 }),
+            DispatchPolicy::PAPER.dispatch(&VphiRequest::Send { epd: 1, len: 4096 }),
             Dispatch::Blocking
         );
-        assert_eq!(dispatch_policy(&VphiRequest::Open), Dispatch::Blocking);
         assert_eq!(
-            dispatch_policy(&VphiRequest::Connect { epd: 1, node: 1, port: 2 }),
+            DispatchPolicy::PAPER.dispatch(&VphiRequest::Recv { epd: 1, len: 4096 }),
+            Dispatch::Blocking
+        );
+        assert_eq!(
+            DispatchPolicy::PAPER.dispatch(&VphiRequest::VreadFrom {
+                epd: 1,
+                roffset: 0,
+                len: 1,
+                flags: 0
+            }),
+            Dispatch::Blocking
+        );
+        assert_eq!(DispatchPolicy::PAPER.dispatch(&VphiRequest::Open), Dispatch::Blocking);
+        assert_eq!(
+            DispatchPolicy::PAPER.dispatch(&VphiRequest::Connect { epd: 1, node: 1, port: 2 }),
             Dispatch::Blocking
         );
     }

@@ -16,10 +16,12 @@ pub mod notify;
 mod reg_cache;
 mod rma;
 
-pub use dispatch::{dispatch_policy, request_payload_len, Dispatch, DispatchPolicy};
+pub use dispatch::{request_payload_len, DispatchPolicy};
 pub use notify::{LaneNotifier, LaneNotifyCounters, BATCH_BUCKETS};
 pub use reg_cache::{RegCacheConfig, RegCacheSnapshot, RegCacheStats, RegistrationCache};
+pub use rma::RmaCharge;
 use rma::RmaDir;
+pub use vphi_vmm::event_loop::Dispatch;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -117,24 +119,6 @@ pub struct BackendStats {
     pub staging_bytes_avoided: AtomicU64,
 }
 
-/// Knobs the builder exposes beyond the dispatch policy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BackendOptions {
-    /// RMA registration-cache tuning (enabled by default).
-    pub reg_cache: RegCacheConfig,
-    /// Pipeline large RMA staging: split cold-path pin/translate into
-    /// `KMALLOC_MAX_SIZE` chunks double-buffered against the DMA channels,
-    /// so only the exposed remainder of staging lands on the critical
-    /// path.  Off by default to keep the calibrated figures byte-stable.
-    pub pipeline_rma: bool,
-    /// Mapped large RMA: requests above `KMALLOC_MAX_SIZE` are charged a
-    /// huge-page window pin, aperture map and scatter-gather build
-    /// instead of the per-page pin + translate (DESIGN.md #19).  Bytes
-    /// move once either way.  Off by default to keep the calibrated
-    /// figures byte-stable.
-    pub zero_copy_rma: bool,
-}
-
 struct EndpointTable {
     endpoints: HashMap<u64, Arc<ScifEndpoint>>,
     next_epd: u64,
@@ -158,7 +142,6 @@ pub struct BackendInner {
     mmaps: TrackedMutex<MmapTable>,
     policy: DispatchPolicy,
     running: AtomicBool,
-    pipeline_rma: bool,
     /// Per-lane interrupt gates — the only path to an MSI injection.
     notifiers: Vec<Arc<LaneNotifier>>,
     /// Worker dispatches per queue lane — the shard-level counterpart of
@@ -168,9 +151,11 @@ pub struct BackendInner {
     /// Only consulted to invalidate the cache on `scif_unregister`.
     windows: TrackedMutex<HashMap<(u64, u64), (u64, u64)>>,
     pub reg_cache: RegistrationCache,
-    zero_copy_rma: bool,
-    /// Window-mapping table for zero-copy RMA: registered guest windows
-    /// pinned into huge-page subwindows of one large device aperture.
+    /// What an RMA above `KMALLOC_MAX_SIZE` is charged (`backend/rma.rs`).
+    rma: RmaCharge,
+    /// Window-mapping table for [`RmaCharge::Mapped`]: registered guest
+    /// windows pinned into huge-page subwindows of one large device
+    /// aperture.
     aperture: ApertureMap,
     pub stats: BackendStats,
     faults: FaultHook,
@@ -205,11 +190,6 @@ impl BackendInner {
     /// Worker dispatches attributed to queue lane `q`.
     pub fn queue_worker_dispatches(&self, q: usize) -> u64 {
         self.queue_worker_dispatches[q].load(Ordering::Relaxed)
-    }
-
-    /// Queue lane `q`'s interrupt gate.
-    pub fn lane_notifier(&self, q: usize) -> &Arc<LaneNotifier> {
-        &self.notifiers[q]
     }
 
     /// Counter snapshots of every lane's interrupt gate, lane order.
@@ -351,10 +331,9 @@ impl BackendInner {
 
         match self.policy.dispatch(&req) {
             Dispatch::Blocking => {
-                let resp =
-                    self.event_loop.run(vphi_vmm::event_loop::Dispatch::Blocking, &mut tl, |tl| {
-                        self.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
-                    });
+                let resp = self.event_loop.run(Dispatch::Blocking, &mut tl, |tl| {
+                    self.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
+                });
                 OpCtx::new(&mut tl, trace.clone()).end(replay);
                 self.finish(q, token, &chain, resp, tl, trace, hint);
             }
@@ -368,7 +347,7 @@ impl BackendInner {
                 self.event_loop.spawn_worker(req.name(), move || {
                     let mut tl = tl;
                     let el = Arc::clone(&inner.event_loop);
-                    let resp = el.run(vphi_vmm::event_loop::Dispatch::Worker, &mut tl, |tl| {
+                    let resp = el.run(Dispatch::Worker, &mut tl, |tl| {
                         inner.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
                     });
                     OpCtx::new(&mut tl, trace.clone()).end(replay);
@@ -754,7 +733,8 @@ impl BackendDevice {
         fabric: Arc<ScifFabric>,
         boards: Vec<Arc<PhiBoard>>,
         policy: DispatchPolicy,
-        options: BackendOptions,
+        reg_cache: RegCacheConfig,
+        rma: RmaCharge,
     ) -> Arc<Self> {
         let queue_worker_dispatches =
             (0..channel.queue_count()).map(|_| AtomicU64::new(0)).collect();
@@ -790,12 +770,11 @@ impl BackendDevice {
                 ),
                 policy,
                 running: AtomicBool::new(false),
-                pipeline_rma: options.pipeline_rma,
                 notifiers,
                 queue_worker_dispatches,
                 windows: TrackedMutex::new(LockClass::BackendWindows, HashMap::new()),
-                reg_cache: RegistrationCache::new(options.reg_cache),
-                zero_copy_rma: options.zero_copy_rma,
+                reg_cache: RegistrationCache::new(reg_cache),
+                rma,
                 // 64 GiB of device aperture at the 1 TiB mark — far above
                 // any guest RAM so map bugs fault loudly, and big enough
                 // that exhaustion only happens via leaks.

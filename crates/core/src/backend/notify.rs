@@ -47,12 +47,6 @@ pub struct LaneNotifyCounters {
 }
 
 impl LaneNotifyCounters {
-    /// Total completions delivered by injected irqs (weighted histogram
-    /// mass is at least this spread across buckets).
-    pub fn irq_total(&self) -> u64 {
-        self.batch_hist.iter().sum()
-    }
-
     /// The largest non-empty histogram bucket — `2^b` is a lower bound on
     /// the biggest single-irq batch observed.
     pub fn max_batch_bucket(&self) -> Option<u8> {
@@ -118,6 +112,7 @@ impl LaneNotifier {
     /// Inject the lane's virtual interrupt, flushing the pending batch:
     /// this irq delivers its own completion plus every completion
     /// suppressed-while-sleeping since the last irq.
+    #[expect(clippy::disallowed_methods, reason = "the lane's interrupt gate (DESIGN.md #16)")]
     pub fn deliver_irq(&self, tl: &mut Timeline) {
         let flushed = self.pending.swap(0, Ordering::Relaxed) + 1;
         self.irqs_injected.fetch_add(1, Ordering::Relaxed);
@@ -168,6 +163,7 @@ mod tests {
         (LaneNotifier::new(11, Arc::clone(&chip), Arc::clone(&queue)), queue, chip)
     }
 
+    #[expect(clippy::disallowed_methods, reason = "stages a completion on a bare queue")]
     fn push_one(queue: &Arc<VirtQueue>, tl: &mut Timeline) -> u64 {
         let head = queue.add_chain(&[Descriptor::readable(0, 1)], PUSH, tl).unwrap();
         queue.pop_avail().unwrap().unwrap();

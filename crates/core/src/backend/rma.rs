@@ -5,10 +5,12 @@
 //! host driver as a window backing ([`GuestWindowBytes`]) and the bytes
 //! move once, device ↔ guest memory, inside `v*_window` — the paper's
 //! "maps the buffer to its address space avoiding again any copies"
-//! (§III).  What distinguishes the *staged* and *mapped* arms is only the
-//! virtual time the request is charged for making those pages reachable:
-//! per-page pin + translate (`charge_translate`), or a huge-page window
-//! pin, aperture map and scatter-gather build (`charge_map`).
+//! (§III).  What distinguishes one [`RmaCharge`] from another is only the
+//! virtual time a request above `KMALLOC_MAX_SIZE` is charged for making
+//! those pages reachable: per-page pin + translate, the part of it a
+//! double-buffered pipeline cannot hide (`charge_translate`), or a
+//! huge-page window pin, aperture map and scatter-gather build
+//! (`charge_map`).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -17,13 +19,39 @@ use vphi_pcie::{MapKey, SgList};
 use vphi_scif::window::WindowBacking;
 use vphi_scif::{ScifError, ScifResult};
 use vphi_sim_core::cost::{HUGE_PAGE_SIZE, KMALLOC_MAX_SIZE, PAGE_SIZE};
-use vphi_sim_core::{SpanLabel, Timeline};
+use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 use vphi_trace::{OpCtx, Stage};
 use vphi_virtio::DescChain;
 use vphi_vmm::Gpa;
 
 use super::{BackendInner, GuestWindowBytes};
 use crate::protocol::rma_flags_from_wire;
+
+/// What a guest RMA above `KMALLOC_MAX_SIZE` is charged for making its
+/// buffer reachable by the device.  Smaller requests pay
+/// [`PerPage`](RmaCharge::PerPage) under every setting.  The registration
+/// cache ([`RegCacheConfig`](super::RegCacheConfig)) is orthogonal: a hit
+/// skips whichever charge is selected.  The frontend's `chunk_size` is not
+/// on this axis — it cuts messages, and no RMA reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RmaCharge {
+    /// Per-page pin + GPA→HVA translate — the paper's prototype, and the
+    /// default so the calibrated figures stay byte-stable.
+    #[default]
+    PerPage,
+    /// The same work split into `KMALLOC_MAX_SIZE` chunks double-buffered
+    /// against the DMA channels: only what the pipeline cannot hide
+    /// behind earlier chunks' DMA lands on the critical path (MQ-SCALE).
+    Pipelined,
+    /// Huge-page window pin, aperture map and scatter-gather build
+    /// (DESIGN.md #19, ZERO-COPY).  An exhausted aperture is `ENOMEM`.
+    Mapped,
+}
+
+impl RmaCharge {
+    /// Every charge, for tests that sweep the axis.
+    pub const ALL: [RmaCharge; 3] = [RmaCharge::PerPage, RmaCharge::Pipelined, RmaCharge::Mapped];
+}
 
 /// Which way a guest RMA moves bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,13 +63,21 @@ pub(super) enum RmaDir {
 }
 
 impl BackendInner {
-    /// Per-page pin + GPA→HVA translation charge for an RMA buffer — the
-    /// term that caps vPHI remote-read throughput at 72% of native.
+    /// Pin + GPA→HVA translation charge for an RMA buffer: `miss(pages)`
+    /// unless the registration cache already holds the range.  Per page it
+    /// is the term that caps vPHI remote-read throughput at 72% of native.
     ///
     /// With the registration cache enabled the charge is paid once per
     /// `(endpoint, range)`: a hit pays only the constant probe, the way
     /// native SCIF amortizes registration across transfers.
-    fn charge_translate(&self, epd: u64, gpa: u64, bytes: u64, tl: &mut Timeline) {
+    fn charge_translate(
+        &self,
+        epd: u64,
+        gpa: u64,
+        bytes: u64,
+        tl: &mut Timeline,
+        miss: impl FnOnce(u64) -> SimDuration,
+    ) {
         if self.reg_cache.enabled() {
             tl.charge(SpanLabel::RegCacheLookup, self.cost().reg_cache_lookup);
             let probe = self.reg_cache.probe(epd, gpa, bytes, false);
@@ -56,25 +92,16 @@ impl BackendInner {
         }
         let pages = bytes.div_ceil(PAGE_SIZE).max(1);
         self.stats.pages_translated.fetch_add(pages, Ordering::Relaxed);
-        let chunk = KMALLOC_MAX_SIZE;
-        if self.pipeline_rma && bytes > chunk {
-            // Double-buffered staging pipeline: the transfer's own DMA
-            // charge (inside the SCIF replay) covers the wire; here we
-            // charge only the staging the pipeline could not hide behind
-            // earlier chunks' DMA.
-            let exposed = self.fabric.shared().rma_pipeline_exposure(bytes, chunk);
-            tl.charge(SpanLabel::PageTranslate, exposed);
-        } else {
-            tl.charge(SpanLabel::PageTranslate, self.cost().page_translate * pages);
-        }
+        tl.charge(SpanLabel::PageTranslate, miss(pages));
     }
 
     /// Map charge: probe the mapping cache, pin + map the window into the
     /// device aperture on a cold miss, and build the scatter-gather
     /// descriptor list covering `[gpa, gpa+len)`.  Returns the map key;
     /// the caller brackets this in the `dma-map` stage span so stage sums
-    /// reconcile exactly.
-    fn charge_map(&self, epd: u64, gpa: u64, len: u64, tl: &mut Timeline) -> MapKey {
+    /// reconcile exactly.  An aperture with no room for the window is
+    /// `ENOMEM`, before any pin, map or descriptor is charged or counted.
+    fn charge_map(&self, epd: u64, gpa: u64, len: u64, tl: &mut Timeline) -> ScifResult<MapKey> {
         let key: MapKey = (epd, gpa / PAGE_SIZE);
         let cost = self.cost();
         let mut cold = true;
@@ -89,12 +116,7 @@ impl BackendInner {
         // The mapping covers from the window's containing huge page so an
         // unaligned start still lands inside the subwindow.
         let map_len = (gpa % HUGE_PAGE_SIZE) + len;
-        let sub = self
-            .aperture
-            .map_window(key, map_len)
-            // Aperture exhaustion: fall back to addressing the whole
-            // device window (timing identical, bookkeeping degraded).
-            .unwrap_or_else(|| self.aperture.device());
+        let sub = self.aperture.map_window(key, map_len).ok_or(ScifError::NoMem)?;
         if cold {
             tl.charge(SpanLabel::WindowPin, cost.pin_window(len));
             self.stats.windows_mapped.fetch_add(1, Ordering::Relaxed);
@@ -105,7 +127,7 @@ impl BackendInner {
         tl.charge(SpanLabel::SgBuild, cost.sg_descriptor * (sg.len().max(1) as u64));
         self.stats.sg_descriptors.fetch_add(sg.len() as u64, Ordering::Relaxed);
         self.stats.staging_bytes_avoided.fetch_add(len, Ordering::Relaxed);
-        key
+        Ok(key)
     }
 
     /// Replay one guest `VreadFrom` / `VwriteTo`: validate once, charge
@@ -132,14 +154,28 @@ impl BackendInner {
         self.guest_mem.check_range(Gpa(d.addr), len).map_err(|_| ScifError::Inval)?;
         // The mapped arm keeps its subwindow's in-flight guard for the
         // duration of the transfer, so an unmap quiesces behind it.
-        let _io = if self.zero_copy_rma && len > KMALLOC_MAX_SIZE {
-            let span = ctx.begin("dma-map", Stage::DmaMap);
-            let key = self.charge_map(epd, d.addr, len, ctx.tl);
-            ctx.end(span);
-            self.aperture.begin_io(key)
-        } else {
-            self.charge_translate(epd, d.addr, len, ctx.tl);
-            None
+        let _io = match (self.rma, len > KMALLOC_MAX_SIZE) {
+            (RmaCharge::Mapped, true) => {
+                let span = ctx.begin("dma-map", Stage::DmaMap);
+                let key = self.charge_map(epd, d.addr, len, ctx.tl);
+                ctx.end(span);
+                self.aperture.begin_io(key?)
+            }
+            (RmaCharge::Pipelined, true) => {
+                // The transfer's own DMA charge (inside the SCIF replay)
+                // covers the wire; what is charged here is the staging the
+                // pipeline could not hide behind earlier chunks' DMA.
+                self.charge_translate(epd, d.addr, len, ctx.tl, |_| {
+                    self.fabric.shared().rma_pipeline_exposure(len, KMALLOC_MAX_SIZE)
+                });
+                None
+            }
+            (RmaCharge::PerPage, true) | (_, false) => {
+                self.charge_translate(epd, d.addr, len, ctx.tl, |pages| {
+                    self.cost().page_translate * pages
+                });
+                None
+            }
         };
         let guest = WindowBacking::External(Arc::new(GuestWindowBytes::new(
             Arc::clone(&self.guest_mem),

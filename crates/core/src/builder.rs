@@ -12,6 +12,7 @@ use std::sync::Arc;
 use vphi_faults::{FaultHook, FaultInjector, FaultPlan};
 use vphi_phi::{PhiBoard, PhiSpec};
 use vphi_scif::{NodeId, ScifEndpoint, ScifFabric, ScifResult, HOST_NODE};
+use vphi_sim_core::cost::KMALLOC_MAX_SIZE;
 use vphi_sim_core::units::MIB;
 use vphi_sim_core::{CostModel, SimDuration, Timeline, VirtualClock};
 use vphi_sync::{LockClass, TrackedMutex};
@@ -19,7 +20,7 @@ use vphi_trace::{OpCtx, TraceConfig, TraceSlot, Tracer};
 use vphi_vmm::kvm::KvmPatch;
 use vphi_vmm::Vm;
 
-use crate::backend::BackendDevice;
+use crate::backend::{BackendDevice, RmaCharge};
 use crate::frontend::{FrontendDriver, VphiChannel, WaitScheme};
 use crate::guest::GuestScif;
 use crate::sysfs::GuestSysfs;
@@ -41,8 +42,9 @@ pub struct VmConfig {
     /// Host kernel patch state (`Unpatched` reproduces the mmap failure
     /// the paper's KVM patch fixes).
     pub patch: KvmPatch,
-    /// Frontend staging chunk size (`KMALLOC_MAX_SIZE` in the paper;
-    /// swept by ABL-CHUNK).
+    /// Frontend staging chunk size for messages (`send`/`recv`, their
+    /// timed twins and batched submits), at most the paper's
+    /// `KMALLOC_MAX_SIZE`; swept by ABL-CHUNK.  No RMA reads it.
     pub chunk_size: u64,
     /// Backend dispatch policy (paper default: only `scif_accept` on a
     /// worker; ABL-BLOCK sweeps the size-hybrid).
@@ -50,16 +52,10 @@ pub struct VmConfig {
     /// Backend RMA registration cache (disable to reproduce the seed's
     /// per-request translation charge — the Fig. 5 72% ceiling).
     pub reg_cache: crate::backend::RegCacheConfig,
-    /// Pipeline large cold-path RMA staging through double-buffered
-    /// chunks overlapped with device DMA.  Off by default so the
-    /// calibrated figures stay byte-stable; MQ-SCALE turns it on.
-    pub pipeline_rma: bool,
-    /// Mapped large RMA: requests above `KMALLOC_MAX_SIZE` pin the guest
-    /// window into the device aperture and charge a scatter-gather build
-    /// instead of the staged arm's per-page pin + translate
-    /// (DESIGN.md #19; bytes move once on either arm).  Off by default so
-    /// the calibrated figures stay byte-stable; ZERO-COPY turns it on.
-    pub zero_copy_rma: bool,
+    /// What an RMA above `KMALLOC_MAX_SIZE` is charged.  `PerPage` by
+    /// default so the calibrated figures stay byte-stable; MQ-SCALE runs
+    /// `Pipelined`, ZERO-COPY runs `Mapped`.
+    pub rma: RmaCharge,
 }
 
 impl Default for VmConfig {
@@ -70,11 +66,10 @@ impl Default for VmConfig {
             queue_size: 256,
             num_queues: 4,
             patch: KvmPatch::PfnPhi,
-            chunk_size: vphi_sim_core::cost::KMALLOC_MAX_SIZE,
+            chunk_size: KMALLOC_MAX_SIZE,
             dispatch: crate::backend::DispatchPolicy::PAPER,
             reg_cache: crate::backend::RegCacheConfig::default(),
-            pipeline_rma: false,
-            zero_copy_rma: false,
+            rma: RmaCharge::PerPage,
         }
     }
 }
@@ -83,8 +78,9 @@ impl VmConfig {
     /// Start from the paper defaults and override selectively; the
     /// builder's [`build`](VmConfigBuilder::build) validates the combined
     /// result, so impossible topologies (zero lanes, non-power-of-two
-    /// rings, a polling guest under pipelined RMA) fail at construction
-    /// instead of as a hang or a skewed figure later.
+    /// rings, a staging chunk above `KMALLOC_MAX_SIZE`, a polling guest
+    /// under pipelined RMA) fail at construction instead of as a hang, a
+    /// panic in `spawn_vm` or a skewed figure later.
     pub fn builder() -> VmConfigBuilder {
         VmConfigBuilder { config: VmConfig::default() }
     }
@@ -137,14 +133,14 @@ impl VmConfigBuilder {
         self
     }
 
-    pub fn pipeline_rma(mut self, on: bool) -> Self {
-        self.config.pipeline_rma = on;
+    pub fn rma(mut self, charge: RmaCharge) -> Self {
+        self.config.rma = charge;
         self
     }
 
-    pub fn zero_copy_rma(mut self, on: bool) -> Self {
-        self.config.zero_copy_rma = on;
-        self
+    /// `.rma(Mapped)` / `.rma(PerPage)`, as the frozen `benchmark/` spells it.
+    pub fn zero_copy_rma(self, on: bool) -> Self {
+        self.rma(if on { RmaCharge::Mapped } else { RmaCharge::PerPage })
     }
 
     /// Validate and return the config, or a description of what's wrong.
@@ -165,32 +161,27 @@ impl VmConfigBuilder {
                 c.chunk_size
             ));
         }
+        if c.chunk_size > KMALLOC_MAX_SIZE {
+            return Err(format!(
+                "chunk_size must not exceed KMALLOC_MAX_SIZE ({KMALLOC_MAX_SIZE}): the kernel \
+                 cannot allocate larger contiguous buffers, got {}",
+                c.chunk_size
+            ));
+        }
         if c.mem_size < 16 * MIB {
             return Err(format!(
                 "mem_size must be at least 16 MiB (header slabs + staging), got {}",
                 c.mem_size
             ));
         }
-        if c.pipeline_rma && c.scheme == WaitScheme::Polling {
+        if c.rma == RmaCharge::Pipelined && c.scheme == WaitScheme::Polling {
             return Err(
-                "pipeline_rma with WaitScheme::Polling is rejected: the pipeline overlaps \
+                "RmaCharge::Pipelined with WaitScheme::Polling is rejected: the pipeline overlaps \
                  staging with DMA behind an interrupt-driven completion, while a pure-polling \
                  guest burns its vCPU through the whole overlap — the combination measures \
                  neither configuration faithfully"
                     .into(),
             );
-        }
-        if c.zero_copy_rma && c.chunk_size != vphi_sim_core::cost::KMALLOC_MAX_SIZE {
-            return Err("zero_copy_rma with a non-default chunk_size is rejected: the zero-copy \
-                 path never stages, so a tuned staging chunk cannot take effect — the \
-                 sweep would silently measure the default configuration instead"
-                .into());
-        }
-        if c.zero_copy_rma && c.pipeline_rma {
-            return Err("zero_copy_rma with pipeline_rma is rejected: the pipeline overlaps the \
-                 very staging copy zero-copy deletes — enable exactly one large-RMA \
-                 optimization per VM"
-                .into());
         }
         Ok(self.config)
     }
@@ -300,11 +291,6 @@ impl VphiHost {
         injector
     }
 
-    /// The armed injector, if [`arm_faults`](VphiHost::arm_faults) ran.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.injector()
-    }
-
     /// Arm end-to-end request tracing on every attached backend channel.
     /// VMs spawned later inherit the tracer.  First arm wins; returns the
     /// tracer either way so callers can read rings and histograms.
@@ -396,11 +382,8 @@ impl VphiHost {
             Arc::clone(&self.fabric),
             self.boards.clone(),
             config.dispatch,
-            crate::backend::BackendOptions {
-                reg_cache: config.reg_cache,
-                pipeline_rma: config.pipeline_rma,
-                zero_copy_rma: config.zero_copy_rma,
-            },
+            config.reg_cache,
+            config.rma,
         );
         vm.attach(Arc::clone(&backend) as Arc<dyn vphi_vmm::vm::VirtualPciDevice>);
         self.attached.lock().push((vm.id(), Arc::clone(&backend)));
@@ -479,9 +462,8 @@ mod tests {
         assert_eq!(built.queue_size, def.queue_size);
         assert_eq!(built.num_queues, def.num_queues);
         assert_eq!(built.chunk_size, def.chunk_size);
-        assert_eq!(built.pipeline_rma, def.pipeline_rma);
-        assert_eq!(built.zero_copy_rma, def.zero_copy_rma);
-        assert!(!def.zero_copy_rma, "zero-copy defaults off: anchors stay byte-stable");
+        assert_eq!(built.rma, def.rma);
+        assert_eq!(def.rma, RmaCharge::PerPage, "the paper's charge: anchors stay byte-stable");
     }
 
     #[test]
@@ -491,15 +473,18 @@ mod tests {
         assert!(VmConfig::builder().queue_size(100).try_build().is_err());
         assert!(VmConfig::builder().chunk_size(0).try_build().is_err());
         assert!(VmConfig::builder().chunk_size(4097).try_build().is_err());
+        // `spawn_vm` would panic on it: the frontend cannot kmalloc the chunk.
+        let err = VmConfig::builder().chunk_size(2 * KMALLOC_MAX_SIZE).try_build().unwrap_err();
+        assert!(err.contains("cannot allocate larger contiguous buffers"), "{err}");
         assert!(VmConfig::builder().mem_size(MIB).try_build().is_err());
         assert!(VmConfig::builder()
-            .pipeline_rma(true)
+            .rma(RmaCharge::Pipelined)
             .scheme(WaitScheme::Polling)
             .try_build()
             .is_err());
         // The individually-valid pieces still compose.
         assert!(VmConfig::builder()
-            .pipeline_rma(true)
+            .rma(RmaCharge::Pipelined)
             .scheme(WaitScheme::Interrupt)
             .num_queues(8)
             .queue_size(128)
@@ -507,31 +492,30 @@ mod tests {
             .is_ok());
     }
 
+    /// What `try_build` accepts, `spawn_vm` runs: each bound of each
+    /// validated field, and each large-RMA charge.
     #[test]
-    fn builder_rejects_zero_copy_with_staging_knobs() {
-        // Pinned message: sweeps match on it to explain skipped points.
-        let err =
-            VmConfig::builder().zero_copy_rma(true).chunk_size(64 * 4096).try_build().unwrap_err();
-        assert_eq!(
-            err,
-            "zero_copy_rma with a non-default chunk_size is rejected: the zero-copy \
-             path never stages, so a tuned staging chunk cannot take effect — the \
-             sweep would silently measure the default configuration instead"
-        );
-        let err = VmConfig::builder().zero_copy_rma(true).pipeline_rma(true).try_build();
-        assert!(err.unwrap_err().contains("exactly one large-RMA optimization"));
-        // Alone, the flag composes with everything else.
-        assert!(VmConfig::builder()
-            .zero_copy_rma(true)
-            .num_queues(8)
-            .queue_size(128)
-            .try_build()
-            .is_ok());
-        assert!(VmConfig::builder()
-            .zero_copy_rma(true)
-            .reg_cache(crate::backend::RegCacheConfig::disabled())
-            .try_build()
-            .is_ok());
+    fn every_boundary_config_the_builder_accepts_spawns() {
+        let b = VmConfig::builder;
+        let mut configs = vec![
+            b().chunk_size(4096),
+            b().chunk_size(KMALLOC_MAX_SIZE),
+            b().queue_size(2),
+            b().num_queues(1),
+            b().mem_size(16 * MIB),
+        ];
+        configs.extend(RmaCharge::ALL.map(|charge| b().rma(charge)));
+        for builder in configs {
+            let config = builder.try_build().expect("a boundary value is a valid one");
+            let case = format!("{config:?}");
+            let host = VphiHost::new(1);
+            let vm = host.spawn_vm(config);
+            let mut tl = Timeline::new();
+            let ep = vm.open_scif(&mut tl).unwrap_or_else(|e| panic!("{case}: open: {e:?}"));
+            ep.close(&mut tl).unwrap_or_else(|e| panic!("{case}: close: {e:?}"));
+            assert_eq!(vm.backend().open_endpoints(), 0, "{case}");
+            vm.shutdown();
+        }
     }
 
     #[test]

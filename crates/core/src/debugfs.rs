@@ -25,7 +25,7 @@ pub struct QueueReport {
     pub worker_dispatches: u64,
     /// Retired with the kick-suppression flag and always 0; the field
     /// outlives it until the benchmark that reads it is re-based
-    /// (ROADMAP item 2).
+    /// (ROADMAP item 1).
     pub suppress_windows: u64,
     /// Completion MSIs this lane's notifier injected.
     pub irqs_injected: u64,

@@ -736,6 +736,7 @@ impl FrontendDriver {
         r
     }
 
+    #[expect(clippy::disallowed_methods, reason = "blocking path: services its own vm-exit (#21)")]
     fn transact_inner(
         &self,
         req: &VphiRequest,
@@ -784,6 +785,7 @@ impl FrontendDriver {
     /// Marshal one request, fill in its slot, and publish its chain on its
     /// lane's avail ring — everything the blocking path does up to the
     /// doorbell, which the caller rings.
+    #[expect(clippy::disallowed_methods, reason = "queue router: the endpoint's hashed lane (#15)")]
     fn submit_one(
         &self,
         req: &VphiRequest,
@@ -920,6 +922,7 @@ impl FrontendDriver {
     /// a single lost kick still recovers within one seed-equivalent
     /// deadline, while a persistently slow backend sees re-kicks thin out
     /// instead of arriving as a synchronized 200 ms drumbeat.
+    #[expect(clippy::disallowed_methods, reason = "deadline re-kick of a lane left idle")]
     fn wait_for_completion(
         &self,
         lane: &QueueLane,
@@ -989,6 +992,7 @@ impl FrontendDriver {
         r
     }
 
+    #[expect(clippy::disallowed_methods, reason = "batch submitter: one kick per lane (#18)")]
     fn submit_batch_inner(
         &self,
         entries: Vec<BatchEntry>,
@@ -1047,6 +1051,7 @@ impl FrontendDriver {
     /// slot.  Publish happens at the batch flush; the slot must be
     /// registered before that (the same register-before-publish discipline
     /// as the blocking path).
+    #[expect(clippy::disallowed_methods, reason = "queue router: the endpoint's hashed lane (#15)")]
     fn prepare_batch_entry(
         &self,
         entry: BatchEntry,
@@ -1373,9 +1378,6 @@ impl FrontendDriver {
         self.transact(&req, &[], 0, ctx)?.into_result()
     }
 }
-
-/// Re-exported for the guest API: a user-visible guest epd.
-pub type FrontendEpd = GuestEpd;
 
 #[cfg(test)]
 mod tests {

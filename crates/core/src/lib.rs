@@ -33,7 +33,7 @@
 //! * **`KMALLOC_MAX_SIZE` chunking** of large send/recv transfers
 //!   (paper §III "implementation details").
 //! * **Blocking vs worker dispatch** in the backend per opcode
-//!   ([`backend::dispatch_policy`]): `scif_accept` must not freeze the VM.
+//!   ([`backend::DispatchPolicy`]): `scif_accept` must not freeze the VM.
 //! * **Guest memory registration**: guest windows alias guest physical
 //!   pages with zero copies ([`backend::GuestWindowBytes`]).
 //! * **`scif_mmap` two-level mapping** through `VM_PFNPHI`-tagged VMAs

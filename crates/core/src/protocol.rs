@@ -14,6 +14,12 @@
 //! errors travel as negative errno values, exactly as the real ioctl
 //! interface reports them.
 
+// Adding an opcode must fail at every match over `VphiRequest` in this
+// file, not fall into a `_` arm — the second lint is the first one's case
+// of a wildcard that stands for exactly one variant today.  (`decode`
+// matches the opcode *byte*; its default arm is a refusal and stays.)
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
+
 use vphi_scif::{ScifError, ScifResult};
 
 /// Size of an encoded request header.

@@ -30,6 +30,7 @@ const MESSAGES_PER_SENDER: usize = 32;
 
 /// Chains encode (epd, seq) in the descriptor's (addr, len); no guest
 /// memory is involved at this layer.
+#[expect(clippy::disallowed_methods, reason = "drives the lanes by hand, below the router")]
 fn run_one(num_queues: u16, seed: u64) -> HashMap<u64, Vec<u32>> {
     let channel = VphiChannel::with_queues(256, num_queues);
     let observed = Arc::new(TrackedMutex::new(LockClass::TestA, HashMap::<u64, Vec<u32>>::new()));

@@ -12,12 +12,14 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use vphi::backend::RmaCharge;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
 use vphi::GuestScif;
 use vphi_scif::window::WindowBacking;
-use vphi_scif::{Port, Prot, RmaFlags, ScifAddr};
-use vphi_sim_core::Timeline;
+use vphi_scif::{Port, Prot, RmaFlags, ScifAddr, ScifError};
+use vphi_sim_core::units::{KIB, MIB};
+use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 
 const PAGE: u64 = 4096;
 
@@ -173,7 +175,7 @@ fn unregister_quiesces_inflight_zero_copy_dma() {
     const BIG: u64 = 8 * 1024 * 1024; // > KMALLOC_MAX_SIZE → zero-copy arm
     let host = VphiHost::new(1);
     let server = spawn_window_server(&host, Port(780), 2 * BIG, 1);
-    let vm = Arc::new(host.spawn_vm(VmConfig::builder().zero_copy_rma(true).build()));
+    let vm = Arc::new(host.spawn_vm(VmConfig::builder().rma(RmaCharge::Mapped).build()));
 
     let mut tl = Timeline::new();
     let guest = Arc::new(vm.open_scif(&mut tl).unwrap());
@@ -226,7 +228,7 @@ fn card_reset_with_mapped_windows_unmaps_cleanly() {
     const BIG: u64 = 8 * 1024 * 1024;
     let host = VphiHost::new(1);
     let server = spawn_window_server(&host, Port(781), 2 * BIG, 1);
-    let vm = Arc::new(host.spawn_vm(VmConfig::builder().zero_copy_rma(true).build()));
+    let vm = Arc::new(host.spawn_vm(VmConfig::builder().rma(RmaCharge::Mapped).build()));
 
     let mut tl = Timeline::new();
     let guest = Arc::new(vm.open_scif(&mut tl).unwrap());
@@ -258,6 +260,93 @@ fn card_reset_with_mapped_windows_unmaps_cleanly() {
     let mut tl = Timeline::new();
     let _ = guest.close(&mut tl);
     assert_eq!(be.aperture().mapped_windows(), 0, "zero-leak after quarantine + close");
+    vm.shutdown();
+    let _ = server.join();
+}
+
+/// The frontend's `chunk_size` cuts messages and no RMA reads it, so a VM
+/// may tune it under any large-RMA charge: a cache-cold 16 MiB mapped read
+/// costs the same virtual time with 256 KiB chunks as with the default
+/// 4 MiB, while a 64 MiB `send_timed` on the same VM goes out in 256
+/// requests instead of 16.
+#[test]
+fn a_mapped_rma_costs_the_same_under_any_message_chunk() {
+    const RMA: u64 = 16 * MIB;
+    let cold_read_then_send = |config: VmConfig, port: Port| {
+        let host = VphiHost::new(1);
+        let server = spawn_window_server(&host, port, RMA, 1);
+        let vm = host.spawn_vm(config);
+        let mut tl = Timeline::new();
+        let guest = vm.open_scif(&mut tl).unwrap();
+        guest.connect(ScifAddr::new(host.device_node(0), port), &mut tl).unwrap();
+        wait_for_guest_window(&guest);
+        let buf = vm.alloc_buf(RMA).unwrap();
+
+        let mut read_tl = Timeline::new();
+        guest.vreadfrom(&buf, 0, RmaFlags::SYNC, &mut read_tl).unwrap();
+        assert!(read_tl.total_for(SpanLabel::WindowPin) > SimDuration::ZERO, "the mapped arm");
+
+        let before = vm.frontend().stats().requests;
+        assert_eq!(guest.send_timed(64 * MIB, &mut tl), Ok(64 * MIB));
+        let chunks = vm.frontend().stats().requests - before;
+
+        guest.close(&mut tl).unwrap();
+        vm.shutdown();
+        let _ = server.join();
+        (read_tl.total(), chunks)
+    };
+    let mapped = || VmConfig::builder().rma(RmaCharge::Mapped);
+    let (default_read, default_chunks) = cold_read_then_send(mapped().build(), Port(782));
+    let (tuned_read, tuned_chunks) =
+        cold_read_then_send(mapped().chunk_size(256 * KIB).build(), Port(783));
+    assert_eq!(tuned_read, default_read, "no RMA reads the message chunk");
+    assert_eq!((default_chunks, tuned_chunks), (16, 256));
+}
+
+/// Aperture exhaustion is an outcome, not a degraded mode: a mapped read
+/// that finds no room is `ENOMEM` before any pin, map or descriptor is
+/// charged or counted, holds nothing, and succeeds once room is made.
+#[test]
+fn an_exhausted_aperture_is_enomem_and_holds_nothing() {
+    const BIG: u64 = 8 * MIB;
+    const FILLER_EPD: u64 = u64::MAX; // no guest endpoint has it
+    let host = VphiHost::new(1);
+    let server = spawn_window_server(&host, Port(784), BIG, 1);
+    let vm = host.spawn_vm(VmConfig::builder().rma(RmaCharge::Mapped).build());
+    let mut tl = Timeline::new();
+    let guest = vm.open_scif(&mut tl).unwrap();
+    guest.connect(ScifAddr::new(host.device_node(0), Port(784)), &mut tl).unwrap();
+    wait_for_guest_window(&guest);
+    let buf = vm.alloc_buf(BIG).unwrap();
+
+    let be = vm.backend().inner();
+    let mut fillers = 0;
+    while be.aperture().map_window((FILLER_EPD, fillers), 1 << 30).is_some() {
+        fillers += 1;
+    }
+    let counted = || {
+        let r = VphiDebugReport::collect(&vm);
+        (r.windows_mapped, r.staging_bytes_avoided)
+    };
+    let before = counted();
+
+    let mut refused = Timeline::new();
+    assert_eq!(guest.vreadfrom(&buf, 0, RmaFlags::SYNC, &mut refused), Err(ScifError::NoMem));
+    for label in [SpanLabel::WindowPin, SpanLabel::SgBuild, SpanLabel::LinkTransfer] {
+        assert_eq!(refused.total_for(label), SimDuration::ZERO, "{label:?} charged");
+    }
+    assert_eq!(counted(), before, "a refused map is not a mapped window");
+    assert_eq!(be.aperture().inflight_total(), 0);
+    assert_eq!(be.aperture().mapped_windows() as u64, fillers, "only the fillers are mapped");
+
+    assert_eq!(be.aperture().unmap_endpoint(FILLER_EPD) as u64, fillers);
+    let mut served = Timeline::new();
+    assert_eq!(guest.vreadfrom(&buf, 0, RmaFlags::SYNC, &mut served), Ok(()));
+    assert!(served.total_for(SpanLabel::WindowPin) > SimDuration::ZERO);
+    assert_eq!(counted(), (before.0 + 1, before.1 + BIG));
+
+    guest.close(&mut tl).unwrap();
+    assert_eq!(be.aperture().mapped_windows(), 0);
     vm.shutdown();
     let _ = server.join();
 }

@@ -133,11 +133,6 @@ impl ApertureMap {
         }
     }
 
-    /// The backing device aperture.
-    pub fn device(&self) -> Aperture {
-        self.device
-    }
-
     /// Map `len` bytes under `key`, rounding up to huge pages.  Returns
     /// the device subwindow, or `None` if the aperture is exhausted or
     /// `len` is zero.  Mapping an already-mapped key returns the existing

@@ -262,10 +262,6 @@ impl DeviceMemory {
             .filter(|(&off, r)| addr < off + r.len)
             .map(|(_, r)| Arc::clone(r))
     }
-
-    pub fn region_count(&self) -> usize {
-        self.inner.read().regions.len()
-    }
 }
 
 #[cfg(test)]

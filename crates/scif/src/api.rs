@@ -51,12 +51,6 @@ impl ScifEndpoint {
         Ok(ScifEndpoint { core: fabric.open(node)? })
     }
 
-    /// Wrap an existing kernel endpoint (used by `accept` and by the vPHI
-    /// backend, which holds cores directly).
-    pub fn from_core(core: Arc<EndpointCore>) -> Self {
-        ScifEndpoint { core }
-    }
-
     pub fn core(&self) -> &Arc<EndpointCore> {
         &self.core
     }

@@ -225,10 +225,6 @@ impl NodeCore {
             l.teardown();
         }
     }
-
-    pub fn bound_ports(&self) -> usize {
-        self.ports.lock().len()
-    }
 }
 
 /// Shared fabric state reachable from every endpoint.

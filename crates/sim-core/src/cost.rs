@@ -162,7 +162,7 @@ impl CostModel {
             // translate term.
             reg_cache_lookup: SimDuration::from_nanos(150),
             // Both zero-copy terms live outside every floor sum: they are
-            // charged only on the `zero_copy_rma` path, where they replace
+            // charged only on the `RmaCharge::Mapped` arm, where they replace
             // the per-page translate term.  1.8 µs per pinned huge page
             // and 180 ns per SG descriptor keep the 256 MiB cold mapping
             // cost (~254 µs) far below the 16.3 ms it replaces.

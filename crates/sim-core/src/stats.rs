@@ -26,10 +26,6 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    pub fn push_duration(&mut self, d: SimDuration) {
-        self.push(d.as_nanos() as f64);
-    }
-
     pub fn count(&self) -> u64 {
         self.n
     }
@@ -64,10 +60,6 @@ impl OnlineStats {
         } else {
             self.max
         }
-    }
-
-    pub fn mean_duration(&self) -> SimDuration {
-        SimDuration::from_nanos(self.mean.round() as u64)
     }
 }
 

@@ -34,6 +34,7 @@ pub struct SyncStats {
     pub violations: u64,
 }
 
+#[expect(clippy::disallowed_types, reason = "the audit's own lock: tracking it would recurse")]
 #[cfg(any(debug_assertions, feature = "sync-audit"))]
 mod imp {
     use super::{AcqKind, SyncStats, Token};

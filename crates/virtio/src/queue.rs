@@ -231,7 +231,9 @@ impl VirtQueue {
         cost_ring_push: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
     ) -> Result<u16, QueueError> {
+        #[expect(clippy::disallowed_methods, reason = "the queue composes its own calls")]
         let head = self.prepare_chain(descriptors)?;
+        #[expect(clippy::disallowed_methods, reason = "the queue composes its own calls")]
         self.publish_avail(head, cost_ring_push, tl);
         Ok(head)
     }
@@ -281,6 +283,7 @@ impl VirtQueue {
     /// Returns the chain's avail index — its position in the ring's
     /// lifetime FIFO, which [`kick_blocking`](VirtQueue::kick_blocking)
     /// takes as the bound of its drain.
+    #[expect(clippy::disallowed_methods, reason = "the queue composes its own calls")]
     pub fn publish_avail(
         &self,
         head: u16,
@@ -520,6 +523,7 @@ pub fn need_event(event: u64, new: u64, old: u64) -> bool {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the queue's unit tests play driver and device")]
 mod tests {
     use super::*;
     use crate::ring::DescFlags;

@@ -1,6 +1,8 @@
 //! Property-based tests of the split virtqueue: descriptor accounting
 //! never leaks, FIFO order holds, chains resolve exactly as posted.
 
+#![expect(clippy::disallowed_methods, reason = "a model test of the bare ring plays the driver")]
+
 use proptest::prelude::*;
 
 use vphi_sim_core::{SimDuration, Timeline};

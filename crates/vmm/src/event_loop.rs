@@ -81,22 +81,20 @@ impl QemuEventLoop {
             }
             Dispatch::Worker => {
                 self.worker_events.fetch_add(1, Ordering::Relaxed);
-                self.live_workers.fetch_add(1, Ordering::Relaxed);
                 tl.charge(SpanLabel::WorkerSpawn, self.cost.worker_spawn);
-                let r = handler(tl);
-                self.live_workers.fetch_sub(1, Ordering::Relaxed);
-                r
+                handler(tl)
             }
         }
     }
 
     /// Run a long-lived detached worker on a real thread (used for the
-    /// backend's `scif_accept` service loop).  The VM is not paused.
+    /// backend's `scif_accept` service loop).  The VM is not paused.  The
+    /// thread is what is counted live here; the event itself is counted,
+    /// and charged, by the [`run`](Self::run) the worker makes.
     pub fn spawn_worker<F>(&self, name: &str, f: F) -> std::thread::JoinHandle<()>
     where
         F: FnOnce() + Send + 'static,
     {
-        self.worker_events.fetch_add(1, Ordering::Relaxed);
         self.live_workers.fetch_add(1, Ordering::Relaxed);
         let guard = WorkerGuard { live: Arc::clone(&self.live_workers) };
         std::thread::Builder::new()

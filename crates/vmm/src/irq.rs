@@ -61,6 +61,7 @@ impl IrqChip {
     }
 
     /// Inject vector `n` into the guest, charging the injection cost.
+    #[expect(clippy::disallowed_methods, reason = "the chip resolving a vector to its own line")]
     pub fn inject(&self, n: u32, tl: &mut Timeline) {
         self.line(n).inject(tl);
     }
@@ -78,6 +79,7 @@ mod tests {
     use vphi_sim_core::SpanLabel;
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the chip's own unit tests")]
     fn inject_charges_cost_and_runs_handler() {
         let cost = Arc::new(CostModel::paper_calibrated());
         let chip = IrqChip::new(Arc::clone(&cost));
@@ -97,6 +99,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the chip's own unit tests")]
     fn vectors_are_independent_and_stable() {
         let chip = IrqChip::new(Arc::new(CostModel::paper_calibrated()));
         let v1 = chip.vector(1);

@@ -12,7 +12,6 @@ use vphi_sim_core::{SpanLabel, Timeline};
 
 use crate::guest_mem::{Gpa, GuestMemError, GuestMemory};
 use crate::irq::IrqChip;
-use crate::waitqueue::WaitQueue;
 
 /// A kmalloc'd physically-contiguous kernel buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,11 +99,6 @@ impl GuestKernel {
         }
         tl.charge(SpanLabel::GuestCopy, self.cost.cpu_copy(dst.len() as u64));
         self.mem.read(src.gpa, dst)
-    }
-
-    /// A new wait queue (one per frontend device in vPHI).
-    pub fn new_waitqueue(&self) -> Arc<WaitQueue> {
-        Arc::new(WaitQueue::new())
     }
 
     /// Charge a guest syscall entry/exit.

@@ -160,10 +160,6 @@ impl VmaTable {
             .map(|(_, v)| Arc::clone(v))
             .ok_or(VmaError::Segv)
     }
-
-    pub fn vma_count(&self) -> usize {
-        self.vmas.len()
-    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,10 @@ use std::time::Duration;
 
 // ---------------------------------------------------------------- Mutex
 
+#[expect(clippy::disallowed_types, reason = "the shim's Mutex wraps the raw one")]
 pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
 
+#[expect(clippy::disallowed_types, reason = "the shim's Mutex wraps the raw one")]
 impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
@@ -76,8 +78,10 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 // -------------------------------------------------------------- Condvar
 
 #[derive(Default)]
+#[expect(clippy::disallowed_types, reason = "the shim's Condvar wraps the raw one")]
 pub struct Condvar(std::sync::Condvar);
 
+#[expect(clippy::disallowed_types, reason = "the shim's Condvar wraps the raw one")]
 impl Condvar {
     pub const fn new() -> Self {
         Condvar(std::sync::Condvar::new())
@@ -131,8 +135,10 @@ impl WaitTimeoutResult {
 
 // --------------------------------------------------------------- RwLock
 
+#[expect(clippy::disallowed_types, reason = "the shim's RwLock wraps the raw one")]
 pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
 
+#[expect(clippy::disallowed_types, reason = "the shim's RwLock wraps the raw one")]
 impl<T> RwLock<T> {
     pub const fn new(value: T) -> Self {
         RwLock(std::sync::RwLock::new(value))

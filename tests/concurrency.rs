@@ -159,10 +159,10 @@ fn accept_on_a_worker_does_not_block_other_requests() {
     native.connect(ScifAddr::new(vphi_scif::HOST_NODE, lport), &mut tl).unwrap();
     let peer = accepter.join().unwrap().unwrap();
     assert_eq!(peer.node, vphi_scif::HOST_NODE);
-    assert!(
-        vm.backend().inner().stats.worker_dispatches.load(std::sync::atomic::Ordering::Relaxed)
-            >= 1
-    );
+    let dispatched =
+        vm.backend().inner().stats.worker_dispatches.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(dispatched >= 1);
+    assert_eq!(vm.vm().event_loop().worker_event_count(), dispatched, "one event per dispatch");
 
     native.close();
     vm.shutdown();
@@ -292,7 +292,9 @@ fn a_blocking_callers_accept_goes_to_a_worker_and_frees_the_lane() {
     while dispatched() == 0 || channel.waitq.sleep_count() == 0 {
         std::thread::yield_now();
     }
-    // Parked on a worker, caller asleep: the lane it came in on is free …
+    // Parked on a worker, caller asleep: one worker, counted once …
+    assert_eq!(vm.vm().event_loop().live_worker_count(), 1);
+    // … and the lane it came in on is free …
     assert!(channel.lane_queue(lane).executor.try_enter().is_some(), "accept pinned its lane");
     // … and another endpoint's calls on that very lane go straight through.
     let (neighbour, _) = open_on_lane(&vm, |l| l == lane, &mut tl);
@@ -303,6 +305,7 @@ fn a_blocking_callers_accept_goes_to_a_worker_and_frees_the_lane() {
     native.connect(ScifAddr::new(vphi_scif::HOST_NODE, lport), &mut tl).unwrap();
     assert_eq!(accepter.join().unwrap().unwrap().node, vphi_scif::HOST_NODE);
     assert_eq!(dispatched(), 1, "one accept, one worker");
+    assert_eq!(vm.vm().event_loop().worker_event_count(), 1, "one worker, one event");
     assert_eq!(vm.backend().inner().queue_worker_dispatches(lane), 1);
     // Only the accept's caller ever slept (once more per expired deadline).
     assert_eq!(channel.waitq.sleep_count(), 1 + vm.frontend().stats().deadline_retries);

@@ -406,22 +406,25 @@ fn gddr_window_server(
 /// charge — DESIGN.md #19.)
 #[test]
 fn failed_rma_matches_native_and_retries_clean() {
+    use vphi::backend::RmaCharge;
     use vphi_sim_core::cost::{KMALLOC_MAX_SIZE, PAGE_SIZE};
 
     let large = KMALLOC_MAX_SIZE + PAGE_SIZE;
-    let arms = [(false, 16 * PAGE_SIZE), (false, large), (true, large)];
+    // ≤ 4 MiB pays per page under every charge; above it, each one.
+    let mut arms = vec![(RmaCharge::PerPage, 16 * PAGE_SIZE)];
+    arms.extend(RmaCharge::ALL.map(|charge| (charge, large)));
     let faults =
         [(FaultSite::PcieDmaError, ScifError::Again), (FaultSite::PhiEccError, ScifError::Io)];
     let mut port = 984;
     for (site, errno) in faults {
-        for (zero_copy, len) in arms {
+        for &(charge, len) in &arms {
             for write in [false, true] {
                 port += 1;
-                let case = format!("{} zero_copy={zero_copy} len={len} write={write}", site.name());
+                let case = format!("{} {charge:?} len={len} write={write}", site.name());
                 let host = VphiHost::new(1);
                 let region = host.board(0).memory().alloc(len).unwrap();
                 let dev = gddr_window_server(&host, port, region.clone(), 2);
-                let vm = host.spawn_vm(VmConfig::builder().zero_copy_rma(zero_copy).build());
+                let vm = host.spawn_vm(VmConfig::builder().rma(charge).build());
                 let mut tl = Timeline::new();
                 let addr = ScifAddr::new(host.device_node(0), Port(port));
                 let native = host.native_endpoint().unwrap();

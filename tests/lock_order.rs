@@ -173,6 +173,7 @@ fn window_peer(
 /// clock asserting it on every advance — no lock held across a charge.
 #[test]
 fn rma_nests_byte_store_locks_in_ascending_order_only() {
+    use vphi::backend::RmaCharge;
     use vphi::builder::{VmConfig, VphiHost};
     use vphi_scif::types::pinned_buf;
     use vphi_scif::window::WindowBacking;
@@ -186,9 +187,9 @@ fn rma_nests_byte_store_locks_in_ascending_order_only() {
     let mut tl = Timeline::new();
     let mut port = 940;
 
-    for zero_copy in [false, true] {
+    for charge in RmaCharge::ALL {
         let host = VphiHost::new(1);
-        let vm = host.spawn_vm(VmConfig::builder().zero_copy_rma(zero_copy).build());
+        let vm = host.spawn_vm(VmConfig::builder().rma(charge).build());
         // One peer on the card over GDDR, one on the host over pinned pages.
         let gddr = host.board(0).memory().alloc(large).unwrap();
         let peers = [
@@ -205,7 +206,7 @@ fn rma_nests_byte_store_locks_in_ascending_order_only() {
             let ep = vm.open_scif(&mut tl).unwrap();
             ep.connect(addr, &mut tl).unwrap();
             ep.recv(&mut [0u8; 1], &mut tl).unwrap();
-            // ≤ 4 MiB is staged on both configs; above it the arm differs.
+            // ≤ 4 MiB pays per page under every charge; above it they differ.
             for len in [PAGE_SIZE, large] {
                 let buf = vm.alloc_buf(len).unwrap();
                 ep.vwriteto(&buf, 0, sync, &mut tl).unwrap();

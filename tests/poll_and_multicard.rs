@@ -57,10 +57,10 @@ fn guest_poll_reports_readiness() {
 
     // Timed polls run on backend workers — the VM was not frozen for the
     // poll's park time.
-    assert!(
-        vm.backend().inner().stats.worker_dispatches.load(std::sync::atomic::Ordering::Relaxed)
-            >= 1
-    );
+    let dispatched =
+        vm.backend().inner().stats.worker_dispatches.load(std::sync::atomic::Ordering::Relaxed);
+    assert!(dispatched >= 1);
+    assert_eq!(vm.vm().event_loop().worker_event_count(), dispatched, "one event per dispatch");
 
     ep.close(&mut tl).unwrap();
     vm.shutdown();
