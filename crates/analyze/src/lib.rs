@@ -1,6 +1,6 @@
 //! vphi-analyze: whole-workspace static analysis for the vPHI tree.
 //!
-//! Three passes over a token-level model of every non-test source file
+//! Two passes over a token-level model of every non-test source file
 //! (parsed with the offline `syn` shim — no rustc, no network):
 //!
 //! 1. **Lock order** ([`locks`]) — per-function lock-acquisition
@@ -8,10 +8,7 @@
 //!    against the `vphi-sync` [`LockClass`](vphi_sync::LockClass)
 //!    hierarchy.  Reports layer inversions and same-layer ABBA cycles
 //!    with full witness call paths.
-//! 2. **Atomics ordering** ([`atomics`]) — every `Ordering::*` use is
-//!    checked against a declared per-atomic contract (counter vs
-//!    protocol tier); unregistered atomics are themselves findings.
-//! 3. **Guest taint** ([`taint`]) — values decoded from guest memory
+//! 2. **Guest taint** ([`taint`]) — values decoded from guest memory
 //!    must pass a bounds check before indexing, sizing an allocation, or
 //!    forming a DMA range; guest-reachable `unwrap()` is flagged.
 //!
@@ -19,7 +16,6 @@
 //! byte-stable; known findings live in `analyze-baseline.txt` at the
 //! repo root with one justified key per line.
 
-pub mod atomics;
 pub mod exempt;
 pub mod locks;
 pub mod model;
@@ -61,7 +57,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> Result<(), 
     Ok(())
 }
 
-/// Run all three passes over in-memory sources and return a normalized
+/// Run both passes over in-memory sources and return a normalized
 /// report.  This is the seam golden tests use to analyze fixture trees.
 pub fn analyze_sources(sources: &[(String, String)]) -> Result<Report, String> {
     let ws = model::Workspace::parse(sources)?;
@@ -75,7 +71,6 @@ pub fn analyze_sources(sources: &[(String, String)]) -> Result<Report, String> {
     summary.lock_decls = ws.locks.decls;
 
     locks::run(&ws, &classes, &mut findings, &mut summary);
-    atomics::run(&ws, &mut findings, &mut summary);
     taint::run(&ws, &mut findings, &mut summary);
 
     let mut report = Report { findings, summary };

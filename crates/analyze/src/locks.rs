@@ -33,8 +33,7 @@ use crate::report::{Finding, Summary};
 
 /// Methods that acquire a tracked lock — or enter a `TrackedRole`, which
 /// orders like one — when the receiver resolves.
-const ACQUIRE_METHODS: &[&str] =
-    &["lock", "lock_or_recover", "try_lock", "read", "write", "enter", "try_enter"];
+const ACQUIRE_METHODS: &[&str] = &["lock", "try_lock", "read", "write", "enter", "try_enter"];
 
 /// Callee names never resolved interprocedurally: ubiquitous std method
 /// names that would otherwise alias unrelated in-tree functions
@@ -289,7 +288,7 @@ fn walk_level(
                         let class = receiver
                             .and_then(|f| ws.locks.resolve(rel, krate, f))
                             .and_then(|c| classes.lookup(c));
-                        let strong = matches!(m, "lock" | "lock_or_recover");
+                        let strong = m == "lock";
                         if strong || class.is_some() {
                             out.sites += 1;
                         }

@@ -39,7 +39,6 @@ pub struct Summary {
     pub lock_sites_resolved: usize,
     pub call_edges: usize,
     pub order_edges: usize,
-    pub atomic_ops: usize,
     pub taint_sources: usize,
     pub taint_sinks: usize,
 }
@@ -70,7 +69,6 @@ impl Report {
         let _ = writeln!(out, "  lock sites resolved: {}/{}", s.lock_sites_resolved, s.lock_sites);
         let _ = writeln!(out, "  call-graph edges:    {}", s.call_edges);
         let _ = writeln!(out, "  lock-order edges:    {}", s.order_edges);
-        let _ = writeln!(out, "  atomic ops checked:  {}", s.atomic_ops);
         let _ = writeln!(out, "  taint sources:       {}", s.taint_sources);
         let _ = writeln!(out, "  taint sinks checked: {}", s.taint_sinks);
         let (new, waived, stale) = self.against(baseline);

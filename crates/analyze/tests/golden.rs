@@ -56,20 +56,6 @@ fn seeded_abba_cycle_is_caught() {
 }
 
 #[test]
-fn seeded_weak_ordering_and_unregistered_atomic_are_caught() {
-    let report = vphi_analyze::analyze_sources(&fixture("weak_ordering.rs")).unwrap();
-    let keys = keys(&report);
-    let rel = "crates/analyze/fixtures/weak_ordering.rs";
-    for want in [
-        format!("atomic-weak|{rel}|stop_worker|running.store:Relaxed<Release"),
-        format!("atomic-weak|{rel}|await_worker|running.load:Relaxed<Acquire"),
-        format!("atomic-unregistered|{rel}|bump|rogue_counter.fetch_add"),
-    ] {
-        assert!(keys.contains(&want), "missing {want}: {keys:?}");
-    }
-}
-
-#[test]
 fn seeded_unvalidated_taint_is_caught() {
     let report = vphi_analyze::analyze_sources(&fixture("unchecked_len.rs")).unwrap();
     let keys = keys(&report);

@@ -11,7 +11,7 @@ use vphi::builder::{VmConfig, VphiHost};
 use vphi_bench::support::spawn_device_sink;
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
 use vphi_virtio::{Descriptor, UsedElem, VirtQueue};
-use vphi_vmm::WaitQueue;
+use vphi_vmm::TokenWaitQueue;
 
 #[expect(clippy::disallowed_methods, reason = "times the bare ring, no frontend above it")]
 fn bench_virtqueue(c: &mut Criterion) {
@@ -36,8 +36,12 @@ fn bench_virtqueue(c: &mut Criterion) {
 }
 
 fn bench_waitqueue(c: &mut Criterion) {
-    let wq = WaitQueue::new();
-    c.bench_function("waitqueue_satisfied_predicate", |b| b.iter(|| wq.wait_until(|| Some(1u32))));
+    // The path every blocking call takes: its reply is there on the first
+    // predicate check, so it never registers a slot.
+    let wq = TokenWaitQueue::new();
+    c.bench_function("waitqueue_satisfied_predicate", |b| {
+        b.iter(|| wq.wait_for(1, std::time::Duration::from_secs(1), || Some(1u32)))
+    });
 }
 
 fn bench_scif_loopback(c: &mut Criterion) {

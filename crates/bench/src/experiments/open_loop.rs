@@ -302,14 +302,14 @@ fn ledger_run() -> DoorbellLedger {
         }
     }
     let fs = vm.frontend().stats();
-    let bs = &vm.backend().inner().stats;
+    let (burst_drains, burst_chains) = vm.backend().inner().stats.bursts();
     let ledger = DoorbellLedger {
         batches_submitted: fs.batches_submitted,
         batch_entries: fs.batch_entries,
         batch_kicks: fs.batch_kicks,
         tokens_reaped: fs.tokens_reaped,
-        burst_drains: bs.burst_drains.load(std::sync::atomic::Ordering::Relaxed),
-        burst_chains: bs.burst_chains.load(std::sync::atomic::Ordering::Relaxed),
+        burst_drains,
+        burst_chains,
     };
     assert_eq!(vm.frontend().pending_tokens(), 0, "leaked pending tokens");
     let mut tl_close = Timeline::new();

@@ -7,14 +7,13 @@
 //! on its own (uOS) thread.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi::builder::VphiHost;
 use vphi_phi::{ComputeJob, PhiBoard};
 use vphi_scif::{Port, ScifEndpoint, ScifError, ScifResult};
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline};
-use vphi_sync::{LockClass, TrackedMutex};
+use vphi_sync::{Counter, Flag, LockClass, TrackedMutex};
 
 use crate::protocol::{CoiMsg, ComputeManifest, COI_VERSION};
 use crate::wire::{read_frame, write_frame};
@@ -27,8 +26,8 @@ pub struct CoiDaemon {
     listener: Arc<ScifEndpoint>,
     accept_thread: TrackedMutex<Option<std::thread::JoinHandle<()>>>,
     sessions: Arc<TrackedMutex<Vec<std::thread::JoinHandle<()>>>>,
-    running: Arc<AtomicBool>,
-    launches: Arc<AtomicU64>,
+    running: Arc<Flag>,
+    launches: Arc<Counter>,
 }
 
 impl std::fmt::Debug for CoiDaemon {
@@ -52,8 +51,8 @@ impl CoiDaemon {
         listener.bind(Self::port(mic), &mut tl)?;
         listener.listen(16, &mut tl)?;
 
-        let running = Arc::new(AtomicBool::new(true));
-        let launches = Arc::new(AtomicU64::new(0));
+        let running = Arc::new(Flag::new(true));
+        let launches = Arc::new(Counter::new(0));
         let sessions: Arc<TrackedMutex<Vec<std::thread::JoinHandle<()>>>> =
             Arc::new(TrackedMutex::new(LockClass::ServerSessions, Vec::new()));
 
@@ -64,7 +63,7 @@ impl CoiDaemon {
             .name(format!("coi-daemon-mic{mic}"))
             .spawn(move || {
                 let running = accept_running;
-                while running.load(Ordering::Acquire) {
+                while running.get() {
                     let mut tl = Timeline::new();
                     match l2.accept(&mut tl) {
                         Ok(conn) => {
@@ -93,12 +92,12 @@ impl CoiDaemon {
 
     /// Processes launched since boot.
     pub fn launch_count(&self) -> u64 {
-        self.launches.load(Ordering::Relaxed)
+        self.launches.get()
     }
 
     /// Stop accepting and join all session threads.
     pub fn shutdown(&self) {
-        if !self.running.swap(false, Ordering::AcqRel) {
+        if !self.running.swap(false) {
             return;
         }
         self.listener.close();
@@ -130,12 +129,7 @@ fn run_manifest(
 
 /// One client session: strict request/response until EOF.
 #[allow(clippy::while_let_loop)] // read-decode-dispatch shape stays explicit
-fn session(
-    conn: ScifEndpoint,
-    board: Arc<PhiBoard>,
-    cost: Arc<CostModel>,
-    launches: Arc<AtomicU64>,
-) {
+fn session(conn: ScifEndpoint, board: Arc<PhiBoard>, cost: Arc<CostModel>, launches: Arc<Counter>) {
     let mut tl = Timeline::new();
     let mut buffers: HashMap<u64, u64> = HashMap::new(); // id -> device offset
     let mut next_buffer = 1u64;
@@ -175,7 +169,7 @@ fn session(
                     tl.charge(SpanLabel::DeviceSpawn, cost.device_spawn_process);
                     let pid = next_pid;
                     next_pid += 1;
-                    launches.fetch_add(1, Ordering::Relaxed);
+                    launches.bump();
                     reply(&conn, &CoiMsg::ProcessStarted { pid }, &mut tl)?;
                     if manifest.flops > 0.0 || manifest.bytes > 0 {
                         // A self-contained binary (native mode): run it on

@@ -11,7 +11,6 @@
 //! switches.  The lane's executor role makes the two mutually exclusive,
 //! which is what keeps per-lane FIFO.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::BackendInner;
@@ -75,8 +74,7 @@ impl BackendInner {
                 }
             }
             if burst > 0 {
-                self.stats.burst_drains.fetch_add(1, Ordering::Relaxed);
-                self.stats.burst_chains.fetch_add(burst, Ordering::Relaxed);
+                self.stats.note_burst(burst);
             }
             for chain in batch {
                 self.process(q, chain);
@@ -107,7 +105,6 @@ impl BackendInner {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::Ordering;
 
     use vphi_faults::{FaultPlan, FaultSite};
     use vphi_scif::{Port, ScifAddr};
@@ -153,7 +150,7 @@ mod tests {
         // The ring was empty before the batch: its chains sit at the three
         // avail indices after everything popped so far.
         let popped = queue.counters().chains_popped;
-        let served = inner.stats.requests.load(Ordering::Relaxed);
+        let served = inner.stats.requests.get();
 
         // A busy lane is left alone altogether.
         {
@@ -163,7 +160,7 @@ mod tests {
         }
         inner.drain_as_kicker(0, popped + 2);
         assert_eq!(queue.counters().chains_popped, popped + 2);
-        assert_eq!(inner.stats.requests.load(Ordering::Relaxed), served + 2);
+        assert_eq!(inner.stats.requests.get(), served + 2);
         assert!(queue.avail_pending(), "the chain behind the bound stays on the ring");
         // A pass the ring has already moved beyond finds nothing to do.
         inner.drain_as_kicker(0, popped + 1);

@@ -24,7 +24,6 @@ use rma::RmaDir;
 pub use vphi_vmm::event_loop::Dispatch;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
@@ -37,7 +36,7 @@ use vphi_scif::{
 };
 use vphi_sim_core::cost::PAGE_SIZE;
 use vphi_sim_core::{SpanLabel, Timeline};
-use vphi_sync::{LockClass, TrackedMutex};
+use vphi_sync::{Counter, Flag, LockClass, TrackedMutex};
 use vphi_trace::{OpCtx, Stage, TraceCtx, Tracer};
 use vphi_virtio::{DescChain, Descriptor, UsedElem};
 use vphi_vmm::vm::VirtualPciDevice;
@@ -85,38 +84,55 @@ impl WindowBytes for GuestWindowBytes {
 /// Counters surfaced by the figure harness.
 #[derive(Debug, Default)]
 pub struct BackendStats {
-    pub requests: AtomicU64,
-    pub worker_dispatches: AtomicU64,
-    pub pages_translated: AtomicU64,
+    pub requests: Counter,
+    pub worker_dispatches: Counter,
+    pub pages_translated: Counter,
     /// Completion interrupts lost to fault injection (the reply sat on
     /// the used ring until the requester's deadline re-check found it).
-    pub msi_lost: AtomicU64,
+    pub msi_lost: Counter,
     /// Abrupt guest deaths observed (injected or real).
-    pub guest_deaths: AtomicU64,
+    pub guest_deaths: Counter,
     /// Endpoints closed by the dead-guest garbage collector.
-    pub endpoints_gced: AtomicU64,
+    pub endpoints_gced: Counter,
     /// Window registrations unpinned by the dead-guest garbage collector.
-    pub windows_gced: AtomicU64,
+    pub windows_gced: Counter,
     /// Endpoints force-closed because their card was reset.
-    pub endpoints_quarantined: AtomicU64,
+    pub endpoints_quarantined: Counter,
     /// Avail-ring drains that found at least one chain (one per wakeup
     /// sweep of a lane's shard thread).
-    pub burst_drains: AtomicU64,
+    #[expect(clippy::disallowed_types, reason = "frozen benchmark/src/counters.rs:40-41")]
+    pub burst_drains: std::sync::atomic::AtomicU64,
     /// Chains popped across those drains; `burst_chains / burst_drains`
     /// is the backend-side view of doorbell amortization — batched
     /// submitters push it well above 1.
-    pub burst_chains: AtomicU64,
+    #[expect(clippy::disallowed_types, reason = "frozen benchmark/src/counters.rs:40-41")]
+    pub burst_chains: std::sync::atomic::AtomicU64,
     /// Registered windows pinned + mapped into the device aperture by the
     /// zero-copy large-RMA path (cold map-cache probes).
-    pub windows_mapped: AtomicU64,
+    pub windows_mapped: Counter,
     /// Large RMAs that found their window already pinned + mapped.
-    pub map_hits: AtomicU64,
+    pub map_hits: Counter,
     /// Scatter-gather descriptors built for zero-copy transfers.
-    pub sg_descriptors: AtomicU64,
+    pub sg_descriptors: Counter,
     /// Bytes moved by RMAs that took the mapped arm (charged the window
     /// pin + aperture map instead of the staged arm's per-page translate;
     /// neither arm stages bytes).
-    pub staging_bytes_avoided: AtomicU64,
+    pub staging_bytes_avoided: Counter,
+}
+
+impl BackendStats {
+    /// One drain pass popped `chains` chains.
+    fn note_burst(&self, chains: u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        self.burst_drains.fetch_add(1, Relaxed);
+        self.burst_chains.fetch_add(chains, Relaxed);
+    }
+
+    /// `(burst_drains, burst_chains)` so far.
+    pub fn bursts(&self) -> (u64, u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        (self.burst_drains.load(Relaxed), self.burst_chains.load(Relaxed))
+    }
 }
 
 struct EndpointTable {
@@ -141,12 +157,12 @@ pub struct BackendInner {
     eps: TrackedMutex<EndpointTable>,
     mmaps: TrackedMutex<MmapTable>,
     policy: DispatchPolicy,
-    running: AtomicBool,
+    running: Flag,
     /// Per-lane interrupt gates — the only path to an MSI injection.
     notifiers: Vec<Arc<LaneNotifier>>,
     /// Worker dispatches per queue lane — the shard-level counterpart of
     /// `stats.worker_dispatches`, surfaced in the debug report.
-    queue_worker_dispatches: Vec<AtomicU64>,
+    queue_worker_dispatches: Vec<Counter>,
     /// Registered windows, (epd, window offset) → (backing gpa, len).
     /// Only consulted to invalidate the cache on `scif_unregister`.
     windows: TrackedMutex<HashMap<(u64, u64), (u64, u64)>>,
@@ -189,7 +205,7 @@ impl BackendInner {
 
     /// Worker dispatches attributed to queue lane `q`.
     pub fn queue_worker_dispatches(&self, q: usize) -> u64 {
-        self.queue_worker_dispatches[q].load(Ordering::Relaxed)
+        self.queue_worker_dispatches[q].get()
     }
 
     /// Counter snapshots of every lane's interrupt gate, lane order.
@@ -202,7 +218,7 @@ impl BackendInner {
     /// translations.  Guest requests already in flight observe the
     /// shutdown flag instead of waiting on a dead ring.
     pub fn guest_died(&self) {
-        self.stats.guest_deaths.fetch_add(1, Ordering::Relaxed);
+        self.stats.guest_deaths.bump();
         // Flag first (new requests fail fast), wake last: a waiter that
         // observes the dead device must be able to rely on the GC below
         // having already drained every endpoint and window.
@@ -211,12 +227,12 @@ impl BackendInner {
             let mut t = self.eps.lock();
             t.endpoints.drain().collect()
         };
-        self.stats.endpoints_gced.fetch_add(eps.len() as u64, Ordering::Relaxed);
+        self.stats.endpoints_gced.add(eps.len() as u64);
         for (_, ep) in &eps {
             ep.close();
         }
         let gone: Vec<((u64, u64), (u64, u64))> = self.windows.lock().drain().collect();
-        self.stats.windows_gced.fetch_add(gone.len() as u64, Ordering::Relaxed);
+        self.stats.windows_gced.add(gone.len() as u64);
         for ((epd, _off), (gpa, len)) in gone {
             for key in self.reg_cache.invalidate_range(epd, gpa, len).unmapped {
                 self.aperture.unmap_window(key);
@@ -260,7 +276,7 @@ impl BackendInner {
                 windows.retain(|&(wepd, _), _| wepd != *epd);
             }
         }
-        self.stats.endpoints_quarantined.fetch_add(victims.len() as u64, Ordering::Relaxed);
+        self.stats.endpoints_quarantined.add(victims.len() as u64);
         victims.len()
     }
 
@@ -280,7 +296,7 @@ impl BackendInner {
         if self.channel.is_shutdown() {
             if let Some(ep) = self.eps.lock().endpoints.remove(&epd) {
                 ep.close();
-                self.stats.endpoints_gced.fetch_add(1, Ordering::Relaxed);
+                self.stats.endpoints_gced.bump();
             }
         }
         epd
@@ -307,7 +323,7 @@ impl BackendInner {
         let replay = ctx.begin("backend-replay", Stage::BackendReplay);
         ctx.tl.charge(SpanLabel::BackendDecode, cost.backend_decode);
         ctx.tl.charge(SpanLabel::GuestBufMap, cost.guest_buf_map);
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.stats.requests.bump();
 
         // Decode the request header from the first readable descriptor
         // (zero-copy view of guest memory).
@@ -341,8 +357,8 @@ impl BackendInner {
                 // `scif_accept` may wait forever for a connect; freezing
                 // the VM for it is unacceptable (paper §III), so it runs
                 // on a QEMU worker thread.
-                self.stats.worker_dispatches.fetch_add(1, Ordering::Relaxed);
-                self.queue_worker_dispatches[q].fetch_add(1, Ordering::Relaxed);
+                self.stats.worker_dispatches.bump();
+                self.queue_worker_dispatches[q].bump();
                 let inner = Arc::clone(self);
                 self.event_loop.spawn_worker(req.name(), move || {
                     let mut tl = tl;
@@ -395,7 +411,7 @@ impl BackendInner {
                 // The completion interrupt vanished: the reply is on the
                 // used ring but nobody is woken.  The requester's deadline
                 // expires, it re-checks the ring and takes the reply then.
-                self.stats.msi_lost.fetch_add(1, Ordering::Relaxed);
+                self.stats.msi_lost.bump();
                 notifier.note_msi_lost();
                 ctx.end(span);
                 drop(ctx);
@@ -506,6 +522,13 @@ impl BackendInner {
             VphiRequest::Register { epd, len, prot, fixed_offset, has_fixed } => {
                 let ep = self.ep(epd)?;
                 let d = self.payload(chain).first().copied().ok_or(ScifError::Inval)?;
+                // `len` is guest-controlled (the rule `guest_rma` states):
+                // it must fit the descriptor and map to real guest memory
+                // before a window is made of it.
+                if len > u64::from(d.len) {
+                    return Err(ScifError::Inval);
+                }
+                self.guest_mem.check_range(Gpa(d.addr), len).map_err(|_| ScifError::Inval)?;
                 let backing = GuestWindowBytes::new(Arc::clone(&self.guest_mem), Gpa(d.addr), len);
                 let prot = wire_prot(prot);
                 let off = ep.register(
@@ -526,7 +549,7 @@ impl BackendInner {
                         for key in self.reg_cache.invalidate_range(epd, d.addr, len).unmapped {
                             self.aperture.unmap_window(key);
                         }
-                        self.stats.windows_gced.fetch_add(1, Ordering::Relaxed);
+                        self.stats.windows_gced.bump();
                     }
                     return Err(ScifError::NoDev);
                 }
@@ -736,8 +759,7 @@ impl BackendDevice {
         reg_cache: RegCacheConfig,
         rma: RmaCharge,
     ) -> Arc<Self> {
-        let queue_worker_dispatches =
-            (0..channel.queue_count()).map(|_| AtomicU64::new(0)).collect();
+        let queue_worker_dispatches = (0..channel.queue_count()).map(|_| Counter::new(0)).collect();
         // One interrupt gate per lane, each owning the lane's MSI vector.
         let notifiers = channel
             .lanes()
@@ -769,7 +791,7 @@ impl BackendDevice {
                     MmapTable { maps: HashMap::new() },
                 ),
                 policy,
-                running: AtomicBool::new(false),
+                running: Flag::new(false),
                 notifiers,
                 queue_worker_dispatches,
                 windows: TrackedMutex::new(LockClass::BackendWindows, HashMap::new()),
@@ -818,7 +840,7 @@ impl VirtualPciDevice for BackendDevice {
     }
 
     fn start(&self) {
-        if self.inner.running.swap(true, Ordering::AcqRel) {
+        if self.inner.running.swap(true) {
             return;
         }
         // The sharded executor: per queue lane, one service thread for
@@ -840,7 +862,7 @@ impl VirtualPciDevice for BackendDevice {
                 .name(format!("vphi-backend-{}-q{q}", inner.name))
                 .spawn(move || {
                     let queue = Arc::clone(inner.channel.lane_queue(q));
-                    while inner.running.load(Ordering::Acquire) && queue.wait_kick() {
+                    while inner.running.get() && queue.wait_kick() {
                         inner.drain_as_shard(q);
                     }
                     // Stopped: take whatever never got its kick off the
@@ -853,7 +875,7 @@ impl VirtualPciDevice for BackendDevice {
     }
 
     fn stop(&self) {
-        if !self.inner.running.swap(false, Ordering::AcqRel) {
+        if !self.inner.running.swap(false) {
             return;
         }
         self.inner.channel.mark_shutdown();

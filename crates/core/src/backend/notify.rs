@@ -20,10 +20,10 @@
 //! completion wake still lands, and the deadline retry backstops a lost
 //! MSI.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi_sim_core::Timeline;
+use vphi_sync::Counter;
 use vphi_virtio::{need_event, VirtQueue};
 use vphi_vmm::{IrqChip, IrqLine};
 
@@ -64,18 +64,18 @@ pub struct LaneNotifier {
     /// next injected irq on this lane (the batch the irq will flush).  A
     /// count and nothing else: an add that races a flush lands in this
     /// batch or the next.
-    pending: AtomicU64,
-    irqs_injected: AtomicU64,
-    irqs_suppressed: AtomicU64,
-    batch_hist: [AtomicU64; BATCH_BUCKETS],
+    pending: Counter,
+    irqs_injected: Counter,
+    irqs_suppressed: Counter,
+    batch_hist: [Counter; BATCH_BUCKETS],
 }
 
 impl std::fmt::Debug for LaneNotifier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LaneNotifier")
             .field("vector", &self.vector)
-            .field("injected", &self.irqs_injected.load(Ordering::Relaxed))
-            .field("suppressed", &self.irqs_suppressed.load(Ordering::Relaxed))
+            .field("injected", &self.irqs_injected.get())
+            .field("suppressed", &self.irqs_suppressed.get())
             .finish()
     }
 }
@@ -86,10 +86,10 @@ impl LaneNotifier {
             vector,
             line: chip.line(vector),
             queue,
-            pending: AtomicU64::new(0),
-            irqs_injected: AtomicU64::new(0),
-            irqs_suppressed: AtomicU64::new(0),
-            batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
+            pending: Counter::new(0),
+            irqs_injected: Counter::new(0),
+            irqs_suppressed: Counter::new(0),
+            batch_hist: std::array::from_fn(|_| Counter::new(0)),
         }
     }
 
@@ -114,10 +114,10 @@ impl LaneNotifier {
     /// suppressed-while-sleeping since the last irq.
     #[expect(clippy::disallowed_methods, reason = "the lane's interrupt gate (DESIGN.md #16)")]
     pub fn deliver_irq(&self, tl: &mut Timeline) {
-        let flushed = self.pending.swap(0, Ordering::Relaxed) + 1;
-        self.irqs_injected.fetch_add(1, Ordering::Relaxed);
+        let flushed = self.pending.take() + 1;
+        self.irqs_injected.bump();
         let bucket = (63 - flushed.leading_zeros() as usize).min(BATCH_BUCKETS - 1);
-        self.batch_hist[bucket].fetch_add(1, Ordering::Relaxed);
+        self.batch_hist[bucket].bump();
         self.line.inject(tl);
     }
 
@@ -125,9 +125,9 @@ impl LaneNotifier {
     /// join the pending batch (the next irq on the lane flushes them);
     /// spinner-reaped ones are simply counted.
     pub fn note_suppressed(&self, sleeping: bool) {
-        self.irqs_suppressed.fetch_add(1, Ordering::Relaxed);
+        self.irqs_suppressed.bump();
         if sleeping {
-            self.pending.fetch_add(1, Ordering::Relaxed);
+            self.pending.bump();
         }
     }
 
@@ -136,15 +136,15 @@ impl LaneNotifier {
     /// deadline retry recovers it).  The backend's `msi_lost` counter
     /// owns the event itself.
     pub fn note_msi_lost(&self) {
-        self.pending.fetch_add(1, Ordering::Relaxed);
+        self.pending.bump();
     }
 
     /// Counter snapshot.
     pub fn counters(&self) -> LaneNotifyCounters {
         LaneNotifyCounters {
-            irqs_injected: self.irqs_injected.load(Ordering::Relaxed),
-            irqs_suppressed: self.irqs_suppressed.load(Ordering::Relaxed),
-            batch_hist: std::array::from_fn(|b| self.batch_hist[b].load(Ordering::Relaxed)),
+            irqs_injected: self.irqs_injected.get(),
+            irqs_suppressed: self.irqs_suppressed.get(),
+            batch_hist: std::array::from_fn(|b| self.batch_hist[b].get()),
         }
     }
 }

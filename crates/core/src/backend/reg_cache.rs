@@ -19,10 +19,9 @@
 //! seed (and the paper's Fig. 5 shape) exactly.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use vphi_sim_core::cost::PAGE_SIZE;
-use vphi_sync::{LockClass, TrackedMutex};
+use vphi_sync::{Counter, LockClass, TrackedMutex};
 
 /// Tuning knobs for the registration cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,10 +48,10 @@ impl RegCacheConfig {
 /// Lifetime counters, cheap enough to bump from the service loop.
 #[derive(Debug, Default)]
 pub struct RegCacheStats {
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub evictions: AtomicU64,
-    pub invalidations: AtomicU64,
+    pub hits: Counter,
+    pub misses: Counter,
+    pub evictions: Counter,
+    pub invalidations: Counter,
 }
 
 /// A point-in-time copy of [`RegCacheStats`] for reports and tests.
@@ -177,10 +176,10 @@ impl RegistrationCache {
 
     pub fn snapshot(&self) -> RegCacheSnapshot {
         RegCacheSnapshot {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            invalidations: self.stats.invalidations.load(Ordering::Relaxed),
+            hits: self.stats.hits.get(),
+            misses: self.stats.misses.get(),
+            evictions: self.stats.evictions.get(),
+            invalidations: self.stats.invalidations.get(),
         }
     }
 
@@ -203,10 +202,10 @@ impl RegistrationCache {
         if let Some(e) = inner.entries.get_mut(&key) {
             e.tick = tick;
             e.mapped |= mapped;
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.hits.bump();
             return MapProbe { hit: true, evicted: Vec::new() };
         }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.misses.bump();
         let mut evicted = Vec::new();
         if inner.entries.len() >= self.config.capacity {
             if let Some(victim) = inner.entries.iter().min_by_key(|(_, e)| e.tick).map(|(&k, _)| k)
@@ -216,18 +215,11 @@ impl RegistrationCache {
                         evicted.push((victim.epd, victim.page_start));
                     }
                 }
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+                self.stats.evictions.bump();
             }
         }
         inner.entries.insert(key, Entry { tick, mapped });
         MapProbe { hit: false, evicted }
-    }
-
-    /// Legacy/test convenience: [`probe`](RegistrationCache::probe) on the
-    /// copy path, hit flag only.  The backend uses `probe` directly so
-    /// evicted mapped keys are never silently dropped.
-    pub fn lookup_or_insert(&self, epd: u64, gpa: u64, bytes: u64) -> bool {
-        self.probe(epd, gpa, bytes, false).hit
     }
 
     /// Cached ranges currently flagged as aperture-mapped.
@@ -262,7 +254,7 @@ impl RegistrationCache {
                 true
             }
         });
-        self.stats.invalidations.fetch_add(out.dropped as u64, Ordering::Relaxed);
+        self.stats.invalidations.add(out.dropped as u64);
         out
     }
 }
@@ -278,8 +270,8 @@ mod tests {
     #[test]
     fn miss_then_hit_on_same_range() {
         let c = cache(8);
-        assert!(!c.lookup_or_insert(1, 0x1000, 4096));
-        assert!(c.lookup_or_insert(1, 0x1000, 4096));
+        assert!(!c.probe(1, 0x1000, 4096, false).hit);
+        assert!(c.probe(1, 0x1000, 4096, false).hit);
         let s = c.snapshot();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(s.hit_rate(), 0.5);
@@ -288,55 +280,55 @@ mod tests {
     #[test]
     fn different_endpoint_or_range_is_a_miss() {
         let c = cache(8);
-        c.lookup_or_insert(1, 0x1000, 4096);
-        assert!(!c.lookup_or_insert(2, 0x1000, 4096), "other endpoint");
-        assert!(!c.lookup_or_insert(1, 0x2000, 4096), "other range");
-        assert!(!c.lookup_or_insert(1, 0x1000, 8192), "other length");
+        c.probe(1, 0x1000, 4096, false);
+        assert!(!c.probe(2, 0x1000, 4096, false).hit, "other endpoint");
+        assert!(!c.probe(1, 0x2000, 4096, false).hit, "other range");
+        assert!(!c.probe(1, 0x1000, 8192, false).hit, "other length");
         assert_eq!(c.snapshot().misses, 4);
     }
 
     #[test]
     fn sub_page_offsets_share_a_page_key() {
         let c = cache(8);
-        c.lookup_or_insert(1, 0x1000, 100);
+        c.probe(1, 0x1000, 100, false);
         // Same page span → same pinned range.
-        assert!(c.lookup_or_insert(1, 0x1010, 80));
+        assert!(c.probe(1, 0x1010, 80, false).hit);
     }
 
     #[test]
     fn lru_eviction_at_capacity() {
         let c = cache(2);
-        c.lookup_or_insert(1, 0x1000, 4096); // A
-        c.lookup_or_insert(1, 0x2000, 4096); // B
-        c.lookup_or_insert(1, 0x1000, 4096); // touch A → B is LRU
-        c.lookup_or_insert(1, 0x3000, 4096); // C evicts B
+        c.probe(1, 0x1000, 4096, false); // A
+        c.probe(1, 0x2000, 4096, false); // B
+        c.probe(1, 0x1000, 4096, false); // touch A → B is LRU
+        c.probe(1, 0x3000, 4096, false); // C evicts B
         assert_eq!(c.snapshot().evictions, 1);
         assert_eq!(c.len(), 2);
-        assert!(c.lookup_or_insert(1, 0x1000, 4096), "A survived");
-        assert!(!c.lookup_or_insert(1, 0x2000, 4096), "B was evicted");
+        assert!(c.probe(1, 0x1000, 4096, false).hit, "A survived");
+        assert!(!c.probe(1, 0x2000, 4096, false).hit, "B was evicted");
     }
 
     #[test]
     fn invalidate_endpoint_drops_only_that_endpoint() {
         let c = cache(8);
-        c.lookup_or_insert(1, 0x1000, 4096);
-        c.lookup_or_insert(1, 0x2000, 4096);
-        c.lookup_or_insert(2, 0x1000, 4096);
+        c.probe(1, 0x1000, 4096, false);
+        c.probe(1, 0x2000, 4096, false);
+        c.probe(2, 0x1000, 4096, false);
         assert_eq!(c.invalidate_endpoint(1).dropped, 2);
         assert_eq!(c.len(), 1);
-        assert!(c.lookup_or_insert(2, 0x1000, 4096), "endpoint 2 untouched");
+        assert!(c.probe(2, 0x1000, 4096, false).hit, "endpoint 2 untouched");
         assert_eq!(c.snapshot().invalidations, 2);
     }
 
     #[test]
     fn invalidate_range_uses_page_overlap() {
         let c = cache(8);
-        c.lookup_or_insert(1, 0x1000, 8192); // pages 1..3
-        c.lookup_or_insert(1, 0x5000, 4096); // page 5
-                                             // Invalidate page 2 → overlaps the first entry only.
+        c.probe(1, 0x1000, 8192, false); // pages 1..3
+        c.probe(1, 0x5000, 4096, false); // page 5
+                                         // Invalidate page 2 → overlaps the first entry only.
         assert_eq!(c.invalidate_range(1, 0x2000, 4096).dropped, 1);
-        assert!(!c.lookup_or_insert(1, 0x1000, 8192), "stale entry gone");
-        assert!(c.lookup_or_insert(1, 0x5000, 4096), "non-overlapping survives");
+        assert!(!c.probe(1, 0x1000, 8192, false).hit, "stale entry gone");
+        assert!(c.probe(1, 0x5000, 4096, false).hit, "non-overlapping survives");
         // Same range, other endpoint: untouched.
         assert_eq!(c.invalidate_range(2, 0x0, 1 << 20).dropped, 0);
     }
@@ -377,8 +369,8 @@ mod tests {
     fn disabled_cache_never_hits() {
         let c = RegistrationCache::new(RegCacheConfig::disabled());
         assert!(!c.enabled());
-        assert!(!c.lookup_or_insert(1, 0x1000, 4096));
-        assert!(!c.lookup_or_insert(1, 0x1000, 4096));
+        assert!(!c.probe(1, 0x1000, 4096, false).hit);
+        assert!(!c.probe(1, 0x1000, 4096, false).hit);
         let s = c.snapshot();
         assert_eq!((s.hits, s.misses), (0, 0), "disabled cache does not count");
         assert_eq!(s.hit_rate(), 0.0);
@@ -388,14 +380,14 @@ mod tests {
     fn zero_capacity_behaves_as_disabled() {
         let c = cache(0);
         assert!(!c.enabled());
-        assert!(!c.lookup_or_insert(1, 0x1000, 4096));
+        assert!(!c.probe(1, 0x1000, 4096, false).hit);
         assert_eq!(c.len(), 0);
     }
 
     #[test]
     fn zero_length_lookup_still_occupies_one_page() {
         let c = cache(8);
-        assert!(!c.lookup_or_insert(1, 0x1000, 0));
-        assert!(c.lookup_or_insert(1, 0x1000, 0));
+        assert!(!c.probe(1, 0x1000, 0, false).hit);
+        assert!(c.probe(1, 0x1000, 0, false).hit);
     }
 }

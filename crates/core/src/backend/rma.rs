@@ -12,7 +12,6 @@
 //! huge-page window pin, aperture map and scatter-gather build
 //! (`charge_map`).
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use vphi_pcie::{MapKey, SgList};
@@ -91,7 +90,7 @@ impl BackendInner {
             }
         }
         let pages = bytes.div_ceil(PAGE_SIZE).max(1);
-        self.stats.pages_translated.fetch_add(pages, Ordering::Relaxed);
+        self.stats.pages_translated.add(pages);
         tl.charge(SpanLabel::PageTranslate, miss(pages));
     }
 
@@ -119,14 +118,14 @@ impl BackendInner {
         let sub = self.aperture.map_window(key, map_len).ok_or(ScifError::NoMem)?;
         if cold {
             tl.charge(SpanLabel::WindowPin, cost.pin_window(len));
-            self.stats.windows_mapped.fetch_add(1, Ordering::Relaxed);
+            self.stats.windows_mapped.bump();
         } else {
-            self.stats.map_hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.map_hits.bump();
         }
         let sg = SgList::for_range(sub.base(), gpa % HUGE_PAGE_SIZE, len).unwrap_or_default();
         tl.charge(SpanLabel::SgBuild, cost.sg_descriptor * (sg.len().max(1) as u64));
-        self.stats.sg_descriptors.fetch_add(sg.len() as u64, Ordering::Relaxed);
-        self.stats.staging_bytes_avoided.fetch_add(len, Ordering::Relaxed);
+        self.stats.sg_descriptors.add(sg.len() as u64);
+        self.stats.staging_bytes_avoided.add(len);
         Ok(key)
     }
 

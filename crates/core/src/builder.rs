@@ -76,11 +76,11 @@ impl Default for VmConfig {
 
 impl VmConfig {
     /// Start from the paper defaults and override selectively; the
-    /// builder's [`build`](VmConfigBuilder::build) validates the combined
-    /// result, so impossible topologies (zero lanes, non-power-of-two
-    /// rings, a staging chunk above `KMALLOC_MAX_SIZE`, a polling guest
-    /// under pipelined RMA) fail at construction instead of as a hang, a
-    /// panic in `spawn_vm` or a skewed figure later.
+    /// builder's [`build`](VmConfigBuilder::build) range-checks each field
+    /// on its own — no combination of valid values is rejected — so
+    /// impossible topologies (zero lanes, non-power-of-two rings, a staging
+    /// chunk above `KMALLOC_MAX_SIZE`) fail at construction instead of as a
+    /// hang or a panic in `spawn_vm` later.
     pub fn builder() -> VmConfigBuilder {
         VmConfigBuilder { config: VmConfig::default() }
     }
@@ -174,19 +174,10 @@ impl VmConfigBuilder {
                 c.mem_size
             ));
         }
-        if c.rma == RmaCharge::Pipelined && c.scheme == WaitScheme::Polling {
-            return Err(
-                "RmaCharge::Pipelined with WaitScheme::Polling is rejected: the pipeline overlaps \
-                 staging with DMA behind an interrupt-driven completion, while a pure-polling \
-                 guest burns its vCPU through the whole overlap — the combination measures \
-                 neither configuration faithfully"
-                    .into(),
-            );
-        }
         Ok(self.config)
     }
 
-    /// Validate and return the config, panicking on an invalid combination
+    /// Validate and return the config, panicking on an out-of-range field
     /// (tests and examples; sweeps that compute fields use
     /// [`try_build`](Self::try_build)).
     pub fn build(self) -> VmConfig {
@@ -477,15 +468,10 @@ mod tests {
         let err = VmConfig::builder().chunk_size(2 * KMALLOC_MAX_SIZE).try_build().unwrap_err();
         assert!(err.contains("cannot allocate larger contiguous buffers"), "{err}");
         assert!(VmConfig::builder().mem_size(MIB).try_build().is_err());
+        // The individually-valid pieces compose.
         assert!(VmConfig::builder()
             .rma(RmaCharge::Pipelined)
             .scheme(WaitScheme::Polling)
-            .try_build()
-            .is_err());
-        // The individually-valid pieces still compose.
-        assert!(VmConfig::builder()
-            .rma(RmaCharge::Pipelined)
-            .scheme(WaitScheme::Interrupt)
             .num_queues(8)
             .queue_size(128)
             .try_build()

@@ -6,8 +6,6 @@
 //! time the VM spent frozen, and how much memory the backend pinned.
 //! [`VphiDebugReport::collect`] snapshots all of it from a running VM.
 
-use std::sync::atomic::Ordering;
-
 use vphi_sim_core::SimDuration;
 use vphi_trace::TraceCounters;
 
@@ -155,29 +153,29 @@ impl VphiDebugReport {
             irqs_suppressed: notify.iter().map(|n| n.irqs_suppressed).sum(),
             completions_per_irq,
             queues,
-            backend_requests: be.stats.requests.load(Ordering::Relaxed),
-            worker_dispatches: be.stats.worker_dispatches.load(Ordering::Relaxed),
-            pages_translated: be.stats.pages_translated.load(Ordering::Relaxed),
+            backend_requests: be.stats.requests.get(),
+            worker_dispatches: be.stats.worker_dispatches.get(),
+            pages_translated: be.stats.pages_translated.get(),
             open_endpoints: vm.backend().open_endpoints(),
             reg_cache_hits: cache.hits,
             reg_cache_misses: cache.misses,
             reg_cache_evictions: cache.evictions,
             reg_cache_invalidations: cache.invalidations,
-            windows_mapped: be.stats.windows_mapped.load(Ordering::Relaxed),
-            map_hits: be.stats.map_hits.load(Ordering::Relaxed),
-            sg_descriptors: be.stats.sg_descriptors.load(Ordering::Relaxed),
-            staging_bytes_avoided: be.stats.staging_bytes_avoided.load(Ordering::Relaxed),
+            windows_mapped: be.stats.windows_mapped.get(),
+            map_hits: be.stats.map_hits.get(),
+            sg_descriptors: be.stats.sg_descriptors.get(),
+            staging_bytes_avoided: be.stats.staging_bytes_avoided.get(),
             vm_paused: el.vm_paused_total(),
             blocking_events: el.blocking_event_count(),
             worker_events: el.worker_event_count(),
             irq_injections,
             mmap_faults: vm.vm().kvm().fault_count(),
             deadline_retries: fe.deadline_retries,
-            msi_lost: be.stats.msi_lost.load(Ordering::Relaxed),
-            guest_deaths: be.stats.guest_deaths.load(Ordering::Relaxed),
-            endpoints_gced: be.stats.endpoints_gced.load(Ordering::Relaxed),
-            windows_gced: be.stats.windows_gced.load(Ordering::Relaxed),
-            endpoints_quarantined: be.stats.endpoints_quarantined.load(Ordering::Relaxed),
+            msi_lost: be.stats.msi_lost.get(),
+            guest_deaths: be.stats.guest_deaths.get(),
+            endpoints_gced: be.stats.endpoints_gced.get(),
+            windows_gced: be.stats.windows_gced.get(),
+            endpoints_quarantined: be.stats.endpoints_quarantined.get(),
             faults_fired: be.fault_hook().injector().map(|inj| inj.fired_total()).unwrap_or(0),
             trace,
             sync_acquisitions: sync.acquisitions,

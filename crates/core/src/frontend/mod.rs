@@ -34,13 +34,12 @@ pub use slots::ReqToken;
 pub use waiting::{SpinBudget, WaitScheme};
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi_scif::{ScifError, ScifResult, SqFlags};
 use vphi_sim_core::cost::KMALLOC_MAX_SIZE;
 use vphi_sim_core::{SpanLabel, Timeline};
-use vphi_sync::{LockClass, TrackedMutex};
+use vphi_sync::{Counter, Flag, LockClass, TrackedMutex};
 use vphi_trace::{size_bucket, OpCtx, Stage, TraceCtx, TraceHook};
 use vphi_virtio::{Descriptor, VirtQueue};
 use vphi_vmm::kernel::KmallocBuf;
@@ -130,7 +129,7 @@ pub struct VphiChannel {
     lanes: Vec<QueueLane>,
     /// Set when the backend stops servicing (VM shutdown): guest calls
     /// fail fast with `ENODEV` instead of waiting on a dead ring.
-    shutdown: AtomicBool,
+    shutdown: Flag,
     /// The frontend's sleeping requesters, parked per token: completion
     /// delivery wakes exactly the requester it completed (broadcast is
     /// reserved for shutdown).
@@ -159,7 +158,7 @@ impl VphiChannel {
         Arc::new(VphiChannel {
             queue: Arc::clone(&lanes[0].queue),
             lanes,
-            shutdown: AtomicBool::new(false),
+            shutdown: Flag::new(false),
             waitq: Arc::new(TokenWaitQueue::new()),
             trace: TraceHook::new(),
         })
@@ -204,11 +203,11 @@ impl VphiChannel {
     /// everyone only once the teardown is complete — so a waiter that
     /// observes `ENODEV` can rely on the GC having already finished.
     pub fn mark_shutdown_quiet(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.shutdown.set();
     }
 
     pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
+        self.shutdown.get()
     }
 
     /// The lane `token` was issued on, if it names one.
@@ -337,42 +336,42 @@ pub struct FrontendStats {
 /// the request in one counter and not yet in another.
 #[derive(Debug, Default)]
 struct StatCounters {
-    requests: AtomicU64,
-    interrupt_waits: AtomicU64,
-    polling_waits: AtomicU64,
-    chunks_sent: AtomicU64,
-    kicks_delivered: AtomicU64,
-    deadline_retries: AtomicU64,
-    batches_submitted: AtomicU64,
-    batch_entries: AtomicU64,
-    batch_kicks: AtomicU64,
-    tokens_reaped: AtomicU64,
-    tokens_canceled: AtomicU64,
+    requests: Counter,
+    interrupt_waits: Counter,
+    polling_waits: Counter,
+    chunks_sent: Counter,
+    kicks_delivered: Counter,
+    deadline_retries: Counter,
+    batches_submitted: Counter,
+    batch_entries: Counter,
+    batch_kicks: Counter,
+    tokens_reaped: Counter,
+    tokens_canceled: Counter,
 }
 
 impl StatCounters {
     /// One finished wait, by the notifier's verdict.
     fn count_wait(&self, slept: bool) {
         if slept {
-            self.interrupt_waits.fetch_add(1, Ordering::Relaxed);
+            self.interrupt_waits.bump();
         } else {
-            self.polling_waits.fetch_add(1, Ordering::Relaxed);
+            self.polling_waits.bump();
         }
     }
 
     fn snapshot(&self) -> FrontendStats {
         FrontendStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            interrupt_waits: self.interrupt_waits.load(Ordering::Relaxed),
-            polling_waits: self.polling_waits.load(Ordering::Relaxed),
-            chunks_sent: self.chunks_sent.load(Ordering::Relaxed),
-            kicks_delivered: self.kicks_delivered.load(Ordering::Relaxed),
-            deadline_retries: self.deadline_retries.load(Ordering::Relaxed),
-            batches_submitted: self.batches_submitted.load(Ordering::Relaxed),
-            batch_entries: self.batch_entries.load(Ordering::Relaxed),
-            batch_kicks: self.batch_kicks.load(Ordering::Relaxed),
-            tokens_reaped: self.tokens_reaped.load(Ordering::Relaxed),
-            tokens_canceled: self.tokens_canceled.load(Ordering::Relaxed),
+            requests: self.requests.get(),
+            interrupt_waits: self.interrupt_waits.get(),
+            polling_waits: self.polling_waits.get(),
+            chunks_sent: self.chunks_sent.get(),
+            kicks_delivered: self.kicks_delivered.get(),
+            deadline_retries: self.deadline_retries.get(),
+            batches_submitted: self.batches_submitted.get(),
+            batch_entries: self.batch_entries.get(),
+            batch_kicks: self.batch_kicks.get(),
+            tokens_reaped: self.tokens_reaped.get(),
+            tokens_canceled: self.tokens_canceled.get(),
         }
     }
 }
@@ -531,7 +530,7 @@ pub struct FrontendDriver {
     /// Whether `policy.busy_poll` holds any endpoint at all — so that a
     /// request's hint, in the common case of none pinned, does not take
     /// the policy lock to find that out.
-    any_busy_poll: AtomicBool,
+    any_busy_poll: Flag,
 }
 
 impl std::fmt::Debug for FrontendDriver {
@@ -580,7 +579,7 @@ impl FrontendDriver {
                 vphi_sim_core::rng::SplitMix64::new(BACKOFF_SEED),
             ),
             policy: TrackedMutex::new(LockClass::NotifyPolicy, NotifyPolicy::default()),
-            any_busy_poll: AtomicBool::new(false),
+            any_busy_poll: Flag::new(false),
         })
     }
 
@@ -595,7 +594,11 @@ impl FrontendDriver {
         } else {
             policy.busy_poll.remove(&epd);
         }
-        self.any_busy_poll.store(!policy.busy_poll.is_empty(), Ordering::Release);
+        if policy.busy_poll.is_empty() {
+            self.any_busy_poll.clear();
+        } else {
+            self.any_busy_poll.set();
+        }
     }
 
     /// Per-payload-bucket spin-burn vs true-service accounting, sorted by
@@ -620,7 +623,7 @@ impl FrontendDriver {
     /// cost, in which case spinning can never win and it sleeps at once.
     fn notify_hint(&self, req: &VphiRequest, payload_bytes: u64) -> NotifyHint {
         let cost = self.kernel.cost();
-        if self.any_busy_poll.load(Ordering::Acquire) {
+        if self.any_busy_poll.get() {
             if let Some(epd) = req.routing_epd() {
                 if self.policy.lock().busy_poll.contains(&epd) {
                     return NotifyHint::SPIN;
@@ -763,8 +766,8 @@ impl FrontendDriver {
         let wait = ctx.begin("wait-complete", Stage::Completion);
         lane.queue.kick_blocking(sub.avail_idx, cost.vmexit_kick, ctx.tl);
         let waited = self.wait_for_completion(lane, sub.token, BACKOFF_BASE, ctx.tl);
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.stats.kicks_delivered.fetch_add(1, Ordering::Relaxed);
+        self.stats.requests.bump();
+        self.stats.kicks_delivered.bump();
         let done = match waited {
             Ok(done) => done,
             Err(e) => {
@@ -960,7 +963,7 @@ impl FrontendDriver {
             // Re-kick so the backend re-scans the avail ring, and if the
             // reply already sits in the slot (quiet completion), the next
             // attempt's immediate predicate check takes it.
-            self.stats.deadline_retries.fetch_add(1, Ordering::Relaxed);
+            self.stats.deadline_retries.bump();
             lane.queue.kick(cost.vmexit_kick, tl);
             deadline = (deadline * 2).min(BACKOFF_CAP);
         }
@@ -1039,11 +1042,11 @@ impl FrontendDriver {
             ctx.end(ring);
         }
         let entries = tokens.len() as u64;
-        self.stats.requests.fetch_add(entries, Ordering::Relaxed);
-        self.stats.batches_submitted.fetch_add(1, Ordering::Relaxed);
-        self.stats.batch_entries.fetch_add(entries, Ordering::Relaxed);
-        self.stats.batch_kicks.fetch_add(kicks, Ordering::Relaxed);
-        self.stats.kicks_delivered.fetch_add(kicks, Ordering::Relaxed);
+        self.stats.requests.add(entries);
+        self.stats.batches_submitted.bump();
+        self.stats.batch_entries.add(entries);
+        self.stats.batch_kicks.add(kicks);
+        self.stats.kicks_delivered.add(kicks);
         Ok(tokens)
     }
 
@@ -1237,9 +1240,9 @@ impl FrontendDriver {
         if let Some(slept) = slept {
             self.stats.count_wait(slept);
         }
-        self.stats.tokens_reaped.fetch_add(1, Ordering::Relaxed);
+        self.stats.tokens_reaped.bump();
         if result == Err(ScifError::Canceled) {
-            self.stats.tokens_canceled.fetch_add(1, Ordering::Relaxed);
+            self.stats.tokens_canceled.bump();
         }
         ReapedOp { token, result, data }
     }
@@ -1279,7 +1282,7 @@ impl FrontendDriver {
     ) -> ScifResult<(KmallocBuf, Descriptor)> {
         let buf = self.kernel.kmalloc(chunk.len() as u64, tl).map_err(|_| ScifError::NoMem)?;
         self.kernel.copy_from_user(buf, chunk, tl).map_err(|_| ScifError::Inval)?;
-        self.stats.chunks_sent.fetch_add(1, Ordering::Relaxed);
+        self.stats.chunks_sent.bump();
         Ok((buf, Descriptor::readable(buf.gpa.0, chunk.len() as u32)))
     }
 

@@ -26,11 +26,10 @@
 //!    └────────────────────────────────────────────────┴──────┴───────────┘
 //! ```
 
-use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use vphi_sim_core::Timeline;
-use vphi_sync::{LockClass, TrackedMutex, TrackedMutexGuard};
+use vphi_sync::{LockClass, Published, TrackedMutex, TrackedMutexGuard};
 use vphi_trace::TraceCtx;
 use vphi_vmm::kernel::KmallocBuf;
 
@@ -163,7 +162,7 @@ pub(super) struct SlotBody {
 
 /// One request slot.
 pub(super) struct RequestSlot {
-    word: AtomicU64,
+    word: Published,
     /// The slot's header buffer — the request header with the response
     /// header behind it — allocated the first time the slot is used and
     /// kept.
@@ -174,7 +173,7 @@ pub(super) struct RequestSlot {
 impl RequestSlot {
     fn new() -> Self {
         RequestSlot {
-            word: AtomicU64::new(0),
+            word: Published::new(0),
             headers: OnceLock::new(),
             body: TrackedMutex::new(
                 LockClass::RequestSlot,
@@ -191,14 +190,14 @@ impl RequestSlot {
     }
 
     fn word(&self) -> Word {
-        Word::unpack(self.word.load(Ordering::Acquire))
+        Word::unpack(self.word.load())
     }
 
     /// Every transition out of `Published` is made under the body lock, so
     /// the two holders cannot both believe they let go last; the word is
     /// atomic only so that it can be *read* without the lock.
     fn set(&self, word: Word) {
-        self.word.store(word.pack(), Ordering::Release);
+        self.word.store(word.pack());
     }
 }
 
@@ -213,10 +212,10 @@ pub(super) struct SlotTable {
     /// `queue_size` of them.
     blocks: Box<[OnceLock<Box<[RequestSlot; BLOCK]>>]>,
     /// Bit set ⇔ the slot is held by a requester or by the backend.
-    live: Box<[AtomicU64]>,
+    live: Box<[Published]>,
     /// Virtqueue head → the slot registered for it.  Written before the
     /// head is visible on the avail ring, read after it is popped.
-    head_slot: Box<[AtomicU16]>,
+    head_slot: Box<[Published]>,
 }
 
 impl SlotTable {
@@ -227,8 +226,8 @@ impl SlotTable {
         SlotTable {
             lane,
             blocks: (0..slots.div_ceil(BLOCK)).map(|_| OnceLock::new()).collect(),
-            live: (0..slots.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
-            head_slot: (0..slots).map(|_| AtomicU16::new(0)).collect(),
+            live: (0..slots.div_ceil(64)).map(|_| Published::new(0)).collect(),
+            head_slot: (0..slots).map(|_| Published::new(0)).collect(),
         }
     }
 
@@ -272,12 +271,12 @@ impl SlotTable {
     }
 
     fn release_bit(&self, i: usize) {
-        self.live[i / 64].fetch_and(!(1 << (i % 64)), Ordering::AcqRel);
+        self.live[i / 64].fetch_and(!(1 << (i % 64)));
     }
 
     fn live_bits(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.live.len()).flat_map(|w| {
-            let mut bits = self.live[w].load(Ordering::Acquire);
+            let mut bits = self.live[w].load();
             std::iter::from_fn(move || {
                 (bits != 0).then(|| {
                     let bit = bits.trailing_zeros() as usize;
@@ -303,14 +302,14 @@ impl SlotTable {
     /// every slot is held.
     pub fn reserve(&self) -> Option<(ReqToken, &RequestSlot)> {
         for w in 0..self.live.len() {
-            let mut seen = self.live[w].load(Ordering::Acquire);
+            let mut seen = self.live[w].load();
             loop {
                 let bit = (!seen).trailing_zeros() as usize;
                 let i = w * 64 + bit;
                 if bit == 64 || i >= self.capacity() {
                     break;
                 }
-                let prev = self.live[w].fetch_or(1 << bit, Ordering::AcqRel);
+                let prev = self.live[w].fetch_or(1 << bit);
                 if prev & (1 << bit) != 0 {
                     seen = prev;
                     continue;
@@ -348,7 +347,7 @@ impl SlotTable {
     /// the head is visible on the avail ring.
     pub fn register(&self, token: ReqToken, head: u16) {
         if let Some((slot, word)) = self.current(token).filter(|_| self.routes(head)) {
-            self.head_slot[head as usize].store(token_slot(token) as u16, Ordering::Release);
+            self.head_slot[head as usize].store(token_slot(token) as u64);
             slot.set(Word { head, state: SlotState::Published, ..word });
         }
     }
@@ -370,7 +369,7 @@ impl SlotTable {
         if !self.routes(head) {
             return None;
         }
-        let i = self.head_slot[head as usize].load(Ordering::Acquire) as usize;
+        let i = self.head_slot[head as usize].load() as usize;
         let slot = self.get(i)?;
         let mut body = slot.body.lock();
         let word = slot.word();

@@ -7,13 +7,13 @@
 //! benchmark and example code can run the *same* logic natively or inside
 //! a VM by swapping the handle type.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use vphi_scif::{
     Cq, CqEntry, NodeId, Port, RmaFlags, ScifAddr, ScifError, ScifResult, SqFlags, SubmitToken,
 };
 use vphi_sim_core::Timeline;
+use vphi_sync::Flag;
 use vphi_trace::OpCtx;
 use vphi_virtio::Descriptor;
 use vphi_vmm::{Gpa, GuestMemory, KvmModule};
@@ -87,7 +87,7 @@ pub struct GuestMapped {
     driver: Arc<FrontendDriver>,
     vaddr: u64,
     len: u64,
-    unmapped: AtomicBool,
+    unmapped: Flag,
 }
 
 impl GuestMapped {
@@ -125,7 +125,7 @@ impl GuestMapped {
 
     /// `scif_munmap`.
     pub fn munmap(&self, tl: &mut Timeline) -> ScifResult<()> {
-        if self.unmapped.swap(true, Ordering::AcqRel) {
+        if self.unmapped.swap(true) {
             return Err(ScifError::Inval);
         }
         self.driver.simple(VphiRequest::Munmap { vaddr: self.vaddr }, tl)?;
@@ -259,7 +259,7 @@ impl Sq {
 pub struct GuestScif {
     driver: Arc<FrontendDriver>,
     epd: GuestEpd,
-    closed: AtomicBool,
+    closed: Flag,
 }
 
 impl std::fmt::Debug for GuestScif {
@@ -272,7 +272,7 @@ impl GuestScif {
     /// `scif_open` through the paravirtual path.
     pub fn open<'a>(driver: &Arc<FrontendDriver>, ctx: impl Into<OpCtx<'a>>) -> ScifResult<Self> {
         let (epd, _) = driver.simple(VphiRequest::Open, ctx)?;
-        Ok(GuestScif { driver: Arc::clone(driver), epd, closed: AtomicBool::new(false) })
+        Ok(GuestScif { driver: Arc::clone(driver), epd, closed: Flag::new(false) })
     }
 
     pub fn epd(&self) -> GuestEpd {
@@ -316,10 +316,7 @@ impl GuestScif {
     pub fn accept<'a>(&self, ctx: impl Into<OpCtx<'a>>) -> ScifResult<(GuestScif, ScifAddr)> {
         let (epd, packed) = self.driver.simple(VphiRequest::Accept { epd: self.epd }, ctx)?;
         let peer = ScifAddr::new(NodeId((packed >> 32) as u16), Port(packed as u16));
-        Ok((
-            GuestScif { driver: Arc::clone(&self.driver), epd, closed: AtomicBool::new(false) },
-            peer,
-        ))
+        Ok((GuestScif { driver: Arc::clone(&self.driver), epd, closed: Flag::new(false) }, peer))
     }
 
     /// `scif_send` — staged through kmalloc chunks, one ring transaction
@@ -589,7 +586,7 @@ impl GuestScif {
             driver: Arc::clone(&self.driver),
             vaddr,
             len,
-            unmapped: AtomicBool::new(false),
+            unmapped: Flag::new(false),
         })
     }
 
@@ -794,7 +791,7 @@ impl GuestScif {
     /// marked canceled: their reaps still drain the backend completions
     /// (nothing leaks) but report `ECANCELED`.
     pub fn close<'a>(&self, ctx: impl Into<OpCtx<'a>>) -> ScifResult<()> {
-        if self.closed.swap(true, Ordering::AcqRel) {
+        if self.closed.swap(true) {
             return Ok(());
         }
         self.driver.cancel_epd(self.epd);
@@ -805,7 +802,7 @@ impl GuestScif {
 
 impl Drop for GuestScif {
     fn drop(&mut self) {
-        if !self.closed.swap(true, Ordering::AcqRel) {
+        if !self.closed.swap(true) {
             let mut tl = Timeline::new();
             let _ = self.driver.simple(VphiRequest::Close { epd: self.epd }, &mut tl);
         }

@@ -14,7 +14,6 @@
 //! One `#[test]` only: the counter is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::{Cq, Sq, SqEntry};
@@ -22,24 +21,25 @@ use vphi_scif::types::pinned_buf;
 use vphi_scif::window::WindowBacking;
 use vphi_scif::{Port, Prot, RmaFlags, ScifAddr};
 use vphi_sim_core::Timeline;
+use vphi_sync::Counter;
 
 /// Allocations at or above this size count as payload-sized.
 const LARGE: usize = 32 << 10;
 const PAYLOAD: usize = 64 << 10;
 
-/// Large allocations since the last reset, and the largest of them.
-static LARGE_ALLOCS: AtomicUsize = AtomicUsize::new(0);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
+/// Large allocations since the last reset, and their bytes.
+static LARGE_ALLOCS: Counter = Counter::new(0);
+static LARGE_BYTES: Counter = Counter::new(0);
 /// Allocations of any size since the process started.
-static ALL_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static ALL_ALLOCS: Counter = Counter::new(0);
 
 struct CountingAlloc;
 
 fn note(size: usize) {
-    ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALL_ALLOCS.bump();
     if size >= LARGE {
-        LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LARGEST.fetch_max(size, Ordering::Relaxed);
+        LARGE_ALLOCS.bump();
+        LARGE_BYTES.add(size as u64);
     }
 }
 
@@ -80,12 +80,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Run `body` and return how many large allocations the process made
-/// meanwhile, with the largest one's size.
-fn large_allocs_during(body: impl FnOnce()) -> (usize, usize) {
-    LARGE_ALLOCS.store(0, Ordering::Relaxed);
-    LARGEST.store(0, Ordering::Relaxed);
+/// meanwhile, with their total size.
+fn large_allocs_during(body: impl FnOnce()) -> (u64, u64) {
+    LARGE_ALLOCS.reset();
+    LARGE_BYTES.reset();
     body();
-    (LARGE_ALLOCS.load(Ordering::Relaxed), LARGEST.load(Ordering::Relaxed))
+    (LARGE_ALLOCS.get(), LARGE_BYTES.get())
 }
 
 #[test]
@@ -148,7 +148,7 @@ fn warm_message_path_makes_no_payload_sized_allocation() {
         if measured {
             assert_eq!(
                 counted.0, 0,
-                "{} allocation(s) of >= {LARGE} bytes on the warm message path, largest {}",
+                "{} allocation(s) of >= {LARGE} bytes on the warm message path, {} bytes in all",
                 counted.0, counted.1
             );
         }
@@ -159,8 +159,8 @@ fn warm_message_path_makes_no_payload_sized_allocation() {
         round(false);
     }
     // The counter itself works: a payload-sized buffer shows up.
-    let (n, largest) = large_allocs_during(|| drop(std::hint::black_box(vec![0u8; PAYLOAD])));
-    assert_eq!((n, largest), (1, PAYLOAD));
+    let counted = large_allocs_during(|| drop(std::hint::black_box(vec![0u8; PAYLOAD])));
+    assert_eq!(counted, (1, PAYLOAD as u64));
     for _ in 0..3 {
         round(true);
     }
@@ -179,11 +179,11 @@ fn warm_message_path_makes_no_payload_sized_allocation() {
     const CALLS: usize = 200;
     const BUDGET_PER_CALL: usize = 4;
     let mut byte = [0u8; CALLS];
-    let before = ALL_ALLOCS.load(Ordering::Relaxed);
+    let before = ALL_ALLOCS.get();
     for _ in 0..CALLS {
         assert_eq!(ep.send(&[7], &mut Timeline::new()), Ok(1));
     }
-    let per_call = (ALL_ALLOCS.load(Ordering::Relaxed) - before) as f64 / CALLS as f64;
+    let per_call = (ALL_ALLOCS.get() - before) as f64 / CALLS as f64;
     assert_eq!(card.recv(&mut byte, &mut tl), Ok(CALLS));
     assert!(
         per_call <= BUDGET_PER_CALL as f64,

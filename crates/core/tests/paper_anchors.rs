@@ -200,6 +200,56 @@ fn fig5_remote_read_peak_is_72_percent_of_native() {
     server.join().unwrap();
 }
 
+/// The wait scheme and the large-RMA charge never meet: the frontend does
+/// not read `VmConfig::rma`, and the backend charges the staging whatever
+/// the guest does while it waits.  A cache-cold 64 MiB remote read
+/// therefore differs between a polling and a sleeping guest only in how the
+/// completion is noticed — under `Pipelined` exactly as under `PerPage`.
+#[test]
+fn wait_scheme_and_rma_charge_do_not_interact() {
+    use vphi::backend::RmaCharge;
+    use vphi::frontend::WaitScheme;
+
+    const NOTIFY: [SpanLabel; 3] =
+        [SpanLabel::GuestWakeup, SpanLabel::PollWait, SpanLabel::IrqInject];
+    let size = 64 * MIB;
+    let cold_read = |rma, scheme, port| {
+        let host = VphiHost::new(1);
+        let (server, registered) = spawn_device_window(&host, Port(port), size);
+        let config = VmConfig::builder().mem_size(size + 64 * MIB).rma(rma).scheme(scheme);
+        let vm = host.spawn_vm(config.build());
+        let mut tl = Timeline::new();
+        let guest = vm.open_scif(&mut tl).unwrap();
+        guest.connect(ScifAddr::new(host.device_node(0), Port(port)), &mut tl).unwrap();
+        registered.recv().unwrap();
+        let gbuf = vm.alloc_buf(size).unwrap();
+        let mut read_tl = Timeline::new();
+        guest.vreadfrom(&gbuf, 0, RmaFlags::SYNC, &mut read_tl).unwrap();
+        guest.close(&mut tl).unwrap();
+        vm.shutdown();
+        server.join().unwrap();
+        read_tl
+    };
+    let notify = |tl: &Timeline| NOTIFY.map(|label| tl.total_for(label));
+    let rest = |tl: &Timeline| {
+        let mut rest = tl.breakdown();
+        rest.retain(|(label, _)| !NOTIFY.contains(label));
+        rest
+    };
+
+    let mut differences = Vec::new();
+    for (rma, port) in [(RmaCharge::PerPage, 724), (RmaCharge::Pipelined, 726)] {
+        let sleeping = cold_read(rma, WaitScheme::Interrupt, port);
+        let polling = cold_read(rma, WaitScheme::Polling, port + 1);
+        assert_eq!(rest(&sleeping), rest(&polling), "{rma:?}: a non-notification label moved");
+        assert!(!sleeping.total_for(SpanLabel::PageTranslate).is_zero(), "{rma:?}: not cold");
+        assert!(!sleeping.total_for(SpanLabel::LinkTransfer).is_zero(), "{rma:?}: no DMA");
+        assert_ne!(notify(&sleeping), notify(&polling), "{rma:?}: the schemes read alike");
+        differences.push((notify(&sleeping), notify(&polling)));
+    }
+    assert_eq!(differences[0], differences[1], "the charge changed what a wait scheme costs");
+}
+
 /// Virtual time of a single-threaded blocking caller is a pure function
 /// of the config (ROADMAP item 1, the blocking-caller half): every
 /// publish pays its own `VmExitKick` whatever the shard thread is doing,

@@ -10,7 +10,6 @@
 //! reuse would report somebody else's length.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -20,7 +19,7 @@ use vphi::{Cq, GuestScif, Sq, SqEntry, VphiRequest};
 use vphi_scif::{Port, ScifAddr, ScifError, ScifResult};
 use vphi_sim_core::rng::SplitMix64;
 use vphi_sim_core::Timeline;
-use vphi_sync::{LockClass, TrackedMutex};
+use vphi_sync::{Flag, LockClass, TrackedMutex};
 
 const THREADS: usize = 4;
 const ROUNDS: usize = 12;
@@ -28,7 +27,7 @@ const PORT: u16 = 970;
 
 /// Device-side sink: accepts connections until told to stop and returns
 /// each one's byte stream.
-fn sink(host: &VphiHost, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<Vec<Vec<u8>>> {
+fn sink(host: &VphiHost, stop: Arc<Flag>) -> std::thread::JoinHandle<Vec<Vec<u8>>> {
     let server = host.device_endpoint(0).unwrap();
     let mut tl = Timeline::new();
     server.bind(Port(PORT), &mut tl).unwrap();
@@ -36,7 +35,7 @@ fn sink(host: &VphiHost, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<Vec<V
     std::thread::spawn(move || {
         let mut tl = Timeline::new();
         let mut handlers = Vec::new();
-        while !stop.load(Ordering::Relaxed) {
+        while !stop.get() {
             match server.try_accept(&mut tl) {
                 Ok(Some(conn)) => handlers.push(std::thread::spawn(move || {
                     let mut tl = Timeline::new();
@@ -156,7 +155,7 @@ impl<'a> Conn<'a> {
 /// One case: returns nothing, asserts everything.
 fn churn(seed: u64) {
     let host = VphiHost::new(1);
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let sink = sink(&host, Arc::clone(&stop));
     let vm = Arc::new(host.spawn_vm(VmConfig::builder().num_queues(1).queue_size(8).build()));
     let tokens = Arc::new(TrackedMutex::new(LockClass::TestInner, HashSet::new()));
@@ -206,7 +205,7 @@ fn churn(seed: u64) {
     assert_eq!(vm.frontend().channel().inflight_count(), 0, "seed {seed}: requests in flight");
     assert_eq!(vm.frontend().channel().live_slots(), 0, "seed {seed}: slots still held");
     assert_eq!(vm.backend().open_endpoints(), 0, "seed {seed}: endpoints left open");
-    stop.store(true, Ordering::Relaxed);
+    stop.set();
     let streams = sink.join().expect("sink");
     vm.shutdown();
     assert_eq!(vphi_sync::audit::violation_count(), 0);

@@ -4,7 +4,6 @@
 //! still reaps every outstanding token exactly once with nothing leaked.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -14,6 +13,7 @@ use vphi::{Cq, GuestScif, Sq, SqEntry};
 use vphi_scif::{Port, ScifAddr};
 use vphi_sim_core::rng::SplitMix64;
 use vphi_sim_core::Timeline;
+use vphi_sync::Flag;
 
 const ENDPOINTS: usize = 3;
 const ROUNDS: usize = 3;
@@ -26,7 +26,7 @@ fn ordered_server(
     host: &VphiHost,
     port: u16,
     conns: usize,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Flag>,
 ) -> std::thread::JoinHandle<Vec<Vec<u32>>> {
     let server = host.device_endpoint(0).unwrap();
     let mut tl = Timeline::new();
@@ -35,7 +35,7 @@ fn ordered_server(
     std::thread::spawn(move || {
         let mut tl = Timeline::new();
         let mut handlers = Vec::new();
-        while handlers.len() < conns && !stop.load(Ordering::Relaxed) {
+        while handlers.len() < conns && !stop.get() {
             match server.try_accept(&mut tl) {
                 Ok(Some(conn)) => handlers.push(std::thread::spawn(move || {
                     let mut tl = Timeline::new();
@@ -63,7 +63,7 @@ fn ordered_server(
 /// Returns every token the VM handed out, for the uniqueness property.
 fn fifo_round(num_queues: u16, seed: u64) -> HashSet<u64> {
     let host = VphiHost::new(1);
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let server = ordered_server(&host, 960, ENDPOINTS, Arc::clone(&stop));
     let vm = host.spawn_vm(VmConfig::builder().num_queues(num_queues).build());
     let mut tl = Timeline::new();
@@ -110,7 +110,7 @@ fn fifo_round(num_queues: u16, seed: u64) -> HashSet<u64> {
     for ep in eps {
         ep.close(&mut tl).unwrap();
     }
-    stop.store(true, Ordering::Relaxed);
+    stop.set();
     let mut observed = server.join().expect("server");
     assert_eq!(vm.frontend().pending_tokens(), 0, "tokens left pending after reaps");
     vm.shutdown();
@@ -141,7 +141,7 @@ fn fifo_round(num_queues: u16, seed: u64) -> HashSet<u64> {
 fn mixed_fifo_round(num_queues: u16, seed: u64) {
     const BATCH: usize = 16;
     let host = VphiHost::new(1);
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let server = ordered_server(&host, 964, 2, Arc::clone(&stop));
     let vm = Arc::new(host.spawn_vm(VmConfig::builder().num_queues(num_queues).build()));
     let addr = ScifAddr::new(host.device_node(0), Port(964));
@@ -185,7 +185,7 @@ fn mixed_fifo_round(num_queues: u16, seed: u64) {
         .collect();
     let mut sent: Vec<u32> = guests.into_iter().map(|g| g.join().expect("guest")).collect();
 
-    stop.store(true, Ordering::Relaxed);
+    stop.set();
     let observed = server.join().expect("server");
     assert_eq!(vm.frontend().pending_tokens(), 0, "tokens left pending after reaps");
     assert_eq!(vm.frontend().channel().inflight_count(), 0);
@@ -206,7 +206,7 @@ fn mixed_fifo_round(num_queues: u16, seed: u64) {
 /// produced), and nothing — tokens, endpoints, windows — may leak.
 fn chaos_reap_round(seed: u64) {
     let host = VphiHost::new(1);
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let server = ordered_server(&host, 962, 2, Arc::clone(&stop));
     let vm = host.spawn_vm(VmConfig::default());
     let mut tl = Timeline::new();
@@ -254,7 +254,7 @@ fn chaos_reap_round(seed: u64) {
     assert_eq!(reaped, submitted, "seed {seed}: reaped set != submitted set");
     assert_eq!(vm.frontend().pending_tokens(), 0, "seed {seed}: leaked tokens");
 
-    stop.store(true, Ordering::Relaxed);
+    stop.set();
     for ep in eps {
         let _ = ep.close(&mut tl); // the card died under it; any errno is fair
     }

@@ -19,10 +19,10 @@
 //! an unset `OnceLock` — effectively free, so the hooks stay compiled into
 //! production paths.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use vphi_sim_core::SplitMix64;
+use vphi_sync::{Counter, Flag};
 
 /// Number of distinct injection sites across the stack.
 pub const SITE_COUNT: usize = 10;
@@ -155,9 +155,9 @@ pub struct FaultInjector {
     plan: FaultPlan,
     /// Per site: sorted, nth-deduplicated `(nth, param)` pairs.
     schedule: [Vec<(u64, u64)>; SITE_COUNT],
-    crossings: [AtomicU64; SITE_COUNT],
-    fired: [AtomicU64; SITE_COUNT],
-    defused: AtomicBool,
+    crossings: [Counter; SITE_COUNT],
+    fired: [Counter; SITE_COUNT],
+    defused: Flag,
 }
 
 impl FaultInjector {
@@ -175,7 +175,7 @@ impl FaultInjector {
             schedule,
             crossings: Default::default(),
             fired: Default::default(),
-            defused: AtomicBool::new(false),
+            defused: Flag::new(false),
         }
     }
 
@@ -187,15 +187,15 @@ impl FaultInjector {
     /// `Some(param)` if the plan schedules a fault on this crossing.
     pub fn crossing(&self, site: FaultSite) -> Option<u64> {
         let i = site.index();
-        let nth = self.crossings[i].fetch_add(1, Ordering::Relaxed) + 1;
-        if self.defused.load(Ordering::Relaxed) {
+        let nth = self.crossings[i].next() + 1;
+        if self.defused.get() {
             return None;
         }
         let param = self.schedule[i]
             .binary_search_by_key(&nth, |&(n, _)| n)
             .ok()
             .map(|at| self.schedule[i][at].1)?;
-        self.fired[i].fetch_add(1, Ordering::Relaxed);
+        self.fired[i].bump();
         Some(param)
     }
 
@@ -203,19 +203,19 @@ impl FaultInjector {
     /// hook cannot be disarmed, so chaos tests defuse the injector instead
     /// before running their clean bystander phase.
     pub fn defuse(&self) {
-        self.defused.store(true, Ordering::Relaxed);
+        self.defused.set();
     }
 
     pub fn crossings_at(&self, site: FaultSite) -> u64 {
-        self.crossings[site.index()].load(Ordering::Relaxed)
+        self.crossings[site.index()].get()
     }
 
     pub fn fired_at(&self, site: FaultSite) -> u64 {
-        self.fired[site.index()].load(Ordering::Relaxed)
+        self.fired[site.index()].get()
     }
 
     pub fn fired_total(&self) -> u64 {
-        self.fired.iter().map(|fired| fired.load(Ordering::Relaxed)).sum()
+        self.fired.iter().map(|fired| fired.get()).sum()
     }
 }
 

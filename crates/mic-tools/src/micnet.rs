@@ -17,7 +17,6 @@
 //! * [`MicShell`] — the client: `scp`-style upload plus `run`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi::builder::VphiHost;
@@ -26,7 +25,7 @@ use vphi_coi::wire::{read_frame, write_frame, ByteReader, ByteWriter};
 use vphi_phi::ComputeJob;
 use vphi_scif::{Port, ScifEndpoint, ScifError, ScifResult};
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
-use vphi_sync::{LockClass, TrackedMutex};
+use vphi_sync::{Counter, Flag, LockClass, TrackedMutex};
 
 /// The well-known port of the mic0 shell daemon (sshd on the uOS).
 pub const MIC_SHELL_PORT: Port = Port(22);
@@ -127,8 +126,8 @@ pub struct MicShellDaemon {
     listener: Arc<ScifEndpoint>,
     accept_thread: TrackedMutex<Option<std::thread::JoinHandle<()>>>,
     sessions: Arc<TrackedMutex<Vec<std::thread::JoinHandle<()>>>>,
-    running: Arc<AtomicBool>,
-    uploads: Arc<AtomicU64>,
+    running: Arc<Flag>,
+    uploads: Arc<Counter>,
 }
 
 impl MicShellDaemon {
@@ -139,8 +138,8 @@ impl MicShellDaemon {
         listener.bind(MIC_SHELL_PORT, &mut tl)?;
         listener.listen(8, &mut tl)?;
 
-        let running = Arc::new(AtomicBool::new(true));
-        let uploads = Arc::new(AtomicU64::new(0));
+        let running = Arc::new(Flag::new(true));
+        let uploads = Arc::new(Counter::new(0));
         let sessions: Arc<TrackedMutex<Vec<std::thread::JoinHandle<()>>>> =
             Arc::new(TrackedMutex::new(LockClass::ServerSessions, Vec::new()));
         let (l2, s2, u2) = (Arc::clone(&listener), Arc::clone(&sessions), Arc::clone(&uploads));
@@ -150,7 +149,7 @@ impl MicShellDaemon {
             .name(format!("mic-sshd-{mic}"))
             .spawn(move || {
                 let running = accept_running;
-                while running.load(Ordering::Acquire) {
+                while running.get() {
                     let mut tl = Timeline::new();
                     match l2.accept(&mut tl) {
                         Ok(conn) => {
@@ -176,11 +175,11 @@ impl MicShellDaemon {
     }
 
     pub fn upload_count(&self) -> u64 {
-        self.uploads.load(Ordering::Relaxed)
+        self.uploads.get()
     }
 
     pub fn shutdown(&self) {
-        if !self.running.swap(false, Ordering::AcqRel) {
+        if !self.running.swap(false) {
             return;
         }
         self.listener.close();
@@ -200,7 +199,7 @@ impl Drop for MicShellDaemon {
 }
 
 #[allow(clippy::while_let_loop)]
-fn shell_session(conn: ScifEndpoint, board: Arc<vphi_phi::PhiBoard>, uploads: Arc<AtomicU64>) {
+fn shell_session(conn: ScifEndpoint, board: Arc<vphi_phi::PhiBoard>, uploads: Arc<Counter>) {
     let mut tl = Timeline::new();
     // The card's "filesystem": name → size of files scp'd over.
     let mut files: HashMap<String, u64> = HashMap::new();
@@ -221,7 +220,7 @@ fn shell_session(conn: ScifEndpoint, board: Arc<vphi_phi::PhiBoard>, uploads: Ar
                 ShellMsg::Upload { name, bytes } => {
                     conn.recv_timed(bytes, &mut tl)?;
                     files.insert(name.clone(), bytes);
-                    uploads.fetch_add(1, Ordering::Relaxed);
+                    uploads.bump();
                     write_frame(
                         &conn,
                         &ShellMsg::Ok { stdout: format!("{name}: {bytes} bytes\n") }.encode(),
@@ -380,12 +379,12 @@ pub struct Mic0Link {
     conn: Box<dyn CoiTransport>,
     mac: [u8; 6],
     peer_mac: [u8; 6],
-    next_packet_id: std::sync::atomic::AtomicU32,
+    next_packet_id: Counter,
 }
 
 impl Mic0Link {
     pub fn new(conn: Box<dyn CoiTransport>, mac: [u8; 6], peer_mac: [u8; 6]) -> Self {
-        Mic0Link { conn, mac, peer_mac, next_packet_id: std::sync::atomic::AtomicU32::new(1) }
+        Mic0Link { conn, mac, peer_mac, next_packet_id: Counter::new(1) }
     }
 
     pub fn mac(&self) -> [u8; 6] {
@@ -410,7 +409,7 @@ impl Mic0Link {
     ) -> ScifResult<u16> {
         let budget = EthFrame::MTU - FragHeader::SIZE;
         let count = payload.len().div_ceil(budget).max(1) as u16;
-        let packet_id = self.next_packet_id.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let packet_id = self.next_packet_id.next() as u32;
         for (index, chunk) in payload.chunks(budget.max(1)).enumerate() {
             let hdr = FragHeader { packet_id, index: index as u16, count };
             let mut body = hdr.encode().to_vec();
@@ -488,7 +487,7 @@ pub struct MicNetDaemon {
     listener: Arc<ScifEndpoint>,
     accept_thread: TrackedMutex<Option<std::thread::JoinHandle<()>>>,
     sessions: Arc<TrackedMutex<Vec<std::thread::JoinHandle<()>>>>,
-    running: Arc<AtomicBool>,
+    running: Arc<Flag>,
 }
 
 impl MicNetDaemon {
@@ -500,7 +499,7 @@ impl MicNetDaemon {
         let mut tl = Timeline::new();
         listener.bind(MIC_NET_PORT, &mut tl)?;
         listener.listen(8, &mut tl)?;
-        let running = Arc::new(AtomicBool::new(true));
+        let running = Arc::new(Flag::new(true));
         let sessions: Arc<TrackedMutex<Vec<std::thread::JoinHandle<()>>>> =
             Arc::new(TrackedMutex::new(LockClass::ServerSessions, Vec::new()));
         let (l2, s2) = (Arc::clone(&listener), Arc::clone(&sessions));
@@ -509,7 +508,7 @@ impl MicNetDaemon {
             .name(format!("mic-netd-{mic}"))
             .spawn(move || {
                 let running = accept_running;
-                while running.load(Ordering::Acquire) {
+                while running.get() {
                     let mut tl = Timeline::new();
                     match l2.accept(&mut tl) {
                         Ok(conn) => {
@@ -529,7 +528,7 @@ impl MicNetDaemon {
     }
 
     pub fn shutdown(&self) {
-        if !self.running.swap(false, Ordering::AcqRel) {
+        if !self.running.swap(false) {
             return;
         }
         self.listener.close();

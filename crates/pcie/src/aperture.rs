@@ -324,7 +324,6 @@ mod tests {
 
     #[test]
     fn unmap_quiesces_inflight_io() {
-        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
         let map = Arc::new(ApertureMap::new(Aperture::new(0, 4 * HUGE_PAGE_SIZE)));
@@ -332,20 +331,20 @@ mod tests {
         let guard = map.begin_io((7, 0)).unwrap();
         assert_eq!(map.inflight_total(), 1);
 
-        let unmapped = Arc::new(AtomicBool::new(false));
+        let unmapped = Arc::new(vphi_sync::Flag::new(false));
         let t = {
             let (map, unmapped) = (Arc::clone(&map), Arc::clone(&unmapped));
             std::thread::spawn(move || {
                 assert!(map.unmap_window((7, 0)));
-                unmapped.store(true, Ordering::SeqCst);
+                unmapped.set();
             })
         };
         // The unmapper must block while the descriptor list is in flight.
         std::thread::sleep(Duration::from_millis(100));
-        assert!(!unmapped.load(Ordering::SeqCst), "unmap must wait for inflight IO");
+        assert!(!unmapped.get(), "unmap must wait for inflight IO");
         drop(guard);
         t.join().unwrap();
-        assert!(unmapped.load(Ordering::SeqCst));
+        assert!(unmapped.get());
         assert_eq!(map.mapped_windows(), 0);
         assert_eq!(map.inflight_total(), 0);
     }

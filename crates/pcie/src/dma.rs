@@ -6,11 +6,11 @@
 //! `dma_setup` + link time per transfer.  Channels are selected round-robin
 //! like the MPSS driver does for independent transfers.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vphi_sim_core::cost::HUGE_PAGE_SIZE;
 use vphi_sim_core::{SimTime, SpanLabel, Timeline};
+use vphi_sync::Counter;
 
 use crate::link::PcieLink;
 
@@ -124,9 +124,9 @@ pub struct DmaOutcome {
 pub struct DmaEngine {
     link: Arc<PcieLink>,
     channels: usize,
-    next_channel: AtomicUsize,
-    bytes_total: AtomicU64,
-    transfers: AtomicU64,
+    next_channel: Counter,
+    bytes_total: Counter,
+    transfers: Counter,
 }
 
 impl DmaEngine {
@@ -135,9 +135,9 @@ impl DmaEngine {
         DmaEngine {
             link,
             channels,
-            next_channel: AtomicUsize::new(0),
-            bytes_total: AtomicU64::new(0),
-            transfers: AtomicU64::new(0),
+            next_channel: Counter::new(0),
+            bytes_total: Counter::new(0),
+            transfers: Counter::new(0),
         }
     }
 
@@ -150,7 +150,7 @@ impl DmaEngine {
     }
 
     fn pick_channel(&self) -> usize {
-        self.next_channel.fetch_add(1, Ordering::Relaxed) % self.channels
+        (self.next_channel.next() % self.channels as u64) as usize
     }
 
     /// Copy `src` into `dst` over the link.  Lengths must match.  Charges
@@ -161,8 +161,8 @@ impl DmaEngine {
         tl.charge(SpanLabel::DmaSetup, self.link.cost().dma_setup);
         dst.copy_from_slice(src);
         let completed_at = self.link.transmit(src.len() as u64, tl);
-        self.bytes_total.fetch_add(src.len() as u64, Ordering::Relaxed);
-        self.transfers.fetch_add(1, Ordering::Relaxed);
+        self.bytes_total.add(src.len() as u64);
+        self.transfers.bump();
         DmaOutcome { completed_at, channel, bytes: src.len() as u64 }
     }
 
@@ -175,8 +175,8 @@ impl DmaEngine {
         let channel = self.pick_channel();
         tl.charge(SpanLabel::DmaSetup, self.link.cost().dma_setup);
         let completed_at = self.link.transmit(bytes, tl);
-        self.bytes_total.fetch_add(bytes, Ordering::Relaxed);
-        self.transfers.fetch_add(1, Ordering::Relaxed);
+        self.bytes_total.add(bytes);
+        self.transfers.bump();
         DmaOutcome { completed_at, channel, bytes }
     }
 
@@ -190,17 +190,17 @@ impl DmaEngine {
         tl.charge(SpanLabel::DmaSetup, self.link.cost().dma_setup);
         let bytes = sg.bytes();
         let completed_at = self.link.transmit(bytes, tl);
-        self.bytes_total.fetch_add(bytes, Ordering::Relaxed);
-        self.transfers.fetch_add(1, Ordering::Relaxed);
+        self.bytes_total.add(bytes);
+        self.transfers.bump();
         DmaOutcome { completed_at, channel, bytes }
     }
 
     pub fn bytes_total(&self) -> u64 {
-        self.bytes_total.load(Ordering::Relaxed)
+        self.bytes_total.get()
     }
 
     pub fn transfer_count(&self) -> u64 {
-        self.transfers.load(Ordering::Relaxed)
+        self.transfers.get()
     }
 }
 

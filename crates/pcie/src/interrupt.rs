@@ -5,9 +5,8 @@
 //! the *QEMU backend* raises a virtual interrupt into the guest the same
 //! way (the `vmm` crate builds its IRQ chip on the same abstraction).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use vphi_sync::{LockClass, TrackedMutex};
+use vphi_sync::{Counter, LockClass, TrackedMutex};
 
 use vphi_sim_core::{SpanLabel, Timeline};
 
@@ -28,14 +27,14 @@ impl<F: Fn(u32, &mut Timeline) + Send + Sync> InterruptHandler for F {
 pub struct MsiVector {
     vector: u32,
     handlers: TrackedMutex<Vec<Arc<dyn InterruptHandler>>>,
-    raised: AtomicU64,
+    raised: Counter,
 }
 
 impl std::fmt::Debug for MsiVector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MsiVector")
             .field("vector", &self.vector)
-            .field("raised", &self.raised.load(Ordering::Relaxed))
+            .field("raised", &self.raised.get())
             .finish()
     }
 }
@@ -45,7 +44,7 @@ impl MsiVector {
         MsiVector {
             vector,
             handlers: TrackedMutex::new(LockClass::MsiHandlers, Vec::new()),
-            raised: AtomicU64::new(0),
+            raised: Counter::new(0),
         }
     }
 
@@ -61,7 +60,7 @@ impl MsiVector {
     /// [`SpanLabel::IrqInject`]) and runs all handlers.
     pub fn raise(&self, tl: &mut Timeline, delivery: vphi_sim_core::SimDuration) {
         tl.charge(SpanLabel::IrqInject, delivery);
-        self.raised.fetch_add(1, Ordering::Relaxed);
+        self.raised.bump();
         let handlers: Vec<Arc<dyn InterruptHandler>> = self.handlers.lock().clone();
         for h in handlers {
             h.handle(self.vector, tl);
@@ -69,28 +68,27 @@ impl MsiVector {
     }
 
     pub fn raise_count(&self) -> u64 {
-        self.raised.load(Ordering::Relaxed)
+        self.raised.get()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
     use vphi_sim_core::SimDuration;
 
     #[test]
     fn raise_runs_handlers_and_charges_delivery() {
         let v = MsiVector::new(5);
-        let hits = Arc::new(AtomicU32::new(0));
+        let hits = Arc::new(Counter::new(0));
         let h = Arc::clone(&hits);
         v.register(Arc::new(move |vec: u32, _tl: &mut Timeline| {
             assert_eq!(vec, 5);
-            h.fetch_add(1, Ordering::Relaxed);
+            h.bump();
         }));
         let mut tl = Timeline::new();
         v.raise(&mut tl, SimDuration::from_micros(9));
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
+        assert_eq!(hits.get(), 1);
         assert_eq!(tl.total_for(SpanLabel::IrqInject), SimDuration::from_micros(9));
         assert_eq!(v.raise_count(), 1);
     }
@@ -98,16 +96,16 @@ mod tests {
     #[test]
     fn multiple_handlers_all_run() {
         let v = MsiVector::new(0);
-        let hits = Arc::new(AtomicU32::new(0));
+        let hits = Arc::new(Counter::new(0));
         for _ in 0..3 {
             let h = Arc::clone(&hits);
             v.register(Arc::new(move |_: u32, _: &mut Timeline| {
-                h.fetch_add(1, Ordering::Relaxed);
+                h.bump();
             }));
         }
         let mut tl = Timeline::new();
         v.raise(&mut tl, SimDuration::ZERO);
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
+        assert_eq!(hits.get(), 3);
     }
 
     #[test]

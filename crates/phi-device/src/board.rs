@@ -1,12 +1,11 @@
 //! The assembled coprocessor board.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
 use vphi_pcie::{DmaEngine, Doorbell, LinkConfig, MsiVector, PcieLink};
 use vphi_sim_core::{CostModel, SimDuration, VirtualClock};
-use vphi_sync::{LockClass, TrackedRwLock};
+use vphi_sync::{Counter, LockClass, TrackedRwLock};
 
 use crate::memory::DeviceMemory;
 use crate::spec::PhiSpec;
@@ -63,7 +62,7 @@ pub struct PhiBoard {
     sysfs: TrackedRwLock<SysfsInfo>,
     mic_index: u32,
     faults: FaultHook,
-    resets: AtomicU64,
+    resets: Counter,
 }
 
 impl std::fmt::Debug for PhiBoard {
@@ -107,7 +106,7 @@ impl PhiBoard {
             sysfs,
             mic_index,
             faults: FaultHook::new(),
-            resets: AtomicU64::new(0),
+            resets: Counter::new(0),
         }
     }
 
@@ -219,13 +218,13 @@ impl PhiBoard {
             sysfs.set("state", "resetting");
             sysfs.set("fail_reason", "");
         }
-        self.resets.fetch_add(1, Ordering::Relaxed);
+        self.resets.bump();
         self.boot()
     }
 
     /// How many times this card has been reset.
     pub fn reset_count(&self) -> u64 {
-        self.resets.load(Ordering::Relaxed)
+        self.resets.get()
     }
 }
 

@@ -20,10 +20,10 @@
 //! "use at least 2 threads/core" rule, visible in Figs. 6–8 as 56 threads
 //! underperforming 112/224.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
+use vphi_sync::{Counter, Published};
 
 use crate::spec::PhiSpec;
 
@@ -88,8 +88,8 @@ pub struct UosScheduler {
     cost: Arc<CostModel>,
     clock: Arc<VirtualClock>,
     /// Threads currently admitted (across all processes / VMs).
-    active_threads: AtomicU32,
-    jobs_completed: AtomicU64,
+    active_threads: Published,
+    jobs_completed: Counter,
 }
 
 impl UosScheduler {
@@ -98,8 +98,8 @@ impl UosScheduler {
             spec,
             cost,
             clock,
-            active_threads: AtomicU32::new(0),
-            jobs_completed: AtomicU64::new(0),
+            active_threads: Published::new(0),
+            jobs_completed: Counter::new(0),
         }
     }
 
@@ -128,7 +128,7 @@ impl UosScheduler {
     pub fn run(&self, job: &ComputeJob, tl: &mut Timeline) -> JobOutcome {
         // Load at admission: other jobs' threads raise effective
         // threads-per-core for everyone (uOS has no gang scheduling).
-        let others = self.active_threads.fetch_add(job.threads, Ordering::AcqRel);
+        let others = self.active_threads.fetch_add(job.threads as u64) as u32;
         let outcome = self.model(job, others);
         tl.charge(SpanLabel::UosSchedule, self.spawn_overhead(job.threads));
         if outcome.oversubscribed {
@@ -139,8 +139,8 @@ impl UosScheduler {
         }
         tl.charge(SpanLabel::DeviceCompute, outcome.duration);
         self.clock.advance(outcome.duration);
-        self.active_threads.fetch_sub(job.threads, Ordering::AcqRel);
-        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        self.active_threads.fetch_sub(job.threads as u64);
+        self.jobs_completed.bump();
         outcome
     }
 
@@ -166,7 +166,7 @@ impl UosScheduler {
                     );
                 }
                 tl.charge(SpanLabel::DeviceCompute, outcome.duration);
-                self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+                self.jobs_completed.bump();
                 outcome
             })
             .collect()
@@ -218,11 +218,11 @@ impl UosScheduler {
     }
 
     pub fn jobs_completed(&self) -> u64 {
-        self.jobs_completed.load(Ordering::Relaxed)
+        self.jobs_completed.get()
     }
 
     pub fn active_threads(&self) -> u32 {
-        self.active_threads.load(Ordering::Acquire)
+        self.active_threads.load() as u32
     }
 }
 

@@ -8,11 +8,10 @@
 //! any state -- close --> Closed
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use vphi_sim_core::{SimTime, SpanLabel, Timeline};
-use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
+use vphi_sync::{LockClass, Published, TrackedCondvar, TrackedMutex};
 
 use crate::error::{ScifError, ScifResult};
 use crate::fabric::{enqueue_connect, FabricShared, Listener, NodeCore, WaitCounter, WALL_TIMEOUT};
@@ -76,7 +75,7 @@ pub struct EndpointCore {
     /// Things that happened to this endpoint which a `poll` of it, or of
     /// its peer, could see: bumped just before each hub bump, so a woken
     /// poller can tell its own connections' traffic from everybody else's.
-    events: AtomicU64,
+    events: Published,
     waits: WaitCounter,
 }
 
@@ -110,7 +109,7 @@ impl EndpointCore {
             next_marker: TrackedMutex::new(LockClass::RmaMarker, 1),
             timed: TrackedMutex::new(LockClass::TimedLane, TimedLane::default()),
             timed_ready: TrackedCondvar::new(),
-            events: AtomicU64::new(0),
+            events: Published::new(0),
             waits: WaitCounter::default(),
         })
     }
@@ -147,15 +146,15 @@ impl EndpointCore {
     /// [`poll`](crate::poll::poll)'s wake-up filter.
     pub(crate) fn connection_events(&self) -> u64 {
         let peer = self.peer.get().and_then(Weak::upgrade);
-        let theirs = peer.map_or(0, |p| p.events.load(Ordering::Acquire));
-        self.events.load(Ordering::Acquire).wrapping_add(theirs)
+        let theirs = peer.map_or(0, |p| p.events.load());
+        self.events.load().wrapping_add(theirs)
     }
 
     /// Record an event a poller could see; every hub bump below follows
     /// one.  The add's release half pairs with the `Acquire` load a
     /// poller makes after the hub woke it.
     fn note_event(&self) {
-        self.events.fetch_add(1, Ordering::AcqRel);
+        self.events.fetch_add(1);
     }
 
     /// How often `accept`, `connect` or `recv_timed` went to sleep on
@@ -318,7 +317,7 @@ impl EndpointCore {
         // Accept acknowledgement control message back to the connector.
         self.shared.charge_message_path(self.node.id(), conn_addr.node, 64, tl)?;
         connector.note_event();
-        self.shared.activity.bump();
+        self.shared.activity.wake_pollers();
         Ok(Some(newep))
     }
 
@@ -353,7 +352,7 @@ impl EndpointCore {
         }
         self.shared.charge_message_path(self.node.id(), peer.node_id(), len as u64, tl)?;
         self.note_event();
-        self.shared.activity.bump();
+        self.shared.activity.wake_pollers();
         Ok(len)
     }
 
@@ -377,7 +376,7 @@ impl EndpointCore {
         let n = q.read_exact_with(len, drain)?;
         tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(n as u64));
         self.note_event();
-        self.shared.activity.bump();
+        self.shared.activity.wake_pollers();
         Ok(n)
     }
 
@@ -388,7 +387,7 @@ impl EndpointCore {
         tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(n as u64));
         if n > 0 {
             self.note_event();
-            self.shared.activity.bump();
+            self.shared.activity.wake_pollers();
         }
         Ok(n)
     }
@@ -508,7 +507,7 @@ impl EndpointCore {
         self.windows.lock().release_all();
         self.hang_up_timed_lanes();
         self.note_event();
-        self.shared.activity.bump();
+        self.shared.activity.wake_pollers();
     }
 
     /// A `recv_timed` parked on either end of the connection gets

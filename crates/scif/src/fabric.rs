@@ -2,14 +2,13 @@
 //! establishment, and the cross-node timing helpers.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use vphi_faults::FaultSite;
 use vphi_phi::PhiBoard;
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
-use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex, TrackedRwLock};
+use vphi_sync::{Counter, Flag, LockClass, Published, TrackedCondvar, TrackedMutex, TrackedRwLock};
 
 use crate::endpoint::EndpointCore;
 use crate::error::{ScifError, ScifResult};
@@ -38,7 +37,8 @@ impl Default for ActivityHub {
 }
 
 impl ActivityHub {
-    pub fn bump(&self) {
+    /// Advance the version and wake every parked poller to re-scan.
+    pub fn wake_pollers(&self) {
         let mut v = self.version.lock();
         *v += 1;
         self.cond.notify_all();
@@ -78,9 +78,9 @@ pub(crate) struct PendingConn {
 #[derive(Debug, Default)]
 pub(crate) struct WaitCounter {
     #[cfg(any(test, debug_assertions))]
-    parks: AtomicU64,
+    parks: Counter,
     #[cfg(any(test, debug_assertions))]
-    wakeups: AtomicU64,
+    wakeups: Counter,
 }
 
 impl WaitCounter {
@@ -88,19 +88,19 @@ impl WaitCounter {
     /// signal sent after this is seen cannot be missed.
     pub fn park(&self) {
         #[cfg(any(test, debug_assertions))]
-        self.parks.fetch_add(1, Ordering::Relaxed);
+        self.parks.bump();
     }
 
     /// Back from a wait that did not time out.
     pub fn woke(&self) {
         #[cfg(any(test, debug_assertions))]
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
+        self.wakeups.bump();
     }
 
     /// `(parks, wakeups)` so far.
     #[cfg(any(test, debug_assertions))]
     pub fn counts(&self) -> (u64, u64) {
-        (self.parks.load(Ordering::Relaxed), self.wakeups.load(Ordering::Relaxed))
+        (self.parks.get(), self.wakeups.get())
     }
 }
 
@@ -112,7 +112,7 @@ pub(crate) struct Listener {
     /// by a connector's arrival and by teardown.
     arrived: TrackedCondvar,
     /// Written under `pending`, so a sleeper cannot miss it.
-    pub closed: AtomicBool,
+    pub closed: Flag,
 }
 
 impl Listener {
@@ -121,7 +121,7 @@ impl Listener {
             backlog: backlog.max(1),
             pending: TrackedMutex::new(LockClass::ListenerPending, VecDeque::new()),
             arrived: TrackedCondvar::new(),
-            closed: AtomicBool::new(false),
+            closed: Flag::new(false),
         }
     }
 
@@ -130,7 +130,7 @@ impl Listener {
     pub fn wait_arrival(&self, waits: &WaitCounter) -> ScifResult<()> {
         let mut pending = self.pending.lock();
         while pending.is_empty() {
-            if self.closed.load(Ordering::Acquire) {
+            if self.closed.get() {
                 return Err(ScifError::Inval);
             }
             waits.park();
@@ -149,7 +149,7 @@ impl Listener {
     pub fn teardown(&self) {
         let orphans: Vec<PendingConn> = {
             let mut pending = self.pending.lock();
-            self.closed.store(true, Ordering::Release);
+            self.closed.set();
             self.arrived.notify_all();
             pending.drain(..).collect()
         };
@@ -166,7 +166,7 @@ pub struct NodeCore {
     id: NodeId,
     /// Every bound port, with its listener once `listen` attached one.
     ports: TrackedMutex<HashMap<Port, Option<Arc<Listener>>>>,
-    next_ephemeral: AtomicU16,
+    next_ephemeral: Counter,
     /// The board behind this node; `None` for the host node.
     board: Option<Arc<PhiBoard>>,
 }
@@ -185,8 +185,7 @@ impl NodeCore {
         let mut ports = self.ports.lock();
         let chosen = if port == Port::ANY {
             loop {
-                let p = self.next_ephemeral.fetch_add(1, Ordering::Relaxed);
-                let p = Port(p);
+                let p = Port(self.next_ephemeral.next() as u16);
                 if !ports.contains_key(&p) {
                     break p;
                 }
@@ -204,7 +203,7 @@ impl NodeCore {
     pub(crate) fn start_listening(&self, port: Port, backlog: usize) -> ScifResult<Arc<Listener>> {
         let mut ports = self.ports.lock();
         match ports.get(&port) {
-            Some(Some(live)) if !live.closed.load(Ordering::Acquire) => Err(ScifError::AddrInUse),
+            Some(Some(live)) if !live.closed.get() => Err(ScifError::AddrInUse),
             _ => {
                 let l = Arc::new(Listener::new(backlog));
                 ports.insert(port, Some(Arc::clone(&l)));
@@ -216,7 +215,7 @@ impl NodeCore {
     pub(crate) fn listener(&self, port: Port) -> Option<Arc<Listener>> {
         let ports = self.ports.lock();
         let attached = ports.get(&port)?.as_ref()?;
-        (!attached.closed.load(Ordering::Acquire)).then(|| Arc::clone(attached))
+        (!attached.closed.get()).then(|| Arc::clone(attached))
     }
 
     pub(crate) fn release_port(&self, port: Port) {
@@ -234,9 +233,9 @@ pub struct FabricShared {
     pub(crate) activity: ActivityHub,
     /// Fabric-wide events ([`bump_activity`](FabricShared::bump_activity))
     /// — the part of a poller's wake-up filter no endpoint owns.
-    events: AtomicU64,
+    events: Published,
     nodes: TrackedRwLock<BTreeMap<NodeId, Arc<NodeCore>>>,
-    next_ep_id: AtomicU64,
+    next_ep_id: Counter,
 }
 
 impl FabricShared {
@@ -249,7 +248,7 @@ impl FabricShared {
     }
 
     pub(crate) fn next_endpoint_id(&self) -> u64 {
-        self.next_ep_id.fetch_add(1, Ordering::Relaxed)
+        self.next_ep_id.next()
     }
 
     /// Wake every poller to re-scan its set — used by recovery paths
@@ -258,8 +257,8 @@ impl FabricShared {
     /// `connect` or `recv_timed` hear of those through the `close` of the
     /// endpoint they wait on.
     pub fn bump_activity(&self) {
-        self.events.fetch_add(1, Ordering::AcqRel);
-        self.activity.bump();
+        self.events.fetch_add(1);
+        self.activity.wake_pollers();
     }
 
     /// How often the poll hub was bumped — every bump wakes every parked
@@ -272,7 +271,7 @@ impl FabricShared {
 
     /// Count of fabric-wide events so far (see [`crate::poll`]).
     pub(crate) fn events(&self) -> u64 {
-        self.events.load(Ordering::Acquire)
+        self.events.load()
     }
 
     /// Staging time a chunked, double-buffered RMA pipeline exposes on
@@ -411,14 +410,14 @@ impl ScifFabric {
             cost,
             clock,
             activity: ActivityHub::default(),
-            events: AtomicU64::new(0),
+            events: Published::new(0),
             nodes: TrackedRwLock::new(LockClass::FabricNodes, BTreeMap::new()),
-            next_ep_id: AtomicU64::new(1),
+            next_ep_id: Counter::new(1),
         });
         let host = Arc::new(NodeCore {
             id: HOST_NODE,
             ports: TrackedMutex::new(LockClass::NodePorts, HashMap::new()),
-            next_ephemeral: AtomicU16::new(Port::EPHEMERAL_START),
+            next_ephemeral: Counter::new(Port::EPHEMERAL_START as u64),
             board: None,
         });
         shared.nodes.write().insert(HOST_NODE, host);
@@ -434,7 +433,7 @@ impl ScifFabric {
             Arc::new(NodeCore {
                 id,
                 ports: TrackedMutex::new(LockClass::NodePorts, HashMap::new()),
-                next_ephemeral: AtomicU16::new(Port::EPHEMERAL_START),
+                next_ephemeral: Counter::new(Port::EPHEMERAL_START as u64),
                 board: Some(board),
             }),
         );
@@ -479,7 +478,7 @@ pub(crate) fn enqueue_connect(
     let mut pending = listener.pending.lock();
     // `closed` again, under the lock teardown drains the backlog under: a
     // connector queued behind that drain would never be refused.
-    if listener.closed.load(Ordering::Acquire) || pending.len() >= listener.backlog {
+    if listener.closed.get() || pending.len() >= listener.backlog {
         return Err(ScifError::ConnRefused);
     }
     pending.push_back(PendingConn { connector: Arc::downgrade(connector) });
@@ -589,7 +588,7 @@ mod tests {
         let h2 = Arc::clone(&hub);
         let waiter = std::thread::spawn(move || h2.wait_change_for(v0, WALL_TIMEOUT));
         std::thread::sleep(Duration::from_millis(10));
-        hub.bump();
+        hub.wake_pollers();
         assert_eq!(waiter.join().unwrap(), (v0 + 1, true));
     }
 }

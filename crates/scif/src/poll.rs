@@ -236,11 +236,11 @@ mod tests {
         // Each wake-up must shrink the remaining budget, not restart it.
         let (_client, server) = setup();
         let shared = Arc::clone(&server.shared);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop = Arc::new(vphi_sync::Flag::new(false));
         let stop2 = Arc::clone(&stop);
         let bumper = std::thread::spawn(move || {
-            while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
-                shared.activity.bump();
+            while !stop2.get() {
+                shared.activity.wake_pollers();
                 std::thread::sleep(Duration::from_millis(5));
             }
         });
@@ -249,7 +249,7 @@ mod tests {
         let start = std::time::Instant::now();
         let n = poll(&mut fds, Duration::from_millis(60), &mut tl).unwrap();
         let elapsed = start.elapsed();
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        stop.set();
         bumper.join().unwrap();
         assert_eq!(n, 0, "nothing was ever ready");
         // Pre-fix, ~12 bumps × a stale full-ish budget each could stretch
@@ -267,14 +267,14 @@ mod tests {
             let (fabric, dev) = fabric_with_device();
             let (_client, server) = pair_on(&fabric, dev, Port(9));
             let (a, b) = pair_on(&fabric, dev, Port(10));
-            let polled = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let polled = Arc::new(vphi_sync::Flag::new(false));
             let done = Arc::clone(&polled);
             let tenant = std::thread::spawn(move || {
                 // At least 2,000 messages, and for as long as the poll runs.
                 let mut tl = Timeline::new();
                 let mut byte = [0u8; 1];
                 let mut sent = 0;
-                while busy && (sent < 2_000 || !done.load(std::sync::atomic::Ordering::Relaxed)) {
+                while busy && (sent < 2_000 || !done.get()) {
                     a.send(&[1], &mut tl).unwrap();
                     b.recv(&mut byte, &mut tl).unwrap();
                     sent += 1;
@@ -283,7 +283,7 @@ mod tests {
             let mut fds = [PollFd::new(server, PollEvents::IN)];
             let mut tl = Timeline::new();
             let n = poll(&mut fds, Duration::from_millis(50), &mut tl).unwrap();
-            polled.store(true, std::sync::atomic::Ordering::Relaxed);
+            polled.set();
             tenant.join().unwrap();
             (n, tl.total_for(SpanLabel::PollWait))
         };

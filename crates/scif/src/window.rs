@@ -216,25 +216,28 @@ impl WindowTable {
                 // zero-copy path can pin and aperture-map them at
                 // huge-page granularity (DESIGN.md #19).  Small windows
                 // keep the dense page-granular layout.
-                let off = if len >= HUGE_PAGE_SIZE {
-                    self.next_auto_offset.next_multiple_of(HUGE_PAGE_SIZE)
-                } else {
-                    self.next_auto_offset
-                };
                 let granule = if len >= HUGE_PAGE_SIZE { HUGE_PAGE_SIZE } else { PAGE_SIZE };
-                self.next_auto_offset = off + len.next_multiple_of(granule);
+                // A length that does not fit the offset space is refused
+                // before the allocator moves.
+                let placed = (|| {
+                    let off = self.next_auto_offset.checked_next_multiple_of(granule)?;
+                    Some((off, off.checked_add(len.checked_next_multiple_of(granule)?)?))
+                })();
+                let (off, next) = placed.ok_or(ScifError::Inval)?;
+                self.next_auto_offset = next;
                 off
             }
         };
-        if self.overlaps(offset, len) {
+        let end = offset.checked_add(len).ok_or(ScifError::Inval)?;
+        if self.overlaps(offset, end) {
             return Err(ScifError::AddrInUse);
         }
         self.windows.insert(offset, Window { offset, len, prot, backing });
         Ok(offset)
     }
 
-    fn overlaps(&self, offset: u64, len: u64) -> bool {
-        let end = offset + len;
+    /// Whether a registered window intersects `offset..end`.
+    fn overlaps(&self, offset: u64, end: u64) -> bool {
         // Window starting at or after `offset` that begins before `end`…
         if self.windows.range(offset..end).next().is_some() {
             return true;
@@ -329,6 +332,36 @@ mod tests {
         let small2 = t.register(None, PAGE_SIZE, Prot::READ_WRITE, backing(1)).unwrap();
         assert!(t.lookup(small2, PAGE_SIZE).is_ok());
         assert_eq!(t.window_count(), 4);
+    }
+
+    /// A backing that claims whatever length it is asked for (what a
+    /// caller's own `WindowBytes` may do): the table's arithmetic must not
+    /// trust it.
+    struct Boundless;
+
+    impl WindowBytes for Boundless {
+        fn len(&self) -> u64 {
+            u64::MAX
+        }
+        fn read(&self, _at: u64, _out: &mut [u8]) -> ScifResult<()> {
+            Err(ScifError::OutOfRange)
+        }
+        fn write(&self, _at: u64, _data: &[u8]) -> ScifResult<()> {
+            Err(ScifError::OutOfRange)
+        }
+    }
+
+    #[test]
+    fn a_length_past_the_offset_space_is_refused_and_moves_nothing() {
+        let mut t = WindowTable::new();
+        let huge = !(PAGE_SIZE - 1);
+        for fixed in [Some(0x1000_0000), None] {
+            let boundless = WindowBacking::External(Arc::new(Boundless));
+            assert_eq!(t.register(fixed, huge, Prot::READ, boundless), Err(ScifError::Inval));
+        }
+        assert_eq!(t.window_count(), 0);
+        let got = t.register(None, PAGE_SIZE, Prot::READ, backing(1));
+        assert_eq!(got, WindowTable::new().register(None, PAGE_SIZE, Prot::READ, backing(1)));
     }
 
     #[test]

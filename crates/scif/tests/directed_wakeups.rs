@@ -6,7 +6,6 @@
 //! one waiter left on the fabric-wide hub, `poll`, hears nothing of the
 //! timed lane it cannot read (DESIGN.md #24) and everything it can.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -17,6 +16,7 @@ use vphi_scif::endpoint::{EndpointCore, EpState};
 use vphi_scif::poll::poll;
 use vphi_scif::{NodeId, PollEvents, PollFd, Port, ScifAddr, ScifError, ScifFabric, HOST_NODE};
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
+use vphi_sync::Flag;
 
 fn fabric_with_device() -> (ScifFabric, NodeId) {
     let cost = Arc::new(CostModel::paper_calibrated());
@@ -100,18 +100,18 @@ fn until_parked(ep: &EndpointCore, parks: u64) {
 /// A bystander pair elsewhere on the fabric, one byte a millisecond from
 /// host to card and drained there, until dropped.
 struct Chatter {
-    stop: Arc<AtomicBool>,
+    stop: Arc<Flag>,
     thread: Option<JoinHandle<()>>,
 }
 
 fn chatter(fabric: &ScifFabric, dev: NodeId, port: u16) -> Chatter {
     let (client, conn) = connected_pair(fabric, dev, port);
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let stopped = Arc::clone(&stop);
     let thread = std::thread::spawn(move || {
         let mut tl = Timeline::new();
         let mut byte = [0u8; 1];
-        while !stopped.load(Ordering::Relaxed) {
+        while !stopped.get() {
             client.send(&[1], &mut tl).unwrap();
             conn.recv(&mut byte, &mut tl).unwrap();
             std::thread::sleep(Duration::from_millis(1));
@@ -122,7 +122,7 @@ fn chatter(fabric: &ScifFabric, dev: NodeId, port: u16) -> Chatter {
 
 impl Drop for Chatter {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.set();
         if let Some(thread) = self.thread.take() {
             if thread.join().is_err() && !std::thread::panicking() {
                 panic!("the bystander pair failed");
@@ -359,7 +359,7 @@ fn a_poller_hears_the_byte_lane_a_close_and_a_reset_but_no_timed_send() {
     let (sender, receiver) = connected_pair(&fabric, dev, 770);
     #[cfg(debug_assertions)]
     let bumps = fabric.shared().hub_bumps();
-    let polled = Arc::new(AtomicBool::new(false));
+    let polled = Arc::new(Flag::new(false));
     let chunks = {
         let (sender, receiver, polled) =
             (Arc::clone(&sender), Arc::clone(&receiver), Arc::clone(&polled));
@@ -367,7 +367,7 @@ fn a_poller_hears_the_byte_lane_a_close_and_a_reset_but_no_timed_send() {
             // At least 1,000 each way, and for as long as the poll runs.
             let mut tl = Timeline::new();
             let mut sent = 0;
-            while sent < 1_000 || !polled.load(Ordering::Relaxed) {
+            while sent < 1_000 || !polled.get() {
                 sender.send_timed(4 << 20, &mut tl).unwrap();
                 receiver.send_timed(1, &mut tl).unwrap();
                 sent += 1;
@@ -375,7 +375,7 @@ fn a_poller_hears_the_byte_lane_a_close_and_a_reset_but_no_timed_send() {
         })
     };
     let quiet = poll_in(&receiver, Duration::from_millis(100));
-    polled.store(true, Ordering::Relaxed);
+    polled.set();
     chunks.within(PROMPT, "the timed senders");
     assert_eq!(quiet, (Ok(0), PollEvents::NONE, scan), "one scan, then asleep until the timeout");
     #[cfg(debug_assertions)]

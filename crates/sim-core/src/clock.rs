@@ -8,24 +8,24 @@
 //! global clock — the clock exists for (a) ordering across VMs in sharing
 //! experiments and (b) the uOS scheduler's notion of "now".
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use vphi_sync::{Counter, Published};
 
 use crate::units::{SimDuration, SimTime};
 
 /// A global, monotonic virtual clock.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
-    now_ns: AtomicU64,
+    now_ns: Published,
 }
 
 impl VirtualClock {
     pub fn new() -> Self {
-        VirtualClock { now_ns: AtomicU64::new(0) }
+        VirtualClock { now_ns: Published::new(0) }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        SimTime(self.now_ns.load(Ordering::Acquire))
+        SimTime(self.now_ns.load())
     }
 
     /// Advance the clock by `d` and return the time after the advance.
@@ -35,7 +35,7 @@ impl VirtualClock {
     /// treats any held tracked lock here as an ordering violation.
     pub fn advance(&self, d: SimDuration) -> SimTime {
         vphi_sync::audit::assert_lockless("VirtualClock::advance");
-        SimTime(self.now_ns.fetch_add(d.0, Ordering::AcqRel) + d.0)
+        SimTime(self.now_ns.fetch_add(d.0) + d.0)
     }
 
     /// Fold an externally computed absolute time into the clock: the clock
@@ -43,12 +43,12 @@ impl VirtualClock {
     /// time that may lie in the clock's future.
     pub fn observe(&self, t: SimTime) -> SimTime {
         vphi_sync::audit::assert_lockless("VirtualClock::observe");
-        let mut cur = self.now_ns.load(Ordering::Acquire);
+        let mut cur = self.now_ns.load();
         loop {
             if t.0 <= cur {
                 return SimTime(cur);
             }
-            match self.now_ns.compare_exchange_weak(cur, t.0, Ordering::AcqRel, Ordering::Acquire) {
+            match self.now_ns.compare_exchange_weak(cur, t.0) {
                 Ok(_) => return t,
                 Err(actual) => cur = actual,
             }
@@ -57,7 +57,7 @@ impl VirtualClock {
 
     /// Reset to zero.  Only used between benchmark repetitions.
     pub fn reset(&self) {
-        self.now_ns.store(0, Ordering::Release);
+        self.now_ns.store(0);
     }
 }
 
@@ -72,9 +72,9 @@ impl VirtualClock {
 /// sharing experiments can compute aggregate utilization.
 #[derive(Debug, Default)]
 pub struct BusyResource {
-    free_at_ns: AtomicU64,
-    busy_total_ns: AtomicU64,
-    grants: AtomicU64,
+    free_at_ns: Published,
+    busy_total_ns: Counter,
+    grants: Counter,
 }
 
 /// The outcome of an [`BusyResource::acquire`] call.
@@ -95,19 +95,14 @@ impl BusyResource {
 
     /// Reserve the resource for `hold`, starting no earlier than `at`.
     pub fn acquire(&self, at: SimTime, hold: SimDuration) -> Grant {
-        let mut free = self.free_at_ns.load(Ordering::Acquire);
+        let mut free = self.free_at_ns.load();
         loop {
             let start = free.max(at.0);
             let end = start + hold.0;
-            match self.free_at_ns.compare_exchange_weak(
-                free,
-                end,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
+            match self.free_at_ns.compare_exchange_weak(free, end) {
                 Ok(_) => {
-                    self.busy_total_ns.fetch_add(hold.0, Ordering::Relaxed);
-                    self.grants.fetch_add(1, Ordering::Relaxed);
+                    self.busy_total_ns.add(hold.0);
+                    self.grants.bump();
                     return Grant {
                         start: SimTime(start),
                         end: SimTime(end),
@@ -121,23 +116,23 @@ impl BusyResource {
 
     /// The earliest time a new user could start.
     pub fn free_at(&self) -> SimTime {
-        SimTime(self.free_at_ns.load(Ordering::Acquire))
+        SimTime(self.free_at_ns.load())
     }
 
     /// Cumulative time the resource has been held.
     pub fn busy_total(&self) -> SimDuration {
-        SimDuration(self.busy_total_ns.load(Ordering::Relaxed))
+        SimDuration(self.busy_total_ns.get())
     }
 
     /// Number of grants handed out.
     pub fn grant_count(&self) -> u64 {
-        self.grants.load(Ordering::Relaxed)
+        self.grants.get()
     }
 
     pub fn reset(&self) {
-        self.free_at_ns.store(0, Ordering::Release);
-        self.busy_total_ns.store(0, Ordering::Relaxed);
-        self.grants.store(0, Ordering::Relaxed);
+        self.free_at_ns.store(0);
+        self.busy_total_ns.reset();
+        self.grants.reset();
     }
 }
 

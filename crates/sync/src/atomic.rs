@@ -1,0 +1,353 @@
+//! Atomics whose memory ordering is their type.
+//!
+//! A field's protocol is declared where the field is and no call site
+//! names an `Ordering`; raw `std::sync::atomic` types and fences are
+//! banned outside this crate by `clippy.toml`.  Four tiers:
+//!
+//! * [`Counter`] — statistics and id allocators, observed casually:
+//!   everything `Relaxed`.
+//! * [`Flag`] — a `bool` that publishes what was written before it was
+//!   set (start/stop, closed, shutdown): `Release` store, `Acquire` load,
+//!   `AcqRel` swap.
+//! * [`Published`] — a word read without the lock (or by the one holder)
+//!   that wrote it — slot state, bitmaps, the simulated clock — with the
+//!   same `Release` / `Acquire` / `AcqRel` contract as a [`Flag`].
+//! * [`Sequenced`] — one side of a store-then-load-the-other-side
+//!   (Dekker) handshake, where `Release`/`Acquire` would let both sides
+//!   miss each other: everything `SeqCst`.
+//!
+//! All are one `u64` (or `bool`) wide, `#[repr(transparent)]`, and every
+//! method inlines to the single instruction the raw call was.
+
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
+
+#[expect(clippy::disallowed_types, reason = "Counter, Published and Sequenced wrap it")]
+type RawU64 = std::sync::atomic::AtomicU64;
+#[expect(clippy::disallowed_types, reason = "Flag wraps it")]
+type RawBool = std::sync::atomic::AtomicBool;
+
+/// A statistic, gauge or id allocator: `Relaxed` by construction.
+#[derive(Default)]
+#[repr(transparent)]
+pub struct Counter(RawU64);
+
+impl Counter {
+    #[inline]
+    pub const fn new(value: u64) -> Self {
+        Counter(RawU64::new(value))
+    }
+
+    /// Count one event.
+    #[inline]
+    pub fn bump(&self) {
+        self.0.fetch_add(1, Relaxed);
+    }
+
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Relaxed);
+    }
+
+    /// Lower a gauge (wraps below zero, like the raw `fetch_sub`).
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        self.0.fetch_sub(n, Relaxed);
+    }
+
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Relaxed)
+    }
+
+    /// Read and zero in one step.
+    #[inline]
+    pub fn take(&self) -> u64 {
+        self.0.swap(0, Relaxed)
+    }
+
+    #[inline]
+    pub fn reset(&self) {
+        self.0.store(0, Relaxed);
+    }
+
+    /// Allocate the next id: returns the value before the increment.
+    #[inline]
+    pub fn next(&self) -> u64 {
+        self.0.fetch_add(1, Relaxed)
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+/// A lifecycle flag: setting it publishes, reading it observes.
+#[derive(Default)]
+#[repr(transparent)]
+pub struct Flag(RawBool);
+
+impl Flag {
+    #[inline]
+    pub const fn new(value: bool) -> Self {
+        Flag(RawBool::new(value))
+    }
+
+    #[inline]
+    pub fn set(&self) {
+        self.0.store(true, Release);
+    }
+
+    #[inline]
+    pub fn clear(&self) {
+        self.0.store(false, Release);
+    }
+
+    #[inline]
+    pub fn get(&self) -> bool {
+        self.0.load(Acquire)
+    }
+
+    /// Store `value`, returning what was there: the one-shot guard of
+    /// `start`/`stop`/`close`.
+    #[inline]
+    pub fn swap(&self, value: bool) -> bool {
+        self.0.swap(value, AcqRel)
+    }
+}
+
+impl std::fmt::Debug for Flag {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+/// A word that hands data from its writer to lock-free readers.
+#[derive(Default)]
+#[repr(transparent)]
+pub struct Published(RawU64);
+
+impl Published {
+    #[inline]
+    pub const fn new(value: u64) -> Self {
+        Published(RawU64::new(value))
+    }
+
+    #[inline]
+    pub fn load(&self) -> u64 {
+        self.0.load(Acquire)
+    }
+
+    #[inline]
+    pub fn store(&self, value: u64) {
+        self.0.store(value, Release);
+    }
+
+    #[inline]
+    pub fn fetch_add(&self, n: u64) -> u64 {
+        self.0.fetch_add(n, AcqRel)
+    }
+
+    #[inline]
+    pub fn fetch_sub(&self, n: u64) -> u64 {
+        self.0.fetch_sub(n, AcqRel)
+    }
+
+    #[inline]
+    pub fn fetch_or(&self, bits: u64) -> u64 {
+        self.0.fetch_or(bits, AcqRel)
+    }
+
+    #[inline]
+    pub fn fetch_and(&self, bits: u64) -> u64 {
+        self.0.fetch_and(bits, AcqRel)
+    }
+
+    /// `Ok(current)` if it was `current` and is now `new`, else
+    /// `Err(actual)`; may fail spuriously, so callers loop.
+    #[inline]
+    pub fn compare_exchange_weak(&self, current: u64, new: u64) -> Result<u64, u64> {
+        self.0.compare_exchange_weak(current, new, AcqRel, Acquire)
+    }
+}
+
+impl std::fmt::Debug for Published {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.load().fmt(f)
+    }
+}
+
+/// One side of a store-then-look-at-the-other-side handshake (the
+/// EVENT_IDX pair, DESIGN.md #16; the waiter announcement, #23).
+#[derive(Default)]
+#[repr(transparent)]
+pub struct Sequenced(RawU64);
+
+impl Sequenced {
+    #[inline]
+    pub const fn new(value: u64) -> Self {
+        Sequenced(RawU64::new(value))
+    }
+
+    #[inline]
+    pub fn load(&self) -> u64 {
+        self.0.load(SeqCst)
+    }
+
+    #[inline]
+    pub fn store(&self, value: u64) {
+        self.0.store(value, SeqCst);
+    }
+
+    #[inline]
+    pub fn fetch_add(&self, n: u64) -> u64 {
+        self.0.fetch_add(n, SeqCst)
+    }
+
+    #[inline]
+    pub fn fetch_sub(&self, n: u64) -> u64 {
+        self.0.fetch_sub(n, SeqCst)
+    }
+
+    /// Count yourself in, then fence: what the caller reads *next* is
+    /// ordered after the announcement.  Pairs with [`look`](Sequenced::look)
+    /// on the other side — each side publishes, fences, then reads what the
+    /// other published, so at least one of them sees the other.
+    #[inline]
+    pub fn announce(&self) {
+        self.0.fetch_add(1, SeqCst);
+        full_fence();
+    }
+
+    /// Fence, then read the announcements: what the caller wrote *before*
+    /// is ordered ahead of the look.
+    #[inline]
+    pub fn look(&self) -> u64 {
+        full_fence();
+        self.0.load(SeqCst)
+    }
+}
+
+impl std::fmt::Debug for Sequenced {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.load().fmt(f)
+    }
+}
+
+#[expect(clippy::disallowed_methods, reason = "the one fence: Sequenced's announce/look pair")]
+#[inline]
+fn full_fence() {
+    std::sync::atomic::fence(SeqCst);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn counter_counts_takes_and_allocates() {
+        static C: Counter = Counter::new(5);
+        C.bump();
+        C.add(4);
+        C.sub(3);
+        assert_eq!(C.get(), 7);
+        assert_eq!(C.next(), 7);
+        assert_eq!(C.next(), 8);
+        assert_eq!(C.take(), 9);
+        assert_eq!(C.get(), 0);
+        C.add(2);
+        C.reset();
+        assert_eq!(C.get(), 0);
+        // A gauge read as signed sees a transient dip below zero.
+        C.sub(1);
+        assert_eq!(C.get() as i64, -1);
+        assert_eq!(format!("{:?}", Counter::default()), "0");
+    }
+
+    #[test]
+    fn counter_loses_no_bump_under_contention() {
+        let c = Arc::new(Counter::default());
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || (0..10_000).for_each(|_| c.bump()))
+            })
+            .collect();
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        assert_eq!(c.get(), 40_000);
+    }
+
+    #[test]
+    fn flag_sets_clears_and_swaps_once() {
+        let f = Flag::default();
+        assert!(!f.get());
+        f.set();
+        assert!(f.get());
+        f.clear();
+        assert!(!f.swap(true), "first closer wins");
+        assert!(f.swap(true), "second closer sees it closed");
+        assert_eq!(format!("{:?}", Flag::new(true)), "true");
+    }
+
+    #[test]
+    fn flag_publishes_what_was_written_before_it() {
+        let cell = Arc::new((Counter::default(), Flag::default()));
+        let writer = Arc::clone(&cell);
+        let t = std::thread::spawn(move || {
+            writer.0.add(42);
+            writer.1.set();
+        });
+        while !cell.1.get() {
+            std::hint::spin_loop();
+        }
+        assert_eq!(cell.0.get(), 42);
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn published_word_ops_return_the_previous_value() {
+        let p = Published::new(0b0101);
+        assert_eq!(p.fetch_or(0b0010), 0b0101);
+        assert_eq!(p.fetch_and(!0b0001), 0b0111);
+        assert_eq!(p.load(), 0b0110);
+        assert_eq!(p.fetch_add(10), 6);
+        assert_eq!(p.fetch_sub(1), 16);
+        p.store(4);
+        assert_eq!(p.compare_exchange_weak(3, 5), Err(4));
+        while p.compare_exchange_weak(4, 9).is_err() {}
+        assert_eq!(p.load(), 9);
+        assert_eq!(format!("{:?}", Published::default()), "0");
+    }
+
+    #[test]
+    fn sequenced_plain_ops() {
+        let s = Sequenced::new(2);
+        assert_eq!(s.fetch_add(3), 2);
+        assert_eq!(s.fetch_sub(1), 5);
+        s.store(11);
+        assert_eq!(s.load(), 11);
+        s.announce();
+        assert_eq!(s.look(), 12);
+        assert_eq!(format!("{:?}", Sequenced::default()), "0");
+    }
+
+    /// The Dekker shape both users rely on: each side announces, then
+    /// looks at the other; never may both read "nobody there".
+    #[test]
+    fn announce_then_look_never_misses_on_both_sides() {
+        for _ in 0..2_000 {
+            let pair = Arc::new((Sequenced::default(), Sequenced::default()));
+            let other = Arc::clone(&pair);
+            let t = std::thread::spawn(move || {
+                other.0.announce();
+                other.1.look()
+            });
+            pair.1.announce();
+            let saw_theirs = pair.0.look();
+            let saw_ours = t.join().unwrap();
+            assert!(saw_theirs + saw_ours >= 1, "both sides missed each other");
+        }
+    }
+}

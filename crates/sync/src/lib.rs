@@ -23,21 +23,26 @@
 //!
 //! Violations panic with both acquisition sites in debug/test builds; the
 //! `sync-audit` feature turns the same checks on in release builds.  When
-//! neither is active the wrappers compile down to the plain `parking_lot`
+//! neither is active the wrappers compile down to the plain `std`
 //! primitives.
 //!
-//! Poisoning: `lock()` **is** the poison-recovering acquire (it delegates
-//! to [`TrackedMutex::lock_or_recover`]); a panicking thread never poisons
-//! a lock for the rest of a stress test.  `lock().unwrap()` is therefore
-//! both unnecessary and banned by `cargo run -p xtask -- lint`.
+//! Poisoning: `lock()` **is** the poison-recovering acquire; a panicking
+//! thread never poisons a lock for the rest of a stress test.
+//! `lock().unwrap()` is therefore unnecessary and does not compile.
+//!
+//! Atomics live in [`atomic`]: four types that fix the memory ordering, so
+//! no call site outside this crate names one.
 
 use std::ops::{Deref, DerefMut};
 use std::panic::Location;
+use std::sync::{PoisonError, TryLockError};
 use std::time::Duration;
 
+pub mod atomic;
 pub mod audit;
 
-pub use parking_lot::WaitTimeoutResult;
+pub use atomic::{Counter, Flag, Published, Sequenced};
+pub use std::sync::WaitTimeoutResult;
 
 use audit::{AcqKind, Token};
 
@@ -115,70 +120,68 @@ pub enum LockClass {
     IrqVectors = 28,
     /// MSI vector handler chain.
     MsiHandlers = 29,
-    /// Guest wake-all wait queue (predicates run under this lock).
-    WaitQueue = 30,
     // --- frontend driver ---
     /// One request slot of a lane's slot table (DESIGN.md #23): the
     /// request's timeline, trace fork, notify hint, batch bookkeeping and
     /// completion cell.  A leaf: nothing is acquired under it.
-    RequestSlot = 31,
+    RequestSlot = 30,
     // --- byte-storage leaves (innermost real locks) ---
     /// Pinned user/guest pages (`scif::PinnedBuf`).
-    PinnedBuf = 32,
+    PinnedBuf = 31,
     /// GDDR region backing bytes.
-    PhiMemData = 33,
+    PhiMemData = 32,
     /// Guest physical-memory arena.
-    GuestMemState = 34,
+    GuestMemState = 33,
     /// VMA test/backing byte buffers.
-    VmaData = 35,
+    VmaData = 34,
     // --- test-only classes (isolated from the real hierarchy) ---
     /// Regression tests: an outer-layer test lock.
-    TestOuter = 36,
+    TestOuter = 35,
     /// Regression tests: ABBA partner A.
-    TestA = 37,
+    TestA = 36,
     /// Regression tests: ABBA partner B.
-    TestB = 38,
+    TestB = 37,
     /// Regression tests: an inner-layer test lock.
-    TestInner = 39,
+    TestInner = 38,
     // --- host control plane (outermost; added for card-reset recovery) ---
     /// `VphiHost` attached-backend registry, walked during card reset.
-    HostAttached = 40,
+    HostAttached = 39,
     // --- tracing leaves (vphi-trace; taken with arbitrary locks held
     // *released*, never while inside another tracked section) ---
     /// Tracer span rings + request summaries.
-    TraceRings = 41,
+    TraceRings = 40,
     /// Tracer latency histograms.
-    TraceHists = 42,
+    TraceHists = 41,
     // --- multi-queue transport (PR 5) ---
     /// Backend shard-thread join handles (one service thread per queue).
-    BackendShards = 43,
+    BackendShards = 42,
     /// Frontend shared re-kick backoff RNG (seeded, jittered).
-    FrontendBackoff = 44,
+    FrontendBackoff = 43,
     // --- adaptive completion notification (PR 6) ---
     /// Per-token wait-queue registry (token → slot map).
-    TokenWaiters = 45,
+    TokenWaiters = 44,
     /// One sleeping requester's slot (signal count + condvar).
-    TokenSlot = 46,
+    TokenSlot = 45,
     /// Frontend spin-budget policy (EWMA table + busy-poll set).
-    NotifyPolicy = 47,
+    NotifyPolicy = 46,
     // --- zero-copy RMA (PR 10) ---
     /// Device-aperture window-mapping table (`pcie::ApertureMap`).
-    ApertureWindows = 48,
+    ApertureWindows = 47,
     // --- vm-exit servicing on the kicking thread (PR 14) ---
     /// A virtqueue lane's executor role ([`TrackedRole`], not a lock):
     /// whoever holds it — the lane's shard thread or a blocking kicker —
     /// is the one thread draining that lane's avail ring.
-    LaneExecutor = 49,
+    LaneExecutor = 48,
     // --- directed fabric wake-ups (PR 16) ---
     /// An endpoint's timed-bulk-lane receive state (`recv_timed` parks on
     /// the condvar paired with it).
-    TimedLane = 50,
+    TimedLane = 49,
 }
 
 impl LockClass {
     /// Number of classes (adjacency bitmasks are `u64`, so this must stay
     /// ≤ 64).
-    pub const COUNT: usize = 51;
+    pub const COUNT: usize = 50;
 
     /// Every class, in discriminant order — the hierarchy exported **as
     /// data** so offline tools (`vphi-analyze`) can consume the same
@@ -215,7 +218,6 @@ impl LockClass {
         LockClass::VirtioIrq,
         LockClass::IrqVectors,
         LockClass::MsiHandlers,
-        LockClass::WaitQueue,
         LockClass::RequestSlot,
         LockClass::PinnedBuf,
         LockClass::PhiMemData,
@@ -273,7 +275,6 @@ impl LockClass {
             LockClass::VirtioIrq => "VirtioIrq",
             LockClass::IrqVectors => "IrqVectors",
             LockClass::MsiHandlers => "MsiHandlers",
-            LockClass::WaitQueue => "WaitQueue",
             LockClass::RequestSlot => "RequestSlot",
             LockClass::PinnedBuf => "PinnedBuf",
             LockClass::PhiMemData => "PhiMemData",
@@ -331,7 +332,6 @@ impl LockClass {
             LockClass::VirtioIrq => 64,
             LockClass::IrqVectors => 66,
             LockClass::MsiHandlers => 68,
-            LockClass::WaitQueue => 70,
             // Where the inflight and completed tables sat: above the
             // per-token waiter slot (72), whose wait predicate probes it.
             LockClass::RequestSlot => 74,
@@ -373,19 +373,26 @@ impl LockClass {
 
 // ---------------------------------------------------------------- Mutex
 
+#[expect(clippy::disallowed_types, reason = "TrackedMutex and TrackedRole wrap the raw one")]
+type RawMutex<T> = std::sync::Mutex<T>;
+#[expect(clippy::disallowed_types, reason = "TrackedRwLock wraps the raw one")]
+type RawRwLock<T> = std::sync::RwLock<T>;
+#[expect(clippy::disallowed_types, reason = "TrackedCondvar wraps the raw one")]
+type RawCondvar = std::sync::Condvar;
+
 /// A mutex that reports its acquisitions to the lock-order audit.
 pub struct TrackedMutex<T: ?Sized> {
     class: LockClass,
-    inner: parking_lot::Mutex<T>,
+    inner: RawMutex<T>,
 }
 
 impl<T> TrackedMutex<T> {
     pub const fn new(class: LockClass, value: T) -> Self {
-        TrackedMutex { class, inner: parking_lot::Mutex::new(value) }
+        TrackedMutex { class, inner: RawMutex::new(value) }
     }
 
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -394,39 +401,40 @@ impl<T: ?Sized> TrackedMutex<T> {
         self.class
     }
 
-    /// Acquire, recovering from poisoning.  Delegates to
-    /// [`lock_or_recover`](TrackedMutex::lock_or_recover); kept as the
-    /// idiomatic spelling so the 170 existing call sites read unchanged.
+    /// Acquire, recovering from poisoning: a panic on another thread while
+    /// it held this mutex does not cascade into this caller.  The
+    /// acquisition is checked against the lock-order graph before blocking.
     #[track_caller]
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-        self.lock_or_recover()
-    }
-
-    /// The poison-recovering acquire: a panic on another thread while it
-    /// held this mutex does not cascade into this caller (the underlying
-    /// primitive strips `PoisonError`), and the acquisition is checked
-    /// against the lock-order graph before blocking.
-    #[track_caller]
-    pub fn lock_or_recover(&self) -> TrackedMutexGuard<'_, T> {
         let token = audit::on_acquire(self.class, AcqKind::Exclusive, Location::caller());
-        TrackedMutexGuard { inner: self.inner.lock(), class: self.class, token }
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        TrackedMutexGuard { inner: Some(inner), class: self.class, token }
     }
 
     #[track_caller]
     pub fn try_lock(&self) -> Option<TrackedMutexGuard<'_, T>> {
-        let inner = self.inner.try_lock()?;
+        let inner = try_raw(&self.inner)?;
         let token = audit::on_acquire(self.class, AcqKind::Exclusive, Location::caller());
-        Some(TrackedMutexGuard { inner, class: self.class, token })
+        Some(TrackedMutexGuard { inner: Some(inner), class: self.class, token })
     }
 
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// `try_lock` with poison stripped: `None` only when the mutex is held.
+fn try_raw<T: ?Sized>(raw: &RawMutex<T>) -> Option<std::sync::MutexGuard<'_, T>> {
+    match raw.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
     }
 }
 
 impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for TrackedMutex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.inner.try_lock() {
+        match try_raw(&self.inner) {
             Some(g) => f.debug_struct("TrackedMutex").field("data", &&*g).finish(),
             None => f.write_str("TrackedMutex { <locked> }"),
         }
@@ -434,7 +442,9 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for TrackedMutex<T> {
 }
 
 pub struct TrackedMutexGuard<'a, T: ?Sized> {
-    inner: parking_lot::MutexGuard<'a, T>,
+    /// `None` only inside [`TrackedCondvar`]'s waits, which take the raw
+    /// guard by value and hand it back.
+    inner: Option<std::sync::MutexGuard<'a, T>>,
     class: LockClass,
     token: Token,
 }
@@ -442,13 +452,13 @@ pub struct TrackedMutexGuard<'a, T: ?Sized> {
 impl<T: ?Sized> Deref for TrackedMutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        &self.inner
+        self.inner.as_ref().expect("guard present")
     }
 }
 
 impl<T: ?Sized> DerefMut for TrackedMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
+        self.inner.as_mut().expect("guard present")
     }
 }
 
@@ -465,27 +475,28 @@ impl<T: ?Sized> Drop for TrackedMutexGuard<'_, T> {
 /// re-registered — re-running the order checks — on wakeup.
 #[derive(Default)]
 pub struct TrackedCondvar {
-    inner: parking_lot::Condvar,
+    inner: RawCondvar,
 }
 
 impl TrackedCondvar {
     pub const fn new() -> Self {
-        TrackedCondvar { inner: parking_lot::Condvar::new() }
+        TrackedCondvar { inner: RawCondvar::new() }
     }
 
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one()
+    pub fn notify_one(&self) {
+        self.inner.notify_one();
     }
 
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all()
+    pub fn notify_all(&self) {
+        self.inner.notify_all();
     }
 
     #[track_caller]
     pub fn wait<T>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
         let site = Location::caller();
         audit::on_release(guard.token);
-        self.inner.wait(&mut guard.inner);
+        let raw = guard.inner.take().expect("guard present");
+        guard.inner = Some(self.inner.wait(raw).unwrap_or_else(PoisonError::into_inner));
         guard.token = audit::on_acquire(guard.class, AcqKind::Exclusive, site);
     }
 
@@ -497,7 +508,10 @@ impl TrackedCondvar {
     ) -> WaitTimeoutResult {
         let site = Location::caller();
         audit::on_release(guard.token);
-        let result = self.inner.wait_for(&mut guard.inner, timeout);
+        let raw = guard.inner.take().expect("guard present");
+        let (raw, result) =
+            self.inner.wait_timeout(raw, timeout).unwrap_or_else(PoisonError::into_inner);
+        guard.inner = Some(raw);
         guard.token = audit::on_acquire(guard.class, AcqKind::Exclusive, site);
         result
     }
@@ -520,25 +534,26 @@ impl std::fmt::Debug for TrackedCondvar {
 /// [`audit::assert_lockless`].
 pub struct TrackedRole {
     class: LockClass,
-    owner: parking_lot::Mutex<()>,
+    owner: RawMutex<()>,
 }
 
 impl TrackedRole {
     pub const fn new(class: LockClass) -> Self {
-        TrackedRole { class, owner: parking_lot::Mutex::new(()) }
+        TrackedRole { class, owner: RawMutex::new(()) }
     }
 
     /// Take the role, parking while another thread holds it.
     #[track_caller]
     pub fn enter(&self) -> TrackedRoleGuard<'_> {
         let token = audit::on_acquire(self.class, AcqKind::Role, Location::caller());
-        TrackedRoleGuard { _owner: self.owner.lock(), token }
+        let owner = self.owner.lock().unwrap_or_else(PoisonError::into_inner);
+        TrackedRoleGuard { _owner: owner, token }
     }
 
     /// Take the role if nobody holds it.
     #[track_caller]
     pub fn try_enter(&self) -> Option<TrackedRoleGuard<'_>> {
-        let owner = self.owner.try_lock()?;
+        let owner = try_raw(&self.owner)?;
         let token = audit::on_acquire(self.class, AcqKind::Role, Location::caller());
         Some(TrackedRoleGuard { _owner: owner, token })
     }
@@ -552,7 +567,7 @@ impl std::fmt::Debug for TrackedRole {
 
 /// Holding this is holding the role; dropping it hands the role on.
 pub struct TrackedRoleGuard<'a> {
-    _owner: parking_lot::MutexGuard<'a, ()>,
+    _owner: std::sync::MutexGuard<'a, ()>,
     token: Token,
 }
 
@@ -569,16 +584,16 @@ impl Drop for TrackedRoleGuard<'_> {
 /// not.
 pub struct TrackedRwLock<T: ?Sized> {
     class: LockClass,
-    inner: parking_lot::RwLock<T>,
+    inner: RawRwLock<T>,
 }
 
 impl<T> TrackedRwLock<T> {
     pub const fn new(class: LockClass, value: T) -> Self {
-        TrackedRwLock { class, inner: parking_lot::RwLock::new(value) }
+        TrackedRwLock { class, inner: RawRwLock::new(value) }
     }
 
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -590,17 +605,19 @@ impl<T: ?Sized> TrackedRwLock<T> {
     #[track_caller]
     pub fn read(&self) -> TrackedRwLockReadGuard<'_, T> {
         let token = audit::on_acquire(self.class, AcqKind::Shared, Location::caller());
-        TrackedRwLockReadGuard { inner: self.inner.read(), token }
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        TrackedRwLockReadGuard { inner, token }
     }
 
     #[track_caller]
     pub fn write(&self) -> TrackedRwLockWriteGuard<'_, T> {
         let token = audit::on_acquire(self.class, AcqKind::Exclusive, Location::caller());
-        TrackedRwLockWriteGuard { inner: self.inner.write(), token }
+        let inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        TrackedRwLockWriteGuard { inner, token }
     }
 
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -611,7 +628,7 @@ impl<T: ?Sized> std::fmt::Debug for TrackedRwLock<T> {
 }
 
 pub struct TrackedRwLockReadGuard<'a, T: ?Sized> {
-    inner: parking_lot::RwLockReadGuard<'a, T>,
+    inner: std::sync::RwLockReadGuard<'a, T>,
     token: Token,
 }
 
@@ -629,7 +646,7 @@ impl<T: ?Sized> Drop for TrackedRwLockReadGuard<'_, T> {
 }
 
 pub struct TrackedRwLockWriteGuard<'a, T: ?Sized> {
-    inner: parking_lot::RwLockWriteGuard<'a, T>,
+    inner: std::sync::RwLockWriteGuard<'a, T>,
     token: Token,
 }
 
@@ -649,6 +666,86 @@ impl<T: ?Sized> DerefMut for TrackedRwLockWriteGuard<'_, T> {
 impl<T: ?Sized> Drop for TrackedRwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
         audit::on_release(self.token);
+    }
+}
+
+/// The `std` primitives behind the tracked types: round trips, timed and
+/// signalled condvar waits, and the poison a panicking holder must not
+/// leave behind.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    #[test]
+    fn mutex_round_trip() {
+        let mut m = TrackedMutex::new(LockClass::TestInner, 1u32);
+        *m.lock() += 1;
+        assert_eq!(*m.lock(), 2);
+        assert!(m.try_lock().is_some());
+        *m.get_mut() += 1;
+        assert_eq!(m.into_inner(), 3);
+    }
+
+    #[test]
+    fn condvar_wait_for_times_out() {
+        let m = TrackedMutex::new(LockClass::TestInner, false);
+        let c = TrackedCondvar::new();
+        let mut g = m.lock();
+        assert!(c.wait_for(&mut g, Duration::from_millis(5)).timed_out());
+        assert!(!*g, "the guard is usable again after the wait");
+    }
+
+    #[test]
+    fn condvar_wakes_waiter() {
+        let pair =
+            Arc::new((TrackedMutex::new(LockClass::TestInner, false), TrackedCondvar::new()));
+        let p2 = Arc::clone(&pair);
+        let t = std::thread::spawn(move || {
+            let (m, c) = &*p2;
+            let mut ready = m.lock();
+            while !*ready {
+                c.wait(&mut ready);
+            }
+        });
+        {
+            let (m, c) = &*pair;
+            *m.lock() = true;
+            c.notify_all();
+        }
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn rwlock_readers_and_writer() {
+        let mut l = TrackedRwLock::new(LockClass::TestInner, 7u32);
+        assert_eq!(*l.read(), 7);
+        *l.write() = 9;
+        assert_eq!(*l.read(), 9);
+        *l.get_mut() += 1;
+        assert_eq!(l.into_inner(), 10);
+    }
+
+    #[test]
+    fn a_panicking_holder_poisons_nothing() {
+        let m = Arc::new(TrackedMutex::new(LockClass::TestInner, 1u32));
+        let l = Arc::new(TrackedRwLock::new(LockClass::TestA, 1u32));
+        let role = Arc::new(TrackedRole::new(LockClass::TestOuter));
+        let (m2, l2, role2) = (Arc::clone(&m), Arc::clone(&l), Arc::clone(&role));
+        let died = std::thread::spawn(move || {
+            let _r = role2.enter();
+            let _w = l2.write();
+            let _g = m2.lock();
+            panic!("holder dies with everything held");
+        })
+        .join();
+        assert!(died.is_err());
+        *m.lock() += 1;
+        assert_eq!(*m.try_lock().expect("free again"), 2);
+        *l.write() += 1;
+        assert_eq!(*l.read(), 2);
+        assert!(role.try_enter().is_some());
+        drop(role.enter());
     }
 }
 

@@ -7,10 +7,10 @@
 //! convention still compiles everywhere); traced layers pass `&mut ctx`
 //! down, which reborrows the timeline and clones the trace linkage.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use vphi_sim_core::{SimDuration, Timeline};
+use vphi_sync::Counter;
 
 use crate::tracer::{SpanRec, Tracer};
 use crate::{Stage, TraceHook};
@@ -59,7 +59,7 @@ pub(crate) struct TraceInner {
     pub(crate) root: u32,
     pub(crate) parent: u32,
     /// Shared across forks/clones so span ids stay unique per trace.
-    pub(crate) next_span: Arc<AtomicU32>,
+    pub(crate) next_span: Arc<Counter>,
     /// Virtual offset of this context's timeline zero within the trace.
     /// The frontend's context has `base = 0`; a backend fork sets `base`
     /// to the frontend's elapsed time at submit, so backend spans land
@@ -154,7 +154,7 @@ impl<'a> OpCtx<'a> {
             None => OpenSpan::DISARMED,
             Some(inner) => {
                 let start_total = self.tl.total();
-                let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
+                let id = inner.next_span.next() as u32;
                 let prev_parent = inner.parent;
                 inner.parent = id;
                 inner.tracer.span_opened();
@@ -224,7 +224,7 @@ impl<'a> OpCtx<'a> {
             trace_id,
             root: ROOT_SPAN_ID,
             parent: ROOT_SPAN_ID,
-            next_span: Arc::new(AtomicU32::new(ROOT_SPAN_ID + 1)),
+            next_span: Arc::new(Counter::new(ROOT_SPAN_ID as u64 + 1)),
             base: SimDuration::ZERO,
             zero,
             queue: 0,

@@ -3,11 +3,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi_sim_core::{SimDuration, SimTime, VirtualClock};
-use vphi_sync::{LockClass, TrackedMutex};
+use vphi_sync::{Counter, LockClass, TrackedMutex};
 
 use crate::{Stage, STAGE_COUNT};
 
@@ -166,12 +165,12 @@ pub struct Tracer {
     clock: Option<Arc<VirtualClock>>,
     store: TrackedMutex<Store>,
     hists: TrackedMutex<BTreeMap<HistKey, Hist>>,
-    next_trace: AtomicU64,
-    open_spans: AtomicI64,
-    spans_recorded: AtomicU64,
-    spans_dropped: AtomicU64,
-    traces_started: AtomicU64,
-    traces_finished: AtomicU64,
+    next_trace: Counter,
+    open_spans: Counter,
+    spans_recorded: Counter,
+    spans_dropped: Counter,
+    traces_started: Counter,
+    traces_finished: Counter,
 }
 
 impl Tracer {
@@ -181,12 +180,12 @@ impl Tracer {
             clock: None,
             store: TrackedMutex::new(LockClass::TraceRings, Store::default()),
             hists: TrackedMutex::new(LockClass::TraceHists, BTreeMap::new()),
-            next_trace: AtomicU64::new(1),
-            open_spans: AtomicI64::new(0),
-            spans_recorded: AtomicU64::new(0),
-            spans_dropped: AtomicU64::new(0),
-            traces_started: AtomicU64::new(0),
-            traces_finished: AtomicU64::new(0),
+            next_trace: Counter::new(1),
+            open_spans: Counter::new(0),
+            spans_recorded: Counter::new(0),
+            spans_dropped: Counter::new(0),
+            traces_started: Counter::new(0),
+            traces_finished: Counter::new(0),
         }
     }
 
@@ -198,22 +197,22 @@ impl Tracer {
     }
 
     pub(crate) fn alloc_trace(&self) -> u64 {
-        self.traces_started.fetch_add(1, Ordering::Relaxed);
-        self.next_trace.fetch_add(1, Ordering::Relaxed)
+        self.traces_started.bump();
+        self.next_trace.next()
     }
 
     pub(crate) fn span_opened(&self) {
-        self.open_spans.fetch_add(1, Ordering::Relaxed);
+        self.open_spans.bump();
     }
 
     pub(crate) fn record(&self, rec: SpanRec) {
-        self.open_spans.fetch_sub(1, Ordering::Relaxed);
-        self.spans_recorded.fetch_add(1, Ordering::Relaxed);
+        self.open_spans.sub(1);
+        self.spans_recorded.bump();
         let mut store = self.store.lock();
         let ring = store.rings.entry(rec.vm).or_default();
         if ring.len() >= self.config.ring_capacity {
             ring.pop_front();
-            self.spans_dropped.fetch_add(1, Ordering::Relaxed);
+            self.spans_dropped.bump();
         }
         ring.push_back(rec);
     }
@@ -227,7 +226,7 @@ impl Tracer {
         stages: [SimDuration; STAGE_COUNT],
         total: SimDuration,
     ) {
-        self.traces_finished.fetch_add(1, Ordering::Relaxed);
+        self.traces_finished.bump();
         let at = self.clock.as_ref().map(|c| c.now()).unwrap_or(SimTime::ZERO);
         {
             let mut store = self.store.lock();
@@ -259,11 +258,11 @@ impl Tracer {
 
     pub fn counters(&self) -> TraceCounters {
         TraceCounters {
-            traces_started: self.traces_started.load(Ordering::Relaxed),
-            traces_finished: self.traces_finished.load(Ordering::Relaxed),
-            spans_recorded: self.spans_recorded.load(Ordering::Relaxed),
-            spans_dropped: self.spans_dropped.load(Ordering::Relaxed),
-            open_spans: self.open_spans.load(Ordering::Relaxed),
+            traces_started: self.traces_started.get(),
+            traces_finished: self.traces_finished.get(),
+            spans_recorded: self.spans_recorded.get(),
+            spans_dropped: self.spans_dropped.get(),
+            open_spans: self.open_spans.get() as i64,
         }
     }
 

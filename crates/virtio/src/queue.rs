@@ -7,13 +7,12 @@
 //! shared-memory structure, exactly as in Fig. 2 of the paper.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use vphi_faults::{FaultHook, FaultSite};
 use vphi_pcie::Doorbell;
 use vphi_sim_core::{SpanLabel, Timeline};
-use vphi_sync::{LockClass, TrackedMutex, TrackedRole};
+use vphi_sync::{Counter, LockClass, Sequenced, TrackedMutex, TrackedRole};
 
 use crate::ring::{DescChain, DescList, Descriptor, UsedElem};
 
@@ -158,13 +157,13 @@ pub struct VirtQueue {
     /// executed one at a time, in ring order, whoever pops them.
     pub executor: TrackedRole,
     faults: FaultHook,
-    kicks: AtomicU64,
-    chains_popped: AtomicU64,
+    kicks: Counter,
+    chains_popped: Counter,
     /// Monotonic count of used-ring pushes (the EVENT_IDX "new" index).
-    used_seq: AtomicU64,
+    used_seq: Sequenced,
     /// Guest-published interrupt threshold (`VIRTIO_F_EVENT_IDX`): the
     /// device need only interrupt when `used_seq` crosses this value.
-    used_event: AtomicU64,
+    used_event: Sequenced,
 }
 
 impl std::fmt::Debug for VirtQueue {
@@ -192,19 +191,16 @@ impl VirtQueue {
             exit_handler: OnceLock::new(),
             executor: TrackedRole::new(LockClass::LaneExecutor),
             faults: FaultHook::new(),
-            kicks: AtomicU64::new(0),
-            chains_popped: AtomicU64::new(0),
-            used_seq: AtomicU64::new(0),
-            used_event: AtomicU64::new(0),
+            kicks: Counter::new(0),
+            chains_popped: Counter::new(0),
+            used_seq: Sequenced::new(0),
+            used_event: Sequenced::new(0),
         })
     }
 
     /// Snapshot of this queue's monotonic counters.
     pub fn counters(&self) -> QueueCounters {
-        QueueCounters {
-            kicks: self.kicks.load(Ordering::Relaxed),
-            chains_popped: self.chains_popped.load(Ordering::Relaxed),
-        }
+        QueueCounters { kicks: self.kicks.get(), chains_popped: self.chains_popped.get() }
     }
 
     pub fn size(&self) -> u16 {
@@ -333,7 +329,7 @@ impl VirtQueue {
         service: impl FnOnce() -> bool,
     ) {
         tl.charge(SpanLabel::VmExitKick, cost_vmexit);
-        self.kicks.fetch_add(1, Ordering::Relaxed);
+        self.kicks.bump();
         if self.faults.fire(FaultSite::VirtioKickLost).is_none() {
             self.notifiers.kick.ring_with(service);
         }
@@ -405,17 +401,17 @@ impl VirtQueue {
     /// the completion — the "suppressed but sleeping" race cannot happen
     /// (DESIGN.md #16).
     pub fn publish_used_event(&self, used_event: u64) {
-        self.used_event.store(used_event, Ordering::SeqCst);
+        self.used_event.store(used_event);
     }
 
     /// The used index the guest last armed an interrupt for.
     pub fn used_event(&self) -> u64 {
-        self.used_event.load(Ordering::SeqCst)
+        self.used_event.load()
     }
 
     /// Monotonic count of completions pushed onto the used ring.
     pub fn used_seq(&self) -> u64 {
-        self.used_seq.load(Ordering::SeqCst)
+        self.used_seq.load()
     }
 
     // ---- device (backend) side ---------------------------------------------
@@ -450,7 +446,7 @@ impl VirtQueue {
             None => return Ok(None),
         };
         st.last_avail_idx += 1;
-        self.chains_popped.fetch_add(1, Ordering::Relaxed);
+        self.chains_popped.bump();
         let mut descriptors = DescList::new();
         let mut idx = head;
         loop {
@@ -495,7 +491,7 @@ impl VirtQueue {
         tl: &mut Timeline,
     ) -> u64 {
         self.state.lock().used.push_back(elem);
-        let new_seq = self.used_seq.fetch_add(1, Ordering::SeqCst) + 1;
+        let new_seq = self.used_seq.fetch_add(1) + 1;
         tl.charge(SpanLabel::UsedPush, cost_used_push);
         // An injected used-ring delay holds the completion for `param` µs
         // before the interrupt path runs.

@@ -16,10 +16,10 @@
 //! workers charge a spawn/retire overhead instead — the exact trade-off
 //! the paper discusses and the ABL-BLOCK ablation sweeps.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline};
+use vphi_sync::Counter;
 
 /// Dispatch policy for one event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,17 +35,17 @@ pub enum Dispatch {
 /// The per-VM (per-QEMU-process) event loop.
 pub struct QemuEventLoop {
     cost: Arc<CostModel>,
-    vm_paused_ns: AtomicU64,
-    blocking_events: AtomicU64,
-    worker_events: AtomicU64,
-    live_workers: Arc<AtomicU64>,
+    vm_paused_ns: Counter,
+    blocking_events: Counter,
+    worker_events: Counter,
+    live_workers: Arc<Counter>,
 }
 
 impl std::fmt::Debug for QemuEventLoop {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QemuEventLoop")
-            .field("blocking_events", &self.blocking_events.load(Ordering::Relaxed))
-            .field("worker_events", &self.worker_events.load(Ordering::Relaxed))
+            .field("blocking_events", &self.blocking_events.get())
+            .field("worker_events", &self.worker_events.get())
             .finish()
     }
 }
@@ -54,10 +54,10 @@ impl QemuEventLoop {
     pub fn new(cost: Arc<CostModel>) -> Self {
         QemuEventLoop {
             cost,
-            vm_paused_ns: AtomicU64::new(0),
-            blocking_events: AtomicU64::new(0),
-            worker_events: AtomicU64::new(0),
-            live_workers: Arc::new(AtomicU64::new(0)),
+            vm_paused_ns: Counter::new(0),
+            blocking_events: Counter::new(0),
+            worker_events: Counter::new(0),
+            live_workers: Arc::new(Counter::new(0)),
         }
     }
 
@@ -72,15 +72,15 @@ impl QemuEventLoop {
     ) -> R {
         match dispatch {
             Dispatch::Blocking => {
-                self.blocking_events.fetch_add(1, Ordering::Relaxed);
+                self.blocking_events.bump();
                 let before = tl.total();
                 let r = handler(tl);
                 let handler_time = tl.total().saturating_sub(before);
-                self.vm_paused_ns.fetch_add(handler_time.as_nanos(), Ordering::Relaxed);
+                self.vm_paused_ns.add(handler_time.as_nanos());
                 r
             }
             Dispatch::Worker => {
-                self.worker_events.fetch_add(1, Ordering::Relaxed);
+                self.worker_events.bump();
                 tl.charge(SpanLabel::WorkerSpawn, self.cost.worker_spawn);
                 handler(tl)
             }
@@ -95,7 +95,7 @@ impl QemuEventLoop {
     where
         F: FnOnce() + Send + 'static,
     {
-        self.live_workers.fetch_add(1, Ordering::Relaxed);
+        self.live_workers.bump();
         let guard = WorkerGuard { live: Arc::clone(&self.live_workers) };
         std::thread::Builder::new()
             .name(format!("qemu-worker-{name}"))
@@ -108,29 +108,29 @@ impl QemuEventLoop {
 
     /// Total virtual time the VM has been frozen by blocking handlers.
     pub fn vm_paused_total(&self) -> SimDuration {
-        SimDuration::from_nanos(self.vm_paused_ns.load(Ordering::Relaxed))
+        SimDuration::from_nanos(self.vm_paused_ns.get())
     }
 
     pub fn blocking_event_count(&self) -> u64 {
-        self.blocking_events.load(Ordering::Relaxed)
+        self.blocking_events.get()
     }
 
     pub fn worker_event_count(&self) -> u64 {
-        self.worker_events.load(Ordering::Relaxed)
+        self.worker_events.get()
     }
 
     pub fn live_worker_count(&self) -> u64 {
-        self.live_workers.load(Ordering::Relaxed)
+        self.live_workers.get()
     }
 }
 
 struct WorkerGuard {
-    live: Arc<AtomicU64>,
+    live: Arc<Counter>,
 }
 
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
+        self.live.sub(1);
     }
 }
 
@@ -187,12 +187,12 @@ mod tests {
     #[test]
     fn detached_worker_runs_and_retires() {
         let e = el();
-        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let done = Arc::new(vphi_sync::Flag::new(false));
         let d2 = Arc::clone(&done);
         let h = e.spawn_worker("test", move || {
-            d2.store(true, Ordering::Release);
+            d2.set();
         });
         h.join().unwrap();
-        assert!(done.load(Ordering::Acquire));
+        assert!(done.get());
     }
 }

@@ -75,25 +75,25 @@ impl IrqChip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
     use vphi_sim_core::SpanLabel;
+    use vphi_sync::Counter;
 
     #[test]
     #[expect(clippy::disallowed_methods, reason = "the chip's own unit tests")]
     fn inject_charges_cost_and_runs_handler() {
         let cost = Arc::new(CostModel::paper_calibrated());
         let chip = IrqChip::new(Arc::clone(&cost));
-        let hits = Arc::new(AtomicU32::new(0));
+        let hits = Arc::new(Counter::new(0));
         let h = Arc::clone(&hits);
         chip.register(
             3,
             Arc::new(move |_: u32, _: &mut Timeline| {
-                h.fetch_add(1, Ordering::Relaxed);
+                h.bump();
             }),
         );
         let mut tl = Timeline::new();
         chip.inject(3, &mut tl);
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
+        assert_eq!(hits.get(), 1);
         assert_eq!(tl.total_for(SpanLabel::IrqInject), cost.irq_inject);
         assert_eq!(chip.inject_count(3), 1);
     }

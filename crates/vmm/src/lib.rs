@@ -11,9 +11,9 @@
 //! * [`kernel::GuestKernel`] — the guest-kernel environment the frontend
 //!   driver runs in: `kmalloc` with the x86_64 `KMALLOC_MAX_SIZE` = 4 MiB
 //!   contiguity limit, user↔kernel copies, wait queues and IRQ vectors.
-//! * [`waitqueue::WaitQueue`] — the sleep/wake-all-recheck scheme whose
-//!   cost dominates vPHI's small-message latency (93% of the 375 µs
-//!   overhead).
+//! * [`waitqueue::TokenWaitQueue`] — where a requester sleeps until its
+//!   reply arrives; the wake-up scheme dominates vPHI's small-message
+//!   latency (93% of the 375 µs overhead).
 //! * [`irq::IrqChip`] — virtual interrupt delivery into the guest.
 //! * [`event_loop::QemuEventLoop`] — QEMU's event-driven core: blocking
 //!   handlers pause the whole VM; worker threads keep it running at a
@@ -39,4 +39,4 @@ pub use kernel::GuestKernel;
 pub use kvm::KvmModule;
 pub use vm::Vm;
 pub use vma::{PfnBacking, Vma, VmaFlags, VmaTable};
-pub use waitqueue::{TokenWaitQueue, WaitQueue};
+pub use waitqueue::TokenWaitQueue;

@@ -4,11 +4,10 @@
 //! chip (inside the kernel), a KVM module and a QEMU event loop.  Virtual
 //! PCI devices (the vPHI backend) attach via [`VirtualPciDevice`].
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use vphi_sim_core::CostModel;
-use vphi_sync::{LockClass, TrackedMutex};
+use vphi_sync::{Counter, LockClass, TrackedMutex};
 
 use crate::event_loop::QemuEventLoop;
 use crate::guest_mem::GuestMemory;
@@ -24,7 +23,7 @@ pub trait VirtualPciDevice: Send + Sync {
     fn stop(&self);
 }
 
-static NEXT_VM_ID: AtomicU32 = AtomicU32::new(0);
+static NEXT_VM_ID: Counter = Counter::new(0);
 
 /// One virtual machine (QEMU process + guest).
 pub struct Vm {
@@ -55,7 +54,7 @@ impl Vm {
         let kvm = Arc::new(KvmModule::new(Arc::clone(&cost), patch));
         let event_loop = Arc::new(QemuEventLoop::new(cost));
         Arc::new(Vm {
-            id: NEXT_VM_ID.fetch_add(1, Ordering::Relaxed),
+            id: NEXT_VM_ID.next() as u32,
             mem,
             kernel,
             kvm,
@@ -115,11 +114,11 @@ impl Drop for Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use vphi_sim_core::units::MIB;
+    use vphi_sync::Flag;
 
     struct DummyDev {
-        running: AtomicBool,
+        running: Flag,
     }
 
     impl VirtualPciDevice for DummyDev {
@@ -127,10 +126,10 @@ mod tests {
             "dummy"
         }
         fn start(&self) {
-            self.running.store(true, Ordering::Release);
+            self.running.set();
         }
         fn stop(&self) {
-            self.running.store(false, Ordering::Release);
+            self.running.clear();
         }
     }
 
@@ -146,14 +145,14 @@ mod tests {
     fn attach_start_stop_lifecycle() {
         let cost = Arc::new(CostModel::paper_calibrated());
         let vm = Vm::new(16 * MIB, cost, KvmPatch::PfnPhi);
-        let dev = Arc::new(DummyDev { running: AtomicBool::new(false) });
+        let dev = Arc::new(DummyDev { running: Flag::new(false) });
         vm.attach(Arc::clone(&dev) as Arc<dyn VirtualPciDevice>);
-        assert!(dev.running.load(Ordering::Acquire));
+        assert!(dev.running.get());
         assert_eq!(vm.device_count(), 1);
         assert!(vm.device("dummy").is_some());
         assert!(vm.device("nope").is_none());
         vm.shutdown();
-        assert!(!dev.running.load(Ordering::Acquire));
+        assert!(!dev.running.get());
         assert_eq!(vm.device_count(), 0);
     }
 

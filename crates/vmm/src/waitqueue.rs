@@ -1,13 +1,12 @@
-//! Guest-kernel wait queues.
+//! The guest-kernel wait queue.
 //!
-//! Two flavors.  [`WaitQueue`] is the paper's baseline: the frontend
-//! places each requesting process on one queue and the interrupt handler
-//! "wakes up **all** sleeping processes, which check the shared ring to
-//! determine if the reply is for them" (paper §IV-B) — the wake-all
-//! thundering herd whose cost the paper measures.  [`TokenWaitQueue`] is
-//! the fixed scheme (DESIGN.md #16): each sleeper registers a per-token
-//! slot and completion delivery wakes exactly the slot(s) it completed, so
-//! an N-sleeper lane no longer pays N−1 spurious wakeups per completion.
+//! The paper's frontend places each requesting process on one queue and
+//! the interrupt handler "wakes up **all** sleeping processes, which check
+//! the shared ring to determine if the reply is for them" (paper §IV-B) —
+//! a wake-all thundering herd.  [`TokenWaitQueue`] is the fixed scheme
+//! (DESIGN.md #16): each sleeper registers a per-token slot and completion
+//! delivery wakes exactly the slot(s) it completed, so an N-sleeper lane
+//! does not pay N−1 spurious wakeups per completion.
 //!
 //! Who sleeps here: a requester whose reply is produced by *another*
 //! thread — a reap of batched tokens, an `accept` on a QEMU worker, a
@@ -17,116 +16,10 @@
 //! without registering a slot.
 
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
-
-/// Wall-clock bound so deadlocked tests fail loudly.
-const WALL_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// A wake-all wait queue.
-#[derive(Debug)]
-pub struct WaitQueue {
-    generation: TrackedMutex<u64>,
-    cond: TrackedCondvar,
-    wakeups: AtomicU64,
-    sleeps: AtomicU64,
-}
-
-impl Default for WaitQueue {
-    fn default() -> Self {
-        WaitQueue {
-            generation: TrackedMutex::new(LockClass::WaitQueue, 0),
-            cond: TrackedCondvar::new(),
-            wakeups: AtomicU64::new(0),
-            sleeps: AtomicU64::new(0),
-        }
-    }
-}
-
-impl WaitQueue {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sleep until `pred` returns `Some(T)`.  The predicate is evaluated
-    /// once immediately, then after every [`wake_all`](WaitQueue::wake_all).
-    /// Returns `None` only on wall-clock timeout (a bug guard, not a
-    /// semantic timeout).
-    pub fn wait_until<T>(&self, mut pred: impl FnMut() -> Option<T>) -> Option<T> {
-        let mut generation = self.generation.lock();
-        loop {
-            if let Some(v) = pred() {
-                return Some(v);
-            }
-            self.sleeps.fetch_add(1, Ordering::Relaxed);
-            let g = *generation;
-            while *generation == g {
-                if self.cond.wait_for(&mut generation, WALL_TIMEOUT).timed_out() {
-                    return None;
-                }
-            }
-        }
-    }
-
-    /// Like [`wait_until`](WaitQueue::wait_until) but bounded by `timeout`
-    /// of wall time.  On timeout the predicate gets one final check (a
-    /// wake racing the deadline must not lose its completion) and its
-    /// result — usually `None` — is returned.  The remaining budget is
-    /// recomputed after every wake-all, so spurious wake-ups cannot extend
-    /// the deadline.
-    pub fn wait_until_for<T>(
-        &self,
-        timeout: Duration,
-        mut pred: impl FnMut() -> Option<T>,
-    ) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut generation = self.generation.lock();
-        loop {
-            if let Some(v) = pred() {
-                return Some(v);
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return pred();
-            }
-            self.sleeps.fetch_add(1, Ordering::Relaxed);
-            let g = *generation;
-            while *generation == g {
-                let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-                if remaining.is_zero() {
-                    return pred();
-                }
-                if self.cond.wait_for(&mut generation, remaining).timed_out() {
-                    return pred();
-                }
-            }
-        }
-    }
-
-    /// Wake every sleeper (they all re-check their predicates).
-    pub fn wake_all(&self) {
-        let mut generation = self.generation.lock();
-        *generation += 1;
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
-        self.cond.notify_all();
-    }
-
-    /// Total wake-all events (for the breakdown diagnostics).
-    pub fn wakeup_count(&self) -> u64 {
-        self.wakeups.load(Ordering::Relaxed)
-    }
-
-    /// Total times any sleeper actually went to sleep (i.e. its predicate
-    /// failed and it blocked) — measures spurious-wakeup pressure.
-    pub fn sleep_count(&self) -> u64 {
-        self.sleeps.load(Ordering::Relaxed)
-    }
-}
-
-// ------------------------------------------------- per-token wait queue
+use vphi_sync::{Counter, LockClass, Sequenced, TrackedCondvar, TrackedMutex};
 
 /// One sleeping requester's parking slot: a signal count (wakes delivered
 /// before the sleeper parked must not be lost) and its private condvar.
@@ -161,22 +54,22 @@ pub struct TokenWaitQueue {
     /// While it reads 0 a [`wake`](TokenWaitQueue::wake) has nobody to
     /// signal and leaves the registry lock alone — the common case: a
     /// caller that serviced its own kick never registers.
-    registered: AtomicU64,
-    wakeups: AtomicU64,
-    sleeps: AtomicU64,
-    spurious: AtomicU64,
-    broadcasts: AtomicU64,
+    registered: Sequenced,
+    wakeups: Counter,
+    sleeps: Counter,
+    spurious: Counter,
+    broadcasts: Counter,
 }
 
 impl Default for TokenWaitQueue {
     fn default() -> Self {
         TokenWaitQueue {
             slots: TrackedMutex::new(LockClass::TokenWaiters, HashMap::new()),
-            registered: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-            sleeps: AtomicU64::new(0),
-            spurious: AtomicU64::new(0),
-            broadcasts: AtomicU64::new(0),
+            registered: Sequenced::new(0),
+            wakeups: Counter::new(0),
+            sleeps: Counter::new(0),
+            spurious: Counter::new(0),
+            broadcasts: Counter::new(0),
         }
     }
 }
@@ -205,8 +98,7 @@ impl TokenWaitQueue {
         // With a full fence between the two steps on both sides, one of
         // them sees the other: a wake is skipped only for a waiter whose
         // re-check finds what the waker published.
-        self.registered.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
+        self.registered.announce();
         let slot = Arc::clone(
             self.slots.lock().entry(token).or_insert_with(|| Arc::new(TokenSlot::new())),
         );
@@ -217,7 +109,7 @@ impl TokenWaitQueue {
                 slots.remove(&token);
             }
         }
-        self.registered.fetch_sub(1, Ordering::SeqCst);
+        self.registered.fetch_sub(1);
         got
     }
 
@@ -237,7 +129,7 @@ impl TokenWaitQueue {
             if signalled {
                 // A directed wake whose completion the predicate could not
                 // see is the pathology this queue exists to eliminate.
-                self.spurious.fetch_add(1, Ordering::Relaxed);
+                self.spurious.bump();
                 signalled = false;
             }
             if *signals > 0 {
@@ -251,7 +143,7 @@ impl TokenWaitQueue {
             if remaining.is_zero() {
                 return pred();
             }
-            self.sleeps.fetch_add(1, Ordering::Relaxed);
+            self.sleeps.bump();
             if slot.cond.wait_for(&mut signals, remaining).timed_out() {
                 return pred();
             }
@@ -265,9 +157,8 @@ impl TokenWaitQueue {
     /// waiter is registered at all, lock-free.  Call it *after* publishing
     /// what the predicate reads.
     pub fn wake(&self, token: u64) {
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        if self.registered.load(Ordering::SeqCst) == 0 {
+        self.wakeups.bump();
+        if self.registered.look() == 0 {
             return;
         }
         let slot = self.slots.lock().get(&token).map(Arc::clone);
@@ -279,7 +170,7 @@ impl TokenWaitQueue {
 
     /// Broadcast to every registered sleeper (shutdown, card reset).
     pub fn wake_all(&self) {
-        self.broadcasts.fetch_add(1, Ordering::Relaxed);
+        self.broadcasts.bump();
         let slots: Vec<Arc<TokenSlot>> = self.slots.lock().values().map(Arc::clone).collect();
         for slot in slots {
             *slot.signals.lock() += 1;
@@ -289,12 +180,12 @@ impl TokenWaitQueue {
 
     /// Directed wakes delivered.
     pub fn wakeup_count(&self) -> u64 {
-        self.wakeups.load(Ordering::Relaxed)
+        self.wakeups.get()
     }
 
     /// Times a waiter actually parked.
     pub fn sleep_count(&self) -> u64 {
-        self.sleeps.load(Ordering::Relaxed)
+        self.sleeps.get()
     }
 
     /// Directed wakes after which the woken waiter's predicate was still
@@ -302,149 +193,38 @@ impl TokenWaitQueue {
     /// means a wake outran its completion's visibility, which the
     /// publish-before-wake ordering forbids, or a broadcast raced in).
     pub fn spurious_count(&self) -> u64 {
-        self.spurious.load(Ordering::Relaxed)
+        self.spurious.get()
     }
 
     /// Broadcast wake-alls delivered.
     pub fn broadcast_count(&self) -> u64 {
-        self.broadcasts.load(Ordering::Relaxed)
+        self.broadcasts.get()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
-
-    #[test]
-    fn immediate_predicate_never_sleeps() {
-        let wq = WaitQueue::new();
-        let v = wq.wait_until(|| Some(42));
-        assert_eq!(v, Some(42));
-        assert_eq!(wq.sleep_count(), 0);
-    }
-
-    #[test]
-    fn sleeper_wakes_when_condition_set() {
-        let wq = Arc::new(WaitQueue::new());
-        let flag = Arc::new(AtomicBool::new(false));
-        let (wq2, flag2) = (Arc::clone(&wq), Arc::clone(&flag));
-        let sleeper = std::thread::spawn(move || {
-            wq2.wait_until(|| flag2.load(Ordering::Acquire).then_some("done"))
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        flag.store(true, Ordering::Release);
-        wq.wake_all();
-        assert_eq!(sleeper.join().unwrap(), Some("done"));
-        assert!(wq.sleep_count() >= 1);
-        assert_eq!(wq.wakeup_count(), 1);
-    }
-
-    #[test]
-    fn wake_all_wakes_every_sleeper_and_they_recheck() {
-        // The paper's scheme: N sleepers, one reply — everyone wakes, one
-        // wins, the rest go back to sleep.
-        let wq = Arc::new(WaitQueue::new());
-        let ready: Arc<TrackedMutex<Vec<u32>>> =
-            Arc::new(TrackedMutex::new(LockClass::TestInner, Vec::new()));
-        let mut handles = Vec::new();
-        for id in 0..4u32 {
-            let wq = Arc::clone(&wq);
-            let ready = Arc::clone(&ready);
-            handles.push(std::thread::spawn(move || {
-                wq.wait_until(|| {
-                    let mut r = ready.lock();
-                    r.iter().position(|&x| x == id).map(|i| {
-                        r.remove(i);
-                        id
-                    })
-                })
-            }));
-        }
-        std::thread::sleep(Duration::from_millis(10));
-        // Deliver replies one at a time, waking everyone each time.
-        for id in 0..4u32 {
-            ready.lock().push(id);
-            wq.wake_all();
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let mut got: Vec<u32> = handles.into_iter().map(|h| h.join().unwrap().unwrap()).collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
-        assert_eq!(wq.wakeup_count(), 4);
-        // Spurious wakeups happened: more sleeps than threads.
-        assert!(wq.sleep_count() >= 4);
-    }
-
-    #[test]
-    fn bounded_wait_times_out_with_a_final_check() {
-        let wq = Arc::new(WaitQueue::new());
-        // Nothing ever becomes ready: the bounded wait returns None at the
-        // deadline instead of hanging until the 30 s bug guard.
-        let start = std::time::Instant::now();
-        assert_eq!(wq.wait_until_for(Duration::from_millis(30), || None::<u32>), None);
-        assert!(start.elapsed() < Duration::from_secs(5));
-
-        // A completion that lands exactly as the deadline expires is still
-        // taken by the final predicate check.
-        let flag = Arc::new(AtomicBool::new(false));
-        let (wq2, flag2) = (Arc::clone(&wq), Arc::clone(&flag));
-        let setter = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            flag2.store(true, Ordering::Release);
-            wq2.wake_all();
-        });
-        let got =
-            wq.wait_until_for(Duration::from_secs(5), || flag.load(Ordering::Acquire).then_some(7));
-        assert_eq!(got, Some(7));
-        setter.join().unwrap();
-    }
-
-    #[test]
-    fn spurious_wakeups_do_not_extend_bounded_wait() {
-        let wq = Arc::new(WaitQueue::new());
-        let stop = Arc::new(AtomicBool::new(false));
-        let (wq2, stop2) = (Arc::clone(&wq), Arc::clone(&stop));
-        let bumper = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                wq2.wake_all();
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        });
-        let start = std::time::Instant::now();
-        assert_eq!(wq.wait_until_for(Duration::from_millis(60), || None::<u32>), None);
-        let elapsed = start.elapsed();
-        stop.store(true, Ordering::Relaxed);
-        bumper.join().unwrap();
-        assert!(elapsed < Duration::from_millis(500), "overstayed: {elapsed:?}");
-    }
-
-    #[test]
-    fn wake_before_wait_is_not_lost_if_condition_holds() {
-        let wq = WaitQueue::new();
-        wq.wake_all(); // nobody listening
-                       // A waiter whose predicate is already true returns instantly.
-        assert_eq!(wq.wait_until(|| Some(1)), Some(1));
-    }
+    use vphi_sync::{Flag, Published};
 
     #[test]
     fn token_wake_reaches_only_its_sleeper() {
         let wq = Arc::new(TokenWaitQueue::new());
-        let ready = Arc::new(AtomicU64::new(0)); // bitmask of completed tokens
+        let ready = Arc::new(Published::new(0)); // bitmask of completed tokens
         let mut handles = Vec::new();
         for token in 0..4u64 {
             let wq = Arc::clone(&wq);
             let ready = Arc::clone(&ready);
             handles.push(std::thread::spawn(move || {
                 wq.wait_for(token, Duration::from_secs(10), || {
-                    (ready.load(Ordering::Acquire) & (1 << token) != 0).then_some(token)
+                    (ready.load() & (1 << token) != 0).then_some(token)
                 })
             }));
         }
         std::thread::sleep(Duration::from_millis(20));
         for token in 0..4u64 {
-            ready.fetch_or(1 << token, Ordering::Release);
+            ready.fetch_or(1 << token);
             wq.wake(token);
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -463,15 +243,13 @@ mod tests {
         // absorbs it.
         for _ in 0..50 {
             let wq = Arc::new(TokenWaitQueue::new());
-            let flag = Arc::new(AtomicBool::new(false));
+            let flag = Arc::new(Flag::new(false));
             let (wq2, flag2) = (Arc::clone(&wq), Arc::clone(&flag));
             let waker = std::thread::spawn(move || {
-                flag2.store(true, Ordering::Release);
+                flag2.set();
                 wq2.wake(7);
             });
-            let got = wq.wait_for(7, Duration::from_secs(10), || {
-                flag.load(Ordering::Acquire).then_some(())
-            });
+            let got = wq.wait_for(7, Duration::from_secs(10), || flag.get().then_some(()));
             assert_eq!(got, Some(()));
             waker.join().unwrap();
         }
@@ -485,18 +263,16 @@ mod tests {
         assert!(start.elapsed() < Duration::from_secs(5));
 
         // Broadcast (shutdown path) reaches sleepers regardless of token.
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Flag::new(false));
         let mut handles = Vec::new();
         for token in 10..13u64 {
             let (wq, stop) = (Arc::clone(&wq), Arc::clone(&stop));
             handles.push(std::thread::spawn(move || {
-                wq.wait_for(token, Duration::from_secs(10), || {
-                    stop.load(Ordering::Acquire).then_some(())
-                })
+                wq.wait_for(token, Duration::from_secs(10), || stop.get().then_some(()))
             }));
         }
         std::thread::sleep(Duration::from_millis(20));
-        stop.store(true, Ordering::Release);
+        stop.set();
         wq.wake_all();
         for h in handles {
             assert_eq!(h.join().unwrap(), Some(()));
@@ -528,6 +304,6 @@ mod tests {
         if vphi_sync::audit::ENABLED {
             assert_eq!(vphi_sync::audit::thread_acquisitions()[registry], before + 2);
         }
-        assert_eq!(wq.registered.load(Ordering::SeqCst), 0);
+        assert_eq!(wq.registered.load(), 0);
     }
 }

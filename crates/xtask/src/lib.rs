@@ -5,10 +5,11 @@
 //! (lock classes, the order graph, the deadlock detector).  The bans a
 //! type-resolved tool can state — raw `std::sync` primitives, virtqueue
 //! submission and doorbells outside the frontend, MSI injection outside
-//! the lane notifier, wildcard arms over the wire-protocol enum — are
-//! clippy configuration (`clippy.toml`, `#[expect]` at the permitted
-//! sites, `#![deny]` in `core/src/protocol.rs`), and `.lock().unwrap()` or
-//! `parking_lot` outside `vphi-sync` do not compile.  What is left here
+//! the lane notifier, raw atomics and fences outside `vphi-sync`,
+//! wildcard arms over the wire-protocol enum — are clippy configuration
+//! (`clippy.toml`, `#[expect]` at the permitted sites, `#![deny]` in
+//! `core/src/protocol.rs`), and `.lock().unwrap()` does not compile.  What
+//! is left here
 //! bans a *shape* in *one file or data path*, which clippy's
 //! `disallowed-*` lists cannot scope.
 //!
@@ -108,8 +109,7 @@ fn scan_event_loop(tokens: &[TokenTree], rel: &Path, out: &mut Vec<Violation>) {
             continue;
         }
         let Some(name) = tokens.get(i + 1).and_then(TokenTree::ident) else { continue };
-        let blocking = matches!(name, "lock" | "lock_or_recover" | "read" | "write")
-            || name.starts_with("wait");
+        let blocking = matches!(name, "lock" | "read" | "write") || name.starts_with("wait");
         let is_call = matches!(
             tokens.get(i + 2),
             Some(TokenTree::Group(g)) if g.delimiter == Delimiter::Parenthesis

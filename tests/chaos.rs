@@ -3,7 +3,6 @@
 //! by the sim-core RNG and byte-identical across runs — and every failure
 //! mode must end in recovery or a clean error, never a hang or a leak.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,6 +12,7 @@ use vphi_faults::{FaultPlan, FaultSite};
 use vphi_scif::window::WindowBacking;
 use vphi_scif::{Port, Prot, RmaFlags, ScifAddr, ScifError};
 use vphi_sim_core::Timeline;
+use vphi_sync::Flag;
 use vphi_trace::TraceConfig;
 
 /// The fixed seeds CI sweeps (see .github/workflows/ci.yml).
@@ -29,7 +29,7 @@ const MAX_ATTEMPTS_PER_ITERATION: usize = 25;
 /// gets a 4 KiB read-write window at offset 0 and its bytes echoed back.
 /// Connection-level errors (the card locking up mid-echo, the peer's
 /// guest dying) end that connection, never the server.
-fn chaos_server(host: &VphiHost, port: u16, stop: Arc<AtomicBool>) -> std::thread::JoinHandle<()> {
+fn chaos_server(host: &VphiHost, port: u16, stop: Arc<Flag>) -> std::thread::JoinHandle<()> {
     let server = host.device_endpoint(0).unwrap();
     let board = Arc::clone(host.board(0));
     let mut tl = Timeline::new();
@@ -37,7 +37,7 @@ fn chaos_server(host: &VphiHost, port: u16, stop: Arc<AtomicBool>) -> std::threa
     server.listen(8, &mut tl).unwrap();
     std::thread::spawn(move || {
         let mut tl = Timeline::new();
-        while !stop.load(Ordering::Relaxed) {
+        while !stop.get() {
             match server.try_accept(&mut tl) {
                 Ok(Some(conn)) => {
                     if let Ok(region) = board.memory().alloc(4096) {
@@ -147,10 +147,10 @@ fn assert_no_leaks(vm: &VphiVm, label: &str) {
         "[chaos dbg] {label}: open={} windows={} gced={} deaths={} quar={} msi_lost={}",
         vm.backend().open_endpoints(),
         vm.backend().inner().window_entries(),
-        st.endpoints_gced.load(Ordering::Relaxed),
-        st.guest_deaths.load(Ordering::Relaxed),
-        st.endpoints_quarantined.load(Ordering::Relaxed),
-        st.msi_lost.load(Ordering::Relaxed),
+        st.endpoints_gced.get(),
+        st.guest_deaths.get(),
+        st.endpoints_quarantined.get(),
+        st.msi_lost.get(),
     );
     assert_eq!(vm.backend().open_endpoints(), 0, "{label}: leaked backend endpoints");
     assert_eq!(vm.backend().inner().window_entries(), 0, "{label}: leaked pinned windows");
@@ -164,7 +164,7 @@ fn chaos_round(seed: u64) {
     // fault: every begun span must be ended even on error paths.
     assert!(VmConfig::default().num_queues > 1, "chaos must exercise the sharded backend");
     let tracer = host.arm_tracing(TraceConfig::default());
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let port = 700 + seed as u16 % 100;
     let server = chaos_server(&host, port, Arc::clone(&stop));
 
@@ -191,7 +191,7 @@ fn chaos_round(seed: u64) {
         // The dead-guest GC must have drained everything it held.
         assert_no_leaks(&victim, "dead victim");
         let stats = &victim.backend().inner().stats;
-        assert!(stats.guest_deaths.load(Ordering::Relaxed) >= 1);
+        assert!(stats.guest_deaths.get() >= 1);
     }
     let _ = resets; // card resets are legal but not required by every seed
 
@@ -217,7 +217,7 @@ fn chaos_round(seed: u64) {
     let busy = report.queues.iter().filter(|q| q.chains_popped > 0).count();
     assert!(busy > 1, "seed {seed}: all chaos traffic stayed on one lane: {:?}", report.queues);
 
-    stop.store(true, Ordering::Relaxed);
+    stop.set();
     victim.shutdown();
     bystander.shutdown();
     server.join().unwrap();

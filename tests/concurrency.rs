@@ -159,8 +159,7 @@ fn accept_on_a_worker_does_not_block_other_requests() {
     native.connect(ScifAddr::new(vphi_scif::HOST_NODE, lport), &mut tl).unwrap();
     let peer = accepter.join().unwrap().unwrap();
     assert_eq!(peer.node, vphi_scif::HOST_NODE);
-    let dispatched =
-        vm.backend().inner().stats.worker_dispatches.load(std::sync::atomic::Ordering::Relaxed);
+    let dispatched = vm.backend().inner().stats.worker_dispatches.get();
     assert!(dispatched >= 1);
     assert_eq!(vm.vm().event_loop().worker_event_count(), dispatched, "one event per dispatch");
 
@@ -226,8 +225,7 @@ fn a_caller_parked_in_recv_does_not_stall_other_lanes() {
     parked.connect(addr, &mut tl).unwrap();
     busy.connect(addr, &mut tl).unwrap();
 
-    let requests =
-        || vm.backend().inner().stats.requests.load(std::sync::atomic::Ordering::Relaxed);
+    let requests = || vm.backend().inner().stats.requests.get();
     let settled = requests();
     let sleeper = std::thread::spawn(move || {
         let mut tl = Timeline::new();
@@ -281,7 +279,7 @@ fn a_blocking_callers_accept_goes_to_a_worker_and_frees_the_lane() {
     listener.listen(2, &mut tl).unwrap();
 
     let stats = &vm.backend().inner().stats;
-    let dispatched = || stats.worker_dispatches.load(std::sync::atomic::Ordering::Relaxed);
+    let dispatched = || stats.worker_dispatches.get();
     assert_eq!(dispatched(), 0);
     let accepter = std::thread::spawn(move || {
         let mut tl = Timeline::new();

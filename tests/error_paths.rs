@@ -209,8 +209,8 @@ fn guest_death_during_register_gcs_the_backend() {
     assert_eq!(vm.backend().open_endpoints(), 0);
     assert_eq!(vm.backend().inner().window_entries(), 0);
     let stats = &vm.backend().inner().stats;
-    assert_eq!(stats.guest_deaths.load(std::sync::atomic::Ordering::Relaxed), 1);
-    assert_eq!(stats.endpoints_gced.load(std::sync::atomic::Ordering::Relaxed), 1);
+    assert_eq!(stats.guest_deaths.get(), 1);
+    assert_eq!(stats.endpoints_gced.get(), 1);
 
     vm.shutdown();
     dev.join().unwrap();
@@ -253,10 +253,7 @@ fn double_close_after_card_reset_pins_exact_errors() {
     host.reset_card(0);
     assert!(host.board(0).is_online());
     assert_eq!(host.board(0).reset_count(), 1);
-    assert_eq!(
-        vm.backend().inner().stats.endpoints_quarantined.load(std::sync::atomic::Ordering::Relaxed),
-        1
-    );
+    assert_eq!(vm.backend().inner().stats.endpoints_quarantined.get(), 1);
 
     // First close: the stale descriptor is still in the table → success
     // (endpoint close is idempotent).  Second close: EINVAL, pinned.
@@ -552,6 +549,82 @@ fn message_outside_guest_ram_is_refused_whole() {
     vm.shutdown();
 }
 
+/// `Register`'s length is the guest's own word.  One that neither fits
+/// its descriptor nor maps to guest RAM is `EINVAL` — in debug and release
+/// alike — before a window is made of it, the endpoint's offset allocator
+/// has not moved, and a bystander VM pays nothing.
+#[test]
+fn hostile_register_length_is_refused_before_a_window_exists() {
+    use vphi_sim_core::SimDuration;
+    use vphi_virtio::Descriptor;
+
+    let host = VphiHost::new(1);
+    let server = host.device_endpoint(0).unwrap();
+    let mut tl = Timeline::new();
+    server.bind(Port(1013), &mut tl).unwrap();
+    server.listen(3, &mut tl).unwrap();
+    let acceptor = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        (0..3).map(|_| server.accept(&mut tl).unwrap()).collect::<Vec<_>>()
+    });
+    let vm = host.spawn_vm(VmConfig::default());
+    let bystander_vm = host.spawn_vm(VmConfig::default());
+    let card = ScifAddr::new(host.device_node(0), Port(1013));
+    let connected = |vm: &vphi::builder::VphiVm| {
+        let mut tl = Timeline::new();
+        let ep = vm.open_scif(&mut tl).unwrap();
+        ep.connect(card, &mut tl).unwrap();
+        ep
+    };
+    let (ep, untouched, bystander) = (connected(&vm), connected(&vm), connected(&bystander_vm));
+    let _card_side = acceptor.join().unwrap();
+
+    // A 4 KiB buffer described honestly and a 16 EiB length claimed for
+    // it, at a fixed offset (the overlap check's `offset + len`) and at an
+    // automatic one (the allocator's rounding); a length that overflows
+    // nothing but still exceeds the descriptor; and one that fits its
+    // descriptor but runs off the end of guest RAM.
+    let page = vm.alloc_buf(4096).unwrap();
+    let honest = Descriptor::readable(page.gpa().0, 4096);
+    let ram = vm.vm().mem().size();
+    let all_but_a_page = !4095u64;
+    let cases = [
+        (honest, all_but_a_page, Some(0x1000_0000)),
+        (honest, all_but_a_page, None),
+        (honest, 1 << 30, None),
+        (Descriptor::readable(ram - 4096, 8192), 8192, None),
+    ];
+    for (desc, len, fixed) in cases {
+        let req = VphiRequest::Register {
+            epd: ep.epd(),
+            len,
+            prot: 3, // read + write, as `GuestScif::register` encodes it
+            fixed_offset: fixed.unwrap_or(0),
+            has_fixed: fixed.is_some(),
+        };
+        let resp = vm.frontend().transact(&req, &[desc], 0, &mut tl).unwrap();
+        assert_eq!(resp.into_result(), Err(ScifError::Inval), "len {len:#x} at {fixed:?}");
+    }
+    assert_eq!(vm.backend().inner().window_entries(), 0);
+
+    // The next honest registration lands where a fresh table puts it.
+    let (a, b) = (vm.alloc_buf(64 << 10).unwrap(), vm.alloc_buf(64 << 10).unwrap());
+    let off = ep.register(&a, Prot::READ_WRITE, None, &mut tl).unwrap();
+    assert_eq!(Ok(off), untouched.register(&b, Prot::READ_WRITE, None, &mut tl));
+
+    let mut send_tl = Timeline::new();
+    bystander.send(&[9], &mut send_tl).unwrap();
+    assert_eq!(send_tl.total(), SimDuration::from_micros(382));
+
+    for (ep, vm) in [(ep, &vm), (untouched, &vm), (bystander, &bystander_vm)] {
+        ep.close(&mut tl).unwrap();
+        assert_eq!(vm.frontend().pending_tokens(), 0);
+    }
+    assert_eq!(vm.backend().inner().window_entries(), 0, "close left a window pinned");
+    vm.shutdown();
+    bystander_vm.shutdown();
+}
+
 // ---- a blocking caller services its own vm-exit (DESIGN.md #21) -----------
 
 /// What strikes while one caller sits inside its own vm-exit with a
@@ -583,7 +656,6 @@ fn strike_during_an_inline_drain(
     port: u16,
     strike: Strike,
 ) -> (Result<usize, ScifError>, Result<usize, ScifError>) {
-    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     let host = VphiHost::new(1);
@@ -624,7 +696,7 @@ fn strike_during_an_inline_drain(
         ep.connect(addr, &mut tl).unwrap();
     }
 
-    let requests = || vm.backend().inner().stats.requests.load(Ordering::Relaxed);
+    let requests = || vm.backend().inner().stats.requests.get();
     let settled = requests();
     let recv_on = |ep: &Arc<vphi::GuestScif>| {
         let ep = Arc::clone(ep);
@@ -770,8 +842,8 @@ fn guest_call<T: Send + 'static>(
 /// reads `ECONNREFUSED`, and the lane goes on to run the queued send.
 #[test]
 fn guest_connect_behind_a_closed_listener_is_refused_and_frees_its_lane() {
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
+    use vphi_sync::Flag;
 
     let host = VphiHost::new(1);
     let dev = host.device_node(0);
@@ -804,12 +876,12 @@ fn guest_connect_behind_a_closed_listener_is_refused_and_frees_its_lane() {
 
     let native = host.native_endpoint().unwrap();
     native.connect(ScifAddr::new(dev, Port(971)), &mut tl).unwrap();
-    let quiet = Arc::new(AtomicBool::new(false));
+    let quiet = Arc::new(Flag::new(false));
     let bystander = {
         let quiet = Arc::clone(&quiet);
         std::thread::spawn(move || {
             let mut tl = Timeline::new();
-            while !quiet.load(Ordering::Relaxed) {
+            while !quiet.get() {
                 native.send(&[0], &mut tl).unwrap();
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
@@ -837,7 +909,7 @@ fn guest_connect_behind_a_closed_listener_is_refused_and_frees_its_lane() {
         connector.connect(ScifAddr::new(dev, Port(9999)), &mut tl),
         Err(ScifError::ConnRefused)
     );
-    quiet.store(true, Ordering::Relaxed);
+    quiet.set();
     bystander.join().unwrap();
     assert_eq!(card.join().unwrap(), 42);
     connector.close(&mut tl).unwrap();
@@ -886,8 +958,7 @@ fn card_reset_ends_timed_receives_parked_on_both_ends() {
     let _tripper_peer = conns_rx.recv().unwrap();
     card.join().unwrap();
 
-    let requests =
-        || sleeper_vm.backend().inner().stats.requests.load(std::sync::atomic::Ordering::Relaxed);
+    let requests = || sleeper_vm.backend().inner().stats.requests.get();
     let settled = requests();
     let guest_waiting = {
         let sleeper = Arc::clone(&sleeper);

@@ -3,7 +3,6 @@
 //! orphan spans when a chaos fault plan fires mid-request.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -13,15 +12,12 @@ use vphi_faults::FaultPlan;
 use vphi_scif::window::WindowBacking;
 use vphi_scif::{Port, Prot, RmaFlags, ScifAddr, ScifError};
 use vphi_sim_core::{SimDuration, Timeline};
+use vphi_sync::Flag;
 use vphi_trace::{SpanRec, Stage, TraceConfig};
 
 /// A device-side echo server that registers a 4 KiB window per
 /// connection (so RMA ops land) and echoes fixed 5-byte messages.
-fn echo_window_server(
-    host: &VphiHost,
-    port: u16,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
+fn echo_window_server(host: &VphiHost, port: u16, stop: Arc<Flag>) -> std::thread::JoinHandle<()> {
     window_server(host, port, stop, true)
 }
 
@@ -30,7 +26,7 @@ fn echo_window_server(
 fn window_server(
     host: &VphiHost,
     port: u16,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Flag>,
     echo: bool,
 ) -> std::thread::JoinHandle<()> {
     let server = host.device_endpoint(0).unwrap();
@@ -40,7 +36,7 @@ fn window_server(
     server.listen(8, &mut tl).unwrap();
     std::thread::spawn(move || {
         let mut tl = Timeline::new();
-        while !stop.load(Ordering::Relaxed) {
+        while !stop.get() {
             match server.try_accept(&mut tl) {
                 Ok(Some(conn)) => {
                     if let Ok(region) = board.memory().alloc(4096) {
@@ -129,7 +125,7 @@ fn assert_well_formed(spans: &[SpanRec]) {
 fn span_graph_covers_every_layer_and_is_well_formed() {
     let host = VphiHost::new(1);
     let tracer = host.arm_tracing(TraceConfig { ring_capacity: 1 << 16, summary_capacity: 1024 });
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let server = echo_window_server(&host, 930, Arc::clone(&stop));
     let vm = host.spawn_vm(VmConfig::default());
 
@@ -184,7 +180,7 @@ fn span_graph_covers_every_layer_and_is_well_formed() {
     assert!(chrome.contains("\"traceEvents\""));
     assert!(chrome.contains("backend-replay"));
 
-    stop.store(true, Ordering::Relaxed);
+    stop.set();
     vm.shutdown();
     server.join().unwrap();
 }
@@ -195,12 +191,12 @@ fn span_graph_covers_every_layer_and_is_well_formed() {
 fn encoded_run() -> String {
     let host = VphiHost::new(1);
     let tracer = host.arm_tracing(TraceConfig::default());
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let server = echo_window_server(&host, 931, Arc::clone(&stop));
     let vm = host.spawn_vm(VmConfig::default());
     one_session(&host, &vm, 931).expect("traced session");
     let encoded = tracer.encode().replace(&format!("vm={}", vm.vm().id()), "vm=#");
-    stop.store(true, Ordering::Relaxed);
+    stop.set();
     vm.shutdown();
     server.join().unwrap();
     encoded
@@ -225,7 +221,7 @@ fn trace_encoding_is_byte_stable() {
 fn one_batch(port: u16, traced: bool) -> (SimDuration, Option<SimDuration>) {
     let host = VphiHost::new(1);
     let tracer = traced.then(|| host.arm_tracing(TraceConfig::default()));
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let server = window_server(&host, port, Arc::clone(&stop), false);
     let vm = host.spawn_vm(VmConfig::default());
     let mut tl = Timeline::new();
@@ -262,7 +258,7 @@ fn one_batch(port: u16, traced: bool) -> (SimDuration, Option<SimDuration>) {
         batch.iter().flat_map(|s| s.stages).sum::<SimDuration>()
     });
     ep.close(&mut tl).unwrap();
-    stop.store(true, Ordering::Relaxed);
+    stop.set();
     vm.shutdown();
     server.join().unwrap();
     (virt, staged)
@@ -284,7 +280,7 @@ fn chaos_faults_leave_no_orphan_spans() {
     let host = VphiHost::new(1);
     let tracer = host.arm_tracing(TraceConfig::default());
     let _injector = host.arm_faults(FaultPlan::from_seed(47, 12));
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let server = echo_window_server(&host, 932, Arc::clone(&stop));
     let vm = host.spawn_vm(VmConfig::default());
 
@@ -314,7 +310,7 @@ fn chaos_faults_leave_no_orphan_spans() {
     // Quiesce, then audit: every begun span ended and every adopted root
     // finished — errors, deadline retries, card resets and guest death
     // all travel the same finish paths as success.
-    stop.store(true, Ordering::Relaxed);
+    stop.set();
     vm.shutdown();
     server.join().unwrap();
 
