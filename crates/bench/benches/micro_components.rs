@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
 use vphi::builder::{VmConfig, VphiHost};
-use vphi_bench::support::spawn_device_sink;
+use vphi_dev_support::{echo_server, native_connect, sink};
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
 use vphi_virtio::{Descriptor, UsedElem, VirtQueue};
 use vphi_vmm::TokenWaitQueue;
@@ -103,28 +103,16 @@ fn bench_msgqueue(c: &mut Criterion) {
 /// requests and a wait on the card between them).
 fn bench_guest_send(c: &mut Criterion) {
     let host = VphiHost::new(1);
-    let sink = spawn_device_sink(&host, vphi_scif::Port(78));
-    let echo_server = host.device_endpoint(0).unwrap();
+    let (sink, echo) = (sink(&host, 0), echo_server(&host, 0));
     let mut tl = Timeline::new();
-    echo_server.bind(vphi_scif::Port(79), &mut tl).unwrap();
-    echo_server.listen(1, &mut tl).unwrap();
-    let echo = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        let conn = echo_server.accept(&mut tl).unwrap();
-        let mut page = vec![0u8; 4 << 10];
-        while conn.recv(&mut page, &mut tl) == Ok(page.len()) {
-            conn.send(&page, &mut tl).unwrap();
-        }
-    });
     let vm = host.spawn_vm(VmConfig::default());
-    let connect = |port| {
+    let connect = |addr| {
         let guest = vm.open_scif(&mut Timeline::new()).unwrap();
-        let addr = vphi_scif::ScifAddr::new(host.device_node(0), vphi_scif::Port(port));
         guest.connect(addr, &mut Timeline::new()).unwrap();
         guest
     };
-    let guest = connect(78);
-    let echoed = connect(79);
+    let guest = connect(sink.addr());
+    let echoed = connect(echo.addr());
 
     for (label, bytes) in [("guest_send_64KiB", 64usize << 10), ("guest_send_1B_blocking", 1)] {
         let data = vec![0xA5u8; bytes];
@@ -165,8 +153,6 @@ fn bench_guest_send(c: &mut Criterion) {
     guest.close(&mut tl).unwrap();
     echoed.close(&mut tl).unwrap();
     vm.shutdown();
-    sink.join().unwrap();
-    echo.join().unwrap();
 }
 
 /// A timeline a caller has already charged `spans` spans into.
@@ -210,22 +196,13 @@ fn bench_loadex(c: &mut Criterion) {
     group.finish();
 
     const CHUNK: u64 = 4 << 20;
-    let sink = host.device_endpoint(0).unwrap();
-    let mut tl = Timeline::new();
-    sink.bind(vphi_scif::Port(80), &mut tl).unwrap();
-    sink.listen(2, &mut tl).unwrap();
-    let addr = vphi_scif::ScifAddr::new(host.device_node(0), vphi_scif::Port(80));
     // The timed lane needs no reader: the card side only holds the
     // connections open.
-    let card = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        [sink.accept(&mut tl).unwrap(), sink.accept(&mut tl).unwrap()]
-    });
+    let card = sink(&host, 0);
+    let mut tl = Timeline::new();
     let guest = vm.open_scif(&mut tl).unwrap();
-    guest.connect(addr, &mut tl).unwrap();
-    let native = host.native_endpoint().unwrap();
-    native.connect(addr, &mut tl).unwrap();
-    let _peers = card.join().unwrap();
+    guest.connect(card.addr(), &mut tl).unwrap();
+    let native = native_connect(&host, card.addr());
     let mut group = c.benchmark_group("send_timed");
     group.throughput(Throughput::Bytes(CHUNK));
     group.bench_function("guest_send_timed_4MiB", |b| {

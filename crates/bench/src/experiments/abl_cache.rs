@@ -17,11 +17,10 @@
 use vphi::backend::RegCacheConfig;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
-use vphi_scif::{Port, RmaFlags, ScifAddr};
+use vphi_dev_support::window_timed;
+use vphi_scif::RmaFlags;
 use vphi_sim_core::units::{KIB, MIB};
 use vphi_sim_core::Timeline;
-
-use crate::support::spawn_device_window;
 
 /// One x-axis point (bandwidths in bytes/s of virtual time).
 #[derive(Debug, Clone, PartialEq)]
@@ -66,33 +65,17 @@ pub fn abl_cache() -> AblCacheReport {
     let host = VphiHost::new(1);
     let max = *abl_cache_sizes().last().expect("nonempty sizes");
 
-    // Native client against a device window.
-    let server = spawn_device_window(&host, Port(870), max);
-    let native = host.native_endpoint().expect("native endpoint");
-    let mut tl = Timeline::new();
-    native.connect(ScifAddr::new(host.device_node(0), Port(870)), &mut tl).expect("connect");
-    server.wait_registered();
-
+    // Each client reads a device window of its own.
+    let server = window_timed(&host, 0, max);
+    let native = server.native(&host);
     // vPHI client with the registration cache disabled (seed charging).
-    let server_cold = spawn_device_window(&host, Port(871), max);
-    let vm_cold = host.spawn_vm(
+    let cold = server.guest(
+        &host,
         VmConfig::builder().mem_size(max + 64 * MIB).reg_cache(RegCacheConfig::disabled()).build(),
     );
-    let guest_cold = vm_cold.open_scif(&mut tl).expect("cold open");
-    guest_cold
-        .connect(ScifAddr::new(host.device_node(0), Port(871)), &mut tl)
-        .expect("cold connect");
-    server_cold.wait_registered();
-
     // vPHI client with the cache enabled; each measurement re-reads a
     // buffer the cache has already seen.
-    let server_warm = spawn_device_window(&host, Port(872), max);
-    let vm_warm = host.spawn_vm(VmConfig::builder().mem_size(max + 64 * MIB).build());
-    let guest_warm = vm_warm.open_scif(&mut tl).expect("warm open");
-    guest_warm
-        .connect(ScifAddr::new(host.device_node(0), Port(872)), &mut tl)
-        .expect("warm connect");
-    server_warm.wait_registered();
+    let warm = server.guest(&host, VmConfig::builder().mem_size(max + 64 * MIB).build());
 
     let mut rows = Vec::new();
     let mut native_buf = vec![0u8; max as usize];
@@ -102,18 +85,11 @@ pub fn abl_cache() -> AblCacheReport {
             .vreadfrom(&mut native_buf[..bytes as usize], 0, RmaFlags::SYNC, &mut native_tl)
             .expect("native vread");
 
-        let gbuf_cold = vm_cold.alloc_buf(bytes).expect("cold buf");
-        let mut cold_tl = Timeline::new();
-        guest_cold.vreadfrom(&gbuf_cold, 0, RmaFlags::SYNC, &mut cold_tl).expect("cold vread");
-        drop(gbuf_cold);
+        let cold_tl = cold.vread(&cold.vm.alloc_buf(bytes).expect("cold buf"));
 
-        let gbuf_warm = vm_warm.alloc_buf(bytes).expect("warm buf");
-        let mut warm_up_tl = Timeline::new();
-        guest_warm
-            .vreadfrom(&gbuf_warm, 0, RmaFlags::SYNC, &mut warm_up_tl)
-            .expect("warming vread");
-        let mut warm_tl = Timeline::new();
-        guest_warm.vreadfrom(&gbuf_warm, 0, RmaFlags::SYNC, &mut warm_tl).expect("warm vread");
+        let gbuf_warm = warm.vm.alloc_buf(bytes).expect("warm buf");
+        warm.vread(&gbuf_warm);
+        let warm_tl = warm.vread(&gbuf_warm);
         drop(gbuf_warm);
 
         rows.push(AblCacheRow {
@@ -124,27 +100,16 @@ pub fn abl_cache() -> AblCacheReport {
         });
     }
 
-    let warm_report = VphiDebugReport::collect(&vm_warm);
-    let cold_report = VphiDebugReport::collect(&vm_cold);
+    let warm_report = VphiDebugReport::collect(&warm.vm);
+    let cold_report = VphiDebugReport::collect(&cold.vm);
     let probes = warm_report.reg_cache_hits + warm_report.reg_cache_misses;
-    let report = AblCacheReport {
+    AblCacheReport {
         rows,
         warm_hits: warm_report.reg_cache_hits,
         warm_misses: warm_report.reg_cache_misses,
         hit_rate: if probes == 0 { 0.0 } else { warm_report.reg_cache_hits as f64 / probes as f64 },
         cold_probes: cold_report.reg_cache_hits + cold_report.reg_cache_misses,
-    };
-
-    native.close();
-    let mut tl_close = Timeline::new();
-    let _ = guest_cold.close(&mut tl_close);
-    let _ = guest_warm.close(&mut tl_close);
-    vm_cold.shutdown();
-    vm_warm.shutdown();
-    let _ = server.join();
-    let _ = server_cold.join();
-    let _ = server_warm.join();
-    report
+    }
 }
 
 #[cfg(test)]

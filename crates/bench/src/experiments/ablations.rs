@@ -4,13 +4,11 @@
 use vphi::backend::DispatchPolicy;
 use vphi::builder::{VmConfig, VphiHost, VphiVm};
 use vphi::frontend::WaitScheme;
-use vphi_scif::{Port, ScifAddr};
+use vphi_dev_support::{sink, GuestRig};
 use vphi_sim_core::cost::KMALLOC_MAX_SIZE;
 use vphi_sim_core::units::{KIB, MIB};
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 use vphi_trace::size_bucket;
-
-use crate::support::spawn_device_sink;
 
 /// ABL-WAIT row: one (scheme, size) measurement — latency plus the
 /// spin-burn side of the trade-off.
@@ -53,25 +51,18 @@ pub fn abl_wait() -> Vec<WaitRow> {
     ];
     let sizes = [1u64, 4 * KIB, 64 * KIB, MIB, 4 * MIB];
 
+    let sink = sink(&host, 0);
     let mut rows = Vec::new();
-    for (i, scheme) in schemes.into_iter().enumerate() {
-        let sink = spawn_device_sink(&host, Port(830 + i as u16));
-        let vm = host.spawn_vm(VmConfig::builder().scheme(scheme).build());
-        let mut tl = Timeline::new();
-        let guest = vm.open_scif(&mut tl).expect("open");
-        guest
-            .connect(ScifAddr::new(host.device_node(0), Port(830 + i as u16)), &mut tl)
-            .expect("connect");
+    for scheme in schemes {
+        let rig = GuestRig::connect(&host, VmConfig::builder().scheme(scheme).build(), sink.addr());
         for bytes in sizes {
             let data = vec![0u8; bytes as usize];
             for _ in 0..3 {
-                let mut warm_tl = Timeline::new();
-                guest.send(&data, &mut warm_tl).expect("send");
+                rig.send(&data);
             }
-            let (burn_before, svc_before) = bucket_totals(&vm, bytes);
-            let mut send_tl = Timeline::new();
-            guest.send(&data, &mut send_tl).expect("send");
-            let (burn_after, svc_after) = bucket_totals(&vm, bytes);
+            let (burn_before, svc_before) = bucket_totals(&rig.vm, bytes);
+            let send_tl = rig.send(&data);
+            let (burn_after, svc_after) = bucket_totals(&rig.vm, bytes);
             rows.push(WaitRow {
                 scheme: scheme.label(),
                 bytes,
@@ -81,10 +72,6 @@ pub fn abl_wait() -> Vec<WaitRow> {
                 svc_ns: svc_after - svc_before,
             });
         }
-        let mut tl_close = Timeline::new();
-        let _ = guest.close(&mut tl_close);
-        vm.shutdown();
-        let _ = sink.join();
     }
     rows
 }
@@ -105,22 +92,14 @@ pub fn abl_chunk() -> Vec<ChunkRow> {
     let transfer = 64 * MIB;
     let chunks = [256 * KIB, 512 * KIB, MIB, 2 * MIB, KMALLOC_MAX_SIZE];
 
+    let sink = sink(&host, 0);
     let mut rows = Vec::new();
-    for (i, chunk) in chunks.into_iter().enumerate() {
-        let sink = spawn_device_sink(&host, Port(840 + i as u16));
-        let vm = host.spawn_vm(VmConfig::builder().chunk_size(chunk).build());
-        let mut tl = Timeline::new();
-        let guest = vm.open_scif(&mut tl).expect("open");
-        guest
-            .connect(ScifAddr::new(host.device_node(0), Port(840 + i as u16)), &mut tl)
-            .expect("connect");
+    for chunk in chunks {
+        let rig =
+            GuestRig::connect(&host, VmConfig::builder().chunk_size(chunk).build(), sink.addr());
         let mut send_tl = Timeline::new();
-        guest.send_timed(transfer, &mut send_tl).expect("send");
+        rig.guest.send_timed(transfer, &mut send_tl).expect("send");
         rows.push(ChunkRow { chunk, transfer, bandwidth: send_tl.total().throughput(transfer) });
-        let mut tl_close = Timeline::new();
-        let _ = guest.close(&mut tl_close);
-        vm.shutdown();
-        let _ = sink.join();
     }
     rows
 }
@@ -147,31 +126,21 @@ pub fn abl_block() -> Vec<BlockRow> {
     ];
     let sizes = [1u64, 64 * KIB, 4 * MIB];
 
+    let sink = sink(&host, 0);
     let mut rows = Vec::new();
-    for (i, (name, dispatch)) in policies.into_iter().enumerate() {
-        let sink = spawn_device_sink(&host, Port(850 + i as u16));
-        let vm = host.spawn_vm(VmConfig::builder().dispatch(dispatch).build());
-        let mut tl = Timeline::new();
-        let guest = vm.open_scif(&mut tl).expect("open");
-        guest
-            .connect(ScifAddr::new(host.device_node(0), Port(850 + i as u16)), &mut tl)
-            .expect("connect");
+    for (name, dispatch) in policies {
+        let rig =
+            GuestRig::connect(&host, VmConfig::builder().dispatch(dispatch).build(), sink.addr());
         for bytes in sizes {
-            let paused_before = vm.vm_paused_total();
-            let data = vec![0u8; bytes as usize];
-            let mut send_tl = Timeline::new();
-            guest.send(&data, &mut send_tl).expect("send");
+            let paused_before = rig.vm.vm_paused_total();
+            let latency = rig.send(&vec![0u8; bytes as usize]).total();
             rows.push(BlockRow {
                 policy: name,
                 bytes,
-                latency: send_tl.total(),
-                vm_paused: vm.vm_paused_total().saturating_sub(paused_before),
+                latency,
+                vm_paused: rig.vm.vm_paused_total().saturating_sub(paused_before),
             });
         }
-        let mut tl_close = Timeline::new();
-        let _ = guest.close(&mut tl_close);
-        vm.shutdown();
-        let _ = sink.join();
     }
     rows
 }

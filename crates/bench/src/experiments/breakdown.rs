@@ -4,10 +4,8 @@
 //! attributes to the waiting scheme of vPHI inside the frontend driver."
 
 use vphi::builder::{VmConfig, VphiHost};
-use vphi_scif::{Port, ScifAddr};
-use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
-
-use crate::support::spawn_device_sink;
+use vphi_dev_support::guest_send_once;
+use vphi_sim_core::{SimDuration, SpanLabel};
 
 /// One overhead component.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,15 +19,7 @@ pub struct BreakdownRow {
 
 /// Regenerate the 1-byte-send breakdown.
 pub fn breakdown_one_byte() -> (SimDuration, SimDuration, Vec<BreakdownRow>) {
-    let host = VphiHost::new(1);
-    let sink = spawn_device_sink(&host, Port(820));
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("open");
-    guest.connect(ScifAddr::new(host.device_node(0), Port(820)), &mut tl).expect("connect");
-
-    let mut send_tl = Timeline::new();
-    guest.send(&[1], &mut send_tl).expect("send");
+    let send_tl = guest_send_once(&VphiHost::new(1), VmConfig::default(), &[1]);
 
     let total = send_tl.total();
     let overhead = send_tl.virtualization_overhead();
@@ -46,11 +36,6 @@ pub fn breakdown_one_byte() -> (SimDuration, SimDuration, Vec<BreakdownRow>) {
             },
         })
         .collect();
-
-    let mut tl_close = Timeline::new();
-    let _ = guest.close(&mut tl_close);
-    vm.shutdown();
-    let _ = sink.join();
     (total, overhead, rows)
 }
 

@@ -17,13 +17,12 @@
 
 use std::time::Instant;
 
-use vphi::builder::{VmConfig, VphiHost, VphiVm};
+use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
+use vphi_dev_support::{sink, GuestRig};
 use vphi_faults::{FaultHook, FaultInjector, FaultPlan, FaultSite};
-use vphi_scif::{Port, ScifAddr, ScifError};
+use vphi_scif::ScifError;
 use vphi_sim_core::{SimDuration, Timeline};
-
-use crate::support::spawn_device_sink_on;
 
 /// Calls per hook-microbenchmark loop.
 const FIRE_LOOPS: u64 = 2_000_000;
@@ -72,27 +71,15 @@ fn ns_per_fire(hook: &FaultHook) -> f64 {
     start.elapsed().as_nanos() as f64 / FIRE_LOOPS as f64
 }
 
-/// One connected 1-byte sender; returns (virtual latency, mean wall ns).
-fn one_byte_sends(host: &VphiHost, port: Port) -> (SimDuration, f64, VphiVm) {
-    let sink = spawn_device_sink_on(host, 0, port);
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("open");
-    guest.connect(ScifAddr::new(host.device_node(0), port), &mut tl).expect("connect");
-
-    let mut first_tl = Timeline::new();
-    guest.send(&[0x5A], &mut first_tl).expect("send");
-    let start = Instant::now();
-    for _ in 0..SEND_SAMPLES {
-        let mut tl = Timeline::new();
-        guest.send(&[0x5A], &mut tl).expect("send");
-    }
-    let wall_ns = start.elapsed().as_nanos() as f64 / SEND_SAMPLES as f64;
-
-    let mut tlc = Timeline::new();
-    let _ = guest.close(&mut tlc);
-    let _ = sink.join();
-    (first_tl.total(), wall_ns, vm)
+/// One connected 1-byte sender; returns (virtual latency, mean wall ns)
+/// and the rig, its endpoint closed and its VM still up.
+fn one_byte_sends(host: &VphiHost) -> (SimDuration, f64, GuestRig) {
+    let sink = sink(host, 0);
+    let rig = GuestRig::connect(host, VmConfig::default(), sink.addr());
+    let latency = rig.send(&[0x5A]).total();
+    let wall_ns = rig.send_wall_ns(&[0x5A], SEND_SAMPLES);
+    let _ = rig.guest.close(&mut Timeline::new());
+    (latency, wall_ns, rig)
 }
 
 fn total_crossings(injector: &FaultInjector) -> u64 {
@@ -111,32 +98,30 @@ pub fn abl_faults() -> FaultsReport {
 
     // --- 1-byte send, hooks disarmed: the PR 2 baseline. ---
     let host = VphiHost::new(1);
-    let (latency_disarmed, send_wall_ns, vm) = one_byte_sends(&host, Port(880));
-    vm.shutdown();
+    let (latency_disarmed, send_wall_ns, _) = one_byte_sends(&host);
 
     // --- Same send with every hook armed on an idle (zero-point) plan. ---
     let host_armed = VphiHost::new(1);
     let injector = host_armed.arm_faults(FaultPlan::from_seed(0, 0));
     let before = total_crossings(&injector);
-    let (latency_armed, _, vm_armed) = one_byte_sends(&host_armed, Port(881));
+    let (latency_armed, _, armed) = one_byte_sends(&host_armed);
     // The workload above did 1 + SEND_SAMPLES identical sends.
     let crossings_per_send = (total_crossings(&injector) - before) / (1 + u64::from(SEND_SAMPLES));
-    vm_armed.shutdown();
+    drop(armed);
 
     let hook_overhead_pct =
         100.0 * (crossings_per_send as f64 * disarmed_ns_per_fire) / send_wall_ns;
 
     // --- Recovery: two VMs on two cards, card 0 fails and is reset. ---
     let host2 = VphiHost::new(2);
-    let sink_a = spawn_device_sink_on(&host2, 0, Port(882));
-    let sink_b = spawn_device_sink_on(&host2, 1, Port(883));
+    let (sink_a, sink_b) = (sink(&host2, 0), sink(&host2, 1));
     let vm_a = host2.spawn_vm(VmConfig::default());
     let vm_b = host2.spawn_vm(VmConfig::default());
     let mut tl = Timeline::new();
     let guest_a = vm_a.open_scif(&mut tl).expect("victim open");
-    guest_a.connect(ScifAddr::new(host2.device_node(0), Port(882)), &mut tl).expect("victim");
+    guest_a.connect(sink_a.addr(), &mut tl).expect("victim");
     let guest_b = vm_b.open_scif(&mut tl).expect("bystander open");
-    guest_b.connect(ScifAddr::new(host2.device_node(1), Port(883)), &mut tl).expect("bystander");
+    guest_b.connect(sink_b.addr(), &mut tl).expect("bystander");
     guest_a.send(&[1], &mut tl).expect("victim pre-fail send");
     guest_b.send(&[1], &mut tl).expect("bystander pre-fail send");
 
@@ -155,10 +140,9 @@ pub fn abl_faults() -> FaultsReport {
 
     // The victim's endpoint is gone (quarantined), but the VM itself can
     // open a fresh one against the recovered card and keep working.
-    let sink_a2 = spawn_device_sink_on(&host2, 0, Port(884));
     let guest_a2 = vm_a.open_scif(&mut after_tl).expect("victim reopen");
     let victim_recovered_send_ok = guest_a2
-        .connect(ScifAddr::new(host2.device_node(0), Port(884)), &mut after_tl)
+        .connect(sink_a.addr(), &mut after_tl)
         .and_then(|_| guest_a2.send(&[4], &mut after_tl))
         .is_ok();
 
@@ -168,9 +152,6 @@ pub fn abl_faults() -> FaultsReport {
     let _ = guest_b.close(&mut tlc);
     vm_a.shutdown();
     vm_b.shutdown();
-    let _ = sink_a.join();
-    let _ = sink_a2.join();
-    let _ = sink_b.join();
 
     FaultsReport {
         disarmed_ns_per_fire,

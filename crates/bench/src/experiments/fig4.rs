@@ -5,11 +5,9 @@
 //! 7 µs; vPHI's is 382 µs, and the 375 µs offset stays constant with size.
 
 use vphi::builder::{VmConfig, VphiHost};
-use vphi_scif::{Port, ScifAddr};
+use vphi_dev_support::{native_connect, sink, GuestRig};
 use vphi_sim_core::units::KIB;
 use vphi_sim_core::{SimDuration, Timeline};
-
-use crate::support::spawn_device_sink;
 
 /// One x-axis point of Figure 4.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,35 +31,17 @@ pub fn fig4_sizes() -> Vec<u64> {
 /// Regenerate Figure 4.
 pub fn fig4_latency() -> Vec<Fig4Row> {
     let host = VphiHost::new(1);
-
-    // Native client.
-    let sink = spawn_device_sink(&host, Port(800));
-    let native = host.native_endpoint().expect("native endpoint");
-    let mut tl = Timeline::new();
-    native.connect(ScifAddr::new(host.device_node(0), Port(800)), &mut tl).expect("connect");
-
-    // vPHI client.
-    let sink2 = spawn_device_sink(&host, Port(801));
-    let vm = host.spawn_vm(VmConfig::default());
-    let guest = vm.open_scif(&mut tl).expect("guest open");
-    guest.connect(ScifAddr::new(host.device_node(0), Port(801)), &mut tl).expect("guest connect");
+    let sink = sink(&host, 0);
+    let native = native_connect(&host, sink.addr());
+    let rig = GuestRig::connect(&host, VmConfig::default(), sink.addr());
 
     let mut rows = Vec::new();
     for bytes in fig4_sizes() {
         let data = vec![0x5Au8; bytes as usize];
         let mut host_tl = Timeline::new();
         native.send(&data, &mut host_tl).expect("native send");
-        let mut vphi_tl = Timeline::new();
-        guest.send(&data, &mut vphi_tl).expect("vphi send");
-        rows.push(Fig4Row { bytes, host: host_tl.total(), vphi: vphi_tl.total() });
+        rows.push(Fig4Row { bytes, host: host_tl.total(), vphi: rig.send(&data).total() });
     }
-
-    native.close();
-    let mut tl_close = Timeline::new();
-    let _ = guest.close(&mut tl_close);
-    vm.shutdown();
-    let _ = sink.join();
-    let _ = sink2.join();
     rows
 }
 

@@ -6,11 +6,10 @@
 //! per-request constant is amortized.
 
 use vphi::builder::{VmConfig, VphiHost};
-use vphi_scif::{Port, RmaFlags, ScifAddr};
+use vphi_dev_support::window_timed;
+use vphi_scif::RmaFlags;
 use vphi_sim_core::units::{KIB, MIB};
 use vphi_sim_core::Timeline;
-
-use crate::support::spawn_device_window;
 
 /// One x-axis point of Figure 5 (bandwidths in bytes/s of virtual time).
 #[derive(Debug, Clone, PartialEq)]
@@ -36,19 +35,10 @@ pub fn fig5_throughput() -> Vec<Fig5Row> {
     let host = VphiHost::new(1);
     let max = *fig5_sizes().last().expect("nonempty sizes");
 
-    // Native client against a device window.
-    let server = spawn_device_window(&host, Port(810), max);
-    let native = host.native_endpoint().expect("native endpoint");
-    let mut tl = Timeline::new();
-    native.connect(ScifAddr::new(host.device_node(0), Port(810)), &mut tl).expect("connect");
-    server.wait_registered();
-
-    // vPHI client.
-    let server2 = spawn_device_window(&host, Port(811), max);
-    let vm = host.spawn_vm(VmConfig::builder().mem_size(max + 64 * MIB).build());
-    let guest = vm.open_scif(&mut tl).expect("guest open");
-    guest.connect(ScifAddr::new(host.device_node(0), Port(811)), &mut tl).expect("guest connect");
-    server2.wait_registered();
+    // A native and a vPHI client, each against a device window of its own.
+    let server = window_timed(&host, 0, max);
+    let native = server.native(&host);
+    let rig = server.guest(&host, VmConfig::builder().mem_size(max + 64 * MIB).build());
 
     let mut rows = Vec::new();
     let mut native_buf = vec![0u8; max as usize];
@@ -58,10 +48,7 @@ pub fn fig5_throughput() -> Vec<Fig5Row> {
             .vreadfrom(&mut native_buf[..bytes as usize], 0, RmaFlags::SYNC, &mut host_tl)
             .expect("native vread");
 
-        let gbuf = vm.alloc_buf(bytes).expect("guest buf");
-        let mut vphi_tl = Timeline::new();
-        guest.vreadfrom(&gbuf, 0, RmaFlags::SYNC, &mut vphi_tl).expect("vphi vread");
-        drop(gbuf);
+        let vphi_tl = rig.vread(&rig.vm.alloc_buf(bytes).expect("guest buf"));
 
         rows.push(Fig5Row {
             bytes,
@@ -69,13 +56,6 @@ pub fn fig5_throughput() -> Vec<Fig5Row> {
             vphi_bw: vphi_tl.total().throughput(bytes),
         });
     }
-
-    native.close();
-    let mut tl_close = Timeline::new();
-    let _ = guest.close(&mut tl_close);
-    vm.shutdown();
-    let _ = server.join();
-    let _ = server2.join();
     rows
 }
 

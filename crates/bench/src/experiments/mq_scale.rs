@@ -22,11 +22,9 @@ use vphi::backend::{RegCacheConfig, RmaCharge};
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::frontend::VphiChannel;
 use vphi::protocol::VphiRequest;
-use vphi_scif::{Port, RmaFlags, ScifAddr};
+use vphi_dev_support::{guest_send_once, guest_vread_once};
 use vphi_sim_core::units::{KIB, MIB};
 use vphi_sim_core::{SimDuration, SimTime, SpanLabel, Timeline};
-
-use crate::support::{spawn_device_sink, spawn_device_window};
 
 /// The queue-count axis of the figure.
 pub const MQ_QUEUE_COUNTS: &[u16] = &[1, 2, 4];
@@ -166,80 +164,38 @@ pub fn mq_scale() -> MqScaleReport {
 
     MqScaleReport {
         rows,
-        anchor_default: one_byte_latency(VmConfig::default(), Port(880)),
-        anchor_single_queue: one_byte_latency(VmConfig::builder().num_queues(1).build(), Port(881)),
+        anchor_default: one_byte_latency(VmConfig::default()),
+        anchor_single_queue: one_byte_latency(VmConfig::builder().num_queues(1).build()),
         rma_bytes: RMA_BYTES,
-        rma_monolithic: rma_cold_read(RmaCharge::PerPage, Port(882)),
-        rma_pipelined: rma_cold_read(RmaCharge::Pipelined, Port(883)),
+        rma_monolithic: rma_cold_read(RmaCharge::PerPage),
+        rma_pipelined: rma_cold_read(RmaCharge::Pipelined),
     }
 }
 
 /// Measure one request on the real stack and split it into (shard
 /// service time, guest-side fill).
 fn measure_request(bytes: u64) -> (SimDuration, SimDuration) {
-    let host = VphiHost::new(1);
-    let sink = spawn_device_sink(&host, Port(879));
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("open");
-    guest.connect(ScifAddr::new(host.device_node(0), Port(879)), &mut tl).expect("connect");
-    let data = vec![0x5Au8; bytes as usize];
-    let mut send_tl = Timeline::new();
-    guest.send(&data, &mut send_tl).expect("send");
+    let send_tl =
+        guest_send_once(&VphiHost::new(1), VmConfig::default(), &vec![0x5Au8; bytes as usize]);
     let fill: SimDuration = GUEST_SIDE.iter().map(|&l| send_tl.total_for(l)).sum();
-    let svc = send_tl.total().saturating_sub(fill);
-    let mut tl_close = Timeline::new();
-    let _ = guest.close(&mut tl_close);
-    vm.shutdown();
-    let _ = sink.join();
-    (svc, fill)
+    (send_tl.total().saturating_sub(fill), fill)
 }
 
 /// Fig. 4's anchor measurement under an arbitrary VM config.
-fn one_byte_latency(config: VmConfig, port: Port) -> SimDuration {
-    let host = VphiHost::new(1);
-    let sink = spawn_device_sink(&host, port);
-    let vm = host.spawn_vm(config);
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("open");
-    guest.connect(ScifAddr::new(host.device_node(0), port), &mut tl).expect("connect");
-    let mut send_tl = Timeline::new();
-    guest.send(&[0x5A], &mut send_tl).expect("send");
-    let latency = send_tl.total();
-    let mut tl_close = Timeline::new();
-    let _ = guest.close(&mut tl_close);
-    vm.shutdown();
-    let _ = sink.join();
-    latency
+fn one_byte_latency(config: VmConfig) -> SimDuration {
+    guest_send_once(&VphiHost::new(1), config, &[0x5A]).total()
 }
 
 /// One cold-path remote read of [`RMA_BYTES`] with the registration
 /// cache disabled (every read pays the translate charge, which is where
 /// pipelining overlaps staging with device DMA).
-fn rma_cold_read(charge: RmaCharge, port: Port) -> SimDuration {
-    let host = VphiHost::new(1);
-    let server = spawn_device_window(&host, port, RMA_BYTES);
-    let vm = host.spawn_vm(
-        VmConfig::builder()
-            .mem_size(RMA_BYTES + 64 * MIB)
-            .reg_cache(RegCacheConfig::disabled())
-            .rma(charge)
-            .build(),
-    );
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("open");
-    guest.connect(ScifAddr::new(host.device_node(0), port), &mut tl).expect("connect");
-    server.wait_registered();
-    let gbuf = vm.alloc_buf(RMA_BYTES).expect("buf");
-    let mut read_tl = Timeline::new();
-    guest.vreadfrom(&gbuf, 0, RmaFlags::SYNC, &mut read_tl).expect("vread");
-    let total = read_tl.total();
-    drop(gbuf);
-    let mut tl_close = Timeline::new();
-    let _ = guest.close(&mut tl_close);
-    vm.shutdown();
-    let _ = server.join();
-    total
+fn rma_cold_read(charge: RmaCharge) -> SimDuration {
+    let config = VmConfig::builder()
+        .mem_size(RMA_BYTES + 64 * MIB)
+        .reg_cache(RegCacheConfig::disabled())
+        .rma(charge)
+        .build();
+    guest_vread_once(&VphiHost::new(1), config, RMA_BYTES).total()
 }
 
 #[cfg(test)]

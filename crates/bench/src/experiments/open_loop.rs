@@ -29,11 +29,9 @@ use vphi::builder::{VmConfig, VphiHost};
 use vphi::frontend::VphiChannel;
 use vphi::protocol::VphiRequest;
 use vphi::{Sq, SqEntry};
-use vphi_scif::{Port, ScifAddr};
+use vphi_dev_support::{guest_send_once, sink, GuestRig};
 use vphi_sim_core::units::KIB;
 use vphi_sim_core::{SimDuration, SpanLabel, SplitMix64, Timeline};
-
-use crate::support::spawn_device_sink;
 
 /// Deterministic arrival seed (bit-reproducibility is asserted in tests).
 const ARRIVAL_SEED: u64 = 0x0000_BE70_0B50_5E4E_u64;
@@ -145,7 +143,7 @@ pub fn open_loop() -> OpenLoopReport {
     let classes: Vec<(u64, f64, SimDuration, SimDuration, SimDuration)> = MIX
         .iter()
         .map(|&(_, bytes, share)| {
-            let (svc, fill, notify) = measure_class(bytes, Port(884));
+            let (svc, fill, notify) = measure_class(bytes);
             (bytes, share, svc, fill, notify)
         })
         .collect();
@@ -158,7 +156,10 @@ pub fn open_loop() -> OpenLoopReport {
         }
     }
 
-    OpenLoopReport { rows, ledger: ledger_run(), anchor: one_byte_latency(Port(885)) }
+    // Fig. 4's 1-byte anchor through the (now submit/reap-backed) blocking
+    // path.
+    let anchor = guest_send_once(&VphiHost::new(1), VmConfig::default(), &[0x5A]).total();
+    OpenLoopReport { rows, ledger: ledger_run(), anchor }
 }
 
 /// Generate seeded open-loop arrivals for one (batch, rate) point and
@@ -257,23 +258,12 @@ fn replay_grid_point(
 
 /// Measure one request class on the real stack and split its timeline
 /// into (shard service, guest fill, per-request notify cost).
-fn measure_class(bytes: u64, port: Port) -> (SimDuration, SimDuration, SimDuration) {
-    let host = VphiHost::new(1);
-    let sink = spawn_device_sink(&host, port);
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("open");
-    guest.connect(ScifAddr::new(host.device_node(0), port), &mut tl).expect("connect");
-    let data = vec![0x5Au8; bytes as usize];
-    let mut send_tl = Timeline::new();
-    guest.send(&data, &mut send_tl).expect("send");
+fn measure_class(bytes: u64) -> (SimDuration, SimDuration, SimDuration) {
+    let send_tl =
+        guest_send_once(&VphiHost::new(1), VmConfig::default(), &vec![0x5Au8; bytes as usize]);
     let fill: SimDuration = GUEST_FILL.iter().map(|&l| send_tl.total_for(l)).sum();
     let notify: SimDuration = GUEST_NOTIFY.iter().map(|&l| send_tl.total_for(l)).sum();
     let svc = send_tl.total().saturating_sub(fill).saturating_sub(notify);
-    let mut tl_close = Timeline::new();
-    let _ = guest.close(&mut tl_close);
-    vm.shutdown();
-    let _ = sink.join();
     (svc, fill, notify)
 }
 
@@ -281,11 +271,10 @@ fn measure_class(bytes: u64, port: Port) -> (SimDuration, SimDuration, SimDurati
 /// through the SQ/CQ API, returning the doorbell ledger both sides kept.
 fn ledger_run() -> DoorbellLedger {
     let host = VphiHost::new(1);
-    let sink = spawn_device_sink(&host, Port(886));
-    let vm = host.spawn_vm(VmConfig::default());
+    let sink = sink(&host, 0);
+    let rig = GuestRig::connect(&host, VmConfig::default(), sink.addr());
+    let (guest, vm) = (&rig.guest, &rig.vm);
     let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("open");
-    guest.connect(ScifAddr::new(host.device_node(0), Port(886)), &mut tl).expect("connect");
     let payload = vec![0x5Au8; KIB as usize];
     let mut cq = vphi::Cq::new();
     for _ in 0..4 {
@@ -312,30 +301,7 @@ fn ledger_run() -> DoorbellLedger {
         burst_chains,
     };
     assert_eq!(vm.frontend().pending_tokens(), 0, "leaked pending tokens");
-    let mut tl_close = Timeline::new();
-    let _ = guest.close(&mut tl_close);
-    vm.shutdown();
-    let _ = sink.join();
     ledger
-}
-
-/// Fig. 4's 1-byte anchor through the (now submit/reap-backed) blocking
-/// path.
-fn one_byte_latency(port: Port) -> SimDuration {
-    let host = VphiHost::new(1);
-    let sink = spawn_device_sink(&host, port);
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("open");
-    guest.connect(ScifAddr::new(host.device_node(0), port), &mut tl).expect("connect");
-    let mut send_tl = Timeline::new();
-    guest.send(&[0x5A], &mut send_tl).expect("send");
-    let latency = send_tl.total();
-    let mut tl_close = Timeline::new();
-    let _ = guest.close(&mut tl_close);
-    vm.shutdown();
-    let _ = sink.join();
-    latency
 }
 
 #[cfg(test)]

@@ -12,13 +12,11 @@
 //!    deterministic oversubscription model.
 
 use vphi::builder::{VmConfig, VphiHost};
+use vphi_dev_support::guest_vread_once;
 use vphi_phi::ComputeJob;
-use vphi_scif::{Port, RmaFlags, ScifAddr};
 use vphi_sim_core::stats::jain_fairness;
 use vphi_sim_core::units::MIB;
 use vphi_sim_core::{SimDuration, SimTime, SpanLabel, Timeline};
-
-use crate::support::spawn_device_window;
 
 /// One row of the sharing table.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,22 +48,10 @@ fn share_point(n: usize, bytes_each: u64) -> ShareRow {
     let host = VphiHost::new(1);
 
     // --- measure the real per-VM path once (overhead excluding link time) ---
-    let server = spawn_device_window(&host, Port(860), bytes_each);
-    let vm = host.spawn_vm(VmConfig::builder().mem_size(bytes_each + 64 * MIB).build());
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("open");
-    guest.connect(ScifAddr::new(host.device_node(0), Port(860)), &mut tl).expect("connect");
-    server.wait_registered();
-    let gbuf = vm.alloc_buf(bytes_each).expect("buf");
-    let mut read_tl = Timeline::new();
-    guest.vreadfrom(&gbuf, 0, RmaFlags::SYNC, &mut read_tl).expect("vread");
+    let config = VmConfig::builder().mem_size(bytes_each + 64 * MIB).build();
+    let read_tl = guest_vread_once(&host, config, bytes_each);
     let link_time = read_tl.total_for(SpanLabel::LinkTransfer);
     let overhead = read_tl.total().saturating_sub(link_time);
-    drop(gbuf);
-    let mut tl_close = Timeline::new();
-    let _ = guest.close(&mut tl_close);
-    vm.shutdown();
-    let _ = server.join();
 
     // --- N simultaneous issues on the real link resource ---
     let link = host.board(0).link();

@@ -19,14 +19,14 @@
 
 use std::time::Instant;
 
-use vphi::builder::{VmConfig, VphiHost, VphiVm};
-use vphi_scif::{Port, RmaFlags, ScifAddr};
+use vphi::builder::{VmConfig, VphiHost};
+use vphi_dev_support::{sink, window_timed, GuestRig};
+use vphi_scif::RmaFlags;
 use vphi_sim_core::units::MIB;
 use vphi_sim_core::{SimDuration, Timeline};
 use vphi_trace::{HistRow, OpCtx, Stage, TraceConfig, TraceCtx, TraceHook, STAGE_COUNT};
 
 use crate::fig5::fig5_sizes;
-use crate::support::{spawn_device_sink_on, spawn_device_window};
 
 /// Calls per disarmed-probe microbenchmark loop.
 const PROBE_LOOPS: u64 = 2_000_000;
@@ -119,74 +119,44 @@ fn ns_per_disarmed_probe() -> f64 {
     start.elapsed().as_nanos() as f64 / PROBE_LOOPS as f64
 }
 
-/// One connected 1-byte sender with tracing disarmed; returns the mean
-/// wall ns per send (the denominator of the overhead budget).
-fn one_byte_wall_ns(host: &VphiHost, port: Port) -> (f64, VphiVm) {
-    let sink = spawn_device_sink_on(host, 0, port);
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("open");
-    guest.connect(ScifAddr::new(host.device_node(0), port), &mut tl).expect("connect");
-
-    let mut first_tl = Timeline::new();
-    guest.send(&[0x5A], &mut first_tl).expect("send");
-    let start = Instant::now();
-    for _ in 0..SEND_SAMPLES {
-        let mut tl = Timeline::new();
-        guest.send(&[0x5A], &mut tl).expect("send");
-    }
-    let wall_ns = start.elapsed().as_nanos() as f64 / f64::from(SEND_SAMPLES);
-
-    let mut tlc = Timeline::new();
-    let _ = guest.close(&mut tlc);
-    let _ = sink.join();
-    (wall_ns, vm)
-}
-
 /// Run the experiment.
 pub fn trace_breakdown() -> TraceBreakdownReport {
     // --- Disarmed probe microbenchmark (the production fast path). ---
     let disarmed_probe_ns = ns_per_disarmed_probe();
 
     // --- Baseline: 1-byte send wall time with tracing disarmed. ---
-    let host_plain = VphiHost::new(1);
-    let (send_wall_ns, vm_plain) = one_byte_wall_ns(&host_plain, Port(870));
-    vm_plain.shutdown();
+    let send_wall_ns = {
+        let host = VphiHost::new(1);
+        let sink = sink(&host, 0);
+        let rig = GuestRig::connect(&host, VmConfig::default(), sink.addr());
+        rig.send(&[0x5A]);
+        rig.send_wall_ns(&[0x5A], SEND_SAMPLES)
+    };
 
     // --- Armed anchor run: same send, tracer on, count the probes. ---
     let host = VphiHost::new(1);
     let tracer = host.arm_tracing(TraceConfig::default());
-    let sink = spawn_device_sink_on(&host, 0, Port(871));
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("open");
-    guest.connect(ScifAddr::new(host.device_node(0), Port(871)), &mut tl).expect("connect");
-    let mut anchor_tl = Timeline::new();
-    guest.send(&[0x5A], &mut anchor_tl).expect("send");
+    let sink = sink(&host, 0);
+    let rig = GuestRig::connect(&host, VmConfig::default(), sink.addr());
+    rig.send(&[0x5A]);
 
     let before = tracer.counters();
     for _ in 0..SEND_SAMPLES {
-        let mut tl = Timeline::new();
-        guest.send(&[0x5A], &mut tl).expect("send");
+        rig.send(&[0x5A]);
     }
     let after = tracer.counters();
     let spans_per_send = (after.spans_recorded - before.spans_recorded) / u64::from(SEND_SAMPLES);
     let roots_per_send = (after.traces_started - before.traces_started) / u64::from(SEND_SAMPLES);
 
-    let vm_id = vm.vm().id();
     let anchor = tracer
-        .summaries(vm_id)
+        .summaries(rig.vm.vm().id())
         .into_iter()
         .rev()
         .find(|s| s.op == "send")
         .expect("traced send summary");
     let anchor_total = anchor.total;
     let anchor_stages = anchor.stages;
-
-    let mut tlc = Timeline::new();
-    let _ = guest.close(&mut tlc);
-    vm.shutdown();
-    let _ = sink.join();
+    drop(rig);
 
     // Every recorded span is one begin/end probe site crossed; every root
     // is one hook load.  Cost them all at the (conservative) disarmed
@@ -200,18 +170,10 @@ pub fn trace_breakdown() -> TraceBreakdownReport {
     let tracer2 = host2.arm_tracing(TraceConfig::default());
     let max = *fig5_sizes().last().expect("nonempty sizes");
 
-    let server = spawn_device_window(&host2, Port(872), max);
-    let native = host2.native_endpoint().expect("native endpoint");
-    let mut tl = Timeline::new();
-    native.connect(ScifAddr::new(host2.device_node(0), Port(872)), &mut tl).expect("connect");
-    server.wait_registered();
-
-    let server2 = spawn_device_window(&host2, Port(873), max);
-    let vm2 = host2.spawn_vm(VmConfig::builder().mem_size(max + 64 * MIB).build());
-    let guest2 = vm2.open_scif(&mut tl).expect("guest open");
-    guest2.connect(ScifAddr::new(host2.device_node(0), Port(873)), &mut tl).expect("guest connect");
-    server2.wait_registered();
-    let vm2_id = vm2.vm().id();
+    let server = window_timed(&host2, 0, max);
+    let native = server.native(&host2);
+    let rig2 = server.guest(&host2, VmConfig::builder().mem_size(max + 64 * MIB).build());
+    let vm2_id = rig2.vm.vm().id();
 
     let mut rows = Vec::new();
     let mut native_buf = vec![0u8; max as usize];
@@ -221,10 +183,7 @@ pub fn trace_breakdown() -> TraceBreakdownReport {
             .vreadfrom(&mut native_buf[..bytes as usize], 0, RmaFlags::SYNC, &mut host_tl)
             .expect("native vread");
 
-        let gbuf = vm2.alloc_buf(bytes).expect("guest buf");
-        let mut vphi_tl = Timeline::new();
-        guest2.vreadfrom(&gbuf, 0, RmaFlags::SYNC, &mut vphi_tl).expect("vphi vread");
-        drop(gbuf);
+        let vphi_tl = rig2.vread(&rig2.vm.alloc_buf(bytes).expect("guest buf"));
 
         let summary = tracer2.last_summary(vm2_id).expect("traced vread summary");
         assert_eq!(summary.op, "vreadfrom", "unexpected last trace: {}", summary.op);
@@ -237,13 +196,6 @@ pub fn trace_breakdown() -> TraceBreakdownReport {
         });
     }
     let hist = tracer2.hist_rows();
-
-    native.close();
-    let mut tl_close = Timeline::new();
-    let _ = guest2.close(&mut tl_close);
-    vm2.shutdown();
-    let _ = server.join();
-    let _ = server2.join();
 
     TraceBreakdownReport {
         anchor_total,

@@ -23,13 +23,13 @@
 use vphi::backend::{RegCacheConfig, RmaCharge};
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
-use vphi_scif::{Port, RmaFlags, ScifAddr};
+use vphi_dev_support::{guest_send_once, window_timed};
+use vphi_scif::RmaFlags;
 use vphi_sim_core::units::MIB;
 use vphi_sim_core::{SimDuration, Timeline};
 use vphi_trace::{TraceConfig, STAGE_COUNT};
 
 use crate::abl_cache::abl_cache_sizes;
-use crate::support::{spawn_device_sink_on, spawn_device_window};
 
 /// One x-axis point (bandwidths in bytes/s of virtual time).
 #[derive(Debug, Clone, PartialEq)]
@@ -82,22 +82,6 @@ pub struct ZeroCopyReport {
     pub inflight_after_close: u64,
 }
 
-/// 1-byte blocking send against a sink: the Fig. 4 anchor for `config`.
-fn one_byte_anchor(host: &VphiHost, port: Port, config: VmConfig) -> SimDuration {
-    let sink = spawn_device_sink_on(host, 0, port);
-    let vm = host.spawn_vm(config);
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).expect("anchor open");
-    guest.connect(ScifAddr::new(host.device_node(0), port), &mut tl).expect("anchor connect");
-    let mut send_tl = Timeline::new();
-    guest.send(&[0x5A], &mut send_tl).expect("anchor send");
-    let mut tlc = Timeline::new();
-    let _ = guest.close(&mut tlc);
-    vm.shutdown();
-    let _ = sink.join();
-    send_tl.total()
-}
-
 /// Run the experiment.
 pub fn zero_copy() -> ZeroCopyReport {
     let host = VphiHost::new(1);
@@ -105,50 +89,30 @@ pub fn zero_copy() -> ZeroCopyReport {
     let max = *abl_cache_sizes().last().expect("nonempty sizes");
 
     // --- The Fig. 4 anchor, feature off and on (must be identical). ---
-    let anchor_off = one_byte_anchor(&host, Port(880), VmConfig::default());
+    let anchor_off = guest_send_once(&host, VmConfig::default(), &[0x5A]).total();
     let anchor_zc =
-        one_byte_anchor(&host, Port(881), VmConfig::builder().rma(RmaCharge::Mapped).build());
+        guest_send_once(&host, VmConfig::builder().rma(RmaCharge::Mapped).build(), &[0x5A]).total();
 
-    // --- Native client against a device window. ---
-    let server = spawn_device_window(&host, Port(882), max);
-    let native = host.native_endpoint().expect("native endpoint");
-    let mut tl = Timeline::new();
-    native.connect(ScifAddr::new(host.device_node(0), Port(882)), &mut tl).expect("connect");
-    server.wait_registered();
-
+    // --- Each client reads a device window of its own. ---
+    let server = window_timed(&host, 0, max);
+    let native = server.native(&host);
     // --- vPHI, zero-copy off, cache disabled: the seed charging. ---
-    let server_off = spawn_device_window(&host, Port(883), max);
-    let vm_off = host.spawn_vm(
+    let off = server.guest(
+        &host,
         VmConfig::builder().mem_size(max + 64 * MIB).reg_cache(RegCacheConfig::disabled()).build(),
     );
-    let guest_off = vm_off.open_scif(&mut tl).expect("off open");
-    guest_off.connect(ScifAddr::new(host.device_node(0), Port(883)), &mut tl).expect("off connect");
-    server_off.wait_registered();
-
     // --- vPHI, zero-copy on, cache disabled: every read pins cold. ---
-    let server_cold = spawn_device_window(&host, Port(884), max);
-    let vm_cold = host.spawn_vm(
+    let cold = server.guest(
+        &host,
         VmConfig::builder()
             .mem_size(max + 64 * MIB)
             .reg_cache(RegCacheConfig::disabled())
             .rma(RmaCharge::Mapped)
             .build(),
     );
-    let guest_cold = vm_cold.open_scif(&mut tl).expect("cold open");
-    guest_cold
-        .connect(ScifAddr::new(host.device_node(0), Port(884)), &mut tl)
-        .expect("cold connect");
-    server_cold.wait_registered();
-
     // --- vPHI, zero-copy on, default cache: measured read is warm. ---
-    let server_warm = spawn_device_window(&host, Port(885), max);
-    let vm_warm =
-        host.spawn_vm(VmConfig::builder().mem_size(max + 64 * MIB).rma(RmaCharge::Mapped).build());
-    let guest_warm = vm_warm.open_scif(&mut tl).expect("warm open");
-    guest_warm
-        .connect(ScifAddr::new(host.device_node(0), Port(885)), &mut tl)
-        .expect("warm connect");
-    server_warm.wait_registered();
+    let warm = server
+        .guest(&host, VmConfig::builder().mem_size(max + 64 * MIB).rma(RmaCharge::Mapped).build());
 
     let mut rows = Vec::new();
     let mut peak_stages_off = [SimDuration::ZERO; STAGE_COUNT];
@@ -160,29 +124,19 @@ pub fn zero_copy() -> ZeroCopyReport {
             .vreadfrom(&mut native_buf[..bytes as usize], 0, RmaFlags::SYNC, &mut native_tl)
             .expect("native vread");
 
-        let gbuf_off = vm_off.alloc_buf(bytes).expect("off buf");
-        let mut off_tl = Timeline::new();
-        guest_off.vreadfrom(&gbuf_off, 0, RmaFlags::SYNC, &mut off_tl).expect("off vread");
+        let off_tl = off.vread(&off.vm.alloc_buf(bytes).expect("off buf"));
         if bytes == max {
-            peak_stages_off = tracer.last_summary(vm_off.vm().id()).expect("off trace").stages;
+            peak_stages_off = tracer.last_summary(off.vm.vm().id()).expect("off trace").stages;
         }
-        drop(gbuf_off);
 
-        let gbuf_cold = vm_cold.alloc_buf(bytes).expect("cold buf");
-        let mut cold_tl = Timeline::new();
-        guest_cold.vreadfrom(&gbuf_cold, 0, RmaFlags::SYNC, &mut cold_tl).expect("cold vread");
+        let cold_tl = cold.vread(&cold.vm.alloc_buf(bytes).expect("cold buf"));
         if bytes == max {
-            peak_stages_zc = tracer.last_summary(vm_cold.vm().id()).expect("cold trace").stages;
+            peak_stages_zc = tracer.last_summary(cold.vm.vm().id()).expect("cold trace").stages;
         }
-        drop(gbuf_cold);
 
-        let gbuf_warm = vm_warm.alloc_buf(bytes).expect("warm buf");
-        let mut warm_up_tl = Timeline::new();
-        guest_warm
-            .vreadfrom(&gbuf_warm, 0, RmaFlags::SYNC, &mut warm_up_tl)
-            .expect("warming vread");
-        let mut warm_tl = Timeline::new();
-        guest_warm.vreadfrom(&gbuf_warm, 0, RmaFlags::SYNC, &mut warm_tl).expect("warm vread");
+        let gbuf_warm = warm.vm.alloc_buf(bytes).expect("warm buf");
+        warm.vread(&gbuf_warm);
+        let warm_tl = warm.vread(&gbuf_warm);
         drop(gbuf_warm);
 
         rows.push(ZeroCopyRow {
@@ -194,28 +148,19 @@ pub fn zero_copy() -> ZeroCopyReport {
         });
     }
 
-    let cold_report = VphiDebugReport::collect(&vm_cold);
-    let warm_report = VphiDebugReport::collect(&vm_warm);
-    let off_report = VphiDebugReport::collect(&vm_off);
+    let cold_report = VphiDebugReport::collect(&cold.vm);
+    let warm_report = VphiDebugReport::collect(&warm.vm);
+    let off_report = VphiDebugReport::collect(&off.vm);
 
-    native.close();
-    let mut tl_close = Timeline::new();
-    let _ = guest_off.close(&mut tl_close);
-    let _ = guest_cold.close(&mut tl_close);
-    let _ = guest_warm.close(&mut tl_close);
-    let mapped_after_close = vm_off.backend().inner().aperture().mapped_windows() as u64
-        + vm_cold.backend().inner().aperture().mapped_windows() as u64
-        + vm_warm.backend().inner().aperture().mapped_windows() as u64;
-    let inflight_after_close = vm_off.backend().inner().aperture().inflight_total()
-        + vm_cold.backend().inner().aperture().inflight_total()
-        + vm_warm.backend().inner().aperture().inflight_total();
-    vm_off.shutdown();
-    vm_cold.shutdown();
-    vm_warm.shutdown();
-    let _ = server.join();
-    let _ = server_off.join();
-    let _ = server_cold.join();
-    let _ = server_warm.join();
+    // Leak audit: close the endpoints, then look at what each VM's
+    // aperture still holds (the rigs shut the VMs down on drop).
+    let rigs = [&off, &cold, &warm];
+    for rig in rigs {
+        let _ = rig.guest.close(&mut Timeline::new());
+    }
+    let apertures = rigs.map(|rig| rig.vm.backend().inner().aperture());
+    let mapped_after_close = apertures.iter().map(|a| a.mapped_windows() as u64).sum();
+    let inflight_after_close = apertures.iter().map(|a| a.inflight_total()).sum();
 
     ZeroCopyReport {
         rows,

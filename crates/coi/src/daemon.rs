@@ -11,9 +11,9 @@ use std::sync::Arc;
 
 use vphi::builder::VphiHost;
 use vphi_phi::{ComputeJob, PhiBoard};
-use vphi_scif::{Port, ScifEndpoint, ScifError, ScifResult};
+use vphi_scif::{CardService, Port, ScifEndpoint, ScifError, ScifResult};
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline};
-use vphi_sync::{Counter, Flag, LockClass, TrackedMutex};
+use vphi_sync::Counter;
 
 use crate::protocol::{CoiMsg, ComputeManifest, COI_VERSION};
 use crate::wire::{read_frame, write_frame};
@@ -23,10 +23,7 @@ pub const COI_PORT_BASE: u16 = 400;
 
 /// A running daemon (device-side service).
 pub struct CoiDaemon {
-    listener: Arc<ScifEndpoint>,
-    accept_thread: TrackedMutex<Option<std::thread::JoinHandle<()>>>,
-    sessions: Arc<TrackedMutex<Vec<std::thread::JoinHandle<()>>>>,
-    running: Arc<Flag>,
+    service: CardService,
     launches: Arc<Counter>,
 }
 
@@ -46,48 +43,17 @@ impl CoiDaemon {
     pub fn spawn(host: &VphiHost, mic: usize) -> ScifResult<CoiDaemon> {
         let board = Arc::clone(host.board(mic));
         let cost = Arc::clone(host.cost());
-        let listener = Arc::new(host.device_endpoint(mic)?);
-        let mut tl = Timeline::new();
-        listener.bind(Self::port(mic), &mut tl)?;
-        listener.listen(16, &mut tl)?;
-
-        let running = Arc::new(Flag::new(true));
         let launches = Arc::new(Counter::new(0));
-        let sessions: Arc<TrackedMutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(TrackedMutex::new(LockClass::ServerSessions, Vec::new()));
-
-        let l2 = Arc::clone(&listener);
-        let (s2, la2) = (Arc::clone(&sessions), Arc::clone(&launches));
-        let accept_running = Arc::clone(&running);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("coi-daemon-mic{mic}"))
-            .spawn(move || {
-                let running = accept_running;
-                while running.get() {
-                    let mut tl = Timeline::new();
-                    match l2.accept(&mut tl) {
-                        Ok(conn) => {
-                            let board = Arc::clone(&board);
-                            let cost = Arc::clone(&cost);
-                            let launches = Arc::clone(&la2);
-                            let h = std::thread::spawn(move || {
-                                session(conn, board, cost, launches);
-                            });
-                            s2.lock().push(h);
-                        }
-                        Err(_) => break, // listener closed or wall timeout
-                    }
-                }
-            })
-            .expect("spawn coi daemon");
-
-        Ok(CoiDaemon {
-            listener,
-            accept_thread: TrackedMutex::new(LockClass::ServerAccept, Some(accept_thread)),
-            sessions,
-            running,
-            launches,
-        })
+        let service = CardService::spawn(
+            host.device_endpoint(mic)?,
+            Self::port(mic),
+            format!("coi-daemon-mic{mic}"),
+            {
+                let launches = Arc::clone(&launches);
+                move |conn| session(conn, &board, &cost, &launches)
+            },
+        )?;
+        Ok(CoiDaemon { service, launches })
     }
 
     /// Processes launched since boot.
@@ -97,22 +63,7 @@ impl CoiDaemon {
 
     /// Stop accepting and join all session threads.
     pub fn shutdown(&self) {
-        if !self.running.swap(false) {
-            return;
-        }
-        self.listener.close();
-        if let Some(h) = self.accept_thread.lock().take() {
-            let _ = h.join();
-        }
-        for h in self.sessions.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for CoiDaemon {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.service.shutdown();
     }
 }
 
@@ -129,7 +80,7 @@ fn run_manifest(
 
 /// One client session: strict request/response until EOF.
 #[allow(clippy::while_let_loop)] // read-decode-dispatch shape stays explicit
-fn session(conn: ScifEndpoint, board: Arc<PhiBoard>, cost: Arc<CostModel>, launches: Arc<Counter>) {
+fn session(conn: ScifEndpoint, board: &PhiBoard, cost: &CostModel, launches: &Counter) {
     let mut tl = Timeline::new();
     let mut buffers: HashMap<u64, u64> = HashMap::new(); // id -> device offset
     let mut next_buffer = 1u64;
@@ -174,7 +125,7 @@ fn session(conn: ScifEndpoint, board: Arc<PhiBoard>, cost: Arc<CostModel>, launc
                     if manifest.flops > 0.0 || manifest.bytes > 0 {
                         // A self-contained binary (native mode): run it on
                         // the uOS and proxy stdout + exit back.
-                        let dur = run_manifest(&board, &name, &manifest, &mut tl);
+                        let dur = run_manifest(board, &name, &manifest, &mut tl);
                         let stdout = format!(
                             "{name}: {:.3} GFLOP on {} threads in {dur}\n",
                             manifest.flops / 1e9,
@@ -213,7 +164,7 @@ fn session(conn: ScifEndpoint, board: Arc<PhiBoard>, cost: Arc<CostModel>, launc
                 CoiMsg::RunFunction { name, buffer_ids, manifest }
                     if buffer_ids.iter().all(|id| buffers.contains_key(id)) =>
                 {
-                    let dur = run_manifest(&board, &name, &manifest, &mut tl);
+                    let dur = run_manifest(board, &name, &manifest, &mut tl);
                     reply(
                         &conn,
                         &CoiMsg::FunctionDone { ret: 0, device_time_ns: dur.as_nanos() },

@@ -2,31 +2,9 @@
 //! EOF semantics, and endpoint lifecycle through the full stack.
 
 use vphi::builder::{VmConfig, VphiHost};
-use vphi_scif::{Port, ScifAddr, ScifError};
+use vphi_dev_support::{serve, sink, GuestRig};
+use vphi_scif::{Port, ScifError};
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
-
-fn sink(host: &VphiHost, port: Port) -> std::thread::JoinHandle<u64> {
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let h = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(port, &mut tl).unwrap();
-        server.listen(4, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        let mut total = 0u64;
-        let mut buf = vec![0u8; 1 << 16];
-        loop {
-            match conn.core().recv(&mut buf[..1], &mut tl) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => total += n as u64,
-            }
-        }
-        total
-    });
-    rx.recv().unwrap();
-    h
-}
 
 #[test]
 fn guest_buf_bounds_are_enforced() {
@@ -48,11 +26,9 @@ fn guest_buf_bounds_are_enforced() {
 #[test]
 fn timed_lane_costs_what_the_real_lane_costs() {
     let host = VphiHost::new(1);
-    let s1 = sink(&host, Port(940));
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(940)), &mut tl).unwrap();
+    let sink = sink(&host, 0);
+    let rig = GuestRig::connect(&host, VmConfig::default(), sink.addr());
+    let ep = &rig.guest;
 
     let len = 8u64 << 20; // two staging chunks
     let mut timed_tl = Timeline::new();
@@ -69,39 +45,21 @@ fn timed_lane_costs_what_the_real_lane_costs() {
         timed_tl.total_for(SpanLabel::GuestWakeup),
         real_tl.total_for(SpanLabel::GuestWakeup)
     );
-
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
-    let _ = s1.join();
 }
 
 #[test]
 fn recv_returns_short_count_on_peer_close() {
     let host = VphiHost::new(1);
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let dev = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(Port(941), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        conn.core().send(b"abc", &mut tl).unwrap();
+    let dev = serve(&host, 0, |conn| {
+        conn.send(b"abc", &mut Timeline::new()).unwrap();
         conn.close(); // only 3 of the requested 8 bytes will ever exist
     });
-    rx.recv().unwrap();
-
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(941)), &mut tl).unwrap();
-    dev.join().unwrap();
+    let rig = GuestRig::connect(&host, VmConfig::default(), dev.addr());
+    dev.shutdown();
     let mut out = [0u8; 8];
-    let n = ep.recv(&mut out, &mut tl).unwrap();
+    let n = rig.guest.recv(&mut out, &mut Timeline::new()).unwrap();
     assert_eq!(n, 3);
     assert_eq!(&out[..3], b"abc");
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
 }
 
 #[test]
@@ -143,15 +101,11 @@ fn calls_after_vm_shutdown_fail_fast() {
 #[test]
 fn paravirtual_spans_appear_exactly_once_per_request() {
     let host = VphiHost::new(1);
-    let s = sink(&host, Port(943));
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(943)), &mut tl).unwrap();
+    let sink = sink(&host, 0);
+    let rig = GuestRig::connect(&host, VmConfig::default(), sink.addr());
 
     let cost = host.cost();
-    let mut send_tl = Timeline::new();
-    ep.send(&[9], &mut send_tl).unwrap();
+    let send_tl = rig.send(&[9]);
     for (label, expect) in [
         (SpanLabel::GuestSyscall, cost.guest_syscall),
         (SpanLabel::RingPush, cost.ring_push),
@@ -165,10 +119,6 @@ fn paravirtual_spans_appear_exactly_once_per_request() {
         assert_eq!(send_tl.total_for(label), expect, "span {label:?} charged wrong amount");
     }
     // And the waiting-scheme counters agree with one interrupt wait.
-    assert_eq!(vm.frontend().stats().interrupt_waits, 3); // open+connect+send
+    assert_eq!(rig.vm.frontend().stats().interrupt_waits, 3); // open+connect+send
     assert_eq!(send_tl.total(), SimDuration::from_micros(382));
-
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
-    let _ = s.join();
 }

@@ -8,42 +8,15 @@ use std::sync::{Arc, Barrier};
 
 use vphi::builder::{VmConfig, VphiHost, VphiVm};
 use vphi::{Cq, Sq, SqEntry};
-use vphi_scif::{Port, ScifAddr};
+use vphi_dev_support::sink;
+use vphi_scif::ScifAddr;
 use vphi_sim_core::{SpanLabel, Timeline};
 
-const PORT: Port = Port(995);
 const BLOCKING_THREADS: usize = 6;
 const SENDS: usize = 200;
 const BATCH_THREADS: usize = 2;
 const BATCH: usize = 16;
 const BATCH_ROUNDS: usize = 50;
-
-/// Device-side sink: accepts `conns` connections and reads each until its
-/// peer closes.  Returns the bytes received per connection.
-fn sink(host: &VphiHost, conns: usize) -> std::thread::JoinHandle<Vec<usize>> {
-    let server = host.device_endpoint(0).unwrap();
-    let mut tl = Timeline::new();
-    server.bind(PORT, &mut tl).unwrap();
-    server.listen(conns, &mut tl).unwrap();
-    std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        let handlers: Vec<_> = (0..conns)
-            .map(|_| {
-                let conn = server.accept(&mut tl).unwrap();
-                std::thread::spawn(move || {
-                    let mut tl = Timeline::new();
-                    let (mut byte, mut received) = ([0u8; 1], 0);
-                    while conn.recv(&mut byte, &mut tl) == Ok(1) {
-                        received += 1;
-                    }
-                    conn.close();
-                    received
-                })
-            })
-            .collect();
-        handlers.into_iter().map(|h| h.join().expect("conn handler")).collect()
-    })
-}
 
 /// Run `threads` guest threads, each on its own connected endpoint and
 /// all released together, so the one lane is contended from the first
@@ -77,9 +50,9 @@ fn guests(
 #[test]
 fn every_publish_pays_exactly_its_own_vm_exit() {
     let host = VphiHost::new(1);
-    let sink = sink(&host, BLOCKING_THREADS + BATCH_THREADS);
+    let sink = sink(&host, 0);
     let vm = Arc::new(host.spawn_vm(VmConfig::builder().num_queues(1).build()));
-    let addr = ScifAddr::new(host.device_node(0), PORT);
+    let addr = sink.addr();
     let kick = host.cost().vmexit_kick;
 
     // Blocking calls from six threads at once: each services its own kick
@@ -133,10 +106,11 @@ fn every_publish_pays_exactly_its_own_vm_exit() {
     assert_eq!(vm.frontend().channel().inflight_count(), 0);
     assert_eq!(vm.backend().open_endpoints(), 0);
     vm.shutdown();
-    let mut received = sink.join().expect("sink");
+    // What each connection delivered.
+    let mut received = sink.shutdown();
     received.sort_unstable();
-    let mut expected = vec![SENDS; BLOCKING_THREADS];
-    expected.extend(vec![BATCH * BATCH_ROUNDS; BATCH_THREADS]);
+    let mut expected = vec![SENDS as u64; BLOCKING_THREADS];
+    expected.extend(vec![(BATCH * BATCH_ROUNDS) as u64; BATCH_THREADS]);
     expected.sort_unstable();
     assert_eq!(received, expected);
     assert_eq!(vphi_sync::audit::violation_count(), 0, "lock-order violations detected");

@@ -21,46 +21,14 @@ use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
 use vphi::frontend::WaitScheme;
 use vphi::{Cq, Sq, SqEntry};
+use vphi_dev_support::{drain, serve, sink, GuestRig};
 use vphi_faults::{FaultPlan, FaultPoint, FaultSite};
-use vphi_scif::{Port, ScifAddr};
 use vphi_sim_core::rng::SplitMix64;
 use vphi_sim_core::units::{KIB, MIB};
 use vphi_sim_core::{SimDuration, Timeline};
 
 const THREADS: usize = 3;
 const MSGS: usize = 5;
-
-/// Device sink that accepts `conns` connections and drains each until the
-/// peer hangs up, one worker per connection.
-fn spawn_sink(host: &VphiHost, port: Port, conns: usize) -> std::thread::JoinHandle<()> {
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let h = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(port, &mut tl).unwrap();
-        server.listen(16, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let mut workers = Vec::new();
-        for _ in 0..conns {
-            let conn = server.accept(&mut tl).unwrap();
-            workers.push(std::thread::spawn(move || {
-                let mut tl = Timeline::new();
-                let mut buf = vec![0u8; 1 << 16];
-                loop {
-                    match conn.core().recv(&mut buf, &mut tl) {
-                        Ok(0) | Err(_) => break,
-                        Ok(_) => {}
-                    }
-                }
-            }));
-        }
-        for w in workers {
-            let _ = w.join();
-        }
-    });
-    rx.recv().unwrap();
-    h
-}
 
 /// Every backend completion is accounted for exactly once: injected,
 /// suppressed, or lost.  And per-token wakes mean no requester ever woke
@@ -75,22 +43,21 @@ fn assert_ledger_balances(report: &VphiDebugReport) {
 
 /// One full VM session: `THREADS` concurrent requesters, each sending
 /// `MSGS` payloads of seed-chosen sizes spanning the spin/sleep split.
-fn run_session(scheme: WaitScheme, num_queues: u16, port: u16, seed: u64) -> VphiDebugReport {
+fn run_session(scheme: WaitScheme, num_queues: u16, seed: u64) -> VphiDebugReport {
     let host = VphiHost::new(1);
-    let sink = spawn_sink(&host, Port(port), THREADS);
+    let sink = sink(&host, 0);
     let vm =
         Arc::new(host.spawn_vm(VmConfig::builder().scheme(scheme).num_queues(num_queues).build()));
 
     let guests: Vec<_> = (0..THREADS)
         .map(|t| {
-            let vm = Arc::clone(&vm);
-            let node = host.device_node(0);
+            let (vm, addr) = (Arc::clone(&vm), sink.addr());
             std::thread::spawn(move || {
                 let sizes = [1u64, 512, 4 * KIB, 64 * KIB, MIB];
                 let mut rng = SplitMix64::new(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
                 let mut tl = Timeline::new();
                 let ep = vm.open_scif(&mut tl).expect("open");
-                ep.connect(ScifAddr::new(node, Port(port)), &mut tl).expect("connect");
+                ep.connect(addr, &mut tl).expect("connect");
                 for _ in 0..MSGS {
                     let len = sizes[(rng.next_u64() % sizes.len() as u64) as usize] as usize;
                     let data = vec![0u8; len];
@@ -109,7 +76,6 @@ fn run_session(scheme: WaitScheme, num_queues: u16, port: u16, seed: u64) -> Vph
     let report = VphiDebugReport::collect(&vm);
     assert_eq!(vm.frontend().channel().inflight_count(), 0, "request leaked in flight");
     vm.shutdown();
-    let _ = sink.join();
     report
 }
 
@@ -128,8 +94,8 @@ proptest! {
             WaitScheme::Polling,
         ];
         let scheme = schemes[(seed % schemes.len() as u64) as usize];
-        for (i, &queues) in [1u16, 2, 4].iter().enumerate() {
-            let report = run_session(scheme, queues, 860 + i as u16, seed);
+        for queues in [1u16, 2, 4] {
+            let report = run_session(scheme, queues, seed);
             assert_ledger_balances(&report);
             prop_assert_eq!(report.msi_lost, 0);
             prop_assert_eq!(
@@ -168,11 +134,10 @@ proptest! {
         };
         let host = VphiHost::new(1);
         let injector = host.arm_faults(plan);
-        let sink = spawn_sink(&host, Port(875), 1);
-        let vm = host.spawn_vm(VmConfig::builder().scheme(WaitScheme::ADAPTIVE).build());
-        let mut tl = Timeline::new();
-        let ep = vm.open_scif(&mut tl).expect("open");
-        ep.connect(ScifAddr::new(host.device_node(0), Port(875)), &mut tl).expect("connect");
+        let sink = sink(&host, 0);
+        let config = VmConfig::builder().scheme(WaitScheme::ADAPTIVE).build();
+        let rig = GuestRig::connect(&host, config, sink.addr());
+        let (ep, vm) = (&rig.guest, &rig.vm);
         for i in 0..6u64 {
             // Alternate spin-path and sleep-path requests so both cross
             // the armed sites.
@@ -181,17 +146,15 @@ proptest! {
             let n = ep.send(&vec![0u8; len], &mut send_tl).expect("send must survive the fault");
             prop_assert_eq!(n, len);
         }
-        ep.close(&mut tl).expect("close");
+        ep.close(&mut Timeline::new()).expect("close");
 
-        let report = VphiDebugReport::collect(&vm);
+        let report = VphiDebugReport::collect(vm);
         assert_ledger_balances(&report);
         prop_assert_eq!(vm.frontend().channel().inflight_count(), 0);
         // The lost interrupt is in the ledger, not a hang.  Recovery may
         // not even need a deadline: a requester that has not parked yet
         // finds the quiet completion on its first predicate check.
         prop_assert_eq!(report.msi_lost, injector.fired_at(FaultSite::PcieMsiLost));
-        vm.shutdown();
-        let _ = sink.join();
     }
 }
 
@@ -206,33 +169,18 @@ proptest! {
 /// the next is submitted (every completion crosses the threshold armed at
 /// its own submit), or the guest thread itself, for one blocking
 /// five-chunk `send`.
-fn lost_msi_on_a_stalled_send(port: u16, batched: bool) -> VphiDebugReport {
+fn lost_msi_on_a_stalled_send(batched: bool) -> VphiDebugReport {
     const CHUNK: u64 = 4 * MIB; // KMALLOC_MAX_SIZE, the default chunk
     let host = VphiHost::new(1);
     let injector = host.arm_faults(FaultPlan::single(FaultSite::PcieMsiLost, 7, 0));
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let sink = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(Port(port), &mut tl).unwrap();
-        server.listen(4, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
+    let stalled_sink = serve(&host, 0, |conn| {
         std::thread::sleep(std::time::Duration::from_millis(600));
-        let mut buf = vec![0u8; 1 << 16];
-        loop {
-            match conn.core().recv(&mut buf, &mut tl) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
+        drain(&conn, |_| {})
     });
-    rx.recv().unwrap();
 
-    let vm = host.spawn_vm(VmConfig::builder().scheme(WaitScheme::Interrupt).build());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).expect("open");
-    ep.connect(ScifAddr::new(host.device_node(0), Port(port)), &mut tl).expect("connect");
+    let config = VmConfig::builder().scheme(WaitScheme::Interrupt).build();
+    let rig = GuestRig::connect(&host, config, stalled_sink.addr());
+    let (ep, vm) = (&rig.guest, &rig.vm);
     let chunk = vec![0u8; CHUNK as usize];
     let mut send_tl = Timeline::new();
     if batched {
@@ -250,16 +198,14 @@ fn lost_msi_on_a_stalled_send(port: u16, batched: bool) -> VphiDebugReport {
         let len = (5 * CHUNK) as usize;
         assert_eq!(ep.send(&chunk.repeat(5), &mut send_tl).expect("send"), len);
     }
-    ep.close(&mut tl).expect("close");
+    ep.close(&mut Timeline::new()).expect("close");
 
-    let report = VphiDebugReport::collect(&vm);
+    let report = VphiDebugReport::collect(vm);
     assert_eq!(injector.fired_at(FaultSite::PcieMsiLost), 1);
     assert_eq!(report.msi_lost, 1);
     assert_ledger_balances(&report);
     assert_eq!(vm.frontend().channel().inflight_count(), 0);
     assert_eq!(vm.frontend().pending_tokens(), 0);
-    vm.shutdown();
-    let _ = sink.join();
     report
 }
 
@@ -270,7 +216,7 @@ fn lost_msi_on_a_stalled_send(port: u16, batched: bool) -> VphiDebugReport {
 /// the reply on the used ring.
 #[test]
 fn lost_msi_recovers_via_deadline_retry() {
-    let report = lost_msi_on_a_stalled_send(876, true);
+    let report = lost_msi_on_a_stalled_send(true);
     assert!(report.deadline_retries >= 1, "recovery goes through the deadline re-check");
 }
 
@@ -279,7 +225,7 @@ fn lost_msi_recovers_via_deadline_retry() {
 /// the completed table finds it, and no deadline is involved.
 #[test]
 fn lost_msi_on_a_blocking_call_needs_no_deadline() {
-    let report = lost_msi_on_a_stalled_send(878, false);
+    let report = lost_msi_on_a_stalled_send(false);
     assert_eq!(report.deadline_retries, 0, "an inline caller takes the quiet reply at once");
 }
 
@@ -291,26 +237,18 @@ fn used_ring_delay_is_latency_not_a_hang() {
     let host = VphiHost::new(1);
     // Crossing 3 = the first send's completion (open=1, connect=2).
     host.arm_faults(FaultPlan::single(FaultSite::VirtioUsedDelay, 3, DELAY_US));
-    let sink = spawn_sink(&host, Port(877), 1);
-    let vm = host.spawn_vm(VmConfig::builder().scheme(WaitScheme::Interrupt).build());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).expect("open");
-    ep.connect(ScifAddr::new(host.device_node(0), Port(877)), &mut tl).expect("connect");
+    let sink = sink(&host, 0);
+    let config = VmConfig::builder().scheme(WaitScheme::Interrupt).build();
+    let rig = GuestRig::connect(&host, config, sink.addr());
 
-    let mut delayed_tl = Timeline::new();
-    assert_eq!(ep.send(&[1u8], &mut delayed_tl).expect("send"), 1);
-    let mut clean_tl = Timeline::new();
-    assert_eq!(ep.send(&[1u8], &mut clean_tl).expect("send"), 1);
+    let (delayed_tl, clean_tl) = (rig.send(&[1]), rig.send(&[1]));
     assert_eq!(
         delayed_tl.total(),
         clean_tl.total() + SimDuration::from_micros(DELAY_US),
         "the injected delay is charged, nothing else changes"
     );
 
-    let report = VphiDebugReport::collect(&vm);
+    let report = VphiDebugReport::collect(&rig.vm);
     assert_eq!(report.deadline_retries, 0, "virtual delay never trips the wall deadline");
     assert_ledger_balances(&report);
-    ep.close(&mut tl).expect("close");
-    vm.shutdown();
-    let _ = sink.join();
 }

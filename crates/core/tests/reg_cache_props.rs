@@ -15,66 +15,12 @@ use proptest::prelude::*;
 use vphi::backend::RmaCharge;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
-use vphi::GuestScif;
-use vphi_scif::window::WindowBacking;
-use vphi_scif::{Port, Prot, RmaFlags, ScifAddr, ScifError};
+use vphi_dev_support::window_timed;
+use vphi_scif::{Prot, RmaFlags, ScifError};
 use vphi_sim_core::units::{KIB, MIB};
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 
 const PAGE: u64 = 4096;
-
-/// Device server that accepts `conns` connections in turn, registering a
-/// GDDR window on each, and serves until the peer hangs up.  It sends one
-/// byte on each connection once that connection's window is registered
-/// (see [`wait_for_guest_window`]).
-fn spawn_window_server(
-    host: &VphiHost,
-    port: Port,
-    window_len: u64,
-    conns: usize,
-) -> std::thread::JoinHandle<()> {
-    let board = Arc::clone(host.board(0));
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let h = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(port, &mut tl).unwrap();
-        server.listen(16, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let mut workers = Vec::new();
-        for _ in 0..conns {
-            let conn = server.accept(&mut tl).unwrap();
-            let region = board.memory().alloc_timed(window_len).unwrap();
-            conn.register(
-                Some(0),
-                window_len,
-                Prot::READ_WRITE,
-                WindowBacking::Device(region),
-                &mut tl,
-            )
-            .unwrap();
-            conn.send(&[1], &mut tl).unwrap();
-            workers.push(std::thread::spawn(move || {
-                let mut tl = Timeline::new();
-                let mut b = [0u8; 1];
-                let _ = conn.core().recv(&mut b, &mut tl);
-            }));
-        }
-        for w in workers {
-            let _ = w.join();
-        }
-    });
-    rx.recv().unwrap();
-    h
-}
-
-/// Block until the server has registered the window of `guest`'s
-/// connection: it says so with one byte on that connection.
-fn wait_for_guest_window(guest: &GuestScif) {
-    let mut ready = [0u8; 1];
-    let mut tl = Timeline::new();
-    assert_eq!(guest.recv(&mut ready, &mut tl).unwrap(), 1, "window server hung up");
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -88,10 +34,8 @@ proptest! {
         ops in prop::collection::vec((0u8..5u8, 0usize..4usize), 1..30)
     ) {
         let host = VphiHost::new(1);
-        let reopens = ops.iter().filter(|(kind, _)| *kind == 4).count();
-        let server = spawn_window_server(&host, Port(760), 16 * PAGE, reopens + 1);
+        let server = window_timed(&host, 0, 16 * PAGE);
         let vm = host.spawn_vm(VmConfig::default());
-        let addr = ScifAddr::new(host.device_node(0), Port(760));
 
         // Four disjoint guest buffers of 1..=4 pages.
         let bufs: Vec<_> =
@@ -99,8 +43,8 @@ proptest! {
 
         let mut tl = Timeline::new();
         let mut guest = vm.open_scif(&mut tl).unwrap();
-        guest.connect(addr, &mut tl).unwrap();
-        wait_for_guest_window(&guest);
+        guest.connect(server.addr(), &mut tl).unwrap();
+        server.wait_registered();
 
         // The reference model: which buffers have a live cached
         // translation, and which windows are registered over them.
@@ -151,8 +95,8 @@ proptest! {
                     cached.clear();
                     windows.clear();
                     guest = vm.open_scif(&mut tl).unwrap();
-                    guest.connect(addr, &mut tl).unwrap();
-                    wait_for_guest_window(&guest);
+                    guest.connect(server.addr(), &mut tl).unwrap();
+                    server.wait_registered();
                 }
             }
         }
@@ -160,7 +104,6 @@ proptest! {
         let mut tl_close = Timeline::new();
         let _ = guest.close(&mut tl_close);
         vm.shutdown();
-        let _ = server.join();
     }
 }
 
@@ -174,13 +117,13 @@ proptest! {
 fn unregister_quiesces_inflight_zero_copy_dma() {
     const BIG: u64 = 8 * 1024 * 1024; // > KMALLOC_MAX_SIZE → zero-copy arm
     let host = VphiHost::new(1);
-    let server = spawn_window_server(&host, Port(780), 2 * BIG, 1);
+    let server = window_timed(&host, 0, 2 * BIG);
     let vm = Arc::new(host.spawn_vm(VmConfig::builder().rma(RmaCharge::Mapped).build()));
 
     let mut tl = Timeline::new();
     let guest = Arc::new(vm.open_scif(&mut tl).unwrap());
-    guest.connect(ScifAddr::new(host.device_node(0), Port(780)), &mut tl).unwrap();
-    wait_for_guest_window(&guest);
+    guest.connect(server.addr(), &mut tl).unwrap();
+    server.wait_registered();
     let buf = Arc::new(vm.alloc_buf(BIG).unwrap());
 
     let reader = {
@@ -215,7 +158,6 @@ fn unregister_quiesces_inflight_zero_copy_dma() {
     guest.close(&mut tl).unwrap();
     assert_eq!(be.aperture().mapped_windows(), 0, "zero-leak: close unmaps everything");
     vm.shutdown();
-    let _ = server.join();
 }
 
 /// Chaos seed: a card reset lands while zero-copy windows are mapped and
@@ -227,13 +169,13 @@ fn unregister_quiesces_inflight_zero_copy_dma() {
 fn card_reset_with_mapped_windows_unmaps_cleanly() {
     const BIG: u64 = 8 * 1024 * 1024;
     let host = VphiHost::new(1);
-    let server = spawn_window_server(&host, Port(781), 2 * BIG, 1);
+    let server = window_timed(&host, 0, 2 * BIG);
     let vm = Arc::new(host.spawn_vm(VmConfig::builder().rma(RmaCharge::Mapped).build()));
 
     let mut tl = Timeline::new();
     let guest = Arc::new(vm.open_scif(&mut tl).unwrap());
-    guest.connect(ScifAddr::new(host.device_node(0), Port(781)), &mut tl).unwrap();
-    wait_for_guest_window(&guest);
+    guest.connect(server.addr(), &mut tl).unwrap();
+    server.wait_registered();
     let buf = Arc::new(vm.alloc_buf(BIG).unwrap());
 
     // Map a window with a successful zero-copy read first, so the reset
@@ -261,7 +203,6 @@ fn card_reset_with_mapped_windows_unmaps_cleanly() {
     let _ = guest.close(&mut tl);
     assert_eq!(be.aperture().mapped_windows(), 0, "zero-leak after quarantine + close");
     vm.shutdown();
-    let _ = server.join();
 }
 
 /// The frontend's `chunk_size` cuts messages and no RMA reads it, so a VM
@@ -272,33 +213,22 @@ fn card_reset_with_mapped_windows_unmaps_cleanly() {
 #[test]
 fn a_mapped_rma_costs_the_same_under_any_message_chunk() {
     const RMA: u64 = 16 * MIB;
-    let cold_read_then_send = |config: VmConfig, port: Port| {
+    let cold_read_then_send = |config: VmConfig| {
         let host = VphiHost::new(1);
-        let server = spawn_window_server(&host, port, RMA, 1);
-        let vm = host.spawn_vm(config);
-        let mut tl = Timeline::new();
-        let guest = vm.open_scif(&mut tl).unwrap();
-        guest.connect(ScifAddr::new(host.device_node(0), port), &mut tl).unwrap();
-        wait_for_guest_window(&guest);
-        let buf = vm.alloc_buf(RMA).unwrap();
+        let server = window_timed(&host, 0, RMA);
+        let rig = server.guest(&host, config);
 
-        let mut read_tl = Timeline::new();
-        guest.vreadfrom(&buf, 0, RmaFlags::SYNC, &mut read_tl).unwrap();
+        let read_tl = rig.vread(&rig.vm.alloc_buf(RMA).unwrap());
         assert!(read_tl.total_for(SpanLabel::WindowPin) > SimDuration::ZERO, "the mapped arm");
 
-        let before = vm.frontend().stats().requests;
-        assert_eq!(guest.send_timed(64 * MIB, &mut tl), Ok(64 * MIB));
-        let chunks = vm.frontend().stats().requests - before;
-
-        guest.close(&mut tl).unwrap();
-        vm.shutdown();
-        let _ = server.join();
+        let before = rig.vm.frontend().stats().requests;
+        assert_eq!(rig.guest.send_timed(64 * MIB, &mut Timeline::new()), Ok(64 * MIB));
+        let chunks = rig.vm.frontend().stats().requests - before;
         (read_tl.total(), chunks)
     };
     let mapped = || VmConfig::builder().rma(RmaCharge::Mapped);
-    let (default_read, default_chunks) = cold_read_then_send(mapped().build(), Port(782));
-    let (tuned_read, tuned_chunks) =
-        cold_read_then_send(mapped().chunk_size(256 * KIB).build(), Port(783));
+    let (default_read, default_chunks) = cold_read_then_send(mapped().build());
+    let (tuned_read, tuned_chunks) = cold_read_then_send(mapped().chunk_size(256 * KIB).build());
     assert_eq!(tuned_read, default_read, "no RMA reads the message chunk");
     assert_eq!((default_chunks, tuned_chunks), (16, 256));
 }
@@ -311,12 +241,9 @@ fn an_exhausted_aperture_is_enomem_and_holds_nothing() {
     const BIG: u64 = 8 * MIB;
     const FILLER_EPD: u64 = u64::MAX; // no guest endpoint has it
     let host = VphiHost::new(1);
-    let server = spawn_window_server(&host, Port(784), BIG, 1);
-    let vm = host.spawn_vm(VmConfig::builder().rma(RmaCharge::Mapped).build());
-    let mut tl = Timeline::new();
-    let guest = vm.open_scif(&mut tl).unwrap();
-    guest.connect(ScifAddr::new(host.device_node(0), Port(784)), &mut tl).unwrap();
-    wait_for_guest_window(&guest);
+    let server = window_timed(&host, 0, BIG);
+    let rig = server.guest(&host, VmConfig::builder().rma(RmaCharge::Mapped).build());
+    let (guest, vm) = (&rig.guest, &rig.vm);
     let buf = vm.alloc_buf(BIG).unwrap();
 
     let be = vm.backend().inner();
@@ -325,7 +252,7 @@ fn an_exhausted_aperture_is_enomem_and_holds_nothing() {
         fillers += 1;
     }
     let counted = || {
-        let r = VphiDebugReport::collect(&vm);
+        let r = VphiDebugReport::collect(vm);
         (r.windows_mapped, r.staging_bytes_avoided)
     };
     let before = counted();
@@ -345,10 +272,8 @@ fn an_exhausted_aperture_is_enomem_and_holds_nothing() {
     assert!(served.total_for(SpanLabel::WindowPin) > SimDuration::ZERO);
     assert_eq!(counted(), (before.0 + 1, before.1 + BIG));
 
-    guest.close(&mut tl).unwrap();
+    guest.close(&mut Timeline::new()).unwrap();
     assert_eq!(be.aperture().mapped_windows(), 0);
-    vm.shutdown();
-    let _ = server.join();
 }
 
 /// Six guest threads sharing one frontend, each doing warm RMA rounds on
@@ -360,18 +285,19 @@ fn six_threads_hammer_the_cache_coherently() {
     let host = VphiHost::new(1);
     let threads = 6usize;
     let rounds = 10u32;
-    let server = spawn_window_server(&host, Port(770), 16 * PAGE, threads);
+    let server = window_timed(&host, 0, 16 * PAGE);
     let vm = Arc::new(host.spawn_vm(VmConfig::default()));
 
     let mut handles = Vec::new();
     for _ in 0..threads {
+        // One connection at a time: the server reports registrations in
+        // the order it made them.
+        let mut tl = Timeline::new();
+        let guest = vm.open_scif(&mut tl).unwrap();
+        guest.connect(server.addr(), &mut tl).unwrap();
+        server.wait_registered();
         let vm = Arc::clone(&vm);
-        let node = host.device_node(0);
         handles.push(std::thread::spawn(move || {
-            let mut tl = Timeline::new();
-            let guest = vm.open_scif(&mut tl).unwrap();
-            guest.connect(ScifAddr::new(node, Port(770)), &mut tl).unwrap();
-            wait_for_guest_window(&guest);
             let buf = vm.alloc_buf(2 * PAGE).unwrap();
             for round in 0..rounds {
                 let mut tl = Timeline::new();
@@ -408,5 +334,4 @@ fn six_threads_hammer_the_cache_coherently() {
     assert_eq!(vm.frontend().channel().inflight_count(), 0);
 
     vm.shutdown();
-    let _ = server.join();
 }

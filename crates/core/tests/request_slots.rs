@@ -11,47 +11,18 @@
 
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 use proptest::prelude::*;
 use vphi::builder::{VmConfig, VphiHost, VphiVm};
 use vphi::{Cq, GuestScif, Sq, SqEntry, VphiRequest};
-use vphi_scif::{Port, ScifAddr, ScifError, ScifResult};
+use vphi_dev_support::{drain, serve};
+use vphi_scif::{ScifAddr, ScifError, ScifResult};
 use vphi_sim_core::rng::SplitMix64;
 use vphi_sim_core::Timeline;
-use vphi_sync::{Flag, LockClass, TrackedMutex};
+use vphi_sync::{LockClass, TrackedMutex};
 
 const THREADS: usize = 4;
 const ROUNDS: usize = 12;
-const PORT: u16 = 970;
-
-/// Device-side sink: accepts connections until told to stop and returns
-/// each one's byte stream.
-fn sink(host: &VphiHost, stop: Arc<Flag>) -> std::thread::JoinHandle<Vec<Vec<u8>>> {
-    let server = host.device_endpoint(0).unwrap();
-    let mut tl = Timeline::new();
-    server.bind(Port(PORT), &mut tl).unwrap();
-    server.listen(2 * THREADS, &mut tl).unwrap();
-    std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        let mut handlers = Vec::new();
-        while !stop.get() {
-            match server.try_accept(&mut tl) {
-                Ok(Some(conn)) => handlers.push(std::thread::spawn(move || {
-                    let mut tl = Timeline::new();
-                    let (mut stream, mut byte) = (Vec::new(), [0u8; 1]);
-                    while conn.recv(&mut byte, &mut tl) == Ok(1) {
-                        stream.push(byte[0]);
-                    }
-                    conn.close();
-                    stream
-                })),
-                _ => std::thread::sleep(Duration::from_millis(1)),
-            }
-        }
-        handlers.into_iter().map(|h| h.join().expect("conn handler")).collect()
-    })
-}
 
 /// Retry a blocking call for as long as the ring (or the slot table) is
 /// full: with eight descriptors and four threads `ENOMEM` is routine, and
@@ -80,10 +51,9 @@ struct Conn<'a> {
 }
 
 impl<'a> Conn<'a> {
-    fn open(vm: &'a VphiVm, len: usize) -> Self {
+    fn open(vm: &'a VphiVm, addr: ScifAddr, len: usize) -> Self {
         let mut tl = Timeline::new();
         let ep = until_room(|| vm.open_scif(&mut tl)).expect("open");
-        let addr = ScifAddr::new(vphi_scif::NodeId(1), Port(PORT));
         until_room(|| ep.connect(addr, &mut tl)).expect("connect");
         Conn { vm, ep, len, sent: 0, cq: Cq::new(), outstanding: 0 }
     }
@@ -155,8 +125,13 @@ impl<'a> Conn<'a> {
 /// One case: returns nothing, asserts everything.
 fn churn(seed: u64) {
     let host = VphiHost::new(1);
-    let stop = Arc::new(Flag::new(false));
-    let sink = sink(&host, Arc::clone(&stop));
+    // A sink that keeps each connection's byte stream.
+    let sink = serve(&host, 0, |conn| {
+        let mut stream = Vec::new();
+        drain(&conn, |bytes| stream.extend_from_slice(bytes));
+        stream
+    });
+    let addr = sink.addr();
     let vm = Arc::new(host.spawn_vm(VmConfig::builder().num_queues(1).queue_size(8).build()));
     let tokens = Arc::new(TrackedMutex::new(LockClass::TestInner, HashSet::new()));
     let start = Arc::new(Barrier::new(THREADS));
@@ -167,7 +142,7 @@ fn churn(seed: u64) {
             std::thread::spawn(move || {
                 let mut rng = SplitMix64::new(seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A));
                 let mut carried = Vec::new();
-                let mut conn = Conn::open(&vm, t + 1);
+                let mut conn = Conn::open(&vm, addr, t + 1);
                 start.wait();
                 for _ in 0..ROUNDS {
                     match rng.next_u64() % 8 {
@@ -188,7 +163,7 @@ fn churn(seed: u64) {
                             // Close under an outstanding batch, start over.
                             conn.submit((rng.next_u64() % 3) as usize, &tokens);
                             carried.push(conn.close());
-                            conn = Conn::open(&vm, t + 1);
+                            conn = Conn::open(&vm, addr, t + 1);
                         }
                     }
                 }
@@ -205,8 +180,7 @@ fn churn(seed: u64) {
     assert_eq!(vm.frontend().channel().inflight_count(), 0, "seed {seed}: requests in flight");
     assert_eq!(vm.frontend().channel().live_slots(), 0, "seed {seed}: slots still held");
     assert_eq!(vm.backend().open_endpoints(), 0, "seed {seed}: endpoints left open");
-    stop.set();
-    let streams = sink.join().expect("sink");
+    let streams = sink.shutdown();
     vm.shutdown();
     assert_eq!(vphi_sync::audit::violation_count(), 0);
 

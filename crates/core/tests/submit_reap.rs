@@ -5,55 +5,25 @@
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
 
 use proptest::prelude::*;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::{Cq, GuestScif, Sq, SqEntry};
-use vphi_scif::{Port, ScifAddr};
+use vphi_dev_support::{drain, serve};
+use vphi_scif::CardService;
 use vphi_sim_core::rng::SplitMix64;
 use vphi_sim_core::Timeline;
-use vphi_sync::Flag;
 
 const ENDPOINTS: usize = 3;
 const ROUNDS: usize = 3;
 
-/// Device-side server: accepts up to `conns` connections and records, per
-/// connection, the sequence numbers it receives (4-byte LE frames).  The
-/// recv is SCIF_RECV_BLOCK, so frames arrive whole and a short read means
-/// the peer closed.
-fn ordered_server(
-    host: &VphiHost,
-    port: u16,
-    conns: usize,
-    stop: Arc<Flag>,
-) -> std::thread::JoinHandle<Vec<Vec<u32>>> {
-    let server = host.device_endpoint(0).unwrap();
-    let mut tl = Timeline::new();
-    server.bind(Port(port), &mut tl).unwrap();
-    server.listen(8, &mut tl).unwrap();
-    std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        let mut handlers = Vec::new();
-        while handlers.len() < conns && !stop.get() {
-            match server.try_accept(&mut tl) {
-                Ok(Some(conn)) => handlers.push(std::thread::spawn(move || {
-                    let mut tl = Timeline::new();
-                    let mut seqs = Vec::new();
-                    loop {
-                        let mut frame = [0u8; 4];
-                        match conn.recv(&mut frame, &mut tl) {
-                            Ok(4) => seqs.push(u32::from_le_bytes(frame)),
-                            _ => break,
-                        }
-                    }
-                    conn.close();
-                    seqs
-                })),
-                _ => std::thread::sleep(Duration::from_millis(1)),
-            }
-        }
-        handlers.into_iter().map(|h| h.join().expect("conn handler")).collect()
+/// Device-side server: records, per connection, the sequence numbers it
+/// receives (4-byte LE frames) until the peer closes.
+fn ordered_server(host: &VphiHost) -> CardService<Vec<u32>> {
+    serve(host, 0, |conn| {
+        let mut stream = Vec::new();
+        drain(&conn, |bytes| stream.extend_from_slice(bytes));
+        stream.chunks_exact(4).map(|f| u32::from_le_bytes(f.try_into().expect("4"))).collect()
     })
 }
 
@@ -63,11 +33,10 @@ fn ordered_server(
 /// Returns every token the VM handed out, for the uniqueness property.
 fn fifo_round(num_queues: u16, seed: u64) -> HashSet<u64> {
     let host = VphiHost::new(1);
-    let stop = Arc::new(Flag::new(false));
-    let server = ordered_server(&host, 960, ENDPOINTS, Arc::clone(&stop));
+    let server = ordered_server(&host);
     let vm = host.spawn_vm(VmConfig::builder().num_queues(num_queues).build());
     let mut tl = Timeline::new();
-    let addr = ScifAddr::new(host.device_node(0), Port(960));
+    let addr = server.addr();
     let eps: Vec<GuestScif> = (0..ENDPOINTS)
         .map(|_| {
             let ep = vm.open_scif(&mut tl).unwrap();
@@ -110,8 +79,7 @@ fn fifo_round(num_queues: u16, seed: u64) -> HashSet<u64> {
     for ep in eps {
         ep.close(&mut tl).unwrap();
     }
-    stop.set();
-    let mut observed = server.join().expect("server");
+    let mut observed = server.shutdown();
     assert_eq!(vm.frontend().pending_tokens(), 0, "tokens left pending after reaps");
     vm.shutdown();
 
@@ -141,10 +109,9 @@ fn fifo_round(num_queues: u16, seed: u64) -> HashSet<u64> {
 fn mixed_fifo_round(num_queues: u16, seed: u64) {
     const BATCH: usize = 16;
     let host = VphiHost::new(1);
-    let stop = Arc::new(Flag::new(false));
-    let server = ordered_server(&host, 964, 2, Arc::clone(&stop));
+    let server = ordered_server(&host);
     let vm = Arc::new(host.spawn_vm(VmConfig::builder().num_queues(num_queues).build()));
-    let addr = ScifAddr::new(host.device_node(0), Port(964));
+    let addr = server.addr();
 
     let guests: Vec<_> = (0..2u64)
         .map(|t| {
@@ -185,8 +152,7 @@ fn mixed_fifo_round(num_queues: u16, seed: u64) {
         .collect();
     let mut sent: Vec<u32> = guests.into_iter().map(|g| g.join().expect("guest")).collect();
 
-    stop.set();
-    let observed = server.join().expect("server");
+    let observed = server.shutdown();
     assert_eq!(vm.frontend().pending_tokens(), 0, "tokens left pending after reaps");
     assert_eq!(vm.frontend().channel().inflight_count(), 0);
     vm.shutdown();
@@ -206,11 +172,10 @@ fn mixed_fifo_round(num_queues: u16, seed: u64) {
 /// produced), and nothing — tokens, endpoints, windows — may leak.
 fn chaos_reap_round(seed: u64) {
     let host = VphiHost::new(1);
-    let stop = Arc::new(Flag::new(false));
-    let server = ordered_server(&host, 962, 2, Arc::clone(&stop));
+    let server = ordered_server(&host);
     let vm = host.spawn_vm(VmConfig::default());
     let mut tl = Timeline::new();
-    let addr = ScifAddr::new(host.device_node(0), Port(962));
+    let addr = server.addr();
     let mut rng = SplitMix64::new(seed);
     let eps: Vec<GuestScif> = (0..2)
         .map(|_| {
@@ -254,11 +219,10 @@ fn chaos_reap_round(seed: u64) {
     assert_eq!(reaped, submitted, "seed {seed}: reaped set != submitted set");
     assert_eq!(vm.frontend().pending_tokens(), 0, "seed {seed}: leaked tokens");
 
-    stop.set();
     for ep in eps {
         let _ = ep.close(&mut tl); // the card died under it; any errno is fair
     }
-    let _ = server.join();
+    server.shutdown();
     assert_eq!(vm.backend().open_endpoints(), 0, "seed {seed}: leaked endpoints");
     assert_eq!(vm.backend().inner().window_entries(), 0, "seed {seed}: leaked windows");
     vm.shutdown();

@@ -23,9 +23,9 @@ use vphi::builder::VphiHost;
 use vphi_coi::transport::{CoiEnv, CoiTransport};
 use vphi_coi::wire::{read_frame, write_frame, ByteReader, ByteWriter};
 use vphi_phi::ComputeJob;
-use vphi_scif::{Port, ScifEndpoint, ScifError, ScifResult};
+use vphi_scif::{CardService, Port, ScifEndpoint, ScifError, ScifResult};
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
-use vphi_sync::{Counter, Flag, LockClass, TrackedMutex};
+use vphi_sync::Counter;
 
 /// The well-known port of the mic0 shell daemon (sshd on the uOS).
 pub const MIC_SHELL_PORT: Port = Port(22);
@@ -123,55 +123,24 @@ impl ShellMsg {
 
 /// The card-side shell daemon ("sshd" reachable through mic0).
 pub struct MicShellDaemon {
-    listener: Arc<ScifEndpoint>,
-    accept_thread: TrackedMutex<Option<std::thread::JoinHandle<()>>>,
-    sessions: Arc<TrackedMutex<Vec<std::thread::JoinHandle<()>>>>,
-    running: Arc<Flag>,
+    service: CardService,
     uploads: Arc<Counter>,
 }
 
 impl MicShellDaemon {
     pub fn spawn(host: &VphiHost, mic: usize) -> ScifResult<MicShellDaemon> {
         let board = Arc::clone(host.board(mic));
-        let listener = Arc::new(host.device_endpoint(mic)?);
-        let mut tl = Timeline::new();
-        listener.bind(MIC_SHELL_PORT, &mut tl)?;
-        listener.listen(8, &mut tl)?;
-
-        let running = Arc::new(Flag::new(true));
         let uploads = Arc::new(Counter::new(0));
-        let sessions: Arc<TrackedMutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(TrackedMutex::new(LockClass::ServerSessions, Vec::new()));
-        let (l2, s2, u2) = (Arc::clone(&listener), Arc::clone(&sessions), Arc::clone(&uploads));
-        let accept_running = Arc::clone(&running);
-        let board2 = Arc::clone(&board);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("mic-sshd-{mic}"))
-            .spawn(move || {
-                let running = accept_running;
-                while running.get() {
-                    let mut tl = Timeline::new();
-                    match l2.accept(&mut tl) {
-                        Ok(conn) => {
-                            let board = Arc::clone(&board2);
-                            let uploads = Arc::clone(&u2);
-                            s2.lock().push(std::thread::spawn(move || {
-                                shell_session(conn, board, uploads);
-                            }));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn mic sshd");
-
-        Ok(MicShellDaemon {
-            listener,
-            accept_thread: TrackedMutex::new(LockClass::ServerAccept, Some(accept_thread)),
-            sessions,
-            running,
-            uploads,
-        })
+        let service = CardService::spawn(
+            host.device_endpoint(mic)?,
+            MIC_SHELL_PORT,
+            format!("mic-sshd-{mic}"),
+            {
+                let uploads = Arc::clone(&uploads);
+                move |conn| shell_session(conn, &board, &uploads)
+            },
+        )?;
+        Ok(MicShellDaemon { service, uploads })
     }
 
     pub fn upload_count(&self) -> u64 {
@@ -179,27 +148,12 @@ impl MicShellDaemon {
     }
 
     pub fn shutdown(&self) {
-        if !self.running.swap(false) {
-            return;
-        }
-        self.listener.close();
-        if let Some(h) = self.accept_thread.lock().take() {
-            let _ = h.join();
-        }
-        for h in self.sessions.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MicShellDaemon {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.service.shutdown();
     }
 }
 
 #[allow(clippy::while_let_loop)]
-fn shell_session(conn: ScifEndpoint, board: Arc<vphi_phi::PhiBoard>, uploads: Arc<Counter>) {
+fn shell_session(conn: ScifEndpoint, board: &vphi_phi::PhiBoard, uploads: &Counter) {
     let mut tl = Timeline::new();
     // The card's "filesystem": name → size of files scp'd over.
     let mut files: HashMap<String, u64> = HashMap::new();
@@ -484,10 +438,7 @@ impl Mic0Link {
 /// The device-side network responder: answers ping packets (the uOS side
 /// of the emulated network driver).
 pub struct MicNetDaemon {
-    listener: Arc<ScifEndpoint>,
-    accept_thread: TrackedMutex<Option<std::thread::JoinHandle<()>>>,
-    sessions: Arc<TrackedMutex<Vec<std::thread::JoinHandle<()>>>>,
-    running: Arc<Flag>,
+    service: CardService,
 }
 
 impl MicNetDaemon {
@@ -495,55 +446,14 @@ impl MicNetDaemon {
     pub const DEVICE_MAC: [u8; 6] = [0x02, 0x4D, 0x49, 0x43, 0x00, 0x00]; // 02:"MIC":00:00
 
     pub fn spawn(host: &VphiHost, mic: usize) -> ScifResult<MicNetDaemon> {
-        let listener = Arc::new(host.device_endpoint(mic)?);
-        let mut tl = Timeline::new();
-        listener.bind(MIC_NET_PORT, &mut tl)?;
-        listener.listen(8, &mut tl)?;
-        let running = Arc::new(Flag::new(true));
-        let sessions: Arc<TrackedMutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(TrackedMutex::new(LockClass::ServerSessions, Vec::new()));
-        let (l2, s2) = (Arc::clone(&listener), Arc::clone(&sessions));
-        let accept_running = Arc::clone(&running);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("mic-netd-{mic}"))
-            .spawn(move || {
-                let running = accept_running;
-                while running.get() {
-                    let mut tl = Timeline::new();
-                    match l2.accept(&mut tl) {
-                        Ok(conn) => {
-                            s2.lock().push(std::thread::spawn(move || netd_session(conn)));
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn mic netd");
-        Ok(MicNetDaemon {
-            listener,
-            accept_thread: TrackedMutex::new(LockClass::ServerAccept, Some(accept_thread)),
-            sessions,
-            running,
-        })
+        let listener = host.device_endpoint(mic)?;
+        let service =
+            CardService::spawn(listener, MIC_NET_PORT, format!("mic-netd-{mic}"), netd_session)?;
+        Ok(MicNetDaemon { service })
     }
 
     pub fn shutdown(&self) {
-        if !self.running.swap(false) {
-            return;
-        }
-        self.listener.close();
-        if let Some(h) = self.accept_thread.lock().take() {
-            let _ = h.join();
-        }
-        for h in self.sessions.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MicNetDaemon {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.service.shutdown();
     }
 }
 

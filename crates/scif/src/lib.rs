@@ -23,6 +23,8 @@
 //! * [`mmap::MappedRegion`] — `scif_mmap` of remote windows, including the
 //!   device-PFN view the vPHI `VM_PFNPHI` fault path needs.
 //! * [`poll`] — `scif_poll` over endpoint sets.
+//! * [`service::CardService`] — a listening endpoint, its accept loop and a
+//!   thread per connection: what every card-side daemon and test server is.
 //!
 //! All blocking calls block the real calling thread (condvars), while
 //! durations are charged to the caller's [`vphi_sim_core::Timeline`] from
@@ -36,6 +38,7 @@ pub mod mmap;
 pub mod poll;
 pub mod queue;
 pub mod rma;
+pub mod service;
 pub mod submit;
 pub mod types;
 pub mod window;
@@ -45,6 +48,7 @@ pub use error::{ErrorClass, ScifError, ScifResult};
 pub use fabric::ScifFabric;
 pub use mmap::MappedRegion;
 pub use poll::{PollEvents, PollFd};
+pub use service::CardService;
 pub use submit::{Cq, CqEntry, SqFlags, SubmitToken};
 pub use types::{NodeId, Port, Prot, RmaFlags, ScifAddr, HOST_NODE};
 pub use vphi_trace::{OpCtx, Stage, TraceCtx};

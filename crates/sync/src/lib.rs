@@ -67,9 +67,9 @@ pub enum LockClass {
     // --- host-side service threads ---
     /// Backend / daemon service-thread join handles.
     BackendWorker = 4,
-    /// micnetd / COI daemon accept-thread handle.
+    /// `scif::CardService` accept-thread handle.
     ServerAccept = 5,
-    /// micnetd / COI daemon session-thread list.
+    /// `scif::CardService` session-thread list.
     ServerSessions = 6,
     /// Backend guest-epd → endpoint table.
     BackendEndpoints = 7,

@@ -9,32 +9,29 @@
 //! ```
 
 use vphi::builder::{VmConfig, VphiHost};
-use vphi_examples::spawn_window_server;
-use vphi_scif::{Port, Prot, ScifAddr};
+use vphi_dev_support::window;
+use vphi_scif::Prot;
 use vphi_sim_core::cost::PAGE_SIZE;
 use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_vmm::kvm::KvmPatch;
 
 fn main() {
     let host = VphiHost::new(1);
-    // A device-side server exposing 4 pages of GDDR, pre-filled.
-    let server = spawn_window_server(&host, Port(300), 4 * PAGE_SIZE, |region| {
+    // A device-side server exposing 4 pages of GDDR per connection,
+    // pre-filled.
+    let server = window(&host, 0, 4 * PAGE_SIZE, |region| {
         region.write(0, b"GDDR page zero").expect("fill");
         region.write(PAGE_SIZE, b"GDDR page one").expect("fill");
     });
 
     // --- a patched VM: mmap works ---
-    let vm = host.spawn_vm(VmConfig::default());
+    // (`guest` boots the VM, opens an endpoint, connects it and waits for
+    // the server to register that connection's window.)
+    let patched = server.guest(&host, VmConfig::default());
+    let (ep, vm) = (&patched.guest, &patched.vm);
     let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).expect("open");
-    ep.connect(ScifAddr::new(host.device_node(0), Port(300)), &mut tl).expect("connect");
-    // (window registration rendezvous)
-    let map = loop {
-        match ep.mmap(vm.vm().kvm(), 0, 2 * PAGE_SIZE, Prot::READ_WRITE, &mut tl) {
-            Ok(m) => break m,
-            Err(_) => std::thread::sleep(std::time::Duration::from_millis(1)),
-        }
-    };
+    let map =
+        ep.mmap(vm.vm().kvm(), 0, 2 * PAGE_SIZE, Prot::READ_WRITE, &mut tl).expect("scif_mmap");
     println!("guest mapped 2 pages of device memory at {:#x}", map.vaddr());
 
     // Plain dereferences — no SCIF calls — served through the fault path.
@@ -52,21 +49,11 @@ fn main() {
         vm.vm().kvm().fault_count()
     );
     map.munmap(&mut tl).expect("munmap");
-    drop(ep); // RAII close
-    vm.shutdown();
-    let _ = server.join();
 
     // --- an UNPATCHED VM: the dereference fails, as the paper explains ---
-    let server = spawn_window_server(&host, Port(301), 2 * PAGE_SIZE, |_| {});
-    let vm = host.spawn_vm(VmConfig::builder().patch(KvmPatch::Unpatched).build());
-    let ep = vm.open_scif(&mut tl).expect("open");
-    ep.connect(ScifAddr::new(host.device_node(0), Port(301)), &mut tl).expect("connect");
-    let map = loop {
-        match ep.mmap(vm.vm().kvm(), 0, PAGE_SIZE, Prot::READ_WRITE, &mut tl) {
-            Ok(m) => break m,
-            Err(_) => std::thread::sleep(std::time::Duration::from_millis(1)),
-        }
-    };
+    let unpatched = server.guest(&host, VmConfig::builder().patch(KvmPatch::Unpatched).build());
+    let (ep, vm) = (&unpatched.guest, &unpatched.vm);
+    let map = ep.mmap(vm.vm().kvm(), 0, PAGE_SIZE, Prot::READ_WRITE, &mut tl).expect("scif_mmap");
     let mut b = [0u8; 1];
     let mut t2 = Timeline::new();
     match map.load(0, &mut b, &mut t2) {
@@ -78,7 +65,6 @@ fn main() {
         ),
         Ok(_) => unreachable!("unpatched KVM must not resolve device faults"),
     }
-    drop(ep); // RAII close
-    vm.shutdown();
-    let _ = server.join();
+    // Dropping a rig closes its endpoint and shuts its VM down; the server
+    // joins its sessions when it goes.
 }

@@ -6,8 +6,7 @@
 //! ```
 
 use vphi::builder::{VmConfig, VphiHost};
-use vphi_examples::spawn_echo_server;
-use vphi_scif::{Port, ScifAddr};
+use vphi_dev_support::echo_server;
 use vphi_sim_core::Timeline;
 
 fn main() {
@@ -18,7 +17,7 @@ fn main() {
     println!("card: {} ({} cores)", host.board(0).spec().model, host.board(0).spec().cores);
 
     // 2. Something to talk to on the card: an echo server.
-    let echo = spawn_echo_server(&host, Port(100));
+    let echo = echo_server(&host, 0);
 
     // 3. A virtual machine with the vPHI device attached.
     let vm = host.spawn_vm(VmConfig::default());
@@ -28,7 +27,7 @@ fn main() {
     //    it would make on bare metal — and connects to the card.
     let mut tl = Timeline::new();
     let ep = vm.open_scif(&mut tl).expect("scif_open");
-    let peer = ep.connect(ScifAddr::new(host.device_node(0), Port(100)), &mut tl).expect("connect");
+    let peer = ep.connect(echo.addr(), &mut tl).expect("connect");
     println!("guest connected to {peer}");
 
     // 5. Ping-pong a message and report the virtual-time cost.
@@ -49,6 +48,6 @@ fn main() {
     // Dropping `ep` closes the endpoint (RAII) — no explicit close needed.
     drop(ep);
     vm.shutdown();
-    let _ = echo.join();
+    echo.shutdown();
     println!("done.");
 }

@@ -3,16 +3,14 @@
 //! by the sim-core RNG and byte-identical across runs — and every failure
 //! mode must end in recovery or a clean error, never a hang or a leak.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vphi::builder::{VmConfig, VphiHost, VphiVm};
 use vphi::debugfs::VphiDebugReport;
+use vphi_dev_support::echo_window_server;
 use vphi_faults::{FaultPlan, FaultSite};
-use vphi_scif::window::WindowBacking;
-use vphi_scif::{Port, Prot, RmaFlags, ScifAddr, ScifError};
+use vphi_scif::{Prot, RmaFlags, ScifAddr, ScifError};
 use vphi_sim_core::Timeline;
-use vphi_sync::Flag;
 use vphi_trace::TraceConfig;
 
 /// The fixed seeds CI sweeps (see .github/workflows/ci.yml).
@@ -24,52 +22,6 @@ const PLAN_POINTS: usize = 12;
 
 const ITERATIONS: usize = 12;
 const MAX_ATTEMPTS_PER_ITERATION: usize = 25;
-
-/// A fault-tolerant echo + RMA-window server on card 0: every connection
-/// gets a 4 KiB read-write window at offset 0 and its bytes echoed back.
-/// Connection-level errors (the card locking up mid-echo, the peer's
-/// guest dying) end that connection, never the server.
-fn chaos_server(host: &VphiHost, port: u16, stop: Arc<Flag>) -> std::thread::JoinHandle<()> {
-    let server = host.device_endpoint(0).unwrap();
-    let board = Arc::clone(host.board(0));
-    let mut tl = Timeline::new();
-    server.bind(Port(port), &mut tl).unwrap();
-    server.listen(8, &mut tl).unwrap();
-    std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        while !stop.get() {
-            match server.try_accept(&mut tl) {
-                Ok(Some(conn)) => {
-                    if let Ok(region) = board.memory().alloc(4096) {
-                        let _ = conn.register(
-                            Some(0),
-                            4096,
-                            Prot::READ_WRITE,
-                            WindowBacking::Device(region),
-                            &mut tl,
-                        );
-                    }
-                    loop {
-                        // The protocol is fixed-size: every client message is
-                        // exactly 5 bytes (recv is SCIF_RECV_BLOCK — it waits
-                        // for a *full* buffer, short only on close).
-                        let mut buf = [0u8; 5];
-                        match conn.recv(&mut buf, &mut tl) {
-                            Ok(5) => {
-                                if conn.send(&buf, &mut tl).is_err() {
-                                    break;
-                                }
-                            }
-                            _ => break,
-                        }
-                    }
-                    conn.close();
-                }
-                Ok(None) | Err(_) => std::thread::sleep(Duration::from_millis(2)),
-            }
-        }
-    })
-}
 
 macro_rules! step {
     ($e:expr, $name:literal) => {
@@ -85,9 +37,8 @@ macro_rules! step {
 
 /// One full guest session: open, connect, message echo, an RMA write into
 /// the server's window, register/unregister a guest window, close.
-fn one_session(host: &VphiHost, vm: &VphiVm, port: u16) -> Result<(), ScifError> {
+fn one_session(vm: &VphiVm, addr: ScifAddr) -> Result<(), ScifError> {
     let mut tl = Timeline::new();
-    let addr = ScifAddr::new(host.device_node(0), Port(port));
     let ep = step!(vm.open_scif(&mut tl), "open");
     step!(ep.connect(addr, &mut tl), "connect");
     step!(ep.send(b"ping!", &mut tl), "send");
@@ -113,7 +64,7 @@ fn one_session(host: &VphiHost, vm: &VphiVm, port: u16) -> Result<(), ScifError>
 /// errors are retried, a failed card is reset (quarantining only this
 /// VM's endpoints), and a dead guest ends the workload.  Returns
 /// (completed sessions, card resets driven by this workload).
-fn run_workload(host: &VphiHost, vm: &VphiVm, port: u16) -> (usize, usize) {
+fn run_workload(host: &VphiHost, vm: &VphiVm, addr: ScifAddr) -> (usize, usize) {
     let mut completed = 0;
     let mut resets = 0;
     'iterations: for _ in 0..ITERATIONS {
@@ -121,7 +72,7 @@ fn run_workload(host: &VphiHost, vm: &VphiVm, port: u16) -> (usize, usize) {
             if vm.frontend().channel().is_shutdown() {
                 break 'iterations; // the guest is gone for good
             }
-            match one_session(host, vm, port) {
+            match one_session(vm, addr) {
                 Ok(()) => {
                     completed += 1;
                     eprintln!("[chaos dbg] iteration done ({completed}/{ITERATIONS})");
@@ -164,9 +115,9 @@ fn chaos_round(seed: u64) {
     // fault: every begun span must be ended even on error paths.
     assert!(VmConfig::default().num_queues > 1, "chaos must exercise the sharded backend");
     let tracer = host.arm_tracing(TraceConfig::default());
-    let stop = Arc::new(Flag::new(false));
-    let port = 700 + seed as u16 % 100;
-    let server = chaos_server(&host, port, Arc::clone(&stop));
+    // Connection-level errors (the card locking up mid-echo, the peer's
+    // guest dying) end that connection, never the server.
+    let server = echo_window_server(&host, 0);
 
     // Same seed ⇒ byte-identical fault schedule, every time.
     let plan = FaultPlan::from_seed(seed, PLAN_POINTS);
@@ -177,7 +128,7 @@ fn chaos_round(seed: u64) {
 
     // Victim phase: a VM runs its workload while the plan fires.
     let victim = host.spawn_vm(VmConfig::default());
-    let (completed, resets) = run_workload(&host, &victim, port);
+    let (completed, resets) = run_workload(&host, &victim, server.addr());
     let victim_died = victim.frontend().channel().is_shutdown();
     // Each fault point fires at most once, so either the workload pushed
     // through every disruption or the guest itself was killed.
@@ -205,7 +156,7 @@ fn chaos_round(seed: u64) {
     // new faults fire) and prove an unaffected VM makes full progress.
     injector.defuse();
     let bystander = host.spawn_vm(VmConfig::default());
-    let (b_completed, b_resets) = run_workload(&host, &bystander, port);
+    let (b_completed, b_resets) = run_workload(&host, &bystander, server.addr());
     assert_eq!(b_completed, ITERATIONS, "seed {seed}: bystander VM failed to progress");
     assert_eq!(b_resets, 0, "seed {seed}: bystander saw card failures after defuse");
     assert_no_leaks(&bystander, "bystander");
@@ -217,10 +168,9 @@ fn chaos_round(seed: u64) {
     let busy = report.queues.iter().filter(|q| q.chains_popped > 0).count();
     assert!(busy > 1, "seed {seed}: all chaos traffic stayed on one lane: {:?}", report.queues);
 
-    stop.set();
     victim.shutdown();
     bystander.shutdown();
-    server.join().unwrap();
+    server.shutdown();
 
     // Quiesced: every span begun during the round — including the ones cut
     // short by faults, retries, and the dead guest — was ended.

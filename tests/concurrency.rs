@@ -5,63 +5,24 @@
 use std::sync::Arc;
 
 use vphi::builder::{VmConfig, VphiHost};
+use vphi_dev_support::echo_server;
 use vphi_scif::{Port, ScifAddr};
 use vphi_sim_core::Timeline;
-
-/// An echo server that serves *multiple* connections concurrently.
-fn multi_echo(host: &VphiHost, port: Port, conns: usize) -> std::thread::JoinHandle<()> {
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let h = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(port, &mut tl).unwrap();
-        server.listen(16, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let mut workers = Vec::new();
-        for _ in 0..conns {
-            let conn = server.accept(&mut tl).unwrap();
-            workers.push(std::thread::spawn(move || {
-                let mut tl = Timeline::new();
-                loop {
-                    let mut len = [0u8; 4];
-                    if conn.core().recv(&mut len, &mut tl) != Ok(4) {
-                        break;
-                    }
-                    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
-                    if conn.core().recv(&mut payload, &mut tl) != Ok(payload.len()) {
-                        break;
-                    }
-                    if conn.core().send(&len, &mut tl).is_err()
-                        || conn.core().send(&payload, &mut tl).is_err()
-                    {
-                        break;
-                    }
-                }
-            }));
-        }
-        for w in workers {
-            w.join().expect("echo worker panicked");
-        }
-    });
-    rx.recv().unwrap();
-    h
-}
 
 #[test]
 fn many_guest_threads_share_one_frontend() {
     let host = VphiHost::new(1);
     let threads = 6;
-    let echo = multi_echo(&host, Port(980), threads);
+    let echo = echo_server(&host, 0);
     let vm = Arc::new(host.spawn_vm(VmConfig::default()));
 
     let mut handles = Vec::new();
     for t in 0..threads {
-        let vm = Arc::clone(&vm);
-        let node = host.device_node(0);
+        let (vm, addr) = (Arc::clone(&vm), echo.addr());
         handles.push(std::thread::spawn(move || {
             let mut tl = Timeline::new();
             let ep = vm.open_scif(&mut tl).unwrap();
-            ep.connect(ScifAddr::new(node, Port(980)), &mut tl).unwrap();
+            ep.connect(addr, &mut tl).unwrap();
             for round in 0..10u32 {
                 let msg = format!("thread {t} round {round}");
                 ep.send(&(msg.len() as u32).to_le_bytes(), &mut tl).unwrap();
@@ -81,7 +42,7 @@ fn many_guest_threads_share_one_frontend() {
     // All requests flowed through one ring.
     assert!(vm.frontend().stats().requests >= (threads as u64) * 10);
     vm.shutdown();
-    echo.join().unwrap();
+    echo.shutdown();
     // Six guest threads hammered every lock in the stack; the lock-order
     // audit saw every acquisition and found nothing to flag.
     assert_eq!(vphi_sync::audit::violation_count(), 0, "lock-order violations detected");
@@ -94,18 +55,17 @@ fn many_guest_threads_share_one_frontend() {
 fn several_vms_issue_in_parallel() {
     let host = VphiHost::new(1);
     let n_vms = 4;
-    let echo = multi_echo(&host, Port(981), n_vms);
+    let echo = echo_server(&host, 0);
     let vms: Vec<Arc<_>> =
         (0..n_vms).map(|_| Arc::new(host.spawn_vm(VmConfig::default()))).collect();
 
     let mut handles = Vec::new();
     for (i, vm) in vms.iter().enumerate() {
-        let vm = Arc::clone(vm);
-        let node = host.device_node(0);
+        let (vm, addr) = (Arc::clone(vm), echo.addr());
         handles.push(std::thread::spawn(move || {
             let mut tl = Timeline::new();
             let ep = vm.open_scif(&mut tl).unwrap();
-            ep.connect(ScifAddr::new(node, Port(981)), &mut tl).unwrap();
+            ep.connect(addr, &mut tl).unwrap();
             let msg = format!("vm {i}");
             ep.send(&(msg.len() as u32).to_le_bytes(), &mut tl).unwrap();
             ep.send(msg.as_bytes(), &mut tl).unwrap();
@@ -123,7 +83,6 @@ fn several_vms_issue_in_parallel() {
     for vm in &vms {
         vm.shutdown();
     }
-    echo.join().unwrap();
 }
 
 #[test]

@@ -4,6 +4,7 @@
 
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::{Cq, Sq, SqEntry, VphiRequest};
+use vphi_dev_support::{serve, sink};
 use vphi_faults::{FaultPlan, FaultSite};
 use vphi_scif::{ErrorClass, Port, Prot, RmaFlags, ScifAddr, ScifError};
 use vphi_sim_core::Timeline;
@@ -38,23 +39,12 @@ fn no_such_node_reaches_the_guest() {
 fn rma_on_unregistered_offset_reaches_the_guest() {
     let host = VphiHost::new(1);
     // A device server that accepts but registers nothing.
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let dev = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(Port(975), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        let mut b = [0u8; 1];
-        let _ = conn.core().recv(&mut b, &mut tl);
-    });
-    rx.recv().unwrap();
+    let dev = sink(&host, 0);
 
     let vm = host.spawn_vm(VmConfig::default());
     let mut tl = Timeline::new();
     let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(975)), &mut tl).unwrap();
+    ep.connect(dev.addr(), &mut tl).unwrap();
     let buf = vm.alloc_buf(4096).unwrap();
     assert_eq!(
         ep.vreadfrom(&buf, 0xdead_0000, RmaFlags::SYNC, &mut tl),
@@ -62,7 +52,6 @@ fn rma_on_unregistered_offset_reaches_the_guest() {
     );
     ep.close(&mut tl).unwrap();
     vm.shutdown();
-    dev.join().unwrap();
 }
 
 #[test]
@@ -104,14 +93,8 @@ fn register_with_bad_protection_combination() {
     let host = VphiHost::new(1);
     // Device window registered read-only; guest writes must be EACCES.
     let board = std::sync::Arc::clone(host.board(0));
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let dev = std::thread::spawn(move || {
+    let dev = serve(&host, 0, move |conn| {
         let mut tl = Timeline::new();
-        server.bind(Port(978), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
         let region = board.memory().alloc(4096).unwrap();
         conn.register(
             Some(0),
@@ -121,16 +104,14 @@ fn register_with_bad_protection_combination() {
             &mut tl,
         )
         .unwrap();
-        conn.core().send(&[1], &mut tl).unwrap();
-        let mut b = [0u8; 1];
-        let _ = conn.core().recv(&mut b, &mut tl);
+        conn.send(&[1], &mut tl).unwrap();
+        let _ = conn.recv(&mut [0u8; 1], &mut tl);
     });
-    rx.recv().unwrap();
 
     let vm = host.spawn_vm(VmConfig::default());
     let mut tl = Timeline::new();
     let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(978)), &mut tl).unwrap();
+    ep.connect(dev.addr(), &mut tl).unwrap();
     let mut ready = [0u8; 1];
     ep.recv(&mut ready, &mut tl).unwrap();
     let buf = vm.alloc_buf(4096).unwrap();
@@ -146,33 +127,20 @@ fn register_with_bad_protection_combination() {
     ep.send(&[0], &mut tl).unwrap();
     ep.close(&mut tl).unwrap();
     vm.shutdown();
-    dev.join().unwrap();
 }
 
 #[test]
 fn guest_unregister_of_unknown_window_fails() {
     let host = VphiHost::new(1);
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let dev = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(Port(979), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        let mut b = [0u8; 1];
-        let _ = conn.core().recv(&mut b, &mut tl);
-    });
-    rx.recv().unwrap();
+    let dev = sink(&host, 0);
 
     let vm = host.spawn_vm(VmConfig::default());
     let mut tl = Timeline::new();
     let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(979)), &mut tl).unwrap();
+    ep.connect(dev.addr(), &mut tl).unwrap();
     assert_eq!(ep.unregister(0x5000, 4096, &mut tl), Err(ScifError::OutOfRange));
     ep.close(&mut tl).unwrap();
     vm.shutdown();
-    dev.join().unwrap();
 }
 
 #[test]
@@ -182,23 +150,12 @@ fn guest_death_during_register_gcs_the_backend() {
     // the QEMU process dies abruptly mid-register.
     host.arm_faults(FaultPlan::single(FaultSite::VmmGuestDeath, 3, 0));
 
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let dev = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(Port(980), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        let mut b = [0u8; 1];
-        let _ = conn.core().recv(&mut b, &mut tl);
-    });
-    rx.recv().unwrap();
+    let dev = sink(&host, 0);
 
     let vm = host.spawn_vm(VmConfig::default());
     let mut tl = Timeline::new();
     let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(980)), &mut tl).unwrap();
+    ep.connect(dev.addr(), &mut tl).unwrap();
     let buf = vm.alloc_buf(4096).unwrap();
     // The dying guest's register observes the dead device, not a hang.
     assert_eq!(ep.register(&buf, Prot::READ_WRITE, None, &mut tl), Err(ScifError::NoDev));
@@ -213,31 +170,19 @@ fn guest_death_during_register_gcs_the_backend() {
     assert_eq!(stats.endpoints_gced.get(), 1);
 
     vm.shutdown();
-    dev.join().unwrap();
 }
 
 #[test]
 fn double_close_after_card_reset_pins_exact_errors() {
     let host = VphiHost::new(1);
 
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let dev = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(Port(981), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        let mut b = [0u8; 1];
-        let _ = conn.core().recv(&mut b, &mut tl);
-    });
-    rx.recv().unwrap();
+    let dev = sink(&host, 0);
 
     let vm = host.spawn_vm(VmConfig::default());
     let mut tl = Timeline::new();
     let ep = vm.open_scif(&mut tl).unwrap();
     let epd = ep.epd();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(981)), &mut tl).unwrap();
+    ep.connect(dev.addr(), &mut tl).unwrap();
 
     // Arm once the connection is up: the next traffic to cross the card
     // (the send below) trips a core lockup.
@@ -261,7 +206,6 @@ fn double_close_after_card_reset_pins_exact_errors() {
     assert_eq!(vm.frontend().simple(VphiRequest::Close { epd }, &mut tl), Err(ScifError::Inval));
 
     vm.shutdown();
-    dev.join().unwrap();
 }
 
 /// Closing an endpoint with submissions still in flight cancels them:
@@ -278,27 +222,12 @@ fn reap_after_close_pins_canceled() {
     assert_eq!(ScifError::from_errno(125), Some(ScifError::Canceled));
 
     let host = VphiHost::new(1);
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let dev = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(Port(983), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        let mut b = [0u8; 8];
-        while let Ok(n) = conn.core().recv(&mut b, &mut tl) {
-            if n == 0 {
-                break;
-            }
-        }
-    });
-    rx.recv().unwrap();
+    let dev = sink(&host, 0);
 
     let vm = host.spawn_vm(VmConfig::default());
     let mut tl = Timeline::new();
     let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(983)), &mut tl).unwrap();
+    ep.connect(dev.addr(), &mut tl).unwrap();
 
     let mut sq = Sq::new();
     for i in 0u32..4 {
@@ -320,7 +249,6 @@ fn reap_after_close_pins_canceled() {
     assert_eq!(vm.frontend().stats().tokens_canceled, 4);
 
     vm.shutdown();
-    dev.join().unwrap();
 }
 
 /// The RAII variant of the double-close-after-reset test: dropping the
@@ -331,24 +259,13 @@ fn reap_after_close_pins_canceled() {
 fn drop_after_card_reset_closes_exactly_once() {
     let host = VphiHost::new(1);
 
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let dev = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(Port(982), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        let mut b = [0u8; 1];
-        let _ = conn.core().recv(&mut b, &mut tl);
-    });
-    rx.recv().unwrap();
+    let dev = sink(&host, 0);
 
     let vm = host.spawn_vm(VmConfig::default());
     let mut tl = Timeline::new();
     let ep = vm.open_scif(&mut tl).unwrap();
     let epd = ep.epd();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(982)), &mut tl).unwrap();
+    ep.connect(dev.addr(), &mut tl).unwrap();
 
     host.arm_faults(FaultPlan::single(FaultSite::PhiCoreLockup, 1, 0));
     assert_eq!(ep.send(b"x", &mut tl), Err(ScifError::NoDev));
@@ -361,36 +278,21 @@ fn drop_after_card_reset_closes_exactly_once() {
     assert_eq!(vm.frontend().simple(VphiRequest::Close { epd }, &mut tl), Err(ScifError::Inval));
 
     vm.shutdown();
-    dev.join().unwrap();
 }
 
-/// A card-side peer serving `conns` connections on `port`: each gets
-/// `region` registered at window offset 0 and one ready byte, and is held
-/// open until its client hangs up.
+/// A card-side peer whose connections all get the *same* `region`
+/// registered at window offset 0 and one ready byte, and are held open
+/// until their client hangs up.
 fn gddr_window_server(
     host: &VphiHost,
-    port: u16,
     region: std::sync::Arc<vphi_phi::DeviceRegion>,
-    conns: usize,
-) -> std::thread::JoinHandle<()> {
-    let server = host.device_endpoint(0).unwrap();
-    let mut tl = Timeline::new();
-    server.bind(Port(port), &mut tl).unwrap();
-    server.listen(conns, &mut tl).unwrap();
-    std::thread::spawn(move || {
+) -> vphi_scif::CardService {
+    serve(host, 0, move |conn| {
         let mut tl = Timeline::new();
-        let held: Vec<_> = (0..conns)
-            .map(|_| {
-                let conn = server.accept(&mut tl).unwrap();
-                let backing = vphi_scif::window::WindowBacking::Device(region.clone());
-                conn.register(Some(0), region.len(), Prot::READ_WRITE, backing, &mut tl).unwrap();
-                conn.send(&[1], &mut tl).unwrap();
-                conn
-            })
-            .collect();
-        for conn in held {
-            let _ = conn.recv(&mut [0u8; 1], &mut tl);
-        }
+        let backing = vphi_scif::window::WindowBacking::Device(region.clone());
+        conn.register(Some(0), region.len(), Prot::READ_WRITE, backing, &mut tl).unwrap();
+        conn.send(&[1], &mut tl).unwrap();
+        let _ = conn.recv(&mut [0u8; 1], &mut tl);
     })
 }
 
@@ -412,18 +314,16 @@ fn failed_rma_matches_native_and_retries_clean() {
     arms.extend(RmaCharge::ALL.map(|charge| (charge, large)));
     let faults =
         [(FaultSite::PcieDmaError, ScifError::Again), (FaultSite::PhiEccError, ScifError::Io)];
-    let mut port = 984;
     for (site, errno) in faults {
         for &(charge, len) in &arms {
             for write in [false, true] {
-                port += 1;
                 let case = format!("{} {charge:?} len={len} write={write}", site.name());
                 let host = VphiHost::new(1);
                 let region = host.board(0).memory().alloc(len).unwrap();
-                let dev = gddr_window_server(&host, port, region.clone(), 2);
+                let dev = gddr_window_server(&host, region.clone());
                 let vm = host.spawn_vm(VmConfig::builder().rma(charge).build());
                 let mut tl = Timeline::new();
-                let addr = ScifAddr::new(host.device_node(0), Port(port));
+                let addr = dev.addr();
                 let native = host.native_endpoint().unwrap();
                 native.connect(addr, &mut tl).unwrap();
                 native.recv(&mut [0u8; 1], &mut tl).unwrap();
@@ -482,7 +382,7 @@ fn failed_rma_matches_native_and_retries_clean() {
                 assert_eq!(backend.aperture().mapped_windows(), 0, "{case}: mapping");
                 assert_eq!(vm.backend().open_endpoints(), 0, "{case}: endpoint");
                 vm.shutdown();
-                dev.join().unwrap();
+                dev.shutdown();
             }
         }
     }
@@ -559,25 +459,17 @@ fn hostile_register_length_is_refused_before_a_window_exists() {
     use vphi_virtio::Descriptor;
 
     let host = VphiHost::new(1);
-    let server = host.device_endpoint(0).unwrap();
+    let card = sink(&host, 0);
     let mut tl = Timeline::new();
-    server.bind(Port(1013), &mut tl).unwrap();
-    server.listen(3, &mut tl).unwrap();
-    let acceptor = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        (0..3).map(|_| server.accept(&mut tl).unwrap()).collect::<Vec<_>>()
-    });
     let vm = host.spawn_vm(VmConfig::default());
     let bystander_vm = host.spawn_vm(VmConfig::default());
-    let card = ScifAddr::new(host.device_node(0), Port(1013));
     let connected = |vm: &vphi::builder::VphiVm| {
         let mut tl = Timeline::new();
         let ep = vm.open_scif(&mut tl).unwrap();
-        ep.connect(card, &mut tl).unwrap();
+        ep.connect(card.addr(), &mut tl).unwrap();
         ep
     };
     let (ep, untouched, bystander) = (connected(&vm), connected(&vm), connected(&bystander_vm));
-    let _card_side = acceptor.join().unwrap();
 
     // A 4 KiB buffer described honestly and a 16 EiB length claimed for
     // it, at a fixed offset (the overlap check's `offset + len`) and at an

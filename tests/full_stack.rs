@@ -2,49 +2,18 @@
 //! SCIF → PCIe → device, in realistic combinations.
 
 use vphi::builder::{VmConfig, VphiHost};
+use vphi_dev_support::{echo_server, serve, window, GuestRig};
 use vphi_scif::window::WindowBacking;
-use vphi_scif::{Port, Prot, RmaFlags, ScifAddr};
+use vphi_scif::{Prot, RmaFlags};
 use vphi_sim_core::units::MIB;
 use vphi_sim_core::{SimDuration, Timeline};
-
-/// Device echo server used by several tests.
-fn device_echo(host: &VphiHost, mic: usize, port: Port) -> std::thread::JoinHandle<()> {
-    let server = host.device_endpoint(mic).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let h = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(port, &mut tl).unwrap();
-        server.listen(4, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        loop {
-            let mut len = [0u8; 4];
-            if conn.core().recv(&mut len, &mut tl) != Ok(4) {
-                break;
-            }
-            let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
-            if conn.core().recv(&mut payload, &mut tl) != Ok(payload.len()) {
-                break;
-            }
-            if conn.core().send(&len, &mut tl).is_err()
-                || conn.core().send(&payload, &mut tl).is_err()
-            {
-                break;
-            }
-        }
-    });
-    rx.recv().unwrap();
-    h
-}
 
 #[test]
 fn guest_payload_integrity_across_sizes() {
     let host = VphiHost::new(1);
-    let echo = device_echo(&host, 0, Port(970));
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(970)), &mut tl).unwrap();
+    let echo = echo_server(&host, 0);
+    let rig = GuestRig::connect(&host, VmConfig::default(), echo.addr());
+    let (ep, mut tl) = (&rig.guest, Timeline::new());
 
     let mut rng = vphi_sim_core::SplitMix64::new(99);
     for size in [1usize, 100, 4096, 1 << 16, 5 << 20] {
@@ -59,9 +28,8 @@ fn guest_payload_integrity_across_sizes() {
         ep.recv(&mut back, &mut tl).unwrap();
         assert_eq!(back, data, "payload corrupted at size {size}");
     }
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
-    echo.join().unwrap();
+    drop(rig);
+    echo.shutdown();
     // The full guest→ring→backend→fabric→device path ran under the
     // lock-order audit without a single violation.
     assert_eq!(vphi_sync::audit::violation_count(), 0, "lock-order violations detected");
@@ -73,15 +41,15 @@ fn guest_payload_integrity_across_sizes() {
 #[test]
 fn two_cards_are_independent_nodes() {
     let host = VphiHost::new(2);
-    let echo0 = device_echo(&host, 0, Port(971));
-    let echo1 = device_echo(&host, 1, Port(971)); // same port, different node
+    let (echo0, echo1) = (echo_server(&host, 0), echo_server(&host, 1));
+    assert_ne!(echo0.addr().node, echo1.addr().node);
 
     let vm = host.spawn_vm(VmConfig::default());
     let mut tl = Timeline::new();
     let ep0 = vm.open_scif(&mut tl).unwrap();
     let ep1 = vm.open_scif(&mut tl).unwrap();
-    ep0.connect(ScifAddr::new(host.device_node(0), Port(971)), &mut tl).unwrap();
-    ep1.connect(ScifAddr::new(host.device_node(1), Port(971)), &mut tl).unwrap();
+    ep0.connect(echo0.addr(), &mut tl).unwrap();
+    ep1.connect(echo1.addr(), &mut tl).unwrap();
 
     for (i, ep) in [&ep0, &ep1].into_iter().enumerate() {
         let msg = format!("to card {i}");
@@ -99,8 +67,6 @@ fn two_cards_are_independent_nodes() {
     ep0.close(&mut tl).unwrap();
     ep1.close(&mut tl).unwrap();
     vm.shutdown();
-    echo0.join().unwrap();
-    echo1.join().unwrap();
 }
 
 #[test]
@@ -109,30 +75,21 @@ fn guest_window_is_visible_to_device_rma() {
     // the reverse direction of the usual benchmarks, exercising
     // GuestWindowBytes end to end.
     let host = VphiHost::new(1);
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let device = std::thread::spawn(move || {
+    let device = serve(&host, 0, |conn| {
         let mut tl = Timeline::new();
-        server.bind(Port(972), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
         // Wait for the guest to say its window is up, then RMA against it.
         let mut sig = [0u8; 8];
-        conn.core().recv(&mut sig, &mut tl).unwrap();
+        conn.recv(&mut sig, &mut tl).unwrap();
         let roffset = u64::from_le_bytes(sig);
         let mut got = vec![0u8; 16];
-        conn.core().vreadfrom(&mut got, roffset, RmaFlags::SYNC, &mut tl).unwrap();
+        conn.vreadfrom(&mut got, roffset, RmaFlags::SYNC, &mut tl).unwrap();
         assert_eq!(&got, b"guest registered");
-        conn.core().vwriteto(b"device wrote this", roffset + 64, RmaFlags::SYNC, &mut tl).unwrap();
-        conn.core().send(&[1], &mut tl).unwrap();
+        conn.vwriteto(b"device wrote this", roffset + 64, RmaFlags::SYNC, &mut tl).unwrap();
+        conn.send(&[1], &mut tl).unwrap();
     });
-    rx.recv().unwrap();
 
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(972)), &mut tl).unwrap();
+    let rig = GuestRig::connect(&host, VmConfig::default(), device.addr());
+    let (ep, vm, mut tl) = (&rig.guest, &rig.vm, Timeline::new());
     let buf = vm.alloc_buf(4096).unwrap();
     buf.fill(0, b"guest registered").unwrap();
     let roffset = ep.register(&buf, Prot::READ_WRITE, None, &mut tl).unwrap();
@@ -146,39 +103,17 @@ fn guest_window_is_visible_to_device_rma() {
     assert_eq!(&landed, b"device wrote this");
 
     ep.unregister(roffset, 4096, &mut tl).unwrap();
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
-    device.join().unwrap();
+    // The device side's own assertions.
+    device.shutdown();
 }
 
 #[test]
 fn window_to_window_rma_between_guest_and_device() {
     let host = VphiHost::new(1);
-    let board = std::sync::Arc::clone(host.board(0));
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let device = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(Port(973), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        let region = board.memory().alloc(4096).unwrap();
-        region.write(0, b"from GDDR").unwrap();
-        conn.register(Some(0), 4096, Prot::READ_WRITE, WindowBacking::Device(region), &mut tl)
-            .unwrap();
-        conn.core().send(&[1], &mut tl).unwrap(); // window ready
-        let mut fin = [0u8; 1];
-        let _ = conn.core().recv(&mut fin, &mut tl);
-    });
-    rx.recv().unwrap();
-
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(973)), &mut tl).unwrap();
-    let mut ready = [0u8; 1];
-    ep.recv(&mut ready, &mut tl).unwrap();
+    let device = window(&host, 0, 4096, |region| region.write(0, b"from GDDR").unwrap());
+    let rig = GuestRig::connect(&host, VmConfig::default(), device.addr());
+    let gddr_offset = device.wait_registered();
+    let (ep, vm, mut tl) = (&rig.guest, &rig.vm, Timeline::new());
 
     let lbuf = vm.alloc_buf(4096).unwrap();
     let loff = ep.register(&lbuf, Prot::READ_WRITE, None, &mut tl).unwrap();
@@ -190,15 +125,10 @@ fn window_to_window_rma_between_guest_and_device() {
     // writeto: guest window → device window.
     lbuf.fill(100, b"to GDDR").unwrap();
     ep.writeto(loff + 100, 7, 200, RmaFlags::SYNC, &mut tl).unwrap();
-    let region = host.board(0).memory().region_at(0).unwrap();
+    let region = host.board(0).memory().region_at(gddr_offset).unwrap();
     let mut dev_check = [0u8; 7];
     region.read(200, &mut dev_check).unwrap();
     assert_eq!(&dev_check, b"to GDDR");
-
-    ep.send(&[0], &mut tl).unwrap();
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
-    device.join().unwrap();
 }
 
 #[test]
@@ -210,14 +140,8 @@ fn rdma_plus_polling_completion_flag_idiom() {
     // remote window; the device side spins on the flag.
     let host = VphiHost::new(1);
     let board = std::sync::Arc::clone(host.board(0));
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let device = std::thread::spawn(move || {
+    let device = serve(&host, 0, move |conn| {
         let mut tl = Timeline::new();
-        server.bind(Port(992), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
         let region = board.memory().alloc(8192).unwrap();
         let offset = region.offset();
         conn.register(
@@ -228,7 +152,7 @@ fn rdma_plus_polling_completion_flag_idiom() {
             &mut tl,
         )
         .unwrap();
-        conn.core().send(&[1], &mut tl).unwrap();
+        conn.send(&[1], &mut tl).unwrap();
         // Spin on the completion flag at window offset 4096 (the device
         // would normally scif_poll or busy-read its own memory).
         let mut flag = [0u8; 8];
@@ -247,12 +171,9 @@ fn rdma_plus_polling_completion_flag_idiom() {
         assert_eq!(&payload, b"rdma bytes");
         let _ = board.memory().free(offset);
     });
-    rx.recv().unwrap();
 
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(992)), &mut tl).unwrap();
+    let rig = GuestRig::connect(&host, VmConfig::default(), device.addr());
+    let (ep, vm, mut tl) = (&rig.guest, &rig.vm, Timeline::new());
     let mut ready = [0u8; 1];
     ep.recv(&mut ready, &mut tl).unwrap();
 
@@ -269,38 +190,16 @@ fn rdma_plus_polling_completion_flag_idiom() {
     lbuf.peek(0, &mut lflag).unwrap();
     assert_eq!(u64::from_le_bytes(lflag), 1);
 
-    device.join().unwrap();
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
+    // The device saw the flag and the payload behind it.
+    device.shutdown();
 }
 
 #[test]
 fn async_rma_and_fences_through_vphi() {
     let host = VphiHost::new(1);
-    let server = host.device_endpoint(0).unwrap();
-    let board = std::sync::Arc::clone(host.board(0));
-    let (tx, rx) = std::sync::mpsc::channel();
-    let device = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(Port(974), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        let region = board.memory().alloc(16 * MIB).unwrap();
-        conn.register(Some(0), 16 * MIB, Prot::READ_WRITE, WindowBacking::Device(region), &mut tl)
-            .unwrap();
-        conn.core().send(&[1], &mut tl).unwrap();
-        let mut fin = [0u8; 1];
-        let _ = conn.core().recv(&mut fin, &mut tl);
-    });
-    rx.recv().unwrap();
-
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(974)), &mut tl).unwrap();
-    let mut ready = [0u8; 1];
-    ep.recv(&mut ready, &mut tl).unwrap();
+    let device = window(&host, 0, 16 * MIB, |_| {});
+    let rig = device.guest(&host, VmConfig::default());
+    let (ep, vm, mut tl) = (&rig.guest, &rig.vm, Timeline::new());
 
     let buf = vm.alloc_buf(8 * MIB).unwrap();
     // Async write: cheap to issue…
@@ -322,9 +221,4 @@ fn async_rma_and_fences_through_vphi() {
         "async+fence {combined} vs sync {}",
         sync_tl.total()
     );
-
-    ep.send(&[0], &mut tl).unwrap();
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
-    device.join().unwrap();
 }

@@ -1,62 +1,28 @@
 //! Coherence of `scif_mmap` mappings: a guest mapping, host RMA and the
 //! device itself all see the same GDDR bytes.
 
-use std::sync::Arc;
-
 use vphi::builder::{VmConfig, VphiHost};
-use vphi_scif::window::WindowBacking;
-use vphi_scif::{Port, Prot, ScifAddr};
+use vphi_dev_support::{window, CardWindow, GuestRig};
+use vphi_scif::Prot;
 use vphi_sim_core::cost::PAGE_SIZE;
 use vphi_sim_core::Timeline;
 use vphi_vmm::kvm::KvmPatch;
 
-/// Device server exposing 4 pages of real GDDR; sends the region's device
-/// offset so the test can poke it from the device side too.
-fn window_server(
-    host: &VphiHost,
-    port: Port,
-) -> (std::thread::JoinHandle<()>, std::sync::mpsc::Receiver<u64>) {
-    let board = Arc::clone(host.board(0));
-    let server = host.device_endpoint(0).unwrap();
-    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-    let (off_tx, off_rx) = std::sync::mpsc::channel();
-    let h = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(port, &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        ready_tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        let region = board.memory().alloc(4 * PAGE_SIZE).unwrap();
-        region.write(0, b"device wrote before mmap").unwrap();
-        off_tx.send(region.offset()).unwrap();
-        conn.register(
-            Some(0),
-            4 * PAGE_SIZE,
-            Prot::READ_WRITE,
-            WindowBacking::Device(region),
-            &mut tl,
-        )
-        .unwrap();
-        conn.core().send(&[1], &mut tl).unwrap();
-        let mut b = [0u8; 1];
-        let _ = conn.core().recv(&mut b, &mut tl);
-    });
-    ready_rx.recv().unwrap();
-    (h, off_rx)
+/// Device server exposing 4 pages of real GDDR, written to before any
+/// mapping exists.
+fn window_server(host: &VphiHost) -> CardWindow {
+    window(host, 0, 4 * PAGE_SIZE, |region| region.write(0, b"device wrote before mmap").unwrap())
 }
 
 #[test]
 fn guest_mapping_sees_device_writes_and_vice_versa() {
     let host = VphiHost::new(1);
-    let (server, off_rx) = window_server(&host, Port(985));
-
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(985)), &mut tl).unwrap();
-    let mut ready = [0u8; 1];
-    ep.recv(&mut ready, &mut tl).unwrap();
-    let device_offset = off_rx.recv().unwrap();
+    let server = window_server(&host);
+    let rig = GuestRig::connect(&host, VmConfig::default(), server.addr());
+    // The region's device offset, so the test can poke it from the device
+    // side too.
+    let device_offset = server.wait_registered();
+    let (ep, vm, mut tl) = (&rig.guest, &rig.vm, Timeline::new());
 
     let map = ep.mmap(vm.vm().kvm(), 0, 2 * PAGE_SIZE, Prot::READ_WRITE, &mut tl).unwrap();
 
@@ -87,23 +53,14 @@ fn guest_mapping_sees_device_writes_and_vice_versa() {
     map.munmap(&mut tl).unwrap();
     // Double munmap is rejected.
     assert!(map.munmap(&mut tl).is_err());
-
-    ep.send(&[0], &mut tl).unwrap();
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
-    server.join().unwrap();
 }
 
 #[test]
 fn mapping_offsets_respect_the_window() {
     let host = VphiHost::new(1);
-    let (server, _off) = window_server(&host, Port(986));
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(986)), &mut tl).unwrap();
-    let mut ready = [0u8; 1];
-    ep.recv(&mut ready, &mut tl).unwrap();
+    let server = window_server(&host);
+    let rig = server.guest(&host, VmConfig::default());
+    let (ep, vm, mut tl) = (&rig.guest, &rig.vm, Timeline::new());
 
     // Map the *second* page only; offset arithmetic must hold.
     let map = ep.mmap(vm.vm().kvm(), PAGE_SIZE, PAGE_SIZE, Prot::READ_WRITE, &mut tl).unwrap();
@@ -116,29 +73,17 @@ fn mapping_offsets_respect_the_window() {
     assert!(ep.mmap(vm.vm().kvm(), 16 * PAGE_SIZE, PAGE_SIZE, Prot::READ, &mut tl).is_err());
 
     map.munmap(&mut tl).unwrap();
-    ep.send(&[0], &mut tl).unwrap();
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
-    server.join().unwrap();
 }
 
 #[test]
 fn unpatched_kvm_cannot_serve_the_mapping() {
     let host = VphiHost::new(1);
-    let (server, _off) = window_server(&host, Port(987));
-    let vm = host.spawn_vm(VmConfig::builder().patch(KvmPatch::Unpatched).build());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(987)), &mut tl).unwrap();
-    let mut ready = [0u8; 1];
-    ep.recv(&mut ready, &mut tl).unwrap();
+    let server = window_server(&host);
+    let rig = server.guest(&host, VmConfig::builder().patch(KvmPatch::Unpatched).build());
+    let (ep, vm, mut tl) = (&rig.guest, &rig.vm, Timeline::new());
     // mmap itself succeeds (the VMA is installed)…
     let map = ep.mmap(vm.vm().kvm(), 0, PAGE_SIZE, Prot::READ_WRITE, &mut tl).unwrap();
     // …but the first dereference faults into stock KVM and dies.
     let mut b = [0u8; 1];
     assert!(map.load(0, &mut b, &mut tl).is_err());
-    ep.send(&[0], &mut tl).unwrap();
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
-    server.join().unwrap();
 }

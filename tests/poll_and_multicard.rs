@@ -5,41 +5,32 @@ use std::sync::Arc;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi_coi::transport::CoiEnv;
 use vphi_coi::{CoiDaemon, GuestEnv};
+use vphi_dev_support::{serve, GuestRig};
 use vphi_mic_tools::{micnativeloadex, MicBinary};
-use vphi_scif::{PollEvents, Port, ScifAddr};
+use vphi_scif::{CardService, PollEvents};
 use vphi_sim_core::Timeline;
 
-fn echo_ready_server(host: &VphiHost, port: Port) -> std::thread::JoinHandle<()> {
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let h = std::thread::spawn(move || {
+/// A server that waits for a request byte, sleeps (wall), then replies —
+/// gives the guest something to poll for.
+fn slow_reply_server(host: &VphiHost) -> CardService {
+    serve(host, 0, |conn| {
         let mut tl = Timeline::new();
-        server.bind(port, &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        // Wait for a request byte, sleep (wall), then reply — gives the
-        // guest something to poll for.
         let mut b = [0u8; 1];
-        while conn.core().recv(&mut b, &mut tl) == Ok(1) {
+        while conn.recv(&mut b, &mut tl) == Ok(1) {
             std::thread::sleep(std::time::Duration::from_millis(15));
-            if conn.core().send(b"R", &mut tl).is_err() {
+            if conn.send(b"R", &mut tl).is_err() {
                 break;
             }
         }
-    });
-    rx.recv().unwrap();
-    h
+    })
 }
 
 #[test]
 fn guest_poll_reports_readiness() {
     let host = VphiHost::new(1);
-    let server = echo_ready_server(&host, Port(990));
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(990)), &mut tl).unwrap();
+    let server = slow_reply_server(&host);
+    let rig = GuestRig::connect(&host, VmConfig::default(), server.addr());
+    let (ep, vm, mut tl) = (&rig.guest, &rig.vm, Timeline::new());
 
     // Nothing pending: a zero-timeout poll sees OUT (writable) but not IN.
     let re = ep.poll(PollEvents::IN | PollEvents::OUT, 0, &mut tl).unwrap();
@@ -60,36 +51,16 @@ fn guest_poll_reports_readiness() {
     let dispatched = vm.backend().inner().stats.worker_dispatches.get();
     assert!(dispatched >= 1);
     assert_eq!(vm.vm().event_loop().worker_event_count(), dispatched, "one event per dispatch");
-
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
-    server.join().unwrap();
 }
 
 #[test]
 fn poll_sees_hup_after_peer_close() {
     let host = VphiHost::new(1);
-    let server = host.device_endpoint(0).unwrap();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let dev = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        server.bind(Port(991), &mut tl).unwrap();
-        server.listen(2, &mut tl).unwrap();
-        tx.send(()).unwrap();
-        let conn = server.accept(&mut tl).unwrap();
-        conn.close(); // hang up immediately
-    });
-    rx.recv().unwrap();
-
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(991)), &mut tl).unwrap();
-    dev.join().unwrap();
-    let re = ep.poll(PollEvents::IN | PollEvents::OUT, 2_000, &mut tl).unwrap();
+    let dev = serve(&host, 0, |conn| conn.close()); // hang up immediately
+    let rig = GuestRig::connect(&host, VmConfig::default(), dev.addr());
+    dev.shutdown();
+    let re = rig.guest.poll(PollEvents::IN | PollEvents::OUT, 2_000, &mut Timeline::new()).unwrap();
     assert!(re.contains(PollEvents::HUP), "expected HUP, got {re:?}");
-    ep.close(&mut tl).unwrap();
-    vm.shutdown();
 }
 
 #[test]

@@ -3,78 +3,18 @@
 //! orphan spans when a chaos fault plan fires mid-request.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
-use std::time::Duration;
-
 use vphi::builder::{VmConfig, VphiHost, VphiVm};
 use vphi::{Cq, Sq, SqEntry};
+use vphi_dev_support::{echo_window_server, window};
 use vphi_faults::FaultPlan;
-use vphi_scif::window::WindowBacking;
-use vphi_scif::{Port, Prot, RmaFlags, ScifAddr, ScifError};
+use vphi_scif::{RmaFlags, ScifAddr, ScifError};
 use vphi_sim_core::{SimDuration, Timeline};
-use vphi_sync::Flag;
 use vphi_trace::{SpanRec, Stage, TraceConfig};
-
-/// A device-side echo server that registers a 4 KiB window per
-/// connection (so RMA ops land) and echoes fixed 5-byte messages.
-fn echo_window_server(host: &VphiHost, port: u16, stop: Arc<Flag>) -> std::thread::JoinHandle<()> {
-    window_server(host, port, stop, true)
-}
-
-/// The same server; with `echo` off it sends one byte once its window is
-/// registered and then swallows whatever it receives.
-fn window_server(
-    host: &VphiHost,
-    port: u16,
-    stop: Arc<Flag>,
-    echo: bool,
-) -> std::thread::JoinHandle<()> {
-    let server = host.device_endpoint(0).unwrap();
-    let board = Arc::clone(host.board(0));
-    let mut tl = Timeline::new();
-    server.bind(Port(port), &mut tl).unwrap();
-    server.listen(8, &mut tl).unwrap();
-    std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        while !stop.get() {
-            match server.try_accept(&mut tl) {
-                Ok(Some(conn)) => {
-                    if let Ok(region) = board.memory().alloc(4096) {
-                        let _ = conn.register(
-                            Some(0),
-                            4096,
-                            Prot::READ_WRITE,
-                            WindowBacking::Device(region),
-                            &mut tl,
-                        );
-                    }
-                    if !echo {
-                        let _ = conn.send(&[1], &mut tl);
-                    }
-                    loop {
-                        let mut buf = [0u8; 5];
-                        match conn.recv(&mut buf, &mut tl) {
-                            Ok(5) => {
-                                if echo && conn.send(&buf, &mut tl).is_err() {
-                                    break;
-                                }
-                            }
-                            _ => break,
-                        }
-                    }
-                    conn.close();
-                }
-                Ok(None) | Err(_) => std::thread::sleep(Duration::from_millis(2)),
-            }
-        }
-    })
-}
 
 /// One traced guest session: open, connect, 5-byte echo, a 4 KiB RMA
 /// write into the server window, close.
-fn one_session(host: &VphiHost, vm: &VphiVm, port: u16) -> Result<(), ScifError> {
+fn one_session(vm: &VphiVm, addr: ScifAddr) -> Result<(), ScifError> {
     let mut tl = Timeline::new();
-    let addr = ScifAddr::new(host.device_node(0), Port(port));
     let ep = vm.open_scif(&mut tl)?;
     ep.connect(addr, &mut tl)?;
     ep.send(b"ping!", &mut tl)?;
@@ -125,11 +65,10 @@ fn assert_well_formed(spans: &[SpanRec]) {
 fn span_graph_covers_every_layer_and_is_well_formed() {
     let host = VphiHost::new(1);
     let tracer = host.arm_tracing(TraceConfig { ring_capacity: 1 << 16, summary_capacity: 1024 });
-    let stop = Arc::new(Flag::new(false));
-    let server = echo_window_server(&host, 930, Arc::clone(&stop));
+    let server = echo_window_server(&host, 0);
     let vm = host.spawn_vm(VmConfig::default());
 
-    one_session(&host, &vm, 930).expect("traced session");
+    one_session(&vm, server.addr()).expect("traced session");
 
     let vm_id = vm.vm().id();
     let spans = tracer.spans(vm_id);
@@ -180,9 +119,7 @@ fn span_graph_covers_every_layer_and_is_well_formed() {
     assert!(chrome.contains("\"traceEvents\""));
     assert!(chrome.contains("backend-replay"));
 
-    stop.set();
     vm.shutdown();
-    server.join().unwrap();
 }
 
 /// One deterministic traced workload; returns the canonical encoding,
@@ -191,14 +128,11 @@ fn span_graph_covers_every_layer_and_is_well_formed() {
 fn encoded_run() -> String {
     let host = VphiHost::new(1);
     let tracer = host.arm_tracing(TraceConfig::default());
-    let stop = Arc::new(Flag::new(false));
-    let server = echo_window_server(&host, 931, Arc::clone(&stop));
+    let server = echo_window_server(&host, 0);
     let vm = host.spawn_vm(VmConfig::default());
-    one_session(&host, &vm, 931).expect("traced session");
+    one_session(&vm, server.addr()).expect("traced session");
     let encoded = tracer.encode().replace(&format!("vm={}", vm.vm().id()), "vm=#");
-    stop.set();
     vm.shutdown();
-    server.join().unwrap();
     encoded
 }
 
@@ -218,17 +152,12 @@ fn trace_encoding_is_byte_stable() {
 /// 5 000-byte send) submitted and reaped on a fresh stack.  Returns the
 /// virtual time the caller's timeline gained and, when traced, the stage
 /// sums of the traces the two calls produced.
-fn one_batch(port: u16, traced: bool) -> (SimDuration, Option<SimDuration>) {
+fn one_batch(traced: bool) -> (SimDuration, Option<SimDuration>) {
     let host = VphiHost::new(1);
     let tracer = traced.then(|| host.arm_tracing(TraceConfig::default()));
-    let stop = Arc::new(Flag::new(false));
-    let server = window_server(&host, port, Arc::clone(&stop), false);
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(port)), &mut tl).unwrap();
-    let mut ready = [0u8; 1];
-    assert_eq!(ep.recv(&mut ready, &mut tl), Ok(1), "server window registered");
+    let server = window(&host, 0, 4096, |_| {});
+    let rig = server.guest(&host, VmConfig::default());
+    let (ep, vm, mut tl) = (&rig.guest, &rig.vm, Timeline::new());
     let bufs: Vec<_> = (0..5).map(|_| vm.alloc_buf(4096).unwrap()).collect();
 
     let mut sq = Sq::new();
@@ -257,10 +186,6 @@ fn one_batch(port: u16, traced: bool) -> (SimDuration, Option<SimDuration>) {
         assert_eq!(batch.len(), 2, "one submit and one reap trace: {batch:?}");
         batch.iter().flat_map(|s| s.stages).sum::<SimDuration>()
     });
-    ep.close(&mut tl).unwrap();
-    stop.set();
-    vm.shutdown();
-    server.join().unwrap();
     (virt, staged)
 }
 
@@ -269,9 +194,9 @@ fn one_batch(port: u16, traced: bool) -> (SimDuration, Option<SimDuration>) {
 /// included.  Tracing itself moves no virtual time.
 #[test]
 fn batch_stage_sums_reconcile_with_the_callers_timeline() {
-    let (traced_virt, staged) = one_batch(933, true);
+    let (traced_virt, staged) = one_batch(true);
     assert_eq!(staged, Some(traced_virt), "stage sums vs the caller's virtual time");
-    let (untraced_virt, _) = one_batch(934, false);
+    let (untraced_virt, _) = one_batch(false);
     assert_eq!(untraced_virt, traced_virt, "tracing changed the batch's virtual time");
 }
 
@@ -280,8 +205,7 @@ fn chaos_faults_leave_no_orphan_spans() {
     let host = VphiHost::new(1);
     let tracer = host.arm_tracing(TraceConfig::default());
     let _injector = host.arm_faults(FaultPlan::from_seed(47, 12));
-    let stop = Arc::new(Flag::new(false));
-    let server = echo_window_server(&host, 932, Arc::clone(&stop));
+    let server = echo_window_server(&host, 0);
     let vm = host.spawn_vm(VmConfig::default());
 
     // Drive sessions through the fault plan with chaos-style recovery:
@@ -292,7 +216,7 @@ fn chaos_faults_leave_no_orphan_spans() {
             if vm.frontend().channel().is_shutdown() {
                 break 'sessions;
             }
-            match one_session(&host, &vm, 932) {
+            match one_session(&vm, server.addr()) {
                 Ok(()) => {
                     completed += 1;
                     continue 'sessions;
@@ -310,9 +234,8 @@ fn chaos_faults_leave_no_orphan_spans() {
     // Quiesce, then audit: every begun span ended and every adopted root
     // finished — errors, deadline retries, card resets and guest death
     // all travel the same finish paths as success.
-    stop.set();
     vm.shutdown();
-    server.join().unwrap();
+    server.shutdown();
 
     let c = tracer.counters();
     assert!(c.traces_started > 0, "{c:?}");
