@@ -48,7 +48,12 @@ pub const EXEMPTIONS: &[PathRule] =
 /// Rules that apply *only* to specific files (the inverse of an
 /// exemption): the event-loop blocking check and the OpCtx
 /// calling-convention check are each scoped to the one file that defines
-/// the discipline, the staging-buffer check to the two data planes.
+/// the discipline, the staging-buffer check to the two data planes, the
+/// guest-taint pass to the trust boundary: the files whose input a guest
+/// controls — the virtqueue rings, the request decoder and the whole
+/// backend (so a new backend file is inside the boundary the day it is
+/// added).  The analyzer's own fixtures opt in so seeded violations are
+/// caught by golden tests.
 pub const SCOPES: &[PathRule] = &[
     PathRule { rule: "event-loop-blocking", prefixes: &[], suffixes: &["vmm/src/event_loop.rs"] },
     PathRule { rule: "opctx-api", prefixes: &[], suffixes: &["scif/src/api.rs"] },
@@ -61,6 +66,11 @@ pub const SCOPES: &[PathRule] = &[
             "scif/src/queue.rs",
             "scif/src/endpoint.rs",
         ],
+    },
+    PathRule {
+        rule: "guest-taint",
+        prefixes: &["crates/core/src/backend/", "crates/analyze/fixtures/"],
+        suffixes: &["virtio/src/queue.rs", "virtio/src/ring.rs", "core/src/protocol.rs"],
     },
 ];
 
@@ -132,6 +142,21 @@ mod tests {
         assert!(!in_scope("event-loop-blocking", Path::new("crates/vmm/src/kvm.rs")));
         assert!(in_scope("opctx-api", Path::new("crates/scif/src/api.rs")));
         assert!(!in_scope("opctx-api", Path::new("crates/core/src/guest.rs")));
+        // The trust boundary: the rings, the decoder, every backend file.
+        for boundary in [
+            "crates/virtio/src/queue.rs",
+            "crates/virtio/src/ring.rs",
+            "crates/core/src/protocol.rs",
+            "crates/core/src/backend/mod.rs",
+            "crates/core/src/backend/holdings.rs",
+            "crates/core/src/backend/notify.rs",
+            "crates/core/src/backend/reg_cache.rs",
+            "crates/analyze/fixtures/unchecked_len.rs",
+        ] {
+            assert!(in_scope("guest-taint", Path::new(boundary)), "{boundary}");
+        }
+        assert!(!in_scope("guest-taint", Path::new("crates/core/src/frontend/mod.rs")));
+        assert!(!in_scope("guest-taint", Path::new("crates/virtio/src/lib.rs")));
         // Rules without a scope entry apply everywhere.
         assert!(in_scope("an-unscoped-rule", Path::new("anything.rs")));
     }

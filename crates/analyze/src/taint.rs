@@ -2,7 +2,8 @@
 //!
 //! The trust boundary (PAPER.md): everything a guest writes into a virtio
 //! descriptor table and everything `VphiRequest::decode` pulls out of a
-//! request buffer is attacker-controlled.  Within the boundary files this
+//! request buffer is attacker-controlled.  Within the boundary files (the
+//! `guest-taint` entry of [`crate::exempt::SCOPES`]) this
 //! pass marks values *tainted* when they come from descriptor fields
 //! (`.addr` / `.len` / `.next` / `.id` / `.flags`) or from destructuring
 //! a `VphiRequest`, propagates taint through `let` rebindings to a
@@ -29,21 +30,6 @@ use syn::{Delimiter, TokenTree};
 use crate::model::{is_keyword, Workspace};
 use crate::report::{Finding, Summary};
 
-/// Files whose input is guest-controlled.  The analyzer's own fixtures
-/// opt in so seeded violations are caught by golden tests.
-pub fn in_scope(rel: &str) -> bool {
-    matches!(
-        rel,
-        "crates/virtio/src/queue.rs"
-            | "crates/virtio/src/ring.rs"
-            | "crates/core/src/protocol.rs"
-            | "crates/core/src/backend/mod.rs"
-            | "crates/core/src/backend/dispatch.rs"
-            | "crates/core/src/backend/drain.rs"
-            | "crates/core/src/backend/rma.rs"
-    ) || rel.starts_with("crates/analyze/fixtures/")
-}
-
 /// Struct fields whose *read* yields guest-controlled data (virtio
 /// descriptor-table and used-elem fields).
 const SOURCE_FIELDS: &[&str] = &["addr", "len", "next", "id", "flags"];
@@ -55,7 +41,7 @@ const SANITIZER_CALLS: &[&str] =
 
 pub fn run(ws: &Workspace, findings: &mut Vec<Finding>, summary: &mut Summary) {
     for file in &ws.files {
-        if !in_scope(&file.rel) {
+        if !crate::exempt::in_scope("guest-taint", std::path::Path::new(&file.rel)) {
             continue;
         }
         for f in &file.functions {

@@ -12,13 +12,15 @@
 
 mod dispatch;
 mod drain;
+mod holdings;
 pub mod notify;
 mod reg_cache;
 mod rma;
 
 pub use dispatch::{request_payload_len, DispatchPolicy};
+pub use holdings::Holdings;
 pub use notify::{LaneNotifier, LaneNotifyCounters, BATCH_BUCKETS};
-pub use reg_cache::{RegCacheConfig, RegCacheSnapshot, RegCacheStats, RegistrationCache};
+pub use reg_cache::{RegCacheConfig, RegCacheSnapshot};
 pub use rma::RmaCharge;
 use rma::RmaDir;
 pub use vphi_vmm::event_loop::Dispatch;
@@ -27,14 +29,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
-use vphi_pcie::{Aperture, ApertureMap};
+use vphi_pcie::ApertureMap;
 use vphi_phi::PhiBoard;
 use vphi_scif::window::{WindowBacking, WindowBytes};
 use vphi_scif::{
     MappedRegion, NodeId, Port, Prot, ScifAddr, ScifEndpoint, ScifError, ScifFabric, ScifResult,
     HOST_NODE,
 };
-use vphi_sim_core::cost::PAGE_SIZE;
 use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_sync::{Counter, Flag, LockClass, TrackedMutex};
 use vphi_trace::{OpCtx, Stage, TraceCtx, Tracer};
@@ -135,16 +136,6 @@ impl BackendStats {
     }
 }
 
-struct EndpointTable {
-    endpoints: HashMap<u64, Arc<ScifEndpoint>>,
-    next_epd: u64,
-}
-
-struct MmapTable {
-    /// vaddr → (owning endpoint, the device mapping itself).
-    maps: HashMap<u64, (u64, MappedRegion)>,
-}
-
 /// Everything the service loop and worker threads share.
 pub struct BackendInner {
     name: String,
@@ -154,8 +145,11 @@ pub struct BackendInner {
     event_loop: Arc<QemuEventLoop>,
     fabric: Arc<ScifFabric>,
     boards: Vec<Arc<PhiBoard>>,
-    eps: TrackedMutex<EndpointTable>,
-    mmaps: TrackedMutex<MmapTable>,
+    /// Everything the guest's endpoint descriptors hold (DESIGN.md #26).
+    held: Holdings,
+    /// Device mappings, guest vaddr → (owning endpoint, the mapping) — not
+    /// under the endpoint's record: a mapping outlives `scif_close`.
+    mmaps: TrackedMutex<HashMap<u64, (u64, MappedRegion)>>,
     policy: DispatchPolicy,
     running: Flag,
     /// Per-lane interrupt gates — the only path to an MSI injection.
@@ -163,16 +157,8 @@ pub struct BackendInner {
     /// Worker dispatches per queue lane — the shard-level counterpart of
     /// `stats.worker_dispatches`, surfaced in the debug report.
     queue_worker_dispatches: Vec<Counter>,
-    /// Registered windows, (epd, window offset) → (backing gpa, len).
-    /// Only consulted to invalidate the cache on `scif_unregister`.
-    windows: TrackedMutex<HashMap<(u64, u64), (u64, u64)>>,
-    pub reg_cache: RegistrationCache,
     /// What an RMA above `KMALLOC_MAX_SIZE` is charged (`backend/rma.rs`).
     rma: RmaCharge,
-    /// Window-mapping table for [`RmaCharge::Mapped`]: registered guest
-    /// windows pinned into huge-page subwindows of one large device
-    /// aperture.
-    aperture: ApertureMap,
     pub stats: BackendStats,
     faults: FaultHook,
 }
@@ -182,8 +168,10 @@ impl BackendInner {
         &self.fabric.shared().cost
     }
 
-    fn ep(&self, epd: u64) -> ScifResult<Arc<ScifEndpoint>> {
-        self.eps.lock().endpoints.get(&epd).map(Arc::clone).ok_or(ScifError::Inval)
+    /// What the guest's endpoint descriptors hold, for reports and
+    /// zero-leak audits.
+    pub fn holdings(&self) -> &Holdings {
+        &self.held
     }
 
     /// Fault-injection arming point for backend-side sites (lost MSIs,
@@ -194,13 +182,13 @@ impl BackendInner {
 
     /// Windows the backend believes are still pinned (leak detector).
     pub fn window_entries(&self) -> usize {
-        self.windows.lock().len()
+        self.held.window_entries()
     }
 
     /// The zero-copy window-mapping table (zero-leak audits: after all
     /// windows are unregistered/closed, `mapped_windows()` must be 0).
     pub fn aperture(&self) -> &ApertureMap {
-        &self.aperture
+        self.held.aperture()
     }
 
     /// Worker dispatches attributed to queue lane `q`.
@@ -223,25 +211,9 @@ impl BackendInner {
         // observes the dead device must be able to rely on the GC below
         // having already drained every endpoint and window.
         self.channel.mark_shutdown_quiet();
-        let eps: Vec<(u64, Arc<ScifEndpoint>)> = {
-            let mut t = self.eps.lock();
-            t.endpoints.drain().collect()
-        };
-        self.stats.endpoints_gced.add(eps.len() as u64);
-        for (_, ep) in &eps {
-            ep.close();
-        }
-        let gone: Vec<((u64, u64), (u64, u64))> = self.windows.lock().drain().collect();
-        self.stats.windows_gced.add(gone.len() as u64);
-        for ((epd, _off), (gpa, len)) in gone {
-            for key in self.reg_cache.invalidate_range(epd, gpa, len).unmapped {
-                self.aperture.unmap_window(key);
-            }
-        }
-        // Cache-disabled zero-copy mappings are keyed per endpoint too.
-        for (epd, _) in &eps {
-            self.aperture.unmap_endpoint(*epd);
-        }
+        let (endpoints, windows) = self.held.release_all();
+        self.stats.endpoints_gced.add(endpoints as u64);
+        self.stats.windows_gced.add(windows as u64);
         self.channel.waitq.wake_all();
     }
 
@@ -252,54 +224,15 @@ impl BackendInner {
     /// Endpoints on other nodes — other VMs' traffic included — are
     /// untouched.  Returns how many endpoints were quarantined.
     pub fn quarantine_node(&self, node: NodeId) -> usize {
-        let victims: Vec<(u64, Arc<ScifEndpoint>)> = {
-            let t = self.eps.lock();
-            t.endpoints
-                .iter()
-                .filter(|(_, ep)| {
-                    ep.local_addr().map(|a| a.node == node).unwrap_or(false)
-                        || ep.peer_addr().map(|a| a.node == node).unwrap_or(false)
-                })
-                .map(|(&epd, ep)| (epd, Arc::clone(ep)))
-                .collect()
-        };
-        for (epd, ep) in &victims {
-            ep.close();
-            self.reg_cache.invalidate_endpoint(*epd);
-            // Endpoint-wide unmap covers every mapped key the cache
-            // reported plus any cache-disabled mappings.
-            self.aperture.unmap_endpoint(*epd);
-        }
-        {
-            let mut windows = self.windows.lock();
-            for (epd, _) in &victims {
-                windows.retain(|&(wepd, _), _| wepd != *epd);
-            }
-        }
-        self.stats.endpoints_quarantined.add(victims.len() as u64);
-        victims.len()
+        let victims = self.held.quarantine(node);
+        self.stats.endpoints_quarantined.add(victims as u64);
+        victims
     }
 
-    fn insert_ep(&self, ep: ScifEndpoint) -> u64 {
-        let epd = {
-            let mut t = self.eps.lock();
-            let epd = t.next_epd;
-            t.next_epd += 1;
-            t.endpoints.insert(epd, Arc::new(ep));
-            epd
-        };
-        // A worker-dispatched request can race the dead-guest GC: if the
-        // drain ran while this endpoint was being created, it must not
-        // resurrect state into a dead backend.  `mark_shutdown` is ordered
-        // before the drain, so re-checking after the insert closes the
-        // window: either the drain saw this entry, or we see the flag.
-        if self.channel.is_shutdown() {
-            if let Some(ep) = self.eps.lock().endpoints.remove(&epd) {
-                ep.close();
-                self.stats.endpoints_gced.bump();
-            }
-        }
-        epd
+    /// A new endpoint's descriptor.  One made while the guest was dying is
+    /// closed on the spot (`ENODEV`) and counted with what the GC took.
+    fn insert_ep(&self, ep: ScifEndpoint) -> ScifResult<u64> {
+        self.held.insert(ep).inspect_err(|_| self.stats.endpoints_gced.bump())
     }
 
     /// Service one chain popped from queue lane `q` end-to-end.  Whether
@@ -468,29 +401,31 @@ impl BackendInner {
             VphiRequest::Open => {
                 ctx.tl.charge(SpanLabel::HostSyscall, self.cost().host_syscall);
                 let ep = ScifEndpoint::open(&self.fabric, HOST_NODE)?;
-                Ok((self.insert_ep(ep), 0))
+                Ok((self.insert_ep(ep)?, 0))
             }
             VphiRequest::Bind { epd, port } => {
-                let p = self.ep(epd)?.bind(Port(port), &mut *ctx)?;
+                let p = self.held.get(epd)?.bind(Port(port), &mut *ctx)?;
                 Ok((p.0 as u64, 0))
             }
             VphiRequest::Listen { epd, backlog } => {
-                self.ep(epd)?.listen(backlog as usize, &mut *ctx)?;
+                self.held.get(epd)?.listen(backlog as usize, &mut *ctx)?;
                 Ok((0, 0))
             }
             VphiRequest::Connect { epd, node, port } => {
-                let peer =
-                    self.ep(epd)?.connect(ScifAddr::new(NodeId(node), Port(port)), &mut *ctx)?;
+                let peer = self
+                    .held
+                    .get(epd)?
+                    .connect(ScifAddr::new(NodeId(node), Port(port)), &mut *ctx)?;
                 Ok((peer.node.0 as u64, peer.port.0 as u64))
             }
             VphiRequest::Accept { epd } => {
-                let conn = self.ep(epd)?.accept(&mut *ctx)?;
+                let conn = self.held.get(epd)?.accept(&mut *ctx)?;
                 let peer = conn.peer_addr().ok_or(ScifError::NotConn)?;
-                let new_epd = self.insert_ep(conn);
+                let new_epd = self.insert_ep(conn)?;
                 Ok((new_epd, ((peer.node.0 as u64) << 32) | peer.port.0 as u64))
             }
             VphiRequest::Send { epd, len } => {
-                let ep = self.ep(epd)?;
+                let ep = self.held.get(epd)?;
                 let mut sent = 0u64;
                 for (gpa, take) in self.message_spans(chain, len)? {
                     let fill = |at: usize, dst: &mut [u8]| {
@@ -503,7 +438,7 @@ impl BackendInner {
                 Ok((sent, 0))
             }
             VphiRequest::Recv { epd, len } => {
-                let ep = self.ep(epd)?;
+                let ep = self.held.get(epd)?;
                 let mut got = 0u64;
                 for (gpa, want) in self.message_spans(chain, len)? {
                     let drain = |at: usize, src: &[u8]| {
@@ -520,7 +455,7 @@ impl BackendInner {
                 Ok((got, 0))
             }
             VphiRequest::Register { epd, len, prot, fixed_offset, has_fixed } => {
-                let ep = self.ep(epd)?;
+                let ep = self.held.get(epd)?;
                 let d = self.payload(chain).first().copied().ok_or(ScifError::Inval)?;
                 // `len` is guest-controlled (the rule `guest_rma` states):
                 // it must fit the descriptor and map to real guest memory
@@ -538,52 +473,18 @@ impl BackendInner {
                     WindowBacking::External(Arc::new(backing)),
                     &mut *ctx,
                 )?;
-                // Remember which guest range backs the window so that
-                // unregistering it can drop stale cached translations.
-                self.windows.lock().insert((epd, off), (d.addr, len));
-                // Same race as `insert_ep`: a register racing the
-                // dead-guest GC must not leave a pinned window behind.
-                if self.channel.is_shutdown() {
-                    if self.windows.lock().remove(&(epd, off)).is_some() {
-                        let _ = ep.unregister(off, len, &mut *ctx);
-                        for key in self.reg_cache.invalidate_range(epd, d.addr, len).unmapped {
-                            self.aperture.unmap_window(key);
-                        }
-                        self.stats.windows_gced.bump();
-                    }
-                    return Err(ScifError::NoDev);
+                // A register racing the dead-guest GC (or the endpoint's
+                // close) must not leave a pinned window behind.
+                if let Err(gone) = self.held.note_window(epd, off, d.addr, len) {
+                    let _ = ep.unregister(off, len, &mut *ctx);
+                    self.stats.windows_gced.bump();
+                    return Err(gone);
                 }
                 Ok((off, 0))
             }
             VphiRequest::Unregister { epd, offset, len } => {
-                self.ep(epd)?.unregister(offset, len, &mut *ctx)?;
-                // The window's pages are no longer pinned: drop every
-                // cached translation backed by an overlapping window.
-                // Collect + remove under the windows lock, but unmap
-                // *after* releasing it — `unmap_window` may block
-                // quiescing an in-flight descriptor list.
-                let gone: Vec<((u64, u64), (u64, u64))> = {
-                    let mut windows = self.windows.lock();
-                    let gone: Vec<((u64, u64), (u64, u64))> = windows
-                        .iter()
-                        .filter(|(&(wepd, woff), &(_, wlen))| {
-                            wepd == epd && woff < offset + len && offset < woff + wlen
-                        })
-                        .map(|(&k, &v)| (k, v))
-                        .collect();
-                    for (key, _) in &gone {
-                        windows.remove(key);
-                    }
-                    gone
-                };
-                for (_, (gpa, wlen)) in gone {
-                    for key in self.reg_cache.invalidate_range(epd, gpa, wlen).unmapped {
-                        self.aperture.unmap_window(key);
-                    }
-                    // A cache-disabled (or evicted-then-remapped) mapping
-                    // for the same range is keyed by its start page.
-                    self.aperture.unmap_window((epd, gpa / PAGE_SIZE));
-                }
+                self.held.get(epd)?.unregister(offset, len, &mut *ctx)?;
+                self.held.release_range(epd, offset, len);
                 Ok((0, 0))
             }
             VphiRequest::VreadFrom { epd, roffset, len, flags } => {
@@ -593,7 +494,7 @@ impl BackendInner {
                 self.guest_rma(RmaDir::Write, epd, roffset, len, flags, chain, ctx)
             }
             VphiRequest::ReadFrom { epd, loffset, len, roffset, flags } => {
-                self.ep(epd)?.readfrom(
+                self.held.get(epd)?.readfrom(
                     loffset,
                     len,
                     roffset,
@@ -603,7 +504,7 @@ impl BackendInner {
                 Ok((len, 0))
             }
             VphiRequest::WriteTo { epd, loffset, len, roffset, flags } => {
-                self.ep(epd)?.writeto(
+                self.held.get(epd)?.writeto(
                     loffset,
                     len,
                     roffset,
@@ -613,7 +514,7 @@ impl BackendInner {
                 Ok((len, 0))
             }
             VphiRequest::Mmap { epd, offset, len, prot } => {
-                let ep = self.ep(epd)?;
+                let ep = self.held.get(epd)?;
                 let prot_flags = wire_prot(prot);
                 let region = ep.mmap(offset, len, prot_flags, &mut *ctx)?;
                 let base_pfn = region.device_pfn(0);
@@ -634,45 +535,33 @@ impl BackendInner {
                         backing,
                     )
                     .map_err(|_| ScifError::Inval)?;
-                self.mmaps.lock().maps.insert(vaddr, (epd, region));
+                self.mmaps.lock().insert(vaddr, (epd, region));
                 Ok((vaddr, 0))
             }
             VphiRequest::Munmap { vaddr } => {
-                let (epd, _region) =
-                    self.mmaps.lock().maps.remove(&vaddr).ok_or(ScifError::Inval)?;
+                let (epd, _region) = self.mmaps.lock().remove(&vaddr).ok_or(ScifError::Inval)?;
                 self.kvm.vmas.lock().unmap(vaddr).map_err(|_| ScifError::Inval)?;
                 self.kvm.forget_vma(vaddr);
-                // Mapping teardown can release device pages the cache
-                // assumed pinned for this endpoint.
-                self.reg_cache.invalidate_endpoint(epd);
-                self.aperture.unmap_endpoint(epd);
+                self.held.release_translations(epd);
                 Ok((0, 0))
             }
             VphiRequest::FenceMark { epd } => {
-                let m = self.ep(epd)?.fence_mark(&mut *ctx)?;
+                let m = self.held.get(epd)?.fence_mark(&mut *ctx)?;
                 Ok((m, 0))
             }
             VphiRequest::FenceWait { epd, marker } => {
-                self.ep(epd)?.fence_wait(marker, &mut *ctx)?;
+                self.held.get(epd)?.fence_wait(marker, &mut *ctx)?;
                 Ok((0, 0))
             }
             VphiRequest::FenceSignal { epd, loff, lval, roff, rval } => {
-                self.ep(epd)?.fence_signal(loff, lval, roff, rval, &mut *ctx)?;
+                self.held.get(epd)?.fence_signal(loff, lval, roff, rval, &mut *ctx)?;
                 Ok((0, 0))
             }
             VphiRequest::Close { epd } => {
-                let removed = self.eps.lock().endpoints.remove(&epd);
-                match removed {
-                    Some(ep) => {
-                        ep.close();
-                        // Everything pinned for this endpoint is released.
-                        self.reg_cache.invalidate_endpoint(epd);
-                        self.aperture.unmap_endpoint(epd);
-                        self.windows.lock().retain(|&(wepd, _), _| wepd != epd);
-                        Ok((0, 0))
-                    }
-                    None => Err(ScifError::Inval),
+                if !self.held.release_endpoint(epd) {
+                    return Err(ScifError::Inval);
                 }
+                Ok((0, 0))
             }
             VphiRequest::SysfsRead { mic_index } => {
                 let board = self.boards.get(mic_index as usize).ok_or(ScifError::NoDev)?;
@@ -696,15 +585,15 @@ impl BackendInner {
                 Ok((ids.len() as u64, ids.iter().map(|n| n.0 as u64).max().unwrap_or(0)))
             }
             VphiRequest::SendTimed { epd, len } => {
-                let n = self.ep(epd)?.send_timed(len, &mut *ctx)?;
+                let n = self.held.get(epd)?.send_timed(len, &mut *ctx)?;
                 Ok((n, 0))
             }
             VphiRequest::RecvTimed { epd, len } => {
-                let n = self.ep(epd)?.recv_timed(len, &mut *ctx)?;
+                let n = self.held.get(epd)?.recv_timed(len, &mut *ctx)?;
                 Ok((n, 0))
             }
             VphiRequest::Poll { epd, events, timeout_ms } => {
-                let ep = self.ep(epd)?;
+                let ep = self.held.get(epd)?;
                 let interest = crate::protocol::poll_events_from_wire(events);
                 let revents = ep.poll(
                     interest,
@@ -782,25 +671,13 @@ impl BackendDevice {
                 event_loop,
                 fabric,
                 boards,
-                eps: TrackedMutex::new(
-                    LockClass::BackendEndpoints,
-                    EndpointTable { endpoints: HashMap::new(), next_epd: 1 },
-                ),
-                mmaps: TrackedMutex::new(
-                    LockClass::BackendMmaps,
-                    MmapTable { maps: HashMap::new() },
-                ),
+                held: Holdings::new(reg_cache),
+                mmaps: TrackedMutex::new(LockClass::BackendMmaps, HashMap::new()),
                 policy,
                 running: Flag::new(false),
                 notifiers,
                 queue_worker_dispatches,
-                windows: TrackedMutex::new(LockClass::BackendWindows, HashMap::new()),
-                reg_cache: RegistrationCache::new(reg_cache),
                 rma,
-                // 64 GiB of device aperture at the 1 TiB mark — far above
-                // any guest RAM so map bugs fault loudly, and big enough
-                // that exhaustion only happens via leaks.
-                aperture: ApertureMap::new(Aperture::new(1 << 40, 64 << 30)),
                 stats: BackendStats::default(),
                 faults: FaultHook::new(),
             }),
@@ -813,7 +690,7 @@ impl BackendDevice {
     }
 
     pub fn open_endpoints(&self) -> usize {
-        self.inner.eps.lock().endpoints.len()
+        self.inner.held.open_endpoints()
     }
 
     /// Arm every backend-side fault site on this device with `injector` —
@@ -882,16 +759,12 @@ impl VirtualPciDevice for BackendDevice {
         for lane in self.inner.channel.lanes() {
             lane.queue.shutdown();
         }
-        // Close any endpoints the guest leaked — explicitly, and before
-        // waiting for the shards: a handler parked inside one of them (on
+        // Let go of whatever the guest leaked — explicitly, and before
+        // waiting for the shards: a handler parked inside an endpoint (on
         // a shard, or a blocking caller inside its own vm-exit, with the
         // lane's shard queued behind it for the executor role) holds a
         // reference of its own and has to be woken, not waited for.
-        let leaked: Vec<Arc<ScifEndpoint>> =
-            self.inner.eps.lock().endpoints.drain().map(|(_, ep)| ep).collect();
-        for ep in &leaked {
-            ep.close();
-        }
+        self.inner.held.release_all();
         for h in self.shards.lock().drain(..) {
             let _ = h.join();
         }

@@ -20,8 +20,8 @@
 
 use std::collections::HashMap;
 
+use vphi_pcie::MapKey;
 use vphi_sim_core::cost::PAGE_SIZE;
-use vphi_sync::{Counter, LockClass, TrackedMutex};
 
 /// Tuning knobs for the registration cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,16 +45,7 @@ impl RegCacheConfig {
     }
 }
 
-/// Lifetime counters, cheap enough to bump from the service loop.
-#[derive(Debug, Default)]
-pub struct RegCacheStats {
-    pub hits: Counter,
-    pub misses: Counter,
-    pub evictions: Counter,
-    pub invalidations: Counter,
-}
-
-/// A point-in-time copy of [`RegCacheStats`] for reports and tests.
+/// The cache's lifetime counters, as reports and tests read them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegCacheSnapshot {
     pub hits: u64,
@@ -95,70 +86,33 @@ impl CacheKey {
     fn overlaps_pages(&self, page_start: u64, page_end: u64) -> bool {
         self.page_start < page_end && page_start < self.page_start + self.pages
     }
-}
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// Last-touched tick (for LRU eviction).
-    tick: u64,
-    /// Whether the range is aperture-mapped (zero-copy path): evicting or
-    /// invalidating it must also unmap the device subwindow.
-    mapped: bool,
-}
-
-struct CacheInner {
-    entries: HashMap<CacheKey, Entry>,
-    tick: u64,
-}
-
-/// Result of a [`RegistrationCache::probe`]: whether the range was already
-/// pinned, plus the `(epd, guest page)` keys of any *mapped* entries the
-/// probe evicted — the caller owns unmapping those from the device
-/// aperture before their subwindows can be considered free.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct MapProbe {
-    pub hit: bool,
-    pub evicted: Vec<(u64, u64)>,
-}
-
-/// Result of an invalidation sweep: entry count dropped, plus the mapped
-/// keys the caller must unmap (see [`MapProbe`]).
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct Invalidated {
-    pub dropped: usize,
-    pub unmapped: Vec<(u64, u64)>,
-}
-
-/// The per-VM cache itself.  One instance lives in the backend device.
-pub struct RegistrationCache {
-    config: RegCacheConfig,
-    pub stats: RegCacheStats,
-    inner: TrackedMutex<CacheInner>,
-}
-
-impl std::fmt::Debug for RegistrationCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RegistrationCache")
-            .field("config", &self.config)
-            .field("len", &self.len())
-            .finish()
+    /// The key the mapped arm files this range's device subwindow under.
+    fn map_key(&self) -> MapKey {
+        (self.epd, self.page_start)
     }
+}
+
+/// The per-VM cache itself: a plain table, locked by its one owner
+/// (`backend/holdings.rs`), which is also who asks the aperture whether a
+/// range this table let go of was mapped.
+#[derive(Debug)]
+pub(super) struct RegistrationCache {
+    config: RegCacheConfig,
+    stats: RegCacheSnapshot,
+    /// Pinned range → last-touched tick (for LRU eviction).
+    entries: HashMap<CacheKey, u64>,
+    tick: u64,
 }
 
 impl RegistrationCache {
     pub fn new(config: RegCacheConfig) -> Self {
         RegistrationCache {
             config,
-            stats: RegCacheStats::default(),
-            inner: TrackedMutex::new(
-                LockClass::RegCache,
-                CacheInner { entries: HashMap::new(), tick: 0 },
-            ),
+            stats: RegCacheSnapshot::default(),
+            entries: HashMap::new(),
+            tick: 0,
         }
-    }
-
-    pub fn config(&self) -> RegCacheConfig {
-        self.config
     }
 
     pub fn enabled(&self) -> bool {
@@ -167,95 +121,68 @@ impl RegistrationCache {
 
     /// Cached ranges currently pinned.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.len()
     }
 
     pub fn snapshot(&self) -> RegCacheSnapshot {
-        RegCacheSnapshot {
-            hits: self.stats.hits.get(),
-            misses: self.stats.misses.get(),
-            evictions: self.stats.evictions.get(),
-            invalidations: self.stats.invalidations.get(),
-        }
+        self.stats
     }
 
-    /// Probe for `(epd, gpa..gpa+bytes)`, the unified entry point of the
-    /// copy path (`mapped = false`) and the zero-copy mapping path
-    /// (`mapped = true`).  On a hit the pinned translation is reused (the
-    /// caller skips the per-page / pin charge); a hit from the mapping
-    /// path upgrades the entry's `mapped` flag so a later eviction knows
-    /// to unmap.  On a miss the range is inserted, evicting the
-    /// least-recently-used entry if full — any evicted *mapped* keys are
-    /// returned for the caller to unmap.
-    pub fn probe(&self, epd: u64, gpa: u64, bytes: u64, mapped: bool) -> MapProbe {
+    /// Probe for `(epd, gpa..gpa+bytes)`.  On a hit the pinned translation
+    /// is reused (the caller skips the per-page / pin charge).  On a miss
+    /// the range is inserted, evicting the least-recently-used entry if
+    /// full.  Returns whether it hit, and the map key of the range it
+    /// evicted to make room.
+    pub fn probe(&mut self, epd: u64, gpa: u64, bytes: u64) -> (bool, Option<MapKey>) {
         if !self.enabled() {
-            return MapProbe::default();
+            return (false, None);
         }
         let key = CacheKey::new(epd, gpa, bytes);
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(e) = inner.entries.get_mut(&key) {
-            e.tick = tick;
-            e.mapped |= mapped;
-            self.stats.hits.bump();
-            return MapProbe { hit: true, evicted: Vec::new() };
+        self.tick += 1;
+        if let Some(tick) = self.entries.get_mut(&key) {
+            *tick = self.tick;
+            self.stats.hits += 1;
+            return (true, None);
         }
-        self.stats.misses.bump();
-        let mut evicted = Vec::new();
-        if inner.entries.len() >= self.config.capacity {
-            if let Some(victim) = inner.entries.iter().min_by_key(|(_, e)| e.tick).map(|(&k, _)| k)
+        self.stats.misses += 1;
+        let mut evicted = None;
+        if self.entries.len() >= self.config.capacity {
+            if let Some(victim) = self.entries.iter().min_by_key(|(_, &tick)| tick).map(|(&k, _)| k)
             {
-                if let Some(e) = inner.entries.remove(&victim) {
-                    if e.mapped {
-                        evicted.push((victim.epd, victim.page_start));
-                    }
-                }
-                self.stats.evictions.bump();
+                self.entries.remove(&victim);
+                self.stats.evictions += 1;
+                evicted = Some(victim.map_key());
             }
         }
-        inner.entries.insert(key, Entry { tick, mapped });
-        MapProbe { hit: false, evicted }
-    }
-
-    /// Cached ranges currently flagged as aperture-mapped.
-    pub fn mapped_len(&self) -> usize {
-        self.inner.lock().entries.values().filter(|e| e.mapped).count()
+        self.entries.insert(key, self.tick);
+        (false, evicted)
     }
 
     /// Drop every cached range pinned for `epd` (endpoint closed).
-    pub fn invalidate_endpoint(&self, epd: u64) -> Invalidated {
-        self.invalidate_where(|k| k.epd == epd)
+    /// Returns how many went.
+    pub fn invalidate_endpoint(&mut self, epd: u64) -> usize {
+        self.invalidate_where(|k| k.epd == epd).len()
     }
 
-    /// Drop cached ranges for `epd` whose pages overlap
-    /// `gpa..gpa+bytes` (window unregistered / mapping torn down).
-    pub fn invalidate_range(&self, epd: u64, gpa: u64, bytes: u64) -> Invalidated {
+    /// Drop cached ranges for `epd` whose pages overlap `gpa..gpa+bytes`
+    /// (window unregistered).  Returns the map key of each one dropped.
+    pub fn invalidate_range(&mut self, epd: u64, gpa: u64, bytes: u64) -> Vec<MapKey> {
         let page_start = gpa / PAGE_SIZE;
         let page_end = (gpa + bytes.max(1)).div_ceil(PAGE_SIZE);
         self.invalidate_where(|k| k.epd == epd && k.overlaps_pages(page_start, page_end))
     }
 
-    fn invalidate_where(&self, pred: impl Fn(&CacheKey) -> bool) -> Invalidated {
-        let mut inner = self.inner.lock();
-        let mut out = Invalidated::default();
-        inner.entries.retain(|k, e| {
-            if pred(k) {
-                if e.mapped {
-                    out.unmapped.push((k.epd, k.page_start));
-                }
-                out.dropped += 1;
-                false
-            } else {
-                true
+    fn invalidate_where(&mut self, pred: impl Fn(&CacheKey) -> bool) -> Vec<MapKey> {
+        let mut dropped = Vec::new();
+        self.entries.retain(|k, _| {
+            let goes = pred(k);
+            if goes {
+                dropped.push(k.map_key());
             }
+            !goes
         });
-        self.stats.invalidations.add(out.dropped as u64);
-        out
+        self.stats.invalidations += dropped.len() as u64;
+        dropped
     }
 }
 
@@ -267,11 +194,15 @@ mod tests {
         RegistrationCache::new(RegCacheConfig { enabled: true, capacity })
     }
 
+    fn hit(c: &mut RegistrationCache, epd: u64, gpa: u64, bytes: u64) -> bool {
+        c.probe(epd, gpa, bytes).0
+    }
+
     #[test]
     fn miss_then_hit_on_same_range() {
-        let c = cache(8);
-        assert!(!c.probe(1, 0x1000, 4096, false).hit);
-        assert!(c.probe(1, 0x1000, 4096, false).hit);
+        let mut c = cache(8);
+        assert!(!hit(&mut c, 1, 0x1000, 4096));
+        assert!(hit(&mut c, 1, 0x1000, 4096));
         let s = c.snapshot();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(s.hit_rate(), 0.5);
@@ -279,98 +210,66 @@ mod tests {
 
     #[test]
     fn different_endpoint_or_range_is_a_miss() {
-        let c = cache(8);
-        c.probe(1, 0x1000, 4096, false);
-        assert!(!c.probe(2, 0x1000, 4096, false).hit, "other endpoint");
-        assert!(!c.probe(1, 0x2000, 4096, false).hit, "other range");
-        assert!(!c.probe(1, 0x1000, 8192, false).hit, "other length");
+        let mut c = cache(8);
+        c.probe(1, 0x1000, 4096);
+        assert!(!hit(&mut c, 2, 0x1000, 4096), "other endpoint");
+        assert!(!hit(&mut c, 1, 0x2000, 4096), "other range");
+        assert!(!hit(&mut c, 1, 0x1000, 8192), "other length");
         assert_eq!(c.snapshot().misses, 4);
     }
 
     #[test]
     fn sub_page_offsets_share_a_page_key() {
-        let c = cache(8);
-        c.probe(1, 0x1000, 100, false);
+        let mut c = cache(8);
+        c.probe(1, 0x1000, 100);
         // Same page span → same pinned range.
-        assert!(c.probe(1, 0x1010, 80, false).hit);
+        assert!(hit(&mut c, 1, 0x1010, 80));
     }
 
     #[test]
     fn lru_eviction_at_capacity() {
-        let c = cache(2);
-        c.probe(1, 0x1000, 4096, false); // A
-        c.probe(1, 0x2000, 4096, false); // B
-        c.probe(1, 0x1000, 4096, false); // touch A → B is LRU
-        c.probe(1, 0x3000, 4096, false); // C evicts B
+        let mut c = cache(2);
+        c.probe(1, 0x1000, 4096); // A
+        c.probe(1, 0x2000, 4096); // B
+        c.probe(1, 0x1000, 4096); // touch A → B is LRU
+        assert_eq!(c.probe(1, 0x3000, 4096), (false, Some((1, 0x2))), "C evicts B");
         assert_eq!(c.snapshot().evictions, 1);
         assert_eq!(c.len(), 2);
-        assert!(c.probe(1, 0x1000, 4096, false).hit, "A survived");
-        assert!(!c.probe(1, 0x2000, 4096, false).hit, "B was evicted");
+        assert!(hit(&mut c, 1, 0x1000, 4096), "A survived");
+        assert!(!hit(&mut c, 1, 0x2000, 4096), "B was evicted");
     }
 
     #[test]
     fn invalidate_endpoint_drops_only_that_endpoint() {
-        let c = cache(8);
-        c.probe(1, 0x1000, 4096, false);
-        c.probe(1, 0x2000, 4096, false);
-        c.probe(2, 0x1000, 4096, false);
-        assert_eq!(c.invalidate_endpoint(1).dropped, 2);
+        let mut c = cache(8);
+        c.probe(1, 0x1000, 4096);
+        c.probe(1, 0x2000, 4096);
+        c.probe(2, 0x1000, 4096);
+        assert_eq!(c.invalidate_endpoint(1), 2);
         assert_eq!(c.len(), 1);
-        assert!(c.probe(2, 0x1000, 4096, false).hit, "endpoint 2 untouched");
+        assert!(hit(&mut c, 2, 0x1000, 4096), "endpoint 2 untouched");
         assert_eq!(c.snapshot().invalidations, 2);
     }
 
     #[test]
     fn invalidate_range_uses_page_overlap() {
-        let c = cache(8);
-        c.probe(1, 0x1000, 8192, false); // pages 1..3
-        c.probe(1, 0x5000, 4096, false); // page 5
-                                         // Invalidate page 2 → overlaps the first entry only.
-        assert_eq!(c.invalidate_range(1, 0x2000, 4096).dropped, 1);
-        assert!(!c.probe(1, 0x1000, 8192, false).hit, "stale entry gone");
-        assert!(c.probe(1, 0x5000, 4096, false).hit, "non-overlapping survives");
+        let mut c = cache(8);
+        c.probe(1, 0x1000, 8192); // pages 1..3
+        c.probe(1, 0x5000, 4096); // page 5
+                                  // Invalidate page 2 → overlaps the first entry only.
+        assert_eq!(c.invalidate_range(1, 0x2000, 4096), [(1, 0x1)]);
+        assert!(!hit(&mut c, 1, 0x1000, 8192), "stale entry gone");
+        assert!(hit(&mut c, 1, 0x5000, 4096), "non-overlapping survives");
         // Same range, other endpoint: untouched.
-        assert_eq!(c.invalidate_range(2, 0x0, 1 << 20).dropped, 0);
-    }
-
-    #[test]
-    fn mapped_entries_surface_on_eviction_and_invalidation() {
-        let c = cache(2);
-        assert!(!c.probe(1, 0x1000, 4096, true).hit); // mapped A
-        assert!(!c.probe(1, 0x2000, 4096, false).hit); // copy-path B
-        assert_eq!(c.mapped_len(), 1);
-        // Filling past capacity evicts A (LRU, mapped) — its key surfaces.
-        let p = c.probe(1, 0x3000, 4096, false);
-        assert!(!p.hit);
-        assert_eq!(p.evicted, vec![(1, 0x1)], "mapped victim's key surfaces");
-        // Next eviction takes B, a copy-path entry: nothing to unmap.
-        let p = c.probe(1, 0x4000, 4096, true);
-        assert_eq!(p.evicted, vec![] as Vec<(u64, u64)>, "copy-path victim needs no unmap");
-        // Invalidation reports mapped keys the same way: C (copy) and
-        // D (mapped) remain.
-        let inv = c.invalidate_endpoint(1);
-        assert_eq!(inv.dropped, 2);
-        assert_eq!(inv.unmapped, vec![(1, 0x4)]);
-        assert_eq!(c.mapped_len(), 0);
-    }
-
-    #[test]
-    fn copy_path_hit_upgrades_to_mapped() {
-        let c = cache(8);
-        assert!(!c.probe(3, 0x1000, 4096, false).hit);
-        assert_eq!(c.mapped_len(), 0);
-        assert!(c.probe(3, 0x1000, 4096, true).hit, "hit upgrades in place");
-        assert_eq!(c.mapped_len(), 1);
-        let inv = c.invalidate_range(3, 0x1000, 4096);
-        assert_eq!(inv.unmapped, vec![(3, 0x1)]);
+        assert_eq!(c.invalidate_range(2, 0x0, 1 << 20), []);
     }
 
     #[test]
     fn disabled_cache_never_hits() {
-        let c = RegistrationCache::new(RegCacheConfig::disabled());
+        let mut c = RegistrationCache::new(RegCacheConfig::disabled());
         assert!(!c.enabled());
-        assert!(!c.probe(1, 0x1000, 4096, false).hit);
-        assert!(!c.probe(1, 0x1000, 4096, false).hit);
+        assert!(!hit(&mut c, 1, 0x1000, 4096));
+        assert!(!hit(&mut c, 1, 0x1000, 4096));
         let s = c.snapshot();
         assert_eq!((s.hits, s.misses), (0, 0), "disabled cache does not count");
         assert_eq!(s.hit_rate(), 0.0);
@@ -378,16 +277,16 @@ mod tests {
 
     #[test]
     fn zero_capacity_behaves_as_disabled() {
-        let c = cache(0);
+        let mut c = cache(0);
         assert!(!c.enabled());
-        assert!(!c.probe(1, 0x1000, 4096, false).hit);
+        assert!(!hit(&mut c, 1, 0x1000, 4096));
         assert_eq!(c.len(), 0);
     }
 
     #[test]
     fn zero_length_lookup_still_occupies_one_page() {
-        let c = cache(8);
-        assert!(!c.probe(1, 0x1000, 0, false).hit);
-        assert!(c.probe(1, 0x1000, 0, false).hit);
+        let mut c = cache(8);
+        assert!(!hit(&mut c, 1, 0x1000, 0));
+        assert!(hit(&mut c, 1, 0x1000, 0));
     }
 }

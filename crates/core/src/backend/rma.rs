@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use vphi_pcie::{MapKey, SgList};
+use vphi_pcie::{IoGuard, SgList};
 use vphi_scif::window::WindowBacking;
 use vphi_scif::{ScifError, ScifResult};
 use vphi_sim_core::cost::{HUGE_PAGE_SIZE, KMALLOC_MAX_SIZE, PAGE_SIZE};
@@ -76,57 +76,49 @@ impl BackendInner {
         bytes: u64,
         tl: &mut Timeline,
         miss: impl FnOnce(u64) -> SimDuration,
-    ) {
-        if self.reg_cache.enabled() {
+    ) -> ScifResult<()> {
+        if self.held.cache_enabled {
             tl.charge(SpanLabel::RegCacheLookup, self.cost().reg_cache_lookup);
-            let probe = self.reg_cache.probe(epd, gpa, bytes, false);
-            // LRU evictions can push out entries whose windows the
-            // mapped arm mapped; their device subwindows go with them.
-            for key in probe.evicted {
-                self.aperture.unmap_window(key);
-            }
-            if probe.hit {
-                return;
+            if self.held.probe_copy(epd, gpa, bytes)? {
+                return Ok(());
             }
         }
         let pages = bytes.div_ceil(PAGE_SIZE).max(1);
         self.stats.pages_translated.add(pages);
         tl.charge(SpanLabel::PageTranslate, miss(pages));
+        Ok(())
     }
 
     /// Map charge: probe the mapping cache, pin + map the window into the
     /// device aperture on a cold miss, and build the scatter-gather
-    /// descriptor list covering `[gpa, gpa+len)`.  Returns the map key;
-    /// the caller brackets this in the `dma-map` stage span so stage sums
-    /// reconcile exactly.  An aperture with no room for the window is
-    /// `ENOMEM`, before any pin, map or descriptor is charged or counted.
-    fn charge_map(&self, epd: u64, gpa: u64, len: u64, tl: &mut Timeline) -> ScifResult<MapKey> {
-        let key: MapKey = (epd, gpa / PAGE_SIZE);
+    /// descriptor list covering `[gpa, gpa+len)`.  Returns the mapping's
+    /// in-flight guard; the caller brackets this in the `dma-map` stage
+    /// span so stage sums reconcile exactly.  An aperture with no room for
+    /// the window is `ENOMEM`, before any pin, map or descriptor is
+    /// charged or counted.
+    fn charge_map(
+        &self,
+        epd: u64,
+        gpa: u64,
+        len: u64,
+        tl: &mut Timeline,
+    ) -> ScifResult<Option<IoGuard<'_>>> {
         let cost = self.cost();
-        let mut cold = true;
-        if self.reg_cache.enabled() {
+        if self.held.cache_enabled {
             tl.charge(SpanLabel::RegCacheLookup, cost.reg_cache_lookup);
-            let probe = self.reg_cache.probe(epd, gpa, len, true);
-            for k in probe.evicted {
-                self.aperture.unmap_window(k);
-            }
-            cold = !probe.hit || self.aperture.lookup(key).is_none();
         }
-        // The mapping covers from the window's containing huge page so an
-        // unaligned start still lands inside the subwindow.
-        let map_len = (gpa % HUGE_PAGE_SIZE) + len;
-        let sub = self.aperture.map_window(key, map_len).ok_or(ScifError::NoMem)?;
-        if cold {
+        let map = self.held.probe_map(epd, gpa, len)?;
+        if map.cold {
             tl.charge(SpanLabel::WindowPin, cost.pin_window(len));
             self.stats.windows_mapped.bump();
         } else {
             self.stats.map_hits.bump();
         }
-        let sg = SgList::for_range(sub.base(), gpa % HUGE_PAGE_SIZE, len).unwrap_or_default();
+        let sg = SgList::for_range(map.sub.base(), gpa % HUGE_PAGE_SIZE, len).unwrap_or_default();
         tl.charge(SpanLabel::SgBuild, cost.sg_descriptor * (sg.len().max(1) as u64));
         self.stats.sg_descriptors.add(sg.len() as u64);
         self.stats.staging_bytes_avoided.add(len);
-        Ok(key)
+        Ok(map.io)
     }
 
     /// Replay one guest `VreadFrom` / `VwriteTo`: validate once, charge
@@ -143,7 +135,7 @@ impl BackendInner {
         chain: &DescChain,
         ctx: &mut OpCtx<'_>,
     ) -> ScifResult<(u64, u64)> {
-        let ep = self.ep(epd)?;
+        let ep = self.held.get(epd)?;
         let d = self.payload(chain).first().copied().ok_or(ScifError::Inval)?;
         // `len` is guest-controlled: it must fit the descriptor's buffer
         // AND map to real guest memory before anything is charged or moved.
@@ -156,9 +148,9 @@ impl BackendInner {
         let _io = match (self.rma, len > KMALLOC_MAX_SIZE) {
             (RmaCharge::Mapped, true) => {
                 let span = ctx.begin("dma-map", Stage::DmaMap);
-                let key = self.charge_map(epd, d.addr, len, ctx.tl);
+                let io = self.charge_map(epd, d.addr, len, ctx.tl);
                 ctx.end(span);
-                self.aperture.begin_io(key?)
+                io?
             }
             (RmaCharge::Pipelined, true) => {
                 // The transfer's own DMA charge (inside the SCIF replay)
@@ -166,13 +158,13 @@ impl BackendInner {
                 // pipeline could not hide behind earlier chunks' DMA.
                 self.charge_translate(epd, d.addr, len, ctx.tl, |_| {
                     self.fabric.shared().rma_pipeline_exposure(len, KMALLOC_MAX_SIZE)
-                });
+                })?;
                 None
             }
             (RmaCharge::PerPage, true) | (_, false) => {
                 self.charge_translate(epd, d.addr, len, ctx.tl, |pages| {
                     self.cost().page_translate * pages
-                });
+                })?;
                 None
             }
         };

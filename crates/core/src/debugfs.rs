@@ -107,7 +107,7 @@ impl VphiDebugReport {
         let fe = vm.frontend().stats();
         let be = vm.backend().inner();
         let el = vm.vm().event_loop();
-        let cache = be.reg_cache.snapshot();
+        let cache = be.holdings().cache_snapshot();
         let sync = vphi_sync::audit::stats();
         let trace =
             vm.frontend().channel().trace.tracer().map(|t| t.counters()).unwrap_or_default();

@@ -33,7 +33,6 @@ mod waiting;
 pub use slots::ReqToken;
 pub use waiting::{SpinBudget, WaitScheme};
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use vphi_scif::{ScifError, ScifResult, SqFlags};
@@ -388,8 +387,6 @@ struct NotifyPolicy {
     /// opcode → payload pow2 bucket → EWMA of backend service ns.  An
     /// op's row is allocated when its first request completes.
     ewma: [Option<Box<[Option<u64>; BUCKETS]>>; OPCODES],
-    /// Endpoints pinned to busy-poll by [`FrontendDriver::set_busy_poll`].
-    busy_poll: HashSet<GuestEpd>,
     /// payload bucket → (virtual ns burned spinning, true service ns):
     /// the ABL-WAIT spin-cycles-burned vs latency trade-off.
     burn: [Option<(u64, u64)>; BUCKETS],
@@ -397,7 +394,7 @@ struct NotifyPolicy {
 
 impl Default for NotifyPolicy {
     fn default() -> Self {
-        NotifyPolicy { ewma: Default::default(), busy_poll: HashSet::new(), burn: [None; BUCKETS] }
+        NotifyPolicy { ewma: Default::default(), burn: [None; BUCKETS] }
     }
 }
 
@@ -525,12 +522,8 @@ pub struct FrontendDriver {
     /// Shared RNG jittering the re-kick backoff so requesters that lost
     /// the same kick don't hammer the doorbell in lockstep.
     backoff_rng: TrackedMutex<vphi_sim_core::rng::SplitMix64>,
-    /// Spin-budget EWMA table, busy-poll overrides, burn accounting.
+    /// Spin-budget EWMA table and burn accounting.
     policy: TrackedMutex<NotifyPolicy>,
-    /// Whether `policy.busy_poll` holds any endpoint at all — so that a
-    /// request's hint, in the common case of none pinned, does not take
-    /// the policy lock to find that out.
-    any_busy_poll: Flag,
 }
 
 impl std::fmt::Debug for FrontendDriver {
@@ -579,26 +572,7 @@ impl FrontendDriver {
                 vphi_sim_core::rng::SplitMix64::new(BACKOFF_SEED),
             ),
             policy: TrackedMutex::new(LockClass::NotifyPolicy, NotifyPolicy::default()),
-            any_busy_poll: Flag::new(false),
         })
-    }
-
-    /// Pin (or unpin) endpoint `epd` to busy-poll waiting: its requests
-    /// spin regardless of the learned budget and never arm an interrupt.
-    /// The latency-critical-endpoint override (README "Completion
-    /// notification").
-    pub fn set_busy_poll(&self, epd: GuestEpd, on: bool) {
-        let mut policy = self.policy.lock();
-        if on {
-            policy.busy_poll.insert(epd);
-        } else {
-            policy.busy_poll.remove(&epd);
-        }
-        if policy.busy_poll.is_empty() {
-            self.any_busy_poll.clear();
-        } else {
-            self.any_busy_poll.set();
-        }
     }
 
     /// Per-payload-bucket spin-burn vs true-service accounting, sorted by
@@ -615,21 +589,13 @@ impl FrontendDriver {
 
     /// The spin budget this request declares before its kick.
     ///
-    /// Busy-poll endpoints always spin.  The interrupt scheme sleeps
-    /// immediately; polling spins forever; a fixed-budget adaptive spins
+    /// The interrupt scheme sleeps immediately; polling spins forever; a fixed-budget adaptive spins
     /// exactly its budget; the EWMA adaptive spins 1.5× the learned
     /// per-(op, bucket) service estimate — seeded from the calibrated
     /// no-wait floor — unless that budget already exceeds the wake-up
     /// cost, in which case spinning can never win and it sleeps at once.
     fn notify_hint(&self, req: &VphiRequest, payload_bytes: u64) -> NotifyHint {
         let cost = self.kernel.cost();
-        if self.any_busy_poll.get() {
-            if let Some(epd) = req.routing_epd() {
-                if self.policy.lock().busy_poll.contains(&epd) {
-                    return NotifyHint::SPIN;
-                }
-            }
-        }
         match self.scheme {
             WaitScheme::Interrupt => NotifyHint::SLEEP,
             WaitScheme::Polling => NotifyHint::SPIN,
@@ -1556,26 +1522,6 @@ mod tests {
             bulk.spin_burn_ns <= budget_from_estimate(cost.paravirtual_floor_no_wait().as_nanos()),
             "bulk burned only the first request's seeded budget"
         );
-    }
-
-    #[test]
-    fn busy_poll_override_pins_an_endpoint_to_spinning() {
-        let d = driver(WaitScheme::Interrupt);
-        let backend = fake_backend(Arc::clone(d.channel()), Arc::clone(d.kernel()));
-        d.set_busy_poll(1, true);
-        let mut tl = Timeline::new();
-        d.transact(&VphiRequest::Send { epd: 1, len: 8 }, &[], 8, &mut tl).unwrap();
-        // Despite the interrupt scheme, the pinned endpoint spun: no
-        // wake-up, no injected MSI.
-        assert_eq!(tl.total_for(SpanLabel::GuestWakeup), vphi_sim_core::SimDuration::ZERO);
-        assert_eq!(tl.total_for(SpanLabel::IrqInject), vphi_sim_core::SimDuration::ZERO);
-        assert!(tl.total_for(SpanLabel::PollWait) > vphi_sim_core::SimDuration::ZERO);
-        d.set_busy_poll(1, false);
-        let mut tl2 = Timeline::new();
-        d.transact(&VphiRequest::Send { epd: 1, len: 8 }, &[], 8, &mut tl2).unwrap();
-        assert!(tl2.total_for(SpanLabel::GuestWakeup) > vphi_sim_core::SimDuration::ZERO);
-        d.channel().queue.shutdown();
-        backend.join().unwrap();
     }
 
     #[test]

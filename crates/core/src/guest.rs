@@ -283,14 +283,6 @@ impl GuestScif {
         &self.driver
     }
 
-    /// Pin (or unpin) this endpoint to busy-polling: with the override on,
-    /// its requests never arm the used-ring threshold and never sleep,
-    /// regardless of the VM-wide [`crate::frontend::WaitScheme`] — the
-    /// latency-over-CPU knob for a hot endpoint.
-    pub fn set_busy_poll(&self, on: bool) {
-        self.driver.set_busy_poll(self.epd, on);
-    }
-
     /// `scif_bind`.
     pub fn bind<'a>(&self, port: Port, ctx: impl Into<OpCtx<'a>>) -> ScifResult<Port> {
         let (p, _) = self.driver.simple(VphiRequest::Bind { epd: self.epd, port: port.0 }, ctx)?;

@@ -18,7 +18,7 @@ use vphi::guest::GuestBuf;
 use vphi::GuestScif;
 use vphi_phi::{DeviceMemory, DeviceRegion, MemError};
 use vphi_scif::window::WindowBacking;
-use vphi_scif::{CardService, PollEvents, Port, Prot, RmaFlags, ScifAddr, ScifEndpoint};
+use vphi_scif::{recv_until_hangup, CardService, Port, Prot, RmaFlags, ScifAddr, ScifEndpoint};
 use vphi_sim_core::Timeline;
 
 /// Serve `session` on card `card`, on a port of the card's choosing
@@ -38,28 +38,18 @@ pub fn serve<T: Send + 'static>(
 /// a server's timeline, so it is emptied rather than left to grow with the
 /// connection.
 fn recv_some(conn: &ScifEndpoint, buf: &mut [u8], tl: &mut Timeline) -> usize {
-    loop {
-        tl.clear();
-        match conn.try_recv(buf, &mut *tl) {
-            Ok(0) => {}
-            Ok(n) => return n,
-            Err(_) => return 0,
-        }
-        // A blocking `recv` answers 30 s of wall-clock silence with the 0
-        // it answers a hang-up with; only a hang-up ends a session (a
-        // window's connection is silent for as long as its client does
-        // RMA).
-        match conn.recv(&mut buf[..1], &mut *tl) {
-            Ok(0) => {
-                let events = conn.poll(PollEvents::IN, Duration::ZERO, &mut *tl);
-                if events.map_or(true, |e| e.contains(PollEvents::HUP)) {
-                    return 0;
-                }
-            }
-            Ok(n) => return n,
-            Err(_) => return 0,
-        }
+    tl.clear();
+    match conn.try_recv(buf, &mut *tl) {
+        Ok(0) => {}
+        Ok(n) => return n,
+        Err(_) => return 0,
     }
+    // Only a hang-up ends a session: a window's connection is silent for
+    // as long as its client does RMA.
+    let byte = recv_until_hangup(conn, |conn| {
+        conn.recv(&mut buf[..1], &mut *tl).map(|n| (n > 0).then_some(n))
+    });
+    byte.ok().flatten().unwrap_or(0)
 }
 
 /// The sink session: receive until the peer hangs up, showing `seen` every

@@ -23,7 +23,7 @@ use vphi::builder::VphiHost;
 use vphi_coi::transport::{CoiEnv, CoiTransport};
 use vphi_coi::wire::{read_frame, write_frame, ByteReader, ByteWriter};
 use vphi_phi::ComputeJob;
-use vphi_scif::{CardService, Port, ScifEndpoint, ScifError, ScifResult};
+use vphi_scif::{recv_until_hangup, CardService, Port, ScifEndpoint, ScifError, ScifResult};
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 use vphi_sync::Counter;
 
@@ -158,7 +158,7 @@ fn shell_session(conn: ScifEndpoint, board: &vphi_phi::PhiBoard, uploads: &Count
     // The card's "filesystem": name → size of files scp'd over.
     let mut files: HashMap<String, u64> = HashMap::new();
     loop {
-        let frame = match read_frame(&conn, &mut tl) {
+        let frame = match recv_until_hangup(&conn, |conn| read_frame(conn, &mut tl)) {
             Ok(Some(f)) => f,
             _ => break,
         };
@@ -461,7 +461,7 @@ impl MicNetDaemon {
 fn netd_session(conn: ScifEndpoint) {
     let mut tl = Timeline::new();
     loop {
-        let buf = match read_frame(&conn, &mut tl) {
+        let buf = match recv_until_hangup(&conn, |conn| read_frame(conn, &mut tl)) {
             Ok(Some(b)) => b,
             _ => break,
         };

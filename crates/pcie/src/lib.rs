@@ -13,8 +13,8 @@
 //!   between host and device memory while charging virtual time.
 //! * [`doorbell::Doorbell`] — blocking notification registers used by the
 //!   SCIF fabric for connection handshakes and message arrival.
-//! * [`interrupt::MsiVector`] — edge-triggered interrupt delivery with
-//!   registered handlers.
+//! * [`interrupt::MsiVector`] — edge-triggered interrupt delivery: a
+//!   latency charge and a raise count.
 //! * [`aperture::Aperture`] — host-visible MMIO windows into device
 //!   memory, the substrate for `scif_mmap`.
 
@@ -27,5 +27,5 @@ pub mod link;
 pub use aperture::{Aperture, ApertureMap, IoGuard, MapKey};
 pub use dma::{gather_copy, DmaEngine, DmaOutcome, SgEntry, SgList};
 pub use doorbell::Doorbell;
-pub use interrupt::{InterruptHandler, MsiVector};
+pub use interrupt::MsiVector;
 pub use link::{LinkConfig, PcieLink};

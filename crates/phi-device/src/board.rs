@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
-use vphi_pcie::{DmaEngine, Doorbell, LinkConfig, MsiVector, PcieLink};
+use vphi_pcie::{DmaEngine, Doorbell, LinkConfig, PcieLink};
 use vphi_sim_core::{CostModel, SimDuration, VirtualClock};
 use vphi_sync::{Counter, LockClass, TrackedRwLock};
 
@@ -56,8 +56,6 @@ pub struct PhiBoard {
     pub db_to_device: Arc<Doorbell>,
     /// Device → host "there is a reply" doorbell.
     pub db_to_host: Arc<Doorbell>,
-    /// MSI toward the host SCIF driver.
-    pub msi: Arc<MsiVector>,
     uos: Arc<UosScheduler>,
     sysfs: TrackedRwLock<SysfsInfo>,
     mic_index: u32,
@@ -101,7 +99,6 @@ impl PhiBoard {
             dma,
             db_to_device: Arc::new(Doorbell::new()),
             db_to_host: Arc::new(Doorbell::new()),
-            msi: Arc::new(MsiVector::new(mic_index)),
             uos,
             sysfs,
             mic_index,

@@ -71,117 +71,112 @@ pub enum LockClass {
     ServerAccept = 5,
     /// `scif::CardService` session-thread list.
     ServerSessions = 6,
-    /// Backend guest-epd → endpoint table.
+    /// Backend endpoint holdings: the guest-epd → endpoint table, each
+    /// endpoint's registered windows and the RMA registration cache.
     BackendEndpoints = 7,
     /// Backend mmap-handle table.
     BackendMmaps = 8,
-    /// Backend registered-window bookkeeping.
-    BackendWindows = 9,
-    /// Backend RMA registration cache.
-    RegCache = 10,
     // --- SCIF fabric ---
     /// Fabric node registry.
-    FabricNodes = 11,
+    FabricNodes = 9,
     /// Endpoint state machine.
-    EndpointState = 12,
+    EndpointState = 10,
     /// Endpoint local port.
-    EpPort = 13,
+    EpPort = 11,
     /// Endpoint listener slot.
-    EpListener = 14,
+    EpListener = 12,
     /// Per-node bound-port map.
-    NodePorts = 15,
+    NodePorts = 13,
     /// Listener pending-connection backlog.
-    ListenerPending = 16,
+    ListenerPending = 14,
     /// Fabric activity hub (wake-any version counter).
-    ActivityHub = 17,
+    ActivityHub = 15,
     /// SCIF message queue ring state.
-    MsgQueue = 18,
+    MsgQueue = 16,
     /// Endpoint registered-window table.
-    WindowTable = 19,
+    WindowTable = 17,
     /// Endpoint RMA fence-marker counter.
-    RmaMarker = 20,
+    RmaMarker = 18,
     /// Endpoint pending async-RMA completions.
-    RmaPending = 21,
+    RmaPending = 19,
     // --- Phi device ---
     /// Board lifecycle state.
-    BoardState = 22,
+    BoardState = 20,
     /// Board sysfs attribute map.
-    BoardSysfs = 23,
+    BoardSysfs = 21,
     /// GDDR allocator region table.
-    PhiMemTable = 24,
+    PhiMemTable = 22,
     // --- virtio / interrupt delivery ---
     /// Virtqueue ring state.
-    VirtQueueState = 25,
+    VirtQueueState = 23,
     /// PCIe doorbell state.
-    Doorbell = 26,
+    Doorbell = 24,
     /// Virtqueue IRQ-callback slot (held while the callback runs).
-    VirtioIrq = 27,
+    VirtioIrq = 25,
     /// Per-VM IRQ-chip vector map.
-    IrqVectors = 28,
-    /// MSI vector handler chain.
-    MsiHandlers = 29,
+    IrqVectors = 26,
     // --- frontend driver ---
     /// One request slot of a lane's slot table (DESIGN.md #23): the
     /// request's timeline, trace fork, notify hint, batch bookkeeping and
     /// completion cell.  A leaf: nothing is acquired under it.
-    RequestSlot = 30,
+    RequestSlot = 27,
     // --- byte-storage leaves (innermost real locks) ---
     /// Pinned user/guest pages (`scif::PinnedBuf`).
-    PinnedBuf = 31,
+    PinnedBuf = 28,
     /// GDDR region backing bytes.
-    PhiMemData = 32,
+    PhiMemData = 29,
     /// Guest physical-memory arena.
-    GuestMemState = 33,
+    GuestMemState = 30,
     /// VMA test/backing byte buffers.
-    VmaData = 34,
+    VmaData = 31,
     // --- test-only classes (isolated from the real hierarchy) ---
     /// Regression tests: an outer-layer test lock.
-    TestOuter = 35,
+    TestOuter = 32,
     /// Regression tests: ABBA partner A.
-    TestA = 36,
+    TestA = 33,
     /// Regression tests: ABBA partner B.
-    TestB = 37,
+    TestB = 34,
     /// Regression tests: an inner-layer test lock.
-    TestInner = 38,
+    TestInner = 35,
     // --- host control plane (outermost; added for card-reset recovery) ---
     /// `VphiHost` attached-backend registry, walked during card reset.
-    HostAttached = 39,
+    HostAttached = 36,
     // --- tracing leaves (vphi-trace; taken with arbitrary locks held
     // *released*, never while inside another tracked section) ---
     /// Tracer span rings + request summaries.
-    TraceRings = 40,
+    TraceRings = 37,
     /// Tracer latency histograms.
-    TraceHists = 41,
+    TraceHists = 38,
     // --- multi-queue transport (PR 5) ---
     /// Backend shard-thread join handles (one service thread per queue).
-    BackendShards = 42,
+    BackendShards = 39,
     /// Frontend shared re-kick backoff RNG (seeded, jittered).
-    FrontendBackoff = 43,
+    FrontendBackoff = 40,
     // --- adaptive completion notification (PR 6) ---
     /// Per-token wait-queue registry (token → slot map).
-    TokenWaiters = 44,
+    TokenWaiters = 41,
     /// One sleeping requester's slot (signal count + condvar).
-    TokenSlot = 45,
-    /// Frontend spin-budget policy (EWMA table + busy-poll set).
-    NotifyPolicy = 46,
+    TokenSlot = 42,
+    /// Frontend spin-budget policy (EWMA table + burn estimates).
+    NotifyPolicy = 43,
     // --- zero-copy RMA (PR 10) ---
     /// Device-aperture window-mapping table (`pcie::ApertureMap`).
-    ApertureWindows = 47,
+    ApertureWindows = 44,
     // --- vm-exit servicing on the kicking thread (PR 14) ---
     /// A virtqueue lane's executor role ([`TrackedRole`], not a lock):
     /// whoever holds it — the lane's shard thread or a blocking kicker —
     /// is the one thread draining that lane's avail ring.
-    LaneExecutor = 48,
+    LaneExecutor = 45,
     // --- directed fabric wake-ups (PR 16) ---
     /// An endpoint's timed-bulk-lane receive state (`recv_timed` parks on
     /// the condvar paired with it).
-    TimedLane = 49,
+    TimedLane = 46,
 }
 
 impl LockClass {
     /// Number of classes (adjacency bitmasks are `u64`, so this must stay
     /// ≤ 64).
-    pub const COUNT: usize = 50;
+    pub const COUNT: usize = 47;
 
     /// Every class, in discriminant order — the hierarchy exported **as
     /// data** so offline tools (`vphi-analyze`) can consume the same
@@ -197,8 +192,6 @@ impl LockClass {
         LockClass::ServerSessions,
         LockClass::BackendEndpoints,
         LockClass::BackendMmaps,
-        LockClass::BackendWindows,
-        LockClass::RegCache,
         LockClass::FabricNodes,
         LockClass::EndpointState,
         LockClass::EpPort,
@@ -217,7 +210,6 @@ impl LockClass {
         LockClass::Doorbell,
         LockClass::VirtioIrq,
         LockClass::IrqVectors,
-        LockClass::MsiHandlers,
         LockClass::RequestSlot,
         LockClass::PinnedBuf,
         LockClass::PhiMemData,
@@ -254,8 +246,6 @@ impl LockClass {
             LockClass::ServerSessions => "ServerSessions",
             LockClass::BackendEndpoints => "BackendEndpoints",
             LockClass::BackendMmaps => "BackendMmaps",
-            LockClass::BackendWindows => "BackendWindows",
-            LockClass::RegCache => "RegCache",
             LockClass::FabricNodes => "FabricNodes",
             LockClass::EndpointState => "EndpointState",
             LockClass::EpPort => "EpPort",
@@ -274,7 +264,6 @@ impl LockClass {
             LockClass::Doorbell => "Doorbell",
             LockClass::VirtioIrq => "VirtioIrq",
             LockClass::IrqVectors => "IrqVectors",
-            LockClass::MsiHandlers => "MsiHandlers",
             LockClass::RequestSlot => "RequestSlot",
             LockClass::PinnedBuf => "PinnedBuf",
             LockClass::PhiMemData => "PhiMemData",
@@ -311,8 +300,6 @@ impl LockClass {
             LockClass::ServerSessions => 22,
             LockClass::BackendEndpoints => 24,
             LockClass::BackendMmaps => 24,
-            LockClass::BackendWindows => 26,
-            LockClass::RegCache => 28,
             LockClass::FabricNodes => 30,
             LockClass::EndpointState => 32,
             LockClass::EpPort => 34,
@@ -331,7 +318,6 @@ impl LockClass {
             LockClass::Doorbell => 62,
             LockClass::VirtioIrq => 64,
             LockClass::IrqVectors => 66,
-            LockClass::MsiHandlers => 68,
             // Where the inflight and completed tables sat: above the
             // per-token waiter slot (72), whose wait predicate probes it.
             LockClass::RequestSlot => 74,
@@ -351,9 +337,9 @@ impl LockClass {
             LockClass::TokenWaiters => 71,
             LockClass::TokenSlot => 72,
             LockClass::NotifyPolicy => 77,
-            // Between the registration cache (28) and the fabric (30):
-            // the backend maps/unmaps after the cache probe and before
-            // replaying the SCIF op.
+            // Between the endpoint holdings (24) and the fabric (30): the
+            // backend maps a window under the holdings lock, after the
+            // cache probe and before replaying the SCIF op.
             LockClass::ApertureWindows => 29,
             // Outermost of all: entered with nothing held, and held across
             // a whole request handler — which may take any class below.

@@ -2,13 +2,13 @@
 //!
 //! The vPHI backend "notifies the guest via a virtual interrupt" (paper
 //! §III).  We reuse the MSI vector model from the PCIe crate: QEMU raising
-//! a vector charges the injection latency and synchronously runs the
-//! guest's registered handler (which typically wakes a wait queue).
+//! a vector charges the injection latency and counts the raise; the
+//! backend wakes the requester itself.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use vphi_pcie::{InterruptHandler, MsiVector};
+use vphi_pcie::MsiVector;
 use vphi_sim_core::{CostModel, Timeline};
 use vphi_sync::{LockClass, TrackedMutex};
 
@@ -50,11 +50,6 @@ impl IrqChip {
         Arc::clone(self.vectors.lock().entry(n).or_insert_with(|| Arc::new(MsiVector::new(n))))
     }
 
-    /// Register a guest handler on vector `n`.
-    pub fn register(&self, n: u32, handler: Arc<dyn InterruptHandler>) {
-        self.vector(n).register(handler);
-    }
-
     /// Vector `n` as a line of its own.
     pub fn line(&self, n: u32) -> IrqLine {
         IrqLine { vector: self.vector(n), cost: Arc::clone(&self.cost) }
@@ -76,25 +71,16 @@ impl IrqChip {
 mod tests {
     use super::*;
     use vphi_sim_core::SpanLabel;
-    use vphi_sync::Counter;
 
     #[test]
     #[expect(clippy::disallowed_methods, reason = "the chip's own unit tests")]
-    fn inject_charges_cost_and_runs_handler() {
+    fn inject_charges_cost_and_counts() {
         let cost = Arc::new(CostModel::paper_calibrated());
         let chip = IrqChip::new(Arc::clone(&cost));
-        let hits = Arc::new(Counter::new(0));
-        let h = Arc::clone(&hits);
-        chip.register(
-            3,
-            Arc::new(move |_: u32, _: &mut Timeline| {
-                h.bump();
-            }),
-        );
         let mut tl = Timeline::new();
         chip.inject(3, &mut tl);
-        assert_eq!(hits.get(), 1);
         assert_eq!(tl.total_for(SpanLabel::IrqInject), cost.irq_inject);
+        assert_eq!(tl.total(), cost.irq_inject, "an injection charges nothing else");
         assert_eq!(chip.inject_count(3), 1);
     }
 
@@ -112,6 +98,6 @@ mod tests {
         // A line is the same vector, resolved ahead of time.
         chip.line(1).inject(&mut tl);
         assert_eq!(chip.inject_count(1), 2);
-        assert_eq!(tl.total_for(vphi_sim_core::SpanLabel::IrqInject), chip.cost.irq_inject * 2);
+        assert_eq!(tl.total_for(SpanLabel::IrqInject), chip.cost.irq_inject * 2);
     }
 }

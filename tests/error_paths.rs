@@ -388,6 +388,96 @@ fn failed_rma_matches_native_and_retries_clean() {
     }
 }
 
+/// Every way a guest endpoint ends, with everything an endpoint can hold
+/// held at the time — a registered window, a pinned translation, a device
+/// mapping and (on the mapped arm) an aperture subwindow — on both sides
+/// of the registration cache and of the large-RMA charge: afterwards the
+/// backend holds nothing (DESIGN.md #26).
+#[test]
+fn every_way_an_endpoint_ends_leaves_nothing_held() {
+    use vphi::backend::{RegCacheConfig, RmaCharge};
+    use vphi_sim_core::cost::{KMALLOC_MAX_SIZE, PAGE_SIZE};
+
+    #[derive(Clone, Copy, Debug)]
+    enum Ending {
+        Close,
+        UnregisterThenClose,
+        MunmapThenClose,
+        GuestDeath,
+        CardResetThenClose,
+        VmShutdown,
+    }
+    use Ending::*;
+
+    let large = KMALLOC_MAX_SIZE + PAGE_SIZE;
+    for ending in
+        [Close, UnregisterThenClose, MunmapThenClose, GuestDeath, CardResetThenClose, VmShutdown]
+    {
+        for cache in [RegCacheConfig::default(), RegCacheConfig::disabled()] {
+            for charge in [RmaCharge::PerPage, RmaCharge::Mapped] {
+                let case = format!("{ending:?}, cache {}, {charge:?}", cache.enabled);
+                let host = VphiHost::new(1);
+                let region = host.board(0).memory().alloc(large).unwrap();
+                let dev = gddr_window_server(&host, region);
+                let vm = host.spawn_vm(VmConfig::builder().reg_cache(cache).rma(charge).build());
+                let mut tl = Timeline::new();
+                let ep = vm.open_scif(&mut tl).unwrap();
+                ep.connect(dev.addr(), &mut tl).unwrap();
+                ep.recv(&mut [0u8; 1], &mut tl).unwrap();
+
+                let buf = vm.alloc_buf(large).unwrap();
+                let off = ep.register(&buf, Prot::READ_WRITE, None, &mut tl).unwrap();
+                ep.vreadfrom(&buf, 0, RmaFlags::SYNC, &mut tl).unwrap();
+                let mapped = ep.mmap(vm.vm().kvm(), 0, PAGE_SIZE, Prot::READ, &mut tl).unwrap();
+
+                let backend = vm.backend().inner();
+                let held = || {
+                    [
+                        vm.backend().open_endpoints(),
+                        backend.window_entries(),
+                        backend.holdings().cached_ranges(),
+                        backend.aperture().mapped_windows(),
+                        backend.aperture().inflight_total() as usize,
+                    ]
+                };
+                let pinned = usize::from(cache.enabled);
+                let subwindows = usize::from(charge == RmaCharge::Mapped);
+                assert_eq!(held(), [1, 1, pinned, subwindows, 0], "{case}: before");
+
+                match ending {
+                    Close => ep.close(&mut tl).unwrap(),
+                    UnregisterThenClose => {
+                        ep.unregister(off, large, &mut tl).unwrap();
+                        assert_eq!(held(), [1, 0, 0, 0, 0], "{case}: unregistered");
+                        ep.close(&mut tl).unwrap();
+                    }
+                    MunmapThenClose => {
+                        mapped.munmap(&mut tl).unwrap();
+                        assert_eq!(held(), [1, 1, 0, 0, 0], "{case}: unmapped");
+                        ep.close(&mut tl).unwrap();
+                    }
+                    GuestDeath => {
+                        host.arm_faults(FaultPlan::single(FaultSite::VmmGuestDeath, 1, 0));
+                        assert_eq!(ep.send(b"x", &mut tl), Err(ScifError::NoDev), "{case}");
+                    }
+                    CardResetThenClose => {
+                        host.reset_card(0);
+                        assert_eq!(held(), [1, 0, 0, 0, 0], "{case}: quarantined");
+                        ep.close(&mut tl).unwrap();
+                    }
+                    VmShutdown => vm.shutdown(),
+                }
+                assert_eq!(held(), [0; 5], "{case}: after");
+                assert_eq!(vm.frontend().pending_tokens(), 0, "{case}: token");
+
+                drop((mapped, ep));
+                vm.shutdown();
+                dev.shutdown();
+            }
+        }
+    }
+}
+
 /// A `Send`/`Recv` whose descriptor chain names memory the guest does not
 /// have is *refused* (DESIGN.md #20): `EINVAL`, with every descriptor
 /// checked before the first byte moves — nothing reaches the peer from
