@@ -1,23 +1,17 @@
 //! vphi-analyze: whole-workspace static analysis for the vPHI tree.
 //!
-//! Two passes over a token-level model of every non-test source file
-//! (parsed with the offline `syn` shim — no rustc, no network):
-//!
-//! 1. **Lock order** ([`locks`]) — per-function lock-acquisition
-//!    summaries propagated over the call graph to a fixpoint, checked
-//!    against the `vphi-sync` [`LockClass`](vphi_sync::LockClass)
-//!    hierarchy.  Reports layer inversions and same-layer ABBA cycles
-//!    with full witness call paths.
-//! 2. **Guest taint** ([`taint`]) — values decoded from guest memory
-//!    must pass a bounds check before indexing, sizing an allocation, or
-//!    forming a DMA range; guest-reachable `unwrap()` is flagged.
+//! One pass over a token-level model of every non-test source file
+//! (parsed with the offline `syn` shim — no rustc, no network): **guest
+//! taint** ([`taint`]) — values decoded from guest memory must pass a
+//! bounds check before indexing, sizing an allocation, or forming a DMA
+//! range; guest-reachable `unwrap()` is flagged.  Lock order is checked at
+//! run time, by `vphi-sync`'s order graph (DESIGN.md #12).
 //!
 //! Run as `cargo run -p xtask -- analyze`.  Output is deterministic and
 //! byte-stable; known findings live in `analyze-baseline.txt` at the
 //! repo root with one justified key per line.
 
 pub mod exempt;
-pub mod locks;
 pub mod model;
 pub mod report;
 pub mod taint;
@@ -57,20 +51,16 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> Result<(), 
     Ok(())
 }
 
-/// Run both passes over in-memory sources and return a normalized
-/// report.  This is the seam golden tests use to analyze fixture trees.
+/// Run the pass over in-memory sources and return a normalized report.
+/// This is the seam golden tests use to analyze fixture trees.
 pub fn analyze_sources(sources: &[(String, String)]) -> Result<Report, String> {
     let ws = model::Workspace::parse(sources)?;
-    let classes = locks::ClassTable::from_sync();
     let mut findings = Vec::new();
     let mut summary = Summary { files: ws.files.len(), ..Summary::default() };
     for f in &ws.files {
         summary.functions += f.functions.len();
         summary.test_functions += f.functions.iter().filter(|f| f.is_test).count();
     }
-    summary.lock_decls = ws.locks.decls;
-
-    locks::run(&ws, &classes, &mut findings, &mut summary);
     taint::run(&ws, &mut findings, &mut summary);
 
     let mut report = Report { findings, summary };

@@ -1,14 +1,8 @@
 //! The analyzer's view of the workspace: every `.rs` file lexed by the
-//! `syn` shim, split into functions, plus the field-name → `LockClass`
-//! table recovered from `TrackedMutex::new(LockClass::X, ..)` sites.
+//! `syn` shim and split into functions.
 //!
 //! The shim gives us token trees, not a typed AST, so "function" here
-//! means a `fn NAME .. { body }` token span and receiver resolution is by
-//! field *name*.  Names are resolved per-file first, then per-crate, then
-//! globally-if-unique, so a `state` field in `virtio` and a `state` field
-//! in `scif` never alias each other.
-
-use std::collections::BTreeMap;
+//! means a `fn NAME .. { body }` token span.
 
 use syn::{Delimiter, TokenTree};
 
@@ -25,8 +19,6 @@ pub struct Function {
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated.
     pub rel: String,
-    /// Owning crate (directory under `crates/`, or `tests`/`examples`).
-    pub krate: String,
     pub functions: Vec<Function>,
 }
 
@@ -34,7 +26,6 @@ pub struct SourceFile {
 pub struct Workspace {
     /// Sorted by `rel`.
     pub files: Vec<SourceFile>,
-    pub locks: LockFields,
 }
 
 /// Idents that can never be a binding or callee name.
@@ -47,17 +38,6 @@ const KEYWORDS: &[&str] = &[
 
 pub fn is_keyword(s: &str) -> bool {
     KEYWORDS.contains(&s)
-}
-
-/// Owning crate of a workspace-relative path.
-pub fn crate_of(rel: &str) -> String {
-    let mut parts = rel.split('/');
-    match parts.next() {
-        Some("crates") => parts.next().unwrap_or("?").to_string(),
-        Some(first) if first.ends_with(".rs") => "?".to_string(),
-        Some(first) => first.to_string(),
-        None => "?".to_string(),
-    }
 }
 
 /// Whether the *path* marks everything in the file as test code.
@@ -73,18 +53,15 @@ impl Workspace {
     /// files are sorted by path so every downstream pass is deterministic.
     pub fn parse(sources: &[(String, String)]) -> Result<Workspace, String> {
         let mut files = Vec::new();
-        let mut locks = LockFields::default();
         let mut sorted: Vec<&(String, String)> = sources.iter().collect();
         sorted.sort_by(|a, b| a.0.cmp(&b.0));
         for (rel, src) in sorted {
             let parsed = syn::parse_file(src).map_err(|e| format!("{rel}: {e}"))?;
-            let krate = crate_of(rel);
             let mut functions = Vec::new();
             extract_functions(&parsed.tokens, is_test_path(rel), &mut functions);
-            scan_lock_decls(&parsed.tokens, None, rel, &krate, &mut locks);
-            files.push(SourceFile { rel: rel.clone(), krate, functions });
+            files.push(SourceFile { rel: rel.clone(), functions });
         }
-        Ok(Workspace { files, locks })
+        Ok(Workspace { files })
     }
 }
 
@@ -183,118 +160,6 @@ fn group_mentions(tokens: &[TokenTree], what: &str) -> bool {
     })
 }
 
-/// Field-name → lock-class table.  A value of `None` marks a name bound to
-/// two different classes at that scope (ambiguous: never resolved there).
-#[derive(Default)]
-pub struct LockFields {
-    by_file: BTreeMap<(String, String), Option<String>>,
-    by_crate: BTreeMap<(String, String), Option<String>>,
-    global: BTreeMap<String, Option<String>>,
-    pub decls: usize,
-}
-
-impl LockFields {
-    fn add(&mut self, rel: &str, krate: &str, field: &str, class: &str) {
-        self.decls += 1;
-        for (map, key) in [
-            (&mut self.by_file, (rel.to_string(), field.to_string())),
-            (&mut self.by_crate, (krate.to_string(), field.to_string())),
-        ] {
-            map.entry(key)
-                .and_modify(|v| {
-                    if v.as_deref() != Some(class) {
-                        *v = None;
-                    }
-                })
-                .or_insert_with(|| Some(class.to_string()));
-        }
-        self.global
-            .entry(field.to_string())
-            .and_modify(|v| {
-                if v.as_deref() != Some(class) {
-                    *v = None;
-                }
-            })
-            .or_insert_with(|| Some(class.to_string()));
-    }
-
-    /// Resolve a receiver field name at a use site: file scope first, then
-    /// crate, then globally-unique.
-    pub fn resolve(&self, rel: &str, krate: &str, field: &str) -> Option<&str> {
-        if let Some(v) = self.by_file.get(&(rel.to_string(), field.to_string())) {
-            return v.as_deref();
-        }
-        if let Some(v) = self.by_crate.get(&(krate.to_string(), field.to_string())) {
-            return v.as_deref();
-        }
-        self.global.get(field).and_then(|v| v.as_deref())
-    }
-}
-
-const TRACKED_CTORS: &[&str] = &["TrackedMutex", "TrackedRwLock", "TrackedRole"];
-
-/// Find `TrackedMutex::new(LockClass::X, ..)` (and the RwLock form) and
-/// map the nearest enclosing binding name — `field: ..` struct init or
-/// `let name = ..` — to class `X`.  `binding` carries the nearest binding
-/// seen at an ancestor level, so `field: Arc::new(TrackedMutex::new(..))`
-/// resolves to `field`.
-fn scan_lock_decls(
-    tokens: &[TokenTree],
-    binding: Option<&str>,
-    rel: &str,
-    krate: &str,
-    out: &mut LockFields,
-) {
-    let mut current: Option<String> = binding.map(str::to_string);
-    let mut i = 0;
-    while i < tokens.len() {
-        if let Some(name) = tokens[i].ident() {
-            if !is_keyword(name) {
-                // `name :` (single colon) or `name =` (plain assignment).
-                let next = tokens.get(i + 1).and_then(TokenTree::punct);
-                let after = tokens.get(i + 2).and_then(TokenTree::punct);
-                let binds = (next == Some(':') && after != Some(':'))
-                    || (next == Some('=') && after != Some('=') && after != Some('>'));
-                if binds {
-                    current = Some(name.to_string());
-                }
-            }
-            if TRACKED_CTORS.contains(&name)
-                && tokens.get(i + 1).and_then(TokenTree::punct) == Some(':')
-                && tokens.get(i + 2).and_then(TokenTree::punct) == Some(':')
-                && tokens.get(i + 3).and_then(TokenTree::ident) == Some("new")
-            {
-                if let Some(TokenTree::Group(args)) = tokens.get(i + 4) {
-                    if args.delimiter == Delimiter::Parenthesis {
-                        if let (Some(class), Some(field)) =
-                            (lock_class_in(&args.tokens), current.as_deref())
-                        {
-                            out.add(rel, krate, field, class);
-                        }
-                    }
-                }
-            }
-        }
-        if let TokenTree::Group(g) = &tokens[i] {
-            scan_lock_decls(&g.tokens, current.as_deref(), rel, krate, out);
-        }
-        i += 1;
-    }
-}
-
-/// The `X` of the first top-level `LockClass :: X` in an argument list.
-fn lock_class_in(tokens: &[TokenTree]) -> Option<&str> {
-    for i in 0..tokens.len() {
-        if tokens[i].ident() == Some("LockClass")
-            && tokens.get(i + 1).and_then(TokenTree::punct) == Some(':')
-            && tokens.get(i + 2).and_then(TokenTree::punct) == Some(':')
-        {
-            return tokens.get(i + 3).and_then(TokenTree::ident);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,32 +181,6 @@ mod tests {
     fn tests_dir_paths_are_all_test_code() {
         let w = ws("crates/demo/tests/it.rs", "fn helper() {}");
         assert!(w.files[0].functions[0].is_test);
-    }
-
-    #[test]
-    fn lock_decls_resolve_per_file_then_crate() {
-        let a = (
-            "crates/a/src/lib.rs".to_string(),
-            "struct S;\nimpl S { fn new() -> Self { Self { state: TrackedMutex::new(LockClass::BoardState, 0) } } }".to_string(),
-        );
-        let b = (
-            "crates/b/src/lib.rs".to_string(),
-            "fn mk() { let state = Arc::new(TrackedMutex::new(LockClass::EndpointState, 0)); }"
-                .to_string(),
-        );
-        let w = Workspace::parse(&[a, b]).unwrap();
-        assert_eq!(w.locks.resolve("crates/a/src/lib.rs", "a", "state"), Some("BoardState"));
-        assert_eq!(w.locks.resolve("crates/b/src/lib.rs", "b", "state"), Some("EndpointState"));
-        // Cross-crate, the name is ambiguous globally.
-        assert_eq!(w.locks.resolve("crates/c/src/lib.rs", "c", "state"), None);
-        assert_eq!(w.locks.decls, 2);
-    }
-
-    #[test]
-    fn crate_attribution() {
-        assert_eq!(crate_of("crates/virtio/src/queue.rs"), "virtio");
-        assert_eq!(crate_of("tests/chaos.rs"), "tests");
-        assert_eq!(crate_of("examples/mmap_device_memory.rs"), "examples");
         assert!(is_test_path("crates/core/tests/mq_fifo.rs"));
         assert!(is_test_path("crates/bench/benches/micro_components.rs"));
         assert!(!is_test_path("crates/core/src/backend/mod.rs"));

@@ -15,8 +15,8 @@ pub struct Finding {
     pub file: String,
     pub function: String,
     pub line: usize,
-    /// Stable discriminator within (rule, file, function) — e.g. the edge
-    /// `TestA->TestB` or the tainted ident.
+    /// Stable discriminator within (rule, file, function) — e.g. the
+    /// tainted ident and its sink, `len:allocation size`.
     pub detail: String,
     pub message: String,
 }
@@ -34,11 +34,6 @@ pub struct Summary {
     pub files: usize,
     pub functions: usize,
     pub test_functions: usize,
-    pub lock_decls: usize,
-    pub lock_sites: usize,
-    pub lock_sites_resolved: usize,
-    pub call_edges: usize,
-    pub order_edges: usize,
     pub taint_sources: usize,
     pub taint_sinks: usize,
 }
@@ -65,10 +60,6 @@ impl Report {
         let _ = writeln!(out, "vphi-analyze report");
         let _ = writeln!(out, "  files analyzed:      {}", s.files);
         let _ = writeln!(out, "  functions:           {} ({} test)", s.functions, s.test_functions);
-        let _ = writeln!(out, "  lock declarations:   {}", s.lock_decls);
-        let _ = writeln!(out, "  lock sites resolved: {}/{}", s.lock_sites_resolved, s.lock_sites);
-        let _ = writeln!(out, "  call-graph edges:    {}", s.call_edges);
-        let _ = writeln!(out, "  lock-order edges:    {}", s.order_edges);
         let _ = writeln!(out, "  taint sources:       {}", s.taint_sources);
         let _ = writeln!(out, "  taint sinks checked: {}", s.taint_sinks);
         let (new, waived, stale) = self.against(baseline);

@@ -1,4 +1,4 @@
-//! Pass 3: guest-taint dataflow.
+//! The guest-taint dataflow pass.
 //!
 //! The trust boundary (PAPER.md): everything a guest writes into a virtio
 //! descriptor table and everything `VphiRequest::decode` pulls out of a

@@ -148,7 +148,8 @@ pub struct BackendInner {
     /// Everything the guest's endpoint descriptors hold (DESIGN.md #26).
     held: Holdings,
     /// Device mappings, guest vaddr → (owning endpoint, the mapping) — not
-    /// under the endpoint's record: a mapping outlives `scif_close`.
+    /// under the endpoint's record: a mapping outlives `scif_close`, not
+    /// the guest (`guest_died`, `stop`).
     mmaps: TrackedMutex<HashMap<u64, (u64, MappedRegion)>>,
     policy: DispatchPolicy,
     running: Flag,
@@ -185,6 +186,11 @@ impl BackendInner {
         self.held.window_entries()
     }
 
+    /// Device mappings the guest has not unmapped (leak detector).
+    pub fn mmap_entries(&self) -> usize {
+        self.mmaps.lock().len()
+    }
+
     /// The zero-copy window-mapping table (zero-leak audits: after all
     /// windows are unregistered/closed, `mapped_windows()` must be 0).
     pub fn aperture(&self) -> &ApertureMap {
@@ -202,9 +208,10 @@ impl BackendInner {
     }
 
     /// Tear down everything a dead guest left behind: close (and thereby
-    /// unregister) its endpoints, unpin its windows and drop its cached
-    /// translations.  Guest requests already in flight observe the
-    /// shutdown flag instead of waiting on a dead ring.
+    /// unregister) its endpoints, unpin its windows, drop its cached
+    /// translations and unmap its device mappings.  Guest requests already
+    /// in flight observe the shutdown flag instead of waiting on a dead
+    /// ring.
     pub fn guest_died(&self) {
         self.stats.guest_deaths.bump();
         // Flag first (new requests fail fast), wake last: a waiter that
@@ -212,9 +219,21 @@ impl BackendInner {
         // having already drained every endpoint and window.
         self.channel.mark_shutdown_quiet();
         let (endpoints, windows) = self.held.release_all();
+        self.release_mmaps();
         self.stats.endpoints_gced.add(endpoints as u64);
         self.stats.windows_gced.add(windows as u64);
         self.channel.waitq.wake_all();
+    }
+
+    /// Unmap every device mapping, as a `Munmap` would: a guest that died
+    /// or was stopped never sends one, and each mapping holds its peer
+    /// window's backing.
+    fn release_mmaps(&self) {
+        let mappings = std::mem::take(&mut *self.mmaps.lock());
+        for vaddr in mappings.into_keys() {
+            let _ = self.kvm.vmas.lock().unmap(vaddr);
+            self.kvm.forget_vma(vaddr);
+        }
     }
 
     /// Card-reset recovery: force-close every endpoint that touched
@@ -765,6 +784,7 @@ impl VirtualPciDevice for BackendDevice {
         // lane's shard queued behind it for the executor role) holds a
         // reference of its own and has to be woken, not waited for.
         self.inner.held.release_all();
+        self.inner.release_mmaps();
         for h in self.shards.lock().drain(..) {
             let _ = h.join();
         }

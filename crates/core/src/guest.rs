@@ -794,10 +794,7 @@ impl GuestScif {
 
 impl Drop for GuestScif {
     fn drop(&mut self) {
-        if !self.closed.swap(true) {
-            let mut tl = Timeline::new();
-            let _ = self.driver.simple(VphiRequest::Close { epd: self.epd }, &mut tl);
-        }
+        let _ = self.close(&mut Timeline::new());
     }
 }
 

@@ -65,129 +65,123 @@ pub enum LockClass {
     /// `vmm::KvmModule` fault counter.
     KvmFaults = 3,
     // --- host-side service threads ---
-    /// Backend / daemon service-thread join handles.
-    BackendWorker = 4,
     /// `scif::CardService` accept-thread handle.
-    ServerAccept = 5,
+    ServerAccept = 4,
     /// `scif::CardService` session-thread list.
-    ServerSessions = 6,
+    ServerSessions = 5,
     /// Backend endpoint holdings: the guest-epd → endpoint table, each
     /// endpoint's registered windows and the RMA registration cache.
-    BackendEndpoints = 7,
+    BackendEndpoints = 6,
     /// Backend mmap-handle table.
-    BackendMmaps = 8,
+    BackendMmaps = 7,
     // --- SCIF fabric ---
     /// Fabric node registry.
-    FabricNodes = 9,
+    FabricNodes = 8,
     /// Endpoint state machine.
-    EndpointState = 10,
+    EndpointState = 9,
     /// Endpoint local port.
-    EpPort = 11,
+    EpPort = 10,
     /// Endpoint listener slot.
-    EpListener = 12,
+    EpListener = 11,
     /// Per-node bound-port map.
-    NodePorts = 13,
+    NodePorts = 12,
     /// Listener pending-connection backlog.
-    ListenerPending = 14,
+    ListenerPending = 13,
     /// Fabric activity hub (wake-any version counter).
-    ActivityHub = 15,
+    ActivityHub = 14,
     /// SCIF message queue ring state.
-    MsgQueue = 16,
+    MsgQueue = 15,
     /// Endpoint registered-window table.
-    WindowTable = 17,
+    WindowTable = 16,
     /// Endpoint RMA fence-marker counter.
-    RmaMarker = 18,
+    RmaMarker = 17,
     /// Endpoint pending async-RMA completions.
-    RmaPending = 19,
+    RmaPending = 18,
     // --- Phi device ---
     /// Board lifecycle state.
-    BoardState = 20,
+    BoardState = 19,
     /// Board sysfs attribute map.
-    BoardSysfs = 21,
+    BoardSysfs = 20,
     /// GDDR allocator region table.
-    PhiMemTable = 22,
+    PhiMemTable = 21,
     // --- virtio / interrupt delivery ---
     /// Virtqueue ring state.
-    VirtQueueState = 23,
+    VirtQueueState = 22,
     /// PCIe doorbell state.
-    Doorbell = 24,
-    /// Virtqueue IRQ-callback slot (held while the callback runs).
-    VirtioIrq = 25,
+    Doorbell = 23,
     /// Per-VM IRQ-chip vector map.
-    IrqVectors = 26,
+    IrqVectors = 24,
     // --- frontend driver ---
     /// One request slot of a lane's slot table (DESIGN.md #23): the
     /// request's timeline, trace fork, notify hint, batch bookkeeping and
     /// completion cell.  A leaf: nothing is acquired under it.
-    RequestSlot = 27,
+    RequestSlot = 25,
     // --- byte-storage leaves (innermost real locks) ---
     /// Pinned user/guest pages (`scif::PinnedBuf`).
-    PinnedBuf = 28,
+    PinnedBuf = 26,
     /// GDDR region backing bytes.
-    PhiMemData = 29,
+    PhiMemData = 27,
     /// Guest physical-memory arena.
-    GuestMemState = 30,
+    GuestMemState = 28,
     /// VMA test/backing byte buffers.
-    VmaData = 31,
+    VmaData = 29,
     // --- test-only classes (isolated from the real hierarchy) ---
     /// Regression tests: an outer-layer test lock.
-    TestOuter = 32,
+    TestOuter = 30,
     /// Regression tests: ABBA partner A.
-    TestA = 33,
+    TestA = 31,
     /// Regression tests: ABBA partner B.
-    TestB = 34,
+    TestB = 32,
     /// Regression tests: an inner-layer test lock.
-    TestInner = 35,
+    TestInner = 33,
     // --- host control plane (outermost; added for card-reset recovery) ---
     /// `VphiHost` attached-backend registry, walked during card reset.
-    HostAttached = 36,
+    HostAttached = 34,
     // --- tracing leaves (vphi-trace; taken with arbitrary locks held
     // *released*, never while inside another tracked section) ---
     /// Tracer span rings + request summaries.
-    TraceRings = 37,
+    TraceRings = 35,
     /// Tracer latency histograms.
-    TraceHists = 38,
+    TraceHists = 36,
     // --- multi-queue transport (PR 5) ---
     /// Backend shard-thread join handles (one service thread per queue).
-    BackendShards = 39,
+    BackendShards = 37,
     /// Frontend shared re-kick backoff RNG (seeded, jittered).
-    FrontendBackoff = 40,
+    FrontendBackoff = 38,
     // --- adaptive completion notification (PR 6) ---
     /// Per-token wait-queue registry (token → slot map).
-    TokenWaiters = 41,
+    TokenWaiters = 39,
     /// One sleeping requester's slot (signal count + condvar).
-    TokenSlot = 42,
+    TokenSlot = 40,
     /// Frontend spin-budget policy (EWMA table + burn estimates).
-    NotifyPolicy = 43,
+    NotifyPolicy = 41,
     // --- zero-copy RMA (PR 10) ---
     /// Device-aperture window-mapping table (`pcie::ApertureMap`).
-    ApertureWindows = 44,
+    ApertureWindows = 42,
     // --- vm-exit servicing on the kicking thread (PR 14) ---
     /// A virtqueue lane's executor role ([`TrackedRole`], not a lock):
     /// whoever holds it — the lane's shard thread or a blocking kicker —
     /// is the one thread draining that lane's avail ring.
-    LaneExecutor = 45,
+    LaneExecutor = 43,
     // --- directed fabric wake-ups (PR 16) ---
     /// An endpoint's timed-bulk-lane receive state (`recv_timed` parks on
     /// the condvar paired with it).
-    TimedLane = 46,
+    TimedLane = 44,
 }
 
 impl LockClass {
     /// Number of classes (adjacency bitmasks are `u64`, so this must stay
     /// ≤ 64).
-    pub const COUNT: usize = 47;
+    pub const COUNT: usize = 45;
 
-    /// Every class, in discriminant order — the hierarchy exported **as
-    /// data** so offline tools (`vphi-analyze`) can consume the same
-    /// class/layer table the runtime detector enforces, instead of
-    /// re-declaring it and drifting.
+    /// Every class, in discriminant order: the audit walks it to snapshot
+    /// the order graph, and lock budgets walk it to print a per-class
+    /// ledger.
     pub const ALL: [LockClass; LockClass::COUNT] = [
         LockClass::VmDevices,
         LockClass::KvmVmas,
         LockClass::KvmResolved,
         LockClass::KvmFaults,
-        LockClass::BackendWorker,
         LockClass::ServerAccept,
         LockClass::ServerSessions,
         LockClass::BackendEndpoints,
@@ -208,7 +202,6 @@ impl LockClass {
         LockClass::PhiMemTable,
         LockClass::VirtQueueState,
         LockClass::Doorbell,
-        LockClass::VirtioIrq,
         LockClass::IrqVectors,
         LockClass::RequestSlot,
         LockClass::PinnedBuf,
@@ -232,61 +225,6 @@ impl LockClass {
         LockClass::TimedLane,
     ];
 
-    /// The class's source-level name, exactly as it is spelled at
-    /// declaration sites (`LockClass::VmDevices` → `"VmDevices"`), so a
-    /// source scanner can map the identifier back to the class.
-    pub const fn name(self) -> &'static str {
-        match self {
-            LockClass::VmDevices => "VmDevices",
-            LockClass::KvmVmas => "KvmVmas",
-            LockClass::KvmResolved => "KvmResolved",
-            LockClass::KvmFaults => "KvmFaults",
-            LockClass::BackendWorker => "BackendWorker",
-            LockClass::ServerAccept => "ServerAccept",
-            LockClass::ServerSessions => "ServerSessions",
-            LockClass::BackendEndpoints => "BackendEndpoints",
-            LockClass::BackendMmaps => "BackendMmaps",
-            LockClass::FabricNodes => "FabricNodes",
-            LockClass::EndpointState => "EndpointState",
-            LockClass::EpPort => "EpPort",
-            LockClass::EpListener => "EpListener",
-            LockClass::NodePorts => "NodePorts",
-            LockClass::ListenerPending => "ListenerPending",
-            LockClass::ActivityHub => "ActivityHub",
-            LockClass::MsgQueue => "MsgQueue",
-            LockClass::WindowTable => "WindowTable",
-            LockClass::RmaMarker => "RmaMarker",
-            LockClass::RmaPending => "RmaPending",
-            LockClass::BoardState => "BoardState",
-            LockClass::BoardSysfs => "BoardSysfs",
-            LockClass::PhiMemTable => "PhiMemTable",
-            LockClass::VirtQueueState => "VirtQueueState",
-            LockClass::Doorbell => "Doorbell",
-            LockClass::VirtioIrq => "VirtioIrq",
-            LockClass::IrqVectors => "IrqVectors",
-            LockClass::RequestSlot => "RequestSlot",
-            LockClass::PinnedBuf => "PinnedBuf",
-            LockClass::PhiMemData => "PhiMemData",
-            LockClass::GuestMemState => "GuestMemState",
-            LockClass::VmaData => "VmaData",
-            LockClass::TestOuter => "TestOuter",
-            LockClass::TestA => "TestA",
-            LockClass::TestB => "TestB",
-            LockClass::TestInner => "TestInner",
-            LockClass::HostAttached => "HostAttached",
-            LockClass::TraceRings => "TraceRings",
-            LockClass::TraceHists => "TraceHists",
-            LockClass::BackendShards => "BackendShards",
-            LockClass::FrontendBackoff => "FrontendBackoff",
-            LockClass::TokenWaiters => "TokenWaiters",
-            LockClass::TokenSlot => "TokenSlot",
-            LockClass::NotifyPolicy => "NotifyPolicy",
-            LockClass::ApertureWindows => "ApertureWindows",
-            LockClass::LaneExecutor => "LaneExecutor",
-            LockClass::TimedLane => "TimedLane",
-        }
-    }
-
     /// The class's layer in the documented hierarchy — smaller layers are
     /// acquired first (outermost).
     pub const fn layer(self) -> u8 {
@@ -295,7 +233,6 @@ impl LockClass {
             LockClass::KvmVmas => 12,
             LockClass::KvmResolved => 14,
             LockClass::KvmFaults => 16,
-            LockClass::BackendWorker => 20,
             LockClass::ServerAccept => 20,
             LockClass::ServerSessions => 22,
             LockClass::BackendEndpoints => 24,
@@ -316,7 +253,6 @@ impl LockClass {
             LockClass::PhiMemTable => 54,
             LockClass::VirtQueueState => 60,
             LockClass::Doorbell => 62,
-            LockClass::VirtioIrq => 64,
             LockClass::IrqVectors => 66,
             // Where the inflight and completed tables sat: above the
             // per-token waiter slot (72), whose wait predicate probes it.
@@ -350,8 +286,8 @@ impl LockClass {
         }
     }
 
-    /// Dense index (= discriminant); used by the runtime audit graph and
-    /// by the offline `vphi-analyze` lock-order pass.
+    /// Dense index (= discriminant): the class's row and bit in the audit's
+    /// order graph and its slot in the per-thread acquisition ledger.
     pub const fn index(self) -> usize {
         self as usize
     }
@@ -743,22 +679,12 @@ mod class_table_tests {
     fn all_covers_every_index_once() {
         let mut seen = [false; LockClass::COUNT];
         for c in LockClass::ALL {
-            assert!(!seen[c.index()], "duplicate class {}", c.name());
+            assert!(!seen[c.index()], "duplicate class {c:?}");
             seen[c.index()] = true;
         }
         assert!(seen.iter().all(|&s| s), "ALL is missing a class");
         for (i, c) in LockClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i, "ALL out of discriminant order at {i}");
         }
-    }
-
-    #[test]
-    fn names_are_unique_and_nonempty() {
-        let mut names: Vec<&str> = LockClass::ALL.iter().map(|c| c.name()).collect();
-        names.sort_unstable();
-        let before = names.len();
-        names.dedup();
-        assert_eq!(names.len(), before, "duplicate class name");
-        assert!(names.iter().all(|n| !n.is_empty()));
     }
 }

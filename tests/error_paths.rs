@@ -208,10 +208,11 @@ fn double_close_after_card_reset_pins_exact_errors() {
     vm.shutdown();
 }
 
-/// Closing an endpoint with submissions still in flight cancels them:
-/// every reap still surfaces (the driver drains the backend's completions
-/// so nothing leaks), but the result is pinned to `ECANCELED` — errno 125,
-/// fatal, never retryable — not whatever the backend happened to return.
+/// Closing or dropping an endpoint with submissions still in flight
+/// cancels them: every reap still surfaces (the driver drains the
+/// backend's completions so nothing leaks), but the result is pinned to
+/// `ECANCELED` — errno 125, fatal, never retryable — not whatever the
+/// backend happened to return.
 #[test]
 fn reap_after_close_pins_canceled() {
     // The wire contract first: the errno value and its classification are
@@ -221,34 +222,45 @@ fn reap_after_close_pins_canceled() {
     assert!(!ScifError::Canceled.is_retryable());
     assert_eq!(ScifError::from_errno(125), Some(ScifError::Canceled));
 
-    let host = VphiHost::new(1);
-    let dev = sink(&host, 0);
+    // An explicit close, reaped through the closed endpoint; a drop, reaped
+    // through a sibling endpoint of the same VM.
+    for dropped in [false, true] {
+        let host = VphiHost::new(1);
+        let dev = sink(&host, 0);
 
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(dev.addr(), &mut tl).unwrap();
+        let vm = host.spawn_vm(VmConfig::default());
+        let mut tl = Timeline::new();
+        let sibling = vm.open_scif(&mut tl).unwrap();
+        let ep = vm.open_scif(&mut tl).unwrap();
+        ep.connect(dev.addr(), &mut tl).unwrap();
 
-    let mut sq = Sq::new();
-    for i in 0u32..4 {
-        sq.push(SqEntry::send(&i.to_le_bytes()));
+        let mut sq = Sq::new();
+        for i in 0u32..4 {
+            sq.push(SqEntry::send(&i.to_le_bytes()));
+        }
+        let tokens = ep.submit(&mut sq, &mut tl).unwrap();
+        let mut cq = Cq::new();
+        cq.watch(&tokens);
+
+        // End the endpoint with all four still outstanding: the tokens flip
+        // to canceled.
+        let got = if dropped {
+            drop(ep);
+            sibling.reap(&mut cq, tokens.len(), tokens.len(), &mut tl)
+        } else {
+            ep.close(&mut tl).unwrap();
+            ep.reap(&mut cq, tokens.len(), tokens.len(), &mut tl)
+        };
+        assert_eq!(got, Ok(tokens.len()), "dropped {dropped}: canceled tokens must still reap");
+        for c in cq.drain() {
+            assert_eq!(c.result, Err(ScifError::Canceled), "dropped {dropped}");
+            assert!(c.is_canceled());
+        }
+        assert_eq!(vm.frontend().pending_tokens(), 0, "dropped {dropped}: canceled tokens leaked");
+        assert_eq!(vm.frontend().stats().tokens_canceled, 4, "dropped {dropped}");
+
+        vm.shutdown();
     }
-    let tokens = ep.submit(&mut sq, &mut tl).unwrap();
-    let mut cq = Cq::new();
-    cq.watch(&tokens);
-
-    // Close with all four still outstanding: the tokens flip to canceled.
-    ep.close(&mut tl).unwrap();
-    let got = ep.reap(&mut cq, tokens.len(), tokens.len(), &mut tl).unwrap();
-    assert_eq!(got, tokens.len(), "canceled tokens must still reap");
-    for c in cq.drain() {
-        assert_eq!(c.result, Err(ScifError::Canceled));
-        assert!(c.is_canceled());
-    }
-    assert_eq!(vm.frontend().pending_tokens(), 0, "canceled tokens leaked");
-    assert_eq!(vm.frontend().stats().tokens_canceled, 4);
-
-    vm.shutdown();
 }
 
 /// The RAII variant of the double-close-after-reset test: dropping the
@@ -392,7 +404,8 @@ fn failed_rma_matches_native_and_retries_clean() {
 /// held at the time — a registered window, a pinned translation, a device
 /// mapping and (on the mapped arm) an aperture subwindow — on both sides
 /// of the registration cache and of the large-RMA charge: afterwards the
-/// backend holds nothing (DESIGN.md #26).
+/// backend holds nothing but a mapping the guest is still alive to unmap
+/// (DESIGN.md #26).
 #[test]
 fn every_way_an_endpoint_ends_leaves_nothing_held() {
     use vphi::backend::{RegCacheConfig, RmaCharge};
@@ -438,22 +451,23 @@ fn every_way_an_endpoint_ends_leaves_nothing_held() {
                         backend.holdings().cached_ranges(),
                         backend.aperture().mapped_windows(),
                         backend.aperture().inflight_total() as usize,
+                        backend.mmap_entries(),
                     ]
                 };
                 let pinned = usize::from(cache.enabled);
                 let subwindows = usize::from(charge == RmaCharge::Mapped);
-                assert_eq!(held(), [1, 1, pinned, subwindows, 0], "{case}: before");
+                assert_eq!(held(), [1, 1, pinned, subwindows, 0, 1], "{case}: before");
 
                 match ending {
                     Close => ep.close(&mut tl).unwrap(),
                     UnregisterThenClose => {
                         ep.unregister(off, large, &mut tl).unwrap();
-                        assert_eq!(held(), [1, 0, 0, 0, 0], "{case}: unregistered");
+                        assert_eq!(held(), [1, 0, 0, 0, 0, 1], "{case}: unregistered");
                         ep.close(&mut tl).unwrap();
                     }
                     MunmapThenClose => {
                         mapped.munmap(&mut tl).unwrap();
-                        assert_eq!(held(), [1, 1, 0, 0, 0], "{case}: unmapped");
+                        assert_eq!(held(), [1, 1, 0, 0, 0, 0], "{case}: unmapped");
                         ep.close(&mut tl).unwrap();
                     }
                     GuestDeath => {
@@ -462,12 +476,18 @@ fn every_way_an_endpoint_ends_leaves_nothing_held() {
                     }
                     CardResetThenClose => {
                         host.reset_card(0);
-                        assert_eq!(held(), [1, 0, 0, 0, 0], "{case}: quarantined");
+                        assert_eq!(held(), [1, 0, 0, 0, 0, 1], "{case}: quarantined");
                         ep.close(&mut tl).unwrap();
                     }
                     VmShutdown => vm.shutdown(),
                 }
-                assert_eq!(held(), [0; 5], "{case}: after");
+                // A device mapping outlives `scif_close` (DESIGN.md #26),
+                // not the guest.
+                let mappings = match ending {
+                    Close | UnregisterThenClose | CardResetThenClose => 1,
+                    MunmapThenClose | GuestDeath | VmShutdown => 0,
+                };
+                assert_eq!(held(), [0, 0, 0, 0, 0, mappings], "{case}: after");
                 assert_eq!(vm.frontend().pending_tokens(), 0, "{case}: token");
 
                 drop((mapped, ep));

@@ -580,7 +580,13 @@ fn directed_wakeups_signal_under_one_mutex_each() {
     let holding = |acquired: LockClass| -> Vec<LockClass> {
         edges.iter().filter(|(_, a)| *a == acquired).map(|(held, _)| *held).collect()
     };
-    assert_eq!(holding(LockClass::TimedLane), [LockClass::LaneExecutor]);
+    // A request handler takes the timed lane; so does an endpoint's close
+    // under the host's attached list (card reset) or a VM's device list
+    // (shutdown), which other tests in this process drive.
+    let closers = [LockClass::VmDevices, LockClass::HostAttached, LockClass::LaneExecutor];
+    let timed = holding(LockClass::TimedLane);
+    assert!(timed.contains(&LockClass::LaneExecutor), "{timed:?}");
+    assert!(timed.iter().all(|h| closers.contains(h)), "timed lane taken under {timed:?}");
     assert_eq!(
         holding(LockClass::ListenerPending),
         [LockClass::EpListener, LockClass::LaneExecutor]
@@ -810,4 +816,307 @@ fn the_fixed_request_path_walks_no_spans_but_its_own() {
             }
         }
     }
+}
+
+/// Every class-order edge the guest request surface takes, as `(held,
+/// acquired)`.  The order graph learns the lock order from the
+/// acquisitions it sees (DESIGN.md #12); this list pins the part of it the
+/// paper's path depends on.  `the_request_surface_takes_every_ledger_edge`
+/// fails naming any edge that goes missing; a new edge is one reviewed
+/// line here.
+const LEDGER: &[(LockClass, LockClass)] = {
+    use LockClass::*;
+    &[
+        // A request handler, under its lane's executor role (#21).
+        (LaneExecutor, KvmVmas),
+        (LaneExecutor, KvmResolved),
+        (LaneExecutor, BackendEndpoints),
+        (LaneExecutor, BackendMmaps),
+        (LaneExecutor, FabricNodes),
+        (LaneExecutor, EndpointState),
+        (LaneExecutor, EpPort),
+        (LaneExecutor, EpListener),
+        (LaneExecutor, NodePorts),
+        (LaneExecutor, ListenerPending),
+        (LaneExecutor, ActivityHub),
+        (LaneExecutor, MsgQueue),
+        (LaneExecutor, WindowTable),
+        (LaneExecutor, RmaMarker),
+        (LaneExecutor, RmaPending),
+        (LaneExecutor, BoardState),
+        (LaneExecutor, BoardSysfs),
+        (LaneExecutor, VirtQueueState),
+        (LaneExecutor, Doorbell),
+        (LaneExecutor, RequestSlot),
+        (LaneExecutor, PinnedBuf),
+        (LaneExecutor, PhiMemData),
+        (LaneExecutor, GuestMemState),
+        (LaneExecutor, TraceRings),
+        (LaneExecutor, TokenWaiters),
+        (LaneExecutor, TokenSlot),
+        (LaneExecutor, ApertureWindows),
+        (LaneExecutor, TimedLane),
+        // A card reset quarantining endpoints under the attached list.
+        (HostAttached, BackendEndpoints),
+        (HostAttached, EndpointState),
+        (HostAttached, EpPort),
+        (HostAttached, EpListener),
+        (HostAttached, NodePorts),
+        (HostAttached, ActivityHub),
+        (HostAttached, MsgQueue),
+        (HostAttached, WindowTable),
+        (HostAttached, ApertureWindows),
+        (HostAttached, TimedLane),
+        // A VM shutdown stopping its device under the device list.
+        (VmDevices, KvmVmas),
+        (VmDevices, KvmResolved),
+        (VmDevices, BackendEndpoints),
+        (VmDevices, BackendMmaps),
+        (VmDevices, EndpointState),
+        (VmDevices, EpPort),
+        (VmDevices, EpListener),
+        (VmDevices, NodePorts),
+        (VmDevices, ActivityHub),
+        (VmDevices, MsgQueue),
+        (VmDevices, WindowTable),
+        (VmDevices, Doorbell),
+        (VmDevices, BackendShards),
+        (VmDevices, TokenWaiters),
+        (VmDevices, ApertureWindows),
+        (VmDevices, TimedLane),
+        // The guest page fault.
+        (KvmResolved, KvmFaults),
+        // Holdings map and resolve a port under their lock (#26).
+        (BackendEndpoints, EpPort),
+        (BackendEndpoints, ApertureWindows),
+        // Bind, listen and the backlog probe.
+        (EndpointState, EpPort),
+        (EndpointState, EpListener),
+        (EndpointState, NodePorts),
+        (EpListener, ListenerPending),
+        // A message copied between the queue and guest memory (#20).
+        (MsgQueue, GuestMemState),
+        // RMA: into backings under the window table, and between byte
+        // stores, outermost store first (#19).
+        (WindowTable, PinnedBuf),
+        (WindowTable, PhiMemData),
+        (WindowTable, GuestMemState),
+        (PinnedBuf, PhiMemData),
+        (PinnedBuf, GuestMemState),
+        (PhiMemData, GuestMemState),
+        // A parked requester's wait predicate probes its slot (#23).
+        (TokenSlot, RequestSlot),
+    ]
+};
+
+/// Bytes each way on the timed lane in the request-surface tour.
+const TIMED: u64 = 1 << 20;
+
+/// A peer for the request-surface tour: accept one connection on
+/// `listener`, register `backing` at window offset 0, send a ready byte,
+/// echo four bytes, take and send [`TIMED`] bytes on the timed lane, send
+/// four more bytes once told to `go`, and hold the window until the other
+/// side hangs up.
+fn surface_peer(
+    listener: vphi_scif::ScifEndpoint,
+    backing: vphi_scif::window::WindowBacking,
+    len: u64,
+    go: std::sync::mpsc::Receiver<()>,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut tl = vphi_sim_core::Timeline::new();
+        let conn = listener.accept(&mut tl).unwrap();
+        conn.register(Some(0), len, vphi_scif::Prot::READ_WRITE, backing, &mut tl).unwrap();
+        conn.send(&[1], &mut tl).unwrap();
+        let mut word = [0u8; 4];
+        assert_eq!(conn.recv(&mut word, &mut tl), Ok(4));
+        conn.send(&word, &mut tl).unwrap();
+        assert_eq!(conn.recv_timed(TIMED, &mut tl), Ok(TIMED));
+        assert_eq!(conn.send_timed(TIMED, &mut tl), Ok(TIMED));
+        go.recv().unwrap();
+        conn.send(&word, &mut tl).unwrap();
+        while conn.recv(&mut word, &mut tl).is_ok_and(|n| n > 0) {}
+    })
+}
+
+/// One host through the whole guest request surface: on both sides of the
+/// large-RMA charge (per page, mapped), every `VphiRequest` variant
+/// against a GDDR window on the card and a pinned window on the host — a
+/// batched submit + reap and a guest page fault through a device mapping
+/// among them, tracing armed throughout — then a guest listener, a refused
+/// connect, native window-to-window RMA, a card reset, a guest's death and
+/// a VM shutdown, each with a mapping alive.  Afterwards every [`LEDGER`]
+/// edge is in the order graph, every variant was sent, and nothing was a
+/// violation.
+#[test]
+fn the_request_surface_takes_every_ledger_edge() {
+    use vphi::backend::RmaCharge;
+    use vphi::builder::{VmConfig, VphiHost, VphiVm};
+    use vphi::{Cq, Sq, SqEntry};
+    use vphi_faults::{FaultPlan, FaultSite};
+    use vphi_scif::types::pinned_buf;
+    use vphi_scif::window::WindowBacking;
+    use vphi_scif::{PollEvents, Port, Prot, RmaFlags, ScifAddr, ScifError, HOST_NODE};
+    use vphi_sim_core::cost::{KMALLOC_MAX_SIZE, PAGE_SIZE};
+    use vphi_sim_core::Timeline;
+    use vphi_trace::TraceConfig;
+
+    if !vphi_sync::audit::ENABLED {
+        println!("the lock-order audit is compiled out: no order graph to check");
+        return;
+    }
+    let large = KMALLOC_MAX_SIZE + PAGE_SIZE;
+    let sync = RmaFlags::SYNC;
+    let violations_before = vphi_sync::audit::violation_count();
+    let host = VphiHost::new(1);
+    let window = vphi_dev_support::window(&host, 0, PAGE_SIZE, |_| {});
+    host.arm_tracing(TraceConfig::default());
+    let mut tl = Timeline::new();
+
+    let vms = [RmaCharge::PerPage, RmaCharge::Mapped]
+        .map(|charge| host.spawn_vm(VmConfig::builder().rma(charge).build()));
+    for vm in &vms {
+        let gddr = WindowBacking::Device(host.board(0).memory().alloc(large).unwrap());
+        let pinned = WindowBacking::Pinned(pinned_buf(large as usize));
+        for (listener, backing) in
+            [(host.device_endpoint(0).unwrap(), gddr), (host.native_endpoint().unwrap(), pinned)]
+        {
+            let node = listener.core().node_id();
+            let at = ScifAddr::new(node, listener.bind(Port::ANY, &mut tl).unwrap());
+            listener.listen(1, &mut tl).unwrap();
+            let (go, told) = std::sync::mpsc::channel();
+            let peer = surface_peer(listener, backing, large, told);
+
+            let ep = vm.open_scif(&mut tl).unwrap();
+            ep.connect(at, &mut tl).unwrap();
+            ep.recv(&mut [0u8; 1], &mut tl).unwrap();
+            ep.send(b"ping", &mut tl).unwrap();
+            assert_eq!(ep.recv(&mut [0u8; 4], &mut tl), Ok(4));
+            assert_eq!(ep.send_timed(TIMED, &mut tl), Ok(TIMED));
+            assert_eq!(ep.recv_timed(TIMED, &mut tl), Ok(TIMED));
+            let buf = vm.alloc_buf(large).unwrap();
+            ep.vwriteto(&buf, 0, sync, &mut tl).unwrap();
+            ep.vreadfrom(&buf, 0, sync, &mut tl).unwrap();
+            let loff = ep.register(&buf, Prot::READ_WRITE, None, &mut tl).unwrap();
+            ep.writeto(loff, large, 0, RmaFlags::ASYNC, &mut tl).unwrap();
+            ep.readfrom(loff, large, 0, sync, &mut tl).unwrap();
+            let marker = ep.fence_mark(&mut tl).unwrap();
+            ep.fence_wait(marker, &mut tl).unwrap();
+            ep.fence_signal(loff, 1, 0, 2, &mut tl).unwrap();
+            // A batch the lane's shard services: its receive waits for
+            // the peer, told to answer once the reaper has parked, so the
+            // shard wakes a registered sleeper.
+            let waitq = &vm.frontend().channel().waitq;
+            let parked = waitq.sleep_count();
+            let mut sq = Sq::new();
+            sq.push(SqEntry::send(b"batch"));
+            sq.push(SqEntry::recv(4));
+            sq.push(SqEntry::vreadfrom(&buf, 0, sync));
+            let mut cq = Cq::new();
+            cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while waitq.sleep_count() == parked {
+                        std::thread::yield_now();
+                    }
+                    go.send(()).unwrap();
+                });
+                assert_eq!(ep.reap(&mut cq, 3, 3, &mut tl), Ok(3));
+            });
+            assert!(ep.poll(PollEvents::OUT, 0, &mut tl).unwrap().contains(PollEvents::OUT));
+            assert!(ep.node_count(&mut tl).unwrap() >= 2);
+            vm.sysfs(0, &mut tl).unwrap();
+            let mapped = ep.mmap(vm.vm().kvm(), 0, PAGE_SIZE, Prot::READ, &mut tl).unwrap();
+            mapped.load_u64(0, &mut tl).unwrap();
+            mapped.munmap(&mut tl).unwrap();
+            ep.unregister(loff, large, &mut tl).unwrap();
+            ep.close(&mut tl).unwrap();
+            peer.join().unwrap();
+        }
+
+        // A guest listener: bind, listen and an accept a native client
+        // completes.
+        let listener = vm.open_scif(&mut tl).unwrap();
+        let port = listener.bind(Port::ANY, &mut tl).unwrap();
+        listener.listen(1, &mut tl).unwrap();
+        let client = host.native_endpoint().unwrap();
+        let (conn, _) = std::thread::scope(|s| {
+            let accepting = s.spawn(|| listener.accept(&mut Timeline::new()));
+            client.connect(ScifAddr::new(HOST_NODE, port), &mut Timeline::new()).unwrap();
+            accepting.join().unwrap()
+        })
+        .unwrap();
+        conn.close(&mut tl).unwrap();
+        listener.close(&mut tl).unwrap();
+
+        // A connect the card refuses: its listener closes with the guest
+        // in the backlog.
+        let deaf = host.device_endpoint(0).unwrap();
+        let at = ScifAddr::new(host.device_node(0), deaf.bind(Port::ANY, &mut tl).unwrap());
+        deaf.listen(1, &mut tl).unwrap();
+        let orphan = vm.open_scif(&mut tl).unwrap();
+        let refused = std::thread::scope(|s| {
+            let connecting = s.spawn(|| orphan.connect(at, &mut Timeline::new()));
+            while deaf.core().backlog_len() == 0 {
+                std::thread::yield_now();
+            }
+            deaf.close();
+            connecting.join().unwrap()
+        });
+        assert_eq!(refused, Err(ScifError::ConnRefused));
+        orphan.close(&mut tl).unwrap();
+    }
+
+    // Native window-to-window RMA: pinned host pages against GDDR.
+    let listener = host.device_endpoint(0).unwrap();
+    let at = ScifAddr::new(host.device_node(0), listener.bind(Port::ANY, &mut tl).unwrap());
+    listener.listen(1, &mut tl).unwrap();
+    let gddr = WindowBacking::Device(host.board(0).memory().alloc(PAGE_SIZE).unwrap());
+    let peer = window_peer(listener, gddr, PAGE_SIZE);
+    let native = host.native_endpoint().unwrap();
+    native.connect(at, &mut tl).unwrap();
+    native.recv(&mut [0u8; 1], &mut tl).unwrap();
+    let pinned = WindowBacking::Pinned(pinned_buf(PAGE_SIZE as usize));
+    let loff = native.register(None, PAGE_SIZE, Prot::READ_WRITE, pinned, &mut tl).unwrap();
+    native.writeto(loff, PAGE_SIZE, 0, sync, &mut tl).unwrap();
+    native.readfrom(loff, PAGE_SIZE, 0, sync, &mut tl).unwrap();
+    native.close();
+    peer.join().unwrap();
+
+    // The endings, each with a device mapping alive: a card reset
+    // quarantines an endpoint of each VM, the first guest dies, and the
+    // second VM shuts down with a live endpoint.
+    let mapped_endpoint = |vm: &VphiVm| {
+        let mut tl = Timeline::new();
+        let ep = vm.open_scif(&mut tl).unwrap();
+        ep.connect(window.addr(), &mut tl).unwrap();
+        window.wait_registered();
+        let mapped = ep.mmap(vm.vm().kvm(), 0, PAGE_SIZE, Prot::READ, &mut tl).unwrap();
+        (ep, mapped)
+    };
+    let quarantined: Vec<_> = vms.iter().map(mapped_endpoint).collect();
+    host.reset_card(0);
+    let live = mapped_endpoint(&vms[1]);
+    host.arm_faults(FaultPlan::single(FaultSite::VmmGuestDeath, 1, 0));
+    assert_eq!(vms[0].open_scif(&mut tl).err(), Some(ScifError::NoDev));
+    vms[1].shutdown();
+    for vm in &vms {
+        assert_eq!(vm.backend().inner().mmap_entries(), 0);
+    }
+    drop((quarantined, live));
+    vms[0].shutdown();
+
+    assert_eq!(vphi_sync::audit::violation_count(), violations_before);
+    let edges = vphi_sync::audit::order_edges();
+    println!("order graph after the tour: {edges:?}");
+    let missing: Vec<_> = LEDGER.iter().filter(|e| !edges.contains(e)).collect();
+    assert!(missing.is_empty(), "ledger edges the request surface no longer takes: {missing:?}");
+    // Every `VphiRequest::name()`: a request whose locks nest like
+    // another's still has to be sent.
+    let sent: Vec<_> = host.tracer().unwrap().hist_rows().into_iter().map(|r| r.op).collect();
+    let every = "open bind listen connect accept send recv register unregister vreadfrom \
+        vwriteto readfrom writeto mmap munmap fence_mark fence_wait fence_signal close \
+        sysfs_read get_node_ids send_timed recv_timed poll";
+    let unsent: Vec<_> = every.split_whitespace().filter(|op| !sent.contains(op)).collect();
+    assert!(unsent.is_empty(), "requests the tour no longer sends: {unsent:?}");
 }
