@@ -3,8 +3,9 @@
 //! "Xeon Phi device receives the respective requests from the host
 //! through a COI daemon that is executed after uOS has booted." (paper
 //! §II-B).  One daemon runs per card, listening on a well-known SCIF
-//! port; each accepted connection is one client process session, serviced
-//! on its own (uOS) thread.
+//! port; each accepted connection is one client process session, served
+//! by one of the daemon's pooled (uOS) threads, which parks for the next
+//! session when this one ends.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,7 +62,14 @@ impl CoiDaemon {
         self.launches.get()
     }
 
-    /// Stop accepting and join all session threads.
+    /// Threads serving sessions: the most that were open at once, not
+    /// the number served (a leak audit).
+    pub fn session_threads(&self) -> usize {
+        self.service.workers()
+    }
+
+    /// Stop accepting, wait for every open session's client to hang up,
+    /// and join the daemon's threads.
     pub fn shutdown(&self) {
         self.service.shutdown();
     }

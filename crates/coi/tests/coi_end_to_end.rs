@@ -158,6 +158,48 @@ fn daemon_rejects_bad_version_and_bad_buffers() {
     daemon.shutdown();
 }
 
+/// One launch the way `micnativeloadex` makes it: preflight, a fresh
+/// daemon connection, the process, its exit, the hang-up.
+fn loadex(env: &Arc<dyn CoiEnv>, spec: &LaunchSpec) -> i32 {
+    let mut tl = Timeline::new();
+    assert!(env.card_usable(0, &mut tl));
+    let engine = CoiEngine::get(Arc::clone(env), 0).unwrap();
+    let proc = CoiProcess::launch(&engine, spec, &mut tl).unwrap();
+    let exit = proc.wait(&mut tl).unwrap();
+    proc.destroy();
+    exit.code
+}
+
+/// The daemon serves a launch on a parked thread: 400 launches one after
+/// another, guest and native alternating, leave it the thread it needed
+/// for one (two if a session's end and the next connect cross).  It kept
+/// every session's thread until shutdown, and so 400 thread stacks here.
+#[test]
+fn sequential_launches_do_not_pile_up_session_threads() {
+    let host = VphiHost::new(1);
+    let daemon = CoiDaemon::spawn(&host, 0).unwrap();
+    let vm = host.spawn_vm(VmConfig::default());
+    let guest: Arc<dyn CoiEnv> = Arc::new(GuestEnv::new(&vm));
+    let native: Arc<dyn CoiEnv> = Arc::new(NativeEnv::new(&host));
+    let spec = LaunchSpec {
+        name: "churn_mic".into(),
+        binary_bytes: 4096,
+        lib_bytes: 0,
+        env_count: 0,
+        manifest: ComputeManifest::new(1e6, 1 << 12, 1),
+    };
+    for _ in 0..200 {
+        assert_eq!(loadex(&guest, &spec), 0);
+        assert_eq!(loadex(&native, &spec), 0);
+    }
+    assert_eq!(daemon.launch_count(), 400);
+    assert!(daemon.session_threads() <= 2, "{} session threads", daemon.session_threads());
+    drop(guest);
+    vm.shutdown();
+    daemon.shutdown();
+    assert_eq!(daemon.session_threads(), 0);
+}
+
 #[test]
 fn multiple_vms_share_one_daemon() {
     let host = VphiHost::new(1);

@@ -18,6 +18,7 @@
 //! Mapping, which does not block, happens *under* the lock, so a release
 //! that follows sees every mapping made for the record it took.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vphi_pcie::{Aperture, ApertureMap, IoGuard, MapKey};
@@ -45,11 +46,15 @@ struct Held {
 const PAGE_SLOTS: usize = 64;
 
 /// Epds are handed out in order and never reused, so the table is a slab
-/// indexed by epd — in pages, so that one long-lived endpoint does not
-/// keep a slot for every descriptor handed out after it: a page whose
-/// descriptors have all been handed out and closed is emptied.
+/// indexed by epd — in pages, keyed by page number, so that one long-lived
+/// endpoint keeps neither a slot nor a page for the descriptors handed out
+/// after it: a page whose descriptors have all been handed out and closed
+/// goes.
+type Pages = BTreeMap<usize, Vec<Option<Held>>>;
+
+/// The endpoint records and the registration cache, under one lock.
 struct Table {
-    pages: Vec<Vec<Option<Held>>>,
+    pages: Pages,
     next_epd: u64,
     /// The guest died or the device stopped: nothing is admitted any more.
     dead: bool,
@@ -61,14 +66,14 @@ fn place(epd: u64) -> (usize, usize) {
     ((epd / PAGE_SLOTS as u64) as usize, (epd % PAGE_SLOTS as u64) as usize)
 }
 
-fn held(pages: &mut [Vec<Option<Held>>], epd: u64) -> Option<&mut Held> {
+fn held(pages: &mut Pages, epd: u64) -> Option<&mut Held> {
     let (page, slot) = place(epd);
-    pages.get_mut(page)?.get_mut(slot)?.as_mut()
+    pages.get_mut(&page)?.get_mut(slot)?.as_mut()
 }
 
 /// Every record, with its epd.
-fn records(pages: &mut [Vec<Option<Held>>]) -> impl Iterator<Item = (u64, &mut Held)> {
-    pages.iter_mut().enumerate().flat_map(|(page, slots)| {
+fn records(pages: &mut Pages) -> impl Iterator<Item = (u64, &mut Held)> {
+    pages.iter_mut().flat_map(|(&page, slots)| {
         let epd = move |slot| (page * PAGE_SLOTS + slot) as u64;
         slots
             .iter_mut()
@@ -81,21 +86,20 @@ impl Table {
     fn insert(&mut self, held: Held) -> u64 {
         let epd = self.next_epd;
         self.next_epd += 1;
-        // In order: a page's next free slot is the one `epd` indexes.
+        // In order: a page's next free slot is the one `epd` indexes, and
+        // a page that went was full, so nothing is filed on it again.
         let (page, _) = place(epd);
-        if page == self.pages.len() {
-            self.pages.push(Vec::with_capacity(PAGE_SLOTS));
-        }
-        self.pages[page].push(Some(held));
+        let slots = self.pages.entry(page).or_insert_with(|| Vec::with_capacity(PAGE_SLOTS));
+        slots.push(Some(held));
         epd
     }
 
     fn take(&mut self, epd: u64) -> Option<Held> {
         let (page, slot) = place(epd);
-        let slots = self.pages.get_mut(page)?;
+        let slots = self.pages.get_mut(&page)?;
         let held = slots.get_mut(slot)?.take()?;
         if slots.len() == PAGE_SLOTS && slots.iter().all(Option::is_none) {
-            *slots = Vec::new();
+            self.pages.remove(&page);
         }
         Some(held)
     }
@@ -156,7 +160,7 @@ impl Holdings {
             // Epd 0 is never handed out.
             table: TrackedMutex::new(
                 LockClass::BackendEndpoints,
-                Table { pages: vec![vec![None]], next_epd: 1, dead: false, cache },
+                Table { pages: Pages::from([(0, vec![None])]), next_epd: 1, dead: false, cache },
             ),
             // 64 GiB of device aperture at the 1 TiB mark — far above any
             // guest RAM so map bugs fault loudly, and big enough that
@@ -317,7 +321,7 @@ impl Holdings {
             for (epd, held) in records(pages) {
                 out.strip(cache, epd, held);
             }
-            *pages = Vec::new();
+            *pages = Pages::new();
             (out.eps.len(), out.windows)
         })
     }
@@ -339,5 +343,33 @@ impl Holdings {
             self.aperture.unmap_endpoint(epd);
         }
         taken
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use vphi_scif::{ScifFabric, HOST_NODE};
+    use vphi_sim_core::{CostModel, VirtualClock};
+
+    use super::*;
+
+    /// A guest that keeps one endpoint open and opens and closes others
+    /// forever keeps two pages: the long-lived endpoint's and the one being
+    /// filled.  Emptied pages used to stay in the table, one per 64 epds.
+    #[test]
+    fn a_long_lived_endpoint_does_not_pin_the_pages_after_it() {
+        let fabric =
+            ScifFabric::new(Arc::new(CostModel::paper_calibrated()), Arc::new(VirtualClock::new()));
+        let open = || ScifEndpoint::open(&fabric, HOST_NODE).unwrap();
+        let holdings = Holdings::new(RegCacheConfig::default());
+        let kept = holdings.insert(open()).unwrap();
+        for expected in kept + 1..kept + 10_001 {
+            let epd = holdings.insert(open()).unwrap();
+            assert_eq!(epd, expected, "epds stay sequential");
+            assert!(holdings.release_endpoint(epd));
+        }
+        assert_eq!(holdings.table.lock().pages.len(), 2);
+        assert_eq!(holdings.open_endpoints(), 1);
+        assert!(holdings.get(kept).is_ok());
     }
 }

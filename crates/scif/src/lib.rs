@@ -24,7 +24,8 @@
 //!   device-PFN view the vPHI `VM_PFNPHI` fault path needs.
 //! * [`poll`] — `scif_poll` over endpoint sets.
 //! * [`service::CardService`] — a listening endpoint, its accept loop and a
-//!   thread per connection: what every card-side daemon and test server is.
+//!   pool of parked session workers: what every card-side daemon and test
+//!   server is.
 //!
 //! All blocking calls block the real calling thread (condvars), while
 //! durations are charged to the caller's [`vphi_sim_core::Timeline`] from

@@ -1,5 +1,5 @@
-//! A card-side server: one listening endpoint, one accept loop, one
-//! thread per connection.
+//! A card-side server: one listening endpoint, one accept loop, and a pool
+//! of parked worker threads that serve the connections.
 //!
 //! Every experiment in the paper has this shape — "a SCIF server on the
 //! device" (Figs. 4–5), the `coi_daemon` "executed after uOS has booted"
@@ -7,12 +7,15 @@
 //! daemons and every test sink, echo and window server are a
 //! [`CardService`] plus their own session function.
 
+use std::any::Any;
+use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use vphi_sim_core::Timeline;
-use vphi_sync::{LockClass, TrackedMutex};
+use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
 
 use crate::{PollEvents, Port, ScifAddr, ScifEndpoint, ScifError, ScifResult};
 
@@ -43,14 +46,107 @@ pub fn recv_until_hangup<R>(
 }
 
 /// A running service.  `session` serves each accepted connection on a
-/// thread of its own; what it returns is handed out by
-/// [`shutdown`](Self::shutdown).
+/// worker thread; what it returns is handed out by
+/// [`shutdown`](Self::shutdown).  A worker that finishes a session parks
+/// for the next one, so the service has as many threads as it once had
+/// sessions at the same time, however many it has served.
 pub struct CardService<T: Send + 'static = ()> {
     listener: Arc<ScifEndpoint>,
     addr: ScifAddr,
     accept_thread: TrackedMutex<Option<JoinHandle<()>>>,
-    /// One thread per session, every handle kept until the service stops.
-    sessions: Arc<TrackedMutex<Vec<JoinHandle<T>>>>,
+    pool: Arc<Pool<T>>,
+}
+
+/// An accepted connection and its place in accept order.
+type Job = (u64, ScifEndpoint);
+
+/// The workers that run sessions, and what the sessions returned.
+struct Pool<T> {
+    session: Box<dyn Fn(ScifEndpoint) -> T + Send + Sync>,
+    /// Names the workers after the service.
+    name: String,
+    state: TrackedMutex<PoolState<T>>,
+    /// A parked worker waits here for a job or for the service to stop.
+    wake: TrackedCondvar,
+}
+
+/// What the pool's lock guards.
+struct PoolState<T> {
+    /// Connections handed to parked workers that have not yet taken them.
+    jobs: VecDeque<Job>,
+    /// Parked workers no queued job is meant for: the accept loop spawns a
+    /// worker only when this is 0.
+    idle: usize,
+    workers: Vec<JoinHandle<()>>,
+    /// Every session accepted before `next` has finished: what they
+    /// returned, in accept order, is here …
+    returned: Vec<T>,
+    /// … with the first of them to panic …
+    panic: Option<Box<dyn Any + Send>>,
+    next: u64,
+    /// … and these finished ahead of one accepted before them.
+    early: BTreeMap<u64, std::thread::Result<T>>,
+    stopping: bool,
+}
+
+impl<T: Send + 'static> Pool<T> {
+    /// Give `job` to a parked worker, or to a new one if every worker is
+    /// serving.  The wake-up goes out after the lock is dropped: on one
+    /// CPU, a worker woken under it only spins on the lock.
+    fn hand_off(self: &Arc<Self>, job: Job) {
+        let mut state = self.state.lock();
+        if state.idle > 0 {
+            state.idle -= 1;
+            state.jobs.push_back(job);
+            drop(state);
+            self.wake.notify_one();
+            return;
+        }
+        drop(state);
+        let pool = Arc::clone(self);
+        let worker = std::thread::Builder::new()
+            .name(self.name.clone())
+            .spawn(move || pool.work(job))
+            .expect("spawn card service worker");
+        self.state.lock().workers.push(worker);
+    }
+
+    /// A worker: serve `job`, record what it returned, park, and serve the
+    /// next one, until the service stops with nothing queued.  A panicking
+    /// session costs its result, not the worker.
+    fn work(&self, mut job: Job) {
+        loop {
+            let (seq, conn) = job;
+            let result = catch_unwind(AssertUnwindSafe(|| (self.session)(conn)));
+            let mut state = self.state.lock();
+            state.record(seq, result);
+            state.idle += 1;
+            job = loop {
+                if let Some(next) = state.jobs.pop_front() {
+                    break next;
+                }
+                if state.stopping {
+                    return;
+                }
+                self.wake.wait(&mut state);
+            };
+        }
+    }
+}
+
+impl<T> PoolState<T> {
+    fn record(&mut self, seq: u64, result: std::thread::Result<T>) {
+        self.early.insert(seq, result);
+        while let Some(result) = self.early.remove(&self.next) {
+            self.next += 1;
+            match result {
+                Ok(value) => self.returned.push(value),
+                Err(panic) => {
+                    self.panic.get_or_insert(panic);
+                }
+            }
+        }
+    }
 }
 
 impl<T: Send + 'static> CardService<T> {
@@ -82,28 +178,48 @@ impl<T: Send + 'static> CardService<T> {
         let addr = listener.local_addr().ok_or(ScifError::Inval)?;
 
         let listener = Arc::new(listener);
-        let sessions = Arc::new(TrackedMutex::new(LockClass::ServerSessions, Vec::new()));
-        let session = Arc::new(session);
+        let pool = Arc::new(Pool {
+            session: Box::new(session),
+            name: name.clone(),
+            state: TrackedMutex::new(
+                LockClass::ServerSessions,
+                PoolState {
+                    jobs: VecDeque::new(),
+                    idle: 0,
+                    workers: Vec::new(),
+                    returned: Vec::new(),
+                    panic: None,
+                    next: 0,
+                    early: BTreeMap::new(),
+                    stopping: false,
+                },
+            ),
+            wake: TrackedCondvar::new(),
+        });
         let accept_loop = {
-            let (listener, sessions) = (Arc::clone(&listener), Arc::clone(&sessions));
-            move || loop {
-                match accept(&listener) {
-                    Ok(conn) => {
-                        // Spawn, then lock and push — the daemons' loop as
-                        // it was.  Measure before reshaping it: kept in
-                        // this thread without the lock, the list moved
-                        // `dgemm_launch`'s guest/native ratio 1.89 → 2.44
-                        // (client and card side share one pinned CPU).
-                        let session = Arc::clone(&session);
-                        let h = std::thread::spawn(move || session(conn));
-                        sessions.lock().push(h);
+            let (listener, pool) = (Arc::clone(&listener), Arc::clone(&pool));
+            move || {
+                // Hand each connection, numbered in accept order, to a
+                // parked worker; a thread is spawned only when all are
+                // serving.  Measure `dgemm_launch` before reshaping this:
+                // its client and the card side share one pinned CPU, and
+                // a thread spawned per connection, with the handles kept
+                // until shutdown, aborted a 25 s run on the kernel's
+                // mapping limit.
+                let mut accepted = 0;
+                loop {
+                    match accept(&listener) {
+                        Ok(conn) => {
+                            pool.hand_off((accepted, conn));
+                            accepted += 1;
+                        }
+                        // The listener was torn down (`stop` closes it).
+                        Err(ScifError::Inval) => break,
+                        // `Again` is an idle listener's wall timeout;
+                        // anything else (a failed card, an injected fault)
+                        // cost that one connector its accept.
+                        Err(_) => {}
                     }
-                    // The listener was torn down (`stop` closes it).
-                    Err(ScifError::Inval) => break,
-                    // `Again` is an idle listener's wall timeout; anything
-                    // else (a failed card, an injected fault) cost that one
-                    // connector its accept.
-                    Err(_) => {}
                 }
             }
         };
@@ -113,7 +229,7 @@ impl<T: Send + 'static> CardService<T> {
             listener,
             addr,
             accept_thread: TrackedMutex::new(LockClass::ServerAccept, Some(accept_thread)),
-            sessions,
+            pool,
         })
     }
 
@@ -123,30 +239,49 @@ impl<T: Send + 'static> CardService<T> {
         self.addr
     }
 
-    /// What `shutdown` and `Drop` share.
-    fn stop(&self) -> Vec<std::thread::Result<T>> {
+    /// Worker threads the service has started and not joined: the most
+    /// sessions it has served at once (a leak audit).
+    pub fn workers(&self) -> usize {
+        self.pool.state.lock().workers.len()
+    }
+
+    /// What `shutdown` and `Drop` share: what the sessions returned, in
+    /// accept order, and the first panic among them.
+    fn stop(&self) -> (Vec<T>, Option<Box<dyn Any + Send>>) {
         let Some(accept_thread) = self.accept_thread.lock().take() else {
-            return Vec::new();
+            return (Vec::new(), None);
         };
         self.listener.close();
         let _ = accept_thread.join();
-        let sessions = std::mem::take(&mut *self.sessions.lock());
-        sessions.into_iter().map(JoinHandle::join).collect()
+        let workers = {
+            let mut state = self.pool.state.lock();
+            state.stopping = true;
+            std::mem::take(&mut state.workers)
+        };
+        self.pool.wake.notify_all();
+        for worker in workers {
+            let _ = worker.join();
+        }
+        let mut state = self.pool.state.lock();
+        (std::mem::take(&mut state.returned), state.panic.take())
     }
 
     /// Stop the service — free the port, join the accept thread and every
-    /// session (a session ends when its peer hangs up) — and return what
-    /// the sessions returned, in accept order; a session's panic is passed
-    /// on.  Idempotent: later calls return nothing.
+    /// worker once the sessions are over (a session ends when its peer
+    /// hangs up) — and return what the sessions returned, in accept order;
+    /// a session's panic is passed on.  Idempotent: later calls return
+    /// nothing.
     pub fn shutdown(&self) -> Vec<T> {
-        let joined = self.stop();
-        joined.into_iter().map(|r| r.unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
+        match self.stop() {
+            (returned, None) => returned,
+            (_, Some(panic)) => std::panic::resume_unwind(panic),
+        }
     }
 }
 
 impl<T: Send + 'static> Drop for CardService<T> {
     /// `shutdown`, except that a drop does not panic: a session's panic
-    /// has been printed by its thread and is otherwise lost here.
+    /// has been printed by the panic hook and is otherwise lost here.
     fn drop(&mut self) {
         self.stop();
     }
@@ -202,6 +337,92 @@ mod tests {
         let ep = ScifEndpoint::open(fabric, HOST_NODE).unwrap();
         ep.connect(addr, &mut Timeline::new()).unwrap();
         ep
+    }
+
+    /// Wait for the pool to reach `state`: a session's end is on the
+    /// card side, after its client has hung up.
+    fn wait_for<T: Send>(service: &CardService<T>, state: impl Fn(&PoolState<T>) -> bool) {
+        while !state(&service.pool.state.lock()) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A client that waits for each session to end before it connects
+    /// again is served by one worker throughout; the thread-per-session
+    /// service held 1,000 threads' handles, and their stacks, here.
+    #[test]
+    fn sequential_sessions_reuse_one_worker() {
+        audited(|fabric, dev| {
+            let service = counting(fabric, dev, Port::ANY);
+            let sent: Vec<u64> = (0..1_000).map(|i| i % 7 + 1).collect();
+            for (i, &n) in (1..).zip(&sent) {
+                let c = client(fabric, service.addr());
+                c.send(&vec![0; n as usize], &mut Timeline::new()).unwrap();
+                c.close();
+                // Recorded, and so parked: one critical section does both.
+                wait_for(&service, |state| state.next == i);
+            }
+            assert!(service.workers() <= 1, "{} workers", service.workers());
+            assert_eq!(service.shutdown(), sent);
+            assert_eq!(service.workers(), 0, "shutdown joined the worker");
+        });
+    }
+
+    /// Session 0 is held on a barrier until session 1 has finished; the
+    /// results still come back in the order the connections were accepted.
+    #[test]
+    fn results_come_back_in_accept_order() {
+        audited(|fabric, dev| {
+            let held = Arc::new(Barrier::new(2));
+            let listener = ScifEndpoint::open(fabric, dev).unwrap();
+            let service = CardService::spawn(listener, Port::ANY, "test-service", {
+                let held = Arc::clone(&held);
+                move |conn| {
+                    let mut tag = [0u8; 1];
+                    conn.recv(&mut tag, &mut Timeline::new()).unwrap();
+                    if tag[0] == 0 {
+                        held.wait();
+                    }
+                    tag[0]
+                }
+            })
+            .unwrap();
+            let first = client(fabric, service.addr());
+            first.send(&[0], &mut Timeline::new()).unwrap();
+            let second = client(fabric, service.addr());
+            second.send(&[1], &mut Timeline::new()).unwrap();
+            wait_for(&service, |state| state.early.len() == 1);
+            held.wait();
+            drop((first, second));
+            assert_eq!(service.shutdown(), vec![0, 1]);
+        });
+    }
+
+    /// A panicking session costs its result, not its worker: the next
+    /// session runs on the same thread, and `shutdown` passes the panic on.
+    #[test]
+    fn a_panicking_session_is_passed_on_and_the_service_keeps_serving() {
+        audited(|fabric, dev| {
+            let listener = ScifEndpoint::open(fabric, dev).unwrap();
+            let service = CardService::spawn(listener, Port::ANY, "test-service", |conn| {
+                let mut byte = [0u8; 1];
+                conn.recv(&mut byte, &mut Timeline::new()).unwrap();
+                assert_ne!(byte[0], b'!', "session told to panic");
+            })
+            .unwrap();
+            for (i, byte) in (1..).zip([b'!', b'x']) {
+                let c = client(fabric, service.addr());
+                c.send(&[byte], &mut Timeline::new()).unwrap();
+                c.close();
+                wait_for(&service, |state| state.next == i);
+            }
+            assert_eq!(service.workers(), 1);
+            let served = std::panic::catch_unwind(AssertUnwindSafe(|| service.shutdown()));
+            let panic = served.expect_err("the panic is passed on");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(message.contains("session told to panic"), "{message}");
+            assert!(service.shutdown().is_empty());
+        });
     }
 
     #[test]

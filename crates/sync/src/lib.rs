@@ -67,7 +67,7 @@ pub enum LockClass {
     // --- host-side service threads ---
     /// `scif::CardService` accept-thread handle.
     ServerAccept = 4,
-    /// `scif::CardService` session-thread list.
+    /// `scif::CardService` session-worker pool.
     ServerSessions = 5,
     /// Backend endpoint holdings: the guest-epd → endpoint table, each
     /// endpoint's registered windows and the RMA registration cache.

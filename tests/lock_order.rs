@@ -961,10 +961,6 @@ fn the_request_surface_takes_every_ledger_edge() {
     use vphi_sim_core::Timeline;
     use vphi_trace::TraceConfig;
 
-    if !vphi_sync::audit::ENABLED {
-        println!("the lock-order audit is compiled out: no order graph to check");
-        return;
-    }
     let large = KMALLOC_MAX_SIZE + PAGE_SIZE;
     let sync = RmaFlags::SYNC;
     let violations_before = vphi_sync::audit::violation_count();
