@@ -6,12 +6,19 @@
 //! the MMIO write is charged by the caller through the link's
 //! `control_transaction`.
 
-use std::time::Duration;
 use vphi_faults::{FaultHook, FaultSite};
 use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
 
 /// A counting doorbell: `ring` increments, `wait` blocks until the count
 /// exceeds what the waiter has already consumed.
+///
+/// A ring signals the condvar only when a thread is parked in
+/// [`wait`](Doorbell::wait) — a signal to nobody is still a `futex_wake`.
+/// Which doorbells have waiters: a virtqueue lane's kick doorbell has one,
+/// its shard thread, parked whenever the lane is idle.  The boards'
+/// `db_to_device` / `db_to_host` have none — every SCIF waiter sleeps on
+/// the object it waits for (DESIGN.md #22) — so the fabric's per-message
+/// ring is a count and nothing more.
 #[derive(Debug)]
 pub struct Doorbell {
     state: TrackedMutex<DoorbellState>,
@@ -33,6 +40,11 @@ impl Default for Doorbell {
 struct DoorbellState {
     rung: u64,
     consumed: u64,
+    /// Threads inside `wait`'s condvar wait.  Read and written only under
+    /// the state lock, so a waiter is either counted before a ring's
+    /// critical section (and signalled) or takes the lock after it (and
+    /// finds the ring): no wake-up is lost.
+    parked: u64,
     shutdown: bool,
 }
 
@@ -58,15 +70,17 @@ impl Doorbell {
     /// fault site, exactly once either way.
     pub fn ring_with(&self, service: impl FnOnce() -> bool) {
         // An injected drop loses the MMIO write on the wire: no service,
-        // no count, no wake.  Waiters recover via their own
-        // timeouts/retries.
+        // no count, no wake.  The writer recovers by ringing again (the
+        // frontend re-kicks at its request deadline).
         if self.faults.fire(FaultSite::PcieDoorbellDrop).is_some() {
             return;
         }
         if service() {
             let mut st = self.state.lock();
             st.rung += 1;
-            self.cond.notify_all();
+            if st.parked > 0 {
+                self.cond.notify_all();
+            }
         }
     }
 
@@ -82,25 +96,9 @@ impl Doorbell {
                 st.consumed += 1;
                 return true;
             }
+            st.parked += 1;
             self.cond.wait(&mut st);
-        }
-    }
-
-    /// Like [`wait`](Doorbell::wait) but gives up after `timeout` of *wall*
-    /// time (used only to keep tests from hanging on bugs).
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let mut st = self.state.lock();
-        loop {
-            if st.shutdown {
-                return false;
-            }
-            if st.rung > st.consumed {
-                st.consumed += 1;
-                return true;
-            }
-            if self.cond.wait_for(&mut st, timeout).timed_out() {
-                return false;
-            }
+            st.parked -= 1;
         }
     }
 
@@ -121,6 +119,12 @@ impl Doorbell {
         st.rung - st.consumed
     }
 
+    /// Threads parked in [`wait`](Doorbell::wait) right now.
+    #[cfg(any(test, debug_assertions))]
+    pub fn parked(&self) -> u64 {
+        self.state.lock().parked
+    }
+
     /// Wake all waiters and make every future wait return `false`.
     pub fn shutdown(&self) {
         let mut st = self.state.lock();
@@ -132,7 +136,9 @@ impl Doorbell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+    use vphi_sync::audit::thread_signals;
 
     #[test]
     fn ring_then_wait_does_not_block() {
@@ -191,6 +197,66 @@ mod tests {
         assert!(!d.try_consume());
     }
 
+    /// A board doorbell's life: rung per message, waited on by nobody.
+    /// Every ring is counted and none is a signal (the ledger reads 0
+    /// without the audit, so this is exact only where it is compiled in).
+    #[test]
+    fn a_ring_with_nobody_parked_signals_nobody() {
+        let d = Doorbell::new();
+        let before = thread_signals();
+        for _ in 0..1_000 {
+            d.ring();
+        }
+        assert_eq!(d.pending(), 1_000);
+        assert_eq!(thread_signals() - before, 0);
+    }
+
+    #[test]
+    fn a_parked_waiter_is_signalled_and_counted_out() {
+        let d = Arc::new(Doorbell::new());
+        let d2 = Arc::clone(&d);
+        let waiter = std::thread::spawn(move || d2.wait());
+        while d.parked() == 0 {
+            std::thread::yield_now();
+        }
+        let before = thread_signals();
+        d.ring();
+        if vphi_sync::audit::ENABLED {
+            assert_eq!(thread_signals() - before, 1, "a parked waiter was not signalled");
+        }
+        assert!(waiter.join().unwrap());
+        assert_eq!((d.parked(), d.pending()), (0, 0));
+    }
+
+    /// The count's one hazard is a waiter that has seen no ring but is not
+    /// counted yet while a ring skips the signal.  One waiter loops in
+    /// `wait`, one ringer rings as soon as the last ring was taken, so a
+    /// ring lands before the waiter parks on some rounds and after it on
+    /// others; a lost wake-up leaves its round unfinished and the channel
+    /// timeout fails it instead of hanging.
+    #[test]
+    fn rings_racing_parks_lose_nothing() {
+        const ROUNDS: u32 = 10_000;
+        let d = Arc::new(Doorbell::new());
+        let d2 = Arc::clone(&d);
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            while d2.wait() {
+                if tx.send(()).is_err() {
+                    break;
+                }
+            }
+        });
+        for round in 0..ROUNDS {
+            d.ring();
+            rx.recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("round {round}: a ring lost its waiter"));
+        }
+        d.shutdown();
+        waiter.join().unwrap();
+        assert_eq!((d.parked(), d.pending()), (0, 0));
+    }
+
     #[test]
     fn shutdown_unblocks_waiters() {
         let d = Arc::new(Doorbell::new());
@@ -201,14 +267,6 @@ mod tests {
         assert!(!waiter.join().unwrap());
         // Post-shutdown waits fail immediately.
         assert!(!d.wait());
-    }
-
-    #[test]
-    fn wait_timeout_expires() {
-        let d = Doorbell::new();
-        assert!(!d.wait_timeout(Duration::from_millis(5)));
-        d.ring();
-        assert!(d.wait_timeout(Duration::from_millis(5)));
     }
 
     #[test]

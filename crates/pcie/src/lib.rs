@@ -11,8 +11,9 @@
 //!   compete — the mechanism behind the multi-VM sharing experiments.
 //! * [`dma::DmaEngine`] — multi-channel DMA that *actually copies bytes*
 //!   between host and device memory while charging virtual time.
-//! * [`doorbell::Doorbell`] — blocking notification registers used by the
-//!   SCIF fabric for connection handshakes and message arrival.
+//! * [`doorbell::Doorbell`] — counting notification registers with a
+//!   blocking wait: the SCIF fabric rings one per message (nobody waits
+//!   on those), a virtqueue kick rings its lane's shard thread.
 //! * [`interrupt::MsiVector`] — edge-triggered interrupt delivery: a
 //!   latency charge and a raise count.
 //! * [`aperture::Aperture`] — host-visible MMIO windows into device

@@ -344,8 +344,10 @@ impl FabricShared {
             board.link().transmit(bytes, tl);
             // Announce the message: the driver rings the card's "work
             // pending" doorbell (or the host's reply doorbell when the
-            // card is the sender).  Progress is driven by the activity
-            // hub, so a dropped doorbell costs latency, not delivery.
+            // card is the sender).  Nothing waits on a board doorbell —
+            // every receiver sleeps on the object it waits for (DESIGN.md
+            // #22) — so the ring is a count and no wake-up, and a dropped
+            // one only goes uncounted.
             if node == to {
                 board.db_to_device.ring();
             } else {

@@ -32,6 +32,9 @@ pub struct SyncStats {
     pub cycle_checks: u64,
     /// Violations reported outside of test capture.
     pub violations: u64,
+    /// Condvar signals sent (`TrackedCondvar::notify_one`/`notify_all`),
+    /// whether or not a thread was waiting.
+    pub signals: u64,
 }
 
 #[expect(clippy::disallowed_types, reason = "the audit's own lock: tracking it would recurse")]
@@ -39,7 +42,7 @@ pub struct SyncStats {
 mod imp {
     use super::{AcqKind, SyncStats, Token};
     use crate::LockClass;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::collections::HashMap;
     use std::panic::Location;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,6 +60,7 @@ mod imp {
     thread_local! {
         static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
         static THREAD_ACQUISITIONS: RefCell<[u64; NCLASS]> = const { RefCell::new([0; NCLASS]) };
+        static THREAD_SIGNALS: Cell<u64> = const { Cell::new(0) };
         static CAPTURE: RefCell<Option<Vec<String>>> = const { RefCell::new(None) };
     }
 
@@ -73,6 +77,7 @@ mod imp {
     static ORDER_EDGES: AtomicU64 = AtomicU64::new(0);
     static CYCLE_CHECKS: AtomicU64 = AtomicU64::new(0);
     static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
+    static SIGNALS: AtomicU64 = AtomicU64::new(0);
     static NEXT_SLOT: AtomicU64 = AtomicU64::new(1);
 
     fn report(msg: String) {
@@ -200,6 +205,11 @@ mod imp {
         });
     }
 
+    pub fn on_signal() {
+        SIGNALS.fetch_add(1, Ordering::Relaxed);
+        THREAD_SIGNALS.with(|t| t.set(t.get() + 1));
+    }
+
     pub fn assert_lockless(what: &str) {
         HELD.with(|h| {
             let held = h.borrow();
@@ -232,6 +242,7 @@ mod imp {
             order_edges: ORDER_EDGES.load(Ordering::Relaxed),
             cycle_checks: CYCLE_CHECKS.load(Ordering::Relaxed),
             violations: VIOLATIONS.load(Ordering::Relaxed),
+            signals: SIGNALS.load(Ordering::Relaxed),
         }
     }
 
@@ -245,6 +256,14 @@ mod imp {
     /// that runs it, so tests sharing the process cannot inflate it.
     pub fn thread_acquisitions() -> [u64; NCLASS] {
         THREAD_ACQUISITIONS.with(|t| *t.borrow())
+    }
+
+    /// Condvar signals the *calling thread* has sent so far — one per
+    /// `TrackedCondvar::notify_*`, each a `futex_wake` whether or not
+    /// anyone waits.  The signal budget of a call path reads it the way
+    /// its lock budget reads [`thread_acquisitions`].
+    pub fn thread_signals() -> u64 {
+        THREAD_SIGNALS.with(Cell::get)
     }
 
     /// Snapshot of the order graph: every `(held, acquired)` class pair
@@ -285,6 +304,9 @@ mod imp {
     pub fn on_release(_token: Token) {}
 
     #[inline(always)]
+    pub fn on_signal() {}
+
+    #[inline(always)]
     pub fn assert_lockless(_what: &str) {}
 
     pub fn capture_violations<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
@@ -303,6 +325,10 @@ mod imp {
         [0; LockClass::COUNT]
     }
 
+    pub fn thread_signals() -> u64 {
+        0
+    }
+
     pub fn order_edges() -> Vec<(LockClass, LockClass)> {
         Vec::new()
     }
@@ -315,8 +341,8 @@ mod imp {
 }
 
 pub use imp::{
-    assert_lockless, capture_violations, held_depth, on_acquire, on_release, order_edges, stats,
-    thread_acquisitions, violation_count, ENABLED,
+    assert_lockless, capture_violations, held_depth, on_acquire, on_release, on_signal,
+    order_edges, stats, thread_acquisitions, thread_signals, violation_count, ENABLED,
 };
 
 // In a plain release build the detector is the no-op module and there is
@@ -345,6 +371,18 @@ mod tests {
         std::thread::spawn(move || drop(other.lock())).join().unwrap();
         drop(m.lock());
         assert_eq!(thread_acquisitions()[LockClass::TestInner.index()], before + 2);
+    }
+
+    #[test]
+    fn signal_ledger_counts_this_threads_notifies_waiter_or_not() {
+        let c = std::sync::Arc::new(TrackedCondvar::new());
+        let (before, process_before) = (thread_signals(), stats().signals);
+        c.notify_one();
+        let other = std::sync::Arc::clone(&c);
+        std::thread::spawn(move || other.notify_all()).join().unwrap();
+        c.notify_all();
+        assert_eq!(thread_signals(), before + 2);
+        assert!(stats().signals >= process_before + 3);
     }
 
     #[test]

@@ -406,10 +406,12 @@ impl TrackedCondvar {
     }
 
     pub fn notify_one(&self) {
+        audit::on_signal();
         self.inner.notify_one();
     }
 
     pub fn notify_all(&self) {
+        audit::on_signal();
         self.inner.notify_all();
     }
 

@@ -608,7 +608,8 @@ fn directed_wakeups_signal_under_one_mutex_each() {
 /// natively, warm.  The guest numbers are ceilings the request-slot table
 /// brought down from 35 and 39; a timed chunk, guest or native, no longer
 /// takes the poll hub (DESIGN.md #24), a byte-lane send still does; an
-/// injected MSI is a charge and a count, no handler chain to lock.
+/// injected MSI is a charge and a count, no handler chain to lock.  The
+/// same thread's signal ledger counts the condvar signals each call sends.
 #[test]
 fn the_fixed_request_path_stays_inside_its_lock_budget() {
     use vphi::builder::{VmConfig, VphiHost};
@@ -626,55 +627,61 @@ fn the_fixed_request_path_stays_inside_its_lock_budget() {
     listener.bind(Port(968), &mut tl).unwrap();
     listener.listen(2, &mut tl).unwrap();
     // Card side: per connection, swallow the timed chunks, then the bytes.
+    const SENT: u64 = CALLS + 2 * WARM;
     let card = std::thread::spawn(move || {
         let mut tl = Timeline::new();
-        let mut bytes = vec![0u8; (CALLS + WARM) as usize];
+        let mut bytes = vec![0u8; SENT as usize];
         for _ in 0..2 {
             let conn = listener.accept(&mut tl).unwrap();
-            assert_eq!(
-                conn.recv_timed((CALLS + WARM) * CHUNK, &mut tl),
-                Ok((CALLS + WARM) * CHUNK)
-            );
+            assert_eq!(conn.recv_timed(SENT * CHUNK, &mut tl), Ok(SENT * CHUNK));
             assert_eq!(conn.recv(&mut bytes, &mut tl), Ok(bytes.len()));
             let _ = conn.recv(&mut [0u8; 1], &mut tl);
         }
     });
 
-    // Per-call acquisitions of `call`, by class, on this thread.
-    let per_call = |call: &mut dyn FnMut()| -> Vec<(LockClass, f64)> {
+    // Per-call acquisitions of `call`, by class, and condvar signals, on
+    // this thread.  Warm calls on both sides of the window: the last
+    // chunk completes the card's read and signals its parked reader.
+    let per_call = |call: &mut dyn FnMut()| -> (Vec<(LockClass, f64)>, f64) {
         for _ in 0..WARM {
             call();
         }
-        let before = vphi_sync::audit::thread_acquisitions();
+        let (before, signals_before) =
+            (vphi_sync::audit::thread_acquisitions(), vphi_sync::audit::thread_signals());
         for _ in 0..CALLS {
             call();
         }
         let after = vphi_sync::audit::thread_acquisitions();
-        LockClass::ALL
+        let signals = (vphi_sync::audit::thread_signals() - signals_before) as f64 / CALLS as f64;
+        for _ in 0..WARM {
+            call();
+        }
+        let ledger = LockClass::ALL
             .into_iter()
             .map(|c| (c, (after[c.index()] - before[c.index()]) as f64 / CALLS as f64))
             .filter(|&(_, n)| n > 0.0)
-            .collect()
+            .collect();
+        (ledger, signals)
     };
     let total = |ledger: &[(LockClass, f64)]| ledger.iter().map(|&(_, n)| n).sum::<f64>();
 
     let vm = host.spawn_vm(VmConfig::default());
     let guest = vm.open_scif(&mut tl).unwrap();
     guest.connect(ScifAddr::new(host.device_node(0), Port(968)), &mut tl).unwrap();
-    let guest_chunk = per_call(&mut || {
+    let (guest_chunk, guest_chunk_signals) = per_call(&mut || {
         assert_eq!(guest.send_timed(CHUNK, &mut Timeline::new()), Ok(CHUNK));
     });
-    let guest_byte = per_call(&mut || {
+    let (guest_byte, guest_byte_signals) = per_call(&mut || {
         assert_eq!(guest.send(&[7], &mut Timeline::new()), Ok(1));
     });
     guest.close(&mut tl).unwrap();
 
     let native = host.native_endpoint().unwrap();
     native.connect(ScifAddr::new(host.device_node(0), Port(968)), &mut tl).unwrap();
-    let native_chunk = per_call(&mut || {
+    let (native_chunk, native_chunk_signals) = per_call(&mut || {
         assert_eq!(native.send_timed(CHUNK, &mut Timeline::new()), Ok(CHUNK));
     });
-    let native_byte = per_call(&mut || {
+    let (native_byte, native_byte_signals) = per_call(&mut || {
         assert_eq!(native.send(&[7], &mut Timeline::new()), Ok(1));
     });
     native.close();
@@ -699,6 +706,20 @@ fn the_fixed_request_path_stays_inside_its_lock_budget() {
     // hub: `poll` cannot see the timed lane, so a chunk does not wake it.
     assert_eq!(total(&native_chunk), 6.0);
     assert_eq!(total(&native_byte), 7.0);
+    // Condvar signals, exact on both sides: a board doorbell nobody waits
+    // on signals nobody (it cost a chunk its one signal and a byte send
+    // one of three), and a guest call that serviced its own kick leaves
+    // its lane's shard thread alone.  What a 1-byte send still signals is
+    // the reader's `readable` and the poll hub, waiter or not.
+    for (what, signals, exact) in [
+        ("guest 4 MiB send_timed chunk", guest_chunk_signals, 0.0),
+        ("guest blocking 1-byte send", guest_byte_signals, 2.0),
+        ("native 4 MiB send_timed chunk", native_chunk_signals, 0.0),
+        ("native 1-byte send", native_byte_signals, 2.0),
+    ] {
+        println!("{what}: {signals:.2} condvar signals per call");
+        assert_eq!(signals, exact, "{what}: condvar signals per call");
+    }
     // Guest-only classes the slot table retired from the path stay off it:
     // no per-token waiter registry for a caller that serviced its own
     // kick, one policy update per request, four ring sections.
