@@ -41,7 +41,7 @@ use vphi_sync::{Counter, Flag, LockClass, TrackedMutex};
 use vphi_trace::{OpCtx, Stage, TraceCtx, Tracer};
 use vphi_virtio::{DescChain, Descriptor, UsedElem};
 use vphi_vmm::vm::VirtualPciDevice;
-use vphi_vmm::{Gpa, GuestMemory, IrqChip, KvmModule, QemuEventLoop, VmaFlags};
+use vphi_vmm::{Gpa, GuestMemory, GuestRange, IrqChip, KvmModule, QemuEventLoop, VmaFlags};
 
 use crate::frontend::{Completion, VphiChannel, VPHI_IRQ_VECTOR};
 use crate::mmapping::MappedRegionBacking;
@@ -49,36 +49,37 @@ use crate::protocol::{rma_flags_from_wire, VphiRequest, VphiResponse};
 
 /// Pinned guest pages exposed to the host SCIF driver as window backing —
 /// the zero-copy guest-memory-registration path of the paper, and how a
-/// replayed RMA reaches the guest's buffer (`backend/rma.rs`).
+/// replayed RMA reaches the guest's buffer (`backend/rma.rs`).  Built from
+/// a [`GuestRange`], so its pages are known to be guest RAM.
 pub struct GuestWindowBytes {
     mem: Arc<GuestMemory>,
-    gpa: Gpa,
-    len: u64,
+    range: GuestRange,
 }
 
 impl GuestWindowBytes {
-    pub fn new(mem: Arc<GuestMemory>, gpa: Gpa, len: u64) -> Self {
-        GuestWindowBytes { mem, gpa, len }
+    pub fn new(mem: Arc<GuestMemory>, range: GuestRange) -> Self {
+        GuestWindowBytes { mem, range }
+    }
+
+    /// The guest address of `[at, at + len)` of the window.
+    fn at(&self, at: u64, len: usize) -> ScifResult<Gpa> {
+        self.range.sub(at, len as u64).map(GuestRange::gpa).ok_or(ScifError::OutOfRange)
     }
 }
 
 impl WindowBytes for GuestWindowBytes {
     fn len(&self) -> u64 {
-        self.len
+        self.range.len()
     }
 
     fn read(&self, at: u64, out: &mut [u8]) -> ScifResult<()> {
-        if at + out.len() as u64 > self.len {
-            return Err(ScifError::OutOfRange);
-        }
-        self.mem.read(self.gpa.offset(at), out).map_err(|_| ScifError::OutOfRange)
+        let gpa = self.at(at, out.len())?;
+        self.mem.read(gpa, out).map_err(|_| ScifError::OutOfRange)
     }
 
     fn write(&self, at: u64, data: &[u8]) -> ScifResult<()> {
-        if at + data.len() as u64 > self.len {
-            return Err(ScifError::OutOfRange);
-        }
-        self.mem.write(self.gpa.offset(at), data).map_err(|_| ScifError::OutOfRange)
+        let gpa = self.at(at, data.len())?;
+        self.mem.write(gpa, data).map_err(|_| ScifError::OutOfRange)
     }
 }
 
@@ -277,12 +278,12 @@ impl BackendInner {
         ctx.tl.charge(SpanLabel::GuestBufMap, cost.guest_buf_map);
         self.stats.requests.bump();
 
-        // Decode the request header from the first readable descriptor
-        // (zero-copy view of guest memory).
-        let head_desc = chain.descriptors[0];
+        // Decode the request header from the first descriptor (zero-copy
+        // view of guest memory).
+        let head = chain.request();
         let req = self
             .guest_mem
-            .with_slice(Gpa(head_desc.addr), head_desc.len as u64, VphiRequest::decode)
+            .with_slice(Gpa(head.addr), u64::from(head.len), VphiRequest::decode)
             .ok()
             .flatten();
 
@@ -341,7 +342,7 @@ impl BackendInner {
         trace: TraceCtx,
         hint: crate::frontend::NotifyHint,
     ) {
-        let resp_desc = chain.descriptors.last().expect("chain has a response descriptor");
+        let resp_desc = chain.response();
         let _ = self.guest_mem.write(Gpa(resp_desc.addr), &resp.encode());
         // Completion delivery is a sibling of the replay subtree, not a
         // child of it.
@@ -386,8 +387,21 @@ impl BackendInner {
     /// headers gets an empty payload, not a panic — ops that need a
     /// payload descriptor already fail with `Inval` on empty.
     fn payload<'c>(&self, chain: &'c DescChain) -> &'c [Descriptor] {
-        let n = chain.descriptors.len();
-        chain.descriptors.get(1..n.saturating_sub(1)).unwrap_or(&[])
+        let all = chain.descriptors();
+        all.get(1..all.len() - 1).unwrap_or(&[])
+    }
+
+    /// The guest buffer a request of `len` bytes names: its first payload
+    /// descriptor, which `len` must fit, lying in guest RAM.  `len` is a
+    /// header field the guest need not make agree with its descriptor, so
+    /// this is where it becomes a range the backend may touch
+    /// (DESIGN.md #17); anything else is `Inval`, before any charge.
+    fn payload_range(&self, chain: &DescChain, len: u64) -> ScifResult<GuestRange> {
+        let d = self.payload(chain).first().ok_or(ScifError::Inval)?;
+        if len > u64::from(d.len) {
+            return Err(ScifError::Inval);
+        }
+        self.guest_mem.range(Gpa(d.addr), len).map_err(|_| ScifError::Inval)
     }
 
     /// The guest ranges a `Send`/`Recv` of `len` bytes moves through: each
@@ -398,20 +412,21 @@ impl BackendInner {
     /// queue.  The bytes then go guest memory ↔ message queue in place
     /// (`send_with`/`recv_with`), with no buffer of the backend's between.
     fn message_spans<'c>(
-        &self,
+        &'c self,
         chain: &'c DescChain,
         len: u32,
-    ) -> ScifResult<impl Iterator<Item = (Gpa, usize)> + 'c> {
+    ) -> ScifResult<impl Iterator<Item = GuestRange> + 'c> {
         let mut left = u64::from(len);
         let spans = self.payload(chain).iter().map_while(move |d| {
             let take = u64::from(d.len).min(left);
             left -= take;
-            (take > 0).then_some((Gpa(d.addr), take as usize))
+            (take > 0).then_some((Gpa(d.addr), take))
         });
         for (gpa, take) in spans.clone() {
-            self.guest_mem.check_range(gpa, take as u64).map_err(|_| ScifError::Inval)?;
+            self.guest_mem.range(gpa, take).map_err(|_| ScifError::Inval)?;
         }
-        Ok(spans)
+        // Every span passed above, so none stops the walk here.
+        Ok(spans.map_while(|(gpa, take)| self.guest_mem.range(gpa, take).ok()))
     }
 
     /// Execute one decoded request against the host SCIF driver.
@@ -446,23 +461,24 @@ impl BackendInner {
             VphiRequest::Send { epd, len } => {
                 let ep = self.held.get(epd)?;
                 let mut sent = 0u64;
-                for (gpa, take) in self.message_spans(chain, len)? {
+                for range in self.message_spans(chain, len)? {
                     let fill = |at: usize, dst: &mut [u8]| {
                         self.guest_mem
-                            .read(gpa.offset(at as u64), dst)
+                            .read(range.gpa().offset(at as u64), dst)
                             .map_err(|_| ScifError::Inval)
                     };
-                    sent += ep.send_with(take, fill, &mut *ctx)? as u64;
+                    sent += ep.send_with(range.len() as usize, fill, &mut *ctx)? as u64;
                 }
                 Ok((sent, 0))
             }
             VphiRequest::Recv { epd, len } => {
                 let ep = self.held.get(epd)?;
                 let mut got = 0u64;
-                for (gpa, want) in self.message_spans(chain, len)? {
+                for range in self.message_spans(chain, len)? {
+                    let want = range.len() as usize;
                     let drain = |at: usize, src: &[u8]| {
                         self.guest_mem
-                            .write(gpa.offset(at as u64), src)
+                            .write(range.gpa().offset(at as u64), src)
                             .map_err(|_| ScifError::Inval)
                     };
                     let n = ep.recv_with(want, drain, &mut *ctx)?;
@@ -475,15 +491,8 @@ impl BackendInner {
             }
             VphiRequest::Register { epd, len, prot, fixed_offset, has_fixed } => {
                 let ep = self.held.get(epd)?;
-                let d = self.payload(chain).first().copied().ok_or(ScifError::Inval)?;
-                // `len` is guest-controlled (the rule `guest_rma` states):
-                // it must fit the descriptor and map to real guest memory
-                // before a window is made of it.
-                if len > u64::from(d.len) {
-                    return Err(ScifError::Inval);
-                }
-                self.guest_mem.check_range(Gpa(d.addr), len).map_err(|_| ScifError::Inval)?;
-                let backing = GuestWindowBytes::new(Arc::clone(&self.guest_mem), Gpa(d.addr), len);
+                let range = self.payload_range(chain, len)?;
+                let backing = GuestWindowBytes::new(Arc::clone(&self.guest_mem), range);
                 let prot = wire_prot(prot);
                 let off = ep.register(
                     has_fixed.then_some(fixed_offset),
@@ -494,7 +503,7 @@ impl BackendInner {
                 )?;
                 // A register racing the dead-guest GC (or the endpoint's
                 // close) must not leave a pinned window behind.
-                if let Err(gone) = self.held.note_window(epd, off, d.addr, len) {
+                if let Err(gone) = self.held.note_window(epd, off, range.gpa().0, len) {
                     let _ = ep.unregister(off, len, &mut *ctx);
                     self.stats.windows_gced.bump();
                     return Err(gone);
@@ -591,12 +600,15 @@ impl BackendInner {
                     text.push_str(v);
                     text.push('\n');
                 }
-                let d = self.payload(chain).first().copied().ok_or(ScifError::Inval)?;
                 let bytes = text.as_bytes();
-                if bytes.len() as u64 > d.len as u64 {
+                // A buffer too short for the text is `ENOMEM`, as sysfs
+                // answers it; a missing or wild one is `Inval`.
+                let room = self.payload(chain).first().map_or(u64::MAX, |d| u64::from(d.len));
+                if bytes.len() as u64 > room {
                     return Err(ScifError::NoMem);
                 }
-                self.guest_mem.write(Gpa(d.addr), bytes).map_err(|_| ScifError::Inval)?;
+                let range = self.payload_range(chain, bytes.len() as u64)?;
+                self.guest_mem.write(range.gpa(), bytes).map_err(|_| ScifError::Inval)?;
                 Ok((bytes.len() as u64, 0))
             }
             VphiRequest::GetNodeIds => {

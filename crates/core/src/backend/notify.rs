@@ -1,5 +1,6 @@
 //! The per-lane completion notifier — the **only** MSI-injection site in
-//! the vPHI stack (enforced by `xtask lint`'s `msi-gate` rule).
+//! the vPHI stack (`clippy.toml` bans `IrqChip::inject` and
+//! `IrqLine::inject` everywhere else).
 //!
 //! Every completion the backend pushes flows through here, and the
 //! notifier decides — deterministically, from state the frontend handed

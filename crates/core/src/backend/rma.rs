@@ -16,12 +16,11 @@ use std::sync::Arc;
 
 use vphi_pcie::{IoGuard, SgList};
 use vphi_scif::window::WindowBacking;
-use vphi_scif::{ScifError, ScifResult};
+use vphi_scif::ScifResult;
 use vphi_sim_core::cost::{HUGE_PAGE_SIZE, KMALLOC_MAX_SIZE, PAGE_SIZE};
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 use vphi_trace::{OpCtx, Stage};
 use vphi_virtio::DescChain;
-use vphi_vmm::Gpa;
 
 use super::{BackendInner, GuestWindowBytes};
 use crate::protocol::rma_flags_from_wire;
@@ -136,19 +135,14 @@ impl BackendInner {
         ctx: &mut OpCtx<'_>,
     ) -> ScifResult<(u64, u64)> {
         let ep = self.held.get(epd)?;
-        let d = self.payload(chain).first().copied().ok_or(ScifError::Inval)?;
-        // `len` is guest-controlled: it must fit the descriptor's buffer
-        // AND map to real guest memory before anything is charged or moved.
-        if len > u64::from(d.len) {
-            return Err(ScifError::Inval);
-        }
-        self.guest_mem.check_range(Gpa(d.addr), len).map_err(|_| ScifError::Inval)?;
+        let range = self.payload_range(chain, len)?;
+        let gpa = range.gpa().0;
         // The mapped arm keeps its subwindow's in-flight guard for the
         // duration of the transfer, so an unmap quiesces behind it.
         let _io = match (self.rma, len > KMALLOC_MAX_SIZE) {
             (RmaCharge::Mapped, true) => {
                 let span = ctx.begin("dma-map", Stage::DmaMap);
-                let io = self.charge_map(epd, d.addr, len, ctx.tl);
+                let io = self.charge_map(epd, gpa, len, ctx.tl);
                 ctx.end(span);
                 io?
             }
@@ -156,13 +150,13 @@ impl BackendInner {
                 // The transfer's own DMA charge (inside the SCIF replay)
                 // covers the wire; what is charged here is the staging the
                 // pipeline could not hide behind earlier chunks' DMA.
-                self.charge_translate(epd, d.addr, len, ctx.tl, |_| {
+                self.charge_translate(epd, gpa, len, ctx.tl, |_| {
                     self.fabric.shared().rma_pipeline_exposure(len, KMALLOC_MAX_SIZE)
                 })?;
                 None
             }
             (RmaCharge::PerPage, true) | (_, false) => {
-                self.charge_translate(epd, d.addr, len, ctx.tl, |pages| {
+                self.charge_translate(epd, gpa, len, ctx.tl, |pages| {
                     self.cost().page_translate * pages
                 })?;
                 None
@@ -170,8 +164,7 @@ impl BackendInner {
         };
         let guest = WindowBacking::External(Arc::new(GuestWindowBytes::new(
             Arc::clone(&self.guest_mem),
-            Gpa(d.addr),
-            len,
+            range,
         )));
         let flags = rma_flags_from_wire(flags);
         match dir {

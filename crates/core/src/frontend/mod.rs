@@ -1383,7 +1383,7 @@ mod tests {
             while queue.wait_kick() {
                 while let Ok(Some(chain)) = queue.pop_avail() {
                     let (token, mut tl, _trace, hint) = channel.claim(q, chain.head);
-                    let head_desc = chain.descriptors[0];
+                    let head_desc = chain.request();
                     let mut hdr = [0u8; REQ_SIZE];
                     kernel.mem().read(vphi_vmm::Gpa(head_desc.addr), &mut hdr).unwrap();
                     if let Some(VphiRequest::Send { len, .. } | VphiRequest::Recv { len, .. }) =
@@ -1392,7 +1392,7 @@ mod tests {
                         let svc = vphi_sim_core::SimDuration::from_nanos(len as u64);
                         tl.charge(SpanLabel::DeviceDeliver, svc);
                     }
-                    let resp_desc = *chain.descriptors.last().unwrap();
+                    let resp_desc = chain.response();
                     kernel
                         .mem()
                         .write(vphi_vmm::Gpa(resp_desc.addr), &VphiResponse::ok(7, 8).encode())
@@ -1594,7 +1594,7 @@ mod tests {
             (chain, token, tl)
         };
         let answer = |chain: &vphi_virtio::DescChain, token, mut btl: Timeline, v: u64| {
-            let resp = chain.descriptors.last().unwrap();
+            let resp = chain.response();
             mem.write(Gpa(resp.addr), &VphiResponse::ok(v, v).encode()).unwrap();
             let elem = vphi_virtio::UsedElem { id: chain.head, len: RESP_SIZE as u32 };
             lane.queue.push_used(elem, cost.used_push, &mut btl);

@@ -277,9 +277,7 @@ impl VphiRequest {
 
     /// Decode from a header buffer.
     pub fn decode(b: &[u8]) -> Option<VphiRequest> {
-        if b.len() < REQ_SIZE {
-            return None;
-        }
+        let b = b.first_chunk::<REQ_SIZE>()?;
         let mut r = FieldReader { buf: b, at: 8 };
         Some(match b[0] {
             1 => VphiRequest::Open,
@@ -366,16 +364,18 @@ impl FieldWriter<'_> {
     }
 }
 
+/// Reads a header's fields in order.  No request has fields past the
+/// header, so a read past it cannot happen; it would read 0.
 struct FieldReader<'a> {
-    buf: &'a [u8],
+    buf: &'a [u8; REQ_SIZE],
     at: usize,
 }
 
 impl FieldReader<'_> {
     fn u64(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self.buf[self.at..self.at + 8].try_into().expect("8 bytes"));
+        let field = self.buf.get(self.at..).and_then(<[u8]>::first_chunk::<8>);
         self.at += 8;
-        v
+        field.map_or(0, |f| u64::from_le_bytes(*f))
     }
 }
 

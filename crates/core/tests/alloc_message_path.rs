@@ -1,31 +1,41 @@
-//! Allocation regression test for the message data plane (DESIGN.md #20).
+//! Allocation regression test for the two data planes (DESIGN.md #19,
+//! #20).
 //!
 //! A `scif_send`/`scif_recv` payload is copied once per hop, between
 //! stores that already exist: the guest's staging buffer, the message
-//! queue's ring, the receiver's buffer.  Nothing on the way may allocate
-//! a buffer sized by the payload.  This binary installs a counting global
-//! allocator — it sees every thread: the caller, the backend's shard
-//! threads, the event loop — and asserts that, once the rings have grown
-//! and the pools are warm, the blocking and the batched paths make no heap
-//! allocation of 32 KiB or more while moving 64 KiB payloads — and that a
-//! blocking 1-byte send, the fixed per-request path and nothing else,
-//! stays inside a small budget of allocations of any size.
+//! queue's ring, the receiver's buffer.  A guest RMA moves its bytes once,
+//! between the card window and the guest's own pages.  Nothing on the way
+//! may allocate a buffer sized by the payload.  This binary installs a
+//! counting global allocator — it sees every thread: the caller, the
+//! backend's shard threads, the event loop — and asserts that, once the
+//! rings have grown and the pools are warm, the blocking and the batched
+//! message paths make no heap allocation of 32 KiB or more while moving
+//! 64 KiB payloads, nor do 16 MiB guest RMAs under any `RmaCharge` — and
+//! that a blocking 1-byte send, the fixed per-request path and nothing
+//! else, stays inside a small budget of allocations of any size.
 //!
 //! One `#[test]` only: the counter is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 
+use vphi::backend::RmaCharge;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::{Cq, Sq, SqEntry};
+use vphi_dev_support::window_timed;
 use vphi_scif::types::pinned_buf;
 use vphi_scif::window::WindowBacking;
 use vphi_scif::{Port, Prot, RmaFlags, ScifAddr};
+use vphi_sim_core::cost::KMALLOC_MAX_SIZE;
 use vphi_sim_core::Timeline;
 use vphi_sync::Counter;
 
 /// Allocations at or above this size count as payload-sized.
 const LARGE: usize = 32 << 10;
 const PAYLOAD: usize = 64 << 10;
+/// A guest RMA above `KMALLOC_MAX_SIZE`, so each `RmaCharge` takes its own
+/// arm.
+const RMA: u64 = 16 << 20;
+const _: () = assert!(RMA > KMALLOC_MAX_SIZE);
 
 /// Large allocations since the last reset, and their bytes.
 static LARGE_ALLOCS: Counter = Counter::new(0);
@@ -176,6 +186,18 @@ fn warm_message_path_makes_no_payload_sized_allocation() {
     // recycled or lives on the stack (DESIGN.md #23), so a scratch vector
     // built per request anywhere between the frontend and the drain pass
     // shows here as one more, and a second one breaks the budget.
+    //
+    // That inline service is an idle lane's: a kicker that finds a shard
+    // still draining what the rounds above left it hands its chain over,
+    // and a caller that publishes its next chain before that shard looks
+    // again keeps the shard serving the whole loop.  So the loop starts
+    // once every shard is parked with no kick unconsumed.
+    for lane in vm.frontend().channel().lanes() {
+        let kick = &lane.queue.notifiers.kick;
+        while kick.pending() > 0 || kick.parked() == 0 {
+            std::thread::yield_now();
+        }
+    }
     const CALLS: usize = 200;
     const BUDGET_PER_CALL: usize = 4;
     let mut byte = [0u8; CALLS];
@@ -192,4 +214,30 @@ fn warm_message_path_makes_no_payload_sized_allocation() {
 
     ep.close(&mut tl).unwrap();
     vm.shutdown();
+
+    // The RMA path, under every large-RMA charge: against a GDDR window
+    // the bytes cross as one lent slice, against a timed one through
+    // `gather_copy`'s 16 KiB bounce — under `LARGE` either way.
+    let servers = [vphi_dev_support::window(&host, 0, RMA, |_| {}), window_timed(&host, 0, RMA)];
+    for server in servers {
+        for charge in RmaCharge::ALL {
+            let rig = server.guest(&host, VmConfig::builder().rma(charge).build());
+            let buf = rig.vm.alloc_buf(RMA).unwrap();
+            let mut tl = Timeline::new();
+            let mut rma_round = || {
+                large_allocs_during(|| {
+                    rig.guest.vreadfrom(&buf, 0, RmaFlags::SYNC, &mut tl).unwrap();
+                    rig.guest.vwriteto(&buf, 0, RmaFlags::SYNC, &mut tl).unwrap();
+                })
+            };
+            // Warm-up: the registration and mapping caches fill.
+            rma_round();
+            let counted = rma_round();
+            assert_eq!(
+                counted.0, 0,
+                "{charge:?}: {} allocation(s) of >= {LARGE} bytes on a warm {RMA}-byte RMA, {} bytes in all",
+                counted.0, counted.1
+            );
+        }
+    }
 }

@@ -10,8 +10,8 @@
 //! must come out exactly in issue order.
 //!
 //! This file submits to `VirtQueue`s directly — it tests the transport
-//! underneath `transact` — and is exempted by name from the xtask
-//! `queue-router` rule.
+//! underneath `transact` — so its submitting function carries clippy's
+//! `disallowed_methods` expectation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,13 +44,13 @@ fn run_one(num_queues: u16, seed: u64) -> HashMap<u64, Vec<u32>> {
                 let queue = Arc::clone(channel.lane_queue(q));
                 while queue.wait_kick() {
                     while let Ok(Some(chain)) = queue.pop_avail() {
-                        let d = chain.descriptors[0];
+                        let d = chain.request();
                         observed.lock().entry(d.addr).or_default().push(d.len);
                     }
                 }
                 // Drain anything published after the final kick.
                 while let Ok(Some(chain)) = queue.pop_avail() {
-                    let d = chain.descriptors[0];
+                    let d = chain.request();
                     observed.lock().entry(d.addr).or_default().push(d.len);
                 }
             })

@@ -16,8 +16,8 @@ use crate::link::PcieLink;
 
 /// Size of the fixed bounce block used by [`gather_copy`].  O(1) memory
 /// regardless of transfer size — this is the *only* sanctioned staging
-/// allocation on the data path (xtask lint rule 9 bans repeat-vec staging
-/// buffers everywhere else).
+/// allocation on the data path (`core/tests/alloc_message_path.rs` holds
+/// a warm RMA or message to no allocation of 32 KiB or more).
 const BOUNCE_BLOCK: usize = 16 * 1024;
 
 /// Move `len` bytes from a reader to a writer through a fixed-size bounce

@@ -120,7 +120,6 @@ impl Doorbell {
     }
 
     /// Threads parked in [`wait`](Doorbell::wait) right now.
-    #[cfg(any(test, debug_assertions))]
     pub fn parked(&self) -> u64 {
         self.state.lock().parked
     }

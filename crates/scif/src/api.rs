@@ -13,8 +13,9 @@
 //! it.  Callers without a trace pass a bare `&mut Timeline`, which converts
 //! implicitly; the vPHI backend passes `&mut ctx` so the replayed host op
 //! shows up as a `host-scif` span under the guest request's root.  New
-//! methods must take `OpCtx`, not a raw `&mut Timeline` — `cargo run -p
-//! xtask -- lint` (rule `opctx-api`) enforces this.
+//! methods must take `OpCtx`, not a raw `&mut Timeline`:
+//! `tests/trace.rs::every_replayed_request_traces_its_host_scif_call`
+//! fails for a replayed method that records no span.
 
 use std::sync::Arc;
 use std::time::Duration;

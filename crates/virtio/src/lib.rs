@@ -22,4 +22,4 @@ pub mod queue;
 pub mod ring;
 
 pub use queue::{need_event, Notifiers, Popped, QueueCounters, QueueError, VirtQueue};
-pub use ring::{DescChain, DescFlags, DescList, Descriptor, UsedElem};
+pub use ring::{DescChain, DescFlags, Descriptor, UsedElem};

@@ -14,7 +14,7 @@ use vphi_pcie::Doorbell;
 use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_sync::{Counter, LockClass, Sequenced, TrackedMutex, TrackedRole};
 
-use crate::ring::{DescChain, DescList, Descriptor, UsedElem};
+use crate::ring::{DescChain, Descriptor, UsedElem};
 
 /// Errors from queue operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,6 +112,12 @@ impl QueueState {
         } else {
             Err(QueueError::Corrupt)
         }
+    }
+
+    /// The descriptor at guest-controlled index `i`: `Corrupt` for an
+    /// index past the table or an empty slot.
+    fn entry(&self, i: u16) -> Result<Descriptor, QueueError> {
+        self.table[self.idx(i)?].ok_or(QueueError::Corrupt)
     }
 }
 
@@ -447,24 +453,18 @@ impl VirtQueue {
         };
         st.last_avail_idx += 1;
         self.chains_popped.bump();
-        let mut descriptors = DescList::new();
-        let mut idx = head;
-        loop {
-            let i = st.idx(idx)?;
-            let d = st.table[i].ok_or(QueueError::Corrupt)?;
-            descriptors.push(d);
-            if descriptors.len() > self.size as usize {
+        let mut d = st.entry(head)?;
+        let mut chain = DescChain::new(head, d);
+        while d.flags.next {
+            if chain.descriptors().len() == self.size as usize {
                 return Err(QueueError::Corrupt); // cycle guard
             }
-            if d.flags.next {
-                idx = d.next;
-            } else {
-                break;
-            }
+            d = st.entry(d.next)?;
+            chain.push(d);
         }
         let left_on_ring = !st.avail.is_empty();
         let more_in_bound = left_on_ring && st.last_avail_idx < through;
-        Ok(Some(Popped { chain: DescChain { head, descriptors }, more_in_bound, left_on_ring }))
+        Ok(Some(Popped { chain, more_in_bound, left_on_ring }))
     }
 
     /// Whether undelivered chains sit on the avail ring.
@@ -543,12 +543,12 @@ mod tests {
 
         let chain = q.pop_avail().unwrap().unwrap();
         assert_eq!(chain.head, head);
-        assert_eq!(chain.descriptors.len(), 2);
+        assert_eq!(chain.descriptors().len(), 2);
         assert_eq!(chain.readable().count(), 1);
         assert_eq!(chain.writable().count(), 1);
         // Chain linkage was fixed up by add_chain.
-        assert!(chain.descriptors[0].flags.next);
-        assert!(!chain.descriptors[1].flags.next);
+        assert!(chain.descriptors()[0].flags.next);
+        assert!(!chain.descriptors()[1].flags.next);
 
         q.push_used(UsedElem { id: head, len: 64 }, PUSH, &mut tl);
         assert!(q.used_pending());
@@ -658,7 +658,7 @@ mod tests {
         assert_eq!(tl.total(), PUSH);
         let chain = q.pop_avail().unwrap().unwrap();
         assert_eq!(Some(chain.head), registered);
-        assert_eq!(chain.descriptors.len(), 2);
+        assert_eq!(chain.descriptors().len(), 2);
         // A chain that does not fit registers nothing and publishes nothing.
         let too_long = [Descriptor::readable(0, 1); 3];
         let mut called = false;
@@ -798,8 +798,38 @@ mod tests {
         d.next = 77; // garbage
         q.add_chain(&[d], PUSH, &mut tl).unwrap();
         let chain = q.pop_avail().unwrap().unwrap();
-        assert_eq!(chain.descriptors.len(), 1);
-        assert!(!chain.descriptors[0].flags.next);
+        assert_eq!(chain.descriptors().len(), 1);
+        assert!(!chain.descriptors()[0].flags.next);
+    }
+
+    /// Ring memory is guest-writable, so every index the device reads out
+    /// of it is hostile: each corruption below, written straight into the
+    /// ring state, is refused as `Corrupt` and never used to index the
+    /// descriptor table.
+    #[test]
+    fn a_corrupt_chain_is_refused_not_indexed() {
+        fn link(next: u16) -> Option<Descriptor> {
+            Some(Descriptor { flags: DescFlags::NEXT, next, ..Descriptor::readable(0, 1) })
+        }
+        type Corruption = fn(&mut QueueState);
+        let cases: [(&str, Corruption); 4] = [
+            ("an avail head past the table", |st| st.avail.push_back(u16::MAX)),
+            ("a next link past the table", |st| {
+                st.table[0] = link(4);
+                st.avail.push_back(0);
+            }),
+            ("a head naming an empty slot", |st| st.avail.push_back(1)),
+            ("a next cycle", |st| {
+                st.table[0] = link(1);
+                st.table[1] = link(0);
+                st.avail.push_back(0);
+            }),
+        ];
+        for (what, corrupt) in cases {
+            let q = VirtQueue::new(4);
+            corrupt(&mut q.state.lock());
+            assert_eq!(q.pop_avail(), Err(QueueError::Corrupt), "{what}");
+        }
     }
 
     #[test]

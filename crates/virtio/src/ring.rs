@@ -46,7 +46,7 @@ const INLINE_DESCS: usize = 4;
 /// A chain's descriptors, in order; reads as a slice.  Short chains (the
 /// common case) are stored inline, so popping one allocates nothing.
 #[derive(Clone)]
-pub struct DescList {
+struct DescList {
     inline: [Descriptor; INLINE_DESCS],
     inline_len: usize,
     /// The whole list, once it has outgrown `inline`.
@@ -54,7 +54,7 @@ pub struct DescList {
 }
 
 impl DescList {
-    pub fn new() -> Self {
+    fn new() -> Self {
         DescList {
             inline: [Descriptor::readable(0, 0); INLINE_DESCS],
             inline_len: 0,
@@ -62,7 +62,7 @@ impl DescList {
         }
     }
 
-    pub fn push(&mut self, d: Descriptor) {
+    fn push(&mut self, d: Descriptor) {
         if !self.spilled.is_empty() {
             self.spilled.push(d);
         } else if self.inline_len < INLINE_DESCS {
@@ -73,12 +73,6 @@ impl DescList {
             self.spilled.extend_from_slice(&self.inline);
             self.spilled.push(d);
         }
-    }
-}
-
-impl Default for DescList {
-    fn default() -> Self {
-        DescList::new()
     }
 }
 
@@ -118,15 +112,46 @@ impl std::fmt::Debug for DescList {
     }
 }
 
-/// A popped chain, resolved into its ordered descriptors.
+/// A popped chain, resolved into its ordered descriptors.  Never empty:
+/// it is built from its head descriptor, so the request header
+/// ([`request`](Self::request)) and the response header
+/// ([`response`](Self::response)) always exist — the same descriptor, for
+/// a chain of one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DescChain {
     /// Head descriptor index — the id pushed back on the used ring.
     pub head: u16,
-    pub descriptors: DescList,
+    descriptors: DescList,
 }
 
 impl DescChain {
+    /// A chain of one: the descriptor at table index `head`.
+    pub(crate) fn new(head: u16, first: Descriptor) -> Self {
+        let mut descriptors = DescList::new();
+        descriptors.push(first);
+        DescChain { head, descriptors }
+    }
+
+    /// Follow the chain one more link.
+    pub(crate) fn push(&mut self, d: Descriptor) {
+        self.descriptors.push(d);
+    }
+
+    /// The descriptors, in chain order.
+    pub fn descriptors(&self) -> &[Descriptor] {
+        &self.descriptors
+    }
+
+    /// The first descriptor: where a vPHI request header sits.
+    pub fn request(&self) -> &Descriptor {
+        &self.descriptors[0]
+    }
+
+    /// The last descriptor: where a vPHI response header goes.
+    pub fn response(&self) -> &Descriptor {
+        &self.descriptors[self.descriptors.len() - 1]
+    }
+
     /// Device-readable descriptors (the request).
     pub fn readable(&self) -> impl Iterator<Item = &Descriptor> {
         self.descriptors.iter().filter(|d| !d.flags.write)
@@ -166,18 +191,15 @@ mod tests {
 
     #[test]
     fn chain_partitions_by_direction() {
-        let chain = DescChain {
-            head: 3,
-            descriptors: DescList::from_iter([
-                Descriptor::readable(0x1000, 64),
-                Descriptor::readable(0x2000, 128),
-                Descriptor::writable(0x3000, 256),
-            ]),
-        };
+        let mut chain = DescChain::new(3, Descriptor::readable(0x1000, 64));
+        assert_eq!(chain.request(), chain.response(), "a chain of one is both headers");
+        chain.push(Descriptor::readable(0x2000, 128));
+        chain.push(Descriptor::writable(0x3000, 256));
         assert_eq!(chain.readable().count(), 2);
         assert_eq!(chain.writable().count(), 1);
         assert_eq!(chain.total_len(), 64 + 128 + 256);
         assert_eq!(chain.writable().next().unwrap().addr, 0x3000);
+        assert_eq!((chain.request().addr, chain.response().addr), (0x1000, 0x3000));
     }
 
     #[test]

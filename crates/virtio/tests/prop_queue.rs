@@ -71,7 +71,7 @@ proptest! {
                         Some(chain) => {
                             let (head, n) = posted.pop_front().expect("model has a chain");
                             prop_assert_eq!(chain.head, head, "FIFO violated");
-                            prop_assert_eq!(chain.descriptors.len(), n);
+                            prop_assert_eq!(chain.descriptors().len(), n);
                             popped.push_back((head, n));
                         }
                         None => prop_assert!(posted.is_empty()),
@@ -120,8 +120,8 @@ proptest! {
             .collect();
         q.add_chain(&descs, PUSH, &mut tl).unwrap();
         let chain = q.pop_avail().unwrap().unwrap();
-        prop_assert_eq!(chain.descriptors.len(), descs.len());
-        for (got, want) in chain.descriptors.iter().zip(&descs) {
+        prop_assert_eq!(chain.descriptors().len(), descs.len());
+        for (got, want) in chain.descriptors().iter().zip(&descs) {
             prop_assert_eq!(got.addr, want.addr);
             prop_assert_eq!(got.len, want.len);
             prop_assert_eq!(got.flags.write, want.flags.write);

@@ -184,6 +184,24 @@ mod tests {
         assert_eq!(e.blocking_event_count(), 3);
     }
 
+    /// A blocking handler runs with the whole VM paused, so a lock `run`
+    /// waited on would stall the guest with it: `run` itself takes no
+    /// tracked lock and signals no condvar, under either dispatch.  Debug
+    /// and `sync-audit` builds count both per thread; a build without the
+    /// audit reads zero throughout.
+    #[test]
+    fn run_takes_no_lock_of_its_own() {
+        use vphi_sync::audit::{thread_acquisitions, thread_signals};
+        let e = el();
+        let mut tl = Timeline::new();
+        for dispatch in [Dispatch::Blocking, Dispatch::Worker] {
+            let (locks, signals) = (thread_acquisitions(), thread_signals());
+            e.run(dispatch, &mut tl, |_| ());
+            assert_eq!(thread_acquisitions(), locks, "{dispatch:?} took a lock");
+            assert_eq!(thread_signals(), signals, "{dispatch:?} signalled a condvar");
+        }
+    }
+
     #[test]
     fn detached_worker_runs_and_retires() {
         let e = el();

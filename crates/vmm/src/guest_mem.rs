@@ -153,31 +153,31 @@ impl GuestMemory {
         Ok(())
     }
 
-    /// Whether `[gpa, gpa + len)` lies inside guest RAM.  Lock-free — the
-    /// arena's size never changes — so a caller that only needs to
-    /// validate a guest-supplied range (before moving any byte of a
-    /// multi-range request) does not take the arena lock to ask.
-    pub fn check_range(&self, gpa: Gpa, len: u64) -> Result<(), GuestMemError> {
+    /// `[gpa, gpa + len)` as a [`GuestRange`], if it lies inside guest
+    /// RAM.  Lock-free — the arena's size never changes — so a caller that
+    /// only needs to validate a guest-supplied range (before moving any
+    /// byte of a multi-range request) does not take the arena lock to ask.
+    pub fn range(&self, gpa: Gpa, len: u64) -> Result<GuestRange, GuestMemError> {
         let end = gpa.0.checked_add(len).ok_or(GuestMemError::OutOfBounds)?;
         if end > self.size {
             return Err(GuestMemError::OutOfBounds);
         }
-        Ok(())
+        Ok(GuestRange { gpa, len })
     }
 
     /// Guest/host read of physical memory.
     pub fn read(&self, gpa: Gpa, out: &mut [u8]) -> Result<(), GuestMemError> {
-        self.check_range(gpa, out.len() as u64)?;
+        let r = self.range(gpa, out.len() as u64)?;
         let st = self.state.lock();
-        out.copy_from_slice(&st.arena[gpa.0 as usize..gpa.0 as usize + out.len()]);
+        out.copy_from_slice(&st.arena[r.bytes()]);
         Ok(())
     }
 
     /// Guest/host write of physical memory.
     pub fn write(&self, gpa: Gpa, data: &[u8]) -> Result<(), GuestMemError> {
-        self.check_range(gpa, data.len() as u64)?;
+        let r = self.range(gpa, data.len() as u64)?;
         let mut st = self.state.lock();
-        st.arena[gpa.0 as usize..gpa.0 as usize + data.len()].copy_from_slice(data);
+        st.arena[r.bytes()].copy_from_slice(data);
         Ok(())
     }
 
@@ -190,9 +190,9 @@ impl GuestMemory {
         len: u64,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, GuestMemError> {
-        self.check_range(gpa, len)?;
+        let r = self.range(gpa, len)?;
         let st = self.state.lock();
-        Ok(f(&st.arena[gpa.0 as usize..(gpa.0 + len) as usize]))
+        Ok(f(&st.arena[r.bytes()]))
     }
 
     /// Zero-copy mutable host view.
@@ -202,9 +202,48 @@ impl GuestMemory {
         len: u64,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R, GuestMemError> {
-        self.check_range(gpa, len)?;
+        let r = self.range(gpa, len)?;
         let mut st = self.state.lock();
-        Ok(f(&mut st.arena[gpa.0 as usize..(gpa.0 + len) as usize]))
+        Ok(f(&mut st.arena[r.bytes()]))
+    }
+}
+
+/// A guest-physical range that lies inside the VM's RAM.  Every length
+/// and address a guest writes into a descriptor or a request header is
+/// attacker-controlled; this type is what such a pair becomes once it has
+/// been checked, and the only form in which the backend may build a view
+/// of guest memory from one.  Its fields are private and its one
+/// constructor is [`GuestMemory::range`], so an unchecked `(gpa, len)`
+/// cannot pose as one (DESIGN.md #17).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GuestRange {
+    gpa: Gpa,
+    len: u64,
+}
+
+impl GuestRange {
+    pub fn gpa(self) -> Gpa {
+        self.gpa
+    }
+
+    pub fn len(self) -> u64 {
+        self.len
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// `[at, at + len)` of this range, if it fits: a range of its own,
+    /// still inside guest RAM because it is inside this one.
+    pub fn sub(self, at: u64, len: u64) -> Option<GuestRange> {
+        let end = at.checked_add(len)?;
+        (end <= self.len).then_some(GuestRange { gpa: self.gpa.offset(at), len })
+    }
+
+    /// The arena indices the range covers.
+    fn bytes(self) -> std::ops::Range<usize> {
+        self.gpa.0 as usize..(self.gpa.0 + self.len) as usize
     }
 }
 
@@ -238,10 +277,16 @@ mod tests {
         assert_eq!(m.read(Gpa(MIB), &mut out), Err(GuestMemError::OutOfBounds));
         assert_eq!(m.write(Gpa(u64::MAX), &[1]), Err(GuestMemError::OutOfBounds));
         // The same verdicts without touching the arena.
-        assert_eq!(m.check_range(gpa, PAGE_SIZE), Ok(()));
-        assert_eq!(m.check_range(Gpa(MIB - 1), 1), Ok(()));
-        assert_eq!(m.check_range(Gpa(MIB - 1), 2), Err(GuestMemError::OutOfBounds));
-        assert_eq!(m.check_range(Gpa(1), u64::MAX), Err(GuestMemError::OutOfBounds));
+        assert_eq!(m.range(gpa, PAGE_SIZE).map(GuestRange::len), Ok(PAGE_SIZE));
+        assert_eq!(m.range(Gpa(MIB - 1), 1).map(GuestRange::gpa), Ok(Gpa(MIB - 1)));
+        assert_eq!(m.range(Gpa(MIB - 1), 2), Err(GuestMemError::OutOfBounds));
+        assert_eq!(m.range(Gpa(1), u64::MAX), Err(GuestMemError::OutOfBounds));
+        // A piece of a checked range is checked against it, overflow included.
+        let r = m.range(gpa, PAGE_SIZE).unwrap();
+        assert_eq!(r.sub(10, 5).map(|s| (s.gpa(), s.len())), Some((gpa.offset(10), 5)));
+        assert_eq!(r.sub(PAGE_SIZE, 0).map(GuestRange::is_empty), Some(true));
+        assert_eq!(r.sub(PAGE_SIZE - 1, 2), None);
+        assert_eq!(r.sub(1, u64::MAX), None);
     }
 
     #[test]

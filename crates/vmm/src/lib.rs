@@ -33,7 +33,7 @@ pub mod vma;
 pub mod waitqueue;
 
 pub use event_loop::QemuEventLoop;
-pub use guest_mem::{Gpa, GuestMemError, GuestMemory};
+pub use guest_mem::{Gpa, GuestMemError, GuestMemory, GuestRange};
 pub use irq::{IrqChip, IrqLine};
 pub use kernel::GuestKernel;
 pub use kvm::KvmModule;

@@ -200,6 +200,108 @@ fn batch_stage_sums_reconcile_with_the_callers_timeline() {
     assert_eq!(untraced_virt, traced_virt, "tracing changed the batch's virtual time");
 }
 
+/// Every guest request the backend replays onto a `ScifEndpoint` method,
+/// by request name (`VphiRequest::name`), with the span that method
+/// opens.  The span is how a replay shows up in the guest's trace, and a
+/// method records one only when it is handed the request's `OpCtx`: one
+/// that takes a bare `&mut Timeline` loses its row's span.
+const REPLAYED_AS: [(&str, &str); 19] = [
+    ("bind", "scif_bind"),
+    ("listen", "scif_listen"),
+    ("accept", "scif_accept"),
+    ("connect", "scif_connect"),
+    ("send", "scif_send"),
+    ("recv", "scif_recv"),
+    ("send_timed", "scif_send_timed"),
+    ("recv_timed", "scif_recv_timed"),
+    ("register", "scif_register"),
+    ("unregister", "scif_unregister"),
+    ("vreadfrom", "scif_vreadfrom"),
+    ("vwriteto", "scif_vwriteto"),
+    ("readfrom", "scif_readfrom"),
+    ("writeto", "scif_writeto"),
+    ("mmap", "scif_mmap"),
+    ("fence_mark", "scif_fence_mark"),
+    ("fence_wait", "scif_fence_wait"),
+    ("fence_signal", "scif_fence_signal"),
+    ("poll", "scif_poll"),
+];
+
+/// One traced guest through every request in [`REPLAYED_AS`]: each trace
+/// of the request holds its method's `host-scif` span, parented under the
+/// request's `backend-replay` span.
+#[test]
+fn every_replayed_request_traces_its_host_scif_call() {
+    use vphi_scif::{PollEvents, Port, Prot, HOST_NODE};
+    use vphi_sim_core::cost::PAGE_SIZE;
+
+    let host = VphiHost::new(1);
+    let tracer = host.arm_tracing(TraceConfig { ring_capacity: 1 << 16, summary_capacity: 1024 });
+    let server = echo_window_server(&host, 0);
+    let vm = host.spawn_vm(VmConfig::default());
+    let mut tl = Timeline::new();
+
+    // A guest listener, and a native client on the timed lane.
+    let listener = vm.open_scif(&mut tl).unwrap();
+    let port = listener.bind(Port::ANY, &mut tl).unwrap();
+    listener.listen(1, &mut tl).unwrap();
+    let client = host.native_endpoint().unwrap();
+    let (conn, _) = std::thread::scope(|s| {
+        let accepting = s.spawn(|| listener.accept(&mut Timeline::new()));
+        client.connect(ScifAddr::new(HOST_NODE, port), &mut Timeline::new()).unwrap();
+        accepting.join().unwrap()
+    })
+    .unwrap();
+    client.send_timed(64, &mut tl).unwrap();
+    assert_eq!(conn.recv_timed(64, &mut tl), Ok(64));
+    assert_eq!(conn.send_timed(64, &mut tl), Ok(64));
+
+    // A guest client of the card's echo + window server.
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(server.addr(), &mut tl).unwrap();
+    ep.send(b"ping", &mut tl).unwrap();
+    // The echo comes back once the server has registered its window.
+    assert_eq!(ep.recv(&mut [0u8; 4], &mut tl), Ok(4));
+    let buf = vm.alloc_buf(PAGE_SIZE).unwrap();
+    ep.vwriteto(&buf, 0, RmaFlags::SYNC, &mut tl).unwrap();
+    ep.vreadfrom(&buf, 0, RmaFlags::SYNC, &mut tl).unwrap();
+    let loff = ep.register(&buf, Prot::READ_WRITE, None, &mut tl).unwrap();
+    ep.writeto(loff, PAGE_SIZE, 0, RmaFlags::SYNC, &mut tl).unwrap();
+    ep.readfrom(loff, PAGE_SIZE, 0, RmaFlags::SYNC, &mut tl).unwrap();
+    let marker = ep.fence_mark(&mut tl).unwrap();
+    ep.fence_wait(marker, &mut tl).unwrap();
+    ep.fence_signal(loff, 1, 0, 2, &mut tl).unwrap();
+    assert!(ep.poll(PollEvents::OUT, 0, &mut tl).unwrap().contains(PollEvents::OUT));
+    ep.mmap(vm.vm().kvm(), 0, PAGE_SIZE, Prot::READ, &mut tl).unwrap().munmap(&mut tl).unwrap();
+    ep.unregister(loff, PAGE_SIZE, &mut tl).unwrap();
+    for guest in [ep, conn, listener] {
+        guest.close(&mut tl).unwrap();
+    }
+    drop(client);
+
+    let vm_id = vm.vm().id();
+    let spans = tracer.spans(vm_id);
+    let by_id: BTreeMap<(u64, u32), &SpanRec> =
+        spans.iter().map(|s| ((s.trace_id, s.id), s)).collect();
+    let summaries = tracer.summaries(vm_id);
+    for (op, method) in REPLAYED_AS {
+        let traces: Vec<u64> =
+            summaries.iter().filter(|s| s.op == op).map(|s| s.trace_id).collect();
+        assert!(!traces.is_empty(), "no {op:?} request was traced");
+        for trace in traces {
+            let replayed = spans.iter().any(|s| {
+                s.trace_id == trace
+                    && s.name == method
+                    && s.stage == Stage::HostScif
+                    && by_id.get(&(trace, s.parent)).is_some_and(|p| p.name == "backend-replay")
+            });
+            assert!(replayed, "{op:?} trace {trace} has no {method:?} span under backend-replay");
+        }
+    }
+    assert_eq!(tracer.counters().spans_dropped, 0);
+    vm.shutdown();
+}
+
 #[test]
 fn chaos_faults_leave_no_orphan_spans() {
     let host = VphiHost::new(1);
