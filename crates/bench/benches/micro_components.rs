@@ -2,14 +2,14 @@
 //! every request crosses (virtqueue, wait queue, message queue, SCIF
 //! loopback, window lookup), of one 64 KiB guest send through all of
 //! them, of a whole `micnativeloadex` launch and its 4 MiB timed-lane
-//! chunk, guest beside native, and of the timeline's running total.  These
-//! guard the simulator's own performance.
+//! chunk, guest beside native.  These guard the simulator's own
+//! performance.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::Arc;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi_dev_support::{echo_server, native_connect, sink};
-use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
+use vphi_sim_core::{CostModel, SimDuration, Timeline, VirtualClock};
 use vphi_virtio::{Descriptor, UsedElem, VirtQueue};
 use vphi_vmm::TokenWaitQueue;
 
@@ -97,10 +97,8 @@ fn bench_msgqueue(c: &mut Criterion) {
 /// Blocking guest calls end to end.  A 64 KiB send (staging, ring,
 /// backend, guest memory → message queue) and a 1-byte send (nothing but
 /// the fixed per-request path: marshal, ring, kick, the backend's replay,
-/// completion) against a card-side sink — the 1-byte send once more on a
-/// timeline its caller keeps, 1,000 to 64,000 spans long, which must read
-/// the same — then a 4 KiB echo (a send and the recv of its reply: two
-/// requests and a wait on the card between them).
+/// completion) against a card-side sink, then a 4 KiB echo (a send and the
+/// recv of its reply: two requests and a wait on the card between them).
 fn bench_guest_send(c: &mut Criterion) {
     let host = VphiHost::new(1);
     let (sink, echo) = (sink(&host, 0), echo_server(&host, 0));
@@ -126,18 +124,6 @@ fn bench_guest_send(c: &mut Criterion) {
         });
         group.finish();
     }
-    let mut group = c.benchmark_group("guest");
-    group.throughput(Throughput::Bytes(1));
-    group.bench_function("guest_send_1B_blocking_on_1k_span_timeline", |b| {
-        let mut tl = Timeline::new();
-        b.iter(|| {
-            if tl.len() < 1_000 || tl.len() > 64_000 {
-                tl = timeline_of(1_000);
-            }
-            guest.send(std::hint::black_box(&[0xA5]), &mut tl).unwrap()
-        })
-    });
-    group.finish();
     let page = vec![0x5Au8; 4 << 10];
     let mut back = vec![0u8; 4 << 10];
     let mut group = c.benchmark_group("guest");
@@ -153,15 +139,6 @@ fn bench_guest_send(c: &mut Criterion) {
     guest.close(&mut tl).unwrap();
     echoed.close(&mut tl).unwrap();
     vm.shutdown();
-}
-
-/// A timeline a caller has already charged `spans` spans into.
-fn timeline_of(spans: usize) -> Timeline {
-    let mut tl = Timeline::new();
-    for _ in 0..spans {
-        tl.charge(SpanLabel::Other(0), SimDuration::from_nanos(1));
-    }
-    tl
 }
 
 fn guest_echo(ep: &vphi::GuestScif, page: &[u8], back: &mut [u8], tl: &mut Timeline) -> usize {
@@ -225,12 +202,6 @@ fn bench_cost_model(c: &mut Criterion) {
     });
 }
 
-/// What every `OpCtx` span and every waiter asks of the caller's timeline.
-fn bench_timeline(c: &mut Criterion) {
-    let tl = timeline_of(1_000);
-    c.bench_function("timeline_total_1k_spans", |b| b.iter(|| std::hint::black_box(&tl).total()));
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
@@ -238,6 +209,6 @@ criterion_group! {
         .measurement_time(std::time::Duration::from_secs(1))
         .sample_size(20);
     targets = bench_virtqueue, bench_waitqueue, bench_msgqueue, bench_scif_loopback,
-        bench_guest_send, bench_loadex, bench_cost_model, bench_timeline
+        bench_guest_send, bench_loadex, bench_cost_model
 }
 criterion_main!(benches);

@@ -260,7 +260,8 @@ impl BackendInner {
     /// push by the lane's [`LaneNotifier`], from the notify hint the
     /// requester submitted and the `used_event` threshold it published.
     fn process(self: &Arc<Self>, q: usize, chain: DescChain) {
-        let (token, mut tl, trace, hint) = self.channel.claim(q, chain.head);
+        let (token, trace, hint) = self.channel.claim(q, chain.head);
+        let mut tl = Timeline::new();
         if self.faults.fire(FaultSite::VmmGuestDeath).is_some() {
             // The guest died mid-request: its QEMU process tears down, so
             // no response is ever written.  Waiters observe the shutdown

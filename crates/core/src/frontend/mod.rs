@@ -215,16 +215,11 @@ impl VphiChannel {
     }
 
     /// Backend: claim the request registered for `head` after popping it
-    /// off lane `q` — its token, timeline, trace fork and notify hint.  A
-    /// head nobody registered yields the token-0 sentinel: the chain still
-    /// runs, and completes to nobody.
-    pub fn claim(&self, q: usize, head: u16) -> (ReqToken, Timeline, TraceCtx, NotifyHint) {
-        self.lanes[q].slots.claim(head).unwrap_or((
-            0,
-            Timeline::new(),
-            TraceCtx::default(),
-            NotifyHint::SLEEP,
-        ))
+    /// off lane `q` — its token, trace fork and notify hint.  A head nobody
+    /// registered yields the token-0 sentinel: the chain still runs, and
+    /// completes to nobody.
+    pub fn claim(&self, q: usize, head: u16) -> (ReqToken, TraceCtx, NotifyHint) {
+        self.lanes[q].slots.claim(head).unwrap_or((0, TraceCtx::default(), NotifyHint::SLEEP))
     }
 
     /// Backend: deliver the completion and wake exactly its requester —
@@ -1382,7 +1377,8 @@ mod tests {
             );
             while queue.wait_kick() {
                 while let Ok(Some(chain)) = queue.pop_avail() {
-                    let (token, mut tl, _trace, hint) = channel.claim(q, chain.head);
+                    let (token, _trace, hint) = channel.claim(q, chain.head);
+                    let mut tl = Timeline::new();
                     let head_desc = chain.request();
                     let mut hdr = [0u8; REQ_SIZE];
                     kernel.mem().read(vphi_vmm::Gpa(head_desc.addr), &mut hdr).unwrap();
@@ -1590,8 +1586,8 @@ mod tests {
         // The backend's half of one request: pop, claim, (later) answer.
         let claim_next = || {
             let chain = lane.queue.pop_avail().unwrap().unwrap();
-            let (token, tl, ..) = channel.claim(0, chain.head);
-            (chain, token, tl)
+            let (token, ..) = channel.claim(0, chain.head);
+            (chain, token, Timeline::new())
         };
         let answer = |chain: &vphi_virtio::DescChain, token, mut btl: Timeline, v: u64| {
             let resp = chain.response();

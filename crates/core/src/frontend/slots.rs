@@ -143,12 +143,11 @@ pub(super) struct BatchOp {
 
 /// The lock-protected part of a slot.  Who writes what, by state:
 /// the requester fills `hint`, `trace` and `batch` in `Prepared`; the
-/// backend takes `tl` and `trace` at `Claimed` and gives `tl` back, with
+/// backend takes `trace` at `Claimed` and writes its timeline `tl`, with
 /// `slept` and `svc_ns`, at `Completed`; the requester reads those three
 /// and takes `batch` when it takes the completion.
 pub(super) struct SlotBody {
-    /// The backend's service timeline.  Lives here between requests, so
-    /// its spans' storage is allocated once per slot.
+    /// The backend's service timeline, valid at `Completed`.
     pub tl: Timeline,
     pub trace: TraceCtx,
     pub hint: NotifyHint,
@@ -362,10 +361,10 @@ impl SlotTable {
         }
     }
 
-    /// Backend: take the request registered for `head` — its token,
-    /// timeline, trace fork and notify hint.  `None` for a head nobody
-    /// registered (a chain published around the frontend).
-    pub fn claim(&self, head: u16) -> Option<(ReqToken, Timeline, TraceCtx, NotifyHint)> {
+    /// Backend: take the request registered for `head` — its token, trace
+    /// fork and notify hint.  `None` for a head nobody registered (a chain
+    /// published around the frontend).
+    pub fn claim(&self, head: u16) -> Option<(ReqToken, TraceCtx, NotifyHint)> {
         if !self.routes(head) {
             return None;
         }
@@ -383,9 +382,8 @@ impl SlotTable {
             SlotState::Abandoned => {}
             _ => return None,
         }
-        let tl = std::mem::take(&mut body.tl);
         let trace = std::mem::take(&mut body.trace);
-        Some((token_of(self.lane, i, word.generation), tl, trace, body.hint))
+        Some((token_of(self.lane, i, word.generation), trace, body.hint))
     }
 
     /// Backend: let go of `token`'s slot, with a completion or (dead
@@ -405,12 +403,7 @@ impl SlotTable {
                 slot.set(word.with(SlotState::Retired));
                 true
             }
-            (SlotState::Abandoned, completion) => {
-                // Nobody reads the spans; their storage still goes home.
-                if let Some(Completion { mut tl, .. }) = completion {
-                    tl.clear();
-                    body.tl = tl;
-                }
+            (SlotState::Abandoned, _) => {
                 slot.set(word.with(SlotState::Free));
                 drop(body);
                 self.release_bit(token_slot(token));
@@ -435,7 +428,6 @@ impl SlotTable {
             return None;
         }
         let r = f(&mut body);
-        body.tl.clear();
         slot.set(word.with(SlotState::Free));
         Some(r)
     }
@@ -449,7 +441,6 @@ impl SlotTable {
         match word.state {
             SlotState::Completed | SlotState::Retired | SlotState::Prepared => {
                 let batch = body.batch.take();
-                body.tl.clear();
                 slot.set(word.with(SlotState::Free));
                 drop(body);
                 self.release_bit(token_slot(token));

@@ -15,10 +15,10 @@
 //!   link time, …) as an explicit parameter.  The paper-calibrated preset
 //!   reproduces the paper's native anchors (7 µs 1-byte latency,
 //!   6.4 GB/s peak remote read).
-//! * [`timeline::Timeline`] — a per-request span recorder.  As a request
-//!   traverses frontend → virtio → backend → SCIF → DMA, each component
-//!   appends labelled spans; the figure harness reads latency and
-//!   breakdowns straight off the timeline.
+//! * [`timeline::Timeline`] — a per-request ledger of virtual time.  As a
+//!   request traverses frontend → virtio → backend → SCIF → DMA, each
+//!   component charges labelled durations; the figure harness reads
+//!   latency and breakdowns straight off the timeline.
 //! * [`stats`] — small online-statistics helpers for the benchmark
 //!   harness (mean, stddev, percentiles, throughput series).
 //! * [`rng`] — a deterministic SplitMix64 generator so every experiment
@@ -34,5 +34,5 @@ pub mod units;
 pub use clock::{BusyResource, VirtualClock};
 pub use cost::CostModel;
 pub use rng::SplitMix64;
-pub use timeline::{Span, SpanLabel, Timeline};
+pub use timeline::{SpanLabel, Timeline};
 pub use units::{SimDuration, SimTime, GIB, KIB, MIB};

@@ -1,64 +1,109 @@
-//! Per-request span recording.
+//! Per-request virtual-time ledger.
 //!
-//! Every I/O request carries a [`Timeline`].  Components append labelled
-//! [`Span`]s as the request traverses them; at completion the timeline's
-//! total is the request's virtual latency and its spans are the breakdown
-//! the paper reports in §IV-B ("93% of this overhead attributes to the
-//! waiting scheme of vPHI inside the frontend driver").
+//! Every I/O request carries a [`Timeline`].  Components charge labelled
+//! durations to it as the request traverses them; at completion the
+//! timeline's total is the request's virtual latency and its per-label sums
+//! are the breakdown the paper reports in §IV-B ("93% of this overhead
+//! attributes to the waiting scheme of vPHI inside the frontend driver").
 
 use std::fmt;
 
 use crate::units::SimDuration;
 
-/// Which structural step a span was charged by.
+/// Which structural step a charge was made by.  Declared in request-path
+/// order — each pipeline stage's labels after the previous stage's — so a
+/// [`Timeline::breakdown`] reads from the guest syscall to the wake-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanLabel {
-    // native SCIF path
-    HostSyscall,
-    ScifPost,
-    DmaSetup,
-    LinkLatency,
-    LinkTransfer,
-    LinkContention,
-    DeviceDeliver,
-    Completion,
-    RmaSetup,
-    CopyUserKernel,
-    // paravirtual detour
+    // guest syscall
     GuestSyscall,
     GuestKmalloc,
     GuestCopy,
+    // virtio ring
     RingPush,
     VmExitKick,
+    // backend replay
     BackendDecode,
     GuestBufMap,
     PageTranslate,
     /// Backend registration-cache probe on the RMA path (hit or miss).
     RegCacheLookup,
+    WorkerSpawn,
+    PfnFaultResolve,
+    // zero-copy mapping
     /// Backend zero-copy RMA: pin one huge page of a registered window
     /// and install its device-aperture mapping (cold path only).
     WindowPin,
     /// Backend zero-copy RMA: build the scatter-gather descriptor list
     /// over the mapped subwindows (paid on every zero-copy request).
     SgBuild,
-    UsedPush,
-    IrqInject,
-    GuestWakeup,
-    PollWait,
-    WorkerSpawn,
-    PfnFaultResolve,
-    // device side
+    // host SCIF and the device side
+    HostSyscall,
+    ScifPost,
+    RmaSetup,
+    CopyUserKernel,
+    DeviceDeliver,
     UosSchedule,
     UosContextSwitch,
     CoiControl,
     DeviceSpawn,
     DeviceCompute,
     /// Anything not covered above (used by tests and extensions).
-    Other(u32),
+    Other,
+    // PCIe / DMA
+    DmaSetup,
+    LinkLatency,
+    LinkTransfer,
+    LinkContention,
+    // completion
+    Completion,
+    UsedPush,
+    IrqInject,
+    GuestWakeup,
+    PollWait,
 }
 
 impl SpanLabel {
-    /// True for spans introduced by virtualization — everything a native
+    pub const COUNT: usize = SpanLabel::ALL.len();
+
+    /// Every label in declaration order: `ALL[label as usize] == label`.
+    pub const ALL: [SpanLabel; 33] = [
+        SpanLabel::GuestSyscall,
+        SpanLabel::GuestKmalloc,
+        SpanLabel::GuestCopy,
+        SpanLabel::RingPush,
+        SpanLabel::VmExitKick,
+        SpanLabel::BackendDecode,
+        SpanLabel::GuestBufMap,
+        SpanLabel::PageTranslate,
+        SpanLabel::RegCacheLookup,
+        SpanLabel::WorkerSpawn,
+        SpanLabel::PfnFaultResolve,
+        SpanLabel::WindowPin,
+        SpanLabel::SgBuild,
+        SpanLabel::HostSyscall,
+        SpanLabel::ScifPost,
+        SpanLabel::RmaSetup,
+        SpanLabel::CopyUserKernel,
+        SpanLabel::DeviceDeliver,
+        SpanLabel::UosSchedule,
+        SpanLabel::UosContextSwitch,
+        SpanLabel::CoiControl,
+        SpanLabel::DeviceSpawn,
+        SpanLabel::DeviceCompute,
+        SpanLabel::Other,
+        SpanLabel::DmaSetup,
+        SpanLabel::LinkLatency,
+        SpanLabel::LinkTransfer,
+        SpanLabel::LinkContention,
+        SpanLabel::Completion,
+        SpanLabel::UsedPush,
+        SpanLabel::IrqInject,
+        SpanLabel::GuestWakeup,
+        SpanLabel::PollWait,
+    ];
+
+    /// True for charges introduced by virtualization — everything a native
     /// (host) execution of the same request would not pay.
     pub fn is_virtualization_overhead(self) -> bool {
         matches!(
@@ -90,140 +135,99 @@ impl fmt::Display for SpanLabel {
     }
 }
 
-/// One labelled charge of virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    pub label: SpanLabel,
-    pub duration: SimDuration,
-}
-
-/// An ordered record of the spans charged to one request.
+/// The virtual time charged to one request (or to everything a caller
+/// reuses it for), summed per label.
 ///
-/// A caller may keep one timeline across thousands of requests (a
-/// `micnativeloadex` launch charges 850 spans into one), so what the
-/// request path asks of it — [`charge`](Self::charge),
-/// [`absorb`](Self::absorb), [`total`](Self::total) — is O(1) in the spans
-/// already there; the methods that walk `spans` are for reports.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A fixed array, so every method costs the same however many charges
+/// came before — a caller may keep one timeline across a whole session.
+/// What it does not keep is the order the charges were made in.
+#[derive(Clone, PartialEq)]
 pub struct Timeline {
-    spans: Vec<Span>,
-    /// Sum of `spans`' durations, kept by every method that edits `spans`.
-    total: SimDuration,
+    by_label: [SimDuration; SpanLabel::COUNT],
 }
 
-#[cfg(any(test, debug_assertions))]
-thread_local! {
-    static SPAN_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+impl Default for Timeline {
+    fn default() -> Self {
+        Timeline::new()
+    }
 }
 
-/// Spans the calling thread has been handed by a [`Timeline`] so far,
-/// through the slice accessors (`spans`, `spans_from`) and the scanning
-/// methods (`total_for`, `virtualization_overhead`, `breakdown`,
-/// `Display`) — the tests' evidence that the request path walks none but
-/// its own.  Compiled out of release builds.
-#[cfg(any(test, debug_assertions))]
-pub fn span_visits() -> u64 {
-    SPAN_VISITS.with(std::cell::Cell::get)
-}
-
-#[inline]
-fn visit(spans: &[Span]) -> &[Span] {
-    #[cfg(any(test, debug_assertions))]
-    SPAN_VISITS.with(|v| v.set(v.get() + spans.len() as u64));
-    spans
+impl fmt::Debug for Timeline {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.breakdown()).finish()
+    }
 }
 
 impl Timeline {
-    pub fn new() -> Self {
-        Timeline::default()
+    pub const fn new() -> Self {
+        Timeline { by_label: [SimDuration::ZERO; SpanLabel::COUNT] }
     }
 
-    /// Pre-size for a known span count (hot-path requests charge ~12 spans).
-    pub fn with_capacity(n: usize) -> Self {
-        Timeline { spans: Vec::with_capacity(n), total: SimDuration::ZERO }
-    }
-
-    /// Charge `duration` under `label`.  Zero-duration charges are dropped
-    /// to keep breakdowns readable.
+    /// Charge `duration` under `label`.
     pub fn charge(&mut self, label: SpanLabel, duration: SimDuration) {
-        if !duration.is_zero() {
-            self.spans.push(Span { label, duration });
-            self.total += duration;
+        self.by_label[label as usize] += duration;
+    }
+
+    /// Add everything `other` holds (used when a sub-path, e.g. the host
+    /// SCIF call made by the backend, returns its own timeline).
+    pub fn absorb(&mut self, other: &Timeline) {
+        for (mine, theirs) in self.by_label.iter_mut().zip(other.by_label) {
+            *mine += theirs;
         }
     }
 
-    /// Append all spans of `other` (used when a sub-path, e.g. the host
-    /// SCIF call made by the backend, returns its own timeline).
-    pub fn absorb(&mut self, other: &Timeline) {
-        self.spans.extend_from_slice(&other.spans);
-        self.total += other.total;
-    }
-
-    /// Every span, for a report.  Not for the request path: the caller's
-    /// timeline may hold thousands.
-    pub fn spans(&self) -> &[Span] {
-        visit(&self.spans)
-    }
-
-    /// The spans charged since the timeline was [`len`](Self::len) `start`
-    /// long — one request's own slice of a timeline its caller reuses.
-    pub fn spans_from(&self, start: usize) -> &[Span] {
-        visit(&self.spans[start.min(self.spans.len())..])
-    }
-
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Total virtual time across all spans — the request's latency.
-    pub fn total(&self) -> SimDuration {
-        self.total
-    }
-
-    /// Total charged under one label.
-    pub fn total_for(&self, label: SpanLabel) -> SimDuration {
-        visit(&self.spans).iter().filter(|s| s.label == label).map(|s| s.duration).sum()
-    }
-
-    /// Total charged to virtualization-overhead labels.
-    pub fn virtualization_overhead(&self) -> SimDuration {
-        visit(&self.spans)
-            .iter()
-            .filter(|s| s.label.is_virtualization_overhead())
-            .map(|s| s.duration)
-            .sum()
-    }
-
-    /// Collapse to `(label, total)` pairs in first-appearance order.
-    pub fn breakdown(&self) -> Vec<(SpanLabel, SimDuration)> {
-        let mut out: Vec<(SpanLabel, SimDuration)> = Vec::new();
-        for s in visit(&self.spans) {
-            match out.iter_mut().find(|(l, _)| *l == s.label) {
-                Some((_, d)) => *d += s.duration,
-                None => out.push((s.label, s.duration)),
-            }
+    /// What was charged since this timeline read `earlier`.
+    pub fn since(&self, earlier: &Timeline) -> Timeline {
+        let mut out = self.clone();
+        for (mine, before) in out.by_label.iter_mut().zip(earlier.by_label) {
+            *mine -= before;
         }
         out
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.total().is_zero()
+    }
+
+    /// Total virtual time across all labels — the request's latency.
+    pub fn total(&self) -> SimDuration {
+        self.by_label.iter().copied().sum()
+    }
+
+    /// Total charged under one label.
+    pub fn total_for(&self, label: SpanLabel) -> SimDuration {
+        self.by_label[label as usize]
+    }
+
+    /// Total charged to virtualization-overhead labels.
+    pub fn virtualization_overhead(&self) -> SimDuration {
+        SpanLabel::ALL
+            .into_iter()
+            .zip(self.by_label)
+            .filter(|(label, _)| label.is_virtualization_overhead())
+            .map(|(_, d)| d)
+            .sum()
+    }
+
+    /// `(label, total)` for every label charged, in declaration order.
+    pub fn breakdown(&self) -> Vec<(SpanLabel, SimDuration)> {
+        SpanLabel::ALL.into_iter().zip(self.by_label).filter(|(_, d)| !d.is_zero()).collect()
+    }
+
     pub fn clear(&mut self) {
-        self.spans.clear();
-        self.total = SimDuration::ZERO;
+        *self = Timeline::new();
     }
 }
 
 impl fmt::Display for Timeline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "timeline total={}", self.total())?;
+        let total = self.total();
+        writeln!(f, "timeline total={total}")?;
         for (label, d) in self.breakdown() {
-            let pct = if self.total().is_zero() {
+            let pct = if total.is_zero() {
                 0.0
             } else {
-                100.0 * d.as_nanos() as f64 / self.total().as_nanos() as f64
+                100.0 * d.as_nanos() as f64 / total.as_nanos() as f64
             };
             writeln!(f, "  {label:<18} {d:>12} ({pct:5.1}%)")?;
         }
@@ -248,7 +252,7 @@ mod tests {
         assert_eq!(t.total(), us(7));
         assert_eq!(t.total_for(SpanLabel::HostSyscall), us(2));
         assert_eq!(t.total_for(SpanLabel::IrqInject), SimDuration::ZERO);
-        assert_eq!(t.spans().len(), 3);
+        assert_eq!(t.total_for(SpanLabel::LinkTransfer), us(5));
     }
 
     #[test]
@@ -256,16 +260,18 @@ mod tests {
         let mut t = Timeline::new();
         t.charge(SpanLabel::RingPush, SimDuration::ZERO);
         assert!(t.is_empty());
+        assert!(t.breakdown().is_empty());
     }
 
     #[test]
     fn breakdown_merges_labels_in_order() {
         let mut t = Timeline::new();
-        t.charge(SpanLabel::RingPush, us(1));
         t.charge(SpanLabel::IrqInject, us(2));
-        t.charge(SpanLabel::RingPush, us(3));
+        t.charge(SpanLabel::RingPush, us(1));
+        t.charge(SpanLabel::IrqInject, us(3));
         let b = t.breakdown();
-        assert_eq!(b, vec![(SpanLabel::RingPush, us(4)), (SpanLabel::IrqInject, us(2))]);
+        // Declaration order, not charge order.
+        assert_eq!(b, vec![(SpanLabel::RingPush, us(1)), (SpanLabel::IrqInject, us(5))]);
     }
 
     #[test]
@@ -274,8 +280,10 @@ mod tests {
         a.charge(SpanLabel::GuestSyscall, us(1));
         let mut b = Timeline::new();
         b.charge(SpanLabel::HostSyscall, us(2));
+        let before = a.clone();
         a.absorb(&b);
         assert_eq!(a.total(), us(3));
+        assert_eq!(a.since(&before), b);
     }
 
     #[test]

@@ -67,43 +67,47 @@ proptest! {
         prop_assert_eq!(ta.total(), ta_total + tb_total);
     }
 
-    /// The running total is the sum of `spans()` whatever edited them, and
-    /// equality and the rendering depend on the spans alone.
+    /// Whatever edited it, a timeline's total is the sum of its breakdown,
+    /// the breakdown lists no empty label, `since` undoes an `absorb`, and
+    /// a timeline rebuilt from its breakdown is equal and renders alike.
     #[test]
-    fn running_total_tracks_every_edit(
+    fn the_ledger_reconciles_after_every_edit(
         ops in prop::collection::vec((0u8..8, 0usize..4, 0u64..1_000), 0..80),
     ) {
         const LABELS: [SpanLabel; 4] =
-            [SpanLabel::HostSyscall, SpanLabel::GuestWakeup, SpanLabel::RingPush, SpanLabel::Other(7)];
+            [SpanLabel::HostSyscall, SpanLabel::GuestWakeup, SpanLabel::RingPush, SpanLabel::Other];
         let mut tl = Timeline::new();
-        let mut other = Timeline::with_capacity(4);
+        let mut other = Timeline::new();
         for (op, label, ns) in ops {
             match op {
-                // Every fourth charge is a zero, which must stay dropped.
+                // Every fourth charge is a zero, which must leave no entry.
                 0..=3 => tl.charge(LABELS[label], SimDuration(if op == 3 { 0 } else { ns })),
                 4 => other.charge(LABELS[label], SimDuration(ns)),
-                5 => tl.absorb(&other),
+                5 => {
+                    let before = tl.clone();
+                    tl.absorb(&other);
+                    prop_assert_eq!(&tl.since(&before), &other);
+                }
                 6 => tl = tl.clone(),
                 _ => {
                     if ns < 100 {
                         tl.clear();
                         prop_assert!(tl.is_empty());
+                        prop_assert_eq!(&tl, &Timeline::new());
                     } else {
                         other.clear();
                     }
                 }
             }
             for t in [&tl, &other] {
-                prop_assert_eq!(t.total(), t.spans().iter().map(|s| s.duration).sum::<SimDuration>());
-                prop_assert_eq!(t.len(), t.spans().len());
-                prop_assert!(t.spans().iter().all(|s| !s.duration.is_zero()));
+                let breakdown = t.breakdown();
+                prop_assert_eq!(t.total(), breakdown.iter().map(|&(_, d)| d).sum::<SimDuration>());
+                prop_assert!(breakdown.iter().all(|(_, d)| !d.is_zero()));
             }
         }
-        // The same spans charged one by one into a fresh timeline: equal,
-        // and rendered alike, however the total was arrived at.
         let mut rebuilt = Timeline::new();
-        for s in tl.spans() {
-            rebuilt.charge(s.label, s.duration);
+        for (label, d) in tl.breakdown() {
+            rebuilt.charge(label, d);
         }
         prop_assert_eq!(&rebuilt, &tl);
         prop_assert_eq!(rebuilt.to_string(), tl.to_string());

@@ -121,21 +121,18 @@ impl OpenSpan {
 }
 
 /// Token for a request root adopted via [`OpCtx::adopt_root`]; closed by
-/// [`OpCtx::finish_root`], which also decomposes the request's timeline
-/// slice into per-stage sums for the histograms.
+/// [`OpCtx::finish_root`], which also decomposes what the request charged
+/// into per-stage sums for the histograms.
 #[must_use = "a root span must be finished or the trace reports an orphan"]
 #[derive(Debug)]
 pub struct RootSpan {
-    armed: bool,
     name: &'static str,
-    start_total: SimDuration,
-    /// `tl.len()` at adoption — the start of this request's slice.
-    tl_start: usize,
+    /// The timeline as the request found it; `None` when disarmed.
+    start: Option<Timeline>,
 }
 
 impl RootSpan {
-    const DISARMED: RootSpan =
-        RootSpan { armed: false, name: "", start_total: SimDuration::ZERO, tl_start: 0 };
+    const DISARMED: RootSpan = RootSpan { name: "", start: None };
 }
 
 /// Root spans get id 1; their `parent` field is 0 ("no parent").
@@ -229,24 +226,25 @@ impl<'a> OpCtx<'a> {
             zero,
             queue: 0,
         });
-        RootSpan { armed: true, name: op, start_total: zero, tl_start: self.tl.len() }
+        RootSpan { name: op, start: Some(self.tl.clone()) }
     }
 
     /// Close a root adopted by [`adopt_root`](Self::adopt_root): record the
-    /// root span, decompose the request's timeline slice into per-stage
-    /// sums (total by construction — see [`Stage::of`]), feed the
-    /// histograms, and detach this context from the trace.
+    /// root span, decompose what the request charged into per-stage sums
+    /// (total by construction — see [`Stage::of`]), feed the histograms,
+    /// and detach this context from the trace.
     pub fn finish_root(&mut self, root: RootSpan, payload: u64) {
-        if !root.armed {
+        let Some(start) = root.start else {
             return;
-        }
+        };
         let Some(inner) = self.trace.inner.take() else {
             return;
         };
-        let total = self.tl.total();
+        let own = self.tl.since(&start);
+        let total = own.total();
         let mut stages = [SimDuration::ZERO; crate::STAGE_COUNT];
-        for span in self.tl.spans_from(root.tl_start) {
-            stages[Stage::of(span.label).index()] += span.duration;
+        for (label, d) in own.breakdown() {
+            stages[Stage::of(label).index()] += d;
         }
         inner.tracer.record(SpanRec {
             vm: inner.vm,
@@ -257,16 +255,9 @@ impl<'a> OpCtx<'a> {
             stage: Stage::GuestSyscall,
             queue: inner.queue,
             start: SimDuration::ZERO,
-            dur: total - root.start_total,
+            dur: total,
         });
-        inner.tracer.finish_request(
-            inner.vm,
-            inner.trace_id,
-            root.name,
-            payload,
-            stages,
-            total - root.start_total,
-        );
+        inner.tracer.finish_request(inner.vm, inner.trace_id, root.name, payload, stages, total);
     }
 
     /// Tag the trace with the virtqueue the request was routed to (see

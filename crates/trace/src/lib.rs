@@ -128,7 +128,7 @@ impl Stage {
             | SpanLabel::CoiControl
             | SpanLabel::DeviceSpawn
             | SpanLabel::DeviceCompute
-            | SpanLabel::Other(_) => Stage::HostScif,
+            | SpanLabel::Other => Stage::HostScif,
             SpanLabel::DmaSetup
             | SpanLabel::LinkLatency
             | SpanLabel::LinkTransfer
@@ -245,6 +245,26 @@ mod tests {
                 "completion"
             ]
         );
+    }
+
+    /// `SpanLabel::ALL` is the one hand-kept list of labels: it maps a
+    /// timeline slot back to its label, and its order is the breakdown's.
+    #[test]
+    fn labels_are_declared_in_stage_order() {
+        assert_eq!(SpanLabel::ALL.len(), SpanLabel::COUNT);
+        for (i, label) in SpanLabel::ALL.into_iter().enumerate() {
+            assert_eq!(label as usize, i, "{label:?} is out of place in SpanLabel::ALL");
+        }
+        for pair in SpanLabel::ALL.windows(2) {
+            assert!(
+                Stage::of(pair[0]) <= Stage::of(pair[1]),
+                "{:?} ({:?}) is declared before {:?} ({:?})",
+                pair[0],
+                Stage::of(pair[0]),
+                pair[1],
+                Stage::of(pair[1])
+            );
+        }
     }
 
     #[test]

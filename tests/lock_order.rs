@@ -750,95 +750,6 @@ fn the_fixed_request_path_stays_inside_its_lock_budget() {
     }
 }
 
-/// The scan budget of the same path (DESIGN.md #24).  A caller may keep
-/// one timeline across a whole session — `micnativeloadex` charges a
-/// launch's 850 spans into one — so no request may walk what is already
-/// on it.  On a timeline preloaded with 10,000 spans, a blocking 1-byte
-/// send, a 4 MiB `send_timed` chunk and a 16-entry submit + reap are
-/// handed no span at all with tracing disarmed, and with it armed no more
-/// than they charged themselves (`finish_root`'s per-stage sums).  The
-/// counter is this thread's and exists in debug builds only; a blocking
-/// call's backend half runs on this thread too.
-#[cfg(debug_assertions)]
-#[test]
-fn the_fixed_request_path_walks_no_spans_but_its_own() {
-    use vphi::builder::{VmConfig, VphiHost};
-    use vphi::{Cq, Sq, SqEntry};
-    use vphi_scif::{Port, ScifAddr};
-    use vphi_sim_core::timeline::span_visits;
-    use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
-    use vphi_trace::TraceConfig;
-
-    const PRELOAD: usize = 10_000;
-    const CHUNK: u64 = 4 << 20;
-    const BATCH: usize = 16;
-
-    for armed in [false, true] {
-        let host = VphiHost::new(1);
-        if armed {
-            host.arm_tracing(TraceConfig::default());
-        }
-        let listener = host.device_endpoint(0).unwrap();
-        listener.bind(Port(969), &mut Timeline::new()).unwrap();
-        listener.listen(1, &mut Timeline::new()).unwrap();
-        let card = std::thread::spawn(move || {
-            let mut tl = Timeline::new();
-            let conn = listener.accept(&mut tl).unwrap();
-            assert_eq!(conn.recv_timed(CHUNK, &mut tl), Ok(CHUNK));
-            assert_eq!(conn.recv(&mut [0u8; 1 + BATCH], &mut tl), Ok(1 + BATCH));
-        });
-        let vm = host.spawn_vm(VmConfig::default());
-        let mut tl = Timeline::new();
-        let guest = vm.open_scif(&mut tl).unwrap();
-        guest.connect(ScifAddr::new(host.device_node(0), Port(969)), &mut tl).unwrap();
-        tl.clear();
-        for _ in 0..PRELOAD {
-            tl.charge(SpanLabel::Other(0), SimDuration(1));
-        }
-
-        // (spans handed out, spans charged) by one call on the caller's
-        // timeline.
-        let mut walk = |call: &mut dyn FnMut(&mut Timeline)| -> (u64, u64) {
-            let (len, visits) = (tl.len(), span_visits());
-            call(&mut tl);
-            (span_visits() - visits, (tl.len() - len) as u64)
-        };
-        let calls = [
-            ("blocking 1-byte send", walk(&mut |tl| assert_eq!(guest.send(&[7], tl), Ok(1)))),
-            (
-                "4 MiB send_timed chunk",
-                walk(&mut |tl| assert_eq!(guest.send_timed(CHUNK, tl), Ok(CHUNK))),
-            ),
-            (
-                "16-entry submit + reap",
-                walk(&mut |tl| {
-                    let mut sq = Sq::new();
-                    for i in 0..BATCH {
-                        sq.push(SqEntry::send(&[i as u8]));
-                    }
-                    let mut cq = Cq::new();
-                    cq.watch(&guest.submit(&mut sq, &mut *tl).unwrap());
-                    assert_eq!(guest.reap(&mut cq, BATCH, BATCH, tl), Ok(BATCH));
-                }),
-            ),
-        ];
-        card.join().unwrap();
-        guest.close(&mut Timeline::new()).unwrap();
-        vm.shutdown();
-
-        for (what, (visited, charged)) in calls {
-            println!("{what}, armed {armed}: {visited} spans walked, {charged} charged");
-            assert!(charged > 0, "{what} charged nothing");
-            if armed {
-                assert!(visited <= charged, "{what}: walked {visited} spans, charged {charged}");
-                assert!(visited > 0, "{what}: an armed request sums its own slice");
-            } else {
-                assert_eq!(visited, 0, "{what}: a disarmed request walked {visited} spans");
-            }
-        }
-    }
-}
-
 /// Every class-order edge the guest request surface takes, as `(held,
 /// acquired)`.  The order graph learns the lock order from the
 /// acquisitions it sees (DESIGN.md #12); this list pins the part of it the
