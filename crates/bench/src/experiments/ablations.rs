@@ -10,6 +10,8 @@ use vphi_sim_core::units::{KIB, MIB};
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 use vphi_trace::size_bucket;
 
+use crate::support::{Cell, Figure};
+
 /// ABL-WAIT row: one (scheme, size) measurement — latency plus the
 /// spin-burn side of the trade-off.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,6 +145,58 @@ pub fn abl_block() -> Vec<BlockRow> {
         }
     }
     rows
+}
+
+/// ABL-WAIT, run and tabled.
+pub fn wait_figure() -> Figure {
+    let mut fig = Figure::new(
+        "abl-wait",
+        "ABL-WAIT — waiting schemes (paper's future-work hybrid included)",
+        &["scheme", "size", "latency", "vCPU", "spin burn", "service"],
+    );
+    for r in abl_wait() {
+        fig.row(vec![
+            Cell::Text(r.scheme.to_string()),
+            Cell::Bytes(r.bytes),
+            Cell::Time(r.latency),
+            Cell::Text(if r.slept { "sleep" } else { "spin" }.to_string()),
+            Cell::Ns(r.spin_burn_ns),
+            Cell::Ns(r.svc_ns),
+        ]);
+    }
+    fig.note("adaptive spins small requests below the EWMA budget, sleeps bulk at once");
+    fig
+}
+
+/// ABL-CHUNK, run and tabled.
+pub fn chunk_figure() -> Figure {
+    let mut fig = Figure::new(
+        "abl-chunk",
+        "ABL-CHUNK — staging chunk size vs 64MiB send bandwidth",
+        &["chunk", "transfer", "bandwidth"],
+    );
+    for r in abl_chunk() {
+        fig.row(vec![Cell::Bytes(r.chunk), Cell::Bytes(r.transfer), Cell::Rate(r.bandwidth)]);
+    }
+    fig
+}
+
+/// ABL-BLOCK, run and tabled.
+pub fn block_figure() -> Figure {
+    let mut fig = Figure::new(
+        "abl-block",
+        "ABL-BLOCK — backend dispatch: blocking vs worker threads",
+        &["policy", "size", "latency", "VM paused"],
+    );
+    for r in abl_block() {
+        fig.row(vec![
+            Cell::Text(r.policy.to_string()),
+            Cell::Bytes(r.bytes),
+            Cell::Time(r.latency),
+            Cell::Time(r.vm_paused),
+        ]);
+    }
+    fig
 }
 
 #[cfg(test)]

@@ -15,6 +15,8 @@ use vphi_coi::{CoiDaemon, GuestEnv, NativeEnv};
 use vphi_mic_tools::{micnativeloadex, MicBinary};
 use vphi_sim_core::SimDuration;
 
+use crate::support::{Cell, Figure};
+
 /// The paper's three thread counts (1, 2, 4 threads per usable core on
 /// the 3120P).
 pub const PAPER_THREAD_COUNTS: [u32; 3] = [56, 112, 224];
@@ -72,6 +74,28 @@ pub fn dgemm_figure(threads: u32, sizes: &[u64]) -> Vec<DgemmRow> {
     vm.shutdown();
     daemon.shutdown();
     rows
+}
+
+/// Paper figure `id` (one of Figs. 6–8): the size sweep at `threads`,
+/// run and tabled.
+pub fn figure(id: &'static str, threads: u32) -> Figure {
+    let mut fig = Figure::new(
+        id,
+        format!("Fig. {id} — dgemm launch+execution, {threads} threads"),
+        &["N", "inputs", "host", "vPHI", "on-device", "vPHI/host"],
+    );
+    for r in dgemm_figure(threads, &dgemm_sizes()) {
+        fig.row(vec![
+            Cell::Count(r.n),
+            Cell::Bytes(r.input_bytes),
+            Cell::Time(r.host_total),
+            Cell::Time(r.vphi_total),
+            Cell::Time(r.device_time),
+            Cell::Real(r.normalized(), 3, ""),
+        ]);
+    }
+    fig.note("paper: overhead amortizes as input size grows (ratio → 1)");
+    fig
 }
 
 #[cfg(test)]

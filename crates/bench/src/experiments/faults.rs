@@ -9,13 +9,13 @@
 //! * wall nanoseconds per `fire()` call, disarmed and armed-but-idle
 //!   (a plan with zero points: every crossing does the full bookkeeping),
 //! * the 1-byte vPHI send: virtual latency must stay *exactly* at the
-//!   Fig. 4 anchor (382 µs) with hooks armed, and the hooks' share of the
-//!   send's wall time must stay under 1%,
+//!   Fig. 4 anchor (382 µs) with hooks armed, and the disarmed hooks one
+//!   send crosses must together cost no more than the trace probes'
+//!   [`DISARMED_PROBE_BUDGET_NS`](crate::trace_breakdown::DISARMED_PROBE_BUDGET_NS)
+//!   (their share of the send's wall time is reported, not gated),
 //! * recovery: with two VMs on two cards, card 0 is failed and reset; the
 //!   measurement is the reset's virtual latency, plus proof that only the
 //!   victim VM's endpoints were quarantined and both VMs keep working.
-
-use std::time::Instant;
 
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
@@ -24,12 +24,12 @@ use vphi_faults::{FaultHook, FaultInjector, FaultPlan, FaultSite};
 use vphi_scif::ScifError;
 use vphi_sim_core::{SimDuration, Timeline};
 
-/// Calls per hook-microbenchmark loop.
-const FIRE_LOOPS: u64 = 2_000_000;
+use crate::support::{ns_per_call, Cell, Figure};
+
 /// 1-byte sends timed for the wall-clock overhead estimate.
 const SEND_SAMPLES: u32 = 256;
 
-/// The ablation result (`BENCH_faults.json`).
+/// The ablation result (golden key `abl-faults`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultsReport {
     /// Wall ns per `FaultHook::fire` with no injector armed.
@@ -58,17 +58,11 @@ pub struct FaultsReport {
     pub victim_recovered_send_ok: bool,
 }
 
-/// Time `fire` in a tight loop; the disarmed case is the production cost.
+/// Wall ns per `fire`; the disarmed case is the production cost.
 fn ns_per_fire(hook: &FaultHook) -> f64 {
-    // One warmup pass keeps the first-touch cost out of the measurement.
-    for _ in 0..FIRE_LOOPS / 10 {
+    ns_per_call(|| {
         std::hint::black_box(hook.fire(std::hint::black_box(FaultSite::PcieDmaError)));
-    }
-    let start = Instant::now();
-    for _ in 0..FIRE_LOOPS {
-        std::hint::black_box(hook.fire(std::hint::black_box(FaultSite::PcieDmaError)));
-    }
-    start.elapsed().as_nanos() as f64 / FIRE_LOOPS as f64
+    })
 }
 
 /// One connected 1-byte sender; returns (virtual latency, mean wall ns)
@@ -169,9 +163,52 @@ pub fn abl_faults() -> FaultsReport {
     }
 }
 
+impl FaultsReport {
+    /// The virtual costs as a table; the hook microbenchmark and the
+    /// send's wall time as wall readings.
+    pub fn figure(&self) -> Figure {
+        let mut fig = Figure::new(
+            "abl-faults",
+            "ABL-FAULTS — steady-state cost of disarmed fault hooks + recovery latency",
+            &["measurement", "cost", "notes"],
+        );
+        let crossings = fig.fact("crossings_per_send", Cell::Count(self.crossings_per_send));
+        let victim = fig.fact("victim_quarantined", Cell::Count(self.victim_quarantined));
+        let bystander = fig.fact("bystander_quarantined", Cell::Count(self.bystander_quarantined));
+        let text = |s: &str| Cell::Text(s.to_string());
+        fig.row(vec![
+            text("1-byte send (hooks disarmed)"),
+            Cell::Time(self.latency_disarmed),
+            text(""),
+        ]);
+        fig.row(vec![
+            text("1-byte send (hooks armed)"),
+            Cell::Time(self.latency_armed),
+            Cell::Text(format!("{crossings} hook crossings")),
+        ]);
+        fig.row(vec![
+            text("card reset, 2 VMs attached"),
+            Cell::Time(self.reset_recovery),
+            Cell::Text(format!("quarantined {victim}/{bystander} (victim/bystander)")),
+        ]);
+        let unaffected = fig.fact("bystander_send_ok", Cell::Flag(self.bystander_send_ok));
+        let reconnected =
+            fig.fact("victim_recovered_send_ok", Cell::Flag(self.victim_recovered_send_ok));
+        fig.note(format!(
+            "bystander unaffected: {unaffected}; victim reconnected after reset: {reconnected}"
+        ));
+        fig.wall("disarmed_ns_per_fire", Cell::Real(self.disarmed_ns_per_fire, 1, " ns"));
+        fig.wall("armed_idle_ns_per_fire", Cell::Real(self.armed_idle_ns_per_fire, 1, " ns"));
+        fig.wall("send_wall_ns", Cell::Real(self.send_wall_ns, 0, " ns"));
+        fig.wall("hook_overhead_pct", Cell::Real(self.hook_overhead_pct, 4, "%"));
+        fig
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace_breakdown::DISARMED_PROBE_BUDGET_NS;
 
     #[test]
     fn disarmed_hooks_are_free_and_recovery_is_scoped() {
@@ -182,13 +219,19 @@ mod tests {
         assert_eq!(report.latency_disarmed, SimDuration::from_micros(382));
         assert_eq!(report.latency_armed, report.latency_disarmed);
 
-        // A send crosses a handful of hooks; their wall cost is far under
-        // the 1% budget (each fire is a single OnceLock fast-path load —
-        // the 200 ns/fire ceiling is generous for a loaded CI runner).
+        // A send crosses a handful of hooks, each a single OnceLock
+        // fast-path load when disarmed (the 200 ns/fire ceiling is generous
+        // for a loaded CI runner).  Together they share the trace probes'
+        // absolute budget, a property of the optimized build like that
+        // one; a share of the send's wall time would tighten as the send
+        // around the hooks gets faster.
         assert!(report.crossings_per_send >= 1, "{report:?}");
         assert!(report.crossings_per_send < 64, "{report:?}");
         assert!(report.disarmed_ns_per_fire < 200.0, "{report:?}");
-        assert!(report.hook_overhead_pct < 1.0, "{report:?}");
+        if !cfg!(debug_assertions) {
+            let hooks_ns = report.crossings_per_send as f64 * report.disarmed_ns_per_fire;
+            assert!(hooks_ns <= DISARMED_PROBE_BUDGET_NS, "{hooks_ns:.1} ns: {report:?}");
+        }
 
         // Recovery takes virtual time (the board reset) and touches only
         // the VM on the failed card.

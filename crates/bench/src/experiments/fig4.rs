@@ -9,6 +9,8 @@ use vphi_dev_support::{native_connect, sink, GuestRig};
 use vphi_sim_core::units::KIB;
 use vphi_sim_core::{SimDuration, Timeline};
 
+use crate::support::{Cell, Figure};
+
 /// One x-axis point of Figure 4.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fig4Row {
@@ -43,6 +45,25 @@ pub fn fig4_latency() -> Vec<Fig4Row> {
         rows.push(Fig4Row { bytes, host: host_tl.total(), vphi: rig.send(&data).total() });
     }
     rows
+}
+
+/// Figure 4, run and tabled.
+pub fn figure() -> Figure {
+    let mut fig = Figure::new(
+        "4",
+        "Fig. 4 — send-receive communication latency",
+        &["size", "host", "vPHI", "overhead"],
+    );
+    for r in fig4_latency() {
+        fig.row(vec![
+            Cell::Bytes(r.bytes),
+            Cell::Time(r.host),
+            Cell::Time(r.vphi),
+            Cell::Time(r.overhead()),
+        ]);
+    }
+    fig.note("paper anchors: host 1B = 7us, vPHI 1B = 382us, constant offset ~375us");
+    fig
 }
 
 #[cfg(test)]

@@ -26,6 +26,8 @@ use vphi_dev_support::{guest_send_once, guest_vread_once};
 use vphi_sim_core::units::{KIB, MIB};
 use vphi_sim_core::{SimDuration, SimTime, SpanLabel, Timeline};
 
+use crate::support::{Cell, Figure};
+
 /// The queue-count axis of the figure.
 pub const MQ_QUEUE_COUNTS: &[u16] = &[1, 2, 4];
 /// The VM-count axis of the figure.
@@ -104,6 +106,40 @@ impl MqScaleReport {
     pub fn rma_improvement_pct(&self) -> f64 {
         100.0 * self.rma_monolithic.saturating_sub(self.rma_pipelined).as_nanos() as f64
             / self.rma_monolithic.as_nanos().max(1) as f64
+    }
+
+    /// The grid as a table; the speedup and both anchors as facts.
+    pub fn figure(&self) -> Figure {
+        let mut fig = Figure::new(
+            "mq-scale",
+            "MQ-SCALE — aggregate throughput vs virtqueue lanes × VMs",
+            &["queues", "VMs", "requests", "bytes/req", "busiest lane", "makespan", "aggregate BW"],
+        );
+        for r in &self.rows {
+            fig.row(vec![
+                Cell::Count(u64::from(r.queues)),
+                Cell::Count(r.vms as u64),
+                Cell::Count(r.requests),
+                Cell::Bytes(r.bytes_each),
+                Cell::Share(r.busiest_lane_share, 0),
+                Cell::Time(r.makespan),
+                Cell::Rate(r.aggregate_bw),
+            ]);
+        }
+        let speedup = fig.fact("mq_speedup", Cell::Real(self.mq_speedup(), 2, "x"));
+        fig.note(format!("4-VM speedup at 4 queues vs 1: {speedup} (floor 2.5x)"));
+        let single = fig.fact("anchor_single_queue", Cell::Time(self.anchor_single_queue));
+        let default = fig.fact("anchor_default", Cell::Time(self.anchor_default));
+        fig.note(format!("1-queue 1B anchor: {single} (seed: 382us); default config: {default}"));
+        let bytes = fig.fact("rma_bytes", Cell::Bytes(self.rma_bytes));
+        let pipelined = fig.fact("rma_pipelined", Cell::Time(self.rma_pipelined));
+        let monolithic = fig.fact("rma_monolithic", Cell::Time(self.rma_monolithic));
+        let better =
+            fig.fact("rma_improvement_pct", Cell::Real(self.rma_improvement_pct(), 1, "%"));
+        fig.note(format!(
+            "pipelined {bytes} read: {pipelined} vs monolithic {monolithic} ({better} better, floor 20%)"
+        ));
+        fig
     }
 }
 

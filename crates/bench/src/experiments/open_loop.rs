@@ -33,6 +33,8 @@ use vphi_dev_support::{guest_send_once, sink, GuestRig};
 use vphi_sim_core::units::KIB;
 use vphi_sim_core::{SimDuration, SpanLabel, SplitMix64, Timeline};
 
+use crate::support::{Cell, Figure};
+
 /// Deterministic arrival seed (bit-reproducibility is asserted in tests).
 const ARRIVAL_SEED: u64 = 0x0000_BE70_0B50_5E4E_u64;
 /// VMs sharing the card in the sweep.
@@ -133,6 +135,52 @@ impl OpenLoopReport {
     /// The headline number (acceptance floor: 2×).
     pub fn batching_speedup(&self) -> f64 {
         self.batched_saturation_rps() / self.single_saturation_rps().max(1.0)
+    }
+
+    /// The grid as a table; the saturation knees, the doorbell ledger and
+    /// the anchor as facts.
+    pub fn figure(&self) -> Figure {
+        let mut fig = Figure::new(
+            "open-loop",
+            "OPEN-LOOP — serving throughput-latency: batched SQ/CQ vs one-request-per-kick",
+            &["mode", "rate/VM", "VMs", "requests", "rps", "p50", "p99", "p999"],
+        );
+        for r in &self.rows {
+            let mode =
+                if r.batch == 1 { "1/kick".to_string() } else { format!("batch {}", r.batch) };
+            fig.row(vec![
+                Cell::Text(mode),
+                Cell::Real(r.rate_per_vm, 0, ""),
+                Cell::Count(r.vms as u64),
+                Cell::Count(r.requests),
+                Cell::Real(r.throughput_rps, 0, ""),
+                Cell::Time(r.p50),
+                Cell::Time(r.p99),
+                Cell::Time(r.p999),
+            ]);
+        }
+        let batched =
+            fig.fact("batched_saturation_rps", Cell::Real(self.batched_saturation_rps(), 0, ""));
+        let single =
+            fig.fact("single_saturation_rps", Cell::Real(self.single_saturation_rps(), 0, ""));
+        let speedup = fig.fact("batching_speedup", Cell::Real(self.batching_speedup(), 2, "x"));
+        fig.note(format!(
+            "saturation (p99 ≤ 2ms): batched {batched} rps vs one-per-kick {single} rps — \
+             {speedup} (floor 2x)"
+        ));
+        let entries = fig.fact("batch_entries", Cell::Count(self.ledger.batch_entries));
+        let kicks = fig.fact("batch_kicks", Cell::Count(self.ledger.batch_kicks));
+        let per_entry =
+            fig.fact("kicks_per_submission", Cell::Real(self.ledger.kicks_per_submission(), 3, ""));
+        let per_drain =
+            fig.fact("chains_per_drain", Cell::Real(self.ledger.chains_per_drain(), 1, ""));
+        fig.note(format!(
+            "doorbell ledger: {entries} entries / {kicks} kicks = {per_entry} kicks/submission; \
+             backend popped {per_drain} chains/drain"
+        ));
+        let anchor = fig.fact("anchor", Cell::Time(self.anchor));
+        fig.note(format!("1-byte blocking anchor after the redesign: {anchor} (seed: 382us)"));
+        fig
     }
 }
 

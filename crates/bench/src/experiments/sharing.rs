@@ -18,6 +18,8 @@ use vphi_sim_core::stats::jain_fairness;
 use vphi_sim_core::units::MIB;
 use vphi_sim_core::{SimDuration, SimTime, SpanLabel, Timeline};
 
+use crate::support::{Cell, Figure};
+
 /// One row of the sharing table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShareRow {
@@ -42,6 +44,26 @@ pub fn sharing_scaling(vm_counts: &[usize]) -> Vec<ShareRow> {
         rows.push(share_point(n, bytes_each));
     }
     rows
+}
+
+/// SHARE at 1, 2, 4 and 8 VMs, run and tabled.
+pub fn figure() -> Figure {
+    let mut fig = Figure::new(
+        "share",
+        "SHARE — N VMs sharing one Xeon Phi (64MiB remote reads + 224-thread dgemm each)",
+        &["VMs", "bytes/VM", "mean latency", "aggregate BW", "fairness", "compute slowdown"],
+    );
+    for r in sharing_scaling(&[1, 2, 4, 8]) {
+        fig.row(vec![
+            Cell::Count(r.vms as u64),
+            Cell::Bytes(r.bytes_each),
+            Cell::Time(r.mean_latency),
+            Cell::Rate(r.aggregate_bw),
+            Cell::Real(r.fairness, 3, ""),
+            Cell::Real(r.compute_slowdown, 2, "x"),
+        ]);
+    }
+    fig
 }
 
 fn share_point(n: usize, bytes_each: u64) -> ShareRow {

@@ -17,8 +17,6 @@
 //! itself must stay at the Fig. 4 anchor (382 µs) with tracing armed —
 //! spans observe the timeline, they never charge it.
 
-use std::time::Instant;
-
 use vphi::builder::{VmConfig, VphiHost};
 use vphi_dev_support::{sink, window_timed, GuestRig};
 use vphi_scif::RmaFlags;
@@ -27,15 +25,14 @@ use vphi_sim_core::{SimDuration, Timeline};
 use vphi_trace::{HistRow, OpCtx, Stage, TraceConfig, TraceCtx, TraceHook, STAGE_COUNT};
 
 use crate::fig5::fig5_sizes;
+use crate::support::{ns_per_call, Cell, Figure};
 
-/// Calls per disarmed-probe microbenchmark loop.
-const PROBE_LOOPS: u64 = 2_000_000;
 /// 1-byte sends timed for the wall-clock overhead estimate.
 const SEND_SAMPLES: u32 = 256;
 /// Wall ns the disarmed probes of one 1-byte send may cost in an
-/// optimized build (they measure 14–24).  Absolute — 1% of the 12 µs send
-/// it was first set against — so the gate does not tighten as the send
-/// around the probes gets faster.
+/// optimized build (they measure 14–24); the fault hooks a send crosses
+/// share it.  Absolute — 1% of the 12 µs send it was first set against —
+/// so the gate does not tighten as the send around the probes gets faster.
 pub const DISARMED_PROBE_BUDGET_NS: f64 = 100.0;
 
 /// One payload size of the sweep: native total vs the traced vPHI
@@ -69,7 +66,8 @@ impl TraceStageRow {
     }
 }
 
-/// The experiment result (`BENCH_trace.json`).
+/// The experiment result (golden keys `trace-breakdown.anchor` and
+/// `trace-breakdown`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceBreakdownReport {
     /// Virtual latency of the traced 1-byte send (the Fig. 4 anchor).
@@ -104,19 +102,11 @@ fn ns_per_disarmed_probe() -> f64 {
     let hook = TraceHook::new();
     let mut tl = Timeline::new();
     let mut ctx = OpCtx::new(&mut tl, TraceCtx::default());
-    // One warmup pass keeps the first-touch cost out of the measurement.
-    for _ in 0..PROBE_LOOPS / 10 {
+    ns_per_call(|| {
         std::hint::black_box(hook.get());
         let span = ctx.begin(std::hint::black_box("probe"), Stage::GuestSyscall);
         ctx.end(span);
-    }
-    let start = Instant::now();
-    for _ in 0..PROBE_LOOPS {
-        std::hint::black_box(hook.get());
-        let span = ctx.begin(std::hint::black_box("probe"), Stage::GuestSyscall);
-        ctx.end(span);
-    }
-    start.elapsed().as_nanos() as f64 / PROBE_LOOPS as f64
+    })
 }
 
 /// Run the experiment.
@@ -211,6 +201,58 @@ pub fn trace_breakdown() -> TraceBreakdownReport {
     }
 }
 
+impl TraceBreakdownReport {
+    /// The anchor's stage decomposition, then the sweep's (with the probe
+    /// budget's wall readings).
+    pub fn figures(&self) -> Vec<Figure> {
+        let mut anchor = Figure::new(
+            "trace-breakdown.anchor",
+            "TRACE — 1-byte send decomposed by stage (Fig. 4 anchor)",
+            &["stage", "time", "share"],
+        );
+        let total = self.anchor_total.as_nanos() as f64;
+        for s in Stage::ALL {
+            let t = self.anchor_stages[s.index()];
+            anchor.row(vec![
+                Cell::Text(s.name().to_string()),
+                Cell::Time(t),
+                Cell::Share(t.as_nanos() as f64 / total, 1),
+            ]);
+        }
+        anchor.row(vec![
+            Cell::Text("end-to-end".to_string()),
+            Cell::Time(self.anchor_total),
+            Cell::Share(1.0, 1),
+        ]);
+
+        let mut columns = vec!["size", "native", "vPHI"];
+        columns.extend(Stage::ALL.iter().map(|s| s.name()));
+        columns.push("recon err");
+        let mut sweep = Figure::new(
+            "trace-breakdown",
+            "TRACE — Fig. 5 sweep decomposed by stage (where the 28% goes)",
+            &columns,
+        );
+        for r in &self.rows {
+            let mut row = vec![Cell::Bytes(r.bytes), Cell::Time(r.native), Cell::Time(r.vphi)];
+            row.extend(Stage::ALL.iter().map(|s| Cell::Time(r.stages[s.index()])));
+            row.push(Cell::Real(r.reconcile_err_pct(), 2, "%"));
+            sweep.row(row);
+        }
+        let spans = sweep.fact("spans_per_send", Cell::Count(self.spans_per_send));
+        let roots = sweep.fact("roots_per_send", Cell::Count(self.roots_per_send));
+        sweep.note(format!(
+            "disarmed probes per send: {spans} spans + {roots} root (budget \
+             {DISARMED_PROBE_BUDGET_NS:.0} ns together)"
+        ));
+        sweep.wall("disarmed_probe_ns", Cell::Real(self.disarmed_probe_ns, 1, " ns"));
+        sweep.wall("disarmed_probes_ns", Cell::Real(self.disarmed_probes_ns, 1, " ns"));
+        sweep.wall("send_wall_ns", Cell::Real(self.send_wall_ns, 0, " ns"));
+        sweep.wall("trace_overhead_pct", Cell::Real(self.trace_overhead_pct, 4, "%"));
+        vec![anchor, sweep]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,9 +301,8 @@ mod tests {
         assert!(report.spans_per_send >= 4, "{report:?}");
         assert!(report.spans_per_send < 64, "{report:?}");
         assert!(report.disarmed_probe_ns < 200.0, "{report:?}");
-        // The budget is a property of the optimized build (the CI
-        // trace-breakdown figure asserts it); an unoptimized probe costs
-        // ~25x more, so don't pin it in debug.
+        // The budget is a property of the optimized build; an unoptimized
+        // probe costs ~25x more, so don't pin it in debug.
         if !cfg!(debug_assertions) {
             assert!(report.disarmed_probes_ns <= DISARMED_PROBE_BUDGET_NS, "{report:?}");
         }

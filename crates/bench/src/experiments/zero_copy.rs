@@ -27,9 +27,10 @@ use vphi_dev_support::{guest_send_once, window_timed};
 use vphi_scif::RmaFlags;
 use vphi_sim_core::units::MIB;
 use vphi_sim_core::{SimDuration, Timeline};
-use vphi_trace::{TraceConfig, STAGE_COUNT};
+use vphi_trace::{Stage, TraceConfig, STAGE_COUNT};
 
 use crate::abl_cache::abl_cache_sizes;
+use crate::support::{Cell, Figure};
 
 /// One x-axis point (bandwidths in bytes/s of virtual time).
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +59,7 @@ impl ZeroCopyRow {
     }
 }
 
-/// The experiment result (`BENCH_zc.json`).
+/// The experiment result (golden key `zero-copy`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZeroCopyReport {
     pub rows: Vec<ZeroCopyRow>,
@@ -80,6 +81,67 @@ pub struct ZeroCopyReport {
     /// Aperture audit after every guest closed: both must be zero.
     pub mapped_after_close: u64,
     pub inflight_after_close: u64,
+}
+
+impl ZeroCopyReport {
+    /// The sweep as a table; anchors, counters, the audit and the traced
+    /// 256 MiB read's stages as facts.
+    pub fn figure(&self) -> Figure {
+        let mut fig = Figure::new(
+            "zero-copy",
+            "ZERO-COPY — large-RMA throughput: staged seed vs aperture-mapped gather",
+            &[
+                "size",
+                "native",
+                "staged",
+                "zc cold",
+                "zc warm",
+                "staged/nat",
+                "cold/nat",
+                "warm/nat",
+            ],
+        );
+        for r in &self.rows {
+            fig.row(vec![
+                Cell::Bytes(r.bytes),
+                Cell::Rate(r.native_bw),
+                Cell::Rate(r.off_bw),
+                Cell::Rate(r.zc_cold_bw),
+                Cell::Rate(r.zc_warm_bw),
+                Cell::Share(r.off_ratio(), 1),
+                Cell::Share(r.zc_cold_ratio(), 1),
+                Cell::Share(r.zc_warm_ratio(), 1),
+            ]);
+        }
+        let peak = self.rows.last().expect("rows");
+        fig.note(format!(
+            "256MiB cache-cold: staged {} vs zero-copy {} of native (floor 95%)",
+            Cell::Share(peak.off_ratio(), 1),
+            Cell::Share(peak.zc_cold_ratio(), 1),
+        ));
+        let off = fig.fact("anchor_off", Cell::Time(self.anchor_off));
+        let on = fig.fact("anchor_zc", Cell::Time(self.anchor_zc));
+        let maps = fig.fact("windows_mapped", Cell::Count(self.windows_mapped));
+        let hits = fig.fact("map_hits", Cell::Count(self.map_hits));
+        let sg = fig.fact("sg_descriptors", Cell::Count(self.sg_descriptors));
+        let unstaged = fig.fact("staging_bytes_avoided", Cell::Count(self.staging_bytes_avoided));
+        fig.fact("off_staging_bytes_avoided", Cell::Count(self.off_staging_bytes_avoided));
+        fig.note(format!(
+            "anchors: off {off} / on {on} (must be byte-identical); counters: {maps} maps, \
+             {hits} hits, {sg} sg descriptors, {unstaged} bytes unstaged"
+        ));
+        let windows = fig.fact("mapped_after_close", Cell::Count(self.mapped_after_close));
+        let inflight = fig.fact("inflight_after_close", Cell::Count(self.inflight_after_close));
+        fig.note(format!(
+            "aperture audit after close: {windows} windows, {inflight} inflight (both must be 0)"
+        ));
+        for (arm, stages) in [("off", &self.peak_stages_off), ("zc", &self.peak_stages_zc)] {
+            for s in Stage::ALL {
+                fig.fact(format!("peak_stages_{arm}.{}", s.name()), Cell::Time(stages[s.index()]));
+            }
+        }
+        fig
+    }
 }
 
 /// Run the experiment.
@@ -182,7 +244,6 @@ pub fn zero_copy() -> ZeroCopyReport {
 #[cfg(test)]
 mod tests {
     use vphi_sim_core::cost::KMALLOC_MAX_SIZE;
-    use vphi_trace::Stage;
 
     use super::*;
 
