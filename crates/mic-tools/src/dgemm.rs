@@ -2,11 +2,9 @@
 //!
 //! The uOS timing model predicts *when* a paper-scale dgemm finishes; this
 //! module checks *what* a dgemm computes, so the workload layer is not
-//! just a stopwatch.  Uses rayon, the idiomatic data-parallel layer for
-//! this domain, parallelizing over row blocks exactly the way a MIC
-//! OpenMP dgemm splits its iteration space.
-
-use rayon::prelude::*;
+//! just a stopwatch.  It works over row panels the way a MIC OpenMP dgemm
+//! splits its iteration space, one panel after another: all performance
+//! here is virtual time, never the host's thread count.
 
 /// Block edge for the L2-friendly tiling.
 const BLOCK: usize = 64;
@@ -19,11 +17,11 @@ pub fn dgemm(n: usize, alpha: f64, a: &[f64], b: &[f64], beta: f64, c: &mut [f64
 
     // Scale C by beta first (including beta = 0 semantics).
     if beta != 1.0 {
-        c.par_iter_mut().for_each(|x| *x *= beta);
+        c.iter_mut().for_each(|x| *x *= beta);
     }
 
-    // Parallel over row panels; each panel does a blocked ikj product.
-    c.par_chunks_mut(BLOCK * n).enumerate().for_each(|(panel, c_panel)| {
+    // Row panel by row panel; each panel does a blocked ikj product.
+    c.chunks_mut(BLOCK * n).enumerate().for_each(|(panel, c_panel)| {
         let i0 = panel * BLOCK;
         let i_end = (i0 + BLOCK).min(n);
         for k0 in (0..n).step_by(BLOCK) {

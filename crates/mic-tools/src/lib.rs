@@ -22,7 +22,6 @@ pub mod binary;
 pub mod dgemm;
 pub mod loadex;
 pub mod micinfo;
-pub mod micnet;
 pub mod mpilite;
 pub mod workload;
 

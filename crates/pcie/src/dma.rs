@@ -54,10 +54,10 @@ pub struct SgEntry {
 }
 
 /// A descriptor list covering one RMA transfer: huge-page-granular entries
-/// over mapped subwindows.  The engine charges ONE `DmaSetup` and one wire
-/// transit for the whole list — the hardware walks the descriptors without
-/// host round-trips, so per-entry cost is descriptor *construction*
-/// (`SpanLabel::SgBuild`, charged by the builder), not per-entry setup.
+/// over mapped subwindows.  The hardware walks the descriptors without host
+/// round-trips, so per-entry cost is descriptor *construction*
+/// (`SpanLabel::SgBuild`, charged by the backend's map arm), not per-entry
+/// setup.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SgList {
     entries: Vec<SgEntry>,
@@ -99,11 +99,6 @@ impl SgList {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Total bytes across the gather list.
-    pub fn bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.len).sum()
     }
 }
 
@@ -164,35 +159,6 @@ impl DmaEngine {
         self.bytes_total.add(src.len() as u64);
         self.transfers.bump();
         DmaOutcome { completed_at, channel, bytes: src.len() as u64 }
-    }
-
-    /// A pure timing transfer for data that is produced/consumed in place
-    /// (e.g. device-initiated prefetch): charges the same costs as [`copy`]
-    /// without touching memory.
-    ///
-    /// [`copy`]: DmaEngine::copy
-    pub fn transfer_timed(&self, bytes: u64, tl: &mut Timeline) -> DmaOutcome {
-        let channel = self.pick_channel();
-        tl.charge(SpanLabel::DmaSetup, self.link.cost().dma_setup);
-        let completed_at = self.link.transmit(bytes, tl);
-        self.bytes_total.add(bytes);
-        self.transfers.bump();
-        DmaOutcome { completed_at, channel, bytes }
-    }
-
-    /// Run a whole scatter-gather descriptor list as ONE transfer: a
-    /// single `DmaSetup` charge plus one wire transit over the list's
-    /// total bytes — no per-entry setup and no staging exposure.  This is
-    /// the timing contract the zero-copy RMA path depends on: cost is
-    /// independent of how many descriptors the gather splits into.
-    pub fn transfer_sg(&self, sg: &SgList, tl: &mut Timeline) -> DmaOutcome {
-        let channel = self.pick_channel();
-        tl.charge(SpanLabel::DmaSetup, self.link.cost().dma_setup);
-        let bytes = sg.bytes();
-        let completed_at = self.link.transmit(bytes, tl);
-        self.bytes_total.add(bytes);
-        self.transfers.bump();
-        DmaOutcome { completed_at, channel, bytes }
     }
 
     pub fn bytes_total(&self) -> u64 {
@@ -292,7 +258,7 @@ mod tests {
         let e = engine(2);
         let mut tl = Timeline::new();
         e.copy(&[0u8; 100], &mut [0u8; 100], &mut tl);
-        e.transfer_timed(900, &mut tl);
+        e.copy(&[0u8; 900], &mut [0u8; 900], &mut tl);
         assert_eq!(e.bytes_total(), 1_000);
         assert_eq!(e.transfer_count(), 2);
     }
@@ -368,7 +334,6 @@ mod tests {
         // A transfer straddling two huge pages with unaligned start.
         let sg = SgList::for_range(0x4000_0000, HUGE_PAGE_SIZE - 4096, 8192).unwrap();
         assert_eq!(sg.len(), 2);
-        assert_eq!(sg.bytes(), 8192);
         assert_eq!(
             sg.entries()[0],
             SgEntry { device_addr: 0x4000_0000 + HUGE_PAGE_SIZE - 4096, len: 4096 }
@@ -382,42 +347,5 @@ mod tests {
         assert_eq!(big.len(), 128);
         assert!(big.entries().iter().all(|e| e.len == HUGE_PAGE_SIZE));
         assert!(SgList::for_range(0, 0, 0).is_none());
-    }
-
-    #[test]
-    fn sg_transfer_charges_one_setup_regardless_of_entries() {
-        let e = engine(8);
-        let bytes = 8 * HUGE_PAGE_SIZE;
-        // One SG list over 8 huge pages...
-        let sg = SgList::for_range(0, 0, bytes).unwrap();
-        assert_eq!(sg.len(), 8);
-        let mut tl_sg = Timeline::new();
-        let out = e.transfer_sg(&sg, &mut tl_sg);
-        assert_eq!(out.bytes, bytes);
-        // ...vs 8 separate timed transfers of one huge page each.
-        let mut tl_n = Timeline::new();
-        for _ in 0..8 {
-            e.transfer_timed(HUGE_PAGE_SIZE, &mut tl_n);
-        }
-        let setup = e.link().cost().dma_setup;
-        assert_eq!(tl_sg.total_for(SpanLabel::DmaSetup), setup, "one setup for the whole list");
-        assert_eq!(tl_n.total_for(SpanLabel::DmaSetup), setup * 8);
-        // Same wire bytes → SG is strictly cheaper end-to-end.
-        assert!(tl_sg.total() < tl_n.total());
-        assert_eq!(e.transfer_count(), 9);
-    }
-
-    #[test]
-    fn timed_transfer_matches_copy_timing() {
-        let e = engine(1);
-        let mut tl_copy = Timeline::new();
-        let mut tl_timed = Timeline::new();
-        e.copy(&[7u8; 4096], &mut [0u8; 4096], &mut tl_copy);
-        e.transfer_timed(4096, &mut tl_timed);
-        assert_eq!(
-            tl_copy.total_for(SpanLabel::LinkTransfer),
-            tl_timed.total_for(SpanLabel::LinkTransfer)
-        );
-        assert_eq!(tl_copy.total_for(SpanLabel::DmaSetup), tl_timed.total_for(SpanLabel::DmaSetup));
     }
 }

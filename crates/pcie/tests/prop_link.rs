@@ -44,17 +44,12 @@ proptest! {
         prop_assert_eq!(l.transaction_count(), sizes.len() as u64);
     }
 
-    /// DMA copies of arbitrary sizes are byte-exact and charge the same
-    /// link time as a timed transfer of the same size.
+    /// DMA copies of arbitrary sizes are byte-exact.
     #[test]
     fn dma_copy_is_exact(data in prop::collection::vec(any::<u8>(), 1..50_000)) {
         let engine = DmaEngine::new(link(), 8);
         let mut dst = vec![0u8; data.len()];
-        let mut tl_copy = Timeline::new();
-        engine.copy(&data, &mut dst, &mut tl_copy);
+        engine.copy(&data, &mut dst, &mut Timeline::new());
         prop_assert_eq!(&dst, &data);
-        let mut tl_timed = Timeline::new();
-        engine.transfer_timed(data.len() as u64, &mut tl_timed);
-        prop_assert_eq!(tl_copy.total(), tl_timed.total());
     }
 }

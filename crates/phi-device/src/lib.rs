@@ -9,8 +9,8 @@
 //!
 //! This crate models the board at the level the rest of the stack observes:
 //!
-//! * [`spec::PhiSpec`] — the product-family parameters (3120P/5110P/7120P
-//!   presets) and the derived peak-FLOPS roofline.
+//! * [`spec::PhiSpec`] — the board's parameters (the paper's 3120P) and
+//!   the derived peak-FLOPS roofline.
 //! * [`memory::DeviceMemory`] — GDDR with a first-fit region allocator;
 //!   allocated regions are real byte buffers so RDMA is functionally exact,
 //!   while unallocated capacity costs nothing on the simulation host.

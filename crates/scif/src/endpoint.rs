@@ -290,6 +290,16 @@ impl EndpointCore {
                 }
             }
         };
+        // Accept acknowledgement control message back to the connector,
+        // charged before either end is wired: once the connector reads
+        // `Connected` its first message must find the ack already on the
+        // link, not queue behind it.  A dead card refuses the connector,
+        // which can `connect` again.
+        let conn_addr = connector.local_addr().expect("connector is bound");
+        if let Err(e) = self.shared.charge_message_path(self.node.id(), conn_addr.node, 64, tl) {
+            connector.refuse();
+            return Err(e);
+        }
         // Build the connected pair.
         let newep = EndpointCore::new(Arc::clone(&self.shared), Arc::clone(&self.node));
         let port = self.node.bind_port(Port::ANY)?;
@@ -302,7 +312,6 @@ impl EndpointCore {
         connector.send_q.set(q_a).map_err(|_| ScifError::Inval)?;
         newep.peer.set(Arc::downgrade(&connector)).expect("fresh endpoint");
         connector.peer.set(Arc::downgrade(&newep)).map_err(|_| ScifError::Inval)?;
-        let conn_addr = connector.local_addr().expect("connector is bound");
         newep.peer_addr.set(conn_addr).expect("fresh endpoint");
         connector
             .peer_addr
@@ -314,8 +323,6 @@ impl EndpointCore {
             *st = EpState::Connected;
             connector.connect_done.notify_all();
         }
-        // Accept acknowledgement control message back to the connector.
-        self.shared.charge_message_path(self.node.id(), conn_addr.node, 64, tl)?;
         connector.note_event();
         self.shared.activity.wake_pollers();
         Ok(Some(newep))

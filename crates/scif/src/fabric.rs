@@ -218,6 +218,11 @@ impl NodeCore {
         (!attached.closed.get()).then(|| Arc::clone(attached))
     }
 
+    /// Ports bound on this node, listening or not.
+    pub fn bound_ports(&self) -> usize {
+        self.ports.lock().len()
+    }
+
     pub(crate) fn release_port(&self, port: Port) {
         let released = self.ports.lock().remove(&port);
         if let Some(l) = released.flatten() {

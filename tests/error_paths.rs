@@ -924,6 +924,40 @@ fn guest_connect_behind_a_closed_listener_is_refused_and_frees_its_lane() {
     vm.shutdown();
 }
 
+/// A host `connect` sits in a card listener's backlog when the card dies;
+/// then the card-side `accept` runs.  The accept acknowledgement cannot
+/// cross a dead link, so `accept` reads `ENODEV` — and, because the ack is
+/// charged before either end is wired, the connector is refused rather
+/// than left "connected" to an endpoint the acceptor dropped, and no port
+/// is bound for that endpoint.
+#[test]
+fn accept_on_a_dead_card_refuses_its_connector_and_binds_nothing() {
+    use std::sync::Arc;
+
+    let host = VphiHost::new(1);
+    let dev = host.device_node(0);
+    let mut tl = Timeline::new();
+    let listener = host.device_endpoint(0).unwrap();
+    let port = listener.bind(Port::ANY, &mut tl).unwrap();
+    listener.listen(1, &mut tl).unwrap();
+
+    let connector = Arc::new(host.native_endpoint().unwrap());
+    let connecting = {
+        let connector = Arc::clone(&connector);
+        guest_call(move || connector.connect(ScifAddr::new(dev, port), &mut Timeline::new()))
+    };
+    spin_until("the connect sits in the backlog", || listener.core().backlog_len() == 1);
+    let card = host.fabric().node(dev).unwrap();
+    let ports_before = card.bound_ports();
+
+    host.board(0).fail("test: dies with a connect in the backlog");
+    assert_eq!(listener.accept(&mut tl).err(), Some(ScifError::NoDev));
+    assert_eq!(connecting("connect behind the failed accept"), Err(ScifError::ConnRefused));
+    assert_eq!(connector.peer_addr(), None, "the refused connector is wired to nothing");
+    assert_eq!(listener.core().backlog_len(), 0);
+    assert_eq!(card.bound_ports(), ports_before, "the failed accept bound a port");
+}
+
 /// A board fault, then the card's reset, with a `recv_timed` parked on
 /// either end of a guest↔card connection.  The fault itself ends neither
 /// wait (it never did: the traffic that trips it reads `ENODEV`, a
