@@ -12,9 +12,12 @@
 //! call the tool makes goes through a wrapper that times it, so the table
 //! is µs per launch per call for each side — the wrappers' own clock reads
 //! land in the rows they time.  Below it: the whole launch, the board
-//! doorbells rung per launch, and — in builds with the lock-order audit
-//! (debug, or `--features vphi-sync/sync-audit`) — the condvar signals
-//! sent process-wide between a launch's start and end.
+//! doorbells rung per launch, the calling thread's voluntary and
+//! involuntary context switches per launch (`/proc/thread-self/status`),
+//! and — in builds with the lock-order audit (debug, or `--features
+//! vphi-sync/sync-audit`) — the condvar signals sent process-wide between
+//! a launch's start and end, and the tracked lock acquisitions and atomic
+//! read-modify-writes the calling thread made per launch.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -144,6 +147,25 @@ impl CoiEnv for TimedEnv {
     }
 }
 
+/// What the calling thread has done so far that a launch adds to:
+/// `[acquisitions, RMWs, voluntary, involuntary context switches]`.  The
+/// first two read zero in builds without the audit, the last two when
+/// `/proc` is not there.
+fn thread_tally() -> [u64; 4] {
+    let acquisitions = vphi_sync::audit::thread_acquisitions().iter().sum();
+    let (voluntary, involuntary) = context_switches().unwrap_or_default();
+    [acquisitions, vphi_sync::audit::thread_rmws(), voluntary, involuntary]
+}
+
+/// The calling thread's `(voluntary, involuntary)` context switches.
+fn context_switches() -> Option<(u64, u64)> {
+    let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
+    let field = |name: &str| {
+        status.lines().find_map(|l| l.strip_prefix(name)).and_then(|v| v.trim().parse().ok())
+    };
+    Some((field("voluntary_ctxt_switches:")?, field("nonvoluntary_ctxt_switches:")?))
+}
+
 /// One side of the comparison and what its measured launches added up to.
 struct Side {
     env: Arc<dyn CoiEnv>,
@@ -151,13 +173,15 @@ struct Side {
     launch_ns: u64,
     rings: u64,
     signals: u64,
+    /// [`thread_tally`] summed over the measured launches.
+    thread: [u64; 4],
 }
 
 impl Side {
     fn new(inner: Arc<dyn CoiEnv>) -> Self {
         let ledger = Ledger::new();
         let env = Arc::new(TimedEnv { inner, ledger: Arc::clone(&ledger) });
-        Side { env, ledger, launch_ns: 0, rings: 0, signals: 0 }
+        Side { env, ledger, launch_ns: 0, rings: 0, signals: 0, thread: [0; 4] }
     }
 }
 
@@ -191,14 +215,21 @@ fn main() {
                 side.ledger.reset();
             }
             let (rings_before, signals_before) = (rings(), vphi_sync::audit::stats().signals);
+            let thread_before = thread_tally();
             let start = Instant::now();
             let report = micnativeloadex(&side.env, 0, &binary, 224).expect("launch");
             let ns = start.elapsed().as_nanos() as u64;
+            let thread_after = thread_tally();
             assert_eq!(report.exit_code, 0, "dgemm exited nonzero");
             if round >= warmup {
                 side.launch_ns += ns;
                 side.rings += rings() - rings_before;
                 side.signals += vphi_sync::audit::stats().signals - signals_before;
+                for (sum, (after, before)) in
+                    side.thread.iter_mut().zip(thread_after.iter().zip(thread_before))
+                {
+                    *sum += after - before;
+                }
             }
         }
     }
@@ -245,13 +276,31 @@ fn main() {
         per_launch(guest.rings),
         per_launch(native.rings)
     );
+    let [g, n] = [guest.thread, native.thread].map(|t| t.map(per_launch));
+    if context_switches().is_some() {
+        println!(
+            "context switches per launch (calling thread): {:.1} voluntary, {:.1} involuntary \
+             guest / {:.1} voluntary, {:.1} involuntary native",
+            g[2], g[3], n[2], n[3]
+        );
+    } else {
+        println!("context switches: not counted here (no /proc/thread-self/status)");
+    }
     if vphi_sync::audit::ENABLED {
         println!(
             "condvar signals per launch (process-wide): {:.1} guest / {:.1} native",
             per_launch(guest.signals),
             per_launch(native.signals)
         );
+        println!(
+            "tracked lock acquisitions per launch (calling thread): {:.1} guest / {:.1} native",
+            g[0], n[0]
+        );
+        println!("atomic RMWs per launch (calling thread): {:.1} guest / {:.1} native", g[1], n[1]);
     } else {
-        println!("condvar signals: not counted in this build (debug or sync-audit counts them)");
+        println!(
+            "condvar signals, lock acquisitions and atomic RMWs: not counted in this build \
+             (debug or sync-audit counts them)"
+        );
     }
 }

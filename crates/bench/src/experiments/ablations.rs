@@ -28,10 +28,11 @@ pub struct WaitRow {
     pub svc_ns: u64,
 }
 
-/// This size's (spin burn, true service) totals from the frontend's
+/// This size's (spin burn, true service) totals from the lane notifiers'
 /// per-bucket profile; rows are deltas of consecutive snapshots.
 fn bucket_totals(vm: &VphiVm, bytes: u64) -> (u64, u64) {
-    vm.frontend()
+    vm.backend()
+        .inner()
         .wait_profile()
         .into_iter()
         .find(|r| r.bucket == size_bucket(bytes))

@@ -13,14 +13,16 @@
 
 use std::sync::Arc;
 
+use vphi_sync::TrackedRoleGuard;
+
 use super::BackendInner;
 
 impl BackendInner {
     /// The shard thread's turn on lane `q`: wait for the executor role,
     /// then drain everything, and again while more keeps arriving.
     pub(super) fn drain_as_shard(self: &Arc<Self>, q: usize) {
-        let _executor = self.channel.lane_queue(q).executor.enter();
-        self.drain_lane(q, u64::MAX);
+        let executor = self.channel.lane_queue(q).executor.enter();
+        self.drain_lane(q, u64::MAX, &executor);
     }
 
     /// A blocking caller's vm-exit on lane `q`: drain what was ahead of
@@ -37,15 +39,15 @@ impl BackendInner {
     pub(super) fn drain_as_kicker(self: &Arc<Self>, q: usize, through: u64) -> bool {
         let queue = self.channel.lane_queue(q);
         match queue.executor.try_enter() {
-            Some(_executor) => self.drain_lane(q, through),
+            Some(executor) => self.drain_lane(q, through, &executor),
             None => queue.avail_pending(),
         }
     }
 
     /// Drain lane `q`'s avail ring in ring order through avail index
     /// `through`, and report whether the pass left chains on the ring.
-    /// The caller holds the lane's executor role.
-    fn drain_lane(self: &Arc<Self>, q: usize, through: u64) -> bool {
+    /// The caller holds the lane's executor role: `held`.
+    fn drain_lane(self: &Arc<Self>, q: usize, through: u64, held: &TrackedRoleGuard<'_>) -> bool {
         let queue = self.channel.lane_queue(q);
         // A bounded pass knows its burst before it starts — whatever was
         // published up to `through` — so it runs each chain as it pops it,
@@ -65,7 +67,7 @@ impl BackendInner {
                 left = Some(popped.left_on_ring);
                 let last = !popped.more_in_bound;
                 if bounded {
-                    self.process(q, popped.chain);
+                    self.process(q, popped.chain, held);
                 } else {
                     batch.push(popped.chain);
                 }
@@ -77,7 +79,7 @@ impl BackendInner {
                 self.stats.note_burst(burst);
             }
             for chain in batch {
-                self.process(q, chain);
+                self.process(q, chain, held);
             }
             // A bounded pass has popped all it may: the kicker rings the
             // shard for the rest on its way out.  The shard picks up a
@@ -150,7 +152,7 @@ mod tests {
         // The ring was empty before the batch: its chains sit at the three
         // avail indices after everything popped so far.
         let popped = queue.counters().chains_popped;
-        let served = inner.stats.requests.get();
+        let served = inner.requests();
 
         // A busy lane is left alone altogether.
         {
@@ -160,7 +162,7 @@ mod tests {
         }
         inner.drain_as_kicker(0, popped + 2);
         assert_eq!(queue.counters().chains_popped, popped + 2);
-        assert_eq!(inner.stats.requests.get(), served + 2);
+        assert_eq!(inner.requests(), served + 2);
         assert!(queue.avail_pending(), "the chain behind the bound stays on the ring");
         // A pass the ring has already moved beyond finds nothing to do.
         inner.drain_as_kicker(0, popped + 1);

@@ -19,7 +19,7 @@ mod rma;
 
 pub use dispatch::{request_payload_len, DispatchPolicy};
 pub use holdings::Holdings;
-pub use notify::{LaneNotifier, LaneNotifyCounters, BATCH_BUCKETS};
+pub use notify::{LaneNotifier, LaneNotifyCounters, Recorder, BATCH_BUCKETS};
 pub use reg_cache::{RegCacheConfig, RegCacheSnapshot};
 pub use rma::RmaCharge;
 use rma::RmaDir;
@@ -36,14 +36,16 @@ use vphi_scif::{
     MappedRegion, NodeId, Port, Prot, ScifAddr, ScifEndpoint, ScifError, ScifFabric, ScifResult,
     HOST_NODE,
 };
-use vphi_sim_core::{SpanLabel, Timeline};
-use vphi_sync::{Counter, Flag, LockClass, TrackedMutex};
+use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
+use vphi_sync::{Counter, Flag, LockClass, Tally, TrackedMutex, TrackedRoleGuard};
 use vphi_trace::{OpCtx, Stage, TraceCtx, Tracer};
 use vphi_virtio::{DescChain, Descriptor, UsedElem};
 use vphi_vmm::vm::VirtualPciDevice;
-use vphi_vmm::{Gpa, GuestMemory, GuestRange, IrqChip, KvmModule, QemuEventLoop, VmaFlags};
+use vphi_vmm::{
+    Gpa, GuestMemory, GuestRange, IrqChip, KvmModule, PauseLedger, QemuEventLoop, VmaFlags,
+};
 
-use crate::frontend::{Completion, VphiChannel, VPHI_IRQ_VECTOR};
+use crate::frontend::{Completion, VphiChannel, WaitBucketProfile, VPHI_IRQ_VECTOR};
 use crate::mmapping::MappedRegionBacking;
 use crate::protocol::{rma_flags_from_wire, VphiRequest, VphiResponse};
 
@@ -83,11 +85,10 @@ impl WindowBytes for GuestWindowBytes {
     }
 }
 
-/// Counters surfaced by the figure harness.
+/// Counters surfaced by the figure harness.  What every request counts
+/// is per lane instead ([`BackendLane`]).
 #[derive(Debug, Default)]
 pub struct BackendStats {
-    pub requests: Counter,
-    pub worker_dispatches: Counter,
     pub pages_translated: Counter,
     /// Completion interrupts lost to fault injection (the reply sat on
     /// the used ring until the requester's deadline re-check found it).
@@ -137,6 +138,25 @@ impl BackendStats {
     }
 }
 
+/// One queue lane's half of the device: its interrupt gate and what its
+/// executor counts for every request it replays.  Only the holder of the
+/// lane's executor role (DESIGN.md #21) writes the tallies, so a count is
+/// a load and a store, not an atomic add (#27).
+struct BackendLane {
+    /// The lane's interrupt gate — the only path to its MSI vector.
+    notifier: LaneNotifier,
+    /// Chains replayed.
+    requests: Tally,
+    /// Of those, handed to a QEMU worker.
+    worker_dispatches: Tally,
+    /// Blocking events and the VM pause time they cost.
+    pause: PauseLedger,
+    /// Completions that reached a waiting requester (each one directed
+    /// wake of the frontend's wait queue).  A worker-finished completion
+    /// counts from outside the role.
+    woken: Tally,
+}
+
 /// Everything the service loop and worker threads share.
 pub struct BackendInner {
     name: String,
@@ -154,11 +174,8 @@ pub struct BackendInner {
     mmaps: TrackedMutex<HashMap<u64, (u64, MappedRegion)>>,
     policy: DispatchPolicy,
     running: Flag,
-    /// Per-lane interrupt gates — the only path to an MSI injection.
-    notifiers: Vec<Arc<LaneNotifier>>,
-    /// Worker dispatches per queue lane — the shard-level counterpart of
-    /// `stats.worker_dispatches`, surfaced in the debug report.
-    queue_worker_dispatches: Vec<Counter>,
+    /// Per queue lane: its interrupt gate and its counts.
+    lanes: Vec<BackendLane>,
     /// What an RMA above `KMALLOC_MAX_SIZE` is charged (`backend/rma.rs`).
     rma: RmaCharge,
     pub stats: BackendStats,
@@ -200,12 +217,54 @@ impl BackendInner {
 
     /// Worker dispatches attributed to queue lane `q`.
     pub fn queue_worker_dispatches(&self, q: usize) -> u64 {
-        self.queue_worker_dispatches[q].get()
+        self.lanes[q].worker_dispatches.get()
+    }
+
+    /// Worker dispatches, over every lane.
+    pub fn worker_dispatches(&self) -> u64 {
+        self.lanes.iter().map(|l| l.worker_dispatches.get()).sum()
     }
 
     /// Counter snapshots of every lane's interrupt gate, lane order.
     pub fn notify_counters(&self) -> Vec<LaneNotifyCounters> {
-        self.notifiers.iter().map(|n| n.counters()).collect()
+        self.lanes.iter().map(|l| l.notifier.counters()).collect()
+    }
+
+    /// Chains replayed, over every lane.
+    pub fn requests(&self) -> u64 {
+        self.lanes.iter().map(|l| l.requests.get()).sum()
+    }
+
+    /// Blocking events run, over every lane.
+    pub fn blocking_events(&self) -> u64 {
+        self.lanes.iter().map(|l| l.pause.events()).sum()
+    }
+
+    /// Virtual time blocking events froze the VM for, over every lane.
+    pub fn vm_paused(&self) -> SimDuration {
+        self.lanes.iter().map(|l| l.pause.paused()).sum()
+    }
+
+    /// Completions that woke (or found) their waiting requester.
+    pub fn directed_wakes(&self) -> u64 {
+        self.lanes.iter().map(|l| l.woken.get()).sum()
+    }
+
+    /// Per-payload-bucket spin burn vs true service over every lane,
+    /// sorted by bucket — the ABL-WAIT CPU-cost column.
+    pub fn wait_profile(&self) -> Vec<WaitBucketProfile> {
+        let mut rows: Vec<WaitBucketProfile> = Vec::new();
+        for row in self.lanes.iter().flat_map(|l| l.notifier.wait_profile()) {
+            match rows.iter_mut().find(|r| r.bucket == row.bucket) {
+                Some(r) => {
+                    r.spin_burn_ns += row.spin_burn_ns;
+                    r.svc_ns += row.svc_ns;
+                }
+                None => rows.push(row),
+            }
+        }
+        rows.sort_by_key(|r| r.bucket);
+        rows
     }
 
     /// Tear down everything a dead guest left behind: close (and thereby
@@ -255,11 +314,12 @@ impl BackendInner {
         self.held.insert(ep).inspect_err(|_| self.stats.endpoints_gced.bump())
     }
 
-    /// Service one chain popped from queue lane `q` end-to-end.  Whether
-    /// the completion interrupts the guest is decided at the used-ring
-    /// push by the lane's [`LaneNotifier`], from the notify hint the
-    /// requester submitted and the `used_event` threshold it published.
-    fn process(self: &Arc<Self>, q: usize, chain: DescChain) {
+    /// Service one chain popped from queue lane `q` end-to-end, as the
+    /// lane's executor (`held` is its role).  Whether the completion
+    /// interrupts the guest is decided at the used-ring push by the lane's
+    /// [`LaneNotifier`], from the notify hint the requester submitted and
+    /// the `used_event` threshold it published.
+    fn process(self: &Arc<Self>, q: usize, chain: DescChain, held: &TrackedRoleGuard<'_>) {
         let (token, trace, hint) = self.channel.claim(q, chain.head);
         let mut tl = Timeline::new();
         if self.faults.fire(FaultSite::VmmGuestDeath).is_some() {
@@ -277,7 +337,7 @@ impl BackendInner {
         let replay = ctx.begin("backend-replay", Stage::BackendReplay);
         ctx.tl.charge(SpanLabel::BackendDecode, cost.backend_decode);
         ctx.tl.charge(SpanLabel::GuestBufMap, cost.guest_buf_map);
-        self.stats.requests.bump();
+        self.lanes[q].requests.bump(held);
 
         // Decode the request header from the first descriptor (zero-copy
         // view of guest memory).
@@ -295,33 +355,34 @@ impl BackendInner {
 
         let Some(req) = req else {
             OpCtx::new(&mut tl, trace.clone()).end(replay);
-            self.finish(q, token, &chain, VphiResponse::err(ScifError::Inval), tl, trace, hint);
+            let resp = VphiResponse::err(ScifError::Inval);
+            self.finish(q, token, &chain, resp, tl, trace, hint, Some(held));
             return;
         };
 
         match self.policy.dispatch(&req) {
             Dispatch::Blocking => {
-                let resp = self.event_loop.run(Dispatch::Blocking, &mut tl, |tl| {
+                let ledger = &self.lanes[q].pause;
+                let resp = self.event_loop.run_blocking(ledger, held, &mut tl, |tl| {
                     self.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
                 });
                 OpCtx::new(&mut tl, trace.clone()).end(replay);
-                self.finish(q, token, &chain, resp, tl, trace, hint);
+                self.finish(q, token, &chain, resp, tl, trace, hint, Some(held));
             }
             Dispatch::Worker => {
                 // `scif_accept` may wait forever for a connect; freezing
                 // the VM for it is unacceptable (paper §III), so it runs
                 // on a QEMU worker thread.
-                self.stats.worker_dispatches.bump();
-                self.queue_worker_dispatches[q].bump();
+                self.lanes[q].worker_dispatches.bump(held);
                 let inner = Arc::clone(self);
                 self.event_loop.spawn_worker(req.name(), move || {
                     let mut tl = tl;
                     let el = Arc::clone(&inner.event_loop);
-                    let resp = el.run(Dispatch::Worker, &mut tl, |tl| {
+                    let resp = el.run_worker(&mut tl, |tl| {
                         inner.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
                     });
                     OpCtx::new(&mut tl, trace.clone()).end(replay);
-                    inner.finish(q, token, &chain, resp, tl, trace, hint);
+                    inner.finish(q, token, &chain, resp, tl, trace, hint, None);
                 });
             }
         }
@@ -331,7 +392,8 @@ impl BackendInner {
     /// lane's notifier decide — from the requester's hint and the armed
     /// `used_event` threshold — whether this completion injects the
     /// lane's virtual interrupt (flushing any batched completions) or is
-    /// suppressed.  The timeline then flows back to the frontend.
+    /// suppressed.  The timeline then flows back to the frontend.  `by`
+    /// is the lane executor's role, or `None` on a QEMU worker.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         &self,
@@ -342,6 +404,7 @@ impl BackendInner {
         mut tl: Timeline,
         trace: TraceCtx,
         hint: crate::frontend::NotifyHint,
+        by: Recorder<'_>,
     ) {
         let resp_desc = chain.response();
         let _ = self.guest_mem.write(Gpa(resp_desc.addr), &resp.encode());
@@ -359,7 +422,13 @@ impl BackendInner {
         // injection decision below adds.
         let svc_ns = ctx.tl.total().as_nanos();
         let slept = hint.sleeping_after(svc_ns);
-        let notifier = &self.notifiers[q];
+        let notifier = &self.lanes[q].notifier;
+        // The requester's wait, in the ABL-WAIT ledger — before the
+        // completion is handed over, so a requester that reads the ledger
+        // after taking its reply finds its own wait in it.
+        if token != 0 {
+            notifier.account_wait(hint, svc_ns, by);
+        }
         if notifier.would_inject(new_seq, hint, svc_ns) {
             if self.faults.fire(FaultSite::PcieMsiLost).is_some() {
                 // The completion interrupt vanished: the reply is on the
@@ -373,14 +442,16 @@ impl BackendInner {
                 return;
             }
             let irq_span = ctx.begin("notify-irq", Stage::Completion);
-            notifier.deliver_irq(ctx.tl);
+            notifier.deliver_irq(ctx.tl, by);
             ctx.end(irq_span);
         } else {
-            notifier.note_suppressed(slept);
+            notifier.note_suppressed(slept, by);
         }
         ctx.end(span);
         drop(ctx);
-        self.channel.complete(token, Completion { tl, slept, svc_ns });
+        if self.channel.complete(token, Completion { tl, slept, svc_ns }) {
+            self.lanes[q].woken.add_as(1, by);
+        }
     }
 
     /// Payload descriptors: everything between the request header and the
@@ -680,18 +751,21 @@ impl BackendDevice {
         reg_cache: RegCacheConfig,
         rma: RmaCharge,
     ) -> Arc<Self> {
-        let queue_worker_dispatches = (0..channel.queue_count()).map(|_| Counter::new(0)).collect();
         // One interrupt gate per lane, each owning the lane's MSI vector.
-        let notifiers = channel
+        let lanes = channel
             .lanes()
             .iter()
             .enumerate()
-            .map(|(q, lane)| {
-                Arc::new(LaneNotifier::new(
+            .map(|(q, lane)| BackendLane {
+                notifier: LaneNotifier::new(
                     VPHI_IRQ_VECTOR + q as u32,
                     Arc::clone(&guest_irq),
                     Arc::clone(&lane.queue),
-                ))
+                ),
+                requests: Tally::new(),
+                worker_dispatches: Tally::new(),
+                pause: PauseLedger::new(),
+                woken: Tally::new(),
             })
             .collect();
         Arc::new(BackendDevice {
@@ -707,8 +781,7 @@ impl BackendDevice {
                 mmaps: TrackedMutex::new(LockClass::BackendMmaps, HashMap::new()),
                 policy,
                 running: Flag::new(false),
-                notifiers,
-                queue_worker_dispatches,
+                lanes,
                 rma,
                 stats: BackendStats::default(),
                 faults: FaultHook::new(),

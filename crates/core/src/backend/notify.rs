@@ -20,24 +20,35 @@
 //! suppressed-but-sleeping completion is never lost: its directed
 //! completion wake still lands, and the deadline retry backstops a lost
 //! MSI.
+//!
+//! Its counts are the lane's: a completion finished by the lane's
+//! executor is counted holding the executor role, with no atomic
+//! read-modify-write (`vphi_sync::Tally`); one a QEMU worker finished
+//! counts beside it.  The notifier also keeps the ABL-WAIT ledger — what
+//! each completion's requester burned spinning against the service it
+//! waited for — since the verdict it is computed from is made here.
 
 use std::sync::Arc;
 
 use vphi_sim_core::Timeline;
-use vphi_sync::Counter;
+use vphi_sync::{Counter, Tally, TrackedRoleGuard};
 use vphi_virtio::{need_event, VirtQueue};
 use vphi_vmm::{IrqChip, IrqLine};
 
-use crate::frontend::NotifyHint;
+use crate::frontend::{NotifyHint, WaitBucketProfile};
 
 /// Log2 buckets of the completions-per-irq histogram (bucket 15 collects
 /// every batch of 2^15 completions or more).
 pub const BATCH_BUCKETS: usize = 16;
 
+/// Payload pow2 buckets of the burn ledger: `vphi_trace::size_bucket` of
+/// a `u64` is 0 ..= 64.
+const PAYLOAD_BUCKETS: usize = 65;
+
 /// Snapshot of a lane notifier's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneNotifyCounters {
-    /// Virtual interrupts actually injected.
+    /// Virtual interrupts actually injected (the histogram's total).
     pub irqs_injected: u64,
     /// Completions that did not inject (spinner reaped it, or it was
     /// batched behind an armed threshold).
@@ -55,6 +66,10 @@ impl LaneNotifyCounters {
     }
 }
 
+/// Who records a completion: the lane's executor, holding its role, or
+/// (`None`) a QEMU worker thread.
+pub type Recorder<'a> = Option<&'a TrackedRoleGuard<'a>>;
+
 /// One virtqueue lane's interrupt gate.
 pub struct LaneNotifier {
     vector: u32,
@@ -64,19 +79,23 @@ pub struct LaneNotifier {
     /// Completions suppressed while their requester slept, awaiting the
     /// next injected irq on this lane (the batch the irq will flush).  A
     /// count and nothing else: an add that races a flush lands in this
-    /// batch or the next.
+    /// batch or the next.  Any finisher adds to it, so it stays atomic.
     pending: Counter,
-    irqs_injected: Counter,
-    irqs_suppressed: Counter,
-    batch_hist: [Counter; BATCH_BUCKETS],
+    irqs_suppressed: Tally,
+    /// Injected irqs by batch size; their sum is the injection count.
+    batch_hist: [Tally; BATCH_BUCKETS],
+    /// Payload bucket → (virtual ns its requesters burned spinning, true
+    /// service ns): the ABL-WAIT spin-cycles-burned vs latency ledger.
+    burn: [(Tally, Tally); PAYLOAD_BUCKETS],
 }
 
 impl std::fmt::Debug for LaneNotifier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let c = self.counters();
         f.debug_struct("LaneNotifier")
             .field("vector", &self.vector)
-            .field("injected", &self.irqs_injected.get())
-            .field("suppressed", &self.irqs_suppressed.get())
+            .field("injected", &c.irqs_injected)
+            .field("suppressed", &c.irqs_suppressed)
             .finish()
     }
 }
@@ -88,9 +107,9 @@ impl LaneNotifier {
             line: chip.line(vector),
             queue,
             pending: Counter::new(0),
-            irqs_injected: Counter::new(0),
-            irqs_suppressed: Counter::new(0),
-            batch_hist: std::array::from_fn(|_| Counter::new(0)),
+            irqs_suppressed: Tally::new(),
+            batch_hist: std::array::from_fn(|_| Tally::new()),
+            burn: std::array::from_fn(|_| (Tally::new(), Tally::new())),
         }
     }
 
@@ -112,24 +131,50 @@ impl LaneNotifier {
 
     /// Inject the lane's virtual interrupt, flushing the pending batch:
     /// this irq delivers its own completion plus every completion
-    /// suppressed-while-sleeping since the last irq.
+    /// suppressed-while-sleeping since the last irq.  An empty batch is
+    /// read, not swapped: an add racing the read rides the next irq, as
+    /// one racing the swap would.
     #[expect(clippy::disallowed_methods, reason = "the lane's interrupt gate (DESIGN.md #16)")]
-    pub fn deliver_irq(&self, tl: &mut Timeline) {
-        let flushed = self.pending.take() + 1;
-        self.irqs_injected.bump();
+    pub fn deliver_irq(&self, tl: &mut Timeline, by: Recorder<'_>) {
+        let batched = if self.pending.get() == 0 { 0 } else { self.pending.take() };
+        let flushed = batched + 1;
         let bucket = (63 - flushed.leading_zeros() as usize).min(BATCH_BUCKETS - 1);
-        self.batch_hist[bucket].bump();
+        self.batch_hist[bucket].add_as(1, by);
         self.line.inject(tl);
     }
 
     /// Record a completion that did not inject.  `sleeping` completions
     /// join the pending batch (the next irq on the lane flushes them);
     /// spinner-reaped ones are simply counted.
-    pub fn note_suppressed(&self, sleeping: bool) {
-        self.irqs_suppressed.bump();
+    pub fn note_suppressed(&self, sleeping: bool, by: Recorder<'_>) {
+        self.irqs_suppressed.add_as(1, by);
         if sleeping {
             self.pending.bump();
         }
+    }
+
+    /// Account one completion's wait in the ABL-WAIT ledger, under the
+    /// payload bucket its requester declared: a spinner that caught it
+    /// burned exactly the service time, a sleeper only its (smaller)
+    /// budget before parking — so per bucket, reported burn never exceeds
+    /// true service time.
+    pub fn account_wait(&self, hint: NotifyHint, svc_ns: u64, by: Recorder<'_>) {
+        let burned = if hint.sleeping_after(svc_ns) { hint.budget_ns.min(svc_ns) } else { svc_ns };
+        let (spin, svc) = &self.burn[usize::from(hint.bucket)];
+        spin.add_as(burned, by);
+        svc.add_as(svc_ns, by);
+    }
+
+    /// The burn ledger's non-empty buckets, in bucket order.
+    pub fn wait_profile(&self) -> impl Iterator<Item = WaitBucketProfile> + '_ {
+        (0u8..).zip(&self.burn).filter_map(|(bucket, (spin, svc))| {
+            let (spin_burn_ns, svc_ns) = (spin.get(), svc.get());
+            (svc_ns > 0 || spin_burn_ns > 0).then_some(WaitBucketProfile {
+                bucket,
+                spin_burn_ns,
+                svc_ns,
+            })
+        })
     }
 
     /// Record a would-have-injected completion whose MSI the fault plan
@@ -142,10 +187,11 @@ impl LaneNotifier {
 
     /// Counter snapshot.
     pub fn counters(&self) -> LaneNotifyCounters {
+        let batch_hist: [u64; BATCH_BUCKETS] = std::array::from_fn(|b| self.batch_hist[b].get());
         LaneNotifyCounters {
-            irqs_injected: self.irqs_injected.get(),
+            irqs_injected: batch_hist.iter().sum(),
             irqs_suppressed: self.irqs_suppressed.get(),
-            batch_hist: std::array::from_fn(|b| self.batch_hist[b].get()),
+            batch_hist,
         }
     }
 }
@@ -158,10 +204,10 @@ mod tests {
 
     const PUSH: SimDuration = SimDuration::from_nanos(600);
 
-    fn lane() -> (LaneNotifier, Arc<VirtQueue>, Arc<IrqChip>) {
+    fn lane() -> (LaneNotifier, Arc<VirtQueue>) {
         let chip = Arc::new(IrqChip::new(Arc::new(CostModel::paper_calibrated())));
         let queue = VirtQueue::new(8);
-        (LaneNotifier::new(11, Arc::clone(&chip), Arc::clone(&queue)), queue, chip)
+        (LaneNotifier::new(11, chip, Arc::clone(&queue)), queue)
     }
 
     #[expect(clippy::disallowed_methods, reason = "stages a completion on a bare queue")]
@@ -175,13 +221,12 @@ mod tests {
 
     #[test]
     fn sleeping_waiter_with_armed_threshold_gets_the_irq() {
-        let (n, queue, chip) = lane();
+        let (n, queue) = lane();
         let mut tl = Timeline::new();
         queue.publish_used_event(queue.used_seq()); // waiter arms, then sleeps
         let seq = push_one(&queue, &mut tl);
         assert!(n.would_inject(seq, NotifyHint::SLEEP, 1));
-        n.deliver_irq(&mut tl);
-        assert_eq!(chip.inject_count(11), 1);
+        n.deliver_irq(&mut tl, None);
         assert!(tl.total_for(SpanLabel::IrqInject) > SimDuration::ZERO);
         let c = n.counters();
         assert_eq!(c.irqs_injected, 1);
@@ -190,40 +235,41 @@ mod tests {
 
     #[test]
     fn spinner_never_injects() {
-        let (n, queue, chip) = lane();
+        let (n, queue) = lane();
         let mut tl = Timeline::new();
         queue.publish_used_event(queue.used_seq());
         let seq = push_one(&queue, &mut tl);
         // Pure spin, and also an adaptive waiter whose budget covered the
         // service time: both are reaped by the spinner.
         assert!(!n.would_inject(seq, NotifyHint::SPIN, u64::MAX - 1));
-        assert!(!n.would_inject(seq, NotifyHint { budget_ns: 1000 }, 999));
-        n.note_suppressed(false);
-        assert_eq!(chip.inject_count(11), 0);
+        assert!(!n.would_inject(seq, NotifyHint { budget_ns: 1000, bucket: 0 }, 999));
+        n.note_suppressed(false, None);
+        assert_eq!(tl.total_for(SpanLabel::IrqInject), SimDuration::ZERO);
+        assert_eq!(n.counters().irqs_injected, 0);
         assert_eq!(n.counters().irqs_suppressed, 1);
     }
 
     #[test]
     fn stale_threshold_batches_until_the_next_irq_flushes() {
-        let (n, queue, _chip) = lane();
+        let (n, queue) = lane();
         let mut tl = Timeline::new();
         queue.publish_used_event(queue.used_seq()); // armed at 0
         let s1 = push_one(&queue, &mut tl); // crosses: 0 → 1
         assert!(n.would_inject(s1, NotifyHint::SLEEP, 1));
-        n.deliver_irq(&mut tl);
+        n.deliver_irq(&mut tl, None);
         // Threshold still 0 (no new waiter armed): pushes 2 and 3 are
         // past it, so they batch behind the next crossing.
         let s2 = push_one(&queue, &mut tl);
         assert!(!n.would_inject(s2, NotifyHint::SLEEP, 1));
-        n.note_suppressed(true);
+        n.note_suppressed(true, None);
         let s3 = push_one(&queue, &mut tl);
         assert!(!n.would_inject(s3, NotifyHint::SLEEP, 1));
-        n.note_suppressed(true);
+        n.note_suppressed(true, None);
         // A waiter re-arms; its completion's irq flushes the batch of 3.
         queue.publish_used_event(queue.used_seq());
         let s4 = push_one(&queue, &mut tl);
         assert!(n.would_inject(s4, NotifyHint::SLEEP, 1));
-        n.deliver_irq(&mut tl);
+        n.deliver_irq(&mut tl, None);
         let c = n.counters();
         assert_eq!(c.irqs_injected, 2);
         assert_eq!(c.irqs_suppressed, 2);
@@ -234,18 +280,18 @@ mod tests {
 
     #[test]
     fn msi_lost_keeps_the_completion_pending() {
-        let (n, queue, chip) = lane();
+        let (n, queue) = lane();
         let mut tl = Timeline::new();
         queue.publish_used_event(queue.used_seq());
         let s1 = push_one(&queue, &mut tl);
         assert!(n.would_inject(s1, NotifyHint::SLEEP, 1));
         n.note_msi_lost(); // the fault plan ate the MSI
-        assert_eq!(chip.inject_count(11), 0);
+        assert_eq!(n.counters().irqs_injected, 0);
         // The next injected irq delivers both.
         queue.publish_used_event(queue.used_seq());
         let s2 = push_one(&queue, &mut tl);
         assert!(n.would_inject(s2, NotifyHint::SLEEP, 1));
-        n.deliver_irq(&mut tl);
+        n.deliver_irq(&mut tl, None);
         let c = n.counters();
         assert_eq!(c.irqs_injected, 1);
         assert_eq!(c.batch_hist[1], 1, "the lost completion rode the next irq");

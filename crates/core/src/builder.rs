@@ -432,7 +432,7 @@ impl VphiVm {
     /// Total virtual time the VM spent frozen in blocking backend
     /// handlers (the ABL-BLOCK metric).
     pub fn vm_paused_total(&self) -> SimDuration {
-        self.vm.event_loop().vm_paused_total()
+        self.backend.inner().vm_paused()
     }
 
     pub fn shutdown(&self) {

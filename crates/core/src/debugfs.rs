@@ -135,17 +135,16 @@ impl VphiDebugReport {
                 completions_per_irq[b] += count;
             }
         }
-        // Completion MSIs spread across one vector per lane.
-        let irq_injections = (0..channel.queue_count() as u32)
-            .map(|q| vm.vm().kernel().irq().inject_count(crate::frontend::VPHI_IRQ_VECTOR + q))
-            .sum();
+        // Completion MSIs spread across one vector per lane, and each
+        // lane's notifier is the only injector of its vector.
+        let irq_injections = notify.iter().map(|n| n.irqs_injected).sum();
         VphiDebugReport {
             vm_id: vm.vm().id(),
             requests: fe.requests,
             interrupt_waits: fe.interrupt_waits,
             polling_waits: fe.polling_waits,
             chunks_staged: fe.chunks_sent,
-            wait_queue_wakeups: vm.frontend().channel().waitq.wakeup_count(),
+            wait_queue_wakeups: be.directed_wakes(),
             wait_queue_sleeps: vm.frontend().channel().waitq.sleep_count(),
             spurious_wakeups: vm.frontend().channel().waitq.spurious_count(),
             kicks_delivered: fe.kicks_delivered,
@@ -153,8 +152,8 @@ impl VphiDebugReport {
             irqs_suppressed: notify.iter().map(|n| n.irqs_suppressed).sum(),
             completions_per_irq,
             queues,
-            backend_requests: be.stats.requests.get(),
-            worker_dispatches: be.stats.worker_dispatches.get(),
+            backend_requests: be.requests(),
+            worker_dispatches: be.worker_dispatches(),
             pages_translated: be.stats.pages_translated.get(),
             open_endpoints: vm.backend().open_endpoints(),
             reg_cache_hits: cache.hits,
@@ -165,8 +164,8 @@ impl VphiDebugReport {
             map_hits: be.stats.map_hits.get(),
             sg_descriptors: be.stats.sg_descriptors.get(),
             staging_bytes_avoided: be.stats.staging_bytes_avoided.get(),
-            vm_paused: el.vm_paused_total(),
-            blocking_events: el.blocking_event_count(),
+            vm_paused: be.vm_paused(),
+            blocking_events: be.blocking_events(),
             worker_events: el.worker_event_count(),
             irq_injections,
             mmap_faults: vm.vm().kvm().fault_count(),

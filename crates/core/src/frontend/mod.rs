@@ -80,18 +80,31 @@ pub struct NotifyHint {
     /// Spin budget: `0` = sleeps immediately (the interrupt scheme),
     /// `u64::MAX` = spins forever (busy-poll, never arms an interrupt).
     pub budget_ns: u64,
+    /// The request's payload pow2 bucket (`vphi_trace::size_bucket`): the
+    /// row of the notifier's ABL-WAIT burn ledger its wait is counted in.
+    pub bucket: u8,
 }
 
 impl NotifyHint {
     /// Sleep immediately.
-    pub const SLEEP: NotifyHint = NotifyHint { budget_ns: 0 };
+    pub const SLEEP: NotifyHint = NotifyHint { budget_ns: 0, bucket: 0 };
     /// Spin forever.
-    pub const SPIN: NotifyHint = NotifyHint { budget_ns: u64::MAX };
+    pub const SPIN: NotifyHint = NotifyHint { budget_ns: u64::MAX, bucket: 0 };
 
     /// Whether a waiter with this hint has given up spinning and gone to
     /// sleep by the time the backend's service has taken `svc_ns`.
     pub fn sleeping_after(self, svc_ns: u64) -> bool {
         svc_ns > self.budget_ns
+    }
+
+    /// Whether the waiter spins until its reply lands (arms no interrupt).
+    pub fn spins_forever(self) -> bool {
+        self.budget_ns == u64::MAX
+    }
+
+    /// This hint, counted under the bucket of a `payload_bytes` payload.
+    pub fn for_payload(self, payload_bytes: u64) -> NotifyHint {
+        NotifyHint { bucket: size_bucket(payload_bytes), ..self }
     }
 }
 
@@ -229,10 +242,14 @@ impl VphiChannel {
     /// directed wake, so a woken waiter's re-check always finds its reply.
     /// A completion for a request its submitter abandoned frees the slot
     /// instead; one for a generation that is over is dropped.
-    pub fn complete(&self, token: ReqToken, completion: Completion) {
-        if self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion))) {
+    /// Returns whether a requester was there to be woken.
+    pub fn complete(&self, token: ReqToken, completion: Completion) -> bool {
+        let woke =
+            self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion)));
+        if woke {
             self.waitq.wake(token);
         }
+        woke
     }
 
     /// Deliver a completion *without* waking anyone — models a lost
@@ -289,7 +306,7 @@ impl QueueLane {
     /// a stale one.  A pure spinner arms nothing (it needs no interrupt).
     fn register(&self, token: ReqToken, head: u16, hint: NotifyHint) {
         self.slots.register(token, head);
-        if hint != NotifyHint::SPIN {
+        if !hint.spins_forever() {
             self.queue.publish_used_event(self.queue.used_seq());
         }
     }
@@ -298,7 +315,10 @@ impl QueueLane {
 /// Per-driver counters for the waiting-scheme diagnostics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FrontendStats {
+    /// Requests published: one per blocking call, one per batch entry.
     pub requests: u64,
+    /// Completions taken by a requester that had armed the interrupt and
+    /// slept, and by one that caught its reply spinning.
     pub interrupt_waits: u64,
     pub polling_waits: u64,
     pub chunks_sent: u64,
@@ -325,16 +345,16 @@ pub struct FrontendStats {
     pub tokens_canceled: u64,
 }
 
-/// [`FrontendStats`] as the driver keeps it: one relaxed atomic per
-/// counter.  They publish nothing — a snapshot taken mid-request may show
-/// the request in one counter and not yet in another.
+/// The part of [`FrontendStats`] the driver counts itself: one relaxed
+/// atomic per counter, none of them bumped by a blocking call that went
+/// well.  The rest is derived where it is already counted: kicks and
+/// requests from the lanes' kick counts, waits from the request slots
+/// (which count them under the lock their completion is taken with).
+/// They publish nothing — a snapshot taken mid-request may show the
+/// request in one counter and not yet in another.
 #[derive(Debug, Default)]
 struct StatCounters {
-    requests: Counter,
-    interrupt_waits: Counter,
-    polling_waits: Counter,
     chunks_sent: Counter,
-    kicks_delivered: Counter,
     deadline_retries: Counter,
     batches_submitted: Counter,
     batch_entries: Counter,
@@ -344,26 +364,31 @@ struct StatCounters {
 }
 
 impl StatCounters {
-    /// One finished wait, by the notifier's verdict.
-    fn count_wait(&self, slept: bool) {
-        if slept {
-            self.interrupt_waits.bump();
-        } else {
-            self.polling_waits.bump();
+    fn snapshot(&self, channel: &VphiChannel) -> FrontendStats {
+        // Every kick on a lane is the frontend's: one per blocking call,
+        // one per touched lane of a batch, one per deadline re-kick.  (A
+        // re-kick or a batch is counted here after its kicks, so a
+        // mid-request snapshot can only lag; the subtractions saturate.)
+        let lane_kicks: u64 = channel.lanes.iter().map(|l| l.queue.counters().kicks).sum();
+        let deadline_retries = self.deadline_retries.get();
+        let kicks_delivered = lane_kicks.saturating_sub(deadline_retries);
+        let (batch_entries, batch_kicks) = (self.batch_entries.get(), self.batch_kicks.get());
+        let (mut interrupt_waits, mut polling_waits) = (0, 0);
+        for lane in &channel.lanes {
+            let (slept, spun) = lane.slots.waits();
+            interrupt_waits += slept;
+            polling_waits += spun;
         }
-    }
-
-    fn snapshot(&self) -> FrontendStats {
         FrontendStats {
-            requests: self.requests.get(),
-            interrupt_waits: self.interrupt_waits.get(),
-            polling_waits: self.polling_waits.get(),
+            requests: kicks_delivered.saturating_sub(batch_kicks) + batch_entries,
+            interrupt_waits,
+            polling_waits,
             chunks_sent: self.chunks_sent.get(),
-            kicks_delivered: self.kicks_delivered.get(),
-            deadline_retries: self.deadline_retries.get(),
+            kicks_delivered,
+            deadline_retries,
             batches_submitted: self.batches_submitted.get(),
-            batch_entries: self.batch_entries.get(),
-            batch_kicks: self.batch_kicks.get(),
+            batch_entries,
+            batch_kicks,
             tokens_reaped: self.tokens_reaped.get(),
             tokens_canceled: self.tokens_canceled.get(),
         }
@@ -373,24 +398,17 @@ impl StatCounters {
 /// Payload pow2 buckets: `size_bucket` of a `u64` is 0 ..= 64.
 const BUCKETS: usize = 65;
 
-/// The spin-budget learning state (DESIGN.md #16).  One lock, taken
-/// briefly at completion (EWMA update + burn accounting) and, by the
-/// schemes that consult it, at submit (budget lookup) — never held across
-/// a wait.  The tables are arrays indexed by request opcode and payload
-/// bucket: a lookup is two bounds checks, not a hash.
+/// The spin-budget learning state (DESIGN.md #16) of the one scheme that
+/// learns, the EWMA adaptive waiter.  One lock, taken briefly at submit
+/// (budget lookup) and at completion (EWMA update), by that scheme only —
+/// never held across a wait.  The table is indexed by request opcode and
+/// payload bucket: a lookup is two bounds checks, not a hash.  (What each
+/// scheme burns spinning is the lane notifiers' ledger.)
+#[derive(Default)]
 struct NotifyPolicy {
     /// opcode → payload pow2 bucket → EWMA of backend service ns.  An
     /// op's row is allocated when its first request completes.
     ewma: [Option<Box<[Option<u64>; BUCKETS]>>; OPCODES],
-    /// payload bucket → (virtual ns burned spinning, true service ns):
-    /// the ABL-WAIT spin-cycles-burned vs latency trade-off.
-    burn: [Option<(u64, u64)>; BUCKETS],
-}
-
-impl Default for NotifyPolicy {
-    fn default() -> Self {
-        NotifyPolicy { ewma: Default::default(), burn: [None; BUCKETS] }
-    }
 }
 
 /// EWMA smoothing: `est ← est·3/4 + sample/4`.
@@ -442,7 +460,7 @@ impl Headers {
 }
 
 /// One payload bucket's spin-burn accounting (see
-/// [`FrontendDriver::wait_profile`]).
+/// [`LaneNotifier::wait_profile`](crate::backend::LaneNotifier::wait_profile)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitBucketProfile {
     /// Payload pow2 bucket (`vphi_trace::size_bucket`).
@@ -489,11 +507,8 @@ struct SubmittedOp {
 
 /// What a requester takes out of its slot with the completion.
 struct Taken {
-    /// Whether the requester was asleep when the completion landed.
-    slept: bool,
     /// Backend service time up to the used push — what the EWMA learns.
     svc_ns: u64,
-    hint: NotifyHint,
     batch: Option<BatchOp>,
 }
 
@@ -517,7 +532,7 @@ pub struct FrontendDriver {
     /// Shared RNG jittering the re-kick backoff so requesters that lost
     /// the same kick don't hammer the doorbell in lockstep.
     backoff_rng: TrackedMutex<vphi_sim_core::rng::SplitMix64>,
-    /// Spin-budget EWMA table and burn accounting.
+    /// Spin-budget EWMA table.
     policy: TrackedMutex<NotifyPolicy>,
 }
 
@@ -570,18 +585,6 @@ impl FrontendDriver {
         })
     }
 
-    /// Per-payload-bucket spin-burn vs true-service accounting, sorted by
-    /// bucket — the ABL-WAIT CPU-cost column.
-    pub fn wait_profile(&self) -> Vec<WaitBucketProfile> {
-        let policy = self.policy.lock();
-        (0u8..)
-            .zip(policy.burn.iter())
-            .filter_map(|(bucket, row)| {
-                row.map(|(spin_burn_ns, svc_ns)| WaitBucketProfile { bucket, spin_burn_ns, svc_ns })
-            })
-            .collect()
-    }
-
     /// The spin budget this request declares before its kick.
     ///
     /// The interrupt scheme sleeps immediately; polling spins forever; a fixed-budget adaptive spins
@@ -591,11 +594,11 @@ impl FrontendDriver {
     /// cost, in which case spinning can never win and it sleeps at once.
     fn notify_hint(&self, req: &VphiRequest, payload_bytes: u64) -> NotifyHint {
         let cost = self.kernel.cost();
-        match self.scheme {
+        let hint = match self.scheme {
             WaitScheme::Interrupt => NotifyHint::SLEEP,
             WaitScheme::Polling => NotifyHint::SPIN,
             WaitScheme::Adaptive(SpinBudget::Fixed(budget)) => {
-                NotifyHint { budget_ns: budget.as_nanos() }
+                NotifyHint { budget_ns: budget.as_nanos(), ..NotifyHint::SLEEP }
             }
             WaitScheme::Adaptive(SpinBudget::Ewma) => {
                 let bucket = size_bucket(payload_bytes) as usize;
@@ -607,27 +610,24 @@ impl FrontendDriver {
                 if budget_ns >= cost.guest_wakeup.as_nanos() {
                     NotifyHint::SLEEP
                 } else {
-                    NotifyHint { budget_ns }
+                    NotifyHint { budget_ns, ..NotifyHint::SLEEP }
                 }
             }
-        }
+        };
+        hint.for_payload(payload_bytes)
     }
 
-    /// Fold a finished request back into the policy: EWMA the service
-    /// time and account the spin burn.  A spinner that caught its
-    /// completion burned exactly the service time; a sleeper burned only
-    /// its (smaller) budget before parking — so per bucket, reported burn
-    /// never exceeds true service time.
+    /// Fold a finished request's service time into the EWMA table — the
+    /// EWMA scheme's alone: no other scheme reads it.
     fn learn(&self, op: u8, payload_bytes: u64, done: &Taken) {
+        if self.scheme != WaitScheme::Adaptive(SpinBudget::Ewma) {
+            return;
+        }
         let bucket = size_bucket(payload_bytes) as usize;
         let mut policy = self.policy.lock();
         let row = policy.ewma[op as usize].get_or_insert_with(|| Box::new([None; BUCKETS]));
         let est = row[bucket].get_or_insert(done.svc_ns);
         *est = *est - (*est >> EWMA_SHIFT) + (done.svc_ns >> EWMA_SHIFT);
-        let burned = if done.slept { done.hint.budget_ns.min(done.svc_ns) } else { done.svc_ns };
-        let (spin, svc) = policy.burn[bucket].get_or_insert((0, 0));
-        *spin += burned;
-        *svc += done.svc_ns;
     }
 
     /// The staging chunk size used for large transfers.
@@ -648,7 +648,7 @@ impl FrontendDriver {
     }
 
     pub fn stats(&self) -> FrontendStats {
-        self.stats.snapshot()
+        self.stats.snapshot(&self.channel)
     }
 
     /// Reserve a request slot on lane `q` and return its token and
@@ -727,8 +727,6 @@ impl FrontendDriver {
         let wait = ctx.begin("wait-complete", Stage::Completion);
         lane.queue.kick_blocking(sub.avail_idx, cost.vmexit_kick, ctx.tl);
         let waited = self.wait_for_completion(lane, sub.token, BACKOFF_BASE, ctx.tl);
-        self.stats.requests.bump();
-        self.stats.kicks_delivered.bump();
         let done = match waited {
             Ok(done) => done,
             Err(e) => {
@@ -740,7 +738,6 @@ impl FrontendDriver {
                 return Err(e);
             }
         };
-        self.stats.count_wait(done.slept);
         self.learn(sub.op, sub.payload_bytes, &done);
         ctx.end(wait);
         self.demarshal(lane, sub.token)
@@ -868,12 +865,7 @@ impl FrontendDriver {
                 tl.charge(SpanLabel::PollWait, cost.poll_observe);
             }
             tl.absorb(&body.tl);
-            Taken {
-                slept: body.slept,
-                svc_ns: body.svc_ns,
-                hint: body.hint,
-                batch: body.batch.take(),
-            }
+            Taken { svc_ns: body.svc_ns, batch: body.batch.take() }
         })
     }
 
@@ -924,8 +916,8 @@ impl FrontendDriver {
             // Re-kick so the backend re-scans the avail ring, and if the
             // reply already sits in the slot (quiet completion), the next
             // attempt's immediate predicate check takes it.
-            self.stats.deadline_retries.bump();
             lane.queue.kick(cost.vmexit_kick, tl);
+            self.stats.deadline_retries.bump();
             deadline = (deadline * 2).min(BACKOFF_CAP);
         }
         Err(ScifError::Again)
@@ -1002,12 +994,9 @@ impl FrontendDriver {
             kicks += 1;
             ctx.end(ring);
         }
-        let entries = tokens.len() as u64;
-        self.stats.requests.add(entries);
         self.stats.batches_submitted.bump();
-        self.stats.batch_entries.add(entries);
+        self.stats.batch_entries.add(tokens.len() as u64);
         self.stats.batch_kicks.add(kicks);
-        self.stats.kicks_delivered.add(kicks);
         Ok(tokens)
     }
 
@@ -1033,8 +1022,11 @@ impl FrontendDriver {
                 return Err(e);
             }
         };
-        let hint =
-            if flags.busy_poll { NotifyHint::SPIN } else { self.notify_hint(&req, payload_bytes) };
+        let hint = if flags.busy_poll {
+            NotifyHint::SPIN.for_payload(payload_bytes)
+        } else {
+            self.notify_hint(&req, payload_bytes)
+        };
         let batch = BatchOp {
             op: req.opcode(),
             payload_bytes,
@@ -1162,7 +1154,6 @@ impl FrontendDriver {
         ctx: &mut OpCtx<'_>,
     ) -> ReapedOp {
         let mut data = None;
-        let slept = done.as_ref().map(|done| done.slept);
         let (mut result, batch) = match done {
             Some(mut done) => {
                 let batch = done.batch.take();
@@ -1197,9 +1188,6 @@ impl FrontendDriver {
                 }
             }
             _ => self.free_staging(staging),
-        }
-        if let Some(slept) = slept {
-            self.stats.count_wait(slept);
         }
         self.stats.tokens_reaped.bump();
         if result == Err(ScifError::Canceled) {
@@ -1368,13 +1356,25 @@ mod tests {
         kernel: Arc<GuestKernel>,
         q: usize,
     ) -> std::thread::JoinHandle<()> {
+        let queue = Arc::clone(channel.lane_queue(q));
+        let notifier = Arc::new(crate::backend::LaneNotifier::new(
+            VPHI_IRQ_VECTOR + q as u32,
+            Arc::clone(kernel.irq()),
+            Arc::clone(&queue),
+        ));
+        fake_backend_with(channel, kernel, q, notifier)
+    }
+
+    /// [`fake_backend_lane`] completing through `notifier`, which the
+    /// caller keeps to read its ledger.
+    fn fake_backend_with(
+        channel: Arc<VphiChannel>,
+        kernel: Arc<GuestKernel>,
+        q: usize,
+        notifier: Arc<crate::backend::LaneNotifier>,
+    ) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
             let queue = Arc::clone(channel.lane_queue(q));
-            let notifier = crate::backend::LaneNotifier::new(
-                VPHI_IRQ_VECTOR + q as u32,
-                Arc::clone(kernel.irq()),
-                Arc::clone(&queue),
-            );
             while queue.wait_kick() {
                 while let Ok(Some(chain)) = queue.pop_avail() {
                     let (token, _trace, hint) = channel.claim(q, chain.head);
@@ -1401,10 +1401,11 @@ mod tests {
                     let svc_ns = tl.total().as_nanos();
                     let slept = hint.sleeping_after(svc_ns);
                     if notifier.would_inject(new_seq, hint, svc_ns) {
-                        notifier.deliver_irq(&mut tl);
+                        notifier.deliver_irq(&mut tl, None);
                     } else {
-                        notifier.note_suppressed(slept);
+                        notifier.note_suppressed(slept, None);
                     }
+                    notifier.account_wait(hint, svc_ns, None);
                     channel.complete(token, Completion { tl, slept, svc_ns });
                 }
             }
@@ -1476,7 +1477,17 @@ mod tests {
     #[test]
     fn adaptive_learns_budgets_and_accounts_spin_burn() {
         let d = driver(WaitScheme::ADAPTIVE);
-        let backend = fake_backend(Arc::clone(d.channel()), Arc::clone(d.kernel()));
+        let notifier = Arc::new(crate::backend::LaneNotifier::new(
+            VPHI_IRQ_VECTOR,
+            Arc::clone(d.kernel().irq()),
+            Arc::clone(&d.channel().queue),
+        ));
+        let backend = fake_backend_with(
+            Arc::clone(d.channel()),
+            Arc::clone(d.kernel()),
+            0,
+            Arc::clone(&notifier),
+        );
         // Small sends: the seeded budget (1.5× the calibrated no-wait
         // floor) already covers the ~0.6 µs service, so every one is
         // caught spinning from the first request on.
@@ -1501,7 +1512,7 @@ mod tests {
         assert_eq!(s.interrupt_waits, 2);
         // Burn accounting: spinners burn exactly the service time, a
         // sleeper at most its budget — never more than true service.
-        let profile = d.wait_profile();
+        let profile: Vec<_> = notifier.wait_profile().collect();
         assert_eq!(profile.len(), 2, "one small bucket, one bulk bucket");
         for row in &profile {
             assert!(

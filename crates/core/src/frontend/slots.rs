@@ -145,7 +145,8 @@ pub(super) struct BatchOp {
 /// the requester fills `hint`, `trace` and `batch` in `Prepared`; the
 /// backend takes `trace` at `Claimed` and writes its timeline `tl`, with
 /// `slept` and `svc_ns`, at `Completed`; the requester reads those three
-/// and takes `batch` when it takes the completion.
+/// and takes `batch` when it takes the completion.  `waits` outlives the
+/// slot's requests: what every completion taken from it had waited by.
 pub(super) struct SlotBody {
     /// The backend's service timeline, valid at `Completed`.
     pub tl: Timeline,
@@ -157,6 +158,9 @@ pub(super) struct SlotBody {
     /// abandoned — its staging must stay allocated while the backend can
     /// still write it — and handed to the slot's next owner to free.
     pub batch: Option<BatchOp>,
+    /// Completions taken from this slot, by the requester's wait: `[spun,
+    /// slept]`.  Counted by `try_take` under the lock it takes anyway.
+    waits: [u64; 2],
 }
 
 /// One request slot.
@@ -183,6 +187,7 @@ impl RequestSlot {
                     slept: false,
                     svc_ns: 0,
                     batch: None,
+                    waits: [0; 2],
                 },
             ),
         }
@@ -428,8 +433,19 @@ impl SlotTable {
             return None;
         }
         let r = f(&mut body);
+        let slept = usize::from(body.slept);
+        body.waits[slept] += 1;
         slot.set(word.with(SlotState::Free));
         Some(r)
+    }
+
+    /// Completions taken from this lane's slots so far: `(slept, spun)`.
+    pub fn waits(&self) -> (u64, u64) {
+        let slots = self.blocks.iter().filter_map(OnceLock::get).flat_map(|block| block.iter());
+        slots.fold((0, 0), |(slept, spun), slot| {
+            let [spun_here, slept_here] = slot.body.lock().waits;
+            (slept + slept_here, spun + spun_here)
+        })
     }
 
     /// Requester: give up on `token`.  If the backend already let go, the

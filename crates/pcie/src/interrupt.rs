@@ -5,9 +5,8 @@
 //! the same way (the `vmm` crate builds its IRQ chip on the same
 //! abstraction).  Nothing runs on a raise: whoever the interrupt is for is
 //! woken by the code that raised it (a completion wakes its token's
-//! waiter), so a vector is its delivery latency and a count.
-
-use vphi_sync::Counter;
+//! waiter), so a vector is its delivery latency.  Raises are counted by
+//! whoever decides them (the vPHI backend's lane notifier), not here.
 
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 
@@ -15,12 +14,11 @@ use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 #[derive(Debug)]
 pub struct MsiVector {
     vector: u32,
-    raised: Counter,
 }
 
 impl MsiVector {
     pub fn new(vector: u32) -> Self {
-        MsiVector { vector, raised: Counter::new(0) }
+        MsiVector { vector }
     }
 
     pub fn vector(&self) -> u32 {
@@ -28,14 +26,9 @@ impl MsiVector {
     }
 
     /// Fire the vector: charges delivery latency to `tl` (as
-    /// [`SpanLabel::IrqInject`]) and counts the raise.
+    /// [`SpanLabel::IrqInject`]).
     pub fn raise(&self, tl: &mut Timeline, delivery: SimDuration) {
         tl.charge(SpanLabel::IrqInject, delivery);
-        self.raised.bump();
-    }
-
-    pub fn raise_count(&self) -> u64 {
-        self.raised.get()
     }
 }
 
@@ -51,6 +44,6 @@ mod tests {
         v.raise(&mut tl, SimDuration::from_micros(9));
         assert_eq!(tl.total_for(SpanLabel::IrqInject), SimDuration::from_micros(18));
         assert_eq!(tl.total(), SimDuration::from_micros(18), "a raise charges nothing else");
-        assert_eq!((v.vector(), v.raise_count()), (5, 2));
+        assert_eq!(v.vector(), 5);
     }
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use vphi_faults::{FaultHook, FaultSite};
 use vphi_pcie::{DmaEngine, Doorbell, LinkConfig, PcieLink};
 use vphi_sim_core::{CostModel, SimDuration, VirtualClock};
-use vphi_sync::{Counter, LockClass, TrackedRwLock};
+use vphi_sync::{Counter, LockClass, Published, TrackedRwLock};
 
 use crate::memory::DeviceMemory;
 use crate::spec::PhiSpec;
@@ -14,6 +14,7 @@ use crate::uos::UosScheduler;
 
 /// Boot state, mirroring the MPSS `state` sysfs attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum BoardState {
     Offline,
     Booting,
@@ -24,6 +25,9 @@ pub enum BoardState {
 }
 
 impl BoardState {
+    const ALL: [BoardState; 4] =
+        [BoardState::Offline, BoardState::Booting, BoardState::Online, BoardState::Failed];
+
     pub fn as_str(self) -> &'static str {
         match self {
             BoardState::Offline => "offline",
@@ -48,7 +52,11 @@ pub enum PhiFault {
 /// and the uOS scheduler once booted.
 pub struct PhiBoard {
     spec: PhiSpec,
+    /// Transitions are made under this lock ([`set_state`](Self::set_state)).
     state: TrackedRwLock<BoardState>,
+    /// The state as of the last transition: what [`state`](Self::state)
+    /// reads, lock-free — the fabric checks it on every message.
+    state_word: Published,
     memory: Arc<DeviceMemory>,
     link: Arc<PcieLink>,
     dma: Arc<DmaEngine>,
@@ -67,7 +75,7 @@ impl std::fmt::Debug for PhiBoard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PhiBoard")
             .field("spec", &self.spec.model)
-            .field("state", &*self.state.read())
+            .field("state", &self.state())
             .field("mic_index", &self.mic_index)
             .finish()
     }
@@ -94,6 +102,7 @@ impl PhiBoard {
         PhiBoard {
             spec,
             state: TrackedRwLock::new(LockClass::BoardState, BoardState::Offline),
+            state_word: Published::new(BoardState::Offline as u64),
             memory,
             link,
             dma,
@@ -116,17 +125,24 @@ impl PhiBoard {
             if *st == BoardState::Online {
                 return SimDuration::ZERO;
             }
-            *st = BoardState::Booting;
+            self.set_state(&mut st, BoardState::Booting);
         }
         self.sysfs.write().set("state", "booting");
         let boot_time = SimDuration::from_secs(10);
-        *self.state.write() = BoardState::Online;
+        self.set_state(&mut self.state.write(), BoardState::Online);
         self.sysfs.write().set("state", "online");
         boot_time
     }
 
+    /// The board's state, read without the state lock.
     pub fn state(&self) -> BoardState {
-        *self.state.read()
+        BoardState::ALL[self.state_word.load() as usize]
+    }
+
+    /// Move to `next`; `st` is the held state lock.
+    fn set_state(&self, st: &mut BoardState, next: BoardState) {
+        *st = next;
+        self.state_word.store(next as u64);
     }
 
     pub fn is_online(&self) -> bool {
@@ -173,7 +189,7 @@ impl PhiBoard {
     /// Mark the card failed (host-visible via sysfs), as the real MPSS
     /// daemon does when the watchdog stops hearing from the uOS.
     pub fn fail(&self, reason: &str) {
-        *self.state.write() = BoardState::Failed;
+        self.set_state(&mut self.state.write(), BoardState::Failed);
         let mut sysfs = self.sysfs.write();
         sysfs.set("state", "failed");
         sysfs.set("fail_reason", reason);
@@ -209,7 +225,7 @@ impl PhiBoard {
     /// referencing the card is the fabric's problem — see
     /// `VphiHost::reset_card`, which quarantines affected endpoints.
     pub fn reset(&self) -> SimDuration {
-        *self.state.write() = BoardState::Offline;
+        self.set_state(&mut self.state.write(), BoardState::Offline);
         {
             let mut sysfs = self.sysfs.write();
             sysfs.set("state", "resetting");

@@ -21,6 +21,7 @@ use crate::window::{WindowBacking, WindowTable};
 
 /// Endpoint connection state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum EpState {
     Unbound,
     Bound,
@@ -28,6 +29,17 @@ pub enum EpState {
     Connecting,
     Connected,
     Closed,
+}
+
+impl EpState {
+    const ALL: [EpState; 6] = [
+        EpState::Unbound,
+        EpState::Bound,
+        EpState::Listening,
+        EpState::Connecting,
+        EpState::Connected,
+        EpState::Closed,
+    ];
 }
 
 /// An asynchronous RMA in flight (see [`crate::rma`]).
@@ -55,7 +67,13 @@ pub struct EndpointCore {
     id: u64,
     pub(crate) shared: Arc<FabricShared>,
     pub(crate) node: Arc<NodeCore>,
+    /// Transitions are made under this lock ([`set_state`](Self::set_state)).
     state: TrackedMutex<EpState>,
+    /// The state as of the last transition, for the lock-free reads of
+    /// [`state`](Self::state) every send and RMA makes.  Its `Release`
+    /// store follows what the transition published (a `Connected` end's
+    /// queues and peer), which an `Acquire` load that sees it sees too.
+    state_word: Published,
     /// Paired with `state`: where this endpoint's `connect` sleeps.
     /// Signalled by whoever moves it out of `Connecting` — the acceptor,
     /// `close`, or the listener's teardown.
@@ -97,6 +115,7 @@ impl EndpointCore {
             shared,
             node,
             state: TrackedMutex::new(LockClass::EndpointState, EpState::Unbound),
+            state_word: Published::new(EpState::Unbound as u64),
             connect_done: TrackedCondvar::new(),
             local_port: TrackedMutex::new(LockClass::EpPort, None),
             listener: TrackedMutex::new(LockClass::EpListener, None),
@@ -118,8 +137,15 @@ impl EndpointCore {
         self.id
     }
 
+    /// The endpoint's state, read without the state lock.
     pub fn state(&self) -> EpState {
-        *self.state.lock()
+        EpState::ALL[self.state_word.load() as usize]
+    }
+
+    /// Move to `next`; `st` is the held state lock.
+    fn set_state(&self, st: &mut EpState, next: EpState) {
+        *st = next;
+        self.state_word.store(next as u64);
     }
 
     pub fn node_id(&self) -> NodeId {
@@ -176,7 +202,7 @@ impl EndpointCore {
             EpState::Unbound => {
                 let chosen = self.node.bind_port(port)?;
                 *self.local_port.lock() = Some(chosen);
-                *st = EpState::Bound;
+                self.set_state(&mut st, EpState::Bound);
                 Ok(chosen)
             }
             EpState::Closed => Err(ScifError::Inval),
@@ -192,7 +218,7 @@ impl EndpointCore {
                 let port = self.local_port.lock().expect("bound implies port");
                 let l = self.node.start_listening(port, backlog)?;
                 *self.listener.lock() = Some(l);
-                *st = EpState::Listening;
+                self.set_state(&mut st, EpState::Listening);
                 Ok(())
             }
             EpState::Listening => Err(ScifError::Inval),
@@ -211,17 +237,23 @@ impl EndpointCore {
                     // Auto-bind an ephemeral port, as libscif does.
                     let p = self.node.bind_port(Port::ANY)?;
                     *self.local_port.lock() = Some(p);
-                    *st = EpState::Connecting;
+                    self.set_state(&mut st, EpState::Connecting);
                 }
-                EpState::Bound => *st = EpState::Connecting,
+                EpState::Bound => self.set_state(&mut st, EpState::Connecting),
                 EpState::Connected => return Err(ScifError::IsConn),
                 _ => return Err(ScifError::Inval),
             }
         }
-        // Connection request control message crosses the fabric.
-        self.shared.charge_message_path(self.node.id(), dst.node, 64, tl)?;
-        if let Err(e) = enqueue_connect(&self.shared, dst, self) {
-            *self.state.lock() = EpState::Bound;
+        // Connection request control message crosses the fabric, then
+        // queues on the listener.  If either fails the endpoint is bound
+        // and idle again, free to connect elsewhere.
+        let requested = self
+            .shared
+            .node(dst.node)
+            .and_then(|to| self.shared.charge_message_path(&self.node, &to, 64, tl))
+            .and_then(|()| enqueue_connect(&self.shared, dst, self));
+        if let Err(e) = requested {
+            self.set_state(&mut self.state.lock(), EpState::Bound);
             return Err(e);
         }
         // Wait for whoever moves us out of `Connecting`: the acceptor, our
@@ -238,7 +270,7 @@ impl EndpointCore {
             }
             self.waits.park();
             if self.connect_done.wait_for(&mut st, WALL_TIMEOUT).timed_out() {
-                *st = EpState::Bound;
+                self.set_state(&mut st, EpState::Bound);
                 return Err(ScifError::ConnRefused);
             }
             self.waits.woke();
@@ -249,7 +281,7 @@ impl EndpointCore {
     pub(crate) fn refuse(&self) {
         let mut st = self.state.lock();
         if *st == EpState::Connecting {
-            *st = EpState::Bound;
+            self.set_state(&mut st, EpState::Bound);
             self.connect_done.notify_all();
         }
     }
@@ -296,7 +328,7 @@ impl EndpointCore {
         // link, not queue behind it.  A dead card refuses the connector,
         // which can `connect` again.
         let conn_addr = connector.local_addr().expect("connector is bound");
-        if let Err(e) = self.shared.charge_message_path(self.node.id(), conn_addr.node, 64, tl) {
+        if let Err(e) = self.shared.charge_message_path(&self.node, &connector.node, 64, tl) {
             connector.refuse();
             return Err(e);
         }
@@ -317,10 +349,10 @@ impl EndpointCore {
             .peer_addr
             .set(ScifAddr::new(self.node.id(), port))
             .map_err(|_| ScifError::Inval)?;
-        *newep.state.lock() = EpState::Connected;
+        newep.set_state(&mut newep.state.lock(), EpState::Connected);
         {
             let mut st = connector.state.lock();
-            *st = EpState::Connected;
+            connector.set_state(&mut st, EpState::Connected);
             connector.connect_done.notify_all();
         }
         connector.note_event();
@@ -357,7 +389,7 @@ impl EndpointCore {
         if !q.write_all_with(len, fill)? {
             return Err(ScifError::ConnReset);
         }
-        self.shared.charge_message_path(self.node.id(), peer.node_id(), len as u64, tl)?;
+        self.shared.charge_message_path(&self.node, &peer.node, len as u64, tl)?;
         self.note_event();
         self.shared.activity.wake_pollers();
         Ok(len)
@@ -421,7 +453,7 @@ impl EndpointCore {
                 peer.timed_ready.notify_all();
             }
         }
-        self.shared.charge_message_path(self.node.id(), peer.node_id(), len, tl)?;
+        self.shared.charge_message_path(&self.node, &peer.node, len, tl)?;
         // Not a poll event, and no hub bump: `poll` reads the byte lane
         // (`recv_pending`, `send_space`) and hang-up, never this lane, and
         // `recv_timed` sleeps on `timed_ready`.
@@ -492,7 +524,7 @@ impl EndpointCore {
             if *st == EpState::Closed {
                 return;
             }
-            *st = EpState::Closed;
+            self.set_state(&mut st, EpState::Closed);
             self.connect_done.notify_all();
         }
         if let Some(q) = self.send_q.get() {
@@ -532,7 +564,7 @@ impl EndpointCore {
 impl Drop for EndpointCore {
     fn drop(&mut self) {
         // Safety net; explicit close is the normal path.
-        if *self.state.lock() != EpState::Closed {
+        if self.state() != EpState::Closed {
             if let Some(q) = self.send_q.get() {
                 q.close();
             }
@@ -625,6 +657,7 @@ mod tests {
         let ep = fabric.open(HOST_NODE).unwrap();
         let mut tl = Timeline::new();
         assert_eq!(ep.connect(ScifAddr::new(NodeId(7), Port(1)), &mut tl), Err(ScifError::NoDev));
+        assert_eq!(ep.state(), EpState::Bound, "a failed request strands nothing");
     }
 
     #[test]

@@ -320,17 +320,19 @@ impl FabricShared {
 
     /// Charge the one-way message delivery path from `from` to `to` for a
     /// `bytes` payload (everything after the caller's syscall): driver
-    /// post, DMA/link, device delivery and completion write-back.
+    /// post, DMA/link, device delivery and completion write-back.  The
+    /// caller names both nodes by the cores it holds (an endpoint its own
+    /// and its peer's), so a message takes no registry lock.
     pub fn charge_message_path(
         &self,
-        from: NodeId,
-        to: NodeId,
+        from: &NodeCore,
+        to: &NodeCore,
         bytes: u64,
         tl: &mut Timeline,
     ) -> ScifResult<()> {
         let cost = &self.cost;
         tl.charge(SpanLabel::ScifPost, cost.scif_post);
-        if from == to {
+        if from.id() == to.id() {
             // Loopback: kernel memcpy between the two endpoints.
             tl.charge(SpanLabel::CopyUserKernel, cost.cpu_copy(bytes));
             tl.charge(SpanLabel::Completion, cost.completion);
@@ -340,11 +342,10 @@ impl FabricShared {
         // hop; card↔card is two).
         tl.charge(SpanLabel::DmaSetup, cost.dma_setup);
         for node in [from, to] {
-            if node == HOST_NODE {
+            if node.id() == HOST_NODE {
                 continue;
             }
-            let core = self.node(node)?;
-            let board = core.board().ok_or(ScifError::NoDev)?;
+            let board = node.board().ok_or(ScifError::NoDev)?;
             self.check_board(board)?;
             board.link().transmit(bytes, tl);
             // Announce the message: the driver rings the card's "work
@@ -353,7 +354,7 @@ impl FabricShared {
             // every receiver sleeps on the object it waits for (DESIGN.md
             // #22) — so the ring is a count and no wake-up, and a dropped
             // one only goes uncounted.
-            if node == to {
+            if node.id() == to.id() {
                 board.db_to_device.ring();
             } else {
                 board.db_to_host.ring();
@@ -369,26 +370,25 @@ impl FabricShared {
     /// copy is a CPU one.
     pub fn charge_rma_path(
         &self,
-        from: NodeId,
-        to: NodeId,
+        from: &NodeCore,
+        to: &NodeCore,
         bytes: u64,
         use_cpu: bool,
         tl: &mut Timeline,
     ) -> ScifResult<()> {
         let cost = &self.cost;
         tl.charge(SpanLabel::RmaSetup, cost.rma_setup);
-        if from == to || use_cpu {
+        if from.id() == to.id() || use_cpu {
             tl.charge(SpanLabel::CopyUserKernel, cost.cpu_copy(bytes));
             tl.charge(SpanLabel::Completion, cost.completion);
             return Ok(());
         }
         tl.charge(SpanLabel::DmaSetup, cost.dma_setup);
         for node in [from, to] {
-            if node == HOST_NODE {
+            if node.id() == HOST_NODE {
                 continue;
             }
-            let core = self.node(node)?;
-            let board = core.board().ok_or(ScifError::NoDev)?;
+            let board = node.board().ok_or(ScifError::NoDev)?;
             self.check_board(board)?;
             // Per-transfer device faults: an uncorrectable ECC error is
             // fatal for this RMA (EIO); a DMA engine hiccup is retryable.
@@ -557,7 +557,8 @@ mod tests {
     fn message_path_costs_native_floor_minus_syscall() {
         let (fabric, dev) = fabric_with_device();
         let mut tl = Timeline::new();
-        fabric.shared().charge_message_path(HOST_NODE, dev, 1, &mut tl).unwrap();
+        let (host, dev) = (fabric.node(HOST_NODE).unwrap(), fabric.node(dev).unwrap());
+        fabric.shared().charge_message_path(&host, &dev, 1, &mut tl).unwrap();
         let cost = CostModel::paper_calibrated();
         // The API layer adds host_syscall on top to reach the 7 µs floor.
         let expected = cost.native_floor() - cost.host_syscall;
@@ -569,7 +570,8 @@ mod tests {
     fn loopback_path_has_no_link_charges() {
         let (fabric, _) = fabric_with_device();
         let mut tl = Timeline::new();
-        fabric.shared().charge_message_path(HOST_NODE, HOST_NODE, 1 << 20, &mut tl).unwrap();
+        let host = fabric.node(HOST_NODE).unwrap();
+        fabric.shared().charge_message_path(&host, &host, 1 << 20, &mut tl).unwrap();
         assert_eq!(tl.total_for(SpanLabel::LinkTransfer), SimDuration::ZERO);
         assert!(tl.total_for(SpanLabel::CopyUserKernel) > SimDuration::ZERO);
     }
@@ -578,13 +580,14 @@ mod tests {
     fn rma_path_charges_link_once_per_device_hop() {
         let (fabric, dev) = fabric_with_device();
         let mut tl = Timeline::new();
-        fabric.shared().charge_rma_path(HOST_NODE, dev, 1 << 20, false, &mut tl).unwrap();
+        let (host, dev) = (fabric.node(HOST_NODE).unwrap(), fabric.node(dev).unwrap());
+        fabric.shared().charge_rma_path(&host, &dev, 1 << 20, false, &mut tl).unwrap();
         let link_time = tl.total_for(SpanLabel::LinkTransfer);
         let expected = CostModel::paper_calibrated().link_transfer(1 << 20);
         assert_eq!(link_time, expected);
         // CPU-forced RMA takes the memcpy path.
         let mut tl2 = Timeline::new();
-        fabric.shared().charge_rma_path(HOST_NODE, dev, 1 << 20, true, &mut tl2).unwrap();
+        fabric.shared().charge_rma_path(&host, &dev, 1 << 20, true, &mut tl2).unwrap();
         assert_eq!(tl2.total_for(SpanLabel::LinkTransfer), SimDuration::ZERO);
     }
 

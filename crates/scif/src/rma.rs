@@ -193,26 +193,14 @@ impl EndpointCore {
         tl: &mut Timeline,
     ) -> ScifResult<()> {
         if flags.sync {
-            self.shared.charge_rma_path(
-                self.node_id(),
-                peer.node_id(),
-                bytes,
-                flags.use_cpu,
-                tl,
-            )?;
+            self.shared.charge_rma_path(&self.node, &peer.node, bytes, flags.use_cpu, tl)?;
             return Ok(());
         }
         // Async: the caller pays only the setup; the transfer itself
         // completes in the background at now + transfer_time.
         tl.charge(SpanLabel::RmaSetup, self.shared.cost.rma_setup);
         let mut sub = Timeline::new();
-        self.shared.charge_rma_path(
-            self.node_id(),
-            peer.node_id(),
-            bytes,
-            flags.use_cpu,
-            &mut sub,
-        )?;
+        self.shared.charge_rma_path(&self.node, &peer.node, bytes, flags.use_cpu, &mut sub)?;
         let extra = sub.total().saturating_sub(self.shared.cost.rma_setup);
         let completes_at = self.shared.clock.now() + extra;
         let marker = {
@@ -290,7 +278,7 @@ impl EndpointCore {
             w.backing.write(roff - w.offset, &rval.to_le_bytes())?;
         }
         // The signal itself is a tiny control write.
-        self.shared.charge_message_path(self.node_id(), peer.node_id(), 8, tl)?;
+        self.shared.charge_message_path(&self.node, &peer.node, 8, tl)?;
         Ok(())
     }
 

@@ -16,9 +16,18 @@
 //!   (Dekker) handshake, where `Release`/`Acquire` would let both sides
 //!   miss each other: everything `SeqCst`.
 //!
-//! All are one `u64` (or `bool`) wide, `#[repr(transparent)]`, and every
-//! method inlines to the single instruction the raw call was.
+//! Beside them, [`Tally`] is a statistic whose writer holds a
+//! [`TrackedRole`](crate::TrackedRole): the guard is the proof that
+//! nobody else writes it, so a bump is a load and a store.
+//!
+//! The four are one `u64` (or `bool`) wide, `#[repr(transparent)]`, and every
+//! method inlines to the single instruction the raw call was.  Each method
+//! that is a `lock`-prefixed instruction on x86 (a read-modify-write, a
+//! `SeqCst` store, the fence of `look`) reports itself to the audit's
+//! per-thread RMW count ([`audit::thread_rmws`](crate::audit::thread_rmws));
+//! loads and `Release` stores do not.
 
+use crate::audit::on_rmw as rmw;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
 
 #[expect(clippy::disallowed_types, reason = "Counter, Published and Sequenced wrap it")]
@@ -40,17 +49,20 @@ impl Counter {
     /// Count one event.
     #[inline]
     pub fn bump(&self) {
+        rmw();
         self.0.fetch_add(1, Relaxed);
     }
 
     #[inline]
     pub fn add(&self, n: u64) {
+        rmw();
         self.0.fetch_add(n, Relaxed);
     }
 
     /// Lower a gauge (wraps below zero, like the raw `fetch_sub`).
     #[inline]
     pub fn sub(&self, n: u64) {
+        rmw();
         self.0.fetch_sub(n, Relaxed);
     }
 
@@ -62,6 +74,7 @@ impl Counter {
     /// Read and zero in one step.
     #[inline]
     pub fn take(&self) -> u64 {
+        rmw();
         self.0.swap(0, Relaxed)
     }
 
@@ -73,6 +86,7 @@ impl Counter {
     /// Allocate the next id: returns the value before the increment.
     #[inline]
     pub fn next(&self) -> u64 {
+        rmw();
         self.0.fetch_add(1, Relaxed)
     }
 }
@@ -113,6 +127,7 @@ impl Flag {
     /// `start`/`stop`/`close`.
     #[inline]
     pub fn swap(&self, value: bool) -> bool {
+        rmw();
         self.0.swap(value, AcqRel)
     }
 }
@@ -146,21 +161,25 @@ impl Published {
 
     #[inline]
     pub fn fetch_add(&self, n: u64) -> u64 {
+        rmw();
         self.0.fetch_add(n, AcqRel)
     }
 
     #[inline]
     pub fn fetch_sub(&self, n: u64) -> u64 {
+        rmw();
         self.0.fetch_sub(n, AcqRel)
     }
 
     #[inline]
     pub fn fetch_or(&self, bits: u64) -> u64 {
+        rmw();
         self.0.fetch_or(bits, AcqRel)
     }
 
     #[inline]
     pub fn fetch_and(&self, bits: u64) -> u64 {
+        rmw();
         self.0.fetch_and(bits, AcqRel)
     }
 
@@ -168,6 +187,7 @@ impl Published {
     /// `Err(actual)`; may fail spuriously, so callers loop.
     #[inline]
     pub fn compare_exchange_weak(&self, current: u64, new: u64) -> Result<u64, u64> {
+        rmw();
         self.0.compare_exchange_weak(current, new, AcqRel, Acquire)
     }
 }
@@ -197,16 +217,19 @@ impl Sequenced {
 
     #[inline]
     pub fn store(&self, value: u64) {
+        rmw();
         self.0.store(value, SeqCst);
     }
 
     #[inline]
     pub fn fetch_add(&self, n: u64) -> u64 {
+        rmw();
         self.0.fetch_add(n, SeqCst)
     }
 
     #[inline]
     pub fn fetch_sub(&self, n: u64) -> u64 {
+        rmw();
         self.0.fetch_sub(n, SeqCst)
     }
 
@@ -216,6 +239,7 @@ impl Sequenced {
     /// other published, so at least one of them sees the other.
     #[inline]
     pub fn announce(&self) {
+        rmw();
         self.0.fetch_add(1, SeqCst);
         full_fence();
     }
@@ -224,6 +248,7 @@ impl Sequenced {
     /// is ordered ahead of the look.
     #[inline]
     pub fn look(&self) -> u64 {
+        rmw();
         full_fence();
         self.0.load(SeqCst)
     }
@@ -232,6 +257,66 @@ impl Sequenced {
 impl std::fmt::Debug for Sequenced {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.load().fmt(f)
+    }
+}
+
+/// A statistic with one writer: whoever holds a [`TrackedRole`](crate::TrackedRole).
+///
+/// [`bump`](Tally::bump) takes the role's guard, so only a role holder
+/// can call it, and holders are serialized by the role: the count is a
+/// load and a plain store, with no `lock` prefix.  A tally belongs to one
+/// role (a virtqueue lane's, say) and is only ever bumped under it.  A
+/// writer that does not hold the role — a worker thread finishing a
+/// request the role's holder handed off — counts on a second word with an
+/// atomic add ([`add_as`](Tally::add_as) with no guard); [`get`](Tally::get)
+/// sums the two.  Everything is `Relaxed`: like a [`Counter`], a tally
+/// publishes nothing.
+#[derive(Default)]
+pub struct Tally {
+    held: RawU64,
+    shared: RawU64,
+}
+
+impl Tally {
+    #[inline]
+    pub const fn new() -> Self {
+        Tally { held: RawU64::new(0), shared: RawU64::new(0) }
+    }
+
+    /// Count one event, as the role's holder.
+    #[inline]
+    pub fn bump(&self, held: &crate::TrackedRoleGuard<'_>) {
+        self.add(1, held);
+    }
+
+    /// Count `n`, as the role's holder.
+    #[inline]
+    pub fn add(&self, n: u64, _held: &crate::TrackedRoleGuard<'_>) {
+        self.held.store(self.held.load(Relaxed).wrapping_add(n), Relaxed);
+    }
+
+    /// Count `n` as whoever the caller is: the role's holder, with its
+    /// guard, or (`None`) a writer outside the role.
+    #[inline]
+    pub fn add_as(&self, n: u64, held: Option<&crate::TrackedRoleGuard<'_>>) {
+        match held {
+            Some(held) => self.add(n, held),
+            None => {
+                rmw();
+                self.shared.fetch_add(n, Relaxed);
+            }
+        }
+    }
+
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.held.load(Relaxed).wrapping_add(self.shared.load(Relaxed))
+    }
+}
+
+impl std::fmt::Debug for Tally {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
     }
 }
 
@@ -331,6 +416,99 @@ mod tests {
         s.announce();
         assert_eq!(s.look(), 12);
         assert_eq!(format!("{:?}", Sequenced::default()), "0");
+    }
+
+    #[test]
+    fn tally_counts_under_the_role_and_beside_it() {
+        let role = crate::TrackedRole::new(crate::LockClass::TestOuter);
+        let t = Tally::new();
+        {
+            let held = role.enter();
+            t.bump(&held);
+            t.add(4, &held);
+        }
+        t.add_as(3, None);
+        t.add_as(1, Some(&role.enter()));
+        assert_eq!(t.get(), 9);
+        assert_eq!(format!("{:?}", Tally::default()), "0");
+    }
+
+    /// Holders of one role take turns, and each sees its predecessor's
+    /// store: no bump is lost, though none of them is an atomic add.
+    #[test]
+    fn tally_loses_no_bump_across_role_holders() {
+        let cell = Arc::new((crate::TrackedRole::new(crate::LockClass::TestOuter), Tally::new()));
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let cell = Arc::clone(&cell);
+                std::thread::spawn(move || {
+                    for _ in 0..5_000 {
+                        let held = cell.0.enter();
+                        cell.1.bump(&held);
+                    }
+                    (0..1_000).for_each(|_| cell.1.add_as(1, None));
+                })
+            })
+            .collect();
+        threads.into_iter().for_each(|t| t.join().unwrap());
+        assert_eq!(cell.1.get(), 24_000);
+    }
+
+    /// The audit's RMW ledger: every wrapper that is a `lock`-prefixed
+    /// instruction counts exactly one on the calling thread; loads, plain
+    /// stores and a role holder's tally bump count none.
+    #[cfg(any(debug_assertions, feature = "sync-audit"))]
+    #[test]
+    fn each_rmw_wrapper_counts_one_and_nothing_else_counts() {
+        use crate::audit::thread_rmws;
+        let counts_one = |what: &str, f: &dyn Fn()| {
+            let before = thread_rmws();
+            f();
+            assert_eq!(thread_rmws() - before, 1, "{what} is one RMW");
+        };
+        let counts_none = |what: &str, f: &dyn Fn()| {
+            let before = thread_rmws();
+            f();
+            assert_eq!(thread_rmws() - before, 0, "{what} is no RMW");
+        };
+        let (c, f, p, s, t) =
+            (Counter::new(0), Flag::new(false), Published::new(0), Sequenced::new(0), Tally::new());
+        counts_one("Counter::bump", &|| c.bump());
+        counts_one("Counter::add", &|| c.add(2));
+        counts_one("Counter::sub", &|| c.sub(1));
+        counts_one("Counter::next", &|| _ = c.next());
+        counts_one("Counter::take", &|| _ = c.take());
+        counts_one("Published::fetch_add", &|| _ = p.fetch_add(1));
+        counts_one("Published::fetch_sub", &|| _ = p.fetch_sub(1));
+        counts_one("Published::fetch_or", &|| _ = p.fetch_or(1));
+        counts_one("Published::fetch_and", &|| _ = p.fetch_and(0));
+        counts_one("Published::compare_exchange_weak", &|| _ = p.compare_exchange_weak(5, 6));
+        counts_one("Sequenced::store", &|| s.store(3));
+        counts_one("Sequenced::fetch_add", &|| _ = s.fetch_add(1));
+        counts_one("Sequenced::fetch_sub", &|| _ = s.fetch_sub(1));
+        counts_one("Sequenced::announce", &|| s.announce());
+        counts_one("Sequenced::look", &|| _ = s.look());
+        counts_one("Flag::swap", &|| _ = f.swap(true));
+        counts_one("Tally::add_as, outside the role", &|| t.add_as(2, None));
+        counts_none("Counter::get", &|| _ = c.get());
+        counts_none("Counter::reset", &|| c.reset());
+        counts_none("Flag::set/clear/get", &|| {
+            f.set();
+            f.clear();
+            let _ = f.get();
+        });
+        counts_none("Published::load/store", &|| {
+            p.store(1);
+            let _ = p.load();
+        });
+        counts_none("Sequenced::load", &|| _ = s.load());
+        let role = crate::TrackedRole::new(crate::LockClass::TestOuter);
+        let held = role.enter();
+        counts_none("Tally::bump/add/get", &|| {
+            t.bump(&held);
+            t.add(3, &held);
+            let _ = t.get();
+        });
     }
 
     /// The Dekker shape both users rely on: each side announces, then

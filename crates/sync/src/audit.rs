@@ -61,6 +61,7 @@ mod imp {
         static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
         static THREAD_ACQUISITIONS: RefCell<[u64; NCLASS]> = const { RefCell::new([0; NCLASS]) };
         static THREAD_SIGNALS: Cell<u64> = const { Cell::new(0) };
+        static THREAD_RMWS: Cell<u64> = const { Cell::new(0) };
         static CAPTURE: RefCell<Option<Vec<String>>> = const { RefCell::new(None) };
     }
 
@@ -210,6 +211,10 @@ mod imp {
         THREAD_SIGNALS.with(|t| t.set(t.get() + 1));
     }
 
+    pub fn on_rmw() {
+        THREAD_RMWS.with(|t| t.set(t.get() + 1));
+    }
+
     pub fn assert_lockless(what: &str) {
         HELD.with(|h| {
             let held = h.borrow();
@@ -266,6 +271,14 @@ mod imp {
         THREAD_SIGNALS.with(Cell::get)
     }
 
+    /// Atomic read-modify-writes the *calling thread* has executed so far
+    /// through the [`atomic`](crate::atomic) wrappers: one per
+    /// `lock`-prefixed instruction.  A lock acquisition is counted by
+    /// [`thread_acquisitions`], not here.
+    pub fn thread_rmws() -> u64 {
+        THREAD_RMWS.with(Cell::get)
+    }
+
     /// Snapshot of the order graph: every `(held, acquired)` class pair
     /// some thread has nested so far, in class-index order.
     pub fn order_edges() -> Vec<(LockClass, LockClass)> {
@@ -307,6 +320,9 @@ mod imp {
     pub fn on_signal() {}
 
     #[inline(always)]
+    pub fn on_rmw() {}
+
+    #[inline(always)]
     pub fn assert_lockless(_what: &str) {}
 
     pub fn capture_violations<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
@@ -329,6 +345,10 @@ mod imp {
         0
     }
 
+    pub fn thread_rmws() -> u64 {
+        0
+    }
+
     pub fn order_edges() -> Vec<(LockClass, LockClass)> {
         Vec::new()
     }
@@ -341,8 +361,8 @@ mod imp {
 }
 
 pub use imp::{
-    assert_lockless, capture_violations, held_depth, on_acquire, on_release, on_signal,
-    order_edges, stats, thread_acquisitions, thread_signals, violation_count, ENABLED,
+    assert_lockless, capture_violations, held_depth, on_acquire, on_release, on_rmw, on_signal,
+    order_edges, stats, thread_acquisitions, thread_rmws, thread_signals, violation_count, ENABLED,
 };
 
 // In a plain release build the detector is the no-op module and there is

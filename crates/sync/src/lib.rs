@@ -31,7 +31,8 @@
 //! `lock().unwrap()` is therefore unnecessary and does not compile.
 //!
 //! Atomics live in [`atomic`]: four types that fix the memory ordering, so
-//! no call site outside this crate names one.
+//! no call site outside this crate names one, and [`Tally`], a statistic a
+//! role's holder bumps without an atomic read-modify-write.
 
 use std::ops::{Deref, DerefMut};
 use std::panic::Location;
@@ -41,7 +42,7 @@ use std::time::Duration;
 pub mod atomic;
 pub mod audit;
 
-pub use atomic::{Counter, Flag, Published, Sequenced};
+pub use atomic::{Counter, Flag, Published, Sequenced, Tally};
 pub use std::sync::WaitTimeoutResult;
 
 use audit::{AcqKind, Token};

@@ -164,7 +164,6 @@ pub struct VirtQueue {
     pub executor: TrackedRole,
     faults: FaultHook,
     kicks: Counter,
-    chains_popped: Counter,
     /// Monotonic count of used-ring pushes (the EVENT_IDX "new" index).
     used_seq: Sequenced,
     /// Guest-published interrupt threshold (`VIRTIO_F_EVENT_IDX`): the
@@ -198,15 +197,16 @@ impl VirtQueue {
             executor: TrackedRole::new(LockClass::LaneExecutor),
             faults: FaultHook::new(),
             kicks: Counter::new(0),
-            chains_popped: Counter::new(0),
             used_seq: Sequenced::new(0),
             used_event: Sequenced::new(0),
         })
     }
 
-    /// Snapshot of this queue's monotonic counters.
+    /// Snapshot of this queue's monotonic counters.  Chains popped is the
+    /// ring's own `last_avail_idx`, read under the ring lock.
     pub fn counters(&self) -> QueueCounters {
-        QueueCounters { kicks: self.kicks.get(), chains_popped: self.chains_popped.get() }
+        let chains_popped = self.state.lock().last_avail_idx;
+        QueueCounters { kicks: self.kicks.get(), chains_popped }
     }
 
     pub fn size(&self) -> u16 {
@@ -452,7 +452,6 @@ impl VirtQueue {
             None => return Ok(None),
         };
         st.last_avail_idx += 1;
-        self.chains_popped.bump();
         let mut d = st.entry(head)?;
         let mut chain = DescChain::new(head, d);
         while d.flags.next {

@@ -15,11 +15,16 @@
 //! blocking handlers accumulate **VM pause time** (the guest can't run),
 //! workers charge a spawn/retire overhead instead — the exact trade-off
 //! the paper discusses and the ABL-BLOCK ablation sweeps.
+//!
+//! Blocking events are counted where they run: each executor (one per
+//! virtqueue lane) owns a [`PauseLedger`] it alone writes, holding the
+//! lane's executor role, so counting an event costs no atomic
+//! read-modify-write.  The VM's totals are the sum over its lanes.
 
 use std::sync::Arc;
 
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline};
-use vphi_sync::Counter;
+use vphi_sync::{Counter, Tally, TrackedRoleGuard};
 
 /// Dispatch policy for one event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,21 +37,40 @@ pub enum Dispatch {
     Worker,
 }
 
+/// One executor's blocking events and the virtual time they froze the VM
+/// for.  Written only by the holder of the executor's role.
+#[derive(Debug, Default)]
+pub struct PauseLedger {
+    events: Tally,
+    paused_ns: Tally,
+}
+
+impl PauseLedger {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Blocking events run so far.
+    pub fn events(&self) -> u64 {
+        self.events.get()
+    }
+
+    /// Virtual time those events froze the VM for.
+    pub fn paused(&self) -> SimDuration {
+        SimDuration::from_nanos(self.paused_ns.get())
+    }
+}
+
 /// The per-VM (per-QEMU-process) event loop.
 pub struct QemuEventLoop {
     cost: Arc<CostModel>,
-    vm_paused_ns: Counter,
-    blocking_events: Counter,
     worker_events: Counter,
     live_workers: Arc<Counter>,
 }
 
 impl std::fmt::Debug for QemuEventLoop {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QemuEventLoop")
-            .field("blocking_events", &self.blocking_events.get())
-            .field("worker_events", &self.worker_events.get())
-            .finish()
+        f.debug_struct("QemuEventLoop").field("worker_events", &self.worker_events.get()).finish()
     }
 }
 
@@ -54,43 +78,41 @@ impl QemuEventLoop {
     pub fn new(cost: Arc<CostModel>) -> Self {
         QemuEventLoop {
             cost,
-            vm_paused_ns: Counter::new(0),
-            blocking_events: Counter::new(0),
             worker_events: Counter::new(0),
             live_workers: Arc::new(Counter::new(0)),
         }
     }
 
-    /// Run `handler` with the chosen dispatch.  The handler receives the
-    /// timeline and returns its result; its charged spans between entry
-    /// and exit are attributed as pause time when blocking.
-    pub fn run<R>(
+    /// Run `handler` in the event loop: the whole VM pauses for it, and
+    /// the spans it charges are counted as pause time on `ledger`, the
+    /// ledger of the executor whose role `held` is.
+    pub fn run_blocking<R>(
         &self,
-        dispatch: Dispatch,
+        ledger: &PauseLedger,
+        held: &TrackedRoleGuard<'_>,
         tl: &mut Timeline,
         handler: impl FnOnce(&mut Timeline) -> R,
     ) -> R {
-        match dispatch {
-            Dispatch::Blocking => {
-                self.blocking_events.bump();
-                let before = tl.total();
-                let r = handler(tl);
-                let handler_time = tl.total().saturating_sub(before);
-                self.vm_paused_ns.add(handler_time.as_nanos());
-                r
-            }
-            Dispatch::Worker => {
-                self.worker_events.bump();
-                tl.charge(SpanLabel::WorkerSpawn, self.cost.worker_spawn);
-                handler(tl)
-            }
-        }
+        ledger.events.bump(held);
+        let before = tl.total();
+        let r = handler(tl);
+        ledger.paused_ns.add(tl.total().saturating_sub(before).as_nanos(), held);
+        r
+    }
+
+    /// Run `handler` as a worker's event: the VM keeps running, and the
+    /// worker's spawn/retire cost is charged instead.
+    pub fn run_worker<R>(&self, tl: &mut Timeline, handler: impl FnOnce(&mut Timeline) -> R) -> R {
+        self.worker_events.bump();
+        tl.charge(SpanLabel::WorkerSpawn, self.cost.worker_spawn);
+        handler(tl)
     }
 
     /// Run a long-lived detached worker on a real thread (used for the
     /// backend's `scif_accept` service loop).  The VM is not paused.  The
     /// thread is what is counted live here; the event itself is counted,
-    /// and charged, by the [`run`](Self::run) the worker makes.
+    /// and charged, by the [`run_worker`](Self::run_worker) the worker
+    /// makes.
     pub fn spawn_worker<F>(&self, name: &str, f: F) -> std::thread::JoinHandle<()>
     where
         F: FnOnce() + Send + 'static,
@@ -104,15 +126,6 @@ impl QemuEventLoop {
                 f();
             })
             .expect("spawn qemu worker")
-    }
-
-    /// Total virtual time the VM has been frozen by blocking handlers.
-    pub fn vm_paused_total(&self) -> SimDuration {
-        SimDuration::from_nanos(self.vm_paused_ns.get())
-    }
-
-    pub fn blocking_event_count(&self) -> u64 {
-        self.blocking_events.get()
     }
 
     pub fn worker_event_count(&self) -> u64 {
@@ -138,21 +151,23 @@ impl Drop for WorkerGuard {
 mod tests {
     use super::*;
 
+    use vphi_sync::{LockClass, TrackedRole};
+
     fn el() -> QemuEventLoop {
         QemuEventLoop::new(Arc::new(CostModel::paper_calibrated()))
     }
 
     #[test]
     fn blocking_handler_accumulates_pause_time() {
-        let e = el();
+        let (e, ledger, role) = (el(), PauseLedger::new(), TrackedRole::new(LockClass::TestOuter));
         let mut tl = Timeline::new();
-        let r = e.run(Dispatch::Blocking, &mut tl, |tl| {
+        let r = e.run_blocking(&ledger, &role.enter(), &mut tl, |tl| {
             tl.charge(SpanLabel::HostSyscall, SimDuration::from_micros(100));
             7
         });
         assert_eq!(r, 7);
-        assert_eq!(e.vm_paused_total(), SimDuration::from_micros(100));
-        assert_eq!(e.blocking_event_count(), 1);
+        assert_eq!(ledger.paused(), SimDuration::from_micros(100));
+        assert_eq!(ledger.events(), 1);
         assert_eq!(e.worker_event_count(), 0);
     }
 
@@ -160,10 +175,9 @@ mod tests {
     fn worker_dispatch_charges_spawn_not_pause() {
         let e = el();
         let mut tl = Timeline::new();
-        e.run(Dispatch::Worker, &mut tl, |tl| {
+        e.run_worker(&mut tl, |tl| {
             tl.charge(SpanLabel::HostSyscall, SimDuration::from_micros(100));
         });
-        assert_eq!(e.vm_paused_total(), SimDuration::ZERO);
         assert_eq!(
             tl.total_for(SpanLabel::WorkerSpawn),
             CostModel::paper_calibrated().worker_spawn
@@ -173,33 +187,38 @@ mod tests {
 
     #[test]
     fn pause_time_accumulates_across_events() {
-        let e = el();
+        let (e, ledger, role) = (el(), PauseLedger::new(), TrackedRole::new(LockClass::TestOuter));
         let mut tl = Timeline::new();
         for _ in 0..3 {
-            e.run(Dispatch::Blocking, &mut tl, |tl| {
+            e.run_blocking(&ledger, &role.enter(), &mut tl, |tl| {
                 tl.charge(SpanLabel::LinkTransfer, SimDuration::from_micros(10));
             });
         }
-        assert_eq!(e.vm_paused_total(), SimDuration::from_micros(30));
-        assert_eq!(e.blocking_event_count(), 3);
+        assert_eq!(ledger.paused(), SimDuration::from_micros(30));
+        assert_eq!(ledger.events(), 3);
     }
 
-    /// A blocking handler runs with the whole VM paused, so a lock `run`
-    /// waited on would stall the guest with it: `run` itself takes no
-    /// tracked lock and signals no condvar, under either dispatch.  Debug
-    /// and `sync-audit` builds count both per thread; a build without the
-    /// audit reads zero throughout.
+    /// A blocking handler runs with the whole VM paused, so a lock either
+    /// entry point waited on would stall the guest with it: neither takes
+    /// a tracked lock, signals a condvar or — for a blocking event, whose
+    /// ledger its executor owns — executes an atomic read-modify-write.
+    /// Debug and `sync-audit` builds count all three per thread; a build
+    /// without the audit reads zero throughout.
     #[test]
     fn run_takes_no_lock_of_its_own() {
-        use vphi_sync::audit::{thread_acquisitions, thread_signals};
-        let e = el();
+        use vphi_sync::audit::{thread_acquisitions, thread_rmws, thread_signals};
+        let (e, ledger, role) = (el(), PauseLedger::new(), TrackedRole::new(LockClass::TestOuter));
         let mut tl = Timeline::new();
-        for dispatch in [Dispatch::Blocking, Dispatch::Worker] {
-            let (locks, signals) = (thread_acquisitions(), thread_signals());
-            e.run(dispatch, &mut tl, |_| ());
-            assert_eq!(thread_acquisitions(), locks, "{dispatch:?} took a lock");
-            assert_eq!(thread_signals(), signals, "{dispatch:?} signalled a condvar");
-        }
+        let held = role.enter();
+        let (locks, signals, rmws) = (thread_acquisitions(), thread_signals(), thread_rmws());
+        e.run_blocking(&ledger, &held, &mut tl, |_| ());
+        assert_eq!(thread_acquisitions(), locks, "a blocking event took a lock");
+        assert_eq!(thread_signals(), signals, "a blocking event signalled a condvar");
+        assert_eq!(thread_rmws(), rmws, "a blocking event counted with an atomic RMW");
+        let (locks, signals) = (thread_acquisitions(), thread_signals());
+        e.run_worker(&mut tl, |_| ());
+        assert_eq!(thread_acquisitions(), locks, "a worker event took a lock");
+        assert_eq!(thread_signals(), signals, "a worker event signalled a condvar");
     }
 
     #[test]

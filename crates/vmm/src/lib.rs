@@ -32,7 +32,7 @@ pub mod vm;
 pub mod vma;
 pub mod waitqueue;
 
-pub use event_loop::QemuEventLoop;
+pub use event_loop::{PauseLedger, QemuEventLoop};
 pub use guest_mem::{Gpa, GuestMemError, GuestMemory, GuestRange};
 pub use irq::{IrqChip, IrqLine};
 pub use kernel::GuestKernel;

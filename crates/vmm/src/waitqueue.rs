@@ -55,7 +55,6 @@ pub struct TokenWaitQueue {
     /// signal and leaves the registry lock alone — the common case: a
     /// caller that serviced its own kick never registers.
     registered: Sequenced,
-    wakeups: Counter,
     sleeps: Counter,
     spurious: Counter,
     broadcasts: Counter,
@@ -66,7 +65,6 @@ impl Default for TokenWaitQueue {
         TokenWaitQueue {
             slots: TrackedMutex::new(LockClass::TokenWaiters, HashMap::new()),
             registered: Sequenced::new(0),
-            wakeups: Counter::new(0),
             sleeps: Counter::new(0),
             spurious: Counter::new(0),
             broadcasts: Counter::new(0),
@@ -155,9 +153,9 @@ impl TokenWaitQueue {
     /// registered slot is a no-op (the completion is already where the
     /// waiter's predicate looks and its fast path takes it) and, when no
     /// waiter is registered at all, lock-free.  Call it *after* publishing
-    /// what the predicate reads.
+    /// what the predicate reads.  Directed wakes are counted by their
+    /// caller, which knows what it completed.
     pub fn wake(&self, token: u64) {
-        self.wakeups.bump();
         if self.registered.look() == 0 {
             return;
         }
@@ -176,11 +174,6 @@ impl TokenWaitQueue {
             *slot.signals.lock() += 1;
             slot.cond.notify_all();
         }
-    }
-
-    /// Directed wakes delivered.
-    pub fn wakeup_count(&self) -> u64 {
-        self.wakeups.get()
     }
 
     /// Times a waiter actually parked.
@@ -231,7 +224,6 @@ mod tests {
         let mut got: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap().unwrap()).collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3]);
-        assert_eq!(wq.wakeup_count(), 4);
         // Directed delivery: nobody woke for someone else's completion.
         assert_eq!(wq.spurious_count(), 0);
     }
@@ -284,7 +276,6 @@ mod tests {
     fn wake_with_no_registered_slot_is_a_noop() {
         let wq = TokenWaitQueue::new();
         wq.wake(99);
-        assert_eq!(wq.wakeup_count(), 1);
         // A later waiter on the same token with a true predicate returns
         // on the fast path without sleeping.
         assert_eq!(wq.wait_for(99, Duration::from_secs(1), || Some(5)), Some(5));
@@ -296,7 +287,11 @@ mod tests {
         let wq = TokenWaitQueue::new();
         let registry = LockClass::TokenWaiters.index();
         let before = vphi_sync::audit::thread_acquisitions()[registry];
+        let rmws = vphi_sync::audit::thread_rmws();
         wq.wake(1);
+        if vphi_sync::audit::ENABLED {
+            assert_eq!(vphi_sync::audit::thread_rmws(), rmws + 1, "a wake is its look alone");
+        }
         assert_eq!(wq.wait_for(1, Duration::from_secs(1), || Some(())), Some(()));
         assert_eq!(vphi_sync::audit::thread_acquisitions()[registry], before);
         // A waiter that has to park registers, and is counted out again.

@@ -118,7 +118,7 @@ fn accept_on_a_worker_does_not_block_other_requests() {
     native.connect(ScifAddr::new(vphi_scif::HOST_NODE, lport), &mut tl).unwrap();
     let peer = accepter.join().unwrap().unwrap();
     assert_eq!(peer.node, vphi_scif::HOST_NODE);
-    let dispatched = vm.backend().inner().stats.worker_dispatches.get();
+    let dispatched = vm.backend().inner().worker_dispatches();
     assert!(dispatched >= 1);
     assert_eq!(vm.vm().event_loop().worker_event_count(), dispatched, "one event per dispatch");
 
@@ -184,7 +184,7 @@ fn a_caller_parked_in_recv_does_not_stall_other_lanes() {
     parked.connect(addr, &mut tl).unwrap();
     busy.connect(addr, &mut tl).unwrap();
 
-    let requests = || vm.backend().inner().stats.requests.get();
+    let requests = || vm.backend().inner().requests();
     let settled = requests();
     let sleeper = std::thread::spawn(move || {
         let mut tl = Timeline::new();
@@ -237,8 +237,8 @@ fn a_blocking_callers_accept_goes_to_a_worker_and_frees_the_lane() {
     let lport = listener.bind(Port::ANY, &mut tl).unwrap();
     listener.listen(2, &mut tl).unwrap();
 
-    let stats = &vm.backend().inner().stats;
-    let dispatched = || stats.worker_dispatches.get();
+    let inner = vm.backend().inner();
+    let dispatched = || inner.worker_dispatches();
     assert_eq!(dispatched(), 0);
     let accepter = std::thread::spawn(move || {
         let mut tl = Timeline::new();
@@ -268,4 +268,56 @@ fn a_blocking_callers_accept_goes_to_a_worker_and_frees_the_lane() {
     assert_eq!(channel.waitq.sleep_count(), 1 + vm.frontend().stats().deadline_retries);
     native.close();
     vm.shutdown();
+}
+
+/// A lane's request counts have one writer, the holder of the lane's
+/// executor role, and count with a load and a store, not an atomic add:
+/// two threads per lane on two lanes of one VM, each call serviced by its
+/// own caller or, when its lane was busy, by the lane's shard.  Every
+/// count still lands — the backend's request and blocking-event totals,
+/// and the frontend's requests and polling waits derived from the lanes,
+/// move by exactly the calls made.
+#[test]
+fn per_lane_tallies_lose_no_request_across_lanes_and_executors() {
+    const CALLS: u64 = 2_000;
+    let host = VphiHost::new(1);
+    let sink = vphi_dev_support::sink(&host, 0);
+    let vm = Arc::new(host.spawn_vm(VmConfig::builder().num_queues(2).build()));
+    let mut tl = Timeline::new();
+    let mut endpoints = Vec::new();
+    for lane in [0, 1] {
+        for _ in 0..2 {
+            let (ep, _) = open_on_lane(&vm, |l| l == lane, &mut tl);
+            ep.connect(sink.addr(), &mut tl).unwrap();
+            endpoints.push(ep);
+        }
+    }
+    let inner = Arc::clone(vm.backend().inner());
+    let before = (inner.requests(), inner.blocking_events(), vm.frontend().stats());
+    let threads: Vec<_> = endpoints
+        .into_iter()
+        .map(|ep| {
+            std::thread::spawn(move || {
+                let mut tl = Timeline::new();
+                for _ in 0..CALLS {
+                    assert_eq!(ep.send(&[1], &mut tl), Ok(1));
+                }
+                ep
+            })
+        })
+        .collect();
+    let endpoints: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+    let after = (inner.requests(), inner.blocking_events(), vm.frontend().stats());
+    let made = 4 * CALLS;
+    assert_eq!(after.0 - before.0, made, "backend requests");
+    assert_eq!(after.1 - before.1, made, "blocking events");
+    assert_eq!(after.2.requests - before.2.requests, made, "frontend requests");
+    let waits = |s: &vphi::frontend::FrontendStats| s.interrupt_waits + s.polling_waits;
+    assert_eq!(waits(&after.2) - waits(&before.2), made, "completions taken");
+    for ep in endpoints {
+        ep.close(&mut tl).unwrap();
+    }
+    vm.shutdown();
+    drop(sink);
+    assert_eq!(vphi_sync::audit::violation_count(), 0, "lock-order violations detected");
 }

@@ -698,7 +698,7 @@ fn strike_during_an_inline_drain(
         ep.connect(addr, &mut tl).unwrap();
     }
 
-    let requests = || vm.backend().inner().stats.requests.get();
+    let requests = || vm.backend().inner().requests();
     let settled = requests();
     let recv_on = |ep: &Arc<vphi::GuestScif>| {
         let ep = Arc::clone(ep);
@@ -958,6 +958,31 @@ fn accept_on_a_dead_card_refuses_its_connector_and_binds_nothing() {
     assert_eq!(card.bound_ports(), ports_before, "the failed accept bound a port");
 }
 
+/// A `connect` whose request cannot cross the fabric — toward a card that
+/// failed — is `ENODEV`, and leaves the endpoint bound and idle: its next
+/// `connect`, to a live card, succeeds, natively and through a guest.
+#[test]
+fn a_connect_toward_a_failed_card_strands_nothing() {
+    let host = VphiHost::new(2);
+    let dead = host.device_node(0);
+    let live = sink(&host, 1);
+    host.board(0).fail("test: the card a connect heads for is gone");
+    let mut tl = Timeline::new();
+    let toward_dead = ScifAddr::new(dead, Port(1));
+
+    let native = host.native_endpoint().unwrap();
+    assert_eq!(native.connect(toward_dead, &mut tl), Err(ScifError::NoDev));
+    assert_eq!(native.connect(live.addr(), &mut tl).map(|peer| peer.node), Ok(live.addr().node));
+    native.close();
+
+    let vm = host.spawn_vm(VmConfig::default());
+    let guest = vm.open_scif(&mut tl).unwrap();
+    assert_eq!(guest.connect(toward_dead, &mut tl), Err(ScifError::NoDev));
+    assert_eq!(guest.connect(live.addr(), &mut tl).map(|peer| peer.node), Ok(live.addr().node));
+    guest.close(&mut tl).unwrap();
+    vm.shutdown();
+}
+
 /// A board fault, then the card's reset, with a `recv_timed` parked on
 /// either end of a guest↔card connection.  The fault itself ends neither
 /// wait (it never did: the traffic that trips it reads `ENODEV`, a
@@ -994,7 +1019,7 @@ fn card_reset_ends_timed_receives_parked_on_both_ends() {
     let _tripper_peer = conns_rx.recv().unwrap();
     card.join().unwrap();
 
-    let requests = || sleeper_vm.backend().inner().stats.requests.get();
+    let requests = || sleeper_vm.backend().inner().requests();
     let settled = requests();
     let guest_waiting = {
         let sleeper = Arc::clone(&sleeper);

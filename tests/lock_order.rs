@@ -605,11 +605,12 @@ fn directed_wakeups_signal_under_one_mutex_each() {
 /// blocking guest call is serviced on the calling thread, so that thread's
 /// acquisition ledger is the request's: 1,000 calls each of a 4 MiB
 /// `send_timed` chunk and of a blocking 1-byte `send`, through a guest and
-/// natively, warm.  The guest numbers are ceilings the request-slot table
-/// brought down from 35 and 39; a timed chunk, guest or native, no longer
-/// takes the poll hub (DESIGN.md #24), a byte-lane send still does; an
-/// injected MSI is a charge and a count, no handler chain to lock.  The
-/// same thread's signal ledger counts the condvar signals each call sends.
+/// natively, warm.  The request-slot table brought the guest numbers down
+/// from 35 and 39; a timed chunk, guest or native, no longer takes the
+/// poll hub (DESIGN.md #24), a byte-lane send still does; an injected MSI
+/// is a charge, no handler chain to lock.  The same thread's signal ledger
+/// counts the condvar signals each call sends, and its RMW ledger the
+/// atomic read-modify-writes.
 #[test]
 fn the_fixed_request_path_stays_inside_its_lock_budget() {
     use vphi::builder::{VmConfig, VphiHost};
@@ -642,17 +643,21 @@ fn the_fixed_request_path_stays_inside_its_lock_budget() {
     // Per-call acquisitions of `call`, by class, and condvar signals, on
     // this thread.  Warm calls on both sides of the window: the last
     // chunk completes the card's read and signals its parked reader.
-    let per_call = |call: &mut dyn FnMut()| -> (Vec<(LockClass, f64)>, f64) {
+    let per_call = |call: &mut dyn FnMut()| -> (Vec<(LockClass, f64)>, f64, f64) {
         for _ in 0..WARM {
             call();
         }
-        let (before, signals_before) =
-            (vphi_sync::audit::thread_acquisitions(), vphi_sync::audit::thread_signals());
+        let (before, signals_before, rmws_before) = (
+            vphi_sync::audit::thread_acquisitions(),
+            vphi_sync::audit::thread_signals(),
+            vphi_sync::audit::thread_rmws(),
+        );
         for _ in 0..CALLS {
             call();
         }
         let after = vphi_sync::audit::thread_acquisitions();
         let signals = (vphi_sync::audit::thread_signals() - signals_before) as f64 / CALLS as f64;
+        let rmws = (vphi_sync::audit::thread_rmws() - rmws_before) as f64 / CALLS as f64;
         for _ in 0..WARM {
             call();
         }
@@ -661,27 +666,27 @@ fn the_fixed_request_path_stays_inside_its_lock_budget() {
             .map(|c| (c, (after[c.index()] - before[c.index()]) as f64 / CALLS as f64))
             .filter(|&(_, n)| n > 0.0)
             .collect();
-        (ledger, signals)
+        (ledger, signals, rmws)
     };
     let total = |ledger: &[(LockClass, f64)]| ledger.iter().map(|&(_, n)| n).sum::<f64>();
 
     let vm = host.spawn_vm(VmConfig::default());
     let guest = vm.open_scif(&mut tl).unwrap();
     guest.connect(ScifAddr::new(host.device_node(0), Port(968)), &mut tl).unwrap();
-    let (guest_chunk, guest_chunk_signals) = per_call(&mut || {
+    let (guest_chunk, guest_chunk_signals, guest_chunk_rmws) = per_call(&mut || {
         assert_eq!(guest.send_timed(CHUNK, &mut Timeline::new()), Ok(CHUNK));
     });
-    let (guest_byte, guest_byte_signals) = per_call(&mut || {
+    let (guest_byte, guest_byte_signals, guest_byte_rmws) = per_call(&mut || {
         assert_eq!(guest.send(&[7], &mut Timeline::new()), Ok(1));
     });
     guest.close(&mut tl).unwrap();
 
     let native = host.native_endpoint().unwrap();
     native.connect(ScifAddr::new(host.device_node(0), Port(968)), &mut tl).unwrap();
-    let (native_chunk, native_chunk_signals) = per_call(&mut || {
+    let (native_chunk, native_chunk_signals, native_chunk_rmws) = per_call(&mut || {
         assert_eq!(native.send_timed(CHUNK, &mut Timeline::new()), Ok(CHUNK));
     });
-    let (native_byte, native_byte_signals) = per_call(&mut || {
+    let (native_byte, native_byte_signals, native_byte_rmws) = per_call(&mut || {
         assert_eq!(native.send(&[7], &mut Timeline::new()), Ok(1));
     });
     native.close();
@@ -689,23 +694,25 @@ fn the_fixed_request_path_stays_inside_its_lock_budget() {
     vm.shutdown();
 
     assert_eq!(vphi_sync::audit::violation_count(), violations_before);
-    for (what, ledger, budget) in [
-        ("guest 4 MiB send_timed chunk", &guest_chunk, 23.0),
-        ("guest blocking 1-byte send", &guest_byte, 26.0),
-        ("native 4 MiB send_timed chunk", &native_chunk, 6.0),
-        ("native 1-byte send", &native_byte, 7.0),
+    // Exact, all four: a change that adds or removes a lock acquisition or
+    // an atomic RMW on this path moves a number here.  A guest call's
+    // statistics are derived, tallied by the lane executor or kept under a
+    // lock the path takes anyway, the endpoint and board states are
+    // lock-free loads, and a message names its nodes by the cores its
+    // endpoints hold (DESIGN.md #27).  What is left natively is the
+    // doorbell's lock and the lane the bytes go to; the guest adds its
+    // ring, its slot, its guest memory and its lane's executor role.
+    for (what, ledger, rmws, exact) in [
+        ("guest 4 MiB send_timed chunk", &guest_chunk, guest_chunk_rmws, (18.0, 10.0)),
+        ("guest blocking 1-byte send", &guest_byte, guest_byte_rmws, (21.0, 12.0)),
+        ("native 4 MiB send_timed chunk", &native_chunk, native_chunk_rmws, (2.0, 4.0)),
+        ("native 1-byte send", &native_byte, native_byte_rmws, (3.0, 5.0)),
     ] {
         let n = total(ledger);
         println!("{what}: {n:.2} tracked acquisitions per call {ledger:?}");
-        assert!(
-            n <= budget,
-            "{what}: {n:.2} tracked acquisitions per call, budget {budget}: {ledger:?}"
-        );
+        println!("{what}: {rmws:.2} atomic RMWs per call");
+        assert_eq!((n, rmws), exact, "{what}: (acquisitions, RMWs) per call: {ledger:?}");
     }
-    // The native twins are exact, and the one lock between them is the
-    // hub: `poll` cannot see the timed lane, so a chunk does not wake it.
-    assert_eq!(total(&native_chunk), 6.0);
-    assert_eq!(total(&native_byte), 7.0);
     // Condvar signals, exact on both sides: a board doorbell nobody waits
     // on signals nobody (it cost a chunk its one signal and a byte send
     // one of three), and a guest call that serviced its own kick leaves
@@ -722,7 +729,8 @@ fn the_fixed_request_path_stays_inside_its_lock_budget() {
     }
     // Guest-only classes the slot table retired from the path stay off it:
     // no per-token waiter registry for a caller that serviced its own
-    // kick, one policy update per request, four ring sections.
+    // kick, no spin-budget policy for a scheme that learns nothing, four
+    // ring sections.
     let per_class = |ledger: &[(LockClass, f64)], class| {
         ledger.iter().find(|&&(c, _)| c == class).map_or(0.0, |&(_, n)| n)
     };
@@ -732,7 +740,7 @@ fn the_fixed_request_path_stays_inside_its_lock_budget() {
     }
     for ledger in [&guest_chunk, &guest_byte] {
         assert_eq!(per_class(ledger, LockClass::TokenWaiters), 0.0);
-        assert_eq!(per_class(ledger, LockClass::NotifyPolicy), 1.0);
+        assert_eq!(per_class(ledger, LockClass::NotifyPolicy), 0.0);
         assert!(per_class(ledger, LockClass::VirtQueueState) <= 4.0);
         assert_eq!(per_class(ledger, LockClass::RequestSlot), 4.0);
     }
@@ -775,7 +783,6 @@ const LEDGER: &[(LockClass, LockClass)] = {
         (LaneExecutor, WindowTable),
         (LaneExecutor, RmaMarker),
         (LaneExecutor, RmaPending),
-        (LaneExecutor, BoardState),
         (LaneExecutor, BoardSysfs),
         (LaneExecutor, VirtQueueState),
         (LaneExecutor, Doorbell),

@@ -48,7 +48,7 @@ fn guest_poll_reports_readiness() {
 
     // Timed polls run on backend workers — the VM was not frozen for the
     // poll's park time.
-    let dispatched = vm.backend().inner().stats.worker_dispatches.get();
+    let dispatched = vm.backend().inner().worker_dispatches();
     assert!(dispatched >= 1);
     assert_eq!(vm.vm().event_loop().worker_event_count(), dispatched, "one event per dispatch");
 }
