@@ -3,12 +3,14 @@
 //! One module per paper artifact, each returning the figure's data series
 //! in virtual time and the [`Figure`]s that table them.  [`FIGURES`] lists
 //! every figure id in print order with the function that regenerates it;
-//! the `figures` binary prints them, `tests/golden.rs` compares their
-//! virtual-time JSON with the committed `figures.golden.json`, and the
-//! Criterion benches measure the *simulator's* wall-clock cost per
-//! operation (implementation microbenchmarks).
+//! the `figures` binary prints them and `tests/golden.rs` compares their
+//! virtual-time JSON with the committed `figures.golden.json`.  What the
+//! *simulator* costs the host per call is counted, not timed:
+//! [`host_cost`] tables it, `tests/host_cost.rs` compares it with
+//! `host_cost.golden.json`.
 
 pub mod experiments;
+pub mod host_cost;
 pub mod support;
 
 pub use experiments::*;

@@ -1,4 +1,4 @@
-//! The figure record every experiment returns, its printer and its JSON,
+//! The figure record every experiment returns, its printer, JSON and diff,
 //! plus the wall-clock loop timer the overhead ablations share.
 
 use std::fmt;
@@ -90,7 +90,7 @@ pub struct Figure {
     rows: Vec<Vec<Cell>>,
     facts: Vec<(String, Cell)>,
     notes: Vec<String>,
-    wall: Vec<(&'static str, Cell)>,
+    wall: Vec<(String, Cell)>,
 }
 
 impl Figure {
@@ -125,9 +125,9 @@ impl Figure {
         self.notes.push(line.into());
     }
 
-    /// A host-time reading: printed, never part of the JSON.
-    pub fn wall(&mut self, name: &'static str, value: Cell) {
-        self.wall.push((name, value));
+    /// A host reading that varies run to run: printed, never in the JSON.
+    pub fn wall(&mut self, name: impl Into<String>, value: Cell) {
+        self.wall.push((name.into(), value));
     }
 
     /// The virtual-time record as JSON, one row and one fact per line, so
@@ -169,15 +169,78 @@ impl fmt::Display for Figure {
             writeln!(f, "{note}")?;
         }
         if !self.wall.is_empty() {
-            let readings: Vec<String> =
-                self.wall.iter().map(|(name, v)| format!("{name} {v}")).collect();
-            writeln!(f, "wall (host time, varies run to run): {}", readings.join(", "))?;
+            writeln!(f, "wall (host readings, vary run to run):")?;
+            for (name, v) in &self.wall {
+                writeln!(f, "  {name}: {v}")?;
+            }
         }
         if !self.notes.is_empty() || !self.wall.is_empty() {
             writeln!(f)?;
         }
         Ok(())
     }
+}
+
+/// Split one JSON row or list on the commas outside strings.
+pub fn split_cells(list: &str) -> Vec<&str> {
+    let (mut cells, mut start, mut in_str, mut escaped) = (Vec::new(), 0, false, false);
+    for (i, c) in list.char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if in_str => escaped = true,
+            '"' => in_str = !in_str,
+            ',' if !in_str => {
+                cells.push(list[start..i].trim());
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    cells.push(list[start..].trim());
+    cells
+}
+
+/// The text between a line's outermost `[` and `]`.
+pub fn bracketed(line: &str) -> &str {
+    let open = line.find('[').map_or(0, |i| i + 1);
+    let close = line.rfind(']').unwrap_or(line.len());
+    &line[open..close.max(open)]
+}
+
+/// Name the figure, row and field of the first line where `fresh` departs
+/// from `golden` (both lists of [`Figure::virt_json`] records), with both
+/// values.  A row is named by its index and its leading text cells, so a
+/// host-cost row reads as its shape and side.
+pub fn first_difference(golden: &str, fresh: &str) -> Option<String> {
+    let (g, f): (Vec<&str>, Vec<&str>) = (golden.lines().collect(), fresh.lines().collect());
+    let at = (0..g.len().max(f.len())).find(|&i| g.get(i) != f.get(i))?;
+    let (g_line, f_line) =
+        (g.get(at).copied().unwrap_or("<end>"), f.get(at).copied().unwrap_or("<end>"));
+    let before = &g[..at.min(g.len())];
+    let last = |prefix: &str| before.iter().rposition(|l| l.starts_with(prefix));
+    let figure = last("{\"id\": ").map_or("<none>", |i| before[i].trim_start_matches("{\"id\": "));
+    let place = if let (true, Some(rows)) = (g_line.starts_with("  ["), last(" \"rows\": [")) {
+        let (gc, fc) = (split_cells(bracketed(g_line)), split_cells(bracketed(f_line)));
+        let col = (0..gc.len().max(fc.len())).find(|&i| gc.get(i) != fc.get(i)).unwrap_or(0);
+        let names = last(" \"columns\": ").map(|i| split_cells(bracketed(before[i])));
+        let name = names.and_then(|n| n.get(col).map(|n| n.trim_matches('"').to_string()));
+        let label: Vec<&str> =
+            gc.iter().take_while(|c| c.starts_with('"')).map(|c| c.trim_matches('"')).collect();
+        format!(
+            "row {}{}, field {}: golden {} vs fresh {}",
+            at - rows - 1,
+            if label.is_empty() { String::new() } else { format!(" ({})", label.join(", ")) },
+            name.unwrap_or_else(|| format!("#{col}")),
+            gc.get(col).unwrap_or(&"<none>"),
+            fc.get(col).unwrap_or(&"<none>")
+        )
+    } else if g_line.starts_with("  \"") {
+        let fact = g_line.trim().split(": ").next().unwrap_or("?");
+        format!("fact {fact}: golden `{}` vs fresh `{}`", g_line.trim(), f_line.trim())
+    } else {
+        format!("golden `{g_line}` vs fresh `{f_line}`")
+    };
+    Some(format!("figure {}, line {}: {place}", figure.trim_end_matches(','), at + 1))
 }
 
 /// Render a simple fixed-width table.

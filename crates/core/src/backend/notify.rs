@@ -58,14 +58,6 @@ pub struct LaneNotifyCounters {
     pub batch_hist: [u64; BATCH_BUCKETS],
 }
 
-impl LaneNotifyCounters {
-    /// The largest non-empty histogram bucket — `2^b` is a lower bound on
-    /// the biggest single-irq batch observed.
-    pub fn max_batch_bucket(&self) -> Option<u8> {
-        (0..BATCH_BUCKETS).rev().find(|&b| self.batch_hist[b] > 0).map(|b| b as u8)
-    }
-}
-
 /// Who records a completion: the lane's executor, holding its role, or
 /// (`None`) a QEMU worker thread.
 pub type Recorder<'a> = Option<&'a TrackedRoleGuard<'a>>;
@@ -275,7 +267,6 @@ mod tests {
         assert_eq!(c.irqs_suppressed, 2);
         assert_eq!(c.batch_hist[0], 1, "first irq carried one completion");
         assert_eq!(c.batch_hist[1], 1, "second irq flushed a batch of 3 (bucket [2,4))");
-        assert_eq!(c.max_batch_bucket(), Some(1));
     }
 
     #[test]

@@ -227,11 +227,6 @@ impl ApertureMap {
         self.inner.lock().windows.len()
     }
 
-    /// Total device bytes consumed by live mappings.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.inner.lock().windows.values().map(|m| m.sub.len()).sum()
-    }
-
     /// Descriptor lists currently in flight across all mappings.
     pub fn inflight_total(&self) -> u64 {
         self.inner.lock().windows.values().map(|m| m.inflight as u64).sum()
@@ -303,7 +298,6 @@ mod tests {
         let again = map.map_window((1, 0), HUGE_PAGE_SIZE + 1).unwrap();
         assert_eq!(a, again, "re-mapping the same key is idempotent");
         assert_eq!(map.mapped_windows(), 1);
-        assert_eq!(map.mapped_bytes(), 2 * HUGE_PAGE_SIZE);
         let b = map.map_window((1, 4096), HUGE_PAGE_SIZE).unwrap();
         assert_ne!(a.base(), b.base(), "distinct keys get distinct subwindows");
         assert!(map.unmap_window((1, 0)));

@@ -121,19 +121,12 @@ pub struct DmaEngine {
     channels: usize,
     next_channel: Counter,
     bytes_total: Counter,
-    transfers: Counter,
 }
 
 impl DmaEngine {
     pub fn new(link: Arc<PcieLink>, channels: usize) -> Self {
         assert!(channels > 0, "a DMA engine needs at least one channel");
-        DmaEngine {
-            link,
-            channels,
-            next_channel: Counter::new(0),
-            bytes_total: Counter::new(0),
-            transfers: Counter::new(0),
-        }
+        DmaEngine { link, channels, next_channel: Counter::new(0), bytes_total: Counter::new(0) }
     }
 
     pub fn channels(&self) -> usize {
@@ -157,16 +150,11 @@ impl DmaEngine {
         dst.copy_from_slice(src);
         let completed_at = self.link.transmit(src.len() as u64, tl);
         self.bytes_total.add(src.len() as u64);
-        self.transfers.bump();
         DmaOutcome { completed_at, channel, bytes: src.len() as u64 }
     }
 
     pub fn bytes_total(&self) -> u64 {
         self.bytes_total.get()
-    }
-
-    pub fn transfer_count(&self) -> u64 {
-        self.transfers.get()
     }
 }
 
@@ -260,7 +248,6 @@ mod tests {
         e.copy(&[0u8; 100], &mut [0u8; 100], &mut tl);
         e.copy(&[0u8; 900], &mut [0u8; 900], &mut tl);
         assert_eq!(e.bytes_total(), 1_000);
-        assert_eq!(e.transfer_count(), 2);
     }
 
     #[test]

@@ -180,10 +180,6 @@ impl DeviceMemory {
         self.inner.read().allocated
     }
 
-    pub fn free_bytes(&self) -> u64 {
-        self.capacity - self.allocated()
-    }
-
     fn round_up(len: u64) -> u64 {
         len.div_ceil(PAGE_SIZE) * PAGE_SIZE
     }
@@ -275,7 +271,6 @@ mod tests {
         let r = m.alloc(1).unwrap();
         assert_eq!(r.len(), PAGE_SIZE);
         assert_eq!(m.allocated(), PAGE_SIZE);
-        assert_eq!(m.free_bytes(), 16 * MIB - PAGE_SIZE);
     }
 
     #[test]

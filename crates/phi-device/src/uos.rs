@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
-use vphi_sync::{Counter, Published};
+use vphi_sync::Published;
 
 use crate::spec::PhiSpec;
 
@@ -89,18 +89,11 @@ pub struct UosScheduler {
     clock: Arc<VirtualClock>,
     /// Threads currently admitted (across all processes / VMs).
     active_threads: Published,
-    jobs_completed: Counter,
 }
 
 impl UosScheduler {
     pub fn new(spec: PhiSpec, cost: Arc<CostModel>, clock: Arc<VirtualClock>) -> Self {
-        UosScheduler {
-            spec,
-            cost,
-            clock,
-            active_threads: Published::new(0),
-            jobs_completed: Counter::new(0),
-        }
+        UosScheduler { spec, cost, clock, active_threads: Published::new(0) }
     }
 
     pub fn spec(&self) -> &PhiSpec {
@@ -140,7 +133,6 @@ impl UosScheduler {
         tl.charge(SpanLabel::DeviceCompute, outcome.duration);
         self.clock.advance(outcome.duration);
         self.active_threads.fetch_sub(job.threads as u64);
-        self.jobs_completed.bump();
         outcome
     }
 
@@ -166,7 +158,6 @@ impl UosScheduler {
                     );
                 }
                 tl.charge(SpanLabel::DeviceCompute, outcome.duration);
-                self.jobs_completed.bump();
                 outcome
             })
             .collect()
@@ -215,10 +206,6 @@ impl UosScheduler {
             oversubscribed,
             effective_gflops: rate_gflops,
         }
-    }
-
-    pub fn jobs_completed(&self) -> u64 {
-        self.jobs_completed.get()
     }
 
     pub fn active_threads(&self) -> u32 {
@@ -315,7 +302,6 @@ mod tests {
             assert!((ratio - 2.0).abs() < 0.05, "expected ~2x slowdown, got {ratio}");
         }
         assert_eq!(s.active_threads(), 0);
-        assert_eq!(s.jobs_completed(), 3);
     }
 
     #[test]

@@ -24,11 +24,6 @@ pub struct TraceCtx {
 }
 
 impl TraceCtx {
-    /// Whether this context is attached to a live trace.
-    pub fn is_armed(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// A clone whose next spans parent directly to the trace root — for
     /// stages (e.g. completion delivery) that are siblings of the subtree
     /// this context currently sits in, not children of it.
@@ -409,7 +404,6 @@ mod tests {
         let mut tl2 = Timeline::new();
         let mut untraced = OpCtx::from(&mut tl2);
         untraced.set_queue(9);
-        assert!(!untraced.trace.is_armed());
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub struct TokenWaitQueue {
     registered: Sequenced,
     sleeps: Counter,
     spurious: Counter,
-    broadcasts: Counter,
 }
 
 impl Default for TokenWaitQueue {
@@ -67,7 +66,6 @@ impl Default for TokenWaitQueue {
             registered: Sequenced::new(0),
             sleeps: Counter::new(0),
             spurious: Counter::new(0),
-            broadcasts: Counter::new(0),
         }
     }
 }
@@ -168,7 +166,6 @@ impl TokenWaitQueue {
 
     /// Broadcast to every registered sleeper (shutdown, card reset).
     pub fn wake_all(&self) {
-        self.broadcasts.bump();
         let slots: Vec<Arc<TokenSlot>> = self.slots.lock().values().map(Arc::clone).collect();
         for slot in slots {
             *slot.signals.lock() += 1;
@@ -187,11 +184,6 @@ impl TokenWaitQueue {
     /// publish-before-wake ordering forbids, or a broadcast raced in).
     pub fn spurious_count(&self) -> u64 {
         self.spurious.get()
-    }
-
-    /// Broadcast wake-alls delivered.
-    pub fn broadcast_count(&self) -> u64 {
-        self.broadcasts.get()
     }
 }
 
@@ -269,7 +261,6 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), Some(()));
         }
-        assert_eq!(wq.broadcast_count(), 1);
     }
 
     #[test]

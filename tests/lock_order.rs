@@ -601,163 +601,6 @@ fn directed_wakeups_signal_under_one_mutex_each() {
     );
 }
 
-/// The lock budget of the fixed per-request path (DESIGN.md #23).  A
-/// blocking guest call is serviced on the calling thread, so that thread's
-/// acquisition ledger is the request's: 1,000 calls each of a 4 MiB
-/// `send_timed` chunk and of a blocking 1-byte `send`, through a guest and
-/// natively, warm.  The request-slot table brought the guest numbers down
-/// from 35 and 39; a timed chunk, guest or native, no longer takes the
-/// poll hub (DESIGN.md #24), a byte-lane send still does; an injected MSI
-/// is a charge, no handler chain to lock.  The same thread's signal ledger
-/// counts the condvar signals each call sends, and its RMW ledger the
-/// atomic read-modify-writes.
-#[test]
-fn the_fixed_request_path_stays_inside_its_lock_budget() {
-    use vphi::builder::{VmConfig, VphiHost};
-    use vphi_scif::{Port, ScifAddr};
-    use vphi_sim_core::Timeline;
-
-    const CALLS: u64 = 1_000;
-    const WARM: u64 = 8;
-    const CHUNK: u64 = 4 << 20;
-
-    let violations_before = vphi_sync::audit::violation_count();
-    let host = VphiHost::new(1);
-    let mut tl = Timeline::new();
-    let listener = host.device_endpoint(0).unwrap();
-    listener.bind(Port(968), &mut tl).unwrap();
-    listener.listen(2, &mut tl).unwrap();
-    // Card side: per connection, swallow the timed chunks, then the bytes.
-    const SENT: u64 = CALLS + 2 * WARM;
-    let card = std::thread::spawn(move || {
-        let mut tl = Timeline::new();
-        let mut bytes = vec![0u8; SENT as usize];
-        for _ in 0..2 {
-            let conn = listener.accept(&mut tl).unwrap();
-            assert_eq!(conn.recv_timed(SENT * CHUNK, &mut tl), Ok(SENT * CHUNK));
-            assert_eq!(conn.recv(&mut bytes, &mut tl), Ok(bytes.len()));
-            let _ = conn.recv(&mut [0u8; 1], &mut tl);
-        }
-    });
-
-    // Per-call acquisitions of `call`, by class, and condvar signals, on
-    // this thread.  Warm calls on both sides of the window: the last
-    // chunk completes the card's read and signals its parked reader.
-    let per_call = |call: &mut dyn FnMut()| -> (Vec<(LockClass, f64)>, f64, f64) {
-        for _ in 0..WARM {
-            call();
-        }
-        let (before, signals_before, rmws_before) = (
-            vphi_sync::audit::thread_acquisitions(),
-            vphi_sync::audit::thread_signals(),
-            vphi_sync::audit::thread_rmws(),
-        );
-        for _ in 0..CALLS {
-            call();
-        }
-        let after = vphi_sync::audit::thread_acquisitions();
-        let signals = (vphi_sync::audit::thread_signals() - signals_before) as f64 / CALLS as f64;
-        let rmws = (vphi_sync::audit::thread_rmws() - rmws_before) as f64 / CALLS as f64;
-        for _ in 0..WARM {
-            call();
-        }
-        let ledger = LockClass::ALL
-            .into_iter()
-            .map(|c| (c, (after[c.index()] - before[c.index()]) as f64 / CALLS as f64))
-            .filter(|&(_, n)| n > 0.0)
-            .collect();
-        (ledger, signals, rmws)
-    };
-    let total = |ledger: &[(LockClass, f64)]| ledger.iter().map(|&(_, n)| n).sum::<f64>();
-
-    let vm = host.spawn_vm(VmConfig::default());
-    let guest = vm.open_scif(&mut tl).unwrap();
-    guest.connect(ScifAddr::new(host.device_node(0), Port(968)), &mut tl).unwrap();
-    let (guest_chunk, guest_chunk_signals, guest_chunk_rmws) = per_call(&mut || {
-        assert_eq!(guest.send_timed(CHUNK, &mut Timeline::new()), Ok(CHUNK));
-    });
-    let (guest_byte, guest_byte_signals, guest_byte_rmws) = per_call(&mut || {
-        assert_eq!(guest.send(&[7], &mut Timeline::new()), Ok(1));
-    });
-    guest.close(&mut tl).unwrap();
-
-    let native = host.native_endpoint().unwrap();
-    native.connect(ScifAddr::new(host.device_node(0), Port(968)), &mut tl).unwrap();
-    let (native_chunk, native_chunk_signals, native_chunk_rmws) = per_call(&mut || {
-        assert_eq!(native.send_timed(CHUNK, &mut Timeline::new()), Ok(CHUNK));
-    });
-    let (native_byte, native_byte_signals, native_byte_rmws) = per_call(&mut || {
-        assert_eq!(native.send(&[7], &mut Timeline::new()), Ok(1));
-    });
-    native.close();
-    card.join().unwrap();
-    vm.shutdown();
-
-    assert_eq!(vphi_sync::audit::violation_count(), violations_before);
-    // Exact, all four: a change that adds or removes a lock acquisition or
-    // an atomic RMW on this path moves a number here.  A guest call's
-    // statistics are derived, tallied by the lane executor or kept under a
-    // lock the path takes anyway, the endpoint and board states are
-    // lock-free loads, and a message names its nodes by the cores its
-    // endpoints hold (DESIGN.md #27).  What is left natively is the
-    // doorbell's lock and the lane the bytes go to; the guest adds its
-    // ring, its slot, its guest memory and its lane's executor role.
-    for (what, ledger, rmws, exact) in [
-        ("guest 4 MiB send_timed chunk", &guest_chunk, guest_chunk_rmws, (18.0, 10.0)),
-        ("guest blocking 1-byte send", &guest_byte, guest_byte_rmws, (21.0, 12.0)),
-        ("native 4 MiB send_timed chunk", &native_chunk, native_chunk_rmws, (2.0, 4.0)),
-        ("native 1-byte send", &native_byte, native_byte_rmws, (3.0, 5.0)),
-    ] {
-        let n = total(ledger);
-        println!("{what}: {n:.2} tracked acquisitions per call {ledger:?}");
-        println!("{what}: {rmws:.2} atomic RMWs per call");
-        assert_eq!((n, rmws), exact, "{what}: (acquisitions, RMWs) per call: {ledger:?}");
-    }
-    // Condvar signals, exact on both sides: a board doorbell nobody waits
-    // on signals nobody (it cost a chunk its one signal and a byte send
-    // one of three), and a guest call that serviced its own kick leaves
-    // its lane's shard thread alone.  What a 1-byte send still signals is
-    // the reader's `readable` and the poll hub, waiter or not.
-    for (what, signals, exact) in [
-        ("guest 4 MiB send_timed chunk", guest_chunk_signals, 0.0),
-        ("guest blocking 1-byte send", guest_byte_signals, 2.0),
-        ("native 4 MiB send_timed chunk", native_chunk_signals, 0.0),
-        ("native 1-byte send", native_byte_signals, 2.0),
-    ] {
-        println!("{what}: {signals:.2} condvar signals per call");
-        assert_eq!(signals, exact, "{what}: condvar signals per call");
-    }
-    // Guest-only classes the slot table retired from the path stay off it:
-    // no per-token waiter registry for a caller that serviced its own
-    // kick, no spin-budget policy for a scheme that learns nothing, four
-    // ring sections.
-    let per_class = |ledger: &[(LockClass, f64)], class| {
-        ledger.iter().find(|&&(c, _)| c == class).map_or(0.0, |&(_, n)| n)
-    };
-    for (chunk, byte) in [(&guest_chunk, &guest_byte), (&native_chunk, &native_byte)] {
-        assert_eq!(per_class(chunk, LockClass::ActivityHub), 0.0);
-        assert_eq!(per_class(byte, LockClass::ActivityHub), 1.0);
-    }
-    for ledger in [&guest_chunk, &guest_byte] {
-        assert_eq!(per_class(ledger, LockClass::TokenWaiters), 0.0);
-        assert_eq!(per_class(ledger, LockClass::NotifyPolicy), 0.0);
-        assert!(per_class(ledger, LockClass::VirtQueueState) <= 4.0);
-        assert_eq!(per_class(ledger, LockClass::RequestSlot), 4.0);
-    }
-    // The slot lock is a leaf, and what it is taken under is the role, the
-    // waiter's own parking slot (its wait predicate probes the request
-    // slot) and nothing else.
-    let edges = vphi_sync::audit::order_edges();
-    let under: Vec<_> = edges.iter().filter(|(held, _)| *held == LockClass::RequestSlot).collect();
-    assert!(under.is_empty(), "a lock taken under the slot lock: {under:?}");
-    for (held, _) in edges.iter().filter(|(_, acquired)| *acquired == LockClass::RequestSlot) {
-        assert!(
-            [LockClass::LaneExecutor, LockClass::TokenSlot].contains(held),
-            "the slot lock taken under {held:?}"
-        );
-    }
-}
-
 /// Every class-order edge the guest request surface takes, as `(held,
 /// acquired)`.  The order graph learns the lock order from the
 /// acquisitions it sees (DESIGN.md #12); this list pins the part of it the
@@ -1046,6 +889,16 @@ fn the_request_surface_takes_every_ledger_edge() {
     println!("order graph after the tour: {edges:?}");
     let missing: Vec<_> = LEDGER.iter().filter(|e| !edges.contains(e)).collect();
     assert!(missing.is_empty(), "ledger edges the request surface no longer takes: {missing:?}");
+    // The request-slot lock is a leaf, taken under the role or the waiter's
+    // parking slot (its wait predicate probes the request slot) only.
+    let under: Vec<_> = edges.iter().filter(|(held, _)| *held == LockClass::RequestSlot).collect();
+    assert!(under.is_empty(), "a lock taken under the slot lock: {under:?}");
+    for (held, _) in edges.iter().filter(|(_, acquired)| *acquired == LockClass::RequestSlot) {
+        assert!(
+            [LockClass::LaneExecutor, LockClass::TokenSlot].contains(held),
+            "the slot lock taken under {held:?}"
+        );
+    }
     // Every `VphiRequest::name()`: a request whose locks nest like
     // another's still has to be sent.
     let sent: Vec<_> = host.tracer().unwrap().hist_rows().into_iter().map(|r| r.op).collect();
