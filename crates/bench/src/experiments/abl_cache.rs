@@ -14,7 +14,6 @@
 //! The warm curve closes the gap: at 256 MiB it lands within 10% of
 //! native, while the disabled curve reproduces the 72% ratio.
 
-use vphi::backend::RegCacheConfig;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
 use vphi_dev_support::window_timed;
@@ -98,10 +97,8 @@ pub fn abl_cache() -> AblCacheReport {
     let server = window_timed(&host, 0, max);
     let native = server.native(&host);
     // vPHI client with the registration cache disabled (seed charging).
-    let cold = server.guest(
-        &host,
-        VmConfig::builder().mem_size(max + 64 * MIB).reg_cache(RegCacheConfig::disabled()).build(),
-    );
+    let cold =
+        server.guest(&host, VmConfig::builder().mem_size(max + 64 * MIB).reg_cache(false).build());
     // vPHI client with the cache enabled; each measurement re-reads a
     // buffer the cache has already seen.
     let warm = server.guest(&host, VmConfig::builder().mem_size(max + 64 * MIB).build());

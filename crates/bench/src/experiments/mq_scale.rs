@@ -18,7 +18,7 @@
 //! 3. **Pipelined DMA.**  A ≥ 64 MiB cold-path remote read with
 //!    `RmaCharge::Pipelined` must beat monolithic staging by ≥ 20%.
 
-use vphi::backend::{RegCacheConfig, RmaCharge};
+use vphi::backend::RmaCharge;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::frontend::VphiChannel;
 use vphi::protocol::VphiRequest;
@@ -226,11 +226,8 @@ fn one_byte_latency(config: VmConfig) -> SimDuration {
 /// cache disabled (every read pays the translate charge, which is where
 /// pipelining overlaps staging with device DMA).
 fn rma_cold_read(charge: RmaCharge) -> SimDuration {
-    let config = VmConfig::builder()
-        .mem_size(RMA_BYTES + 64 * MIB)
-        .reg_cache(RegCacheConfig::disabled())
-        .rma(charge)
-        .build();
+    let config =
+        VmConfig::builder().mem_size(RMA_BYTES + 64 * MIB).reg_cache(false).rma(charge).build();
     guest_vread_once(&VphiHost::new(1), config, RMA_BYTES).total()
 }
 

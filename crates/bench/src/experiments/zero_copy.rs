@@ -20,7 +20,7 @@
 //! shows the shift: the `dma-map` stage appears only on the zero-copy VM,
 //! and `backend-replay` shrinks by what the staged arm charges.
 
-use vphi::backend::{RegCacheConfig, RmaCharge};
+use vphi::backend::RmaCharge;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
 use vphi_dev_support::{guest_send_once, window_timed};
@@ -159,16 +159,14 @@ pub fn zero_copy() -> ZeroCopyReport {
     let server = window_timed(&host, 0, max);
     let native = server.native(&host);
     // --- vPHI, zero-copy off, cache disabled: the seed charging. ---
-    let off = server.guest(
-        &host,
-        VmConfig::builder().mem_size(max + 64 * MIB).reg_cache(RegCacheConfig::disabled()).build(),
-    );
+    let off =
+        server.guest(&host, VmConfig::builder().mem_size(max + 64 * MIB).reg_cache(false).build());
     // --- vPHI, zero-copy on, cache disabled: every read pins cold. ---
     let cold = server.guest(
         &host,
         VmConfig::builder()
             .mem_size(max + 64 * MIB)
-            .reg_cache(RegCacheConfig::disabled())
+            .reg_cache(false)
             .rma(RmaCharge::Mapped)
             .build(),
     );

@@ -26,7 +26,7 @@ use vphi_scif::{NodeId, ScifAddr, ScifEndpoint, ScifError, ScifResult};
 use vphi_sim_core::cost::{HUGE_PAGE_SIZE, PAGE_SIZE};
 use vphi_sync::{LockClass, TrackedMutex};
 
-use super::reg_cache::{RegCacheConfig, RegCacheSnapshot, RegistrationCache};
+use super::reg_cache::{RegCacheSnapshot, RegistrationCache};
 
 /// A registered guest window: where the endpoint's window table put it
 /// and the guest range that backs it.
@@ -153,7 +153,7 @@ pub struct Holdings {
 }
 
 impl Holdings {
-    pub(super) fn new(cache: RegCacheConfig) -> Self {
+    pub(super) fn new(cache: bool) -> Self {
         let cache = RegistrationCache::new(cache);
         Holdings {
             cache_enabled: cache.enabled(),
@@ -361,7 +361,7 @@ mod tests {
         let fabric =
             ScifFabric::new(Arc::new(CostModel::paper_calibrated()), Arc::new(VirtualClock::new()));
         let open = || ScifEndpoint::open(&fabric, HOST_NODE).unwrap();
-        let holdings = Holdings::new(RegCacheConfig::default());
+        let holdings = Holdings::new(true);
         let kept = holdings.insert(open()).unwrap();
         for expected in kept + 1..kept + 10_001 {
             let epd = holdings.insert(open()).unwrap();

@@ -17,13 +17,13 @@ pub mod notify;
 mod reg_cache;
 mod rma;
 
-pub use dispatch::{request_payload_len, DispatchPolicy};
+pub use dispatch::{request_payload_len, Dispatch, DispatchPolicy};
+use dispatch::{PauseLedger, Workers};
 pub use holdings::Holdings;
 pub use notify::{LaneNotifier, LaneNotifyCounters, Recorder, BATCH_BUCKETS};
-pub use reg_cache::{RegCacheConfig, RegCacheSnapshot};
+pub use reg_cache::RegCacheSnapshot;
 pub use rma::RmaCharge;
 use rma::RmaDir;
-pub use vphi_vmm::event_loop::Dispatch;
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,10 +40,7 @@ use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 use vphi_sync::{Counter, Flag, LockClass, Tally, TrackedMutex, TrackedRoleGuard};
 use vphi_trace::{OpCtx, Stage, TraceCtx, Tracer};
 use vphi_virtio::{DescChain, Descriptor, UsedElem};
-use vphi_vmm::vm::VirtualPciDevice;
-use vphi_vmm::{
-    Gpa, GuestMemory, GuestRange, IrqChip, KvmModule, PauseLedger, QemuEventLoop, VmaFlags,
-};
+use vphi_vmm::{Gpa, GuestMemory, GuestRange, IrqChip, KvmModule, VmaFlags};
 
 use crate::frontend::{Completion, VphiChannel, WaitBucketProfile, VPHI_IRQ_VECTOR};
 use crate::mmapping::MappedRegionBacking;
@@ -163,7 +160,6 @@ pub struct BackendInner {
     channel: Arc<VphiChannel>,
     guest_mem: Arc<GuestMemory>,
     kvm: Arc<KvmModule>,
-    event_loop: Arc<QemuEventLoop>,
     fabric: Arc<ScifFabric>,
     boards: Vec<Arc<PhiBoard>>,
     /// Everything the guest's endpoint descriptors hold (DESIGN.md #26).
@@ -174,6 +170,8 @@ pub struct BackendInner {
     mmaps: TrackedMutex<HashMap<u64, (u64, MappedRegion)>>,
     policy: DispatchPolicy,
     running: Flag,
+    /// The QEMU worker threads requests are handed to.
+    workers: Workers,
     /// Per queue lane: its interrupt gate and its counts.
     lanes: Vec<BackendLane>,
     /// What an RMA above `KMALLOC_MAX_SIZE` is charged (`backend/rma.rs`).
@@ -223,6 +221,16 @@ impl BackendInner {
     /// Worker dispatches, over every lane.
     pub fn worker_dispatches(&self) -> u64 {
         self.lanes.iter().map(|l| l.worker_dispatches.get()).sum()
+    }
+
+    /// Events run on a QEMU worker thread.
+    pub fn worker_events(&self) -> u64 {
+        self.workers.events()
+    }
+
+    /// QEMU worker threads started and not yet retired.
+    pub fn live_workers(&self) -> u64 {
+        self.workers.live()
     }
 
     /// Counter snapshots of every lane's interrupt gate, lane order.
@@ -362,8 +370,7 @@ impl BackendInner {
 
         match self.policy.dispatch(&req) {
             Dispatch::Blocking => {
-                let ledger = &self.lanes[q].pause;
-                let resp = self.event_loop.run_blocking(ledger, held, &mut tl, |tl| {
+                let resp = self.lanes[q].pause.run_blocking(held, &mut tl, |tl| {
                     self.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
                 });
                 OpCtx::new(&mut tl, trace.clone()).end(replay);
@@ -375,10 +382,9 @@ impl BackendInner {
                 // on a QEMU worker thread.
                 self.lanes[q].worker_dispatches.bump(held);
                 let inner = Arc::clone(self);
-                self.event_loop.spawn_worker(req.name(), move || {
+                self.workers.spawn(req.name(), move || {
                     let mut tl = tl;
-                    let el = Arc::clone(&inner.event_loop);
-                    let resp = el.run_worker(&mut tl, |tl| {
+                    let resp = inner.workers.run(inner.cost(), &mut tl, |tl| {
                         inner.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
                     });
                     OpCtx::new(&mut tl, trace.clone()).end(replay);
@@ -719,7 +725,8 @@ fn wire_prot(p: u8) -> Prot {
     }
 }
 
-/// The virtual PCI device QEMU exposes to the guest.
+/// The virtual PCI device QEMU exposes to the guest.  It services its
+/// lanes from the moment it is built until [`stop`](Self::stop).
 pub struct BackendDevice {
     inner: Arc<BackendInner>,
     /// The sharded executor's service threads, one per queue lane, for
@@ -737,6 +744,7 @@ impl std::fmt::Debug for BackendDevice {
 }
 
 impl BackendDevice {
+    /// Build the device and start servicing its lanes.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: impl Into<String>,
@@ -744,11 +752,10 @@ impl BackendDevice {
         guest_mem: Arc<GuestMemory>,
         guest_irq: Arc<IrqChip>,
         kvm: Arc<KvmModule>,
-        event_loop: Arc<QemuEventLoop>,
         fabric: Arc<ScifFabric>,
         boards: Vec<Arc<PhiBoard>>,
         policy: DispatchPolicy,
-        reg_cache: RegCacheConfig,
+        reg_cache: bool,
         rma: RmaCharge,
     ) -> Arc<Self> {
         // One interrupt gate per lane, each owning the lane's MSI vector.
@@ -764,29 +771,59 @@ impl BackendDevice {
                 ),
                 requests: Tally::new(),
                 worker_dispatches: Tally::new(),
-                pause: PauseLedger::new(),
+                pause: PauseLedger::default(),
                 woken: Tally::new(),
             })
             .collect();
+        let inner = Arc::new(BackendInner {
+            name: name.into(),
+            channel,
+            guest_mem,
+            kvm,
+            fabric,
+            boards,
+            held: Holdings::new(reg_cache),
+            mmaps: TrackedMutex::new(LockClass::BackendMmaps, HashMap::new()),
+            policy,
+            running: Flag::new(true),
+            workers: Workers::default(),
+            lanes,
+            rma,
+            stats: BackendStats::default(),
+            faults: FaultHook::new(),
+        });
+        // The sharded executor: per queue lane, one service thread for
+        // the work nobody is blocked on and one exit handler for the kicks
+        // of callers who are (`backend/drain.rs`).  All share the endpoint
+        // table, registration cache and dead-guest GC through
+        // `BackendInner`.
+        let shards = (0..inner.channel.queue_count())
+            .map(|q| {
+                // Weak: the queue outlives the device inside the channel,
+                // and the device owns the channel.
+                let device = Arc::downgrade(&inner);
+                inner.channel.lane_queue(q).set_exit_handler(Box::new(move |through| {
+                    // A device that is gone leaves the ring to nobody.
+                    device.upgrade().is_some_and(|inner| inner.drain_as_kicker(q, through))
+                }));
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("vphi-backend-{}-q{q}", inner.name))
+                    .spawn(move || {
+                        let queue = Arc::clone(inner.channel.lane_queue(q));
+                        while inner.running.get() && queue.wait_kick() {
+                            inner.drain_as_shard(q);
+                        }
+                        // Stopped: take whatever never got its kick off the
+                        // books (a dead device's pass executes nothing).
+                        inner.drain_as_shard(q);
+                    })
+                    .expect("spawn vphi backend shard")
+            })
+            .collect();
         Arc::new(BackendDevice {
-            inner: Arc::new(BackendInner {
-                name: name.into(),
-                channel,
-                guest_mem,
-                kvm,
-                event_loop,
-                fabric,
-                boards,
-                held: Holdings::new(reg_cache),
-                mmaps: TrackedMutex::new(LockClass::BackendMmaps, HashMap::new()),
-                policy,
-                running: Flag::new(false),
-                lanes,
-                rma,
-                stats: BackendStats::default(),
-                faults: FaultHook::new(),
-            }),
-            shards: TrackedMutex::new(LockClass::BackendShards, Vec::new()),
+            inner,
+            shards: TrackedMutex::new(LockClass::BackendShards, shards),
         })
     }
 
@@ -814,49 +851,9 @@ impl BackendDevice {
     pub fn arm_tracing(&self, tracer: Arc<Tracer>, vm: u32) {
         self.inner.channel.trace.arm(tracer, vm);
     }
-}
 
-impl VirtualPciDevice for BackendDevice {
-    fn name(&self) -> &str {
-        &self.inner.name
-    }
-
-    fn start(&self) {
-        if self.inner.running.swap(true) {
-            return;
-        }
-        // The sharded executor: per queue lane, one service thread for
-        // the work nobody is blocked on and one exit handler for the kicks
-        // of callers who are (`backend/drain.rs`).  All share the endpoint
-        // table, registration cache and dead-guest GC through
-        // `BackendInner`.
-        let mut shards = self.shards.lock();
-        for q in 0..self.inner.channel.queue_count() {
-            // Weak: the queue outlives the device inside the channel, and
-            // the device owns the channel.
-            let device = Arc::downgrade(&self.inner);
-            self.inner.channel.lane_queue(q).set_exit_handler(Box::new(move |through| {
-                // A device that is gone leaves the ring to nobody.
-                device.upgrade().is_some_and(|inner| inner.drain_as_kicker(q, through))
-            }));
-            let inner = Arc::clone(&self.inner);
-            let handle = std::thread::Builder::new()
-                .name(format!("vphi-backend-{}-q{q}", inner.name))
-                .spawn(move || {
-                    let queue = Arc::clone(inner.channel.lane_queue(q));
-                    while inner.running.get() && queue.wait_kick() {
-                        inner.drain_as_shard(q);
-                    }
-                    // Stopped: take whatever never got its kick off the
-                    // books (a dead device's pass executes nothing).
-                    inner.drain_as_shard(q);
-                })
-                .expect("spawn vphi backend shard");
-            shards.push(handle);
-        }
-    }
-
-    fn stop(&self) {
+    /// Stop servicing and release everything the guest held.  Idempotent.
+    pub fn stop(&self) {
         if !self.inner.running.swap(false) {
             return;
         }
@@ -871,7 +868,8 @@ impl VirtualPciDevice for BackendDevice {
         // reference of its own and has to be woken, not waited for.
         self.inner.held.release_all();
         self.inner.release_mmaps();
-        for h in self.shards.lock().drain(..) {
+        let shards = std::mem::take(&mut *self.shards.lock());
+        for h in shards {
             let _ = h.join();
         }
     }

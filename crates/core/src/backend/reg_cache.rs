@@ -23,27 +23,8 @@ use std::collections::HashMap;
 use vphi_pcie::MapKey;
 use vphi_sim_core::cost::PAGE_SIZE;
 
-/// Tuning knobs for the registration cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegCacheConfig {
-    /// Disabled reproduces the seed charging exactly (the Fig. 5 gap).
-    pub enabled: bool,
-    /// Maximum cached ranges per VM; least-recently-used beyond that.
-    pub capacity: usize,
-}
-
-impl Default for RegCacheConfig {
-    fn default() -> Self {
-        RegCacheConfig { enabled: true, capacity: 128 }
-    }
-}
-
-impl RegCacheConfig {
-    /// Seed-faithful charging: every RMA pays full per-page translation.
-    pub fn disabled() -> Self {
-        RegCacheConfig { enabled: false, ..Self::default() }
-    }
-}
+/// Cached ranges per VM; least-recently-used beyond that.
+const CAPACITY: usize = 128;
 
 /// The cache's lifetime counters, as reports and tests read them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,7 +79,8 @@ impl CacheKey {
 /// range this table let go of was mapped.
 #[derive(Debug)]
 pub(super) struct RegistrationCache {
-    config: RegCacheConfig,
+    /// Most ranges held pinned at once; 0 is a cache that is off.
+    capacity: usize,
     stats: RegCacheSnapshot,
     /// Pinned range → last-touched tick (for LRU eviction).
     entries: HashMap<CacheKey, u64>,
@@ -106,9 +88,16 @@ pub(super) struct RegistrationCache {
 }
 
 impl RegistrationCache {
-    pub fn new(config: RegCacheConfig) -> Self {
+    /// The backend's cache, or with `enabled` off one that never hits:
+    /// every RMA then pays the full per-page translation (the seed's
+    /// charging, the Fig. 5 gap).
+    pub fn new(enabled: bool) -> Self {
+        Self::with_capacity(if enabled { CAPACITY } else { 0 })
+    }
+
+    fn with_capacity(capacity: usize) -> Self {
         RegistrationCache {
-            config,
+            capacity,
             stats: RegCacheSnapshot::default(),
             entries: HashMap::new(),
             tick: 0,
@@ -116,7 +105,7 @@ impl RegistrationCache {
     }
 
     pub fn enabled(&self) -> bool {
-        self.config.enabled && self.config.capacity > 0
+        self.capacity > 0
     }
 
     /// Cached ranges currently pinned.
@@ -146,7 +135,7 @@ impl RegistrationCache {
         }
         self.stats.misses += 1;
         let mut evicted = None;
-        if self.entries.len() >= self.config.capacity {
+        if self.entries.len() >= self.capacity {
             if let Some(victim) = self.entries.iter().min_by_key(|(_, &tick)| tick).map(|(&k, _)| k)
             {
                 self.entries.remove(&victim);
@@ -191,7 +180,7 @@ mod tests {
     use super::*;
 
     fn cache(capacity: usize) -> RegistrationCache {
-        RegistrationCache::new(RegCacheConfig { enabled: true, capacity })
+        RegistrationCache::with_capacity(capacity)
     }
 
     fn hit(c: &mut RegistrationCache, epd: u64, gpa: u64, bytes: u64) -> bool {
@@ -266,7 +255,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_hits() {
-        let mut c = RegistrationCache::new(RegCacheConfig::disabled());
+        let mut c = RegistrationCache::new(false);
         assert!(!c.enabled());
         assert!(!hit(&mut c, 1, 0x1000, 4096));
         assert!(!hit(&mut c, 1, 0x1000, 4096));

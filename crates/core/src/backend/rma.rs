@@ -28,7 +28,7 @@ use crate::protocol::rma_flags_from_wire;
 /// What a guest RMA above `KMALLOC_MAX_SIZE` is charged for making its
 /// buffer reachable by the device.  Smaller requests pay
 /// [`PerPage`](RmaCharge::PerPage) under every setting.  The registration
-/// cache ([`RegCacheConfig`](super::RegCacheConfig)) is orthogonal: a hit
+/// cache (`VmConfig::reg_cache`) is orthogonal: a hit
 /// skips whichever charge is selected.  The frontend's `chunk_size` is not
 /// on this axis — it cuts messages, and no RMA reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -3,11 +3,13 @@
 //! [`VphiHost`] is the physical machine of the paper's testbed: a host
 //! with one (or more) Xeon Phi cards, a SCIF fabric, and the ability to
 //! spawn QEMU-KVM virtual machines that share the cards through vPHI.
-//! Every VM gets its own QEMU process model (guest memory, event loop,
-//! virtio channel, backend device) — which is precisely why sharing works:
-//! each VM is just another host process issuing SCIF ioctls.
+//! Every VM gets its own QEMU process model (guest memory, virtio
+//! channel, backend device) — which is precisely why sharing works: each
+//! VM is just another host process issuing SCIF ioctls.  A [`VphiVm`] owns
+//! all of it, so dropping one releases what it held; the host only
+//! watches its VMs, for card resets and arming.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use vphi_faults::{FaultHook, FaultInjector, FaultPlan};
 use vphi_phi::{PhiBoard, PhiSpec};
@@ -49,9 +51,9 @@ pub struct VmConfig {
     /// Backend dispatch policy (paper default: only `scif_accept` on a
     /// worker; ABL-BLOCK sweeps the size-hybrid).
     pub dispatch: crate::backend::DispatchPolicy,
-    /// Backend RMA registration cache (disable to reproduce the seed's
+    /// Backend RMA registration cache (off reproduces the seed's
     /// per-request translation charge — the Fig. 5 72% ceiling).
-    pub reg_cache: crate::backend::RegCacheConfig,
+    pub reg_cache: bool,
     /// What an RMA above `KMALLOC_MAX_SIZE` is charged.  `PerPage` by
     /// default so the calibrated figures stay byte-stable; MQ-SCALE runs
     /// `Pipelined`, ZERO-COPY runs `Mapped`.
@@ -68,7 +70,7 @@ impl Default for VmConfig {
             patch: KvmPatch::PfnPhi,
             chunk_size: KMALLOC_MAX_SIZE,
             dispatch: crate::backend::DispatchPolicy::PAPER,
-            reg_cache: crate::backend::RegCacheConfig::default(),
+            reg_cache: true,
             rma: RmaCharge::PerPage,
         }
     }
@@ -128,8 +130,8 @@ impl VmConfigBuilder {
         self
     }
 
-    pub fn reg_cache(mut self, config: crate::backend::RegCacheConfig) -> Self {
-        self.config.reg_cache = config;
+    pub fn reg_cache(mut self, on: bool) -> Self {
+        self.config.reg_cache = on;
         self
     }
 
@@ -207,10 +209,11 @@ pub struct VphiHost {
     clock: Arc<VirtualClock>,
     fabric: Arc<ScifFabric>,
     boards: Vec<Arc<PhiBoard>>,
-    /// Every backend device spawned on this host, keyed by VM id — walked
-    /// by card-reset recovery to quarantine the affected endpoints and by
-    /// trace arming to tag spans with their VM.
-    attached: TrackedMutex<Vec<(u32, Arc<BackendDevice>)>>,
+    /// Every backend device spawned on this host that its VM still owns,
+    /// keyed by VM id — walked by card-reset recovery to quarantine the
+    /// affected endpoints and by trace arming to tag spans with their VM.
+    /// Weak: a VM's parts are its own, and go when it does.
+    attached: TrackedMutex<Vec<(u32, Weak<BackendDevice>)>>,
     /// Host-wide fault-injection arming point; propagated to boards,
     /// links, doorbells and every (existing and future) backend.
     faults: FaultHook,
@@ -276,7 +279,7 @@ impl VphiHost {
             board.db_to_device.fault_hook().arm(Arc::clone(&injector));
             board.db_to_host.fault_hook().arm(Arc::clone(&injector));
         }
-        for (_, backend) in self.attached.lock().iter() {
+        for (_, backend) in self.attached() {
             backend.arm_faults(&injector);
         }
         injector
@@ -289,8 +292,8 @@ impl VphiHost {
         let tracer = Arc::new(Tracer::with_clock(config, Arc::clone(&self.clock)));
         self.trace.arm(Arc::clone(&tracer));
         let tracer = Arc::clone(self.trace.get().expect("arm_tracing: slot armed just above"));
-        for (vm, backend) in self.attached.lock().iter() {
-            backend.arm_tracing(Arc::clone(&tracer), *vm);
+        for (vm, backend) in self.attached() {
+            backend.arm_tracing(Arc::clone(&tracer), vm);
         }
         tracer
     }
@@ -309,12 +312,21 @@ impl VphiHost {
         let dur = board.reset();
         self.clock.advance(dur);
         let node = self.device_node(i);
-        for (_, backend) in self.attached.lock().iter() {
+        for (_, backend) in self.attached() {
             backend.inner().quarantine_node(node);
         }
         // Wake blocked fabric waiters so they observe the recovered state.
         self.fabric.shared().bump_activity();
         dur
+    }
+
+    /// The backends of the VMs still alive, with their VM ids, forgetting
+    /// the dead ones.  The list lock is let go before the caller touches a
+    /// backend, so nothing is ever acquired under it.
+    fn attached(&self) -> Vec<(u32, Arc<BackendDevice>)> {
+        let mut attached = self.attached.lock();
+        attached.retain(|(_, backend)| backend.strong_count() > 0);
+        attached.iter().filter_map(|(vm, backend)| Some((*vm, backend.upgrade()?))).collect()
     }
 
     pub fn cost(&self) -> &Arc<CostModel> {
@@ -369,15 +381,17 @@ impl VphiHost {
             Arc::clone(vm.mem()),
             Arc::clone(vm.kernel().irq()),
             Arc::clone(vm.kvm()),
-            Arc::clone(vm.event_loop()),
             Arc::clone(&self.fabric),
             self.boards.clone(),
             config.dispatch,
             config.reg_cache,
             config.rma,
         );
-        vm.attach(Arc::clone(&backend) as Arc<dyn vphi_vmm::vm::VirtualPciDevice>);
-        self.attached.lock().push((vm.id(), Arc::clone(&backend)));
+        {
+            let mut attached = self.attached.lock();
+            attached.retain(|(_, backend)| backend.strong_count() > 0);
+            attached.push((vm.id(), Arc::downgrade(&backend)));
+        }
         if let Some(injector) = self.faults.injector() {
             backend.arm_faults(injector);
         }
@@ -388,7 +402,9 @@ impl VphiHost {
     }
 }
 
-/// A running VM with vPHI attached.
+/// A running VM with vPHI attached: the one owner of its guest, its
+/// frontend and its backend device.  Dropping it stops the device, as
+/// [`shutdown`](VphiVm::shutdown) does.
 pub struct VphiVm {
     vm: Arc<Vm>,
     frontend: Arc<FrontendDriver>,
@@ -435,8 +451,16 @@ impl VphiVm {
         self.backend.inner().vm_paused()
     }
 
+    /// Power the VM off: stop the backend device and release everything
+    /// the guest held.  Idempotent.
     pub fn shutdown(&self) {
-        self.vm.shutdown();
+        self.backend.stop();
+    }
+}
+
+impl Drop for VphiVm {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 
@@ -513,13 +537,18 @@ mod tests {
         assert_eq!(host.device_node(1), NodeId(2));
     }
 
+    /// The host sees a VM's device for as long as the VM has it, and not
+    /// after.
     #[test]
     fn spawn_vm_wires_the_device() {
         let host = VphiHost::new(1);
         let vm = host.spawn_vm(VmConfig::default());
-        assert_eq!(vm.vm().device_count(), 1);
-        assert!(vm.vm().device(&format!("vphi{}", vm.vm().id())).is_some());
-        vm.shutdown();
+        let attached = host.attached();
+        assert_eq!(attached.len(), 1);
+        assert_eq!(attached[0].0, vm.vm().id());
+        assert!(Arc::ptr_eq(&attached[0].1, vm.backend()));
+        drop((attached, vm));
+        assert!(host.attached().is_empty(), "the host kept a dropped VM's device");
     }
 
     #[test]

@@ -106,7 +106,6 @@ impl VphiDebugReport {
     pub fn collect(vm: &VphiVm) -> Self {
         let fe = vm.frontend().stats();
         let be = vm.backend().inner();
-        let el = vm.vm().event_loop();
         let cache = be.holdings().cache_snapshot();
         let sync = vphi_sync::audit::stats();
         let trace =
@@ -166,7 +165,7 @@ impl VphiDebugReport {
             staging_bytes_avoided: be.stats.staging_bytes_avoided.get(),
             vm_paused: be.vm_paused(),
             blocking_events: be.blocking_events(),
-            worker_events: el.worker_event_count(),
+            worker_events: be.worker_events(),
             irq_injections,
             mmap_faults: vm.vm().kvm().fault_count(),
             deadline_retries: fe.deadline_retries,
@@ -182,142 +181,6 @@ impl VphiDebugReport {
             sync_order_edges: sync.order_edges,
             sync_cycle_checks: sync.cycle_checks,
         }
-    }
-
-    /// Render as the debugfs file would print: counters grouped by layer,
-    /// every value in a single left-aligned column.  The format is pinned
-    /// by a snapshot test — tools parse it, so keep it byte-stable.
-    pub fn render(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str(&format!("vphi{}:\n", self.vm_id));
-        let mut group = |title: &str, rows: &[(&str, String)]| {
-            out.push_str(&format!("  {title}:\n"));
-            for (label, value) in rows {
-                out.push_str(&format!("    {label:<24}{value}\n"));
-            }
-        };
-        group(
-            "frontend",
-            &[
-                ("requests", self.requests.to_string()),
-                ("waits irq/poll", format!("{}/{}", self.interrupt_waits, self.polling_waits)),
-                ("staging chunks", self.chunks_staged.to_string()),
-                (
-                    "waitq wake/sleep",
-                    format!("{}/{}", self.wait_queue_wakeups, self.wait_queue_sleeps),
-                ),
-                ("spurious wakeups", self.spurious_wakeups.to_string()),
-                ("deadline retries", self.deadline_retries.to_string()),
-            ],
-        );
-        // Non-empty completions-per-irq buckets as "2^b:count" pairs; "-"
-        // when no irq was ever injected.
-        let hist = {
-            let pairs: Vec<String> = self
-                .completions_per_irq
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(b, c)| format!("2^{b}:{c}"))
-                .collect();
-            if pairs.is_empty() {
-                "-".to_string()
-            } else {
-                pairs.join(" ")
-            }
-        };
-        group(
-            "virtio",
-            &[
-                ("kicks sent", self.kicks_delivered.to_string()),
-                ("irqs inj/sup", format!("{}/{}", self.irqs_injected, self.irqs_suppressed)),
-                ("irq injections", self.irq_injections.to_string()),
-                ("cpl-per-irq hist", hist),
-            ],
-        );
-        let queue_rows: Vec<(String, String)> = self
-            .queues
-            .iter()
-            .enumerate()
-            .flat_map(|(i, q)| {
-                [
-                    (
-                        format!("q{i} kick/pop/disp"),
-                        format!("{}/{}/{}", q.kicks, q.chains_popped, q.worker_dispatches),
-                    ),
-                    (
-                        format!("q{i} irq inj/sup"),
-                        format!("{}/{}", q.irqs_injected, q.irqs_suppressed),
-                    ),
-                ]
-            })
-            .collect();
-        let queue_rows: Vec<(&str, String)> =
-            queue_rows.iter().map(|(l, v)| (l.as_str(), v.clone())).collect();
-        group("queues", &queue_rows);
-        group(
-            "backend",
-            &[
-                ("requests", self.backend_requests.to_string()),
-                ("worker dispatches", self.worker_dispatches.to_string()),
-                ("pages translated", self.pages_translated.to_string()),
-                ("open endpoints", self.open_endpoints.to_string()),
-                ("regcache hit/miss", format!("{}/{}", self.reg_cache_hits, self.reg_cache_misses)),
-                (
-                    "regcache evict/inval",
-                    format!("{}/{}", self.reg_cache_evictions, self.reg_cache_invalidations),
-                ),
-                ("zc win map/hit", format!("{}/{}", self.windows_mapped, self.map_hits)),
-                ("zc sg descriptors", self.sg_descriptors.to_string()),
-                ("zc bytes unstaged", self.staging_bytes_avoided.to_string()),
-            ],
-        );
-        group(
-            "vmm",
-            &[
-                ("vm paused", self.vm_paused.to_string()),
-                ("events block/worker", format!("{}/{}", self.blocking_events, self.worker_events)),
-                ("mmap faults", self.mmap_faults.to_string()),
-            ],
-        );
-        group(
-            "faults",
-            &[
-                ("fired", self.faults_fired.to_string()),
-                ("msi lost", self.msi_lost.to_string()),
-                ("guest deaths", self.guest_deaths.to_string()),
-                ("gc eps/windows", format!("{}/{}", self.endpoints_gced, self.windows_gced)),
-                ("eps quarantined", self.endpoints_quarantined.to_string()),
-            ],
-        );
-        group(
-            "trace",
-            &[
-                (
-                    "traces start/finish",
-                    format!("{}/{}", self.trace.traces_started, self.trace.traces_finished),
-                ),
-                (
-                    "spans recorded/dropped",
-                    format!("{}/{}", self.trace.spans_recorded, self.trace.spans_dropped),
-                ),
-                ("spans open", self.trace.open_spans.to_string()),
-            ],
-        );
-        group(
-            "sync",
-            &[
-                (
-                    "lock acq/depth",
-                    format!("{}/{}", self.sync_acquisitions, self.sync_max_hold_depth),
-                ),
-                (
-                    "lock edges/checks",
-                    format!("{}/{}", self.sync_order_edges, self.sync_cycle_checks),
-                ),
-            ],
-        );
-        out
     }
 }
 
@@ -388,10 +251,6 @@ mod tests {
             assert!(after_close.sync_cycle_checks > 0);
         }
 
-        let text = after_close.render();
-        assert!(text.contains("requests                2"));
-        assert!(text.contains("vm paused"));
-        assert!(text.contains("lock acq/depth"));
         vm.shutdown();
     }
 
@@ -409,131 +268,5 @@ mod tests {
         assert_eq!(report.trace.open_spans, 0);
         assert!(report.trace.spans_recorded > 0);
         vm.shutdown();
-    }
-
-    /// Snapshot of the full rendered format.  Every row is exercised with
-    /// a distinct value so a column swap or alignment change fails loudly.
-    #[test]
-    fn render_format_is_stable() {
-        let report = VphiDebugReport {
-            vm_id: 7,
-            requests: 1,
-            interrupt_waits: 2,
-            polling_waits: 3,
-            chunks_staged: 4,
-            wait_queue_wakeups: 5,
-            wait_queue_sleeps: 6,
-            spurious_wakeups: 47,
-            kicks_delivered: 7,
-            irqs_injected: 9,
-            irqs_suppressed: 48,
-            completions_per_irq: {
-                let mut h = [0u64; BATCH_BUCKETS];
-                h[0] = 49;
-                h[2] = 50;
-                h
-            },
-            queues: vec![
-                QueueReport {
-                    kicks: 39,
-                    chains_popped: 40,
-                    worker_dispatches: 41,
-                    irqs_injected: 51,
-                    irqs_suppressed: 52,
-                    ..QueueReport::default()
-                },
-                QueueReport {
-                    kicks: 43,
-                    chains_popped: 44,
-                    worker_dispatches: 45,
-                    irqs_injected: 53,
-                    irqs_suppressed: 54,
-                    ..QueueReport::default()
-                },
-            ],
-            backend_requests: 10,
-            worker_dispatches: 11,
-            pages_translated: 12,
-            open_endpoints: 13,
-            reg_cache_hits: 14,
-            reg_cache_misses: 15,
-            reg_cache_evictions: 16,
-            reg_cache_invalidations: 17,
-            windows_mapped: 55,
-            map_hits: 56,
-            sg_descriptors: 57,
-            staging_bytes_avoided: 58,
-            vm_paused: SimDuration::from_micros(18),
-            blocking_events: 19,
-            worker_events: 20,
-            irq_injections: 21,
-            mmap_faults: 22,
-            deadline_retries: 23,
-            msi_lost: 24,
-            guest_deaths: 25,
-            endpoints_gced: 26,
-            windows_gced: 27,
-            endpoints_quarantined: 28,
-            faults_fired: 29,
-            trace: TraceCounters {
-                traces_started: 30,
-                traces_finished: 31,
-                spans_recorded: 32,
-                spans_dropped: 33,
-                open_spans: 34,
-            },
-            sync_acquisitions: 35,
-            sync_max_hold_depth: 36,
-            sync_order_edges: 37,
-            sync_cycle_checks: 38,
-        };
-        let expected = "\
-vphi7:
-  frontend:
-    requests                1
-    waits irq/poll          2/3
-    staging chunks          4
-    waitq wake/sleep        5/6
-    spurious wakeups        47
-    deadline retries        23
-  virtio:
-    kicks sent              7
-    irqs inj/sup            9/48
-    irq injections          21
-    cpl-per-irq hist        2^0:49 2^2:50
-  queues:
-    q0 kick/pop/disp        39/40/41
-    q0 irq inj/sup          51/52
-    q1 kick/pop/disp        43/44/45
-    q1 irq inj/sup          53/54
-  backend:
-    requests                10
-    worker dispatches       11
-    pages translated        12
-    open endpoints          13
-    regcache hit/miss       14/15
-    regcache evict/inval    16/17
-    zc win map/hit          55/56
-    zc sg descriptors       57
-    zc bytes unstaged       58
-  vmm:
-    vm paused               18.00us
-    events block/worker     19/20
-    mmap faults             22
-  faults:
-    fired                   29
-    msi lost                24
-    guest deaths            25
-    gc eps/windows          26/27
-    eps quarantined         28
-  trace:
-    traces start/finish     30/31
-    spans recorded/dropped  32/33
-    spans open              34
-  sync:
-    lock acq/depth          35/36
-    lock edges/checks       37/38
-";
-        assert_eq!(report.render(), expected);
     }
 }

@@ -149,10 +149,7 @@ fn blocking_calls_repeat_bit_for_bit_on_fresh_hosts() {
         // The registration cache is off: every read is the cold path.
         let reader = window.guest(
             &host,
-            VmConfig::builder()
-                .mem_size(RMA_BYTES + 64 * MIB)
-                .reg_cache(vphi::backend::RegCacheConfig::disabled())
-                .build(),
+            VmConfig::builder().mem_size(RMA_BYTES + 64 * MIB).reg_cache(false).build(),
         );
         let vm = &reader.vm;
         let mut tl = Timeline::new();

@@ -120,13 +120,12 @@ pub struct DmaEngine {
     link: Arc<PcieLink>,
     channels: usize,
     next_channel: Counter,
-    bytes_total: Counter,
 }
 
 impl DmaEngine {
     pub fn new(link: Arc<PcieLink>, channels: usize) -> Self {
         assert!(channels > 0, "a DMA engine needs at least one channel");
-        DmaEngine { link, channels, next_channel: Counter::new(0), bytes_total: Counter::new(0) }
+        DmaEngine { link, channels, next_channel: Counter::new(0) }
     }
 
     pub fn channels(&self) -> usize {
@@ -149,12 +148,7 @@ impl DmaEngine {
         tl.charge(SpanLabel::DmaSetup, self.link.cost().dma_setup);
         dst.copy_from_slice(src);
         let completed_at = self.link.transmit(src.len() as u64, tl);
-        self.bytes_total.add(src.len() as u64);
         DmaOutcome { completed_at, channel, bytes: src.len() as u64 }
-    }
-
-    pub fn bytes_total(&self) -> u64 {
-        self.bytes_total.get()
     }
 }
 
@@ -245,9 +239,11 @@ mod tests {
     fn accounting_accumulates() {
         let e = engine(2);
         let mut tl = Timeline::new();
-        e.copy(&[0u8; 100], &mut [0u8; 100], &mut tl);
-        e.copy(&[0u8; 900], &mut [0u8; 900], &mut tl);
-        assert_eq!(e.bytes_total(), 1_000);
+        let moved = e.copy(&[0u8; 100], &mut [0u8; 100], &mut tl).bytes
+            + e.copy(&[0u8; 900], &mut [0u8; 900], &mut tl).bytes;
+        assert_eq!(moved, 1_000);
+        // The link the engine shares is where transfers are accounted.
+        assert_eq!(e.link().transaction_count(), 2);
     }
 
     #[test]

@@ -57,129 +57,127 @@ use audit::{AcqKind, Token};
 #[repr(u8)]
 pub enum LockClass {
     // --- VMM control plane (outermost) ---
-    /// `vmm::Vm` device list.
-    VmDevices = 0,
     /// `vmm::KvmModule` VMA table.
-    KvmVmas = 1,
+    KvmVmas = 0,
     /// `vmm::KvmModule` resolved-page set.
-    KvmResolved = 2,
+    KvmResolved = 1,
     /// `vmm::KvmModule` fault counter.
-    KvmFaults = 3,
+    KvmFaults = 2,
     // --- host-side service threads ---
     /// `scif::CardService` accept-thread handle.
-    ServerAccept = 4,
+    ServerAccept = 3,
     /// `scif::CardService` session-worker pool.
-    ServerSessions = 5,
+    ServerSessions = 4,
     /// Backend endpoint holdings: the guest-epd → endpoint table, each
     /// endpoint's registered windows and the RMA registration cache.
-    BackendEndpoints = 6,
+    BackendEndpoints = 5,
     /// Backend mmap-handle table.
-    BackendMmaps = 7,
+    BackendMmaps = 6,
     // --- SCIF fabric ---
     /// Fabric node registry.
-    FabricNodes = 8,
+    FabricNodes = 7,
     /// Endpoint state machine.
-    EndpointState = 9,
+    EndpointState = 8,
     /// Endpoint local port.
-    EpPort = 10,
+    EpPort = 9,
     /// Endpoint listener slot.
-    EpListener = 11,
+    EpListener = 10,
     /// Per-node bound-port map.
-    NodePorts = 12,
+    NodePorts = 11,
     /// Listener pending-connection backlog.
-    ListenerPending = 13,
+    ListenerPending = 12,
     /// Fabric activity hub (wake-any version counter).
-    ActivityHub = 14,
+    ActivityHub = 13,
     /// SCIF message queue ring state.
-    MsgQueue = 15,
+    MsgQueue = 14,
     /// Endpoint registered-window table.
-    WindowTable = 16,
+    WindowTable = 15,
     /// Endpoint RMA fence-marker counter.
-    RmaMarker = 17,
+    RmaMarker = 16,
     /// Endpoint pending async-RMA completions.
-    RmaPending = 18,
+    RmaPending = 17,
     // --- Phi device ---
     /// Board lifecycle state.
-    BoardState = 19,
+    BoardState = 18,
     /// Board sysfs attribute map.
-    BoardSysfs = 20,
+    BoardSysfs = 19,
     /// GDDR allocator region table.
-    PhiMemTable = 21,
+    PhiMemTable = 20,
     // --- virtio / interrupt delivery ---
     /// Virtqueue ring state.
-    VirtQueueState = 22,
+    VirtQueueState = 21,
     /// PCIe doorbell state.
-    Doorbell = 23,
+    Doorbell = 22,
     /// Per-VM IRQ-chip vector map.
-    IrqVectors = 24,
+    IrqVectors = 23,
     // --- frontend driver ---
     /// One request slot of a lane's slot table (DESIGN.md #23): the
     /// request's timeline, trace fork, notify hint, batch bookkeeping and
     /// completion cell.  A leaf: nothing is acquired under it.
-    RequestSlot = 25,
+    RequestSlot = 24,
     // --- byte-storage leaves (innermost real locks) ---
     /// Pinned user/guest pages (`scif::PinnedBuf`).
-    PinnedBuf = 26,
+    PinnedBuf = 25,
     /// GDDR region backing bytes.
-    PhiMemData = 27,
+    PhiMemData = 26,
     /// Guest physical-memory arena.
-    GuestMemState = 28,
+    GuestMemState = 27,
     /// VMA test/backing byte buffers.
-    VmaData = 29,
+    VmaData = 28,
     // --- test-only classes (isolated from the real hierarchy) ---
     /// Regression tests: an outer-layer test lock.
-    TestOuter = 30,
+    TestOuter = 29,
     /// Regression tests: ABBA partner A.
-    TestA = 31,
+    TestA = 30,
     /// Regression tests: ABBA partner B.
-    TestB = 32,
+    TestB = 31,
     /// Regression tests: an inner-layer test lock.
-    TestInner = 33,
+    TestInner = 32,
     // --- host control plane (outermost; added for card-reset recovery) ---
-    /// `VphiHost` attached-backend registry, walked during card reset.
-    HostAttached = 34,
+    /// `VphiHost` attached-backend registry.  A leaf: snapshotted and let
+    /// go before any backend is touched.
+    HostAttached = 33,
     // --- tracing leaves (vphi-trace; taken with arbitrary locks held
     // *released*, never while inside another tracked section) ---
     /// Tracer span rings + request summaries.
-    TraceRings = 35,
+    TraceRings = 34,
     /// Tracer latency histograms.
-    TraceHists = 36,
+    TraceHists = 35,
     // --- multi-queue transport (PR 5) ---
     /// Backend shard-thread join handles (one service thread per queue).
-    BackendShards = 37,
+    BackendShards = 36,
     /// Frontend shared re-kick backoff RNG (seeded, jittered).
-    FrontendBackoff = 38,
+    FrontendBackoff = 37,
     // --- adaptive completion notification (PR 6) ---
     /// Per-token wait-queue registry (token → slot map).
-    TokenWaiters = 39,
+    TokenWaiters = 38,
     /// One sleeping requester's slot (signal count + condvar).
-    TokenSlot = 40,
+    TokenSlot = 39,
     /// Frontend spin-budget policy (EWMA table + burn estimates).
-    NotifyPolicy = 41,
+    NotifyPolicy = 40,
     // --- zero-copy RMA (PR 10) ---
     /// Device-aperture window-mapping table (`pcie::ApertureMap`).
-    ApertureWindows = 42,
+    ApertureWindows = 41,
     // --- vm-exit servicing on the kicking thread (PR 14) ---
     /// A virtqueue lane's executor role ([`TrackedRole`], not a lock):
     /// whoever holds it — the lane's shard thread or a blocking kicker —
     /// is the one thread draining that lane's avail ring.
-    LaneExecutor = 43,
+    LaneExecutor = 42,
     // --- directed fabric wake-ups (PR 16) ---
     /// An endpoint's timed-bulk-lane receive state (`recv_timed` parks on
     /// the condvar paired with it).
-    TimedLane = 44,
+    TimedLane = 43,
 }
 
 impl LockClass {
     /// Number of classes (adjacency bitmasks are `u64`, so this must stay
     /// ≤ 64).
-    pub const COUNT: usize = 45;
+    pub const COUNT: usize = 44;
 
     /// Every class, in discriminant order: the audit walks it to snapshot
     /// the order graph, and lock budgets walk it to print a per-class
     /// ledger.
     pub const ALL: [LockClass; LockClass::COUNT] = [
-        LockClass::VmDevices,
         LockClass::KvmVmas,
         LockClass::KvmResolved,
         LockClass::KvmFaults,
@@ -230,7 +228,6 @@ impl LockClass {
     /// acquired first (outermost).
     pub const fn layer(self) -> u8 {
         match self {
-            LockClass::VmDevices => 10,
             LockClass::KvmVmas => 12,
             LockClass::KvmResolved => 14,
             LockClass::KvmFaults => 16,

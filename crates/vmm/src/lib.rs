@@ -15,15 +15,12 @@
 //!   reply arrives; the wake-up scheme dominates vPHI's small-message
 //!   latency (93% of the 375 µs overhead).
 //! * [`irq::IrqChip`] — virtual interrupt delivery into the guest.
-//! * [`event_loop::QemuEventLoop`] — QEMU's event-driven core: blocking
-//!   handlers pause the whole VM; worker threads keep it running at a
-//!   spawn cost (the paper's blocking vs non-blocking design choice).
 //! * [`kvm::KvmModule`] / [`vma::VmaTable`] — `VM_PFNPHI`-tagged VMAs and
 //!   the page-fault redirection that makes guest dereferences of
 //!   `scif_mmap`'d device memory work (the <10 LoC KVM patch).
-//! * [`vm::Vm`] — the assembled virtual machine.
+//! * [`vm::Vm`] — the assembled virtual machine: its id, memory, kernel
+//!   and KVM module.
 
-pub mod event_loop;
 pub mod guest_mem;
 pub mod irq;
 pub mod kernel;
@@ -32,7 +29,6 @@ pub mod vm;
 pub mod vma;
 pub mod waitqueue;
 
-pub use event_loop::{PauseLedger, QemuEventLoop};
 pub use guest_mem::{Gpa, GuestMemError, GuestMemory, GuestRange};
 pub use irq::{IrqChip, IrqLine};
 pub use kernel::GuestKernel;

@@ -120,7 +120,7 @@ fn accept_on_a_worker_does_not_block_other_requests() {
     assert_eq!(peer.node, vphi_scif::HOST_NODE);
     let dispatched = vm.backend().inner().worker_dispatches();
     assert!(dispatched >= 1);
-    assert_eq!(vm.vm().event_loop().worker_event_count(), dispatched, "one event per dispatch");
+    assert_eq!(vm.backend().inner().worker_events(), dispatched, "one event per dispatch");
 
     native.close();
     vm.shutdown();
@@ -250,7 +250,7 @@ fn a_blocking_callers_accept_goes_to_a_worker_and_frees_the_lane() {
         std::thread::yield_now();
     }
     // Parked on a worker, caller asleep: one worker, counted once …
-    assert_eq!(vm.vm().event_loop().live_worker_count(), 1);
+    assert_eq!(vm.backend().inner().live_workers(), 1);
     // … and the lane it came in on is free …
     assert!(channel.lane_queue(lane).executor.try_enter().is_some(), "accept pinned its lane");
     // … and another endpoint's calls on that very lane go straight through.
@@ -262,7 +262,7 @@ fn a_blocking_callers_accept_goes_to_a_worker_and_frees_the_lane() {
     native.connect(ScifAddr::new(vphi_scif::HOST_NODE, lport), &mut tl).unwrap();
     assert_eq!(accepter.join().unwrap().unwrap().node, vphi_scif::HOST_NODE);
     assert_eq!(dispatched(), 1, "one accept, one worker");
-    assert_eq!(vm.vm().event_loop().worker_event_count(), 1, "one worker, one event");
+    assert_eq!(vm.backend().inner().worker_events(), 1, "one worker, one event");
     assert_eq!(vm.backend().inner().queue_worker_dispatches(lane), 1);
     // Only the accept's caller ever slept (once more per expired deadline).
     assert_eq!(channel.waitq.sleep_count(), 1 + vm.frontend().stats().deadline_retries);

@@ -408,7 +408,7 @@ fn failed_rma_matches_native_and_retries_clean() {
 /// (DESIGN.md #26).
 #[test]
 fn every_way_an_endpoint_ends_leaves_nothing_held() {
-    use vphi::backend::{RegCacheConfig, RmaCharge};
+    use vphi::backend::RmaCharge;
     use vphi_sim_core::cost::{KMALLOC_MAX_SIZE, PAGE_SIZE};
 
     #[derive(Clone, Copy, Debug)]
@@ -426,9 +426,9 @@ fn every_way_an_endpoint_ends_leaves_nothing_held() {
     for ending in
         [Close, UnregisterThenClose, MunmapThenClose, GuestDeath, CardResetThenClose, VmShutdown]
     {
-        for cache in [RegCacheConfig::default(), RegCacheConfig::disabled()] {
+        for cache in [true, false] {
             for charge in [RmaCharge::PerPage, RmaCharge::Mapped] {
-                let case = format!("{ending:?}, cache {}, {charge:?}", cache.enabled);
+                let case = format!("{ending:?}, cache {cache}, {charge:?}");
                 let host = VphiHost::new(1);
                 let region = host.board(0).memory().alloc(large).unwrap();
                 let dev = gddr_window_server(&host, region);
@@ -454,7 +454,7 @@ fn every_way_an_endpoint_ends_leaves_nothing_held() {
                         backend.mmap_entries(),
                     ]
                 };
-                let pinned = usize::from(cache.enabled);
+                let pinned = usize::from(cache);
                 let subwindows = usize::from(charge == RmaCharge::Mapped);
                 assert_eq!(held(), [1, 1, pinned, subwindows, 0, 1], "{case}: before");
 
@@ -1165,4 +1165,39 @@ fn abandoned_reaps_on_a_dead_device_are_retired_by_the_lane() {
     assert_eq!(channel.inflight_count(), 0);
     drop(peer);
     assert_eq!(vphi_sync::audit::violation_count(), 0);
+}
+
+/// A VM is one QEMU process (paper §III): when it goes, everything it held
+/// goes with it, on a host that lives on.  Twenty VMs each connect to a
+/// sink, send 4 MiB and are dropped with the endpoint still open, half of
+/// them after a `shutdown` and half without one; after each drop nothing
+/// holds that VM's guest RAM.  A card reset afterwards still reaches the
+/// bystander VM that stayed up the whole time.
+#[test]
+fn a_dropped_vm_leaves_its_guest_ram_to_nobody() {
+    let host = VphiHost::new(1);
+    let dev = sink(&host, 0);
+    let mut tl = Timeline::new();
+    let bystander = host.spawn_vm(VmConfig::default());
+    let kept = bystander.open_scif(&mut tl).unwrap();
+    kept.connect(dev.addr(), &mut tl).unwrap();
+
+    let payload = vec![0x5a; 4 << 20];
+    for i in 0..20 {
+        let vm = host.spawn_vm(VmConfig::default());
+        let ep = vm.open_scif(&mut tl).unwrap();
+        ep.connect(dev.addr(), &mut tl).unwrap();
+        assert_eq!(ep.send(&payload, &mut tl), Ok(payload.len()), "churn VM {i}");
+        let ram = std::sync::Arc::downgrade(vm.vm().mem());
+        if i % 2 == 0 {
+            vm.shutdown();
+        }
+        drop(vm);
+        drop(ep);
+        assert!(ram.upgrade().is_none(), "churn VM {i}: its guest RAM outlived it");
+    }
+
+    host.reset_card(0);
+    assert_eq!(bystander.backend().inner().stats.endpoints_quarantined.get(), 1);
+    assert_eq!(kept.close(&mut tl), Ok(()));
 }

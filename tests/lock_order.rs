@@ -411,9 +411,8 @@ fn blocking_calls_run_under_the_executor_role_and_nothing_else() {
 /// holdings lock only the aperture table (mapping happens there, so a
 /// release sees every mapping made for the record it took) and an
 /// endpoint's port (the card reset asks each endpoint where it is
-/// connected); the lock itself taken with nothing but the executor role,
-/// the host's attached-backend list (the reset walks it) or the VM's
-/// device list (shutdown stops each device under it) held.
+/// connected); the lock itself taken under the executor role or with
+/// nothing held (a reset or a shutdown).
 #[test]
 fn endpoint_holdings_nest_only_the_aperture_and_a_port_under_their_lock() {
     use vphi::backend::RmaCharge;
@@ -472,7 +471,7 @@ fn endpoint_holdings_nest_only_the_aperture_and_a_port_under_their_lock() {
     let under: Vec<_> = edges.iter().filter(|(held, _)| *held == holdings).map(|e| e.1).collect();
     assert_eq!(under, [LockClass::EpPort, LockClass::ApertureWindows]);
     let holding: Vec<_> = edges.iter().filter(|(_, a)| *a == holdings).map(|e| e.0).collect();
-    assert_eq!(holding, [LockClass::VmDevices, LockClass::HostAttached, LockClass::LaneExecutor]);
+    assert_eq!(holding, [LockClass::LaneExecutor]);
 }
 
 /// Each blocking fabric primitive sleeps on a condvar paired with the
@@ -580,13 +579,9 @@ fn directed_wakeups_signal_under_one_mutex_each() {
     let holding = |acquired: LockClass| -> Vec<LockClass> {
         edges.iter().filter(|(_, a)| *a == acquired).map(|(held, _)| *held).collect()
     };
-    // A request handler takes the timed lane; so does an endpoint's close
-    // under the host's attached list (card reset) or a VM's device list
-    // (shutdown), which other tests in this process drive.
-    let closers = [LockClass::VmDevices, LockClass::HostAttached, LockClass::LaneExecutor];
-    let timed = holding(LockClass::TimedLane);
-    assert!(timed.contains(&LockClass::LaneExecutor), "{timed:?}");
-    assert!(timed.iter().all(|h| closers.contains(h)), "timed lane taken under {timed:?}");
+    // A request handler takes the timed lane; a shutdown or a card reset
+    // closes endpoints with nothing held.
+    assert_eq!(holding(LockClass::TimedLane), [LockClass::LaneExecutor]);
     assert_eq!(
         holding(LockClass::ListenerPending),
         [LockClass::EpListener, LockClass::LaneExecutor]
@@ -638,34 +633,6 @@ const LEDGER: &[(LockClass, LockClass)] = {
         (LaneExecutor, TokenSlot),
         (LaneExecutor, ApertureWindows),
         (LaneExecutor, TimedLane),
-        // A card reset quarantining endpoints under the attached list.
-        (HostAttached, BackendEndpoints),
-        (HostAttached, EndpointState),
-        (HostAttached, EpPort),
-        (HostAttached, EpListener),
-        (HostAttached, NodePorts),
-        (HostAttached, ActivityHub),
-        (HostAttached, MsgQueue),
-        (HostAttached, WindowTable),
-        (HostAttached, ApertureWindows),
-        (HostAttached, TimedLane),
-        // A VM shutdown stopping its device under the device list.
-        (VmDevices, KvmVmas),
-        (VmDevices, KvmResolved),
-        (VmDevices, BackendEndpoints),
-        (VmDevices, BackendMmaps),
-        (VmDevices, EndpointState),
-        (VmDevices, EpPort),
-        (VmDevices, EpListener),
-        (VmDevices, NodePorts),
-        (VmDevices, ActivityHub),
-        (VmDevices, MsgQueue),
-        (VmDevices, WindowTable),
-        (VmDevices, Doorbell),
-        (VmDevices, BackendShards),
-        (VmDevices, TokenWaiters),
-        (VmDevices, ApertureWindows),
-        (VmDevices, TimedLane),
         // The guest page fault.
         (KvmResolved, KvmFaults),
         // Holdings map and resolve a port under their lock (#26).
@@ -889,6 +856,10 @@ fn the_request_surface_takes_every_ledger_edge() {
     println!("order graph after the tour: {edges:?}");
     let missing: Vec<_> = LEDGER.iter().filter(|e| !edges.contains(e)).collect();
     assert!(missing.is_empty(), "ledger edges the request surface no longer takes: {missing:?}");
+    // The host's list of its VMs is a leaf: a reset or an arming walks a
+    // snapshot of it.
+    let under: Vec<_> = edges.iter().filter(|(held, _)| *held == LockClass::HostAttached).collect();
+    assert!(under.is_empty(), "a lock taken under the host's VM list: {under:?}");
     // The request-slot lock is a leaf, taken under the role or the waiter's
     // parking slot (its wait predicate probes the request slot) only.
     let under: Vec<_> = edges.iter().filter(|(held, _)| *held == LockClass::RequestSlot).collect();
