@@ -115,7 +115,7 @@ const COUNTS: [(&str, Exact); 11] = [
 /// The last column: the acquisitions per lock class.
 const BY_CLASS: &str = "acquisitions by class";
 
-/// What a window of calls cost the host: the [`COUNTS`], then the
+/// What a window of calls cost the host: the counted columns, then the
 /// acquisitions per [`LockClass::index`], summed over `calls`.
 #[derive(Debug)]
 pub struct HostCost {
@@ -207,7 +207,7 @@ impl Scope<'_> {
 /// draining hands its chain over.
 fn quiesce(vm: &VphiVm) {
     for lane in vm.frontend().channel().lanes() {
-        let kick = &lane.queue.notifiers.kick;
+        let kick = &lane.queue.doorbell;
         while kick.pending() > 0 || kick.parked() == 0 {
             std::thread::yield_now();
         }

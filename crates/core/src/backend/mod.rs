@@ -25,7 +25,6 @@ pub use reg_cache::RegCacheSnapshot;
 pub use rma::RmaCharge;
 use rma::RmaDir;
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
@@ -33,16 +32,16 @@ use vphi_pcie::ApertureMap;
 use vphi_phi::PhiBoard;
 use vphi_scif::window::{WindowBacking, WindowBytes};
 use vphi_scif::{
-    MappedRegion, NodeId, Port, Prot, ScifAddr, ScifEndpoint, ScifError, ScifFabric, ScifResult,
-    HOST_NODE,
+    NodeId, Port, Prot, ScifAddr, ScifEndpoint, ScifError, ScifFabric, ScifResult, HOST_NODE,
 };
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 use vphi_sync::{Counter, Flag, LockClass, Tally, TrackedMutex, TrackedRoleGuard};
 use vphi_trace::{OpCtx, Stage, TraceCtx, Tracer};
 use vphi_virtio::{DescChain, Descriptor, UsedElem};
-use vphi_vmm::{Gpa, GuestMemory, GuestRange, IrqChip, KvmModule, VmaFlags};
+use vphi_vmm::vma::VmaError;
+use vphi_vmm::{Gpa, GuestMemory, GuestRange, KvmModule, VmaFlags};
 
-use crate::frontend::{Completion, VphiChannel, WaitBucketProfile, VPHI_IRQ_VECTOR};
+use crate::frontend::{Completion, VphiChannel, WaitBucketProfile};
 use crate::mmapping::MappedRegionBacking;
 use crate::protocol::{rma_flags_from_wire, VphiRequest, VphiResponse};
 
@@ -83,7 +82,7 @@ impl WindowBytes for GuestWindowBytes {
 }
 
 /// Counters surfaced by the figure harness.  What every request counts
-/// is per lane instead ([`BackendLane`]).
+/// is per lane instead (`BackendLane`).
 #[derive(Debug, Default)]
 pub struct BackendStats {
     pub pages_translated: Counter,
@@ -140,7 +139,8 @@ impl BackendStats {
 /// lane's executor role (DESIGN.md #21) writes the tallies, so a count is
 /// a load and a store, not an atomic add (#27).
 struct BackendLane {
-    /// The lane's interrupt gate — the only path to its MSI vector.
+    /// The lane's interrupt gate — the only way its completions
+    /// interrupt the guest.
     notifier: LaneNotifier,
     /// Chains replayed.
     requests: Tally,
@@ -163,11 +163,10 @@ pub struct BackendInner {
     fabric: Arc<ScifFabric>,
     boards: Vec<Arc<PhiBoard>>,
     /// Everything the guest's endpoint descriptors hold (DESIGN.md #26).
+    /// Device mappings are not under an endpoint's record: a mapping
+    /// outlives `scif_close`, not the guest.  Each is recorded once, on
+    /// its VMA in `kvm`, which names the endpoint that made it.
     held: Holdings,
-    /// Device mappings, guest vaddr → (owning endpoint, the mapping) — not
-    /// under the endpoint's record: a mapping outlives `scif_close`, not
-    /// the guest (`guest_died`, `stop`).
-    mmaps: TrackedMutex<HashMap<u64, (u64, MappedRegion)>>,
     policy: DispatchPolicy,
     running: Flag,
     /// The QEMU worker threads requests are handed to.
@@ -204,7 +203,7 @@ impl BackendInner {
 
     /// Device mappings the guest has not unmapped (leak detector).
     pub fn mmap_entries(&self) -> usize {
-        self.mmaps.lock().len()
+        self.kvm.vma_count()
     }
 
     /// The zero-copy window-mapping table (zero-leak audits: after all
@@ -293,15 +292,12 @@ impl BackendInner {
         self.channel.waitq.wake_all();
     }
 
-    /// Unmap every device mapping, as a `Munmap` would: a guest that died
-    /// or was stopped never sends one, and each mapping holds its peer
-    /// window's backing.
+    /// Unmap every device mapping, as a `Munmap` would, and refuse every
+    /// later one: a guest that died or was stopped never sends one, and
+    /// each mapping holds its peer window's backing.  Its endpoints'
+    /// translations went with their records.
     fn release_mmaps(&self) {
-        let mappings = std::mem::take(&mut *self.mmaps.lock());
-        for vaddr in mappings.into_keys() {
-            let _ = self.kvm.vmas.lock().unmap(vaddr);
-            self.kvm.forget_vma(vaddr);
-        }
+        drop(self.kvm.close());
     }
 
     /// Card-reset recovery: force-close every endpoint that touched
@@ -623,32 +619,29 @@ impl BackendInner {
                 let ep = self.held.get(epd)?;
                 let prot_flags = wire_prot(prot);
                 let region = ep.mmap(offset, len, prot_flags, &mut *ctx)?;
-                let base_pfn = region.device_pfn(0);
+                let flags = VmaFlags {
+                    read: prot_flags.readable(),
+                    write: prot_flags.writable(),
+                    pfn_phi: true,
+                };
+                // The VMA gets a copy: `region` is held here until the map
+                // returns, so a refused backing is not the last one.
                 let backing = Arc::new(MappedRegionBacking::new(region.clone()));
+                // A map racing the guest's release (its table closed) must
+                // not leave the mapping behind.
+                let refused = |e| match e {
+                    VmaError::Closed => ScifError::NoDev,
+                    _ => ScifError::Inval,
+                };
                 let vaddr = self
                     .kvm
-                    .vmas
-                    .lock()
-                    .map(
-                        None,
-                        len,
-                        VmaFlags {
-                            read: prot_flags.readable(),
-                            write: prot_flags.writable(),
-                            pfn_phi: true,
-                        },
-                        base_pfn,
-                        backing,
-                    )
-                    .map_err(|_| ScifError::Inval)?;
-                self.mmaps.lock().insert(vaddr, (epd, region));
+                    .map(len, flags, region.device_pfn(0), backing, epd)
+                    .map_err(refused)?;
                 Ok((vaddr, 0))
             }
             VphiRequest::Munmap { vaddr } => {
-                let (epd, _region) = self.mmaps.lock().remove(&vaddr).ok_or(ScifError::Inval)?;
-                self.kvm.vmas.lock().unmap(vaddr).map_err(|_| ScifError::Inval)?;
-                self.kvm.forget_vma(vaddr);
-                self.held.release_translations(epd);
+                let vma = self.kvm.unmap(vaddr).map_err(|_| ScifError::Inval)?;
+                self.held.release_translations(vma.owner);
                 Ok((0, 0))
             }
             VphiRequest::FenceMark { epd } => {
@@ -750,7 +743,6 @@ impl BackendDevice {
         name: impl Into<String>,
         channel: Arc<VphiChannel>,
         guest_mem: Arc<GuestMemory>,
-        guest_irq: Arc<IrqChip>,
         kvm: Arc<KvmModule>,
         fabric: Arc<ScifFabric>,
         boards: Vec<Arc<PhiBoard>>,
@@ -758,17 +750,13 @@ impl BackendDevice {
         reg_cache: bool,
         rma: RmaCharge,
     ) -> Arc<Self> {
-        // One interrupt gate per lane, each owning the lane's MSI vector.
+        // One interrupt gate per lane.
+        let irq_inject = fabric.shared().cost.irq_inject;
         let lanes = channel
             .lanes()
             .iter()
-            .enumerate()
-            .map(|(q, lane)| BackendLane {
-                notifier: LaneNotifier::new(
-                    VPHI_IRQ_VECTOR + q as u32,
-                    Arc::clone(&guest_irq),
-                    Arc::clone(&lane.queue),
-                ),
+            .map(|lane| BackendLane {
+                notifier: LaneNotifier::new(irq_inject, Arc::clone(&lane.queue)),
                 requests: Tally::new(),
                 worker_dispatches: Tally::new(),
                 pause: PauseLedger::default(),
@@ -783,7 +771,6 @@ impl BackendDevice {
             fabric,
             boards,
             held: Holdings::new(reg_cache),
-            mmaps: TrackedMutex::new(LockClass::BackendMmaps, HashMap::new()),
             policy,
             running: Flag::new(true),
             workers: Workers::default(),

@@ -1,6 +1,7 @@
 //! The per-lane completion notifier — the **only** MSI-injection site in
-//! the vPHI stack (`clippy.toml` bans `IrqChip::inject` and
-//! `IrqLine::inject` everywhere else).
+//! the vPHI stack: an injection is its one `IrqInject` charge, and
+//! `tests/notify.rs` checks that every such charge a call returns is one
+//! the notifiers counted.
 //!
 //! Every completion the backend pushes flows through here, and the
 //! notifier decides — deterministically, from state the frontend handed
@@ -30,10 +31,9 @@
 
 use std::sync::Arc;
 
-use vphi_sim_core::Timeline;
+use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 use vphi_sync::{Counter, Tally, TrackedRoleGuard};
 use vphi_virtio::{need_event, VirtQueue};
-use vphi_vmm::{IrqChip, IrqLine};
 
 use crate::frontend::{NotifyHint, WaitBucketProfile};
 
@@ -64,9 +64,8 @@ pub type Recorder<'a> = Option<&'a TrackedRoleGuard<'a>>;
 
 /// One virtqueue lane's interrupt gate.
 pub struct LaneNotifier {
-    vector: u32,
-    /// The lane's MSI vector on the guest's chip, resolved at start.
-    line: IrqLine,
+    /// What delivering the lane's MSI into the guest costs.
+    irq_inject: SimDuration,
     queue: Arc<VirtQueue>,
     /// Completions suppressed while their requester slept, awaiting the
     /// next injected irq on this lane (the batch the irq will flush).  A
@@ -85,7 +84,6 @@ impl std::fmt::Debug for LaneNotifier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let c = self.counters();
         f.debug_struct("LaneNotifier")
-            .field("vector", &self.vector)
             .field("injected", &c.irqs_injected)
             .field("suppressed", &c.irqs_suppressed)
             .finish()
@@ -93,21 +91,15 @@ impl std::fmt::Debug for LaneNotifier {
 }
 
 impl LaneNotifier {
-    pub fn new(vector: u32, chip: Arc<IrqChip>, queue: Arc<VirtQueue>) -> Self {
+    pub fn new(irq_inject: SimDuration, queue: Arc<VirtQueue>) -> Self {
         LaneNotifier {
-            vector,
-            line: chip.line(vector),
+            irq_inject,
             queue,
             pending: Counter::new(0),
             irqs_suppressed: Tally::new(),
             batch_hist: std::array::from_fn(|_| Tally::new()),
             burn: std::array::from_fn(|_| (Tally::new(), Tally::new())),
         }
-    }
-
-    /// The MSI vector this lane injects on.
-    pub fn vector(&self) -> u32 {
-        self.vector
     }
 
     /// Whether the completion that advanced the used ring to `new_seq`
@@ -126,13 +118,12 @@ impl LaneNotifier {
     /// suppressed-while-sleeping since the last irq.  An empty batch is
     /// read, not swapped: an add racing the read rides the next irq, as
     /// one racing the swap would.
-    #[expect(clippy::disallowed_methods, reason = "the lane's interrupt gate (DESIGN.md #16)")]
     pub fn deliver_irq(&self, tl: &mut Timeline, by: Recorder<'_>) {
         let batched = if self.pending.get() == 0 { 0 } else { self.pending.take() };
         let flushed = batched + 1;
         let bucket = (63 - flushed.leading_zeros() as usize).min(BATCH_BUCKETS - 1);
         self.batch_hist[bucket].add_as(1, by);
-        self.line.inject(tl);
+        tl.charge(SpanLabel::IrqInject, self.irq_inject);
     }
 
     /// Record a completion that did not inject.  `sleeping` completions
@@ -191,15 +182,15 @@ impl LaneNotifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vphi_sim_core::{CostModel, SimDuration, SpanLabel};
+    use vphi_sim_core::CostModel;
     use vphi_virtio::{Descriptor, UsedElem};
 
     const PUSH: SimDuration = SimDuration::from_nanos(600);
 
     fn lane() -> (LaneNotifier, Arc<VirtQueue>) {
-        let chip = Arc::new(IrqChip::new(Arc::new(CostModel::paper_calibrated())));
         let queue = VirtQueue::new(8);
-        (LaneNotifier::new(11, chip, Arc::clone(&queue)), queue)
+        let irq_inject = CostModel::paper_calibrated().irq_inject;
+        (LaneNotifier::new(irq_inject, Arc::clone(&queue)), queue)
     }
 
     #[expect(clippy::disallowed_methods, reason = "stages a completion on a bare queue")]

@@ -379,7 +379,6 @@ impl VphiHost {
             format!("vphi{}", vm.id()),
             channel,
             Arc::clone(vm.mem()),
-            Arc::clone(vm.kernel().irq()),
             Arc::clone(vm.kvm()),
             Arc::clone(&self.fabric),
             self.boards.clone(),

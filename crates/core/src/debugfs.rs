@@ -134,8 +134,8 @@ impl VphiDebugReport {
                 completions_per_irq[b] += count;
             }
         }
-        // Completion MSIs spread across one vector per lane, and each
-        // lane's notifier is the only injector of its vector.
+        // Completion MSIs spread across the lanes, and each lane's
+        // notifier is the only injector of its own.
         let irq_injections = notify.iter().map(|n| n.irqs_injected).sum();
         VphiDebugReport {
             vm_id: vm.vm().id(),

@@ -47,11 +47,6 @@ use vphi_vmm::{Gpa, GuestKernel, TokenWaitQueue};
 use crate::protocol::{GuestEpd, VphiRequest, VphiResponse, OPCODES, REQ_SIZE, RESP_SIZE};
 use slots::{BatchOp, SlotBody, SlotState, SlotTable};
 
-/// The vPHI interrupt vector of queue 0 on the guest's IRQ chip.  Queue
-/// `q` injects on `VPHI_IRQ_VECTOR + q` — one MSI vector per virtqueue,
-/// all registered to the same wake-all ISR.
-pub const VPHI_IRQ_VECTOR: u32 = 11;
-
 /// First completion-wait deadline.  When it expires without a completion
 /// or a shutdown, the frontend re-kicks the device: a lost kick or lost
 /// completion interrupt only costs one deadline, not a hang.  Kept at the
@@ -64,8 +59,16 @@ const BACKOFF_BASE: std::time::Duration = std::time::Duration::from_millis(200);
 /// Ceiling the exponential re-kick backoff saturates at.
 const BACKOFF_CAP: std::time::Duration = std::time::Duration::from_millis(800);
 
-/// Seed for the shared re-kick jitter RNG — fixed so runs are repeatable.
+/// Seed of the re-kick jitter — fixed so runs are repeatable.
 const BACKOFF_SEED: u64 = 0x05EE_DBAC_C0FF_5EED;
+
+/// The jitter of `token`'s re-kick wait number `attempt`: a factor in
+/// `[0.5, 1)` drawn from a seed of its own, so requesters that lost the
+/// same kick draw apart without sharing a generator.
+fn backoff_jitter(token: ReqToken, attempt: u32) -> f64 {
+    let seed = BACKOFF_SEED ^ token.rotate_left(32) ^ u64::from(attempt);
+    0.5 + vphi_sim_core::rng::SplitMix64::new(seed).next_f64() * 0.5
+}
 
 /// Re-kick attempts before the frontend declares the request lost.
 const MAX_DEADLINE_RETRIES: u32 = 50;
@@ -529,9 +532,6 @@ pub struct FrontendDriver {
     /// paper; configurable for the ABL-CHUNK ablation.
     chunk_size: u64,
     stats: StatCounters,
-    /// Shared RNG jittering the re-kick backoff so requesters that lost
-    /// the same kick don't hammer the doorbell in lockstep.
-    backoff_rng: TrackedMutex<vphi_sim_core::rng::SplitMix64>,
     /// Spin-budget EWMA table.
     policy: TrackedMutex<NotifyPolicy>,
 }
@@ -545,8 +545,8 @@ impl std::fmt::Debug for FrontendDriver {
 impl FrontendDriver {
     /// Insert the module and return the driver.  No ISR is registered:
     /// completion delivery wakes its requester's per-token waiter
-    /// directly, so the MSI vectors carry only their injection cost and
-    /// raise counts (the paper's wake-all-recheck handler is gone).
+    /// directly, so an MSI is only its injection cost and a count on its
+    /// lane's notifier (the paper's wake-all-recheck handler is gone).
     pub fn insert(
         kernel: Arc<GuestKernel>,
         channel: Arc<VphiChannel>,
@@ -577,10 +577,6 @@ impl FrontendDriver {
             scheme,
             chunk_size,
             stats: StatCounters::default(),
-            backoff_rng: TrackedMutex::new(
-                LockClass::FrontendBackoff,
-                vphi_sim_core::rng::SplitMix64::new(BACKOFF_SEED),
-            ),
             policy: TrackedMutex::new(LockClass::NotifyPolicy, NotifyPolicy::default()),
         })
     }
@@ -898,16 +894,13 @@ impl FrontendDriver {
             None
         };
         // A blocking caller's completion is already here (it serviced its
-        // own kick): no jitter draw, no lock beyond the slot's.
+        // own kick): no wait, no lock beyond the slot's.
         if let Some(r) = pred(tl) {
             return r;
         }
         let mut deadline = base;
-        for _attempt in 0..=MAX_DEADLINE_RETRIES {
-            let jittered = {
-                let mut rng = self.backoff_rng.lock();
-                deadline.mul_f64(0.5 + rng.next_f64() * 0.5)
-            };
+        for attempt in 0..=MAX_DEADLINE_RETRIES {
+            let jittered = deadline.mul_f64(backoff_jitter(token, attempt));
             if let Some(r) = channel.waitq.wait_for(token, jittered, || pred(tl)) {
                 return r;
             }
@@ -1358,8 +1351,7 @@ mod tests {
     ) -> std::thread::JoinHandle<()> {
         let queue = Arc::clone(channel.lane_queue(q));
         let notifier = Arc::new(crate::backend::LaneNotifier::new(
-            VPHI_IRQ_VECTOR + q as u32,
-            Arc::clone(kernel.irq()),
+            kernel.cost().irq_inject,
             Arc::clone(&queue),
         ));
         fake_backend_with(channel, kernel, q, notifier)
@@ -1478,8 +1470,7 @@ mod tests {
     fn adaptive_learns_budgets_and_accounts_spin_burn() {
         let d = driver(WaitScheme::ADAPTIVE);
         let notifier = Arc::new(crate::backend::LaneNotifier::new(
-            VPHI_IRQ_VECTOR,
-            Arc::clone(d.kernel().irq()),
+            d.kernel().cost().irq_inject,
             Arc::clone(&d.channel().queue),
         ));
         let backend = fake_backend_with(

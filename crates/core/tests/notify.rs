@@ -13,6 +13,9 @@
 //! guarantee — a lost completion MSI and a delayed used-ring publish —
 //! and checks the requester still comes back (via the wall-clock
 //! deadline re-check), with the notification ledger balancing.
+//!
+//! Only the lane notifier interrupts the guest: every `IrqInject` charge a
+//! call returns is an injection some lane's notifier counted.
 
 use std::sync::Arc;
 
@@ -25,7 +28,7 @@ use vphi_dev_support::{drain, serve, sink, GuestRig};
 use vphi_faults::{FaultPlan, FaultPoint, FaultSite};
 use vphi_sim_core::rng::SplitMix64;
 use vphi_sim_core::units::{KIB, MIB};
-use vphi_sim_core::{SimDuration, Timeline};
+use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 
 const THREADS: usize = 3;
 const MSGS: usize = 5;
@@ -251,4 +254,42 @@ fn used_ring_delay_is_latency_not_a_hang() {
     let report = VphiDebugReport::collect(&rig.vm);
     assert_eq!(report.deadline_retries, 0, "virtual delay never trips the wall deadline");
     assert_ledger_balances(&report);
+}
+
+/// Only the lane notifier interrupts the guest.  Blocking calls under the
+/// interrupt scheme, a 16-entry batch, a busy-poll entry and one lost MSI
+/// (crossing 3: open = 1, connect = 2, then the first send), all on one
+/// timeline: what it was charged for interrupts is exactly the injections
+/// the notifiers counted, each at the injection cost.
+#[test]
+fn every_irq_charge_is_a_notifier_injection() {
+    let host = VphiHost::new(1);
+    let injector = host.arm_faults(FaultPlan::single(FaultSite::PcieMsiLost, 3, 0));
+    let sink = sink(&host, 0);
+    let vm = host.spawn_vm(VmConfig::builder().scheme(WaitScheme::Interrupt).build());
+    let mut tl = Timeline::new();
+    let ep = vm.open_scif(&mut tl).expect("open");
+    ep.connect(sink.addr(), &mut tl).expect("connect");
+    for len in [1, 4 * KIB as usize, MIB as usize] {
+        assert_eq!(ep.send(&vec![0u8; len], &mut tl), Ok(len));
+    }
+    let mut sq = Sq::new();
+    let mut cq = Cq::new();
+    for _ in 0..16 {
+        sq.push(SqEntry::send(&[7; 64]));
+    }
+    cq.watch(&ep.submit(&mut sq, &mut tl).expect("submit"));
+    assert_eq!(ep.reap(&mut cq, 16, 16, &mut tl), Ok(16));
+    sq.push(SqEntry::send(&[7; 64]).busy_poll());
+    cq.watch(&ep.submit(&mut sq, &mut tl).expect("submit"));
+    assert_eq!(ep.reap(&mut cq, 1, 1, &mut tl), Ok(1));
+    assert!(cq.drain().iter().all(|done| done.result == Ok((64, 0))));
+    ep.close(&mut tl).expect("close");
+
+    let report = VphiDebugReport::collect(&vm);
+    assert_eq!(injector.fired_at(FaultSite::PcieMsiLost), 1);
+    assert_eq!(report.msi_lost, 1);
+    assert!(report.irqs_injected > 0, "{report:?}");
+    let irq_inject = vm.vm().kernel().cost().irq_inject;
+    assert_eq!(tl.total_for(SpanLabel::IrqInject), irq_inject * report.irqs_injected);
 }

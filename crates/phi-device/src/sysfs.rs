@@ -3,7 +3,7 @@
 //! Intel MPSS tools read board attributes through sysfs before they will
 //! talk to a card — micnativeloadex in particular checks family, state and
 //! memory size.  The paper (§III, implementation details) notes that vPHI
-//! "implement[s] the necessary functionality … and expose[s] the same
+//! "implement\[s\] the necessary functionality … and expose\[s\] the same
 //! information that is provided in the host"; our backend does the same by
 //! cloning this table into the guest.
 

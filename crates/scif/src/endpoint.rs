@@ -49,6 +49,16 @@ pub(crate) struct RmaCompletion {
     pub completes_at: SimTime,
 }
 
+/// An endpoint's RMA fence (see [`crate::rma`]): the marker the next
+/// async RMA takes, and the async RMAs no fence has absorbed yet.  One
+/// lock, so an async RMA takes its marker and queues its completion in
+/// one acquisition, in marker order.
+#[derive(Debug)]
+pub(crate) struct RmaFence {
+    pub next_marker: u64,
+    pub pending: Vec<RmaCompletion>,
+}
+
 /// The receive side of an endpoint's *timed bulk lane* (see
 /// [`send_timed`](EndpointCore::send_timed)).
 #[derive(Debug, Default)]
@@ -78,15 +88,18 @@ pub struct EndpointCore {
     /// Signalled by whoever moves it out of `Connecting` — the acceptor,
     /// `close`, or the listener's teardown.
     connect_done: TrackedCondvar,
-    local_port: TrackedMutex<Option<Port>>,
-    listener: TrackedMutex<Option<Arc<Listener>>>,
+    /// Set once, under the state lock: by `bind`, by `connect`'s
+    /// auto-bind, or by `accept` for the endpoint it makes.
+    local_port: OnceLock<Port>,
+    /// Set once, under the state lock, by `listen`.  Kept past `close`:
+    /// what tears the listener down is releasing its port.
+    listener: OnceLock<Arc<Listener>>,
     pub(crate) recv_q: OnceLock<Arc<MsgQueue>>,
     pub(crate) send_q: OnceLock<Arc<MsgQueue>>,
     pub(crate) peer: OnceLock<Weak<EndpointCore>>,
     peer_addr: OnceLock<ScifAddr>,
     pub(crate) windows: TrackedMutex<WindowTable>,
-    pub(crate) rma_pending: TrackedMutex<Vec<RmaCompletion>>,
-    pub(crate) next_marker: TrackedMutex<u64>,
+    pub(crate) fence: TrackedMutex<RmaFence>,
     timed: TrackedMutex<TimedLane>,
     /// Paired with `timed`: where this endpoint's `recv_timed` sleeps.
     timed_ready: TrackedCondvar,
@@ -117,15 +130,17 @@ impl EndpointCore {
             state: TrackedMutex::new(LockClass::EndpointState, EpState::Unbound),
             state_word: Published::new(EpState::Unbound as u64),
             connect_done: TrackedCondvar::new(),
-            local_port: TrackedMutex::new(LockClass::EpPort, None),
-            listener: TrackedMutex::new(LockClass::EpListener, None),
+            local_port: OnceLock::new(),
+            listener: OnceLock::new(),
             recv_q: OnceLock::new(),
             send_q: OnceLock::new(),
             peer: OnceLock::new(),
             peer_addr: OnceLock::new(),
             windows: TrackedMutex::new(LockClass::WindowTable, WindowTable::new()),
-            rma_pending: TrackedMutex::new(LockClass::RmaPending, Vec::new()),
-            next_marker: TrackedMutex::new(LockClass::RmaMarker, 1),
+            fence: TrackedMutex::new(
+                LockClass::RmaPending,
+                RmaFence { next_marker: 1, pending: Vec::new() },
+            ),
             timed: TrackedMutex::new(LockClass::TimedLane, TimedLane::default()),
             timed_ready: TrackedCondvar::new(),
             events: Published::new(0),
@@ -142,6 +157,12 @@ impl EndpointCore {
         EpState::ALL[self.state_word.load() as usize]
     }
 
+    /// Give the endpoint its port, once: under its state lock, or before
+    /// anyone else can see the endpoint.
+    fn set_port(&self, port: Port) {
+        self.local_port.set(port).expect("an endpoint's port is set once");
+    }
+
     /// Move to `next`; `st` is the held state lock.
     fn set_state(&self, st: &mut EpState, next: EpState) {
         *st = next;
@@ -153,11 +174,11 @@ impl EndpointCore {
     }
 
     pub fn local_port(&self) -> Option<Port> {
-        *self.local_port.lock()
+        self.local_port.get().copied()
     }
 
     pub fn local_addr(&self) -> Option<ScifAddr> {
-        self.local_port.lock().map(|p| ScifAddr::new(self.node.id(), p))
+        self.local_port().map(|p| ScifAddr::new(self.node.id(), p))
     }
 
     pub fn peer_addr(&self) -> Option<ScifAddr> {
@@ -192,7 +213,7 @@ impl EndpointCore {
 
     /// Connections waiting in this listening endpoint's backlog.
     pub fn backlog_len(&self) -> usize {
-        self.listener.lock().as_ref().map_or(0, |l| l.pending.lock().len())
+        self.listener.get().map_or(0, |l| l.pending.lock().len())
     }
 
     /// `scif_bind`.
@@ -201,7 +222,7 @@ impl EndpointCore {
         match *st {
             EpState::Unbound => {
                 let chosen = self.node.bind_port(port)?;
-                *self.local_port.lock() = Some(chosen);
+                self.set_port(chosen);
                 self.set_state(&mut st, EpState::Bound);
                 Ok(chosen)
             }
@@ -215,9 +236,9 @@ impl EndpointCore {
         let mut st = self.state.lock();
         match *st {
             EpState::Bound => {
-                let port = self.local_port.lock().expect("bound implies port");
+                let port = self.local_port().expect("bound implies port");
                 let l = self.node.start_listening(port, backlog)?;
-                *self.listener.lock() = Some(l);
+                assert!(self.listener.set(l).is_ok(), "only the first listen sets it");
                 self.set_state(&mut st, EpState::Listening);
                 Ok(())
             }
@@ -236,7 +257,7 @@ impl EndpointCore {
                 EpState::Unbound => {
                     // Auto-bind an ephemeral port, as libscif does.
                     let p = self.node.bind_port(Port::ANY)?;
-                    *self.local_port.lock() = Some(p);
+                    self.set_port(p);
                     self.set_state(&mut st, EpState::Connecting);
                 }
                 EpState::Bound => self.set_state(&mut st, EpState::Connecting),
@@ -293,8 +314,7 @@ impl EndpointCore {
             if let Some(ep) = self.try_accept(tl)? {
                 return Ok(ep);
             }
-            let listener = self.listener.lock().clone().ok_or(ScifError::Inval)?;
-            listener.wait_arrival(&self.waits)?;
+            self.listener.get().ok_or(ScifError::Inval)?.wait_arrival(&self.waits)?;
         }
     }
 
@@ -307,7 +327,7 @@ impl EndpointCore {
         if self.state() != EpState::Listening {
             return Err(ScifError::Inval);
         }
-        let listener = self.listener.lock().clone().ok_or(ScifError::Inval)?;
+        let listener = self.listener.get().ok_or(ScifError::Inval)?;
         let connector = {
             let mut pending = listener.pending.lock();
             loop {
@@ -335,7 +355,7 @@ impl EndpointCore {
         // Build the connected pair.
         let newep = EndpointCore::new(Arc::clone(&self.shared), Arc::clone(&self.node));
         let port = self.node.bind_port(Port::ANY)?;
-        *newep.local_port.lock() = Some(port);
+        newep.set_port(port);
         let q_a = Arc::new(MsgQueue::with_default_capacity()); // connector -> acceptor
         let q_b = Arc::new(MsgQueue::with_default_capacity()); // acceptor -> connector
         newep.recv_q.set(Arc::clone(&q_a)).expect("fresh endpoint");
@@ -534,10 +554,7 @@ impl EndpointCore {
             q.close();
         }
         // Stop listening.  Releasing the port is what tears the listener
-        // down — wakes `accept`, refuses the backlog — and that takes each
-        // connector's state lock, so no slot guard may be alive across it:
-        // the slot is emptied first, the port read through its accessor.
-        drop(self.listener.lock().take());
+        // down — wakes `accept`, refuses the backlog.
         if let Some(p) = self.local_port() {
             self.node.release_port(p);
         }

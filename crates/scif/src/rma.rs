@@ -203,13 +203,10 @@ impl EndpointCore {
         self.shared.charge_rma_path(&self.node, &peer.node, bytes, flags.use_cpu, &mut sub)?;
         let extra = sub.total().saturating_sub(self.shared.cost.rma_setup);
         let completes_at = self.shared.clock.now() + extra;
-        let marker = {
-            let mut m = self.next_marker.lock();
-            let id = *m;
-            *m += 1;
-            id
-        };
-        self.rma_pending.lock().push(RmaCompletion { marker, completes_at });
+        let mut fence = self.fence.lock();
+        let marker = fence.next_marker;
+        fence.next_marker += 1;
+        fence.pending.push(RmaCompletion { marker, completes_at });
         Ok(())
     }
 
@@ -219,8 +216,7 @@ impl EndpointCore {
         if self.state() != EpState::Connected {
             return Err(ScifError::NotConn);
         }
-        let pending = self.rma_pending.lock();
-        Ok(pending.iter().map(|c| c.marker).max().unwrap_or(0))
+        Ok(self.fence.lock().pending.iter().map(|c| c.marker).max().unwrap_or(0))
     }
 
     /// `scif_fence_wait`: blocks (in virtual time) until every RMA up to
@@ -229,10 +225,10 @@ impl EndpointCore {
         if self.state() != EpState::Connected {
             return Err(ScifError::NotConn);
         }
-        let mut pending = self.rma_pending.lock();
+        let mut fence = self.fence.lock();
         let now = self.shared.clock.now();
         let mut latest = SimTime::ZERO;
-        pending.retain(|c| {
+        fence.pending.retain(|c| {
             if c.marker <= marker {
                 latest = latest.max(c.completes_at);
                 false
@@ -240,7 +236,7 @@ impl EndpointCore {
                 true
             }
         });
-        drop(pending);
+        drop(fence);
         if latest > now {
             let wait = latest.elapsed_since(now);
             tl.charge(SpanLabel::Completion, wait);
@@ -284,7 +280,7 @@ impl EndpointCore {
 
     /// Number of queued (un-fenced) RMA completions — for tests.
     pub fn pending_rma_count(&self) -> usize {
-        self.rma_pending.lock().len()
+        self.fence.lock().pending.len()
     }
 }
 

@@ -59,149 +59,125 @@ pub enum LockClass {
     // --- VMM control plane (outermost) ---
     /// `vmm::KvmModule` VMA table.
     KvmVmas = 0,
-    /// `vmm::KvmModule` resolved-page set.
-    KvmResolved = 1,
-    /// `vmm::KvmModule` fault counter.
-    KvmFaults = 2,
     // --- host-side service threads ---
     /// `scif::CardService` accept-thread handle.
-    ServerAccept = 3,
+    ServerAccept = 1,
     /// `scif::CardService` session-worker pool.
-    ServerSessions = 4,
+    ServerSessions = 2,
     /// Backend endpoint holdings: the guest-epd → endpoint table, each
     /// endpoint's registered windows and the RMA registration cache.
-    BackendEndpoints = 5,
-    /// Backend mmap-handle table.
-    BackendMmaps = 6,
+    BackendEndpoints = 3,
     // --- SCIF fabric ---
     /// Fabric node registry.
-    FabricNodes = 7,
+    FabricNodes = 4,
     /// Endpoint state machine.
-    EndpointState = 8,
-    /// Endpoint local port.
-    EpPort = 9,
-    /// Endpoint listener slot.
-    EpListener = 10,
+    EndpointState = 5,
     /// Per-node bound-port map.
-    NodePorts = 11,
+    NodePorts = 6,
     /// Listener pending-connection backlog.
-    ListenerPending = 12,
+    ListenerPending = 7,
     /// Fabric activity hub (wake-any version counter).
-    ActivityHub = 13,
+    ActivityHub = 8,
     /// SCIF message queue ring state.
-    MsgQueue = 14,
+    MsgQueue = 9,
     /// Endpoint registered-window table.
-    WindowTable = 15,
-    /// Endpoint RMA fence-marker counter.
-    RmaMarker = 16,
-    /// Endpoint pending async-RMA completions.
-    RmaPending = 17,
+    WindowTable = 10,
+    /// Endpoint RMA fence: the next marker and the pending async-RMA
+    /// completions.
+    RmaPending = 11,
     // --- Phi device ---
     /// Board lifecycle state.
-    BoardState = 18,
+    BoardState = 12,
     /// Board sysfs attribute map.
-    BoardSysfs = 19,
+    BoardSysfs = 13,
     /// GDDR allocator region table.
-    PhiMemTable = 20,
-    // --- virtio / interrupt delivery ---
+    PhiMemTable = 14,
+    // --- virtio ---
     /// Virtqueue ring state.
-    VirtQueueState = 21,
+    VirtQueueState = 15,
     /// PCIe doorbell state.
-    Doorbell = 22,
-    /// Per-VM IRQ-chip vector map.
-    IrqVectors = 23,
+    Doorbell = 16,
     // --- frontend driver ---
     /// One request slot of a lane's slot table (DESIGN.md #23): the
     /// request's timeline, trace fork, notify hint, batch bookkeeping and
     /// completion cell.  A leaf: nothing is acquired under it.
-    RequestSlot = 24,
+    RequestSlot = 17,
     // --- byte-storage leaves (innermost real locks) ---
     /// Pinned user/guest pages (`scif::PinnedBuf`).
-    PinnedBuf = 25,
+    PinnedBuf = 18,
     /// GDDR region backing bytes.
-    PhiMemData = 26,
+    PhiMemData = 19,
     /// Guest physical-memory arena.
-    GuestMemState = 27,
+    GuestMemState = 20,
     /// VMA test/backing byte buffers.
-    VmaData = 28,
+    VmaData = 21,
     // --- test-only classes (isolated from the real hierarchy) ---
     /// Regression tests: an outer-layer test lock.
-    TestOuter = 29,
+    TestOuter = 22,
     /// Regression tests: ABBA partner A.
-    TestA = 30,
+    TestA = 23,
     /// Regression tests: ABBA partner B.
-    TestB = 31,
+    TestB = 24,
     /// Regression tests: an inner-layer test lock.
-    TestInner = 32,
+    TestInner = 25,
     // --- host control plane (outermost; added for card-reset recovery) ---
     /// `VphiHost` attached-backend registry.  A leaf: snapshotted and let
     /// go before any backend is touched.
-    HostAttached = 33,
+    HostAttached = 26,
     // --- tracing leaves (vphi-trace; taken with arbitrary locks held
     // *released*, never while inside another tracked section) ---
-    /// Tracer span rings + request summaries.
-    TraceRings = 34,
-    /// Tracer latency histograms.
-    TraceHists = 35,
+    /// Tracer span rings, request summaries and latency histograms.
+    TraceRings = 27,
     // --- multi-queue transport (PR 5) ---
     /// Backend shard-thread join handles (one service thread per queue).
-    BackendShards = 36,
-    /// Frontend shared re-kick backoff RNG (seeded, jittered).
-    FrontendBackoff = 37,
+    BackendShards = 28,
     // --- adaptive completion notification (PR 6) ---
     /// Per-token wait-queue registry (token → slot map).
-    TokenWaiters = 38,
+    TokenWaiters = 29,
     /// One sleeping requester's slot (signal count + condvar).
-    TokenSlot = 39,
+    TokenSlot = 30,
     /// Frontend spin-budget policy (EWMA table + burn estimates).
-    NotifyPolicy = 40,
+    NotifyPolicy = 31,
     // --- zero-copy RMA (PR 10) ---
     /// Device-aperture window-mapping table (`pcie::ApertureMap`).
-    ApertureWindows = 41,
+    ApertureWindows = 32,
     // --- vm-exit servicing on the kicking thread (PR 14) ---
     /// A virtqueue lane's executor role ([`TrackedRole`], not a lock):
     /// whoever holds it — the lane's shard thread or a blocking kicker —
     /// is the one thread draining that lane's avail ring.
-    LaneExecutor = 42,
+    LaneExecutor = 33,
     // --- directed fabric wake-ups (PR 16) ---
     /// An endpoint's timed-bulk-lane receive state (`recv_timed` parks on
     /// the condvar paired with it).
-    TimedLane = 43,
+    TimedLane = 34,
 }
 
 impl LockClass {
     /// Number of classes (adjacency bitmasks are `u64`, so this must stay
     /// ≤ 64).
-    pub const COUNT: usize = 44;
+    pub const COUNT: usize = 35;
 
     /// Every class, in discriminant order: the audit walks it to snapshot
     /// the order graph, and lock budgets walk it to print a per-class
     /// ledger.
     pub const ALL: [LockClass; LockClass::COUNT] = [
         LockClass::KvmVmas,
-        LockClass::KvmResolved,
-        LockClass::KvmFaults,
         LockClass::ServerAccept,
         LockClass::ServerSessions,
         LockClass::BackendEndpoints,
-        LockClass::BackendMmaps,
         LockClass::FabricNodes,
         LockClass::EndpointState,
-        LockClass::EpPort,
-        LockClass::EpListener,
         LockClass::NodePorts,
         LockClass::ListenerPending,
         LockClass::ActivityHub,
         LockClass::MsgQueue,
         LockClass::WindowTable,
-        LockClass::RmaMarker,
         LockClass::RmaPending,
         LockClass::BoardState,
         LockClass::BoardSysfs,
         LockClass::PhiMemTable,
         LockClass::VirtQueueState,
         LockClass::Doorbell,
-        LockClass::IrqVectors,
         LockClass::RequestSlot,
         LockClass::PinnedBuf,
         LockClass::PhiMemData,
@@ -213,9 +189,7 @@ impl LockClass {
         LockClass::TestInner,
         LockClass::HostAttached,
         LockClass::TraceRings,
-        LockClass::TraceHists,
         LockClass::BackendShards,
-        LockClass::FrontendBackoff,
         LockClass::TokenWaiters,
         LockClass::TokenSlot,
         LockClass::NotifyPolicy,
@@ -229,29 +203,22 @@ impl LockClass {
     pub const fn layer(self) -> u8 {
         match self {
             LockClass::KvmVmas => 12,
-            LockClass::KvmResolved => 14,
-            LockClass::KvmFaults => 16,
             LockClass::ServerAccept => 20,
             LockClass::ServerSessions => 22,
             LockClass::BackendEndpoints => 24,
-            LockClass::BackendMmaps => 24,
             LockClass::FabricNodes => 30,
             LockClass::EndpointState => 32,
-            LockClass::EpPort => 34,
-            LockClass::EpListener => 34,
             LockClass::NodePorts => 36,
             LockClass::ListenerPending => 38,
             LockClass::ActivityHub => 40,
             LockClass::MsgQueue => 42,
             LockClass::WindowTable => 44,
-            LockClass::RmaMarker => 46,
             LockClass::RmaPending => 48,
             LockClass::BoardState => 50,
             LockClass::BoardSysfs => 52,
             LockClass::PhiMemTable => 54,
             LockClass::VirtQueueState => 60,
             LockClass::Doorbell => 62,
-            LockClass::IrqVectors => 66,
             // Where the inflight and completed tables sat: above the
             // per-token waiter slot (72), whose wait predicate probes it.
             LockClass::RequestSlot => 74,
@@ -265,9 +232,7 @@ impl LockClass {
             LockClass::TestInner => 94,
             LockClass::HostAttached => 8,
             LockClass::TraceRings => 87,
-            LockClass::TraceHists => 88,
             LockClass::BackendShards => 20,
-            LockClass::FrontendBackoff => 79,
             LockClass::TokenWaiters => 71,
             LockClass::TokenSlot => 72,
             LockClass::NotifyPolicy => 77,

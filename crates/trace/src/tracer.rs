@@ -155,6 +155,7 @@ pub struct HistRow {
 struct Store {
     rings: BTreeMap<u32, VecDeque<SpanRec>>,
     summaries: VecDeque<TraceSummary>,
+    hists: BTreeMap<HistKey, Hist>,
 }
 
 /// Collects spans and summaries from every [`OpCtx`](crate::OpCtx) whose
@@ -164,7 +165,6 @@ pub struct Tracer {
     config: TraceConfig,
     clock: Option<Arc<VirtualClock>>,
     store: TrackedMutex<Store>,
-    hists: TrackedMutex<BTreeMap<HistKey, Hist>>,
     next_trace: Counter,
     open_spans: Counter,
     spans_recorded: Counter,
@@ -179,7 +179,6 @@ impl Tracer {
             config,
             clock: None,
             store: TrackedMutex::new(LockClass::TraceRings, Store::default()),
-            hists: TrackedMutex::new(LockClass::TraceHists, BTreeMap::new()),
             next_trace: Counter::new(1),
             open_spans: Counter::new(0),
             spans_recorded: Counter::new(0),
@@ -228,23 +227,13 @@ impl Tracer {
     ) {
         self.traces_finished.bump();
         let at = self.clock.as_ref().map(|c| c.now()).unwrap_or(SimTime::ZERO);
-        {
-            let mut store = self.store.lock();
-            if store.summaries.len() >= self.config.summary_capacity {
-                store.summaries.pop_front();
-            }
-            store.summaries.push_back(TraceSummary {
-                vm,
-                trace_id,
-                op,
-                payload,
-                total,
-                stages,
-                at,
-            });
-        }
         let bucket = size_bucket(payload);
-        let mut hists = self.hists.lock();
+        let mut store = self.store.lock();
+        if store.summaries.len() >= self.config.summary_capacity {
+            store.summaries.pop_front();
+        }
+        store.summaries.push_back(TraceSummary { vm, trace_id, op, payload, total, stages, at });
+        let hists = &mut store.hists;
         for (i, d) in stages.iter().enumerate() {
             if !d.is_zero() {
                 hists
@@ -288,8 +277,9 @@ impl Tracer {
 
     /// Histogram rows, deterministically ordered (op, stage, bucket).
     pub fn hist_rows(&self) -> Vec<HistRow> {
-        self.hists
+        self.store
             .lock()
+            .hists
             .iter()
             .map(|(k, h)| HistRow {
                 op: k.op,

@@ -13,13 +13,12 @@
 //!   references with `NEXT`/`WRITE` chaining.
 //! * [`queue::VirtQueue`] — the descriptor table + avail ring + used ring
 //!   under one lock, with a guest-side API (`add_chain`, `take_used`) and
-//!   a device-side API (`pop_avail`, `push_used`).
-//! * [`queue::Notifiers`] — the kick doorbell (guest → device).  The
-//!   device → guest interrupt is decided outside the queue, from the
-//!   EVENT_IDX `used_event`/`used_seq` pair it carries.
+//!   a device-side API (`pop_avail`, `push_used`), and its kick doorbell
+//!   (guest → device).  The device → guest interrupt is decided outside
+//!   the queue, from the EVENT_IDX `used_event`/`used_seq` pair it carries.
 
 pub mod queue;
 pub mod ring;
 
-pub use queue::{need_event, Notifiers, Popped, QueueCounters, QueueError, VirtQueue};
+pub use queue::{need_event, Popped, QueueCounters, QueueError, VirtQueue};
 pub use ring::{DescChain, DescFlags, Descriptor, UsedElem};

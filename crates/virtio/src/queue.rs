@@ -39,27 +39,6 @@ impl std::fmt::Display for QueueError {
 
 impl std::error::Error for QueueError {}
 
-/// Kick plumbing shared by the two sides.  Device → guest notification
-/// is NOT here by design: used-buffer interrupts go through the backend's
-/// `LaneNotifier`, the one component allowed to inject MSIs, so the
-/// EVENT_IDX suppression decision has a single owner.
-pub struct Notifiers {
-    /// Guest → device "avail ring has work".
-    pub kick: Arc<Doorbell>,
-}
-
-impl Default for Notifiers {
-    fn default() -> Self {
-        Notifiers { kick: Arc::new(Doorbell::new()) }
-    }
-}
-
-impl std::fmt::Debug for Notifiers {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Notifiers").finish_non_exhaustive()
-    }
-}
-
 #[derive(Debug)]
 struct QueueState {
     table: Vec<Option<Descriptor>>,
@@ -153,7 +132,11 @@ pub struct Popped {
 pub struct VirtQueue {
     size: u16,
     state: TrackedMutex<QueueState>,
-    pub notifiers: Notifiers,
+    /// Guest → device "avail ring has work".  Device → guest
+    /// notification is not here by design: a used-buffer interrupt is
+    /// decided by the backend's `LaneNotifier`, from the EVENT_IDX pair
+    /// this queue carries, so the suppression decision has one owner.
+    pub doorbell: Doorbell,
     /// Set once by the device at start; see
     /// [`kick_blocking`](VirtQueue::kick_blocking).
     exit_handler: OnceLock<ExitHandler>,
@@ -192,7 +175,7 @@ impl VirtQueue {
                     used: VecDeque::new(),
                 },
             ),
-            notifiers: Notifiers::default(),
+            doorbell: Doorbell::new(),
             exit_handler: OnceLock::new(),
             executor: TrackedRole::new(LockClass::LaneExecutor),
             faults: FaultHook::new(),
@@ -337,7 +320,7 @@ impl VirtQueue {
         tl.charge(SpanLabel::VmExitKick, cost_vmexit);
         self.kicks.bump();
         if self.faults.fire(FaultSite::VirtioKickLost).is_none() {
-            self.notifiers.kick.ring_with(service);
+            self.doorbell.ring_with(service);
         }
     }
 
@@ -473,7 +456,7 @@ impl VirtQueue {
 
     /// Block (really) until a kick arrives or the queue shuts down.
     pub fn wait_kick(&self) -> bool {
-        self.notifiers.kick.wait()
+        self.doorbell.wait()
     }
 
     /// Push a completion and fire the guest interrupt unless suppressed.
@@ -503,7 +486,7 @@ impl VirtQueue {
     /// Shut the queue down: wakes any device thread blocked in
     /// [`wait_kick`](VirtQueue::wait_kick).
     pub fn shutdown(&self) {
-        self.notifiers.kick.shutdown();
+        self.doorbell.shutdown();
     }
 }
 
@@ -700,13 +683,13 @@ mod tests {
         assert_eq!(*seen.lock(), [(std::thread::current().id(), h1)]);
         // … and the chain behind it was handed to the service thread.
         assert!(q.avail_pending());
-        assert!(q.notifiers.kick.try_consume());
+        assert!(q.doorbell.try_consume());
         // Nothing left behind: no ring.
         let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)]).unwrap();
         q.pop_avail().unwrap().unwrap();
         let mine = q.publish_avail(h3, PUSH, &mut tl);
         q.kick_blocking(mine, KICK, &mut tl);
-        assert!(!q.notifiers.kick.try_consume());
+        assert!(!q.doorbell.try_consume());
         assert_eq!(seen.lock().len(), 2);
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK * 2);
     }

@@ -3,7 +3,7 @@
 //! Provides the three kernel services the paper's frontend uses:
 //! `kmalloc` (physically-contiguous, capped at `KMALLOC_MAX_SIZE`),
 //! user↔kernel copies (the *only* data copies on the vPHI path, §III),
-//! and wait queues + IRQ registration.
+//! and the syscall charge.
 
 use std::sync::Arc;
 
@@ -11,7 +11,6 @@ use vphi_sim_core::cost::{CostModel, KMALLOC_MAX_SIZE};
 use vphi_sim_core::{SpanLabel, Timeline};
 
 use crate::guest_mem::{Gpa, GuestMemError, GuestMemory};
-use crate::irq::IrqChip;
 
 /// A kmalloc'd physically-contiguous kernel buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +23,6 @@ pub struct KmallocBuf {
 pub struct GuestKernel {
     mem: Arc<GuestMemory>,
     cost: Arc<CostModel>,
-    irq: Arc<IrqChip>,
 }
 
 impl std::fmt::Debug for GuestKernel {
@@ -35,8 +33,7 @@ impl std::fmt::Debug for GuestKernel {
 
 impl GuestKernel {
     pub fn new(mem: Arc<GuestMemory>, cost: Arc<CostModel>) -> Self {
-        let irq = Arc::new(IrqChip::new(Arc::clone(&cost)));
-        GuestKernel { mem, cost, irq }
+        GuestKernel { mem, cost }
     }
 
     pub fn mem(&self) -> &Arc<GuestMemory> {
@@ -45,10 +42,6 @@ impl GuestKernel {
 
     pub fn cost(&self) -> &Arc<CostModel> {
         &self.cost
-    }
-
-    pub fn irq(&self) -> &Arc<IrqChip> {
-        &self.irq
     }
 
     /// `kmalloc`: allocate up to `KMALLOC_MAX_SIZE` physically-contiguous

@@ -10,16 +10,16 @@
 //! rejects untagged device access (the unpatched behaviour, kept around so
 //! tests can demonstrate *why* the patch is needed), charges a
 //! `PfnFaultResolve` on the first touch of each page, and serves the bytes
-//! through the VMA backing.
+//! through the VMA backing.  Everything it keeps — the VMAs, the pages each
+//! has faulted in, the fault count — is one [`VmaTable`] under one lock.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use vphi_sim_core::cost::PAGE_SIZE;
 use vphi_sim_core::{CostModel, SpanLabel, Timeline};
 use vphi_sync::{LockClass, TrackedMutex};
 
-use crate::vma::{VmaError, VmaTable};
+use crate::vma::{PfnBacking, Vma, VmaError, VmaFlags, VmaTable};
 
 /// Whether the paper's `VM_PFNPHI` patch is applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,10 +34,7 @@ pub enum KvmPatch {
 pub struct KvmModule {
     cost: Arc<CostModel>,
     patch: KvmPatch,
-    pub vmas: TrackedMutex<VmaTable>,
-    /// Pages already faulted in (VMA start, page index).
-    resolved: TrackedMutex<HashSet<(u64, u64)>>,
-    faults: TrackedMutex<u64>,
+    vmas: TrackedMutex<VmaTable>,
 }
 
 impl std::fmt::Debug for KvmModule {
@@ -48,79 +45,104 @@ impl std::fmt::Debug for KvmModule {
 
 impl KvmModule {
     pub fn new(cost: Arc<CostModel>, patch: KvmPatch) -> Self {
-        KvmModule {
-            cost,
-            patch,
-            vmas: TrackedMutex::new(LockClass::KvmVmas, VmaTable::new()),
-            resolved: TrackedMutex::new(LockClass::KvmResolved, HashSet::new()),
-            faults: TrackedMutex::new(LockClass::KvmFaults, 0),
-        }
+        KvmModule { cost, patch, vmas: TrackedMutex::new(LockClass::KvmVmas, VmaTable::new()) }
     }
 
     pub fn patch(&self) -> KvmPatch {
         self.patch
     }
 
+    /// Install a VMA made by `owner` at an address the kernel picks.  A
+    /// closed table refuses it ([`VmaError::Closed`]); the refused
+    /// `backing` is dropped under the table lock, so its caller keeps what
+    /// must not be freed there.
+    pub fn map(
+        &self,
+        len: u64,
+        flags: VmaFlags,
+        base_pfn: Option<u64>,
+        backing: Arc<dyn PfnBacking>,
+        owner: u64,
+    ) -> Result<u64, VmaError> {
+        self.vmas.lock().map(None, len, flags, base_pfn, backing, owner)
+    }
+
+    /// `munmap` of the VMA starting at `start`: it and the pages it
+    /// faulted in go.  The VMA is handed back to be dropped by the caller,
+    /// after the table lock: dropping it can free what backs it.
+    pub fn unmap(&self, start: u64) -> Result<Arc<Vma>, VmaError> {
+        self.vmas.lock().unmap(start)
+    }
+
+    /// The guest is gone: hand back every VMA (dropped by the caller, as
+    /// for [`unmap`](Self::unmap)) and refuse every later map.
+    pub fn close(&self) -> Vec<Arc<Vma>> {
+        self.vmas.lock().close()
+    }
+
+    /// VMAs installed.
+    pub fn vma_count(&self) -> usize {
+        self.vmas.lock().len()
+    }
+
     /// A guest load at virtual address `addr`.
     pub fn load(&self, addr: u64, out: &mut [u8], tl: &mut Timeline) -> Result<(), VmaError> {
-        let vma = self.vmas.lock().find(addr)?;
-        if !vma.flags.read {
-            return Err(VmaError::Access);
-        }
-        self.fault_in(vma.start, addr, out.len() as u64, vma.flags.pfn_phi, tl)?;
+        let vma = self.fault_in(addr, out.len() as u64, |f| f.read, tl)?;
         vma.backing.read(addr - vma.start, out)
     }
 
     /// A guest store at virtual address `addr`.
     pub fn store(&self, addr: u64, data: &[u8], tl: &mut Timeline) -> Result<(), VmaError> {
-        let vma = self.vmas.lock().find(addr)?;
-        if !vma.flags.write {
-            return Err(VmaError::Access);
-        }
-        self.fault_in(vma.start, addr, data.len() as u64, vma.flags.pfn_phi, tl)?;
+        let vma = self.fault_in(addr, data.len() as u64, |f| f.write, tl)?;
         vma.backing.write(addr - vma.start, data)
     }
 
-    /// Resolve first-touch faults for every page the access covers.
+    /// Find the VMA covering `addr`, check the access against its
+    /// protection, and resolve first-touch faults for every page the
+    /// access covers.  The bytes are served by the caller, outside the
+    /// table lock.
     fn fault_in(
         &self,
-        vma_start: u64,
         addr: u64,
         len: u64,
-        pfn_phi: bool,
+        allowed: impl Fn(VmaFlags) -> bool,
         tl: &mut Timeline,
-    ) -> Result<(), VmaError> {
-        let first_page = (addr - vma_start) / PAGE_SIZE;
-        let last_page = (addr - vma_start + len.max(1) - 1) / PAGE_SIZE;
-        let mut resolved = self.resolved.lock();
+    ) -> Result<Arc<Vma>, VmaError> {
+        let mut table = self.vmas.lock();
+        let mapping = table.find(addr)?;
+        let vma = Arc::clone(&mapping.vma);
+        if !allowed(vma.flags) {
+            return Err(VmaError::Access);
+        }
+        let first_page = (addr - vma.start) / PAGE_SIZE;
+        let last_page = (addr - vma.start + len.max(1) - 1) / PAGE_SIZE;
+        let mut faults = 0;
+        let mut resolved = Ok(());
         for page in first_page..=last_page {
-            if resolved.contains(&(vma_start, page)) {
+            if mapping.resolved.contains(&page) {
                 continue;
             }
             // This is the fault: it exits to KVM.
-            *self.faults.lock() += 1;
-            if pfn_phi {
+            faults += 1;
+            if vma.flags.pfn_phi {
                 if self.patch == KvmPatch::Unpatched {
                     // Stock KVM interprets the faulting address in its own
                     // address space — an invalid area.  This is the failure
                     // the paper's patch exists to fix.
-                    return Err(VmaError::BadBacking);
+                    resolved = Err(VmaError::BadBacking);
+                    break;
                 }
                 tl.charge(SpanLabel::PfnFaultResolve, self.cost.pfn_fault_resolve);
             }
-            resolved.insert((vma_start, page));
+            mapping.resolved.insert(page);
         }
-        Ok(())
+        table.faults += faults;
+        resolved.map(|()| vma)
     }
 
     /// Total page faults taken (first touches).
     pub fn fault_count(&self) -> u64 {
-        *self.faults.lock()
-    }
-
-    /// Drop all resolved-page state for a VMA (on munmap).
-    pub fn forget_vma(&self, vma_start: u64) {
-        self.resolved.lock().retain(|(s, _)| *s != vma_start);
+        self.vmas.lock().faults
     }
 }
 
@@ -128,7 +150,6 @@ impl KvmModule {
 mod tests {
     use super::*;
     use crate::vma::test_support::VecBacking;
-    use crate::vma::VmaFlags;
 
     fn module(patch: KvmPatch) -> KvmModule {
         KvmModule::new(Arc::new(CostModel::paper_calibrated()), patch)
@@ -147,11 +168,8 @@ mod tests {
     #[test]
     fn patched_kvm_serves_device_faults() {
         let kvm = module(KvmPatch::PfnPhi);
-        let addr = kvm
-            .vmas
-            .lock()
-            .map(None, 2 * PAGE_SIZE, VmaFlags::PHI_RW, Some(0x4000), phi_backing(2))
-            .unwrap();
+        let addr =
+            kvm.map(2 * PAGE_SIZE, VmaFlags::PHI_RW, Some(0x4000), phi_backing(2), 0).unwrap();
         let mut tl = Timeline::new();
         kvm.store(addr + 8, b"phi", &mut tl).unwrap();
         let mut out = [0u8; 3];
@@ -169,11 +187,7 @@ mod tests {
     #[test]
     fn unpatched_kvm_fails_on_device_vmas() {
         let kvm = module(KvmPatch::Unpatched);
-        let addr = kvm
-            .vmas
-            .lock()
-            .map(None, PAGE_SIZE, VmaFlags::PHI_RW, Some(0x4000), phi_backing(1))
-            .unwrap();
+        let addr = kvm.map(PAGE_SIZE, VmaFlags::PHI_RW, Some(0x4000), phi_backing(1), 0).unwrap();
         let mut tl = Timeline::new();
         assert_eq!(kvm.store(addr, &[1], &mut tl).err(), Some(VmaError::BadBacking));
     }
@@ -181,11 +195,8 @@ mod tests {
     #[test]
     fn each_page_faults_once() {
         let kvm = module(KvmPatch::PfnPhi);
-        let addr = kvm
-            .vmas
-            .lock()
-            .map(None, 4 * PAGE_SIZE, VmaFlags::PHI_RW, Some(0x4000), phi_backing(4))
-            .unwrap();
+        let addr =
+            kvm.map(4 * PAGE_SIZE, VmaFlags::PHI_RW, Some(0x4000), phi_backing(4), 0).unwrap();
         let mut tl = Timeline::new();
         // A write spanning pages 1-2 takes two faults.
         kvm.store(addr + PAGE_SIZE + 100, &vec![0u8; (PAGE_SIZE + 200) as usize], &mut tl).unwrap();
@@ -201,11 +212,7 @@ mod tests {
     #[test]
     fn protection_checked_before_fault() {
         let kvm = module(KvmPatch::PfnPhi);
-        let addr = kvm
-            .vmas
-            .lock()
-            .map(None, PAGE_SIZE, VmaFlags::PHI_RO, Some(0x4000), phi_backing(1))
-            .unwrap();
+        let addr = kvm.map(PAGE_SIZE, VmaFlags::PHI_RO, Some(0x4000), phi_backing(1), 0).unwrap();
         let mut tl = Timeline::new();
         assert_eq!(kvm.store(addr, &[1], &mut tl).err(), Some(VmaError::Access));
         assert_eq!(kvm.fault_count(), 0);
@@ -219,18 +226,35 @@ mod tests {
     }
 
     #[test]
-    fn forget_vma_allows_refault() {
+    fn unmap_then_remap_of_the_same_range_faults_again() {
         let kvm = module(KvmPatch::PfnPhi);
-        let addr = kvm
-            .vmas
-            .lock()
-            .map(None, PAGE_SIZE, VmaFlags::PHI_RW, Some(0x4000), phi_backing(1))
-            .unwrap();
+        let map_at = |addr| {
+            kvm.vmas.lock().map(addr, PAGE_SIZE, VmaFlags::PHI_RW, Some(0x4000), phi_backing(1), 3)
+        };
+        let addr = map_at(None).unwrap();
         let mut tl = Timeline::new();
         kvm.load(addr, &mut [0u8; 1], &mut tl).unwrap();
         assert_eq!(kvm.fault_count(), 1);
-        kvm.forget_vma(addr);
+        assert_eq!(kvm.unmap(addr).unwrap().owner, 3);
+        assert_eq!(kvm.load(addr, &mut [0u8; 1], &mut tl).err(), Some(VmaError::Segv));
+        assert_eq!(map_at(Some(addr)), Ok(addr));
         kvm.load(addr, &mut [0u8; 1], &mut tl).unwrap();
-        assert_eq!(kvm.fault_count(), 2);
+        assert_eq!(kvm.fault_count(), 2, "the unmap forgot the page");
+    }
+
+    #[test]
+    fn a_closed_module_hands_back_its_vmas_and_refuses_maps() {
+        let kvm = module(KvmPatch::PfnPhi);
+        let a = kvm.map(PAGE_SIZE, VmaFlags::PHI_RW, None, phi_backing(1), 1).unwrap();
+        let b = kvm.map(PAGE_SIZE, VmaFlags::PHI_RW, None, phi_backing(1), 2).unwrap();
+        let closed: Vec<_> = kvm.close().iter().map(|v| (v.start, v.owner)).collect();
+        assert_eq!(closed, [(a, 1), (b, 2)]);
+        assert_eq!(kvm.vma_count(), 0);
+        assert_eq!(
+            kvm.map(PAGE_SIZE, VmaFlags::PHI_RW, None, phi_backing(1), 3).err(),
+            Some(VmaError::Closed)
+        );
+        let mut tl = Timeline::new();
+        assert_eq!(kvm.load(a, &mut [0u8; 1], &mut tl).err(), Some(VmaError::Segv));
     }
 }

@@ -10,19 +10,22 @@
 //!   straight into its address space — paper §III).
 //! * [`kernel::GuestKernel`] — the guest-kernel environment the frontend
 //!   driver runs in: `kmalloc` with the x86_64 `KMALLOC_MAX_SIZE` = 4 MiB
-//!   contiguity limit, user↔kernel copies, wait queues and IRQ vectors.
+//!   contiguity limit and user↔kernel copies.
 //! * [`waitqueue::TokenWaitQueue`] — where a requester sleeps until its
 //!   reply arrives; the wake-up scheme dominates vPHI's small-message
 //!   latency (93% of the 375 µs overhead).
-//! * [`irq::IrqChip`] — virtual interrupt delivery into the guest.
 //! * [`kvm::KvmModule`] / [`vma::VmaTable`] — `VM_PFNPHI`-tagged VMAs and
 //!   the page-fault redirection that makes guest dereferences of
-//!   `scif_mmap`'d device memory work (the <10 LoC KVM patch).
+//!   `scif_mmap`'d device memory work (the <10 LoC KVM patch).  A mapping
+//!   is recorded once, on its VMA, with the pages it has faulted in.
 //! * [`vm::Vm`] — the assembled virtual machine: its id, memory, kernel
 //!   and KVM module.
+//!
+//! A virtual interrupt into the guest has no model of its own here: what
+//! it costs is one `IrqInject` charge, made by the vPHI backend's lane
+//! notifier.
 
 pub mod guest_mem;
-pub mod irq;
 pub mod kernel;
 pub mod kvm;
 pub mod vm;
@@ -30,7 +33,6 @@ pub mod vma;
 pub mod waitqueue;
 
 pub use guest_mem::{Gpa, GuestMemError, GuestMemory, GuestRange};
-pub use irq::{IrqChip, IrqLine};
 pub use kernel::GuestKernel;
 pub use kvm::KvmModule;
 pub use vm::Vm;

@@ -1,7 +1,7 @@
 //! The assembled virtual machine.
 //!
 //! One [`Vm`] is the hypervisor half of one QEMU process: guest memory, a
-//! guest kernel, an IRQ chip (inside the kernel) and a KVM module.  The
+//! guest kernel and a KVM module.  The
 //! vPHI backend device is the other half; the VM that owns both
 //! (`vphi::builder::VphiVm`) stops the device when it goes.
 

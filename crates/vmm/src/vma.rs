@@ -9,9 +9,11 @@
 //! Here a [`Vma`] spans a range of guest-virtual addresses; a
 //! `VM_PFNPHI`-tagged VMA carries the device base PFN *and* a
 //! [`PfnBacking`] that actually serves the bytes (wired to the SCIF mapped
-//! region by the `vphi` crate, keeping this crate SCIF-agnostic).
+//! region by the `vphi` crate, keeping this crate SCIF-agnostic).  A
+//! mapping is recorded once, here: the [`VmaTable`] entry also keeps the
+//! pages the VMA has faulted in, and the VMA names its owner.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use vphi_sim_core::cost::PAGE_SIZE;
@@ -38,6 +40,8 @@ pub enum VmaError {
     BadBacking,
     /// Overlapping or malformed mapping request.
     Inval,
+    /// The address space is closed: its guest is gone.
+    Closed,
 }
 
 impl std::fmt::Display for VmaError {
@@ -47,6 +51,7 @@ impl std::fmt::Display for VmaError {
             VmaError::Access => write!(f, "VMA protection violation"),
             VmaError::BadBacking => write!(f, "VMA backing rejected the access"),
             VmaError::Inval => write!(f, "invalid mapping request"),
+            VmaError::Closed => write!(f, "address space closed"),
         }
     }
 }
@@ -75,6 +80,10 @@ pub struct Vma {
     /// Base device PFN stored at mmap time (what the kvm patch reads).
     pub base_pfn: Option<u64>,
     pub backing: Arc<dyn PfnBacking>,
+    /// Who made the mapping, opaque to the VMM (the kernel's
+    /// `vm_private_data`): the vPHI backend stores the guest endpoint
+    /// descriptor whose translations an unmap releases.
+    pub owner: u64,
 }
 
 impl std::fmt::Debug for Vma {
@@ -84,24 +93,37 @@ impl std::fmt::Debug for Vma {
             .field("len", &self.len)
             .field("flags", &self.flags)
             .field("base_pfn", &self.base_pfn)
+            .field("owner", &self.owner)
             .finish()
     }
 }
 
-/// A process's sorted VMA list.
+/// One installed VMA and the page indices it has faulted in.
+#[derive(Debug)]
+pub(crate) struct Mapping {
+    pub(crate) vma: Arc<Vma>,
+    pub(crate) resolved: BTreeSet<u64>,
+}
+
+/// A process's sorted VMA list.  Closing it (the guest is gone) hands
+/// every VMA back and refuses later maps.
 #[derive(Debug, Default)]
 pub struct VmaTable {
-    vmas: BTreeMap<u64, Arc<Vma>>,
+    vmas: BTreeMap<u64, Mapping>,
     next_addr: u64,
+    closed: bool,
+    /// Page faults taken (first touches), over every VMA ever mapped.
+    pub(crate) faults: u64,
 }
 
 impl VmaTable {
     pub fn new() -> Self {
         // Userspace mmap area starts somewhere high.
-        VmaTable { vmas: BTreeMap::new(), next_addr: 0x7f00_0000_0000 }
+        VmaTable { next_addr: 0x7f00_0000_0000, ..VmaTable::default() }
     }
 
-    /// Install a VMA; `None` address lets the kernel pick.
+    /// Install a VMA made by `owner`; `None` address lets the kernel
+    /// pick.  A closed table refuses it.
     pub fn map(
         &mut self,
         addr: Option<u64>,
@@ -109,7 +131,11 @@ impl VmaTable {
         flags: VmaFlags,
         base_pfn: Option<u64>,
         backing: Arc<dyn PfnBacking>,
+        owner: u64,
     ) -> Result<u64, VmaError> {
+        if self.closed {
+            return Err(VmaError::Closed);
+        }
         if len == 0 || !len.is_multiple_of(PAGE_SIZE) {
             return Err(VmaError::Inval);
         }
@@ -129,7 +155,8 @@ impl VmaTable {
         if self.overlaps(start, len) {
             return Err(VmaError::Inval);
         }
-        self.vmas.insert(start, Arc::new(Vma { start, len, flags, base_pfn, backing }));
+        let vma = Arc::new(Vma { start, len, flags, base_pfn, backing, owner });
+        self.vmas.insert(start, Mapping { vma, resolved: BTreeSet::new() });
         Ok(start)
     }
 
@@ -138,27 +165,39 @@ impl VmaTable {
         if self.vmas.range(start..end).next().is_some() {
             return true;
         }
-        if let Some((_, v)) = self.vmas.range(..start).next_back() {
-            if v.start + v.len > start {
+        if let Some((_, m)) = self.vmas.range(..start).next_back() {
+            if m.vma.start + m.vma.len > start {
                 return true;
             }
         }
         false
     }
 
-    /// Remove the VMA starting at `start` (munmap of the whole area).
-    pub fn unmap(&mut self, start: u64) -> Result<(), VmaError> {
-        self.vmas.remove(&start).map(|_| ()).ok_or(VmaError::Segv)
+    /// Remove the VMA starting at `start` (munmap of the whole area),
+    /// forgetting the pages it faulted in.
+    pub fn unmap(&mut self, start: u64) -> Result<Arc<Vma>, VmaError> {
+        self.vmas.remove(&start).map(|m| m.vma).ok_or(VmaError::Segv)
     }
 
-    /// The VMA covering `addr`.
-    pub fn find(&self, addr: u64) -> Result<Arc<Vma>, VmaError> {
+    /// Close the table: every VMA comes back, and later maps are refused.
+    pub fn close(&mut self) -> Vec<Arc<Vma>> {
+        self.closed = true;
+        std::mem::take(&mut self.vmas).into_values().map(|m| m.vma).collect()
+    }
+
+    /// The mapping covering `addr`.
+    pub(crate) fn find(&mut self, addr: u64) -> Result<&mut Mapping, VmaError> {
         self.vmas
-            .range(..=addr)
+            .range_mut(..=addr)
             .next_back()
-            .filter(|(_, v)| addr < v.start + v.len)
-            .map(|(_, v)| Arc::clone(v))
+            .filter(|(_, m)| addr < m.vma.start + m.vma.len)
+            .map(|(_, m)| m)
             .ok_or(VmaError::Segv)
+    }
+
+    /// VMAs installed.
+    pub(crate) fn len(&self) -> usize {
+        self.vmas.len()
     }
 }
 
@@ -217,12 +256,13 @@ mod tests {
     fn map_find_unmap() {
         let mut t = VmaTable::new();
         let b = backing(2, Some(100));
-        let addr = t.map(None, 2 * PAGE_SIZE, VmaFlags::PHI_RW, Some(100), b).unwrap();
-        let vma = t.find(addr + PAGE_SIZE + 3).unwrap();
+        let addr = t.map(None, 2 * PAGE_SIZE, VmaFlags::PHI_RW, Some(100), b, 7).unwrap();
+        let vma = Arc::clone(&t.find(addr + PAGE_SIZE + 3).unwrap().vma);
         assert_eq!(vma.start, addr);
         assert_eq!(vma.base_pfn, Some(100));
         assert!(vma.flags.pfn_phi);
-        t.unmap(addr).unwrap();
+        assert_eq!(vma.owner, 7);
+        assert!(Arc::ptr_eq(&t.unmap(addr).unwrap(), &vma));
         assert_eq!(t.find(addr).err(), Some(VmaError::Segv));
         assert_eq!(t.unmap(addr).err(), Some(VmaError::Segv));
     }
@@ -230,22 +270,29 @@ mod tests {
     #[test]
     fn kernel_picked_addresses_have_guard_gaps() {
         let mut t = VmaTable::new();
-        let a = t.map(None, PAGE_SIZE, VmaFlags::PHI_RW, None, backing(1, None)).unwrap();
-        let b = t.map(None, PAGE_SIZE, VmaFlags::PHI_RW, None, backing(1, None)).unwrap();
+        let a = t.map(None, PAGE_SIZE, VmaFlags::PHI_RW, None, backing(1, None), 7).unwrap();
+        let b = t.map(None, PAGE_SIZE, VmaFlags::PHI_RW, None, backing(1, None), 7).unwrap();
         assert!(b >= a + 2 * PAGE_SIZE, "expected a guard gap between {a:#x} and {b:#x}");
     }
 
     #[test]
     fn fixed_mapping_overlap_rejected() {
         let mut t = VmaTable::new();
-        t.map(Some(0x10000), 2 * PAGE_SIZE, VmaFlags::PHI_RW, None, backing(2, None)).unwrap();
+        t.map(Some(0x10000), 2 * PAGE_SIZE, VmaFlags::PHI_RW, None, backing(2, None), 7).unwrap();
         assert_eq!(
-            t.map(Some(0x10000 + PAGE_SIZE), PAGE_SIZE, VmaFlags::PHI_RW, None, backing(1, None))
-                .err(),
+            t.map(
+                Some(0x10000 + PAGE_SIZE),
+                PAGE_SIZE,
+                VmaFlags::PHI_RW,
+                None,
+                backing(1, None),
+                7
+            )
+            .err(),
             Some(VmaError::Inval)
         );
         assert_eq!(
-            t.map(Some(0x10000), PAGE_SIZE, VmaFlags::PHI_RW, None, backing(1, None)).err(),
+            t.map(Some(0x10000), PAGE_SIZE, VmaFlags::PHI_RW, None, backing(1, None), 7).err(),
             Some(VmaError::Inval)
         );
     }
@@ -254,15 +301,15 @@ mod tests {
     fn malformed_requests_rejected() {
         let mut t = VmaTable::new();
         assert_eq!(
-            t.map(None, 0, VmaFlags::PHI_RW, None, backing(1, None)).err(),
+            t.map(None, 0, VmaFlags::PHI_RW, None, backing(1, None), 7).err(),
             Some(VmaError::Inval)
         );
         assert_eq!(
-            t.map(None, 100, VmaFlags::PHI_RW, None, backing(1, None)).err(),
+            t.map(None, 100, VmaFlags::PHI_RW, None, backing(1, None), 7).err(),
             Some(VmaError::Inval)
         );
         assert_eq!(
-            t.map(Some(13), PAGE_SIZE, VmaFlags::PHI_RW, None, backing(1, None)).err(),
+            t.map(Some(13), PAGE_SIZE, VmaFlags::PHI_RW, None, backing(1, None), 7).err(),
             Some(VmaError::Inval)
         );
     }

@@ -2,7 +2,7 @@
 //!
 //! The build environment cannot reach a crate registry, so the workspace
 //! vendors the subset of proptest its tests use: the [`proptest!`] macro
-//! (both `x: Type` and `x in strategy` parameter forms), [`Strategy`] with
+//! (both `x: Type` and `x in strategy` parameter forms), [`Strategy`](strategy::Strategy) with
 //! `prop_map`/`boxed`, ranges and tuples as strategies, `any::<T>()`,
 //! `Just`, `prop_oneof!`, `prop::collection::vec`, `prop::option::of`,
 //! `ProptestConfig`, and the `prop_assert*` macros.

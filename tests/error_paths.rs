@@ -498,6 +498,52 @@ fn every_way_an_endpoint_ends_leaves_nothing_held() {
     }
 }
 
+/// A device mapping made after the guest's release is refused, not left
+/// behind.  The dead-guest GC closes the VM's KVM table: every mapping
+/// goes with it, and a `Mmap` replayed on another lane after the release —
+/// its region already mapped on the host — finds the table closed, so the
+/// backend answers `ENODEV` and drops the region.
+#[test]
+fn guest_death_closes_the_kvm_table_to_later_maps() {
+    use std::sync::Arc;
+    use vphi::mmapping::MappedRegionBacking;
+    use vphi_sim_core::cost::PAGE_SIZE;
+    use vphi_vmm::vma::VmaError;
+    use vphi_vmm::VmaFlags;
+
+    let host = VphiHost::new(1);
+    let region = host.board(0).memory().alloc(PAGE_SIZE).unwrap();
+    let dev = gddr_window_server(&host, region);
+    let vm = host.spawn_vm(VmConfig::default());
+    let mut tl = Timeline::new();
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(dev.addr(), &mut tl).unwrap();
+    ep.recv(&mut [0u8; 1], &mut tl).unwrap();
+    let mapped = ep.mmap(vm.vm().kvm(), 0, PAGE_SIZE, Prot::READ, &mut tl).unwrap();
+    let backend = vm.backend().inner();
+    assert_eq!(backend.mmap_entries(), 1);
+
+    backend.guest_died();
+    let kvm = vm.vm().kvm();
+    assert_eq!((backend.mmap_entries(), kvm.vma_count()), (0, 0));
+    // What the racing `Mmap` holds once its host-side mapping is made.
+    let native = host.native_endpoint().unwrap();
+    native.connect(dev.addr(), &mut tl).unwrap();
+    native.recv(&mut [0u8; 1], &mut tl).unwrap();
+    let late = native.mmap(0, PAGE_SIZE, Prot::READ, &mut tl).unwrap();
+    let backing = Arc::new(MappedRegionBacking::new(late));
+    assert_eq!(kvm.map(PAGE_SIZE, VmaFlags::PHI_RO, None, backing, 1), Err(VmaError::Closed));
+    assert_eq!(ep.mmap(kvm, 0, PAGE_SIZE, Prot::READ, &mut tl).err(), Some(ScifError::NoDev));
+    assert_eq!(mapped.munmap(&mut tl), Err(ScifError::NoDev));
+    assert_eq!(backend.mmap_entries(), 0, "nothing maps into a dead guest");
+
+    native.close();
+    drop((mapped, ep));
+    vm.shutdown();
+    assert_eq!(backend.mmap_entries(), 0);
+    dev.shutdown();
+}
+
 /// A `Send`/`Recv` whose descriptor chain names memory the guest does not
 /// have is *refused* (DESIGN.md #20): `EINVAL`, with every descriptor
 /// checked before the first byte moves — nothing reaches the peer from

@@ -397,7 +397,7 @@ fn blocking_calls_run_under_the_executor_role_and_nothing_else() {
     }
     // … and the calling guest thread brought no lock of its own into the
     // backend: the frontend's locks are leaves here, as on a shard.
-    for frontend in [LockClass::RequestSlot, LockClass::NotifyPolicy, LockClass::FrontendBackoff] {
+    for frontend in [LockClass::RequestSlot, LockClass::NotifyPolicy] {
         let nested: Vec<_> = edges.iter().filter(|(held, _)| *held == frontend).collect();
         assert!(nested.is_empty(), "{frontend:?} held across a backend call: {nested:?}");
     }
@@ -409,12 +409,12 @@ fn blocking_calls_run_under_the_executor_role_and_nothing_else() {
 /// stopping — with a window registered, a translation pinned and a
 /// subwindow mapped, and check what the audit saw: no violation; under the
 /// holdings lock only the aperture table (mapping happens there, so a
-/// release sees every mapping made for the record it took) and an
-/// endpoint's port (the card reset asks each endpoint where it is
-/// connected); the lock itself taken under the executor role or with
-/// nothing held (a reset or a shutdown).
+/// release sees every mapping made for the record it took) — the card
+/// reset asks each endpoint where it is connected without a lock; the lock
+/// itself taken under the executor role or with nothing held (a reset or a
+/// shutdown).
 #[test]
-fn endpoint_holdings_nest_only_the_aperture_and_a_port_under_their_lock() {
+fn endpoint_holdings_nest_only_the_aperture_under_their_lock() {
     use vphi::backend::RmaCharge;
     use vphi::builder::{VmConfig, VphiHost};
     use vphi_faults::{FaultPlan, FaultSite};
@@ -469,7 +469,7 @@ fn endpoint_holdings_nest_only_the_aperture_and_a_port_under_their_lock() {
     let edges = vphi_sync::audit::order_edges();
     let holdings = LockClass::BackendEndpoints;
     let under: Vec<_> = edges.iter().filter(|(held, _)| *held == holdings).map(|e| e.1).collect();
-    assert_eq!(under, [LockClass::EpPort, LockClass::ApertureWindows]);
+    assert_eq!(under, [LockClass::ApertureWindows]);
     let holding: Vec<_> = edges.iter().filter(|(_, a)| *a == holdings).map(|e| e.0).collect();
     assert_eq!(holding, [LockClass::LaneExecutor]);
 }
@@ -483,7 +483,7 @@ fn endpoint_holdings_nest_only_the_aperture_and_a_port_under_their_lock() {
 /// accept / refuse-on-teardown / `send_timed` / `recv_timed` / close
 /// through a guest and natively and check what the audit saw: no
 /// violation, the timed lane and the backlog as leaves, and the backlog
-/// reached only from the listener slot (the `backlog_len` probe) or with
+/// reached with nothing held (the `backlog_len` probe, a teardown) or with
 /// nothing but the executor role held.
 #[test]
 fn directed_wakeups_signal_under_one_mutex_each() {
@@ -582,17 +582,14 @@ fn directed_wakeups_signal_under_one_mutex_each() {
     // A request handler takes the timed lane; a shutdown or a card reset
     // closes endpoints with nothing held.
     assert_eq!(holding(LockClass::TimedLane), [LockClass::LaneExecutor]);
-    assert_eq!(
-        holding(LockClass::ListenerPending),
-        [LockClass::EpListener, LockClass::LaneExecutor]
-    );
+    assert_eq!(holding(LockClass::ListenerPending), [LockClass::LaneExecutor]);
     // `connect` waits with its own state lock and no other.
     let under_state: Vec<_> =
         edges.iter().filter(|(held, _)| *held == LockClass::EndpointState).map(|e| e.1).collect();
     assert_eq!(
         under_state,
-        [LockClass::EpPort, LockClass::EpListener, LockClass::NodePorts],
-        "bind and listen are all that nest under an endpoint's state"
+        [LockClass::NodePorts],
+        "bind and listen taking a port are all that nest under an endpoint's state"
     );
 }
 
@@ -607,19 +604,14 @@ const LEDGER: &[(LockClass, LockClass)] = {
     &[
         // A request handler, under its lane's executor role (#21).
         (LaneExecutor, KvmVmas),
-        (LaneExecutor, KvmResolved),
         (LaneExecutor, BackendEndpoints),
-        (LaneExecutor, BackendMmaps),
         (LaneExecutor, FabricNodes),
         (LaneExecutor, EndpointState),
-        (LaneExecutor, EpPort),
-        (LaneExecutor, EpListener),
         (LaneExecutor, NodePorts),
         (LaneExecutor, ListenerPending),
         (LaneExecutor, ActivityHub),
         (LaneExecutor, MsgQueue),
         (LaneExecutor, WindowTable),
-        (LaneExecutor, RmaMarker),
         (LaneExecutor, RmaPending),
         (LaneExecutor, BoardSysfs),
         (LaneExecutor, VirtQueueState),
@@ -633,16 +625,10 @@ const LEDGER: &[(LockClass, LockClass)] = {
         (LaneExecutor, TokenSlot),
         (LaneExecutor, ApertureWindows),
         (LaneExecutor, TimedLane),
-        // The guest page fault.
-        (KvmResolved, KvmFaults),
-        // Holdings map and resolve a port under their lock (#26).
-        (BackendEndpoints, EpPort),
+        // Holdings map a window under their lock (#26).
         (BackendEndpoints, ApertureWindows),
-        // Bind, listen and the backlog probe.
-        (EndpointState, EpPort),
-        (EndpointState, EpListener),
+        // Bind and listen take a port.
         (EndpointState, NodePorts),
-        (EpListener, ListenerPending),
         // A message copied between the queue and guest memory (#20).
         (MsgQueue, GuestMemState),
         // RMA: into backings under the window table, and between byte
