@@ -8,7 +8,7 @@
 //!
 //! With the COI daemon up, runs `W` warm-up pairs (default 50) and then `N`
 //! (default 1,000) alternating guest / native launches of
-//! `dgemm_sample(2048)` on 224 threads, each `CoiEnv` / `CoiTransport` call
+//! `dgemm_sample(2048)` on 224 threads, each `CoiEnv` / `Scif` call
 //! timed by a wrapper (whose clock reads land in the rows they time): µs
 //! per launch per call.  Then the launch rows of `host_cost.golden.json`,
 //! measured on launches of their own (`vphi_bench::host_cost`).
@@ -19,16 +19,16 @@ use std::time::Instant;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi_bench::host_cost::{self, measure, Shape, Side as HostSide};
 use vphi_bench::support::render_table;
-use vphi_coi::transport::{CoiEnv, CoiListener, CoiTransport};
+use vphi_coi::transport::CoiEnv;
 use vphi_coi::{CoiDaemon, GuestEnv, NativeEnv};
 use vphi_mic_tools::{micnativeloadex, MicBinary};
-use vphi_scif::{NodeId, Port, ScifResult};
+use vphi_scif::{Port, Scif, ScifAddr, ScifResult};
 use vphi_sim_core::Timeline;
 use vphi_sync::Counter;
 
 /// Every call a COI client can make, in the order the table prints them,
 /// and the whole launch.
-const CALLS: [&str; 11] = [
+const CALLS: [&str; 14] = [
     "send_timed",
     "connect",
     "recv",
@@ -36,8 +36,11 @@ const CALLS: [&str; 11] = [
     "send",
     "card_usable",
     "device_count",
+    "open",
     "recv_timed",
+    "bind",
     "listen",
+    "accept",
     "label",
     "whole launch",
 ];
@@ -71,11 +74,34 @@ impl Ledger {
 }
 
 struct TimedTransport {
-    inner: Box<dyn CoiTransport>,
+    inner: Box<dyn Scif>,
     ledger: Arc<Ledger>,
 }
 
-impl CoiTransport for TimedTransport {
+impl TimedTransport {
+    fn boxed(inner: Box<dyn Scif>, ledger: &Arc<Ledger>) -> Box<dyn Scif> {
+        Box::new(TimedTransport { inner, ledger: Arc::clone(ledger) })
+    }
+}
+
+impl Scif for TimedTransport {
+    fn bind(&self, port: Port, tl: &mut Timeline) -> ScifResult<Port> {
+        self.ledger.time("bind", || self.inner.bind(port, tl))
+    }
+
+    fn listen(&self, backlog: usize, tl: &mut Timeline) -> ScifResult<()> {
+        self.ledger.time("listen", || self.inner.listen(backlog, tl))
+    }
+
+    fn connect(&self, dst: ScifAddr, tl: &mut Timeline) -> ScifResult<ScifAddr> {
+        self.ledger.time("connect", || self.inner.connect(dst, tl))
+    }
+
+    fn accept(&self, tl: &mut Timeline) -> ScifResult<Box<dyn Scif>> {
+        let inner = self.ledger.time("accept", || self.inner.accept(tl))?;
+        Ok(TimedTransport::boxed(inner, &self.ledger))
+    }
+
     fn send(&self, data: &[u8], tl: &mut Timeline) -> ScifResult<usize> {
         self.ledger.time("send", || self.inner.send(data, tl))
     }
@@ -103,18 +129,9 @@ struct TimedEnv {
 }
 
 impl CoiEnv for TimedEnv {
-    fn connect(
-        &self,
-        node: NodeId,
-        port: Port,
-        tl: &mut Timeline,
-    ) -> ScifResult<Box<dyn CoiTransport>> {
-        let inner = self.ledger.time("connect", || self.inner.connect(node, port, tl))?;
-        Ok(Box::new(TimedTransport { inner, ledger: Arc::clone(&self.ledger) }))
-    }
-
-    fn listen(&self, port: Port, tl: &mut Timeline) -> ScifResult<Box<dyn CoiListener>> {
-        self.ledger.time("listen", || self.inner.listen(port, tl))
+    fn open(&self, tl: &mut Timeline) -> ScifResult<Box<dyn Scif>> {
+        let inner = self.ledger.time("open", || self.inner.open(tl))?;
+        Ok(TimedTransport::boxed(inner, &self.ledger))
     }
 
     fn device_count(&self) -> usize {

@@ -344,8 +344,11 @@ fn guest_connect(vm: &VphiVm, at: ScifAddr) -> GuestScif {
 /// starts from one round trip, so the queues have grown to hold what its
 /// window leaves in them.
 fn message(host: &VphiHost, scope: &Scope<'_>, env: &Arc<dyn CoiEnv>, shape: Shape) -> HostCost {
-    let connect = |at: ScifAddr| env.connect(at.node, at.port, &mut Timeline::new());
-    let (client, card) = card_peer(host, None, |at| connect(at).expect("connect"));
+    let (client, card) = card_peer(host, None, |at| {
+        let client = env.open(&mut Timeline::new()).expect("open");
+        client.connect(at, &mut Timeline::new()).expect("connect");
+        client
+    });
     let (data, mut out, tl) = (vec![7u8; PAYLOAD], vec![0u8; PAYLOAD], &mut Timeline::new());
     let mut round_trip = || {
         assert_eq!(client.send(&data, &mut *tl), Ok(PAYLOAD));

@@ -2,11 +2,11 @@
 
 use std::sync::Arc;
 
-use vphi_scif::{NodeId, ScifError, ScifResult};
+use vphi_scif::{NodeId, Scif, ScifAddr, ScifError, ScifResult};
 use vphi_sim_core::Timeline;
 
 use crate::daemon::CoiDaemon;
-use crate::transport::{CoiEnv, CoiTransport};
+use crate::transport::CoiEnv;
 
 /// A handle to one coprocessor's COI service, in either environment.
 pub struct CoiEngine {
@@ -29,26 +29,15 @@ impl CoiEngine {
         Ok(CoiEngine { env, mic })
     }
 
-    /// Number of cards visible in this environment.
-    pub fn count(env: &dyn CoiEnv) -> usize {
-        env.device_count()
-    }
-
-    pub fn mic(&self) -> usize {
-        self.mic
-    }
-
-    pub fn env(&self) -> &Arc<dyn CoiEnv> {
-        &self.env
-    }
-
     /// SCIF node of this engine's card.
     pub fn node(&self) -> NodeId {
         NodeId(self.mic as u16 + 1)
     }
 
     /// Open a fresh connection to the card's coi_daemon.
-    pub fn connect_daemon(&self, tl: &mut Timeline) -> ScifResult<Box<dyn CoiTransport>> {
-        self.env.connect(self.node(), CoiDaemon::port(self.mic), tl)
+    pub fn connect_daemon(&self, tl: &mut Timeline) -> ScifResult<Box<dyn Scif>> {
+        let conn = self.env.open(tl)?;
+        conn.connect(ScifAddr::new(self.node(), CoiDaemon::port(self.mic)), tl)?;
+        Ok(conn)
     }
 }

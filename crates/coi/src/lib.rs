@@ -8,16 +8,15 @@
 //! accepts those requests.
 //!
 //! Because vPHI virtualizes the SCIF layer underneath, this entire crate
-//! runs unmodified from inside a VM — the [`transport::CoiTransport`]
-//! abstraction is instantiated either with a native host endpoint or with
-//! the guest shim, and nothing above it can tell the difference.  That is
-//! the paper's compatibility claim, made executable.
+//! runs unmodified from inside a VM — it speaks [`vphi_scif::Scif`], which
+//! a native endpoint and the guest shim both implement, and nothing above
+//! it can tell the difference.  That is the paper's compatibility claim,
+//! made executable.
 //!
 //! * [`wire`] — length-prefixed message frames.
 //! * [`protocol`] — the daemon dialogue (handshake, process launch, bulk
 //!   transfer, buffers, run-function).
-//! * [`transport`] — the SCIF-connection abstraction + native/guest
-//!   environments.
+//! * [`transport`] — the native and guest environments endpoints open in.
 //! * [`daemon::CoiDaemon`] — the device-side service.
 //! * [`engine`], [`process`], [`buffer`], [`pipeline`] — the host-side
 //!   library (COIEngine/COIProcess/COIBuffer/COIPipeline analogues).
@@ -35,4 +34,4 @@ pub use daemon::{CoiDaemon, COI_PORT_BASE};
 pub use engine::CoiEngine;
 pub use process::{CoiProcess, ProcessExit};
 pub use protocol::{CoiMsg, ComputeManifest};
-pub use transport::{CoiEnv, CoiTransport, GuestEnv, NativeEnv};
+pub use transport::{CoiEnv, GuestEnv, NativeEnv};

@@ -1,13 +1,12 @@
 //! COIProcess — launching a shipped binary on the card and collecting its
 //! exit.
 
-use vphi_scif::{ScifError, ScifResult};
+use vphi_scif::{Scif, ScifError, ScifResult};
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 
 use crate::buffer::CoiBuffer;
 use crate::engine::CoiEngine;
 use crate::protocol::{CoiMsg, ComputeManifest, COI_VERSION};
-use crate::transport::CoiTransport;
 use crate::wire::{read_frame, write_frame};
 
 /// What a launched binary ships to the card.
@@ -36,7 +35,7 @@ pub struct ProcessExit {
 
 /// A live process on the coprocessor (one daemon session).
 pub struct CoiProcess {
-    conn: Box<dyn CoiTransport>,
+    conn: Box<dyn Scif>,
     pid: u64,
 }
 

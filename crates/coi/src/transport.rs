@@ -1,10 +1,10 @@
-//! The SCIF-connection abstraction COI runs over.
+//! Where COI runs: the world a program's endpoints open in.
 //!
-//! The same COI client code must work from the host (native baseline) and
-//! from inside a VM (through vPHI) — that equivalence *is* the paper's
-//! binary-compatibility property.  [`CoiTransport`] is a connected SCIF
-//! endpoint; [`CoiEnv`] knows how to check a card's sysfs and open new
-//! connections in each world.
+//! The same COI client code must work from the host (native baseline), from
+//! a card's uOS and from inside a VM (through vPHI) — that equivalence *is*
+//! the paper's binary-compatibility property.  Every endpoint is a
+//! [`Scif`], whichever world opened it; [`CoiEnv`] opens one and reads a
+//! card's sysfs in its world.
 
 use std::sync::Arc;
 
@@ -13,141 +13,49 @@ use vphi::frontend::FrontendDriver;
 use vphi::guest::GuestScif;
 use vphi::sysfs::GuestSysfs;
 use vphi_phi::PhiBoard;
-use vphi_scif::{NodeId, Port, ScifAddr, ScifEndpoint, ScifFabric, ScifResult};
+use vphi_scif::{NodeId, Scif, ScifEndpoint, ScifFabric, ScifResult, HOST_NODE};
 use vphi_sim_core::Timeline;
 
-/// A connected, bidirectional SCIF channel with both byte-exact and timed
-/// bulk lanes.
-pub trait CoiTransport: Send + Sync {
-    fn send(&self, data: &[u8], tl: &mut Timeline) -> ScifResult<usize>;
-    fn recv(&self, out: &mut [u8], tl: &mut Timeline) -> ScifResult<usize>;
-    fn send_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64>;
-    fn recv_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64>;
-    fn close(&self);
-}
-
-impl CoiTransport for ScifEndpoint {
-    fn send(&self, data: &[u8], tl: &mut Timeline) -> ScifResult<usize> {
-        ScifEndpoint::send(self, data, tl)
-    }
-
-    fn recv(&self, out: &mut [u8], tl: &mut Timeline) -> ScifResult<usize> {
-        ScifEndpoint::recv(self, out, tl)
-    }
-
-    fn send_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
-        ScifEndpoint::send_timed(self, len, tl)
-    }
-
-    fn recv_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
-        ScifEndpoint::recv_timed(self, len, tl)
-    }
-
-    fn close(&self) {
-        ScifEndpoint::close(self)
-    }
-}
-
-impl CoiTransport for GuestScif {
-    fn send(&self, data: &[u8], tl: &mut Timeline) -> ScifResult<usize> {
-        GuestScif::send(self, data, tl)
-    }
-
-    fn recv(&self, out: &mut [u8], tl: &mut Timeline) -> ScifResult<usize> {
-        GuestScif::recv(self, out, tl)
-    }
-
-    fn send_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
-        GuestScif::send_timed(self, len, tl)
-    }
-
-    fn recv_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
-        GuestScif::recv_timed(self, len, tl)
-    }
-
-    fn close(&self) {
-        let mut tl = Timeline::new();
-        let _ = GuestScif::close(self, &mut tl);
-    }
-}
-
-/// A listening endpoint (for symmetric-mode rendezvous).
-pub trait CoiListener: Send + Sync {
-    /// Block for one inbound connection.
-    fn accept(&self, tl: &mut Timeline) -> ScifResult<Box<dyn CoiTransport>>;
-    fn close(&self);
-}
-
-impl CoiListener for ScifEndpoint {
-    fn accept(&self, tl: &mut Timeline) -> ScifResult<Box<dyn CoiTransport>> {
-        Ok(Box::new(ScifEndpoint::accept(self, tl)?))
-    }
-
-    fn close(&self) {
-        ScifEndpoint::close(self)
-    }
-}
-
-impl CoiListener for GuestScif {
-    fn accept(&self, tl: &mut Timeline) -> ScifResult<Box<dyn CoiTransport>> {
-        let (conn, _) = GuestScif::accept(self, tl)?;
-        Ok(Box::new(conn))
-    }
-
-    fn close(&self) {
-        let mut tl = Timeline::new();
-        let _ = GuestScif::close(self, &mut tl);
-    }
-}
-
-/// Where COI client code runs: directly on the host, or inside a VM.
+/// Where COI client code runs: on a node of the host's fabric, or inside a
+/// VM.
 pub trait CoiEnv: Send + Sync {
-    /// Open a fresh endpoint and connect it to `(node, port)`.
-    fn connect(
-        &self,
-        node: NodeId,
-        port: Port,
-        tl: &mut Timeline,
-    ) -> ScifResult<Box<dyn CoiTransport>>;
-    /// Bind + listen on `port` (symmetric-mode rendezvous).
-    fn listen(&self, port: Port, tl: &mut Timeline) -> ScifResult<Box<dyn CoiListener>>;
+    /// `scif_open` in this world.
+    fn open(&self, tl: &mut Timeline) -> ScifResult<Box<dyn Scif>>;
     /// Number of cards visible.
     fn device_count(&self) -> usize;
     /// micnativeloadex's sysfs preflight: is `micN` online x100?
     fn card_usable(&self, mic: u32, tl: &mut Timeline) -> bool;
-    /// A short label for reports ("native" / "vm0").
+    /// A short label for reports ("native" / "node1" / "vm0").
     fn label(&self) -> String;
 }
 
-/// The host-side (baseline) environment.
+/// A process on one node of the host's fabric: the host itself (the
+/// baseline) or a card's uOS (symmetric mode's card-side ranks).
 pub struct NativeEnv {
     fabric: Arc<ScifFabric>,
     boards: Vec<Arc<PhiBoard>>,
+    node: NodeId,
 }
 
 impl NativeEnv {
+    /// A host process.
     pub fn new(host: &VphiHost) -> Self {
-        NativeEnv { fabric: Arc::clone(host.fabric()), boards: host.boards().to_vec() }
+        Self::on_node(host, HOST_NODE)
+    }
+
+    /// A process on card `mic`.
+    pub fn on_card(host: &VphiHost, mic: usize) -> Self {
+        Self::on_node(host, host.device_node(mic))
+    }
+
+    fn on_node(host: &VphiHost, node: NodeId) -> Self {
+        NativeEnv { fabric: Arc::clone(host.fabric()), boards: host.boards().to_vec(), node }
     }
 }
 
 impl CoiEnv for NativeEnv {
-    fn connect(
-        &self,
-        node: NodeId,
-        port: Port,
-        tl: &mut Timeline,
-    ) -> ScifResult<Box<dyn CoiTransport>> {
-        let ep = ScifEndpoint::open(&self.fabric, vphi_scif::HOST_NODE)?;
-        ep.connect(ScifAddr::new(node, port), tl)?;
-        Ok(Box::new(ep))
-    }
-
-    fn listen(&self, port: Port, tl: &mut Timeline) -> ScifResult<Box<dyn CoiListener>> {
-        let ep = ScifEndpoint::open(&self.fabric, vphi_scif::HOST_NODE)?;
-        ep.bind(port, &mut *tl)?;
-        ep.listen(16, &mut *tl)?;
-        Ok(Box::new(ep))
+    fn open(&self, _tl: &mut Timeline) -> ScifResult<Box<dyn Scif>> {
+        Ok(Box::new(ScifEndpoint::open(&self.fabric, self.node)?))
     }
 
     fn device_count(&self) -> usize {
@@ -155,14 +63,15 @@ impl CoiEnv for NativeEnv {
     }
 
     fn card_usable(&self, mic: u32, _tl: &mut Timeline) -> bool {
-        self.boards
-            .get(mic as usize)
-            .map(|b| b.sysfs().get("state") == Some("online"))
-            .unwrap_or(false)
+        self.boards.get(mic as usize).is_some_and(|b| b.sysfs().card_is_usable())
     }
 
     fn label(&self) -> String {
-        "native".to_string()
+        if self.node == HOST_NODE {
+            "native".to_string()
+        } else {
+            self.node.to_string()
+        }
     }
 }
 
@@ -179,22 +88,8 @@ impl GuestEnv {
 }
 
 impl CoiEnv for GuestEnv {
-    fn connect(
-        &self,
-        node: NodeId,
-        port: Port,
-        tl: &mut Timeline,
-    ) -> ScifResult<Box<dyn CoiTransport>> {
-        let ep = GuestScif::open(&self.driver, &mut *tl)?;
-        ep.connect(ScifAddr::new(node, port), &mut *tl)?;
-        Ok(Box::new(ep))
-    }
-
-    fn listen(&self, port: Port, tl: &mut Timeline) -> ScifResult<Box<dyn CoiListener>> {
-        let ep = GuestScif::open(&self.driver, &mut *tl)?;
-        ep.bind(port, &mut *tl)?;
-        ep.listen(16, &mut *tl)?;
-        Ok(Box::new(ep))
+    fn open(&self, tl: &mut Timeline) -> ScifResult<Box<dyn Scif>> {
+        Ok(Box::new(GuestScif::open(&self.driver, tl)?))
     }
 
     fn device_count(&self) -> usize {

@@ -5,17 +5,15 @@
 //! bulk content (binaries, buffer data) travels on the timed lane between
 //! frames.
 
-use vphi_scif::{ScifError, ScifResult};
+use vphi_scif::{Scif, ScifError, ScifResult};
 use vphi_sim_core::Timeline;
-
-use crate::transport::CoiTransport;
 
 /// Maximum sane frame size — a corrupted length prefix fails fast instead
 /// of blocking forever on a bogus read.
 pub const MAX_FRAME: u32 = 1 << 20;
 
 /// Send one frame.
-pub fn write_frame(t: &dyn CoiTransport, payload: &[u8], tl: &mut Timeline) -> ScifResult<()> {
+pub fn write_frame(t: &dyn Scif, payload: &[u8], tl: &mut Timeline) -> ScifResult<()> {
     if payload.len() as u32 > MAX_FRAME {
         return Err(ScifError::Inval);
     }
@@ -26,7 +24,7 @@ pub fn write_frame(t: &dyn CoiTransport, payload: &[u8], tl: &mut Timeline) -> S
 }
 
 /// Receive one frame (blocking).  `Ok(None)` on clean EOF.
-pub fn read_frame(t: &dyn CoiTransport, tl: &mut Timeline) -> ScifResult<Option<Vec<u8>>> {
+pub fn read_frame(t: &dyn Scif, tl: &mut Timeline) -> ScifResult<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 4];
     let n = t.recv(&mut len_bytes, tl)?;
     if n == 0 {

@@ -26,7 +26,7 @@ fn native_launch_runs_and_reports() {
     let host = VphiHost::new(1);
     let daemon = CoiDaemon::spawn(&host, 0).unwrap();
     let env: Arc<dyn CoiEnv> = Arc::new(NativeEnv::new(&host));
-    assert_eq!(CoiEngine::count(env.as_ref()), 1);
+    assert_eq!(env.device_count(), 1);
     let engine = CoiEngine::get(Arc::clone(&env), 0).unwrap();
 
     let mut tl = Timeline::new();

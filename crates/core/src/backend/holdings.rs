@@ -109,8 +109,10 @@ impl Table {
 /// to finish with no lock held.
 #[derive(Default)]
 struct Released {
-    /// Endpoints to close.
+    /// Endpoints to close …
     eps: Vec<Arc<ScifEndpoint>>,
+    /// … or to abort, when the guest keeps their descriptors (quarantine).
+    abort: bool,
     /// Window registrations that went with them.
     windows: usize,
     /// Subwindows to unmap if the aperture has them …
@@ -296,12 +298,13 @@ impl Holdings {
         })
     }
 
-    /// Card-reset recovery: every endpoint that touched `node` is closed
+    /// Card-reset recovery: every endpoint that touched `node` is aborted
     /// and stripped of what it held, but its record stays, so that the
     /// guest's own `scif_close` still succeeds once (close is idempotent)
     /// before the descriptor goes invalid.  How many there were.
     pub(super) fn quarantine(&self, node: NodeId) -> usize {
         self.release(|Table { pages, cache, .. }, out| {
+            out.abort = true;
             let on_node = |addr: Option<ScifAddr>| addr.is_some_and(|a| a.node == node);
             for (epd, held) in records(pages) {
                 if on_node(held.ep.local_addr()) || on_node(held.ep.peer_addr()) {
@@ -334,7 +337,11 @@ impl Holdings {
         let mut out = Released::default();
         let taken = take(&mut self.table.lock(), &mut out);
         for ep in &out.eps {
-            ep.close();
+            if out.abort {
+                ep.core().abort();
+            } else {
+                ep.close();
+            }
         }
         for &key in &out.keys {
             self.aperture.unmap_window(key);

@@ -300,8 +300,9 @@ impl BackendInner {
         drop(self.kvm.close());
     }
 
-    /// Card-reset recovery: force-close every endpoint that touched
-    /// `node`, dropping its windows and cached translations, but keep the
+    /// Card-reset recovery: abort every endpoint that touched `node`
+    /// ([`EndpointCore::abort`](vphi_scif::endpoint::EndpointCore::abort)),
+    /// dropping its windows and cached translations, but keep the
     /// epd table entries so the guest's own `scif_close` still succeeds
     /// once (close is idempotent) before the descriptor goes invalid.
     /// Endpoints on other nodes — other VMs' traffic included — are
@@ -531,6 +532,14 @@ impl BackendInner {
                 let peer = conn.peer_addr().ok_or(ScifError::NotConn)?;
                 let new_epd = self.insert_ep(conn)?;
                 Ok((new_epd, ((peer.node.0 as u64) << 32) | peer.port.0 as u64))
+            }
+            // A zero-length message names no guest memory; the host
+            // still answers it, as it does a native caller's.
+            VphiRequest::Send { epd, len: 0 } => {
+                Ok((self.held.get(epd)?.send(&[], &mut *ctx)? as u64, 0))
+            }
+            VphiRequest::Recv { epd, len: 0 } => {
+                Ok((self.held.get(epd)?.recv(&mut [], &mut *ctx)? as u64, 0))
             }
             VphiRequest::Send { epd, len } => {
                 let ep = self.held.get(epd)?;

@@ -3,14 +3,16 @@
 //! Binary compatibility is the paper's headline property: applications and
 //! libscif in the guest are unmodified; the frontend driver intercepts the
 //! same `open/ioctl/mmap/poll` surface that the native driver exposes.
-//! [`GuestScif`] mirrors [`vphi_scif::ScifEndpoint`] call-for-call, so the
-//! benchmark and example code can run the *same* logic natively or inside
-//! a VM by swapping the handle type.
+//! [`GuestScif`] mirrors [`vphi_scif::ScifEndpoint`] call-for-call, and
+//! both implement [`Scif`], so one program runs natively or inside a VM
+//! and gets the same answers.  Every call, a zero-length one included, is
+//! one request the host answers: the guest decides no errno of its own.
 
 use std::sync::Arc;
 
 use vphi_scif::{
-    Cq, CqEntry, NodeId, Port, RmaFlags, ScifAddr, ScifError, ScifResult, SqFlags, SubmitToken,
+    Cq, CqEntry, NodeId, Port, RmaFlags, Scif, ScifAddr, ScifError, ScifResult, SqFlags,
+    SubmitToken,
 };
 use vphi_sim_core::Timeline;
 use vphi_sync::Flag;
@@ -319,6 +321,10 @@ impl GuestScif {
         let mut ctx = ctx.into();
         let root = ctx.adopt_root(&self.driver.channel().trace, "send");
         let r = (|ctx: &mut OpCtx<'_>| {
+            if data.is_empty() {
+                let req = VphiRequest::Send { epd: self.epd, len: 0 };
+                return Ok(self.driver.simple(req, &mut *ctx)?.0 as usize);
+            }
             let mut sent = 0usize;
             for chunk in data.chunks(self.driver.chunk_size() as usize) {
                 let (buf, desc) = self.driver.stage_chunk_out(chunk, ctx.tl)?;
@@ -346,6 +352,10 @@ impl GuestScif {
         let root = ctx.adopt_root(&self.driver.channel().trace, "recv");
         let len = out.len() as u64;
         let r = (|ctx: &mut OpCtx<'_>| {
+            if out.is_empty() {
+                let req = VphiRequest::Recv { epd: self.epd, len: 0 };
+                return Ok(self.driver.simple(req, &mut *ctx)?.0 as usize);
+            }
             let mut got = 0usize;
             while got < out.len() {
                 let want = (out.len() - got).min(self.driver.chunk_size() as usize);
@@ -373,12 +383,13 @@ impl GuestScif {
     /// send of `len` bytes (kmalloc + copy + one ring transaction per
     /// `KMALLOC_MAX_SIZE`), with no payload bytes moved.
     pub fn send_timed<'a>(&self, len: u64, ctx: impl Into<OpCtx<'a>>) -> ScifResult<u64> {
-        if len == 0 {
-            return Ok(0);
-        }
         let mut ctx = ctx.into();
         let root = ctx.adopt_root(&self.driver.channel().trace, "send_timed");
         let r = (|ctx: &mut OpCtx<'_>| {
+            if len == 0 {
+                let req = VphiRequest::SendTimed { epd: self.epd, len: 0 };
+                return Ok(self.driver.simple(req, &mut *ctx)?.0);
+            }
             let cost = self.driver.kernel().cost();
             let mut sent = 0u64;
             let mut remaining = len;
@@ -410,6 +421,10 @@ impl GuestScif {
         let mut ctx = ctx.into();
         let root = ctx.adopt_root(&self.driver.channel().trace, "recv_timed");
         let r = (|ctx: &mut OpCtx<'_>| {
+            if len == 0 {
+                let req = VphiRequest::RecvTimed { epd: self.epd, len: 0 };
+                return Ok(self.driver.simple(req, &mut *ctx)?.0);
+            }
             let cost = self.driver.kernel().cost();
             let mut got = 0u64;
             let mut remaining = len;
@@ -795,6 +810,46 @@ impl GuestScif {
 impl Drop for GuestScif {
     fn drop(&mut self) {
         let _ = self.close(&mut Timeline::new());
+    }
+}
+
+impl Scif for GuestScif {
+    fn bind(&self, port: Port, tl: &mut Timeline) -> ScifResult<Port> {
+        GuestScif::bind(self, port, tl)
+    }
+
+    fn listen(&self, backlog: usize, tl: &mut Timeline) -> ScifResult<()> {
+        GuestScif::listen(self, backlog.try_into().unwrap_or(u32::MAX), tl)
+    }
+
+    fn connect(&self, dst: ScifAddr, tl: &mut Timeline) -> ScifResult<ScifAddr> {
+        GuestScif::connect(self, dst, tl)
+    }
+
+    fn accept(&self, tl: &mut Timeline) -> ScifResult<Box<dyn Scif>> {
+        Ok(Box::new(GuestScif::accept(self, tl)?.0))
+    }
+
+    fn send(&self, data: &[u8], tl: &mut Timeline) -> ScifResult<usize> {
+        GuestScif::send(self, data, tl)
+    }
+
+    fn recv(&self, out: &mut [u8], tl: &mut Timeline) -> ScifResult<usize> {
+        GuestScif::recv(self, out, tl)
+    }
+
+    fn send_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
+        GuestScif::send_timed(self, len, tl)
+    }
+
+    fn recv_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
+        GuestScif::recv_timed(self, len, tl)
+    }
+
+    /// The close request runs on a timeline of its own: a caller closing
+    /// through the trait is charged nothing, as natively.
+    fn close(&self) {
+        let _ = GuestScif::close(self, &mut Timeline::new());
     }
 }
 

@@ -62,9 +62,10 @@ impl GuestSysfs {
         })
     }
 
-    /// The preflight micnativeloadex performs: an online x100 card.
+    /// The preflight micnativeloadex performs, as on the host:
+    /// [`vphi_phi::sysfs::card_is_usable`].
     pub fn card_is_usable(&self) -> bool {
-        self.get("state") == Some("online") && self.get("family") == Some("x100")
+        vphi_phi::sysfs::card_is_usable(|k| self.get(k))
     }
 }
 

@@ -14,14 +14,12 @@
 //! * [`loadex`] — `micnativeloadex`: sysfs preflight, COI launch, stdout
 //!   proxy, total-time report.  Runs identically over the native and
 //!   guest environments.
-//! * [`micinfo`] — the `micinfo` board report.
 //! * [`mpilite`] — a minimal MPI-style communicator over SCIF for the
 //!   *symmetric* execution mode (ranks on host/VM and on the card).
 
 pub mod binary;
 pub mod dgemm;
 pub mod loadex;
-pub mod micinfo;
 pub mod mpilite;
 pub mod workload;
 

@@ -88,18 +88,6 @@ pub fn micnativeloadex(
     })
 }
 
-impl LoadexReport {
-    /// Launch overhead relative to total (the quantity Figs. 6–8 show
-    /// shrinking as input size grows).
-    pub fn launch_fraction(&self) -> f64 {
-        if self.total_time.is_zero() {
-            0.0
-        } else {
-            self.launch_time.as_nanos() as f64 / self.total_time.as_nanos() as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,7 +105,6 @@ mod tests {
         assert!(report.stdout.contains("dgemm_mic"));
         assert!(report.device_time > SimDuration::ZERO);
         assert!(report.total_time > report.device_time);
-        assert!(report.launch_fraction() > 0.0 && report.launch_fraction() < 1.0);
         assert_eq!(report.shipped_bytes, binary.total_transfer_bytes());
         daemon.shutdown();
     }

@@ -12,8 +12,9 @@
 //! Collectives are implemented gather/scatter-at-root, the classic small-
 //! world MPI fallback.
 
-use vphi_coi::transport::{CoiEnv, CoiListener, CoiTransport};
-use vphi_scif::{NodeId, Port, ScifError, ScifResult};
+use vphi_coi::transport::CoiEnv;
+use vphi_coi::wire::{read_frame, write_frame};
+use vphi_scif::{NodeId, Port, Scif, ScifAddr, ScifError, ScifResult};
 use vphi_sim_core::Timeline;
 
 /// One participant in the communicator.
@@ -22,7 +23,7 @@ pub struct MpiRank {
     size: usize,
     /// Root: one link per leaf (index = leaf rank - 1).  Leaf: one link to
     /// the root.
-    links: Vec<Box<dyn CoiTransport>>,
+    links: Vec<Box<dyn Scif>>,
 }
 
 impl std::fmt::Debug for MpiRank {
@@ -44,7 +45,7 @@ impl MpiRank {
         self.rank == 0
     }
 
-    fn link_to(&self, peer: usize) -> ScifResult<&dyn CoiTransport> {
+    fn link_to(&self, peer: usize) -> ScifResult<&dyn Scif> {
         if self.is_root() {
             if peer == 0 || peer >= self.size {
                 return Err(ScifError::Inval);
@@ -58,26 +59,14 @@ impl MpiRank {
         }
     }
 
-    /// Point-to-point send (root↔leaf only, star topology).
+    /// Point-to-point send (root↔leaf only, star topology): one COI frame.
     pub fn send(&self, peer: usize, data: &[u8], tl: &mut Timeline) -> ScifResult<()> {
-        let link = self.link_to(peer)?;
-        link.send(&(data.len() as u32).to_le_bytes(), tl)?;
-        link.send(data, tl)?;
-        Ok(())
+        write_frame(self.link_to(peer)?, data, tl)
     }
 
-    /// Point-to-point receive (blocking).
+    /// Point-to-point receive (blocking) of one COI frame.
     pub fn recv(&self, peer: usize, tl: &mut Timeline) -> ScifResult<Vec<u8>> {
-        let link = self.link_to(peer)?;
-        let mut len = [0u8; 4];
-        if link.recv(&mut len, tl)? < 4 {
-            return Err(ScifError::ConnReset);
-        }
-        let mut data = vec![0u8; u32::from_le_bytes(len) as usize];
-        if !data.is_empty() && link.recv(&mut data, tl)? < data.len() {
-            return Err(ScifError::ConnReset);
-        }
-        Ok(data)
+        read_frame(self.link_to(peer)?, tl)?.ok_or(ScifError::ConnReset)
     }
 
     /// MPI_Barrier.
@@ -117,19 +106,6 @@ impl MpiRank {
         }
     }
 
-    /// MPI_Bcast of a byte payload from the root.
-    pub fn bcast(&self, data: Option<&[u8]>, tl: &mut Timeline) -> ScifResult<Vec<u8>> {
-        if self.is_root() {
-            let payload = data.ok_or(ScifError::Inval)?;
-            for peer in 1..self.size {
-                self.send(peer, payload, tl)?;
-            }
-            Ok(payload.to_vec())
-        } else {
-            self.recv(0, tl)
-        }
-    }
-
     /// MPI_Gather of one f64 per rank to the root (root receives all in
     /// rank order, leaves return their own value).
     pub fn gather(&self, x: f64, tl: &mut Timeline) -> ScifResult<Vec<f64>> {
@@ -160,8 +136,10 @@ pub fn establish_root(
     if size < 2 {
         return Err(ScifError::Inval);
     }
-    let listener: Box<dyn CoiListener> = env.listen(port, tl)?;
-    let mut links: Vec<Option<Box<dyn CoiTransport>>> = (1..size).map(|_| None).collect();
+    let listener = env.open(tl)?;
+    listener.bind(port, tl)?;
+    listener.listen(16, tl)?;
+    let mut links: Vec<Option<Box<dyn Scif>>> = (1..size).map(|_| None).collect();
     for _ in 1..size {
         let conn = listener.accept(tl)?;
         let mut rank_bytes = [0u8; 8];
@@ -196,21 +174,20 @@ pub fn establish_leaf(
     if rank == 0 || rank >= size {
         return Err(ScifError::Inval);
     }
-    let mut last = ScifError::ConnRefused;
     for _ in 0..2000 {
-        match env.connect(root_node, port, tl) {
-            Ok(conn) => {
+        let conn = env.open(tl)?;
+        match conn.connect(ScifAddr::new(root_node, port), tl) {
+            Ok(_) => {
                 conn.send(&(rank as u64).to_le_bytes(), tl)?;
                 return Ok(MpiRank { rank, size, links: vec![conn] });
             }
             Err(ScifError::ConnRefused) => {
-                last = ScifError::ConnRefused;
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
             Err(e) => return Err(e),
         }
     }
-    Err(last)
+    Err(ScifError::ConnRefused)
 }
 
 #[cfg(test)]
@@ -221,58 +198,13 @@ mod tests {
     use vphi_coi::NativeEnv;
     use vphi_scif::HOST_NODE;
 
-    /// Device-side environment: opens endpoints on a card's node so that
-    /// symmetric-mode ranks can run "on the coprocessor".
-    pub struct DeviceSideEnv {
-        fabric: Arc<vphi_scif::ScifFabric>,
-        node: NodeId,
-    }
-
-    impl DeviceSideEnv {
-        pub fn new(host: &VphiHost, mic: usize) -> Self {
-            DeviceSideEnv { fabric: Arc::clone(host.fabric()), node: host.device_node(mic) }
-        }
-    }
-
-    impl CoiEnv for DeviceSideEnv {
-        fn connect(
-            &self,
-            node: NodeId,
-            port: Port,
-            tl: &mut Timeline,
-        ) -> ScifResult<Box<dyn CoiTransport>> {
-            let ep = vphi_scif::ScifEndpoint::open(&self.fabric, self.node)?;
-            ep.connect(vphi_scif::ScifAddr::new(node, port), tl)?;
-            Ok(Box::new(ep))
-        }
-
-        fn listen(&self, port: Port, tl: &mut Timeline) -> ScifResult<Box<dyn CoiListener>> {
-            let ep = vphi_scif::ScifEndpoint::open(&self.fabric, self.node)?;
-            ep.bind(port, &mut *tl)?;
-            ep.listen(16, &mut *tl)?;
-            Ok(Box::new(ep))
-        }
-
-        fn device_count(&self) -> usize {
-            1
-        }
-
-        fn card_usable(&self, _mic: u32, _tl: &mut Timeline) -> bool {
-            true
-        }
-
-        fn label(&self) -> String {
-            format!("{}", self.node)
-        }
-    }
-
     fn world(host: &VphiHost, port: u16, size: usize) -> Vec<std::thread::JoinHandle<Vec<f64>>> {
         // Rank 0 on the host, odd ranks on the card, even on the host —
         // the symmetric layout.
         let mut handles = Vec::new();
         for rank in 0..size {
             let env: Arc<dyn CoiEnv> = if rank % 2 == 1 {
-                Arc::new(DeviceSideEnv::new(host, 0))
+                Arc::new(NativeEnv::on_card(host, 0))
             } else {
                 Arc::new(NativeEnv::new(host))
             };
@@ -309,27 +241,6 @@ mod tests {
         // Root's gather saw every rank in order.
         let root = results.iter().find(|r| r.len() == 1 + size).unwrap();
         assert_eq!(&root[1..], &[0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn bcast_reaches_leaves() {
-        let host = VphiHost::new(1);
-        let mut handles = Vec::new();
-        for rank in 0..3usize {
-            let env: Arc<dyn CoiEnv> = Arc::new(NativeEnv::new(&host));
-            handles.push(std::thread::spawn(move || {
-                let mut tl = Timeline::new();
-                let comm = if rank == 0 {
-                    establish_root(env.as_ref(), Port(556), 3, &mut tl).unwrap()
-                } else {
-                    establish_leaf(env.as_ref(), HOST_NODE, Port(556), rank, 3, &mut tl).unwrap()
-                };
-                comm.bcast(if rank == 0 { Some(b"model-params") } else { None }, &mut tl).unwrap()
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), b"model-params");
-        }
     }
 
     #[test]

@@ -11,6 +11,12 @@ use std::collections::BTreeMap;
 
 use crate::spec::PhiSpec;
 
+/// micnativeloadex's preflight over a card's attributes, however they
+/// are read: the card is `online` and of the `x100` family.
+pub fn card_is_usable<'a>(get: impl Fn(&str) -> Option<&'a str>) -> bool {
+    get("state") == Some("online") && get("family") == Some("x100")
+}
+
 /// A snapshot of the sysfs attributes for one card.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SysfsInfo {
@@ -39,6 +45,11 @@ impl SysfsInfo {
 
     pub fn get(&self, key: &str) -> Option<&str> {
         self.attrs.get(key).map(String::as_str)
+    }
+
+    /// The preflight, [`card_is_usable`], over this table.
+    pub fn card_is_usable(&self) -> bool {
+        card_is_usable(|k| self.get(k))
     }
 
     pub fn set(&mut self, key: &str, value: impl Into<String>) {
@@ -81,6 +92,15 @@ mod tests {
         assert_eq!(info.get("name"), Some("mic1"));
         info.set("state", "online");
         assert_eq!(info.get("state"), Some("online"));
+    }
+
+    #[test]
+    fn only_an_online_x100_card_is_usable() {
+        let spec = PhiSpec::phi_3120p();
+        assert!(SysfsInfo::from_spec(&spec, 0, "online").card_is_usable());
+        assert!(!SysfsInfo::from_spec(&spec, 0, "offline").card_is_usable());
+        let x200 = PhiSpec { family: "x200", ..spec };
+        assert!(!SysfsInfo::from_spec(&x200, 0, "online").card_is_usable());
     }
 
     #[test]

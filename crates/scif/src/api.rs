@@ -16,11 +16,16 @@
 //! methods must take `OpCtx`, not a raw `&mut Timeline`:
 //! `tests/trace.rs::every_replayed_request_traces_its_host_scif_call`
 //! fails for a replayed method that records no span.
+//!
+//! [`Scif`] is the part of this surface a program written for either
+//! world calls through one object-safe trait: `ScifEndpoint` and the
+//! guest's `GuestScif` both implement it, each method a one-line
+//! delegation to the inherent call of the same name.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use vphi_sim_core::SpanLabel;
+use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_trace::{OpCtx, Stage};
 
 use crate::endpoint::{EndpointCore, EpState};
@@ -30,6 +35,31 @@ use crate::mmap::MappedRegion;
 use crate::queue::{copy_from, copy_into};
 use crate::types::{NodeId, Port, Prot, RmaFlags, ScifAddr};
 use crate::window::WindowBacking;
+
+/// The endpoint calls a portable program makes, the same in a host process
+/// and in a VM: binary compatibility (paper §I) as a type.  RMA,
+/// registration, mapping, fences and poll stay inherent to each side,
+/// whose buffer types differ.
+pub trait Scif: Send + Sync {
+    /// `scif_bind`.
+    fn bind(&self, port: Port, tl: &mut Timeline) -> ScifResult<Port>;
+    /// `scif_listen`.
+    fn listen(&self, backlog: usize, tl: &mut Timeline) -> ScifResult<()>;
+    /// `scif_connect` (blocking).
+    fn connect(&self, dst: ScifAddr, tl: &mut Timeline) -> ScifResult<ScifAddr>;
+    /// `scif_accept` (blocking): the new connected endpoint.
+    fn accept(&self, tl: &mut Timeline) -> ScifResult<Box<dyn Scif>>;
+    /// `scif_send` (blocking).
+    fn send(&self, data: &[u8], tl: &mut Timeline) -> ScifResult<usize>;
+    /// `scif_recv` (blocking until `out` is full or the peer closed).
+    fn recv(&self, out: &mut [u8], tl: &mut Timeline) -> ScifResult<usize>;
+    /// Timed-bulk-lane send (see [`EndpointCore::send_timed`]).
+    fn send_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64>;
+    /// Timed-bulk-lane receive.
+    fn recv_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64>;
+    /// `scif_close`: idempotent, and charged to nobody.
+    fn close(&self);
+}
 
 /// A user-space SCIF endpoint descriptor.
 ///
@@ -384,6 +414,44 @@ impl ScifEndpoint {
     /// `scif_close`.  Idempotent, and implied by `Drop`.
     pub fn close(&self) {
         self.core.close();
+    }
+}
+
+impl Scif for ScifEndpoint {
+    fn bind(&self, port: Port, tl: &mut Timeline) -> ScifResult<Port> {
+        ScifEndpoint::bind(self, port, tl)
+    }
+
+    fn listen(&self, backlog: usize, tl: &mut Timeline) -> ScifResult<()> {
+        ScifEndpoint::listen(self, backlog, tl)
+    }
+
+    fn connect(&self, dst: ScifAddr, tl: &mut Timeline) -> ScifResult<ScifAddr> {
+        ScifEndpoint::connect(self, dst, tl)
+    }
+
+    fn accept(&self, tl: &mut Timeline) -> ScifResult<Box<dyn Scif>> {
+        Ok(Box::new(ScifEndpoint::accept(self, tl)?))
+    }
+
+    fn send(&self, data: &[u8], tl: &mut Timeline) -> ScifResult<usize> {
+        ScifEndpoint::send(self, data, tl)
+    }
+
+    fn recv(&self, out: &mut [u8], tl: &mut Timeline) -> ScifResult<usize> {
+        ScifEndpoint::recv(self, out, tl)
+    }
+
+    fn send_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
+        ScifEndpoint::send_timed(self, len, tl)
+    }
+
+    fn recv_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
+        ScifEndpoint::recv_timed(self, len, tl)
+    }
+
+    fn close(&self) {
+        ScifEndpoint::close(self)
     }
 }
 

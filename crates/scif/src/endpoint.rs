@@ -11,7 +11,7 @@
 use std::sync::{Arc, OnceLock, Weak};
 
 use vphi_sim_core::{SimTime, SpanLabel, Timeline};
-use vphi_sync::{LockClass, Published, TrackedCondvar, TrackedMutex};
+use vphi_sync::{Flag, LockClass, Published, TrackedCondvar, TrackedMutex};
 
 use crate::error::{ScifError, ScifResult};
 use crate::fabric::{enqueue_connect, FabricShared, Listener, NodeCore, WaitCounter, WALL_TIMEOUT};
@@ -84,6 +84,9 @@ pub struct EndpointCore {
     /// store follows what the transition published (a `Connected` end's
     /// queues and peer), which an `Acquire` load that sees it sees too.
     state_word: Published,
+    /// Set by its owner's [`close`](Self::close) only: the descriptor is
+    /// gone.  An [`abort`](Self::abort) leaves the descriptor its owner's.
+    owner_closed: Flag,
     /// Paired with `state`: where this endpoint's `connect` sleeps.
     /// Signalled by whoever moves it out of `Connecting` — the acceptor,
     /// `close`, or the listener's teardown.
@@ -129,6 +132,7 @@ impl EndpointCore {
             node,
             state: TrackedMutex::new(LockClass::EndpointState, EpState::Unbound),
             state_word: Published::new(EpState::Unbound as u64),
+            owner_closed: Flag::new(false),
             connect_done: TrackedCondvar::new(),
             local_port: OnceLock::new(),
             listener: OnceLock::new(),
@@ -380,6 +384,25 @@ impl EndpointCore {
         Ok(Some(newep))
     }
 
+    /// A message call on an endpoint its owner closed is `EINVAL`, as
+    /// `bind`, `listen` and `connect` are: the descriptor is gone, whatever
+    /// state the connection was in.
+    fn check_open(&self) -> ScifResult<()> {
+        if self.owner_closed.get() {
+            return Err(ScifError::Inval);
+        }
+        Ok(())
+    }
+
+    /// [`check_open`](Self::check_open), then `ENOTCONN` unless connected.
+    fn check_connected(&self) -> ScifResult<()> {
+        self.check_open()?;
+        if self.state() != EpState::Connected {
+            return Err(ScifError::NotConn);
+        }
+        Ok(())
+    }
+
     /// `scif_send` (blocking): delivers all of `data` to the peer's
     /// receive queue, charging the full delivery path.
     pub fn send(&self, data: &[u8], tl: &mut Timeline) -> ScifResult<usize> {
@@ -399,9 +422,7 @@ impl EndpointCore {
         fill: impl FnMut(usize, &mut [u8]) -> ScifResult<()>,
         tl: &mut Timeline,
     ) -> ScifResult<usize> {
-        if self.state() != EpState::Connected {
-            return Err(ScifError::NotConn);
-        }
+        self.check_connected()?;
         let peer = self.peer_core()?;
         let q = self.send_q.get().ok_or(ScifError::NotConn)?;
         // Copy user -> kernel.
@@ -431,6 +452,7 @@ impl EndpointCore {
         drain: impl FnMut(usize, &[u8]) -> ScifResult<()>,
         tl: &mut Timeline,
     ) -> ScifResult<usize> {
+        self.check_open()?;
         let q = self.recv_q.get().ok_or(ScifError::NotConn)?;
         let n = q.read_exact_with(len, drain)?;
         tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(n as u64));
@@ -441,6 +463,7 @@ impl EndpointCore {
 
     /// Non-blocking receive: whatever is available now.
     pub fn try_recv(&self, out: &mut [u8], tl: &mut Timeline) -> ScifResult<usize> {
+        self.check_open()?;
         let q = self.recv_q.get().ok_or(ScifError::NotConn)?;
         let n = q.try_read(out);
         tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(n as u64));
@@ -458,9 +481,7 @@ impl EndpointCore {
     /// sends on the same endpoint are independent lanes; protocols put
     /// their headers on the real lane and bulk on this one.
     pub fn send_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
-        if self.state() != EpState::Connected {
-            return Err(ScifError::NotConn);
-        }
+        self.check_connected()?;
         let peer = self.peer_core()?;
         tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(len));
         {
@@ -482,6 +503,7 @@ impl EndpointCore {
 
     /// Receive `len` bytes from the timed bulk lane (blocking).
     pub fn recv_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
+        self.check_open()?;
         let mut lane = self.timed.lock();
         while lane.avail < len {
             // Never connected, or either side hung up.
@@ -538,7 +560,17 @@ impl EndpointCore {
     }
 
     /// `scif_close`: tear down queues, release the port, wake everyone.
+    /// Every later call is `EINVAL`.
     pub fn close(&self) {
+        self.owner_closed.set();
+        self.abort();
+    }
+
+    /// What [`close`](Self::close) releases goes, but the descriptor
+    /// stays its owner's: a card reset does this to every connection to
+    /// the card (the vPHI backend's quarantine).  The owner's message
+    /// calls see the hang-up, and its own `close` still succeeds.
+    pub fn abort(&self) {
         {
             let mut st = self.state.lock();
             if *st == EpState::Closed {

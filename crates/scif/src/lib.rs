@@ -14,7 +14,8 @@
 //!   [`vphi_phi::PhiBoard`] added becomes node 1, 2, ….
 //! * [`endpoint`] / [`api::ScifEndpoint`] — the endpoint state machine
 //!   (open → bind → listen/connect → connected) and the user-facing
-//!   libscif-style handle.
+//!   libscif-style handle; [`api::Scif`] is the part of it a VM's handle
+//!   answers alike.
 //! * [`queue::MsgQueue`] — the per-direction byte stream with flow control
 //!   backing `scif_send`/`scif_recv`.
 //! * [`window`] / [`rma`] — registered windows (`scif_register`) and RMA
@@ -44,7 +45,7 @@ pub mod submit;
 pub mod types;
 pub mod window;
 
-pub use api::ScifEndpoint;
+pub use api::{Scif, ScifEndpoint};
 pub use error::{ErrorClass, ScifError, ScifResult};
 pub use fabric::ScifFabric;
 pub use mmap::MappedRegion;

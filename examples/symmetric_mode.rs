@@ -11,49 +11,11 @@
 use std::sync::Arc;
 
 use vphi::builder::{VmConfig, VphiHost};
-use vphi_coi::transport::{CoiEnv, CoiListener, CoiTransport};
-use vphi_coi::GuestEnv;
+use vphi_coi::transport::CoiEnv;
+use vphi_coi::{GuestEnv, NativeEnv};
 use vphi_mic_tools::mpilite::{establish_leaf, establish_root};
-use vphi_scif::{NodeId, Port, ScifAddr, ScifResult, HOST_NODE};
+use vphi_scif::{Port, HOST_NODE};
 use vphi_sim_core::Timeline;
-
-/// Card-side environment (processes running on the coprocessor).
-struct DeviceSideEnv {
-    fabric: Arc<vphi_scif::ScifFabric>,
-    node: NodeId,
-}
-
-impl CoiEnv for DeviceSideEnv {
-    fn connect(
-        &self,
-        node: NodeId,
-        port: Port,
-        tl: &mut Timeline,
-    ) -> ScifResult<Box<dyn CoiTransport>> {
-        let ep = vphi_scif::ScifEndpoint::open(&self.fabric, self.node)?;
-        ep.connect(ScifAddr::new(node, port), tl)?;
-        Ok(Box::new(ep))
-    }
-
-    fn listen(&self, port: Port, tl: &mut Timeline) -> ScifResult<Box<dyn CoiListener>> {
-        let ep = vphi_scif::ScifEndpoint::open(&self.fabric, self.node)?;
-        ep.bind(port, &mut *tl)?;
-        ep.listen(16, &mut *tl)?;
-        Ok(Box::new(ep))
-    }
-
-    fn device_count(&self) -> usize {
-        1
-    }
-
-    fn card_usable(&self, _mic: u32, _tl: &mut Timeline) -> bool {
-        true
-    }
-
-    fn label(&self) -> String {
-        format!("{}", self.node)
-    }
-}
 
 fn main() {
     const SIZE: usize = 4;
@@ -73,7 +35,7 @@ fn main() {
         let env: Arc<dyn CoiEnv> = if rank == 0 {
             Arc::new(GuestEnv::new(&vm))
         } else {
-            Arc::new(DeviceSideEnv { fabric: Arc::clone(host.fabric()), node: host.device_node(0) })
+            Arc::new(NativeEnv::on_card(&host, 0))
         };
         let (x, y) = (x.clone(), y.clone());
         handles.push(std::thread::spawn(move || {

@@ -7,11 +7,11 @@ use std::sync::Arc;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi_coi::pipeline::CoiPipeline;
 use vphi_coi::process::LaunchSpec;
-use vphi_coi::transport::{CoiEnv, CoiListener, CoiTransport};
-use vphi_coi::{CoiDaemon, CoiEngine, CoiProcess, ComputeManifest, GuestEnv};
+use vphi_coi::transport::CoiEnv;
+use vphi_coi::{CoiDaemon, CoiEngine, CoiProcess, ComputeManifest, GuestEnv, NativeEnv};
 use vphi_mic_tools::mpilite::{establish_leaf, establish_root};
 use vphi_mic_tools::{micnativeloadex, MicBinary};
-use vphi_scif::{NodeId, Port, ScifAddr, ScifResult, HOST_NODE};
+use vphi_scif::{Port, HOST_NODE};
 use vphi_sim_core::{SimDuration, Timeline};
 
 #[test]
@@ -82,44 +82,6 @@ fn offload_mode_from_a_vm() {
     daemon.shutdown();
 }
 
-/// Card-side rank environment for the symmetric test.
-struct DeviceSideEnv {
-    fabric: Arc<vphi_scif::ScifFabric>,
-    node: NodeId,
-}
-
-impl CoiEnv for DeviceSideEnv {
-    fn connect(
-        &self,
-        node: NodeId,
-        port: Port,
-        tl: &mut Timeline,
-    ) -> ScifResult<Box<dyn CoiTransport>> {
-        let ep = vphi_scif::ScifEndpoint::open(&self.fabric, self.node)?;
-        ep.connect(ScifAddr::new(node, port), tl)?;
-        Ok(Box::new(ep))
-    }
-
-    fn listen(&self, port: Port, tl: &mut Timeline) -> ScifResult<Box<dyn CoiListener>> {
-        let ep = vphi_scif::ScifEndpoint::open(&self.fabric, self.node)?;
-        ep.bind(port, &mut *tl)?;
-        ep.listen(16, &mut *tl)?;
-        Ok(Box::new(ep))
-    }
-
-    fn device_count(&self) -> usize {
-        1
-    }
-
-    fn card_usable(&self, _mic: u32, _tl: &mut Timeline) -> bool {
-        true
-    }
-
-    fn label(&self) -> String {
-        format!("{}", self.node)
-    }
-}
-
 #[test]
 fn symmetric_mode_with_vm_root_and_device_leaves() {
     let host = VphiHost::new(1);
@@ -132,7 +94,7 @@ fn symmetric_mode_with_vm_root_and_device_leaves() {
         let env: Arc<dyn CoiEnv> = if rank == 0 {
             Arc::new(GuestEnv::new(&vm))
         } else {
-            Arc::new(DeviceSideEnv { fabric: Arc::clone(host.fabric()), node: host.device_node(0) })
+            Arc::new(NativeEnv::on_card(&host, 0))
         };
         handles.push(std::thread::spawn(move || {
             let mut tl = Timeline::new();
