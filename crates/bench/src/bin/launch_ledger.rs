@@ -10,8 +10,12 @@
 //! (default 1,000) alternating guest / native launches of
 //! `dgemm_sample(2048)` on 224 threads, each `CoiEnv` / `Scif` call
 //! timed by a wrapper (whose clock reads land in the rows they time): µs
-//! per launch per call.  Then the launch rows of `host_cost.golden.json`,
-//! measured on launches of their own (`vphi_bench::host_cost`).
+//! per launch per call, and the guest's excess over native.  Below the
+//! table, that excess for the whole launch divided by the requests the
+//! guest sent its device per launch: the guest-only host time of one
+//! request.  Then the launch rows of `host_cost.golden.json`, measured on
+//! launches of their own (`vphi_bench::host_cost`).  A wall reading: run
+//! it pinned (`taskset -c 0`) and compare runs, not numbers.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -172,7 +176,11 @@ fn main() {
         });
     let binary = MicBinary::dgemm_sample(2048);
 
+    let mut requests_before = 0;
     for round in 0..warmup + launches {
+        if round == warmup {
+            requests_before = vm.frontend().stats().requests;
+        }
         for (env, ledger) in &sides {
             if round == warmup {
                 ledger.reset();
@@ -181,6 +189,7 @@ fn main() {
             assert_eq!(report.expect("launch").exit_code, 0, "dgemm exited nonzero");
         }
     }
+    let requests = (vm.frontend().stats().requests - requests_before) as f64 / launches as f64;
     vm.shutdown();
     daemon.shutdown();
 
@@ -191,8 +200,15 @@ fn main() {
         .map(|i| {
             let calls =
                 format!("{:.1} / {:.1}", per_launch(&guest.calls[i]), per_launch(&native.calls[i]));
-            let us = |ledger: &Ledger| format!("{:.2}", per_launch(&ledger.ns[i]) / 1e3);
-            vec![CALLS[i].to_string(), calls, us(guest), us(native)]
+            let us = |ledger: &Ledger| per_launch(&ledger.ns[i]) / 1e3;
+            let (g, n) = (us(guest), us(native));
+            vec![
+                CALLS[i].to_string(),
+                calls,
+                format!("{g:.2}"),
+                format!("{n:.2}"),
+                format!("{:.2}", g - n),
+            ]
         })
         .collect();
     println!(
@@ -202,9 +218,15 @@ fn main() {
                 "LAUNCH LEDGER — micnativeloadex(dgemm_sample(2048)), {launches} launches per \
                  side after {warmup} warm-up pairs, µs per launch"
             ),
-            &["call", "calls (guest / native)", "guest", "native"],
+            &["call", "calls (guest / native)", "guest", "native", "guest − native"],
             &rows,
         )
+    );
+    let whole = CALLS.len() - 1;
+    let gap_us = (per_launch(&guest.ns[whole]) - per_launch(&native.ns[whole])) / 1e3;
+    println!(
+        "guest-only µs per guest request: {:.3} ({gap_us:.2} µs over {requests:.1} requests per launch)\n",
+        gap_us / requests
     );
     let costs = [HostSide::Guest, HostSide::Native]
         .map(|side| (Shape::Launch, side, measure(Shape::Launch, side)));

@@ -339,7 +339,7 @@ fn ledger_run() -> DoorbellLedger {
         }
     }
     let fs = vm.frontend().stats();
-    let (burst_drains, burst_chains) = vm.backend().inner().stats.bursts();
+    let (burst_drains, burst_chains) = vm.backend().inner().bursts();
     let ledger = DoorbellLedger {
         batches_submitted: fs.batches_submitted,
         batch_entries: fs.batch_entries,

@@ -131,7 +131,7 @@ impl Workers {
 
 /// Bytes of payload a request moves (drives the size-based hybrid
 /// dispatch the paper proposes as future work).
-pub fn request_payload_len(req: &VphiRequest) -> u64 {
+fn request_payload_len(req: &VphiRequest) -> u64 {
     match *req {
         VphiRequest::Send { len, .. } | VphiRequest::Recv { len, .. } => len as u64,
         VphiRequest::VreadFrom { len, .. }

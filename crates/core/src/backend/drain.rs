@@ -16,13 +16,14 @@ use std::sync::Arc;
 use vphi_sync::TrackedRoleGuard;
 
 use super::BackendInner;
+use crate::frontend::ReqToken;
 
 impl BackendInner {
     /// The shard thread's turn on lane `q`: wait for the executor role,
     /// then drain everything, and again while more keeps arriving.
     pub(super) fn drain_as_shard(self: &Arc<Self>, q: usize) {
         let executor = self.channel.lane_queue(q).executor.enter();
-        self.drain_lane(q, u64::MAX, &executor);
+        self.drain_lane(q, u64::MAX, 0, &executor);
     }
 
     /// A blocking caller's vm-exit on lane `q`: drain what was ahead of
@@ -34,20 +35,28 @@ impl BackendInner {
     /// there was anything to service inline — so it is never held up by
     /// work that was not ahead of it.
     ///
+    /// `own` is the kicker's token: its completion needs no wake-up.
     /// Returns whether chains are left on the ring for the shard — what the
     /// kick rings it for on the way out.
-    pub(super) fn drain_as_kicker(self: &Arc<Self>, q: usize, through: u64) -> bool {
+    pub(super) fn drain_as_kicker(self: &Arc<Self>, q: usize, through: u64, own: ReqToken) -> bool {
         let queue = self.channel.lane_queue(q);
         match queue.executor.try_enter() {
-            Some(executor) => self.drain_lane(q, through, &executor),
+            Some(executor) => self.drain_lane(q, through, own, &executor),
             None => queue.avail_pending(),
         }
     }
 
     /// Drain lane `q`'s avail ring in ring order through avail index
     /// `through`, and report whether the pass left chains on the ring.
-    /// The caller holds the lane's executor role: `held`.
-    fn drain_lane(self: &Arc<Self>, q: usize, through: u64, held: &TrackedRoleGuard<'_>) -> bool {
+    /// The caller holds the lane's executor role: `held`; `own` is its
+    /// request's token if it is a blocking kicker, else 0.
+    fn drain_lane(
+        self: &Arc<Self>,
+        q: usize,
+        through: u64,
+        own: ReqToken,
+        held: &TrackedRoleGuard<'_>,
+    ) -> bool {
         let queue = self.channel.lane_queue(q);
         // A bounded pass knows its burst before it starts — whatever was
         // published up to `through` — so it runs each chain as it pops it,
@@ -67,7 +76,7 @@ impl BackendInner {
                 left = Some(popped.left_on_ring);
                 let last = !popped.more_in_bound;
                 if bounded {
-                    self.process(q, popped.chain, held);
+                    self.process(q, popped.chain, held, own);
                 } else {
                     batch.push(popped.chain);
                 }
@@ -75,11 +84,16 @@ impl BackendInner {
                     break;
                 }
             }
-            if burst > 0 {
+            if burst > 0 && bounded {
+                // The kicker holds the role: a count with no lock prefix.
+                let lane = &self.lanes[q];
+                lane.kicker_drains.bump(held);
+                lane.kicker_chains.add(burst, held);
+            } else if burst > 0 {
                 self.stats.note_burst(burst);
             }
             for chain in batch {
-                self.process(q, chain, held);
+                self.process(q, chain, held, own);
             }
             // A bounded pass has popped all it may: the kicker rings the
             // shard for the rest on its way out.  The shard picks up a
@@ -96,7 +110,8 @@ impl BackendInner {
         // still on the ring reads `ENODEV` off the shutdown flag; the pass
         // only lets go of the chain's slot.  (Its descriptors die with the
         // ring, as they do whenever a waiter saw the flag before its
-        // completion: no guest is left to `take_used`.)
+        // completion: no guest is left to write the chain that would
+        // recycle them.)
         while let Ok(Some(chain)) = queue.pop_avail_through(through) {
             let (token, ..) = self.channel.claim(q, chain.head);
             self.channel.retire(token);
@@ -157,15 +172,15 @@ mod tests {
         // A busy lane is left alone altogether.
         {
             let _busy = queue.executor.enter();
-            inner.drain_as_kicker(0, popped + 3);
+            inner.drain_as_kicker(0, popped + 3, 0);
             assert_eq!(queue.counters().chains_popped, popped);
         }
-        inner.drain_as_kicker(0, popped + 2);
+        inner.drain_as_kicker(0, popped + 2, 0);
         assert_eq!(queue.counters().chains_popped, popped + 2);
         assert_eq!(inner.requests(), served + 2);
         assert!(queue.avail_pending(), "the chain behind the bound stays on the ring");
         // A pass the ring has already moved beyond finds nothing to do.
-        inner.drain_as_kicker(0, popped + 1);
+        inner.drain_as_kicker(0, popped + 1, 0);
         assert_eq!(queue.counters().chains_popped, popped + 2);
 
         inner.drain_as_shard(0);

@@ -17,7 +17,7 @@ pub mod notify;
 mod reg_cache;
 mod rma;
 
-pub use dispatch::{request_payload_len, Dispatch, DispatchPolicy};
+pub use dispatch::{Dispatch, DispatchPolicy};
 use dispatch::{PauseLedger, Workers};
 pub use holdings::Holdings;
 pub use notify::{LaneNotifier, LaneNotifyCounters, Recorder, BATCH_BUCKETS};
@@ -41,7 +41,7 @@ use vphi_virtio::{DescChain, Descriptor, UsedElem};
 use vphi_vmm::vma::VmaError;
 use vphi_vmm::{Gpa, GuestMemory, GuestRange, KvmModule, VmaFlags};
 
-use crate::frontend::{Completion, VphiChannel, WaitBucketProfile};
+use crate::frontend::{Completion, ExitHandler, ReqToken, VphiChannel, WaitBucketProfile};
 use crate::mmapping::MappedRegionBacking;
 use crate::protocol::{rma_flags_from_wire, VphiRequest, VphiResponse};
 
@@ -97,8 +97,9 @@ pub struct BackendStats {
     pub windows_gced: Counter,
     /// Endpoints force-closed because their card was reset.
     pub endpoints_quarantined: Counter,
-    /// Avail-ring drains that found at least one chain (one per wakeup
-    /// sweep of a lane's shard thread).
+    /// Avail-ring drains that found at least one chain, one per wakeup
+    /// sweep of a lane's shard thread.  A blocking kicker's passes are
+    /// tallied by its lane; [`BackendInner::bursts`] counts both.
     #[expect(clippy::disallowed_types, reason = "frozen benchmark/src/counters.rs:40-41")]
     pub burst_drains: std::sync::atomic::AtomicU64,
     /// Chains popped across those drains; `burst_chains / burst_drains`
@@ -120,17 +121,11 @@ pub struct BackendStats {
 }
 
 impl BackendStats {
-    /// One drain pass popped `chains` chains.
+    /// One shard drain pass popped `chains` chains.
     fn note_burst(&self, chains: u64) {
         use std::sync::atomic::Ordering::Relaxed;
         self.burst_drains.fetch_add(1, Relaxed);
         self.burst_chains.fetch_add(chains, Relaxed);
-    }
-
-    /// `(burst_drains, burst_chains)` so far.
-    pub fn bursts(&self) -> (u64, u64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        (self.burst_drains.load(Relaxed), self.burst_chains.load(Relaxed))
     }
 }
 
@@ -152,6 +147,10 @@ struct BackendLane {
     /// wake of the frontend's wait queue).  A worker-finished completion
     /// counts from outside the role.
     woken: Tally,
+    /// Blocking kickers' drain passes that found a chain, and the chains
+    /// they popped (the shards' are `BackendStats::burst_*`).
+    kicker_drains: Tally,
+    kicker_chains: Tally,
 }
 
 /// Everything the service loop and worker threads share.
@@ -252,6 +251,17 @@ impl BackendInner {
         self.lanes.iter().map(|l| l.pause.paused()).sum()
     }
 
+    /// `(drains, chains)`: avail-ring drain passes that found a chain, the
+    /// shards' and the blocking kickers', and the chains they popped.
+    pub fn bursts(&self) -> (u64, u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        let (drains, chains) =
+            (self.stats.burst_drains.load(Relaxed), self.stats.burst_chains.load(Relaxed));
+        self.lanes.iter().fold((drains, chains), |(d, c), l| {
+            (d + l.kicker_drains.get(), c + l.kicker_chains.get())
+        })
+    }
+
     /// Completions that woke (or found) their waiting requester.
     pub fn directed_wakes(&self) -> u64 {
         self.lanes.iter().map(|l| l.woken.get()).sum()
@@ -323,8 +333,15 @@ impl BackendInner {
     /// lane's executor (`held` is its role).  Whether the completion
     /// interrupts the guest is decided at the used-ring push by the lane's
     /// [`LaneNotifier`], from the notify hint the requester submitted and
-    /// the `used_event` threshold it published.
-    fn process(self: &Arc<Self>, q: usize, chain: DescChain, held: &TrackedRoleGuard<'_>) {
+    /// the `used_event` threshold it published.  `own` is the token of the
+    /// blocking kicker running this drain (0 on the shard).
+    fn process(
+        self: &Arc<Self>,
+        q: usize,
+        chain: DescChain,
+        held: &TrackedRoleGuard<'_>,
+        own: ReqToken,
+    ) {
         let (token, trace, hint) = self.channel.claim(q, chain.head);
         let mut tl = Timeline::new();
         if self.faults.fire(FaultSite::VmmGuestDeath).is_some() {
@@ -361,7 +378,7 @@ impl BackendInner {
         let Some(req) = req else {
             OpCtx::new(&mut tl, trace.clone()).end(replay);
             let resp = VphiResponse::err(ScifError::Inval);
-            self.finish(q, token, &chain, resp, tl, trace, hint, Some(held));
+            self.finish(q, token, &chain, resp, tl, trace, hint, Some(held), own);
             return;
         };
 
@@ -371,7 +388,7 @@ impl BackendInner {
                     self.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
                 });
                 OpCtx::new(&mut tl, trace.clone()).end(replay);
-                self.finish(q, token, &chain, resp, tl, trace, hint, Some(held));
+                self.finish(q, token, &chain, resp, tl, trace, hint, Some(held), own);
             }
             Dispatch::Worker => {
                 // `scif_accept` may wait forever for a connect; freezing
@@ -385,7 +402,7 @@ impl BackendInner {
                         inner.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
                     });
                     OpCtx::new(&mut tl, trace.clone()).end(replay);
-                    inner.finish(q, token, &chain, resp, tl, trace, hint, None);
+                    inner.finish(q, token, &chain, resp, tl, trace, hint, None, 0);
                 });
             }
         }
@@ -396,18 +413,20 @@ impl BackendInner {
     /// `used_event` threshold — whether this completion injects the
     /// lane's virtual interrupt (flushing any batched completions) or is
     /// suppressed.  The timeline then flows back to the frontend.  `by`
-    /// is the lane executor's role, or `None` on a QEMU worker.
+    /// is the lane executor's role, or `None` on a QEMU worker; `own` the
+    /// token of the kicker whose thread this is, if any.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         &self,
         q: usize,
-        token: crate::frontend::ReqToken,
+        token: ReqToken,
         chain: &DescChain,
         resp: VphiResponse,
         mut tl: Timeline,
         trace: TraceCtx,
         hint: crate::frontend::NotifyHint,
         by: Recorder<'_>,
+        own: ReqToken,
     ) {
         let resp_desc = chain.response();
         let _ = self.guest_mem.write(Gpa(resp_desc.addr), &resp.encode());
@@ -415,7 +434,7 @@ impl BackendInner {
         // child of it.
         let mut ctx = OpCtx::new(&mut tl, trace.at_root());
         let span = ctx.begin("complete", Stage::Completion);
-        let new_seq = self.channel.lane_queue(q).push_used(
+        let crossed = self.channel.lane_queue(q).push_used(
             UsedElem { id: chain.head, len: resp_desc.len },
             self.cost().used_push,
             ctx.tl,
@@ -432,7 +451,7 @@ impl BackendInner {
         if token != 0 {
             notifier.account_wait(hint, svc_ns, by);
         }
-        if notifier.would_inject(new_seq, hint, svc_ns) {
+        if notifier.would_inject(crossed, hint, svc_ns) {
             if self.faults.fire(FaultSite::PcieMsiLost).is_some() {
                 // The completion interrupt vanished: the reply is on the
                 // used ring but nobody is woken.  The requester's deadline
@@ -441,7 +460,7 @@ impl BackendInner {
                 notifier.note_msi_lost();
                 ctx.end(span);
                 drop(ctx);
-                self.channel.complete_quiet(token, Completion { tl, slept, svc_ns });
+                self.channel.complete_quiet(token, &Completion { tl, slept, svc_ns });
                 return;
             }
             let irq_span = ctx.begin("notify-irq", Stage::Completion);
@@ -452,7 +471,15 @@ impl BackendInner {
         }
         ctx.end(span);
         drop(ctx);
-        if self.channel.complete(token, Completion { tl, slept, svc_ns }) {
+        let done = Completion { tl, slept, svc_ns };
+        // The kicker's own completion wakes nobody: the kicker is this
+        // thread, running its drain, not parked on its token.
+        let delivered = if token == own {
+            self.channel.complete_quiet(token, &done)
+        } else {
+            self.channel.complete(token, &done)
+        };
+        if delivered {
             self.lanes[q].woken.add_as(1, by);
         }
     }
@@ -673,13 +700,7 @@ impl BackendInner {
             }
             VphiRequest::SysfsRead { mic_index } => {
                 let board = self.boards.get(mic_index as usize).ok_or(ScifError::NoDev)?;
-                let mut text = String::new();
-                for (k, v) in board.sysfs().iter() {
-                    text.push_str(k);
-                    text.push('=');
-                    text.push_str(v);
-                    text.push('\n');
-                }
+                let text = board.sysfs_text();
                 let bytes = text.as_bytes();
                 // A buffer too short for the text is `ENOMEM`, as sysfs
                 // answers it; a missing or wild one is `Inval`.
@@ -764,12 +785,14 @@ impl BackendDevice {
         let lanes = channel
             .lanes()
             .iter()
-            .map(|lane| BackendLane {
-                notifier: LaneNotifier::new(irq_inject, Arc::clone(&lane.queue)),
+            .map(|_| BackendLane {
+                notifier: LaneNotifier::new(irq_inject),
                 requests: Tally::new(),
                 worker_dispatches: Tally::new(),
                 pause: PauseLedger::default(),
                 woken: Tally::new(),
+                kicker_drains: Tally::new(),
+                kicker_chains: Tally::new(),
             })
             .collect();
         let inner = Arc::new(BackendInner {
@@ -789,19 +812,12 @@ impl BackendDevice {
             faults: FaultHook::new(),
         });
         // The sharded executor: per queue lane, one service thread for
-        // the work nobody is blocked on and one exit handler for the kicks
-        // of callers who are (`backend/drain.rs`).  All share the endpoint
-        // table, registration cache and dead-guest GC through
+        // the work nobody is blocked on; the kicks of callers who are go to
+        // the exit handler (`backend/drain.rs`, `exit_handler`).  All share
+        // the endpoint table, registration cache and dead-guest GC through
         // `BackendInner`.
         let shards = (0..inner.channel.queue_count())
             .map(|q| {
-                // Weak: the queue outlives the device inside the channel,
-                // and the device owns the channel.
-                let device = Arc::downgrade(&inner);
-                inner.channel.lane_queue(q).set_exit_handler(Box::new(move |through| {
-                    // A device that is gone leaves the ring to nobody.
-                    device.upgrade().is_some_and(|inner| inner.drain_as_kicker(q, through))
-                }));
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("vphi-backend-{}-q{q}", inner.name))
@@ -825,6 +841,16 @@ impl BackendDevice {
 
     pub fn inner(&self) -> &Arc<BackendInner> {
         &self.inner
+    }
+
+    /// The handler of a blocking caller's kick vm-exit, for the frontend
+    /// to [`attach`](crate::frontend::FrontendDriver::attach): it drains the
+    /// kicked lane on the caller's thread (`backend/drain.rs`).  It holds
+    /// the device, as the guest's vCPUs hold the hypervisor they exit to;
+    /// the device holds nothing of the frontend's.
+    pub fn exit_handler(&self) -> ExitHandler {
+        let inner = Arc::clone(&self.inner);
+        Arc::new(move |q, through, own| inner.drain_as_kicker(q, through, own))
     }
 
     pub fn open_endpoints(&self) -> usize {

@@ -11,8 +11,9 @@
 //! * the requester's [`NotifyHint`] says whether it was still spinning
 //!   (`svc ≤ budget`: no interrupt needed, its spinner reaps the reply) or
 //!   had armed the interrupt and slept;
-//! * the EVENT_IDX comparison ([`vphi_virtio::need_event`]) says whether
-//!   this push crossed the `used_event` threshold the guest published —
+//! * the EVENT_IDX comparison, made by the used-ring push
+//!   ([`VirtQueue::push_used`](vphi_virtio::VirtQueue::push_used)), says
+//!   whether this push crossed the `used_event` threshold the guest armed —
 //!   a push short of the threshold is *batched*: it stays pending and the
 //!   next injected irq on the lane delivers it along with its own.
 //!
@@ -29,11 +30,8 @@
 //! each completion's requester burned spinning against the service it
 //! waited for — since the verdict it is computed from is made here.
 
-use std::sync::Arc;
-
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 use vphi_sync::{Counter, Tally, TrackedRoleGuard};
-use vphi_virtio::{need_event, VirtQueue};
 
 use crate::frontend::{NotifyHint, WaitBucketProfile};
 
@@ -66,7 +64,6 @@ pub type Recorder<'a> = Option<&'a TrackedRoleGuard<'a>>;
 pub struct LaneNotifier {
     /// What delivering the lane's MSI into the guest costs.
     irq_inject: SimDuration,
-    queue: Arc<VirtQueue>,
     /// Completions suppressed while their requester slept, awaiting the
     /// next injected irq on this lane (the batch the irq will flush).  A
     /// count and nothing else: an add that races a flush lands in this
@@ -91,10 +88,9 @@ impl std::fmt::Debug for LaneNotifier {
 }
 
 impl LaneNotifier {
-    pub fn new(irq_inject: SimDuration, queue: Arc<VirtQueue>) -> Self {
+    pub fn new(irq_inject: SimDuration) -> Self {
         LaneNotifier {
             irq_inject,
-            queue,
             pending: Counter::new(0),
             irqs_suppressed: Tally::new(),
             batch_hist: std::array::from_fn(|_| Tally::new()),
@@ -102,15 +98,13 @@ impl LaneNotifier {
         }
     }
 
-    /// Whether the completion that advanced the used ring to `new_seq`
-    /// warrants an interrupt: its requester is asleep (service time
-    /// exceeded the declared spin budget) *and* the push crossed the
-    /// armed `used_event` threshold.  Pure — the caller sequences the
-    /// fault check (lost MSI) between this decision and
-    /// [`deliver_irq`](LaneNotifier::deliver_irq).
-    pub fn would_inject(&self, new_seq: u64, hint: NotifyHint, svc_ns: u64) -> bool {
-        hint.sleeping_after(svc_ns)
-            && need_event(self.queue.used_event(), new_seq, new_seq.wrapping_sub(1))
+    /// Whether a completion warrants an interrupt: its requester is
+    /// asleep (service time exceeded the declared spin budget) *and* its
+    /// used-ring push `crossed` the armed `used_event` threshold.  Pure —
+    /// the caller sequences the fault check (lost MSI) between this
+    /// decision and [`deliver_irq`](LaneNotifier::deliver_irq).
+    pub fn would_inject(&self, crossed: bool, hint: NotifyHint, svc_ns: u64) -> bool {
+        crossed && hint.sleeping_after(svc_ns)
     }
 
     /// Inject the lane's virtual interrupt, flushing the pending batch:
@@ -182,33 +176,33 @@ impl LaneNotifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use vphi_sim_core::CostModel;
-    use vphi_virtio::{Descriptor, UsedElem};
+    use vphi_virtio::{Descriptor, UsedElem, VirtQueue};
 
     const PUSH: SimDuration = SimDuration::from_nanos(600);
 
     fn lane() -> (LaneNotifier, Arc<VirtQueue>) {
-        let queue = VirtQueue::new(8);
         let irq_inject = CostModel::paper_calibrated().irq_inject;
-        (LaneNotifier::new(irq_inject, Arc::clone(&queue)), queue)
+        (LaneNotifier::new(irq_inject), VirtQueue::new(8))
     }
 
+    /// Publish one chain — arming the threshold first if its requester
+    /// will sleep — complete it, and report whether the push crossed.
     #[expect(clippy::disallowed_methods, reason = "stages a completion on a bare queue")]
-    fn push_one(queue: &Arc<VirtQueue>, tl: &mut Timeline) -> u64 {
-        let head = queue.add_chain(&[Descriptor::readable(0, 1)], PUSH, tl).unwrap();
+    fn push_one(queue: &Arc<VirtQueue>, arm: bool, tl: &mut Timeline) -> bool {
+        let head = queue.prepare_chain(&[Descriptor::readable(0, 1)], arm).unwrap();
+        queue.publish_avail(head, PUSH, tl);
         queue.pop_avail().unwrap().unwrap();
-        let seq = queue.push_used(UsedElem { id: head, len: 0 }, PUSH, tl);
-        queue.take_used(|_| ()).unwrap();
-        seq
+        queue.push_used(UsedElem { id: head, len: 0 }, PUSH, tl)
     }
 
     #[test]
     fn sleeping_waiter_with_armed_threshold_gets_the_irq() {
         let (n, queue) = lane();
         let mut tl = Timeline::new();
-        queue.publish_used_event(queue.used_seq()); // waiter arms, then sleeps
-        let seq = push_one(&queue, &mut tl);
-        assert!(n.would_inject(seq, NotifyHint::SLEEP, 1));
+        let crossed = push_one(&queue, true, &mut tl); // the waiter armed, then slept
+        assert!(n.would_inject(crossed, NotifyHint::SLEEP, 1));
         n.deliver_irq(&mut tl, None);
         assert!(tl.total_for(SpanLabel::IrqInject) > SimDuration::ZERO);
         let c = n.counters();
@@ -220,12 +214,11 @@ mod tests {
     fn spinner_never_injects() {
         let (n, queue) = lane();
         let mut tl = Timeline::new();
-        queue.publish_used_event(queue.used_seq());
-        let seq = push_one(&queue, &mut tl);
+        let crossed = push_one(&queue, true, &mut tl);
         // Pure spin, and also an adaptive waiter whose budget covered the
         // service time: both are reaped by the spinner.
-        assert!(!n.would_inject(seq, NotifyHint::SPIN, u64::MAX - 1));
-        assert!(!n.would_inject(seq, NotifyHint { budget_ns: 1000, bucket: 0 }, 999));
+        assert!(!n.would_inject(crossed, NotifyHint::SPIN, u64::MAX - 1));
+        assert!(!n.would_inject(crossed, NotifyHint { budget_ns: 1000, bucket: 0 }, 999));
         n.note_suppressed(false, None);
         assert_eq!(tl.total_for(SpanLabel::IrqInject), SimDuration::ZERO);
         assert_eq!(n.counters().irqs_injected, 0);
@@ -236,21 +229,19 @@ mod tests {
     fn stale_threshold_batches_until_the_next_irq_flushes() {
         let (n, queue) = lane();
         let mut tl = Timeline::new();
-        queue.publish_used_event(queue.used_seq()); // armed at 0
-        let s1 = push_one(&queue, &mut tl); // crosses: 0 → 1
+        let s1 = push_one(&queue, true, &mut tl); // armed at 0, crosses: 0 → 1
         assert!(n.would_inject(s1, NotifyHint::SLEEP, 1));
         n.deliver_irq(&mut tl, None);
         // Threshold still 0 (no new waiter armed): pushes 2 and 3 are
         // past it, so they batch behind the next crossing.
-        let s2 = push_one(&queue, &mut tl);
+        let s2 = push_one(&queue, false, &mut tl);
         assert!(!n.would_inject(s2, NotifyHint::SLEEP, 1));
         n.note_suppressed(true, None);
-        let s3 = push_one(&queue, &mut tl);
+        let s3 = push_one(&queue, false, &mut tl);
         assert!(!n.would_inject(s3, NotifyHint::SLEEP, 1));
         n.note_suppressed(true, None);
         // A waiter re-arms; its completion's irq flushes the batch of 3.
-        queue.publish_used_event(queue.used_seq());
-        let s4 = push_one(&queue, &mut tl);
+        let s4 = push_one(&queue, true, &mut tl);
         assert!(n.would_inject(s4, NotifyHint::SLEEP, 1));
         n.deliver_irq(&mut tl, None);
         let c = n.counters();
@@ -264,14 +255,12 @@ mod tests {
     fn msi_lost_keeps_the_completion_pending() {
         let (n, queue) = lane();
         let mut tl = Timeline::new();
-        queue.publish_used_event(queue.used_seq());
-        let s1 = push_one(&queue, &mut tl);
+        let s1 = push_one(&queue, true, &mut tl);
         assert!(n.would_inject(s1, NotifyHint::SLEEP, 1));
         n.note_msi_lost(); // the fault plan ate the MSI
         assert_eq!(n.counters().irqs_injected, 0);
         // The next injected irq delivers both.
-        queue.publish_used_event(queue.used_seq());
-        let s2 = push_one(&queue, &mut tl);
+        let s2 = push_one(&queue, true, &mut tl);
         assert!(n.would_inject(s2, NotifyHint::SLEEP, 1));
         n.deliver_irq(&mut tl, None);
         let c = n.counters();

@@ -386,6 +386,7 @@ impl VphiHost {
             config.reg_cache,
             config.rma,
         );
+        frontend.attach(backend.exit_handler());
         {
             let mut attached = self.attached.lock();
             attached.retain(|(_, backend)| backend.strong_count() > 0);

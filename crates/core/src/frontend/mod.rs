@@ -33,14 +33,14 @@ mod waiting;
 pub use slots::ReqToken;
 pub use waiting::{SpinBudget, WaitScheme};
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use vphi_scif::{ScifError, ScifResult, SqFlags};
 use vphi_sim_core::cost::KMALLOC_MAX_SIZE;
 use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_sync::{Counter, Flag, LockClass, TrackedMutex};
 use vphi_trace::{size_bucket, OpCtx, Stage, TraceCtx, TraceHook};
-use vphi_virtio::{Descriptor, VirtQueue};
+use vphi_virtio::{Descriptor, QueueError, VirtQueue};
 use vphi_vmm::kernel::KmallocBuf;
 use vphi_vmm::{Gpa, GuestKernel, TokenWaitQueue};
 
@@ -101,12 +101,12 @@ impl NotifyHint {
     }
 
     /// Whether the waiter spins until its reply lands (arms no interrupt).
-    pub fn spins_forever(self) -> bool {
+    fn spins_forever(self) -> bool {
         self.budget_ns == u64::MAX
     }
 
     /// This hint, counted under the bucket of a `payload_bytes` payload.
-    pub fn for_payload(self, payload_bytes: u64) -> NotifyHint {
+    fn for_payload(self, payload_bytes: u64) -> NotifyHint {
         NotifyHint { bucket: size_bucket(payload_bytes), ..self }
     }
 }
@@ -204,7 +204,11 @@ impl VphiChannel {
 
     fn route_epd(&self, epd: GuestEpd) -> usize {
         let h = vphi_sim_core::rng::SplitMix64::new(epd).next_u64();
-        (h % self.lanes.len() as u64) as usize
+        let n = self.lanes.len() as u64;
+        // A power-of-two lane count — one, the default, among them — takes
+        // the remainder as a mask: the same lane, without a division.
+        let lane = if n.is_power_of_two() { h & (n - 1) } else { h % n };
+        lane as usize
     }
 
     /// Mark the device gone and wake every sleeper so it can fail fast.
@@ -240,13 +244,14 @@ impl VphiChannel {
 
     /// Backend: deliver the completion and wake exactly its requester —
     /// if it sleeps.  (A blocking caller whose own thread ran the request
-    /// is not parked, and the wake finds nobody registered; it takes the
-    /// reply on its first check.)  The slot is `Completed` before the
-    /// directed wake, so a woken waiter's re-check always finds its reply.
+    /// is not parked: its completion goes through
+    /// [`complete_quiet`](Self::complete_quiet) and it takes the reply on
+    /// its first check.)  The slot is `Completed` before the directed
+    /// wake, so a woken waiter's re-check always finds its reply.
     /// A completion for a request its submitter abandoned frees the slot
     /// instead; one for a generation that is over is dropped.
     /// Returns whether a requester was there to be woken.
-    pub fn complete(&self, token: ReqToken, completion: Completion) -> bool {
+    pub fn complete(&self, token: ReqToken, completion: &Completion) -> bool {
         let woke =
             self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion)));
         if woke {
@@ -255,13 +260,13 @@ impl VphiChannel {
         woke
     }
 
-    /// Deliver a completion *without* waking anyone — models a lost
-    /// completion MSI: the reply sits on the ring until the requester's
-    /// deadline expires and its re-check finds it.
-    pub fn complete_quiet(&self, token: ReqToken, completion: Completion) {
-        if let Some(lane) = self.lane_of(token) {
-            lane.slots.finish(token, Some(completion));
-        }
+    /// Deliver a completion *without* waking anyone: its requester is the
+    /// calling thread (a blocking kicker running its own request), or its
+    /// MSI was lost — the reply sits in the slot until the requester's
+    /// deadline expires and its re-check finds it.  Returns whether a
+    /// requester was there to take it.
+    pub fn complete_quiet(&self, token: ReqToken, completion: &Completion) -> bool {
+        self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion)))
     }
 
     /// Backend: let go of `token` without a completion — the device died
@@ -299,21 +304,12 @@ impl std::fmt::Debug for VphiChannel {
     }
 }
 
-impl QueueLane {
-    /// Bind the prepared slot `token` to `head` and arm the used-event
-    /// threshold — both before the head is visible on the avail ring: the
-    /// backend may pop and claim the chain the instant it is published
-    /// (another requester's kick can have woken it), a claim that finds no
-    /// registered slot completes to nobody, and the backend's
-    /// inject-or-suppress decision must see this waiter's threshold, never
-    /// a stale one.  A pure spinner arms nothing (it needs no interrupt).
-    fn register(&self, token: ReqToken, head: u16, hint: NotifyHint) {
-        self.slots.register(token, head);
-        if !hint.spins_forever() {
-            self.queue.publish_used_event(self.queue.used_seq());
-        }
-    }
-}
+/// The device's handler for the kick vm-exit of a blocking caller
+/// (DESIGN.md #21): `(q, through, own)` drains lane `q` through avail
+/// index `through` on the calling thread, whose request is `own`, and
+/// reports whether it left chains on the ring for the lane's service
+/// thread.
+pub type ExitHandler = Arc<dyn Fn(usize, u64, ReqToken) -> bool + Send + Sync>;
 
 /// Per-driver counters for the waiting-scheme diagnostics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -449,6 +445,15 @@ fn with_chain<R>(headers: Headers, extra: &[Descriptor], f: impl FnOnce(&[Descri
     }
 }
 
+/// A chain the ring refused: a full table is `ENOMEM`; a corrupt used
+/// ring — the device side scribbled on it — is `EINVAL`.
+fn queue_error(e: QueueError) -> ScifError {
+    match e {
+        QueueError::Corrupt => ScifError::Inval,
+        QueueError::NoSpace | QueueError::EmptyChain => ScifError::NoMem,
+    }
+}
+
 /// Where a slot's two headers sit in its header buffer.
 #[derive(Clone, Copy)]
 struct Headers {
@@ -534,6 +539,9 @@ pub struct FrontendDriver {
     stats: StatCounters,
     /// Spin-budget EWMA table.
     policy: TrackedMutex<NotifyPolicy>,
+    /// The attached device's vm-exit handler.  Without one, a blocking
+    /// kick only rings the lane's service thread.
+    exit: OnceLock<ExitHandler>,
 }
 
 impl std::fmt::Debug for FrontendDriver {
@@ -578,7 +586,14 @@ impl FrontendDriver {
             chunk_size,
             stats: StatCounters::default(),
             policy: TrackedMutex::new(LockClass::NotifyPolicy, NotifyPolicy::default()),
+            exit: OnceLock::new(),
         })
+    }
+
+    /// Attach the device whose `handler` services a blocking caller's
+    /// vm-exit.  One-shot; returns `false` if a device is attached already.
+    pub fn attach(&self, handler: ExitHandler) -> bool {
+        self.exit.set(handler).is_ok()
     }
 
     /// The spin budget this request declares before its kick.
@@ -721,7 +736,10 @@ impl FrontendDriver {
         // check.  Only a lost kick, a busy lane or a worker-dispatched
         // request leaves something to sleep for.
         let wait = ctx.begin("wait-complete", Stage::Completion);
-        lane.queue.kick_blocking(sub.avail_idx, cost.vmexit_kick, ctx.tl);
+        lane.queue.kick_blocking(cost.vmexit_kick, ctx.tl, || match self.exit.get() {
+            Some(service) => service(sub.q, sub.avail_idx, sub.token),
+            None => true,
+        });
         let waited = self.wait_for_completion(lane, sub.token, BACKOFF_BASE, ctx.tl);
         let done = match waited {
             Ok(done) => done,
@@ -766,13 +784,20 @@ impl FrontendDriver {
 
         // Post: the slot carries the cross-boundary timeline, the trace
         // fork and the hint; `register` binds it to the chain's head
-        // inside the ring's critical section, before the head is visible.
+        // inside the ring's critical section, before the head is visible —
+        // the backend may pop and claim the chain the instant it is
+        // published (another requester's kick can have woken it), and a
+        // claim that finds no registered slot completes to nobody.  The
+        // same critical section arms the interrupt threshold, so the
+        // backend's inject-or-suppress decision sees this waiter's, never
+        // a stale one; a pure spinner arms nothing.
         let ring = ctx.begin("virtio-ring", Stage::VirtioRing);
         let hint = self.notify_hint(req, payload_bytes);
         self.prepare_slot(lane, token, hint, ctx.fork(), None);
+        let arm = !hint.spins_forever();
         let published = with_chain(headers, extra, |chain| {
-            lane.queue.publish_chain(chain, cost.ring_push, ctx.tl, |head| {
-                lane.register(token, head, hint)
+            lane.queue.publish_chain(chain, arm, cost.ring_push, ctx.tl, |head| {
+                lane.slots.register(token, head)
             })
         });
         ctx.end(ring);
@@ -780,9 +805,9 @@ impl FrontendDriver {
             Ok(avail_idx) => {
                 Ok(SubmittedOp { q, avail_idx, token, op: req.opcode(), payload_bytes })
             }
-            Err(_) => {
+            Err(e) => {
                 lane.slots.abandon(token);
-                Err(ScifError::NoMem)
+                Err(queue_error(e))
             }
         }
     }
@@ -824,19 +849,17 @@ impl FrontendDriver {
         slot
     }
 
-    /// Drain the used ring, decode the response and free the slot — the
-    /// tail every completed token runs, blocking or reaped.  The slot is
-    /// released only after its response buffer has been read: until then
-    /// nobody else may be handed it.  A corrupt used id means the device
-    /// side scribbled on the ring; surface it after the slot is released.
+    /// Decode the response and free the slot — the tail every completed
+    /// token runs, blocking or reaped.  The slot is released only after its
+    /// response buffer has been read: until then nobody else may be handed
+    /// it.  The used ring is not drained here: the next chain written on
+    /// the lane recycles the descriptors of every completed one.
     fn demarshal(&self, lane: &QueueLane, token: ReqToken) -> ScifResult<VphiResponse> {
-        let drained = lane.queue.take_used(|_| ());
         let mut resp_bytes = [0u8; RESP_SIZE];
         let read = lane.slots.headers(token).is_some_and(|buf| {
             self.kernel.mem().read(Headers::of(buf).resp, &mut resp_bytes).is_ok()
         });
         lane.slots.release(token);
-        drained.map_err(|_| ScifError::Inval)?;
         if !read {
             return Err(ScifError::Inval);
         }
@@ -1030,16 +1053,17 @@ impl FrontendDriver {
             canceled: false,
         };
         self.prepare_slot(lane, token, hint, ctx.fork(), Some(batch));
-        match with_chain(headers, &descs, |chain| lane.queue.prepare_chain(chain)) {
+        let arm = !hint.spins_forever();
+        match with_chain(headers, &descs, |chain| lane.queue.prepare_chain(chain, arm)) {
             Ok(head) => {
-                lane.register(token, head, hint);
+                lane.slots.register(token, head);
                 Ok((q, head, token))
             }
-            Err(_) => {
+            Err(e) => {
                 if let Some(batch) = lane.slots.abandon(token) {
                     self.free_staging(batch.staging);
                 }
-                Err(ScifError::NoMem)
+                Err(queue_error(e))
             }
         }
     }
@@ -1222,8 +1246,7 @@ impl FrontendDriver {
         chunk: &[u8],
         tl: &mut Timeline,
     ) -> ScifResult<(KmallocBuf, Descriptor)> {
-        let buf = self.kernel.kmalloc(chunk.len() as u64, tl).map_err(|_| ScifError::NoMem)?;
-        self.kernel.copy_from_user(buf, chunk, tl).map_err(|_| ScifError::Inval)?;
+        let buf = self.kernel.kmalloc_from_user(chunk, tl).map_err(|_| ScifError::NoMem)?;
         self.stats.chunks_sent.bump();
         Ok((buf, Descriptor::readable(buf.gpa.0, chunk.len() as u32)))
     }
@@ -1240,43 +1263,57 @@ impl FrontendDriver {
 
     /// Stage `data` into kmalloc chunks (≤ `KMALLOC_MAX_SIZE` each),
     /// returning the buffers and their descriptors.  Charges the
-    /// user→kernel copy.
+    /// user→kernel copy.  On error nothing stays allocated.
     pub fn stage_out(
         &self,
         data: &[u8],
         tl: &mut Timeline,
     ) -> ScifResult<(Vec<KmallocBuf>, Vec<Descriptor>)> {
-        let mut bufs = Vec::new();
-        let mut descs = Vec::new();
-        for chunk in data.chunks(self.chunk_size as usize) {
-            let (buf, desc) = self.stage_chunk_out(chunk, tl)?;
-            descs.push(desc);
-            bufs.push(buf);
-        }
-        Ok((bufs, descs))
+        self.stage(
+            data.chunks(self.chunk_size as usize),
+            |chunk, tl| self.stage_chunk_out(chunk, tl),
+            tl,
+        )
     }
 
     /// Allocate writable staging for an inbound transfer of `len` bytes.
+    /// On error nothing stays allocated.
     pub fn stage_in(
         &self,
         len: u64,
         tl: &mut Timeline,
     ) -> ScifResult<(Vec<KmallocBuf>, Vec<Descriptor>)> {
-        let mut bufs = Vec::new();
-        let mut descs = Vec::new();
-        let mut remaining = len;
-        while remaining > 0 {
-            let take = remaining.min(self.chunk_size);
-            let (buf, desc) = self.stage_chunk_in(take, tl)?;
-            descs.push(desc);
-            bufs.push(buf);
-            remaining -= take;
+        let chunks = (0..len).step_by(self.chunk_size as usize);
+        let chunks = chunks.map(|at| (len - at).min(self.chunk_size));
+        self.stage(chunks, |take, tl| self.stage_chunk_in(take, tl), tl)
+    }
+
+    /// Stage every chunk with `one`, freeing those already staged if one
+    /// fails.
+    fn stage<C>(
+        &self,
+        chunks: impl Iterator<Item = C>,
+        one: impl Fn(C, &mut Timeline) -> ScifResult<(KmallocBuf, Descriptor)>,
+        tl: &mut Timeline,
+    ) -> ScifResult<(Vec<KmallocBuf>, Vec<Descriptor>)> {
+        let (mut bufs, mut descs) = (Vec::new(), Vec::new());
+        for chunk in chunks {
+            match one(chunk, tl) {
+                Ok((buf, desc)) => {
+                    bufs.push(buf);
+                    descs.push(desc);
+                }
+                Err(e) => {
+                    self.free_staging(bufs);
+                    return Err(e);
+                }
+            }
         }
         Ok((bufs, descs))
     }
 
     /// Copy one staged inbound chunk back to the user buffer (as much of
-    /// it as `out` takes) and free it.
+    /// it as `out` takes) and free it, whether or not the copy succeeded.
     pub fn unstage_chunk(
         &self,
         buf: KmallocBuf,
@@ -1284,14 +1321,16 @@ impl FrontendDriver {
         tl: &mut Timeline,
     ) -> ScifResult<()> {
         let take = (buf.len as usize).min(out.len());
-        if take > 0 {
-            self.kernel.copy_to_user(&mut out[..take], buf, tl).map_err(|_| ScifError::Inval)?;
-        }
-        let _ = self.kernel.kfree(buf);
-        Ok(())
+        let copied = match take {
+            0 => self.kernel.kfree(buf),
+            _ => self.kernel.copy_to_user_and_free(&mut out[..take], buf, tl),
+        };
+        copied.map_err(|_| ScifError::Inval)
     }
 
-    /// Copy staged inbound data back to the user buffer and free staging.
+    /// Copy staged inbound data back to the user buffer and free staging —
+    /// all of it, even after a copy failed (the first failure is the
+    /// result).
     pub fn unstage(
         &self,
         bufs: Vec<KmallocBuf>,
@@ -1299,12 +1338,14 @@ impl FrontendDriver {
         tl: &mut Timeline,
     ) -> ScifResult<()> {
         let mut at = 0usize;
+        let mut copied = Ok(());
         for buf in bufs {
             let take = (buf.len as usize).min(out.len() - at);
-            self.unstage_chunk(buf, &mut out[at..at + take], tl)?;
+            let r = self.unstage_chunk(buf, &mut out[at..at + take], tl);
+            copied = copied.and(r);
             at += take;
         }
-        Ok(())
+        copied
     }
 
     /// Free outbound staging after the backend consumed it.
@@ -1349,11 +1390,7 @@ mod tests {
         kernel: Arc<GuestKernel>,
         q: usize,
     ) -> std::thread::JoinHandle<()> {
-        let queue = Arc::clone(channel.lane_queue(q));
-        let notifier = Arc::new(crate::backend::LaneNotifier::new(
-            kernel.cost().irq_inject,
-            Arc::clone(&queue),
-        ));
+        let notifier = Arc::new(crate::backend::LaneNotifier::new(kernel.cost().irq_inject));
         fake_backend_with(channel, kernel, q, notifier)
     }
 
@@ -1385,20 +1422,20 @@ mod tests {
                         .mem()
                         .write(vphi_vmm::Gpa(resp_desc.addr), &VphiResponse::ok(7, 8).encode())
                         .unwrap();
-                    let new_seq = queue.push_used(
+                    let crossed = queue.push_used(
                         vphi_virtio::UsedElem { id: chain.head, len: RESP_SIZE as u32 },
                         kernel.cost().used_push,
                         &mut tl,
                     );
                     let svc_ns = tl.total().as_nanos();
                     let slept = hint.sleeping_after(svc_ns);
-                    if notifier.would_inject(new_seq, hint, svc_ns) {
+                    if notifier.would_inject(crossed, hint, svc_ns) {
                         notifier.deliver_irq(&mut tl, None);
                     } else {
                         notifier.note_suppressed(slept, None);
                     }
                     notifier.account_wait(hint, svc_ns, None);
-                    channel.complete(token, Completion { tl, slept, svc_ns });
+                    channel.complete(token, &Completion { tl, slept, svc_ns });
                 }
             }
         })
@@ -1469,10 +1506,7 @@ mod tests {
     #[test]
     fn adaptive_learns_budgets_and_accounts_spin_burn() {
         let d = driver(WaitScheme::ADAPTIVE);
-        let notifier = Arc::new(crate::backend::LaneNotifier::new(
-            d.kernel().cost().irq_inject,
-            Arc::clone(&d.channel().queue),
-        ));
+        let notifier = Arc::new(crate::backend::LaneNotifier::new(d.kernel().cost().irq_inject));
         let backend = fake_backend_with(
             Arc::clone(d.channel()),
             Arc::clone(d.kernel()),
@@ -1596,7 +1630,7 @@ mod tests {
             mem.write(Gpa(resp.addr), &VphiResponse::ok(v, v).encode()).unwrap();
             let elem = vphi_virtio::UsedElem { id: chain.head, len: RESP_SIZE as u32 };
             lane.queue.push_used(elem, cost.used_push, &mut btl);
-            channel.complete(token, Completion { tl: btl, slept: false, svc_ns: 1 });
+            channel.complete(token, &Completion { tl: btl, slept: false, svc_ns: 1 });
         };
 
         // A request the backend claims and then sits on.
@@ -1621,7 +1655,7 @@ mod tests {
         answer(&first_chain, first.token, first_tl, 1);
         assert_eq!(channel.live_slots(), 1, "the abandoned slot is free, the second is not");
         assert!(d.try_take(lane, first.token, &mut tl).is_none());
-        channel.complete(first.token, Completion { tl: Timeline::new(), slept: true, svc_ns: 9 });
+        channel.complete(first.token, &Completion { tl: Timeline::new(), slept: true, svc_ns: 9 });
         assert_eq!(channel.live_slots(), 1, "a repeated completion frees nothing");
 
         // The second requester reads its own answer.
@@ -1637,7 +1671,7 @@ mod tests {
         assert_ne!(third.token, first.token);
         let (third_chain, claimed, third_tl) = claim_next();
         assert_eq!(claimed, third.token);
-        channel.complete(first.token, Completion { tl: Timeline::new(), slept: true, svc_ns: 9 });
+        channel.complete(first.token, &Completion { tl: Timeline::new(), slept: true, svc_ns: 9 });
         assert!(d.try_take(lane, third.token, &mut tl).is_none(), "a stale completion reached it");
         answer(&third_chain, third.token, third_tl, 3);
         assert!(d.try_take(lane, first.token, &mut tl).is_none());

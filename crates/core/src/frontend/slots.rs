@@ -101,12 +101,22 @@ impl SlotState {
     }
 }
 
-/// A slot's lock-free summary: `generation << 32 | head << 8 | state`.
+/// Word bit: the body carries a trace fork the backend takes at claim.
+const TRACED: u64 = 1 << 24;
+/// Word bit: the body keeps the batch bookkeeping of an owner that
+/// abandoned it, for the slot's next owner to free.
+const STALE: u64 = 1 << 25;
+
+/// A slot's lock-free summary: `generation << 32 | flags | head << 8 |
+/// state`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Word {
     generation: u32,
     head: u16,
     state: SlotState,
+    /// [`TRACED`] and [`STALE`]: whether claim, and prepare, must take the
+    /// body lock.
+    flags: u64,
 }
 
 impl Word {
@@ -115,11 +125,15 @@ impl Word {
             generation: (bits >> 32) as u32,
             head: (bits >> 8) as u16,
             state: SlotState::from_bits(bits),
+            flags: bits & (TRACED | STALE),
         }
     }
 
     fn pack(self) -> u64 {
-        u64::from(self.generation) << 32 | u64::from(self.head) << 8 | self.state as u64
+        u64::from(self.generation) << 32
+            | self.flags
+            | u64::from(self.head) << 8
+            | self.state as u64
     }
 
     fn with(self, state: SlotState) -> Word {
@@ -142,16 +156,15 @@ pub(super) struct BatchOp {
 }
 
 /// The lock-protected part of a slot.  Who writes what, by state:
-/// the requester fills `hint`, `trace` and `batch` in `Prepared`; the
-/// backend takes `trace` at `Claimed` and writes its timeline `tl`, with
-/// `slept` and `svc_ns`, at `Completed`; the requester reads those three
-/// and takes `batch` when it takes the completion.  `waits` outlives the
-/// slot's requests: what every completion taken from it had waited by.
+/// the requester fills `trace` and `batch` in `Prepared`; the backend
+/// takes `trace` at `Claimed` and writes its timeline `tl`, with `slept`
+/// and `svc_ns`, at `Completed`; the requester reads those three and takes
+/// `batch` when it takes the completion.  `waits` outlives the slot's
+/// requests: what every completion taken from it had waited by.
 pub(super) struct SlotBody {
     /// The backend's service timeline, valid at `Completed`.
     pub tl: Timeline,
     pub trace: TraceCtx,
-    pub hint: NotifyHint,
     pub slept: bool,
     pub svc_ns: u64,
     /// A batch entry's bookkeeping.  Left in place when the entry is
@@ -166,6 +179,11 @@ pub(super) struct SlotBody {
 /// One request slot.
 pub(super) struct RequestSlot {
     word: Published,
+    /// The notify hint, written by the requester before the word moves to
+    /// `Prepared` and read by the backend after it saw `Published`: its
+    /// spin budget and payload bucket.
+    budget_ns: Published,
+    bucket: Published,
     /// The slot's header buffer — the request header with the response
     /// header behind it — allocated the first time the slot is used and
     /// kept.
@@ -177,13 +195,14 @@ impl RequestSlot {
     fn new() -> Self {
         RequestSlot {
             word: Published::new(0),
+            budget_ns: Published::new(0),
+            bucket: Published::new(0),
             headers: OnceLock::new(),
             body: TrackedMutex::new(
                 LockClass::RequestSlot,
                 SlotBody {
                     tl: Timeline::new(),
                     trace: TraceCtx::default(),
-                    hint: NotifyHint::SLEEP,
                     slept: false,
                     svc_ns: 0,
                     batch: None,
@@ -197,11 +216,18 @@ impl RequestSlot {
         Word::unpack(self.word.load())
     }
 
-    /// Every transition out of `Published` is made under the body lock, so
-    /// the two holders cannot both believe they let go last; the word is
-    /// atomic only so that it can be *read* without the lock.
+    /// Every transition but an untraced claim is made under the body
+    /// lock, so the two holders cannot both believe they let go last.  The
+    /// one that is not — `Published` → `Claimed`, by compare-and-swap — is
+    /// the backend's; the only transition out of `Published` that can race
+    /// it is the requester's `abandon`, and either order leaves the slot
+    /// `Abandoned` for the backend to free.
     fn set(&self, word: Word) {
         self.word.store(word.pack());
+    }
+
+    fn hint(&self) -> NotifyHint {
+        NotifyHint { budget_ns: self.budget_ns.load(), bucket: self.bucket.load() as u8 }
     }
 }
 
@@ -321,17 +347,21 @@ impl SlotTable {
                 let block = self.blocks[i / BLOCK]
                     .get_or_init(|| Box::new(std::array::from_fn(|_| RequestSlot::new())));
                 let slot = &block[i % BLOCK];
-                let generation = slot.word().generation.wrapping_add(1).max(1);
-                slot.set(Word { generation, head: 0, state: SlotState::Free });
+                let word = slot.word();
+                let generation = word.generation.wrapping_add(1).max(1);
+                let flags = word.flags & STALE;
+                slot.set(Word { generation, head: 0, state: SlotState::Free, flags });
                 return Some((token_of(self.lane, i, generation), slot));
             }
         }
         None
     }
 
-    /// Requester: fill in the reserved slot's body.  Returns the batch
-    /// bookkeeping an abandoned previous owner left behind, whose staging
-    /// the caller frees.
+    /// Requester: fill in the reserved slot.  The hint needs no lock; the
+    /// body is locked only if there is something to put in it — a trace
+    /// fork, a batch entry's bookkeeping — or to take out: the batch an
+    /// abandoned previous owner left behind, which is returned for the
+    /// caller to free its staging.
     pub fn prepare(
         &self,
         token: ReqToken,
@@ -339,11 +369,19 @@ impl SlotTable {
         trace: TraceCtx,
         batch: Option<BatchOp>,
     ) -> Option<BatchOp> {
+        let (slot, word) = self.current(token)?;
+        slot.budget_ns.store(hint.budget_ns);
+        slot.bucket.store(u64::from(hint.bucket));
+        let traced = trace.is_armed();
+        if !traced && batch.is_none() && word.flags & STALE == 0 {
+            slot.set(Word { state: SlotState::Prepared, flags: 0, ..word });
+            return None;
+        }
         let (slot, mut body, word) = self.lock(token)?;
-        body.hint = hint;
         body.trace = trace;
         let stale = std::mem::replace(&mut body.batch, batch);
-        slot.set(word.with(SlotState::Prepared));
+        let flags = if traced { TRACED } else { 0 };
+        slot.set(Word { state: SlotState::Prepared, flags, ..word });
         stale
     }
 
@@ -368,39 +406,49 @@ impl SlotTable {
 
     /// Backend: take the request registered for `head` — its token, trace
     /// fork and notify hint.  `None` for a head nobody registered (a chain
-    /// published around the frontend).
+    /// published around the frontend).  Only a traced request's claim
+    /// locks the body, to take the fork out of it.
     pub fn claim(&self, head: u16) -> Option<(ReqToken, TraceCtx, NotifyHint)> {
         if !self.routes(head) {
             return None;
         }
         let i = self.head_slot[head as usize].load() as usize;
         let slot = self.get(i)?;
-        let mut body = slot.body.lock();
-        let word = slot.word();
-        if word.head != head {
-            return None;
+        loop {
+            let traced = slot.word().flags & TRACED != 0;
+            let body = traced.then(|| slot.body.lock());
+            let word = slot.word();
+            if word.head != head {
+                return None;
+            }
+            match word.state {
+                SlotState::Published if traced => slot.set(word.with(SlotState::Claimed)),
+                SlotState::Published => {
+                    let claimed = word.with(SlotState::Claimed).pack();
+                    if slot.word.compare_exchange_weak(word.pack(), claimed).is_err() {
+                        continue;
+                    }
+                }
+                // The requester gave up before the device got here; the
+                // chain still runs, and its completion frees the slot.
+                SlotState::Abandoned => {}
+                _ => return None,
+            }
+            let trace = body.map(|mut body| std::mem::take(&mut body.trace)).unwrap_or_default();
+            return Some((token_of(self.lane, i, word.generation), trace, slot.hint()));
         }
-        match word.state {
-            SlotState::Published => slot.set(word.with(SlotState::Claimed)),
-            // The requester gave up before the device got here; the chain
-            // still runs, and its completion frees the slot.
-            SlotState::Abandoned => {}
-            _ => return None,
-        }
-        let trace = std::mem::take(&mut body.trace);
-        Some((token_of(self.lane, i, word.generation), trace, body.hint))
     }
 
     /// Backend: let go of `token`'s slot, with a completion or (dead
     /// device) without one.  Returns whether a requester is still there to
     /// be told.
-    pub fn finish(&self, token: ReqToken, completion: Option<Completion>) -> bool {
+    pub fn finish(&self, token: ReqToken, completion: Option<&Completion>) -> bool {
         let Some((slot, mut body, word)) = self.lock(token) else { return false };
         match (word.state, completion) {
-            (SlotState::Claimed, Some(Completion { tl, slept, svc_ns })) => {
-                body.tl = tl;
-                body.slept = slept;
-                body.svc_ns = svc_ns;
+            (SlotState::Claimed, Some(done)) => {
+                body.tl.clone_from(&done.tl);
+                body.slept = done.slept;
+                body.svc_ns = done.svc_ns;
                 slot.set(word.with(SlotState::Completed));
                 true
             }
@@ -427,9 +475,10 @@ impl SlotTable {
     /// [`release`](SlotTable::release).  A token takes at most once.
     pub fn try_take<R>(&self, token: ReqToken, f: impl FnOnce(&mut SlotBody) -> R) -> Option<R> {
         // The usual answer — not yet — costs no lock.
-        self.current(token).filter(|(_, word)| word.state == SlotState::Completed)?;
-        let (slot, mut body, word) = self.lock(token)?;
-        if word.state != SlotState::Completed {
+        let (slot, _) = self.current(token).filter(|(_, w)| w.state == SlotState::Completed)?;
+        let mut body = slot.body.lock();
+        let word = slot.word();
+        if word.generation != token_generation(token) || word.state != SlotState::Completed {
             return None;
         }
         let r = f(&mut body);
@@ -457,13 +506,16 @@ impl SlotTable {
         match word.state {
             SlotState::Completed | SlotState::Retired | SlotState::Prepared => {
                 let batch = body.batch.take();
-                slot.set(word.with(SlotState::Free));
+                slot.set(Word { state: SlotState::Free, flags: word.flags & !STALE, ..word });
                 drop(body);
                 self.release_bit(token_slot(token));
                 batch
             }
             SlotState::Published | SlotState::Claimed => {
-                slot.set(word.with(SlotState::Abandoned));
+                // A batch entry's staging stays allocated while the backend
+                // can still write it; the slot's next owner frees it.
+                let flags = if body.batch.is_some() { word.flags | STALE } else { word.flags };
+                slot.set(Word { state: SlotState::Abandoned, flags, ..word });
                 None
             }
             SlotState::Free | SlotState::Abandoned => None,

@@ -14,7 +14,7 @@ use vphi_scif::{
     Cq, CqEntry, NodeId, Port, RmaFlags, Scif, ScifAddr, ScifError, ScifResult, SqFlags,
     SubmitToken,
 };
-use vphi_sim_core::Timeline;
+use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_sync::Flag;
 use vphi_trace::OpCtx;
 use vphi_virtio::Descriptor;
@@ -385,33 +385,7 @@ impl GuestScif {
     pub fn send_timed<'a>(&self, len: u64, ctx: impl Into<OpCtx<'a>>) -> ScifResult<u64> {
         let mut ctx = ctx.into();
         let root = ctx.adopt_root(&self.driver.channel().trace, "send_timed");
-        let r = (|ctx: &mut OpCtx<'_>| {
-            if len == 0 {
-                let req = VphiRequest::SendTimed { epd: self.epd, len: 0 };
-                return Ok(self.driver.simple(req, &mut *ctx)?.0);
-            }
-            let cost = self.driver.kernel().cost();
-            let mut sent = 0u64;
-            let mut remaining = len;
-            while remaining > 0 {
-                let chunk = remaining.min(self.driver.chunk_size());
-                // Staging: one kmalloc'd chunk plus the user→kernel copy.
-                let buf =
-                    self.driver.kernel().kmalloc(chunk, ctx.tl).map_err(|_| ScifError::NoMem)?;
-                ctx.tl.charge(vphi_sim_core::SpanLabel::GuestCopy, cost.cpu_copy(chunk));
-                let resp = self.driver.transact(
-                    &VphiRequest::SendTimed { epd: self.epd, len: chunk },
-                    &[],
-                    chunk,
-                    &mut *ctx,
-                );
-                let _ = self.driver.kernel().kfree(buf);
-                let (n, _) = resp?.into_result()?;
-                sent += n;
-                remaining -= chunk;
-            }
-            Ok(sent)
-        })(&mut ctx);
+        let r = self.timed(len, Direction::Send, &mut ctx);
         ctx.finish_root(root, len);
         r
     }
@@ -420,33 +394,48 @@ impl GuestScif {
     pub fn recv_timed<'a>(&self, len: u64, ctx: impl Into<OpCtx<'a>>) -> ScifResult<u64> {
         let mut ctx = ctx.into();
         let root = ctx.adopt_root(&self.driver.channel().trace, "recv_timed");
-        let r = (|ctx: &mut OpCtx<'_>| {
-            if len == 0 {
-                let req = VphiRequest::RecvTimed { epd: self.epd, len: 0 };
-                return Ok(self.driver.simple(req, &mut *ctx)?.0);
-            }
-            let cost = self.driver.kernel().cost();
-            let mut got = 0u64;
-            let mut remaining = len;
-            while remaining > 0 {
-                let chunk = remaining.min(self.driver.chunk_size());
-                let buf =
-                    self.driver.kernel().kmalloc(chunk, ctx.tl).map_err(|_| ScifError::NoMem)?;
-                let resp = self.driver.transact(
-                    &VphiRequest::RecvTimed { epd: self.epd, len: chunk },
-                    &[],
-                    chunk,
-                    &mut *ctx,
-                );
-                ctx.tl.charge(vphi_sim_core::SpanLabel::GuestCopy, cost.cpu_copy(chunk));
-                let _ = self.driver.kernel().kfree(buf);
-                let (n, _) = resp?.into_result()?;
-                got += n;
-                remaining -= chunk;
-            }
-            Ok(got)
-        })(&mut ctx);
+        let r = self.timed(len, Direction::Recv, &mut ctx);
         ctx.finish_root(root, len);
+        r
+    }
+
+    /// `len` bytes on the timed lane, one ring transaction per staging
+    /// chunk, each charged a kmalloc and a user↔kernel copy — the outbound
+    /// copy before its transaction, the inbound one after.  No byte is
+    /// moved, so one chunk of guest memory stages the whole call: it is
+    /// allocated once and freed on every way out.
+    fn timed(&self, len: u64, dir: Direction, ctx: &mut OpCtx<'_>) -> ScifResult<u64> {
+        let req = |len| match dir {
+            Direction::Send => VphiRequest::SendTimed { epd: self.epd, len },
+            Direction::Recv => VphiRequest::RecvTimed { epd: self.epd, len },
+        };
+        if len == 0 {
+            return Ok(self.driver.simple(req(0), &mut *ctx)?.0);
+        }
+        let kernel = self.driver.kernel();
+        let cost = kernel.cost();
+        let chunk_size = self.driver.chunk_size();
+        let buf = kernel.kmalloc(len.min(chunk_size), ctx.tl).map_err(|_| ScifError::NoMem)?;
+        let (mut staged, mut moved) = (0u64, 0u64);
+        let r = (|| {
+            while staged < len {
+                let chunk = (len - staged).min(chunk_size);
+                if staged > 0 {
+                    kernel.charge_kmalloc(ctx.tl);
+                }
+                if dir == Direction::Send {
+                    ctx.tl.charge(SpanLabel::GuestCopy, cost.cpu_copy(chunk));
+                }
+                let resp = self.driver.transact(&req(chunk), &[], chunk, &mut *ctx);
+                if dir == Direction::Recv {
+                    ctx.tl.charge(SpanLabel::GuestCopy, cost.cpu_copy(chunk));
+                }
+                moved += resp?.into_result()?.0;
+                staged += chunk;
+            }
+            Ok(moved)
+        })();
+        let _ = kernel.kfree(buf);
         r
     }
 
@@ -851,6 +840,13 @@ impl Scif for GuestScif {
     fn close(&self) {
         let _ = GuestScif::close(self, &mut Timeline::new());
     }
+}
+
+/// Which way a timed-lane call moves its bytes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Direction {
+    Send,
+    Recv,
 }
 
 fn prot_wire(p: vphi_scif::Prot) -> u8 {

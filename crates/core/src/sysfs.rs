@@ -22,6 +22,9 @@ use vphi_virtio::Descriptor;
 use crate::frontend::FrontendDriver;
 use crate::protocol::VphiRequest;
 
+/// Room the guest stages for the host's table.
+const TABLE_ROOM: u64 = 4096;
+
 /// The guest's view of one card's sysfs attributes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuestSysfs {
@@ -32,21 +35,32 @@ pub struct GuestSysfs {
 
 impl GuestSysfs {
     /// Fetch the host's table for `micN` through the paravirtual channel.
+    /// The 4 KiB response buffer is freed on every way out but one: a
+    /// request given up on (`EAGAIN`) leaves it to a backend that may be
+    /// slow rather than dead and still write it.
     pub fn fetch(
         driver: &Arc<FrontendDriver>,
         mic_index: u32,
         tl: &mut Timeline,
     ) -> ScifResult<GuestSysfs> {
-        // Stage a 4 KiB response buffer for the serialized table.
-        let buf = driver.kernel().kmalloc(4096, tl).map_err(|_| ScifError::NoMem)?;
-        let desc = Descriptor::writable(buf.gpa.0, 4096);
-        let resp = driver.transact(&VphiRequest::SysfsRead { mic_index }, &[desc], 0, tl)?;
-        let (len, _) = resp.into_result()?;
-        let mut bytes = vec![0u8; len as usize];
-        driver.kernel().mem().read(buf.gpa, &mut bytes).map_err(|_| ScifError::Inval)?;
-        let _ = driver.kernel().kfree(buf);
-        let text = String::from_utf8(bytes).map_err(|_| ScifError::Inval)?;
-        Ok(GuestSysfs { mic_index, text })
+        let kernel = driver.kernel();
+        let buf = kernel.kmalloc(TABLE_ROOM, tl).map_err(|_| ScifError::NoMem)?;
+        let desc = Descriptor::writable(buf.gpa.0, TABLE_ROOM as u32);
+        let text = driver.transact(&VphiRequest::SysfsRead { mic_index }, &[desc], 0, tl).and_then(
+            |resp| {
+                let (len, _) = resp.into_result()?;
+                if len > TABLE_ROOM {
+                    return Err(ScifError::Inval);
+                }
+                let mut bytes = vec![0u8; len as usize];
+                kernel.mem().read(buf.gpa, &mut bytes).map_err(|_| ScifError::Inval)?;
+                String::from_utf8(bytes).map_err(|_| ScifError::Inval)
+            },
+        );
+        if text != Err(ScifError::Again) {
+            let _ = kernel.kfree(buf);
+        }
+        Ok(GuestSysfs { mic_index, text: text? })
     }
 
     pub fn mic_index(&self) -> u32 {

@@ -78,7 +78,7 @@ fn run_one(num_queues: u16, seed: u64) -> HashMap<u64, Vec<u32>> {
                     let q = channel.route(&VphiRequest::Send { epd, len: seq });
                     let queue = channel.lane_queue(q);
                     let head = queue
-                        .prepare_chain(&[Descriptor::readable(epd, seq)])
+                        .prepare_chain(&[Descriptor::readable(epd, seq)], false)
                         .expect("ring has room");
                     queue.publish_avail(head, SimDuration::ZERO, &mut tl);
                     queue.kick(SimDuration::ZERO, &mut tl);

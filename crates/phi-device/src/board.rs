@@ -177,6 +177,12 @@ impl PhiBoard {
         self.sysfs.read().clone()
     }
 
+    /// The attribute table as text ([`SysfsInfo::text`]), made under the
+    /// lock without a copy of the table.
+    pub fn sysfs_text(&self) -> String {
+        self.sysfs.read().text()
+    }
+
     /// Fault-injection arming point (lockups, ECC, uOS panics).
     pub fn fault_hook(&self) -> &FaultHook {
         &self.faults

@@ -56,6 +56,20 @@ impl SysfsInfo {
         self.attrs.insert(key.to_string(), value.into());
     }
 
+    /// The table as text: one `key=value` line per attribute, in sorted
+    /// order — what a guest reads over vPHI.
+    pub fn text(&self) -> String {
+        let len = self.attrs.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
+        let mut text = String::with_capacity(len);
+        for (k, v) in &self.attrs {
+            text.push_str(k);
+            text.push('=');
+            text.push_str(v);
+            text.push('\n');
+        }
+        text
+    }
+
     /// All attributes in sorted order (as `ls /sys/class/mic/mic0` shows).
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.attrs.iter().map(|(k, v)| (k.as_str(), v.as_str()))
@@ -101,6 +115,13 @@ mod tests {
         assert!(!SysfsInfo::from_spec(&spec, 0, "offline").card_is_usable());
         let x200 = PhiSpec { family: "x200", ..spec };
         assert!(!SysfsInfo::from_spec(&x200, 0, "online").card_is_usable());
+    }
+
+    #[test]
+    fn text_is_one_sorted_line_per_attribute() {
+        let info = SysfsInfo::from_spec(&PhiSpec::phi_3120p(), 0, "online");
+        let lines: Vec<String> = info.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        assert_eq!(info.text(), lines.join("\n") + "\n");
     }
 
     #[test]

@@ -24,6 +24,11 @@ pub struct TraceCtx {
 }
 
 impl TraceCtx {
+    /// Whether this context records spans (it belongs to a trace).
+    pub fn is_armed(&self) -> bool {
+        self.inner.is_some()
+    }
+
     /// A clone whose next spans parent directly to the trace root — for
     /// stages (e.g. completion delivery) that are siblings of the subtree
     /// this context currently sits in, not children of it.

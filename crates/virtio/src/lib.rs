@@ -15,10 +15,11 @@
 //!   under one lock, with a guest-side API (`add_chain`, `take_used`) and
 //!   a device-side API (`pop_avail`, `push_used`), and its kick doorbell
 //!   (guest → device).  The device → guest interrupt is decided outside
-//!   the queue, from the EVENT_IDX `used_event`/`used_seq` pair it carries.
+//!   the queue, from whether a push crossed the EVENT_IDX `used_event`
+//!   threshold the guest armed.
 
 pub mod queue;
 pub mod ring;
 
-pub use queue::{need_event, Popped, QueueCounters, QueueError, VirtQueue};
+pub use queue::{Popped, QueueCounters, QueueError, VirtQueue};
 pub use ring::{DescChain, DescFlags, Descriptor, UsedElem};

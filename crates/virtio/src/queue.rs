@@ -1,18 +1,19 @@
 //! The split virtqueue.
 //!
-//! One lock protects the descriptor table, avail ring, used ring and the
-//! free-descriptor list.  Guest-side and device-side APIs are both on
-//! [`VirtQueue`]; in the vPHI stack the frontend driver holds the guest
-//! side and the QEMU backend the device side of the *same* queue — a
-//! shared-memory structure, exactly as in Fig. 2 of the paper.
+//! One lock protects the descriptor table, avail ring, used ring, the
+//! free-descriptor list and the EVENT_IDX pair.  Guest-side and
+//! device-side APIs are both on [`VirtQueue`]; in the vPHI stack the
+//! frontend driver holds the guest side and the QEMU backend the device
+//! side of the *same* queue — a shared-memory structure, exactly as in
+//! Fig. 2 of the paper.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
 use vphi_pcie::Doorbell;
 use vphi_sim_core::{SpanLabel, Timeline};
-use vphi_sync::{Counter, LockClass, Sequenced, TrackedMutex, TrackedRole};
+use vphi_sync::{Counter, LockClass, Published, TrackedMutex, TrackedRole};
 
 use crate::ring::{DescChain, Descriptor, UsedElem};
 
@@ -51,17 +52,30 @@ struct QueueState {
     /// published.
     last_avail_idx: u64,
     used: VecDeque<UsedElem>,
+    /// Completions ever pushed onto the used ring (the EVENT_IDX "new"
+    /// index).
+    used_seq: u64,
+    /// The guest's interrupt threshold (`VIRTIO_F_EVENT_IDX` `used_event`):
+    /// the device need only interrupt when `used_seq` crosses it.  Armed
+    /// and compared under the ring lock, so a push either sees a waiter's
+    /// threshold or was made before the waiter's chain was published — the
+    /// "suppressed but sleeping" race cannot happen (DESIGN.md #16).
+    used_event: u64,
 }
 
 impl QueueState {
     /// Write `descriptors` into free table entries, linked in order, and
-    /// return the head index.  Entries come off the free stack in pop
-    /// order; nothing is allocated.
-    fn write_chain(&mut self, descriptors: &[Descriptor]) -> Result<u16, QueueError> {
+    /// return the head index, arming the interrupt threshold at the
+    /// present used index if `arm`.  The descriptors of every completion
+    /// on the used ring are recycled first, so a driver that needs nothing
+    /// from its completions never drains the ring itself.  Entries come
+    /// off the free stack in pop order; nothing is allocated.
+    fn write_chain(&mut self, descriptors: &[Descriptor], arm: bool) -> Result<u16, QueueError> {
         let n = descriptors.len();
         if n == 0 {
             return Err(QueueError::EmptyChain);
         }
+        self.reclaim(|_| ())?;
         if self.free.len() < n {
             return Err(QueueError::NoSpace);
         }
@@ -77,7 +91,30 @@ impl QueueState {
         }
         let head = self.free[top];
         self.free.truncate(top + 1 - n);
+        if arm {
+            self.used_event = self.used_seq;
+        }
         Ok(head)
+    }
+
+    /// Drain completed chains from the used ring in order, releasing their
+    /// descriptors and showing each element to `each`.  An out-of-range
+    /// `id` or `next` link is guest-visible ring corruption and ends the
+    /// drain; a missing (already freed) entry just stops that chain's walk.
+    fn reclaim(&mut self, mut each: impl FnMut(UsedElem)) -> Result<(), QueueError> {
+        while let Some(u) = self.used.pop_front() {
+            let mut i = self.idx(u.id)?;
+            while let Some(d) = self.table[i].take() {
+                self.free.push(i as u16);
+                if d.flags.next {
+                    i = self.idx(d.next)?;
+                } else {
+                    break;
+                }
+            }
+            each(u);
+        }
+        Ok(())
     }
 
     /// Bounds-check a guest-controlled descriptor index (`avail` head,
@@ -109,12 +146,6 @@ pub struct QueueCounters {
     pub chains_popped: u64,
 }
 
-/// The device's handler for a kick vm-exit taken by a blocking caller:
-/// drains the avail ring through the given avail index, on the calling
-/// thread, and reports whether it left chains on the ring for the service
-/// thread.
-pub type ExitHandler = Box<dyn Fn(u64) -> bool + Send + Sync>;
-
 /// A popped chain and what the pop left on the avail ring, read under the
 /// same lock acquisition — so a drain pass knows whether to pop again, and
 /// a kicker whether to ring the service thread, without asking the ring a
@@ -134,12 +165,10 @@ pub struct VirtQueue {
     state: TrackedMutex<QueueState>,
     /// Guest → device "avail ring has work".  Device → guest
     /// notification is not here by design: a used-buffer interrupt is
-    /// decided by the backend's `LaneNotifier`, from the EVENT_IDX pair
-    /// this queue carries, so the suppression decision has one owner.
+    /// decided by the backend's `LaneNotifier`, from whether a push
+    /// crossed the EVENT_IDX threshold, so the suppression decision has
+    /// one owner.
     pub doorbell: Doorbell,
-    /// Set once by the device at start; see
-    /// [`kick_blocking`](VirtQueue::kick_blocking).
-    exit_handler: OnceLock<ExitHandler>,
     /// Who is draining the avail ring right now: the device's service
     /// thread for this queue, or a blocking kicker.  Held for a whole
     /// drain pass — pops and the request handlers — so chains are
@@ -147,11 +176,8 @@ pub struct VirtQueue {
     pub executor: TrackedRole,
     faults: FaultHook,
     kicks: Counter,
-    /// Monotonic count of used-ring pushes (the EVENT_IDX "new" index).
-    used_seq: Sequenced,
-    /// Guest-published interrupt threshold (`VIRTIO_F_EVENT_IDX`): the
-    /// device need only interrupt when `used_seq` crosses this value.
-    used_event: Sequenced,
+    /// `used_seq` as of the last push, for readers that take no lock.
+    completed: Published,
 }
 
 impl std::fmt::Debug for VirtQueue {
@@ -173,15 +199,15 @@ impl VirtQueue {
                     avail: VecDeque::new(),
                     last_avail_idx: 0,
                     used: VecDeque::new(),
+                    used_seq: 0,
+                    used_event: 0,
                 },
             ),
             doorbell: Doorbell::new(),
-            exit_handler: OnceLock::new(),
             executor: TrackedRole::new(LockClass::LaneExecutor),
             faults: FaultHook::new(),
             kicks: Counter::new(0),
-            used_seq: Sequenced::new(0),
-            used_event: Sequenced::new(0),
+            completed: Published::new(0),
         })
     }
 
@@ -217,7 +243,7 @@ impl VirtQueue {
         tl: &mut Timeline,
     ) -> Result<u16, QueueError> {
         #[expect(clippy::disallowed_methods, reason = "the queue composes its own calls")]
-        let head = self.prepare_chain(descriptors)?;
+        let head = self.prepare_chain(descriptors, false)?;
         #[expect(clippy::disallowed_methods, reason = "the queue composes its own calls")]
         self.publish_avail(head, cost_ring_push, tl);
         Ok(head)
@@ -231,30 +257,33 @@ impl VirtQueue {
     /// keyed by the head (the vPHI channel's request slots) does so
     /// between this call and [`publish_avail`](VirtQueue::publish_avail);
     /// publishing first races a device woken by *another* thread's kick.
-    pub fn prepare_chain(&self, descriptors: &[Descriptor]) -> Result<u16, QueueError> {
-        self.state.lock().write_chain(descriptors)
+    /// A driver that will sleep on the chain's completion `arm`s the
+    /// interrupt threshold here, before the chain can complete.
+    pub fn prepare_chain(&self, descriptors: &[Descriptor], arm: bool) -> Result<u16, QueueError> {
+        self.state.lock().write_chain(descriptors, arm)
     }
 
     /// [`prepare_chain`](VirtQueue::prepare_chain) and
     /// [`publish_avail`](VirtQueue::publish_avail) as one critical
     /// section, for a driver that publishes one chain at a time.  The
     /// ordering rule is unchanged: `register` runs with the head known and
-    /// the descriptors written but *before* the head is visible on the
-    /// avail ring, so head-keyed bookkeeping (and the `used_event`
-    /// threshold) is in place when the device — possibly already running,
+    /// the descriptors written (and the threshold armed, if `arm`) but
+    /// *before* the head is visible on the avail ring, so head-keyed
+    /// bookkeeping is in place when the device — possibly already running,
     /// woken by another thread's kick — pops the chain.  It runs under the
     /// ring lock and must not block or touch the ring.  Returns the
     /// chain's avail index; charges one `RingPush`.
     pub fn publish_chain(
         &self,
         descriptors: &[Descriptor],
+        arm: bool,
         cost_ring_push: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
         register: impl FnOnce(u16),
     ) -> Result<u64, QueueError> {
         let avail_idx = {
             let mut st = self.state.lock();
-            let head = st.write_chain(descriptors)?;
+            let head = st.write_chain(descriptors, arm)?;
             register(head);
             st.avail.push_back(head);
             st.last_avail_idx + st.avail.len() as u64
@@ -331,86 +360,47 @@ impl VirtQueue {
         self.vmexit(cost_vmexit, tl, || true)
     }
 
-    /// The kick of a caller that will do nothing but wait for the chain it
-    /// published at avail index `through`.  The vm-exit is the same as
-    /// [`kick`](VirtQueue::kick)'s — same charge, count and loss sites —
-    /// but a delivered one is serviced the way a KVM exit is, on the
-    /// thread that took it: the device's
-    /// [exit handler](VirtQueue::set_exit_handler) drains the ring in FIFO
-    /// order up to and including `through`, so the caller never executes
-    /// work that was not ahead of it.  Whatever is on the ring afterwards
-    /// — published behind the caller's chain, or all of it, if the handler
-    /// found the queue's executor busy and left — is handed to the service
-    /// thread on the way out.  With no handler registered this is `kick`.
+    /// The kick of a caller that will do nothing but wait for a chain it
+    /// published.  The vm-exit is the same as [`kick`](VirtQueue::kick)'s
+    /// — same charge, count and loss sites — but a delivered one is
+    /// serviced the way a KVM exit is, on the thread that took it:
+    /// `service` is the device's exit handler, which drains the ring in
+    /// FIFO order up to and including the caller's chain, so the caller
+    /// never executes work that was not ahead of it, and reports whether
+    /// chains are left on the ring.  Those — published behind the caller's
+    /// chain, or all of it, if the handler found the queue's executor busy
+    /// and left — are handed to the service thread on the way out.
     pub fn kick_blocking(
         &self,
-        through: u64,
         cost_vmexit: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
+        service: impl FnOnce() -> bool,
     ) {
-        self.vmexit(cost_vmexit, tl, || match self.exit_handler.get() {
-            Some(service) => service(through),
-            None => true,
-        })
+        self.vmexit(cost_vmexit, tl, service)
     }
 
     /// Drain completed chains from the used ring in order, releasing
     /// their descriptors and showing each element to `each`.  An
     /// out-of-range `id` or `next` link is guest-visible ring corruption
     /// and ends the drain; a missing (already freed) entry just stops that
-    /// chain's walk.
-    pub fn take_used(&self, mut each: impl FnMut(UsedElem)) -> Result<(), QueueError> {
-        let mut st = self.state.lock();
-        while let Some(u) = st.used.pop_front() {
-            let mut i = st.idx(u.id)?;
-            while let Some(d) = st.table[i].take() {
-                st.free.push(i as u16);
-                if d.flags.next {
-                    i = st.idx(d.next)?;
-                } else {
-                    break;
-                }
-            }
-            each(u);
-        }
-        Ok(())
+    /// chain's walk.  (Writing a chain does the same first, so a driver
+    /// that needs nothing from its completions never calls this.)
+    pub fn take_used(&self, each: impl FnMut(UsedElem)) -> Result<(), QueueError> {
+        self.state.lock().reclaim(each)
     }
 
     /// Whether completions are waiting.
-    pub fn used_pending(&self) -> bool {
+    #[cfg(test)]
+    fn used_pending(&self) -> bool {
         !self.state.lock().used.is_empty()
-    }
-
-    /// Publish the guest's interrupt threshold (`VIRTIO_F_EVENT_IDX`
-    /// `used_event`).  A waiter about to sleep stores the used index it
-    /// has already observed; the device interrupts only when a push
-    /// *crosses* it.  `SeqCst` pairs with the device's `SeqCst` load in
-    /// [`push_used`](VirtQueue::push_used): either the device sees the
-    /// threshold (and interrupts), or the waiter's pre-sleep recheck sees
-    /// the completion — the "suppressed but sleeping" race cannot happen
-    /// (DESIGN.md #16).
-    pub fn publish_used_event(&self, used_event: u64) {
-        self.used_event.store(used_event);
-    }
-
-    /// The used index the guest last armed an interrupt for.
-    pub fn used_event(&self) -> u64 {
-        self.used_event.load()
     }
 
     /// Monotonic count of completions pushed onto the used ring.
     pub fn used_seq(&self) -> u64 {
-        self.used_seq.load()
+        self.completed.load()
     }
 
     // ---- device (backend) side ---------------------------------------------
-
-    /// Register the handler [`kick_blocking`](VirtQueue::kick_blocking)
-    /// runs on the kicking thread.  One-shot (the device sets it when it
-    /// starts); returns `false` if one was already registered.
-    pub fn set_exit_handler(&self, handler: ExitHandler) -> bool {
-        self.exit_handler.set(handler).is_ok()
-    }
 
     /// Pop the next available chain, resolving its descriptors.
     pub fn pop_avail(&self) -> Result<Option<DescChain>, QueueError> {
@@ -459,28 +449,30 @@ impl VirtQueue {
         self.doorbell.wait()
     }
 
-    /// Push a completion and fire the guest interrupt unless suppressed.
-    /// Charges `UsedPush` (and the IRQ callback charges its own spans).
-    /// Returns the queue's new used index; callers running the EVENT_IDX
-    /// protocol compare it against [`used_event`](VirtQueue::used_event)
-    /// with [`need_event`] to decide whether an interrupt is due.  The
-    /// `used_seq` bump is `SeqCst` so it is ordered after the elem becomes
-    /// visible and pairs with the waiter's pre-sleep threshold publish.
+    /// Push a completion and charge `UsedPush`.  Returns whether the push
+    /// crossed the interrupt threshold the guest armed (EVENT_IDX's
+    /// `vring_need_event`, under the same lock as the push): a caller that
+    /// notifies the guest interrupts only if it did.
     pub fn push_used(
         &self,
         elem: UsedElem,
         cost_used_push: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
-    ) -> u64 {
-        self.state.lock().used.push_back(elem);
-        let new_seq = self.used_seq.fetch_add(1) + 1;
+    ) -> bool {
+        let crossed = {
+            let mut st = self.state.lock();
+            st.used.push_back(elem);
+            st.used_seq = st.used_seq.wrapping_add(1);
+            self.completed.store(st.used_seq);
+            need_event(st.used_event, st.used_seq, st.used_seq.wrapping_sub(1))
+        };
         tl.charge(SpanLabel::UsedPush, cost_used_push);
         // An injected used-ring delay holds the completion for `param` µs
         // before the interrupt path runs.
         if let Some(delay_us) = self.faults.fire(FaultSite::VirtioUsedDelay) {
             tl.charge(SpanLabel::UsedPush, vphi_sim_core::SimDuration::from_micros(delay_us));
         }
-        new_seq
+        crossed
     }
 
     /// Shut the queue down: wakes any device thread blocked in
@@ -496,7 +488,7 @@ impl VirtQueue {
 /// across index wrap-around.  For a single push (`old == new - 1`) this
 /// reduces to `new == event + 1`: interrupt exactly when the push lands on
 /// the index the guest said it was waiting past.
-pub fn need_event(event: u64, new: u64, old: u64) -> bool {
+fn need_event(event: u64, new: u64, old: u64) -> bool {
     new.wrapping_sub(event).wrapping_sub(1) < new.wrapping_sub(old)
 }
 
@@ -571,13 +563,12 @@ mod tests {
     fn push_used_queues_the_completion_without_a_side_channel() {
         // No interrupt fires here by construction: the queue has no
         // notification callback at all — delivery is the LaneNotifier's
-        // decision, made from `used_seq` and `used_event` alone.
+        // decision, made from whether the push crossed the threshold.
         let q = VirtQueue::new(4);
         let mut tl = Timeline::new();
         let head = q.add_chain(&[Descriptor::readable(0, 1)], PUSH, &mut tl).unwrap();
         q.pop_avail().unwrap().unwrap();
-        let seq = q.push_used(UsedElem { id: head, len: 0 }, PUSH, &mut tl);
-        assert_eq!(seq, 1);
+        q.push_used(UsedElem { id: head, len: 0 }, PUSH, &mut tl);
         assert!(q.used_pending());
         assert_eq!(q.used_seq(), 1);
     }
@@ -586,10 +577,10 @@ mod tests {
     fn avail_indices_count_publishes_and_bound_the_pops() {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
-        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)]).unwrap();
+        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)], false).unwrap();
         assert_eq!(q.publish_avail(h1, PUSH, &mut tl), 1);
-        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)]).unwrap();
-        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)]).unwrap();
+        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)], false).unwrap();
+        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
         assert_eq!(q.publish_avail_batch(&[h2, h3], PUSH, &mut tl), 3);
         // Through index 2: the first two chains in ring order, not the
         // third, however often asked.
@@ -601,7 +592,7 @@ mod tests {
         assert_eq!(q.pop_avail_through(1).unwrap(), None);
         assert_eq!(q.pop_avail().unwrap().unwrap().head, h3);
         // Indices keep counting across an empty ring.
-        let h4 = q.prepare_chain(&[Descriptor::readable(0x4, 1)]).unwrap();
+        let h4 = q.prepare_chain(&[Descriptor::readable(0x4, 1)], false).unwrap();
         assert_eq!(q.publish_avail(h4, PUSH, &mut tl), 4);
     }
 
@@ -631,6 +622,7 @@ mod tests {
         let idx = q
             .publish_chain(
                 &[Descriptor::readable(0x1000, 8), Descriptor::writable(0x2000, 8)],
+                false,
                 PUSH,
                 &mut tl,
                 |head| registered = Some(head),
@@ -645,7 +637,7 @@ mod tests {
         let too_long = [Descriptor::readable(0, 1); 3];
         let mut called = false;
         assert_eq!(
-            q.publish_chain(&too_long, PUSH, &mut tl, |_| called = true),
+            q.publish_chain(&too_long, false, PUSH, &mut tl, |_| called = true),
             Err(QueueError::NoSpace)
         );
         assert!(!called && !q.avail_pending());
@@ -655,27 +647,24 @@ mod tests {
     #[test]
     fn blocking_kick_runs_the_exit_handler_on_the_kicking_thread() {
         let q = VirtQueue::new(8);
-        let seen = Arc::new(TrackedMutex::new(LockClass::TestInner, Vec::new()));
-        let (q2, seen2) = (Arc::downgrade(&q), Arc::clone(&seen));
-        assert!(q.set_exit_handler(Box::new(move |through| {
-            let q = q2.upgrade().unwrap();
+        let seen = TrackedMutex::new(LockClass::TestInner, Vec::new());
+        let handler = |through| {
             let mut left = q.avail_pending();
             while let Ok(Some(popped)) = q.pop_avail_bounded(through) {
-                seen2.lock().push((std::thread::current().id(), popped.chain.head));
+                seen.lock().push((std::thread::current().id(), popped.chain.head));
                 left = popped.left_on_ring;
                 if !popped.more_in_bound {
                     break;
                 }
             }
             left
-        })));
-        assert!(!q.set_exit_handler(Box::new(|_| false)), "the handler is set once");
+        };
         let mut tl = Timeline::new();
-        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)]).unwrap();
+        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)], false).unwrap();
         let mine = q.publish_avail(h1, PUSH, &mut tl);
-        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)]).unwrap();
+        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)], false).unwrap();
         q.publish_avail(h2, PUSH, &mut tl);
-        q.kick_blocking(mine, KICK, &mut tl);
+        q.kick_blocking(KICK, &mut tl, || handler(mine));
         // The same vm-exit as `kick`: one charge, one counted kick.
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
         assert_eq!(q.counters().kicks, 1);
@@ -685,30 +674,20 @@ mod tests {
         assert!(q.avail_pending());
         assert!(q.doorbell.try_consume());
         // Nothing left behind: no ring.
-        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)]).unwrap();
+        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
         q.pop_avail().unwrap().unwrap();
         let mine = q.publish_avail(h3, PUSH, &mut tl);
-        q.kick_blocking(mine, KICK, &mut tl);
+        q.kick_blocking(KICK, &mut tl, || handler(mine));
         assert!(!q.doorbell.try_consume());
         assert_eq!(seen.lock().len(), 2);
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK * 2);
     }
 
     #[test]
-    fn blocking_kick_without_a_handler_rings_the_doorbell() {
-        let q = VirtQueue::new(4);
-        let mut tl = Timeline::new();
-        q.add_chain(&[Descriptor::readable(0, 4)], PUSH, &mut tl).unwrap();
-        q.kick_blocking(1, KICK, &mut tl);
-        assert!(q.wait_kick());
-        assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
-    }
-
-    #[test]
     fn prepared_chain_is_invisible_until_published() {
         let q = VirtQueue::new(4);
         let mut tl = Timeline::new();
-        let head = q.prepare_chain(&[Descriptor::readable(0, 8)]).unwrap();
+        let head = q.prepare_chain(&[Descriptor::readable(0, 8)], false).unwrap();
         // Descriptors are allocated but the device side sees nothing —
         // the window where the driver registers head-keyed bookkeeping.
         assert_eq!(q.free_descriptors(), 3);
@@ -724,9 +703,9 @@ mod tests {
     fn batch_publish_preserves_order_and_charges_per_entry() {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
-        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)]).unwrap();
-        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)]).unwrap();
-        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)]).unwrap();
+        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)], false).unwrap();
+        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)], false).unwrap();
+        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
         assert!(!q.avail_pending());
         q.publish_avail_batch(&[h1, h2, h3], PUSH, &mut tl);
         // One ring store per entry — the batch amortizes the kick, not
@@ -821,24 +800,47 @@ mod tests {
     }
 
     #[test]
-    fn used_seq_counts_pushes_and_used_event_round_trips() {
+    fn a_push_crosses_the_threshold_armed_before_it() {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
-        assert_eq!(q.used_seq(), 0);
-        assert_eq!(q.used_event(), 0);
-        let h1 = q.add_chain(&[Descriptor::readable(0x1, 1)], PUSH, &mut tl).unwrap();
-        q.pop_avail().unwrap().unwrap();
-        assert_eq!(q.push_used(UsedElem { id: h1, len: 0 }, PUSH, &mut tl), 1);
-        q.take_used(|_| ()).unwrap();
-        q.publish_used_event(1);
-        assert_eq!(q.used_event(), 1);
-        let h2 = q.add_chain(&[Descriptor::readable(0x2, 1)], PUSH, &mut tl).unwrap();
-        q.pop_avail().unwrap().unwrap();
-        let seq = q.push_used(UsedElem { id: h2, len: 0 }, PUSH, &mut tl);
-        assert_eq!(seq, 2);
-        assert_eq!(q.used_seq(), 2);
-        // The second push crossed the armed threshold of 1.
-        assert!(need_event(q.used_event(), seq, seq - 1));
+        let publish = |arm: bool, tl: &mut Timeline| {
+            let head = q.prepare_chain(&[Descriptor::readable(0x1, 1)], arm).unwrap();
+            q.publish_avail(head, PUSH, tl);
+            q.pop_avail().unwrap().unwrap().head
+        };
+        // Armed at 0: the push to 1 crosses.
+        let h1 = publish(true, &mut tl);
+        assert!(q.push_used(UsedElem { id: h1, len: 0 }, PUSH, &mut tl));
+        // Nobody re-armed: the push to 2 is past the threshold and batches.
+        let h2 = publish(false, &mut tl);
+        assert!(!q.push_used(UsedElem { id: h2, len: 0 }, PUSH, &mut tl));
+        // Armed at 2 while a chain published unarmed is still out: the
+        // first push after the arming crosses, whichever chain it completes.
+        let h3 = publish(false, &mut tl);
+        let h4 = publish(true, &mut tl);
+        assert!(q.push_used(UsedElem { id: h3, len: 0 }, PUSH, &mut tl));
+        assert!(!q.push_used(UsedElem { id: h4, len: 0 }, PUSH, &mut tl));
+        assert_eq!(q.used_seq(), 4);
+    }
+
+    #[test]
+    fn writing_a_chain_recycles_the_completed_ones_first() {
+        let q = VirtQueue::new(4);
+        let mut tl = Timeline::new();
+        let two = [Descriptor::readable(0x1, 1), Descriptor::writable(0x2, 1)];
+        let head = q.add_chain(&two, PUSH, &mut tl).unwrap();
+        q.add_chain(&two, PUSH, &mut tl).unwrap();
+        assert_eq!(q.free_descriptors(), 0);
+        assert_eq!(q.pop_avail().unwrap().unwrap().head, head);
+        q.push_used(UsedElem { id: head, len: 0 }, PUSH, &mut tl);
+        // The table is full until a write reclaims the completed chain.
+        assert_eq!(q.free_descriptors(), 0);
+        q.add_chain(&two, PUSH, &mut tl).unwrap();
+        assert_eq!(q.free_descriptors(), 0);
+        assert!(!q.used_pending());
+        // A corrupt completion fails the write that finds it.
+        q.push_used(UsedElem { id: 9, len: 0 }, PUSH, &mut tl);
+        assert_eq!(q.prepare_chain(&two, false), Err(QueueError::Corrupt));
     }
 
     #[test]

@@ -18,7 +18,7 @@ enum QOp {
     Pop,
     /// Device: complete the oldest popped chain.
     PushUsed,
-    /// Guest: drain the used ring.
+    /// Guest: drain the used ring (writing a chain also does).
     TakeUsed,
 }
 
@@ -52,6 +52,9 @@ proptest! {
         for op in ops {
             match op {
                 QOp::Add(n) => {
+                    // Writing a chain recycles every completed one first.
+                    free += used.iter().map(|&(_, n)| n).sum::<usize>();
+                    used.clear();
                     let descs: Vec<Descriptor> = (0..n)
                         .map(|i| Descriptor::readable(0x1000 * (i as u64 + 1), 64))
                         .collect();

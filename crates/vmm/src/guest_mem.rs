@@ -13,7 +13,7 @@ use vphi_sync::{LockClass, TrackedMutex};
 pub struct Gpa(pub u64);
 
 impl Gpa {
-    pub fn page(self) -> u64 {
+    fn page(self) -> u64 {
         self.0 / PAGE_SIZE
     }
 
@@ -103,22 +103,32 @@ impl GuestMemory {
     /// (page-rounded).  This is what backs both guest kmalloc and the
     /// virtio rings.
     pub fn alloc(&self, len: u64) -> Result<Gpa, GuestMemError> {
+        self.alloc_with(len, |_| ())
+    }
+
+    /// [`alloc`](Self::alloc) `len` bytes and run `fill` over them, in one
+    /// critical section.
+    pub fn alloc_with(&self, len: u64, fill: impl FnOnce(&mut [u8])) -> Result<Gpa, GuestMemError> {
         if len == 0 {
             return Err(GuestMemError::EmptyRequest);
         }
-        let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        let rounded = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
         let mut st = self.state.lock();
         // First fit, lowest address.
-        let i =
-            st.free.iter().position(|&(_, flen)| flen >= len).ok_or(GuestMemError::OutOfMemory)?;
+        let i = st
+            .free
+            .iter()
+            .position(|&(_, flen)| flen >= rounded)
+            .ok_or(GuestMemError::OutOfMemory)?;
         let (off, flen) = st.free[i];
-        if flen == len {
+        if flen == rounded {
             st.free.remove(i);
         } else {
-            st.free[i] = (off + len, flen - len);
+            st.free[i] = (off + rounded, flen - rounded);
         }
-        st.live[(off / PAGE_SIZE) as usize] = (len / PAGE_SIZE) as u32;
-        st.allocated += len;
+        st.live[(off / PAGE_SIZE) as usize] = (rounded / PAGE_SIZE) as u32;
+        st.allocated += rounded;
+        fill(&mut st.arena[off as usize..(off + len) as usize]);
         Ok(Gpa(off))
     }
 
@@ -126,31 +136,20 @@ impl GuestMemory {
     /// anything else: an unaligned or out-of-range address, a page no live
     /// allocation starts at, a second free.
     pub fn free(&self, gpa: Gpa) -> Result<(), GuestMemError> {
-        if !gpa.0.is_multiple_of(PAGE_SIZE) {
-            return Err(GuestMemError::BadFree);
-        }
+        self.state.lock().free(gpa)
+    }
+
+    /// Read `out.len()` bytes at `gpa` and free the allocation based
+    /// there, in one critical section.  The allocation is freed whether or
+    /// not the read succeeded; the read's error is reported first.
+    pub fn read_and_free(&self, gpa: Gpa, out: &mut [u8]) -> Result<(), GuestMemError> {
+        let range = self.range(gpa, out.len() as u64);
         let mut st = self.state.lock();
-        let pages = st.live.get_mut(gpa.page() as usize).ok_or(GuestMemError::BadFree)?;
-        let len = u64::from(std::mem::take(pages)) * PAGE_SIZE;
-        if len == 0 {
-            return Err(GuestMemError::BadFree);
+        if let Ok(r) = range {
+            out.copy_from_slice(&st.arena[r.bytes()]);
         }
-        st.allocated -= len;
-        // The span goes back between `free[i - 1]` and `free[i]`, merged
-        // with whichever of them it touches.
-        let i = st.free.partition_point(|&(start, _)| start < gpa.0);
-        let joins_prev = i > 0 && st.free[i - 1].0 + st.free[i - 1].1 == gpa.0;
-        let joins_next = i < st.free.len() && gpa.0 + len == st.free[i].0;
-        match (joins_prev, joins_next) {
-            (true, true) => {
-                st.free[i - 1].1 += len + st.free[i].1;
-                st.free.remove(i);
-            }
-            (true, false) => st.free[i - 1].1 += len,
-            (false, true) => st.free[i] = (gpa.0, len + st.free[i].1),
-            (false, false) => st.free.insert(i, (gpa.0, len)),
-        }
-        Ok(())
+        let freed = st.free(gpa);
+        range.and(freed)
     }
 
     /// `[gpa, gpa + len)` as a [`GuestRange`], if it lies inside guest
@@ -205,6 +204,36 @@ impl GuestMemory {
         let r = self.range(gpa, len)?;
         let mut st = self.state.lock();
         Ok(f(&mut st.arena[r.bytes()]))
+    }
+}
+
+impl MemState {
+    /// [`GuestMemory::free`], the lock held.
+    fn free(&mut self, gpa: Gpa) -> Result<(), GuestMemError> {
+        if !gpa.0.is_multiple_of(PAGE_SIZE) {
+            return Err(GuestMemError::BadFree);
+        }
+        let pages = self.live.get_mut(gpa.page() as usize).ok_or(GuestMemError::BadFree)?;
+        let len = u64::from(std::mem::take(pages)) * PAGE_SIZE;
+        if len == 0 {
+            return Err(GuestMemError::BadFree);
+        }
+        self.allocated -= len;
+        // The span goes back between `free[i - 1]` and `free[i]`, merged
+        // with whichever of them it touches.
+        let i = self.free.partition_point(|&(start, _)| start < gpa.0);
+        let joins_prev = i > 0 && self.free[i - 1].0 + self.free[i - 1].1 == gpa.0;
+        let joins_next = i < self.free.len() && gpa.0 + len == self.free[i].0;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.free[i - 1].1 += len + self.free[i].1;
+                self.free.remove(i);
+            }
+            (true, false) => self.free[i - 1].1 += len,
+            (false, true) => self.free[i] = (gpa.0, len + self.free[i].1),
+            (false, false) => self.free.insert(i, (gpa.0, len)),
+        }
+        Ok(())
     }
 }
 

@@ -3,7 +3,8 @@
 //! Provides the three kernel services the paper's frontend uses:
 //! `kmalloc` (physically-contiguous, capped at `KMALLOC_MAX_SIZE`),
 //! user↔kernel copies (the *only* data copies on the vPHI path, §III),
-//! and the syscall charge.
+//! and the syscall charge.  A staging buffer's copy is made in the same
+//! critical section as its allocation (outbound) or its free (inbound).
 
 use std::sync::Arc;
 
@@ -49,15 +50,42 @@ impl GuestKernel {
     /// limit is why the frontend chunks big transfers (paper §III,
     /// implementation details).
     pub fn kmalloc(&self, len: u64, tl: &mut Timeline) -> Result<KmallocBuf, GuestMemError> {
+        self.kmalloc_with(len, tl, |_| ())
+    }
+
+    /// `kmalloc` a buffer for `src` and `copy_from_user` it in, charging
+    /// both: an outbound staging chunk.
+    pub fn kmalloc_from_user(
+        &self,
+        src: &[u8],
+        tl: &mut Timeline,
+    ) -> Result<KmallocBuf, GuestMemError> {
+        let buf = self.kmalloc_with(src.len() as u64, tl, |bytes| bytes.copy_from_slice(src))?;
+        tl.charge(SpanLabel::GuestCopy, self.cost.cpu_copy(buf.len));
+        Ok(buf)
+    }
+
+    fn kmalloc_with(
+        &self,
+        len: u64,
+        tl: &mut Timeline,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<KmallocBuf, GuestMemError> {
         if len == 0 {
             return Err(GuestMemError::EmptyRequest);
         }
         if len > KMALLOC_MAX_SIZE {
             return Err(GuestMemError::OutOfMemory);
         }
-        tl.charge(SpanLabel::GuestKmalloc, self.cost.guest_kmalloc);
-        let gpa = self.mem.alloc(len)?;
+        self.charge_kmalloc(tl);
+        let gpa = self.mem.alloc_with(len, fill)?;
         Ok(KmallocBuf { gpa, len })
+    }
+
+    /// Charge one `kmalloc`, for a caller that reuses a buffer where the
+    /// modelled driver allocates afresh.
+    pub fn charge_kmalloc(&self, tl: &mut Timeline) {
+        tl.charge(SpanLabel::GuestKmalloc, self.cost.guest_kmalloc);
     }
 
     /// `kfree`.
@@ -65,33 +93,22 @@ impl GuestKernel {
         self.mem.free(buf.gpa)
     }
 
-    /// `copy_from_user`: user buffer → kernel buffer, charged as a guest
-    /// copy.
-    pub fn copy_from_user(
-        &self,
-        dst: KmallocBuf,
-        src: &[u8],
-        tl: &mut Timeline,
-    ) -> Result<(), GuestMemError> {
-        if src.len() as u64 > dst.len {
-            return Err(GuestMemError::OutOfBounds);
-        }
-        tl.charge(SpanLabel::GuestCopy, self.cost.cpu_copy(src.len() as u64));
-        self.mem.write(dst.gpa, src)
-    }
-
-    /// `copy_to_user`: kernel buffer → user buffer.
-    pub fn copy_to_user(
+    /// `copy_to_user` of `dst.len()` bytes out of `src`, then `kfree` it:
+    /// an inbound staging chunk's last use.  The copy is charged; the
+    /// buffer is freed whether or not the copy succeeded, and the copy's
+    /// error is reported first.
+    pub fn copy_to_user_and_free(
         &self,
         dst: &mut [u8],
         src: KmallocBuf,
         tl: &mut Timeline,
     ) -> Result<(), GuestMemError> {
         if dst.len() as u64 > src.len {
+            let _ = self.kfree(src);
             return Err(GuestMemError::OutOfBounds);
         }
         tl.charge(SpanLabel::GuestCopy, self.cost.cpu_copy(dst.len() as u64));
-        self.mem.read(src.gpa, dst)
+        self.mem.read_and_free(src.gpa, dst)
     }
 
     /// Charge a guest syscall entry/exit.
@@ -127,24 +144,29 @@ mod tests {
     fn user_kernel_copies_round_trip_and_charge() {
         let k = kernel();
         let mut tl = Timeline::new();
-        let buf = k.kmalloc(4096, &mut tl).unwrap();
-        k.copy_from_user(buf, b"from-user", &mut tl).unwrap();
+        let buf = k.kmalloc_from_user(b"from-user", &mut tl).unwrap();
+        assert_eq!(tl.total_for(SpanLabel::GuestKmalloc), k.cost().guest_kmalloc);
         let mut out = [0u8; 9];
-        k.copy_to_user(&mut out, buf, &mut tl).unwrap();
+        k.copy_to_user_and_free(&mut out, buf, &mut tl).unwrap();
         assert_eq!(&out, b"from-user");
-        assert!(tl.total_for(SpanLabel::GuestCopy) > SimDuration::ZERO);
-        k.kfree(buf).unwrap();
+        assert_eq!(tl.total_for(SpanLabel::GuestCopy), k.cost().cpu_copy(9) * 2);
+        assert_eq!(k.mem().allocated(), 0);
+        assert_eq!(k.kfree(buf), Err(GuestMemError::BadFree), "freed once");
     }
 
     #[test]
     fn copies_are_bounds_checked() {
         let k = kernel();
         let mut tl = Timeline::new();
+        let big = vec![0u8; (KMALLOC_MAX_SIZE + 1) as usize];
+        assert_eq!(k.kmalloc_from_user(&big, &mut tl), Err(GuestMemError::OutOfMemory));
         let buf = k.kmalloc(4096, &mut tl).unwrap();
-        let big = vec![0u8; 8192];
-        assert_eq!(k.copy_from_user(buf, &big, &mut tl), Err(GuestMemError::OutOfBounds));
         let mut big_out = vec![0u8; 8192];
-        assert_eq!(k.copy_to_user(&mut big_out, buf, &mut tl), Err(GuestMemError::OutOfBounds));
+        assert_eq!(
+            k.copy_to_user_and_free(&mut big_out, buf, &mut tl),
+            Err(GuestMemError::OutOfBounds)
+        );
+        assert_eq!(k.mem().allocated(), 0);
     }
 
     #[test]

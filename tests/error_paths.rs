@@ -1247,3 +1247,68 @@ fn a_dropped_vm_leaves_its_guest_ram_to_nobody() {
     assert_eq!(bystander.backend().inner().stats.endpoints_quarantined.get(), 1);
     assert_eq!(kept.close(&mut tl), Ok(()));
 }
+
+/// A sysfs fetch stages a 4 KiB response buffer in guest memory; one the
+/// host answers with an error (`ENODEV`: no such card) frees it as a
+/// fetch that succeeds does.  It used to return before its free.
+#[test]
+fn a_failed_sysfs_fetch_frees_its_buffer() {
+    let host = VphiHost::new(1);
+    let vm = host.spawn_vm(VmConfig::default());
+    let mut tl = Timeline::new();
+    // The first request of a lane kmallocs its slot's header buffer.
+    assert!(vm.sysfs(0, &mut tl).unwrap().card_is_usable());
+    let mem = vm.vm().mem();
+    let baseline = mem.allocated();
+    for _ in 0..100 {
+        assert_eq!(vm.sysfs(7, &mut tl), Err(ScifError::NoDev));
+    }
+    assert_eq!(mem.allocated(), baseline);
+    assert!(vm.sysfs(0, &mut tl).is_ok());
+    assert_eq!(mem.allocated(), baseline);
+    vm.shutdown();
+}
+
+/// Staging that runs out of guest memory part-way gives back the chunks
+/// it already had, outbound and inbound alike.
+#[test]
+fn staging_that_runs_out_of_guest_memory_frees_what_it_staged() {
+    use vphi_sim_core::cost::KMALLOC_MAX_SIZE;
+    let host = VphiHost::new(1);
+    let vm = host.spawn_vm(VmConfig::builder().mem_size(16 << 20).build());
+    let (driver, mem) = (vm.frontend(), vm.vm().mem());
+    let mut tl = Timeline::new();
+    // Room for exactly one staging chunk.
+    let _hog = vm.alloc_buf(mem.size() - mem.allocated() - KMALLOC_MAX_SIZE).unwrap();
+    let baseline = mem.allocated();
+    let two_chunks = vec![7u8; 2 * KMALLOC_MAX_SIZE as usize];
+    assert_eq!(driver.stage_out(&two_chunks, &mut tl).map(|_| ()), Err(ScifError::NoMem));
+    assert_eq!(mem.allocated(), baseline);
+    assert_eq!(driver.stage_in(2 * KMALLOC_MAX_SIZE, &mut tl).map(|_| ()), Err(ScifError::NoMem));
+    assert_eq!(mem.allocated(), baseline);
+    // One chunk still fits, and goes back whole.
+    let (bufs, _) = driver.stage_in(KMALLOC_MAX_SIZE, &mut tl).unwrap();
+    driver.free_staging(bufs);
+    assert_eq!(mem.allocated(), baseline);
+    vm.shutdown();
+}
+
+/// Unstaging frees every chunk, those after a copy that failed included
+/// (here the copy out of a buffer that is not guest RAM).
+#[test]
+fn unstaging_frees_every_chunk_after_a_failed_copy() {
+    use vphi_vmm::kernel::KmallocBuf;
+    use vphi_vmm::Gpa;
+    let host = VphiHost::new(1);
+    let vm = host.spawn_vm(VmConfig::default());
+    let (driver, mem) = (vm.frontend(), vm.vm().mem());
+    let mut tl = Timeline::new();
+    let baseline = mem.allocated();
+    let (mut bufs, _) = driver.stage_in(3 * 4096, &mut tl).unwrap();
+    assert!(mem.allocated() > baseline);
+    bufs.insert(0, KmallocBuf { gpa: Gpa(mem.size()), len: 4096 });
+    let mut out = vec![0u8; 4 * 4096];
+    assert_eq!(driver.unstage(bufs, &mut out, &mut tl), Err(ScifError::Inval));
+    assert_eq!(mem.allocated(), baseline);
+    vm.shutdown();
+}
