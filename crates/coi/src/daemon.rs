@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use vphi::builder::VphiHost;
 use vphi_phi::{ComputeJob, PhiBoard};
-use vphi_scif::{recv_until_hangup, CardService, Port, ScifEndpoint, ScifError, ScifResult};
+use vphi_scif::{CardService, Port, ScifEndpoint, ScifError, ScifResult};
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline};
 use vphi_sync::Counter;
 
@@ -99,7 +99,7 @@ fn session(conn: ScifEndpoint, board: &PhiBoard, cost: &CostModel, launches: &Co
     };
 
     loop {
-        let frame = match recv_until_hangup(&conn, |conn| read_frame(conn, &mut tl)) {
+        let frame = match read_frame(&conn, &mut tl) {
             Ok(Some(f)) => f,
             Ok(None) | Err(_) => break,
         };

@@ -112,8 +112,8 @@ impl BackendInner {
         // ring, as they do whenever a waiter saw the flag before its
         // completion: no guest is left to write the chain that would
         // recycle them.)
-        while let Ok(Some(chain)) = queue.pop_avail_through(through) {
-            let (token, ..) = self.channel.claim(q, chain.head);
+        while let Ok(Some(popped)) = queue.pop_avail_bounded(through) {
+            let (token, ..) = self.channel.claim(q, popped.chain.head);
             self.channel.retire(token);
         }
         queue.avail_pending()

@@ -192,8 +192,8 @@ mod tests {
     #[expect(clippy::disallowed_methods, reason = "stages a completion on a bare queue")]
     fn push_one(queue: &Arc<VirtQueue>, arm: bool, tl: &mut Timeline) -> bool {
         let head = queue.prepare_chain(&[Descriptor::readable(0, 1)], arm).unwrap();
-        queue.publish_avail(head, PUSH, tl);
-        queue.pop_avail().unwrap().unwrap();
+        queue.publish_avail_batch(&[head], PUSH, tl);
+        queue.pop_avail_bounded(u64::MAX).unwrap().unwrap();
         queue.push_used(UsedElem { id: head, len: 0 }, PUSH, tl)
     }
 

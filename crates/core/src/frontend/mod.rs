@@ -1371,6 +1371,7 @@ mod tests {
     use std::sync::Arc;
     use vphi_sim_core::units::MIB;
     use vphi_sim_core::CostModel;
+    use vphi_virtio::Popped;
     use vphi_vmm::GuestMemory;
 
     fn driver(scheme: WaitScheme) -> Arc<FrontendDriver> {
@@ -1405,7 +1406,7 @@ mod tests {
         std::thread::spawn(move || {
             let queue = Arc::clone(channel.lane_queue(q));
             while queue.wait_kick() {
-                while let Ok(Some(chain)) = queue.pop_avail() {
+                while let Ok(Some(Popped { chain, .. })) = queue.pop_avail_bounded(u64::MAX) {
                     let (token, _trace, hint) = channel.claim(q, chain.head);
                     let mut tl = Timeline::new();
                     let head_desc = chain.request();
@@ -1621,7 +1622,7 @@ mod tests {
         let slot_of = |token: ReqToken| (token >> 32) & 0xFFFF;
         // The backend's half of one request: pop, claim, (later) answer.
         let claim_next = || {
-            let chain = lane.queue.pop_avail().unwrap().unwrap();
+            let chain = lane.queue.pop_avail_bounded(u64::MAX).unwrap().unwrap().chain;
             let (token, ..) = channel.claim(0, chain.head);
             (chain, token, Timeline::new())
         };
@@ -1691,7 +1692,7 @@ mod tests {
         for requester_first in [true, false] {
             let op = d.submit_one(&VphiRequest::Open, &[], 0, &mut OpCtx::from(&mut tl)).unwrap();
             assert_eq!(channel.inflight_count(), 1);
-            let chain = lane.queue.pop_avail().unwrap().unwrap();
+            let chain = lane.queue.pop_avail_bounded(u64::MAX).unwrap().unwrap().chain;
             let (token, ..) = channel.claim(0, chain.head);
             assert_eq!((token, channel.inflight_count()), (op.token, 0));
             if requester_first {

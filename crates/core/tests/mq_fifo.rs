@@ -22,7 +22,7 @@ use vphi::protocol::VphiRequest;
 use vphi_sim_core::rng::SplitMix64;
 use vphi_sim_core::{SimDuration, Timeline};
 use vphi_sync::{LockClass, TrackedMutex};
-use vphi_virtio::Descriptor;
+use vphi_virtio::{Descriptor, Popped};
 
 const SENDERS: usize = 4;
 const ENDPOINTS_PER_SENDER: usize = 2;
@@ -43,13 +43,13 @@ fn run_one(num_queues: u16, seed: u64) -> HashMap<u64, Vec<u32>> {
             std::thread::spawn(move || {
                 let queue = Arc::clone(channel.lane_queue(q));
                 while queue.wait_kick() {
-                    while let Ok(Some(chain)) = queue.pop_avail() {
+                    while let Ok(Some(Popped { chain, .. })) = queue.pop_avail_bounded(u64::MAX) {
                         let d = chain.request();
                         observed.lock().entry(d.addr).or_default().push(d.len);
                     }
                 }
                 // Drain anything published after the final kick.
-                while let Ok(Some(chain)) = queue.pop_avail() {
+                while let Ok(Some(Popped { chain, .. })) = queue.pop_avail_bounded(u64::MAX) {
                     let d = chain.request();
                     observed.lock().entry(d.addr).or_default().push(d.len);
                 }
@@ -77,10 +77,15 @@ fn run_one(num_queues: u16, seed: u64) -> HashMap<u64, Vec<u32>> {
                     next_seq[e] += 1;
                     let q = channel.route(&VphiRequest::Send { epd, len: seq });
                     let queue = channel.lane_queue(q);
-                    let head = queue
-                        .prepare_chain(&[Descriptor::readable(epd, seq)], false)
+                    queue
+                        .publish_chain(
+                            &[Descriptor::readable(epd, seq)],
+                            false,
+                            SimDuration::ZERO,
+                            &mut tl,
+                            |_| {},
+                        )
                         .expect("ring has room");
-                    queue.publish_avail(head, SimDuration::ZERO, &mut tl);
                     queue.kick(SimDuration::ZERO, &mut tl);
                 }
                 next_seq.iter().zip(epds).map(|(&n, epd)| (epd, n)).collect::<Vec<_>>()

@@ -18,7 +18,7 @@ use vphi::guest::GuestBuf;
 use vphi::GuestScif;
 use vphi_phi::{DeviceMemory, DeviceRegion, MemError};
 use vphi_scif::window::WindowBacking;
-use vphi_scif::{recv_until_hangup, CardService, Port, Prot, RmaFlags, ScifAddr, ScifEndpoint};
+use vphi_scif::{CardService, Port, Prot, RmaFlags, ScifAddr, ScifEndpoint};
 use vphi_sim_core::Timeline;
 
 /// Serve `session` on card `card`, on a port of the card's choosing
@@ -44,12 +44,7 @@ fn recv_some(conn: &ScifEndpoint, buf: &mut [u8], tl: &mut Timeline) -> usize {
         Ok(n) => return n,
         Err(_) => return 0,
     }
-    // Only a hang-up ends a session: a window's connection is silent for
-    // as long as its client does RMA.
-    let byte = recv_until_hangup(conn, |conn| {
-        conn.recv(&mut buf[..1], &mut *tl).map(|n| (n > 0).then_some(n))
-    });
-    byte.ok().flatten().unwrap_or(0)
+    conn.recv(&mut buf[..1], tl).unwrap_or(0)
 }
 
 /// The sink session: receive until the peer hangs up, showing `seen` every

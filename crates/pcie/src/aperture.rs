@@ -15,7 +15,6 @@
 //! addresses instead of bouncing through a backend staging buffer.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use vphi_sim_core::cost::{HUGE_PAGE_SIZE, PAGE_SIZE};
 use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
@@ -64,12 +63,6 @@ impl Aperture {
         }
     }
 
-    /// Device *page frame number* backing a window offset — what the
-    /// host/KVM fault path stores in a `VM_PFNPHI`-tagged VMA.
-    pub fn pfn_of(&self, offset: u64) -> Option<u64> {
-        self.resolve(offset).map(|addr| addr / PAGE_SIZE)
-    }
-
     /// Split off a page-aligned sub-window.
     pub fn subwindow(&self, offset: u64, len: u64) -> Option<Aperture> {
         if !offset.is_multiple_of(PAGE_SIZE) || !len.is_multiple_of(PAGE_SIZE) || len == 0 {
@@ -102,11 +95,6 @@ struct MapInner {
     /// Reclaimed `(offset, len)` spans, first-fit reused.
     free: Vec<(u64, u64)>,
 }
-
-/// How long [`ApertureMap::unmap_window`] waits for in-flight descriptor
-/// lists to drain before force-removing the mapping (a safety valve so a
-/// leaked [`IoGuard`] in a test cannot hang teardown forever).
-const QUIESCE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Window-mapping table over one device aperture.
 ///
@@ -176,20 +164,15 @@ impl ApertureMap {
     }
 
     /// Tear down the mapping under `key`, quiescing in-flight descriptor
-    /// lists first.  Returns whether a mapping existed.
+    /// lists first: blocks until the last [`IoGuard`] over it drops (each
+    /// is scoped to one request).  Returns whether a mapping existed.
     pub fn unmap_window(&self, key: MapKey) -> bool {
         let mut inner = self.inner.lock();
         if !inner.windows.contains_key(&key) {
             return false;
         }
-        let mut waited = Duration::ZERO;
         while inner.windows.get(&key).is_some_and(|m| m.inflight > 0) {
-            if waited >= QUIESCE_TIMEOUT {
-                break; // safety valve: force-remove rather than hang
-            }
-            let slice = Duration::from_millis(50);
-            self.drained.wait_for(&mut inner, slice);
-            waited += slice;
+            self.drained.wait(&mut inner);
         }
         match inner.windows.remove(&key) {
             Some(m) => {
@@ -266,14 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn pfn_mapping() {
-        let a = Aperture::new(8 * PAGE_SIZE, 2 * PAGE_SIZE);
-        assert_eq!(a.pfn_of(0), Some(8));
-        assert_eq!(a.pfn_of(PAGE_SIZE), Some(9));
-        assert_eq!(a.pfn_of(2 * PAGE_SIZE), None);
-    }
-
-    #[test]
     fn subwindow_bounds() {
         let a = Aperture::new(0, 8 * PAGE_SIZE);
         let s = a.subwindow(2 * PAGE_SIZE, 4 * PAGE_SIZE).unwrap();
@@ -319,6 +294,7 @@ mod tests {
     #[test]
     fn unmap_quiesces_inflight_io() {
         use std::sync::Arc;
+        use std::time::Duration;
 
         let map = Arc::new(ApertureMap::new(Aperture::new(0, 4 * HUGE_PAGE_SIZE)));
         map.map_window((7, 0), HUGE_PAGE_SIZE).unwrap();
@@ -369,10 +345,9 @@ mod proptests {
 
     proptest! {
         /// Huge-page-aligned bases: every in-bounds offset resolves to
-        /// base+offset and its PFN is exactly (base+offset)/PAGE_SIZE;
-        /// the first out-of-bounds offset fails.
+        /// base+offset; the first out-of-bounds offset fails.
         #[test]
-        fn pfn_of_is_linear_over_huge_aligned_windows(
+        fn resolve_is_linear_over_huge_aligned_windows(
             base_hp in 0u64..512,
             len_hp in 1u64..64,
             page in 0u64..2048,
@@ -383,14 +358,12 @@ mod proptests {
             let offset = page * PAGE_SIZE;
             if offset < len {
                 prop_assert_eq!(a.resolve(offset), Some(base + offset));
-                prop_assert_eq!(a.pfn_of(offset), Some((base + offset) / PAGE_SIZE));
             } else {
                 prop_assert_eq!(a.resolve(offset), None);
-                prop_assert_eq!(a.pfn_of(offset), None);
             }
             // Boundary offsets: last byte in, first byte out.
-            prop_assert_eq!(a.pfn_of(len - 1), Some((base + len - 1) / PAGE_SIZE));
-            prop_assert_eq!(a.pfn_of(len), None);
+            prop_assert_eq!(a.resolve(len - 1), Some(base + len - 1));
+            prop_assert_eq!(a.resolve(len), None);
         }
 
         /// Subwindows of huge-aligned windows: aligned in-bounds carves
@@ -414,8 +387,8 @@ mod proptests {
                     prop_assert!(sublen > 0 && off + sublen <= len);
                     prop_assert_eq!(s.base(), base + off);
                     prop_assert_eq!(s.len(), sublen);
-                    // Subwindow PFNs line up with the parent's.
-                    prop_assert_eq!(s.pfn_of(0), a.pfn_of(off));
+                    // Subwindow addresses line up with the parent's.
+                    prop_assert_eq!(s.resolve(0), a.resolve(off));
                 }
                 None => prop_assert!(sublen == 0 || off + sublen > len),
             }

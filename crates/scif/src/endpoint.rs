@@ -14,7 +14,7 @@ use vphi_sim_core::{SimTime, SpanLabel, Timeline};
 use vphi_sync::{Flag, LockClass, Published, TrackedCondvar, TrackedMutex};
 
 use crate::error::{ScifError, ScifResult};
-use crate::fabric::{enqueue_connect, FabricShared, Listener, NodeCore, WaitCounter, WALL_TIMEOUT};
+use crate::fabric::{enqueue_connect, FabricShared, Listener, NodeCore, WaitCounter};
 use crate::queue::{copy_from, copy_into, MsgQueue};
 use crate::types::{NodeId, Port, Prot, ScifAddr};
 use crate::window::{WindowBacking, WindowTable};
@@ -177,7 +177,7 @@ impl EndpointCore {
         self.node.id()
     }
 
-    pub fn local_port(&self) -> Option<Port> {
+    fn local_port(&self) -> Option<Port> {
         self.local_port.get().copied()
     }
 
@@ -252,8 +252,10 @@ impl EndpointCore {
         }
     }
 
-    /// `scif_connect` — blocks until an acceptor picks us up.  The caller
-    /// must pass its own `Arc` (libscif owns the descriptor).
+    /// `scif_connect` — blocks until an acceptor picks us up, our own
+    /// `close` or `abort` (`ECONNRESET`), or the listener's teardown
+    /// (`ECONNREFUSED`).  The caller must pass its own `Arc` (libscif owns
+    /// the descriptor).
     pub fn connect(self: &Arc<Self>, dst: ScifAddr, tl: &mut Timeline) -> ScifResult<ScifAddr> {
         {
             let mut st = self.state.lock();
@@ -294,10 +296,7 @@ impl EndpointCore {
                 _ => return Err(ScifError::ConnRefused),
             }
             self.waits.park();
-            if self.connect_done.wait_for(&mut st, WALL_TIMEOUT).timed_out() {
-                self.set_state(&mut st, EpState::Bound);
-                return Err(ScifError::ConnRefused);
-            }
+            self.connect_done.wait(&mut st);
             self.waits.woke();
         }
     }
@@ -423,14 +422,17 @@ impl EndpointCore {
         tl: &mut Timeline,
     ) -> ScifResult<usize> {
         self.check_connected()?;
-        let peer = self.peer_core()?;
+        // Only the peer's node is held across the write: a send parked on
+        // a full queue must not keep its peer alive, or the peer's drop
+        // could never hang up on it.
+        let to = Arc::clone(&self.peer_core()?.node);
         let q = self.send_q.get().ok_or(ScifError::NotConn)?;
         // Copy user -> kernel.
         tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(len as u64));
         if !q.write_all_with(len, fill)? {
             return Err(ScifError::ConnReset);
         }
-        self.shared.charge_message_path(&self.node, &peer.node, len as u64, tl)?;
+        self.shared.charge_message_path(&self.node, &to, len as u64, tl)?;
         self.note_event();
         self.shared.activity.wake_pollers();
         Ok(len)
@@ -501,7 +503,8 @@ impl EndpointCore {
         Ok(len)
     }
 
-    /// Receive `len` bytes from the timed bulk lane (blocking).
+    /// Receive `len` bytes from the timed bulk lane: blocks until they
+    /// have been sent, or either side hangs up (`ECONNRESET`).
     pub fn recv_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
         self.check_open()?;
         let mut lane = self.timed.lock();
@@ -515,9 +518,7 @@ impl EndpointCore {
             // own amount asks again.
             lane.want = if lane.want == 0 { len } else { lane.want.min(len) };
             self.waits.park();
-            if self.timed_ready.wait_for(&mut lane, WALL_TIMEOUT).timed_out() {
-                return Err(ScifError::Again);
-            }
+            self.timed_ready.wait(&mut lane);
             self.waits.woke();
         }
         lane.avail -= len;
@@ -611,16 +612,12 @@ impl EndpointCore {
 }
 
 impl Drop for EndpointCore {
+    /// Safety net; explicit close is the normal path.  No wait has a
+    /// timer, so an endpoint dropped unclosed still releases what would
+    /// end its peers' waits — its queues, its timed lanes, its listener.
     fn drop(&mut self) {
-        // Safety net; explicit close is the normal path.
         if self.state() != EpState::Closed {
-            if let Some(q) = self.send_q.get() {
-                q.close();
-            }
-            if let Some(q) = self.recv_q.get() {
-                q.close();
-            }
-            self.hang_up_timed_lanes();
+            self.abort();
         }
     }
 }

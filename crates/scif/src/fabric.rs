@@ -14,10 +14,6 @@ use crate::endpoint::EndpointCore;
 use crate::error::{ScifError, ScifResult};
 use crate::types::{NodeId, Port, ScifAddr, HOST_NODE};
 
-/// Wall-clock guard for blocking fabric operations, so broken tests fail
-/// rather than hang.
-pub(crate) const WALL_TIMEOUT: Duration = Duration::from_secs(30);
-
 /// A wake-any hub for the one primitive that waits on *any of N*
 /// endpoints: `poll`.  Everything that knows which object it waits for
 /// sleeps on that object's own condvar instead (DESIGN.md #22).
@@ -91,7 +87,7 @@ impl WaitCounter {
         self.parks.bump();
     }
 
-    /// Back from a wait that did not time out.
+    /// Back from a wait.
     pub fn woke(&self) {
         #[cfg(any(test, debug_assertions))]
         self.wakeups.bump();
@@ -126,7 +122,7 @@ impl Listener {
     }
 
     /// Park until a connector is queued.  `EINVAL` once the listener is
-    /// torn down (nobody can queue any more), `EAGAIN` on wall timeout.
+    /// torn down (nobody can queue any more).
     pub fn wait_arrival(&self, waits: &WaitCounter) -> ScifResult<()> {
         let mut pending = self.pending.lock();
         while pending.is_empty() {
@@ -134,9 +130,7 @@ impl Listener {
                 return Err(ScifError::Inval);
             }
             waits.park();
-            if self.arrived.wait_for(&mut pending, WALL_TIMEOUT).timed_out() {
-                return Err(ScifError::Again);
-            }
+            self.arrived.wait(&mut pending);
             waits.woke();
         }
         Ok(())
@@ -308,7 +302,7 @@ impl FabricShared {
     fn check_board(&self, board: &Arc<PhiBoard>) -> ScifResult<()> {
         if board.poll_faults().is_some() {
             // The fault just struck: wake pollers so they observe the
-            // failure instead of sleeping until their wall timeout.
+            // failure instead of sleeping until their poll timeout.
             self.bump_activity();
             return Err(ScifError::NoDev);
         }
@@ -596,7 +590,7 @@ mod tests {
         let hub = Arc::new(ActivityHub::default());
         let v0 = hub.version();
         let h2 = Arc::clone(&hub);
-        let waiter = std::thread::spawn(move || h2.wait_change_for(v0, WALL_TIMEOUT));
+        let waiter = std::thread::spawn(move || h2.wait_change_for(v0, Duration::from_secs(10)));
         std::thread::sleep(Duration::from_millis(10));
         hub.wake_pollers();
         assert_eq!(waiter.join().unwrap(), (v0 + 1, true));

@@ -50,7 +50,7 @@ pub use error::{ErrorClass, ScifError, ScifResult};
 pub use fabric::ScifFabric;
 pub use mmap::MappedRegion;
 pub use poll::{PollEvents, PollFd};
-pub use service::{recv_until_hangup, CardService};
+pub use service::CardService;
 pub use submit::{Cq, CqEntry, SqFlags, SubmitToken};
 pub use types::{NodeId, Port, Prot, RmaFlags, ScifAddr, HOST_NODE};
 pub use vphi_trace::{OpCtx, Stage, TraceCtx};

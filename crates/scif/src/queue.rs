@@ -3,7 +3,9 @@
 //! SCIF messaging is a flow-controlled byte stream (not datagrams): a send
 //! of N bytes may be consumed by several receives and vice versa.  Each
 //! connected endpoint pair owns two of these queues, one per direction.
-//! Threads really block here; virtual time is charged by the callers.
+//! Threads really block here, until the event they wait for — bytes,
+//! space, or the queue's close — and for no other reason; virtual time is
+//! charged by the callers.
 //!
 //! The bytes sit in a ring that grows on demand up to the queue's
 //! capacity and is never pre-sized.  Every transfer is at most two slice
@@ -16,16 +18,12 @@
 //! `GuestMemState`); it never runs across a condvar wait.
 
 use std::convert::Infallible;
-use std::time::Duration;
 
 use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
 
 /// Default queue capacity.  Generous enough that microbenchmarks don't
 /// trip flow control, small enough that a runaway sender blocks (tested).
 pub const DEFAULT_CAPACITY: usize = 16 * 1024 * 1024;
-
-/// Wall-clock guard so a deadlocked test fails instead of hanging.
-const WALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A growable byte ring: `len` filled bytes starting at `head`, wrapping
 /// at `buf.len()`.
@@ -210,9 +208,7 @@ impl MsgQueue {
             }
             let space = self.capacity - g.ring.len;
             if space == 0 {
-                if self.writable.wait_for(&mut g, WALL_TIMEOUT).timed_out() {
-                    return Ok(false);
-                }
+                self.writable.wait(&mut g);
                 continue;
             }
             let take = space.min(len - done);
@@ -285,9 +281,10 @@ impl MsgQueue {
                 }
                 continue;
             }
-            if g.closed || self.readable.wait_for(&mut g, WALL_TIMEOUT).timed_out() {
+            if g.closed {
                 break;
             }
+            self.readable.wait(&mut g);
         }
         Ok(done)
     }
@@ -318,6 +315,7 @@ impl MsgQueue {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn write_then_read_round_trips() {

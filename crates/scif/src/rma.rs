@@ -278,8 +278,9 @@ impl EndpointCore {
         Ok(())
     }
 
-    /// Number of queued (un-fenced) RMA completions — for tests.
-    pub fn pending_rma_count(&self) -> usize {
+    /// Number of queued (un-fenced) RMA completions.
+    #[cfg(test)]
+    fn pending_rma_count(&self) -> usize {
         self.fence.lock().pending.len()
     }
 }

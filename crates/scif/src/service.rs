@@ -12,38 +12,15 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use vphi_sim_core::Timeline;
 use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
 
-use crate::{PollEvents, Port, ScifAddr, ScifEndpoint, ScifError, ScifResult};
+use crate::{Port, ScifAddr, ScifEndpoint, ScifError, ScifResult};
 
 /// Connectors that may queue while the accept loop is between two
 /// `accept`s.
 const BACKLOG: usize = 16;
-
-/// A session's blocking receive.  `recv` is one attempt — a `recv`, a frame
-/// read — that answers `None` when nothing came; it is made again until
-/// something does or the peer has hung up.  A blocking `recv` answers 30 s
-/// of wall-clock silence with the same nothing it answers a hang-up with,
-/// and only the hang-up ends a session: a client may sit idle, or do
-/// nothing but RMA, for as long as it likes.
-pub fn recv_until_hangup<R>(
-    conn: &ScifEndpoint,
-    mut recv: impl FnMut(&ScifEndpoint) -> ScifResult<Option<R>>,
-) -> ScifResult<Option<R>> {
-    loop {
-        let got = recv(conn)?;
-        if got.is_none() {
-            let events = conn.poll(PollEvents::IN, Duration::ZERO, &mut Timeline::new());
-            if events.is_ok_and(|e| !e.contains(PollEvents::HUP)) {
-                continue;
-            }
-        }
-        return Ok(got);
-    }
-}
 
 /// A running service.  `session` serves each accepted connection on a
 /// worker thread; what it returns is handed out by
@@ -215,8 +192,7 @@ impl<T: Send + 'static> CardService<T> {
                         }
                         // The listener was torn down (`stop` closes it).
                         Err(ScifError::Inval) => break,
-                        // `Again` is an idle listener's wall timeout;
-                        // anything else (a failed card, an injected fault)
+                        // Anything else (a failed card, an injected fault)
                         // cost that one connector its accept.
                         Err(_) => {}
                     }
@@ -511,13 +487,12 @@ mod tests {
         });
     }
 
-    /// `accept` answers `EAGAIN` when a listener saw no connector for 30 s
-    /// of wall time, and `ENODEV` to a connector that arrives while the
+    /// `accept` answers `ENODEV` to a connector that arrives while the
     /// card is down.  The loop that ended on any error left the port bound
-    /// with nobody draining its backlog: the next client's `connect` timed
-    /// out 30 s later.  The scripted `accept` reports both at once.
+    /// with nobody draining its backlog: the next client's `connect` never
+    /// returned.  The scripted `accept` reports it before the real ones.
     #[test]
-    fn an_idle_timeout_or_a_failed_accept_does_not_end_the_accept_loop() {
+    fn a_failed_accept_does_not_end_the_accept_loop() {
         audited(|fabric, dev| {
             let calls = Counter::new(0);
             let listener = ScifEndpoint::open(fabric, dev).unwrap();
@@ -526,8 +501,7 @@ mod tests {
                 Port::ANY,
                 "test-service".into(),
                 move |listener| match calls.next() {
-                    0 | 2 => Err(ScifError::Again),
-                    1 => Err(ScifError::NoDev),
+                    0 => Err(ScifError::NoDev),
                     _ => listener.accept(&mut Timeline::new()),
                 },
                 |conn| conn.recv(&mut [0u8; 1], &mut Timeline::new()),
@@ -537,47 +511,6 @@ mod tests {
             c.send(b"!", &mut Timeline::new()).unwrap();
             c.close();
             assert_eq!(service.shutdown(), vec![Ok(1)]);
-        });
-    }
-
-    /// A session ends when its peer hangs up, not when it goes quiet: a
-    /// blocking `recv` gives up after 30 s of silence with the 0 it gives a
-    /// hang-up.  The session's `recv` is scripted to report that silence
-    /// before every real receive; the session still sees (and echoes) every
-    /// byte of a client that stays connected, and ends — with the real
-    /// `recv`'s 0 — once the client has closed.  The session that broke out
-    /// of its loop at the first nothing saw none.
-    #[test]
-    fn an_idle_client_does_not_end_its_session() {
-        audited(|fabric, dev| {
-            let listener = ScifEndpoint::open(fabric, dev).unwrap();
-            let service = CardService::spawn(listener, Port::ANY, "test-service", |conn| {
-                let (mut idle, mut seen) = (true, Vec::new());
-                loop {
-                    let byte = recv_until_hangup(&conn, |conn| {
-                        idle = !idle;
-                        if !idle {
-                            return Ok(None);
-                        }
-                        let mut byte = [0u8; 1];
-                        let n = conn.recv(&mut byte, &mut Timeline::new())?;
-                        Ok((n > 0).then_some(byte[0]))
-                    });
-                    match byte {
-                        Ok(Some(byte)) => {
-                            seen.push(byte);
-                            conn.send(&[byte], &mut Timeline::new()).unwrap();
-                        }
-                        _ => return seen,
-                    }
-                }
-            })
-            .unwrap();
-            let c = client(fabric, service.addr());
-            c.send(b"ab", &mut Timeline::new()).unwrap();
-            assert_eq!(c.recv(&mut [0u8; 2], &mut Timeline::new()), Ok(2));
-            c.close();
-            assert_eq!(service.shutdown(), vec![b"ab".to_vec()]);
         });
     }
 }

@@ -1,10 +1,12 @@
 //! Directed fabric wake-ups (DESIGN.md #22): `accept`, `connect` and
 //! `recv_timed` sleep on the object they wait for.  Unrelated traffic
-//! wakes none of them, every event that concerns one of them still wakes
-//! it promptly, and a listener that goes away refuses the connectors it
-//! never accepted — also while the rest of the fabric keeps talking.  The
-//! one waiter left on the fabric-wide hub, `poll`, hears nothing of the
-//! timed lane it cannot read (DESIGN.md #24) and everything it can.
+//! wakes none of them; every event that concerns one of them, or a
+//! blocking `send` or `recv`, wakes it promptly, and nothing else ends a
+//! wait: none has a timer.  A listener that goes away refuses the
+//! connectors it never accepted — also while the rest of the fabric keeps
+//! talking.  The one waiter left on the fabric-wide hub, `poll`, hears
+//! nothing of the timed lane it cannot read (DESIGN.md #24) and
+//! everything it can.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -431,7 +433,7 @@ fn listener_teardown_refuses_its_connectors_under_bystander_traffic() {
 /// Lost-wake-up stress, connection set-up: 8 connectors against one
 /// acceptor, 5,000 connect/accept/close cycles between them, a backlog
 /// small enough that refusals and retries are part of it.  A wake-up lost
-/// anywhere shows as a call that outlasts a second (the wall guard is 30).
+/// anywhere shows as a call that outlasts a second, or never returns.
 #[test]
 fn connect_accept_close_cycles_lose_no_wakeup() {
     const CONNECTORS: usize = 8;
@@ -542,5 +544,105 @@ fn timed_lane_ping_pongs_of_random_chunkings_lose_no_wakeup() {
     for player in players {
         let slowest = player.join().unwrap();
         assert!(slowest < PROMPT, "a timed-lane call took {slowest:?}");
+    }
+}
+
+/// The five blocking waits, as the table below names them.
+#[derive(Debug, Clone, Copy)]
+enum Wait {
+    /// A `send` into a full queue.
+    Send,
+    /// A `recv` on an empty queue.
+    Recv,
+    RecvTimed,
+    /// A `connect` sitting in the backlog of a listener nobody accepts on.
+    Connect,
+    Accept,
+}
+
+/// What is done to a parked wait.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    /// What it waits for: space, a byte, a byte on the timed lane.
+    Awaited,
+    PeerClose,
+    /// The far end (a `connect`'s listener) dropped without a close.
+    PeerDrop,
+    OwnClose,
+    /// A card reset's quarantine of the waiting endpoint.
+    Abort,
+}
+
+/// No timer backs a blocking wait: each ends on the events that concern
+/// it, promptly, with the answer SCIF gives.  Together with the tests
+/// above — `accept`'s arrival and own close, `connect`'s accept, own close
+/// and listener's close, `recv_timed`'s bytes and either side's close —
+/// this is every event of every wait.  `Ok` counts the bytes moved (0 for
+/// a `connect` or `accept` that succeeded).
+#[test]
+fn every_blocking_wait_ends_on_each_event_that_ends_it() {
+    use Event::*;
+    use ScifError::{ConnRefused, ConnReset, Inval};
+    use Wait::*;
+    const TABLE: [(Wait, Event, Result<usize, ScifError>); 15] = [
+        (Send, Awaited, Ok(1)),
+        (Send, PeerClose, Err(ConnReset)),
+        (Send, PeerDrop, Err(ConnReset)),
+        (Send, OwnClose, Err(ConnReset)),
+        (Send, Abort, Err(ConnReset)),
+        (Recv, Awaited, Ok(1)),
+        (Recv, PeerClose, Ok(0)),
+        (Recv, PeerDrop, Ok(0)),
+        (Recv, OwnClose, Ok(0)),
+        (Recv, Abort, Ok(0)),
+        (RecvTimed, PeerDrop, Err(ConnReset)),
+        (RecvTimed, Abort, Err(ConnReset)),
+        (Connect, PeerDrop, Err(ConnRefused)),
+        (Connect, Abort, Err(ConnReset)),
+        (Accept, Abort, Err(Inval)),
+    ];
+    let (fabric, dev) = fabric_with_device();
+    for (port, (wait, event, answer)) in (780..).zip(TABLE) {
+        let what = format!("{wait:?} on {event:?}");
+        // The waiting endpoint, and the far end of its connection.
+        let (waiter, peer) = match wait {
+            Send | Recv | RecvTimed => connected_pair(&fabric, dev, port),
+            Connect => (fabric.open(HOST_NODE).unwrap(), listen_on(&fabric, dev, port, 1)),
+            Accept => (listen_on(&fabric, dev, port, 1), fabric.open(HOST_NODE).unwrap()),
+        };
+        if let Send = wait {
+            let full = vec![0u8; vphi_scif::queue::DEFAULT_CAPACITY];
+            waiter.send(&full, &mut Timeline::new()).unwrap();
+        }
+        let parked = {
+            let ep = Arc::clone(&waiter);
+            let dst = ScifAddr::new(dev, Port(port));
+            blocked(move || {
+                let mut tl = Timeline::new();
+                match wait {
+                    Send => ep.send(&[1], &mut tl),
+                    Recv => ep.recv(&mut [0u8; 1], &mut tl),
+                    RecvTimed => ep.recv_timed(1, &mut tl).map(|n| n as usize),
+                    Connect => ep.connect(dst, &mut tl).map(|_| 0),
+                    Accept => ep.accept(&mut tl).map(|_| 0),
+                }
+            })
+        };
+        match wait {
+            // The byte lane keeps no park count.
+            Send | Recv => std::thread::sleep(Duration::from_millis(20)),
+            RecvTimed | Connect | Accept => until_parked(&waiter, 1),
+        }
+        let mut tl = Timeline::new();
+        match (wait, event) {
+            (Send, Awaited) => assert_eq!(peer.recv(&mut [0u8; 1], &mut tl), Ok(1)),
+            (Recv, Awaited) => assert_eq!(peer.send(&[1], &mut tl), Ok(1)),
+            (_, PeerClose) => peer.close(),
+            (_, PeerDrop) => drop(peer),
+            (_, OwnClose) => waiter.close(),
+            (_, Abort) => waiter.abort(),
+            (_, Awaited) => unreachable!("{what}: pinned above"),
+        }
+        assert_eq!(parked.within(PROMPT, &what), answer, "{what}");
     }
 }

@@ -12,11 +12,11 @@
 //! * [`ring::Descriptor`] / [`ring::DescChain`] — guest-physical buffer
 //!   references with `NEXT`/`WRITE` chaining.
 //! * [`queue::VirtQueue`] — the descriptor table + avail ring + used ring
-//!   under one lock, with a guest-side API (`add_chain`, `take_used`) and
-//!   a device-side API (`pop_avail`, `push_used`), and its kick doorbell
-//!   (guest → device).  The device → guest interrupt is decided outside
-//!   the queue, from whether a push crossed the EVENT_IDX `used_event`
-//!   threshold the guest armed.
+//!   under one lock, with a guest-side API (`publish_chain`,
+//!   `take_used`) and a device-side API (`pop_avail_bounded`,
+//!   `push_used`), and its kick doorbell (guest → device).  The device →
+//!   guest interrupt is decided outside the queue, from whether a push
+//!   crossed the EVENT_IDX `used_event` threshold the guest armed.
 
 pub mod queue;
 pub mod ring;

@@ -233,29 +233,14 @@ impl VirtQueue {
 
     // ---- guest (driver) side ----------------------------------------------
 
-    /// Post a chain on the avail ring; returns the head index.  Charges
-    /// the `RingPush` cost.  The caller kicks separately via
-    /// [`kick`](VirtQueue::kick) so batching is possible.
-    pub fn add_chain(
-        &self,
-        descriptors: &[Descriptor],
-        cost_ring_push: vphi_sim_core::SimDuration,
-        tl: &mut Timeline,
-    ) -> Result<u16, QueueError> {
-        #[expect(clippy::disallowed_methods, reason = "the queue composes its own calls")]
-        let head = self.prepare_chain(descriptors, false)?;
-        #[expect(clippy::disallowed_methods, reason = "the queue composes its own calls")]
-        self.publish_avail(head, cost_ring_push, tl);
-        Ok(head)
-    }
-
     /// Write a chain into the descriptor table *without* exposing it on
     /// the avail ring; returns the head index.  Real virtio drivers order
     /// their stores the same way — descriptor table first, avail-ring
     /// entry last — because the device may consume a published head
     /// instantly.  A driver that must register per-request bookkeeping
     /// keyed by the head (the vPHI channel's request slots) does so
-    /// between this call and [`publish_avail`](VirtQueue::publish_avail);
+    /// between this call and
+    /// [`publish_avail_batch`](VirtQueue::publish_avail_batch);
     /// publishing first races a device woken by *another* thread's kick.
     /// A driver that will sleep on the chain's completion `arm`s the
     /// interrupt threshold here, before the chain can complete.
@@ -264,15 +249,15 @@ impl VirtQueue {
     }
 
     /// [`prepare_chain`](VirtQueue::prepare_chain) and
-    /// [`publish_avail`](VirtQueue::publish_avail) as one critical
-    /// section, for a driver that publishes one chain at a time.  The
-    /// ordering rule is unchanged: `register` runs with the head known and
-    /// the descriptors written (and the threshold armed, if `arm`) but
-    /// *before* the head is visible on the avail ring, so head-keyed
-    /// bookkeeping is in place when the device — possibly already running,
-    /// woken by another thread's kick — pops the chain.  It runs under the
-    /// ring lock and must not block or touch the ring.  Returns the
-    /// chain's avail index; charges one `RingPush`.
+    /// [`publish_avail_batch`](VirtQueue::publish_avail_batch) of one head
+    /// as one critical section, for a driver that publishes one chain at a
+    /// time.  The ordering rule is unchanged: `register` runs with the head
+    /// known and the descriptors written (and the threshold armed, if
+    /// `arm`) but *before* the head is visible on the avail ring, so
+    /// head-keyed bookkeeping is in place when the device — possibly
+    /// already running, woken by another thread's kick — pops the chain.
+    /// It runs under the ring lock and must not block or touch the ring.
+    /// Returns the chain's avail index; charges one `RingPush`.
     pub fn publish_chain(
         &self,
         descriptors: &[Descriptor],
@@ -292,21 +277,6 @@ impl VirtQueue {
         Ok(avail_idx)
     }
 
-    /// Expose a prepared chain on the avail ring and charge the
-    /// `RingPush` cost.  From this point the device side can pop it.
-    /// Returns the chain's avail index — its position in the ring's
-    /// lifetime FIFO, which [`kick_blocking`](VirtQueue::kick_blocking)
-    /// takes as the bound of its drain.
-    #[expect(clippy::disallowed_methods, reason = "the queue composes its own calls")]
-    pub fn publish_avail(
-        &self,
-        head: u16,
-        cost_ring_push: vphi_sim_core::SimDuration,
-        tl: &mut Timeline,
-    ) -> u64 {
-        self.publish_avail_batch(&[head], cost_ring_push, tl)
-    }
-
     /// Expose a whole batch of prepared chains on the avail ring under one
     /// lock acquisition, in order.  Each entry is an avail-ring store and
     /// charges its own `RingPush`; what the batch amortizes is the
@@ -314,7 +284,9 @@ impl VirtQueue {
     /// [`kick`](VirtQueue::kick) for all of them, one vm-exit instead of
     /// N.  The device side may start popping published heads the moment
     /// the lock drops, so per-head bookkeeping must already be registered.
-    /// Returns the avail index of the batch's last chain.
+    /// Returns the avail index of the batch's last chain — its position in
+    /// the ring's lifetime FIFO, which bounds a drain
+    /// ([`pop_avail_bounded`](VirtQueue::pop_avail_bounded)).
     pub fn publish_avail_batch(
         &self,
         heads: &[u16],
@@ -402,19 +374,9 @@ impl VirtQueue {
 
     // ---- device (backend) side ---------------------------------------------
 
-    /// Pop the next available chain, resolving its descriptors.
-    pub fn pop_avail(&self) -> Result<Option<DescChain>, QueueError> {
-        self.pop_avail_through(u64::MAX)
-    }
-
-    /// [`pop_avail`](VirtQueue::pop_avail), but only a chain published at
-    /// avail index `through` or earlier.
-    pub fn pop_avail_through(&self, through: u64) -> Result<Option<DescChain>, QueueError> {
-        Ok(self.pop_avail_bounded(through)?.map(|popped| popped.chain))
-    }
-
-    /// [`pop_avail_through`](VirtQueue::pop_avail_through), also reporting
-    /// what is left on the ring behind the popped chain.
+    /// Pop the next available chain, resolving its descriptors — only a
+    /// chain published at avail index `through` or earlier — and report
+    /// what is left on the ring behind it.
     pub fn pop_avail_bounded(&self, through: u64) -> Result<Option<Popped>, QueueError> {
         let mut st = self.state.lock();
         if st.last_avail_idx >= through {
@@ -502,25 +464,32 @@ mod tests {
     const PUSH: SimDuration = SimDuration::from_nanos(650);
     const KICK: SimDuration = SimDuration::from_nanos(10_500);
 
+    /// Write and publish one chain; its head.
+    fn add(q: &VirtQueue, descs: &[Descriptor], tl: &mut Timeline) -> Result<u16, QueueError> {
+        let mut head = 0;
+        q.publish_chain(descs, false, PUSH, tl, |h| head = h).map(|_| head)
+    }
+
+    /// Pop the next chain, whatever its avail index.
+    fn pop(q: &VirtQueue) -> Result<Option<DescChain>, QueueError> {
+        Ok(q.pop_avail_bounded(u64::MAX)?.map(|popped| popped.chain))
+    }
+
     #[test]
     fn add_pop_push_take_lifecycle() {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
-        let head = q
-            .add_chain(
-                &[Descriptor::readable(0x1000, 64), Descriptor::writable(0x2000, 64)],
-                PUSH,
-                &mut tl,
-            )
-            .unwrap();
+        let head =
+            add(&q, &[Descriptor::readable(0x1000, 64), Descriptor::writable(0x2000, 64)], &mut tl)
+                .unwrap();
         assert_eq!(q.free_descriptors(), 6);
 
-        let chain = q.pop_avail().unwrap().unwrap();
+        let chain = pop(&q).unwrap().unwrap();
         assert_eq!(chain.head, head);
         assert_eq!(chain.descriptors().len(), 2);
         assert_eq!(chain.readable().count(), 1);
         assert_eq!(chain.writable().count(), 1);
-        // Chain linkage was fixed up by add_chain.
+        // Chain linkage was fixed up by the write.
         assert!(chain.descriptors()[0].flags.next);
         assert!(!chain.descriptors()[1].flags.next);
 
@@ -537,14 +506,10 @@ mod tests {
     fn empty_and_full_conditions() {
         let q = VirtQueue::new(2);
         let mut tl = Timeline::new();
-        assert_eq!(q.pop_avail().unwrap(), None);
-        assert_eq!(q.add_chain(&[], PUSH, &mut tl), Err(QueueError::EmptyChain));
-        q.add_chain(&[Descriptor::readable(0, 1), Descriptor::readable(0, 1)], PUSH, &mut tl)
-            .unwrap();
-        assert_eq!(
-            q.add_chain(&[Descriptor::readable(0, 1)], PUSH, &mut tl),
-            Err(QueueError::NoSpace)
-        );
+        assert_eq!(pop(&q).unwrap(), None);
+        assert_eq!(add(&q, &[], &mut tl), Err(QueueError::EmptyChain));
+        add(&q, &[Descriptor::readable(0, 1), Descriptor::readable(0, 1)], &mut tl).unwrap();
+        assert_eq!(add(&q, &[Descriptor::readable(0, 1)], &mut tl), Err(QueueError::NoSpace));
     }
 
     #[test]
@@ -553,7 +518,7 @@ mod tests {
         let q2 = Arc::clone(&q);
         let dev = std::thread::spawn(move || q2.wait_kick());
         let mut tl = Timeline::new();
-        q.add_chain(&[Descriptor::readable(0, 4)], PUSH, &mut tl).unwrap();
+        add(&q, &[Descriptor::readable(0, 4)], &mut tl).unwrap();
         q.kick(KICK, &mut tl);
         assert!(dev.join().unwrap());
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
@@ -566,8 +531,8 @@ mod tests {
         // decision, made from whether the push crossed the threshold.
         let q = VirtQueue::new(4);
         let mut tl = Timeline::new();
-        let head = q.add_chain(&[Descriptor::readable(0, 1)], PUSH, &mut tl).unwrap();
-        q.pop_avail().unwrap().unwrap();
+        let head = add(&q, &[Descriptor::readable(0, 1)], &mut tl).unwrap();
+        pop(&q).unwrap().unwrap();
         q.push_used(UsedElem { id: head, len: 0 }, PUSH, &mut tl);
         assert!(q.used_pending());
         assert_eq!(q.used_seq(), 1);
@@ -578,22 +543,22 @@ mod tests {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
         let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)], false).unwrap();
-        assert_eq!(q.publish_avail(h1, PUSH, &mut tl), 1);
+        assert_eq!(q.publish_avail_batch(&[h1], PUSH, &mut tl), 1);
         let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)], false).unwrap();
         let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
         assert_eq!(q.publish_avail_batch(&[h2, h3], PUSH, &mut tl), 3);
         // Through index 2: the first two chains in ring order, not the
         // third, however often asked.
-        assert_eq!(q.pop_avail_through(2).unwrap().unwrap().head, h1);
-        assert_eq!(q.pop_avail_through(2).unwrap().unwrap().head, h2);
-        assert_eq!(q.pop_avail_through(2).unwrap(), None);
+        assert_eq!(q.pop_avail_bounded(2).unwrap().unwrap().chain.head, h1);
+        assert_eq!(q.pop_avail_bounded(2).unwrap().unwrap().chain.head, h2);
+        assert_eq!(q.pop_avail_bounded(2).unwrap(), None);
         assert!(q.avail_pending());
         // A bound the ring has already passed pops nothing.
-        assert_eq!(q.pop_avail_through(1).unwrap(), None);
-        assert_eq!(q.pop_avail().unwrap().unwrap().head, h3);
+        assert_eq!(q.pop_avail_bounded(1).unwrap(), None);
+        assert_eq!(pop(&q).unwrap().unwrap().head, h3);
         // Indices keep counting across an empty ring.
         let h4 = q.prepare_chain(&[Descriptor::readable(0x4, 1)], false).unwrap();
-        assert_eq!(q.publish_avail(h4, PUSH, &mut tl), 4);
+        assert_eq!(q.publish_avail_batch(&[h4], PUSH, &mut tl), 4);
     }
 
     #[test]
@@ -601,7 +566,7 @@ mod tests {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
         for addr in 1..=3 {
-            q.add_chain(&[Descriptor::readable(addr, 1)], PUSH, &mut tl).unwrap();
+            add(&q, &[Descriptor::readable(addr, 1)], &mut tl).unwrap();
         }
         // Bounded at 2: after the first pop one more is in bound, after the
         // second none is, and one chain stays on the ring behind the bound.
@@ -630,7 +595,7 @@ mod tests {
             .unwrap();
         assert_eq!(idx, 1);
         assert_eq!(tl.total(), PUSH);
-        let chain = q.pop_avail().unwrap().unwrap();
+        let chain = pop(&q).unwrap().unwrap();
         assert_eq!(Some(chain.head), registered);
         assert_eq!(chain.descriptors().len(), 2);
         // A chain that does not fit registers nothing and publishes nothing.
@@ -661,9 +626,9 @@ mod tests {
         };
         let mut tl = Timeline::new();
         let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)], false).unwrap();
-        let mine = q.publish_avail(h1, PUSH, &mut tl);
+        let mine = q.publish_avail_batch(&[h1], PUSH, &mut tl);
         let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)], false).unwrap();
-        q.publish_avail(h2, PUSH, &mut tl);
+        q.publish_avail_batch(&[h2], PUSH, &mut tl);
         q.kick_blocking(KICK, &mut tl, || handler(mine));
         // The same vm-exit as `kick`: one charge, one counted kick.
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
@@ -675,8 +640,8 @@ mod tests {
         assert!(q.doorbell.try_consume());
         // Nothing left behind: no ring.
         let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
-        q.pop_avail().unwrap().unwrap();
-        let mine = q.publish_avail(h3, PUSH, &mut tl);
+        pop(&q).unwrap().unwrap();
+        let mine = q.publish_avail_batch(&[h3], PUSH, &mut tl);
         q.kick_blocking(KICK, &mut tl, || handler(mine));
         assert!(!q.doorbell.try_consume());
         assert_eq!(seen.lock().len(), 2);
@@ -692,10 +657,10 @@ mod tests {
         // the window where the driver registers head-keyed bookkeeping.
         assert_eq!(q.free_descriptors(), 3);
         assert!(!q.avail_pending());
-        assert!(q.pop_avail().unwrap().is_none());
+        assert!(pop(&q).unwrap().is_none());
         assert_eq!(tl.total(), SimDuration::ZERO);
-        q.publish_avail(head, PUSH, &mut tl);
-        assert_eq!(q.pop_avail().unwrap().unwrap().head, head);
+        q.publish_avail_batch(&[head], PUSH, &mut tl);
+        assert_eq!(pop(&q).unwrap().unwrap().head, head);
         assert_eq!(tl.total(), PUSH);
     }
 
@@ -711,19 +676,19 @@ mod tests {
         // One ring store per entry — the batch amortizes the kick, not
         // the avail-ring traffic.
         assert_eq!(tl.total_for(SpanLabel::RingPush), PUSH * 3);
-        assert_eq!(q.pop_avail().unwrap().unwrap().head, h1);
-        assert_eq!(q.pop_avail().unwrap().unwrap().head, h2);
-        assert_eq!(q.pop_avail().unwrap().unwrap().head, h3);
+        assert_eq!(pop(&q).unwrap().unwrap().head, h1);
+        assert_eq!(pop(&q).unwrap().unwrap().head, h2);
+        assert_eq!(pop(&q).unwrap().unwrap().head, h3);
     }
 
     #[test]
     fn multiple_chains_fifo_order() {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
-        let h1 = q.add_chain(&[Descriptor::readable(0x1, 1)], PUSH, &mut tl).unwrap();
-        let h2 = q.add_chain(&[Descriptor::readable(0x2, 1)], PUSH, &mut tl).unwrap();
-        assert_eq!(q.pop_avail().unwrap().unwrap().head, h1);
-        assert_eq!(q.pop_avail().unwrap().unwrap().head, h2);
+        let h1 = add(&q, &[Descriptor::readable(0x1, 1)], &mut tl).unwrap();
+        let h2 = add(&q, &[Descriptor::readable(0x2, 1)], &mut tl).unwrap();
+        assert_eq!(pop(&q).unwrap().unwrap().head, h1);
+        assert_eq!(pop(&q).unwrap().unwrap().head, h2);
     }
 
     #[test]
@@ -731,14 +696,10 @@ mod tests {
         let q = VirtQueue::new(4);
         let mut tl = Timeline::new();
         for round in 0..100 {
-            let head = q
-                .add_chain(
-                    &[Descriptor::readable(round, 8), Descriptor::writable(round, 8)],
-                    PUSH,
-                    &mut tl,
-                )
-                .unwrap();
-            let chain = q.pop_avail().unwrap().unwrap();
+            let head =
+                add(&q, &[Descriptor::readable(round, 8), Descriptor::writable(round, 8)], &mut tl)
+                    .unwrap();
+            let chain = pop(&q).unwrap().unwrap();
             assert_eq!(chain.head, head);
             q.push_used(UsedElem { id: head, len: 8 }, PUSH, &mut tl);
             let mut taken = 0;
@@ -751,14 +712,14 @@ mod tests {
     #[test]
     fn caller_supplied_flags_do_not_break_chaining() {
         // Even if the caller pre-sets NEXT on the last descriptor,
-        // add_chain normalizes linkage.
+        // Writing the chain normalizes linkage.
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
         let mut d = Descriptor::readable(0x9, 9);
         d.flags = DescFlags::NEXT;
         d.next = 77; // garbage
-        q.add_chain(&[d], PUSH, &mut tl).unwrap();
-        let chain = q.pop_avail().unwrap().unwrap();
+        add(&q, &[d], &mut tl).unwrap();
+        let chain = pop(&q).unwrap().unwrap();
         assert_eq!(chain.descriptors().len(), 1);
         assert!(!chain.descriptors()[0].flags.next);
     }
@@ -789,7 +750,7 @@ mod tests {
         for (what, corrupt) in cases {
             let q = VirtQueue::new(4);
             corrupt(&mut q.state.lock());
-            assert_eq!(q.pop_avail(), Err(QueueError::Corrupt), "{what}");
+            assert_eq!(pop(&q), Err(QueueError::Corrupt), "{what}");
         }
     }
 
@@ -805,8 +766,8 @@ mod tests {
         let mut tl = Timeline::new();
         let publish = |arm: bool, tl: &mut Timeline| {
             let head = q.prepare_chain(&[Descriptor::readable(0x1, 1)], arm).unwrap();
-            q.publish_avail(head, PUSH, tl);
-            q.pop_avail().unwrap().unwrap().head
+            q.publish_avail_batch(&[head], PUSH, tl);
+            pop(&q).unwrap().unwrap().head
         };
         // Armed at 0: the push to 1 crosses.
         let h1 = publish(true, &mut tl);
@@ -828,14 +789,14 @@ mod tests {
         let q = VirtQueue::new(4);
         let mut tl = Timeline::new();
         let two = [Descriptor::readable(0x1, 1), Descriptor::writable(0x2, 1)];
-        let head = q.add_chain(&two, PUSH, &mut tl).unwrap();
-        q.add_chain(&two, PUSH, &mut tl).unwrap();
+        let head = add(&q, &two, &mut tl).unwrap();
+        add(&q, &two, &mut tl).unwrap();
         assert_eq!(q.free_descriptors(), 0);
-        assert_eq!(q.pop_avail().unwrap().unwrap().head, head);
+        assert_eq!(pop(&q).unwrap().unwrap().head, head);
         q.push_used(UsedElem { id: head, len: 0 }, PUSH, &mut tl);
         // The table is full until a write reclaims the completed chain.
         assert_eq!(q.free_descriptors(), 0);
-        q.add_chain(&two, PUSH, &mut tl).unwrap();
+        add(&q, &two, &mut tl).unwrap();
         assert_eq!(q.free_descriptors(), 0);
         assert!(!q.used_pending());
         // A corrupt completion fails the write that finds it.
@@ -865,9 +826,9 @@ mod tests {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
         assert_eq!(q.counters(), QueueCounters::default());
-        let head = q.add_chain(&[Descriptor::readable(0, 1)], PUSH, &mut tl).unwrap();
+        let head = add(&q, &[Descriptor::readable(0, 1)], &mut tl).unwrap();
         q.kick(KICK, &mut tl);
-        q.pop_avail().unwrap().unwrap();
+        pop(&q).unwrap().unwrap();
         q.push_used(UsedElem { id: head, len: 0 }, PUSH, &mut tl);
         q.take_used(|_| ()).unwrap();
         assert_eq!(q.counters(), QueueCounters { kicks: 1, chains_popped: 1 });

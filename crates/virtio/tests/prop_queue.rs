@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use vphi_sim_core::{SimDuration, Timeline};
-use vphi_virtio::{Descriptor, UsedElem, VirtQueue};
+use vphi_virtio::{Descriptor, Popped, UsedElem, VirtQueue};
 
 const PUSH: SimDuration = SimDuration::from_nanos(650);
 
@@ -58,8 +58,9 @@ proptest! {
                     let descs: Vec<Descriptor> = (0..n)
                         .map(|i| Descriptor::readable(0x1000 * (i as u64 + 1), 64))
                         .collect();
-                    match q.add_chain(&descs, PUSH, &mut tl) {
-                        Ok(head) => {
+                    let mut head = 0;
+                    match q.publish_chain(&descs, false, PUSH, &mut tl, |h| head = h) {
+                        Ok(_) => {
                             prop_assert!(free >= n as usize, "add succeeded beyond capacity");
                             free -= n as usize;
                             posted.push_back((head, n as usize));
@@ -70,8 +71,8 @@ proptest! {
                     }
                 }
                 QOp::Pop => {
-                    match q.pop_avail().unwrap() {
-                        Some(chain) => {
+                    match q.pop_avail_bounded(u64::MAX).unwrap() {
+                        Some(Popped { chain, .. }) => {
                             let (head, n) = posted.pop_front().expect("model has a chain");
                             prop_assert_eq!(chain.head, head, "FIFO violated");
                             prop_assert_eq!(chain.descriptors().len(), n);
@@ -121,8 +122,8 @@ proptest! {
                 }
             })
             .collect();
-        q.add_chain(&descs, PUSH, &mut tl).unwrap();
-        let chain = q.pop_avail().unwrap().unwrap();
+        q.publish_chain(&descs, false, PUSH, &mut tl, |_| {}).unwrap();
+        let chain = q.pop_avail_bounded(u64::MAX).unwrap().unwrap().chain;
         prop_assert_eq!(chain.descriptors().len(), descs.len());
         for (got, want) in chain.descriptors().iter().zip(&descs) {
             prop_assert_eq!(got.addr, want.addr);
