@@ -2,7 +2,7 @@
 //!
 //! One drain pass, two callers.  A lane's **shard thread** runs it after
 //! `wait_kick`, for work nobody is blocked on: batches (`submit_batch`),
-//! deadline re-kicks, and whatever a blocking kicker left behind.  A
+//! re-kicks of lost kicks, and whatever a blocking kicker left behind.  A
 //! **blocking caller** runs it on its own thread, as the handler of the
 //! vm-exit its kick just took (`VirtQueue::kick_blocking`): "QEMU handles
 //! events as they are produced and during that time the whole VM is in
@@ -106,17 +106,17 @@ impl BackendInner {
                 return false;
             }
         }
-        // A dead device executes nothing more.  Whoever waits on a chain
-        // still on the ring reads `ENODEV` off the shutdown flag; the pass
-        // only lets go of the chain's slot.  (Its descriptors die with the
-        // ring, as they do whenever a waiter saw the flag before its
-        // completion: no guest is left to write the chain that would
+        // A dead device executes nothing more: the pass lets go of every
+        // chain on the ring, bound or not, and each one's requester wakes
+        // to `ENODEV`.  The ring is closed to new chains, so whichever
+        // executor runs next finds nothing left.  (The descriptors die
+        // with the ring: no guest is left to write the chain that would
         // recycle them.)
-        while let Ok(Some(popped)) = queue.pop_avail_bounded(through) {
+        while let Ok(Some(popped)) = queue.pop_avail_bounded(u64::MAX) {
             let (token, ..) = self.channel.claim(q, popped.chain.head);
             self.channel.retire(token);
         }
-        queue.avail_pending()
+        false
     }
 }
 
@@ -152,12 +152,13 @@ mod tests {
         let ep = vm.open_scif(&mut tl).unwrap();
         ep.connect(ScifAddr::new(host.device_node(0), Port(990)), &mut tl).unwrap();
 
-        // The batch's one doorbell is the next kick: lose it.  A long
-        // first deadline keeps the reap's re-kick out of the picture.
+        // The batch's one doorbell is the next kick: lose it.  Nobody
+        // waits on the batch before the drains below, so no re-kick
+        // enters the picture.
         host.arm_faults(FaultPlan::single(FaultSite::VirtioKickLost, 1, 0));
         let mut sq = Sq::new();
         for frame in 1..=3u8 {
-            sq.push(SqEntry::send(&[frame]).deadline_ms(60_000));
+            sq.push(SqEntry::send(&[frame]));
         }
         let mut cq = Cq::new();
         cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());

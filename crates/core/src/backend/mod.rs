@@ -86,8 +86,8 @@ impl WindowBytes for GuestWindowBytes {
 #[derive(Debug, Default)]
 pub struct BackendStats {
     pub pages_translated: Counter,
-    /// Completion interrupts lost to fault injection (the reply sat on
-    /// the used ring until the requester's deadline re-check found it).
+    /// Completion interrupts lost to fault injection (the reply sat in its
+    /// slot until the requester's periodic re-check found it).
     pub msi_lost: Counter,
     /// Abrupt guest deaths observed (injected or real).
     pub guest_deaths: Counter,
@@ -287,18 +287,20 @@ impl BackendInner {
     /// Tear down everything a dead guest left behind: close (and thereby
     /// unregister) its endpoints, unpin its windows, drop its cached
     /// translations and unmap its device mappings.  Guest requests already
-    /// in flight observe the shutdown flag instead of waiting on a dead
-    /// ring.
+    /// in flight end as the device lets go of them: a handler running one
+    /// finishes it, and each lane's shard retires the chains left on its
+    /// ring, which is closed to new ones.
     pub fn guest_died(&self) {
         self.stats.guest_deaths.bump();
-        // Flag first (new requests fail fast), wake last: a waiter that
-        // observes the dead device must be able to rely on the GC below
-        // having already drained every endpoint and window.
-        self.channel.mark_shutdown_quiet();
+        // Flag and close first (new requests fail fast), wake last.
+        self.channel.mark_shutdown();
         let (endpoints, windows) = self.held.release_all();
         self.release_mmaps();
         self.stats.endpoints_gced.add(endpoints as u64);
         self.stats.windows_gced.add(windows as u64);
+        for lane in self.channel.lanes() {
+            lane.queue.doorbell.ring();
+        }
         self.channel.waitq.wake_all();
     }
 
@@ -453,9 +455,10 @@ impl BackendInner {
         }
         if notifier.would_inject(crossed, hint, svc_ns) {
             if self.faults.fire(FaultSite::PcieMsiLost).is_some() {
-                // The completion interrupt vanished: the reply is on the
-                // used ring but nobody is woken.  The requester's deadline
-                // expires, it re-checks the ring and takes the reply then.
+                // The completion interrupt vanished: the reply is in its
+                // slot but nobody is woken.  The requester's wait period
+                // expires, its re-check takes the reply, and no kick is
+                // needed.
                 self.stats.msi_lost.bump();
                 notifier.note_msi_lost();
                 ctx.end(span);
@@ -880,6 +883,7 @@ impl BackendDevice {
             return;
         }
         self.inner.channel.mark_shutdown();
+        self.inner.channel.waitq.wake_all();
         for lane in self.inner.channel.lanes() {
             lane.queue.shutdown();
         }

@@ -20,8 +20,8 @@
 //! One injected irq therefore drains every pending used entry on the lane
 //! (the `completions_per_irq` histogram measures the batching), and a
 //! suppressed-but-sleeping completion is never lost: its directed
-//! completion wake still lands, and the deadline retry backstops a lost
-//! MSI.
+//! completion wake still lands, and the requester's periodic re-check
+//! backstops a lost MSI.
 //!
 //! Its counts are the lane's: a completion finished by the lane's
 //! executor is counted holding the executor role, with no atomic
@@ -156,7 +156,7 @@ impl LaneNotifier {
 
     /// Record a would-have-injected completion whose MSI the fault plan
     /// ate: the completion stays pending (a later irq or the requester's
-    /// deadline retry recovers it).  The backend's `msi_lost` counter
+    /// periodic re-check recovers it).  The backend's `msi_lost` counter
     /// owns the event itself.
     pub fn note_msi_lost(&self) {
         self.pending.bump();
@@ -192,7 +192,7 @@ mod tests {
     #[expect(clippy::disallowed_methods, reason = "stages a completion on a bare queue")]
     fn push_one(queue: &Arc<VirtQueue>, arm: bool, tl: &mut Timeline) -> bool {
         let head = queue.prepare_chain(&[Descriptor::readable(0, 1)], arm).unwrap();
-        queue.publish_avail_batch(&[head], PUSH, tl);
+        queue.publish_avail_batch(&[head], PUSH, tl).unwrap();
         queue.pop_avail_bounded(u64::MAX).unwrap().unwrap();
         queue.push_used(UsedElem { id: head, len: 0 }, PUSH, tl)
     }

@@ -44,8 +44,8 @@ pub struct VphiDebugReport {
     pub wait_queue_wakeups: u64,
     pub wait_queue_sleeps: u64,
     /// Sleepers that woke without their completion being ready — with
-    /// per-token waiters this stays ~0 (only a deadline-expiry re-check or
-    /// a shutdown broadcast can produce one).
+    /// per-token waiters this stays ~0 (only a wait-period re-check or a
+    /// shutdown broadcast can produce one).
     pub spurious_wakeups: u64,
     // adaptive completion notification
     pub kicks_delivered: u64,

@@ -25,7 +25,10 @@
 //!   kick's vm-exit is serviced on that thread (DESIGN.md #21), so the
 //!   reply is there when it looks.  Real sleeping on the per-token waiter
 //!   is left to reaps of batched tokens, worker-dispatched requests
-//!   (`accept`), kicks that found their lane busy and kicks that were lost.
+//!   (`accept`), kicks that found their lane busy and kicks that were lost;
+//! * a request ends when the backend lets go of it — completes it, or
+//!   retires it on a dead device — however long that takes.  The one thing
+//!   its requester does meanwhile is recover a lost kick.
 
 mod slots;
 mod waiting;
@@ -35,7 +38,7 @@ pub use waiting::{SpinBudget, WaitScheme};
 
 use std::sync::{Arc, OnceLock};
 
-use vphi_scif::{ScifError, ScifResult, SqFlags};
+use vphi_scif::{ScifError, ScifResult};
 use vphi_sim_core::cost::KMALLOC_MAX_SIZE;
 use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_sync::{Counter, Flag, LockClass, TrackedMutex};
@@ -47,31 +50,9 @@ use vphi_vmm::{Gpa, GuestKernel, TokenWaitQueue};
 use crate::protocol::{GuestEpd, VphiRequest, VphiResponse, OPCODES, REQ_SIZE, RESP_SIZE};
 use slots::{BatchOp, SlotBody, SlotState, SlotTable};
 
-/// First completion-wait deadline.  When it expires without a completion
-/// or a shutdown, the frontend re-kicks the device: a lost kick or lost
-/// completion interrupt only costs one deadline, not a hang.  Kept at the
-/// seed's 200 ms so single-fault recovery latency is unchanged; repeated
-/// expiries back off exponentially from here to [`BACKOFF_CAP`], each
-/// wait jittered so concurrent requesters that lost the same kick don't
-/// re-kick in lockstep.
-const BACKOFF_BASE: std::time::Duration = std::time::Duration::from_millis(200);
-
-/// Ceiling the exponential re-kick backoff saturates at.
-const BACKOFF_CAP: std::time::Duration = std::time::Duration::from_millis(800);
-
-/// Seed of the re-kick jitter — fixed so runs are repeatable.
-const BACKOFF_SEED: u64 = 0x05EE_DBAC_C0FF_5EED;
-
-/// The jitter of `token`'s re-kick wait number `attempt`: a factor in
-/// `[0.5, 1)` drawn from a seed of its own, so requesters that lost the
-/// same kick draw apart without sharing a generator.
-fn backoff_jitter(token: ReqToken, attempt: u32) -> f64 {
-    let seed = BACKOFF_SEED ^ token.rotate_left(32) ^ u64::from(attempt);
-    0.5 + vphi_sim_core::rng::SplitMix64::new(seed).next_f64() * 0.5
-}
-
-/// Re-kick attempts before the frontend declares the request lost.
-const MAX_DEADLINE_RETRIES: u32 = 50;
+/// How long a requester sleeps before it looks for a lost kick
+/// (`wait_for_completion`).
+const REKICK_PERIOD: std::time::Duration = std::time::Duration::from_millis(200);
 
 /// The waiter's pre-kick declaration of how it will wait, riding the
 /// request's slot to the backend's lane notifier.  The budget is in
@@ -142,8 +123,8 @@ pub struct VphiChannel {
     /// (tests, benches, control-plane ops) read naturally.
     pub queue: Arc<VirtQueue>,
     lanes: Vec<QueueLane>,
-    /// Set when the backend stops servicing (VM shutdown): guest calls
-    /// fail fast with `ENODEV` instead of waiting on a dead ring.
+    /// Set when the device dies (VM shutdown, guest death): the backend
+    /// executes nothing more and retires what is left on its rings.
     shutdown: Flag,
     /// The frontend's sleeping requesters, parked per token: completion
     /// delivery wakes exactly the requester it completed (broadcast is
@@ -211,18 +192,16 @@ impl VphiChannel {
         lane as usize
     }
 
-    /// Mark the device gone and wake every sleeper so it can fail fast.
+    /// Mark the device gone: set the shutdown flag and close every lane's
+    /// ring to new chains, so new requests fail with `ENODEV` and a chain
+    /// published before the close is retired by its lane's next executor.
+    /// Wakes nobody: whoever tears the device down wakes the sleepers once
+    /// it is done.
     pub fn mark_shutdown(&self) {
-        self.mark_shutdown_quiet();
-        self.waitq.wake_all();
-    }
-
-    /// Set the shutdown flag *without* waking sleepers.  The dead-guest GC
-    /// uses this to fail-fast new requests while it drains, then wakes
-    /// everyone only once the teardown is complete — so a waiter that
-    /// observes `ENODEV` can rely on the GC having already finished.
-    pub fn mark_shutdown_quiet(&self) {
         self.shutdown.set();
+        for lane in &self.lanes {
+            lane.queue.close();
+        }
     }
 
     pub fn is_shutdown(&self) -> bool {
@@ -247,10 +226,9 @@ impl VphiChannel {
     /// is not parked: its completion goes through
     /// [`complete_quiet`](Self::complete_quiet) and it takes the reply on
     /// its first check.)  The slot is `Completed` before the directed
-    /// wake, so a woken waiter's re-check always finds its reply.
-    /// A completion for a request its submitter abandoned frees the slot
-    /// instead; one for a generation that is over is dropped.
-    /// Returns whether a requester was there to be woken.
+    /// wake, so a woken waiter's re-check always finds its reply.  A
+    /// completion for a generation that is over is dropped.  Returns
+    /// whether a requester was there to be woken.
     pub fn complete(&self, token: ReqToken, completion: &Completion) -> bool {
         let woke =
             self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion)));
@@ -263,19 +241,18 @@ impl VphiChannel {
     /// Deliver a completion *without* waking anyone: its requester is the
     /// calling thread (a blocking kicker running its own request), or its
     /// MSI was lost — the reply sits in the slot until the requester's
-    /// deadline expires and its re-check finds it.  Returns whether a
+    /// wait period expires and its re-check finds it.  Returns whether a
     /// requester was there to take it.
     pub fn complete_quiet(&self, token: ReqToken, completion: &Completion) -> bool {
         self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion)))
     }
 
     /// Backend: let go of `token` without a completion — the device died
-    /// with the request on its ring or in its hands.  The submitter reads
-    /// `ENODEV` off the shutdown flag and frees the slot; if it already
-    /// gave up, this does.
+    /// with the request on its ring or in its hands — and wake its
+    /// requester, which frees the slot and reads `ENODEV`.
     pub fn retire(&self, token: ReqToken) {
-        if let Some(lane) = self.lane_of(token) {
-            lane.slots.finish(token, None);
+        if self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, None)) {
+            self.waitq.wake(token);
         }
     }
 
@@ -284,8 +261,7 @@ impl VphiChannel {
         self.lanes.iter().map(|l| l.slots.count_in(SlotState::Published)).sum()
     }
 
-    /// Slots held by anybody — a requester between reserve and release, or
-    /// the backend's half of a request its submitter abandoned.  Zero on an
+    /// Slots held by a requester, from reserve to release.  Zero on an
     /// idle channel (leak detector).
     pub fn live_slots(&self) -> usize {
         self.lanes.iter().map(|l| l.slots.live_count()).sum()
@@ -322,11 +298,12 @@ pub struct FrontendStats {
     pub polling_waits: u64,
     pub chunks_sent: u64,
     /// Publishes that kicked (one vm-exit each): every blocking request
-    /// and every touched lane of a batch.  Deadline re-kicks are counted
-    /// by `deadline_retries`.
+    /// and every touched lane of a batch.  Re-kicks are counted by
+    /// `deadline_retries`.
     pub kicks_delivered: u64,
-    /// Times a request's completion deadline expired and the frontend
-    /// re-kicked the device (recovers lost kicks and lost MSIs).
+    /// Re-kicks of a chain whose kick was lost: one each time a
+    /// requester's wait period expired with its chain still on the avail
+    /// ring and nothing on its way to it.
     pub deadline_retries: u64,
     /// Async batches flushed by [`FrontendDriver::submit_batch`].
     pub batches_submitted: u64,
@@ -365,7 +342,7 @@ struct StatCounters {
 impl StatCounters {
     fn snapshot(&self, channel: &VphiChannel) -> FrontendStats {
         // Every kick on a lane is the frontend's: one per blocking call,
-        // one per touched lane of a batch, one per deadline re-kick.  (A
+        // one per touched lane of a batch, one per re-kick.  (A
         // re-kick or a batch is counted here after its kicks, so a
         // mid-request snapshot can only lag; the subtractions saturate.)
         let lane_kicks: u64 = channel.lanes.iter().map(|l| l.queue.counters().kicks).sum();
@@ -446,11 +423,13 @@ fn with_chain<R>(headers: Headers, extra: &[Descriptor], f: impl FnOnce(&[Descri
 }
 
 /// A chain the ring refused: a full table is `ENOMEM`; a corrupt used
-/// ring — the device side scribbled on it — is `EINVAL`.
+/// ring — the device side scribbled on it — is `EINVAL`; a dead device's
+/// closed ring is `ENODEV`.
 fn queue_error(e: QueueError) -> ScifError {
     match e {
         QueueError::Corrupt => ScifError::Inval,
         QueueError::NoSpace | QueueError::EmptyChain => ScifError::NoMem,
+        QueueError::Closed => ScifError::NoDev,
     }
 }
 
@@ -495,8 +474,6 @@ pub struct BatchEntry {
     /// `Some(len)` for inbound ops: unstage up to `len` bytes into the
     /// reaped entry's data at completion.
     pub inbound: Option<u64>,
-    /// Per-entry flags (busy-poll override, first re-kick deadline).
-    pub flags: SqFlags,
 }
 
 /// A published-but-not-awaited operation — what [`FrontendDriver::submit_one`]
@@ -513,11 +490,13 @@ struct SubmittedOp {
     payload_bytes: u64,
 }
 
-/// What a requester takes out of its slot with the completion.
-struct Taken {
-    /// Backend service time up to the used push — what the EWMA learns.
-    svc_ns: u64,
-    batch: Option<BatchOp>,
+/// What a requester takes out of its slot once the backend let go: the
+/// reply, with the backend's service time up to the used push (what the
+/// EWMA learns), or — the device died with the request — its retirement,
+/// which has freed the slot.  Either way, a batch entry's bookkeeping.
+enum Taken {
+    Reply { svc_ns: u64, batch: Option<BatchOp> },
+    Retired(Option<BatchOp>),
 }
 
 /// One reaped token: its wire result and any unstaged inbound payload.
@@ -630,15 +609,15 @@ impl FrontendDriver {
 
     /// Fold a finished request's service time into the EWMA table — the
     /// EWMA scheme's alone: no other scheme reads it.
-    fn learn(&self, op: u8, payload_bytes: u64, done: &Taken) {
+    fn learn(&self, op: u8, payload_bytes: u64, svc_ns: u64) {
         if self.scheme != WaitScheme::Adaptive(SpinBudget::Ewma) {
             return;
         }
         let bucket = size_bucket(payload_bytes) as usize;
         let mut policy = self.policy.lock();
         let row = policy.ewma[op as usize].get_or_insert_with(|| Box::new([None; BUCKETS]));
-        let est = row[bucket].get_or_insert(done.svc_ns);
-        *est = *est - (*est >> EWMA_SHIFT) + (done.svc_ns >> EWMA_SHIFT);
+        let est = row[bucket].get_or_insert(svc_ns);
+        *est = *est - (*est >> EWMA_SHIFT) + (svc_ns >> EWMA_SHIFT);
     }
 
     /// The staging chunk size used for large transfers.
@@ -740,20 +719,10 @@ impl FrontendDriver {
             Some(service) => service(sub.q, sub.avail_idx, sub.token),
             None => true,
         });
-        let waited = self.wait_for_completion(lane, sub.token, BACKOFF_BASE, ctx.tl);
-        let done = match waited {
-            Ok(done) => done,
-            Err(e) => {
-                ctx.end(wait);
-                // The backend may be alive and merely slow: the slot, and
-                // the response buffer it can still write, stay out of
-                // circulation until it lets go.
-                lane.slots.abandon(sub.token);
-                return Err(e);
-            }
-        };
-        self.learn(sub.op, sub.payload_bytes, &done);
+        let done = self.wait_for_completion(lane, sub.token, ctx.tl);
         ctx.end(wait);
+        let Taken::Reply { svc_ns, .. } = done else { return Err(ScifError::NoDev) };
+        self.learn(sub.op, sub.payload_bytes, svc_ns);
         self.demarshal(lane, sub.token)
     }
 
@@ -768,9 +737,6 @@ impl FrontendDriver {
         payload_bytes: u64,
         ctx: &mut OpCtx<'_>,
     ) -> ScifResult<SubmittedOp> {
-        if self.channel.is_shutdown() {
-            return Err(ScifError::NoDev);
-        }
         let cost = self.kernel.cost();
 
         // Pick the queue lane before anything is charged: the routing rule
@@ -793,7 +759,7 @@ impl FrontendDriver {
         // a stale one; a pure spinner arms nothing.
         let ring = ctx.begin("virtio-ring", Stage::VirtioRing);
         let hint = self.notify_hint(req, payload_bytes);
-        self.prepare_slot(lane, token, hint, ctx.fork(), None);
+        lane.slots.prepare(token, hint, ctx.fork(), None);
         let arm = !hint.spins_forever();
         let published = with_chain(headers, extra, |chain| {
             lane.queue.publish_chain(chain, arm, cost.ring_push, ctx.tl, |head| {
@@ -805,25 +771,11 @@ impl FrontendDriver {
             Ok(avail_idx) => {
                 Ok(SubmittedOp { q, avail_idx, token, op: req.opcode(), payload_bytes })
             }
+            // Never visible to the device: the slot is the requester's.
             Err(e) => {
-                lane.slots.abandon(token);
+                lane.slots.release(token);
                 Err(queue_error(e))
             }
-        }
-    }
-
-    /// Fill in a reserved slot, releasing whatever staging an abandoned
-    /// earlier owner had to leave in it.
-    fn prepare_slot(
-        &self,
-        lane: &QueueLane,
-        token: ReqToken,
-        hint: NotifyHint,
-        trace: TraceCtx,
-        batch: Option<BatchOp>,
-    ) {
-        if let Some(stale) = lane.slots.prepare(token, hint, trace, batch) {
-            self.free_staging(stale.staging);
         }
     }
 
@@ -866,14 +818,15 @@ impl FrontendDriver {
         VphiResponse::decode(&resp_bytes).ok_or(ScifError::Inval)
     }
 
-    /// Take `token`'s completion out of its slot, if it is there: charge
-    /// the wait's virtual-time cost by *outcome* — the backend's notifier
-    /// decided, deterministically, from the hint it was handed, whether
-    /// this waiter was still spinning when the reply landed — then absorb
-    /// the backend's service timeline.
+    /// Take what the backend left in `token`'s slot, if it let go.  A
+    /// completion charges the wait's virtual-time cost by *outcome* — the
+    /// backend's notifier decided, deterministically, from the hint it was
+    /// handed, whether this waiter was still spinning when the reply
+    /// landed — then absorbs the backend's service timeline.  A retirement
+    /// charges nothing.
     fn try_take(&self, lane: &QueueLane, token: ReqToken, tl: &mut Timeline) -> Option<Taken> {
         let cost = self.kernel.cost();
-        lane.slots.try_take(token, |body: &mut SlotBody| {
+        let taken = lane.slots.try_take(token, |body: &mut SlotBody| {
             if body.slept {
                 // Armed the interrupt and slept: wake-up, ring re-check,
                 // reschedule — the paper's dominant overhead term.
@@ -884,59 +837,41 @@ impl FrontendDriver {
                 tl.charge(SpanLabel::PollWait, cost.poll_observe);
             }
             tl.absorb(&body.tl);
-            Taken { svc_ns: body.svc_ns, batch: body.batch.take() }
-        })
+            Taken::Reply { svc_ns: body.svc_ns, batch: body.batch.take() }
+        })?;
+        Some(taken.unwrap_or_else(Taken::Retired))
     }
 
-    /// Block until `token` completes or the device dies — the single wait
-    /// primitive under both the blocking calls and token reaps.
+    /// Block until the backend lets go of `token` — completes or retires
+    /// it — the single wait primitive under both the blocking calls and
+    /// token reaps.  Nothing else ends the wait.
     ///
-    /// Deadlines grow exponentially from `base` (the blocking path's
-    /// [`BACKOFF_BASE`], or an entry's own deadline flag) to the
-    /// [`BACKOFF_CAP`], each jittered to 50–100% of its nominal length:
-    /// a single lost kick still recovers within one seed-equivalent
-    /// deadline, while a persistently slow backend sees re-kicks thin out
-    /// instead of arriving as a synchronized 200 ms drumbeat.
-    #[expect(clippy::disallowed_methods, reason = "deadline re-kick of a lane left idle")]
-    fn wait_for_completion(
-        &self,
-        lane: &QueueLane,
-        token: ReqToken,
-        base: std::time::Duration,
-        tl: &mut Timeline,
-    ) -> ScifResult<Taken> {
-        let cost = self.kernel.cost();
-        let channel = &self.channel;
-        let pred = |tl: &mut Timeline| {
-            if let Some(done) = self.try_take(lane, token, tl) {
-                return Some(Ok(done));
+    /// Each [`REKICK_PERIOD`] the requester looks for the one fault it can
+    /// mend: a kick lost on its way (`VirtioKickLost`, `PcieDoorbellDrop`),
+    /// which leaves the chain on the avail ring with no executor on the
+    /// lane and no doorbell pending.  Only then does it kick again.  A
+    /// request the backend holds, or one queued behind a busy executor, is
+    /// left alone, so its virtual time does not depend on how fast the host
+    /// runs; a completion whose MSI was lost is taken by the re-check.
+    #[expect(clippy::disallowed_methods, reason = "re-kick of a chain whose kick was lost")]
+    fn wait_for_completion(&self, lane: &QueueLane, token: ReqToken, tl: &mut Timeline) -> Taken {
+        let queue = &lane.queue;
+        loop {
+            let waited = self
+                .channel
+                .waitq
+                .wait_for(token, REKICK_PERIOD, || self.try_take(lane, token, tl));
+            if let Some(done) = waited {
+                return done;
             }
-            if channel.is_shutdown() {
-                return Some(Err(ScifError::NoDev));
+            if lane.slots.is_published(token)
+                && !queue.executor.is_held()
+                && queue.doorbell.pending() == 0
+            {
+                queue.kick(self.kernel.cost().vmexit_kick, tl);
+                self.stats.deadline_retries.bump();
             }
-            None
-        };
-        // A blocking caller's completion is already here (it serviced its
-        // own kick): no wait, no lock beyond the slot's.
-        if let Some(r) = pred(tl) {
-            return r;
         }
-        let mut deadline = base;
-        for attempt in 0..=MAX_DEADLINE_RETRIES {
-            let jittered = deadline.mul_f64(backoff_jitter(token, attempt));
-            if let Some(r) = channel.waitq.wait_for(token, jittered, || pred(tl)) {
-                return r;
-            }
-            // Deadline expired with no completion and no shutdown: the
-            // kick or the completion interrupt may have been lost.
-            // Re-kick so the backend re-scans the avail ring, and if the
-            // reply already sits in the slot (quiet completion), the next
-            // attempt's immediate predicate check takes it.
-            lane.queue.kick(cost.vmexit_kick, tl);
-            self.stats.deadline_retries.bump();
-            deadline = (deadline * 2).min(BACKOFF_CAP);
-        }
-        Err(ScifError::Again)
     }
 
     // ---- async submission (SQ/CQ) ------------------------------------------
@@ -1000,14 +935,21 @@ impl FrontendDriver {
         // the backend may claim the whole burst the instant the batch
         // publish lands.
         let mut kicks = 0u64;
-        for (lane, heads) in self.channel.lanes.iter().zip(&lane_heads) {
+        for (q, (lane, heads)) in self.channel.lanes.iter().zip(&lane_heads).enumerate() {
             if heads.is_empty() {
                 continue;
             }
             let ring = ctx.begin("virtio-ring", Stage::VirtioRing);
-            lane.queue.publish_avail_batch(heads, cost.ring_push, ctx.tl);
-            lane.queue.kick(cost.vmexit_kick, ctx.tl);
-            kicks += 1;
+            if lane.queue.publish_avail_batch(heads, cost.ring_push, ctx.tl).is_ok() {
+                lane.queue.kick(cost.vmexit_kick, ctx.tl);
+                kicks += 1;
+            } else {
+                // The device died since the batch began: its ring takes no
+                // more chains, and the entries meant for it end retired.
+                for &token in tokens.iter().filter(|&&t| slots::token_lane(t) == q) {
+                    self.channel.retire(token);
+                }
+            }
             ctx.end(ring);
         }
         self.stats.batches_submitted.bump();
@@ -1026,7 +968,7 @@ impl FrontendDriver {
         entry: BatchEntry,
         ctx: &mut OpCtx<'_>,
     ) -> ScifResult<(usize, u16, ReqToken)> {
-        let BatchEntry { req, staging, descs, payload_bytes, inbound, flags } = entry;
+        let BatchEntry { req, staging, descs, payload_bytes, inbound } = entry;
         let q = self.channel.route(&req);
         ctx.set_queue(q as u16);
         let lane = &self.channel.lanes[q];
@@ -1038,34 +980,27 @@ impl FrontendDriver {
                 return Err(e);
             }
         };
-        let hint = if flags.busy_poll {
-            NotifyHint::SPIN.for_payload(payload_bytes)
-        } else {
-            self.notify_hint(&req, payload_bytes)
+        let hint = self.notify_hint(&req, payload_bytes);
+        let arm = !hint.spins_forever();
+        let head = match with_chain(headers, &descs, |chain| lane.queue.prepare_chain(chain, arm)) {
+            Ok(head) => head,
+            Err(e) => {
+                lane.slots.release(token);
+                self.free_staging(staging);
+                return Err(queue_error(e));
+            }
         };
         let batch = BatchOp {
             op: req.opcode(),
             payload_bytes,
             staging,
             inbound,
-            deadline_ms: flags.deadline_ms,
             epd: req.routing_epd(),
             canceled: false,
         };
-        self.prepare_slot(lane, token, hint, ctx.fork(), Some(batch));
-        let arm = !hint.spins_forever();
-        match with_chain(headers, &descs, |chain| lane.queue.prepare_chain(chain, arm)) {
-            Ok(head) => {
-                lane.slots.register(token, head);
-                Ok((q, head, token))
-            }
-            Err(e) => {
-                if let Some(batch) = lane.slots.abandon(token) {
-                    self.free_staging(batch.staging);
-                }
-                Err(queue_error(e))
-            }
-        }
+        lane.slots.prepare(token, hint, ctx.fork(), Some(batch));
+        lane.slots.register(token, head);
+        Ok((q, head, token))
     }
 
     /// Reap completed tokens from `interest`, oldest-first: a
@@ -1116,74 +1051,52 @@ impl FrontendDriver {
                 let Some(lane) = self.channel.lane_of(interest[i]) else { continue };
                 if let Some(done) = self.try_take(lane, interest[i], ctx.tl) {
                     open[i] = false;
-                    out.push(self.finish_reaped(lane, interest[i], Some(done), ctx));
+                    out.push(self.finish_reaped(lane, interest[i], done, ctx));
                 }
             }
             if out.len() >= target {
                 break;
             }
-            // Floor not met: block on the oldest token still pending.
+            // Floor not met: block on the oldest token still pending until
+            // the backend lets go of it — a canceled one too: its buffers
+            // are the backend's to write until then.
             let oldest = (from..interest.len()).find_map(|i| {
                 let lane = self.channel.lane_of(interest[i]).filter(|_| open[i])?;
                 lane.slots.is_pending(interest[i]).then_some((i, lane))
             });
             let Some((i, lane)) = oldest else { break };
             open[i] = false;
-            out.push(self.block_on(lane, interest[i], ctx));
+            let wait = ctx.begin("wait-complete", Stage::Completion);
+            let done = self.wait_for_completion(lane, interest[i], ctx.tl);
+            ctx.end(wait);
+            out.push(self.finish_reaped(lane, interest[i], done, ctx));
             from = i + 1;
         }
         out
     }
 
-    /// Block on one pending token.  A canceled token still waits for the
-    /// backend's completion when the device is alive — the response
-    /// buffer cannot be recycled while the backend can still write it —
-    /// but a dead device will never complete, so shutdown drains
-    /// whatever already arrived and gives up waiting.
-    fn block_on(&self, lane: &QueueLane, token: ReqToken, ctx: &mut OpCtx<'_>) -> ReapedOp {
-        let deadline_ms = lane
-            .slots
-            .with_pending(token, |body| body.batch.as_ref().and_then(|b| b.deadline_ms))
-            .flatten();
-        let wait = ctx.begin("wait-complete", Stage::Completion);
-        let done = if self.channel.is_shutdown() {
-            self.try_take(lane, token, ctx.tl)
-        } else {
-            let base = deadline_ms
-                .map(|ms| std::time::Duration::from_millis(ms as u64))
-                .unwrap_or(BACKOFF_BASE);
-            self.wait_for_completion(lane, token, base, ctx.tl).ok()
-        };
-        ctx.end(wait);
-        self.finish_reaped(lane, token, done, ctx)
-    }
-
     /// Retire one token: feed the policy, drain the used ring, decode,
     /// unstage inbound data, release every buffer, and apply the canceled
     /// verdict.  This is the async twin of the blocking path's
-    /// learn/demarshal tail — same charges, same order.  `done` is `None`
-    /// for a token whose wait gave up.
+    /// learn/demarshal tail — same charges, same order.
     fn finish_reaped(
         &self,
         lane: &QueueLane,
         token: ReqToken,
-        done: Option<Taken>,
+        done: Taken,
         ctx: &mut OpCtx<'_>,
     ) -> ReapedOp {
         let mut data = None;
         let (mut result, batch) = match done {
-            Some(mut done) => {
-                let batch = done.batch.take();
+            Taken::Reply { svc_ns, batch } => {
                 if let Some(batch) = &batch {
-                    self.learn(batch.op, batch.payload_bytes, &done);
+                    self.learn(batch.op, batch.payload_bytes, svc_ns);
                 }
                 (self.demarshal(lane, token).and_then(|resp| resp.into_result()), batch)
             }
-            // The wait gave up.  If the backend has let go of the slot (a
-            // dead device's drain pass retired it) its buffers come back
-            // now; if it may yet complete, they stay with the abandoned
-            // slot until it does.
-            None => (Err(ScifError::Canceled), lane.slots.abandon(token)),
+            // The device died with the entry: it never ran, or never
+            // finished, for the caller.
+            Taken::Retired(batch) => (Err(ScifError::Canceled), batch),
         };
         let (staging, inbound) = match batch {
             Some(batch) => {
@@ -1605,106 +1518,30 @@ mod tests {
         assert_eq!(d.channel().inflight_count(), 0);
     }
 
-    /// The containment bug the slot table closes: a requester that gives
-    /// up (`EAGAIN` after its deadline retries) used to hand its header
-    /// pair straight to the next request while a live, merely slow backend
-    /// could still write the old response into it.  Abandoned, the slot
-    /// keeps its buffers until the backend lets go.
-    #[test]
-    fn an_abandoned_slot_stays_out_of_circulation_until_the_late_completion() {
-        let d = driver(WaitScheme::Interrupt);
-        let channel = Arc::clone(d.channel());
-        let lane = &channel.lanes[0];
-        let cost = Arc::clone(d.kernel().cost());
-        let mem = Arc::clone(d.kernel().mem());
-        let mut tl = Timeline::new();
-        let resp_of = |token| Headers::of(lane.slots.headers(token).unwrap()).resp;
-        let slot_of = |token: ReqToken| (token >> 32) & 0xFFFF;
-        // The backend's half of one request: pop, claim, (later) answer.
-        let claim_next = || {
-            let chain = lane.queue.pop_avail_bounded(u64::MAX).unwrap().unwrap().chain;
-            let (token, ..) = channel.claim(0, chain.head);
-            (chain, token, Timeline::new())
-        };
-        let answer = |chain: &vphi_virtio::DescChain, token, mut btl: Timeline, v: u64| {
-            let resp = chain.response();
-            mem.write(Gpa(resp.addr), &VphiResponse::ok(v, v).encode()).unwrap();
-            let elem = vphi_virtio::UsedElem { id: chain.head, len: RESP_SIZE as u32 };
-            lane.queue.push_used(elem, cost.used_push, &mut btl);
-            channel.complete(token, &Completion { tl: btl, slept: false, svc_ns: 1 });
-        };
-
-        // A request the backend claims and then sits on.
-        let first = d.submit_one(&VphiRequest::Open, &[], 0, &mut OpCtx::from(&mut tl)).unwrap();
-        let (first_chain, claimed, first_tl) = claim_next();
-        assert_eq!(claimed, first.token);
-        // Its requester gives up.  The backend's half keeps the slot held.
-        assert!(lane.slots.abandon(first.token).is_none());
-        assert_eq!(channel.live_slots(), 1);
-        assert!(d.try_take(lane, first.token, &mut tl).is_none());
-
-        // The next request gets a different slot, with buffers of its own …
-        let second = d.submit_one(&VphiRequest::Open, &[], 0, &mut OpCtx::from(&mut tl)).unwrap();
-        assert_ne!(slot_of(second.token), slot_of(first.token));
-        assert_ne!(resp_of(second.token), resp_of(first.token));
-        let (second_chain, claimed, second_tl) = claim_next();
-        assert_eq!(claimed, second.token);
-        answer(&second_chain, second.token, second_tl, 2);
-
-        // … so the late completion of the first lands where nobody reads,
-        // frees the slot exactly once, and delivers to nobody.
-        answer(&first_chain, first.token, first_tl, 1);
-        assert_eq!(channel.live_slots(), 1, "the abandoned slot is free, the second is not");
-        assert!(d.try_take(lane, first.token, &mut tl).is_none());
-        channel.complete(first.token, &Completion { tl: Timeline::new(), slept: true, svc_ns: 9 });
-        assert_eq!(channel.live_slots(), 1, "a repeated completion frees nothing");
-
-        // The second requester reads its own answer.
-        assert!(d.try_take(lane, second.token, &mut tl).is_some());
-        assert!(d.try_take(lane, second.token, &mut tl).is_none(), "a token takes once");
-        assert_eq!(d.demarshal(lane, second.token), Ok(VphiResponse::ok(2, 2)));
-        assert_eq!(channel.live_slots(), 0);
-
-        // The freed slot comes back under a new generation: the old token
-        // names a request that is over, whatever the slot does next.
-        let third = d.submit_one(&VphiRequest::Open, &[], 0, &mut OpCtx::from(&mut tl)).unwrap();
-        assert_eq!(slot_of(third.token), slot_of(first.token));
-        assert_ne!(third.token, first.token);
-        let (third_chain, claimed, third_tl) = claim_next();
-        assert_eq!(claimed, third.token);
-        channel.complete(first.token, &Completion { tl: Timeline::new(), slept: true, svc_ns: 9 });
-        assert!(d.try_take(lane, third.token, &mut tl).is_none(), "a stale completion reached it");
-        answer(&third_chain, third.token, third_tl, 3);
-        assert!(d.try_take(lane, first.token, &mut tl).is_none());
-        assert!(d.try_take(lane, third.token, &mut tl).is_some());
-        assert_eq!(d.demarshal(lane, third.token), Ok(VphiResponse::ok(3, 3)));
-        assert_eq!((channel.live_slots(), channel.inflight_count()), (0, 0));
-    }
-
-    /// A dead device lets go of its requests without completing them; the
-    /// slot is free once both sides have, in either order.
+    /// A dead device lets go of its requests without completing them — one
+    /// still on the ring, one it had claimed — and wakes their requesters.
+    /// The requester lets go last: it takes the retirement, which frees the
+    /// slot, and a repeated retirement frees nothing.
     #[test]
     fn a_retired_slot_is_freed_by_whoever_lets_go_last() {
         let d = driver(WaitScheme::Interrupt);
         let channel = Arc::clone(d.channel());
         let lane = &channel.lanes[0];
         let mut tl = Timeline::new();
-        for requester_first in [true, false] {
+        for claimed in [false, true] {
             let op = d.submit_one(&VphiRequest::Open, &[], 0, &mut OpCtx::from(&mut tl)).unwrap();
             assert_eq!(channel.inflight_count(), 1);
             let chain = lane.queue.pop_avail_bounded(u64::MAX).unwrap().unwrap().chain;
-            let (token, ..) = channel.claim(0, chain.head);
-            assert_eq!((token, channel.inflight_count()), (op.token, 0));
-            if requester_first {
-                lane.slots.abandon(token);
-                assert_eq!(channel.live_slots(), 1);
-                channel.retire(token);
-            } else {
-                channel.retire(token);
-                assert_eq!(channel.live_slots(), 1);
-                assert!(d.try_take(lane, token, &mut tl).is_none());
-                lane.slots.abandon(token);
+            if claimed {
+                let (token, ..) = channel.claim(0, chain.head);
+                assert_eq!((token, channel.inflight_count()), (op.token, 0));
             }
+            channel.retire(op.token);
+            assert_eq!(channel.live_slots(), 1, "the backend let go, the requester has not");
+            assert!(matches!(d.wait_for_completion(lane, op.token, &mut tl), Taken::Retired(None)));
+            assert_eq!((channel.live_slots(), channel.inflight_count()), (0, 0));
+            channel.retire(op.token);
+            assert!(d.try_take(lane, op.token, &mut tl).is_none(), "a token takes once");
             assert_eq!(channel.live_slots(), 0);
         }
     }

@@ -9,21 +9,19 @@
 //! owner of a slot — or of a virtqueue head — cannot reach the present one.
 //!
 //! Two parties hold a slot between publish and completion: the requester
-//! and the backend.  Each lets go once — the requester by taking the
-//! completion or by abandoning the request, the backend by completing it
-//! or by retiring it — and the slot returns to the free set when the
-//! second one does.  An abandoned slot therefore keeps its header buffers
-//! (and a batch entry's staging) out of circulation for as long as a late
-//! backend may still write into them.
+//! and the backend.  The backend lets go first — by completing the request
+//! or, on a dead device, by retiring it — and the requester, which waits
+//! for exactly that, then takes what it left and frees the slot.  Nobody
+//! but the backend ends a published request, so nothing it can still write
+//! into is ever handed to anyone else.
 //!
 //! ```text
 //!            reserve        register        claim          complete
 //!   Free ──────────▶ Prepared ─────▶ Published ────▶ Claimed ──────▶ Completed
-//!    ▲                                   │              │  │ retire      │
-//!    │                          abandon  ▼     abandon  ▼  ▼             │ try_take
-//!    │                               Abandoned ◀────────  Retired        │ + release
-//!    │   complete / retire (the backend lets go last) │      │ abandon   │
-//!    └────────────────────────────────────────────────┴──────┴───────────┘
+//!    ▲                                 │ retire         │ retire         │ try_take
+//!    │                                 └──▶ Retired ◀───┘                │ + release
+//!    │                                         │ try_take                │
+//!    └─────────────────────────────────────────┴─────────────────────────┘
 //! ```
 
 use std::sync::OnceLock;
@@ -83,8 +81,6 @@ pub(super) enum SlotState {
     /// The backend let go without a completion (dead device); the
     /// requester has yet to notice.
     Retired = 5,
-    /// The requester gave up; the backend has yet to let go.
-    Abandoned = 6,
 }
 
 impl SlotState {
@@ -95,7 +91,6 @@ impl SlotState {
             3 => SlotState::Claimed,
             4 => SlotState::Completed,
             5 => SlotState::Retired,
-            6 => SlotState::Abandoned,
             _ => SlotState::Free,
         }
     }
@@ -103,9 +98,6 @@ impl SlotState {
 
 /// Word bit: the body carries a trace fork the backend takes at claim.
 const TRACED: u64 = 1 << 24;
-/// Word bit: the body keeps the batch bookkeeping of an owner that
-/// abandoned it, for the slot's next owner to free.
-const STALE: u64 = 1 << 25;
 
 /// A slot's lock-free summary: `generation << 32 | flags | head << 8 |
 /// state`.
@@ -114,8 +106,7 @@ struct Word {
     generation: u32,
     head: u16,
     state: SlotState,
-    /// [`TRACED`] and [`STALE`]: whether claim, and prepare, must take the
-    /// body lock.
+    /// [`TRACED`]: whether claim must take the body lock.
     flags: u64,
 }
 
@@ -125,7 +116,7 @@ impl Word {
             generation: (bits >> 32) as u32,
             head: (bits >> 8) as u16,
             state: SlotState::from_bits(bits),
-            flags: bits & (TRACED | STALE),
+            flags: bits & TRACED,
         }
     }
 
@@ -148,7 +139,6 @@ pub(super) struct BatchOp {
     pub payload_bytes: u64,
     pub staging: Vec<KmallocBuf>,
     pub inbound: Option<u64>,
-    pub deadline_ms: Option<u32>,
     pub epd: Option<GuestEpd>,
     /// Set by `cancel_epd`: the reap drains the backend completion
     /// (nothing leaks) but reports `ECANCELED`.
@@ -167,9 +157,7 @@ pub(super) struct SlotBody {
     pub trace: TraceCtx,
     pub slept: bool,
     pub svc_ns: u64,
-    /// A batch entry's bookkeeping.  Left in place when the entry is
-    /// abandoned — its staging must stay allocated while the backend can
-    /// still write it — and handed to the slot's next owner to free.
+    /// A batch entry's bookkeeping.
     pub batch: Option<BatchOp>,
     /// Completions taken from this slot, by the requester's wait: `[spun,
     /// slept]`.  Counted by `try_take` under the lock it takes anyway.
@@ -217,11 +205,9 @@ impl RequestSlot {
     }
 
     /// Every transition but an untraced claim is made under the body
-    /// lock, so the two holders cannot both believe they let go last.  The
-    /// one that is not — `Published` → `Claimed`, by compare-and-swap — is
-    /// the backend's; the only transition out of `Published` that can race
-    /// it is the requester's `abandon`, and either order leaves the slot
-    /// `Abandoned` for the backend to free.
+    /// lock.  The one that is not — `Published` → `Claimed`, by
+    /// compare-and-swap — is the backend's, and only the backend's own
+    /// `retire` moves a slot out of `Published` besides.
     fn set(&self, word: Word) {
         self.word.store(word.pack());
     }
@@ -349,8 +335,7 @@ impl SlotTable {
                 let slot = &block[i % BLOCK];
                 let word = slot.word();
                 let generation = word.generation.wrapping_add(1).max(1);
-                let flags = word.flags & STALE;
-                slot.set(Word { generation, head: 0, state: SlotState::Free, flags });
+                slot.set(Word { generation, head: 0, state: SlotState::Free, flags: 0 });
                 return Some((token_of(self.lane, i, generation), slot));
             }
         }
@@ -359,30 +344,27 @@ impl SlotTable {
 
     /// Requester: fill in the reserved slot.  The hint needs no lock; the
     /// body is locked only if there is something to put in it — a trace
-    /// fork, a batch entry's bookkeeping — or to take out: the batch an
-    /// abandoned previous owner left behind, which is returned for the
-    /// caller to free its staging.
+    /// fork, a batch entry's bookkeeping.
     pub fn prepare(
         &self,
         token: ReqToken,
         hint: NotifyHint,
         trace: TraceCtx,
         batch: Option<BatchOp>,
-    ) -> Option<BatchOp> {
-        let (slot, word) = self.current(token)?;
+    ) {
+        let Some((slot, word)) = self.current(token) else { return };
         slot.budget_ns.store(hint.budget_ns);
         slot.bucket.store(u64::from(hint.bucket));
         let traced = trace.is_armed();
-        if !traced && batch.is_none() && word.flags & STALE == 0 {
-            slot.set(Word { state: SlotState::Prepared, flags: 0, ..word });
-            return None;
+        if !traced && batch.is_none() {
+            slot.set(Word { state: SlotState::Prepared, ..word });
+            return;
         }
-        let (slot, mut body, word) = self.lock(token)?;
+        let Some((slot, mut body, word)) = self.lock(token) else { return };
         body.trace = trace;
-        let stale = std::mem::replace(&mut body.batch, batch);
+        body.batch = batch;
         let flags = if traced { TRACED } else { 0 };
         slot.set(Word { state: SlotState::Prepared, flags, ..word });
-        stale
     }
 
     /// Requester: bind the prepared slot to virtqueue `head`.  Runs before
@@ -395,8 +377,8 @@ impl SlotTable {
     }
 
     /// Requester: give a reserved slot back.  Only its holder calls this,
-    /// and only with the slot idle: straight after `reserve` failed to get
-    /// further, or after `try_take`.
+    /// and only with the slot idle: before its chain was published, or
+    /// after `try_take`.
     pub fn release(&self, token: ReqToken) {
         if let Some((slot, word)) = self.current(token) {
             slot.set(word.with(SlotState::Free));
@@ -429,9 +411,6 @@ impl SlotTable {
                         continue;
                     }
                 }
-                // The requester gave up before the device got here; the
-                // chain still runs, and its completion frees the slot.
-                SlotState::Abandoned => {}
                 _ => return None,
             }
             let trace = body.map(|mut body| std::mem::take(&mut body.trace)).unwrap_or_default();
@@ -456,36 +435,44 @@ impl SlotTable {
                 slot.set(word.with(SlotState::Retired));
                 true
             }
-            (SlotState::Abandoned, _) => {
-                slot.set(word.with(SlotState::Free));
-                drop(body);
-                self.release_bit(token_slot(token));
-                false
-            }
             // Not the backend's to finish: never claimed, or finished
             // already.
             _ => false,
         }
     }
 
-    /// Requester: take `token`'s completion, if it has one.  `f` runs
-    /// under the slot lock over the completed body (absorb the timeline,
-    /// take the batch bookkeeping); the slot is then idle, still held
-    /// — its response header has yet to be read — until
-    /// [`release`](SlotTable::release).  A token takes at most once.
-    pub fn try_take<R>(&self, token: ReqToken, f: impl FnOnce(&mut SlotBody) -> R) -> Option<R> {
+    /// Requester: take what the backend left in `token`'s slot, once it
+    /// let go.  A completion: `f` runs under the slot lock over the
+    /// completed body (absorb the timeline, take the batch bookkeeping) and
+    /// its result comes back; the slot is then idle, still held — its
+    /// response header has yet to be read — until
+    /// [`release`](SlotTable::release).  A retirement: the slot is free
+    /// again, and a batch entry's bookkeeping comes back for its staging to
+    /// be freed.  A token takes at most once.
+    pub fn try_take<R>(
+        &self,
+        token: ReqToken,
+        f: impl FnOnce(&mut SlotBody) -> R,
+    ) -> Option<Result<R, Option<BatchOp>>> {
         // The usual answer — not yet — costs no lock.
-        let (slot, _) = self.current(token).filter(|(_, w)| w.state == SlotState::Completed)?;
+        let let_go = |w: &Word| matches!(w.state, SlotState::Completed | SlotState::Retired);
+        let (slot, _) = self.current(token).filter(|(_, w)| let_go(w))?;
         let mut body = slot.body.lock();
         let word = slot.word();
-        if word.generation != token_generation(token) || word.state != SlotState::Completed {
+        if word.generation != token_generation(token) || !let_go(&word) {
             return None;
+        }
+        slot.set(word.with(SlotState::Free));
+        if word.state == SlotState::Retired {
+            let batch = body.batch.take();
+            drop(body);
+            self.release_bit(token_slot(token));
+            return Some(Err(batch));
         }
         let r = f(&mut body);
         let slept = usize::from(body.slept);
         body.waits[slept] += 1;
-        slot.set(word.with(SlotState::Free));
-        Some(r)
+        Some(Ok(r))
     }
 
     /// Completions taken from this lane's slots so far: `(slept, spun)`.
@@ -497,44 +484,13 @@ impl SlotTable {
         })
     }
 
-    /// Requester: give up on `token`.  If the backend already let go, the
-    /// slot is free and its batch bookkeeping (if any) comes back for the
-    /// caller to release; otherwise the slot stays held, with everything
-    /// in it, until the backend does.
-    pub fn abandon(&self, token: ReqToken) -> Option<BatchOp> {
-        let (slot, mut body, word) = self.lock(token)?;
-        match word.state {
-            SlotState::Completed | SlotState::Retired | SlotState::Prepared => {
-                let batch = body.batch.take();
-                slot.set(Word { state: SlotState::Free, flags: word.flags & !STALE, ..word });
-                drop(body);
-                self.release_bit(token_slot(token));
-                batch
-            }
-            SlotState::Published | SlotState::Claimed => {
-                // A batch entry's staging stays allocated while the backend
-                // can still write it; the slot's next owner frees it.
-                let flags = if body.batch.is_some() { word.flags | STALE } else { word.flags };
-                slot.set(Word { state: SlotState::Abandoned, flags, ..word });
-                None
-            }
-            SlotState::Free | SlotState::Abandoned => None,
-        }
+    /// Whether `token`'s chain is published and not yet claimed: on the
+    /// avail ring, or being popped off it.
+    pub fn is_published(&self, token: ReqToken) -> bool {
+        self.current(token).is_some_and(|(_, word)| word.state == SlotState::Published)
     }
 
-    /// Run `f` over the body of `token`'s slot if the token still names a
-    /// request its submitter is waiting on.
-    pub fn with_pending<R>(
-        &self,
-        token: ReqToken,
-        f: impl FnOnce(&mut SlotBody) -> R,
-    ) -> Option<R> {
-        let (_, mut body, word) = self.lock(token)?;
-        is_pending(word.state).then(|| f(&mut body))
-    }
-
-    /// Whether `token` names a request submitted and neither taken nor
-    /// abandoned.
+    /// Whether `token` names a request submitted and not yet taken.
     pub fn is_pending(&self, token: ReqToken) -> bool {
         self.current(token).is_some_and(|(_, word)| is_pending(word.state))
     }

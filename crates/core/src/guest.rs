@@ -11,8 +11,7 @@
 use std::sync::Arc;
 
 use vphi_scif::{
-    Cq, CqEntry, NodeId, Port, RmaFlags, Scif, ScifAddr, ScifError, ScifResult, SqFlags,
-    SubmitToken,
+    Cq, CqEntry, NodeId, Port, RmaFlags, Scif, ScifAddr, ScifError, ScifResult, SubmitToken,
 };
 use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_sync::Flag;
@@ -156,78 +155,51 @@ enum SqOp {
     WriteTo { loffset: u64, len: u64, roffset: u64, flags: u8 },
 }
 
-/// One submission-queue entry: an operation plus its per-entry flags.
-/// Build with the constructors, tune with [`busy_poll`](Self::busy_poll)
-/// and [`deadline_ms`](Self::deadline_ms), then push into an [`Sq`].
-pub struct SqEntry {
-    op: SqOp,
-    flags: SqFlags,
-}
+/// One submission-queue entry: an operation, built with the constructors
+/// and pushed into an [`Sq`].  It waits the way its VM's
+/// [`WaitScheme`](crate::WaitScheme) says, like every request.
+pub struct SqEntry(SqOp);
 
 impl SqEntry {
     /// Send `data` to the peer (one chunk — at most the driver's staging
     /// chunk size, or the submit fails with `EINVAL`).
     pub fn send(data: &[u8]) -> Self {
-        SqEntry { op: SqOp::Send(data.to_vec()), flags: SqFlags::default() }
+        SqEntry(SqOp::Send(data.to_vec()))
     }
 
     /// Receive up to `len` bytes; they arrive in the completion's `data`.
     pub fn recv(len: u64) -> Self {
-        SqEntry { op: SqOp::Recv(len), flags: SqFlags::default() }
+        SqEntry(SqOp::Recv(len))
     }
 
     /// RMA write of `buf` into the peer's registered window at `roffset`.
     pub fn vwriteto(buf: &GuestBuf, roffset: u64, flags: RmaFlags) -> Self {
-        SqEntry {
-            op: SqOp::VwriteTo {
-                desc: buf.read_desc(),
-                len: buf.len(),
-                roffset,
-                flags: rma_flags_to_wire(flags),
-            },
-            flags: SqFlags::default(),
-        }
+        SqEntry(SqOp::VwriteTo {
+            desc: buf.read_desc(),
+            len: buf.len(),
+            roffset,
+            flags: rma_flags_to_wire(flags),
+        })
     }
 
     /// RMA read of the peer's window at `roffset` into `buf`.
     pub fn vreadfrom(buf: &GuestBuf, roffset: u64, flags: RmaFlags) -> Self {
-        SqEntry {
-            op: SqOp::VreadFrom {
-                desc: buf.write_desc(),
-                len: buf.len(),
-                roffset,
-                flags: rma_flags_to_wire(flags),
-            },
-            flags: SqFlags::default(),
-        }
+        SqEntry(SqOp::VreadFrom {
+            desc: buf.write_desc(),
+            len: buf.len(),
+            roffset,
+            flags: rma_flags_to_wire(flags),
+        })
     }
 
     /// Window-to-window RMA read.
     pub fn readfrom(loffset: u64, len: u64, roffset: u64, flags: RmaFlags) -> Self {
-        SqEntry {
-            op: SqOp::ReadFrom { loffset, len, roffset, flags: rma_flags_to_wire(flags) },
-            flags: SqFlags::default(),
-        }
+        SqEntry(SqOp::ReadFrom { loffset, len, roffset, flags: rma_flags_to_wire(flags) })
     }
 
     /// Window-to-window RMA write.
     pub fn writeto(loffset: u64, len: u64, roffset: u64, flags: RmaFlags) -> Self {
-        SqEntry {
-            op: SqOp::WriteTo { loffset, len, roffset, flags: rma_flags_to_wire(flags) },
-            flags: SqFlags::default(),
-        }
-    }
-
-    /// Pin this entry's wait to pure busy-polling (latency-critical).
-    pub fn busy_poll(mut self) -> Self {
-        self.flags.busy_poll = true;
-        self
-    }
-
-    /// First re-kick deadline for this entry's reap, in milliseconds.
-    pub fn deadline_ms(mut self, ms: u32) -> Self {
-        self.flags.deadline_ms = Some(ms);
-        self
+        SqEntry(SqOp::WriteTo { loffset, len, roffset, flags: rma_flags_to_wire(flags) })
     }
 }
 
@@ -328,16 +300,16 @@ impl GuestScif {
             let mut sent = 0usize;
             for chunk in data.chunks(self.driver.chunk_size() as usize) {
                 let (buf, desc) = self.driver.stage_chunk_out(chunk, ctx.tl)?;
-                // A failed transaction keeps its staging: a backend that
-                // is slow rather than dead may still read it.
+                // However the transaction ended, the backend has let go
+                // of the chunk.
                 let resp = self.driver.transact(
                     &VphiRequest::Send { epd: self.epd, len: chunk.len() as u32 },
                     &[desc],
                     chunk.len() as u64,
                     &mut *ctx,
-                )?;
+                );
                 let _ = self.driver.kernel().kfree(buf);
-                let (n, _) = resp.into_result()?;
+                let (n, _) = resp?.into_result()?;
                 sent += n as usize;
             }
             Ok(sent)
@@ -365,8 +337,10 @@ impl GuestScif {
                     &[desc],
                     want as u64,
                     &mut *ctx,
-                )?;
-                let (n, _) = resp.into_result()?;
+                );
+                // A failed transaction frees the chunk: the backend let go.
+                let resp = resp.and_then(|resp| resp.into_result());
+                let (n, _) = resp.inspect_err(|_| self.driver.free_staging(vec![buf]))?;
                 self.driver.unstage_chunk(buf, &mut out[got..got + n as usize], ctx.tl)?;
                 got += n as usize;
                 if (n as usize) < want {
@@ -665,7 +639,7 @@ impl GuestScif {
     fn submit_inner(&self, sq: &mut Sq, ctx: &mut OpCtx<'_>) -> ScifResult<Vec<SubmitToken>> {
         let entries = std::mem::take(&mut sq.entries);
         for e in &entries {
-            if let SqOp::Send(data) = &e.op {
+            if let SqOp::Send(data) = &e.0 {
                 if data.len() as u64 > self.driver.chunk_size() {
                     return Err(ScifError::Inval);
                 }
@@ -674,7 +648,7 @@ impl GuestScif {
         let mut batch = Vec::with_capacity(entries.len());
         let mut staged: Result<(), ScifError> = Ok(());
         for e in entries {
-            let entry = match e.op {
+            let entry = match e.0 {
                 SqOp::Send(data) => {
                     let (bufs, descs) = match self.driver.stage_out(&data, ctx.tl) {
                         Ok(s) => s,
@@ -689,7 +663,6 @@ impl GuestScif {
                         descs,
                         payload_bytes: data.len() as u64,
                         inbound: None,
-                        flags: e.flags,
                     }
                 }
                 SqOp::Recv(len) => {
@@ -707,7 +680,6 @@ impl GuestScif {
                         descs,
                         payload_bytes: want,
                         inbound: Some(want),
-                        flags: e.flags,
                     }
                 }
                 SqOp::VwriteTo { desc, len, roffset, flags } => BatchEntry {
@@ -716,7 +688,6 @@ impl GuestScif {
                     descs: vec![desc],
                     payload_bytes: len,
                     inbound: None,
-                    flags: e.flags,
                 },
                 SqOp::VreadFrom { desc, len, roffset, flags } => BatchEntry {
                     req: VphiRequest::VreadFrom { epd: self.epd, roffset, len, flags },
@@ -724,7 +695,6 @@ impl GuestScif {
                     descs: vec![desc],
                     payload_bytes: len,
                     inbound: None,
-                    flags: e.flags,
                 },
                 SqOp::ReadFrom { loffset, len, roffset, flags } => BatchEntry {
                     req: VphiRequest::ReadFrom { epd: self.epd, loffset, len, roffset, flags },
@@ -732,7 +702,6 @@ impl GuestScif {
                     descs: Vec::new(),
                     payload_bytes: 0,
                     inbound: None,
-                    flags: e.flags,
                 },
                 SqOp::WriteTo { loffset, len, roffset, flags } => BatchEntry {
                     req: VphiRequest::WriteTo { epd: self.epd, loffset, len, roffset, flags },
@@ -740,7 +709,6 @@ impl GuestScif {
                     descs: Vec::new(),
                     payload_bytes: 0,
                     inbound: None,
-                    flags: e.flags,
                 },
             };
             batch.push(entry);

@@ -59,4 +59,4 @@ pub use frontend::{
 };
 pub use guest::{GuestScif, Sq, SqEntry};
 pub use protocol::{VphiRequest, VphiResponse};
-pub use vphi_scif::{Cq, CqEntry, SqFlags, SubmitToken};
+pub use vphi_scif::{Cq, CqEntry, SubmitToken};

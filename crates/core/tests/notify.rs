@@ -11,8 +11,9 @@
 //!
 //! The chaos half injects the two faults that attack exactly this
 //! guarantee — a lost completion MSI and a delayed used-ring publish —
-//! and checks the requester still comes back (via the wall-clock
-//! deadline re-check), with the notification ledger balancing.
+//! and checks the requester still comes back (a lost MSI via its wait
+//! period's re-check, with no kick), with the notification ledger
+//! balancing.
 //!
 //! Only the lane notifier interrupts the guest: every `IrqInject` charge a
 //! call returns is an injection some lane's notifier counted.
@@ -113,8 +114,8 @@ proptest! {
 
     /// Chaos: a lost completion MSI and a delayed used-ring publish at
     /// seed-chosen crossings.  The sleeping requester still comes back —
-    /// the wall-clock deadline re-check finds the reply on the used ring —
-    /// and the lost interrupt shows up in the ledger, not as a hang.
+    /// its wait period's re-check finds the reply in its slot — and the
+    /// lost interrupt shows up in the ledger, not as a hang.
     #[test]
     fn chaos_lost_msi_and_used_delay_recover(seed in any::<u64>()) {
         let mut rng = SplitMix64::new(seed);
@@ -155,7 +156,7 @@ proptest! {
         assert_ledger_balances(&report);
         prop_assert_eq!(vm.frontend().channel().inflight_count(), 0);
         // The lost interrupt is in the ledger, not a hang.  Recovery may
-        // not even need a deadline: a requester that has not parked yet
+        // not even need a wait period: a requester that has not parked yet
         // finds the quiet completion on its first predicate check.
         prop_assert_eq!(report.msi_lost, injector.fired_at(FaultSite::PcieMsiLost));
     }
@@ -215,17 +216,18 @@ fn lost_msi_on_a_stalled_send(batched: bool) -> VphiDebugReport {
 /// Targeted: a lost MSI on a completion the requester is *parked* for.
 /// The shard completes the stalled send while its requester sleeps in
 /// `reap`, threshold armed; with the interrupt gone, recovery has exactly
-/// one path left: the wall-clock deadline expires and the re-check finds
-/// the reply on the used ring.
+/// one path left: the wait period expires and the re-check finds the
+/// reply in the slot.  The chain is off the ring, so nothing is re-kicked.
 #[test]
 fn lost_msi_recovers_via_deadline_retry() {
     let report = lost_msi_on_a_stalled_send(true);
-    assert!(report.deadline_retries >= 1, "recovery goes through the deadline re-check");
+    assert!(report.wait_queue_sleeps >= 1, "the reaper slept through the quiet completion");
+    assert_eq!(report.deadline_retries, 0, "the re-check takes the reply without a kick");
 }
 
 /// The blocking twin: the caller ran the stalled send on its own thread,
 /// so it is not asleep when the reply lands quietly — its first look at
-/// the completed table finds it, and no deadline is involved.
+/// the completed table finds it, and no wait period is involved.
 #[test]
 fn lost_msi_on_a_blocking_call_needs_no_deadline() {
     let report = lost_msi_on_a_stalled_send(false);
@@ -233,7 +235,7 @@ fn lost_msi_on_a_blocking_call_needs_no_deadline() {
 }
 
 /// Targeted: a delayed used-ring publish is pure virtual latency — the
-/// completion arrives late but nothing needs the wall-clock deadline.
+/// completion arrives late but nothing needs the wall-clock wait period.
 #[test]
 fn used_ring_delay_is_latency_not_a_hang() {
     const DELAY_US: u64 = 5_000;
@@ -257,10 +259,11 @@ fn used_ring_delay_is_latency_not_a_hang() {
 }
 
 /// Only the lane notifier interrupts the guest.  Blocking calls under the
-/// interrupt scheme, a 16-entry batch, a busy-poll entry and one lost MSI
-/// (crossing 3: open = 1, connect = 2, then the first send), all on one
-/// timeline: what it was charged for interrupts is exactly the injections
-/// the notifiers counted, each at the injection cost.
+/// interrupt scheme, a 16-entry batch, one lost MSI (crossing 3: open = 1,
+/// connect = 2, then the first send) and a spinning entry from a second,
+/// polling VM, all on one timeline: what it was charged for interrupts is
+/// exactly the injections the notifiers counted, each at the injection
+/// cost.
 #[test]
 fn every_irq_charge_is_a_notifier_injection() {
     let host = VphiHost::new(1);
@@ -280,13 +283,17 @@ fn every_irq_charge_is_a_notifier_injection() {
     }
     cq.watch(&ep.submit(&mut sq, &mut tl).expect("submit"));
     assert_eq!(ep.reap(&mut cq, 16, 16, &mut tl), Ok(16));
-    sq.push(SqEntry::send(&[7; 64]).busy_poll());
-    cq.watch(&ep.submit(&mut sq, &mut tl).expect("submit"));
-    assert_eq!(ep.reap(&mut cq, 1, 1, &mut tl), Ok(1));
+    let polling = VmConfig::builder().scheme(WaitScheme::Polling).build();
+    let spinner = GuestRig::connect(&host, polling, sink.addr());
+    sq.push(SqEntry::send(&[7; 64]));
+    cq.watch(&spinner.guest.submit(&mut sq, &mut tl).expect("submit"));
+    assert_eq!(spinner.guest.reap(&mut cq, 1, 1, &mut tl), Ok(1));
     assert!(cq.drain().iter().all(|done| done.result == Ok((64, 0))));
     ep.close(&mut tl).expect("close");
 
     let report = VphiDebugReport::collect(&vm);
+    let spun = VphiDebugReport::collect(&spinner.vm);
+    assert_eq!(spun.irqs_injected, 0, "a spinner never needs an MSI");
     assert_eq!(injector.fired_at(FaultSite::PcieMsiLost), 1);
     assert_eq!(report.msi_lost, 1);
     assert!(report.irqs_injected > 0, "{report:?}");

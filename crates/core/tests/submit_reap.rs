@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use vphi::builder::{VmConfig, VphiHost};
+use vphi::frontend::WaitScheme;
 use vphi::{Cq, GuestScif, Sq, SqEntry};
 use vphi_dev_support::{drain, serve};
 use vphi_scif::CardService;
@@ -173,10 +174,15 @@ fn mixed_fifo_round(num_queues: u16, seed: u64) {
 fn chaos_reap_round(seed: u64) {
     let host = VphiHost::new(1);
     let server = ordered_server(&host);
-    let vm = host.spawn_vm(VmConfig::default());
+    let mut rng = SplitMix64::new(seed);
+    // Half the rounds spin for their completions, half wait adaptively.
+    let config = match rng.next_u64() % 2 {
+        0 => VmConfig::builder().scheme(WaitScheme::Polling).build(),
+        _ => VmConfig::default(),
+    };
+    let vm = host.spawn_vm(config);
     let mut tl = Timeline::new();
     let addr = server.addr();
-    let mut rng = SplitMix64::new(seed);
     let eps: Vec<GuestScif> = (0..2)
         .map(|_| {
             let ep = vm.open_scif(&mut tl).unwrap();
@@ -190,11 +196,7 @@ fn chaos_reap_round(seed: u64) {
     for (e, ep) in eps.iter().enumerate() {
         let mut sq = Sq::new();
         for i in 0..8 + rng.next_u64() % 8 {
-            let mut entry = SqEntry::send(&(i as u32).to_le_bytes());
-            if rng.next_u64().is_multiple_of(4) {
-                entry = entry.busy_poll();
-            }
-            sq.push(entry);
+            sq.push(SqEntry::send(&(i as u32).to_le_bytes()));
         }
         let batch = ep.submit(&mut sq, &mut tl).unwrap();
         for t in &batch {

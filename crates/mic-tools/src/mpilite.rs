@@ -7,8 +7,10 @@
 //! example MPI." (paper §II-A).  Intel MPI on MPSS rides on SCIF for the
 //! host↔card hops, which is why vPHI supports the mode transparently.
 //!
-//! Topology: a star rooted at rank 0.  Rank 0 (host or VM) listens; every
-//! other rank (host, VM or card) connects and announces itself.
+//! Topology: a star rooted at rank 0.  Rank 0 (host or VM) listens
+//! ([`listen_root`]) before any other rank starts, as mpirun brings its
+//! rendezvous up first; every other rank (host, VM or card) then connects
+//! once and announces itself.
 //! Collectives are implemented gather/scatter-at-root, the classic small-
 //! world MPI fallback.
 
@@ -124,21 +126,27 @@ impl MpiRank {
     }
 }
 
-/// Establish rank 0: listen on `port` and accept `size - 1` leaves.
-/// Leaves announce their ranks; the world is complete when every rank
-/// 1..size has checked in.
+/// Open rank 0's port: an endpoint bound to `port` and listening, for
+/// [`establish_root`].  Done before any leaf starts, so a leaf's one
+/// connect finds it.
+pub fn listen_root(env: &dyn CoiEnv, port: Port, tl: &mut Timeline) -> ScifResult<Box<dyn Scif>> {
+    let listener = env.open(tl)?;
+    listener.bind(port, tl)?;
+    listener.listen(16, tl)?;
+    Ok(listener)
+}
+
+/// Establish rank 0 on its `listener` ([`listen_root`]): accept `size - 1`
+/// leaves.  Leaves announce their ranks; the world is complete when every
+/// rank 1..size has checked in.
 pub fn establish_root(
-    env: &dyn CoiEnv,
-    port: Port,
+    listener: Box<dyn Scif>,
     size: usize,
     tl: &mut Timeline,
 ) -> ScifResult<MpiRank> {
     if size < 2 {
         return Err(ScifError::Inval);
     }
-    let listener = env.open(tl)?;
-    listener.bind(port, tl)?;
-    listener.listen(16, tl)?;
     let mut links: Vec<Option<Box<dyn Scif>>> = (1..size).map(|_| None).collect();
     for _ in 1..size {
         let conn = listener.accept(tl)?;
@@ -161,8 +169,9 @@ pub fn establish_root(
 }
 
 /// Establish a leaf rank: connect to the root at `(root_node, port)` and
-/// announce `rank`.  Retries while the root's listener is not yet up —
-/// mpirun-style rendezvous, since rank launch order is unordered.
+/// announce `rank`.  The root listens before any leaf starts
+/// ([`listen_root`]), so one connect is all a leaf makes: `ECONNREFUSED`
+/// means no root is there.
 pub fn establish_leaf(
     env: &dyn CoiEnv,
     root_node: NodeId,
@@ -174,20 +183,10 @@ pub fn establish_leaf(
     if rank == 0 || rank >= size {
         return Err(ScifError::Inval);
     }
-    for _ in 0..2000 {
-        let conn = env.open(tl)?;
-        match conn.connect(ScifAddr::new(root_node, port), tl) {
-            Ok(_) => {
-                conn.send(&(rank as u64).to_le_bytes(), tl)?;
-                return Ok(MpiRank { rank, size, links: vec![conn] });
-            }
-            Err(ScifError::ConnRefused) => {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(ScifError::ConnRefused)
+    let conn = env.open(tl)?;
+    conn.connect(ScifAddr::new(root_node, port), tl)?;
+    conn.send(&(rank as u64).to_le_bytes(), tl)?;
+    Ok(MpiRank { rank, size, links: vec![conn] })
 }
 
 #[cfg(test)]
@@ -200,7 +199,9 @@ mod tests {
 
     fn world(host: &VphiHost, port: u16, size: usize) -> Vec<std::thread::JoinHandle<Vec<f64>>> {
         // Rank 0 on the host, odd ranks on the card, even on the host —
-        // the symmetric layout.
+        // the symmetric layout.  The root listens before any leaf starts.
+        let env = NativeEnv::new(host);
+        let mut listener = Some(listen_root(&env, Port(port), &mut Timeline::new()).unwrap());
         let mut handles = Vec::new();
         for rank in 0..size {
             let env: Arc<dyn CoiEnv> = if rank % 2 == 1 {
@@ -208,14 +209,16 @@ mod tests {
             } else {
                 Arc::new(NativeEnv::new(host))
             };
+            let listener = listener.take();
             handles.push(std::thread::spawn(move || {
                 let mut tl = Timeline::new();
-                let comm = if rank == 0 {
-                    establish_root(env.as_ref(), Port(port), size, &mut tl).unwrap()
-                } else {
-                    establish_leaf(env.as_ref(), HOST_NODE, Port(port), rank, size, &mut tl)
-                        .unwrap()
-                };
+                let comm = match listener {
+                    Some(listener) => establish_root(listener, size, &mut tl),
+                    None => {
+                        establish_leaf(env.as_ref(), HOST_NODE, Port(port), rank, size, &mut tl)
+                    }
+                }
+                .unwrap();
                 comm.barrier(&mut tl).unwrap();
                 let sum = comm.allreduce_sum(rank as f64 + 1.0, &mut tl).unwrap();
                 let gathered = comm.gather(rank as f64, &mut tl).unwrap();
@@ -243,12 +246,36 @@ mod tests {
         assert_eq!(&root[1..], &[0.0, 1.0, 2.0, 3.0]);
     }
 
+    /// A leaf makes one connect: refused with no root listening, and with
+    /// one, a VM leaf's timeline carries exactly its open, its connect and
+    /// its rank announcement — one vm-exit each.
+    #[test]
+    fn a_leaf_connects_once() {
+        let host = VphiHost::new(1);
+        let vm = host.spawn_vm(vphi::builder::VmConfig::default());
+        let leaf_env = vphi_coi::GuestEnv::new(&vm);
+        let mut tl = Timeline::new();
+        let early = establish_leaf(&leaf_env, HOST_NODE, Port(559), 1, 2, &mut tl);
+        assert_eq!(early.err(), Some(ScifError::ConnRefused));
+
+        let listener =
+            listen_root(&NativeEnv::new(&host), Port(559), &mut Timeline::new()).unwrap();
+        let root = std::thread::spawn(move || establish_root(listener, 2, &mut Timeline::new()));
+        let mut tl = Timeline::new();
+        let leaf = establish_leaf(&leaf_env, HOST_NODE, Port(559), 1, 2, &mut tl).unwrap();
+        let kick = host.cost().vmexit_kick;
+        assert_eq!(tl.total_for(vphi_sim_core::SpanLabel::VmExitKick), kick * 3);
+        drop((leaf, root.join().unwrap().unwrap()));
+        vm.shutdown();
+    }
+
     #[test]
     fn invalid_topologies_rejected() {
         let host = VphiHost::new(1);
         let env = NativeEnv::new(&host);
         let mut tl = Timeline::new();
-        assert!(establish_root(&env, Port(557), 1, &mut tl).is_err());
+        let listener = listen_root(&env, Port(557), &mut tl).unwrap();
+        assert!(establish_root(listener, 1, &mut tl).is_err());
         assert!(establish_leaf(&env, HOST_NODE, Port(557), 0, 4, &mut tl).is_err());
         assert!(establish_leaf(&env, HOST_NODE, Port(557), 4, 4, &mut tl).is_err());
     }

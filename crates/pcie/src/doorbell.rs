@@ -71,7 +71,7 @@ impl Doorbell {
     pub fn ring_with(&self, service: impl FnOnce() -> bool) {
         // An injected drop loses the MMIO write on the wire: no service,
         // no count, no wake.  The writer recovers by ringing again (the
-        // frontend re-kicks at its request deadline).
+        // frontend re-kicks a chain whose kick never arrived).
         if self.faults.fire(FaultSite::PcieDoorbellDrop).is_some() {
             return;
         }

@@ -78,8 +78,7 @@ impl ScifError {
     /// Retryable/Fatal classification (see [`ErrorClass`]).
     pub fn class(self) -> ErrorClass {
         match self {
-            // Would-block and no-listener-yet are worth reissuing; the
-            // frontend's deadline/backoff loop leans on this.
+            // Would-block and no-listener-yet are worth reissuing.
             ScifError::Again | ScifError::ConnRefused => ErrorClass::Retryable,
             ScifError::AddrInUse
             | ScifError::NotConn

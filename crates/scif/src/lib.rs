@@ -51,6 +51,6 @@ pub use fabric::ScifFabric;
 pub use mmap::MappedRegion;
 pub use poll::{PollEvents, PollFd};
 pub use service::CardService;
-pub use submit::{Cq, CqEntry, SqFlags, SubmitToken};
+pub use submit::{Cq, CqEntry, SubmitToken};
 pub use types::{NodeId, Port, Prot, RmaFlags, ScifAddr, HOST_NODE};
 pub use vphi_trace::{OpCtx, Stage, TraceCtx};

@@ -4,10 +4,10 @@
 //! A guest enqueues many operations into a submission queue, rings one
 //! doorbell for the whole batch, and later *reaps* completions by token.
 //! This module holds the transport-agnostic vocabulary: the opaque
-//! [`SubmitToken`], the per-entry [`SqFlags`], and the completion-queue
-//! view ([`Cq`] / [`CqEntry`]) the reaper fills.  The operation payloads
-//! themselves (what to send, where to stage) live with the guest driver,
-//! which knows about guest memory; these types deliberately do not.
+//! [`SubmitToken`] and the completion-queue view ([`Cq`] / [`CqEntry`])
+//! the reaper fills.  The operation payloads themselves (what to send,
+//! where to stage) live with the guest driver, which knows about guest
+//! memory; these types deliberately do not.
 
 use crate::error::{ScifError, ScifResult};
 
@@ -28,17 +28,6 @@ impl SubmitToken {
     pub fn raw(self) -> u64 {
         self.0
     }
-}
-
-/// Per-entry submission flags.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SqFlags {
-    /// Pin this entry's reap to a pure busy-poll wait, overriding the
-    /// adaptive spin-then-sleep policy (latency-critical requests).
-    pub busy_poll: bool,
-    /// First re-kick deadline for this entry's reap, in milliseconds.
-    /// `None` uses the driver's adaptive backoff base.
-    pub deadline_ms: Option<u32>,
 }
 
 /// One reaped completion.

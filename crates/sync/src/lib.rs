@@ -444,6 +444,12 @@ impl TrackedRole {
         let token = audit::on_acquire(self.class, AcqKind::Role, Location::caller());
         Some(TrackedRoleGuard { _owner: owner, token })
     }
+
+    /// Whether a thread holds the role right now: a probe for a thread
+    /// that will not execute, stale as soon as it returns.
+    pub fn is_held(&self) -> bool {
+        try_raw(&self.owner).is_none()
+    }
 }
 
 impl std::fmt::Debug for TrackedRole {

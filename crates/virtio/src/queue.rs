@@ -26,6 +26,8 @@ pub enum QueueError {
     EmptyChain,
     /// A descriptor index was out of range or the chain was corrupt.
     Corrupt,
+    /// The device is gone: the ring takes no more chains.
+    Closed,
 }
 
 impl std::fmt::Display for QueueError {
@@ -34,6 +36,7 @@ impl std::fmt::Display for QueueError {
             QueueError::NoSpace => write!(f, "virtqueue descriptor table full"),
             QueueError::EmptyChain => write!(f, "empty descriptor chain"),
             QueueError::Corrupt => write!(f, "corrupt descriptor chain"),
+            QueueError::Closed => write!(f, "virtqueue closed"),
         }
     }
 }
@@ -61,6 +64,9 @@ struct QueueState {
     /// threshold or was made before the waiter's chain was published — the
     /// "suppressed but sleeping" race cannot happen (DESIGN.md #16).
     used_event: u64,
+    /// Set when the device dies: no chain is published after it, so the
+    /// device's last pass over the ring sees every chain it will ever get.
+    closed: bool,
 }
 
 impl QueueState {
@@ -201,6 +207,7 @@ impl VirtQueue {
                     used: VecDeque::new(),
                     used_seq: 0,
                     used_event: 0,
+                    closed: false,
                 },
             ),
             doorbell: Doorbell::new(),
@@ -257,7 +264,8 @@ impl VirtQueue {
     /// head-keyed bookkeeping is in place when the device — possibly
     /// already running, woken by another thread's kick — pops the chain.
     /// It runs under the ring lock and must not block or touch the ring.
-    /// Returns the chain's avail index; charges one `RingPush`.
+    /// Returns the chain's avail index; charges one `RingPush`.  A closed
+    /// ring refuses the chain before anything is written.
     pub fn publish_chain(
         &self,
         descriptors: &[Descriptor],
@@ -268,6 +276,9 @@ impl VirtQueue {
     ) -> Result<u64, QueueError> {
         let avail_idx = {
             let mut st = self.state.lock();
+            if st.closed {
+                return Err(QueueError::Closed);
+            }
             let head = st.write_chain(descriptors, arm)?;
             register(head);
             st.avail.push_back(head);
@@ -286,22 +297,26 @@ impl VirtQueue {
     /// the lock drops, so per-head bookkeeping must already be registered.
     /// Returns the avail index of the batch's last chain — its position in
     /// the ring's lifetime FIFO, which bounds a drain
-    /// ([`pop_avail_bounded`](VirtQueue::pop_avail_bounded)).
+    /// ([`pop_avail_bounded`](VirtQueue::pop_avail_bounded)).  A closed
+    /// ring refuses the whole batch.
     pub fn publish_avail_batch(
         &self,
         heads: &[u16],
         cost_ring_push: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
-    ) -> u64 {
+    ) -> Result<u64, QueueError> {
         let avail_idx = {
             let mut st = self.state.lock();
+            if st.closed {
+                return Err(QueueError::Closed);
+            }
             st.avail.extend(heads);
             st.last_avail_idx + st.avail.len() as u64
         };
         for _ in heads {
             tl.charge(SpanLabel::RingPush, cost_ring_push);
         }
-        avail_idx
+        Ok(avail_idx)
     }
 
     /// The vm-exit both kick entry points are: the `VmExitKick` charge,
@@ -309,8 +324,7 @@ impl VirtQueue {
     /// lost, in wire order.  Every kick pays it — the avail side has no
     /// notification suppression, so the charge is a function of the
     /// publish alone (DESIGN.md #16).  An injected loss pays the vm-exit
-    /// but never reaches the device; the frontend's request deadline
-    /// re-kicks.  A delivered one runs `service` on this thread and wakes
+    /// but never reaches the device; the waiting requester re-kicks.  A delivered one runs `service` on this thread and wakes
     /// the service thread if it reports work left.
     fn vmexit(
         &self,
@@ -442,6 +456,12 @@ impl VirtQueue {
     pub fn shutdown(&self) {
         self.doorbell.shutdown();
     }
+
+    /// Refuse every later publish ([`QueueError::Closed`]).  Chains
+    /// already on the avail ring stay there for the device to pop.
+    pub fn close(&self) {
+        self.state.lock().closed = true;
+    }
 }
 
 /// The virtio-1.x EVENT_IDX predicate (`vring_need_event`): whether moving
@@ -543,10 +563,10 @@ mod tests {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
         let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)], false).unwrap();
-        assert_eq!(q.publish_avail_batch(&[h1], PUSH, &mut tl), 1);
+        assert_eq!(q.publish_avail_batch(&[h1], PUSH, &mut tl), Ok(1));
         let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)], false).unwrap();
         let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
-        assert_eq!(q.publish_avail_batch(&[h2, h3], PUSH, &mut tl), 3);
+        assert_eq!(q.publish_avail_batch(&[h2, h3], PUSH, &mut tl), Ok(3));
         // Through index 2: the first two chains in ring order, not the
         // third, however often asked.
         assert_eq!(q.pop_avail_bounded(2).unwrap().unwrap().chain.head, h1);
@@ -558,7 +578,7 @@ mod tests {
         assert_eq!(pop(&q).unwrap().unwrap().head, h3);
         // Indices keep counting across an empty ring.
         let h4 = q.prepare_chain(&[Descriptor::readable(0x4, 1)], false).unwrap();
-        assert_eq!(q.publish_avail_batch(&[h4], PUSH, &mut tl), 4);
+        assert_eq!(q.publish_avail_batch(&[h4], PUSH, &mut tl), Ok(4));
     }
 
     #[test]
@@ -610,6 +630,19 @@ mod tests {
     }
 
     #[test]
+    fn a_closed_ring_refuses_new_chains_and_keeps_the_old() {
+        let q = VirtQueue::new(8);
+        let mut tl = Timeline::new();
+        let before = add(&q, &[Descriptor::readable(0, 1)], &mut tl).unwrap();
+        let prepared = q.prepare_chain(&[Descriptor::readable(0, 1)], false).unwrap();
+        q.close();
+        assert_eq!(add(&q, &[Descriptor::readable(0, 1)], &mut tl), Err(QueueError::Closed));
+        assert_eq!(q.publish_avail_batch(&[prepared], PUSH, &mut tl), Err(QueueError::Closed));
+        assert_eq!(pop(&q).unwrap().unwrap().head, before);
+        assert_eq!((pop(&q), tl.total()), (Ok(None), PUSH), "a refused chain is not charged");
+    }
+
+    #[test]
     fn blocking_kick_runs_the_exit_handler_on_the_kicking_thread() {
         let q = VirtQueue::new(8);
         let seen = TrackedMutex::new(LockClass::TestInner, Vec::new());
@@ -626,9 +659,9 @@ mod tests {
         };
         let mut tl = Timeline::new();
         let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)], false).unwrap();
-        let mine = q.publish_avail_batch(&[h1], PUSH, &mut tl);
+        let mine = q.publish_avail_batch(&[h1], PUSH, &mut tl).unwrap();
         let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)], false).unwrap();
-        q.publish_avail_batch(&[h2], PUSH, &mut tl);
+        q.publish_avail_batch(&[h2], PUSH, &mut tl).unwrap();
         q.kick_blocking(KICK, &mut tl, || handler(mine));
         // The same vm-exit as `kick`: one charge, one counted kick.
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
@@ -641,7 +674,7 @@ mod tests {
         // Nothing left behind: no ring.
         let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
         pop(&q).unwrap().unwrap();
-        let mine = q.publish_avail_batch(&[h3], PUSH, &mut tl);
+        let mine = q.publish_avail_batch(&[h3], PUSH, &mut tl).unwrap();
         q.kick_blocking(KICK, &mut tl, || handler(mine));
         assert!(!q.doorbell.try_consume());
         assert_eq!(seen.lock().len(), 2);
@@ -659,7 +692,7 @@ mod tests {
         assert!(!q.avail_pending());
         assert!(pop(&q).unwrap().is_none());
         assert_eq!(tl.total(), SimDuration::ZERO);
-        q.publish_avail_batch(&[head], PUSH, &mut tl);
+        q.publish_avail_batch(&[head], PUSH, &mut tl).unwrap();
         assert_eq!(pop(&q).unwrap().unwrap().head, head);
         assert_eq!(tl.total(), PUSH);
     }
@@ -672,7 +705,7 @@ mod tests {
         let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)], false).unwrap();
         let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
         assert!(!q.avail_pending());
-        q.publish_avail_batch(&[h1, h2, h3], PUSH, &mut tl);
+        q.publish_avail_batch(&[h1, h2, h3], PUSH, &mut tl).unwrap();
         // One ring store per entry — the batch amortizes the kick, not
         // the avail-ring traffic.
         assert_eq!(tl.total_for(SpanLabel::RingPush), PUSH * 3);
@@ -766,7 +799,7 @@ mod tests {
         let mut tl = Timeline::new();
         let publish = |arm: bool, tl: &mut Timeline| {
             let head = q.prepare_chain(&[Descriptor::readable(0x1, 1)], arm).unwrap();
-            q.publish_avail_batch(&[head], PUSH, tl);
+            q.publish_avail_batch(&[head], PUSH, tl).unwrap();
             pop(&q).unwrap().unwrap().head
         };
         // Armed at 0: the push to 1 crosses.

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi_coi::transport::CoiEnv;
 use vphi_coi::{GuestEnv, NativeEnv};
-use vphi_mic_tools::mpilite::{establish_leaf, establish_root};
+use vphi_mic_tools::mpilite::{establish_leaf, establish_root, listen_root};
 use vphi_scif::{Port, HOST_NODE};
 use vphi_sim_core::Timeline;
 
@@ -30,6 +30,10 @@ fn main() {
     let y: Vec<f64> = (0..ELEMS).map(|i| (i % 5) as f64).collect();
     let expected: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
 
+    // The root listens before any leaf starts, as mpirun brings its
+    // rendezvous up first; each leaf then connects once.
+    let mut listener =
+        Some(listen_root(&GuestEnv::new(&vm), PORT, &mut Timeline::new()).expect("root"));
     let mut handles = Vec::new();
     for rank in 0..SIZE {
         let env: Arc<dyn CoiEnv> = if rank == 0 {
@@ -37,14 +41,15 @@ fn main() {
         } else {
             Arc::new(NativeEnv::on_card(&host, 0))
         };
+        let listener = listener.take();
         let (x, y) = (x.clone(), y.clone());
         handles.push(std::thread::spawn(move || {
             let mut tl = Timeline::new();
-            let comm = if rank == 0 {
-                establish_root(env.as_ref(), PORT, SIZE, &mut tl).expect("root")
-            } else {
-                establish_leaf(env.as_ref(), HOST_NODE, PORT, rank, SIZE, &mut tl).expect("leaf")
-            };
+            let comm = match listener {
+                Some(listener) => establish_root(listener, SIZE, &mut tl),
+                None => establish_leaf(env.as_ref(), HOST_NODE, PORT, rank, SIZE, &mut tl),
+            }
+            .expect("rank");
             // Each rank owns a contiguous slice of the vectors.
             let chunk = ELEMS / SIZE;
             let lo = rank * chunk;

@@ -264,8 +264,10 @@ fn a_blocking_callers_accept_goes_to_a_worker_and_frees_the_lane() {
     assert_eq!(dispatched(), 1, "one accept, one worker");
     assert_eq!(vm.backend().inner().worker_events(), 1, "one worker, one event");
     assert_eq!(vm.backend().inner().queue_worker_dispatches(lane), 1);
-    // Only the accept's caller ever slept (once more per expired deadline).
-    assert_eq!(channel.waitq.sleep_count(), 1 + vm.frontend().stats().deadline_retries);
+    // The accept's caller slept — once, and once more per wait period that
+    // expired on it — and never kicked again: its request was the worker's.
+    assert!(channel.waitq.sleep_count() >= 1);
+    assert_eq!(vm.frontend().stats().deadline_retries, 0);
     native.close();
     vm.shutdown();
 }

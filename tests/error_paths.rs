@@ -3,6 +3,7 @@
 //! guest user space unchanged.
 
 use vphi::builder::{VmConfig, VphiHost};
+use vphi::frontend::WaitScheme;
 use vphi::{Cq, Sq, SqEntry, VphiRequest};
 use vphi_dev_support::{serve, sink};
 use vphi_faults::{FaultPlan, FaultSite};
@@ -159,7 +160,7 @@ fn guest_death_during_register_gcs_the_backend() {
     let buf = vm.alloc_buf(4096).unwrap();
     // The dying guest's register observes the dead device, not a hang.
     assert_eq!(ep.register(&buf, Prot::READ_WRITE, None, &mut tl), Err(ScifError::NoDev));
-    // Everything after fails fast on the shutdown flag.
+    // Everything after finds the ring closed.
     assert_eq!(ep.send(b"x", &mut tl), Err(ScifError::NoDev));
 
     // The dead-guest GC released the backend's endpoint and window state.
@@ -776,10 +777,9 @@ fn strike_during_an_inline_drain(
     assert_eq!(vm.backend().inner().window_entries(), 0, "{strike:?}: leaked windows");
     assert_eq!(vm.backend().inner().aperture().mapped_windows(), 0, "{strike:?}: leaked mappings");
     assert_eq!(vm.frontend().pending_tokens(), 0, "{strike:?}: leaked tokens");
-    // The queued chain is taken off the books by whoever holds the lane
-    // next — run (card reset) or, on a dead device, discarded — which is
-    // the shard, a moment after the first caller leaves.
-    spin_until("the queued request's inflight entry is gone", || channel.inflight_count() == 0);
+    // Its caller returned, so the queued chain is off the ring: run (card
+    // reset) or, on a dead device, retired by whoever held the lane next.
+    assert_eq!((channel.inflight_count(), channel.live_slots()), (0, 0), "{strike:?}");
     vm.shutdown();
     card.join().unwrap();
     results
@@ -790,9 +790,7 @@ fn strike_during_an_inline_drain(
 /// dead-guest GC closes the first caller's endpoint under it: its `recv`
 /// really ran and really ended, with the zero bytes of a hang-up.  The
 /// queued request is never started — a dead device executes nothing more —
-/// so its caller reads `ENODEV` off the shutdown flag.  (On the shard this
-/// one was a race between the GC's wake-up and the shard running the
-/// request into the emptied endpoint table: `ENODEV` or `EINVAL`.)
+/// so the lane retires it and its caller reads `ENODEV`.
 #[test]
 fn guest_death_during_an_inline_drain() {
     let (inside, queued) = strike_during_an_inline_drain(984, Strike::GuestDeath);
@@ -803,7 +801,8 @@ fn guest_death_during_an_inline_drain() {
 /// `vm.shutdown()` in the same position.  It closes the guest's endpoints
 /// before it waits for the shards, so the caller parked inside the backend
 /// comes out (a hang-up again) and the shard queued behind it for the
-/// executor role can be joined; the queued caller reads `ENODEV`.
+/// executor role can be joined; it retires the queued request, whose
+/// caller reads `ENODEV`.
 #[test]
 fn vm_shutdown_during_an_inline_drain() {
     let start = std::time::Instant::now();
@@ -826,7 +825,8 @@ fn card_reset_during_an_inline_drain() {
 
 /// A lost kick on a blocking call: the vm-exit was paid for, nothing was
 /// serviced, and the caller is asleep on its token like any other
-/// requester whose reply comes from another thread.  The deadline's
+/// requester whose reply comes from another thread.  Its wait period
+/// finds the chain on an idle ring with no doorbell pending, and its
 /// re-kick is an ordinary doorbell, so the lane's shard runs the request.
 #[test]
 fn lost_kick_on_a_blocking_call_recovers_through_the_shard() {
@@ -1093,15 +1093,13 @@ fn card_reset_ends_timed_receives_parked_on_both_ends() {
     }
 }
 
-/// A card-side peer for the abandoned-request cases: accepts one
-/// connection, stays silent until told to send `frame`, then swallows
-/// `expect` bytes of whatever the guest sends afterwards.
+/// A card-side peer that accepts one connection and stays silent but for
+/// sending `frame` each time it is told to, until its speaker is dropped.
 fn silent_then_talkative_peer(
     host: &VphiHost,
     port: u16,
     frame: [u8; 16],
-    expect: usize,
-) -> (std::sync::mpsc::Sender<()>, std::thread::JoinHandle<Vec<u8>>) {
+) -> (std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>) {
     let server = host.device_endpoint(0).unwrap();
     let mut tl = Timeline::new();
     server.bind(Port(port), &mut tl).unwrap();
@@ -1110,107 +1108,271 @@ fn silent_then_talkative_peer(
     let peer = std::thread::spawn(move || {
         let mut tl = Timeline::new();
         let conn = server.accept(&mut tl).unwrap();
-        let _ = spoken.recv();
-        let _ = conn.send(&frame, &mut tl);
-        let mut got = vec![0u8; expect];
-        let n = conn.recv(&mut got, &mut tl).unwrap_or(0);
-        got.truncate(n);
-        got
+        while spoken.recv().is_ok() {
+            let _ = conn.send(&frame, &mut tl);
+        }
     });
     (speak, peer)
 }
 
-/// A reaped token gives up — `EAGAIN` after its deadline retries, which a
-/// zero first deadline spends at once — while the backend is alive and
-/// merely slow: the lane's shard is parked in `scif_recv` on a peer that
-/// has not sent yet.  The header pair used to go straight back to the
-/// pool, and the inbound staging buffer to the allocator, with that
-/// backend still holding their addresses.  Abandoned, the slot keeps both
-/// until the late completion: the token is off the books at once, the slot
-/// is not; the peer's frame then lands in memory nobody else was handed,
-/// the slot comes free, and the requests after it read their own replies.
+/// Reaps on a device that dies.  The handler parked in the first `recv`
+/// has its endpoint closed under it and completes — short read — like any
+/// other; the two chains published behind it never run: the dead lane's
+/// last pass retires them and wakes their reaper, which frees their slots
+/// and staging.  Nothing is held the moment the reap returns.
 #[test]
-fn abandoned_reap_on_a_slow_backend_keeps_its_buffers_until_the_late_completion() {
+fn reaps_on_a_dead_device_end_when_the_lane_retires_them() {
     let host = VphiHost::new(1);
-    let (speak, peer) = silent_then_talkative_peer(&host, 984, [0xAB; 16], 4);
-    let vm = host.spawn_vm(VmConfig::builder().num_queues(1).build());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    ep.connect(ScifAddr::new(host.device_node(0), Port(984)), &mut tl).unwrap();
-    let channel = vm.frontend().channel();
-    let guest_ram = vm.vm().kernel().mem();
-    let allocated_before = guest_ram.allocated();
-
-    let mut sq = Sq::new();
-    sq.push(SqEntry::recv(16).deadline_ms(0));
-    let mut cq = Cq::new();
-    cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
-    // The shard has the request and is inside the peer's silence.
-    spin_until("the recv is claimed", || channel.inflight_count() == 0);
-    assert_eq!(ep.reap(&mut cq, 1, 1, &mut tl), Ok(1));
-    let gave_up = cq.drain();
-    assert_eq!(gave_up[0].result, Err(ScifError::Canceled));
-    assert!(vm.frontend().stats().deadline_retries > 0, "the wait really ran out of retries");
-    assert_eq!(vm.frontend().pending_tokens(), 0, "the token is off the books");
-    assert_eq!(channel.live_slots(), 1, "the backend's half of the request holds the slot");
-    assert!(guest_ram.allocated() > allocated_before, "its staging is still allocated");
-
-    // The backend finishes late: into buffers that are still the slot's.
-    speak.send(()).unwrap();
-    spin_until("the late completion frees the slot", || channel.live_slots() == 0);
-    // The lane is usable, and a request reusing the slot reads its own
-    // reply — and takes the abandoned staging off the books.
-    assert_eq!(ep.send(b"next", &mut tl), Ok(4));
-    assert_eq!(peer.join().unwrap(), b"next");
-    assert_eq!(guest_ram.allocated(), allocated_before, "staging leaked");
-
-    ep.close(&mut tl).unwrap();
-    assert_eq!(vm.frontend().pending_tokens(), 0);
-    assert_eq!((channel.inflight_count(), channel.live_slots()), (0, 0));
-    assert_eq!(vm.backend().open_endpoints(), 0);
-    vm.shutdown();
-    assert_eq!(vphi_sync::audit::violation_count(), 0);
-}
-
-/// The same on a device that dies instead.  The handler parked in the
-/// first `recv` has its endpoint closed under it and completes — short
-/// read — like any other; the two chains published behind it never run:
-/// the dead lane's drain pass retires them, and their reaps, reading the
-/// shutdown flag instead of waiting, find the slots already let go or
-/// abandon them for the pass to free.  Nothing stays held either way.
-#[test]
-fn abandoned_reaps_on_a_dead_device_are_retired_by_the_lane() {
-    let host = VphiHost::new(1);
-    let (_speak, peer) = silent_then_talkative_peer(&host, 985, [0; 16], 0);
+    let (_speak, peer) = silent_then_talkative_peer(&host, 985, [0; 16]);
     let vm = host.spawn_vm(VmConfig::builder().num_queues(1).build());
     let mut tl = Timeline::new();
     let ep = vm.open_scif(&mut tl).unwrap();
     ep.connect(ScifAddr::new(host.device_node(0), Port(985)), &mut tl).unwrap();
     let channel = std::sync::Arc::clone(vm.frontend().channel());
+    let guest_ram = vm.vm().mem();
+    // Three slots in flight at once give each its header buffer, kept
+    // from then on.
+    let (mut cq, mut sq) = (Cq::new(), Sq::new());
+    (0..3).for_each(|_| sq.push(SqEntry::recv(0)));
+    cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+    assert_eq!(ep.reap(&mut cq, 3, 3, &mut tl), Ok(3));
+    cq.drain();
+    let baseline = guest_ram.allocated();
 
     // One recv the shard parks in …
-    let mut cq = Cq::new();
-    let mut sq = Sq::new();
-    sq.push(SqEntry::recv(16).deadline_ms(60_000));
+    sq.push(SqEntry::recv(16));
     cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
     spin_until("the first recv is claimed", || channel.inflight_count() == 0);
     // … and two published behind it, which stay on the ring.
     for _ in 0..2 {
-        sq.push(SqEntry::recv(16).deadline_ms(60_000));
+        sq.push(SqEntry::recv(16));
     }
     cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
     assert_eq!((channel.inflight_count(), channel.live_slots()), (2, 3));
 
     vm.shutdown();
     assert_eq!(ep.reap(&mut cq, 3, 3, &mut tl), Ok(3));
+    assert_eq!((channel.live_slots(), channel.inflight_count()), (0, 0));
+    assert_eq!(vm.frontend().pending_tokens(), 0);
+    assert_eq!(guest_ram.allocated(), baseline, "staging leaked");
     let reaped = cq.drain();
     let canceled = reaped.iter().filter(|done| done.result == Err(ScifError::Canceled)).count();
     assert_eq!(canceled, 2, "the chains that never ran are canceled: {reaped:?}");
-    assert_eq!(vm.frontend().pending_tokens(), 0);
-    spin_until("every slot is let go", || channel.live_slots() == 0);
-    assert_eq!(channel.inflight_count(), 0);
     drop(peer);
     assert_eq!(vphi_sync::audit::violation_count(), 0);
+}
+
+/// A guest request ends on its event, however late it comes, and waiting
+/// costs it nothing: no re-kick, no virtual time.  Three requests wait
+/// more than three of the frontend's 200 ms wait periods each — an
+/// `accept` on a worker whose connector comes late, a batched `recv` the
+/// shard holds, and a blocking `recv` queued behind it on the lane — and
+/// none is kicked again: the accept pays its one vm-exit, and the late
+/// batched `recv` reaps on exactly the timeline of its twin answered at
+/// once.
+#[test]
+fn a_guest_request_waits_for_its_event() {
+    use std::time::Duration;
+    use vphi_sim_core::SpanLabel;
+    const LATE: Duration = Duration::from_millis(700);
+    let started = std::time::Instant::now();
+    let host = VphiHost::new(1);
+    let (speak, peer) = silent_then_talkative_peer(&host, 988, [0x5A; 16]);
+    let config = VmConfig::builder().num_queues(1).scheme(WaitScheme::Interrupt).build();
+    let vm = std::sync::Arc::new(host.spawn_vm(config));
+    let channel = vm.frontend().channel();
+    let mut tl = Timeline::new();
+
+    let listener = vm.open_scif(&mut tl).unwrap();
+    let port = listener.bind(Port::ANY, &mut tl).unwrap();
+    listener.listen(1, &mut tl).unwrap();
+    let card = host.device_endpoint(0).unwrap();
+    let connector = std::thread::spawn(move || {
+        std::thread::sleep(LATE);
+        card.connect(ScifAddr::new(vphi_scif::HOST_NODE, port), &mut Timeline::new()).unwrap();
+        card
+    });
+    let mut accept_tl = Timeline::new();
+    let (conn, from) = listener.accept(&mut accept_tl).unwrap();
+    let card = connector.join().unwrap();
+    assert_eq!(Some(from), card.local_addr(), "accepted somebody else");
+    assert_eq!(accept_tl.total_for(SpanLabel::VmExitKick), host.cost().vmexit_kick);
+    assert_eq!(vm.backend().open_endpoints(), 2, "held beyond the listener and its connection");
+
+    let ep = std::sync::Arc::new(vm.open_scif(&mut tl).unwrap());
+    ep.connect(ScifAddr::new(host.device_node(0), Port(988)), &mut tl).unwrap();
+    let submit = || {
+        let (mut sq, mut cq) = (Sq::new(), Cq::new());
+        sq.push(SqEntry::recv(16));
+        cq.watch(&ep.submit(&mut sq, &mut Timeline::new()).unwrap());
+        cq
+    };
+    let reap = |mut cq: Cq| {
+        let mut tl = Timeline::new();
+        assert_eq!(ep.reap(&mut cq, 1, 1, &mut tl), Ok(1));
+        assert_eq!(cq.drain()[0].result, Ok((16, 0)));
+        tl
+    };
+    let cq = submit();
+    speak.send(()).unwrap();
+    let prompt = reap(cq);
+    let cq = submit();
+    spin_until("the shard holds the recv", || channel.inflight_count() == 0);
+    let queued = std::sync::Arc::clone(&ep);
+    let queued = std::thread::spawn(move || queued.recv(&mut [0; 16], &mut Timeline::new()));
+    spin_until("a blocking recv is queued behind it", || channel.inflight_count() == 1);
+    let answer = std::thread::spawn({
+        let speak = speak.clone();
+        move || (std::thread::sleep(LATE), speak.send(()).unwrap(), speak.send(()).unwrap())
+    });
+    assert_eq!(reap(cq), prompt, "waiting was charged");
+    assert_eq!(queued.join().unwrap(), Ok(16), "the queued recv");
+    answer.join().unwrap();
+
+    assert_eq!(vm.frontend().stats().deadline_retries, 0, "a request was kicked again");
+    assert_eq!(channel.live_slots(), 0);
+    assert!(started.elapsed() >= 2 * LATE);
+    for ep in [&conn, &listener, &*ep] {
+        ep.close(&mut tl).unwrap();
+    }
+    card.close();
+    drop(speak);
+    peer.join().unwrap();
+    vm.shutdown();
+}
+
+/// What a guest request is doing when its device goes.
+#[derive(Clone, Copy, Debug)]
+enum InFlight {
+    /// A batched `recv` whose chain sits on the ring: its kick was lost.
+    OnTheRing,
+    /// A blocking `recv` parked in its caller's own vm-exit.
+    InAnExecutor,
+    /// A blocking `accept` on a QEMU worker.
+    AcceptOnAWorker,
+    /// A batched `recv` completed while its reaper slept, its MSI lost:
+    /// the reply sits in the slot, nobody woken.
+    QuietCompletion,
+}
+
+/// Every guest request in flight when its device goes ends and leaves
+/// nothing behind, under `vm.shutdown()` and under injected guest death
+/// (a bystander endpoint's next request is the guest's last): its
+/// requester returns, and at that moment no slot, ring entry or batch
+/// token is held and guest RAM is back where it was before the request.
+/// A `send` or `recv` the endpoint makes afterwards fails and frees its
+/// staging chunk.
+#[test]
+fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
+    use std::sync::Arc;
+    use vphi_faults::FaultPoint;
+    use InFlight::*;
+
+    for row in [OnTheRing, InAnExecutor, AcceptOnAWorker, QuietCompletion] {
+        for death in [false, true] {
+            let what = format!("{row:?}, death: {death}");
+            let host = VphiHost::new(1);
+            let (speak, peer) = silent_then_talkative_peer(&host, 989, [0x5A; 16]);
+            let vm = host.spawn_vm(VmConfig::builder().scheme(WaitScheme::Interrupt).build());
+            let channel = Arc::clone(vm.frontend().channel());
+            let backend = vm.backend().inner();
+            let mut tl = Timeline::new();
+            let victim = Arc::new(vm.open_scif(&mut tl).unwrap());
+            let lane_of =
+                |ep: &vphi::GuestScif| channel.route(&VphiRequest::Close { epd: ep.epd() });
+            let bystander = loop {
+                let ep = vm.open_scif(&mut tl).unwrap();
+                if lane_of(&ep) != lane_of(&victim) {
+                    break ep;
+                }
+                ep.close(&mut tl).unwrap();
+            };
+            // One of the two is the card peer's connection.
+            let (listening, connected) = match row {
+                AcceptOnAWorker => (&*victim, &bystander),
+                _ => (&bystander, &*victim),
+            };
+            connected.connect(ScifAddr::new(host.device_node(0), Port(989)), &mut tl).unwrap();
+            listening.bind(Port::ANY, &mut tl).unwrap();
+            if let AcceptOnAWorker = row {
+                victim.listen(1, &mut tl).unwrap();
+            }
+            let baseline = vm.vm().mem().allocated();
+
+            // The row's fault, and the guest's death at the bystander's
+            // request: the second the backend starts from here on, or the
+            // first where the row's own never started.
+            let point = |site, nth| FaultPoint { site, nth, param: 0 };
+            let mut points = match row {
+                OnTheRing => vec![point(FaultSite::VirtioKickLost, 1)],
+                QuietCompletion => vec![point(FaultSite::PcieMsiLost, 1)],
+                _ => Vec::new(),
+            };
+            if death {
+                let nth = if let OnTheRing = row { 1 } else { 2 };
+                points.push(point(FaultSite::VmmGuestDeath, nth));
+            }
+            host.arm_faults(FaultPlan { seed: 0, points });
+            let settled = backend.requests();
+            let call = {
+                let victim = Arc::clone(&victim);
+                let mut cq = Cq::new();
+                if matches!(row, OnTheRing | QuietCompletion) {
+                    let mut sq = Sq::new();
+                    sq.push(SqEntry::recv(16));
+                    cq.watch(&victim.submit(&mut sq, &mut Timeline::new()).unwrap());
+                }
+                std::thread::spawn(move || {
+                    let mut tl = Timeline::new();
+                    match row {
+                        InAnExecutor => victim.recv(&mut [0; 16], &mut tl).map(|n| n as u64),
+                        AcceptOnAWorker => victim.accept(&mut tl).map(|_| 0),
+                        _ => {
+                            assert_eq!(victim.reap(&mut cq, 1, 1, &mut tl), Ok(1));
+                            cq.drain().pop().unwrap().result.map(|(n, _)| n)
+                        }
+                    }
+                })
+            };
+            match row {
+                OnTheRing => {}
+                InAnExecutor => spin_until("the recv runs", || backend.requests() == settled + 1),
+                AcceptOnAWorker => spin_until("the accept waits", || backend.live_workers() == 1),
+                QuietCompletion => {
+                    speak.send(()).unwrap();
+                    spin_until("the reply lands quietly", || backend.stats.msi_lost.get() == 1);
+                }
+            }
+            if death {
+                assert_eq!(bystander.listen(1, &mut tl), Err(ScifError::NoDev), "{what}");
+            } else {
+                vm.shutdown();
+            }
+            let result = call.join().unwrap();
+            let held =
+                (channel.live_slots(), channel.inflight_count(), vm.frontend().pending_tokens());
+            assert_eq!(held, (0, 0, 0), "{what}: slots, ring entries and tokens held");
+            assert_eq!(vm.vm().mem().allocated(), baseline, "{what}: guest RAM leaked");
+            let expected = match row {
+                // Retired, unless its kick was recovered first: then it ran
+                // and hung up with the device.
+                OnTheRing => matches!(result, Err(ScifError::Canceled) | Ok(0)),
+                InAnExecutor => result == Ok(0),
+                AcceptOnAWorker => result.is_err(),
+                QuietCompletion => result == Ok(16),
+            };
+            assert!(expected, "{what}: {result:?}");
+            // A call on the dead device fails, and frees its staging.
+            assert_eq!(victim.send(&[1; 16], &mut tl), Err(ScifError::NoDev), "{what}");
+            assert_eq!(victim.recv(&mut [0; 16], &mut tl), Err(ScifError::NoDev), "{what}");
+            assert_eq!(vm.vm().mem().allocated(), baseline, "{what}: a failed call leaked");
+            let _ = (victim.close(&mut tl), bystander.close(&mut tl));
+            vm.shutdown();
+            drop(speak);
+            peer.join().unwrap();
+            assert_eq!(vm.backend().open_endpoints(), 0, "{what}: leaked endpoints");
+        }
+    }
 }
 
 /// A VM is one QEMU process (paper §III): when it goes, everything it held

@@ -9,7 +9,7 @@ use vphi_coi::pipeline::CoiPipeline;
 use vphi_coi::process::LaunchSpec;
 use vphi_coi::transport::CoiEnv;
 use vphi_coi::{CoiDaemon, CoiEngine, CoiProcess, ComputeManifest, GuestEnv, NativeEnv};
-use vphi_mic_tools::mpilite::{establish_leaf, establish_root};
+use vphi_mic_tools::mpilite::{establish_leaf, establish_root, listen_root};
 use vphi_mic_tools::{micnativeloadex, MicBinary};
 use vphi_scif::{Port, HOST_NODE};
 use vphi_sim_core::{SimDuration, Timeline};
@@ -89,20 +89,19 @@ fn symmetric_mode_with_vm_root_and_device_leaves() {
     const SIZE: usize = 3;
     const PORT: Port = Port(988);
 
+    // The root listens before any leaf starts.
+    let mut listener = Some(listen_root(&GuestEnv::new(&vm), PORT, &mut Timeline::new()).unwrap());
     let mut handles = Vec::new();
     for rank in 0..SIZE {
-        let env: Arc<dyn CoiEnv> = if rank == 0 {
-            Arc::new(GuestEnv::new(&vm))
-        } else {
-            Arc::new(NativeEnv::on_card(&host, 0))
-        };
+        let env: Arc<dyn CoiEnv> = Arc::new(NativeEnv::on_card(&host, 0));
+        let listener = listener.take();
         handles.push(std::thread::spawn(move || {
             let mut tl = Timeline::new();
-            let comm = if rank == 0 {
-                establish_root(env.as_ref(), PORT, SIZE, &mut tl).unwrap()
-            } else {
-                establish_leaf(env.as_ref(), HOST_NODE, PORT, rank, SIZE, &mut tl).unwrap()
-            };
+            let comm = match listener {
+                Some(listener) => establish_root(listener, SIZE, &mut tl),
+                None => establish_leaf(env.as_ref(), HOST_NODE, PORT, rank, SIZE, &mut tl),
+            }
+            .unwrap();
             comm.barrier(&mut tl).unwrap();
             let sum = comm.allreduce_sum((rank + 1) as f64, &mut tl).unwrap();
             // The VM root's communication is far more expensive than the

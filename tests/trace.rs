@@ -334,7 +334,7 @@ fn chaos_faults_leave_no_orphan_spans() {
     assert!(died || completed == 8, "neither died nor finished ({completed}/8)");
 
     // Quiesce, then audit: every begun span ended and every adopted root
-    // finished — errors, deadline retries, card resets and guest death
+    // finished — errors, re-kicks, card resets and guest death
     // all travel the same finish paths as success.
     vm.shutdown();
     server.shutdown();
