@@ -68,6 +68,12 @@ impl CoiDaemon {
         self.service.workers()
     }
 
+    /// Sessions accepted and not yet over: a client's last call can
+    /// return before the card side has finished its session.
+    pub fn sessions_in_progress(&self) -> usize {
+        self.service.sessions_in_progress()
+    }
+
     /// Stop accepting, wait for every open session's client to hang up,
     /// and join the daemon's threads.
     pub fn shutdown(&self) {

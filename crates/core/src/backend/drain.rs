@@ -4,7 +4,7 @@
 //! `wait_kick`, for work nobody is blocked on: batches (`submit_batch`),
 //! re-kicks of lost kicks, and whatever a blocking kicker left behind.  A
 //! **blocking caller** runs it on its own thread, as the handler of the
-//! vm-exit its kick just took (`VirtQueue::kick_blocking`): "QEMU handles
+//! vm-exit its kick just took (`VirtQueue::kick`): "QEMU handles
 //! events as they are produced and during that time the whole VM is in
 //! blocking mode" (paper §III), so that caller had nothing to overlap
 //! with and handing its chain to another thread only bought two context

@@ -292,7 +292,8 @@ impl BackendInner {
     /// ring, which is closed to new ones.
     pub fn guest_died(&self) {
         self.stats.guest_deaths.bump();
-        // Flag and close first (new requests fail fast), wake last.
+        // Flag and close first (new requests fail fast), then wake each
+        // lane's shard to retire what is left on its ring.
         self.channel.mark_shutdown();
         let (endpoints, windows) = self.held.release_all();
         self.release_mmaps();
@@ -301,7 +302,6 @@ impl BackendInner {
         for lane in self.channel.lanes() {
             lane.queue.doorbell.ring();
         }
-        self.channel.waitq.wake_all();
     }
 
     /// Unmap every device mapping, as a `Munmap` would, and refuse every
@@ -883,7 +883,6 @@ impl BackendDevice {
             return;
         }
         self.inner.channel.mark_shutdown();
-        self.inner.channel.waitq.wake_all();
         for lane in self.inner.channel.lanes() {
             lane.queue.shutdown();
         }

@@ -306,7 +306,9 @@ impl VphiHost {
     /// Recover a failed card: reset and reboot the board, advance the
     /// virtual clock past the reboot, then quarantine every attached
     /// backend's endpoints that touched the card — other VMs' endpoints
-    /// are untouched.  Returns the virtual recovery duration.
+    /// are untouched.  A thread parked on a quarantined endpoint, `poll`
+    /// included, hears of it through that endpoint's abort.  Returns the
+    /// virtual recovery duration.
     pub fn reset_card(&self, i: usize) -> SimDuration {
         let board = &self.boards[i];
         let dur = board.reset();
@@ -315,8 +317,6 @@ impl VphiHost {
         for (_, backend) in self.attached() {
             backend.inner().quarantine_node(node);
         }
-        // Wake blocked fabric waiters so they observe the recovered state.
-        self.fabric.shared().bump_activity();
         dur
     }
 

@@ -710,12 +710,12 @@ impl FrontendDriver {
         //
         // This caller is about to do nothing but wait for `sub.token`, so
         // its kick's vm-exit is serviced right here, on this thread
-        // (DESIGN.md #21): when `kick_blocking` returns, the backend has
+        // (DESIGN.md #21): when `kick` returns, the backend has
         // run the request and the slot is `Completed` for the wait's first
         // check.  Only a lost kick, a busy lane or a worker-dispatched
         // request leaves something to sleep for.
         let wait = ctx.begin("wait-complete", Stage::Completion);
-        lane.queue.kick_blocking(cost.vmexit_kick, ctx.tl, || match self.exit.get() {
+        lane.queue.kick(cost.vmexit_kick, ctx.tl, || match self.exit.get() {
             Some(service) => service(sub.q, sub.avail_idx, sub.token),
             None => true,
         });
@@ -868,7 +868,7 @@ impl FrontendDriver {
                 && !queue.executor.is_held()
                 && queue.doorbell.pending() == 0
             {
-                queue.kick(self.kernel.cost().vmexit_kick, tl);
+                queue.kick(self.kernel.cost().vmexit_kick, tl, || true);
                 self.stats.deadline_retries.bump();
             }
         }
@@ -941,7 +941,7 @@ impl FrontendDriver {
             }
             let ring = ctx.begin("virtio-ring", Stage::VirtioRing);
             if lane.queue.publish_avail_batch(heads, cost.ring_push, ctx.tl).is_ok() {
-                lane.queue.kick(cost.vmexit_kick, ctx.tl);
+                lane.queue.kick(cost.vmexit_kick, ctx.tl, || true);
                 kicks += 1;
             } else {
                 // The device died since the batch began: its ring takes no

@@ -86,7 +86,7 @@ fn run_one(num_queues: u16, seed: u64) -> HashMap<u64, Vec<u32>> {
                             |_| {},
                         )
                         .expect("ring has room");
-                    queue.kick(SimDuration::ZERO, &mut tl);
+                    queue.kick(SimDuration::ZERO, &mut tl, || true);
                 }
                 next_seq.iter().zip(epds).map(|(&n, epd)| (epd, n)).collect::<Vec<_>>()
             })

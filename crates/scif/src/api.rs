@@ -395,7 +395,7 @@ impl ScifEndpoint {
         })
     }
 
-    /// `scif_poll` over this single endpoint (convenience).
+    /// `scif_poll` of this endpoint.
     pub fn poll<'a>(
         &self,
         events: crate::poll::PollEvents,
@@ -405,9 +405,7 @@ impl ScifEndpoint {
         let mut ctx = ctx.into();
         ctx.in_span("scif_poll", Stage::HostScif, |c| {
             self.syscall(c);
-            let mut fds = [crate::poll::PollFd::new(Arc::clone(&self.core), events)];
-            crate::poll::poll(&mut fds, wall_timeout, c.tl)?;
-            Ok(fds[0].revents)
+            Ok(crate::poll::poll(&self.core, events, wall_timeout, c.tl))
         })
     }
 

@@ -15,6 +15,7 @@ use vphi_sync::{Flag, LockClass, Published, TrackedCondvar, TrackedMutex};
 
 use crate::error::{ScifError, ScifResult};
 use crate::fabric::{enqueue_connect, FabricShared, Listener, NodeCore, WaitCounter};
+use crate::poll::PollWake;
 use crate::queue::{copy_from, copy_into, MsgQueue};
 use crate::types::{NodeId, Port, Prot, ScifAddr};
 use crate::window::{WindowBacking, WindowTable};
@@ -106,10 +107,9 @@ pub struct EndpointCore {
     timed: TrackedMutex<TimedLane>,
     /// Paired with `timed`: where this endpoint's `recv_timed` sleeps.
     timed_ready: TrackedCondvar,
-    /// Things that happened to this endpoint which a `poll` of it, or of
-    /// its peer, could see: bumped just before each hub bump, so a woken
-    /// poller can tell its own connections' traffic from everybody else's.
-    events: Published,
+    /// Where a `poll` of this endpoint sleeps: its connection's, shared
+    /// with the peer (see [`PollWake`]).
+    pub(crate) wake: Arc<PollWake>,
     waits: WaitCounter,
 }
 
@@ -125,6 +125,11 @@ impl std::fmt::Debug for EndpointCore {
 
 impl EndpointCore {
     pub(crate) fn new(shared: Arc<FabricShared>, node: Arc<NodeCore>) -> Arc<Self> {
+        Self::with_wake(shared, node, Arc::default())
+    }
+
+    /// An endpoint whose polls sleep on `wake`.
+    fn with_wake(shared: Arc<FabricShared>, node: Arc<NodeCore>, wake: Arc<PollWake>) -> Arc<Self> {
         let id = shared.next_endpoint_id();
         Arc::new(EndpointCore {
             id,
@@ -147,7 +152,7 @@ impl EndpointCore {
             ),
             timed: TrackedMutex::new(LockClass::TimedLane, TimedLane::default()),
             timed_ready: TrackedCondvar::new(),
-            events: Published::new(0),
+            wake,
             waits: WaitCounter::default(),
         })
     }
@@ -191,21 +196,6 @@ impl EndpointCore {
 
     pub(crate) fn peer_core(&self) -> ScifResult<Arc<EndpointCore>> {
         self.peer.get().and_then(Weak::upgrade).ok_or(ScifError::ConnReset)
-    }
-
-    /// Events on this connection so far — this end's and the peer's — for
-    /// [`poll`](crate::poll::poll)'s wake-up filter.
-    pub(crate) fn connection_events(&self) -> u64 {
-        let peer = self.peer.get().and_then(Weak::upgrade);
-        let theirs = peer.map_or(0, |p| p.events.load());
-        self.events.load().wrapping_add(theirs)
-    }
-
-    /// Record an event a poller could see; every hub bump below follows
-    /// one.  The add's release half pairs with the `Acquire` load a
-    /// poller makes after the hub woke it.
-    fn note_event(&self) {
-        self.events.fetch_add(1);
     }
 
     /// How often `accept`, `connect` or `recv_timed` went to sleep on
@@ -356,7 +346,11 @@ impl EndpointCore {
             return Err(e);
         }
         // Build the connected pair.
-        let newep = EndpointCore::new(Arc::clone(&self.shared), Arc::clone(&self.node));
+        let newep = EndpointCore::with_wake(
+            Arc::clone(&self.shared),
+            Arc::clone(&self.node),
+            Arc::clone(&connector.wake),
+        );
         let port = self.node.bind_port(Port::ANY)?;
         newep.set_port(port);
         let q_a = Arc::new(MsgQueue::with_default_capacity()); // connector -> acceptor
@@ -378,8 +372,7 @@ impl EndpointCore {
             connector.set_state(&mut st, EpState::Connected);
             connector.connect_done.notify_all();
         }
-        connector.note_event();
-        self.shared.activity.wake_pollers();
+        connector.wake.wake();
         Ok(Some(newep))
     }
 
@@ -433,8 +426,7 @@ impl EndpointCore {
             return Err(ScifError::ConnReset);
         }
         self.shared.charge_message_path(&self.node, &to, len as u64, tl)?;
-        self.note_event();
-        self.shared.activity.wake_pollers();
+        self.wake.wake();
         Ok(len)
     }
 
@@ -458,8 +450,7 @@ impl EndpointCore {
         let q = self.recv_q.get().ok_or(ScifError::NotConn)?;
         let n = q.read_exact_with(len, drain)?;
         tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(n as u64));
-        self.note_event();
-        self.shared.activity.wake_pollers();
+        self.wake.wake();
         Ok(n)
     }
 
@@ -470,8 +461,7 @@ impl EndpointCore {
         let n = q.try_read(out);
         tl.charge(SpanLabel::CopyUserKernel, self.shared.cost.cpu_copy(n as u64));
         if n > 0 {
-            self.note_event();
-            self.shared.activity.wake_pollers();
+            self.wake.wake();
         }
         Ok(n)
     }
@@ -497,9 +487,9 @@ impl EndpointCore {
             }
         }
         self.shared.charge_message_path(&self.node, &peer.node, len, tl)?;
-        // Not a poll event, and no hub bump: `poll` reads the byte lane
-        // (`recv_pending`, `send_space`) and hang-up, never this lane, and
-        // `recv_timed` sleeps on `timed_ready`.
+        // No poll wake-up: `poll` reads the byte lane (`recv_pending`,
+        // `send_space`) and hang-up, never this lane, and `recv_timed`
+        // sleeps on `timed_ready`.
         Ok(len)
     }
 
@@ -595,8 +585,7 @@ impl EndpointCore {
         // the window pages) — nothing may leak past a close.
         self.windows.lock().release_all();
         self.hang_up_timed_lanes();
-        self.note_event();
-        self.shared.activity.wake_pollers();
+        self.wake.wake();
     }
 
     /// A `recv_timed` parked on either end of the connection gets

@@ -3,64 +3,15 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 use vphi_faults::FaultSite;
 use vphi_phi::PhiBoard;
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
-use vphi_sync::{Counter, Flag, LockClass, Published, TrackedCondvar, TrackedMutex, TrackedRwLock};
+use vphi_sync::{Counter, Flag, LockClass, TrackedCondvar, TrackedMutex, TrackedRwLock};
 
 use crate::endpoint::EndpointCore;
 use crate::error::{ScifError, ScifResult};
 use crate::types::{NodeId, Port, ScifAddr, HOST_NODE};
-
-/// A wake-any hub for the one primitive that waits on *any of N*
-/// endpoints: `poll`.  Everything that knows which object it waits for
-/// sleeps on that object's own condvar instead (DESIGN.md #22).
-#[derive(Debug)]
-pub(crate) struct ActivityHub {
-    version: TrackedMutex<u64>,
-    cond: TrackedCondvar,
-}
-
-impl Default for ActivityHub {
-    fn default() -> Self {
-        ActivityHub {
-            version: TrackedMutex::new(LockClass::ActivityHub, 0),
-            cond: TrackedCondvar::new(),
-        }
-    }
-}
-
-impl ActivityHub {
-    /// Advance the version and wake every parked poller to re-scan.
-    pub fn wake_pollers(&self) {
-        let mut v = self.version.lock();
-        *v += 1;
-        self.cond.notify_all();
-    }
-
-    /// Wait up to `timeout` for the hub version to change from `seen`;
-    /// returns the current version either way, plus whether it changed.
-    pub fn wait_change_for(&self, seen: u64, timeout: Duration) -> (u64, bool) {
-        let mut v = self.version.lock();
-        let deadline = std::time::Instant::now() + timeout;
-        while *v == seen {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return (*v, false);
-            }
-            if self.cond.wait_for(&mut v, deadline - now).timed_out() {
-                return (*v, *v != seen);
-            }
-        }
-        (*v, true)
-    }
-
-    pub fn version(&self) -> u64 {
-        *self.version.lock()
-    }
-}
 
 /// A pending connection waiting in a listener's backlog.
 pub(crate) struct PendingConn {
@@ -229,10 +180,6 @@ impl NodeCore {
 pub struct FabricShared {
     pub cost: Arc<CostModel>,
     pub clock: Arc<VirtualClock>,
-    pub(crate) activity: ActivityHub,
-    /// Fabric-wide events ([`bump_activity`](FabricShared::bump_activity))
-    /// — the part of a poller's wake-up filter no endpoint owns.
-    events: Published,
     nodes: TrackedRwLock<BTreeMap<NodeId, Arc<NodeCore>>>,
     next_ep_id: Counter,
 }
@@ -248,29 +195,6 @@ impl FabricShared {
 
     pub(crate) fn next_endpoint_id(&self) -> u64 {
         self.next_ep_id.next()
-    }
-
-    /// Wake every poller to re-scan its set — used by recovery paths
-    /// (card reset, endpoint quarantine, a board fault) that change state
-    /// outside the normal message flow.  Threads parked in `accept`,
-    /// `connect` or `recv_timed` hear of those through the `close` of the
-    /// endpoint they wait on.
-    pub fn bump_activity(&self) {
-        self.events.fetch_add(1);
-        self.activity.wake_pollers();
-    }
-
-    /// How often the poll hub was bumped — every bump wakes every parked
-    /// poller, so a count that stands still is the tests' evidence that
-    /// none was woken.  Compiled out of release builds.
-    #[cfg(any(test, debug_assertions))]
-    pub fn hub_bumps(&self) -> u64 {
-        self.activity.version()
-    }
-
-    /// Count of fabric-wide events so far (see [`crate::poll`]).
-    pub(crate) fn events(&self) -> u64 {
-        self.events.load()
     }
 
     /// Staging time a chunked, double-buffered RMA pipeline exposes on
@@ -300,13 +224,7 @@ impl FabricShared {
     /// Traffic gate: a board that hits (or already hit) a fatal fault
     /// refuses new traffic with `ENODEV` until it is reset.
     fn check_board(&self, board: &Arc<PhiBoard>) -> ScifResult<()> {
-        if board.poll_faults().is_some() {
-            // The fault just struck: wake pollers so they observe the
-            // failure instead of sleeping until their poll timeout.
-            self.bump_activity();
-            return Err(ScifError::NoDev);
-        }
-        if board.is_failed() || !board.is_online() {
+        if board.poll_faults().is_some() || board.is_failed() || !board.is_online() {
             return Err(ScifError::NoDev);
         }
         Ok(())
@@ -410,8 +328,6 @@ impl ScifFabric {
         let shared = Arc::new(FabricShared {
             cost,
             clock,
-            activity: ActivityHub::default(),
-            events: Published::new(0),
             nodes: TrackedRwLock::new(LockClass::FabricNodes, BTreeMap::new()),
             next_ep_id: Counter::new(1),
         });
@@ -583,16 +499,5 @@ mod tests {
         let mut tl2 = Timeline::new();
         fabric.shared().charge_rma_path(&host, &dev, 1 << 20, true, &mut tl2).unwrap();
         assert_eq!(tl2.total_for(SpanLabel::LinkTransfer), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn activity_hub_wakes_waiters() {
-        let hub = Arc::new(ActivityHub::default());
-        let v0 = hub.version();
-        let h2 = Arc::clone(&hub);
-        let waiter = std::thread::spawn(move || h2.wait_change_for(v0, Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(10));
-        hub.wake_pollers();
-        assert_eq!(waiter.join().unwrap(), (v0 + 1, true));
     }
 }

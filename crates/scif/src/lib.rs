@@ -23,7 +23,7 @@
 //!   moving real bytes through the DMA model.
 //! * [`mmap::MappedRegion`] — `scif_mmap` of remote windows, including the
 //!   device-PFN view the vPHI `VM_PFNPHI` fault path needs.
-//! * [`poll`] — `scif_poll` over endpoint sets.
+//! * [`poll`] — `scif_poll`: readiness of one endpoint.
 //! * [`service::CardService`] — a listening endpoint, its accept loop and a
 //!   pool of parked session workers: what every card-side daemon and test
 //!   server is.
@@ -49,7 +49,7 @@ pub use api::{Scif, ScifEndpoint};
 pub use error::{ErrorClass, ScifError, ScifResult};
 pub use fabric::ScifFabric;
 pub use mmap::MappedRegion;
-pub use poll::{PollEvents, PollFd};
+pub use poll::PollEvents;
 pub use service::CardService;
 pub use submit::{Cq, CqEntry, SubmitToken};
 pub use types::{NodeId, Port, Prot, RmaFlags, ScifAddr, HOST_NODE};

@@ -1,17 +1,15 @@
-//! `scif_poll` — readiness notification over endpoint sets.
+//! `scif_poll` — readiness notification on one endpoint.
 //!
 //! The paper's background (§II-B) highlights `scif_poll` as the
 //! completion-notification primitive used with RDMA: a caller blocks until
-//! a subsequent operation on some endpoint can proceed without blocking.
+//! a subsequent operation on the endpoint can proceed without blocking.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vphi_sim_core::{SpanLabel, Timeline};
+use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
 
 use crate::endpoint::{EndpointCore, EpState};
-use crate::error::{ScifError, ScifResult};
-use crate::fabric::FabricShared;
 
 /// Poll event bits, mirroring POLLIN/POLLOUT/POLLHUP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,18 +41,50 @@ impl std::ops::BitOr for PollEvents {
     }
 }
 
-/// One entry of a poll set.
-pub struct PollFd {
-    pub ep: Arc<EndpointCore>,
-    /// Events the caller is interested in.
-    pub events: PollEvents,
-    /// Events that are ready (filled by [`poll`]).
-    pub revents: PollEvents,
+/// A connection's poll wake-up: a version that every event able to change
+/// either end's readiness advances, and the condvar a parked [`poll`]
+/// sleeps on.  Both ends of a connection hold the same one — an endpoint
+/// not yet connected holds its own, and `accept` hands the connector's to
+/// the end it makes — so a poller hears its own connection and nobody
+/// else's (DESIGN.md #22).
+#[derive(Debug)]
+pub(crate) struct PollWake {
+    version: TrackedMutex<u64>,
+    cond: TrackedCondvar,
 }
 
-impl PollFd {
-    pub fn new(ep: Arc<EndpointCore>, events: PollEvents) -> Self {
-        PollFd { ep, events, revents: PollEvents::NONE }
+impl Default for PollWake {
+    fn default() -> Self {
+        PollWake { version: TrackedMutex::new(LockClass::PollWake, 0), cond: TrackedCondvar::new() }
+    }
+}
+
+impl PollWake {
+    /// Advance the version and wake every poller of the connection to
+    /// scan again.  Call after the event is visible to a scan.
+    pub fn wake(&self) {
+        let mut v = self.version.lock();
+        *v += 1;
+        self.cond.notify_all();
+    }
+
+    fn version(&self) -> u64 {
+        *self.version.lock()
+    }
+
+    /// Wait until the version moves from `seen` (`Some(new version)`) or
+    /// `deadline` passes first (`None`).  A wake-up that finds the version
+    /// unmoved sleeps again on what is left of the same deadline.
+    fn wait_change(&self, seen: u64, deadline: Instant) -> Option<u64> {
+        let mut v = self.version.lock();
+        while *v == seen {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            self.cond.wait_for(&mut v, left);
+        }
+        Some(*v)
     }
 }
 
@@ -67,15 +97,15 @@ fn ready_events(ep: &EndpointCore, interest: PollEvents) -> PollEvents {
     if interest.intersects(PollEvents::IN) && ep.recv_pending() > 0 {
         r = r | PollEvents::IN;
     }
-    // A peer that closed or went away is HUP (and recv would return EOF).
-    let peer_gone = state == EpState::Connected
-        && ep.peer_core().map(|p| p.state() == EpState::Closed).unwrap_or(true);
-    if peer_gone {
+    // A peer that closed, was aborted or went away closed both queues of
+    // the connection: HUP (and recv would return EOF).
+    let hung_up = ep.recv_q.get().is_some_and(|q| q.is_closed());
+    if hung_up {
         r = r | PollEvents::HUP;
     }
     if interest.intersects(PollEvents::OUT)
         && state == EpState::Connected
-        && !peer_gone
+        && !hung_up
         && ep.send_space() > 0
     {
         r = r | PollEvents::OUT;
@@ -83,56 +113,33 @@ fn ready_events(ep: &EndpointCore, interest: PollEvents) -> PollEvents {
     r
 }
 
-/// Everything that has happened so far on the polled connections, plus
-/// the fabric-wide events: moves iff a re-scan could read differently.
-fn events_seen(fds: &[PollFd], shared: &FabricShared) -> u64 {
-    fds.iter().fold(shared.events(), |sum, fd| sum.wrapping_add(fd.ep.connection_events()))
-}
-
-/// Poll a set of endpoints.  Blocks (really) until at least one endpoint
-/// is ready or `wall_timeout` elapses; charges one `PollWait` span per
-/// scan.  The hub wakes a poller for any endpoint's traffic; only a
-/// wake-up that follows an event on a *polled* connection (or a
-/// fabric-wide one) is followed by a scan, so what a poller is charged
-/// does not depend on how busy other tenants are.  Returns the number of
-/// ready entries (0 = timeout).
-pub fn poll(fds: &mut [PollFd], wall_timeout: Duration, tl: &mut Timeline) -> ScifResult<usize> {
-    if fds.is_empty() {
-        return Err(ScifError::Inval);
-    }
-    let shared = Arc::clone(&fds[0].ep.shared);
-    let deadline = std::time::Instant::now() + wall_timeout;
-    // Hub version first, events second: an event after either read shows
-    // in at least one of them.
-    let mut seen = shared.activity.version();
+/// Poll one endpoint.  Blocks (really) until it is ready for something in
+/// `events`, or hung up, or `wall_timeout` elapses, and returns what is
+/// ready (`NONE`: the timeout).  Charges one `PollWait` span per scan.  It
+/// sleeps on its connection's `PollWake`, which only that connection's
+/// events advance, so what a poll is charged does not depend on how busy
+/// other tenants are.
+pub fn poll(
+    ep: &EndpointCore,
+    events: PollEvents,
+    wall_timeout: Duration,
+    tl: &mut Timeline,
+) -> PollEvents {
+    let deadline = Instant::now() + wall_timeout;
+    let cost = &ep.shared.cost;
+    // Version first, scan second: an event after either read shows in the
+    // version.
+    let mut seen = ep.wake.version();
     loop {
-        let scanned = events_seen(fds, &shared);
-        let mut ready = 0;
-        for fd in fds.iter_mut() {
-            fd.revents = ready_events(&fd.ep, fd.events);
-            if !fd.revents.is_empty() {
-                ready += 1;
-            }
+        let ready = ready_events(ep, events);
+        if !ready.is_empty() {
+            tl.charge(SpanLabel::PollWait, cost.poll_observe);
+            return ready;
         }
-        if ready > 0 {
-            tl.charge(SpanLabel::PollWait, shared.cost.poll_observe);
-            return Ok(ready);
-        }
-        tl.charge(SpanLabel::PollWait, shared.cost.poll_iteration);
-        while events_seen(fds, &shared) == scanned {
-            // Recompute the remaining budget immediately before sleeping:
-            // every spurious wake-up re-enters here, and a stale
-            // `remaining` would let each one extend the total wait past
-            // `wall_timeout`.
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return Ok(0);
-            }
-            let (v, changed) = shared.activity.wait_change_for(seen, remaining);
-            if !changed {
-                return Ok(0);
-            }
-            seen = v;
+        tl.charge(SpanLabel::PollWait, cost.poll_iteration);
+        match ep.wake.wait_change(seen, deadline) {
+            Some(v) => seen = v,
+            None => return PollEvents::NONE,
         }
     }
 }
@@ -140,6 +147,8 @@ pub fn poll(fds: &mut [PollFd], wall_timeout: Duration, tl: &mut Timeline) -> Sc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::fabric::ScifFabric;
     use crate::types::{Port, ScifAddr, HOST_NODE};
     use vphi_phi::{PhiBoard, PhiSpec};
@@ -182,12 +191,10 @@ mod tests {
     #[test]
     fn pollout_ready_on_fresh_connection() {
         let (client, _server) = setup();
-        let mut fds = [PollFd::new(client, PollEvents::OUT)];
         let mut tl = Timeline::new();
-        let n = poll(&mut fds, Duration::from_secs(1), &mut tl).unwrap();
-        assert_eq!(n, 1);
-        assert!(fds[0].revents.contains(PollEvents::OUT));
-        assert!(!fds[0].revents.contains(PollEvents::IN));
+        let revents = poll(&client, PollEvents::OUT, Duration::from_secs(1), &mut tl);
+        assert!(revents.contains(PollEvents::OUT));
+        assert!(!revents.contains(PollEvents::IN));
     }
 
     #[test]
@@ -199,70 +206,74 @@ mod tests {
             let mut tl = Timeline::new();
             c2.send(b"wake", &mut tl).unwrap();
         });
-        let mut fds = [PollFd::new(server, PollEvents::IN)];
         let mut tl = Timeline::new();
-        let n = poll(&mut fds, Duration::from_secs(5), &mut tl).unwrap();
-        assert_eq!(n, 1);
-        assert!(fds[0].revents.contains(PollEvents::IN));
+        let revents = poll(&server, PollEvents::IN, Duration::from_secs(5), &mut tl);
+        assert!(revents.contains(PollEvents::IN));
         sender.join().unwrap();
     }
 
     #[test]
     fn poll_timeout_returns_zero() {
         let (_client, server) = setup();
-        let mut fds = [PollFd::new(server, PollEvents::IN)];
         let mut tl = Timeline::new();
-        let n = poll(&mut fds, Duration::from_millis(20), &mut tl).unwrap();
-        assert_eq!(n, 0);
-        assert!(fds[0].revents.is_empty());
+        let revents = poll(&server, PollEvents::IN, Duration::from_millis(20), &mut tl);
+        assert!(revents.is_empty());
     }
 
     #[test]
     fn hup_on_closed_endpoint() {
         let (client, server) = setup();
         client.close();
-        let mut fds = [PollFd::new(server, PollEvents::IN | PollEvents::OUT)];
         let mut tl = Timeline::new();
-        let n = poll(&mut fds, Duration::from_secs(1), &mut tl).unwrap();
-        assert_eq!(n, 1);
-        assert!(fds[0].revents.contains(PollEvents::HUP));
-        assert!(!fds[0].revents.contains(PollEvents::OUT));
+        let revents =
+            poll(&server, PollEvents::IN | PollEvents::OUT, Duration::from_secs(1), &mut tl);
+        assert!(revents.contains(PollEvents::HUP));
+        assert!(!revents.contains(PollEvents::OUT));
     }
 
     #[test]
     fn spurious_wakeups_do_not_extend_the_deadline() {
-        // Fabric activity unrelated to the polled endpoint (another
-        // endpoint's traffic bumping the hub) wakes the poller spuriously.
-        // Each wake-up must shrink the remaining budget, not restart it.
-        let (_client, server) = setup();
-        let shared = Arc::clone(&server.shared);
+        // Traffic on the polled connection that never makes it ready —
+        // the polled end sends, its peer reads — wakes the poller to scan
+        // again and again.  Each wake-up must shrink the remaining
+        // budget, not restart it.
+        let (client, server) = setup();
         let stop = Arc::new(vphi_sync::Flag::new(false));
-        let stop2 = Arc::clone(&stop);
-        let bumper = std::thread::spawn(move || {
-            while !stop2.get() {
-                shared.activity.wake_pollers();
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        });
-        let mut fds = [PollFd::new(server, PollEvents::IN)];
+        let traffic = {
+            let (client, server, stop) =
+                (Arc::clone(&client), Arc::clone(&server), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut tl = Timeline::new();
+                let mut byte = [0u8; 1];
+                while !stop.get() {
+                    server.send(&[1], &mut tl).unwrap();
+                    client.recv(&mut byte, &mut tl).unwrap();
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+            })
+        };
         let mut tl = Timeline::new();
         let start = std::time::Instant::now();
-        let n = poll(&mut fds, Duration::from_millis(60), &mut tl).unwrap();
+        let revents = poll(&server, PollEvents::IN, Duration::from_millis(60), &mut tl);
         let elapsed = start.elapsed();
         stop.set();
-        bumper.join().unwrap();
-        assert_eq!(n, 0, "nothing was ever ready");
-        // Pre-fix, ~12 bumps × a stale full-ish budget each could stretch
-        // this to many times the timeout; allow generous scheduling slack.
+        traffic.join().unwrap();
+        assert!(revents.is_empty(), "nothing was ever ready: {revents:?}");
+        assert!(
+            tl.total_for(SpanLabel::PollWait) > server.shared.cost.poll_iteration,
+            "never woken"
+        );
+        // With a stale full-ish budget per wake-up, ~12 wake-ups could
+        // stretch this to many times the timeout; allow generous
+        // scheduling slack.
         assert!(elapsed < Duration::from_millis(500), "poll overstayed: {elapsed:?}");
     }
 
     #[test]
     fn other_tenants_traffic_costs_a_poller_nothing() {
         // What a poll of an idle endpoint is charged, and what it returns,
-        // is the same whether the rest of the fabric is silent or busy:
-        // the hub wakes the poller for every message anywhere, and none
-        // of those wake-ups is a scan.
+        // is the same whether the rest of the fabric is silent or busy: no
+        // other connection's message wakes the poller at all.
         let idle_poll = |busy: bool| {
             let (fabric, dev) = fabric_with_device();
             let (_client, server) = pair_on(&fabric, dev, Port(9));
@@ -280,40 +291,29 @@ mod tests {
                     sent += 1;
                 }
             });
-            let mut fds = [PollFd::new(server, PollEvents::IN)];
             let mut tl = Timeline::new();
-            let n = poll(&mut fds, Duration::from_millis(50), &mut tl).unwrap();
+            let n = poll(&server, PollEvents::IN, Duration::from_millis(50), &mut tl);
             polled.set();
             tenant.join().unwrap();
             (n, tl.total_for(SpanLabel::PollWait))
         };
         let quiet = idle_poll(false);
-        assert_eq!(quiet.0, 0);
+        assert_eq!(quiet.0, PollEvents::NONE);
         assert_eq!(idle_poll(true), quiet);
     }
 
     #[test]
-    fn a_fabric_wide_event_makes_a_poller_look_again() {
-        // `bump_activity` (card reset, quarantine, a board fault) belongs
-        // to no endpoint, and a poller still re-scans after it.
-        let (_client, server) = setup();
-        let shared = Arc::clone(&server.shared);
-        let mut fds = [PollFd::new(server, PollEvents::IN)];
-        let recovery = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(15));
-            shared.bump_activity();
+    fn a_poll_wake_wakes_its_waiter() {
+        let wake = Arc::new(PollWake::default());
+        let v0 = wake.version();
+        let w2 = Arc::clone(&wake);
+        let waiter = std::thread::spawn(move || {
+            w2.wait_change(v0, Instant::now() + Duration::from_secs(10))
         });
-        let mut tl = Timeline::new();
-        assert_eq!(poll(&mut fds, Duration::from_millis(60), &mut tl), Ok(0));
-        recovery.join().unwrap();
-        let scans = 2;
-        assert_eq!(tl.total_for(SpanLabel::PollWait), fds[0].ep.shared.cost.poll_iteration * scans);
-    }
-
-    #[test]
-    fn empty_poll_set_is_invalid() {
-        let mut tl = Timeline::new();
-        assert_eq!(poll(&mut [], Duration::ZERO, &mut tl), Err(ScifError::Inval));
+        std::thread::sleep(Duration::from_millis(10));
+        wake.wake();
+        assert_eq!(waiter.join().unwrap(), Some(v0 + 1));
+        assert_eq!(wake.wait_change(v0 + 1, Instant::now()), None, "an unmoved version times out");
     }
 
     #[test]

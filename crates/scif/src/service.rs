@@ -69,7 +69,10 @@ struct PoolState<T> {
 impl<T: Send + 'static> Pool<T> {
     /// Give `job` to a parked worker, or to a new one if every worker is
     /// serving.  The wake-up goes out after the lock is dropped: on one
-    /// CPU, a worker woken under it only spins on the lock.
+    /// CPU, a worker woken under it only spins on the lock.  A new worker
+    /// is counted in the critical section that found none idle, before
+    /// its session can end, so `workers − idle` is always the sessions in
+    /// progress.
     fn hand_off(self: &Arc<Self>, job: Job) {
         let mut state = self.state.lock();
         if state.idle > 0 {
@@ -79,13 +82,12 @@ impl<T: Send + 'static> Pool<T> {
             self.wake.notify_one();
             return;
         }
-        drop(state);
         let pool = Arc::clone(self);
         let worker = std::thread::Builder::new()
             .name(self.name.clone())
             .spawn(move || pool.work(job))
             .expect("spawn card service worker");
-        self.state.lock().workers.push(worker);
+        state.workers.push(worker);
     }
 
     /// A worker: serve `job`, record what it returned, park, and serve the
@@ -219,6 +221,14 @@ impl<T: Send + 'static> CardService<T> {
     /// sessions it has served at once (a leak audit).
     pub fn workers(&self) -> usize {
         self.pool.state.lock().workers.len()
+    }
+
+    /// Sessions accepted and not yet finished: what a caller waits to
+    /// reach 0 before it counts workers, since a session ends on the card
+    /// side after its client has hung up.
+    pub fn sessions_in_progress(&self) -> usize {
+        let state = self.pool.state.lock();
+        state.workers.len().saturating_sub(state.idle)
     }
 
     /// What `shutdown` and `Drop` share: what the sessions returned, in

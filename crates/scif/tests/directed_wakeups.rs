@@ -4,7 +4,7 @@
 //! blocking `send` or `recv`, wakes it promptly, and nothing else ends a
 //! wait: none has a timer.  A listener that goes away refuses the
 //! connectors it never accepted — also while the rest of the fabric keeps
-//! talking.  The one waiter left on the fabric-wide hub, `poll`, hears
+//! talking.  `poll` sleeps on its own connection's wake-up: it hears
 //! nothing of the timed lane it cannot read (DESIGN.md #24) and
 //! everything it can.
 
@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use vphi_phi::{PhiBoard, PhiSpec};
 use vphi_scif::endpoint::{EndpointCore, EpState};
 use vphi_scif::poll::poll;
-use vphi_scif::{NodeId, PollEvents, PollFd, Port, ScifAddr, ScifError, ScifFabric, HOST_NODE};
+use vphi_scif::{NodeId, PollEvents, Port, ScifAddr, ScifError, ScifFabric, HOST_NODE};
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
 use vphi_sync::Flag;
 
@@ -331,25 +331,24 @@ fn two_timed_receivers_on_one_endpoint_both_finish() {
 
 /// `poll` reads the byte lane and hang-up, never the timed lane: timed
 /// sends on a polled connection, in either direction, for as long as the
-/// poll runs, neither bump the hub (so no poller anywhere is woken) nor
-/// cost this poller a second scan.  What it can read still ends its wait
-/// at once — a byte, the peer's close — and a card reset makes it look
-/// again.
+/// poll runs, cost this poller no second scan — a timed send that woke
+/// it would.  What it can read still ends its wait at once — a byte, the
+/// peer's close — and a card reset, which belongs to no endpoint, costs
+/// it nothing.
 #[test]
 fn a_poller_hears_the_byte_lane_a_close_and_a_reset_but_no_timed_send() {
     let (fabric, dev) = fabric_with_device();
     let scan = fabric.shared().cost.poll_iteration;
-    /// What a poll of one endpoint for input came to: the verdict, what
-    /// came ready, the scans paid.
-    type Polled = (Result<usize, ScifError>, PollEvents, SimDuration);
+    /// What a poll of one endpoint for input came to: what came ready
+    /// (`NONE`: the timeout), the scans paid.
+    type Polled = (PollEvents, SimDuration);
     fn poll_in(ep: &Arc<EndpointCore>, timeout: Duration) -> Polled {
-        let mut fds = [PollFd::new(Arc::clone(ep), PollEvents::IN)];
         let mut tl = Timeline::new();
-        let verdict = poll(&mut fds, timeout, &mut tl);
-        (verdict, fds[0].revents, tl.total_for(SpanLabel::PollWait))
+        let revents = poll(ep, PollEvents::IN, timeout, &mut tl);
+        (revents, tl.total_for(SpanLabel::PollWait))
     }
-    /// The same on a thread of its own, given time to reach the hub (which
-    /// keeps no park count).
+    /// The same on a thread of its own, given time to park (a poll keeps
+    /// no park count).
     fn polling(ep: &Arc<EndpointCore>, timeout: Duration) -> Blocked<Polled> {
         let ep = Arc::clone(ep);
         let parked = blocked(move || poll_in(&ep, timeout));
@@ -359,8 +358,6 @@ fn a_poller_hears_the_byte_lane_a_close_and_a_reset_but_no_timed_send() {
     let mut tl = Timeline::new();
 
     let (sender, receiver) = connected_pair(&fabric, dev, 770);
-    #[cfg(debug_assertions)]
-    let bumps = fabric.shared().hub_bumps();
     let polled = Arc::new(Flag::new(false));
     let chunks = {
         let (sender, receiver, polled) =
@@ -379,29 +376,24 @@ fn a_poller_hears_the_byte_lane_a_close_and_a_reset_but_no_timed_send() {
     let quiet = poll_in(&receiver, Duration::from_millis(100));
     polled.set();
     chunks.within(PROMPT, "the timed senders");
-    assert_eq!(quiet, (Ok(0), PollEvents::NONE, scan), "one scan, then asleep until the timeout");
-    #[cfg(debug_assertions)]
-    assert_eq!(fabric.shared().hub_bumps(), bumps, "a timed send woke the pollers");
+    assert_eq!(quiet, (PollEvents::NONE, scan), "one scan, then asleep until the timeout");
 
     let waiting = polling(&receiver, Duration::from_secs(10));
     sender.send(&[1], &mut tl).unwrap();
-    let (verdict, revents, _) = waiting.within(PROMPT, "poll on a byte");
-    assert_eq!((verdict, revents), (Ok(1), PollEvents::IN));
+    assert_eq!(waiting.within(PROMPT, "poll on a byte").0, PollEvents::IN);
 
     let (sender, receiver) = connected_pair(&fabric, dev, 771);
     let waiting = polling(&receiver, Duration::from_secs(10));
     sender.close();
-    let (verdict, revents, _) = waiting.within(PROMPT, "poll on the peer's close");
-    assert_eq!(verdict, Ok(1));
+    let (revents, _) = waiting.within(PROMPT, "poll on the peer's close");
     assert!(revents.contains(PollEvents::HUP));
 
-    // A reset (what `VphiHost::reset_card` does at this layer) belongs to
-    // no endpoint; the poller scans again, finds nothing, waits on.
+    // A reset that aborts none of the connection's endpoints leaves the
+    // poller asleep: one scan, then the timeout.
     let (_sender, receiver) = connected_pair(&fabric, dev, 772);
     let waiting = polling(&receiver, Duration::from_millis(200));
     fabric.node(dev).unwrap().board().unwrap().reset();
-    fabric.shared().bump_activity();
-    assert_eq!(waiting.within(PROMPT, "poll across a reset"), (Ok(0), PollEvents::NONE, scan * 2));
+    assert_eq!(waiting.within(PROMPT, "poll across a reset"), (PollEvents::NONE, scan));
 }
 
 /// A `connect` whose listener closes before accepting it is told so at

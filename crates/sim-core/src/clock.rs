@@ -114,11 +114,6 @@ impl BusyResource {
         }
     }
 
-    /// The earliest time a new user could start.
-    pub fn free_at(&self) -> SimTime {
-        SimTime(self.free_at_ns.load())
-    }
-
     /// Cumulative time the resource has been held.
     pub fn busy_total(&self) -> SimDuration {
         SimDuration(self.busy_total_ns.get())

@@ -205,11 +205,6 @@ impl CostModel {
         self.page_translate * bytes.div_ceil(PAGE_SIZE).max(1)
     }
 
-    /// Number of `KMALLOC_MAX_SIZE` staging chunks needed for `bytes`.
-    pub fn chunks_for(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(KMALLOC_MAX_SIZE).max(1)
-    }
-
     /// Number of huge pages (and SG descriptors) covering `bytes`.
     pub fn huge_pages_for(&self, bytes: u64) -> u64 {
         bytes.div_ceil(HUGE_PAGE_SIZE).max(1)
@@ -219,12 +214,6 @@ impl CostModel {
     /// (per touched huge page).
     pub fn pin_window(&self, bytes: u64) -> SimDuration {
         self.window_pin * self.huge_pages_for(bytes)
-    }
-
-    /// Cost of building the SG descriptor list for `bytes` (one
-    /// descriptor per huge page, paid on every zero-copy request).
-    pub fn sg_build(&self, bytes: u64) -> SimDuration {
-        self.sg_descriptor * self.huge_pages_for(bytes)
     }
 
     /// The sum of the native-path constants — the native small-message
@@ -299,16 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_count() {
-        let m = CostModel::paper_calibrated();
-        assert_eq!(m.chunks_for(0), 1);
-        assert_eq!(m.chunks_for(1), 1);
-        assert_eq!(m.chunks_for(KMALLOC_MAX_SIZE), 1);
-        assert_eq!(m.chunks_for(KMALLOC_MAX_SIZE + 1), 2);
-        assert_eq!(m.chunks_for(10 * KMALLOC_MAX_SIZE), 10);
-    }
-
-    #[test]
     fn translate_charges_per_page() {
         let m = CostModel::paper_calibrated();
         assert_eq!(m.translate_pages(1), m.page_translate);
@@ -327,8 +306,7 @@ mod tests {
         assert_eq!(m.huge_pages_for(HUGE_PAGE_SIZE + 1), 2);
         assert_eq!(m.huge_pages_for(256 * 1024 * 1024), 128);
         assert_eq!(m.pin_window(256 * 1024 * 1024), m.window_pin * 128);
-        assert_eq!(m.sg_build(256 * 1024 * 1024), m.sg_descriptor * 128);
-        let cold_map = m.pin_window(256 * 1024 * 1024) + m.sg_build(256 * 1024 * 1024);
+        let cold_map = m.pin_window(256 * 1024 * 1024) + m.sg_descriptor * 128;
         assert!(cold_map * 50 < m.translate_pages(256 * 1024 * 1024));
         // Neither term is part of any floor sum: the 7/375/382 µs anchors
         // are pinned by the other tests and must not move.

@@ -76,8 +76,8 @@ pub enum LockClass {
     NodePorts = 6,
     /// Listener pending-connection backlog.
     ListenerPending = 7,
-    /// Fabric activity hub (wake-any version counter).
-    ActivityHub = 8,
+    /// A SCIF connection's poll wake-up (its version counter).
+    PollWake = 8,
     /// SCIF message queue ring state.
     MsgQueue = 9,
     /// Endpoint registered-window table.
@@ -169,7 +169,7 @@ impl LockClass {
         LockClass::EndpointState,
         LockClass::NodePorts,
         LockClass::ListenerPending,
-        LockClass::ActivityHub,
+        LockClass::PollWake,
         LockClass::MsgQueue,
         LockClass::WindowTable,
         LockClass::RmaPending,
@@ -210,7 +210,7 @@ impl LockClass {
             LockClass::EndpointState => 32,
             LockClass::NodePorts => 36,
             LockClass::ListenerPending => 38,
-            LockClass::ActivityHub => 40,
+            LockClass::PollWake => 40,
             LockClass::MsgQueue => 42,
             LockClass::WindowTable => 44,
             LockClass::RmaPending => 48,

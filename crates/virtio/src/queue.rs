@@ -319,14 +319,23 @@ impl VirtQueue {
         Ok(avail_idx)
     }
 
-    /// The vm-exit both kick entry points are: the `VmExitKick` charge,
-    /// the kick count, and the two sites where the notification can be
-    /// lost, in wire order.  Every kick pays it — the avail side has no
-    /// notification suppression, so the charge is a function of the
-    /// publish alone (DESIGN.md #16).  An injected loss pays the vm-exit
-    /// but never reaches the device; the waiting requester re-kicks.  A delivered one runs `service` on this thread and wakes
-    /// the service thread if it reports work left.
-    fn vmexit(
+    /// Notify the device: one vm-exit.  It pays the `VmExitKick` charge,
+    /// counts the kick and crosses the two sites where the notification
+    /// can be lost, in wire order.  Every kick pays it — the avail side
+    /// has no notification suppression, so the charge is a function of
+    /// the publish alone (DESIGN.md #16).  An injected loss pays the
+    /// vm-exit but never reaches the device; the waiting requester
+    /// re-kicks.
+    ///
+    /// A delivered kick is serviced the way a KVM exit is, on the thread
+    /// that took it: `service` is the device's exit handler, and reports
+    /// whether chains are left on the ring; those are handed to the
+    /// service thread on the way out.  A caller that will do nothing but
+    /// wait for the chain it published passes a handler that drains the
+    /// ring in FIFO order up to and including that chain, so it never
+    /// executes work that was not ahead of it.  A caller with something
+    /// else to do passes `|| true`: the service thread drains it all.
+    pub fn kick(
         &self,
         cost_vmexit: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
@@ -337,32 +346,6 @@ impl VirtQueue {
         if self.faults.fire(FaultSite::VirtioKickLost).is_none() {
             self.doorbell.ring_with(service);
         }
-    }
-
-    /// Notify the device (one vm-exit) and carry on: the device's service
-    /// thread wakes and drains the ring while the caller does something
-    /// else.
-    pub fn kick(&self, cost_vmexit: vphi_sim_core::SimDuration, tl: &mut Timeline) {
-        self.vmexit(cost_vmexit, tl, || true)
-    }
-
-    /// The kick of a caller that will do nothing but wait for a chain it
-    /// published.  The vm-exit is the same as [`kick`](VirtQueue::kick)'s
-    /// — same charge, count and loss sites — but a delivered one is
-    /// serviced the way a KVM exit is, on the thread that took it:
-    /// `service` is the device's exit handler, which drains the ring in
-    /// FIFO order up to and including the caller's chain, so the caller
-    /// never executes work that was not ahead of it, and reports whether
-    /// chains are left on the ring.  Those — published behind the caller's
-    /// chain, or all of it, if the handler found the queue's executor busy
-    /// and left — are handed to the service thread on the way out.
-    pub fn kick_blocking(
-        &self,
-        cost_vmexit: vphi_sim_core::SimDuration,
-        tl: &mut Timeline,
-        service: impl FnOnce() -> bool,
-    ) {
-        self.vmexit(cost_vmexit, tl, service)
     }
 
     /// Drain completed chains from the used ring in order, releasing
@@ -539,7 +522,7 @@ mod tests {
         let dev = std::thread::spawn(move || q2.wait_kick());
         let mut tl = Timeline::new();
         add(&q, &[Descriptor::readable(0, 4)], &mut tl).unwrap();
-        q.kick(KICK, &mut tl);
+        q.kick(KICK, &mut tl, || true);
         assert!(dev.join().unwrap());
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
     }
@@ -662,8 +645,8 @@ mod tests {
         let mine = q.publish_avail_batch(&[h1], PUSH, &mut tl).unwrap();
         let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)], false).unwrap();
         q.publish_avail_batch(&[h2], PUSH, &mut tl).unwrap();
-        q.kick_blocking(KICK, &mut tl, || handler(mine));
-        // The same vm-exit as `kick`: one charge, one counted kick.
+        q.kick(KICK, &mut tl, || handler(mine));
+        // One vm-exit: one charge, one counted kick.
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
         assert_eq!(q.counters().kicks, 1);
         // Serviced here, through the kicker's own chain and no further …
@@ -675,7 +658,7 @@ mod tests {
         let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
         pop(&q).unwrap().unwrap();
         let mine = q.publish_avail_batch(&[h3], PUSH, &mut tl).unwrap();
-        q.kick_blocking(KICK, &mut tl, || handler(mine));
+        q.kick(KICK, &mut tl, || handler(mine));
         assert!(!q.doorbell.try_consume());
         assert_eq!(seen.lock().len(), 2);
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK * 2);
@@ -860,7 +843,7 @@ mod tests {
         let mut tl = Timeline::new();
         assert_eq!(q.counters(), QueueCounters::default());
         let head = add(&q, &[Descriptor::readable(0, 1)], &mut tl).unwrap();
-        q.kick(KICK, &mut tl);
+        q.kick(KICK, &mut tl, || true);
         pop(&q).unwrap().unwrap();
         q.push_used(UsedElem { id: head, len: 0 }, PUSH, &mut tl);
         q.take_used(|_| ()).unwrap();

@@ -1261,7 +1261,9 @@ enum InFlight {
 /// requester returns, and at that moment no slot, ring entry or batch
 /// token is held and guest RAM is back where it was before the request.
 /// A `send` or `recv` the endpoint makes afterwards fails and frees its
-/// staging chunk.
+/// staging chunk.  Nothing broadcasts to the guest's sleepers: a requester
+/// parked on the wait queue parks exactly once, and is woken by nothing
+/// but its own completion or retirement.
 #[test]
 fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
     use std::sync::Arc;
@@ -1314,6 +1316,7 @@ fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
             }
             host.arm_faults(FaultPlan { seed: 0, points });
             let settled = backend.requests();
+            let sleeps = channel.waitq.sleep_count();
             let call = {
                 let victim = Arc::clone(&victim);
                 let mut cq = Cq::new();
@@ -1334,11 +1337,19 @@ fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
                     }
                 })
             };
+            // Every row but the one running in its own vm-exit has its
+            // requester asleep on the wait queue.
+            let parked = u64::from(!matches!(row, InAnExecutor));
+            let asleep = || channel.waitq.sleep_count() == sleeps + 1;
             match row {
-                OnTheRing => {}
+                OnTheRing => spin_until("the reaper parks", asleep),
                 InAnExecutor => spin_until("the recv runs", || backend.requests() == settled + 1),
-                AcceptOnAWorker => spin_until("the accept waits", || backend.live_workers() == 1),
+                AcceptOnAWorker => {
+                    spin_until("the accept waits", || backend.live_workers() == 1);
+                    spin_until("the acceptor parks", asleep);
+                }
                 QuietCompletion => {
+                    spin_until("the reaper parks", asleep);
                     speak.send(()).unwrap();
                     spin_until("the reply lands quietly", || backend.stats.msi_lost.get() == 1);
                 }
@@ -1349,6 +1360,8 @@ fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
                 vm.shutdown();
             }
             let result = call.join().unwrap();
+            let woken = (channel.waitq.sleep_count() - sleeps, channel.waitq.spurious_count());
+            assert_eq!(woken, (parked, 0), "{what}: parks, and wakes that found nothing");
             let held =
                 (channel.live_slots(), channel.inflight_count(), vm.frontend().pending_tokens());
             assert_eq!(held, (0, 0, 0), "{what}: slots, ring entries and tokens held");

@@ -609,7 +609,7 @@ const LEDGER: &[(LockClass, LockClass)] = {
         (LaneExecutor, EndpointState),
         (LaneExecutor, NodePorts),
         (LaneExecutor, ListenerPending),
-        (LaneExecutor, ActivityHub),
+        (LaneExecutor, PollWake),
         (LaneExecutor, MsgQueue),
         (LaneExecutor, WindowTable),
         (LaneExecutor, RmaPending),

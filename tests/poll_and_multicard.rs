@@ -1,15 +1,16 @@
 //! `scif_poll` through vPHI, and multi-card configurations.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
 use vphi_coi::transport::CoiEnv;
 use vphi_coi::{CoiDaemon, GuestEnv};
-use vphi_dev_support::{serve, GuestRig};
+use vphi_dev_support::{native_connect, serve, sink, GuestRig};
 use vphi_mic_tools::{micnativeloadex, MicBinary};
 use vphi_scif::{CardService, PollEvents};
-use vphi_sim_core::Timeline;
+use vphi_sim_core::{SpanLabel, Timeline};
 
 /// A server that waits for a request byte, sleeps (wall), then replies —
 /// gives the guest something to poll for.
@@ -62,6 +63,47 @@ fn poll_sees_hup_after_peer_close() {
     dev.shutdown();
     let re = rig.guest.poll(PollEvents::IN | PollEvents::OUT, 2_000, &mut Timeline::new()).unwrap();
     assert!(re.contains(PollEvents::HUP), "expected HUP, got {re:?}");
+}
+
+/// A card reset reaches a parked `poll` only through the endpoint it
+/// polls.  A native connection to the card is not the reset's to
+/// quarantine: its poller sleeps on to its timeout, charged the one scan
+/// it made before parking.  A guest's endpoint is, and the abort ends its
+/// poll at once with `HUP`.
+#[test]
+fn a_card_reset_ends_only_the_polls_of_endpoints_it_aborts() {
+    let host = VphiHost::new(1);
+    let card = sink(&host, 0);
+    let native = native_connect(&host, card.addr());
+    let rig = GuestRig::connect(&host, VmConfig::default(), card.addr());
+    let scan = host.cost().poll_iteration;
+    std::thread::scope(|s| {
+        let untouched = s.spawn(|| {
+            let mut tl = Timeline::new();
+            let revents = native.poll(PollEvents::IN, Duration::from_millis(300), &mut tl);
+            (revents, tl.total_for(SpanLabel::PollWait))
+        });
+        let aborted = s.spawn(|| {
+            let started = Instant::now();
+            let revents = rig.guest.poll(PollEvents::IN, 60_000, &mut Timeline::new());
+            (revents, started.elapsed())
+        });
+        // A timed guest poll parks on a backend worker; give both polls
+        // time to scan and park.
+        while rig.vm.backend().inner().live_workers() == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        host.reset_card(0);
+        let (revents, took) = aborted.join().unwrap();
+        assert!(revents.unwrap().contains(PollEvents::HUP), "{revents:?}");
+        assert!(took < Duration::from_secs(30), "the aborted poll waited {took:?}");
+        let quiet = untouched.join().unwrap();
+        assert_eq!(quiet, (Ok(PollEvents::NONE), scan), "the reset woke a poll it did not end");
+    });
+    native.close();
+    drop(rig);
+    card.shutdown();
 }
 
 #[test]
