@@ -98,7 +98,7 @@ pub struct VphiDebugReport {
     pub sync_acquisitions: u64,
     pub sync_max_hold_depth: u64,
     pub sync_order_edges: u64,
-    pub sync_cycle_checks: u64,
+    pub sync_nested_acquisitions: u64,
 }
 
 impl VphiDebugReport {
@@ -179,7 +179,7 @@ impl VphiDebugReport {
             sync_acquisitions: sync.acquisitions,
             sync_max_hold_depth: sync.max_hold_depth,
             sync_order_edges: sync.order_edges,
-            sync_cycle_checks: sync.cycle_checks,
+            sync_nested_acquisitions: sync.nested_acquisitions,
         }
     }
 }
@@ -241,14 +241,14 @@ mod tests {
         assert_eq!(after_close.blocking_events, 2);
 
         // The tracked locks fed the audit: the session above took dozens of
-        // locks, some nested, and every nested acquisition was cycle-checked.
+        // locks, some nested, and every nested acquisition was layer-checked.
         // (In a plain release build the detector is compiled out and the
         // counters legitimately read zero.)
         if vphi_sync::audit::ENABLED {
             assert!(after_close.sync_acquisitions > 0);
             assert!(after_close.sync_max_hold_depth >= 2);
             assert!(after_close.sync_order_edges > 0);
-            assert!(after_close.sync_cycle_checks > 0);
+            assert!(after_close.sync_nested_acquisitions > 0);
         }
 
         vm.shutdown();

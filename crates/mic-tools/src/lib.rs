@@ -8,9 +8,9 @@
 //! * [`binary::MicBinary`] — a MIC executable: image size, dependency
 //!   closure (the realistic MKL/OpenMP library sizes that dominate launch
 //!   traffic), and the workload it performs.
-//! * [`workload::Workload`] — dgemm / STREAM / n-body / sleep kernels with
-//!   FLOP+byte characterizations for the uOS roofline, plus *real*
-//!   computation at validation scale ([`dgemm`]).
+//! * [`workload::Workload`] — dgemm / STREAM / n-body / sleep kernels as
+//!   FLOP+byte characterizations: the uOS roofline turns them into device
+//!   time, and no kernel's arithmetic is executed.
 //! * [`loadex`] — `micnativeloadex`: sysfs preflight, COI launch, stdout
 //!   proxy, total-time report.  Runs identically over the native and
 //!   guest environments.
@@ -18,7 +18,6 @@
 //!   *symmetric* execution mode (ranks on host/VM and on the card).
 
 pub mod binary;
-pub mod dgemm;
 pub mod loadex;
 pub mod mpilite;
 pub mod workload;

@@ -69,74 +69,6 @@ impl Workload {
             Workload::Spin { .. } => "spin_mic",
         }
     }
-
-    /// Execute the workload *for real* on the uOS (validation scale) and
-    /// return a checksum of the result alongside the modeled outcome.
-    /// This is how the test suite proves the timing model sits on top of a
-    /// kernel that actually computes the right answer.
-    pub fn execute_real(
-        &self,
-        uos: &vphi_phi::UosScheduler,
-        threads: u32,
-        tl: &mut vphi_sim_core::Timeline,
-    ) -> (vphi_phi::JobOutcome, f64) {
-        let job = vphi_phi::ComputeJob::new(self.name(), threads, self.flops(), self.bytes());
-        let work = self.clone();
-        let (outcome, checksum) = uos.run_with(&job, tl, move || match work {
-            Workload::Dgemm { n } => {
-                let n = n as usize;
-                let a = crate::dgemm::init_matrix(n, 1);
-                let b = crate::dgemm::init_matrix(n, 2);
-                let mut c = vec![0.0; n * n];
-                crate::dgemm::dgemm(n, 1.0, &a, &b, 0.0, &mut c);
-                c.iter().sum::<f64>()
-            }
-            Workload::Stream { elems, iters } => {
-                let n = elems as usize;
-                let a: Vec<f64> = (0..n).map(|i| i as f64).collect();
-                let b: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
-                let mut c = vec![0.0; n];
-                for _ in 0..iters {
-                    // STREAM triad: c = a + 3.0 * b
-                    for i in 0..n {
-                        c[i] = a[i] + 3.0 * b[i];
-                    }
-                }
-                c.iter().sum::<f64>()
-            }
-            Workload::NBody { bodies, steps } => {
-                let n = bodies as usize;
-                let mut pos: Vec<(f64, f64)> =
-                    (0..n).map(|i| (i as f64, (i * 7 % 11) as f64)).collect();
-                let mut vel = vec![(0.0f64, 0.0f64); n];
-                for _ in 0..steps {
-                    for i in 0..n {
-                        let (mut ax, mut ay) = (0.0, 0.0);
-                        for j in 0..n {
-                            if i == j {
-                                continue;
-                            }
-                            let dx = pos[j].0 - pos[i].0;
-                            let dy = pos[j].1 - pos[i].1;
-                            let d2 = dx * dx + dy * dy + 1e-9;
-                            let inv = 1.0 / (d2 * d2.sqrt());
-                            ax += dx * inv;
-                            ay += dy * inv;
-                        }
-                        vel[i].0 += ax * 1e-3;
-                        vel[i].1 += ay * 1e-3;
-                    }
-                    for i in 0..n {
-                        pos[i].0 += vel[i].0;
-                        pos[i].1 += vel[i].1;
-                    }
-                }
-                pos.iter().map(|p| p.0 + p.1).sum::<f64>()
-            }
-            Workload::Spin { gflop } => gflop,
-        });
-        (outcome, checksum)
-    }
 }
 
 #[cfg(test)]
@@ -180,44 +112,5 @@ mod tests {
         let w = Workload::Spin { gflop: 2.0 };
         assert_eq!(w.bytes(), 0);
         assert_eq!(w.flops(), 2e9);
-    }
-
-    #[test]
-    fn real_execution_on_the_uos_is_deterministic_and_timed() {
-        use std::sync::Arc;
-        use vphi_phi::{PhiSpec, UosScheduler};
-        use vphi_sim_core::{CostModel, Timeline, VirtualClock};
-
-        let uos = UosScheduler::new(
-            PhiSpec::phi_3120p(),
-            Arc::new(CostModel::paper_calibrated()),
-            Arc::new(VirtualClock::new()),
-        );
-        // dgemm at validation scale: real math + modeled time.
-        let w = Workload::Dgemm { n: 64 };
-        let mut tl = Timeline::new();
-        let (out, sum1) = w.execute_real(&uos, 112, &mut tl);
-        assert!(out.duration > vphi_sim_core::SimDuration::ZERO);
-        let mut tl2 = Timeline::new();
-        let (_, sum2) = w.execute_real(&uos, 112, &mut tl2);
-        assert_eq!(sum1, sum2, "real dgemm must be deterministic");
-        assert!(sum1.is_finite() && sum1 != 0.0);
-
-        // The checksum matches the reference kernel.
-        let n = 64usize;
-        let a = crate::dgemm::init_matrix(n, 1);
-        let b = crate::dgemm::init_matrix(n, 2);
-        let mut c = vec![0.0; n * n];
-        crate::dgemm::dgemm_reference(n, 1.0, &a, &b, 0.0, &mut c);
-        let reference: f64 = c.iter().sum();
-        assert!((sum1 - reference).abs() < 1e-6, "{sum1} vs {reference}");
-
-        // The other kernels run too.
-        let (_, triad) = Workload::Stream { elems: 1000, iters: 2 }.execute_real(&uos, 56, &mut tl);
-        // c[i] = i + 3*(i%13): closed-form checkable.
-        let expected: f64 = (0..1000).map(|i| i as f64 + 3.0 * ((i % 13) as f64)).sum();
-        assert_eq!(triad, expected);
-        let (_, nbody) = Workload::NBody { bodies: 16, steps: 2 }.execute_real(&uos, 56, &mut tl);
-        assert!(nbody.is_finite());
     }
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use vphi_faults::{FaultHook, FaultSite};
 use vphi_pcie::{DmaEngine, Doorbell, LinkConfig, PcieLink};
 use vphi_sim_core::{CostModel, SimDuration, VirtualClock};
-use vphi_sync::{Counter, LockClass, Published, TrackedRwLock};
+use vphi_sync::{Counter, LockClass, Published, TrackedMutex};
 
 use crate::memory::DeviceMemory;
 use crate::spec::PhiSpec;
@@ -53,7 +53,7 @@ pub enum PhiFault {
 pub struct PhiBoard {
     spec: PhiSpec,
     /// Transitions are made under this lock ([`set_state`](Self::set_state)).
-    state: TrackedRwLock<BoardState>,
+    state: TrackedMutex<BoardState>,
     /// The state as of the last transition: what [`state`](Self::state)
     /// reads, lock-free — the fabric checks it on every message.
     state_word: Published,
@@ -65,7 +65,7 @@ pub struct PhiBoard {
     /// Device → host "there is a reply" doorbell.
     pub db_to_host: Arc<Doorbell>,
     uos: Arc<UosScheduler>,
-    sysfs: TrackedRwLock<SysfsInfo>,
+    sysfs: TrackedMutex<SysfsInfo>,
     mic_index: u32,
     faults: FaultHook,
     resets: Counter,
@@ -95,13 +95,13 @@ impl PhiBoard {
         let dma = Arc::new(DmaEngine::new(Arc::clone(&link), spec.dma_channels));
         let memory = Arc::new(DeviceMemory::new(spec.memory_bytes));
         let uos = Arc::new(UosScheduler::new(spec.clone(), cost, clock));
-        let sysfs = TrackedRwLock::new(
+        let sysfs = TrackedMutex::new(
             LockClass::BoardSysfs,
             SysfsInfo::from_spec(&spec, mic_index, "offline"),
         );
         PhiBoard {
             spec,
-            state: TrackedRwLock::new(LockClass::BoardState, BoardState::Offline),
+            state: TrackedMutex::new(LockClass::BoardState, BoardState::Offline),
             state_word: Published::new(BoardState::Offline as u64),
             memory,
             link,
@@ -121,16 +121,16 @@ impl PhiBoard {
     /// realistic without dominating experiments).
     pub fn boot(&self) -> SimDuration {
         {
-            let mut st = self.state.write();
+            let mut st = self.state.lock();
             if *st == BoardState::Online {
                 return SimDuration::ZERO;
             }
             self.set_state(&mut st, BoardState::Booting);
         }
-        self.sysfs.write().set("state", "booting");
+        self.sysfs.lock().set("state", "booting");
         let boot_time = SimDuration::from_secs(10);
-        self.set_state(&mut self.state.write(), BoardState::Online);
-        self.sysfs.write().set("state", "online");
+        self.set_state(&mut self.state.lock(), BoardState::Online);
+        self.sysfs.lock().set("state", "online");
         boot_time
     }
 
@@ -174,13 +174,13 @@ impl PhiBoard {
     }
 
     pub fn sysfs(&self) -> SysfsInfo {
-        self.sysfs.read().clone()
+        self.sysfs.lock().clone()
     }
 
     /// The attribute table as text ([`SysfsInfo::text`]), made under the
     /// lock without a copy of the table.
     pub fn sysfs_text(&self) -> String {
-        self.sysfs.read().text()
+        self.sysfs.lock().text()
     }
 
     /// Fault-injection arming point (lockups, ECC, uOS panics).
@@ -195,8 +195,8 @@ impl PhiBoard {
     /// Mark the card failed (host-visible via sysfs), as the real MPSS
     /// daemon does when the watchdog stops hearing from the uOS.
     pub fn fail(&self, reason: &str) {
-        self.set_state(&mut self.state.write(), BoardState::Failed);
-        let mut sysfs = self.sysfs.write();
+        self.set_state(&mut self.state.lock(), BoardState::Failed);
+        let mut sysfs = self.sysfs.lock();
         sysfs.set("state", "failed");
         sysfs.set("fail_reason", reason);
     }
@@ -231,9 +231,9 @@ impl PhiBoard {
     /// referencing the card is the fabric's problem — see
     /// `VphiHost::reset_card`, which quarantines affected endpoints.
     pub fn reset(&self) -> SimDuration {
-        self.set_state(&mut self.state.write(), BoardState::Offline);
+        self.set_state(&mut self.state.lock(), BoardState::Offline);
         {
-            let mut sysfs = self.sysfs.write();
+            let mut sysfs = self.sysfs.lock();
             sysfs.set("state", "resetting");
             sysfs.set("fail_reason", "");
         }

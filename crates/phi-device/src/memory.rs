@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vphi_sim_core::cost::PAGE_SIZE;
-use vphi_sync::{LockClass, TrackedMutex, TrackedRwLock};
+use vphi_sync::{LockClass, TrackedMutex};
 
 /// Errors from the device memory allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,7 +146,7 @@ struct FreeSpan {
 #[derive(Debug)]
 pub struct DeviceMemory {
     capacity: u64,
-    inner: TrackedRwLock<MemInner>,
+    inner: TrackedMutex<MemInner>,
 }
 
 #[derive(Debug, Default)]
@@ -165,7 +165,7 @@ impl DeviceMemory {
         free.insert(0, FreeSpan { len: capacity });
         DeviceMemory {
             capacity,
-            inner: TrackedRwLock::new(
+            inner: TrackedMutex::new(
                 LockClass::PhiMemTable,
                 MemInner { free, regions: BTreeMap::new(), allocated: 0 },
             ),
@@ -177,7 +177,7 @@ impl DeviceMemory {
     }
 
     pub fn allocated(&self) -> u64 {
-        self.inner.read().allocated
+        self.inner.lock().allocated
     }
 
     fn round_up(len: u64) -> u64 {
@@ -189,7 +189,7 @@ impl DeviceMemory {
             return Err(MemError::EmptyRequest);
         }
         let len = Self::round_up(len);
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.lock();
         // First fit over the free map.
         let slot = inner
             .free
@@ -226,7 +226,7 @@ impl DeviceMemory {
 
     /// Free a region by its start offset, coalescing adjacent free spans.
     pub fn free(&self, offset: u64) -> Result<(), MemError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.lock();
         let region = inner.regions.remove(&offset).ok_or(MemError::OutOfBounds)?;
         inner.allocated -= region.len;
         let mut start = offset;
@@ -250,7 +250,7 @@ impl DeviceMemory {
 
     /// Look up the live region containing device offset `addr`.
     pub fn region_at(&self, addr: u64) -> Option<Arc<DeviceRegion>> {
-        let inner = self.inner.read();
+        let inner = self.inner.lock();
         inner
             .regions
             .range(..=addr)

@@ -122,15 +122,7 @@ impl UosScheduler {
         // Load at admission: other jobs' threads raise effective
         // threads-per-core for everyone (uOS has no gang scheduling).
         let others = self.active_threads.fetch_add(job.threads as u64) as u32;
-        let outcome = self.model(job, others);
-        tl.charge(SpanLabel::UosSchedule, self.spawn_overhead(job.threads));
-        if outcome.oversubscribed {
-            // Context-switch tax: one switch per timeslice per extra
-            // runnable thread beyond hardware capacity.
-            let slices = outcome.duration.as_nanos() / self.cost.uos_timeslice.as_nanos().max(1);
-            tl.charge(SpanLabel::UosContextSwitch, self.cost.uos_context_switch * slices.max(1));
-        }
-        tl.charge(SpanLabel::DeviceCompute, outcome.duration);
+        let outcome = self.place(job, others, tl);
         self.clock.advance(outcome.duration);
         self.active_threads.fetch_sub(job.threads as u64);
         outcome
@@ -145,36 +137,24 @@ impl UosScheduler {
         let total: u32 = jobs.iter().map(|j| j.threads).sum();
         jobs.iter()
             .zip(tls.iter_mut())
-            .map(|(job, tl)| {
-                let others = total - job.threads;
-                let outcome = self.model(job, others);
-                tl.charge(SpanLabel::UosSchedule, self.spawn_overhead(job.threads));
-                if outcome.oversubscribed {
-                    let slices =
-                        outcome.duration.as_nanos() / self.cost.uos_timeslice.as_nanos().max(1);
-                    tl.charge(
-                        SpanLabel::UosContextSwitch,
-                        self.cost.uos_context_switch * slices.max(1),
-                    );
-                }
-                tl.charge(SpanLabel::DeviceCompute, outcome.duration);
-                outcome
-            })
+            .map(|(job, tl)| self.place(job, total - job.threads, tl))
             .collect()
     }
 
-    /// Execute real work (`f`) alongside the timing model — used by
-    /// validation-scale workloads where results are checked for
-    /// correctness.
-    pub fn run_with<R>(
-        &self,
-        job: &ComputeJob,
-        tl: &mut Timeline,
-        f: impl FnOnce() -> R,
-    ) -> (JobOutcome, R) {
-        let result = f();
-        let outcome = self.run(job, tl);
-        (outcome, result)
+    /// Model `job` beside `other_threads` and charge its spans to `tl`: the
+    /// fork-join spawn, the context-switch tax when oversubscribed, and the
+    /// compute itself.
+    fn place(&self, job: &ComputeJob, other_threads: u32, tl: &mut Timeline) -> JobOutcome {
+        let outcome = self.model(job, other_threads);
+        tl.charge(SpanLabel::UosSchedule, self.spawn_overhead(job.threads));
+        if outcome.oversubscribed {
+            // Context-switch tax: one switch per timeslice per extra
+            // runnable thread beyond hardware capacity.
+            let slices = outcome.duration.as_nanos() / self.cost.uos_timeslice.as_nanos().max(1);
+            tl.charge(SpanLabel::UosContextSwitch, self.cost.uos_context_switch * slices.max(1));
+        }
+        tl.charge(SpanLabel::DeviceCompute, outcome.duration);
+        outcome
     }
 
     fn model(&self, job: &ComputeJob, other_threads: u32) -> JobOutcome {
@@ -206,10 +186,6 @@ impl UosScheduler {
             oversubscribed,
             effective_gflops: rate_gflops,
         }
-    }
-
-    pub fn active_threads(&self) -> u32 {
-        self.active_threads.load() as u32
     }
 }
 
@@ -301,7 +277,6 @@ mod tests {
             let ratio = out.duration.as_nanos() as f64 / solo.as_nanos() as f64;
             assert!((ratio - 2.0).abs() < 0.05, "expected ~2x slowdown, got {ratio}");
         }
-        assert_eq!(s.active_threads(), 0);
     }
 
     #[test]
@@ -325,16 +300,6 @@ mod tests {
         let out = s.run(&ComputeJob::new("stream", 224, 1.0, bytes), &mut tl);
         let implied_bw = bytes as f64 / out.duration.as_secs_f64();
         assert!((implied_bw - GDDR_BYTES_PER_SEC).abs() / GDDR_BYTES_PER_SEC < 0.01);
-    }
-
-    #[test]
-    fn run_with_returns_real_results() {
-        let s = sched();
-        let mut tl = Timeline::new();
-        let (_, sum) =
-            s.run_with(&ComputeJob::new("sum", 4, 100.0, 0), &mut tl, || (1..=10).sum::<u32>());
-        assert_eq!(sum, 55);
-        assert!(tl.total_for(SpanLabel::DeviceCompute) > SimDuration::ZERO);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::{Arc, Weak};
 use vphi_faults::FaultSite;
 use vphi_phi::PhiBoard;
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
-use vphi_sync::{Counter, Flag, LockClass, TrackedCondvar, TrackedMutex, TrackedRwLock};
+use vphi_sync::{Counter, Flag, LockClass, TrackedCondvar, TrackedMutex};
 
 use crate::endpoint::EndpointCore;
 use crate::error::{ScifError, ScifResult};
@@ -180,17 +180,17 @@ impl NodeCore {
 pub struct FabricShared {
     pub cost: Arc<CostModel>,
     pub clock: Arc<VirtualClock>,
-    nodes: TrackedRwLock<BTreeMap<NodeId, Arc<NodeCore>>>,
+    nodes: TrackedMutex<BTreeMap<NodeId, Arc<NodeCore>>>,
     next_ep_id: Counter,
 }
 
 impl FabricShared {
     pub fn node(&self, id: NodeId) -> ScifResult<Arc<NodeCore>> {
-        self.nodes.read().get(&id).map(Arc::clone).ok_or(ScifError::NoDev)
+        self.nodes.lock().get(&id).map(Arc::clone).ok_or(ScifError::NoDev)
     }
 
     pub fn node_ids(&self) -> Vec<NodeId> {
-        self.nodes.read().keys().copied().collect()
+        self.nodes.lock().keys().copied().collect()
     }
 
     pub(crate) fn next_endpoint_id(&self) -> u64 {
@@ -328,7 +328,7 @@ impl ScifFabric {
         let shared = Arc::new(FabricShared {
             cost,
             clock,
-            nodes: TrackedRwLock::new(LockClass::FabricNodes, BTreeMap::new()),
+            nodes: TrackedMutex::new(LockClass::FabricNodes, BTreeMap::new()),
             next_ep_id: Counter::new(1),
         });
         let host = Arc::new(NodeCore {
@@ -337,13 +337,13 @@ impl ScifFabric {
             next_ephemeral: Counter::new(Port::EPHEMERAL_START as u64),
             board: None,
         });
-        shared.nodes.write().insert(HOST_NODE, host);
+        shared.nodes.lock().insert(HOST_NODE, host);
         ScifFabric { shared }
     }
 
     /// Attach a booted card as the next SCIF node; returns its node id.
     pub fn add_device(&self, board: Arc<PhiBoard>) -> NodeId {
-        let mut nodes = self.shared.nodes.write();
+        let mut nodes = self.shared.nodes.lock();
         let id = NodeId(nodes.keys().map(|n| n.0).max().unwrap_or(0) + 1);
         nodes.insert(
             id,

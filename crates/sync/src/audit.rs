@@ -1,6 +1,10 @@
-//! The lock-order audit: per-thread held stacks, the global class-level
-//! order graph, cycle/layer/nesting checks and the counters surfaced in
-//! `VphiDebugReport`.
+//! The lock-order audit: per-thread held stacks, the layer and nesting
+//! checks, and the counters surfaced in `VphiDebugReport`.
+//!
+//! Every class has a layer of its own and an acquisition may only climb,
+//! so the class-level order graph recorded here — which classes some
+//! thread has nested — is acyclic by construction: it is a ledger for
+//! tests to read, not a check.
 //!
 //! Active in debug/test builds and, in release, behind the `sync-audit`
 //! feature.  Inactive builds compile every entry point to a no-op.
@@ -10,26 +14,26 @@
 #[derive(Debug, Clone, Copy)]
 pub struct Token(#[allow(dead_code)] u64);
 
-/// How a lock was taken — shared acquisitions of one class may nest, and
-/// a role (`TrackedRole`) may be held across a clock advance.
+/// How a lock was taken: a role (`TrackedRole`) may be held across a
+/// clock advance, a mutex may not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AcqKind {
     Exclusive,
-    Shared,
     Role,
 }
 
 /// Snapshot of the audit counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SyncStats {
-    /// Tracked lock acquisitions (mutex, rwlock and condvar re-acquires).
+    /// Tracked acquisitions (mutex, role and condvar re-acquires).
     pub acquisitions: u64,
     /// Deepest held-lock stack observed on any thread.
     pub max_hold_depth: u64,
     /// Distinct class-order edges recorded in the global graph.
     pub order_edges: u64,
-    /// Acquisitions that ran the order checks (≥ 1 lock already held).
-    pub cycle_checks: u64,
+    /// Acquisitions made with ≥ 1 lock already held: the ones the layer
+    /// and nesting checks had something to compare against.
+    pub nested_acquisitions: u64,
     /// Violations reported outside of test capture.
     pub violations: u64,
     /// Condvar signals sent (`TrackedCondvar::notify_one`/`notify_all`),
@@ -37,16 +41,14 @@ pub struct SyncStats {
     pub signals: u64,
 }
 
-#[expect(clippy::disallowed_types, reason = "the audit's own lock: tracking it would recurse")]
+#[expect(clippy::disallowed_types, reason = "the audit's own atomics: the wrappers report to it")]
 #[cfg(any(debug_assertions, feature = "sync-audit"))]
 mod imp {
     use super::{AcqKind, SyncStats, Token};
     use crate::LockClass;
     use std::cell::{Cell, RefCell};
-    use std::collections::HashMap;
     use std::panic::Location;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex as StdMutex;
 
     const NCLASS: usize = LockClass::COUNT;
 
@@ -66,17 +68,14 @@ mod imp {
     }
 
     // Global order graph: EDGES[a] bit b set ⇔ some thread acquired class
-    // b while holding class a.  First-seen acquisition sites per edge live
-    // in EDGE_SITES for diagnostics.  (The audit's own lock is a raw
-    // std::sync::Mutex on purpose — tracking it would recurse.)
+    // b while holding class a.  Relaxed: the bits publish no other data,
+    // and a reader that wants another thread's edges has joined it.
     static EDGES: [AtomicU64; NCLASS] = [const { AtomicU64::new(0) }; NCLASS];
-    type SiteMap = HashMap<(u8, u8), (&'static Location<'static>, &'static Location<'static>)>;
-    static EDGE_SITES: StdMutex<Option<SiteMap>> = StdMutex::new(None);
 
     static ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
     static MAX_DEPTH: AtomicU64 = AtomicU64::new(0);
     static ORDER_EDGES: AtomicU64 = AtomicU64::new(0);
-    static CYCLE_CHECKS: AtomicU64 = AtomicU64::new(0);
+    static NESTED_ACQUISITIONS: AtomicU64 = AtomicU64::new(0);
     static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
     static SIGNALS: AtomicU64 = AtomicU64::new(0);
     static NEXT_SLOT: AtomicU64 = AtomicU64::new(1);
@@ -96,61 +95,10 @@ mod imp {
         }
     }
 
-    fn edge_sites(from: LockClass, to: LockClass) -> String {
-        let guard = EDGE_SITES.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        match guard.as_ref().and_then(|m| m.get(&(from as u8, to as u8))) {
-            Some((a, b)) => format!("{from:?} at {a} then {to:?} at {b}"),
-            None => format!("{from:?} then {to:?} (sites unrecorded)"),
-        }
-    }
-
-    /// Depth-first reachability over the edge bitmasks.
-    fn reaches(from: usize, target: usize, visited: &mut u64) -> bool {
-        if from == target {
-            return true;
-        }
-        if *visited & (1 << from) != 0 {
-            return false;
-        }
-        *visited |= 1 << from;
-        let mut succ = EDGES[from].load(Ordering::Acquire);
-        while succ != 0 {
-            let next = succ.trailing_zeros() as usize;
-            succ &= succ - 1;
-            if reaches(next, target, visited) {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn record_edge(held: &Held, class: LockClass, site: &'static Location<'static>) {
-        let from = held.class.index();
-        let to = class.index();
-        let prev = EDGES[from].fetch_or(1 << to, Ordering::AcqRel);
-        if prev & (1 << to) != 0 {
-            return; // edge already known; graph unchanged, no new cycle.
-        }
-        ORDER_EDGES.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut guard = EDGE_SITES.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard
-                .get_or_insert_with(HashMap::new)
-                .entry((from as u8, to as u8))
-                .or_insert((held.site, site));
-        }
-        // A cycle exists iff the *new* edge closed one: can we get back
-        // from `to` to `from`?
-        let mut visited = 0u64;
-        if reaches(to, from, &mut visited) {
-            report(format!(
-                "lock-order cycle: this thread acquired {class:?} (at {site}) while holding \
-                 {held_class:?} (acquired at {held_site}), but the order graph already has a \
-                 path {class:?} → … → {held_class:?} (first recorded: {reverse})",
-                held_class = held.class,
-                held_site = held.site,
-                reverse = edge_sites(class, held.class),
-            ));
+    fn record_edge(from: LockClass, to: LockClass) {
+        let prev = EDGES[from.index()].fetch_or(1 << to.index(), Ordering::Relaxed);
+        if prev & (1 << to.index()) == 0 {
+            ORDER_EDGES.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -160,13 +108,10 @@ mod imp {
         HELD.with(|h| {
             let mut held = h.borrow_mut();
             if !held.is_empty() {
-                CYCLE_CHECKS.fetch_add(1, Ordering::Relaxed);
+                NESTED_ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
             }
             for entry in held.iter() {
                 if entry.class == class {
-                    if kind == AcqKind::Shared && entry.kind == AcqKind::Shared {
-                        continue;
-                    }
                     report(format!(
                         "same-class nesting: {class:?} acquired at {site} while already held \
                          (acquired at {})",
@@ -183,12 +128,11 @@ mod imp {
                         entry.class.layer(),
                         entry.site
                     ));
-                    // The inversion is the violation; keep the bad edge out
-                    // of the graph so the correct-order sites don't later
-                    // report a cascaded cycle.
+                    // The inversion is the violation; the graph keeps only
+                    // edges that climb.
                     continue;
                 }
-                record_edge(entry, class, site);
+                record_edge(entry.class, class);
             }
             let slot = NEXT_SLOT.fetch_add(1, Ordering::Relaxed);
             held.push(Held { class, kind, site, slot });
@@ -245,7 +189,7 @@ mod imp {
             acquisitions: ACQUISITIONS.load(Ordering::Relaxed),
             max_hold_depth: MAX_DEPTH.load(Ordering::Relaxed),
             order_edges: ORDER_EDGES.load(Ordering::Relaxed),
-            cycle_checks: CYCLE_CHECKS.load(Ordering::Relaxed),
+            nested_acquisitions: NESTED_ACQUISITIONS.load(Ordering::Relaxed),
             violations: VIOLATIONS.load(Ordering::Relaxed),
             signals: SIGNALS.load(Ordering::Relaxed),
         }
@@ -284,15 +228,11 @@ mod imp {
     pub fn order_edges() -> Vec<(LockClass, LockClass)> {
         let mut edges = Vec::new();
         for from in LockClass::ALL {
-            let succ = EDGES[from.index()].load(Ordering::Acquire);
+            let succ = EDGES[from.index()].load(Ordering::Relaxed);
             let nested = LockClass::ALL.into_iter().filter(|to| succ & (1 << to.index()) != 0);
             edges.extend(nested.map(|to| (from, to)));
         }
         edges
-    }
-
-    pub fn held_depth() -> usize {
-        HELD.with(|h| h.borrow().len())
     }
 
     pub const ENABLED: bool = true;
@@ -353,16 +293,12 @@ mod imp {
         Vec::new()
     }
 
-    pub fn held_depth() -> usize {
-        0
-    }
-
     pub const ENABLED: bool = false;
 }
 
 pub use imp::{
-    assert_lockless, capture_violations, held_depth, on_acquire, on_release, on_rmw, on_signal,
-    order_edges, stats, thread_acquisitions, thread_rmws, thread_signals, violation_count, ENABLED,
+    assert_lockless, capture_violations, on_acquire, on_release, on_rmw, on_signal, order_edges,
+    stats, thread_acquisitions, thread_rmws, thread_signals, violation_count, ENABLED,
 };
 
 // In a plain release build the detector is the no-op module and there is
@@ -370,7 +306,7 @@ pub use imp::{
 #[cfg(all(test, any(debug_assertions, feature = "sync-audit")))]
 mod tests {
     use super::*;
-    use crate::{LockClass, TrackedCondvar, TrackedMutex, TrackedRwLock};
+    use crate::{LockClass, TrackedCondvar, TrackedMutex};
     use std::time::Duration;
 
     #[test]
@@ -415,7 +351,6 @@ mod tests {
         drop(g);
         assert!(stats().order_edges > before);
         assert!(order_edges().contains(&(LockClass::TestOuter, LockClass::TestInner)));
-        assert_eq!(held_depth(), 1);
     }
 
     #[test]
@@ -444,28 +379,20 @@ mod tests {
     }
 
     #[test]
-    fn shared_reads_of_one_class_may_nest() {
-        let a = TrackedRwLock::new(LockClass::TestA, ());
-        let b = TrackedRwLock::new(LockClass::TestA, ());
-        let (_, violations) = capture_violations(|| {
-            let _g = a.read();
-            let _h = b.read();
-        });
-        assert!(violations.is_empty(), "read-read nesting flagged: {violations:?}");
-    }
-
-    #[test]
     fn condvar_wait_releases_the_held_token() {
         let m = TrackedMutex::new(LockClass::TestA, ());
         let c = TrackedCondvar::new();
-        let mut g = m.lock();
-        assert_eq!(held_depth(), 1);
-        // The wait times out, but during it the token must be gone; after
-        // re-acquisition it is back.
-        c.wait_for(&mut g, Duration::from_millis(1));
-        assert_eq!(held_depth(), 1);
-        drop(g);
-        assert_eq!(held_depth(), 0);
+        // The wait times out; after the re-acquisition the token is back
+        // once (not twice: no same-class nesting), and the drop removes it.
+        let (_, violations) = capture_violations(|| {
+            let mut g = m.lock();
+            c.wait_for(&mut g, Duration::from_millis(1));
+            assert_lockless("after the wait");
+            drop(g);
+            assert_lockless("after the drop");
+        });
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("after the wait") && violations[0].contains("1 lock(s)"));
     }
 
     #[test]
@@ -474,12 +401,10 @@ mod tests {
         let inner = TrackedMutex::new(LockClass::TestInner, ());
         let (_, violations) = capture_violations(|| {
             let _r = role.enter();
-            assert_eq!(held_depth(), 1);
             assert_lockless("test advance");
             drop(inner.lock());
         });
         assert!(violations.is_empty(), "role flagged: {violations:?}");
-        assert_eq!(held_depth(), 0);
         assert!(order_edges().contains(&(LockClass::TestB, LockClass::TestInner)));
         // A lock taken under the role still may not cross the clock, and
         // the role itself may not be entered under an inner lock.

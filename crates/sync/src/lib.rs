@@ -1,15 +1,13 @@
 //! Instrumented synchronization primitives for the vPHI workspace.
 //!
-//! Every lock in the stack is a [`TrackedMutex`] / [`TrackedRwLock`]
-//! declared with a [`LockClass`].  Acquisitions feed a per-thread held-lock
-//! stack and a global class-level lock-order graph (see [`audit`]), which
-//! detects — at the moment the second lock is taken, no real deadlock
-//! needed:
+//! Every lock in the stack is a [`TrackedMutex`] declared with a
+//! [`LockClass`], and every class has a layer of its own.  Acquisitions
+//! feed a per-thread held-lock stack (see [`audit`]), which detects — at
+//! the moment the second lock is taken, no real deadlock needed:
 //!
-//! * **order cycles** (an ABBA pattern between two lock classes),
-//! * **layer inversions** (taking an outer-layer lock while holding an
-//!   inner-layer one — e.g. a `scif` fabric lock under a `virtio` queue
-//!   lock),
+//! * **layer inversions** (taking a class of a lower layer than one
+//!   already held — e.g. a `scif` fabric lock under a `virtio` queue lock;
+//!   with one layer per class this is also the second half of any ABBA),
 //! * **same-class nesting** (two mutexes of one class on one thread),
 //! * **locks held across a `sim-core` virtual-clock advance** (via
 //!   [`audit::assert_lockless`], called by `VirtualClock`).
@@ -17,8 +15,8 @@
 //! A [`TrackedRole`] is the one primitive that is exclusive without being
 //! a lock over data: it names *which thread is executing* something (a
 //! virtqueue lane's one executor) and is held across the blocking calls
-//! and clock advances that execution makes.  It takes part in the order
-//! and layer checks like any class and is exempt only from the
+//! and clock advances that execution makes.  It takes part in the layer
+//! and nesting checks like any class and is exempt only from the
 //! lock-across-clock check.
 //!
 //! Violations panic with both acquisition sites in debug/test builds; the
@@ -49,10 +47,9 @@ use audit::{AcqKind, Token};
 
 /// Every lock in the workspace belongs to a class; the class's **layer**
 /// encodes the documented acquisition order (DESIGN.md #12): a thread may
-/// only acquire locks of a layer **greater than or equal to** the layers
-/// it already holds (outer layers first).  Same-layer classes are allowed
-/// to interleave either way; the dynamic order graph still rejects cycles
-/// between them.
+/// only acquire a class of a higher layer than any it holds (outer layers
+/// first).  No two classes share a layer, so every nesting climbs and the
+/// order graph cannot close a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum LockClass {
@@ -228,11 +225,11 @@ impl LockClass {
             LockClass::VmaData => 86,
             LockClass::TestOuter => 90,
             LockClass::TestA => 92,
-            LockClass::TestB => 92,
+            LockClass::TestB => 93,
             LockClass::TestInner => 94,
             LockClass::HostAttached => 8,
             LockClass::TraceRings => 87,
-            LockClass::BackendShards => 20,
+            LockClass::BackendShards => 21,
             LockClass::TokenWaiters => 71,
             LockClass::TokenSlot => 72,
             LockClass::NotifyPolicy => 77,
@@ -260,8 +257,6 @@ impl LockClass {
 
 #[expect(clippy::disallowed_types, reason = "TrackedMutex and TrackedRole wrap the raw one")]
 type RawMutex<T> = std::sync::Mutex<T>;
-#[expect(clippy::disallowed_types, reason = "TrackedRwLock wraps the raw one")]
-type RawRwLock<T> = std::sync::RwLock<T>;
 #[expect(clippy::disallowed_types, reason = "TrackedCondvar wraps the raw one")]
 type RawCondvar = std::sync::Condvar;
 
@@ -275,36 +270,18 @@ impl<T> TrackedMutex<T> {
     pub const fn new(class: LockClass, value: T) -> Self {
         TrackedMutex { class, inner: RawMutex::new(value) }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> TrackedMutex<T> {
-    pub fn class(&self) -> LockClass {
-        self.class
-    }
-
     /// Acquire, recovering from poisoning: a panic on another thread while
     /// it held this mutex does not cascade into this caller.  The
-    /// acquisition is checked against the lock-order graph before blocking.
+    /// acquisition is checked against the locks this thread holds before
+    /// blocking.
     #[track_caller]
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
         let token = audit::on_acquire(self.class, AcqKind::Exclusive, Location::caller());
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         TrackedMutexGuard { inner: Some(inner), class: self.class, token }
-    }
-
-    #[track_caller]
-    pub fn try_lock(&self) -> Option<TrackedMutexGuard<'_, T>> {
-        let inner = try_raw(&self.inner)?;
-        let token = audit::on_acquire(self.class, AcqKind::Exclusive, Location::caller());
-        Some(TrackedMutexGuard { inner: Some(inner), class: self.class, token })
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -416,7 +393,7 @@ impl std::fmt::Debug for TrackedCondvar {
 /// it is free.  Unlike a mutex it guards no data and is meant to be held
 /// across blocking calls and virtual-clock advances — it says who is
 /// executing, not what is being touched.  The audit therefore runs the
-/// order, layer and nesting checks on it (a role's class sits outermost:
+/// layer and nesting checks on it (a role's class sits outermost:
 /// entering it with a lock held is a layer inversion) but skips it in
 /// [`audit::assert_lockless`].
 pub struct TrackedRole {
@@ -470,98 +447,6 @@ impl Drop for TrackedRoleGuard<'_> {
     }
 }
 
-// --------------------------------------------------------------- RwLock
-
-/// A reader-writer lock that reports its acquisitions to the audit.
-/// Shared (read) acquisitions of one class may nest; exclusive ones may
-/// not.
-pub struct TrackedRwLock<T: ?Sized> {
-    class: LockClass,
-    inner: RawRwLock<T>,
-}
-
-impl<T> TrackedRwLock<T> {
-    pub const fn new(class: LockClass, value: T) -> Self {
-        TrackedRwLock { class, inner: RawRwLock::new(value) }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> TrackedRwLock<T> {
-    pub fn class(&self) -> LockClass {
-        self.class
-    }
-
-    #[track_caller]
-    pub fn read(&self) -> TrackedRwLockReadGuard<'_, T> {
-        let token = audit::on_acquire(self.class, AcqKind::Shared, Location::caller());
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        TrackedRwLockReadGuard { inner, token }
-    }
-
-    #[track_caller]
-    pub fn write(&self) -> TrackedRwLockWriteGuard<'_, T> {
-        let token = audit::on_acquire(self.class, AcqKind::Exclusive, Location::caller());
-        let inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        TrackedRwLockWriteGuard { inner, token }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> std::fmt::Debug for TrackedRwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("TrackedRwLock { .. }")
-    }
-}
-
-pub struct TrackedRwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-    token: Token,
-}
-
-impl<T: ?Sized> Deref for TrackedRwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for TrackedRwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        audit::on_release(self.token);
-    }
-}
-
-pub struct TrackedRwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-    token: Token,
-}
-
-impl<T: ?Sized> Deref for TrackedRwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for TrackedRwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for TrackedRwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        audit::on_release(self.token);
-    }
-}
-
 /// The `std` primitives behind the tracked types: round trips, timed and
 /// signalled condvar waits, and the poison a panicking holder must not
 /// leave behind.
@@ -572,12 +457,9 @@ mod tests {
 
     #[test]
     fn mutex_round_trip() {
-        let mut m = TrackedMutex::new(LockClass::TestInner, 1u32);
+        let m = TrackedMutex::new(LockClass::TestInner, 1u32);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
-        assert!(m.try_lock().is_some());
-        *m.get_mut() += 1;
-        assert_eq!(m.into_inner(), 3);
     }
 
     #[test]
@@ -610,33 +492,19 @@ mod tests {
     }
 
     #[test]
-    fn rwlock_readers_and_writer() {
-        let mut l = TrackedRwLock::new(LockClass::TestInner, 7u32);
-        assert_eq!(*l.read(), 7);
-        *l.write() = 9;
-        assert_eq!(*l.read(), 9);
-        *l.get_mut() += 1;
-        assert_eq!(l.into_inner(), 10);
-    }
-
-    #[test]
     fn a_panicking_holder_poisons_nothing() {
         let m = Arc::new(TrackedMutex::new(LockClass::TestInner, 1u32));
-        let l = Arc::new(TrackedRwLock::new(LockClass::TestA, 1u32));
         let role = Arc::new(TrackedRole::new(LockClass::TestOuter));
-        let (m2, l2, role2) = (Arc::clone(&m), Arc::clone(&l), Arc::clone(&role));
+        let (m2, role2) = (Arc::clone(&m), Arc::clone(&role));
         let died = std::thread::spawn(move || {
             let _r = role2.enter();
-            let _w = l2.write();
             let _g = m2.lock();
             panic!("holder dies with everything held");
         })
         .join();
         assert!(died.is_err());
         *m.lock() += 1;
-        assert_eq!(*m.try_lock().expect("free again"), 2);
-        *l.write() += 1;
-        assert_eq!(*l.read(), 2);
+        assert_eq!(*m.lock(), 2);
         assert!(role.try_enter().is_some());
         drop(role.enter());
     }
@@ -656,6 +524,19 @@ mod class_table_tests {
         assert!(seen.iter().all(|&s| s), "ALL is missing a class");
         for (i, c) in LockClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i, "ALL out of discriminant order at {i}");
+        }
+    }
+
+    /// What the audit's layer check relies on to keep the order graph
+    /// acyclic: every recorded edge climbs a layer, so no two classes may
+    /// share one.
+    #[test]
+    fn every_class_has_a_layer_of_its_own() {
+        assert_eq!(LockClass::COUNT, 35);
+        for (i, a) in LockClass::ALL.iter().enumerate() {
+            for b in &LockClass::ALL[i + 1..] {
+                assert_ne!(a.layer(), b.layer(), "{a:?} and {b:?} share a layer");
+            }
         }
     }
 }

@@ -34,7 +34,7 @@ fn guest_payload_integrity_across_sizes() {
     // lock-order audit without a single violation.
     assert_eq!(vphi_sync::audit::violation_count(), 0, "lock-order violations detected");
     if vphi_sync::audit::ENABLED {
-        assert!(vphi_sync::audit::stats().cycle_checks > 0, "audit was not exercised");
+        assert!(vphi_sync::audit::stats().nested_acquisitions > 0, "audit was not exercised");
     }
 }
 

@@ -1,14 +1,17 @@
-//! Regression tests for the lock-order deadlock detector (ISSUE 2).
+//! Regression tests for the lock-order audit, and the ledger of every
+//! class-order edge the stack takes.
 //!
-//! Each test runs under [`vphi_sync::audit::capture_violations`], which
-//! redirects reports to a buffer instead of panicking, so a *deliberate*
-//! violation can be asserted on without tripping the global counter that
-//! the clean-run tests check.
+//! A deliberate violation runs under
+//! [`vphi_sync::audit::capture_violations`], which redirects reports to a
+//! buffer instead of panicking, so it can be asserted on without tripping
+//! the global counter that the clean-run tests check.
 //!
 //! These tests share one process (and therefore one global order graph)
-//! with each other but not with the other integration-test binaries; they
-//! use the `Test*` lock classes, which sit in their own layer band so the
-//! edges poisoned here can never implicate the production classes.
+//! with each other but not with the other integration-test binaries.  The
+//! deliberate violations use the `Test*` lock classes; each test that
+//! drives the stack ends with [`assert_only_ledger_edges`], which leaves
+//! those classes out, so whichever test in this binary takes a nesting
+//! [`LEDGER`] does not list, the stack-driving tests fail.
 
 // In a plain release build the detector compiles down to no-ops; there is
 // nothing to regression-test.  (`--features sync-audit` turns it back on.)
@@ -20,22 +23,23 @@ use vphi_sync::audit::capture_violations;
 use vphi_sync::{LockClass, TrackedMutex};
 
 /// The classic ABBA: thread-interleaving-independent, caught on the second
-/// edge the moment it is recorded — no real deadlock needs to happen.
+/// half the moment it is taken — no real deadlock needs to happen.  With a
+/// layer per class one of the two orders always descends.
 #[test]
 fn abba_acquisition_is_flagged() {
     let a = Arc::new(TrackedMutex::new(LockClass::TestA, 0u32));
     let b = Arc::new(TrackedMutex::new(LockClass::TestB, 0u32));
 
-    // First establish A → B (legal: same layer, first edge wins).
+    // First establish A → B (legal: B's layer is above A's).
     let ((), first) = capture_violations(|| {
         let _ga = a.lock();
         let _gb = b.lock();
     });
     assert!(first.is_empty(), "A→B alone must be clean: {first:?}");
 
-    // Now B → A: completes the cycle.  A second thread makes the scenario
-    // honest (each order is taken by a different thread, as in a real
-    // deadlock), but the detector would catch it single-threaded too.
+    // Now B → A: the second half, a layer inversion.  A second thread makes
+    // the scenario honest (each order is taken by a different thread, as in
+    // a real deadlock), but the audit would catch it single-threaded too.
     let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
     let (result, _) = capture_violations(move || {
         std::thread::spawn(move || {
@@ -49,8 +53,8 @@ fn abba_acquisition_is_flagged() {
         .expect("detector thread panicked")
     });
     assert!(
-        result.iter().any(|v| v.contains("cycle")),
-        "ABBA must be reported as an order cycle: {result:?}"
+        result.iter().any(|v| v.contains("layer inversion")),
+        "ABBA's second half must be reported as a layer inversion: {result:?}"
     );
     // The report names both sides of the deadlock-to-be.
     assert!(
@@ -94,7 +98,7 @@ fn lock_held_across_clock_advance_is_flagged() {
 }
 
 /// Taking an outer-layer lock while holding an inner-layer one inverts the
-/// documented hierarchy even before any cycle exists.
+/// documented hierarchy, whether or not the other order was ever taken.
 #[test]
 fn layer_inversion_is_flagged() {
     let outer = TrackedMutex::new(LockClass::TestOuter, ());
@@ -256,6 +260,7 @@ fn rma_nests_byte_store_locks_in_ascending_order_only() {
         ],
         "a byte-store lock may only be held while taking a later byte store's"
     );
+    assert_only_ledger_edges();
 }
 
 /// The message data plane's one nesting: the queue waits for space or
@@ -322,6 +327,7 @@ fn messages_nest_guest_memory_inside_the_queue_lock_only() {
         [(LockClass::MsgQueue, LockClass::GuestMemState)],
         "the queue lock may only be held while taking guest memory's"
     );
+    assert_only_ledger_edges();
 }
 
 /// A blocking guest call runs the backend on the calling thread, under
@@ -401,6 +407,7 @@ fn blocking_calls_run_under_the_executor_role_and_nothing_else() {
         let nested: Vec<_> = edges.iter().filter(|(held, _)| *held == frontend).collect();
         assert!(nested.is_empty(), "{frontend:?} held across a backend call: {nested:?}");
     }
+    assert_only_ledger_edges();
 }
 
 /// What a guest endpoint holds lives under one lock (DESIGN.md #26), and
@@ -472,6 +479,7 @@ fn endpoint_holdings_nest_only_the_aperture_under_their_lock() {
     assert_eq!(under, [LockClass::ApertureWindows]);
     let holding: Vec<_> = edges.iter().filter(|(_, a)| *a == holdings).map(|e| e.0).collect();
     assert_eq!(holding, [LockClass::LaneExecutor]);
+    assert_only_ledger_edges();
 }
 
 /// Each blocking fabric primitive sleeps on a condvar paired with the
@@ -482,9 +490,10 @@ fn endpoint_holdings_nest_only_the_aperture_under_their_lock() {
 /// backlog, then takes each orphaned connector's state.  Drive connect /
 /// accept / refuse-on-teardown / `send_timed` / `recv_timed` / close
 /// through a guest and natively and check what the audit saw: no
-/// violation, the timed lane and the backlog as leaves, and the backlog
-/// reached with nothing held (the `backlog_len` probe, a teardown) or with
-/// nothing but the executor role held.
+/// violation and no nesting [`LEDGER`] does not list — in which the timed
+/// lane and the backlog are leaves taken under the executor role or with
+/// nothing held (the `backlog_len` probe, a teardown), and an endpoint's
+/// state nests only the port map bind and listen take.
 #[test]
 fn directed_wakeups_signal_under_one_mutex_each() {
     use vphi::builder::{VmConfig, VphiHost};
@@ -571,34 +580,14 @@ fn directed_wakeups_signal_under_one_mutex_each() {
     vm.shutdown();
 
     assert_eq!(vphi_sync::audit::violation_count(), violations_before);
-    let edges = vphi_sync::audit::order_edges();
-    for leaf in [LockClass::TimedLane, LockClass::ListenerPending] {
-        let under: Vec<_> = edges.iter().filter(|(held, _)| *held == leaf).collect();
-        assert!(under.is_empty(), "a lock taken under {leaf:?}: {under:?}");
-    }
-    let holding = |acquired: LockClass| -> Vec<LockClass> {
-        edges.iter().filter(|(_, a)| *a == acquired).map(|(held, _)| *held).collect()
-    };
-    // A request handler takes the timed lane; a shutdown or a card reset
-    // closes endpoints with nothing held.
-    assert_eq!(holding(LockClass::TimedLane), [LockClass::LaneExecutor]);
-    assert_eq!(holding(LockClass::ListenerPending), [LockClass::LaneExecutor]);
-    // `connect` waits with its own state lock and no other.
-    let under_state: Vec<_> =
-        edges.iter().filter(|(held, _)| *held == LockClass::EndpointState).map(|e| e.1).collect();
-    assert_eq!(
-        under_state,
-        [LockClass::NodePorts],
-        "bind and listen taking a port are all that nest under an endpoint's state"
-    );
+    assert_only_ledger_edges();
 }
 
-/// Every class-order edge the guest request surface takes, as `(held,
-/// acquired)`.  The order graph learns the lock order from the
-/// acquisitions it sees (DESIGN.md #12); this list pins the part of it the
-/// paper's path depends on.  `the_request_surface_takes_every_ledger_edge`
-/// fails naming any edge that goes missing; a new edge is one reviewed
-/// line here.
+/// Every class-order edge the stack takes, as `(held, acquired)`
+/// (DESIGN.md #12).  `the_request_surface_takes_every_ledger_edge` fails
+/// naming any edge that goes missing, and [`assert_only_ledger_edges`]
+/// naming any edge taken that is not here: a new nesting is one reviewed
+/// line in this list.
 const LEDGER: &[(LockClass, LockClass)] = {
     use LockClass::*;
     &[
@@ -644,6 +633,21 @@ const LEDGER: &[(LockClass, LockClass)] = {
     ]
 };
 
+/// Fail naming every edge of the order graph that [`LEDGER`] does not
+/// list, leaving out the `Test*` classes the deliberate violations use.
+/// The graph is the whole binary's, so whichever test took the edge, every
+/// stack-driving test that ends with this fails.
+fn assert_only_ledger_edges() {
+    use LockClass::{TestA, TestB, TestInner, TestOuter};
+    let test_class = |c: &LockClass| [TestOuter, TestA, TestB, TestInner].contains(c);
+    let unlisted: Vec<_> = vphi_sync::audit::order_edges()
+        .into_iter()
+        .filter(|(held, acquired)| !test_class(held) && !test_class(acquired))
+        .filter(|edge| !LEDGER.contains(edge))
+        .collect();
+    assert!(unlisted.is_empty(), "order edges the ledger does not list: {unlisted:?}");
+}
+
 /// Bytes each way on the timed lane in the request-surface tour.
 const TIMED: u64 = 1 << 20;
 
@@ -680,9 +684,9 @@ fn surface_peer(
 /// batched submit + reap and a guest page fault through a device mapping
 /// among them, tracing armed throughout — then a guest listener, a refused
 /// connect, native window-to-window RMA, a card reset, a guest's death and
-/// a VM shutdown, each with a mapping alive.  Afterwards every [`LEDGER`]
-/// edge is in the order graph, every variant was sent, and nothing was a
-/// violation.
+/// a VM shutdown, each with a mapping alive.  Afterwards the order graph
+/// is [`LEDGER`] (every edge taken, none unlisted), every variant was
+/// sent, and nothing was a violation.
 #[test]
 fn the_request_surface_takes_every_ledger_edge() {
     use vphi::backend::RmaCharge;
@@ -842,20 +846,7 @@ fn the_request_surface_takes_every_ledger_edge() {
     println!("order graph after the tour: {edges:?}");
     let missing: Vec<_> = LEDGER.iter().filter(|e| !edges.contains(e)).collect();
     assert!(missing.is_empty(), "ledger edges the request surface no longer takes: {missing:?}");
-    // The host's list of its VMs is a leaf: a reset or an arming walks a
-    // snapshot of it.
-    let under: Vec<_> = edges.iter().filter(|(held, _)| *held == LockClass::HostAttached).collect();
-    assert!(under.is_empty(), "a lock taken under the host's VM list: {under:?}");
-    // The request-slot lock is a leaf, taken under the role or the waiter's
-    // parking slot (its wait predicate probes the request slot) only.
-    let under: Vec<_> = edges.iter().filter(|(held, _)| *held == LockClass::RequestSlot).collect();
-    assert!(under.is_empty(), "a lock taken under the slot lock: {under:?}");
-    for (held, _) in edges.iter().filter(|(_, acquired)| *acquired == LockClass::RequestSlot) {
-        assert!(
-            [LockClass::LaneExecutor, LockClass::TokenSlot].contains(held),
-            "the slot lock taken under {held:?}"
-        );
-    }
+    assert_only_ledger_edges();
     // Every `VphiRequest::name()`: a request whose locks nest like
     // another's still has to be sent.
     let sent: Vec<_> = host.tracer().unwrap().hist_rows().into_iter().map(|r| r.op).collect();
