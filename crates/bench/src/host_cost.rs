@@ -4,9 +4,9 @@
 //! global allocator, in every binary that links the crate); lock
 //! acquisitions per [`LockClass`] and atomic RMWs on the calling thread and
 //! condvar signals process-wide, where the lock-order audit counts them
-//! (debug, `sync-audit`); card 0's doorbell rings; a guest VM's kicks, real
-//! sleeps and staging chunks.  [`figure`] is `host_cost.golden.json`; what
-//! is not exact (context switches, `WALL`) is a wall reading.
+//! (debug, `sync-audit`); a guest VM's kicks, real sleeps and staging
+//! chunks.  [`figure`] is `host_cost.golden.json`; what is not exact
+//! (context switches, `WALL`) is a wall reading.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt;
@@ -18,7 +18,6 @@ use vphi::{Cq, GuestScif, Sq, SqEntry};
 use vphi_coi::{CoiDaemon, CoiEnv, GuestEnv, NativeEnv};
 use vphi_dev_support::native_connect;
 use vphi_mic_tools::{micnativeloadex, MicBinary};
-use vphi_phi::PhiBoard;
 use vphi_scif::types::pinned_buf;
 use vphi_scif::window::WindowBacking;
 use vphi_scif::{Port, Prot, RmaFlags, ScifAddr, ScifEndpoint};
@@ -98,13 +97,12 @@ enum Exact {
 
 /// The counts of a [`HostCost`], in column order, each with the builds it
 /// repeats exactly in.  The first two are the calling thread's.
-const COUNTS: [(&str, Exact); 11] = [
+const COUNTS: [(&str, Exact); 10] = [
     ("acquisitions", Exact::Audited),
     ("RMWs", Exact::Audited),
     ("allocs", Exact::Always),
     ("allocs >= 32 KiB", Exact::Always),
     ("signals", Exact::Audited),
-    ("doorbell rings", Exact::Always),
     ("kicks", Exact::Always),
     ("sleeps", Exact::Always),
     ("staged chunks", Exact::Always),
@@ -139,7 +137,6 @@ impl HostCost {
     /// signals.
     fn read_rest(&mut self, scope: &Scope<'_>) {
         use std::sync::atomic::Ordering::Relaxed;
-        let rings = scope.board.db_to_device.pending() + scope.board.db_to_host.pending();
         let (kicks, sleeps, staged) = scope.vm.map_or((0, 0, 0), |vm| {
             let channel = vm.frontend().channel();
             let kicks = channel.lanes().iter().map(|l| l.queue.counters().kicks).sum();
@@ -148,7 +145,7 @@ impl HostCost {
         let (voluntary, involuntary) = context_switches().unwrap_or_default();
         let (all, large) = (ALL_ALLOCS.load(Relaxed), LARGE_ALLOCS.load(Relaxed));
         let signals = audit::stats().signals;
-        let rest = [all, large, signals, rings, kicks, sleeps, staged, voluntary, involuntary];
+        let rest = [all, large, signals, kicks, sleeps, staged, voluntary, involuntary];
         self.counts[2..COUNTS.len()].copy_from_slice(&rest);
     }
 }
@@ -168,9 +165,8 @@ fn context_switches() -> Option<(u64, u64)> {
     Some((field("voluntary_ctxt_switches:")?, field("nonvoluntary_ctxt_switches:")?))
 }
 
-/// Card 0 of the calls' host and, for a guest, the VM they kick.
+/// For a guest, the VM the calls kick.
 struct Scope<'a> {
-    board: &'a PhiBoard,
     vm: Option<&'a VphiVm>,
 }
 
@@ -201,14 +197,13 @@ impl Scope<'_> {
     }
 }
 
-/// Wait until every lane of `vm` is idle: its shard parked on the kick
-/// doorbell, no kick pending.  A blocking caller services its own kick
-/// only on an idle lane (DESIGN.md #21); one that finds the shard still
-/// draining hands its chain over.
+/// Wait until every lane of `vm` is idle: its shard parked on its ring, no
+/// kick pending.  A blocking caller services its own kick only on an idle
+/// lane (DESIGN.md #21); one that finds the shard still draining hands its
+/// chain over.
 fn quiesce(vm: &VphiVm) {
     for lane in vm.frontend().channel().lanes() {
-        let kick = &lane.queue.doorbell;
-        while kick.pending() > 0 || kick.parked() == 0 {
+        while lane.queue.kick_pending() || !lane.queue.device_parked() {
             std::thread::yield_now();
         }
     }
@@ -275,15 +270,13 @@ pub fn figure() -> Figure {
 /// `recv` that parks re-takes its queue lock (`MsgQueue` 15 to 17) and a
 /// `recv_timed` parks or not; a `connect` that parks bumps debug-only
 /// wait counters (RMWs 521 / 41 in debug, 519 / 39 in release +
-/// `sync-audit`); a send rings after it queues, so a launch can end
-/// before the card's last ring (14.95 natively on 1 run in 300).
+/// `sync-audit`).
 const WALL: &[(Shape, &str)] = &[
     (Shape::Launch, "acquisitions"),
     (Shape::Launch, BY_CLASS),
     (Shape::Launch, "RMWs"),
     (Shape::Launch, "allocs"),
     (Shape::Launch, "signals"),
-    (Shape::Launch, "doorbell rings"),
 ];
 
 const PAYLOAD: usize = 64 << 10;
@@ -298,7 +291,7 @@ pub fn measure(shape: Shape, side: Side) -> HostCost {
     let charge =
         if let Shape::Rma { charge: Some(c), .. } = shape { c } else { RmaCharge::default() };
     let vm = (side == Side::Guest).then(|| host.spawn_vm(VmConfig::builder().rma(charge).build()));
-    let scope = Scope { board: host.board(0), vm: vm.as_ref() };
+    let scope = Scope { vm: vm.as_ref() };
     let env: Arc<dyn CoiEnv> = match &vm {
         Some(vm) => Arc::new(GuestEnv::new(vm)),
         None => Arc::new(NativeEnv::new(&host)),
@@ -477,7 +470,7 @@ pub fn table(rows: impl IntoIterator<Item = (Shape, Side, HostCost)>) -> Figure 
             let per_call = total as f64 / cost.calls.max(1) as f64;
             cells.extend(cell(name, exact, Cell::Real(per_call, 2, "")));
         }
-        // The classes taken, in class order: "Doorbell 1, TimedLane 1".
+        // The classes taken, in class order: "MsgQueue 1, TimedLane 1".
         let classes = &cost.counts[COUNTS.len()..];
         let taken = LockClass::ALL.into_iter().filter(|c| classes[c.index()] > 0);
         let per_call = |c: LockClass| classes[c.index()] as f64 / cost.calls.max(1) as f64;

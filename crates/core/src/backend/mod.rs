@@ -288,20 +288,17 @@ impl BackendInner {
     /// unregister) its endpoints, unpin its windows, drop its cached
     /// translations and unmap its device mappings.  Guest requests already
     /// in flight end as the device lets go of them: a handler running one
-    /// finishes it, and each lane's shard retires the chains left on its
-    /// ring, which is closed to new ones.
+    /// finishes it, and each lane's shard, woken by its ring's close,
+    /// retires the chains left on the ring and exits.
     pub fn guest_died(&self) {
         self.stats.guest_deaths.bump();
-        // Flag and close first (new requests fail fast), then wake each
-        // lane's shard to retire what is left on its ring.
+        // Flag and close first: new requests fail fast, and each lane's
+        // shard makes its last, retiring pass.
         self.channel.mark_shutdown();
         let (endpoints, windows) = self.held.release_all();
         self.release_mmaps();
         self.stats.endpoints_gced.add(endpoints as u64);
         self.stats.windows_gced.add(windows as u64);
-        for lane in self.channel.lanes() {
-            lane.queue.doorbell.ring();
-        }
     }
 
     /// Unmap every device mapping, as a `Munmap` would, and refuse every
@@ -826,10 +823,10 @@ impl BackendDevice {
                     .name(format!("vphi-backend-{}-q{q}", inner.name))
                     .spawn(move || {
                         let queue = Arc::clone(inner.channel.lane_queue(q));
-                        while inner.running.get() && queue.wait_kick() {
+                        while queue.wait_kick() {
                             inner.drain_as_shard(q);
                         }
-                        // Stopped: take whatever never got its kick off the
+                        // Closed: take whatever never got its kick off the
                         // books (a dead device's pass executes nothing).
                         inner.drain_as_shard(q);
                     })
@@ -882,10 +879,8 @@ impl BackendDevice {
         if !self.inner.running.swap(false) {
             return;
         }
+        // Closing the rings ends every shard's wait.
         self.inner.channel.mark_shutdown();
-        for lane in self.inner.channel.lanes() {
-            lane.queue.shutdown();
-        }
         // Let go of whatever the guest leaked — explicitly, and before
         // waiting for the shards: a handler parked inside an endpoint (on
         // a shard, or a blocking caller inside its own vm-exit, with the

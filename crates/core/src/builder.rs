@@ -215,7 +215,7 @@ pub struct VphiHost {
     /// Weak: a VM's parts are its own, and go when it does.
     attached: TrackedMutex<Vec<(u32, Weak<BackendDevice>)>>,
     /// Host-wide fault-injection arming point; propagated to boards,
-    /// links, doorbells and every (existing and future) backend.
+    /// links and every (existing and future) backend.
     faults: FaultHook,
     /// Host-wide tracer slot; propagated to every (existing and future)
     /// backend channel by [`VphiHost::arm_tracing`].
@@ -231,12 +231,7 @@ impl std::fmt::Debug for VphiHost {
 impl VphiHost {
     /// A host with `num_devices` booted 3120P cards, paper-calibrated.
     pub fn new(num_devices: usize) -> Self {
-        Self::with_cost(CostModel::paper_calibrated(), num_devices)
-    }
-
-    /// A host with a custom cost model (ablations tweak single params).
-    pub fn with_cost(cost: CostModel, num_devices: usize) -> Self {
-        let cost = Arc::new(cost);
+        let cost = Arc::new(CostModel::paper_calibrated());
         let clock = Arc::new(VirtualClock::new());
         let fabric = Arc::new(ScifFabric::new(Arc::clone(&cost), Arc::clone(&clock)));
         let mut boards = Vec::new();
@@ -264,8 +259,8 @@ impl VphiHost {
 
     /// Arm deterministic fault injection across the whole stack: every
     /// board (lockups, ECC, panics), PCIe link (retrain stalls, DMA
-    /// errors), doorbell, and every attached backend (lost MSIs, guest
-    /// death) plus its virtio queue (lost kicks, used-ring delays).  VMs
+    /// errors), and every attached backend (lost MSIs, guest death) plus
+    /// its virtio queues (lost kicks, used-ring delays).  VMs
     /// spawned later inherit the plan.  First arm wins; returns the
     /// injector either way so callers can read its counters.
     pub fn arm_faults(&self, plan: FaultPlan) -> Arc<FaultInjector> {
@@ -276,8 +271,6 @@ impl VphiHost {
         for board in &self.boards {
             board.fault_hook().arm(Arc::clone(&injector));
             board.link().fault_hook().arm(Arc::clone(&injector));
-            board.db_to_device.fault_hook().arm(Arc::clone(&injector));
-            board.db_to_host.fault_hook().arm(Arc::clone(&injector));
         }
         for (_, backend) in self.attached() {
             backend.arm_faults(&injector);

@@ -15,7 +15,7 @@ use crate::builder::VphiVm;
 /// Per-lane transport counters — one entry per virtqueue, index = lane.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueReport {
-    /// Kicks delivered through this lane's doorbell.
+    /// Kicks issued on this lane: one vm-exit each, lost or delivered.
     pub kicks: u64,
     /// Descriptor chains the backend shard popped from this lane.
     pub chains_popped: u64,

@@ -195,8 +195,9 @@ impl VphiChannel {
     /// Mark the device gone: set the shutdown flag and close every lane's
     /// ring to new chains, so new requests fail with `ENODEV` and a chain
     /// published before the close is retired by its lane's next executor.
-    /// Wakes nobody: whoever tears the device down wakes the sleepers once
-    /// it is done.
+    /// The close ends each lane's device wait, so its shard makes that
+    /// last pass; it wakes no requester: whoever tears the device down
+    /// wakes the sleepers once it is done.
     pub fn mark_shutdown(&self) {
         self.shutdown.set();
         for lane in &self.lanes {
@@ -847,9 +848,9 @@ impl FrontendDriver {
     /// token reaps.  Nothing else ends the wait.
     ///
     /// Each [`REKICK_PERIOD`] the requester looks for the one fault it can
-    /// mend: a kick lost on its way (`VirtioKickLost`, `PcieDoorbellDrop`),
-    /// which leaves the chain on the avail ring with no executor on the
-    /// lane and no doorbell pending.  Only then does it kick again.  A
+    /// mend: a kick lost on its way (`VirtioKickLost`), which leaves the
+    /// chain on the avail ring with no executor on the lane and no kick
+    /// pending.  Only then does it kick again.  A
     /// request the backend holds, or one queued behind a busy executor, is
     /// left alone, so its virtual time does not depend on how fast the host
     /// runs; a completion whose MSI was lost is taken by the re-check.
@@ -864,9 +865,7 @@ impl FrontendDriver {
             if let Some(done) = waited {
                 return done;
             }
-            if lane.slots.is_published(token)
-                && !queue.executor.is_held()
-                && queue.doorbell.pending() == 0
+            if lane.slots.is_published(token) && !queue.executor.is_held() && !queue.kick_pending()
             {
                 queue.kick(self.kernel.cost().vmexit_kick, tl, || true);
                 self.stats.deadline_retries.bump();
@@ -1370,7 +1369,7 @@ mod tests {
         let mut tl = Timeline::new();
         let resp = d.transact(&VphiRequest::Open, &[], 0, &mut tl).unwrap();
         assert_eq!(resp, VphiResponse::ok(7, 8));
-        d.channel().queue.shutdown();
+        d.channel().queue.close();
         backend.join().unwrap();
         // The full paravirtual cost structure appears on the timeline.
         assert!(tl.total_for(SpanLabel::GuestSyscall) > vphi_sim_core::SimDuration::ZERO);
@@ -1388,7 +1387,7 @@ mod tests {
         let backend = fake_backend(Arc::clone(d.channel()), Arc::clone(d.kernel()));
         let mut tl = Timeline::new();
         d.transact(&VphiRequest::Open, &[], 0, &mut tl).unwrap();
-        d.channel().queue.shutdown();
+        d.channel().queue.close();
         backend.join().unwrap();
         assert_eq!(tl.total_for(SpanLabel::GuestWakeup), vphi_sim_core::SimDuration::ZERO);
         assert!(tl.total_for(SpanLabel::PollWait) > vphi_sim_core::SimDuration::ZERO);
@@ -1406,7 +1405,7 @@ mod tests {
         d.transact(&VphiRequest::Send { epd: 1, len: 8 }, &[], 8, &mut tl_small).unwrap();
         let mut tl_big = Timeline::new();
         d.transact(&VphiRequest::Send { epd: 1, len: 1 << 20 }, &[], 1 << 20, &mut tl_big).unwrap();
-        d.channel().queue.shutdown();
+        d.channel().queue.close();
         backend.join().unwrap();
         assert!(tl_small.total_for(SpanLabel::PollWait) > vphi_sim_core::SimDuration::ZERO);
         assert_eq!(tl_small.total_for(SpanLabel::IrqInject), vphi_sim_core::SimDuration::ZERO);
@@ -1444,7 +1443,7 @@ mod tests {
             d.transact(&VphiRequest::Send { epd: 1, len: 1 << 20 }, &[], 1 << 20, &mut tl).unwrap();
             assert!(tl.total_for(SpanLabel::GuestWakeup) > vphi_sim_core::SimDuration::ZERO);
         }
-        d.channel().queue.shutdown();
+        d.channel().queue.close();
         backend.join().unwrap();
         let s = d.stats();
         assert_eq!(s.polling_waits, 3);
@@ -1512,7 +1511,7 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), VphiResponse::ok(7, 8));
         }
-        d.channel().queue.shutdown();
+        d.channel().queue.close();
         backend.join().unwrap();
         assert_eq!(d.stats().requests, 8);
         assert_eq!(d.channel().inflight_count(), 0);
@@ -1593,7 +1592,7 @@ mod tests {
             d.channel().lanes().iter().filter(|l| l.queue.counters().chains_popped > 0).count();
         assert!(busy_lanes > 1, "16 endpoints should exercise more than one lane");
         for q in 0..4 {
-            d.channel().lane_queue(q).shutdown();
+            d.channel().lane_queue(q).close();
         }
         for b in backends {
             b.join().unwrap();

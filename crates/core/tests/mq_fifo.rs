@@ -96,7 +96,7 @@ fn run_one(num_queues: u16, seed: u64) -> HashMap<u64, Vec<u32>> {
     let expected: Vec<(u64, u32)> =
         senders.into_iter().flat_map(|s| s.join().expect("sender")).collect();
 
-    // Wait for the consumers to drain everything, then shut the lanes down.
+    // Wait for the consumers to drain everything, then close the lanes.
     let total: u32 = expected.iter().map(|&(_, n)| n).sum();
     for _ in 0..2000 {
         let seen: u32 = observed.lock().values().map(|v| v.len() as u32).sum();
@@ -106,7 +106,7 @@ fn run_one(num_queues: u16, seed: u64) -> HashMap<u64, Vec<u32>> {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     for lane in channel.lanes() {
-        lane.queue.shutdown();
+        lane.queue.close();
     }
     for c in consumers {
         c.join().expect("consumer");

@@ -258,6 +258,25 @@ fn used_ring_delay_is_latency_not_a_hang() {
     assert_ledger_balances(&report);
 }
 
+/// Targeted: a PCIe link retrain stalls the one transaction it strikes.
+/// The next 1-byte send reads the stall on top of the unarmed send before
+/// it, and the send after that reads the anchor again.
+#[test]
+fn link_retrain_stall_is_latency_on_one_send() {
+    const STALL_US: u64 = 250;
+    let host = VphiHost::new(1);
+    let sink = sink(&host, 0);
+    let rig = GuestRig::connect(&host, VmConfig::default(), sink.addr());
+    let anchor = SimDuration::from_micros(382);
+
+    let unarmed = rig.send(&[1]).total();
+    assert_eq!(unarmed, anchor);
+    let injector = host.arm_faults(FaultPlan::single(FaultSite::PcieRetrainStall, 1, STALL_US));
+    assert_eq!(rig.send(&[1]).total(), unarmed + SimDuration::from_micros(STALL_US));
+    assert_eq!(rig.send(&[1]).total(), anchor);
+    assert_eq!(injector.fired_at(FaultSite::PcieRetrainStall), 1);
+}
+
 /// Only the lane notifier interrupts the guest.  Blocking calls under the
 /// interrupt scheme, a 16-entry batch, one lost MSI (crossing 3: open = 1,
 /// connect = 2, then the first send) and a spinning entry from a second,

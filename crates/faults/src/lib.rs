@@ -1,8 +1,7 @@
 //! Deterministic fault injection for the vPHI stack.
 //!
 //! The production stack the paper describes had to survive real failure
-//! modes — guests dying mid-RMA, dropped doorbells and MSIs on the PCIe
-//! link, card lockups requiring a reset while other VMs keep running.  The
+//! modes — guests dying mid-RMA, lost kicks and MSIs, card lockups requiring a reset while other VMs keep running.  The
 //! simulation exercises those paths through this crate: a [`FaultPlan`]
 //! (seed + schedule of [`FaultPoint`]s) is *armed* onto the [`FaultHook`]s
 //! embedded at each injection site, and every chaos run is then exactly
@@ -25,7 +24,7 @@ use vphi_sim_core::SplitMix64;
 use vphi_sync::{Counter, Flag};
 
 /// Number of distinct injection sites across the stack.
-pub const SITE_COUNT: usize = 10;
+pub const SITE_COUNT: usize = 9;
 
 /// Where in the stack a fault strikes.  Each variant maps to exactly one
 /// instrumented code path (see DESIGN.md #13 for the full map).
@@ -36,22 +35,22 @@ pub enum FaultSite {
     PcieRetrainStall = 0,
     /// DMA transfer error on the link: the RMA fails with a retryable error.
     PcieDmaError = 1,
-    /// A doorbell ring is silently dropped.
-    PcieDoorbellDrop = 2,
     /// A completion MSI is lost between backend and guest.
-    PcieMsiLost = 3,
+    PcieMsiLost = 2,
     /// A device core locks up: the board goes to `Failed` until reset.
-    PhiCoreLockup = 4,
-    /// Uncorrectable ECC error in device memory: the RMA fails fatally.
-    PhiEccError = 5,
+    PhiCoreLockup = 3,
+    /// Uncorrectable ECC error in device memory: the transfer fails with
+    /// `EIO`, and the board stays online.
+    PhiEccError = 4,
     /// The card's uOS panics: the board goes to `Failed` until reset.
-    PhiUosPanic = 6,
-    /// A virtqueue kick never reaches the backend.
-    VirtioKickLost = 7,
+    PhiUosPanic = 5,
+    /// A virtqueue kick never reaches the backend: the device sleeps on
+    /// with the chain on its ring.
+    VirtioKickLost = 6,
     /// The used-ring completion is delayed by `param` microseconds.
-    VirtioUsedDelay = 8,
+    VirtioUsedDelay = 7,
     /// The guest dies abruptly mid-request.
-    VmmGuestDeath = 9,
+    VmmGuestDeath = 8,
 }
 
 impl FaultSite {
@@ -59,7 +58,6 @@ impl FaultSite {
     pub const ALL: [FaultSite; SITE_COUNT] = [
         FaultSite::PcieRetrainStall,
         FaultSite::PcieDmaError,
-        FaultSite::PcieDoorbellDrop,
         FaultSite::PcieMsiLost,
         FaultSite::PhiCoreLockup,
         FaultSite::PhiEccError,
@@ -73,7 +71,6 @@ impl FaultSite {
         match self {
             FaultSite::PcieRetrainStall => "pcie-retrain-stall",
             FaultSite::PcieDmaError => "pcie-dma-error",
-            FaultSite::PcieDoorbellDrop => "pcie-doorbell-drop",
             FaultSite::PcieMsiLost => "pcie-msi-lost",
             FaultSite::PhiCoreLockup => "phi-core-lockup",
             FaultSite::PhiEccError => "phi-ecc-error",
@@ -283,7 +280,7 @@ mod tests {
             }
             assert!((1..=6).contains(&p.nth), "{p:?}");
         }
-        // 200 draws over 10 sites should cover every site.
+        // 200 draws over 9 sites should cover every site.
         for site in FaultSite::ALL {
             assert!(plan.points.iter().any(|p| p.site == site), "missing {}", site.name());
         }
@@ -312,11 +309,11 @@ mod tests {
 
     #[test]
     fn defuse_stops_firing_but_keeps_counting() {
-        let inj = FaultInjector::new(FaultPlan::single(FaultSite::PcieDoorbellDrop, 2, 0));
-        assert_eq!(inj.crossing(FaultSite::PcieDoorbellDrop), None);
+        let inj = FaultInjector::new(FaultPlan::single(FaultSite::PcieMsiLost, 2, 0));
+        assert_eq!(inj.crossing(FaultSite::PcieMsiLost), None);
         inj.defuse();
-        assert_eq!(inj.crossing(FaultSite::PcieDoorbellDrop), None);
-        assert_eq!(inj.crossings_at(FaultSite::PcieDoorbellDrop), 2);
+        assert_eq!(inj.crossing(FaultSite::PcieMsiLost), None);
+        assert_eq!(inj.crossings_at(FaultSite::PcieMsiLost), 2);
         assert_eq!(inj.fired_total(), 0);
     }
 

@@ -96,13 +96,6 @@ impl PcieLink {
         self.clock.observe(end)
     }
 
-    /// A zero-payload control transaction (doorbell write, tiny message):
-    /// charges only the transaction latency.
-    pub fn control_transaction(&self, tl: &mut Timeline) -> SimTime {
-        tl.charge(SpanLabel::LinkLatency, self.cost.link_latency);
-        self.clock.advance(self.cost.link_latency)
-    }
-
     /// Cumulative time the link has spent moving payload.
     pub fn busy_total(&self) -> SimDuration {
         self.resource.busy_total()
@@ -182,13 +175,5 @@ mod tests {
             timelines.iter().map(|t| t.total_for(SpanLabel::LinkContention)).sum();
         assert!(queued > SimDuration::ZERO, "expected link contention");
         assert_eq!(l.busy_total(), l.transfer_time(64 << 20) * 4);
-    }
-
-    #[test]
-    fn control_transaction_is_latency_only() {
-        let l = link();
-        let mut tl = Timeline::new();
-        l.control_transaction(&mut tl);
-        assert_eq!(tl.total(), CostModel::paper_calibrated().link_latency);
     }
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
-use vphi_pcie::{DmaEngine, Doorbell, LinkConfig, PcieLink};
+use vphi_pcie::{DmaEngine, LinkConfig, PcieLink};
 use vphi_sim_core::{CostModel, SimDuration, VirtualClock};
 use vphi_sync::{Counter, LockClass, Published, TrackedMutex};
 
@@ -48,8 +48,10 @@ pub enum PhiFault {
 }
 
 /// One Xeon Phi card plugged into the host: spec, GDDR, DMA engine on a
-/// PCIe link, doorbells in both directions, an MSI vector toward the host,
-/// and the uOS scheduler once booted.
+/// PCIe link, and the uOS scheduler once booted.  It has no doorbell or
+/// MSI object: a SCIF message's doorbell write is part of its `ScifPost`
+/// charge, an interrupt is the raiser's `IrqInject` charge, and every
+/// receiver sleeps on what it waits for (DESIGN.md #22).
 pub struct PhiBoard {
     spec: PhiSpec,
     /// Transitions are made under this lock ([`set_state`](Self::set_state)).
@@ -60,10 +62,6 @@ pub struct PhiBoard {
     memory: Arc<DeviceMemory>,
     link: Arc<PcieLink>,
     dma: Arc<DmaEngine>,
-    /// Host → device "there is work" doorbell.
-    pub db_to_device: Arc<Doorbell>,
-    /// Device → host "there is a reply" doorbell.
-    pub db_to_host: Arc<Doorbell>,
     uos: Arc<UosScheduler>,
     sysfs: TrackedMutex<SysfsInfo>,
     mic_index: u32,
@@ -106,8 +104,6 @@ impl PhiBoard {
             memory,
             link,
             dma,
-            db_to_device: Arc::new(Doorbell::new()),
-            db_to_host: Arc::new(Doorbell::new()),
             uos,
             sysfs,
             mic_index,
@@ -280,14 +276,6 @@ mod tests {
         assert_eq!(b.dma().channels(), 8);
         assert_eq!(b.uos().spec().model, "3120P");
         assert_eq!(b.mic_index(), 0);
-    }
-
-    #[test]
-    fn doorbells_are_independent() {
-        let b = board();
-        b.db_to_device.ring();
-        assert_eq!(b.db_to_device.pending(), 1);
-        assert_eq!(b.db_to_host.pending(), 0);
     }
 
     #[test]

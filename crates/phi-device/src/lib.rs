@@ -20,7 +20,7 @@
 //! * [`sysfs::SysfsInfo`] — the `/sys/class/mic/mic0` attributes that
 //!   Intel MPSS tools (micnativeloadex) read before launching binaries;
 //!   vPHI's backend re-exports these into the guest (paper §III).
-//! * [`board::PhiBoard`] — the assembled card: memory + DMA + doorbells +
+//! * [`board::PhiBoard`] — the assembled card: memory + DMA + link +
 //!   boot state machine.
 
 pub mod board;

@@ -260,17 +260,6 @@ impl FabricShared {
             let board = node.board().ok_or(ScifError::NoDev)?;
             self.check_board(board)?;
             board.link().transmit(bytes, tl);
-            // Announce the message: the driver rings the card's "work
-            // pending" doorbell (or the host's reply doorbell when the
-            // card is the sender).  Nothing waits on a board doorbell —
-            // every receiver sleeps on the object it waits for (DESIGN.md
-            // #22) — so the ring is a count and no wake-up, and a dropped
-            // one only goes uncounted.
-            if node.id() == to.id() {
-                board.db_to_device.ring();
-            } else {
-                board.db_to_host.ring();
-            }
         }
         tl.charge(SpanLabel::DeviceDeliver, cost.device_deliver);
         tl.charge(SpanLabel::Completion, cost.completion);

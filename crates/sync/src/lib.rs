@@ -92,67 +92,65 @@ pub enum LockClass {
     // --- virtio ---
     /// Virtqueue ring state.
     VirtQueueState = 15,
-    /// PCIe doorbell state.
-    Doorbell = 16,
     // --- frontend driver ---
     /// One request slot of a lane's slot table (DESIGN.md #23): the
     /// request's timeline, trace fork, notify hint, batch bookkeeping and
     /// completion cell.  A leaf: nothing is acquired under it.
-    RequestSlot = 17,
+    RequestSlot = 16,
     // --- byte-storage leaves (innermost real locks) ---
     /// Pinned user/guest pages (`scif::PinnedBuf`).
-    PinnedBuf = 18,
+    PinnedBuf = 17,
     /// GDDR region backing bytes.
-    PhiMemData = 19,
+    PhiMemData = 18,
     /// Guest physical-memory arena.
-    GuestMemState = 20,
+    GuestMemState = 19,
     /// VMA test/backing byte buffers.
-    VmaData = 21,
+    VmaData = 20,
     // --- test-only classes (isolated from the real hierarchy) ---
     /// Regression tests: an outer-layer test lock.
-    TestOuter = 22,
+    TestOuter = 21,
     /// Regression tests: ABBA partner A.
-    TestA = 23,
+    TestA = 22,
     /// Regression tests: ABBA partner B.
-    TestB = 24,
+    TestB = 23,
     /// Regression tests: an inner-layer test lock.
-    TestInner = 25,
+    TestInner = 24,
     // --- host control plane (outermost; added for card-reset recovery) ---
     /// `VphiHost` attached-backend registry.  A leaf: snapshotted and let
     /// go before any backend is touched.
-    HostAttached = 26,
+    HostAttached = 25,
     // --- tracing leaves (vphi-trace; taken with arbitrary locks held
     // *released*, never while inside another tracked section) ---
     /// Tracer span rings, request summaries and latency histograms.
-    TraceRings = 27,
+    TraceRings = 26,
     // --- multi-queue transport (PR 5) ---
     /// Backend shard-thread join handles (one service thread per queue).
-    BackendShards = 28,
+    BackendShards = 27,
     // --- adaptive completion notification (PR 6) ---
     /// Per-token wait-queue registry (token → slot map).
-    TokenWaiters = 29,
+    TokenWaiters = 28,
     /// One sleeping requester's slot (signal count + condvar).
-    TokenSlot = 30,
+    TokenSlot = 29,
     /// Frontend spin-budget policy (EWMA table + burn estimates).
-    NotifyPolicy = 31,
+    NotifyPolicy = 30,
     // --- zero-copy RMA (PR 10) ---
     /// Device-aperture window-mapping table (`pcie::ApertureMap`).
-    ApertureWindows = 32,
+    ApertureWindows = 31,
     // --- vm-exit servicing on the kicking thread (PR 14) ---
     /// A virtqueue lane's executor role ([`TrackedRole`], not a lock):
     /// whoever holds it — the lane's shard thread or a blocking kicker —
     /// is the one thread draining that lane's avail ring.
-    LaneExecutor = 33,
+    LaneExecutor = 32,
     // --- directed fabric wake-ups (PR 16) ---
     /// An endpoint's timed-bulk-lane receive state (`recv_timed` parks on
     /// the condvar paired with it).
-    TimedLane = 34,
+    TimedLane = 33,
 }
 
 impl LockClass {
     /// Number of classes (adjacency bitmasks are `u64`, so this must stay
     /// ≤ 64).
-    pub const COUNT: usize = 35;
+    pub const COUNT: usize = 34;
 
     /// Every class, in discriminant order: the audit walks it to snapshot
     /// the order graph, and lock budgets walk it to print a per-class
@@ -174,7 +172,6 @@ impl LockClass {
         LockClass::BoardSysfs,
         LockClass::PhiMemTable,
         LockClass::VirtQueueState,
-        LockClass::Doorbell,
         LockClass::RequestSlot,
         LockClass::PinnedBuf,
         LockClass::PhiMemData,
@@ -215,7 +212,6 @@ impl LockClass {
             LockClass::BoardSysfs => 52,
             LockClass::PhiMemTable => 54,
             LockClass::VirtQueueState => 60,
-            LockClass::Doorbell => 62,
             // Where the inflight and completed tables sat: above the
             // per-token waiter slot (72), whose wait predicate probes it.
             LockClass::RequestSlot => 74,
@@ -532,7 +528,7 @@ mod class_table_tests {
     /// share one.
     #[test]
     fn every_class_has_a_layer_of_its_own() {
-        assert_eq!(LockClass::COUNT, 35);
+        assert_eq!(LockClass::COUNT, 34);
         for (i, a) in LockClass::ALL.iter().enumerate() {
             for b in &LockClass::ALL[i + 1..] {
                 assert_ne!(a.layer(), b.layer(), "{a:?} and {b:?} share a layer");

@@ -14,8 +14,9 @@
 //! * [`queue::VirtQueue`] — the descriptor table + avail ring + used ring
 //!   under one lock, with a guest-side API (`publish_chain`,
 //!   `take_used`) and a device-side API (`pop_avail_bounded`,
-//!   `push_used`), and its kick doorbell (guest → device).  The device →
-//!   guest interrupt is decided outside the queue, from whether a push
+//!   `push_used`), and its kick (guest → device), which the lane's device
+//!   thread sleeps on in `wait_kick` until a kick or the ring's close.
+//!   The device → guest interrupt is decided outside the queue, from whether a push
 //!   crossed the EVENT_IDX `used_event` threshold the guest armed.
 
 pub mod queue;

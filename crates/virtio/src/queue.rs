@@ -11,9 +11,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
-use vphi_pcie::Doorbell;
 use vphi_sim_core::{SpanLabel, Timeline};
-use vphi_sync::{Counter, LockClass, Published, TrackedMutex, TrackedRole};
+use vphi_sync::{Counter, LockClass, Published, TrackedCondvar, TrackedMutex, TrackedRole};
 
 use crate::ring::{DescChain, Descriptor, UsedElem};
 
@@ -66,7 +65,18 @@ struct QueueState {
     used_event: u64,
     /// Set when the device dies: no chain is published after it, so the
     /// device's last pass over the ring sees every chain it will ever get.
+    /// The one "device gone" state: it also ends the device's wait.
     closed: bool,
+    /// A kick reached the device since it last looked.  A flag, not a
+    /// count: the device drains the whole ring each time it wakes, so a
+    /// second kick before it looks asks for nothing more.
+    kicked: bool,
+    /// The lane's device thread is parked in
+    /// [`wait_kick`](VirtQueue::wait_kick).  Read and written only under
+    /// the ring lock, so a kick either finds it parked (and signals it) or
+    /// lands before it parks (and is found): no wake-up is lost, and a
+    /// kick with nobody parked signals nobody.
+    device_parked: bool,
 }
 
 impl QueueState {
@@ -169,12 +179,13 @@ pub struct Popped {
 pub struct VirtQueue {
     size: u16,
     state: TrackedMutex<QueueState>,
-    /// Guest → device "avail ring has work".  Device → guest
+    /// Where the lane's device thread sleeps, paired with `state`: a
+    /// delivered kick or the ring's close wakes it.  Device → guest
     /// notification is not here by design: a used-buffer interrupt is
     /// decided by the backend's `LaneNotifier`, from whether a push
     /// crossed the EVENT_IDX threshold, so the suppression decision has
     /// one owner.
-    pub doorbell: Doorbell,
+    device: TrackedCondvar,
     /// Who is draining the avail ring right now: the device's service
     /// thread for this queue, or a blocking kicker.  Held for a whole
     /// drain pass — pops and the request handlers — so chains are
@@ -208,9 +219,11 @@ impl VirtQueue {
                     used_seq: 0,
                     used_event: 0,
                     closed: false,
+                    kicked: false,
+                    device_parked: false,
                 },
             ),
-            doorbell: Doorbell::new(),
+            device: TrackedCondvar::new(),
             executor: TrackedRole::new(LockClass::LaneExecutor),
             faults: FaultHook::new(),
             kicks: Counter::new(0),
@@ -320,21 +333,22 @@ impl VirtQueue {
     }
 
     /// Notify the device: one vm-exit.  It pays the `VmExitKick` charge,
-    /// counts the kick and crosses the two sites where the notification
-    /// can be lost, in wire order.  Every kick pays it — the avail side
-    /// has no notification suppression, so the charge is a function of
-    /// the publish alone (DESIGN.md #16).  An injected loss pays the
-    /// vm-exit but never reaches the device; the waiting requester
-    /// re-kicks.
+    /// counts the kick and crosses the one site where the notification
+    /// can be lost.  Every kick pays it — the avail side has no
+    /// notification suppression, so the charge is a function of the
+    /// publish alone (DESIGN.md #16).  An injected loss pays the vm-exit
+    /// but never reaches the device, which sleeps on with the chain on its
+    /// ring; the waiting requester re-kicks.
     ///
     /// A delivered kick is serviced the way a KVM exit is, on the thread
     /// that took it: `service` is the device's exit handler, and reports
-    /// whether chains are left on the ring; those are handed to the
-    /// service thread on the way out.  A caller that will do nothing but
-    /// wait for the chain it published passes a handler that drains the
-    /// ring in FIFO order up to and including that chain, so it never
-    /// executes work that was not ahead of it.  A caller with something
-    /// else to do passes `|| true`: the service thread drains it all.
+    /// whether chains are left on the ring; only then is the kick handed
+    /// to the service thread on the way out, signalling it if it is
+    /// parked.  A caller that will do nothing but wait for the chain it
+    /// published passes a handler that drains the ring in FIFO order up
+    /// to and including that chain, so it never executes work that was
+    /// not ahead of it.  A caller with something else to do passes
+    /// `|| true`: the service thread drains it all.
     pub fn kick(
         &self,
         cost_vmexit: vphi_sim_core::SimDuration,
@@ -343,9 +357,18 @@ impl VirtQueue {
     ) {
         tl.charge(SpanLabel::VmExitKick, cost_vmexit);
         self.kicks.bump();
-        if self.faults.fire(FaultSite::VirtioKickLost).is_none() {
-            self.doorbell.ring_with(service);
+        if self.faults.fire(FaultSite::VirtioKickLost).is_none() && service() {
+            let mut st = self.state.lock();
+            st.kicked = true;
+            if st.device_parked {
+                self.device.notify_one();
+            }
         }
+    }
+
+    /// Whether a delivered kick is waiting for the device to look.
+    pub fn kick_pending(&self) -> bool {
+        self.state.lock().kicked
     }
 
     /// Drain completed chains from the used ring in order, releasing
@@ -403,9 +426,29 @@ impl VirtQueue {
         !self.state.lock().avail.is_empty()
     }
 
-    /// Block (really) until a kick arrives or the queue shuts down.
+    /// The device thread's sleep: block (really) until a kick arrives,
+    /// and take it.  `false` once the ring is [closed](VirtQueue::close):
+    /// the device is gone, and every chain it will ever get is on the
+    /// ring for its last pass.
     pub fn wait_kick(&self) -> bool {
-        self.doorbell.wait()
+        let mut st = self.state.lock();
+        loop {
+            if st.closed {
+                return false;
+            }
+            if std::mem::take(&mut st.kicked) {
+                return true;
+            }
+            st.device_parked = true;
+            self.device.wait(&mut st);
+            st.device_parked = false;
+        }
+    }
+
+    /// Whether the lane's device thread is parked in
+    /// [`wait_kick`](VirtQueue::wait_kick) right now.
+    pub fn device_parked(&self) -> bool {
+        self.state.lock().device_parked
     }
 
     /// Push a completion and charge `UsedPush`.  Returns whether the push
@@ -434,16 +477,16 @@ impl VirtQueue {
         crossed
     }
 
-    /// Shut the queue down: wakes any device thread blocked in
-    /// [`wait_kick`](VirtQueue::wait_kick).
-    pub fn shutdown(&self) {
-        self.doorbell.shutdown();
-    }
-
-    /// Refuse every later publish ([`QueueError::Closed`]).  Chains
-    /// already on the avail ring stay there for the device to pop.
+    /// The device is gone: refuse every later publish
+    /// ([`QueueError::Closed`]) and end the device thread's
+    /// [`wait_kick`](VirtQueue::wait_kick).  Chains already on the avail
+    /// ring stay there for the device's last pass to pop.
     pub fn close(&self) {
-        self.state.lock().closed = true;
+        let mut st = self.state.lock();
+        st.closed = true;
+        if st.device_parked {
+            self.device.notify_all();
+        }
     }
 }
 
@@ -525,6 +568,164 @@ mod tests {
         q.kick(KICK, &mut tl, || true);
         assert!(dev.join().unwrap());
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK);
+    }
+
+    /// Spawn a device thread that counts the kicks it takes until the
+    /// ring closes.
+    fn device_thread(q: &Arc<VirtQueue>) -> std::thread::JoinHandle<u32> {
+        let q = Arc::clone(q);
+        std::thread::spawn(move || {
+            let mut woken = 0;
+            while q.wait_kick() {
+                woken += 1;
+            }
+            woken
+        })
+    }
+
+    /// Wait until the device has taken every kick and parked again.
+    fn until_idle(q: &VirtQueue) {
+        while q.kick_pending() || !q.device_parked() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_kick_before_the_wait_does_not_block() {
+        let q = VirtQueue::new(4);
+        q.kick(KICK, &mut Timeline::new(), || true);
+        assert!(q.kick_pending());
+        assert!(q.wait_kick());
+        assert!(!q.kick_pending(), "the wait takes the kick");
+    }
+
+    /// A second kick before the device looks asks for nothing more: the
+    /// device drains the whole ring each time it wakes.
+    #[test]
+    fn kicks_before_the_device_looks_are_one_wake_up() {
+        let q = VirtQueue::new(4);
+        let mut tl = Timeline::new();
+        q.kick(KICK, &mut tl, || true);
+        q.kick(KICK, &mut tl, || true);
+        assert_eq!(q.counters().kicks, 2, "each kick is still a vm-exit");
+        assert!(q.wait_kick());
+        assert!(!q.kick_pending(), "one wake-up took both");
+    }
+
+    #[test]
+    fn wait_kick_blocks_until_a_kick() {
+        let q = VirtQueue::new(4);
+        let dev = device_thread(&q);
+        until_idle(&q);
+        assert!(!dev.is_finished());
+        q.kick(KICK, &mut Timeline::new(), || true);
+        until_idle(&q);
+        q.close();
+        assert_eq!(dev.join().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_parked_device_is_signalled_and_counted_out() {
+        let q = VirtQueue::new(4);
+        let q2 = Arc::clone(&q);
+        let dev = std::thread::spawn(move || q2.wait_kick());
+        while !q.device_parked() {
+            std::thread::yield_now();
+        }
+        let before = vphi_sync::audit::thread_signals();
+        q.kick(KICK, &mut Timeline::new(), || true);
+        if vphi_sync::audit::ENABLED {
+            let signals = vphi_sync::audit::thread_signals() - before;
+            assert_eq!(signals, 1, "a parked device was not signalled");
+        }
+        assert!(dev.join().unwrap());
+        assert!(!q.device_parked() && !q.kick_pending());
+    }
+
+    /// What an unarmed lane's kicks cost when its device is busy: a flag
+    /// under the ring lock and no signal.  (The ledger reads 0 without
+    /// the audit, so this is exact only where it is compiled in.)
+    #[test]
+    fn a_kick_with_nobody_parked_signals_nobody() {
+        let q = VirtQueue::new(4);
+        let mut tl = Timeline::new();
+        let before = vphi_sync::audit::thread_signals();
+        for _ in 0..1_000 {
+            q.kick(KICK, &mut tl, || true);
+        }
+        assert!(q.kick_pending());
+        assert_eq!(vphi_sync::audit::thread_signals() - before, 0);
+    }
+
+    /// The flag's one hazard is a device that has seen no kick but is not
+    /// parked yet while a kick skips the signal.  The device loops in
+    /// `wait_kick`, the kicker kicks as soon as the last kick was taken,
+    /// so a kick lands before the device parks on some rounds and after it
+    /// on others; a lost wake-up leaves its round unfinished and the
+    /// channel timeout fails it instead of hanging.
+    #[test]
+    fn kicks_racing_parks_lose_nothing() {
+        const ROUNDS: u32 = 10_000;
+        let q = VirtQueue::new(4);
+        let q2 = Arc::clone(&q);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dev = std::thread::spawn(move || {
+            while q2.wait_kick() {
+                if tx.send(()).is_err() {
+                    break;
+                }
+            }
+        });
+        let mut tl = Timeline::new();
+        for round in 0..ROUNDS {
+            q.kick(KICK, &mut tl, || true);
+            rx.recv_timeout(std::time::Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("round {round}: a kick lost its device"));
+        }
+        q.close();
+        dev.join().unwrap();
+        assert!(!q.device_parked() && !q.kick_pending());
+    }
+
+    #[test]
+    fn close_ends_the_wait() {
+        let q = VirtQueue::new(4);
+        let dev = device_thread(&q);
+        until_idle(&q);
+        q.close();
+        assert_eq!(dev.join().unwrap(), 0);
+        // A closed ring ends every later wait at once, kicked or not.
+        q.kick(KICK, &mut Timeline::new(), || true);
+        assert!(!q.wait_kick());
+    }
+
+    /// `VirtioKickLost`: the guest paid the vm-exit, but the device never
+    /// heard it — it sleeps on with the chain on its ring until a re-kick.
+    #[test]
+    fn a_chain_published_with_no_kick_leaves_the_device_parked() {
+        use vphi_faults::{FaultInjector, FaultPlan};
+
+        let q = VirtQueue::new(4);
+        let plan = FaultPlan::single(FaultSite::VirtioKickLost, 1, 0);
+        assert!(q.fault_hook().arm(Arc::new(FaultInjector::new(plan))));
+        let dev = device_thread(&q);
+        until_idle(&q);
+        let mut tl = Timeline::new();
+        add(&q, &[Descriptor::readable(0, 4)], &mut tl).unwrap();
+        let mut serviced = false;
+        q.kick(KICK, &mut tl, || {
+            serviced = true;
+            true
+        });
+        assert!(!serviced, "a lost kick reaches no exit handler");
+        assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK, "but the vm-exit is paid");
+        assert!(q.device_parked() && !q.kick_pending() && q.avail_pending());
+        // The re-kick is an ordinary kick.
+        q.kick(KICK, &mut tl, || true);
+        until_idle(&q);
+        q.close();
+        assert_eq!(dev.join().unwrap(), 1);
+        assert!(q.avail_pending(), "the device thread here pops nothing");
     }
 
     #[test]
@@ -653,13 +854,13 @@ mod tests {
         assert_eq!(*seen.lock(), [(std::thread::current().id(), h1)]);
         // … and the chain behind it was handed to the service thread.
         assert!(q.avail_pending());
-        assert!(q.doorbell.try_consume());
-        // Nothing left behind: no ring.
+        assert!(q.wait_kick(), "the kick was handed on");
+        // Nothing left behind: nothing handed on.
         let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
         pop(&q).unwrap().unwrap();
         let mine = q.publish_avail_batch(&[h3], PUSH, &mut tl).unwrap();
         q.kick(KICK, &mut tl, || handler(mine));
-        assert!(!q.doorbell.try_consume());
+        assert!(!q.kick_pending());
         assert_eq!(seen.lock().len(), 2);
         assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK * 2);
     }

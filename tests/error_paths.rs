@@ -173,40 +173,50 @@ fn guest_death_during_register_gcs_the_backend() {
     vm.shutdown();
 }
 
+/// Both fatal card faults, a core lockup and a uOS panic, take the same
+/// road: the board fails with its reason in sysfs until a reset.
 #[test]
 fn double_close_after_card_reset_pins_exact_errors() {
-    let host = VphiHost::new(1);
+    for (site, reason) in
+        [(FaultSite::PhiCoreLockup, "core lockup"), (FaultSite::PhiUosPanic, "uos panic")]
+    {
+        let host = VphiHost::new(1);
 
-    let dev = sink(&host, 0);
+        let dev = sink(&host, 0);
 
-    let vm = host.spawn_vm(VmConfig::default());
-    let mut tl = Timeline::new();
-    let ep = vm.open_scif(&mut tl).unwrap();
-    let epd = ep.epd();
-    ep.connect(dev.addr(), &mut tl).unwrap();
+        let vm = host.spawn_vm(VmConfig::default());
+        let mut tl = Timeline::new();
+        let ep = vm.open_scif(&mut tl).unwrap();
+        let epd = ep.epd();
+        ep.connect(dev.addr(), &mut tl).unwrap();
 
-    // Arm once the connection is up: the next traffic to cross the card
-    // (the send below) trips a core lockup.
-    host.arm_faults(FaultPlan::single(FaultSite::PhiCoreLockup, 1, 0));
+        // Arm once the connection is up: the next traffic to cross the
+        // card (the send below) trips the fault.
+        host.arm_faults(FaultPlan::single(site, 1, 0));
 
-    // The lockup strikes on the send: ENODEV, and the board is failed
-    // until somebody resets it.
-    assert_eq!(ep.send(b"x", &mut tl), Err(ScifError::NoDev));
-    assert!(host.board(0).is_failed());
+        // The fault strikes on the send: ENODEV, and the board is failed
+        // until somebody resets it.
+        assert_eq!(ep.send(b"x", &mut tl), Err(ScifError::NoDev), "{reason}");
+        assert!(host.board(0).is_failed());
+        assert_eq!(host.board(0).sysfs().get("fail_reason"), Some(reason));
 
-    // Card reset quarantines this guest's endpoint but keeps its epd
-    // table entry alive for exactly one clean close.
-    host.reset_card(0);
-    assert!(host.board(0).is_online());
-    assert_eq!(host.board(0).reset_count(), 1);
-    assert_eq!(vm.backend().inner().stats.endpoints_quarantined.get(), 1);
+        // Card reset quarantines this guest's endpoint but keeps its epd
+        // table entry alive for exactly one clean close.
+        host.reset_card(0);
+        assert!(host.board(0).is_online());
+        assert_eq!(host.board(0).reset_count(), 1);
+        assert_eq!(host.board(0).sysfs().get("fail_reason"), Some(""));
+        assert_eq!(vm.backend().inner().stats.endpoints_quarantined.get(), 1);
 
-    // First close: the stale descriptor is still in the table → success
-    // (endpoint close is idempotent).  Second close: EINVAL, pinned.
-    assert_eq!(ep.close(&mut tl), Ok(()));
-    assert_eq!(vm.frontend().simple(VphiRequest::Close { epd }, &mut tl), Err(ScifError::Inval));
+        // First close: the stale descriptor is still in the table →
+        // success (endpoint close is idempotent).  Second close: EINVAL,
+        // pinned.
+        assert_eq!(ep.close(&mut tl), Ok(()));
+        let second = vm.frontend().simple(VphiRequest::Close { epd }, &mut tl);
+        assert_eq!(second, Err(ScifError::Inval), "{reason}");
 
-    vm.shutdown();
+        vm.shutdown();
+    }
 }
 
 /// Closing or dropping an endpoint with submissions still in flight
@@ -826,8 +836,8 @@ fn card_reset_during_an_inline_drain() {
 /// A lost kick on a blocking call: the vm-exit was paid for, nothing was
 /// serviced, and the caller is asleep on its token like any other
 /// requester whose reply comes from another thread.  Its wait period
-/// finds the chain on an idle ring with no doorbell pending, and its
-/// re-kick is an ordinary doorbell, so the lane's shard runs the request.
+/// finds the chain on an idle ring with no kick pending, and its re-kick
+/// is an ordinary kick, so the lane's shard runs the request.
 #[test]
 fn lost_kick_on_a_blocking_call_recovers_through_the_shard() {
     let host = VphiHost::new(1);

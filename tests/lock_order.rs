@@ -604,7 +604,6 @@ const LEDGER: &[(LockClass, LockClass)] = {
         (LaneExecutor, RmaPending),
         (LaneExecutor, BoardSysfs),
         (LaneExecutor, VirtQueueState),
-        (LaneExecutor, Doorbell),
         (LaneExecutor, RequestSlot),
         (LaneExecutor, PinnedBuf),
         (LaneExecutor, PhiMemData),
