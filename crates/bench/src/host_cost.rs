@@ -140,7 +140,7 @@ impl HostCost {
         let (kicks, sleeps, staged) = scope.vm.map_or((0, 0, 0), |vm| {
             let channel = vm.frontend().channel();
             let kicks = channel.lanes().iter().map(|l| l.queue.counters().kicks).sum();
-            (kicks, channel.waitq.sleep_count(), vm.frontend().stats().chunks_sent)
+            (kicks, channel.waits().parks, vm.frontend().stats().chunks_sent)
         });
         let (voluntary, involuntary) = context_switches().unwrap_or_default();
         let (all, large) = (ALL_ALLOCS.load(Relaxed), LARGE_ALLOCS.load(Relaxed));

@@ -16,14 +16,13 @@ use std::sync::Arc;
 use vphi_sync::TrackedRoleGuard;
 
 use super::BackendInner;
-use crate::frontend::ReqToken;
 
 impl BackendInner {
     /// The shard thread's turn on lane `q`: wait for the executor role,
     /// then drain everything, and again while more keeps arriving.
     pub(super) fn drain_as_shard(self: &Arc<Self>, q: usize) {
         let executor = self.channel.lane_queue(q).executor.enter();
-        self.drain_lane(q, u64::MAX, 0, &executor);
+        self.drain_lane(q, u64::MAX, &executor);
     }
 
     /// A blocking caller's vm-exit on lane `q`: drain what was ahead of
@@ -31,32 +30,24 @@ impl BackendInner {
     /// behind.  Only if the lane is idle: a kicker never waits for the
     /// role.  When another executor holds it, that executor or the shard
     /// (the kick rings it for whatever is left on the ring) runs the
-    /// chain, and the caller sleeps on its token exactly as it did before
+    /// chain, and the caller sleeps on its slot exactly as it did before
     /// there was anything to service inline — so it is never held up by
     /// work that was not ahead of it.
     ///
-    /// `own` is the kicker's token: its completion needs no wake-up.
     /// Returns whether chains are left on the ring for the shard — what the
     /// kick rings it for on the way out.
-    pub(super) fn drain_as_kicker(self: &Arc<Self>, q: usize, through: u64, own: ReqToken) -> bool {
+    pub(super) fn drain_as_kicker(self: &Arc<Self>, q: usize, through: u64) -> bool {
         let queue = self.channel.lane_queue(q);
         match queue.executor.try_enter() {
-            Some(executor) => self.drain_lane(q, through, own, &executor),
+            Some(executor) => self.drain_lane(q, through, &executor),
             None => queue.avail_pending(),
         }
     }
 
     /// Drain lane `q`'s avail ring in ring order through avail index
     /// `through`, and report whether the pass left chains on the ring.
-    /// The caller holds the lane's executor role: `held`; `own` is its
-    /// request's token if it is a blocking kicker, else 0.
-    fn drain_lane(
-        self: &Arc<Self>,
-        q: usize,
-        through: u64,
-        own: ReqToken,
-        held: &TrackedRoleGuard<'_>,
-    ) -> bool {
+    /// The caller holds the lane's executor role: `held`.
+    fn drain_lane(self: &Arc<Self>, q: usize, through: u64, held: &TrackedRoleGuard<'_>) -> bool {
         let queue = self.channel.lane_queue(q);
         // A bounded pass knows its burst before it starts — whatever was
         // published up to `through` — so it runs each chain as it pops it,
@@ -76,7 +67,7 @@ impl BackendInner {
                 left = Some(popped.left_on_ring);
                 let last = !popped.more_in_bound;
                 if bounded {
-                    self.process(q, popped.chain, held, own);
+                    self.process(q, popped.chain, held);
                 } else {
                     batch.push(popped.chain);
                 }
@@ -93,7 +84,7 @@ impl BackendInner {
                 self.stats.note_burst(burst);
             }
             for chain in batch {
-                self.process(q, chain, held, own);
+                self.process(q, chain, held);
             }
             // A bounded pass has popped all it may: the kicker rings the
             // shard for the rest on its way out.  The shard picks up a
@@ -173,15 +164,15 @@ mod tests {
         // A busy lane is left alone altogether.
         {
             let _busy = queue.executor.enter();
-            inner.drain_as_kicker(0, popped + 3, 0);
+            inner.drain_as_kicker(0, popped + 3);
             assert_eq!(queue.counters().chains_popped, popped);
         }
-        inner.drain_as_kicker(0, popped + 2, 0);
+        inner.drain_as_kicker(0, popped + 2);
         assert_eq!(queue.counters().chains_popped, popped + 2);
         assert_eq!(inner.requests(), served + 2);
         assert!(queue.avail_pending(), "the chain behind the bound stays on the ring");
         // A pass the ring has already moved beyond finds nothing to do.
-        inner.drain_as_kicker(0, popped + 1, 0);
+        inner.drain_as_kicker(0, popped + 1);
         assert_eq!(queue.counters().chains_popped, popped + 2);
 
         inner.drain_as_shard(0);

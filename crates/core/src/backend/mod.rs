@@ -332,15 +332,8 @@ impl BackendInner {
     /// lane's executor (`held` is its role).  Whether the completion
     /// interrupts the guest is decided at the used-ring push by the lane's
     /// [`LaneNotifier`], from the notify hint the requester submitted and
-    /// the `used_event` threshold it published.  `own` is the token of the
-    /// blocking kicker running this drain (0 on the shard).
-    fn process(
-        self: &Arc<Self>,
-        q: usize,
-        chain: DescChain,
-        held: &TrackedRoleGuard<'_>,
-        own: ReqToken,
-    ) {
+    /// the `used_event` threshold it published.
+    fn process(self: &Arc<Self>, q: usize, chain: DescChain, held: &TrackedRoleGuard<'_>) {
         let (token, trace, hint) = self.channel.claim(q, chain.head);
         let mut tl = Timeline::new();
         if self.faults.fire(FaultSite::VmmGuestDeath).is_some() {
@@ -377,7 +370,7 @@ impl BackendInner {
         let Some(req) = req else {
             OpCtx::new(&mut tl, trace.clone()).end(replay);
             let resp = VphiResponse::err(ScifError::Inval);
-            self.finish(q, token, &chain, resp, tl, trace, hint, Some(held), own);
+            self.finish(q, token, &chain, resp, tl, trace, hint, Some(held));
             return;
         };
 
@@ -387,7 +380,7 @@ impl BackendInner {
                     self.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
                 });
                 OpCtx::new(&mut tl, trace.clone()).end(replay);
-                self.finish(q, token, &chain, resp, tl, trace, hint, Some(held), own);
+                self.finish(q, token, &chain, resp, tl, trace, hint, Some(held));
             }
             Dispatch::Worker => {
                 // `scif_accept` may wait forever for a connect; freezing
@@ -401,7 +394,7 @@ impl BackendInner {
                         inner.execute(&req, &chain, &mut OpCtx::new(tl, trace.clone()))
                     });
                     OpCtx::new(&mut tl, trace.clone()).end(replay);
-                    inner.finish(q, token, &chain, resp, tl, trace, hint, None, 0);
+                    inner.finish(q, token, &chain, resp, tl, trace, hint, None);
                 });
             }
         }
@@ -412,8 +405,7 @@ impl BackendInner {
     /// `used_event` threshold — whether this completion injects the
     /// lane's virtual interrupt (flushing any batched completions) or is
     /// suppressed.  The timeline then flows back to the frontend.  `by`
-    /// is the lane executor's role, or `None` on a QEMU worker; `own` the
-    /// token of the kicker whose thread this is, if any.
+    /// is the lane executor's role, or `None` on a QEMU worker.
     #[allow(clippy::too_many_arguments)]
     fn finish(
         &self,
@@ -425,7 +417,6 @@ impl BackendInner {
         trace: TraceCtx,
         hint: crate::frontend::NotifyHint,
         by: Recorder<'_>,
-        own: ReqToken,
     ) {
         let resp_desc = chain.response();
         let _ = self.guest_mem.write(Gpa(resp_desc.addr), &resp.encode());
@@ -454,7 +445,7 @@ impl BackendInner {
             if self.faults.fire(FaultSite::PcieMsiLost).is_some() {
                 // The completion interrupt vanished: the reply is in its
                 // slot but nobody is woken.  The requester's wait period
-                // expires, its re-check takes the reply, and no kick is
+                // expires, its look takes the reply, and no kick is
                 // needed.
                 self.stats.msi_lost.bump();
                 notifier.note_msi_lost();
@@ -471,15 +462,9 @@ impl BackendInner {
         }
         ctx.end(span);
         drop(ctx);
-        let done = Completion { tl, slept, svc_ns };
-        // The kicker's own completion wakes nobody: the kicker is this
-        // thread, running its drain, not parked on its token.
-        let delivered = if token == own {
-            self.channel.complete_quiet(token, &done)
-        } else {
-            self.channel.complete(token, &done)
-        };
-        if delivered {
+        // A blocking kicker running its own request is not parked, so its
+        // completion signals nobody.
+        if self.channel.complete(token, &Completion { tl, slept, svc_ns }) {
             self.lanes[q].woken.add_as(1, by);
         }
     }
@@ -850,7 +835,7 @@ impl BackendDevice {
     /// the device holds nothing of the frontend's.
     pub fn exit_handler(&self) -> ExitHandler {
         let inner = Arc::clone(&self.inner);
-        Arc::new(move |q, through, own| inner.drain_as_kicker(q, through, own))
+        Arc::new(move |q, through| inner.drain_as_kicker(q, through))
     }
 
     pub fn open_endpoints(&self) -> usize {

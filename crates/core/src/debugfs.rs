@@ -42,10 +42,11 @@ pub struct VphiDebugReport {
     pub polling_waits: u64,
     pub chunks_staged: u64,
     pub wait_queue_wakeups: u64,
+    /// Times a requester parked on its request slot.
     pub wait_queue_sleeps: u64,
-    /// Sleepers that woke without their completion being ready — with
-    /// per-token waiters this stays ~0 (only a wait-period re-check or a
-    /// shutdown broadcast can produce one).
+    /// Signals to a parked requester that found nothing to take — zero by
+    /// construction: the backend signals a slot only as it completes or
+    /// retires the request parked on it.
     pub spurious_wakeups: u64,
     // adaptive completion notification
     pub kicks_delivered: u64,
@@ -112,6 +113,7 @@ impl VphiDebugReport {
             vm.frontend().channel().trace.tracer().map(|t| t.counters()).unwrap_or_default();
         let channel = vm.frontend().channel();
         let notify = be.notify_counters();
+        let waits = channel.waits();
         let queues: Vec<QueueReport> = channel
             .lanes()
             .iter()
@@ -144,8 +146,8 @@ impl VphiDebugReport {
             polling_waits: fe.polling_waits,
             chunks_staged: fe.chunks_sent,
             wait_queue_wakeups: be.directed_wakes(),
-            wait_queue_sleeps: vm.frontend().channel().waitq.sleep_count(),
-            spurious_wakeups: vm.frontend().channel().waitq.spurious_count(),
+            wait_queue_sleeps: waits.parks,
+            spurious_wakeups: waits.spurious,
             kicks_delivered: fe.kicks_delivered,
             irqs_injected: notify.iter().map(|n| n.irqs_injected).sum(),
             irqs_suppressed: notify.iter().map(|n| n.irqs_suppressed).sum(),

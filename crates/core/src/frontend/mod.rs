@@ -16,16 +16,16 @@
 //!   chosen [`WaitScheme`];
 //! * adaptive completion notification (DESIGN.md #16): each requester
 //!   spins up to a per-(op, payload-bucket) budget, then publishes a
-//!   `used_event` threshold and sleeps on a **per-token** waiter — the
+//!   `used_event` threshold and sleeps on its **own request slot** — the
 //!   backend's lane notifier injects an MSI only when a completion
-//!   crosses an armed threshold, and delivery wakes exactly the token it
-//!   completed (no wake-all thundering herd, no spurious re-checks);
+//!   crosses an armed threshold, and delivery wakes exactly the requester
+//!   it completed (no wake-all thundering herd, no spurious re-checks);
 //! * that spin-then-sleep is what the *model* charges every request.  The
 //!   host thread behind a blocking call (`transact`) does neither: its
 //!   kick's vm-exit is serviced on that thread (DESIGN.md #21), so the
-//!   reply is there when it looks.  Real sleeping on the per-token waiter
-//!   is left to reaps of batched tokens, worker-dispatched requests
-//!   (`accept`), kicks that found their lane busy and kicks that were lost;
+//!   reply is there when it looks.  Real sleeping on a slot is left to
+//!   reaps of batched tokens, worker-dispatched requests (`accept`), kicks
+//!   that found their lane busy and kicks that were lost;
 //! * a request ends when the backend lets go of it — completes it, or
 //!   retires it on a dead device — however long that takes.  The one thing
 //!   its requester does meanwhile is recover a lost kick.
@@ -33,10 +33,11 @@
 mod slots;
 mod waiting;
 
-pub use slots::ReqToken;
+pub use slots::{ReqToken, SlotWaits};
 pub use waiting::{SpinBudget, WaitScheme};
 
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use vphi_scif::{ScifError, ScifResult};
 use vphi_sim_core::cost::KMALLOC_MAX_SIZE;
@@ -45,14 +46,14 @@ use vphi_sync::{Counter, Flag, LockClass, TrackedMutex};
 use vphi_trace::{size_bucket, OpCtx, Stage, TraceCtx, TraceHook};
 use vphi_virtio::{Descriptor, QueueError, VirtQueue};
 use vphi_vmm::kernel::KmallocBuf;
-use vphi_vmm::{Gpa, GuestKernel, TokenWaitQueue};
+use vphi_vmm::{Gpa, GuestKernel};
 
 use crate::protocol::{GuestEpd, VphiRequest, VphiResponse, OPCODES, REQ_SIZE, RESP_SIZE};
 use slots::{BatchOp, SlotBody, SlotState, SlotTable};
 
-/// How long a requester sleeps before it looks for a lost kick
+/// How long a requester parks on its slot before it looks for a lost kick
 /// (`wait_for_completion`).
-const REKICK_PERIOD: std::time::Duration = std::time::Duration::from_millis(200);
+const REKICK_PERIOD: Duration = Duration::from_millis(200);
 
 /// The waiter's pre-kick declaration of how it will wait, riding the
 /// request's slot to the backend's lane notifier.  The budget is in
@@ -119,17 +120,10 @@ pub struct QueueLane {
 /// The shared state both halves of the split driver touch: the virtio
 /// queue lanes, each with its request-slot table (`frontend/slots.rs`).
 pub struct VphiChannel {
-    /// Lane 0's ring, aliased as a named field so single-queue call sites
-    /// (tests, benches, control-plane ops) read naturally.
-    pub queue: Arc<VirtQueue>,
     lanes: Vec<QueueLane>,
     /// Set when the device dies (VM shutdown, guest death): the backend
     /// executes nothing more and retires what is left on its rings.
     shutdown: Flag,
-    /// The frontend's sleeping requesters, parked per token: completion
-    /// delivery wakes exactly the requester it completed (broadcast is
-    /// reserved for shutdown).
-    pub waitq: Arc<TokenWaitQueue>,
     /// Tracing hook shared by both halves of the split driver: armed once
     /// by `VphiHost::arm_tracing`, disarmed (a single `OnceLock` load) in
     /// production.
@@ -137,10 +131,6 @@ pub struct VphiChannel {
 }
 
 impl VphiChannel {
-    pub fn new(queue_size: u16) -> Arc<Self> {
-        Self::with_queues(queue_size, 1)
-    }
-
     /// A channel with `num_queues` independent virtqueue lanes of
     /// `queue_size` descriptors each.
     pub fn with_queues(queue_size: u16, num_queues: u16) -> Arc<Self> {
@@ -151,13 +141,7 @@ impl VphiChannel {
                 slots: SlotTable::new(q, queue_size),
             })
             .collect();
-        Arc::new(VphiChannel {
-            queue: Arc::clone(&lanes[0].queue),
-            lanes,
-            shutdown: Flag::new(false),
-            waitq: Arc::new(TokenWaitQueue::new()),
-            trace: TraceHook::new(),
-        })
+        Arc::new(VphiChannel { lanes, shutdown: Flag::new(false), trace: TraceHook::new() })
     }
 
     pub fn queue_count(&self) -> usize {
@@ -222,38 +206,29 @@ impl VphiChannel {
         self.lanes[q].slots.claim(head).unwrap_or((0, TraceCtx::default(), NotifyHint::SLEEP))
     }
 
-    /// Backend: deliver the completion and wake exactly its requester —
-    /// if it sleeps.  (A blocking caller whose own thread ran the request
-    /// is not parked: its completion goes through
-    /// [`complete_quiet`](Self::complete_quiet) and it takes the reply on
-    /// its first check.)  The slot is `Completed` before the directed
-    /// wake, so a woken waiter's re-check always finds its reply.  A
+    /// Backend: deliver the completion and wake its requester — if it is
+    /// parked on the slot.  (A blocking caller whose own thread ran the
+    /// request is not, and takes the reply on its first look.)  A
     /// completion for a generation that is over is dropped.  Returns
-    /// whether a requester was there to be woken.
+    /// whether a requester was there to take it.
     pub fn complete(&self, token: ReqToken, completion: &Completion) -> bool {
-        let woke =
-            self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion)));
-        if woke {
-            self.waitq.wake(token);
-        }
-        woke
+        self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion), false))
     }
 
-    /// Deliver a completion *without* waking anyone: its requester is the
-    /// calling thread (a blocking kicker running its own request), or its
-    /// MSI was lost — the reply sits in the slot until the requester's
-    /// wait period expires and its re-check finds it.  Returns whether a
-    /// requester was there to take it.
+    /// Deliver a completion whose MSI was lost: it wakes nobody, and the
+    /// reply sits in the slot until its requester's wait period expires
+    /// and its look finds it.  Returns whether a requester was there to
+    /// take it.
     pub fn complete_quiet(&self, token: ReqToken, completion: &Completion) -> bool {
-        self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion)))
+        self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion), true))
     }
 
     /// Backend: let go of `token` without a completion — the device died
     /// with the request on its ring or in its hands — and wake its
     /// requester, which frees the slot and reads `ENODEV`.
     pub fn retire(&self, token: ReqToken) {
-        if self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, None)) {
-            self.waitq.wake(token);
+        if let Some(lane) = self.lane_of(token) {
+            lane.slots.finish(token, None, false);
         }
     }
 
@@ -266,6 +241,11 @@ impl VphiChannel {
     /// idle channel (leak detector).
     pub fn live_slots(&self) -> usize {
         self.lanes.iter().map(|l| l.slots.live_count()).sum()
+    }
+
+    /// How every requester on the channel has waited so far.
+    pub fn waits(&self) -> SlotWaits {
+        self.lanes.iter().map(|l| l.slots.waits()).sum()
     }
 }
 
@@ -282,11 +262,10 @@ impl std::fmt::Debug for VphiChannel {
 }
 
 /// The device's handler for the kick vm-exit of a blocking caller
-/// (DESIGN.md #21): `(q, through, own)` drains lane `q` through avail
-/// index `through` on the calling thread, whose request is `own`, and
-/// reports whether it left chains on the ring for the lane's service
-/// thread.
-pub type ExitHandler = Arc<dyn Fn(usize, u64, ReqToken) -> bool + Send + Sync>;
+/// (DESIGN.md #21): `(q, through)` drains lane `q` through avail index
+/// `through` on the calling thread and reports whether it left chains on
+/// the ring for the lane's service thread.
+pub type ExitHandler = Arc<dyn Fn(usize, u64) -> bool + Send + Sync>;
 
 /// Per-driver counters for the waiting-scheme diagnostics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -350,16 +329,11 @@ impl StatCounters {
         let deadline_retries = self.deadline_retries.get();
         let kicks_delivered = lane_kicks.saturating_sub(deadline_retries);
         let (batch_entries, batch_kicks) = (self.batch_entries.get(), self.batch_kicks.get());
-        let (mut interrupt_waits, mut polling_waits) = (0, 0);
-        for lane in &channel.lanes {
-            let (slept, spun) = lane.slots.waits();
-            interrupt_waits += slept;
-            polling_waits += spun;
-        }
+        let waits = channel.waits();
         FrontendStats {
             requests: kicks_delivered.saturating_sub(batch_kicks) + batch_entries,
-            interrupt_waits,
-            polling_waits,
+            interrupt_waits: waits.slept,
+            polling_waits: waits.spun,
             chunks_sent: self.chunks_sent.get(),
             kicks_delivered,
             deadline_retries,
@@ -532,7 +506,7 @@ impl std::fmt::Debug for FrontendDriver {
 
 impl FrontendDriver {
     /// Insert the module and return the driver.  No ISR is registered:
-    /// completion delivery wakes its requester's per-token waiter
+    /// completion delivery wakes the requester parked on its slot
     /// directly, so an MSI is only its injection cost and a count on its
     /// lane's notifier (the paper's wake-all-recheck handler is gone).
     pub fn insert(
@@ -717,7 +691,7 @@ impl FrontendDriver {
         // request leaves something to sleep for.
         let wait = ctx.begin("wait-complete", Stage::Completion);
         lane.queue.kick(cost.vmexit_kick, ctx.tl, || match self.exit.get() {
-            Some(service) => service(sub.q, sub.avail_idx, sub.token),
+            Some(service) => service(sub.q, sub.avail_idx),
             None => true,
         });
         let done = self.wait_for_completion(lane, sub.token, ctx.tl);
@@ -819,15 +793,21 @@ impl FrontendDriver {
         VphiResponse::decode(&resp_bytes).ok_or(ScifError::Inval)
     }
 
-    /// Take what the backend left in `token`'s slot, if it let go.  A
-    /// completion charges the wait's virtual-time cost by *outcome* — the
-    /// backend's notifier decided, deterministically, from the hint it was
-    /// handed, whether this waiter was still spinning when the reply
-    /// landed — then absorbs the backend's service timeline.  A retirement
-    /// charges nothing.
-    fn try_take(&self, lane: &QueueLane, token: ReqToken, tl: &mut Timeline) -> Option<Taken> {
+    /// Take what the backend left in `token`'s slot, parked on the slot
+    /// for up to `period` until it lets go.  A completion charges the
+    /// wait's virtual-time cost by *outcome* — the backend's notifier
+    /// decided, deterministically, from the hint it was handed, whether
+    /// this waiter was still spinning when the reply landed — then absorbs
+    /// the backend's service timeline.  A retirement charges nothing.
+    fn take(
+        &self,
+        lane: &QueueLane,
+        token: ReqToken,
+        period: Duration,
+        tl: &mut Timeline,
+    ) -> Option<Taken> {
         let cost = self.kernel.cost();
-        let taken = lane.slots.try_take(token, |body: &mut SlotBody| {
+        let taken = lane.slots.take(token, period, |body: &mut SlotBody| {
             if body.slept {
                 // Armed the interrupt and slept: wake-up, ring re-check,
                 // reschedule — the paper's dominant overhead term.
@@ -845,7 +825,8 @@ impl FrontendDriver {
 
     /// Block until the backend lets go of `token` — completes or retires
     /// it — the single wait primitive under both the blocking calls and
-    /// token reaps.  Nothing else ends the wait.
+    /// token reaps.  The requester parks on its own slot, and nothing but
+    /// the backend's signal ends the wait.
     ///
     /// Each [`REKICK_PERIOD`] the requester looks for the one fault it can
     /// mend: a kick lost on its way (`VirtioKickLost`), which leaves the
@@ -853,16 +834,14 @@ impl FrontendDriver {
     /// pending.  Only then does it kick again.  A
     /// request the backend holds, or one queued behind a busy executor, is
     /// left alone, so its virtual time does not depend on how fast the host
-    /// runs; a completion whose MSI was lost is taken by the re-check.
+    /// runs; a completion whose MSI was lost is taken as the period ends.
+    /// The look runs with the slot unlocked: the ring's lock is taken
+    /// before a slot's, never under one.
     #[expect(clippy::disallowed_methods, reason = "re-kick of a chain whose kick was lost")]
     fn wait_for_completion(&self, lane: &QueueLane, token: ReqToken, tl: &mut Timeline) -> Taken {
         let queue = &lane.queue;
         loop {
-            let waited = self
-                .channel
-                .waitq
-                .wait_for(token, REKICK_PERIOD, || self.try_take(lane, token, tl));
-            if let Some(done) = waited {
+            if let Some(done) = self.take(lane, token, REKICK_PERIOD, tl) {
                 return done;
             }
             if lane.slots.is_published(token) && !queue.executor.is_held() && !queue.kick_pending()
@@ -1004,7 +983,7 @@ impl FrontendDriver {
 
     /// Reap completed tokens from `interest`, oldest-first: a
     /// non-blocking drain first, then blocking (through the same adaptive
-    /// waiter and per-token wait queue as the blocking calls) until at
+    /// waiter and slot park as the blocking calls) until at
     /// least `min` tokens are reaped, never more than `budget`.  Unknown
     /// or already-reaped tokens are skipped — each token is reaped
     /// exactly once.
@@ -1048,7 +1027,7 @@ impl FrontendDriver {
                     continue;
                 }
                 let Some(lane) = self.channel.lane_of(interest[i]) else { continue };
-                if let Some(done) = self.try_take(lane, interest[i], ctx.tl) {
+                if let Some(done) = self.take(lane, interest[i], Duration::ZERO, ctx.tl) {
                     open[i] = false;
                     out.push(self.finish_reaped(lane, interest[i], done, ctx));
                 }
@@ -1289,7 +1268,7 @@ mod tests {
     fn driver(scheme: WaitScheme) -> Arc<FrontendDriver> {
         let mem = Arc::new(GuestMemory::new(64 * MIB));
         let kernel = Arc::new(GuestKernel::new(mem, Arc::new(CostModel::paper_calibrated())));
-        let channel = VphiChannel::new(64);
+        let channel = VphiChannel::with_queues(64, 1);
         FrontendDriver::insert(kernel, channel, scheme)
     }
 
@@ -1369,7 +1348,7 @@ mod tests {
         let mut tl = Timeline::new();
         let resp = d.transact(&VphiRequest::Open, &[], 0, &mut tl).unwrap();
         assert_eq!(resp, VphiResponse::ok(7, 8));
-        d.channel().queue.close();
+        d.channel().lane_queue(0).close();
         backend.join().unwrap();
         // The full paravirtual cost structure appears on the timeline.
         assert!(tl.total_for(SpanLabel::GuestSyscall) > vphi_sim_core::SimDuration::ZERO);
@@ -1387,7 +1366,7 @@ mod tests {
         let backend = fake_backend(Arc::clone(d.channel()), Arc::clone(d.kernel()));
         let mut tl = Timeline::new();
         d.transact(&VphiRequest::Open, &[], 0, &mut tl).unwrap();
-        d.channel().queue.close();
+        d.channel().lane_queue(0).close();
         backend.join().unwrap();
         assert_eq!(tl.total_for(SpanLabel::GuestWakeup), vphi_sim_core::SimDuration::ZERO);
         assert!(tl.total_for(SpanLabel::PollWait) > vphi_sim_core::SimDuration::ZERO);
@@ -1405,7 +1384,7 @@ mod tests {
         d.transact(&VphiRequest::Send { epd: 1, len: 8 }, &[], 8, &mut tl_small).unwrap();
         let mut tl_big = Timeline::new();
         d.transact(&VphiRequest::Send { epd: 1, len: 1 << 20 }, &[], 1 << 20, &mut tl_big).unwrap();
-        d.channel().queue.close();
+        d.channel().lane_queue(0).close();
         backend.join().unwrap();
         assert!(tl_small.total_for(SpanLabel::PollWait) > vphi_sim_core::SimDuration::ZERO);
         assert_eq!(tl_small.total_for(SpanLabel::IrqInject), vphi_sim_core::SimDuration::ZERO);
@@ -1443,7 +1422,7 @@ mod tests {
             d.transact(&VphiRequest::Send { epd: 1, len: 1 << 20 }, &[], 1 << 20, &mut tl).unwrap();
             assert!(tl.total_for(SpanLabel::GuestWakeup) > vphi_sim_core::SimDuration::ZERO);
         }
-        d.channel().queue.close();
+        d.channel().lane_queue(0).close();
         backend.join().unwrap();
         let s = d.stats();
         assert_eq!(s.polling_waits, 3);
@@ -1511,7 +1490,7 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), VphiResponse::ok(7, 8));
         }
-        d.channel().queue.close();
+        d.channel().lane_queue(0).close();
         backend.join().unwrap();
         assert_eq!(d.stats().requests, 8);
         assert_eq!(d.channel().inflight_count(), 0);
@@ -1540,7 +1519,8 @@ mod tests {
             assert!(matches!(d.wait_for_completion(lane, op.token, &mut tl), Taken::Retired(None)));
             assert_eq!((channel.live_slots(), channel.inflight_count()), (0, 0));
             channel.retire(op.token);
-            assert!(d.try_take(lane, op.token, &mut tl).is_none(), "a token takes once");
+            let again = d.take(lane, op.token, Duration::ZERO, &mut tl);
+            assert!(again.is_none(), "a token takes once");
             assert_eq!(channel.live_slots(), 0);
         }
     }

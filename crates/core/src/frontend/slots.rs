@@ -15,19 +15,24 @@
 //! but the backend ends a published request, so nothing it can still write
 //! into is ever handed to anyone else.
 //!
+//! A requester that has to sleep parks on its own slot, marked as parked
+//! under the slot's lock, and the backend, which finishes the request
+//! under that lock, signals it only if the mark is set (DESIGN.md #22).
+//!
 //! ```text
 //!            reserve        register        claim          complete
 //!   Free ──────────▶ Prepared ─────▶ Published ────▶ Claimed ──────▶ Completed
-//!    ▲                                 │ retire         │ retire         │ try_take
+//!    ▲                                 │ retire         │ retire         │ take
 //!    │                                 └──▶ Retired ◀───┘                │ + release
-//!    │                                         │ try_take                │
+//!    │                                         │ take                    │
 //!    └─────────────────────────────────────────┴─────────────────────────┘
 //! ```
 
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use vphi_sim_core::Timeline;
-use vphi_sync::{LockClass, Published, TrackedMutex, TrackedMutexGuard};
+use vphi_sync::{LockClass, Published, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
 use vphi_trace::TraceCtx;
 use vphi_vmm::kernel::KmallocBuf;
 
@@ -84,6 +89,11 @@ pub(super) enum SlotState {
 }
 
 impl SlotState {
+    /// Whether the backend has let go: the requester has something to take.
+    fn let_go(self) -> bool {
+        matches!(self, SlotState::Completed | SlotState::Retired)
+    }
+
     fn from_bits(bits: u64) -> SlotState {
         match bits & 0xFF {
             1 => SlotState::Prepared,
@@ -145,12 +155,37 @@ pub(super) struct BatchOp {
     pub canceled: bool,
 }
 
+/// How the requesters of some slots waited, summed over their requests.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SlotWaits {
+    /// Completions taken by a requester the backend's notifier judged
+    /// asleep when the reply landed (the model's verdict, not the host's).
+    pub slept: u64,
+    /// Completions taken by a requester it judged still spinning.
+    pub spun: u64,
+    /// Times a requester parked on its slot: the host's real sleeps.
+    pub parks: u64,
+    /// Signals to a parked requester that found nothing to take.
+    pub spurious: u64,
+}
+
+impl std::iter::Sum for SlotWaits {
+    fn sum<I: Iterator<Item = SlotWaits>>(iter: I) -> SlotWaits {
+        iter.fold(SlotWaits::default(), |a, b| SlotWaits {
+            slept: a.slept + b.slept,
+            spun: a.spun + b.spun,
+            parks: a.parks + b.parks,
+            spurious: a.spurious + b.spurious,
+        })
+    }
+}
+
 /// The lock-protected part of a slot.  Who writes what, by state:
 /// the requester fills `trace` and `batch` in `Prepared`; the backend
 /// takes `trace` at `Claimed` and writes its timeline `tl`, with `slept`
 /// and `svc_ns`, at `Completed`; the requester reads those three and takes
 /// `batch` when it takes the completion.  `waits` outlives the slot's
-/// requests: what every completion taken from it had waited by.
+/// requests: how every one of them was waited for.
 pub(super) struct SlotBody {
     /// The backend's service timeline, valid at `Completed`.
     pub tl: Timeline,
@@ -159,9 +194,11 @@ pub(super) struct SlotBody {
     pub svc_ns: u64,
     /// A batch entry's bookkeeping.
     pub batch: Option<BatchOp>,
-    /// Completions taken from this slot, by the requester's wait: `[spun,
-    /// slept]`.  Counted by `try_take` under the lock it takes anyway.
-    waits: [u64; 2],
+    /// Set by a requester as it parks on the slot's condvar, cleared by
+    /// the backend's signal or by the requester as it wakes.
+    parked: bool,
+    /// Counted by the requester's wait under the lock it holds anyway.
+    waits: SlotWaits,
 }
 
 /// One request slot.
@@ -177,6 +214,8 @@ pub(super) struct RequestSlot {
     /// kept.
     pub headers: OnceLock<KmallocBuf>,
     body: TrackedMutex<SlotBody>,
+    /// Where a requester sleeps, paired with `body`.
+    wake: TrackedCondvar,
 }
 
 impl RequestSlot {
@@ -194,9 +233,11 @@ impl RequestSlot {
                     slept: false,
                     svc_ns: 0,
                     batch: None,
-                    waits: [0; 2],
+                    parked: false,
+                    waits: SlotWaits::default(),
                 },
             ),
+            wake: TrackedCondvar::new(),
         }
     }
 
@@ -378,7 +419,7 @@ impl SlotTable {
 
     /// Requester: give a reserved slot back.  Only its holder calls this,
     /// and only with the slot idle: before its chain was published, or
-    /// after `try_take`.
+    /// after `take`.
     pub fn release(&self, token: ReqToken) {
         if let Some((slot, word)) = self.current(token) {
             slot.set(word.with(SlotState::Free));
@@ -419,9 +460,11 @@ impl SlotTable {
     }
 
     /// Backend: let go of `token`'s slot, with a completion or (dead
-    /// device) without one.  Returns whether a requester is still there to
-    /// be told.
-    pub fn finish(&self, token: ReqToken, completion: Option<&Completion>) -> bool {
+    /// device) without one, and — unless `quiet` — signal its requester
+    /// if it is parked.  The signal is sent under the lock the state moved
+    /// under, so it reaches this request's requester and no later one.
+    /// Returns whether a requester is still there to be told.
+    pub fn finish(&self, token: ReqToken, completion: Option<&Completion>, quiet: bool) -> bool {
         let Some((slot, mut body, word)) = self.lock(token) else { return false };
         match (word.state, completion) {
             (SlotState::Claimed, Some(done)) => {
@@ -429,39 +472,63 @@ impl SlotTable {
                 body.slept = done.slept;
                 body.svc_ns = done.svc_ns;
                 slot.set(word.with(SlotState::Completed));
-                true
             }
             (SlotState::Claimed | SlotState::Published, None) => {
                 slot.set(word.with(SlotState::Retired));
-                true
             }
             // Not the backend's to finish: never claimed, or finished
             // already.
-            _ => false,
+            _ => return false,
         }
+        if !quiet && std::mem::take(&mut body.parked) {
+            slot.wake.notify_one();
+        }
+        true
     }
 
     /// Requester: take what the backend left in `token`'s slot, once it
-    /// let go.  A completion: `f` runs under the slot lock over the
-    /// completed body (absorb the timeline, take the batch bookkeeping) and
-    /// its result comes back; the slot is then idle, still held — its
-    /// response header has yet to be read — until
-    /// [`release`](SlotTable::release).  A retirement: the slot is free
-    /// again, and a batch entry's bookkeeping comes back for its staging to
-    /// be freed.  A token takes at most once.
-    pub fn try_take<R>(
+    /// let go, parking on the slot for up to `period` until it does.  A
+    /// completion: `f` runs under the slot lock over the completed body
+    /// (absorb the timeline, take the batch bookkeeping) and its result
+    /// comes back; the slot is then idle, still held — its response header
+    /// has yet to be read — until [`release`](SlotTable::release).  A
+    /// retirement: the slot is free again, and a batch entry's bookkeeping
+    /// comes back for its staging to be freed.  `None` if the period ran
+    /// out first.  A token takes at most once.
+    pub fn take<R>(
         &self,
         token: ReqToken,
+        period: Duration,
         f: impl FnOnce(&mut SlotBody) -> R,
     ) -> Option<Result<R, Option<BatchOp>>> {
-        // The usual answer — not yet — costs no lock.
-        let let_go = |w: &Word| matches!(w.state, SlotState::Completed | SlotState::Retired);
-        let (slot, _) = self.current(token).filter(|(_, w)| let_go(w))?;
-        let mut body = slot.body.lock();
-        let word = slot.word();
-        if word.generation != token_generation(token) || !let_go(&word) {
+        let (slot, word) = self.current(token)?;
+        // The usual answer to a look — not yet — costs no lock.
+        if period.is_zero() && !word.state.let_go() {
             return None;
         }
+        let mut body = slot.body.lock();
+        let mut deadline = None;
+        let word = loop {
+            let word = slot.word();
+            if word.generation != token_generation(token) {
+                return None;
+            }
+            if word.state.let_go() {
+                break word;
+            }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + period);
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                return None;
+            }
+            body.parked = true;
+            body.waits.parks += 1;
+            slot.wake.wait_for(&mut body, remaining);
+            let signalled = !std::mem::take(&mut body.parked);
+            if signalled && !slot.word().state.let_go() {
+                body.waits.spurious += 1;
+            }
+        };
         slot.set(word.with(SlotState::Free));
         if word.state == SlotState::Retired {
             let batch = body.batch.take();
@@ -470,18 +537,18 @@ impl SlotTable {
             return Some(Err(batch));
         }
         let r = f(&mut body);
-        let slept = usize::from(body.slept);
-        body.waits[slept] += 1;
+        if body.slept {
+            body.waits.slept += 1;
+        } else {
+            body.waits.spun += 1;
+        }
         Some(Ok(r))
     }
 
-    /// Completions taken from this lane's slots so far: `(slept, spun)`.
-    pub fn waits(&self) -> (u64, u64) {
+    /// How this lane's requesters have waited so far.
+    pub fn waits(&self) -> SlotWaits {
         let slots = self.blocks.iter().filter_map(OnceLock::get).flat_map(|block| block.iter());
-        slots.fold((0, 0), |(slept, spun), slot| {
-            let [spun_here, slept_here] = slot.body.lock().waits;
-            (slept + slept_here, spun + spun_here)
-        })
+        slots.map(|slot| slot.body.lock().waits).sum()
     }
 
     /// Whether `token`'s chain is published and not yet claimed: on the
@@ -514,4 +581,137 @@ fn is_pending(state: SlotState) -> bool {
         state,
         SlotState::Published | SlotState::Claimed | SlotState::Completed | SlotState::Retired
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use vphi_sync::audit::thread_signals;
+
+    /// Longer than any of these tests should take: a wait that runs this
+    /// long was woken by nothing.
+    const LONG: Duration = Duration::from_secs(10);
+
+    /// Publish `n` requests on `table` and claim each as the backend.
+    fn claimed(table: &SlotTable, n: u16) -> Vec<ReqToken> {
+        (0..n)
+            .map(|head| {
+                let (token, _) = table.reserve().unwrap();
+                table.prepare(token, NotifyHint::SLEEP, TraceCtx::default(), None);
+                table.register(token, head);
+                assert_eq!(table.claim(head).map(|(t, ..)| t), Some(token));
+                token
+            })
+            .collect()
+    }
+
+    fn done() -> Completion {
+        Completion { tl: Timeline::new(), slept: true, svc_ns: 1 }
+    }
+
+    /// `token`'s requester: park until the backend lets go, and say
+    /// whether a completion came back.
+    fn requester(table: &Arc<SlotTable>, token: ReqToken) -> std::thread::JoinHandle<bool> {
+        let table = Arc::clone(table);
+        std::thread::spawn(move || matches!(table.take(token, LONG, |_| ()), Some(Ok(()))))
+    }
+
+    fn until(what: &str, cond: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < LONG, "timed out waiting until {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_completion_wakes_only_its_own_slots_requester() {
+        let table = Arc::new(SlotTable::new(0, 16));
+        let tokens = claimed(&table, 3);
+        let mut waiting: Vec<_> = tokens.iter().map(|&t| Some(requester(&table, t))).collect();
+        until("all three park", || table.waits().parks == 3);
+
+        let signals = thread_signals();
+        assert!(table.finish(tokens[1], Some(&done()), false));
+        if vphi_sync::audit::ENABLED {
+            assert_eq!(thread_signals() - signals, 1, "one completion, one signal");
+        }
+        assert!(waiting[1].take().unwrap().join().unwrap());
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(waiting.iter().flatten().all(|t| !t.is_finished()), "a neighbour woke");
+
+        for i in [0, 2] {
+            assert!(table.finish(tokens[i], Some(&done()), false));
+            assert!(waiting[i].take().unwrap().join().unwrap());
+        }
+        let waits = table.waits();
+        assert_eq!((waits.slept, waits.spurious), (3, 0));
+    }
+
+    /// The backend finishes as the requester goes to park: on some rounds
+    /// before its look, on others between the look and the park, on
+    /// others after.  A signal lost on the way shows as a wait that ran
+    /// its whole period.
+    #[test]
+    fn a_completion_racing_the_park_is_never_lost() {
+        let table = Arc::new(SlotTable::new(0, 16));
+        for _ in 0..1_000 {
+            let token = claimed(&table, 1)[0];
+            let backend = Arc::clone(&table);
+            let finisher = std::thread::spawn(move || backend.finish(token, Some(&done()), false));
+            let start = Instant::now();
+            assert!(matches!(table.take(token, LONG, |body| body.svc_ns), Some(Ok(1))));
+            assert!(start.elapsed() < LONG, "the completion's signal was lost");
+            assert!(finisher.join().unwrap());
+            table.release(token);
+        }
+        assert_eq!(table.waits().spurious, 0);
+        assert_eq!(table.live_count(), 0);
+    }
+
+    #[test]
+    fn a_completion_with_nobody_parked_signals_nobody() {
+        let table = SlotTable::new(0, 16);
+        let before = thread_signals();
+        for _ in 0..100 {
+            let token = claimed(&table, 1)[0];
+            assert!(table.finish(token, Some(&done()), false));
+            assert!(matches!(table.take(token, LONG, |_| ()), Some(Ok(()))));
+            table.release(token);
+        }
+        assert_eq!(thread_signals() - before, 0);
+        assert_eq!(table.waits().parks, 0);
+    }
+
+    /// A completion whose MSI was lost signals nobody: its parked
+    /// requester takes it when the period runs out.  The parked mark goes
+    /// with that wait, so the slot's next request signals nobody either.
+    #[test]
+    fn a_quiet_completion_is_taken_when_the_period_expires() {
+        const PERIOD: Duration = Duration::from_millis(50);
+        let table = Arc::new(SlotTable::new(0, 16));
+        let token = claimed(&table, 1)[0];
+        let waiter = {
+            let table = Arc::clone(&table);
+            std::thread::spawn(move || {
+                let start = Instant::now();
+                let got = table.take(token, PERIOD, |body| body.svc_ns);
+                (matches!(got, Some(Ok(1))), start.elapsed())
+            })
+        };
+        until("the requester parks", || table.waits().parks == 1);
+        let signals = thread_signals();
+        assert!(table.finish(token, Some(&done()), true));
+        let (took, waited) = waiter.join().unwrap();
+        assert!(took, "the expiry took the quiet completion");
+        assert!(waited >= PERIOD, "woken after {waited:?}");
+        table.release(token);
+
+        let next = claimed(&table, 1)[0];
+        assert!(table.finish(next, Some(&done()), false));
+        assert_eq!(thread_signals() - signals, 0);
+        let waits = table.waits();
+        assert_eq!((waits.parks, waits.spurious), (1, 0));
+    }
 }

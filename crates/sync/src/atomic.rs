@@ -2,7 +2,7 @@
 //!
 //! A field's protocol is declared where the field is and no call site
 //! names an `Ordering`; raw `std::sync::atomic` types and fences are
-//! banned outside this crate by `clippy.toml`.  Four tiers:
+//! banned outside this crate by `clippy.toml`.  Three tiers:
 //!
 //! * [`Counter`] — statistics and id allocators, observed casually:
 //!   everything `Relaxed`.
@@ -12,25 +12,25 @@
 //! * [`Published`] — a word read without the lock (or by the one holder)
 //!   that wrote it — slot state, bitmaps, the simulated clock — with the
 //!   same `Release` / `Acquire` / `AcqRel` contract as a [`Flag`].
-//! * [`Sequenced`] — one side of a store-then-load-the-other-side
-//!   (Dekker) handshake, where `Release`/`Acquire` would let both sides
-//!   miss each other: everything `SeqCst`.
+//!
+//! Nothing is `SeqCst` and nothing fences: a handshake in which each side
+//! stores and then loads the other's word is made under a lock instead.
 //!
 //! Beside them, [`Tally`] is a statistic whose writer holds a
 //! [`TrackedRole`](crate::TrackedRole): the guard is the proof that
 //! nobody else writes it, so a bump is a load and a store.
 //!
-//! The four are one `u64` (or `bool`) wide, `#[repr(transparent)]`, and every
-//! method inlines to the single instruction the raw call was.  Each method
-//! that is a `lock`-prefixed instruction on x86 (a read-modify-write, a
-//! `SeqCst` store, the fence of `look`) reports itself to the audit's
-//! per-thread RMW count ([`audit::thread_rmws`](crate::audit::thread_rmws));
-//! loads and `Release` stores do not.
+//! The three are one `u64` (or `bool`) wide, `#[repr(transparent)]`, and
+//! every method inlines to the single instruction the raw call was.  Each
+//! method that is a `lock`-prefixed instruction on x86 (a read-modify-write)
+//! reports itself to the audit's per-thread RMW count
+//! ([`audit::thread_rmws`](crate::audit::thread_rmws)); loads and `Release`
+//! stores do not.
 
 use crate::audit::on_rmw as rmw;
-use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
 
-#[expect(clippy::disallowed_types, reason = "Counter, Published and Sequenced wrap it")]
+#[expect(clippy::disallowed_types, reason = "Counter, Published and Tally wrap it")]
 type RawU64 = std::sync::atomic::AtomicU64;
 #[expect(clippy::disallowed_types, reason = "Flag wraps it")]
 type RawBool = std::sync::atomic::AtomicBool;
@@ -198,68 +198,6 @@ impl std::fmt::Debug for Published {
     }
 }
 
-/// One side of a store-then-look-at-the-other-side handshake (the
-/// EVENT_IDX pair, DESIGN.md #16; the waiter announcement, #23).
-#[derive(Default)]
-#[repr(transparent)]
-pub struct Sequenced(RawU64);
-
-impl Sequenced {
-    #[inline]
-    pub const fn new(value: u64) -> Self {
-        Sequenced(RawU64::new(value))
-    }
-
-    #[inline]
-    pub fn load(&self) -> u64 {
-        self.0.load(SeqCst)
-    }
-
-    #[inline]
-    pub fn store(&self, value: u64) {
-        rmw();
-        self.0.store(value, SeqCst);
-    }
-
-    #[inline]
-    pub fn fetch_add(&self, n: u64) -> u64 {
-        rmw();
-        self.0.fetch_add(n, SeqCst)
-    }
-
-    #[inline]
-    pub fn fetch_sub(&self, n: u64) -> u64 {
-        rmw();
-        self.0.fetch_sub(n, SeqCst)
-    }
-
-    /// Count yourself in, then fence: what the caller reads *next* is
-    /// ordered after the announcement.  Pairs with [`look`](Sequenced::look)
-    /// on the other side — each side publishes, fences, then reads what the
-    /// other published, so at least one of them sees the other.
-    #[inline]
-    pub fn announce(&self) {
-        rmw();
-        self.0.fetch_add(1, SeqCst);
-        full_fence();
-    }
-
-    /// Fence, then read the announcements: what the caller wrote *before*
-    /// is ordered ahead of the look.
-    #[inline]
-    pub fn look(&self) -> u64 {
-        rmw();
-        full_fence();
-        self.0.load(SeqCst)
-    }
-}
-
-impl std::fmt::Debug for Sequenced {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.load().fmt(f)
-    }
-}
-
 /// A statistic with one writer: whoever holds a [`TrackedRole`](crate::TrackedRole).
 ///
 /// [`bump`](Tally::bump) takes the role's guard, so only a role holder
@@ -318,12 +256,6 @@ impl std::fmt::Debug for Tally {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.get().fmt(f)
     }
-}
-
-#[expect(clippy::disallowed_methods, reason = "the one fence: Sequenced's announce/look pair")]
-#[inline]
-fn full_fence() {
-    std::sync::atomic::fence(SeqCst);
 }
 
 #[cfg(test)]
@@ -407,18 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn sequenced_plain_ops() {
-        let s = Sequenced::new(2);
-        assert_eq!(s.fetch_add(3), 2);
-        assert_eq!(s.fetch_sub(1), 5);
-        s.store(11);
-        assert_eq!(s.load(), 11);
-        s.announce();
-        assert_eq!(s.look(), 12);
-        assert_eq!(format!("{:?}", Sequenced::default()), "0");
-    }
-
-    #[test]
     fn tally_counts_under_the_role_and_beside_it() {
         let role = crate::TrackedRole::new(crate::LockClass::TestOuter);
         let t = Tally::new();
@@ -471,8 +391,7 @@ mod tests {
             f();
             assert_eq!(thread_rmws() - before, 0, "{what} is no RMW");
         };
-        let (c, f, p, s, t) =
-            (Counter::new(0), Flag::new(false), Published::new(0), Sequenced::new(0), Tally::new());
+        let (c, f, p, t) = (Counter::new(0), Flag::new(false), Published::new(0), Tally::new());
         counts_one("Counter::bump", &|| c.bump());
         counts_one("Counter::add", &|| c.add(2));
         counts_one("Counter::sub", &|| c.sub(1));
@@ -483,11 +402,6 @@ mod tests {
         counts_one("Published::fetch_or", &|| _ = p.fetch_or(1));
         counts_one("Published::fetch_and", &|| _ = p.fetch_and(0));
         counts_one("Published::compare_exchange_weak", &|| _ = p.compare_exchange_weak(5, 6));
-        counts_one("Sequenced::store", &|| s.store(3));
-        counts_one("Sequenced::fetch_add", &|| _ = s.fetch_add(1));
-        counts_one("Sequenced::fetch_sub", &|| _ = s.fetch_sub(1));
-        counts_one("Sequenced::announce", &|| s.announce());
-        counts_one("Sequenced::look", &|| _ = s.look());
         counts_one("Flag::swap", &|| _ = f.swap(true));
         counts_one("Tally::add_as, outside the role", &|| t.add_as(2, None));
         counts_none("Counter::get", &|| _ = c.get());
@@ -501,7 +415,6 @@ mod tests {
             p.store(1);
             let _ = p.load();
         });
-        counts_none("Sequenced::load", &|| _ = s.load());
         let role = crate::TrackedRole::new(crate::LockClass::TestOuter);
         let held = role.enter();
         counts_none("Tally::bump/add/get", &|| {
@@ -509,23 +422,5 @@ mod tests {
             t.add(3, &held);
             let _ = t.get();
         });
-    }
-
-    /// The Dekker shape both users rely on: each side announces, then
-    /// looks at the other; never may both read "nobody there".
-    #[test]
-    fn announce_then_look_never_misses_on_both_sides() {
-        for _ in 0..2_000 {
-            let pair = Arc::new((Sequenced::default(), Sequenced::default()));
-            let other = Arc::clone(&pair);
-            let t = std::thread::spawn(move || {
-                other.0.announce();
-                other.1.look()
-            });
-            pair.1.announce();
-            let saw_theirs = pair.0.look();
-            let saw_ours = t.join().unwrap();
-            assert!(saw_theirs + saw_ours >= 1, "both sides missed each other");
-        }
     }
 }

@@ -424,19 +424,19 @@ mod tests {
     #[test]
     fn a_role_admits_one_holder_at_a_time() {
         let role = std::sync::Arc::new(crate::TrackedRole::new(LockClass::TestA));
-        let inside = std::sync::Arc::new(crate::atomic::Sequenced::new(0));
+        let inside = std::sync::Arc::new(crate::atomic::Counter::new(0));
         let guard = role.enter();
         assert!(role.try_enter().is_none(), "a held role was handed out twice");
         let (role2, inside2) = (role.clone(), inside.clone());
         let waiter = std::thread::spawn(move || {
             let _r = role2.enter();
-            inside2.fetch_add(1);
+            inside2.bump();
         });
         std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(inside.load(), 0, "entered a held role");
+        assert_eq!(inside.get(), 0, "entered a held role");
         drop(guard);
         waiter.join().unwrap();
-        assert_eq!(inside.load(), 1);
+        assert_eq!(inside.get(), 1);
         assert!(role.try_enter().is_some(), "a free role was refused");
     }
 

@@ -28,7 +28,7 @@
 //! thread never poisons a lock for the rest of a stress test.
 //! `lock().unwrap()` is therefore unnecessary and does not compile.
 //!
-//! Atomics live in [`atomic`]: four types that fix the memory ordering, so
+//! Atomics live in [`atomic`]: three types that fix the memory ordering, so
 //! no call site outside this crate names one, and [`Tally`], a statistic a
 //! role's holder bumps without an atomic read-modify-write.
 
@@ -40,7 +40,7 @@ use std::time::Duration;
 pub mod atomic;
 pub mod audit;
 
-pub use atomic::{Counter, Flag, Published, Sequenced, Tally};
+pub use atomic::{Counter, Flag, Published, Tally};
 pub use std::sync::WaitTimeoutResult;
 
 use audit::{AcqKind, Token};
@@ -127,9 +127,10 @@ pub enum LockClass {
     /// Backend shard-thread join handles (one service thread per queue).
     BackendShards = 27,
     // --- adaptive completion notification (PR 6) ---
-    /// Per-token wait-queue registry (token → slot map).
+    /// `vmm::TokenWaitQueue`'s registry (token → slot map): the
+    /// benchmark's hand-off probe, not the request path.
     TokenWaiters = 28,
-    /// One sleeping requester's slot (signal count + condvar).
+    /// One of that queue's sleepers (signal count + condvar).
     TokenSlot = 29,
     /// Frontend spin-budget policy (EWMA table + burn estimates).
     NotifyPolicy = 30,
@@ -212,8 +213,9 @@ impl LockClass {
             LockClass::BoardSysfs => 52,
             LockClass::PhiMemTable => 54,
             LockClass::VirtQueueState => 60,
-            // Where the inflight and completed tables sat: above the
-            // per-token waiter slot (72), whose wait predicate probes it.
+            // Where the inflight and completed tables sat, below the lane's
+            // ring (60): a requester parks on its slot, and looks at the
+            // ring only with the slot unlocked.
             LockClass::RequestSlot => 74,
             LockClass::PinnedBuf => 80,
             LockClass::PhiMemData => 82,

@@ -11,9 +11,11 @@
 //! * [`kernel::GuestKernel`] — the guest-kernel environment the frontend
 //!   driver runs in: `kmalloc` with the x86_64 `KMALLOC_MAX_SIZE` = 4 MiB
 //!   contiguity limit and user↔kernel copies.
-//! * [`waitqueue::TokenWaitQueue`] — where a requester sleeps until its
-//!   reply arrives; the wake-up scheme dominates vPHI's small-message
-//!   latency (93% of the 375 µs overhead).
+//! * [`waitqueue::TokenWaitQueue`] — a per-token wait queue, the subject
+//!   of the benchmark's hand-off probe.  A guest requester does not sleep
+//!   here but on its own request slot in the vPHI frontend; the wake-up
+//!   it pays dominates vPHI's small-message latency (93% of the 375 µs
+//!   overhead).
 //! * [`kvm::KvmModule`] / [`vma::VmaTable`] — `VM_PFNPHI`-tagged VMAs and
 //!   the page-fault redirection that makes guest dereferences of
 //!   `scif_mmap`'d device memory work (the <10 LoC KVM patch).  A mapping

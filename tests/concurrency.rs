@@ -214,7 +214,7 @@ fn a_caller_parked_in_recv_does_not_stall_other_lanes() {
     release.send(()).unwrap();
     assert_eq!(sleeper.join().unwrap(), Ok((4, *b"done")));
     busy.close(&mut tl).unwrap();
-    assert_eq!(channel.waitq.sleep_count(), 0, "every call was serviced where it was made");
+    assert_eq!(channel.waits().parks, 0, "every call was serviced where it was made");
     let stats = vm.frontend().stats();
     assert_eq!(stats.kicks_delivered, stats.requests);
     vm.shutdown();
@@ -246,7 +246,7 @@ fn a_blocking_callers_accept_goes_to_a_worker_and_frees_the_lane() {
         listener.close(&mut tl).unwrap();
         peer
     });
-    while dispatched() == 0 || channel.waitq.sleep_count() == 0 {
+    while dispatched() == 0 || channel.waits().parks == 0 {
         std::thread::yield_now();
     }
     // Parked on a worker, caller asleep: one worker, counted once …
@@ -266,7 +266,7 @@ fn a_blocking_callers_accept_goes_to_a_worker_and_frees_the_lane() {
     assert_eq!(vm.backend().inner().queue_worker_dispatches(lane), 1);
     // The accept's caller slept — once, and once more per wait period that
     // expired on it — and never kicked again: its request was the worker's.
-    assert!(channel.waitq.sleep_count() >= 1);
+    assert!(channel.waits().parks >= 1);
     assert_eq!(vm.frontend().stats().deadline_retries, 0);
     native.close();
     vm.shutdown();

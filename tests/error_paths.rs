@@ -855,8 +855,8 @@ fn lost_kick_on_a_blocking_call_recovers_through_the_shard() {
     let vm = host.spawn_vm(VmConfig::default());
     let ep = vm.open_scif(&mut tl).unwrap();
     ep.connect(ScifAddr::new(host.device_node(0), Port(987)), &mut tl).unwrap();
-    let waitq = &vm.frontend().channel().waitq;
-    assert_eq!(waitq.sleep_count(), 0, "open and connect were serviced where they were called");
+    let parks = || vm.frontend().channel().waits().parks;
+    assert_eq!(parks(), 0, "open and connect were serviced where they were called");
 
     let injector = host.arm_faults(FaultPlan::single(FaultSite::VirtioKickLost, 1, 0));
     let mut send_tl = Timeline::new();
@@ -864,7 +864,7 @@ fn lost_kick_on_a_blocking_call_recovers_through_the_shard() {
     assert_eq!(card.join().unwrap(), 7);
     assert_eq!(injector.fired_at(FaultSite::VirtioKickLost), 1);
     assert_eq!(vm.frontend().stats().deadline_retries, 1);
-    assert!(waitq.sleep_count() >= 1, "the caller slept while the shard ran its request");
+    assert!(parks() >= 1, "the caller slept while the shard ran its request");
     // Both vm-exits are on the call's bill: the lost one and the re-kick.
     let kick = host.cost().vmexit_kick;
     assert_eq!(send_tl.total_for(vphi_sim_core::SpanLabel::VmExitKick), kick * 2);
@@ -1272,7 +1272,7 @@ enum InFlight {
 /// token is held and guest RAM is back where it was before the request.
 /// A `send` or `recv` the endpoint makes afterwards fails and frees its
 /// staging chunk.  Nothing broadcasts to the guest's sleepers: a requester
-/// parked on the wait queue parks exactly once, and is woken by nothing
+/// parked on its slot parks exactly once, and is woken by nothing
 /// but its own completion or retirement.
 #[test]
 fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
@@ -1326,7 +1326,7 @@ fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
             }
             host.arm_faults(FaultPlan { seed: 0, points });
             let settled = backend.requests();
-            let sleeps = channel.waitq.sleep_count();
+            let sleeps = channel.waits().parks;
             let call = {
                 let victim = Arc::clone(&victim);
                 let mut cq = Cq::new();
@@ -1348,9 +1348,9 @@ fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
                 })
             };
             // Every row but the one running in its own vm-exit has its
-            // requester asleep on the wait queue.
+            // requester asleep on its slot.
             let parked = u64::from(!matches!(row, InAnExecutor));
-            let asleep = || channel.waitq.sleep_count() == sleeps + 1;
+            let asleep = || channel.waits().parks == sleeps + 1;
             match row {
                 OnTheRing => spin_until("the reaper parks", asleep),
                 InAnExecutor => spin_until("the recv runs", || backend.requests() == settled + 1),
@@ -1370,7 +1370,8 @@ fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
                 vm.shutdown();
             }
             let result = call.join().unwrap();
-            let woken = (channel.waitq.sleep_count() - sleeps, channel.waitq.spurious_count());
+            let waits = channel.waits();
+            let woken = (waits.parks - sleeps, waits.spurious);
             assert_eq!(woken, (parked, 0), "{what}: parks, and wakes that found nothing");
             let held =
                 (channel.live_slots(), channel.inflight_count(), vm.frontend().pending_tokens());

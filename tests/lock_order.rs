@@ -381,7 +381,7 @@ fn blocking_calls_run_under_the_executor_role_and_nothing_else() {
     ep.close(&mut tl).unwrap();
     peer.join().unwrap();
     // Every one of those was serviced where it was called.
-    assert_eq!(vm.frontend().channel().waitq.sleep_count(), 0);
+    assert_eq!(vm.frontend().channel().waits().parks, 0);
     vm.shutdown();
 
     assert_eq!(vphi_sync::audit::violation_count(), violations_before);
@@ -609,8 +609,6 @@ const LEDGER: &[(LockClass, LockClass)] = {
         (LaneExecutor, PhiMemData),
         (LaneExecutor, GuestMemState),
         (LaneExecutor, TraceRings),
-        (LaneExecutor, TokenWaiters),
-        (LaneExecutor, TokenSlot),
         (LaneExecutor, ApertureWindows),
         (LaneExecutor, TimedLane),
         // Holdings map a window under their lock (#26).
@@ -627,8 +625,6 @@ const LEDGER: &[(LockClass, LockClass)] = {
         (PinnedBuf, PhiMemData),
         (PinnedBuf, GuestMemState),
         (PhiMemData, GuestMemState),
-        // A parked requester's wait predicate probes its slot (#23).
-        (TokenSlot, RequestSlot),
     ]
 };
 
@@ -739,9 +735,9 @@ fn the_request_surface_takes_every_ledger_edge() {
             ep.fence_signal(loff, 1, 0, 2, &mut tl).unwrap();
             // A batch the lane's shard services: its receive waits for
             // the peer, told to answer once the reaper has parked, so the
-            // shard wakes a registered sleeper.
-            let waitq = &vm.frontend().channel().waitq;
-            let parked = waitq.sleep_count();
+            // shard wakes a parked requester.
+            let channel = vm.frontend().channel();
+            let parked = channel.waits().parks;
             let mut sq = Sq::new();
             sq.push(SqEntry::send(b"batch"));
             sq.push(SqEntry::recv(4));
@@ -750,7 +746,7 @@ fn the_request_surface_takes_every_ledger_edge() {
             cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
             std::thread::scope(|s| {
                 s.spawn(|| {
-                    while waitq.sleep_count() == parked {
+                    while channel.waits().parks == parked {
                         std::thread::yield_now();
                     }
                     go.send(()).unwrap();
