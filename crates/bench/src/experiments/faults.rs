@@ -15,13 +15,16 @@
 //!   (their share of the send's wall time is reported, not gated),
 //! * recovery: with two VMs on two cards, card 0 is failed and reset; the
 //!   measurement is the reset's virtual latency, plus proof that only the
-//!   victim VM's endpoints were quarantined and both VMs keep working.
+//!   victim VM's endpoints were quarantined and both VMs keep working;
+//!   and a 1-byte send whose kick, or whose completion MSI, is lost: the
+//!   guest's watchdog finds either one period later.
 
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::debugfs::VphiDebugReport;
 use vphi_dev_support::{sink, GuestRig};
 use vphi_faults::{FaultHook, FaultInjector, FaultPlan, FaultSite};
 use vphi_scif::ScifError;
+use vphi_sim_core::cost::GUEST_WATCHDOG;
 use vphi_sim_core::{SimDuration, Timeline};
 
 use crate::support::{ns_per_call, Cell, Figure};
@@ -56,6 +59,10 @@ pub struct FaultsReport {
     pub bystander_send_ok: bool,
     /// The victim reconnected to the reset card and sent again.
     pub victim_recovered_send_ok: bool,
+    /// Virtual 1-byte send latency with its kick lost.
+    pub latency_kick_lost: SimDuration,
+    /// Virtual 1-byte send latency with its completion MSI lost.
+    pub latency_msi_lost: SimDuration,
 }
 
 /// Wall ns per `fire`; the disarmed case is the production cost.
@@ -74,6 +81,16 @@ fn one_byte_sends(host: &VphiHost) -> (SimDuration, f64, GuestRig) {
     let wall_ns = rig.send_wall_ns(&[0x5A], SEND_SAMPLES);
     let _ = rig.guest.close(&mut Timeline::new());
     (latency, wall_ns, rig)
+}
+
+/// Virtual latency of a connected 1-byte send whose `site` notification
+/// is lost.
+fn one_byte_send_losing(site: FaultSite) -> SimDuration {
+    let host = VphiHost::new(1);
+    let sink = sink(&host, 0);
+    let rig = GuestRig::connect(&host, VmConfig::default(), sink.addr());
+    host.arm_faults(FaultPlan::single(site, 1, 0));
+    rig.send(&[0x5A]).total()
 }
 
 fn total_crossings(injector: &FaultInjector) -> u64 {
@@ -147,6 +164,10 @@ pub fn abl_faults() -> FaultsReport {
     vm_a.shutdown();
     vm_b.shutdown();
 
+    // --- Recovery: a lost notification, found by the guest's watchdog. ---
+    let latency_kick_lost = one_byte_send_losing(FaultSite::VirtioKickLost);
+    let latency_msi_lost = one_byte_send_losing(FaultSite::PcieMsiLost);
+
     FaultsReport {
         disarmed_ns_per_fire,
         armed_idle_ns_per_fire,
@@ -160,6 +181,8 @@ pub fn abl_faults() -> FaultsReport {
         bystander_quarantined,
         bystander_send_ok,
         victim_recovered_send_ok,
+        latency_kick_lost,
+        latency_msi_lost,
     }
 }
 
@@ -190,6 +213,16 @@ impl FaultsReport {
             text("card reset, 2 VMs attached"),
             Cell::Time(self.reset_recovery),
             Cell::Text(format!("quarantined {victim}/{bystander} (victim/bystander)")),
+        ]);
+        fig.row(vec![
+            text("1-byte send, kick lost"),
+            Cell::Time(self.latency_kick_lost),
+            Cell::Text(format!("{GUEST_WATCHDOG} watchdog + a second vm-exit")),
+        ]);
+        fig.row(vec![
+            text("1-byte send, MSI lost"),
+            Cell::Time(self.latency_msi_lost),
+            Cell::Text(format!("{GUEST_WATCHDOG} watchdog in place of the MSI injection")),
         ]);
         let unaffected = fig.fact("bystander_send_ok", Cell::Flag(self.bystander_send_ok));
         let reconnected =
@@ -240,5 +273,12 @@ mod tests {
         assert_eq!(report.bystander_quarantined, 0, "{report:?}");
         assert!(report.bystander_send_ok);
         assert!(report.victim_recovered_send_ok);
+
+        // A lost notification costs one watchdog period, then what the
+        // watchdog does: kick again, or take the reply in place of the MSI.
+        let cost = vphi_sim_core::CostModel::paper_calibrated();
+        let anchor = report.latency_disarmed;
+        assert_eq!(report.latency_kick_lost, anchor + GUEST_WATCHDOG + cost.vmexit_kick);
+        assert_eq!(report.latency_msi_lost, anchor - cost.irq_inject + GUEST_WATCHDOG);
     }
 }

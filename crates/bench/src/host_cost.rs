@@ -203,7 +203,7 @@ impl Scope<'_> {
 /// chain over.
 fn quiesce(vm: &VphiVm) {
     for lane in vm.frontend().channel().lanes() {
-        while lane.queue.kick_pending() || !lane.queue.device_parked() {
+        while !lane.queue.device_idle() {
             std::thread::yield_now();
         }
     }

@@ -1,8 +1,8 @@
 //! Who services a kick (DESIGN.md #21).
 //!
 //! One drain pass, two callers.  A lane's **shard thread** runs it after
-//! `wait_kick`, for work nobody is blocked on: batches (`submit_batch`),
-//! re-kicks of lost kicks, and whatever a blocking kicker left behind.  A
+//! `wait_kick`, for work nobody is blocked on: batches (`submit_batch`)
+//! and whatever a blocking kicker left behind.  A
 //! **blocking caller** runs it on its own thread, as the handler of the
 //! vm-exit its kick just took (`VirtQueue::kick`): "QEMU handles
 //! events as they are produced and during that time the whole VM is in
@@ -114,7 +114,6 @@ impl BackendInner {
 #[cfg(test)]
 mod tests {
 
-    use vphi_faults::{FaultPlan, FaultSite};
     use vphi_scif::{Port, ScifAddr};
     use vphi_sim_core::Timeline;
 
@@ -122,9 +121,10 @@ mod tests {
     use crate::{Cq, Sq, SqEntry};
 
     /// The bounded-drain invariant, with the ring contents pinned instead
-    /// of raced: a batch whose doorbell is lost leaves three chains on an
-    /// idle lane, and a kicker's pass bounded at the second must run the
-    /// first two and leave the third where it is.
+    /// of raced: a batch submitted while the test holds the lane's
+    /// executor role leaves three chains on the ring (the shard its kick
+    /// woke queues for the role), and a pass bounded at the second must
+    /// run the first two and leave the third where it is.
     #[test]
     fn a_kickers_pass_runs_nothing_behind_its_own_chain() {
         let host = VphiHost::new(1);
@@ -143,10 +143,9 @@ mod tests {
         let ep = vm.open_scif(&mut tl).unwrap();
         ep.connect(ScifAddr::new(host.device_node(0), Port(990)), &mut tl).unwrap();
 
-        // The batch's one doorbell is the next kick: lose it.  Nobody
-        // waits on the batch before the drains below, so no re-kick
-        // enters the picture.
-        host.arm_faults(FaultPlan::single(FaultSite::VirtioKickLost, 1, 0));
+        let inner = vm.backend().inner();
+        let queue = vm.frontend().channel().lane_queue(0);
+        let executor = queue.executor.enter();
         let mut sq = Sq::new();
         for frame in 1..=3u8 {
             sq.push(SqEntry::send(&[frame]));
@@ -154,30 +153,27 @@ mod tests {
         let mut cq = Cq::new();
         cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
 
-        let inner = vm.backend().inner();
-        let queue = vm.frontend().channel().lane_queue(0);
         // The ring was empty before the batch: its chains sit at the three
         // avail indices after everything popped so far.
         let popped = queue.counters().chains_popped;
         let served = inner.requests();
 
         // A busy lane is left alone altogether.
-        {
-            let _busy = queue.executor.enter();
-            inner.drain_as_kicker(0, popped + 3);
-            assert_eq!(queue.counters().chains_popped, popped);
-        }
-        inner.drain_as_kicker(0, popped + 2);
+        inner.drain_as_kicker(0, popped + 3);
+        assert_eq!(queue.counters().chains_popped, popped);
+
+        inner.drain_lane(0, popped + 2, &executor);
         assert_eq!(queue.counters().chains_popped, popped + 2);
         assert_eq!(inner.requests(), served + 2);
         assert!(queue.avail_pending(), "the chain behind the bound stays on the ring");
         // A pass the ring has already moved beyond finds nothing to do.
-        inner.drain_as_kicker(0, popped + 1);
+        inner.drain_lane(0, popped + 1, &executor);
         assert_eq!(queue.counters().chains_popped, popped + 2);
 
-        inner.drain_as_shard(0);
-        assert_eq!(queue.counters().chains_popped, popped + 3);
+        // The shard, let in, runs the rest.
+        drop(executor);
         assert_eq!(ep.reap(&mut cq, 3, 3, &mut tl), Ok(3));
+        assert_eq!(queue.counters().chains_popped, popped + 3);
         assert!(cq.drain().iter().all(|done| done.result == Ok((1, 0))));
         assert_eq!(sink.join().unwrap(), [1, 2, 3], "ring order is execution order");
         ep.close(&mut tl).unwrap();

@@ -34,6 +34,7 @@ use vphi_scif::window::{WindowBacking, WindowBytes};
 use vphi_scif::{
     NodeId, Port, Prot, ScifAddr, ScifEndpoint, ScifError, ScifFabric, ScifResult, HOST_NODE,
 };
+use vphi_sim_core::cost::GUEST_WATCHDOG;
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 use vphi_sync::{Counter, Flag, LockClass, Tally, TrackedMutex, TrackedRoleGuard};
 use vphi_trace::{OpCtx, Stage, TraceCtx, Tracer};
@@ -86,8 +87,8 @@ impl WindowBytes for GuestWindowBytes {
 #[derive(Debug, Default)]
 pub struct BackendStats {
     pub pages_translated: Counter,
-    /// Completion interrupts lost to fault injection (the reply sat in its
-    /// slot until the requester's periodic re-check found it).
+    /// Completion interrupts lost to fault injection (the guest's watchdog
+    /// found each reply one period late).
     pub msi_lost: Counter,
     /// Abrupt guest deaths observed (injected or real).
     pub guest_deaths: Counter,
@@ -143,10 +144,6 @@ struct BackendLane {
     worker_dispatches: Tally,
     /// Blocking events and the VM pause time they cost.
     pause: PauseLedger,
-    /// Completions that reached a waiting requester (each one directed
-    /// wake of the frontend's wait queue).  A worker-finished completion
-    /// counts from outside the role.
-    woken: Tally,
     /// Blocking kickers' drain passes that found a chain, and the chains
     /// they popped (the shards' are `BackendStats::burst_*`).
     kicker_drains: Tally,
@@ -260,11 +257,6 @@ impl BackendInner {
         self.lanes.iter().fold((drains, chains), |(d, c), l| {
             (d + l.kicker_drains.get(), c + l.kicker_chains.get())
         })
-    }
-
-    /// Completions that woke (or found) their waiting requester.
-    pub fn directed_wakes(&self) -> u64 {
-        self.lanes.iter().map(|l| l.woken.get()).sum()
     }
 
     /// Per-payload-bucket spin burn vs true service over every lane,
@@ -441,32 +433,23 @@ impl BackendInner {
         if token != 0 {
             notifier.account_wait(hint, svc_ns, by);
         }
-        if notifier.would_inject(crossed, hint, svc_ns) {
-            if self.faults.fire(FaultSite::PcieMsiLost).is_some() {
-                // The completion interrupt vanished: the reply is in its
-                // slot but nobody is woken.  The requester's wait period
-                // expires, its look takes the reply, and no kick is
-                // needed.
-                self.stats.msi_lost.bump();
-                notifier.note_msi_lost();
-                ctx.end(span);
-                drop(ctx);
-                self.channel.complete_quiet(token, &Completion { tl, slept, svc_ns });
-                return;
-            }
+        if !notifier.would_inject(crossed, hint, svc_ns) {
+            notifier.note_suppressed(slept, by);
+        } else if self.faults.fire(FaultSite::PcieMsiLost).is_some() {
+            // The MSI vanished: the sleeping guest's watchdog finds the
+            // reply one period later.
+            self.stats.msi_lost.bump();
+            ctx.tl.charge(SpanLabel::GuestWakeup, GUEST_WATCHDOG);
+        } else {
             let irq_span = ctx.begin("notify-irq", Stage::Completion);
             notifier.deliver_irq(ctx.tl, by);
             ctx.end(irq_span);
-        } else {
-            notifier.note_suppressed(slept, by);
         }
         ctx.end(span);
         drop(ctx);
         // A blocking kicker running its own request is not parked, so its
         // completion signals nobody.
-        if self.channel.complete(token, &Completion { tl, slept, svc_ns }) {
-            self.lanes[q].woken.add_as(1, by);
-        }
+        self.channel.complete(token, &Completion { tl, slept, svc_ns });
     }
 
     /// Payload descriptors: everything between the request header and the
@@ -775,7 +758,6 @@ impl BackendDevice {
                 requests: Tally::new(),
                 worker_dispatches: Tally::new(),
                 pause: PauseLedger::default(),
-                woken: Tally::new(),
                 kicker_drains: Tally::new(),
                 kicker_chains: Tally::new(),
             })

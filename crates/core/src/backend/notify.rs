@@ -20,8 +20,8 @@
 //! One injected irq therefore drains every pending used entry on the lane
 //! (the `completions_per_irq` histogram measures the batching), and a
 //! suppressed-but-sleeping completion is never lost: its directed
-//! completion wake still lands, and the requester's periodic re-check
-//! backstops a lost MSI.
+//! completion wake still lands.  A lost MSI never reaches the notifier:
+//! the backend charges the guest's watchdog period in its place.
 //!
 //! Its counts are the lane's: a completion finished by the lane's
 //! executor is counted holding the executor role, with no atomic
@@ -154,14 +154,6 @@ impl LaneNotifier {
         })
     }
 
-    /// Record a would-have-injected completion whose MSI the fault plan
-    /// ate: the completion stays pending (a later irq or the requester's
-    /// periodic re-check recovers it).  The backend's `msi_lost` counter
-    /// owns the event itself.
-    pub fn note_msi_lost(&self) {
-        self.pending.bump();
-    }
-
     /// Counter snapshot.
     pub fn counters(&self) -> LaneNotifyCounters {
         let batch_hist: [u64; BATCH_BUCKETS] = std::array::from_fn(|b| self.batch_hist[b].get());
@@ -249,22 +241,5 @@ mod tests {
         assert_eq!(c.irqs_suppressed, 2);
         assert_eq!(c.batch_hist[0], 1, "first irq carried one completion");
         assert_eq!(c.batch_hist[1], 1, "second irq flushed a batch of 3 (bucket [2,4))");
-    }
-
-    #[test]
-    fn msi_lost_keeps_the_completion_pending() {
-        let (n, queue) = lane();
-        let mut tl = Timeline::new();
-        let s1 = push_one(&queue, true, &mut tl);
-        assert!(n.would_inject(s1, NotifyHint::SLEEP, 1));
-        n.note_msi_lost(); // the fault plan ate the MSI
-        assert_eq!(n.counters().irqs_injected, 0);
-        // The next injected irq delivers both.
-        let s2 = push_one(&queue, true, &mut tl);
-        assert!(n.would_inject(s2, NotifyHint::SLEEP, 1));
-        n.deliver_irq(&mut tl, None);
-        let c = n.counters();
-        assert_eq!(c.irqs_injected, 1);
-        assert_eq!(c.batch_hist[1], 1, "the lost completion rode the next irq");
     }
 }

@@ -41,12 +41,13 @@ pub struct VphiDebugReport {
     pub interrupt_waits: u64,
     pub polling_waits: u64,
     pub chunks_staged: u64,
+    /// Parks on a request slot that the backend's signal ended.
     pub wait_queue_wakeups: u64,
     /// Times a requester parked on its request slot.
     pub wait_queue_sleeps: u64,
-    /// Signals to a parked requester that found nothing to take — zero by
-    /// construction: the backend signals a slot only as it completes or
-    /// retires the request parked on it.
+    /// Parks that ended with no signal, the requester parking again — zero
+    /// unless the host wakes a thread for nothing: the backend signals a
+    /// slot only as it completes or retires the request parked on it.
     pub spurious_wakeups: u64,
     // adaptive completion notification
     pub kicks_delivered: u64,
@@ -145,7 +146,7 @@ impl VphiDebugReport {
             interrupt_waits: fe.interrupt_waits,
             polling_waits: fe.polling_waits,
             chunks_staged: fe.chunks_sent,
-            wait_queue_wakeups: be.directed_wakes(),
+            wait_queue_wakeups: waits.woken,
             wait_queue_sleeps: waits.parks,
             spurious_wakeups: waits.spurious,
             kicks_delivered: fe.kicks_delivered,

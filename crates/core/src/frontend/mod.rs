@@ -24,11 +24,12 @@
 //!   host thread behind a blocking call (`transact`) does neither: its
 //!   kick's vm-exit is serviced on that thread (DESIGN.md #21), so the
 //!   reply is there when it looks.  Real sleeping on a slot is left to
-//!   reaps of batched tokens, worker-dispatched requests (`accept`), kicks
-//!   that found their lane busy and kicks that were lost;
+//!   reaps of batched tokens, worker-dispatched requests (`accept`) and
+//!   kicks that found their lane busy;
 //! * a request ends when the backend lets go of it — completes it, or
-//!   retires it on a dead device — however long that takes.  The one thing
-//!   its requester does meanwhile is recover a lost kick.
+//!   retires it on a dead device — however long that takes, and its
+//!   requester does nothing meanwhile: a lost kick or MSI is a charge on
+//!   the virtual clock, not a wait (DESIGN.md #13).
 
 mod slots;
 mod waiting;
@@ -37,7 +38,6 @@ pub use slots::{ReqToken, SlotWaits};
 pub use waiting::{SpinBudget, WaitScheme};
 
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use vphi_scif::{ScifError, ScifResult};
 use vphi_sim_core::cost::KMALLOC_MAX_SIZE;
@@ -50,10 +50,6 @@ use vphi_vmm::{Gpa, GuestKernel};
 
 use crate::protocol::{GuestEpd, VphiRequest, VphiResponse, OPCODES, REQ_SIZE, RESP_SIZE};
 use slots::{BatchOp, SlotBody, SlotState, SlotTable};
-
-/// How long a requester parks on its slot before it looks for a lost kick
-/// (`wait_for_completion`).
-const REKICK_PERIOD: Duration = Duration::from_millis(200);
 
 /// The waiter's pre-kick declaration of how it will wait, riding the
 /// request's slot to the backend's lane notifier.  The budget is in
@@ -209,18 +205,11 @@ impl VphiChannel {
     /// Backend: deliver the completion and wake its requester — if it is
     /// parked on the slot.  (A blocking caller whose own thread ran the
     /// request is not, and takes the reply on its first look.)  A
-    /// completion for a generation that is over is dropped.  Returns
-    /// whether a requester was there to take it.
-    pub fn complete(&self, token: ReqToken, completion: &Completion) -> bool {
-        self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion), false))
-    }
-
-    /// Deliver a completion whose MSI was lost: it wakes nobody, and the
-    /// reply sits in the slot until its requester's wait period expires
-    /// and its look finds it.  Returns whether a requester was there to
-    /// take it.
-    pub fn complete_quiet(&self, token: ReqToken, completion: &Completion) -> bool {
-        self.lane_of(token).is_some_and(|lane| lane.slots.finish(token, Some(completion), true))
+    /// completion for a generation that is over is dropped.
+    pub fn complete(&self, token: ReqToken, completion: &Completion) {
+        if let Some(lane) = self.lane_of(token) {
+            lane.slots.finish(token, Some(completion));
+        }
     }
 
     /// Backend: let go of `token` without a completion — the device died
@@ -228,7 +217,7 @@ impl VphiChannel {
     /// requester, which frees the slot and reads `ENODEV`.
     pub fn retire(&self, token: ReqToken) {
         if let Some(lane) = self.lane_of(token) {
-            lane.slots.finish(token, None, false);
+            lane.slots.finish(token, None);
         }
     }
 
@@ -278,12 +267,11 @@ pub struct FrontendStats {
     pub polling_waits: u64,
     pub chunks_sent: u64,
     /// Publishes that kicked (one vm-exit each): every blocking request
-    /// and every touched lane of a batch.  Re-kicks are counted by
-    /// `deadline_retries`.
+    /// and every touched lane of a batch.  The watchdog's second kick
+    /// after a lost one is counted by `deadline_retries`.
     pub kicks_delivered: u64,
-    /// Re-kicks of a chain whose kick was lost: one each time a
-    /// requester's wait period expired with its chain still on the avail
-    /// ring and nothing on its way to it.
+    /// Kicks lost and recovered by the guest's watchdog, which kicked
+    /// again one period later (`VirtQueue::kick`).
     pub deadline_retries: u64,
     /// Async batches flushed by [`FrontendDriver::submit_batch`].
     pub batches_submitted: u64,
@@ -322,9 +310,10 @@ struct StatCounters {
 impl StatCounters {
     fn snapshot(&self, channel: &VphiChannel) -> FrontendStats {
         // Every kick on a lane is the frontend's: one per blocking call,
-        // one per touched lane of a batch, one per re-kick.  (A
-        // re-kick or a batch is counted here after its kicks, so a
-        // mid-request snapshot can only lag; the subtractions saturate.)
+        // one per touched lane of a batch, and the watchdog's second for
+        // each that was lost.  (A lost kick or a batch is counted here
+        // after its kicks, so a mid-request snapshot can only lag; the
+        // subtractions saturate.)
         let lane_kicks: u64 = channel.lanes.iter().map(|l| l.queue.counters().kicks).sum();
         let deadline_retries = self.deadline_retries.get();
         let kicks_delivered = lane_kicks.saturating_sub(deadline_retries);
@@ -687,16 +676,19 @@ impl FrontendDriver {
         // its kick's vm-exit is serviced right here, on this thread
         // (DESIGN.md #21): when `kick` returns, the backend has
         // run the request and the slot is `Completed` for the wait's first
-        // check.  Only a lost kick, a busy lane or a worker-dispatched
-        // request leaves something to sleep for.
+        // check.  Only a busy lane or a worker-dispatched request leaves
+        // something to sleep for.
         let wait = ctx.begin("wait-complete", Stage::Completion);
-        lane.queue.kick(cost.vmexit_kick, ctx.tl, || match self.exit.get() {
+        let lost = lane.queue.kick(cost.vmexit_kick, ctx.tl, || match self.exit.get() {
             Some(service) => service(sub.q, sub.avail_idx),
             None => true,
         });
-        let done = self.wait_for_completion(lane, sub.token, ctx.tl);
+        if lost {
+            self.stats.deadline_retries.bump();
+        }
+        let done = self.take(lane, sub.token, true, ctx.tl);
         ctx.end(wait);
-        let Taken::Reply { svc_ns, .. } = done else { return Err(ScifError::NoDev) };
+        let Some(Taken::Reply { svc_ns, .. }) = done else { return Err(ScifError::NoDev) };
         self.learn(sub.op, sub.payload_bytes, svc_ns);
         self.demarshal(lane, sub.token)
     }
@@ -793,21 +785,24 @@ impl FrontendDriver {
         VphiResponse::decode(&resp_bytes).ok_or(ScifError::Inval)
     }
 
-    /// Take what the backend left in `token`'s slot, parked on the slot
-    /// for up to `period` until it lets go.  A completion charges the
-    /// wait's virtual-time cost by *outcome* — the backend's notifier
-    /// decided, deterministically, from the hint it was handed, whether
-    /// this waiter was still spinning when the reply landed — then absorbs
-    /// the backend's service timeline.  A retirement charges nothing.
+    /// Take what the backend left in `token`'s slot — if `park`, parked on
+    /// the slot until the backend lets go, woken by nothing but its signal:
+    /// the one wait under both the blocking calls and token reaps.  `None`
+    /// if it has not let go yet (`!park`), or if the token names a request
+    /// that is over.  A completion charges the wait's virtual-time cost by
+    /// *outcome* — the backend's notifier decided, deterministically, from
+    /// the hint it was handed, whether this waiter was still spinning when
+    /// the reply landed — then absorbs the backend's service timeline.  A
+    /// retirement charges nothing.
     fn take(
         &self,
         lane: &QueueLane,
         token: ReqToken,
-        period: Duration,
+        park: bool,
         tl: &mut Timeline,
     ) -> Option<Taken> {
         let cost = self.kernel.cost();
-        let taken = lane.slots.take(token, period, |body: &mut SlotBody| {
+        let taken = lane.slots.take(token, park, |body: &mut SlotBody| {
             if body.slept {
                 // Armed the interrupt and slept: wake-up, ring re-check,
                 // reschedule — the paper's dominant overhead term.
@@ -821,35 +816,6 @@ impl FrontendDriver {
             Taken::Reply { svc_ns: body.svc_ns, batch: body.batch.take() }
         })?;
         Some(taken.unwrap_or_else(Taken::Retired))
-    }
-
-    /// Block until the backend lets go of `token` — completes or retires
-    /// it — the single wait primitive under both the blocking calls and
-    /// token reaps.  The requester parks on its own slot, and nothing but
-    /// the backend's signal ends the wait.
-    ///
-    /// Each [`REKICK_PERIOD`] the requester looks for the one fault it can
-    /// mend: a kick lost on its way (`VirtioKickLost`), which leaves the
-    /// chain on the avail ring with no executor on the lane and no kick
-    /// pending.  Only then does it kick again.  A
-    /// request the backend holds, or one queued behind a busy executor, is
-    /// left alone, so its virtual time does not depend on how fast the host
-    /// runs; a completion whose MSI was lost is taken as the period ends.
-    /// The look runs with the slot unlocked: the ring's lock is taken
-    /// before a slot's, never under one.
-    #[expect(clippy::disallowed_methods, reason = "re-kick of a chain whose kick was lost")]
-    fn wait_for_completion(&self, lane: &QueueLane, token: ReqToken, tl: &mut Timeline) -> Taken {
-        let queue = &lane.queue;
-        loop {
-            if let Some(done) = self.take(lane, token, REKICK_PERIOD, tl) {
-                return done;
-            }
-            if lane.slots.is_published(token) && !queue.executor.is_held() && !queue.kick_pending()
-            {
-                queue.kick(self.kernel.cost().vmexit_kick, tl, || true);
-                self.stats.deadline_retries.bump();
-            }
-        }
     }
 
     // ---- async submission (SQ/CQ) ------------------------------------------
@@ -919,7 +885,9 @@ impl FrontendDriver {
             }
             let ring = ctx.begin("virtio-ring", Stage::VirtioRing);
             if lane.queue.publish_avail_batch(heads, cost.ring_push, ctx.tl).is_ok() {
-                lane.queue.kick(cost.vmexit_kick, ctx.tl, || true);
+                if lane.queue.kick(cost.vmexit_kick, ctx.tl, || true) {
+                    self.stats.deadline_retries.bump();
+                }
                 kicks += 1;
             } else {
                 // The device died since the batch began: its ring takes no
@@ -1027,7 +995,7 @@ impl FrontendDriver {
                     continue;
                 }
                 let Some(lane) = self.channel.lane_of(interest[i]) else { continue };
-                if let Some(done) = self.take(lane, interest[i], Duration::ZERO, ctx.tl) {
+                if let Some(done) = self.take(lane, interest[i], false, ctx.tl) {
                     open[i] = false;
                     out.push(self.finish_reaped(lane, interest[i], done, ctx));
                 }
@@ -1045,9 +1013,11 @@ impl FrontendDriver {
             let Some((i, lane)) = oldest else { break };
             open[i] = false;
             let wait = ctx.begin("wait-complete", Stage::Completion);
-            let done = self.wait_for_completion(lane, interest[i], ctx.tl);
+            let done = self.take(lane, interest[i], true, ctx.tl);
             ctx.end(wait);
-            out.push(self.finish_reaped(lane, interest[i], done, ctx));
+            if let Some(done) = done {
+                out.push(self.finish_reaped(lane, interest[i], done, ctx));
+            }
             from = i + 1;
         }
         out
@@ -1516,10 +1486,10 @@ mod tests {
             }
             channel.retire(op.token);
             assert_eq!(channel.live_slots(), 1, "the backend let go, the requester has not");
-            assert!(matches!(d.wait_for_completion(lane, op.token, &mut tl), Taken::Retired(None)));
+            assert!(matches!(d.take(lane, op.token, true, &mut tl), Some(Taken::Retired(None))));
             assert_eq!((channel.live_slots(), channel.inflight_count()), (0, 0));
             channel.retire(op.token);
-            let again = d.take(lane, op.token, Duration::ZERO, &mut tl);
+            let again = d.take(lane, op.token, false, &mut tl);
             assert!(again.is_none(), "a token takes once");
             assert_eq!(channel.live_slots(), 0);
         }

@@ -29,7 +29,6 @@
 //! ```
 
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 use vphi_sim_core::Timeline;
 use vphi_sync::{LockClass, Published, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
@@ -165,7 +164,10 @@ pub struct SlotWaits {
     pub spun: u64,
     /// Times a requester parked on its slot: the host's real sleeps.
     pub parks: u64,
-    /// Signals to a parked requester that found nothing to take.
+    /// Parks the backend's signal ended.
+    pub woken: u64,
+    /// Parks that ended with no signal (the host's spurious wake-ups):
+    /// the requester parks again.
     pub spurious: u64,
 }
 
@@ -175,6 +177,7 @@ impl std::iter::Sum for SlotWaits {
             slept: a.slept + b.slept,
             spun: a.spun + b.spun,
             parks: a.parks + b.parks,
+            woken: a.woken + b.woken,
             spurious: a.spurious + b.spurious,
         })
     }
@@ -460,12 +463,11 @@ impl SlotTable {
     }
 
     /// Backend: let go of `token`'s slot, with a completion or (dead
-    /// device) without one, and — unless `quiet` — signal its requester
-    /// if it is parked.  The signal is sent under the lock the state moved
-    /// under, so it reaches this request's requester and no later one.
-    /// Returns whether a requester is still there to be told.
-    pub fn finish(&self, token: ReqToken, completion: Option<&Completion>, quiet: bool) -> bool {
-        let Some((slot, mut body, word)) = self.lock(token) else { return false };
+    /// device) without one, and signal its requester if it is parked.  The
+    /// signal is sent under the lock the state moved under, so it reaches
+    /// this request's requester and no later one.
+    pub fn finish(&self, token: ReqToken, completion: Option<&Completion>) {
+        let Some((slot, mut body, word)) = self.lock(token) else { return };
         match (word.state, completion) {
             (SlotState::Claimed, Some(done)) => {
                 body.tl.clone_from(&done.tl);
@@ -478,36 +480,34 @@ impl SlotTable {
             }
             // Not the backend's to finish: never claimed, or finished
             // already.
-            _ => return false,
+            _ => return,
         }
-        if !quiet && std::mem::take(&mut body.parked) {
+        if std::mem::take(&mut body.parked) {
             slot.wake.notify_one();
         }
-        true
     }
 
     /// Requester: take what the backend left in `token`'s slot, once it
-    /// let go, parking on the slot for up to `period` until it does.  A
-    /// completion: `f` runs under the slot lock over the completed body
-    /// (absorb the timeline, take the batch bookkeeping) and its result
-    /// comes back; the slot is then idle, still held — its response header
-    /// has yet to be read — until [`release`](SlotTable::release).  A
-    /// retirement: the slot is free again, and a batch entry's bookkeeping
-    /// comes back for its staging to be freed.  `None` if the period ran
-    /// out first.  A token takes at most once.
+    /// let go — parking on the slot until it does if `park`, else `None`
+    /// at once.  A completion: `f` runs under the slot lock over the
+    /// completed body (absorb the timeline, take the batch bookkeeping)
+    /// and its result comes back; the slot is then idle, still held — its
+    /// response header has yet to be read — until
+    /// [`release`](SlotTable::release).  A retirement: the slot is free
+    /// again, and a batch entry's bookkeeping comes back for its staging to
+    /// be freed.  A token takes at most once.
     pub fn take<R>(
         &self,
         token: ReqToken,
-        period: Duration,
+        park: bool,
         f: impl FnOnce(&mut SlotBody) -> R,
     ) -> Option<Result<R, Option<BatchOp>>> {
         let (slot, word) = self.current(token)?;
         // The usual answer to a look — not yet — costs no lock.
-        if period.is_zero() && !word.state.let_go() {
+        if !park && !word.state.let_go() {
             return None;
         }
         let mut body = slot.body.lock();
-        let mut deadline = None;
         let word = loop {
             let word = slot.word();
             if word.generation != token_generation(token) {
@@ -516,17 +516,13 @@ impl SlotTable {
             if word.state.let_go() {
                 break word;
             }
-            let deadline = *deadline.get_or_insert_with(|| Instant::now() + period);
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
             body.parked = true;
             body.waits.parks += 1;
-            slot.wake.wait_for(&mut body, remaining);
-            let signalled = !std::mem::take(&mut body.parked);
-            if signalled && !slot.word().state.let_go() {
+            slot.wake.wait(&mut body);
+            if std::mem::take(&mut body.parked) {
                 body.waits.spurious += 1;
+            } else {
+                body.waits.woken += 1;
             }
         };
         slot.set(word.with(SlotState::Free));
@@ -549,12 +545,6 @@ impl SlotTable {
     pub fn waits(&self) -> SlotWaits {
         let slots = self.blocks.iter().filter_map(OnceLock::get).flat_map(|block| block.iter());
         slots.map(|slot| slot.body.lock().waits).sum()
-    }
-
-    /// Whether `token`'s chain is published and not yet claimed: on the
-    /// avail ring, or being popped off it.
-    pub fn is_published(&self, token: ReqToken) -> bool {
-        self.current(token).is_some_and(|(_, word)| word.state == SlotState::Published)
     }
 
     /// Whether `token` names a request submitted and not yet taken.
@@ -587,6 +577,7 @@ fn is_pending(state: SlotState) -> bool {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
     use vphi_sync::audit::thread_signals;
 
     /// Longer than any of these tests should take: a wait that runs this
@@ -614,7 +605,7 @@ mod tests {
     /// whether a completion came back.
     fn requester(table: &Arc<SlotTable>, token: ReqToken) -> std::thread::JoinHandle<bool> {
         let table = Arc::clone(table);
-        std::thread::spawn(move || matches!(table.take(token, LONG, |_| ()), Some(Ok(()))))
+        std::thread::spawn(move || matches!(table.take(token, true, |_| ()), Some(Ok(()))))
     }
 
     fn until(what: &str, cond: impl Fn() -> bool) {
@@ -633,7 +624,7 @@ mod tests {
         until("all three park", || table.waits().parks == 3);
 
         let signals = thread_signals();
-        assert!(table.finish(tokens[1], Some(&done()), false));
+        table.finish(tokens[1], Some(&done()));
         if vphi_sync::audit::ENABLED {
             assert_eq!(thread_signals() - signals, 1, "one completion, one signal");
         }
@@ -642,28 +633,31 @@ mod tests {
         assert!(waiting.iter().flatten().all(|t| !t.is_finished()), "a neighbour woke");
 
         for i in [0, 2] {
-            assert!(table.finish(tokens[i], Some(&done()), false));
+            table.finish(tokens[i], Some(&done()));
             assert!(waiting[i].take().unwrap().join().unwrap());
         }
         let waits = table.waits();
-        assert_eq!((waits.slept, waits.spurious), (3, 0));
+        assert_eq!((waits.slept, waits.woken, waits.spurious), (3, 3, 0));
     }
 
     /// The backend finishes as the requester goes to park: on some rounds
     /// before its look, on others between the look and the park, on
-    /// others after.  A signal lost on the way shows as a wait that ran
-    /// its whole period.
+    /// others after.  A signal lost on the way leaves its requester parked
+    /// for good, which the round reads as a timeout.
     #[test]
     fn a_completion_racing_the_park_is_never_lost() {
         let table = Arc::new(SlotTable::new(0, 16));
         for _ in 0..1_000 {
             let token = claimed(&table, 1)[0];
             let backend = Arc::clone(&table);
-            let finisher = std::thread::spawn(move || backend.finish(token, Some(&done()), false));
-            let start = Instant::now();
-            assert!(matches!(table.take(token, LONG, |body| body.svc_ns), Some(Ok(1))));
-            assert!(start.elapsed() < LONG, "the completion's signal was lost");
-            assert!(finisher.join().unwrap());
+            let finisher = std::thread::spawn(move || backend.finish(token, Some(&done())));
+            let requester = Arc::clone(&table);
+            let requester = std::thread::spawn(move || {
+                matches!(requester.take(token, true, |body| body.svc_ns), Some(Ok(1)))
+            });
+            until("the completion's signal reaches its requester", || requester.is_finished());
+            assert!(requester.join().unwrap());
+            finisher.join().unwrap();
             table.release(token);
         }
         assert_eq!(table.waits().spurious, 0);
@@ -676,42 +670,11 @@ mod tests {
         let before = thread_signals();
         for _ in 0..100 {
             let token = claimed(&table, 1)[0];
-            assert!(table.finish(token, Some(&done()), false));
-            assert!(matches!(table.take(token, LONG, |_| ()), Some(Ok(()))));
+            table.finish(token, Some(&done()));
+            assert!(matches!(table.take(token, false, |_| ()), Some(Ok(()))));
             table.release(token);
         }
         assert_eq!(thread_signals() - before, 0);
         assert_eq!(table.waits().parks, 0);
-    }
-
-    /// A completion whose MSI was lost signals nobody: its parked
-    /// requester takes it when the period runs out.  The parked mark goes
-    /// with that wait, so the slot's next request signals nobody either.
-    #[test]
-    fn a_quiet_completion_is_taken_when_the_period_expires() {
-        const PERIOD: Duration = Duration::from_millis(50);
-        let table = Arc::new(SlotTable::new(0, 16));
-        let token = claimed(&table, 1)[0];
-        let waiter = {
-            let table = Arc::clone(&table);
-            std::thread::spawn(move || {
-                let start = Instant::now();
-                let got = table.take(token, PERIOD, |body| body.svc_ns);
-                (matches!(got, Some(Ok(1))), start.elapsed())
-            })
-        };
-        until("the requester parks", || table.waits().parks == 1);
-        let signals = thread_signals();
-        assert!(table.finish(token, Some(&done()), true));
-        let (took, waited) = waiter.join().unwrap();
-        assert!(took, "the expiry took the quiet completion");
-        assert!(waited >= PERIOD, "woken after {waited:?}");
-        table.release(token);
-
-        let next = claimed(&table, 1)[0];
-        assert!(table.finish(next, Some(&done()), false));
-        assert_eq!(thread_signals() - signals, 0);
-        let waits = table.waits();
-        assert_eq!((waits.parks, waits.spurious), (1, 0));
     }
 }

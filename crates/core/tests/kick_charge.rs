@@ -68,8 +68,7 @@ fn every_publish_pays_exactly_its_own_vm_exit() {
 
     // Two threads each keeping a 16-entry batch in flight: the next batch
     // is published while the shard is still draining the previous one.
-    // One lane touched, one doorbell, one vm-exit per submit.  (A slow
-    // reap never re-kicks: its chains are delivered.)
+    // One lane touched, one doorbell, one vm-exit per submit.
     guests(&vm, addr, BATCH_THREADS, move |ep| {
         let submit = |round: usize| {
             let mut sq = Sq::new();

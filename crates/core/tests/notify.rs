@@ -11,9 +11,10 @@
 //!
 //! The chaos half injects the two faults that attack exactly this
 //! guarantee — a lost completion MSI and a delayed used-ring publish —
-//! and checks the requester still comes back (a lost MSI via its wait
-//! period's re-check, with no kick), with the notification ledger
-//! balancing.
+//! and checks the requester still comes back, woken as usual, with the
+//! notification ledger balancing and each fault an exact charge on the
+//! virtual clock: a lost MSI is the guest's watchdog period in place of
+//! the injection.
 //!
 //! Only the lane notifier interrupts the guest: every `IrqInject` charge a
 //! call returns is an injection some lane's notifier counted.
@@ -27,6 +28,7 @@ use vphi::frontend::WaitScheme;
 use vphi::{Cq, Sq, SqEntry};
 use vphi_dev_support::{drain, serve, sink, GuestRig};
 use vphi_faults::{FaultPlan, FaultPoint, FaultSite};
+use vphi_sim_core::cost::GUEST_WATCHDOG;
 use vphi_sim_core::rng::SplitMix64;
 use vphi_sim_core::units::{KIB, MIB};
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
@@ -113,53 +115,55 @@ proptest! {
     }
 
     /// Chaos: a lost completion MSI and a delayed used-ring publish at
-    /// seed-chosen crossings.  The sleeping requester still comes back —
-    /// its wait period's re-check finds the reply in its slot — and the
-    /// lost interrupt shows up in the ledger, not as a hang.
+    /// seed-chosen crossings.  The requester comes back, the lost MSI is in
+    /// the ledger, and each costs exactly the watchdog period in place of
+    /// the injection.  The reference run keeps the delay, which moves the
+    /// adaptive waiter's later spin-or-sleep verdicts.
     #[test]
     fn chaos_lost_msi_and_used_delay_recover(seed in any::<u64>()) {
         let mut rng = SplitMix64::new(seed);
         // Crossings land somewhere in the request stream below (open and
         // connect are crossings 1–2; the sends follow).
-        let plan = FaultPlan {
-            seed,
-            points: vec![
-                FaultPoint {
-                    site: FaultSite::PcieMsiLost,
-                    nth: 3 + rng.next_below(4),
-                    param: 0,
-                },
-                FaultPoint {
-                    site: FaultSite::VirtioUsedDelay,
-                    nth: 3 + rng.next_below(4),
-                    param: 100 + rng.next_below(4900),
-                },
-            ],
+        let lost_msi = FaultPoint {
+            site: FaultSite::PcieMsiLost,
+            nth: 3 + rng.next_below(4),
+            param: 0,
         };
-        let host = VphiHost::new(1);
-        let injector = host.arm_faults(plan);
-        let sink = sink(&host, 0);
-        let config = VmConfig::builder().scheme(WaitScheme::ADAPTIVE).build();
-        let rig = GuestRig::connect(&host, config, sink.addr());
-        let (ep, vm) = (&rig.guest, &rig.vm);
-        for i in 0..6u64 {
-            // Alternate spin-path and sleep-path requests so both cross
-            // the armed sites.
-            let len = if i % 2 == 0 { 1 } else { MIB as usize };
-            let mut send_tl = Timeline::new();
-            let n = ep.send(&vec![0u8; len], &mut send_tl).expect("send must survive the fault");
-            prop_assert_eq!(n, len);
-        }
-        ep.close(&mut Timeline::new()).expect("close");
-
-        let report = VphiDebugReport::collect(vm);
+        let delay = FaultPoint {
+            site: FaultSite::VirtioUsedDelay,
+            nth: 3 + rng.next_below(4),
+            param: 100 + rng.next_below(4900),
+        };
+        let (faulted, report, msi_lost) = six_sends(seed, vec![lost_msi, delay]);
         assert_ledger_balances(&report);
-        prop_assert_eq!(vm.frontend().channel().inflight_count(), 0);
-        // The lost interrupt is in the ledger, not a hang.  Recovery may
-        // not even need a wait period: a requester that has not parked yet
-        // finds the quiet completion on its first predicate check.
-        prop_assert_eq!(report.msi_lost, injector.fired_at(FaultSite::PcieMsiLost));
+        prop_assert_eq!(report.msi_lost, msi_lost);
+        let (delayed, ..) = six_sends(seed, vec![delay]);
+        let irq_inject = vphi_sim_core::CostModel::paper_calibrated().irq_inject;
+        prop_assert_eq!(faulted, delayed + (GUEST_WATCHDOG - irq_inject) * msi_lost);
     }
+}
+
+/// Six sends on a fresh host with `points` armed, alternating spin-path
+/// and sleep-path sizes so both cross the armed sites: their summed
+/// virtual time, the VM's report, and how often the lost MSI fired.
+fn six_sends(seed: u64, points: Vec<FaultPoint>) -> (SimDuration, VphiDebugReport, u64) {
+    let host = VphiHost::new(1);
+    let injector = host.arm_faults(FaultPlan { seed, points });
+    let sink = sink(&host, 0);
+    let config = VmConfig::builder().scheme(WaitScheme::ADAPTIVE).build();
+    let rig = GuestRig::connect(&host, config, sink.addr());
+    let (ep, vm) = (&rig.guest, &rig.vm);
+    let mut sum = SimDuration::ZERO;
+    for i in 0..6u64 {
+        let len = if i % 2 == 0 { 1 } else { MIB as usize };
+        let mut send_tl = Timeline::new();
+        assert_eq!(ep.send(&vec![0u8; len], &mut send_tl), Ok(len), "send must survive the fault");
+        sum += send_tl.total();
+    }
+    ep.close(&mut Timeline::new()).expect("close");
+    let report = VphiDebugReport::collect(vm);
+    assert_eq!(vm.frontend().channel().inflight_count(), 0);
+    (sum, report, injector.fired_at(FaultSite::PcieMsiLost))
 }
 
 /// A lost MSI on the completion of a request that stalls in the backend.
@@ -168,11 +172,12 @@ proptest! {
 /// before its first recv, so the guest's fifth 4 MiB send blocks in the
 /// backend behind the 16 MiB SCIF queue until the sink drains.  That
 /// send's completion MSI is the one the plan loses (crossing 7: open=1,
-/// connect=2, sends 3–7), so it lands quietly.  `batched` picks who runs
+/// connect=2, sends 3–7).  `batched` picks who runs
 /// the send: a shard thread, for five one-entry batches each reaped before
 /// the next is submitted (every completion crosses the threshold armed at
 /// its own submit), or the guest thread itself, for one blocking
-/// five-chunk `send`.
+/// five-chunk `send`.  Either way the five requests slept, four were
+/// interrupted, and the fifth's wake-up came one watchdog period late.
 fn lost_msi_on_a_stalled_send(batched: bool) -> VphiDebugReport {
     const CHUNK: u64 = 4 * MIB; // KMALLOC_MAX_SIZE, the default chunk
     let host = VphiHost::new(1);
@@ -208,30 +213,32 @@ fn lost_msi_on_a_stalled_send(batched: bool) -> VphiDebugReport {
     assert_eq!(injector.fired_at(FaultSite::PcieMsiLost), 1);
     assert_eq!(report.msi_lost, 1);
     assert_ledger_balances(&report);
+    assert_eq!(report.deadline_retries, 0, "no kick was lost");
     assert_eq!(vm.frontend().channel().inflight_count(), 0);
     assert_eq!(vm.frontend().pending_tokens(), 0);
+    let cost = host.cost();
+    assert_eq!(send_tl.total_for(SpanLabel::IrqInject), cost.irq_inject * 4);
+    assert_eq!(send_tl.total_for(SpanLabel::GuestWakeup), cost.guest_wakeup * 5 + GUEST_WATCHDOG);
     report
 }
 
 /// Targeted: a lost MSI on a completion the requester is *parked* for.
 /// The shard completes the stalled send while its requester sleeps in
-/// `reap`, threshold armed; with the interrupt gone, recovery has exactly
-/// one path left: the wait period expires and the re-check finds the
-/// reply in the slot.  The chain is off the ring, so nothing is re-kicked.
+/// `reap`, threshold armed.  The interrupt is a virtual charge, the host
+/// wake-up is not: the backend's signal ends the park as it would have.
 #[test]
-fn lost_msi_recovers_via_deadline_retry() {
+fn a_reaper_parked_through_a_lost_msi_is_woken_by_its_completion() {
     let report = lost_msi_on_a_stalled_send(true);
-    assert!(report.wait_queue_sleeps >= 1, "the reaper slept through the quiet completion");
-    assert_eq!(report.deadline_retries, 0, "the re-check takes the reply without a kick");
+    assert!(report.wait_queue_sleeps >= 1, "the reaper slept through the stalled send");
+    assert_eq!(report.wait_queue_wakeups, report.wait_queue_sleeps, "every park ended on a signal");
 }
 
 /// The blocking twin: the caller ran the stalled send on its own thread,
-/// so it is not asleep when the reply lands quietly — its first look at
-/// the completed table finds it, and no wait period is involved.
+/// so it is not asleep when the reply lands, and takes it at once.
 #[test]
-fn lost_msi_on_a_blocking_call_needs_no_deadline() {
+fn a_blocking_call_through_a_lost_msi_is_charged_the_watchdog() {
     let report = lost_msi_on_a_stalled_send(false);
-    assert_eq!(report.deadline_retries, 0, "an inline caller takes the quiet reply at once");
+    assert_eq!(report.wait_queue_sleeps, 0, "the caller ran its own request");
 }
 
 /// Targeted: a delayed used-ring publish is pure virtual latency — the
@@ -254,7 +261,7 @@ fn used_ring_delay_is_latency_not_a_hang() {
     );
 
     let report = VphiDebugReport::collect(&rig.vm);
-    assert_eq!(report.deadline_retries, 0, "virtual delay never trips the wall deadline");
+    assert_eq!(report.deadline_retries, 0, "a delay is no lost kick");
     assert_ledger_balances(&report);
 }
 
@@ -318,4 +325,40 @@ fn every_irq_charge_is_a_notifier_injection() {
     assert!(report.irqs_injected > 0, "{report:?}");
     let irq_inject = vm.vm().kernel().cost().irq_inject;
     assert_eq!(tl.total_for(SpanLabel::IrqInject), irq_inject * report.irqs_injected);
+}
+
+/// `wait_queue_wakeups` counts the parks a completion's signal ended, not
+/// the completions delivered.  Ten blocking calls on an idle lane each run
+/// on their caller's thread: nobody parks, nobody is woken.  A reap whose
+/// one-entry batch waits for the lane's executor role parks once, and the
+/// shard's completion wakes it once.
+#[test]
+fn a_wake_up_is_counted_only_where_a_requester_parked() {
+    let host = VphiHost::new(1);
+    let sink = sink(&host, 0);
+    let rig = GuestRig::connect(&host, VmConfig::builder().num_queues(1).build(), sink.addr());
+    let counts = || {
+        let report = VphiDebugReport::collect(&rig.vm);
+        (report.wait_queue_wakeups, report.wait_queue_sleeps)
+    };
+    for _ in 0..10 {
+        rig.send(&[1]);
+    }
+    assert_eq!(counts(), (0, 0), "blocking calls ran where they were made");
+
+    let channel = rig.vm.frontend().channel();
+    let busy = channel.lane_queue(0).executor.enter();
+    let mut sq = Sq::new();
+    sq.push(SqEntry::send(&[2]));
+    let mut cq = Cq::new();
+    cq.watch(&rig.guest.submit(&mut sq, &mut Timeline::new()).expect("submit"));
+    std::thread::scope(|s| {
+        let reaper = s.spawn(|| rig.guest.reap(&mut cq, 1, 1, &mut Timeline::new()));
+        while channel.waits().parks == 0 {
+            std::thread::yield_now();
+        }
+        drop(busy);
+        assert_eq!(reaper.join().expect("reaper"), Ok(1));
+    });
+    assert_eq!(counts(), (1, 1), "one park, ended by the shard's completion");
 }

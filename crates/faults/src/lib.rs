@@ -35,7 +35,8 @@ pub enum FaultSite {
     PcieRetrainStall = 0,
     /// DMA transfer error on the link: the RMA fails with a retryable error.
     PcieDmaError = 1,
-    /// A completion MSI is lost between backend and guest.
+    /// A completion MSI is lost between backend and guest: the guest's
+    /// watchdog finds the reply one period later.
     PcieMsiLost = 2,
     /// A device core locks up: the board goes to `Failed` until reset.
     PhiCoreLockup = 3,
@@ -44,8 +45,8 @@ pub enum FaultSite {
     PhiEccError = 4,
     /// The card's uOS panics: the board goes to `Failed` until reset.
     PhiUosPanic = 5,
-    /// A virtqueue kick never reaches the backend: the device sleeps on
-    /// with the chain on its ring.
+    /// A virtqueue kick never reaches the backend: the guest's watchdog
+    /// kicks again one period later.
     VirtioKickLost = 6,
     /// The used-ring completion is delayed by `param` microseconds.
     VirtioUsedDelay = 7,

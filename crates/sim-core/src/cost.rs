@@ -30,6 +30,11 @@ pub const PAGE_SIZE: u64 = 4096;
 /// details).
 pub const KMALLOC_MAX_SIZE: u64 = 4 * 1024 * 1024;
 
+/// How long a lost notification — a kick the device never heard, an MSI
+/// the guest never took — goes unnoticed: one period of the guest's
+/// watchdog (its value and source: DESIGN.md #13).
+pub const GUEST_WATCHDOG: SimDuration = SimDuration::from_millis(4);
+
 /// Size of a huge page (2 MiB on x86_64) — the pinning and aperture-
 /// mapping granule of the zero-copy RMA path: registered windows are
 /// pinned huge-page-aligned and each scatter-gather descriptor covers at

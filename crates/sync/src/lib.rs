@@ -214,8 +214,8 @@ impl LockClass {
             LockClass::PhiMemTable => 54,
             LockClass::VirtQueueState => 60,
             // Where the inflight and completed tables sat, below the lane's
-            // ring (60): a requester parks on its slot, and looks at the
-            // ring only with the slot unlocked.
+            // ring (60): the ring's lock is taken before a slot's, never
+            // under one.
             LockClass::RequestSlot => 74,
             LockClass::PinnedBuf => 80,
             LockClass::PhiMemData => 82,
@@ -418,12 +418,6 @@ impl TrackedRole {
         let owner = try_raw(&self.owner)?;
         let token = audit::on_acquire(self.class, AcqKind::Role, Location::caller());
         Some(TrackedRoleGuard { _owner: owner, token })
-    }
-
-    /// Whether a thread holds the role right now: a probe for a thread
-    /// that will not execute, stale as soon as it returns.
-    pub fn is_held(&self) -> bool {
-        try_raw(&self.owner).is_none()
     }
 }
 

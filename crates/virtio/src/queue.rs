@@ -11,6 +11,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
+use vphi_sim_core::cost::GUEST_WATCHDOG;
 use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_sync::{Counter, LockClass, Published, TrackedCondvar, TrackedMutex, TrackedRole};
 
@@ -336,9 +337,10 @@ impl VirtQueue {
     /// counts the kick and crosses the one site where the notification
     /// can be lost.  Every kick pays it — the avail side has no
     /// notification suppression, so the charge is a function of the
-    /// publish alone (DESIGN.md #16).  An injected loss pays the vm-exit
-    /// but never reaches the device, which sleeps on with the chain on its
-    /// ring; the waiting requester re-kicks.
+    /// publish alone (DESIGN.md #16).  A lost kick (injected) is found by
+    /// the guest's watchdog one [`GUEST_WATCHDOG`] later; the kicker pays
+    /// that and the watchdog's second vm-exit under `VmExitKick`, and the
+    /// second kick is delivered.  Returns whether the first was lost.
     ///
     /// A delivered kick is serviced the way a KVM exit is, on the thread
     /// that took it: `service` is the device's exit handler, and reports
@@ -354,20 +356,27 @@ impl VirtQueue {
         cost_vmexit: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
         service: impl FnOnce() -> bool,
-    ) {
+    ) -> bool {
         tl.charge(SpanLabel::VmExitKick, cost_vmexit);
         self.kicks.bump();
-        if self.faults.fire(FaultSite::VirtioKickLost).is_none() && service() {
+        let lost = self.faults.fire(FaultSite::VirtioKickLost).is_some();
+        if lost {
+            tl.charge(SpanLabel::VmExitKick, GUEST_WATCHDOG + cost_vmexit);
+            self.kicks.bump();
+        }
+        if service() {
             let mut st = self.state.lock();
             st.kicked = true;
             if st.device_parked {
                 self.device.notify_one();
             }
         }
+        lost
     }
 
     /// Whether a delivered kick is waiting for the device to look.
-    pub fn kick_pending(&self) -> bool {
+    #[cfg(test)]
+    fn kick_pending(&self) -> bool {
         self.state.lock().kicked
     }
 
@@ -445,10 +454,11 @@ impl VirtQueue {
         }
     }
 
-    /// Whether the lane's device thread is parked in
-    /// [`wait_kick`](VirtQueue::wait_kick) right now.
-    pub fn device_parked(&self) -> bool {
-        self.state.lock().device_parked
+    /// Whether the lane's device thread is idle: parked in
+    /// [`wait_kick`](VirtQueue::wait_kick), with no kick to take.
+    pub fn device_idle(&self) -> bool {
+        let st = self.state.lock();
+        st.device_parked && !st.kicked
     }
 
     /// Push a completion and charge `UsedPush`.  Returns whether the push
@@ -585,7 +595,7 @@ mod tests {
 
     /// Wait until the device has taken every kick and parked again.
     fn until_idle(q: &VirtQueue) {
-        while q.kick_pending() || !q.device_parked() {
+        while !q.device_idle() {
             std::thread::yield_now();
         }
     }
@@ -629,7 +639,7 @@ mod tests {
         let q = VirtQueue::new(4);
         let q2 = Arc::clone(&q);
         let dev = std::thread::spawn(move || q2.wait_kick());
-        while !q.device_parked() {
+        while !q.device_idle() {
             std::thread::yield_now();
         }
         let before = vphi_sync::audit::thread_signals();
@@ -639,7 +649,7 @@ mod tests {
             assert_eq!(signals, 1, "a parked device was not signalled");
         }
         assert!(dev.join().unwrap());
-        assert!(!q.device_parked() && !q.kick_pending());
+        assert!(!q.device_idle() && !q.kick_pending());
     }
 
     /// What an unarmed lane's kicks cost when its device is busy: a flag
@@ -684,7 +694,7 @@ mod tests {
         }
         q.close();
         dev.join().unwrap();
-        assert!(!q.device_parked() && !q.kick_pending());
+        assert!(!q.device_idle() && !q.kick_pending());
     }
 
     #[test]
@@ -699,10 +709,12 @@ mod tests {
         assert!(!q.wait_kick());
     }
 
-    /// `VirtioKickLost`: the guest paid the vm-exit, but the device never
-    /// heard it — it sleeps on with the chain on its ring until a re-kick.
+    /// `VirtioKickLost`: the device never heard the kick, and the guest's
+    /// watchdog kicks again one period later.  The kicker pays the period
+    /// and both vm-exits, and the second kick reaches the exit handler and
+    /// the parked device like any other.
     #[test]
-    fn a_chain_published_with_no_kick_leaves_the_device_parked() {
+    fn a_lost_kick_costs_a_watchdog_period_and_a_second_vm_exit() {
         use vphi_faults::{FaultInjector, FaultPlan};
 
         let q = VirtQueue::new(4);
@@ -713,19 +725,17 @@ mod tests {
         let mut tl = Timeline::new();
         add(&q, &[Descriptor::readable(0, 4)], &mut tl).unwrap();
         let mut serviced = false;
-        q.kick(KICK, &mut tl, || {
+        let lost = q.kick(KICK, &mut tl, || {
             serviced = true;
             true
         });
-        assert!(!serviced, "a lost kick reaches no exit handler");
-        assert_eq!(tl.total_for(SpanLabel::VmExitKick), KICK, "but the vm-exit is paid");
-        assert!(q.device_parked() && !q.kick_pending() && q.avail_pending());
-        // The re-kick is an ordinary kick.
-        q.kick(KICK, &mut tl, || true);
+        assert!(lost && serviced, "the watchdog's kick reaches the exit handler");
+        assert_eq!(tl.total_for(SpanLabel::VmExitKick), GUEST_WATCHDOG + KICK * 2);
+        assert_eq!(q.counters().kicks, 2, "two vm-exits");
+        assert!(!q.kick(KICK, &mut tl, || false), "the plan's one loss is spent");
         until_idle(&q);
         q.close();
         assert_eq!(dev.join().unwrap(), 1);
-        assert!(q.avail_pending(), "the device thread here pops nothing");
     }
 
     #[test]

@@ -833,13 +833,13 @@ fn card_reset_during_an_inline_drain() {
     assert_eq!(queued, Ok(0));
 }
 
-/// A lost kick on a blocking call: the vm-exit was paid for, nothing was
-/// serviced, and the caller is asleep on its token like any other
-/// requester whose reply comes from another thread.  Its wait period
-/// finds the chain on an idle ring with no kick pending, and its re-kick
-/// is an ordinary kick, so the lane's shard runs the request.
+/// A lost kick on a blocking call: the device never heard it, and the
+/// guest's watchdog kicks again one period later.  The call pays the
+/// period and both vm-exits on the virtual clock, and the second kick is
+/// serviced on the caller's thread like any other: nobody sleeps on the
+/// host.
 #[test]
-fn lost_kick_on_a_blocking_call_recovers_through_the_shard() {
+fn a_lost_kick_on_a_blocking_call_costs_a_watchdog_period() {
     let host = VphiHost::new(1);
     let server = host.device_endpoint(0).unwrap();
     let mut tl = Timeline::new();
@@ -863,11 +863,18 @@ fn lost_kick_on_a_blocking_call_recovers_through_the_shard() {
     assert_eq!(ep.send(&[7], &mut send_tl), Ok(1));
     assert_eq!(card.join().unwrap(), 7);
     assert_eq!(injector.fired_at(FaultSite::VirtioKickLost), 1);
-    assert_eq!(vm.frontend().stats().deadline_retries, 1);
-    assert!(parks() >= 1, "the caller slept while the shard ran its request");
-    // Both vm-exits are on the call's bill: the lost one and the re-kick.
+    let stats = vm.frontend().stats();
+    assert_eq!(stats.deadline_retries, 1);
+    let lanes = vm.frontend().channel().lanes();
+    let vm_exits: u64 = lanes.iter().map(|lane| lane.queue.counters().kicks).sum();
+    assert_eq!(vm_exits, stats.kicks_delivered + 1, "the watchdog's kick is a vm-exit too");
+    let popped: u64 = lanes.iter().map(|lane| lane.queue.counters().chains_popped).sum();
+    assert_eq!(stats.requests, popped, "one request per chain, lost kick or not");
+    assert_eq!(parks(), 0, "the caller ran its own request");
+    // Both vm-exits are on the call's bill, with the watchdog between.
     let kick = host.cost().vmexit_kick;
-    assert_eq!(send_tl.total_for(vphi_sim_core::SpanLabel::VmExitKick), kick * 2);
+    let watchdog = vphi_sim_core::cost::GUEST_WATCHDOG;
+    assert_eq!(send_tl.total_for(vphi_sim_core::SpanLabel::VmExitKick), kick * 2 + watchdog);
     assert_eq!(vm.frontend().channel().inflight_count(), 0);
     ep.close(&mut tl).unwrap();
     vm.shutdown();
@@ -1254,15 +1261,16 @@ fn a_guest_request_waits_for_its_event() {
 /// What a guest request is doing when its device goes.
 #[derive(Clone, Copy, Debug)]
 enum InFlight {
-    /// A batched `recv` whose chain sits on the ring: its kick was lost.
+    /// A batched `recv` whose chain sits on the ring: another thread holds
+    /// its lane's executor role until the device is gone.
     OnTheRing,
     /// A blocking `recv` parked in its caller's own vm-exit.
     InAnExecutor,
     /// A blocking `accept` on a QEMU worker.
     AcceptOnAWorker,
     /// A batched `recv` completed while its reaper slept, its MSI lost:
-    /// the reply sits in the slot, nobody woken.
-    QuietCompletion,
+    /// the completion wakes the reaper as any other does.
+    LostMsi,
 }
 
 /// Every guest request in flight when its device goes ends and leaves
@@ -1280,7 +1288,7 @@ fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
     use vphi_faults::FaultPoint;
     use InFlight::*;
 
-    for row in [OnTheRing, InAnExecutor, AcceptOnAWorker, QuietCompletion] {
+    for row in [OnTheRing, InAnExecutor, AcceptOnAWorker, LostMsi] {
         for death in [false, true] {
             let what = format!("{row:?}, death: {death}");
             let host = VphiHost::new(1);
@@ -1316,8 +1324,7 @@ fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
             // first where the row's own never started.
             let point = |site, nth| FaultPoint { site, nth, param: 0 };
             let mut points = match row {
-                OnTheRing => vec![point(FaultSite::VirtioKickLost, 1)],
-                QuietCompletion => vec![point(FaultSite::PcieMsiLost, 1)],
+                LostMsi => vec![point(FaultSite::PcieMsiLost, 1)],
                 _ => Vec::new(),
             };
             if death {
@@ -1326,11 +1333,22 @@ fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
             }
             host.arm_faults(FaultPlan { seed: 0, points });
             let settled = backend.requests();
-            let sleeps = channel.waits().parks;
+            let before = channel.waits();
+            let busy = matches!(row, OnTheRing).then(|| {
+                let (channel, q) = (Arc::clone(&channel), lane_of(&victim));
+                let (held, holding) = std::sync::mpsc::channel();
+                let busy = std::thread::spawn(move || {
+                    let _executor = channel.lane_queue(q).executor.enter();
+                    held.send(()).unwrap();
+                    spin_until("the device goes", || channel.is_shutdown());
+                });
+                holding.recv().unwrap();
+                busy
+            });
             let call = {
                 let victim = Arc::clone(&victim);
                 let mut cq = Cq::new();
-                if matches!(row, OnTheRing | QuietCompletion) {
+                if matches!(row, OnTheRing | LostMsi) {
                     let mut sq = Sq::new();
                     sq.push(SqEntry::recv(16));
                     cq.watch(&victim.submit(&mut sq, &mut Timeline::new()).unwrap());
@@ -1350,7 +1368,7 @@ fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
             // Every row but the one running in its own vm-exit has its
             // requester asleep on its slot.
             let parked = u64::from(!matches!(row, InAnExecutor));
-            let asleep = || channel.waits().parks == sleeps + 1;
+            let asleep = || channel.waits().parks == before.parks + 1;
             match row {
                 OnTheRing => spin_until("the reaper parks", asleep),
                 InAnExecutor => spin_until("the recv runs", || backend.requests() == settled + 1),
@@ -1358,10 +1376,10 @@ fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
                     spin_until("the accept waits", || backend.live_workers() == 1);
                     spin_until("the acceptor parks", asleep);
                 }
-                QuietCompletion => {
+                LostMsi => {
                     spin_until("the reaper parks", asleep);
                     speak.send(()).unwrap();
-                    spin_until("the reply lands quietly", || backend.stats.msi_lost.get() == 1);
+                    spin_until("the reply's MSI is lost", || backend.stats.msi_lost.get() == 1);
                 }
             }
             if death {
@@ -1370,20 +1388,21 @@ fn every_request_in_flight_when_the_device_goes_ends_and_leaves_nothing() {
                 vm.shutdown();
             }
             let result = call.join().unwrap();
+            if let Some(busy) = busy {
+                busy.join().unwrap();
+            }
             let waits = channel.waits();
-            let woken = (waits.parks - sleeps, waits.spurious);
-            assert_eq!(woken, (parked, 0), "{what}: parks, and wakes that found nothing");
+            let woken = (waits.parks - before.parks, waits.woken - before.woken, waits.spurious);
+            assert_eq!(woken, (parked, parked, 0), "{what}: parks, signalled, spurious");
             let held =
                 (channel.live_slots(), channel.inflight_count(), vm.frontend().pending_tokens());
             assert_eq!(held, (0, 0, 0), "{what}: slots, ring entries and tokens held");
             assert_eq!(vm.vm().mem().allocated(), baseline, "{what}: guest RAM leaked");
             let expected = match row {
-                // Retired, unless its kick was recovered first: then it ran
-                // and hung up with the device.
-                OnTheRing => matches!(result, Err(ScifError::Canceled) | Ok(0)),
+                OnTheRing => result == Err(ScifError::Canceled),
                 InAnExecutor => result == Ok(0),
                 AcceptOnAWorker => result.is_err(),
-                QuietCompletion => result == Ok(16),
+                LostMsi => result == Ok(16),
             };
             assert!(expected, "{what}: {result:?}");
             // A call on the dead device fails, and frees its staging.
