@@ -15,9 +15,9 @@
 //! but the backend ends a published request, so nothing it can still write
 //! into is ever handed to anyone else.
 //!
-//! A requester that has to sleep parks on its own slot, marked as parked
-//! under the slot's lock, and the backend, which finishes the request
-//! under that lock, signals it only if the mark is set (DESIGN.md #22).
+//! A requester that has to sleep parks on its own slot's cell, and the
+//! backend, which finishes the request under that cell's lock, signals it
+//! only if it is parked (DESIGN.md #22).
 //!
 //! ```text
 //!            reserve        register        claim          complete
@@ -31,7 +31,7 @@
 use std::sync::OnceLock;
 
 use vphi_sim_core::Timeline;
-use vphi_sync::{LockClass, Published, TrackedCondvar, TrackedMutex, TrackedMutexGuard};
+use vphi_sync::{LockClass, Published, WaitCell, WaitGuard};
 use vphi_trace::TraceCtx;
 use vphi_vmm::kernel::KmallocBuf;
 
@@ -164,10 +164,10 @@ pub struct SlotWaits {
     pub spun: u64,
     /// Times a requester parked on its slot: the host's real sleeps.
     pub parks: u64,
-    /// Parks the backend's signal ended.
+    /// Parks the backend's let-go ended.
     pub woken: u64,
-    /// Parks that ended with no signal (the host's spurious wake-ups):
-    /// the requester parks again.
+    /// Parks that ended with the request still held (the host's spurious
+    /// wake-ups): the requester parks again.
     pub spurious: u64,
 }
 
@@ -188,7 +188,8 @@ impl std::iter::Sum for SlotWaits {
 /// takes `trace` at `Claimed` and writes its timeline `tl`, with `slept`
 /// and `svc_ns`, at `Completed`; the requester reads those three and takes
 /// `batch` when it takes the completion.  `waits` outlives the slot's
-/// requests: how every one of them was waited for.
+/// requests: how every one of them was taken (its parks are the cell's
+/// counts).
 pub(super) struct SlotBody {
     /// The backend's service timeline, valid at `Completed`.
     pub tl: Timeline,
@@ -197,10 +198,8 @@ pub(super) struct SlotBody {
     pub svc_ns: u64,
     /// A batch entry's bookkeeping.
     pub batch: Option<BatchOp>,
-    /// Set by a requester as it parks on the slot's condvar, cleared by
-    /// the backend's signal or by the requester as it wakes.
-    parked: bool,
-    /// Counted by the requester's wait under the lock it holds anyway.
+    /// `slept` and `spun`, counted by the requester under the lock it
+    /// holds anyway.
     waits: SlotWaits,
 }
 
@@ -216,9 +215,8 @@ pub(super) struct RequestSlot {
     /// header behind it — allocated the first time the slot is used and
     /// kept.
     pub headers: OnceLock<KmallocBuf>,
-    body: TrackedMutex<SlotBody>,
-    /// Where a requester sleeps, paired with `body`.
-    wake: TrackedCondvar,
+    /// Where a requester sleeps.
+    body: WaitCell<SlotBody>,
 }
 
 impl RequestSlot {
@@ -228,7 +226,7 @@ impl RequestSlot {
             budget_ns: Published::new(0),
             bucket: Published::new(0),
             headers: OnceLock::new(),
-            body: TrackedMutex::new(
+            body: WaitCell::new(
                 LockClass::RequestSlot,
                 SlotBody {
                     tl: Timeline::new(),
@@ -236,11 +234,9 @@ impl RequestSlot {
                     slept: false,
                     svc_ns: 0,
                     batch: None,
-                    parked: false,
                     waits: SlotWaits::default(),
                 },
             ),
-            wake: TrackedCondvar::new(),
         }
     }
 
@@ -315,10 +311,7 @@ impl SlotTable {
     /// `token`'s slot with its body locked.  The word is read under the
     /// lock: every transition another party could make takes it, so the
     /// state cannot move while the guard lives.
-    fn lock(
-        &self,
-        token: ReqToken,
-    ) -> Option<(&RequestSlot, TrackedMutexGuard<'_, SlotBody>, Word)> {
+    fn lock(&self, token: ReqToken) -> Option<(&RequestSlot, WaitGuard<'_, SlotBody>, Word)> {
         let (slot, _) = self.current(token)?;
         let body = slot.body.lock();
         let word = slot.word();
@@ -482,9 +475,7 @@ impl SlotTable {
             // already.
             _ => return,
         }
-        if std::mem::take(&mut body.parked) {
-            slot.wake.notify_one();
-        }
+        body.notify_one();
     }
 
     /// Requester: take what the backend left in `token`'s slot, once it
@@ -508,23 +499,14 @@ impl SlotTable {
             return None;
         }
         let mut body = slot.body.lock();
-        let word = loop {
-            let word = slot.word();
-            if word.generation != token_generation(token) {
-                return None;
-            }
-            if word.state.let_go() {
-                break word;
-            }
-            body.parked = true;
-            body.waits.parks += 1;
-            slot.wake.wait(&mut body);
-            if std::mem::take(&mut body.parked) {
-                body.waits.spurious += 1;
-            } else {
-                body.waits.woken += 1;
-            }
-        };
+        let mut word = slot.word();
+        body.wait_until(|_| {
+            word = slot.word();
+            word.generation != token_generation(token) || word.state.let_go()
+        });
+        if word.generation != token_generation(token) {
+            return None;
+        }
         slot.set(word.with(SlotState::Free));
         if word.state == SlotState::Retired {
             let batch = body.batch.take();
@@ -544,7 +526,13 @@ impl SlotTable {
     /// How this lane's requesters have waited so far.
     pub fn waits(&self) -> SlotWaits {
         let slots = self.blocks.iter().filter_map(OnceLock::get).flat_map(|block| block.iter());
-        slots.map(|slot| slot.body.lock().waits).sum()
+        slots
+            .map(|slot| {
+                let body = slot.body.lock();
+                let c = body.counts();
+                SlotWaits { parks: c.parks, woken: c.woken, spurious: c.spurious, ..body.waits }
+            })
+            .sum()
     }
 
     /// Whether `token` names a request submitted and not yet taken.

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use vphi_sim_core::cost::{HUGE_PAGE_SIZE, PAGE_SIZE};
-use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
+use vphi_sync::{LockClass, WaitCell};
 
 /// A host-visible window into device memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,16 +108,16 @@ struct MapInner {
 #[derive(Debug)]
 pub struct ApertureMap {
     device: Aperture,
-    inner: TrackedMutex<MapInner>,
-    drained: TrackedCondvar,
+    /// An unmap parks here until its mapping's last descriptor list
+    /// drops.
+    inner: WaitCell<MapInner>,
 }
 
 impl ApertureMap {
     pub fn new(device: Aperture) -> Self {
         ApertureMap {
             device,
-            inner: TrackedMutex::new(LockClass::ApertureWindows, MapInner::default()),
-            drained: TrackedCondvar::new(),
+            inner: WaitCell::new(LockClass::ApertureWindows, MapInner::default()),
         }
     }
 
@@ -168,20 +168,10 @@ impl ApertureMap {
     /// is scoped to one request).  Returns whether a mapping existed.
     pub fn unmap_window(&self, key: MapKey) -> bool {
         let mut inner = self.inner.lock();
-        if !inner.windows.contains_key(&key) {
-            return false;
-        }
-        while inner.windows.get(&key).is_some_and(|m| m.inflight > 0) {
-            self.drained.wait(&mut inner);
-        }
-        match inner.windows.remove(&key) {
-            Some(m) => {
-                let span = (m.sub.base() - self.device.base(), m.sub.len());
-                inner.free.push(span);
-                true
-            }
-            None => false,
-        }
+        inner.wait_until(|inner| inner.windows.get(&key).is_none_or(|m| m.inflight == 0));
+        let Some(m) = inner.windows.remove(&key) else { return false };
+        inner.free.push((m.sub.base() - self.device.base(), m.sub.len()));
+        true
     }
 
     /// Mark a descriptor list in flight over `key`'s mapping.  Returns
@@ -230,8 +220,7 @@ impl Drop for IoGuard<'_> {
         if let Some(m) = inner.windows.get_mut(&self.key) {
             m.inflight = m.inflight.saturating_sub(1);
         }
-        drop(inner);
-        self.map.drained.notify_all();
+        inner.notify_all();
     }
 }
 

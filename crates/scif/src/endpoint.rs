@@ -11,10 +11,10 @@
 use std::sync::{Arc, OnceLock, Weak};
 
 use vphi_sim_core::{SimTime, SpanLabel, Timeline};
-use vphi_sync::{Flag, LockClass, Published, TrackedCondvar, TrackedMutex};
+use vphi_sync::{Flag, LockClass, Published, TrackedMutex, WaitCell};
 
 use crate::error::{ScifError, ScifResult};
-use crate::fabric::{enqueue_connect, FabricShared, Listener, NodeCore, WaitCounter};
+use crate::fabric::{enqueue_connect, FabricShared, Listener, NodeCore};
 use crate::poll::PollWake;
 use crate::queue::{copy_from, copy_into, MsgQueue};
 use crate::types::{NodeId, Port, Prot, ScifAddr};
@@ -79,7 +79,10 @@ pub struct EndpointCore {
     pub(crate) shared: Arc<FabricShared>,
     pub(crate) node: Arc<NodeCore>,
     /// Transitions are made under this lock ([`set_state`](Self::set_state)).
-    state: TrackedMutex<EpState>,
+    /// This endpoint's `connect` sleeps here, woken by whoever moves it
+    /// out of `Connecting` — the acceptor, `close`, or the listener's
+    /// teardown.
+    state: WaitCell<EpState>,
     /// The state as of the last transition, for the lock-free reads of
     /// [`state`](Self::state) every send and RMA makes.  Its `Release`
     /// store follows what the transition published (a `Connected` end's
@@ -88,10 +91,6 @@ pub struct EndpointCore {
     /// Set by its owner's [`close`](Self::close) only: the descriptor is
     /// gone.  An [`abort`](Self::abort) leaves the descriptor its owner's.
     owner_closed: Flag,
-    /// Paired with `state`: where this endpoint's `connect` sleeps.
-    /// Signalled by whoever moves it out of `Connecting` — the acceptor,
-    /// `close`, or the listener's teardown.
-    connect_done: TrackedCondvar,
     /// Set once, under the state lock: by `bind`, by `connect`'s
     /// auto-bind, or by `accept` for the endpoint it makes.
     local_port: OnceLock<Port>,
@@ -104,13 +103,11 @@ pub struct EndpointCore {
     peer_addr: OnceLock<ScifAddr>,
     pub(crate) windows: TrackedMutex<WindowTable>,
     pub(crate) fence: TrackedMutex<RmaFence>,
-    timed: TrackedMutex<TimedLane>,
-    /// Paired with `timed`: where this endpoint's `recv_timed` sleeps.
-    timed_ready: TrackedCondvar,
+    /// Where this endpoint's `recv_timed` sleeps.
+    timed: WaitCell<TimedLane>,
     /// Where a `poll` of this endpoint sleeps: its connection's, shared
     /// with the peer (see [`PollWake`]).
     pub(crate) wake: Arc<PollWake>,
-    waits: WaitCounter,
 }
 
 impl std::fmt::Debug for EndpointCore {
@@ -135,10 +132,9 @@ impl EndpointCore {
             id,
             shared,
             node,
-            state: TrackedMutex::new(LockClass::EndpointState, EpState::Unbound),
+            state: WaitCell::new(LockClass::EndpointState, EpState::Unbound),
             state_word: Published::new(EpState::Unbound as u64),
             owner_closed: Flag::new(false),
-            connect_done: TrackedCondvar::new(),
             local_port: OnceLock::new(),
             listener: OnceLock::new(),
             recv_q: OnceLock::new(),
@@ -150,10 +146,8 @@ impl EndpointCore {
                 LockClass::RmaPending,
                 RmaFence { next_marker: 1, pending: Vec::new() },
             ),
-            timed: TrackedMutex::new(LockClass::TimedLane, TimedLane::default()),
-            timed_ready: TrackedCondvar::new(),
+            timed: WaitCell::new(LockClass::TimedLane, TimedLane::default()),
             wake,
-            waits: WaitCounter::default(),
         })
     }
 
@@ -200,9 +194,12 @@ impl EndpointCore {
 
     /// How often `accept`, `connect` or `recv_timed` went to sleep on
     /// this endpoint, and how often one was woken: `(parks, wakeups)`.
-    #[cfg(any(test, debug_assertions))]
     pub fn wait_counts(&self) -> (u64, u64) {
-        self.waits.counts()
+        let listener = self.listener.get().map(|l| l.pending.lock().counts());
+        let state = self.state.lock().counts();
+        let timed = self.timed.lock().counts();
+        let all = [state, timed, listener.unwrap_or_default()];
+        (all.iter().map(|c| c.parks).sum(), all.iter().map(|c| c.woken + c.spurious).sum())
     }
 
     /// Connections waiting in this listening endpoint's backlog.
@@ -276,18 +273,11 @@ impl EndpointCore {
         // Wait for whoever moves us out of `Connecting`: the acceptor, our
         // own `close`, or the listener's teardown (back to `Bound`).
         let mut st = self.state.lock();
-        loop {
-            match *st {
-                EpState::Connected => {
-                    return Ok(self.peer_addr().expect("connected implies peer"));
-                }
-                EpState::Closed => return Err(ScifError::ConnReset),
-                EpState::Connecting => {}
-                _ => return Err(ScifError::ConnRefused),
-            }
-            self.waits.park();
-            self.connect_done.wait(&mut st);
-            self.waits.woke();
+        st.wait_until(|st| *st != EpState::Connecting);
+        match *st {
+            EpState::Connected => Ok(self.peer_addr().expect("connected implies peer")),
+            EpState::Closed => Err(ScifError::ConnReset),
+            _ => Err(ScifError::ConnRefused),
         }
     }
 
@@ -296,7 +286,7 @@ impl EndpointCore {
         let mut st = self.state.lock();
         if *st == EpState::Connecting {
             self.set_state(&mut st, EpState::Bound);
-            self.connect_done.notify_all();
+            st.notify_all();
         }
     }
 
@@ -307,7 +297,7 @@ impl EndpointCore {
             if let Some(ep) = self.try_accept(tl)? {
                 return Ok(ep);
             }
-            self.listener.get().ok_or(ScifError::Inval)?.wait_arrival(&self.waits)?;
+            self.listener.get().ok_or(ScifError::Inval)?.wait_arrival()?;
         }
     }
 
@@ -370,7 +360,7 @@ impl EndpointCore {
         {
             let mut st = connector.state.lock();
             connector.set_state(&mut st, EpState::Connected);
-            connector.connect_done.notify_all();
+            st.notify_all();
         }
         connector.wake.wake();
         Ok(Some(newep))
@@ -483,13 +473,13 @@ impl EndpointCore {
             // a transfer sent in 36 chunks is one wake-up, not 36.
             if lane.want != 0 && lane.avail >= lane.want {
                 lane.want = 0;
-                peer.timed_ready.notify_all();
+                lane.notify_all();
             }
         }
         self.shared.charge_message_path(&self.node, &peer.node, len, tl)?;
         // No poll wake-up: `poll` reads the byte lane (`recv_pending`,
         // `send_space`) and hang-up, never this lane, and `recv_timed`
-        // sleeps on `timed_ready`.
+        // sleeps on `timed`.
         Ok(len)
     }
 
@@ -498,18 +488,19 @@ impl EndpointCore {
     pub fn recv_timed(&self, len: u64, tl: &mut Timeline) -> ScifResult<u64> {
         self.check_open()?;
         let mut lane = self.timed.lock();
-        while lane.avail < len {
+        lane.wait_until(|lane| {
             // Never connected, or either side hung up.
-            if lane.hup || self.peer.get().is_none() {
-                return Err(ScifError::ConnReset);
+            if lane.avail >= len || lane.hup || self.peer.get().is_none() {
+                return true;
             }
             // Several receivers may park here; the sender is told the
             // least any of them needs, and whoever it wakes short of its
             // own amount asks again.
             lane.want = if lane.want == 0 { len } else { lane.want.min(len) };
-            self.waits.park();
-            self.timed_ready.wait(&mut lane);
-            self.waits.woke();
+            false
+        });
+        if lane.avail < len {
+            return Err(ScifError::ConnReset);
         }
         lane.avail -= len;
         drop(lane);
@@ -568,7 +559,7 @@ impl EndpointCore {
                 return;
             }
             self.set_state(&mut st, EpState::Closed);
-            self.connect_done.notify_all();
+            st.notify_all();
         }
         if let Some(q) = self.send_q.get() {
             q.close();
@@ -595,7 +586,7 @@ impl EndpointCore {
         for ep in std::iter::once(self).chain(peer.as_deref()) {
             let mut lane = ep.timed.lock();
             lane.hup = true;
-            ep.timed_ready.notify_all();
+            lane.notify_all();
         }
     }
 }

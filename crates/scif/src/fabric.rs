@@ -7,7 +7,7 @@ use std::sync::{Arc, Weak};
 use vphi_faults::FaultSite;
 use vphi_phi::PhiBoard;
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
-use vphi_sync::{Counter, Flag, LockClass, TrackedCondvar, TrackedMutex};
+use vphi_sync::{Counter, Flag, LockClass, TrackedMutex, WaitCell};
 
 use crate::endpoint::EndpointCore;
 use crate::error::{ScifError, ScifResult};
@@ -18,46 +18,12 @@ pub(crate) struct PendingConn {
     pub connector: Weak<EndpointCore>,
 }
 
-/// How often `accept`/`connect`/`recv_timed` went to sleep on an endpoint
-/// and how often they were woken — the tests' evidence that a waiter was
-/// parked and that unrelated traffic left it alone.  Compiled out of
-/// release builds.
-#[derive(Debug, Default)]
-pub(crate) struct WaitCounter {
-    #[cfg(any(test, debug_assertions))]
-    parks: Counter,
-    #[cfg(any(test, debug_assertions))]
-    wakeups: Counter,
-}
-
-impl WaitCounter {
-    /// About to wait.  Call under the mutex the condvar pairs with, so a
-    /// signal sent after this is seen cannot be missed.
-    pub fn park(&self) {
-        #[cfg(any(test, debug_assertions))]
-        self.parks.bump();
-    }
-
-    /// Back from a wait.
-    pub fn woke(&self) {
-        #[cfg(any(test, debug_assertions))]
-        self.wakeups.bump();
-    }
-
-    /// `(parks, wakeups)` so far.
-    #[cfg(any(test, debug_assertions))]
-    pub fn counts(&self) -> (u64, u64) {
-        (self.parks.get(), self.wakeups.get())
-    }
-}
-
 /// A listening port's state.
 pub(crate) struct Listener {
     pub backlog: usize,
-    pub pending: TrackedMutex<VecDeque<PendingConn>>,
-    /// Paired with `pending`: where a parked `accept` sleeps.  Signalled
-    /// by a connector's arrival and by teardown.
-    arrived: TrackedCondvar,
+    /// The backlog, and where a parked `accept` sleeps: a connector's
+    /// arrival and teardown wake it.
+    pub pending: WaitCell<VecDeque<PendingConn>>,
     /// Written under `pending`, so a sleeper cannot miss it.
     pub closed: Flag,
 }
@@ -66,23 +32,18 @@ impl Listener {
     fn new(backlog: usize) -> Self {
         Listener {
             backlog: backlog.max(1),
-            pending: TrackedMutex::new(LockClass::ListenerPending, VecDeque::new()),
-            arrived: TrackedCondvar::new(),
+            pending: WaitCell::new(LockClass::ListenerPending, VecDeque::new()),
             closed: Flag::new(false),
         }
     }
 
     /// Park until a connector is queued.  `EINVAL` once the listener is
     /// torn down (nobody can queue any more).
-    pub fn wait_arrival(&self, waits: &WaitCounter) -> ScifResult<()> {
+    pub fn wait_arrival(&self) -> ScifResult<()> {
         let mut pending = self.pending.lock();
-        while pending.is_empty() {
-            if self.closed.get() {
-                return Err(ScifError::Inval);
-            }
-            waits.park();
-            self.arrived.wait(&mut pending);
-            waits.woke();
+        pending.wait_until(|pending| !pending.is_empty() || self.closed.get());
+        if pending.is_empty() {
+            return Err(ScifError::Inval);
         }
         Ok(())
     }
@@ -95,7 +56,7 @@ impl Listener {
         let orphans: Vec<PendingConn> = {
             let mut pending = self.pending.lock();
             self.closed.set();
-            self.arrived.notify_all();
+            pending.notify_all();
             pending.drain(..).collect()
         };
         for conn in orphans {
@@ -388,7 +349,7 @@ pub(crate) fn enqueue_connect(
         return Err(ScifError::ConnRefused);
     }
     pending.push_back(PendingConn { connector: Arc::downgrade(connector) });
-    listener.arrived.notify_one();
+    pending.notify_one();
     Ok(())
 }
 

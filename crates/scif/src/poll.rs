@@ -7,7 +7,7 @@
 use std::time::{Duration, Instant};
 
 use vphi_sim_core::{SpanLabel, Timeline};
-use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
+use vphi_sync::{LockClass, TrackedMutex};
 
 use crate::endpoint::{EndpointCore, EpState};
 
@@ -48,14 +48,15 @@ impl std::ops::BitOr for PollEvents {
 /// the end it makes — so a poller hears its own connection and nobody
 /// else's (DESIGN.md #22).
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "a poll's wall timeout, which no change ends")]
 pub(crate) struct PollWake {
     version: TrackedMutex<u64>,
-    cond: TrackedCondvar,
+    cond: vphi_sync::TrackedCondvar,
 }
 
 impl Default for PollWake {
     fn default() -> Self {
-        PollWake { version: TrackedMutex::new(LockClass::PollWake, 0), cond: TrackedCondvar::new() }
+        PollWake { version: TrackedMutex::new(LockClass::PollWake, 0), cond: Default::default() }
     }
 }
 

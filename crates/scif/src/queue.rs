@@ -19,7 +19,7 @@
 
 use std::convert::Infallible;
 
-use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
+use vphi_sync::{LockClass, WaitCell};
 
 /// Default queue capacity.  Generous enough that microbenchmarks don't
 /// trip flow control, small enough that a runaway sender blocks (tested).
@@ -112,9 +112,10 @@ struct QInner {
 /// A bounded, blocking byte queue.
 #[derive(Debug)]
 pub struct MsgQueue {
-    inner: TrackedMutex<QInner>,
-    readable: TrackedCondvar,
-    writable: TrackedCondvar,
+    /// The ring, and where a blocked writer or reader sleeps.  A queue
+    /// cannot be full and empty at once, so whoever is parked waits for
+    /// what the other side's transfer just made.
+    inner: WaitCell<QInner>,
     capacity: usize,
 }
 
@@ -146,12 +147,10 @@ impl MsgQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         MsgQueue {
-            inner: TrackedMutex::new(
+            inner: WaitCell::new(
                 LockClass::MsgQueue,
                 QInner { ring: Ring::default(), closed: false },
             ),
-            readable: TrackedCondvar::new(),
-            writable: TrackedCondvar::new(),
             capacity,
         }
     }
@@ -203,18 +202,14 @@ impl MsgQueue {
         let mut done = 0;
         let mut g = self.inner.lock();
         while done < len {
+            g.wait_until(|q| q.closed || q.ring.len < self.capacity);
             if g.closed {
                 return Ok(false);
             }
-            let space = self.capacity - g.ring.len;
-            if space == 0 {
-                self.writable.wait(&mut g);
-                continue;
-            }
-            let take = space.min(len - done);
+            let take = (self.capacity - g.ring.len).min(len - done);
             g.ring.push_with(take, self.capacity, |at, dst| fill(done + at, dst))?;
             done += take;
-            self.readable.notify_all();
+            g.notify_all();
         }
         Ok(true)
     }
@@ -227,7 +222,7 @@ impl MsgQueue {
             return 0;
         }
         infallible(g.ring.push_with(take, self.capacity, copy_from(data)));
-        self.readable.notify_all();
+        g.notify_all();
         take
     }
 
@@ -271,20 +266,17 @@ impl MsgQueue {
         let mut done = 0;
         let mut g = self.inner.lock();
         while done < len {
-            if g.ring.len > 0 {
-                let take = g.ring.len.min(len - done);
-                g.ring.pop_with(take, |at, src| drain(done + at, src))?;
-                done += take;
-                self.writable.notify_all();
-                if !exact {
-                    break;
-                }
-                continue;
-            }
-            if g.closed {
+            g.wait_until(|q| q.ring.len > 0 || q.closed);
+            if g.ring.len == 0 {
                 break;
             }
-            self.readable.wait(&mut g);
+            let take = g.ring.len.min(len - done);
+            g.ring.pop_with(take, |at, src| drain(done + at, src))?;
+            done += take;
+            g.notify_all();
+            if !exact {
+                break;
+            }
         }
         Ok(done)
     }
@@ -297,7 +289,7 @@ impl MsgQueue {
             return 0;
         }
         infallible(g.ring.pop_with(take, copy_into(out)));
-        self.writable.notify_all();
+        g.notify_all();
         take
     }
 
@@ -306,8 +298,7 @@ impl MsgQueue {
     pub fn close(&self) {
         let mut g = self.inner.lock();
         g.closed = true;
-        self.readable.notify_all();
-        self.writable.notify_all();
+        g.notify_all();
     }
 }
 

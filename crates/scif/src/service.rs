@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use vphi_sim_core::Timeline;
-use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
+use vphi_sync::{LockClass, TrackedMutex, WaitCell};
 
 use crate::{Port, ScifAddr, ScifEndpoint, ScifError, ScifResult};
 
@@ -42,9 +42,8 @@ struct Pool<T> {
     session: Box<dyn Fn(ScifEndpoint) -> T + Send + Sync>,
     /// Names the workers after the service.
     name: String,
-    state: TrackedMutex<PoolState<T>>,
     /// A parked worker waits here for a job or for the service to stop.
-    wake: TrackedCondvar,
+    state: WaitCell<PoolState<T>>,
 }
 
 /// What the pool's lock guards.
@@ -78,8 +77,7 @@ impl<T: Send + 'static> Pool<T> {
         if state.idle > 0 {
             state.idle -= 1;
             state.jobs.push_back(job);
-            drop(state);
-            self.wake.notify_one();
+            state.unlock_notify_one();
             return;
         }
         let pool = Arc::clone(self);
@@ -100,15 +98,9 @@ impl<T: Send + 'static> Pool<T> {
             let mut state = self.state.lock();
             state.record(seq, result);
             state.idle += 1;
-            job = loop {
-                if let Some(next) = state.jobs.pop_front() {
-                    break next;
-                }
-                if state.stopping {
-                    return;
-                }
-                self.wake.wait(&mut state);
-            };
+            state.wait_until(|state| !state.jobs.is_empty() || state.stopping);
+            let Some(next) = state.jobs.pop_front() else { return };
+            job = next;
         }
     }
 }
@@ -160,7 +152,7 @@ impl<T: Send + 'static> CardService<T> {
         let pool = Arc::new(Pool {
             session: Box::new(session),
             name: name.clone(),
-            state: TrackedMutex::new(
+            state: WaitCell::new(
                 LockClass::ServerSessions,
                 PoolState {
                     jobs: VecDeque::new(),
@@ -173,7 +165,6 @@ impl<T: Send + 'static> CardService<T> {
                     stopping: false,
                 },
             ),
-            wake: TrackedCondvar::new(),
         });
         let accept_loop = {
             let (listener, pool) = (Arc::clone(&listener), Arc::clone(&pool));
@@ -242,9 +233,9 @@ impl<T: Send + 'static> CardService<T> {
         let workers = {
             let mut state = self.pool.state.lock();
             state.stopping = true;
+            state.notify_all();
             std::mem::take(&mut state.workers)
         };
-        self.pool.wake.notify_all();
         for worker in workers {
             let _ = worker.join();
         }

@@ -81,21 +81,12 @@ impl<T> Blocked<T> {
 /// Wait until `ep` has gone to sleep `parks` times in all.  The count is
 /// taken under the mutex the sleeper's condvar pairs with, so an event
 /// fired after this returns finds the sleeper parked (or about to be,
-/// holding the mutex the event needs).  Release builds keep no counts: a
-/// short sleep stands in.
+/// holding the mutex the event needs).
 fn until_parked(ep: &EndpointCore, parks: u64) {
-    #[cfg(debug_assertions)]
-    {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while ep.wait_counts().0 < parks {
-            assert!(Instant::now() < deadline, "nobody parked on {ep:?}");
-            std::thread::yield_now();
-        }
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        let _ = (ep, parks);
-        std::thread::sleep(Duration::from_millis(20));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while ep.wait_counts().0 < parks {
+        assert!(Instant::now() < deadline, "nobody parked on {ep:?}");
+        std::thread::yield_now();
     }
 }
 
@@ -139,7 +130,6 @@ const PROMPT: Duration = Duration::from_secs(1);
 /// accepts on) and `recv_timed` each parked, 10,000 sends and receives on
 /// another pair wake none of them.  (On the hub each was woken once per
 /// bump it got to run between: thousands of times.)
-#[cfg(debug_assertions)]
 #[test]
 fn unrelated_traffic_wakes_no_parked_waiter() {
     let (fabric, dev) = fabric_with_device();

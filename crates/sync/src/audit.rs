@@ -36,8 +36,8 @@ pub struct SyncStats {
     pub nested_acquisitions: u64,
     /// Violations reported outside of test capture.
     pub violations: u64,
-    /// Condvar signals sent (`TrackedCondvar::notify_one`/`notify_all`),
-    /// whether or not a thread was waiting.
+    /// Condvar signals sent: a `WaitCell`'s, to a parked waiter only, and
+    /// a `TrackedCondvar`'s, whether or not a thread was waiting.
     pub signals: u64,
 }
 
@@ -207,10 +207,10 @@ mod imp {
         THREAD_ACQUISITIONS.with(|t| *t.borrow())
     }
 
-    /// Condvar signals the *calling thread* has sent so far — one per
-    /// `TrackedCondvar::notify_*`, each a `futex_wake` whether or not
-    /// anyone waits.  The signal budget of a call path reads it the way
-    /// its lock budget reads [`thread_acquisitions`].
+    /// Condvar signals the *calling thread* has sent so far, each a
+    /// `futex_wake`: one per `WaitCell` notify that found a waiter parked,
+    /// one per `TrackedCondvar::notify_*`.  The signal budget of a call
+    /// path reads it the way its lock budget reads [`thread_acquisitions`].
     pub fn thread_signals() -> u64 {
         THREAD_SIGNALS.with(Cell::get)
     }
@@ -304,6 +304,10 @@ pub use imp::{
 // In a plain release build the detector is the no-op module and there is
 // nothing to test; `--features sync-audit` turns these back on.
 #[cfg(all(test, any(debug_assertions, feature = "sync-audit")))]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the audit's tests signal and time out a TrackedCondvar"
+)]
 mod tests {
     use super::*;
     use crate::{LockClass, TrackedCondvar, TrackedMutex};
@@ -331,7 +335,7 @@ mod tests {
 
     #[test]
     fn signal_ledger_counts_this_threads_notifies_waiter_or_not() {
-        let c = std::sync::Arc::new(TrackedCondvar::new());
+        let c = std::sync::Arc::new(TrackedCondvar::default());
         let (before, process_before) = (thread_signals(), stats().signals);
         c.notify_one();
         let other = std::sync::Arc::clone(&c);
@@ -381,7 +385,7 @@ mod tests {
     #[test]
     fn condvar_wait_releases_the_held_token() {
         let m = TrackedMutex::new(LockClass::TestA, ());
-        let c = TrackedCondvar::new();
+        let c = TrackedCondvar::default();
         // The wait times out; after the re-acquisition the token is back
         // once (not twice: no same-class nesting), and the drop removes it.
         let (_, violations) = capture_violations(|| {

@@ -19,6 +19,10 @@
 //! and nesting checks like any class and is exempt only from the
 //! lock-across-clock check.
 //!
+//! A [`WaitCell`] is a tracked mutex a thread sleeps on until its state
+//! changes; it signals only a parked waiter.  Every untimed wait is one,
+//! and [`TrackedCondvar`] is left to the two timed waits.
+//!
 //! Violations panic with both acquisition sites in debug/test builds; the
 //! `sync-audit` feature turns the same checks on in release builds.  When
 //! neither is active the wrappers compile down to the plain `std`
@@ -35,13 +39,11 @@
 use std::ops::{Deref, DerefMut};
 use std::panic::Location;
 use std::sync::{PoisonError, TryLockError};
-use std::time::Duration;
 
 pub mod atomic;
 pub mod audit;
 
 pub use atomic::{Counter, Flag, Published, Tally};
-pub use std::sync::WaitTimeoutResult;
 
 use audit::{AcqKind, Token};
 
@@ -143,8 +145,8 @@ pub enum LockClass {
     /// is the one thread draining that lane's avail ring.
     LaneExecutor = 32,
     // --- directed fabric wake-ups (PR 16) ---
-    /// An endpoint's timed-bulk-lane receive state (`recv_timed` parks on
-    /// the condvar paired with it).
+    /// An endpoint's timed-bulk-lane receive state, a [`WaitCell`]
+    /// `recv_timed` parks on.
     TimedLane = 33,
 }
 
@@ -255,7 +257,7 @@ impl LockClass {
 
 #[expect(clippy::disallowed_types, reason = "TrackedMutex and TrackedRole wrap the raw one")]
 type RawMutex<T> = std::sync::Mutex<T>;
-#[expect(clippy::disallowed_types, reason = "TrackedCondvar wraps the raw one")]
+#[expect(clippy::disallowed_types, reason = "TrackedCondvar and WaitCell wrap the raw one")]
 type RawCondvar = std::sync::Condvar;
 
 /// A mutex that reports its acquisitions to the lock-order audit.
@@ -302,8 +304,8 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for TrackedMutex<T> {
 }
 
 pub struct TrackedMutexGuard<'a, T: ?Sized> {
-    /// `None` only inside [`TrackedCondvar`]'s waits, which take the raw
-    /// guard by value and hand it back.
+    /// `None` only inside a condvar wait, which takes the raw guard by
+    /// value and hands it back.
     inner: Option<std::sync::MutexGuard<'a, T>>,
     class: LockClass,
     token: Token,
@@ -330,58 +332,176 @@ impl<T: ?Sized> Drop for TrackedMutexGuard<'_, T> {
 
 // -------------------------------------------------------------- Condvar
 
-/// A condition variable usable with [`TrackedMutex`].  The held-lock token
-/// is dropped for the duration of the wait (the mutex is released) and
-/// re-registered — re-running the order checks — on wakeup.
-#[derive(Default)]
-pub struct TrackedCondvar {
-    inner: RawCondvar,
-}
+#[expect(clippy::disallowed_types, reason = "the timed condvar's own definition")]
+pub use timed::TrackedCondvar;
 
-impl TrackedCondvar {
-    pub const fn new() -> Self {
-        TrackedCondvar { inner: RawCondvar::new() }
+#[expect(clippy::disallowed_types, reason = "the timed condvar's own definition")]
+mod timed {
+    use super::{audit, AcqKind, Location, PoisonError, RawCondvar, TrackedMutexGuard};
+    use std::time::Duration;
+
+    /// A condition variable for the timed waits, whose wall timeout no state
+    /// change ends (`scif::poll`, the benchmark's `TokenWaitQueue` probe).
+    /// It signals whether or not anyone waits; every untimed wait is a
+    /// [`WaitCell`](super::WaitCell).
+    #[derive(Debug, Default)]
+    pub struct TrackedCondvar {
+        inner: RawCondvar,
     }
 
+    impl TrackedCondvar {
+        pub fn notify_one(&self) {
+            audit::on_signal();
+            self.inner.notify_one();
+        }
+
+        pub fn notify_all(&self) {
+            audit::on_signal();
+            self.inner.notify_all();
+        }
+
+        /// Park with `guard`'s mutex released, for at most `timeout`.
+        #[track_caller]
+        pub fn wait_for<T>(
+            &self,
+            guard: &mut TrackedMutexGuard<'_, T>,
+            timeout: Duration,
+        ) -> std::sync::WaitTimeoutResult {
+            let site = Location::caller();
+            audit::on_release(guard.token);
+            let raw = guard.inner.take().expect("guard present");
+            let (raw, result) =
+                self.inner.wait_timeout(raw, timeout).unwrap_or_else(PoisonError::into_inner);
+            guard.inner = Some(raw);
+            guard.token = audit::on_acquire(guard.class, AcqKind::Exclusive, site);
+            result
+        }
+    }
+}
+
+// ------------------------------------------------------------- WaitCell
+
+/// How the waiters of one [`WaitCell`] have waited so far: their parks,
+/// how many of those ended with the predicate holding (`woken`) or still
+/// false (`spurious`: a wake-up for nothing, and the waiter parks again),
+/// and how many are `parked` now.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct WaitCounts {
+    pub parks: u64,
+    pub woken: u64,
+    pub spurious: u64,
+    pub parked: u32,
+}
+
+/// State a thread sleeps on until it changes (DESIGN.md #22): a
+/// [`TrackedMutex`] over `T`, the threads parked on it, and one condvar.
+/// A waiter parks in [`WaitGuard::wait_until`], counted under the lock; a
+/// waker changes the state and notifies in the same critical section,
+/// which signals only if somebody is parked.  So a change nobody waits
+/// for costs no `futex_wake`, and none is lost: a waiter was either
+/// counted before the change or looks after it.
+#[derive(Debug)]
+pub struct WaitCell<T> {
+    state: TrackedMutex<Waiting<T>>,
+    cond: RawCondvar,
+}
+
+#[derive(Debug)]
+struct Waiting<T> {
+    value: T,
+    counts: WaitCounts,
+}
+
+impl<T> WaitCell<T> {
+    pub const fn new(class: LockClass, value: T) -> Self {
+        let counts = WaitCounts { parks: 0, woken: 0, spurious: 0, parked: 0 };
+        let state = TrackedMutex::new(class, Waiting { value, counts });
+        WaitCell { state, cond: RawCondvar::new() }
+    }
+
+    /// Acquire the state, as [`TrackedMutex::lock`].
+    #[track_caller]
+    pub fn lock(&self) -> WaitGuard<'_, T> {
+        WaitGuard { guard: self.state.lock(), cond: &self.cond }
+    }
+}
+
+/// A [`WaitCell`]'s held state.
+pub struct WaitGuard<'a, T> {
+    guard: TrackedMutexGuard<'a, Waiting<T>>,
+    cond: &'a RawCondvar,
+}
+
+impl<T> WaitGuard<'_, T> {
+    /// Park until `done` holds, releasing the lock while parked.  `done`
+    /// runs under the lock before each park and after each wake-up, and
+    /// may record in the state what its waiter needs.
+    #[track_caller]
+    pub fn wait_until(&mut self, mut done: impl FnMut(&mut T) -> bool) {
+        let (site, cond, g) = (Location::caller(), self.cond, &mut self.guard);
+        if done(&mut g.value) {
+            return;
+        }
+        loop {
+            g.counts.parked += 1;
+            g.counts.parks += 1;
+            audit::on_release(g.token);
+            let raw = g.inner.take().expect("guard present");
+            g.inner = Some(cond.wait(raw).unwrap_or_else(PoisonError::into_inner));
+            g.token = audit::on_acquire(g.class, AcqKind::Exclusive, site);
+            g.counts.parked -= 1;
+            if done(&mut g.value) {
+                g.counts.woken += 1;
+                return;
+            }
+            g.counts.spurious += 1;
+        }
+    }
+
+    /// Wake one parked waiter, if any is parked.  Call after the change.
     pub fn notify_one(&self) {
-        audit::on_signal();
-        self.inner.notify_one();
+        if self.guard.counts.parked > 0 {
+            audit::on_signal();
+            self.cond.notify_one();
+        }
     }
 
+    /// Wake every parked waiter, if any is parked.  Call after the change.
     pub fn notify_all(&self) {
-        audit::on_signal();
-        self.inner.notify_all();
+        if self.guard.counts.parked > 0 {
+            audit::on_signal();
+            self.cond.notify_all();
+        }
     }
 
-    #[track_caller]
-    pub fn wait<T>(&self, guard: &mut TrackedMutexGuard<'_, T>) {
-        let site = Location::caller();
-        audit::on_release(guard.token);
-        let raw = guard.inner.take().expect("guard present");
-        guard.inner = Some(self.inner.wait(raw).unwrap_or_else(PoisonError::into_inner));
-        guard.token = audit::on_acquire(guard.class, AcqKind::Exclusive, site);
+    /// [`notify_one`](Self::notify_one) once the lock is let go: for a
+    /// waker whose waiter runs on its CPU and would only spin on the lock
+    /// (DESIGN.md #25).  A waiter counted here is parked or looks again.
+    pub fn unlock_notify_one(self) {
+        let (parked, cond) = (self.guard.counts.parked > 0, self.cond);
+        drop(self);
+        if parked {
+            audit::on_signal();
+            cond.notify_one();
+        }
     }
 
-    #[track_caller]
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut TrackedMutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let site = Location::caller();
-        audit::on_release(guard.token);
-        let raw = guard.inner.take().expect("guard present");
-        let (raw, result) =
-            self.inner.wait_timeout(raw, timeout).unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(raw);
-        guard.token = audit::on_acquire(guard.class, AcqKind::Exclusive, site);
-        result
+    /// How the cell's waiters have waited so far, and how many are parked.
+    pub fn counts(&self) -> WaitCounts {
+        self.guard.counts
     }
 }
 
-impl std::fmt::Debug for TrackedCondvar {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("TrackedCondvar { .. }")
+impl<T> Deref for WaitGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.guard.value
+    }
+}
+
+impl<T> DerefMut for WaitGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.guard.value
     }
 }
 
@@ -446,6 +566,7 @@ impl Drop for TrackedRoleGuard<'_> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn mutex_round_trip() {
@@ -455,32 +576,155 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "a timed wait's own test")]
     fn condvar_wait_for_times_out() {
         let m = TrackedMutex::new(LockClass::TestInner, false);
-        let c = TrackedCondvar::new();
+        let c = TrackedCondvar::default();
         let mut g = m.lock();
         assert!(c.wait_for(&mut g, Duration::from_millis(5)).timed_out());
         assert!(!*g, "the guard is usable again after the wait");
     }
 
+    /// Spin until `cond` holds: a wake-up lost on the way leaves its
+    /// waiter parked for good, which reads as a timeout, not a hang.
+    fn until(what: &str, cond: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < Duration::from_secs(10), "timed out until {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    fn joined<T>(what: &str, t: std::thread::JoinHandle<T>) -> T {
+        until(what, || t.is_finished());
+        t.join().unwrap()
+    }
+
+    fn until_parked<T>(cell: &WaitCell<T>, n: u32) {
+        until("the waiters park", || cell.lock().counts().parked == n);
+    }
+
     #[test]
     fn condvar_wakes_waiter() {
-        let pair =
-            Arc::new((TrackedMutex::new(LockClass::TestInner, false), TrackedCondvar::new()));
-        let p2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, c) = &*p2;
-            let mut ready = m.lock();
-            while !*ready {
-                c.wait(&mut ready);
-            }
-        });
+        let cell = Arc::new(WaitCell::new(LockClass::TestInner, false));
+        let c2 = Arc::clone(&cell);
+        let t = std::thread::spawn(move || c2.lock().wait_until(|ready| *ready));
         {
-            let (m, c) = &*pair;
-            *m.lock() = true;
-            c.notify_all();
+            let mut ready = cell.lock();
+            *ready = true;
+            ready.notify_all();
         }
-        t.join().unwrap();
+        joined("the waiter wakes", t);
+        let counts = cell.lock().counts();
+        assert_eq!(counts.parks, counts.woken, "{counts:?}");
+    }
+
+    #[test]
+    fn an_update_with_nobody_parked_signals_nobody() {
+        let cell = Arc::new(WaitCell::new(LockClass::TestInner, 0u32));
+        let before = audit::thread_signals();
+        for _ in 0..100 {
+            let mut n = cell.lock();
+            *n += 1;
+            n.notify_one();
+            n.notify_all();
+        }
+        assert_eq!(audit::thread_signals(), before);
+        cell.lock().wait_until(|n| *n == 100);
+        assert_eq!(cell.lock().counts(), WaitCounts::default(), "a true predicate never parks");
+
+        // A parked waiter is signalled, once.
+        let c2 = Arc::clone(&cell);
+        let waiter = std::thread::spawn(move || c2.lock().wait_until(|n| *n > 100));
+        until_parked(&cell, 1);
+        let before = audit::thread_signals();
+        {
+            let mut n = cell.lock();
+            *n += 1;
+            n.notify_one();
+        }
+        joined("the parked waiter wakes", waiter);
+        if audit::ENABLED {
+            assert_eq!(audit::thread_signals() - before, 1);
+        }
+    }
+
+    /// Two threads take 10,000 turns each through one cell: each parks
+    /// until the count has its parity, then bumps it and notifies.  The
+    /// bump lands before its partner looks, between the look and the park,
+    /// or after.
+    #[test]
+    fn an_update_racing_a_park_loses_no_wake_up() {
+        const ROUNDS: u64 = 10_000;
+        let cell = Arc::new(WaitCell::new(LockClass::TestInner, 0u64));
+        let players: Vec<_> = (0..2)
+            .map(|me| {
+                let cell = Arc::clone(&cell);
+                std::thread::spawn(move || {
+                    for _ in 0..ROUNDS {
+                        let mut n = cell.lock();
+                        n.wait_until(|n| *n % 2 == me);
+                        *n += 1;
+                        n.notify_one();
+                    }
+                })
+            })
+            .collect();
+        players.into_iter().for_each(|p| joined("every turn is taken", p));
+        assert_eq!(*cell.lock(), 2 * ROUNDS);
+        let counts = cell.lock().counts();
+        assert_eq!(counts.parks, counts.woken + counts.spurious, "{counts:?}");
+    }
+
+    /// A bounded queue's readers and writers share one cell: it cannot be
+    /// empty and full at once, so whoever is parked waits for what the
+    /// other side's update just made.
+    #[test]
+    fn readers_on_empty_and_writers_on_full_are_woken_through_one_cell() {
+        let queue = Arc::new(WaitCell::new(LockClass::TestInner, Vec::<u32>::new()));
+        let q = Arc::clone(&queue);
+        let reader = std::thread::spawn(move || {
+            let mut items = q.lock();
+            items.wait_until(|items| !items.is_empty());
+            let got = items.remove(0);
+            items.notify_all();
+            got
+        });
+        until_parked(&queue, 1);
+        {
+            let mut items = queue.lock();
+            items.push(7);
+            items.notify_all();
+        }
+        assert_eq!(joined("the reader parked on empty wakes", reader), 7);
+
+        // Full at two: both writers park, and each read lets one in.
+        queue.lock().extend([1, 2]);
+        let writers: Vec<_> = (10..12)
+            .map(|v| {
+                let q = Arc::clone(&queue);
+                std::thread::spawn(move || {
+                    let mut items = q.lock();
+                    items.wait_until(|items| items.len() < 2);
+                    items.push(v);
+                    items.notify_all();
+                })
+            })
+            .collect();
+        until_parked(&queue, 2);
+        for left in [1, 0] {
+            {
+                let mut items = queue.lock();
+                items.remove(0);
+                items.notify_all();
+            }
+            until("a writer parked on full wakes", || queue.lock().counts().parked == left);
+            until("its item lands", || queue.lock().len() == 2);
+        }
+        writers.into_iter().for_each(|w| joined("the writers finish", w));
+        let mut left = queue.lock().clone();
+        left.sort_unstable();
+        assert_eq!(left, [10, 11], "both writers parked on full were woken");
     }
 
     #[test]

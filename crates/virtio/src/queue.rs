@@ -13,7 +13,7 @@ use std::sync::Arc;
 use vphi_faults::{FaultHook, FaultSite};
 use vphi_sim_core::cost::GUEST_WATCHDOG;
 use vphi_sim_core::{SpanLabel, Timeline};
-use vphi_sync::{Counter, LockClass, Published, TrackedCondvar, TrackedMutex, TrackedRole};
+use vphi_sync::{Counter, LockClass, Published, TrackedRole, WaitCell};
 
 use crate::ring::{DescChain, Descriptor, UsedElem};
 
@@ -72,12 +72,6 @@ struct QueueState {
     /// count: the device drains the whole ring each time it wakes, so a
     /// second kick before it looks asks for nothing more.
     kicked: bool,
-    /// The lane's device thread is parked in
-    /// [`wait_kick`](VirtQueue::wait_kick).  Read and written only under
-    /// the ring lock, so a kick either finds it parked (and signals it) or
-    /// lands before it parks (and is found): no wake-up is lost, and a
-    /// kick with nobody parked signals nobody.
-    device_parked: bool,
 }
 
 impl QueueState {
@@ -179,14 +173,13 @@ pub struct Popped {
 /// A split virtqueue of `size` descriptors.
 pub struct VirtQueue {
     size: u16,
-    state: TrackedMutex<QueueState>,
-    /// Where the lane's device thread sleeps, paired with `state`: a
-    /// delivered kick or the ring's close wakes it.  Device → guest
-    /// notification is not here by design: a used-buffer interrupt is
-    /// decided by the backend's `LaneNotifier`, from whether a push
-    /// crossed the EVENT_IDX threshold, so the suppression decision has
-    /// one owner.
-    device: TrackedCondvar,
+    /// The ring, and where the lane's device thread sleeps: a delivered
+    /// kick or the ring's close wakes it, signalled only if it is parked.
+    /// Device → guest notification is not here by design: a used-buffer
+    /// interrupt is decided by the backend's `LaneNotifier`, from whether
+    /// a push crossed the EVENT_IDX threshold, so the suppression
+    /// decision has one owner.
+    state: WaitCell<QueueState>,
     /// Who is draining the avail ring right now: the device's service
     /// thread for this queue, or a blocking kicker.  Held for a whole
     /// drain pass — pops and the request handlers — so chains are
@@ -209,7 +202,7 @@ impl VirtQueue {
         assert!(size > 0 && size.is_power_of_two(), "queue size must be a power of two");
         Arc::new(VirtQueue {
             size,
-            state: TrackedMutex::new(
+            state: WaitCell::new(
                 LockClass::VirtQueueState,
                 QueueState {
                     table: vec![None; size as usize],
@@ -221,10 +214,8 @@ impl VirtQueue {
                     used_event: 0,
                     closed: false,
                     kicked: false,
-                    device_parked: false,
                 },
             ),
-            device: TrackedCondvar::new(),
             executor: TrackedRole::new(LockClass::LaneExecutor),
             faults: FaultHook::new(),
             kicks: Counter::new(0),
@@ -367,9 +358,7 @@ impl VirtQueue {
         if service() {
             let mut st = self.state.lock();
             st.kicked = true;
-            if st.device_parked {
-                self.device.notify_one();
-            }
+            st.notify_one();
         }
         lost
     }
@@ -441,24 +430,15 @@ impl VirtQueue {
     /// ring for its last pass.
     pub fn wait_kick(&self) -> bool {
         let mut st = self.state.lock();
-        loop {
-            if st.closed {
-                return false;
-            }
-            if std::mem::take(&mut st.kicked) {
-                return true;
-            }
-            st.device_parked = true;
-            self.device.wait(&mut st);
-            st.device_parked = false;
-        }
+        st.wait_until(|st| st.closed || st.kicked);
+        !st.closed && std::mem::take(&mut st.kicked)
     }
 
     /// Whether the lane's device thread is idle: parked in
     /// [`wait_kick`](VirtQueue::wait_kick), with no kick to take.
     pub fn device_idle(&self) -> bool {
         let st = self.state.lock();
-        st.device_parked && !st.kicked
+        st.counts().parked > 0 && !st.kicked
     }
 
     /// Push a completion and charge `UsedPush`.  Returns whether the push
@@ -494,9 +474,7 @@ impl VirtQueue {
     pub fn close(&self) {
         let mut st = self.state.lock();
         st.closed = true;
-        if st.device_parked {
-            self.device.notify_all();
-        }
+        st.notify_all();
     }
 }
 
@@ -839,7 +817,7 @@ mod tests {
     #[test]
     fn blocking_kick_runs_the_exit_handler_on_the_kicking_thread() {
         let q = VirtQueue::new(8);
-        let seen = TrackedMutex::new(LockClass::TestInner, Vec::new());
+        let seen = vphi_sync::TrackedMutex::new(LockClass::TestInner, Vec::new());
         let handler = |through| {
             let mut left = q.avail_pending();
             while let Ok(Some(popped)) = q.pop_avail_bounded(through) {

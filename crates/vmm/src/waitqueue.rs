@@ -16,22 +16,20 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use vphi_sync::{LockClass, TrackedCondvar, TrackedMutex};
+use vphi_sync::{LockClass, TrackedMutex};
 
 /// One sleeping requester's parking slot: a signal count (wakes delivered
 /// before the sleeper parked must not be lost) and its private condvar.
 #[derive(Debug)]
+#[expect(clippy::disallowed_types, reason = "the benchmark probe's timed wait")]
 struct TokenSlot {
     signals: TrackedMutex<u64>,
-    cond: TrackedCondvar,
+    cond: vphi_sync::TrackedCondvar,
 }
 
 impl TokenSlot {
     fn new() -> Self {
-        TokenSlot {
-            signals: TrackedMutex::new(LockClass::TokenSlot, 0),
-            cond: TrackedCondvar::new(),
-        }
+        TokenSlot { signals: TrackedMutex::new(LockClass::TokenSlot, 0), cond: Default::default() }
     }
 }
 
