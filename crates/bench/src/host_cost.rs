@@ -54,6 +54,10 @@ fn note(size: usize) {
 // allocator the process would otherwise use, so `System`'s guarantees are
 // this allocator's; the only addition is a few relaxed atomic updates, which
 // neither allocate nor touch the memory being managed.
+#[expect(
+    unsafe_code,
+    reason = "a global allocator is an unsafe trait; each method forwards to `System`"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());

@@ -80,6 +80,11 @@ impl WindowBytes for GuestWindowBytes {
         let gpa = self.at(at, data.len())?;
         self.mem.write(gpa, data).map_err(|_| ScifError::OutOfRange)
     }
+
+    fn zero(&self, at: u64, len: u64) -> ScifResult<()> {
+        let gpa = self.at(at, len as usize)?;
+        self.mem.with_slice_mut(gpa, len, |bytes| bytes.fill(0)).map_err(|_| ScifError::OutOfRange)
+    }
 }
 
 /// Counters surfaced by the figure harness.  What every request counts

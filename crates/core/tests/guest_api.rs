@@ -122,3 +122,47 @@ fn paravirtual_spans_appear_exactly_once_per_request() {
     assert_eq!(rig.vm.frontend().stats().interrupt_waits, 3); // open+connect+send
     assert_eq!(send_tl.total(), SimDuration::from_micros(382));
 }
+
+/// Guest RAM and GDDR sit on host huge pages where a mapping or a region
+/// covers one (DESIGN.md #28): a 64 MiB
+/// guest buffer and a 64 MiB byte-backed region are advised once each,
+/// the request path's kmalloc chunks never, and the bytes are what they
+/// always were — zeros when new, and whatever an RMA moved after.
+#[test]
+fn large_buffers_and_regions_are_advised_once_and_keep_their_bytes() {
+    use vphi_dev_support::window;
+    use vphi_scif::RmaFlags;
+    const BIG: u64 = 64 << 20;
+    let host = VphiHost::new(1);
+    let card = window(&host, 0, BIG, |region| {
+        assert_eq!(region.huge_advice(), 1);
+        assert!(region.with_bytes_mut(|b| b.iter().all(|&x| x == 0)).unwrap(), "new GDDR");
+        region.write(BIG - 9, b"from gddr").unwrap();
+    });
+    let rig = GuestRig::connect(&host, VmConfig::default(), card.addr());
+    let region = host.board(0).memory().region_at(card.wait_registered()).unwrap();
+    let mem = rig.vm.vm().mem();
+
+    let before = mem.huge_advice();
+    for _ in 0..1_000 {
+        rig.send(&[1]);
+    }
+    assert_eq!(mem.huge_advice(), before, "a 1-byte send advised guest RAM");
+
+    let buf = rig.vm.alloc_buf(BIG).unwrap();
+    assert_eq!(mem.huge_advice(), before + 1);
+    let mut tail = [0xFFu8; 9];
+    buf.peek(BIG - 9, &mut tail).unwrap();
+    assert_eq!(tail, [0; 9], "a new guest buffer reads zeros");
+
+    let mut tl = Timeline::new();
+    rig.guest.vreadfrom(&buf, 0, RmaFlags::SYNC, &mut tl).unwrap();
+    buf.peek(BIG - 9, &mut tail).unwrap();
+    assert_eq!(&tail, b"from gddr");
+    buf.fill(3 << 20, b"from the guest").unwrap();
+    rig.guest.vwriteto(&buf, 0, RmaFlags::SYNC, &mut tl).unwrap();
+    let mut back = [0u8; 14];
+    region.read(3 << 20, &mut back).unwrap();
+    assert_eq!(&back, b"from the guest");
+    assert_eq!(region.huge_advice(), 1);
+}

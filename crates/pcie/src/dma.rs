@@ -24,8 +24,8 @@ const BOUNCE_BLOCK: usize = 16 * 1024;
 /// block, without materializing the payload.  `read(offset, buf)` fills
 /// `buf` from source offset `offset`; `write(offset, buf)` stores it at
 /// the same destination offset.  The RMA engine's fallback for window
-/// pairs it cannot copy in a single pass (two stores of one lock class, a
-/// timed region), and the reference its copy selection is tested against:
+/// pairs it cannot copy in a single pass (two byte stores of one lock
+/// class), and the reference its copy selection is tested against:
 /// functional effect only — the wire cost is charged separately by the
 /// caller (see DESIGN.md #19).
 pub fn gather_copy<E>(

@@ -2,14 +2,17 @@
 //!
 //! The modeled capacity (6 GB on the 3120P) is tracked by the allocator,
 //! but host RAM is only committed for regions that are actually allocated
-//! *and* touched: each region owns a real `Vec<u8>` so SCIF RMA and mmap
-//! are functionally exact, while the paper-scale experiments that only need
-//! timing can allocate "timed" regions that carry no backing store.
+//! *and* touched: each region owns real, lazily zeroed host bytes (a
+//! [`HostBytes`], on host huge pages from one huge page up) so SCIF RMA
+//! and mmap are functionally exact, while the paper-scale experiments that
+//! only need timing can allocate "timed" regions that carry no backing
+//! store.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vphi_sim_core::cost::PAGE_SIZE;
+use vphi_sim_core::host_mem::HostBytes;
 use vphi_sync::{LockClass, TrackedMutex};
 
 /// Errors from the device memory allocator.
@@ -47,7 +50,7 @@ impl std::error::Error for MemError {}
 pub struct DeviceRegion {
     offset: u64,
     len: u64,
-    backing: Option<TrackedMutex<Vec<u8>>>,
+    backing: Option<TrackedMutex<HostBytes>>,
 }
 
 impl DeviceRegion {
@@ -66,6 +69,12 @@ impl DeviceRegion {
 
     pub fn is_backed(&self) -> bool {
         self.backing.is_some()
+    }
+
+    /// How many ranges of the region's bytes have been advised onto host
+    /// huge pages: one for a byte-backed region of at least a huge page.
+    pub fn huge_advice(&self) -> u64 {
+        self.backing.as_ref().map_or(0, |bytes| bytes.lock().huge_advice())
     }
 
     /// Read `buf.len()` bytes starting at `at` within the region.
@@ -202,12 +211,12 @@ impl DeviceMemory {
         if span.len > len {
             inner.free.insert(off + len, FreeSpan { len: span.len - len });
         }
-        let region = Arc::new(DeviceRegion {
-            offset: off,
-            len,
-            backing: backed
-                .then(|| TrackedMutex::new(LockClass::PhiMemData, vec![0u8; len as usize])),
+        let backing = backed.then(|| {
+            let mut bytes = HostBytes::zeroed(len as usize);
+            bytes.advise_huge(0..len as usize);
+            TrackedMutex::new(LockClass::PhiMemData, bytes)
         });
+        let region = Arc::new(DeviceRegion { offset: off, len, backing });
         inner.regions.insert(off, Arc::clone(&region));
         inner.allocated += len;
         Ok(region)
@@ -363,6 +372,23 @@ mod tests {
         assert_eq!(t.with_range(0, 8, |_| ()), Err(MemError::Unbacked));
         assert_eq!(t.with_range_mut(0, 8, |_| ()), Err(MemError::Unbacked));
         assert_eq!(t.with_range(PAGE_SIZE, 8, |_| ()), Err(MemError::OutOfBounds));
+    }
+
+    #[test]
+    fn a_region_of_a_huge_page_or_more_is_advised_once_and_round_trips() {
+        use vphi_sim_core::cost::HUGE_PAGE_SIZE;
+        let m = DeviceMemory::new(128 * MIB);
+        assert_eq!(m.alloc(HUGE_PAGE_SIZE - PAGE_SIZE).unwrap().huge_advice(), 0);
+        assert_eq!(m.alloc_timed(8 * MIB).unwrap().huge_advice(), 0);
+        let r = m.alloc(64 * MIB).unwrap();
+        assert_eq!(r.huge_advice(), 1);
+        assert!(r.with_bytes_mut(|b| b.iter().all(|&x| x == 0)).unwrap());
+        for at in [0, HUGE_PAGE_SIZE - 2, 64 * MIB - 4] {
+            r.write(at, &[9, 8, 7, 6]).unwrap();
+            let mut out = [0u8; 4];
+            r.read(at, &mut out).unwrap();
+            assert_eq!(out, [9, 8, 7, 6]);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use vphi_pcie::gather_copy;
-use vphi_phi::DeviceRegion;
+use vphi_phi::{DeviceRegion, MemError};
 use vphi_sim_core::cost::{HUGE_PAGE_SIZE, PAGE_SIZE};
 
 use crate::error::{ScifError, ScifResult};
@@ -36,6 +36,9 @@ pub trait WindowBytes: Send + Sync {
     }
     fn read(&self, at: u64, out: &mut [u8]) -> ScifResult<()>;
     fn write(&self, at: u64, data: &[u8]) -> ScifResult<()>;
+    /// Set `[at, at + len)` to zero: what a timed GDDR region's bytes
+    /// arrive as.
+    fn zero(&self, at: u64, len: u64) -> ScifResult<()>;
 }
 
 /// What a window's bytes live in.
@@ -101,6 +104,24 @@ impl WindowBacking {
         }
     }
 
+    /// Set `[at, at + len)` to zero, in place; a timed region range-checks
+    /// and keeps nothing, as it does for a write.
+    fn zero(&self, at: u64, len: u64) -> ScifResult<()> {
+        match self {
+            WindowBacking::Pinned(b) => {
+                let mut buf = b.lock();
+                let end = range_end(buf.len() as u64, at, len)?;
+                buf[at as usize..end].fill(0);
+                Ok(())
+            }
+            WindowBacking::Device(r) => match r.with_range_mut(at, len, |bytes| bytes.fill(0)) {
+                Ok(()) | Err(MemError::Unbacked) => Ok(()),
+                Err(_) => Err(ScifError::OutOfRange),
+            },
+            WindowBacking::External(e) => e.zero(at, len),
+        }
+    }
+
     /// Device page-frame number of byte 0, when GDDR-backed (used by
     /// `scif_mmap` → `VM_PFNPHI`).
     pub fn device_base_pfn(&self) -> Option<u64> {
@@ -116,9 +137,11 @@ impl WindowBacking {
     /// The side whose lock is outermost in the hierarchy (`PinnedBuf` 80 →
     /// `PhiMemData` 82 → `GuestMemState` 84, where external stores sit)
     /// lends its byte range for the duration of the copy and the other
-    /// side reads or writes the lent slice directly.  Two sides of one
-    /// lock class cannot nest, and a timed GDDR region has no bytes to
-    /// lend: those pairs go through [`gather_copy`]'s fixed bounce block.
+    /// side reads or writes the lent slice directly.  A timed GDDR region
+    /// has no bytes: copied from, it zeroes the destination range in
+    /// place; copied to, it only checks both ranges.  Two byte stores of
+    /// one lock class cannot nest: those pairs go through
+    /// [`gather_copy`]'s fixed bounce block.
     ///
     /// Both ranges are checked before a byte moves, so a failed copy
     /// leaves `dst` untouched.
@@ -126,6 +149,14 @@ impl WindowBacking {
         use WindowBacking::{Device, External, Pinned};
         let oob = |_| ScifError::OutOfRange;
         match (self, dst) {
+            (Device(r), _) if !r.is_backed() => {
+                range_end(self.len(), at, len)?;
+                dst.zero(dst_at, len)
+            }
+            (_, Device(r)) if !r.is_backed() => {
+                range_end(self.len(), at, len)?;
+                range_end(dst.len(), dst_at, len).map(drop)
+            }
             (Pinned(p), Device(_) | External(_)) => {
                 let data = p.lock();
                 let end = range_end(data.len() as u64, at, len)?;
@@ -347,6 +378,9 @@ mod tests {
             Err(ScifError::OutOfRange)
         }
         fn write(&self, _at: u64, _data: &[u8]) -> ScifResult<()> {
+            Err(ScifError::OutOfRange)
+        }
+        fn zero(&self, _at: u64, _len: u64) -> ScifResult<()> {
             Err(ScifError::OutOfRange)
         }
     }

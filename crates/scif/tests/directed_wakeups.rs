@@ -37,7 +37,9 @@ fn listen_on(fabric: &ScifFabric, node: NodeId, port: u16, backlog: usize) -> Ar
     ep
 }
 
-/// A host-side client connected to a card-side endpoint.
+/// A host-side client connected to a card-side endpoint.  Both halves of
+/// the handshake are bounded, so a wake-up lost while pairing fails the
+/// test that asked for the pair.
 fn connected_pair(
     fabric: &ScifFabric,
     dev: NodeId,
@@ -45,13 +47,16 @@ fn connected_pair(
 ) -> (Arc<EndpointCore>, Arc<EndpointCore>) {
     let server = listen_on(fabric, dev, port, 1);
     let client = fabric.open(HOST_NODE).unwrap();
-    let acceptor = std::thread::spawn(move || {
+    let acceptor = blocked(move || {
         let conn = server.accept(&mut Timeline::new()).unwrap();
         server.close();
         conn
     });
-    client.connect(ScifAddr::new(dev, Port(port)), &mut Timeline::new()).unwrap();
-    (client, acceptor.join().unwrap())
+    let connector = Arc::clone(&client);
+    blocked(move || connector.connect(ScifAddr::new(dev, Port(port)), &mut Timeline::new()))
+        .within(PROMPT, "connect of a fresh pair")
+        .unwrap();
+    (client, acceptor.within(PROMPT, "accept of a fresh pair"))
 }
 
 /// A blocking call running on its own thread.
@@ -69,10 +74,10 @@ fn blocked<T: Send + 'static>(op: impl FnOnce() -> T + Send + 'static) -> Blocke
 impl<T> Blocked<T> {
     /// The call's result, which must arrive within `limit`.
     fn within(self, limit: Duration, what: &str) -> T {
-        let result = self
-            .result
-            .recv_timeout(limit)
-            .unwrap_or_else(|_| panic!("{what}: still blocked after {limit:?}"));
+        let result = self.result.recv_timeout(limit).unwrap_or_else(|e| match e {
+            mpsc::RecvTimeoutError::Timeout => panic!("{what}: still blocked after {limit:?}"),
+            mpsc::RecvTimeoutError::Disconnected => panic!("{what}: panicked"),
+        });
         self.thread.join().unwrap();
         result
     }
@@ -94,14 +99,14 @@ fn until_parked(ep: &EndpointCore, parks: u64) {
 /// host to card and drained there, until dropped.
 struct Chatter {
     stop: Arc<Flag>,
-    thread: Option<JoinHandle<()>>,
+    thread: Option<Blocked<()>>,
 }
 
 fn chatter(fabric: &ScifFabric, dev: NodeId, port: u16) -> Chatter {
     let (client, conn) = connected_pair(fabric, dev, port);
     let stop = Arc::new(Flag::new(false));
     let stopped = Arc::clone(&stop);
-    let thread = std::thread::spawn(move || {
+    let thread = blocked(move || {
         let mut tl = Timeline::new();
         let mut byte = [0u8; 1];
         while !stopped.get() {
@@ -116,15 +121,16 @@ fn chatter(fabric: &ScifFabric, dev: NodeId, port: u16) -> Chatter {
 impl Drop for Chatter {
     fn drop(&mut self) {
         self.stop.set();
-        if let Some(thread) = self.thread.take() {
-            if thread.join().is_err() && !std::thread::panicking() {
-                panic!("the bystander pair failed");
-            }
+        if let Some(thread) = self.thread.take().filter(|_| !std::thread::panicking()) {
+            thread.within(PROMPT, "the bystander pair");
         }
     }
 }
 
 const PROMPT: Duration = Duration::from_secs(1);
+/// A whole stress test's thread: far longer than any run takes, so only a
+/// wait that never ends reaches it.
+const STRESS: Duration = Duration::from_secs(60);
 
 /// With `accept`, `connect` (sitting in the backlog of a listener nobody
 /// accepts on) and `recv_timed` each parked, 10,000 sends and receives on
@@ -200,8 +206,12 @@ fn accept_hears_an_arrival_and_its_own_close() {
     let waiting = accept(&listener);
     until_parked(&listener, 1);
     let client = fabric.open(HOST_NODE).unwrap();
-    client.connect(ScifAddr::new(dev, Port(710)), &mut Timeline::new()).unwrap();
+    let connecting = {
+        let c = Arc::clone(&client);
+        blocked(move || c.connect(ScifAddr::new(dev, Port(710)), &mut Timeline::new()))
+    };
     let conn = waiting.within(PROMPT, "accept on arrival").unwrap();
+    connecting.within(PROMPT, "the accepted connect").unwrap();
     assert_eq!(conn.state(), EpState::Connected);
     assert_eq!(conn.peer_addr(), client.local_addr());
 
@@ -258,7 +268,9 @@ fn connect_hears_accept_its_own_close_and_the_listeners() {
         let c = Arc::clone(&orphans[0]);
         blocked(move || c.connect(ScifAddr::new(dev, Port(721)), &mut Timeline::new()))
     };
-    relisten.accept(&mut Timeline::new()).unwrap();
+    blocked(move || relisten.accept(&mut Timeline::new()))
+        .within(PROMPT, "accept of the retry")
+        .unwrap();
     retry.within(PROMPT, "a refused endpoint connects elsewhere").unwrap();
 }
 
@@ -423,7 +435,7 @@ fn connect_accept_close_cycles_lose_no_wakeup() {
     let (fabric, dev) = fabric_with_device();
     let fabric = Arc::new(fabric);
     let listener = listen_on(&fabric, dev, 750, 4);
-    let acceptor = std::thread::spawn(move || {
+    let acceptor = blocked(move || {
         let mut tl = Timeline::new();
         let mut slowest = Duration::ZERO;
         for _ in 0..CYCLES {
@@ -438,7 +450,7 @@ fn connect_accept_close_cycles_lose_no_wakeup() {
     let connectors: Vec<_> = (0..CONNECTORS)
         .map(|_| {
             let fabric = Arc::clone(&fabric);
-            std::thread::spawn(move || {
+            blocked(move || {
                 let mut tl = Timeline::new();
                 let mut slowest = Duration::ZERO;
                 let mut done = 0;
@@ -460,10 +472,10 @@ fn connect_accept_close_cycles_lose_no_wakeup() {
         })
         .collect();
     for connector in connectors {
-        let slowest = connector.join().unwrap();
+        let slowest = connector.within(STRESS, "a connector's cycles");
         assert!(slowest < PROMPT, "a connect took {slowest:?}");
     }
-    let slowest = acceptor.join().unwrap();
+    let slowest = acceptor.within(STRESS, "the acceptor's cycles");
     assert!(slowest < PROMPT, "an accept took {slowest:?}");
 }
 
@@ -501,8 +513,8 @@ fn timed_lane_ping_pongs_of_random_chunkings_lose_no_wakeup() {
         }
         slowest
     }
-    fn play(ep: Arc<EndpointCore>, serve: bool, seed: u64) -> JoinHandle<Duration> {
-        std::thread::spawn(move || {
+    fn play(ep: Arc<EndpointCore>, serve: bool, seed: u64) -> Blocked<Duration> {
+        blocked(move || {
             let mut tl = Timeline::new();
             let mut next = chunks(seed);
             let mut slowest = Duration::ZERO;
@@ -524,7 +536,7 @@ fn timed_lane_ping_pongs_of_random_chunkings_lose_no_wakeup() {
     let (a, b) = connected_pair(&fabric, dev, 760);
     let players = [play(a, true, 0x9E37_79B9_7F4A_7C15), play(b, false, 0xD1B5_4A32_D192_ED03)];
     for player in players {
-        let slowest = player.join().unwrap();
+        let slowest = player.within(STRESS, "a timed-lane player's rounds");
         assert!(slowest < PROMPT, "a timed-lane call took {slowest:?}");
     }
 }

@@ -220,6 +220,11 @@ mod copy_selection {
             self.0.lock()[range].copy_from_slice(data);
             Ok(())
         }
+        fn zero(&self, at: u64, len: u64) -> ScifResult<()> {
+            let range = self.range(at, len as usize)?;
+            self.0.lock()[range].fill(0);
+            Ok(())
+        }
     }
 
     /// The four kinds of store a window can sit on; `true` if it keeps

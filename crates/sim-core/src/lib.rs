@@ -23,9 +23,13 @@
 //!   harness (mean, stddev, percentiles, throughput series).
 //! * [`rng`] — a deterministic SplitMix64 generator so every experiment
 //!   is reproducible bit-for-bit.
+//! * [`host_mem::HostBytes`] — the host memory behind guest RAM and
+//!   byte-backed GDDR: lazily zeroed, huge-page aligned, and advised onto
+//!   transparent huge pages where its owner asks.
 
 pub mod clock;
 pub mod cost;
+pub mod host_mem;
 pub mod rng;
 pub mod stats;
 pub mod timeline;

@@ -3,9 +3,15 @@
 //! One contiguous arena per VM with a page-granular first-fit allocator.
 //! The host (QEMU backend) gets zero-copy views — closures over slices of
 //! the arena — which is exactly the mapping trick the paper uses to avoid
-//! copies between the guest and QEMU.
+//! copies between the guest and QEMU.  The arena is a
+//! [`HostBytes`]: guest-physical huge pages are host huge pages, and a
+//! mapping longer than kmalloc can make is advised onto them (DESIGN.md
+//! #28).
 
-use vphi_sim_core::cost::PAGE_SIZE;
+use std::ops::Range;
+
+use vphi_sim_core::cost::{KMALLOC_MAX_SIZE, PAGE_SIZE};
+use vphi_sim_core::host_mem::{huge_pages_within, HostBytes};
 use vphi_sync::{LockClass, TrackedMutex};
 
 /// A guest-physical address.
@@ -52,7 +58,7 @@ impl std::error::Error for GuestMemError {}
 
 #[derive(Debug)]
 struct MemState {
-    arena: Vec<u8>,
+    arena: HostBytes,
     /// `(start, len)` of free spans, sorted by start and coalesced: no two
     /// touch.  A handful at most, so first-fit is a short scan and a
     /// split or a merge edits one entry in place.
@@ -82,7 +88,7 @@ impl GuestMemory {
             state: TrackedMutex::new(
                 LockClass::GuestMemState,
                 MemState {
-                    arena: vec![0u8; size as usize],
+                    arena: HostBytes::zeroed(size as usize),
                     free: vec![(0, size)],
                     live: vec![0; pages as usize],
                     allocated: 0,
@@ -97,6 +103,11 @@ impl GuestMemory {
 
     pub fn allocated(&self) -> u64 {
         self.state.lock().allocated
+    }
+
+    /// How many allocations have been advised onto host huge pages.
+    pub fn huge_advice(&self) -> u64 {
+        self.state.lock().arena.huge_advice()
     }
 
     /// Allocate `len` bytes of guest-physically-contiguous memory
@@ -128,6 +139,9 @@ impl GuestMemory {
         }
         st.live[(off / PAGE_SIZE) as usize] = (rounded / PAGE_SIZE) as u32;
         st.allocated += rounded;
+        if let Some(huge) = advised_range(off, rounded) {
+            st.arena.advise_huge(huge);
+        }
         fill(&mut st.arena[off as usize..(off + len) as usize]);
         Ok(Gpa(off))
     }
@@ -205,6 +219,19 @@ impl GuestMemory {
         let mut st = self.state.lock();
         Ok(f(&mut st.arena[r.bytes()]))
     }
+}
+
+/// The arena range an allocation of `len` bytes at `off` is advised onto
+/// host huge pages over: the whole huge pages of a mapping longer than
+/// kmalloc can make.  A kmalloc'd staging chunk, a ring or a header slab
+/// gets none, so its pages stay 4 KiB and a chunk nobody touches commits
+/// nothing.  Advice outlives the allocation: a range freed and handed out
+/// again keeps it, which costs nothing for pages already committed.
+fn advised_range(off: u64, len: u64) -> Option<Range<usize>> {
+    if len <= KMALLOC_MAX_SIZE {
+        return None;
+    }
+    huge_pages_within(off as usize..(off + len) as usize)
 }
 
 impl MemState {
@@ -343,6 +370,45 @@ mod tests {
         // Next allocation must start 2 pages later (rounding).
         let next = m.alloc(PAGE_SIZE).unwrap();
         assert_eq!(next.0 - gpa.0, 2 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn only_mappings_kmalloc_cannot_make_are_advised_and_only_their_huge_pages() {
+        use vphi_sim_core::cost::HUGE_PAGE_SIZE as HUGE;
+        let whole = |r: Range<u64>| Some(r.start as usize..r.end as usize);
+        // The aligned interior only, wherever the mapping starts.
+        assert_eq!(advised_range(0, 64 * MIB), whole(0..64 * MIB));
+        assert_eq!(advised_range(PAGE_SIZE, 64 * MIB), whole(HUGE..64 * MIB));
+        assert_eq!(advised_range(3 * PAGE_SIZE, 5 * MIB), whole(HUGE..4 * MIB));
+        // Just past kmalloc's limit, off a boundary: the huge pages inside.
+        assert_eq!(
+            advised_range(HUGE - PAGE_SIZE, KMALLOC_MAX_SIZE + PAGE_SIZE),
+            whole(HUGE..3 * HUGE)
+        );
+        // Nothing for any size kmalloc can make, aligned or not.
+        for len in [PAGE_SIZE, HUGE - PAGE_SIZE, HUGE, 3 * MIB, KMALLOC_MAX_SIZE] {
+            for off in [0, PAGE_SIZE, HUGE, 7 * HUGE - PAGE_SIZE] {
+                assert_eq!(advised_range(off, len), None, "{len} B at {off:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_large_mapping_is_advised_once_reads_zeros_and_round_trips() {
+        let m = GuestMemory::new(160 * MIB);
+        let small = m.alloc(KMALLOC_MAX_SIZE).unwrap();
+        assert_eq!(m.huge_advice(), 0);
+        let big = m.alloc(64 * MIB).unwrap();
+        assert_eq!(m.huge_advice(), 1);
+        assert!(m.with_slice(big, 64 * MIB, |s| s.iter().all(|&b| b == 0)).unwrap());
+        for at in [0, 2 * MIB - 1, 64 * MIB - 5] {
+            m.write(big.offset(at), b"guest").unwrap();
+            let mut out = [0u8; 5];
+            m.read(big.offset(at), &mut out).unwrap();
+            assert_eq!(&out, b"guest");
+        }
+        m.free(small).unwrap();
+        assert_eq!(m.huge_advice(), 1);
     }
 
     #[test]
