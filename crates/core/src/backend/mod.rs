@@ -598,30 +598,17 @@ impl BackendInner {
                 self.held.release_range(epd, offset, len);
                 Ok((0, 0))
             }
-            VphiRequest::VreadFrom { epd, roffset, len, flags } => {
-                self.guest_rma(RmaDir::Read, epd, roffset, len, flags, chain, ctx)
+            VphiRequest::VreadFrom { epd, roffset, len, flags }
+            | VphiRequest::VwriteTo { epd, roffset, len, flags } => {
+                self.guest_rma(RmaDir::of(req), epd, roffset, len, flags, chain, ctx)
             }
-            VphiRequest::VwriteTo { epd, roffset, len, flags } => {
-                self.guest_rma(RmaDir::Write, epd, roffset, len, flags, chain, ctx)
-            }
-            VphiRequest::ReadFrom { epd, loffset, len, roffset, flags } => {
-                self.held.get(epd)?.readfrom(
-                    loffset,
-                    len,
-                    roffset,
-                    rma_flags_from_wire(flags),
-                    &mut *ctx,
-                )?;
-                Ok((len, 0))
-            }
-            VphiRequest::WriteTo { epd, loffset, len, roffset, flags } => {
-                self.held.get(epd)?.writeto(
-                    loffset,
-                    len,
-                    roffset,
-                    rma_flags_from_wire(flags),
-                    &mut *ctx,
-                )?;
+            VphiRequest::ReadFrom { epd, loffset, len, roffset, flags }
+            | VphiRequest::WriteTo { epd, loffset, len, roffset, flags } => {
+                let (ep, flags) = (self.held.get(epd)?, rma_flags_from_wire(flags));
+                match RmaDir::of(req) {
+                    RmaDir::Read => ep.readfrom(loffset, len, roffset, flags, &mut *ctx)?,
+                    RmaDir::Write => ep.writeto(loffset, len, roffset, flags, &mut *ctx)?,
+                }
                 Ok((len, 0))
             }
             VphiRequest::Mmap { epd, offset, len, prot } => {

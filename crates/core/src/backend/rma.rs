@@ -23,7 +23,7 @@ use vphi_trace::{OpCtx, Stage};
 use vphi_virtio::DescChain;
 
 use super::{BackendInner, GuestWindowBytes};
-use crate::protocol::rma_flags_from_wire;
+use crate::protocol::{rma_flags_from_wire, VphiRequest};
 
 /// What a guest RMA above `KMALLOC_MAX_SIZE` is charged for making its
 /// buffer reachable by the device.  Smaller requests pay
@@ -54,10 +54,22 @@ impl RmaCharge {
 /// Which way a guest RMA moves bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum RmaDir {
-    /// `scif_vreadfrom`: remote window → guest buffer.
+    /// `scif_vreadfrom` / `scif_readfrom`: remote window → guest buffer
+    /// or local window.
     Read,
-    /// `scif_vwriteto`: guest buffer → remote window.
+    /// `scif_vwriteto` / `scif_writeto`: the reverse.
     Write,
+}
+
+impl RmaDir {
+    /// The way an RMA request moves bytes: `*writeto` writes the remote
+    /// window, the rest read it.
+    pub(super) fn of(req: &VphiRequest) -> Self {
+        match req {
+            VphiRequest::VwriteTo { .. } | VphiRequest::WriteTo { .. } => RmaDir::Write,
+            _ => RmaDir::Read,
+        }
+    }
 }
 
 impl BackendInner {

@@ -144,15 +144,64 @@ enum SqOp {
     /// `scif_recv` of up to `len` bytes; the payload lands in the reaped
     /// entry's `data`.
     Recv(u64),
-    /// `scif_vwriteto`: a guest buffer (already resolved to a descriptor)
-    /// → remote window.
-    VwriteTo { desc: Descriptor, len: u64, roffset: u64, flags: u8 },
-    /// `scif_vreadfrom`: remote window → guest buffer.
-    VreadFrom { desc: Descriptor, len: u64, roffset: u64, flags: u8 },
-    /// `scif_readfrom` (window-to-window).
-    ReadFrom { loffset: u64, len: u64, roffset: u64, flags: u8 },
-    /// `scif_writeto` (window-to-window).
-    WriteTo { loffset: u64, len: u64, roffset: u64, flags: u8 },
+    /// One of the four RMA calls.
+    Rma(Rma),
+}
+
+/// One RMA call's operands, the endpoint aside: what the blocking calls
+/// and the [`SqEntry`] constructors build, and [`Rma::wire`] turns into
+/// the request, its descriptor and its payload size.
+#[derive(Clone, Copy)]
+struct Rma {
+    local: RmaLocal,
+    len: u64,
+    roffset: u64,
+    /// Local → remote (`*writeto`), else remote → local (`*readfrom`).
+    write: bool,
+    flags: u8,
+}
+
+/// The local side of an RMA.
+#[derive(Clone, Copy)]
+enum RmaLocal {
+    /// `scif_vreadfrom` / `scif_vwriteto`: a guest buffer, resolved to the
+    /// descriptor the device reads or writes.
+    Buf(Descriptor),
+    /// `scif_readfrom` / `scif_writeto`: a registered window's offset.
+    Window(u64),
+}
+
+impl Rma {
+    fn buf(buf: &GuestBuf, write: bool, roffset: u64, flags: RmaFlags) -> Self {
+        let desc = if write { buf.read_desc() } else { buf.write_desc() };
+        let local = RmaLocal::Buf(desc);
+        Rma { local, len: buf.len(), roffset, write, flags: rma_flags_to_wire(flags) }
+    }
+
+    fn window(loffset: u64, len: u64, write: bool, roffset: u64, flags: RmaFlags) -> Self {
+        let local = RmaLocal::Window(loffset);
+        Rma { local, len, roffset, write, flags: rma_flags_to_wire(flags) }
+    }
+
+    /// The wire request on `epd`, the guest buffer's descriptor if any,
+    /// and the payload size the waiter buckets by.
+    fn wire(self, epd: GuestEpd) -> (VphiRequest, Option<Descriptor>, u64) {
+        let Rma { local, len, roffset, write, flags } = self;
+        match (local, write) {
+            (RmaLocal::Buf(desc), false) => {
+                (VphiRequest::VreadFrom { epd, roffset, len, flags }, Some(desc), len)
+            }
+            (RmaLocal::Buf(desc), true) => {
+                (VphiRequest::VwriteTo { epd, roffset, len, flags }, Some(desc), len)
+            }
+            (RmaLocal::Window(loffset), false) => {
+                (VphiRequest::ReadFrom { epd, loffset, len, roffset, flags }, None, 0)
+            }
+            (RmaLocal::Window(loffset), true) => {
+                (VphiRequest::WriteTo { epd, loffset, len, roffset, flags }, None, 0)
+            }
+        }
+    }
 }
 
 /// One submission-queue entry: an operation, built with the constructors
@@ -174,32 +223,22 @@ impl SqEntry {
 
     /// RMA write of `buf` into the peer's registered window at `roffset`.
     pub fn vwriteto(buf: &GuestBuf, roffset: u64, flags: RmaFlags) -> Self {
-        SqEntry(SqOp::VwriteTo {
-            desc: buf.read_desc(),
-            len: buf.len(),
-            roffset,
-            flags: rma_flags_to_wire(flags),
-        })
+        SqEntry(SqOp::Rma(Rma::buf(buf, true, roffset, flags)))
     }
 
     /// RMA read of the peer's window at `roffset` into `buf`.
     pub fn vreadfrom(buf: &GuestBuf, roffset: u64, flags: RmaFlags) -> Self {
-        SqEntry(SqOp::VreadFrom {
-            desc: buf.write_desc(),
-            len: buf.len(),
-            roffset,
-            flags: rma_flags_to_wire(flags),
-        })
+        SqEntry(SqOp::Rma(Rma::buf(buf, false, roffset, flags)))
     }
 
     /// Window-to-window RMA read.
     pub fn readfrom(loffset: u64, len: u64, roffset: u64, flags: RmaFlags) -> Self {
-        SqEntry(SqOp::ReadFrom { loffset, len, roffset, flags: rma_flags_to_wire(flags) })
+        SqEntry(SqOp::Rma(Rma::window(loffset, len, false, roffset, flags)))
     }
 
     /// Window-to-window RMA write.
     pub fn writeto(loffset: u64, len: u64, roffset: u64, flags: RmaFlags) -> Self {
-        SqEntry(SqOp::WriteTo { loffset, len, roffset, flags: rma_flags_to_wire(flags) })
+        SqEntry(SqOp::Rma(Rma::window(loffset, len, true, roffset, flags)))
     }
 }
 
@@ -457,19 +496,7 @@ impl GuestScif {
         flags: RmaFlags,
         ctx: impl Into<OpCtx<'a>>,
     ) -> ScifResult<()> {
-        let resp = self.driver.transact(
-            &VphiRequest::VreadFrom {
-                epd: self.epd,
-                roffset,
-                len: buf.len(),
-                flags: rma_flags_to_wire(flags),
-            },
-            &[buf.write_desc()],
-            buf.len(),
-            ctx,
-        )?;
-        resp.into_result()?;
-        Ok(())
+        self.rma(Rma::buf(buf, false, roffset, flags), ctx)
     }
 
     /// `scif_vwriteto`: guest buffer → remote window.
@@ -480,19 +507,7 @@ impl GuestScif {
         flags: RmaFlags,
         ctx: impl Into<OpCtx<'a>>,
     ) -> ScifResult<()> {
-        let resp = self.driver.transact(
-            &VphiRequest::VwriteTo {
-                epd: self.epd,
-                roffset,
-                len: buf.len(),
-                flags: rma_flags_to_wire(flags),
-            },
-            &[buf.read_desc()],
-            buf.len(),
-            ctx,
-        )?;
-        resp.into_result()?;
-        Ok(())
+        self.rma(Rma::buf(buf, true, roffset, flags), ctx)
     }
 
     /// `scif_readfrom` (window-to-window).
@@ -504,17 +519,7 @@ impl GuestScif {
         flags: RmaFlags,
         ctx: impl Into<OpCtx<'a>>,
     ) -> ScifResult<()> {
-        self.driver.simple(
-            VphiRequest::ReadFrom {
-                epd: self.epd,
-                loffset,
-                len,
-                roffset,
-                flags: rma_flags_to_wire(flags),
-            },
-            ctx,
-        )?;
-        Ok(())
+        self.rma(Rma::window(loffset, len, false, roffset, flags), ctx)
     }
 
     /// `scif_writeto` (window-to-window).
@@ -526,16 +531,13 @@ impl GuestScif {
         flags: RmaFlags,
         ctx: impl Into<OpCtx<'a>>,
     ) -> ScifResult<()> {
-        self.driver.simple(
-            VphiRequest::WriteTo {
-                epd: self.epd,
-                loffset,
-                len,
-                roffset,
-                flags: rma_flags_to_wire(flags),
-            },
-            ctx,
-        )?;
+        self.rma(Rma::window(loffset, len, true, roffset, flags), ctx)
+    }
+
+    /// One blocking RMA request.
+    fn rma<'a>(&self, rma: Rma, ctx: impl Into<OpCtx<'a>>) -> ScifResult<()> {
+        let (req, desc, payload_bytes) = rma.wire(self.epd);
+        self.driver.transact(&req, desc.as_slice(), payload_bytes, ctx)?.into_result()?;
         Ok(())
     }
 
@@ -682,34 +684,16 @@ impl GuestScif {
                         inbound: Some(want),
                     }
                 }
-                SqOp::VwriteTo { desc, len, roffset, flags } => BatchEntry {
-                    req: VphiRequest::VwriteTo { epd: self.epd, roffset, len, flags },
-                    staging: Vec::new(),
-                    descs: vec![desc],
-                    payload_bytes: len,
-                    inbound: None,
-                },
-                SqOp::VreadFrom { desc, len, roffset, flags } => BatchEntry {
-                    req: VphiRequest::VreadFrom { epd: self.epd, roffset, len, flags },
-                    staging: Vec::new(),
-                    descs: vec![desc],
-                    payload_bytes: len,
-                    inbound: None,
-                },
-                SqOp::ReadFrom { loffset, len, roffset, flags } => BatchEntry {
-                    req: VphiRequest::ReadFrom { epd: self.epd, loffset, len, roffset, flags },
-                    staging: Vec::new(),
-                    descs: Vec::new(),
-                    payload_bytes: 0,
-                    inbound: None,
-                },
-                SqOp::WriteTo { loffset, len, roffset, flags } => BatchEntry {
-                    req: VphiRequest::WriteTo { epd: self.epd, loffset, len, roffset, flags },
-                    staging: Vec::new(),
-                    descs: Vec::new(),
-                    payload_bytes: 0,
-                    inbound: None,
-                },
+                SqOp::Rma(rma) => {
+                    let (req, desc, payload_bytes) = rma.wire(self.epd);
+                    BatchEntry {
+                        req,
+                        staging: Vec::new(),
+                        descs: desc.into_iter().collect(),
+                        payload_bytes,
+                        inbound: None,
+                    }
+                }
             };
             batch.push(entry);
         }

@@ -127,8 +127,8 @@ impl VphiRequest {
     /// The endpoint identity the frontend's queue router hashes: requests
     /// naming the same endpoint must stay FIFO with respect to each other,
     /// so they all map to the same virtqueue.  Endpoint-less operations
-    /// return `None` and ride queue 0.  Exhaustive on purpose (and enforced
-    /// by the `protocol-exhaustive` lint): a new opcode must decide its
+    /// return `None` and ride queue 0.  The match has no wildcard arm, so
+    /// the compiler's exhaustiveness check makes a new opcode decide its
     /// routing identity explicitly.
     pub fn routing_epd(&self) -> Option<GuestEpd> {
         match *self {

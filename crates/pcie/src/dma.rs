@@ -194,11 +194,8 @@ mod tests {
     use super::*;
     use vphi_sim_core::{CostModel, VirtualClock};
 
-    use crate::link::LinkConfig;
-
     fn engine(channels: usize) -> DmaEngine {
         let link = Arc::new(PcieLink::new(
-            LinkConfig::default(),
             Arc::new(CostModel::paper_calibrated()),
             Arc::new(VirtualClock::new()),
         ));

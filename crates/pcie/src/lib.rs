@@ -24,4 +24,4 @@ pub mod link;
 
 pub use aperture::{Aperture, ApertureMap, IoGuard, MapKey};
 pub use dma::{gather_copy, DmaEngine, DmaOutcome, SgEntry, SgList};
-pub use link::{LinkConfig, PcieLink};
+pub use link::PcieLink;

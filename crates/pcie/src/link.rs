@@ -7,25 +7,6 @@ use vphi_sim_core::{
     BusyResource, CostModel, SimDuration, SimTime, SpanLabel, Timeline, VirtualClock,
 };
 
-/// Static link parameters.  The defaults describe the gen2 x16 link of the
-/// paper's Xeon Phi 3120P testbed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkConfig {
-    pub generation: u8,
-    pub lanes: u8,
-    /// Maximum payload size per PCIe transaction (bytes).  Transfers are
-    /// internally segmented at this size; the model charges one
-    /// `link_latency` per *DMA transfer*, not per segment, matching how
-    /// SCIF drives the Phi DMA engines.
-    pub max_payload: u32,
-}
-
-impl Default for LinkConfig {
-    fn default() -> Self {
-        LinkConfig { generation: 2, lanes: 16, max_payload: 256 }
-    }
-}
-
 /// A serially-shared PCIe link under virtual time.
 ///
 /// All DMA traffic between the host and one coprocessor crosses this
@@ -34,7 +15,6 @@ impl Default for LinkConfig {
 /// sharing experiments is capped by the link, exactly as on real hardware.
 #[derive(Debug)]
 pub struct PcieLink {
-    config: LinkConfig,
     cost: Arc<CostModel>,
     clock: Arc<VirtualClock>,
     resource: BusyResource,
@@ -42,17 +22,13 @@ pub struct PcieLink {
 }
 
 impl PcieLink {
-    pub fn new(config: LinkConfig, cost: Arc<CostModel>, clock: Arc<VirtualClock>) -> Self {
-        PcieLink { config, cost, clock, resource: BusyResource::new(), faults: FaultHook::new() }
+    pub fn new(cost: Arc<CostModel>, clock: Arc<VirtualClock>) -> Self {
+        PcieLink { cost, clock, resource: BusyResource::new(), faults: FaultHook::new() }
     }
 
     /// Fault-injection arming point (retrain stalls, DMA errors).
     pub fn fault_hook(&self) -> &FaultHook {
         &self.faults
-    }
-
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
     }
 
     pub fn cost(&self) -> &Arc<CostModel> {
@@ -118,11 +94,7 @@ mod tests {
     use vphi_sim_core::units::GIB;
 
     fn link() -> PcieLink {
-        PcieLink::new(
-            LinkConfig::default(),
-            Arc::new(CostModel::paper_calibrated()),
-            Arc::new(VirtualClock::new()),
-        )
+        PcieLink::new(Arc::new(CostModel::paper_calibrated()), Arc::new(VirtualClock::new()))
     }
 
     #[test]

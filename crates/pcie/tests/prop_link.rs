@@ -3,15 +3,11 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 
-use vphi_pcie::{DmaEngine, LinkConfig, PcieLink};
+use vphi_pcie::{DmaEngine, PcieLink};
 use vphi_sim_core::{CostModel, SimTime, Timeline, VirtualClock};
 
 fn link() -> Arc<PcieLink> {
-    Arc::new(PcieLink::new(
-        LinkConfig::default(),
-        Arc::new(CostModel::paper_calibrated()),
-        Arc::new(VirtualClock::new()),
-    ))
+    Arc::new(PcieLink::new(Arc::new(CostModel::paper_calibrated()), Arc::new(VirtualClock::new())))
 }
 
 proptest! {

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
-use vphi_pcie::{DmaEngine, LinkConfig, PcieLink};
+use vphi_pcie::{DmaEngine, PcieLink};
 use vphi_sim_core::{CostModel, SimDuration, VirtualClock};
 use vphi_sync::{Counter, LockClass, Published, TrackedMutex};
 
@@ -88,8 +88,7 @@ impl PhiBoard {
         cost: Arc<CostModel>,
         clock: Arc<VirtualClock>,
     ) -> Self {
-        let link =
-            Arc::new(PcieLink::new(LinkConfig::default(), Arc::clone(&cost), Arc::clone(&clock)));
+        let link = Arc::new(PcieLink::new(Arc::clone(&cost), Arc::clone(&clock)));
         let dma = Arc::new(DmaEngine::new(Arc::clone(&link), spec.dma_channels));
         let memory = Arc::new(DeviceMemory::new(spec.memory_bytes));
         let uos = Arc::new(UosScheduler::new(spec.clone(), cost, clock));

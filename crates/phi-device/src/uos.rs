@@ -23,7 +23,6 @@
 use std::sync::Arc;
 
 use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
-use vphi_sync::Published;
 
 use crate::spec::PhiSpec;
 
@@ -87,13 +86,11 @@ pub struct UosScheduler {
     spec: PhiSpec,
     cost: Arc<CostModel>,
     clock: Arc<VirtualClock>,
-    /// Threads currently admitted (across all processes / VMs).
-    active_threads: Published,
 }
 
 impl UosScheduler {
     pub fn new(spec: PhiSpec, cost: Arc<CostModel>, clock: Arc<VirtualClock>) -> Self {
-        UosScheduler { spec, cost, clock, active_threads: Published::new(0) }
+        UosScheduler { spec, cost, clock }
     }
 
     pub fn spec(&self) -> &PhiSpec {
@@ -117,21 +114,17 @@ impl UosScheduler {
         self.cost.uos_enqueue * threads as u64 + SimDuration::from_micros(30)
     }
 
-    /// Pure-timing execution of `job`, charging spans to `tl`.
+    /// Pure-timing execution of `job` alone on the card, charging spans to
+    /// `tl`.  Co-scheduled jobs are [`run_concurrent`](Self::run_concurrent).
     pub fn run(&self, job: &ComputeJob, tl: &mut Timeline) -> JobOutcome {
-        // Load at admission: other jobs' threads raise effective
-        // threads-per-core for everyone (uOS has no gang scheduling).
-        let others = self.active_threads.fetch_add(job.threads as u64) as u32;
-        let outcome = self.place(job, others, tl);
+        let outcome = self.place(job, 0, tl);
         self.clock.advance(outcome.duration);
-        self.active_threads.fetch_sub(job.threads as u64);
         outcome
     }
 
     /// Model a set of co-scheduled jobs (e.g. one per VM sharing the card).
     /// All jobs are admitted at the same virtual instant, so each one sees
-    /// the others' threads on the run queues — the deterministic form of
-    /// what [`run`](UosScheduler::run) samples racily at admission.
+    /// the others' threads on the run queues (uOS has no gang scheduling).
     pub fn run_concurrent(&self, jobs: &[ComputeJob], tls: &mut [Timeline]) -> Vec<JobOutcome> {
         assert_eq!(jobs.len(), tls.len(), "one timeline per job");
         let total: u32 = jobs.iter().map(|j| j.threads).sum();

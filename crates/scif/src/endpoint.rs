@@ -518,7 +518,8 @@ impl EndpointCore {
         self.send_q.get().map(|q| q.space()).unwrap_or(0)
     }
 
-    /// `scif_register`.
+    /// `scif_register`.  The backing must be at least `len` long; it is
+    /// measured before the window table is locked.
     pub fn register(
         &self,
         fixed_offset: Option<u64>,
@@ -528,6 +529,9 @@ impl EndpointCore {
     ) -> ScifResult<u64> {
         if self.state() != EpState::Connected {
             return Err(ScifError::NotConn);
+        }
+        if backing.len() < len {
+            return Err(ScifError::Inval);
         }
         self.windows.lock().register(fixed_offset, len, prot, backing)
     }

@@ -11,6 +11,7 @@
 //! later `scif_fence_mark`/`scif_fence_wait` pair (or `scif_fence_signal`)
 //! absorbs the remaining virtual time — the paper's RDMA+poll pattern.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use vphi_sim_core::{SimTime, SpanLabel, Timeline};
@@ -46,6 +47,21 @@ fn window_range(
     Ok((w.backing.clone(), offset - w.offset))
 }
 
+/// One end of an RMA transfer, as a call names it.
+enum End<'a> {
+    /// The peer's registered window at this offset.
+    Peer(u64),
+    /// This endpoint's registered window at this offset.
+    Local(u64),
+    /// A byte store and the offset within it: a backing the caller
+    /// pinned, or a window once resolved.
+    Store(Cow<'a, WindowBacking>, u64),
+    /// The caller's buffer, read from.
+    From(&'a [u8]),
+    /// The caller's buffer, written into.
+    Into(&'a mut [u8]),
+}
+
 impl EndpointCore {
     /// `scif_vreadfrom`: read `buf.len()` bytes from the peer's registered
     /// offset `roffset` into a local buffer.
@@ -56,19 +72,7 @@ impl EndpointCore {
         flags: RmaFlags,
         tl: &mut Timeline,
     ) -> ScifResult<()> {
-        if buf.is_empty() {
-            return Err(ScifError::Inval);
-        }
-        let peer = rma_peer(self)?;
-        {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roffset, buf.len() as u64)?;
-            if !w.prot.contains(Prot::READ) {
-                return Err(ScifError::Access);
-            }
-            w.backing.read(roffset - w.offset, buf)?;
-        }
-        self.charge_rma(&peer, buf.len() as u64, flags, tl)
+        self.rma(buf.len() as u64, End::Peer(roffset), End::Into(buf), flags, tl)
     }
 
     /// `scif_vwriteto`: write a local buffer to the peer's registered
@@ -80,19 +84,7 @@ impl EndpointCore {
         flags: RmaFlags,
         tl: &mut Timeline,
     ) -> ScifResult<()> {
-        if buf.is_empty() {
-            return Err(ScifError::Inval);
-        }
-        let peer = rma_peer(self)?;
-        {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roffset, buf.len() as u64)?;
-            if !w.prot.contains(Prot::WRITE) {
-                return Err(ScifError::Access);
-            }
-            w.backing.write(roffset - w.offset, buf)?;
-        }
-        self.charge_rma(&peer, buf.len() as u64, flags, tl)
+        self.rma(buf.len() as u64, End::From(buf), End::Peer(roffset), flags, tl)
     }
 
     /// `scif_readfrom`: window-to-window read — peer `[roffset..+len)`
@@ -105,14 +97,7 @@ impl EndpointCore {
         flags: RmaFlags,
         tl: &mut Timeline,
     ) -> ScifResult<()> {
-        if len == 0 {
-            return Err(ScifError::Inval);
-        }
-        let peer = rma_peer(self)?;
-        let (src, src_at) = window_range(&peer, roffset, len, Prot::READ)?;
-        let (dst, dst_at) = window_range(self, loffset, len, Prot::WRITE)?;
-        src.copy_to(src_at, &dst, dst_at, len)?;
-        self.charge_rma(&peer, len, flags, tl)
+        self.rma(len, End::Peer(roffset), End::Local(loffset), flags, tl)
     }
 
     /// `scif_writeto`: window-to-window write — local `[loffset..+len)` to
@@ -125,14 +110,7 @@ impl EndpointCore {
         flags: RmaFlags,
         tl: &mut Timeline,
     ) -> ScifResult<()> {
-        if len == 0 {
-            return Err(ScifError::Inval);
-        }
-        let peer = rma_peer(self)?;
-        let (src, src_at) = window_range(self, loffset, len, Prot::READ)?;
-        let (dst, dst_at) = window_range(&peer, roffset, len, Prot::WRITE)?;
-        src.copy_to(src_at, &dst, dst_at, len)?;
-        self.charge_rma(&peer, len, flags, tl)
+        self.rma(len, End::Local(loffset), End::Peer(roffset), flags, tl)
     }
 
     /// `scif_vreadfrom` over an externally-pinned destination: pull `len`
@@ -151,13 +129,7 @@ impl EndpointCore {
         flags: RmaFlags,
         tl: &mut Timeline,
     ) -> ScifResult<()> {
-        if len == 0 {
-            return Err(ScifError::Inval);
-        }
-        let peer = rma_peer(self)?;
-        let (src, src_at) = window_range(&peer, roffset, len, Prot::READ)?;
-        src.copy_to(src_at, dst, dst_off, len)?;
-        self.charge_rma(&peer, len, flags, tl)
+        self.rma(len, End::Peer(roffset), End::Store(Cow::Borrowed(dst), dst_off), flags, tl)
     }
 
     /// `scif_vwriteto` from an externally-pinned source: push `len` bytes
@@ -174,12 +146,44 @@ impl EndpointCore {
         flags: RmaFlags,
         tl: &mut Timeline,
     ) -> ScifResult<()> {
+        self.rma(len, End::Store(Cow::Borrowed(src), src_off), End::Peer(roffset), flags, tl)
+    }
+
+    /// The one body of every RMA call: check the length and the
+    /// connection, resolve the source and then the destination (a window
+    /// needs `READ` to be read and `WRITE` to be written, and is looked up
+    /// with only its table locked), move the bytes once with no table lock
+    /// held, and charge the transfer.  A refused call moves and charges
+    /// nothing.
+    fn rma(
+        &self,
+        len: u64,
+        src: End<'_>,
+        dst: End<'_>,
+        flags: RmaFlags,
+        tl: &mut Timeline,
+    ) -> ScifResult<()> {
         if len == 0 {
             return Err(ScifError::Inval);
         }
         let peer = rma_peer(self)?;
-        let (dst, dst_at) = window_range(&peer, roffset, len, Prot::WRITE)?;
-        src.copy_to(src_off, &dst, dst_at, len)?;
+        let resolve = |end, need| -> ScifResult<End<'_>> {
+            let (ep, off) = match end {
+                End::Peer(off) => (&*peer, off),
+                End::Local(off) => (self, off),
+                other => return Ok(other),
+            };
+            let (backing, at) = window_range(ep, off, len, need)?;
+            Ok(End::Store(Cow::Owned(backing), at))
+        };
+        let src = resolve(src, Prot::READ)?;
+        let dst = resolve(dst, Prot::WRITE)?;
+        match (src, dst) {
+            (End::Store(s, at), End::Store(d, dst_at)) => s.copy_to(at, &d, dst_at, len)?,
+            (End::Store(s, at), End::Into(out)) => s.read(at, out)?,
+            (End::From(data), End::Store(d, at)) => d.write(at, data)?,
+            _ => unreachable!("a caller's buffer pairs only with a window"),
+        }
         self.charge_rma(&peer, len, flags, tl)
     }
 
@@ -260,19 +264,11 @@ impl EndpointCore {
         let marker = self.fence_mark()?;
         self.fence_wait(marker, tl)?;
         let peer = rma_peer(self)?;
-        {
-            let windows = self.windows.lock();
-            let w = windows.lookup(loff, 8)?;
-            w.backing.write(loff - w.offset, &lval.to_le_bytes())?;
-        }
-        {
-            let windows = peer.windows.lock();
-            let w = windows.lookup(roff, 8)?;
-            if !w.prot.contains(Prot::WRITE) {
-                return Err(ScifError::Access);
-            }
-            w.backing.write(roff - w.offset, &rval.to_le_bytes())?;
-        }
+        // The endpoint's own flag is written whatever its window's `Prot`.
+        let (local, at) = window_range(self, loff, 8, Prot::NONE)?;
+        local.write(at, &lval.to_le_bytes())?;
+        let (remote, at) = window_range(&peer, roff, 8, Prot::WRITE)?;
+        remote.write(at, &rval.to_le_bytes())?;
         // The signal itself is a tiny control write.
         self.shared.charge_message_path(&self.node, &peer.node, 8, tl)?;
         Ok(())
@@ -303,7 +299,8 @@ mod tests {
     use super::*;
     use crate::fabric::ScifFabric;
     use crate::types::{pinned_from, NodeId, Port, ScifAddr, HOST_NODE};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
+    use std::time::Duration;
     use vphi_phi::{PhiBoard, PhiSpec};
     use vphi_sim_core::cost::PAGE_SIZE;
     use vphi_sim_core::{CostModel, SimDuration, VirtualClock};
@@ -537,6 +534,79 @@ mod tests {
         remote.read(0, &mut now).unwrap();
         assert!(now[..64] == [0xD0; 64] && now[64..] == [0; 64], "remote bytes moved");
         assert_eq!(tl.total(), SimDuration::ZERO, "a refused RMA is charged nothing");
+    }
+
+    #[test]
+    fn a_backing_shorter_than_its_window_is_refused() {
+        let (_f, _client, server) = setup();
+        let short = WindowBacking::Pinned(crate::types::pinned_buf(PAGE_SIZE as usize));
+        assert_eq!(server.register(None, 2 * PAGE_SIZE, Prot::READ, short), Err(ScifError::Inval));
+        assert_eq!(server.window_count(), 0);
+    }
+
+    /// A byte store that parks inside `read`/`write` until released: a
+    /// slow guest page or card region, as the window table sees it.
+    struct Parked {
+        entered: Barrier,
+        release: Barrier,
+    }
+
+    impl crate::window::WindowBytes for Parked {
+        fn len(&self) -> u64 {
+            PAGE_SIZE
+        }
+        fn read(&self, _at: u64, _out: &mut [u8]) -> ScifResult<()> {
+            self.entered.wait();
+            self.release.wait();
+            Ok(())
+        }
+        fn write(&self, _at: u64, _data: &[u8]) -> ScifResult<()> {
+            self.entered.wait();
+            self.release.wait();
+            Ok(())
+        }
+        fn zero(&self, _at: u64, _len: u64) -> ScifResult<()> {
+            Ok(())
+        }
+    }
+
+    /// An RMA moves its bytes with the peer's window table unlocked: a
+    /// register and an unregister on the peer finish while a `vreadfrom`
+    /// or `vwriteto` is parked in the window's byte store.
+    #[test]
+    fn a_parked_rma_does_not_hold_the_peers_window_table() {
+        let (_f, client, server) = setup();
+        let store = Arc::new(Parked { entered: Barrier::new(2), release: Barrier::new(2) });
+        let backing = WindowBacking::External(Arc::clone(&store) as _);
+        let roff = server.register(None, PAGE_SIZE, Prot::READ_WRITE, backing).unwrap();
+        for write in [false, true] {
+            let rma = {
+                let client = Arc::clone(&client);
+                std::thread::spawn(move || {
+                    let (mut buf, mut tl) = ([0u8; 64], Timeline::new());
+                    match write {
+                        true => client.vwriteto(&buf, roff, RmaFlags::SYNC, &mut tl),
+                        false => client.vreadfrom(&mut buf, roff, RmaFlags::SYNC, &mut tl),
+                    }
+                })
+            };
+            store.entered.wait();
+            let (done, finished) = std::sync::mpsc::channel();
+            let table = {
+                let server = Arc::clone(&server);
+                std::thread::spawn(move || {
+                    let (off, _) = register_pinned(&server, PAGE_SIZE, Prot::READ).unwrap();
+                    done.send(server.unregister(off, PAGE_SIZE)).unwrap();
+                })
+            };
+            // Bounded, so a table held across the copy fails here rather
+            // than hanging; the store is released either way.
+            let outcome = finished.recv_timeout(Duration::from_secs(5));
+            store.release.wait();
+            assert_eq!(rma.join().unwrap(), Ok(()));
+            table.join().unwrap();
+            assert_eq!(outcome, Ok(Ok(())), "write={write}: the window table waited on the copy");
+        }
     }
 
     #[test]

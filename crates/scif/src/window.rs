@@ -220,8 +220,9 @@ impl WindowTable {
     }
 
     /// Register a window.  `fixed_offset = None` lets SCIF pick
-    /// (`SCIF_MAP_FIXED` absent).  Lengths are page-granular; the backing
-    /// must be at least `len` long.
+    /// (`SCIF_MAP_FIXED` absent).  Lengths are page-granular.  The table
+    /// reads no byte store: the caller has checked that the backing is at
+    /// least `len` long.
     pub fn register(
         &mut self,
         fixed_offset: Option<u64>,
@@ -230,9 +231,6 @@ impl WindowTable {
         backing: WindowBacking,
     ) -> ScifResult<u64> {
         if len == 0 || !len.is_multiple_of(PAGE_SIZE) {
-            return Err(ScifError::Inval);
-        }
-        if backing.len() < len {
             return Err(ScifError::Inval);
         }
         let offset = match fixed_offset {
@@ -428,8 +426,6 @@ mod tests {
         assert_eq!(t.register(None, 0, Prot::READ, backing(1)), Err(ScifError::Inval));
         assert_eq!(t.register(None, 100, Prot::READ, backing(1)), Err(ScifError::Inval));
         assert_eq!(t.register(Some(3), PAGE_SIZE, Prot::READ, backing(1)), Err(ScifError::Inval));
-        // Backing shorter than window.
-        assert_eq!(t.register(None, 2 * PAGE_SIZE, Prot::READ, backing(1)), Err(ScifError::Inval));
     }
 
     #[test]
