@@ -93,14 +93,8 @@ impl CoiEnv for GuestEnv {
     }
 
     fn device_count(&self) -> usize {
-        let mut tl = Timeline::new();
-        GuestScif::open(&self.driver, &mut tl)
-            .and_then(|ep| {
-                let n = ep.node_count(&mut tl)?;
-                let _ = ep.close(&mut tl);
-                Ok(n.saturating_sub(1) as usize)
-            })
-            .unwrap_or(0)
+        GuestScif::node_count(&self.driver, &mut Timeline::new())
+            .map_or(0, |n| n.saturating_sub(1) as usize)
     }
 
     fn card_usable(&self, mic: u32, tl: &mut Timeline) -> bool {

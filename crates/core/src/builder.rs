@@ -191,6 +191,7 @@ impl VmConfigBuilder {
 ///
 /// ```
 /// use vphi::builder::{VmConfig, VphiHost};
+/// use vphi::guest::GuestScif;
 /// use vphi_sim_core::Timeline;
 ///
 /// // A host with one Xeon Phi 3120P, and a VM sharing it through vPHI.
@@ -200,7 +201,7 @@ impl VmConfigBuilder {
 /// // Guest user space opens a SCIF endpoint — one paravirtual round trip.
 /// let mut tl = Timeline::new();
 /// let ep = vm.open_scif(&mut tl).unwrap();
-/// assert_eq!(ep.node_count(&mut tl).unwrap(), 2); // host + 1 card
+/// assert_eq!(GuestScif::node_count(vm.frontend(), &mut tl).unwrap(), 2); // host + 1 card
 /// ep.close(&mut tl).unwrap();
 /// vm.shutdown();
 /// ```

@@ -609,8 +609,9 @@ impl GuestScif {
     }
 
     /// `scif_get_node_ids` — number of SCIF nodes visible to the guest.
-    pub fn node_count<'a>(&self, ctx: impl Into<OpCtx<'a>>) -> ScifResult<u64> {
-        let (count, _) = self.driver.simple(VphiRequest::GetNodeIds, ctx)?;
+    /// It names no endpoint, so it is one request with none open.
+    pub fn node_count<'a>(driver: &FrontendDriver, ctx: impl Into<OpCtx<'a>>) -> ScifResult<u64> {
+        let (count, _) = driver.simple(VphiRequest::GetNodeIds, ctx)?;
         Ok(count)
     }
 

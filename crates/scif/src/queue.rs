@@ -25,6 +25,10 @@ use vphi_sync::{LockClass, WaitCell};
 /// trip flow control, small enough that a runaway sender blocks (tested).
 pub const DEFAULT_CAPACITY: usize = 16 * 1024 * 1024;
 
+/// Past this size a ring grows by this much at a time instead of doubling.
+/// Smaller rings, two per connection, keep doubling, so they pay no floor.
+const GROWTH_STEP: usize = 64 * 1024;
+
 /// A growable byte ring: `len` filled bytes starting at `head`, wrapping
 /// at `buf.len()`.
 #[derive(Debug, Default)]
@@ -35,16 +39,20 @@ struct Ring {
 }
 
 impl Ring {
-    /// Make room for `total` queued bytes, doubling like a `Vec` so growth
-    /// is amortised, and never past `capacity`.  The buffer is straightened
-    /// and extended in place, not replaced: a ring that keeps its
-    /// allocation leaves no freed predecessors behind, whose place in the
-    /// allocator's arenas differs from run to run (DESIGN.md #20).
+    /// Make room for `total` queued bytes, never past `capacity`.  A ring
+    /// up to [`GROWTH_STEP`] doubles; a larger one grows by at most one
+    /// step, so it never holds more than a step past its largest backlog.
+    /// The buffer is straightened and extended in place, not replaced: the
+    /// `Vec`'s own capacity doubling keeps reallocation amortised, only the
+    /// bytes up to the new length are zero-filled and committed, and a ring
+    /// that keeps its allocation leaves no freed predecessors behind, whose
+    /// place in the allocator's arenas differs from run to run (DESIGN.md
+    /// #20).
     fn reserve(&mut self, total: usize, capacity: usize) {
         if total <= self.buf.len() {
             return;
         }
-        let size = total.max(self.buf.len() * 2).min(capacity);
+        let size = total.max(self.buf.len() + self.buf.len().min(GROWTH_STEP)).min(capacity);
         self.buf.rotate_left(self.head);
         self.head = 0;
         self.buf.resize(size, 0);
@@ -433,6 +441,102 @@ mod tests {
         assert_eq!(small.write_some(&[4u8; 100]), 100);
         assert_eq!(small.write_some(&[4u8; 100]), 50);
         assert_eq!(ring_size(&small), 150);
+    }
+
+    /// Byte `i` of a test stream, so a byte lost or reordered shows where.
+    fn stream_byte(i: usize) -> u8 {
+        (i ^ (i >> 8) ^ (i >> 16)) as u8
+    }
+
+    #[test]
+    fn a_large_ring_commits_at_most_a_step_past_its_peak_backlog() {
+        const KIB: usize = 1024;
+        let ring_size = |q: &MsgQueue| q.inner.lock().ring.buf.len();
+        let q = MsgQueue::with_default_capacity();
+        let data: Vec<u8> = (0..384 * KIB).map(stream_byte).collect();
+        // Five 64 KiB writes, a partial drain, and a sixth write that wraps
+        // and peaks the backlog at 330 KiB, just past the 256 KiB doubling.
+        for chunk in data[..320 * KIB].chunks(64 * KIB) {
+            assert!(q.write_all(chunk));
+        }
+        let mut out = vec![0u8; 384 * KIB];
+        assert_eq!(q.read_exact(&mut out[..54 * KIB]), 54 * KIB);
+        assert!(q.write_all(&data[320 * KIB..]));
+        let peak = q.len();
+        assert_eq!(peak, 330 * KIB);
+        assert!(ring_size(&q) <= peak + GROWTH_STEP, "{} KiB", ring_size(&q) / KIB);
+        // Straightened across the wrap with every byte in order.
+        assert_eq!(q.read_exact(&mut out[54 * KIB..]), peak);
+        assert!(out == data);
+    }
+
+    #[test]
+    fn a_ring_streamed_across_threads_ends_within_a_step_of_its_peak_backlog() {
+        const KIB: usize = 1024;
+        const CHUNK: usize = 64 * KIB;
+        const TOTAL: usize = 4 * 1024 * KIB;
+        // The writer waits while the backlog is above HIGH and the reader
+        // while it is below LOW, so the backlog keeps crossing the 256 KiB
+        // doubling of a ring that wraps on every lap, whichever side runs
+        // faster.
+        const LOW: usize = 300 * KIB;
+        const HIGH: usize = 330 * KIB;
+        let q = Arc::new(MsgQueue::with_default_capacity());
+        // Bytes written and bytes consumed.  The fill and the drain both
+        // run under the queue's lock, so the fill sees every finished drain.
+        let sent = Arc::new(vphi_sync::Counter::new(0));
+        let consumed = Arc::new(vphi_sync::Counter::new(0));
+        let writer = std::thread::spawn({
+            let (q, sent, consumed) = (Arc::clone(&q), Arc::clone(&sent), Arc::clone(&consumed));
+            move || {
+                let mut peak = 0;
+                for from in (0..TOTAL).step_by(CHUNK) {
+                    while from - consumed.get() as usize > HIGH {
+                        std::thread::yield_now();
+                    }
+                    let r = q.write_all_with(CHUNK, |at, dst| {
+                        if at == 0 {
+                            peak = peak.max(from + CHUNK - consumed.get() as usize);
+                        }
+                        for (i, b) in dst.iter_mut().enumerate() {
+                            *b = stream_byte(from + at + i);
+                        }
+                        Ok::<(), Infallible>(())
+                    });
+                    assert!(infallible(r));
+                    sent.add(CHUNK as u64);
+                }
+                q.close();
+                peak
+            }
+        });
+        // Drain at seeded sizes from 1 B to 96 KiB, checking the order.
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut got = 0;
+        let mut buf = vec![0u8; 96 * KIB];
+        loop {
+            while sent.get() < TOTAL as u64 && (sent.get() as usize).saturating_sub(got) < LOW {
+                std::thread::yield_now();
+            }
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            let want = 1 + (seed % buf.len() as u64) as usize;
+            let n = infallible(q.read_exact_with(want, |at, src| {
+                buf[at..at + src.len()].copy_from_slice(src);
+                consumed.add(src.len() as u64);
+                Ok(())
+            }));
+            assert!((0..n).all(|i| buf[i] == stream_byte(got + i)), "out of order past {got}");
+            got += n;
+            if n < want {
+                break;
+            }
+        }
+        let peak = writer.join().unwrap();
+        assert_eq!(got, TOTAL);
+        let size = q.inner.lock().ring.buf.len();
+        assert!(size <= peak + GROWTH_STEP, "ring {size} B for a peak backlog of {peak} B");
     }
 
     #[test]

@@ -558,6 +558,31 @@ mod ring_model {
                 ops.into_iter().map(|(kind, raw)| (if kind < 36 { kind % 9 } else { 9 }, raw)).collect();
             run(capacity, &ops);
         }
+    }
+
+    proptest! {
+        // Every byte goes through the model one at a time, so few cases.
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Capacities past the ring's 64 KiB growth step, where a ring
+        /// grows a step at a time instead of doubling and is straightened
+        /// across its wrap as it grows: the stream still matches the model.
+        #[test]
+        fn stepped_growth_matches_the_byte_at_a_time_model(
+            capacity in 128usize * 1024..1024 * 1024,
+            ops in prop::collection::vec((0u8..16, any::<u16>()), 1..60),
+        ) {
+            // Ten ops in sixteen write (kinds 0–2) and the rest read or
+            // fail a transfer (kinds 3–8), so the backlog climbs through
+            // several steps; the queue stays open.
+            let ops: Vec<(u8, u16)> =
+                ops.into_iter().map(|(kind, raw)| (if kind < 10 { kind % 3 } else { 3 + kind % 6 }, raw)).collect();
+            run(capacity, &ops);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// A writer blocked on flow control and a concurrent reader: the
         /// message is many times the capacity, so the writer can only

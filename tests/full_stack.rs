@@ -2,6 +2,7 @@
 //! SCIF → PCIe → device, in realistic combinations.
 
 use vphi::builder::{VmConfig, VphiHost};
+use vphi::guest::GuestScif;
 use vphi_dev_support::{echo_server, serve, window, GuestRig};
 use vphi_scif::window::WindowBacking;
 use vphi_scif::{Prot, RmaFlags};
@@ -62,7 +63,7 @@ fn two_cards_are_independent_nodes() {
         assert_eq!(back, msg.as_bytes());
     }
     // The guest sees three SCIF nodes (host + 2 cards).
-    assert_eq!(ep0.node_count(&mut tl).unwrap(), 3);
+    assert_eq!(GuestScif::node_count(ep0.driver(), &mut tl).unwrap(), 3);
 
     ep0.close(&mut tl).unwrap();
     ep1.close(&mut tl).unwrap();

@@ -750,7 +750,7 @@ fn the_request_surface_takes_every_ledger_edge() {
                 assert_eq!(ep.reap(&mut cq, 3, 3, &mut tl), Ok(3));
             });
             assert!(ep.poll(PollEvents::OUT, 0, &mut tl).unwrap().contains(PollEvents::OUT));
-            assert!(ep.node_count(&mut tl).unwrap() >= 2);
+            assert!(vphi::guest::GuestScif::node_count(ep.driver(), &mut tl).unwrap() >= 2);
             vm.sysfs(0, &mut tl).unwrap();
             let mapped = ep.mmap(vm.vm().kvm(), 0, PAGE_SIZE, Prot::READ, &mut tl).unwrap();
             mapped.load_u64(0, &mut tl).unwrap();
