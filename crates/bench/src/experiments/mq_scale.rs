@@ -7,10 +7,10 @@
 //! 1. **Aggregate throughput vs queue count × VM count.**  Hybrid method
 //!    (same idea as SHARE): the per-request path is measured once on the
 //!    real stack, the request→lane assignment is replayed through the real
-//!    queue router, and link queueing is computed on the real link
-//!    resource.  Each VM's backend serializes its lane's requests on that
-//!    lane's shard thread, so the backend makespan is the busiest lane's
-//!    load; the PCIe link caps everything from below.
+//!    queue router, and link queueing is replayed on a [`SerialLink`].
+//!    Each VM's backend serializes its lane's requests on that lane's
+//!    shard thread, so the backend makespan is the busiest lane's load;
+//!    the PCIe link caps everything from below.
 //! 2. **Single-queue anchor.**  `num_queues = 1` must reproduce the
 //!    seed's Fig. 4 numbers byte-for-byte (382 µs for a 1-byte send) —
 //!    and because virtual time is queue-count-independent, so must the
@@ -24,9 +24,9 @@ use vphi::frontend::VphiChannel;
 use vphi::protocol::VphiRequest;
 use vphi_dev_support::{guest_send_once, guest_vread_once};
 use vphi_sim_core::units::{KIB, MIB};
-use vphi_sim_core::{SimDuration, SimTime, SpanLabel, Timeline};
+use vphi_sim_core::{CostModel, SimDuration, SimTime, SpanLabel, Timeline};
 
-use crate::support::{Cell, Figure};
+use crate::support::{Cell, Figure, SerialLink};
 
 /// The queue-count axis of the figure.
 pub const MQ_QUEUE_COUNTS: &[u16] = &[1, 2, 4];
@@ -147,9 +147,8 @@ impl MqScaleReport {
 pub fn mq_scale() -> MqScaleReport {
     let (svc, fill) = measure_request(REQUEST_BYTES);
 
-    // One host supplies the real link resource for the queueing model.
-    let host = VphiHost::new(1);
-    let link = host.board(0).link();
+    // Every host's cards have the paper-calibrated link.
+    let cost = CostModel::paper_calibrated();
 
     let mut rows = Vec::new();
     for &q in MQ_QUEUE_COUNTS {
@@ -176,12 +175,12 @@ pub fn mq_scale() -> MqScaleReport {
             let backend_makespan = svc * busiest;
 
             // All requests' wire traffic shares the one PCIe link.
-            link.reset_accounting();
+            let mut link = SerialLink::new(&cost);
             let t0 = SimTime::ZERO;
             let mut link_makespan = SimDuration::ZERO;
             let mut link_tl = Timeline::new();
             for _ in 0..total_reqs {
-                let end = link.transmit_from(t0, REQUEST_BYTES, &mut link_tl);
+                let end = link.transmit(t0, REQUEST_BYTES, &mut link_tl);
                 link_makespan = link_makespan.max(end.elapsed_since(t0));
             }
 

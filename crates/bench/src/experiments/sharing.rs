@@ -7,7 +7,7 @@
 //!
 //! 1. **PCIe link**: N VMs each issue a bulk remote read at the same
 //!    virtual instant.  The per-VM request overhead is measured on the
-//!    real stack; the queueing is computed on the real link resource.
+//!    real stack; the queueing is replayed on a [`SerialLink`].
 //! 2. **Cores (uOS)**: N co-scheduled 224-thread dgemm jobs — the
 //!    deterministic oversubscription model.
 
@@ -18,7 +18,7 @@ use vphi_sim_core::stats::jain_fairness;
 use vphi_sim_core::units::MIB;
 use vphi_sim_core::{SimDuration, SimTime, SpanLabel, Timeline};
 
-use crate::support::{Cell, Figure};
+use crate::support::{Cell, Figure, SerialLink};
 
 /// One row of the sharing table.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,15 +75,14 @@ fn share_point(n: usize, bytes_each: u64) -> ShareRow {
     let link_time = read_tl.total_for(SpanLabel::LinkTransfer);
     let overhead = read_tl.total().saturating_sub(link_time);
 
-    // --- N simultaneous issues on the real link resource ---
-    let link = host.board(0).link();
-    link.reset_accounting();
+    // --- N simultaneous issues on one serial link ---
+    let mut link = SerialLink::new(host.cost());
     let t0 = SimTime::ZERO;
     let mut latencies = Vec::new();
     let mut makespan = SimDuration::ZERO;
     for _ in 0..n {
         let mut link_tl = Timeline::new();
-        let end = link.transmit_from(t0, bytes_each, &mut link_tl);
+        let end = link.transmit(t0, bytes_each, &mut link_tl);
         let queued = link_tl.total_for(SpanLabel::LinkContention);
         let latency = overhead + queued + link_time;
         makespan = makespan.max(end.elapsed_since(t0) + overhead);

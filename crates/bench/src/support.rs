@@ -1,11 +1,12 @@
 //! The figure record every experiment returns, its printer, JSON and diff,
-//! plus the wall-clock loop timer the overhead ablations share.
+//! the serial link the contention replays share, and the wall-clock loop
+//! timer the overhead ablations share.
 
 use std::fmt;
 use std::time::Instant;
 
 use vphi_sim_core::units::{format_bytes, format_throughput};
-use vphi_sim_core::SimDuration;
+use vphi_sim_core::{CostModel, SimDuration, SimTime, SpanLabel, Timeline};
 
 /// One typed value of a figure: a table cell, a fact or a wall reading.
 /// `Display` is the table text; [`Cell::json`] the raw value.
@@ -285,4 +286,61 @@ pub fn ns_per_call(mut f: impl FnMut()) -> f64 {
             start.elapsed().as_nanos() as f64 / PER_PASS as f64
         })
         .fold(f64::INFINITY, f64::min)
+}
+
+/// A PCIe link replayed at explicit virtual instants, for the experiments
+/// that model queueing on a shared link (SHARE, MQ-SCALE).  A transfer
+/// starts when it is issued or when the transfers issued before it have
+/// left, whichever is later: the link serves in issue order.  The stack's
+/// own `PcieLink` keeps no such state — it charges each request as if
+/// alone.
+#[derive(Debug)]
+pub struct SerialLink<'a> {
+    cost: &'a CostModel,
+    free_at: SimTime,
+}
+
+impl<'a> SerialLink<'a> {
+    /// An idle link with `cost`'s latency and bandwidth.
+    pub fn new(cost: &'a CostModel) -> Self {
+        SerialLink { cost, free_at: SimTime::ZERO }
+    }
+
+    /// Issue `bytes` at `at`: charge the link latency, the wait behind the
+    /// transfers issued before it and the transfer itself to `tl`, and
+    /// return when its last byte arrives.
+    pub fn transmit(&mut self, at: SimTime, bytes: u64, tl: &mut Timeline) -> SimTime {
+        let hold = self.cost.link_transfer(bytes);
+        let start = self.free_at.max(at);
+        self.free_at = start + hold;
+        tl.charge(SpanLabel::LinkLatency, self.cost.link_latency);
+        tl.charge(SpanLabel::LinkContention, start.elapsed_since(at));
+        tl.charge(SpanLabel::LinkTransfer, hold);
+        self.free_at + self.cost.link_latency
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serial_link_queues_in_issue_order() {
+        let cost = CostModel::paper_calibrated();
+        let (latency, hold) = (cost.link_latency, cost.link_transfer(1 << 20));
+        let mut link = SerialLink::new(&cost);
+        let issue = |link: &mut SerialLink<'_>, at| {
+            let mut tl = Timeline::new();
+            let end = link.transmit(SimTime(at), 1 << 20, &mut tl);
+            (end, tl.total_for(SpanLabel::LinkContention))
+        };
+        assert_eq!(issue(&mut link, 0), (SimTime::ZERO + hold + latency, SimDuration::ZERO));
+        // Issued before the first has left: it waits for the link.
+        let (end, queued) = issue(&mut link, 10);
+        assert_eq!(queued, hold - SimDuration(10));
+        assert_eq!(end, SimTime::ZERO + hold * 2 + latency);
+        // Issued once the link is free: it starts at once.
+        let at = (hold * 3).as_nanos();
+        assert_eq!(issue(&mut link, at), (SimTime(at) + hold + latency, SimDuration::ZERO));
+    }
 }

@@ -191,8 +191,13 @@ impl CoiMsg {
             5 => CoiMsg::ReadBuffer { id: r.u64()?, size: r.u64()? },
             6 => {
                 let name = r.str()?;
-                let n = r.u32()?;
-                let mut buffer_ids = Vec::with_capacity(n as usize);
+                let n = r.u32()? as usize;
+                // The count is guest input: refuse one the frame cannot
+                // hold before sizing anything by it.
+                if n > r.remaining() / 8 {
+                    return Err(ScifError::Inval);
+                }
+                let mut buffer_ids = Vec::with_capacity(n);
                 for _ in 0..n {
                     buffer_ids.push(r.u64()?);
                 }
@@ -285,5 +290,21 @@ mod tests {
         }
         .encode();
         assert!(CoiMsg::decode(&good[..good.len() - 2]).is_err());
+    }
+
+    /// A `RunFunction` frame whose buffer count exceeds what the frame
+    /// holds is refused before anything is sized by the count.
+    #[test]
+    fn a_buffer_count_past_the_frame_is_refused() {
+        // Opcode, then the name's length and byte: the count follows.
+        let count_at = 1 + 4 + 1;
+        let mut frame = CoiMsg::RunFunction {
+            name: "f".into(),
+            buffer_ids: Vec::new(),
+            manifest: ComputeManifest::new(1.0, 1, 1),
+        }
+        .encode();
+        frame[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(CoiMsg::decode(&frame), Err(ScifError::Inval));
     }
 }

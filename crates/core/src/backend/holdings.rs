@@ -356,7 +356,7 @@ impl Holdings {
 #[cfg(test)]
 mod tests {
     use vphi_scif::{ScifFabric, HOST_NODE};
-    use vphi_sim_core::{CostModel, VirtualClock};
+    use vphi_sim_core::CostModel;
 
     use super::*;
 
@@ -365,8 +365,7 @@ mod tests {
     /// filled.  Emptied pages used to stay in the table, one per 64 epds.
     #[test]
     fn a_long_lived_endpoint_does_not_pin_the_pages_after_it() {
-        let fabric =
-            ScifFabric::new(Arc::new(CostModel::paper_calibrated()), Arc::new(VirtualClock::new()));
+        let fabric = ScifFabric::new(Arc::new(CostModel::paper_calibrated()));
         let open = || ScifEndpoint::open(&fabric, HOST_NODE).unwrap();
         let holdings = Holdings::new(true);
         let kept = holdings.insert(open()).unwrap();

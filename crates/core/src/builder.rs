@@ -16,7 +16,7 @@ use vphi_phi::{PhiBoard, PhiSpec};
 use vphi_scif::{NodeId, ScifEndpoint, ScifFabric, ScifResult, HOST_NODE};
 use vphi_sim_core::cost::KMALLOC_MAX_SIZE;
 use vphi_sim_core::units::MIB;
-use vphi_sim_core::{CostModel, SimDuration, Timeline, VirtualClock};
+use vphi_sim_core::{CostModel, SimDuration, Timeline};
 use vphi_sync::{LockClass, TrackedMutex};
 use vphi_trace::{OpCtx, TraceConfig, TraceSlot, Tracer};
 use vphi_vmm::kvm::KvmPatch;
@@ -187,7 +187,7 @@ impl VmConfigBuilder {
     }
 }
 
-/// The physical host: cards + fabric + clock + cost model.
+/// The physical host: cards + fabric + cost model.
 ///
 /// ```
 /// use vphi::builder::{VmConfig, VphiHost};
@@ -207,7 +207,6 @@ impl VmConfigBuilder {
 /// ```
 pub struct VphiHost {
     cost: Arc<CostModel>,
-    clock: Arc<VirtualClock>,
     fabric: Arc<ScifFabric>,
     boards: Vec<Arc<PhiBoard>>,
     /// Every backend device spawned on this host that its VM still owns,
@@ -233,23 +232,16 @@ impl VphiHost {
     /// A host with `num_devices` booted 3120P cards, paper-calibrated.
     pub fn new(num_devices: usize) -> Self {
         let cost = Arc::new(CostModel::paper_calibrated());
-        let clock = Arc::new(VirtualClock::new());
-        let fabric = Arc::new(ScifFabric::new(Arc::clone(&cost), Arc::clone(&clock)));
+        let fabric = Arc::new(ScifFabric::new(Arc::clone(&cost)));
         let mut boards = Vec::new();
         for i in 0..num_devices {
-            let board = Arc::new(PhiBoard::new(
-                PhiSpec::phi_3120p(),
-                i as u32,
-                Arc::clone(&cost),
-                Arc::clone(&clock),
-            ));
+            let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), i as u32, Arc::clone(&cost)));
             board.boot();
             fabric.add_device(Arc::clone(&board));
             boards.push(board);
         }
         VphiHost {
             cost,
-            clock,
             fabric,
             boards,
             attached: TrackedMutex::new(LockClass::HostAttached, Vec::new()),
@@ -283,7 +275,7 @@ impl VphiHost {
     /// VMs spawned later inherit the tracer.  First arm wins; returns the
     /// tracer either way so callers can read rings and histograms.
     pub fn arm_tracing(&self, config: TraceConfig) -> Arc<Tracer> {
-        let tracer = Arc::new(Tracer::with_clock(config, Arc::clone(&self.clock)));
+        let tracer = Arc::new(Tracer::new(config));
         self.trace.arm(Arc::clone(&tracer));
         let tracer = Arc::clone(self.trace.get().expect("arm_tracing: slot armed just above"));
         for (vm, backend) in self.attached() {
@@ -297,16 +289,14 @@ impl VphiHost {
         self.trace.get()
     }
 
-    /// Recover a failed card: reset and reboot the board, advance the
-    /// virtual clock past the reboot, then quarantine every attached
-    /// backend's endpoints that touched the card — other VMs' endpoints
-    /// are untouched.  A thread parked on a quarantined endpoint, `poll`
-    /// included, hears of it through that endpoint's abort.  Returns the
-    /// virtual recovery duration.
+    /// Recover a failed card: reset and reboot the board, then quarantine
+    /// every attached backend's endpoints that touched the card — other
+    /// VMs' endpoints are untouched.  A thread parked on a quarantined
+    /// endpoint, `poll` included, hears of it through that endpoint's
+    /// abort.  Returns the virtual recovery duration, for the caller to
+    /// charge.
     pub fn reset_card(&self, i: usize) -> SimDuration {
-        let board = &self.boards[i];
-        let dur = board.reset();
-        self.clock.advance(dur);
+        let dur = self.boards[i].reset();
         let node = self.device_node(i);
         for (_, backend) in self.attached() {
             backend.inner().quarantine_node(node);
@@ -325,10 +315,6 @@ impl VphiHost {
 
     pub fn cost(&self) -> &Arc<CostModel> {
         &self.cost
-    }
-
-    pub fn clock(&self) -> &Arc<VirtualClock> {
-        &self.clock
     }
 
     pub fn fabric(&self) -> &Arc<ScifFabric> {

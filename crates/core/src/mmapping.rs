@@ -52,14 +52,13 @@ mod tests {
     use vphi_scif::window::WindowBacking;
     use vphi_scif::{Port, Prot, ScifAddr, ScifFabric, HOST_NODE};
     use vphi_sim_core::cost::PAGE_SIZE;
-    use vphi_sim_core::{CostModel, Timeline, VirtualClock};
+    use vphi_sim_core::{CostModel, Timeline};
 
     /// Build a host-side mapping of a device-memory window.
     fn device_mapping() -> MappedRegion {
         let cost = Arc::new(CostModel::paper_calibrated());
-        let clock = Arc::new(VirtualClock::new());
-        let fabric = ScifFabric::new(Arc::clone(&cost), Arc::clone(&clock));
-        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost, clock));
+        let fabric = ScifFabric::new(Arc::clone(&cost));
+        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost));
         board.boot();
         let dev = fabric.add_device(Arc::clone(&board));
 

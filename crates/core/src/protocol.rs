@@ -275,58 +275,57 @@ impl VphiRequest {
         b
     }
 
-    /// Decode from a header buffer.
+    /// Decode from a header buffer.  A field narrower than its 64-bit
+    /// slot must fit its type, and `has_fixed` must be 0 or 1: a header
+    /// that does not decode exactly is refused, never truncated.
     pub fn decode(b: &[u8]) -> Option<VphiRequest> {
         let b = b.first_chunk::<REQ_SIZE>()?;
         let mut r = FieldReader { buf: b, at: 8 };
         Some(match b[0] {
             1 => VphiRequest::Open,
-            2 => VphiRequest::Bind { epd: r.u64(), port: r.u64() as u16 },
-            3 => VphiRequest::Listen { epd: r.u64(), backlog: r.u64() as u32 },
-            4 => VphiRequest::Connect { epd: r.u64(), node: r.u64() as u16, port: r.u64() as u16 },
+            2 => VphiRequest::Bind { epd: r.u64(), port: r.narrow()? },
+            3 => VphiRequest::Listen { epd: r.u64(), backlog: r.narrow()? },
+            4 => VphiRequest::Connect { epd: r.u64(), node: r.narrow()?, port: r.narrow()? },
             5 => VphiRequest::Accept { epd: r.u64() },
-            6 => VphiRequest::Send { epd: r.u64(), len: r.u64() as u32 },
-            7 => VphiRequest::Recv { epd: r.u64(), len: r.u64() as u32 },
+            6 => VphiRequest::Send { epd: r.u64(), len: r.narrow()? },
+            7 => VphiRequest::Recv { epd: r.u64(), len: r.narrow()? },
             8 => VphiRequest::Register {
                 epd: r.u64(),
                 len: r.u64(),
-                prot: r.u64() as u8,
+                prot: r.narrow()?,
                 fixed_offset: r.u64(),
-                has_fixed: r.u64() != 0,
+                has_fixed: r.flag()?,
             },
             9 => VphiRequest::Unregister { epd: r.u64(), offset: r.u64(), len: r.u64() },
             10 => VphiRequest::VreadFrom {
                 epd: r.u64(),
                 roffset: r.u64(),
                 len: r.u64(),
-                flags: r.u64() as u8,
+                flags: r.narrow()?,
             },
             11 => VphiRequest::VwriteTo {
                 epd: r.u64(),
                 roffset: r.u64(),
                 len: r.u64(),
-                flags: r.u64() as u8,
+                flags: r.narrow()?,
             },
             12 => VphiRequest::ReadFrom {
                 epd: r.u64(),
                 loffset: r.u64(),
                 len: r.u64(),
                 roffset: r.u64(),
-                flags: r.u64() as u8,
+                flags: r.narrow()?,
             },
             13 => VphiRequest::WriteTo {
                 epd: r.u64(),
                 loffset: r.u64(),
                 len: r.u64(),
                 roffset: r.u64(),
-                flags: r.u64() as u8,
+                flags: r.narrow()?,
             },
-            14 => VphiRequest::Mmap {
-                epd: r.u64(),
-                offset: r.u64(),
-                len: r.u64(),
-                prot: r.u64() as u8,
-            },
+            14 => {
+                VphiRequest::Mmap { epd: r.u64(), offset: r.u64(), len: r.u64(), prot: r.narrow()? }
+            }
             15 => VphiRequest::Munmap { vaddr: r.u64() },
             16 => VphiRequest::FenceMark { epd: r.u64() },
             17 => VphiRequest::FenceWait { epd: r.u64(), marker: r.u64() },
@@ -338,15 +337,11 @@ impl VphiRequest {
                 rval: r.u64(),
             },
             19 => VphiRequest::Close { epd: r.u64() },
-            20 => VphiRequest::SysfsRead { mic_index: r.u64() as u32 },
+            20 => VphiRequest::SysfsRead { mic_index: r.narrow()? },
             21 => VphiRequest::GetNodeIds,
             22 => VphiRequest::SendTimed { epd: r.u64(), len: r.u64() },
             23 => VphiRequest::RecvTimed { epd: r.u64(), len: r.u64() },
-            24 => VphiRequest::Poll {
-                epd: r.u64(),
-                events: r.u64() as u8,
-                timeout_ms: r.u64() as u32,
-            },
+            24 => VphiRequest::Poll { epd: r.u64(), events: r.narrow()?, timeout_ms: r.narrow()? },
             _ => return None,
         })
     }
@@ -376,6 +371,20 @@ impl FieldReader<'_> {
         let field = self.buf.get(self.at..).and_then(<[u8]>::first_chunk::<8>);
         self.at += 8;
         field.map_or(0, |f| u64::from_le_bytes(*f))
+    }
+
+    /// The next field as a narrower type; `None` if it does not fit.
+    fn narrow<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        T::try_from(self.u64()).ok()
+    }
+
+    /// The next field as a `bool`; `None` unless it is 0 or 1.
+    fn flag(&mut self) -> Option<bool> {
+        match self.u64() {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
     }
 }
 
@@ -551,6 +560,39 @@ mod tests {
         junk[0] = 200;
         assert_eq!(VphiRequest::decode(&junk), None);
         assert_eq!(VphiResponse::decode(&[0u8; 4]), None);
+    }
+
+    /// Each field narrower than its 64-bit slot, set one past its type's
+    /// range in an otherwise valid header, is refused rather than
+    /// truncated; so is a `has_fixed` word other than 0 or 1.
+    #[test]
+    fn a_field_that_does_not_fit_its_type_is_refused() {
+        // (request, slot of a narrowed field, first value past its type)
+        let narrowed = [
+            ("bind", 1, 1 << 16),
+            ("listen", 1, 1 << 32),
+            ("connect", 1, 1 << 16),
+            ("connect", 2, 1 << 16),
+            ("send", 1, 1 << 32),
+            ("recv", 1, 1 << 32),
+            ("register", 2, 1 << 8),
+            ("register", 4, 2),
+            ("vreadfrom", 3, 1 << 8),
+            ("vwriteto", 3, 1 << 8),
+            ("readfrom", 4, 1 << 8),
+            ("writeto", 4, 1 << 8),
+            ("mmap", 3, 1 << 8),
+            ("sysfs_read", 0, 1 << 32),
+            ("poll", 1, 1 << 8),
+            ("poll", 2, 1 << 32),
+        ];
+        for (name, slot, past) in narrowed {
+            let req = all_requests().into_iter().find(|r| r.name() == name).expect(name);
+            let mut header = req.encode();
+            let at = 8 + 8 * slot;
+            header[at..at + 8].copy_from_slice(&u64::to_le_bytes(past));
+            assert_eq!(VphiRequest::decode(&header), None, "{name} slot {slot}");
+        }
     }
 
     #[test]

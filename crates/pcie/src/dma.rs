@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use vphi_sim_core::cost::HUGE_PAGE_SIZE;
-use vphi_sim_core::{SimTime, SpanLabel, Timeline};
+use vphi_sim_core::{SpanLabel, Timeline};
 use vphi_sync::Counter;
 
 use crate::link::PcieLink;
@@ -105,8 +105,6 @@ impl SgList {
 /// Result of a completed DMA transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaOutcome {
-    /// Virtual time at which the transfer completed.
-    pub completed_at: SimTime,
     /// Channel the transfer ran on.
     pub channel: usize,
     /// Bytes moved.
@@ -147,8 +145,8 @@ impl DmaEngine {
         let channel = self.pick_channel();
         tl.charge(SpanLabel::DmaSetup, self.link.cost().dma_setup);
         dst.copy_from_slice(src);
-        let completed_at = self.link.transmit(src.len() as u64, tl);
-        DmaOutcome { completed_at, channel, bytes: src.len() as u64 }
+        self.link.transmit(src.len() as u64, tl);
+        DmaOutcome { channel, bytes: src.len() as u64 }
     }
 }
 
@@ -192,13 +190,10 @@ pub fn double_buffered_makespan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vphi_sim_core::{CostModel, VirtualClock};
+    use vphi_sim_core::CostModel;
 
     fn engine(channels: usize) -> DmaEngine {
-        let link = Arc::new(PcieLink::new(
-            Arc::new(CostModel::paper_calibrated()),
-            Arc::new(VirtualClock::new()),
-        ));
+        let link = Arc::new(PcieLink::new(Arc::new(CostModel::paper_calibrated())));
         DmaEngine::new(link, channels)
     }
 

@@ -9,10 +9,9 @@
 //! on the object it waits for — a virtqueue lane's device on its own ring
 //! — so neither has a type here:
 //!
-//! * [`link::PcieLink`] — a serially-shared link with per-transaction
-//!   latency and per-byte bandwidth from the [`vphi_sim_core::CostModel`],
-//!   including queueing (contention) when several VMs or DMA channels
-//!   compete — the mechanism behind the multi-VM sharing experiments.
+//! * [`link::PcieLink`] — a link with per-transaction latency and
+//!   per-byte bandwidth from the [`vphi_sim_core::CostModel`], charged to
+//!   the issuing request's timeline alone.
 //! * [`dma::DmaEngine`] — multi-channel DMA that *actually copies bytes*
 //!   between host and device memory while charging virtual time.
 //! * [`aperture::Aperture`] — host-visible MMIO windows into device

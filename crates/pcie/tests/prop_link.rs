@@ -4,10 +4,10 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use vphi_pcie::{DmaEngine, PcieLink};
-use vphi_sim_core::{CostModel, SimTime, Timeline, VirtualClock};
+use vphi_sim_core::{CostModel, SpanLabel, Timeline};
 
 fn link() -> Arc<PcieLink> {
-    Arc::new(PcieLink::new(Arc::new(CostModel::paper_calibrated()), Arc::new(VirtualClock::new())))
+    Arc::new(PcieLink::new(Arc::new(CostModel::paper_calibrated())))
 }
 
 proptest! {
@@ -23,21 +23,20 @@ proptest! {
         prop_assert!(tab.abs_diff(ta + tb) <= 2, "{ta}+{tb} vs {tab}");
     }
 
-    /// Serialized transmissions: total busy time equals the sum of holds
-    /// and the completion times are strictly increasing.
+    /// Serialized transmissions: total busy time equals the sum of holds,
+    /// and the timeline is charged each transfer and one latency apiece.
     #[test]
     fn serialized_transmissions_accumulate(sizes in prop::collection::vec(1u64..1 << 24, 1..20)) {
         let l = link();
         let mut tl = Timeline::new();
-        let mut last_end = SimTime::ZERO;
         for &s in &sizes {
-            let end = l.transmit(s, &mut tl);
-            prop_assert!(end > last_end);
-            last_end = end;
+            l.transmit(s, &mut tl);
         }
         let expected: u64 = sizes.iter().map(|&s| l.transfer_time(s).as_nanos()).sum();
         prop_assert_eq!(l.busy_total().as_nanos(), expected);
         prop_assert_eq!(l.transaction_count(), sizes.len() as u64);
+        prop_assert_eq!(tl.total_for(SpanLabel::LinkTransfer).as_nanos(), expected);
+        prop_assert_eq!(tl.total_for(SpanLabel::LinkLatency), l.cost().link_latency * sizes.len() as u64);
     }
 
     /// DMA copies of arbitrary sizes are byte-exact.

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use vphi_faults::{FaultHook, FaultSite};
 use vphi_pcie::{DmaEngine, PcieLink};
-use vphi_sim_core::{CostModel, SimDuration, VirtualClock};
+use vphi_sim_core::{CostModel, SimDuration};
 use vphi_sync::{Counter, LockClass, Published, TrackedMutex};
 
 use crate::memory::DeviceMemory;
@@ -82,16 +82,11 @@ impl std::fmt::Debug for PhiBoard {
 impl PhiBoard {
     /// Plug a card in (state: offline).  `mic_index` is its `/dev/mic`
     /// slot number.
-    pub fn new(
-        spec: PhiSpec,
-        mic_index: u32,
-        cost: Arc<CostModel>,
-        clock: Arc<VirtualClock>,
-    ) -> Self {
-        let link = Arc::new(PcieLink::new(Arc::clone(&cost), Arc::clone(&clock)));
+    pub fn new(spec: PhiSpec, mic_index: u32, cost: Arc<CostModel>) -> Self {
+        let link = Arc::new(PcieLink::new(Arc::clone(&cost)));
         let dma = Arc::new(DmaEngine::new(Arc::clone(&link), spec.dma_channels));
         let memory = Arc::new(DeviceMemory::new(spec.memory_bytes));
-        let uos = Arc::new(UosScheduler::new(spec.clone(), cost, clock));
+        let uos = Arc::new(UosScheduler::new(spec.clone(), cost));
         let sysfs = TrackedMutex::new(
             LockClass::BoardSysfs,
             SysfsInfo::from_spec(&spec, mic_index, "offline"),
@@ -247,12 +242,7 @@ mod tests {
     use super::*;
 
     fn board() -> PhiBoard {
-        PhiBoard::new(
-            PhiSpec::phi_3120p(),
-            0,
-            Arc::new(CostModel::paper_calibrated()),
-            Arc::new(VirtualClock::new()),
-        )
+        PhiBoard::new(PhiSpec::phi_3120p(), 0, Arc::new(CostModel::paper_calibrated()))
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
+use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline};
 
 use crate::spec::PhiSpec;
 
@@ -85,12 +85,11 @@ pub struct JobOutcome {
 pub struct UosScheduler {
     spec: PhiSpec,
     cost: Arc<CostModel>,
-    clock: Arc<VirtualClock>,
 }
 
 impl UosScheduler {
-    pub fn new(spec: PhiSpec, cost: Arc<CostModel>, clock: Arc<VirtualClock>) -> Self {
-        UosScheduler { spec, cost, clock }
+    pub fn new(spec: PhiSpec, cost: Arc<CostModel>) -> Self {
+        UosScheduler { spec, cost }
     }
 
     pub fn spec(&self) -> &PhiSpec {
@@ -117,9 +116,7 @@ impl UosScheduler {
     /// Pure-timing execution of `job` alone on the card, charging spans to
     /// `tl`.  Co-scheduled jobs are [`run_concurrent`](Self::run_concurrent).
     pub fn run(&self, job: &ComputeJob, tl: &mut Timeline) -> JobOutcome {
-        let outcome = self.place(job, 0, tl);
-        self.clock.advance(outcome.duration);
-        outcome
+        self.place(job, 0, tl)
     }
 
     /// Model a set of co-scheduled jobs (e.g. one per VM sharing the card).
@@ -187,11 +184,7 @@ mod tests {
     use super::*;
 
     fn sched() -> UosScheduler {
-        UosScheduler::new(
-            PhiSpec::phi_3120p(),
-            Arc::new(CostModel::paper_calibrated()),
-            Arc::new(VirtualClock::new()),
-        )
+        UosScheduler::new(PhiSpec::phi_3120p(), Arc::new(CostModel::paper_calibrated()))
     }
 
     fn dgemm_flops(n: u64) -> f64 {

@@ -6,14 +6,10 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use vphi_phi::{ComputeJob, PhiSpec, UosScheduler};
-use vphi_sim_core::{CostModel, Timeline, VirtualClock};
+use vphi_sim_core::{CostModel, Timeline};
 
 fn sched() -> UosScheduler {
-    UosScheduler::new(
-        PhiSpec::phi_3120p(),
-        Arc::new(CostModel::paper_calibrated()),
-        Arc::new(VirtualClock::new()),
-    )
+    UosScheduler::new(PhiSpec::phi_3120p(), Arc::new(CostModel::paper_calibrated()))
 }
 
 proptest! {

@@ -464,15 +464,14 @@ impl Drop for ScifEndpoint {
 mod tests {
     use super::*;
     use vphi_phi::{PhiBoard, PhiSpec};
-    use vphi_sim_core::{CostModel, SimDuration, Timeline, VirtualClock};
+    use vphi_sim_core::{CostModel, SimDuration, Timeline};
 
     use crate::types::HOST_NODE;
 
     fn setup() -> (ScifFabric, NodeId) {
         let cost = Arc::new(CostModel::paper_calibrated());
-        let clock = Arc::new(VirtualClock::new());
-        let fabric = ScifFabric::new(Arc::clone(&cost), Arc::clone(&clock));
-        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost, clock));
+        let fabric = ScifFabric::new(Arc::clone(&cost));
+        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost));
         board.boot();
         let node = fabric.add_device(board);
         (fabric, node)

@@ -10,7 +10,7 @@
 
 use std::sync::{Arc, OnceLock, Weak};
 
-use vphi_sim_core::{SimTime, SpanLabel, Timeline};
+use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 use vphi_sync::{Flag, LockClass, Published, TrackedMutex, WaitCell};
 
 use crate::error::{ScifError, ScifResult};
@@ -43,11 +43,12 @@ impl EpState {
     ];
 }
 
-/// An asynchronous RMA in flight (see [`crate::rma`]).
+/// An asynchronous RMA in flight (see [`crate::rma`]): its marker and
+/// the transfer time its issue deferred to the fence.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RmaCompletion {
     pub marker: u64,
-    pub completes_at: SimTime,
+    pub deferred: SimDuration,
 }
 
 /// An endpoint's RMA fence (see [`crate::rma`]): the marker the next
@@ -613,13 +614,12 @@ mod tests {
     use crate::types::HOST_NODE;
     use std::sync::Arc;
     use vphi_phi::{PhiBoard, PhiSpec};
-    use vphi_sim_core::{CostModel, VirtualClock};
+    use vphi_sim_core::CostModel;
 
     pub(crate) fn test_fabric() -> (ScifFabric, NodeId) {
         let cost = Arc::new(CostModel::paper_calibrated());
-        let clock = Arc::new(VirtualClock::new());
-        let fabric = ScifFabric::new(Arc::clone(&cost), Arc::clone(&clock));
-        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost, clock));
+        let fabric = ScifFabric::new(Arc::clone(&cost));
+        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost));
         board.boot();
         let node = fabric.add_device(board);
         (fabric, node)

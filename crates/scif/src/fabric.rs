@@ -6,7 +6,7 @@ use std::sync::{Arc, Weak};
 
 use vphi_faults::FaultSite;
 use vphi_phi::PhiBoard;
-use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
+use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline};
 use vphi_sync::{Counter, Flag, LockClass, TrackedMutex, WaitCell};
 
 use crate::endpoint::EndpointCore;
@@ -140,7 +140,6 @@ impl NodeCore {
 /// Shared fabric state reachable from every endpoint.
 pub struct FabricShared {
     pub cost: Arc<CostModel>,
-    pub clock: Arc<VirtualClock>,
     nodes: TrackedMutex<BTreeMap<NodeId, Arc<NodeCore>>>,
     next_ep_id: Counter,
 }
@@ -274,10 +273,9 @@ pub struct ScifFabric {
 
 impl ScifFabric {
     /// A fabric with just the host node (node 0).
-    pub fn new(cost: Arc<CostModel>, clock: Arc<VirtualClock>) -> Self {
+    pub fn new(cost: Arc<CostModel>) -> Self {
         let shared = Arc::new(FabricShared {
             cost,
-            clock,
             nodes: TrackedMutex::new(LockClass::FabricNodes, BTreeMap::new()),
             next_ep_id: Counter::new(1),
         });
@@ -361,9 +359,8 @@ mod tests {
 
     fn fabric_with_device() -> (ScifFabric, NodeId) {
         let cost = Arc::new(CostModel::paper_calibrated());
-        let clock = Arc::new(VirtualClock::new());
-        let fabric = ScifFabric::new(Arc::clone(&cost), Arc::clone(&clock));
-        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost, clock));
+        let fabric = ScifFabric::new(Arc::clone(&cost));
+        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost));
         board.boot();
         let node = fabric.add_device(board);
         (fabric, node)

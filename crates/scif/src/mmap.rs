@@ -127,13 +127,12 @@ mod tests {
     use crate::window::WindowBacking;
     use std::sync::Arc;
     use vphi_phi::{PhiBoard, PhiSpec};
-    use vphi_sim_core::{CostModel, Timeline, VirtualClock};
+    use vphi_sim_core::{CostModel, Timeline};
 
     fn setup() -> (ScifFabric, Arc<EndpointCore>, Arc<EndpointCore>) {
         let cost = Arc::new(CostModel::paper_calibrated());
-        let clock = Arc::new(VirtualClock::new());
-        let fabric = ScifFabric::new(Arc::clone(&cost), Arc::clone(&clock));
-        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost, clock));
+        let fabric = ScifFabric::new(Arc::clone(&cost));
+        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost));
         board.boot();
         let dev = fabric.add_device(board);
         let server = fabric.open(dev).unwrap();

@@ -153,13 +153,12 @@ mod tests {
     use crate::fabric::ScifFabric;
     use crate::types::{Port, ScifAddr, HOST_NODE};
     use vphi_phi::{PhiBoard, PhiSpec};
-    use vphi_sim_core::{CostModel, VirtualClock};
+    use vphi_sim_core::CostModel;
 
     fn fabric_with_device() -> (ScifFabric, crate::types::NodeId) {
         let cost = Arc::new(CostModel::paper_calibrated());
-        let clock = Arc::new(VirtualClock::new());
-        let fabric = ScifFabric::new(Arc::clone(&cost), Arc::clone(&clock));
-        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost, clock));
+        let fabric = ScifFabric::new(Arc::clone(&cost));
+        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost));
         board.boot();
         let dev = fabric.add_device(board);
         (fabric, dev)

@@ -10,11 +10,14 @@
 //! Without it the transfer is *queued*: the call returns after setup and a
 //! later `scif_fence_mark`/`scif_fence_wait` pair (or `scif_fence_signal`)
 //! absorbs the remaining virtual time — the paper's RDMA+poll pattern.
+//! A fence charges the longest transfer it retires, so one async RMA and
+//! its fence cost exactly what the sync call costs, whatever other
+//! threads do meanwhile.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use vphi_sim_core::{SimTime, SpanLabel, Timeline};
+use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
 
 use crate::endpoint::{EndpointCore, EpState, RmaCompletion};
 use crate::error::{ScifError, ScifResult};
@@ -200,17 +203,16 @@ impl EndpointCore {
             self.shared.charge_rma_path(&self.node, &peer.node, bytes, flags.use_cpu, tl)?;
             return Ok(());
         }
-        // Async: the caller pays only the setup; the transfer itself
-        // completes in the background at now + transfer_time.
+        // Async: the caller pays only the setup; the rest of the transfer
+        // is deferred to the fence that retires it.
         tl.charge(SpanLabel::RmaSetup, self.shared.cost.rma_setup);
         let mut sub = Timeline::new();
         self.shared.charge_rma_path(&self.node, &peer.node, bytes, flags.use_cpu, &mut sub)?;
-        let extra = sub.total().saturating_sub(self.shared.cost.rma_setup);
-        let completes_at = self.shared.clock.now() + extra;
+        let deferred = sub.total().saturating_sub(self.shared.cost.rma_setup);
         let mut fence = self.fence.lock();
         let marker = fence.next_marker;
         fence.next_marker += 1;
-        fence.pending.push(RmaCompletion { marker, completes_at });
+        fence.pending.push(RmaCompletion { marker, deferred });
         Ok(())
     }
 
@@ -224,28 +226,21 @@ impl EndpointCore {
     }
 
     /// `scif_fence_wait`: blocks (in virtual time) until every RMA up to
-    /// `marker` has completed, charging the remaining wait.
+    /// `marker` has completed.  The RMAs overlap in the background, so the
+    /// wait charged is the longest transfer time among those it retires.
     pub fn fence_wait(&self, marker: u64, tl: &mut Timeline) -> ScifResult<()> {
         if self.state() != EpState::Connected {
             return Err(ScifError::NotConn);
         }
-        let mut fence = self.fence.lock();
-        let now = self.shared.clock.now();
-        let mut latest = SimTime::ZERO;
-        fence.pending.retain(|c| {
-            if c.marker <= marker {
-                latest = latest.max(c.completes_at);
-                false
-            } else {
-                true
+        let mut longest = SimDuration::ZERO;
+        self.fence.lock().pending.retain(|c| {
+            let retired = c.marker <= marker;
+            if retired {
+                longest = longest.max(c.deferred);
             }
+            !retired
         });
-        drop(fence);
-        if latest > now {
-            let wait = latest.elapsed_since(now);
-            tl.charge(SpanLabel::Completion, wait);
-            self.shared.clock.observe(latest);
-        }
+        tl.charge(SpanLabel::Completion, longest);
         Ok(())
     }
 
@@ -303,18 +298,24 @@ mod tests {
     use std::time::Duration;
     use vphi_phi::{PhiBoard, PhiSpec};
     use vphi_sim_core::cost::PAGE_SIZE;
-    use vphi_sim_core::{CostModel, SimDuration, VirtualClock};
+    use vphi_sim_core::{CostModel, SimDuration};
+    use vphi_sync::{Counter, Flag};
 
     fn setup() -> (ScifFabric, Arc<EndpointCore>, Arc<EndpointCore>) {
         let cost = Arc::new(CostModel::paper_calibrated());
-        let clock = Arc::new(VirtualClock::new());
-        let fabric = ScifFabric::new(Arc::clone(&cost), Arc::clone(&clock));
-        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost, clock));
+        let fabric = ScifFabric::new(Arc::clone(&cost));
+        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost));
         board.boot();
-        let dev = fabric.add_device(board);
+        fabric.add_device(board);
+        let (client, conn) = connect(&fabric, Port(42));
+        (fabric, client, conn)
+    }
 
+    /// A host endpoint connected to a card endpoint listening on `port`.
+    fn connect(fabric: &ScifFabric, port: Port) -> (Arc<EndpointCore>, Arc<EndpointCore>) {
+        let dev = NodeId(1);
         let server = fabric.open(dev).unwrap();
-        server.bind(Port(42)).unwrap();
+        server.bind(port).unwrap();
         server.listen(4).unwrap();
         let client = fabric.open(HOST_NODE).unwrap();
         let s2 = Arc::clone(&server);
@@ -323,9 +324,8 @@ mod tests {
             s2.accept(&mut tl).unwrap()
         });
         let mut tl = Timeline::new();
-        client.connect(ScifAddr::new(dev, Port(42)), &mut tl).unwrap();
-        let conn = acceptor.join().unwrap();
-        (fabric, client, conn)
+        client.connect(ScifAddr::new(dev, port), &mut tl).unwrap();
+        (client, acceptor.join().unwrap())
     }
 
     #[test]
@@ -427,6 +427,56 @@ mod tests {
         let mut tl_fence2 = Timeline::new();
         client.fence_wait(marker, &mut tl_fence2).unwrap();
         assert_eq!(tl_fence2.total(), SimDuration::ZERO);
+    }
+
+    /// An async RMA and its fence are charged the same, round after round,
+    /// while another connection streams RMAs over the same card's link,
+    /// and together exactly what the sync call is charged: the fence
+    /// charges its own RMA's deferred transfer, not a distance on a clock
+    /// other threads move.
+    #[test]
+    fn a_fence_charges_its_own_rma_whatever_a_bystander_streams() {
+        const ROUNDS: usize = 200;
+        let (f, client, server) = setup();
+        let (by_client, by_server) = connect(&f, Port(43));
+        let len = 64 * PAGE_SIZE;
+        let (roff, _) = register_pinned(&server, len, Prot::READ).unwrap();
+        let (by_roff, _) = register_pinned(&by_server, len, Prot::READ).unwrap();
+        let mut out = vec![0u8; len as usize];
+        let mut round = |flags| {
+            let (mut issue, mut fence) = (Timeline::new(), Timeline::new());
+            client.vreadfrom(&mut out, roff, flags, &mut issue).unwrap();
+            client.fence_wait(client.fence_mark().unwrap(), &mut fence).unwrap();
+            (issue.total(), fence.total())
+        };
+        let sync = round(RmaFlags::SYNC);
+        let solo = round(RmaFlags::ASYNC);
+        assert_eq!(solo.0 + solo.1, sync.0, "issue + fence != the sync call");
+        assert_eq!(sync.1, SimDuration::ZERO, "a fence after a sync RMA waits");
+
+        let (stop, streamed) = (Arc::new(Flag::new(false)), Arc::new(Counter::new(0)));
+        let bystander = {
+            let (stop, streamed) = (Arc::clone(&stop), Arc::clone(&streamed));
+            std::thread::spawn(move || {
+                let mut buf = vec![0u8; len as usize];
+                while !stop.get() {
+                    let mut tl = Timeline::new();
+                    by_client.vreadfrom(&mut buf, by_roff, RmaFlags::SYNC, &mut tl).unwrap();
+                    streamed.bump();
+                }
+            })
+        };
+        while streamed.get() == 0 {
+            std::thread::yield_now();
+        }
+        let rounds: Vec<_> =
+            (0..ROUNDS).map(|_| (round(RmaFlags::ASYNC), round(RmaFlags::SYNC))).collect();
+        stop.set();
+        bystander.join().unwrap();
+        for (i, (async_round, sync_round)) in rounds.into_iter().enumerate() {
+            assert_eq!(async_round, solo, "round {i}: the bystander moved an async RMA's charge");
+            assert_eq!(sync_round, sync, "round {i}: the bystander moved a sync RMA's charge");
+        }
     }
 
     #[test]

@@ -270,7 +270,7 @@ mod tests {
     use std::sync::Barrier;
 
     use vphi_phi::{PhiBoard, PhiSpec};
-    use vphi_sim_core::{CostModel, VirtualClock};
+    use vphi_sim_core::CostModel;
     use vphi_sync::Counter;
 
     use super::*;
@@ -278,9 +278,8 @@ mod tests {
 
     fn card() -> (ScifFabric, NodeId) {
         let cost = Arc::new(CostModel::paper_calibrated());
-        let clock = Arc::new(VirtualClock::new());
-        let fabric = ScifFabric::new(Arc::clone(&cost), Arc::clone(&clock));
-        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost, clock));
+        let fabric = ScifFabric::new(Arc::clone(&cost));
+        let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost));
         board.boot();
         let node = fabric.add_device(board);
         (fabric, node)

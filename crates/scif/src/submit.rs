@@ -11,9 +11,11 @@
 
 use crate::error::{ScifError, ScifResult};
 
-/// Opaque handle to one submitted operation.  Tokens are unique for the
-/// lifetime of a device channel (a monotonically allocated 64-bit id, so
-/// reuse is unreachable in practice) and are reaped exactly once.
+/// Opaque handle to one submitted operation, reaped exactly once.  The
+/// guest driver packs a token as (lane, slot, generation): its request
+/// slot table reuses slots, and bumps the slot's generation each time it
+/// does.  A token whose generation is no longer its slot's is stale, and
+/// reaping it reaps nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubmitToken(pub(crate) u64);
 

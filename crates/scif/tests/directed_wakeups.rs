@@ -17,14 +17,13 @@ use vphi_phi::{PhiBoard, PhiSpec};
 use vphi_scif::endpoint::{EndpointCore, EpState};
 use vphi_scif::poll::poll;
 use vphi_scif::{NodeId, PollEvents, Port, ScifAddr, ScifError, ScifFabric, HOST_NODE};
-use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline, VirtualClock};
+use vphi_sim_core::{CostModel, SimDuration, SpanLabel, Timeline};
 use vphi_sync::Flag;
 
 fn fabric_with_device() -> (ScifFabric, NodeId) {
     let cost = Arc::new(CostModel::paper_calibrated());
-    let clock = Arc::new(VirtualClock::new());
-    let fabric = ScifFabric::new(Arc::clone(&cost), Arc::clone(&clock));
-    let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost, clock));
+    let fabric = ScifFabric::new(Arc::clone(&cost));
+    let board = Arc::new(PhiBoard::new(PhiSpec::phi_3120p(), 0, cost));
     board.boot();
     let dev = fabric.add_device(board);
     (fabric, dev)

@@ -7,9 +7,9 @@
 //! the primitives every other crate charges time against:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-granularity virtual time.
-//! * [`clock::VirtualClock`] — a global monotonic virtual clock plus
-//!   [`clock::BusyResource`] for modelling contended serial resources
-//!   (the PCIe link, the DMA engine).
+//!   There is no shared clock: a request's virtual time is what its own
+//!   [`Timeline`] was charged, so it cannot depend on how the host
+//!   schedules other requests' threads.
 //! * [`cost::CostModel`] — every structural cost in the system (vm-exit,
 //!   interrupt injection, guest wake-up, per-page pin/translate, per-byte
 //!   link time, …) as an explicit parameter.  The paper-calibrated preset
@@ -27,7 +27,6 @@
 //!   byte-backed GDDR: lazily zeroed, huge-page aligned, and advised onto
 //!   transparent huge pages where its owner asks.
 
-pub mod clock;
 pub mod cost;
 pub mod host_mem;
 pub mod rng;
@@ -35,7 +34,6 @@ pub mod stats;
 pub mod timeline;
 pub mod units;
 
-pub use clock::{BusyResource, VirtualClock};
 pub use cost::CostModel;
 pub use rng::SplitMix64;
 pub use timeline::{SpanLabel, Timeline};

@@ -10,8 +10,8 @@
 //!   set (start/stop, closed, shutdown): `Release` store, `Acquire` load,
 //!   `AcqRel` swap.
 //! * [`Published`] — a word read without the lock (or by the one holder)
-//!   that wrote it — slot state, bitmaps, the simulated clock — with the
-//!   same `Release` / `Acquire` / `AcqRel` contract as a [`Flag`].
+//!   that wrote it — slot state, bitmaps — with the same `Release` /
+//!   `Acquire` / `AcqRel` contract as a [`Flag`].
 //!
 //! Nothing is `SeqCst` and nothing fences: a handshake in which each side
 //! stores and then loads the other's word is made under a lock instead.
@@ -157,18 +157,6 @@ impl Published {
     #[inline]
     pub fn store(&self, value: u64) {
         self.0.store(value, Release);
-    }
-
-    #[inline]
-    pub fn fetch_add(&self, n: u64) -> u64 {
-        rmw();
-        self.0.fetch_add(n, AcqRel)
-    }
-
-    #[inline]
-    pub fn fetch_sub(&self, n: u64) -> u64 {
-        rmw();
-        self.0.fetch_sub(n, AcqRel)
     }
 
     #[inline]
@@ -329,8 +317,6 @@ mod tests {
         assert_eq!(p.fetch_or(0b0010), 0b0101);
         assert_eq!(p.fetch_and(!0b0001), 0b0111);
         assert_eq!(p.load(), 0b0110);
-        assert_eq!(p.fetch_add(10), 6);
-        assert_eq!(p.fetch_sub(1), 16);
         p.store(4);
         assert_eq!(p.compare_exchange_weak(3, 5), Err(4));
         while p.compare_exchange_weak(4, 9).is_err() {}
@@ -397,8 +383,6 @@ mod tests {
         counts_one("Counter::sub", &|| c.sub(1));
         counts_one("Counter::next", &|| _ = c.next());
         counts_one("Counter::take", &|| _ = c.take());
-        counts_one("Published::fetch_add", &|| _ = p.fetch_add(1));
-        counts_one("Published::fetch_sub", &|| _ = p.fetch_sub(1));
         counts_one("Published::fetch_or", &|| _ = p.fetch_or(1));
         counts_one("Published::fetch_and", &|| _ = p.fetch_and(0));
         counts_one("Published::compare_exchange_weak", &|| _ = p.compare_exchange_weak(5, 6));

@@ -14,14 +14,6 @@
 #[derive(Debug, Clone, Copy)]
 pub struct Token(#[allow(dead_code)] u64);
 
-/// How a lock was taken: a role (`TrackedRole`) may be held across a
-/// clock advance, a mutex may not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AcqKind {
-    Exclusive,
-    Role,
-}
-
 /// Snapshot of the audit counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SyncStats {
@@ -44,7 +36,7 @@ pub struct SyncStats {
 #[expect(clippy::disallowed_types, reason = "the audit's own atomics: the wrappers report to it")]
 #[cfg(any(debug_assertions, feature = "sync-audit"))]
 mod imp {
-    use super::{AcqKind, SyncStats, Token};
+    use super::{SyncStats, Token};
     use crate::LockClass;
     use std::cell::{Cell, RefCell};
     use std::panic::Location;
@@ -54,7 +46,6 @@ mod imp {
 
     struct Held {
         class: LockClass,
-        kind: AcqKind,
         site: &'static Location<'static>,
         slot: u64,
     }
@@ -102,7 +93,7 @@ mod imp {
         }
     }
 
-    pub fn on_acquire(class: LockClass, kind: AcqKind, site: &'static Location<'static>) -> Token {
+    pub fn on_acquire(class: LockClass, site: &'static Location<'static>) -> Token {
         ACQUISITIONS.fetch_add(1, Ordering::Relaxed);
         THREAD_ACQUISITIONS.with(|t| t.borrow_mut()[class.index()] += 1);
         HELD.with(|h| {
@@ -135,7 +126,7 @@ mod imp {
                 record_edge(entry.class, class);
             }
             let slot = NEXT_SLOT.fetch_add(1, Ordering::Relaxed);
-            held.push(Held { class, kind, site, slot });
+            held.push(Held { class, site, slot });
             MAX_DEPTH.fetch_max(held.len() as u64, Ordering::Relaxed);
             Token(slot)
         })
@@ -157,24 +148,6 @@ mod imp {
 
     pub fn on_rmw() {
         THREAD_RMWS.with(|t| t.set(t.get() + 1));
-    }
-
-    pub fn assert_lockless(what: &str) {
-        HELD.with(|h| {
-            let held = h.borrow();
-            // A role is not a lock: its holder is *expected* to advance
-            // the clock (it is executing a request).
-            let locks = held.iter().filter(|e| e.kind != AcqKind::Role);
-            if let Some(top) = locks.clone().next_back() {
-                report(format!(
-                    "{what} entered while holding {:?} (acquired at {}; {} lock(s) held) — \
-                     virtual-time advances must be lock-free",
-                    top.class,
-                    top.site,
-                    locks.count()
-                ));
-            }
-        });
     }
 
     pub fn capture_violations<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
@@ -240,16 +213,12 @@ mod imp {
 
 #[cfg(not(any(debug_assertions, feature = "sync-audit")))]
 mod imp {
-    use super::{AcqKind, SyncStats, Token};
+    use super::{SyncStats, Token};
     use crate::LockClass;
     use std::panic::Location;
 
     #[inline(always)]
-    pub fn on_acquire(
-        _class: LockClass,
-        _kind: AcqKind,
-        _site: &'static Location<'static>,
-    ) -> Token {
+    pub fn on_acquire(_class: LockClass, _site: &'static Location<'static>) -> Token {
         Token(0)
     }
 
@@ -261,9 +230,6 @@ mod imp {
 
     #[inline(always)]
     pub fn on_rmw() {}
-
-    #[inline(always)]
-    pub fn assert_lockless(_what: &str) {}
 
     pub fn capture_violations<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
         (f(), Vec::new())
@@ -297,8 +263,8 @@ mod imp {
 }
 
 pub use imp::{
-    assert_lockless, capture_violations, on_acquire, on_release, on_rmw, on_signal, order_edges,
-    stats, thread_acquisitions, thread_rmws, thread_signals, violation_count, ENABLED,
+    capture_violations, on_acquire, on_release, on_rmw, on_signal, order_edges, stats,
+    thread_acquisitions, thread_rmws, thread_signals, violation_count, ENABLED,
 };
 
 // In a plain release build the detector is the no-op module and there is
@@ -385,39 +351,33 @@ mod tests {
     #[test]
     fn condvar_wait_releases_the_held_token() {
         let m = TrackedMutex::new(LockClass::TestA, ());
+        let other = TrackedMutex::new(LockClass::TestA, ());
         let c = TrackedCondvar::default();
         // The wait times out; after the re-acquisition the token is back
-        // once (not twice: no same-class nesting), and the drop removes it.
+        // once (a second mutex of the class nests under it once, not
+        // twice), and the drop removes it.
         let (_, violations) = capture_violations(|| {
             let mut g = m.lock();
             c.wait_for(&mut g, Duration::from_millis(1));
-            assert_lockless("after the wait");
+            drop(other.lock());
             drop(g);
-            assert_lockless("after the drop");
+            drop(other.lock());
         });
         assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("after the wait") && violations[0].contains("1 lock(s)"));
+        assert!(violations[0].contains("same-class nesting"));
     }
 
     #[test]
-    fn a_role_orders_like_a_lock_but_may_cross_the_clock() {
+    fn a_role_orders_like_a_lock() {
         let role = crate::TrackedRole::new(LockClass::TestB);
         let inner = TrackedMutex::new(LockClass::TestInner, ());
         let (_, violations) = capture_violations(|| {
             let _r = role.enter();
-            assert_lockless("test advance");
             drop(inner.lock());
         });
         assert!(violations.is_empty(), "role flagged: {violations:?}");
         assert!(order_edges().contains(&(LockClass::TestB, LockClass::TestInner)));
-        // A lock taken under the role still may not cross the clock, and
-        // the role itself may not be entered under an inner lock.
-        let (_, violations) = capture_violations(|| {
-            let _r = role.enter();
-            let _g = inner.lock();
-            assert_lockless("test advance");
-        });
-        assert!(violations.iter().any(|v| v.contains("TestInner") && v.contains("1 lock(s)")));
+        // The role may not be entered under an inner lock.
         let (_, violations) = capture_violations(|| {
             let _g = inner.lock();
             let _r = role.enter();
@@ -442,19 +402,5 @@ mod tests {
         waiter.join().unwrap();
         assert_eq!(inside.get(), 1);
         assert!(role.try_enter().is_some(), "a free role was refused");
-    }
-
-    #[test]
-    fn clock_style_assert_fires_only_under_locks() {
-        let (_, violations) = capture_violations(|| {
-            assert_lockless("test advance");
-        });
-        assert!(violations.is_empty());
-        let m = TrackedMutex::new(LockClass::TestA, ());
-        let (_, violations) = capture_violations(|| {
-            let _g = m.lock();
-            assert_lockless("test advance");
-        });
-        assert!(violations.iter().any(|v| v.contains("lock-free")));
     }
 }

@@ -8,16 +8,13 @@
 //! * **layer inversions** (taking a class of a lower layer than one
 //!   already held — e.g. a `scif` fabric lock under a `virtio` queue lock;
 //!   with one layer per class this is also the second half of any ABBA),
-//! * **same-class nesting** (two mutexes of one class on one thread),
-//! * **locks held across a `sim-core` virtual-clock advance** (via
-//!   [`audit::assert_lockless`], called by `VirtualClock`).
+//! * **same-class nesting** (two mutexes of one class on one thread).
 //!
 //! A [`TrackedRole`] is the one primitive that is exclusive without being
 //! a lock over data: it names *which thread is executing* something (a
 //! virtqueue lane's one executor) and is held across the blocking calls
-//! and clock advances that execution makes.  It takes part in the layer
-//! and nesting checks like any class and is exempt only from the
-//! lock-across-clock check.
+//! that execution makes.  It takes part in the layer and nesting checks
+//! like any class.
 //!
 //! A [`WaitCell`] is a tracked mutex a thread sleeps on until its state
 //! changes; it signals only a parked waiter.  Every untimed wait is one,
@@ -45,7 +42,7 @@ pub mod audit;
 
 pub use atomic::{Counter, Flag, Published, Tally};
 
-use audit::{AcqKind, Token};
+use audit::Token;
 
 /// Every lock in the workspace belongs to a class; the class's **layer**
 /// encodes the documented acquisition order (DESIGN.md #12): a thread may
@@ -279,7 +276,7 @@ impl<T: ?Sized> TrackedMutex<T> {
     /// blocking.
     #[track_caller]
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
-        let token = audit::on_acquire(self.class, AcqKind::Exclusive, Location::caller());
+        let token = audit::on_acquire(self.class, Location::caller());
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         TrackedMutexGuard { inner: Some(inner), class: self.class, token }
     }
@@ -337,7 +334,7 @@ pub use timed::TrackedCondvar;
 
 #[expect(clippy::disallowed_types, reason = "the timed condvar's own definition")]
 mod timed {
-    use super::{audit, AcqKind, Location, PoisonError, RawCondvar, TrackedMutexGuard};
+    use super::{audit, Location, PoisonError, RawCondvar, TrackedMutexGuard};
     use std::time::Duration;
 
     /// A condition variable for the timed waits, whose wall timeout no state
@@ -373,7 +370,7 @@ mod timed {
             let (raw, result) =
                 self.inner.wait_timeout(raw, timeout).unwrap_or_else(PoisonError::into_inner);
             guard.inner = Some(raw);
-            guard.token = audit::on_acquire(guard.class, AcqKind::Exclusive, site);
+            guard.token = audit::on_acquire(guard.class, site);
             result
         }
     }
@@ -448,7 +445,7 @@ impl<T> WaitGuard<'_, T> {
             audit::on_release(g.token);
             let raw = g.inner.take().expect("guard present");
             g.inner = Some(cond.wait(raw).unwrap_or_else(PoisonError::into_inner));
-            g.token = audit::on_acquire(g.class, AcqKind::Exclusive, site);
+            g.token = audit::on_acquire(g.class, site);
             g.counts.parked -= 1;
             if done(&mut g.value) {
                 g.counts.woken += 1;
@@ -509,11 +506,10 @@ impl<T> DerefMut for WaitGuard<'_, T> {
 
 /// An exclusive *role*: at most one thread holds it, the others park until
 /// it is free.  Unlike a mutex it guards no data and is meant to be held
-/// across blocking calls and virtual-clock advances — it says who is
-/// executing, not what is being touched.  The audit therefore runs the
-/// layer and nesting checks on it (a role's class sits outermost:
-/// entering it with a lock held is a layer inversion) but skips it in
-/// [`audit::assert_lockless`].
+/// across blocking calls — it says who is executing, not what is being
+/// touched.  The audit runs the layer and nesting checks on it (a role's
+/// class sits outermost: entering it with a lock held is a layer
+/// inversion).
 pub struct TrackedRole {
     class: LockClass,
     owner: RawMutex<()>,
@@ -527,7 +523,7 @@ impl TrackedRole {
     /// Take the role, parking while another thread holds it.
     #[track_caller]
     pub fn enter(&self) -> TrackedRoleGuard<'_> {
-        let token = audit::on_acquire(self.class, AcqKind::Role, Location::caller());
+        let token = audit::on_acquire(self.class, Location::caller());
         let owner = self.owner.lock().unwrap_or_else(PoisonError::into_inner);
         TrackedRoleGuard { _owner: owner, token }
     }
@@ -536,7 +532,7 @@ impl TrackedRole {
     #[track_caller]
     pub fn try_enter(&self) -> Option<TrackedRoleGuard<'_>> {
         let owner = try_raw(&self.owner)?;
-        let token = audit::on_acquire(self.class, AcqKind::Role, Location::caller());
+        let token = audit::on_acquire(self.class, Location::caller());
         Some(TrackedRoleGuard { _owner: owner, token })
     }
 }

@@ -3,9 +3,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use vphi_sim_core::{SimDuration, SimTime, VirtualClock};
+use vphi_sim_core::SimDuration;
 use vphi_sync::{Counter, LockClass, TrackedMutex};
 
 use crate::{Stage, STAGE_COUNT};
@@ -56,9 +55,6 @@ pub struct TraceSummary {
     /// construction (every timeline charge maps to exactly one stage).
     pub total: SimDuration,
     pub stages: [SimDuration; STAGE_COUNT],
-    /// Virtual clock reading when the request finished (ZERO if the
-    /// tracer has no clock attached).
-    pub at: SimTime,
 }
 
 /// Monotonic tracer counters (for debugfs and orphan detection).
@@ -163,7 +159,6 @@ struct Store {
 #[derive(Debug)]
 pub struct Tracer {
     config: TraceConfig,
-    clock: Option<Arc<VirtualClock>>,
     store: TrackedMutex<Store>,
     next_trace: Counter,
     open_spans: Counter,
@@ -177,7 +172,6 @@ impl Tracer {
     pub fn new(config: TraceConfig) -> Self {
         Tracer {
             config,
-            clock: None,
             store: TrackedMutex::new(LockClass::TraceRings, Store::default()),
             next_trace: Counter::new(1),
             open_spans: Counter::new(0),
@@ -186,13 +180,6 @@ impl Tracer {
             traces_started: Counter::new(0),
             traces_finished: Counter::new(0),
         }
-    }
-
-    /// A tracer that stamps summaries with the host's virtual clock.
-    pub fn with_clock(config: TraceConfig, clock: Arc<VirtualClock>) -> Self {
-        let mut t = Tracer::new(config);
-        t.clock = Some(clock);
-        t
     }
 
     pub(crate) fn alloc_trace(&self) -> u64 {
@@ -226,13 +213,12 @@ impl Tracer {
         total: SimDuration,
     ) {
         self.traces_finished.bump();
-        let at = self.clock.as_ref().map(|c| c.now()).unwrap_or(SimTime::ZERO);
         let bucket = size_bucket(payload);
         let mut store = self.store.lock();
         if store.summaries.len() >= self.config.summary_capacity {
             store.summaries.pop_front();
         }
-        store.summaries.push_back(TraceSummary { vm, trace_id, op, payload, total, stages, at });
+        store.summaries.push_back(TraceSummary { vm, trace_id, op, payload, total, stages });
         let hists = &mut store.hists;
         for (i, d) in stages.iter().enumerate() {
             if !d.is_zero() {
@@ -294,14 +280,9 @@ impl Tracer {
     }
 
     /// Canonical byte-stable text form: spans (per VM, ring order) then
-    /// summaries (arrival order).  Two runs on the same virtual-clock
-    /// schedule encode identically — pinned by `tests/trace.rs`.
-    ///
-    /// Only trace-local quantities are emitted.  [`TraceSummary::at`] is
-    /// deliberately excluded: the global clock folds concurrent threads'
-    /// progress (`observe` is a monotonic max), so a finish stamp depends
-    /// on how far *other* threads happened to get — per-trace starts and
-    /// durations do not.
+    /// summaries (arrival order).  Every quantity is trace-local, so two
+    /// runs of the same requests encode identically — pinned by
+    /// `tests/trace.rs`.
     pub fn encode(&self) -> String {
         let store = self.store.lock();
         let mut out = String::from("vphi-trace v1\n");

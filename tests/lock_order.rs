@@ -63,40 +63,6 @@ fn abba_acquisition_is_flagged() {
     );
 }
 
-/// Holding any tracked lock across a virtual-clock advance serializes
-/// unrelated requests behind simulated latency; `VirtualClock` calls
-/// `assert_lockless` on every advance/observe.
-#[test]
-fn lock_held_across_clock_advance_is_flagged() {
-    let clock = vphi_sim_core::VirtualClock::new();
-    let m = TrackedMutex::new(LockClass::TestOuter, ());
-
-    // Clean when lock-free.
-    let ((), clean) = capture_violations(|| {
-        clock.advance(vphi_sim_core::SimDuration::from_micros(1));
-    });
-    assert!(clean.is_empty(), "lock-free advance must be clean: {clean:?}");
-
-    let ((), flagged) = capture_violations(|| {
-        let _g = m.lock();
-        clock.advance(vphi_sim_core::SimDuration::from_micros(1));
-    });
-    assert!(
-        flagged.iter().any(|v| v.contains("VirtualClock::advance") && v.contains("TestOuter")),
-        "advance under a held lock must be reported: {flagged:?}"
-    );
-
-    // `observe` is checked the same way.
-    let ((), observed) = capture_violations(|| {
-        let _g = m.lock();
-        clock.observe(vphi_sim_core::SimTime(1));
-    });
-    assert!(
-        observed.iter().any(|v| v.contains("VirtualClock::observe")),
-        "observe under a held lock must be reported: {observed:?}"
-    );
-}
-
 /// Taking an outer-layer lock while holding an inner-layer one inverts the
 /// documented hierarchy, whether or not the other order was ever taken.
 #[test]
@@ -173,8 +139,7 @@ fn window_peer(
 /// its bytes and the other side copies under its own lock.  Drive every
 /// guest RMA call on both large-RMA arms against a GDDR window and a
 /// pinned host window, plus native window-to-window RMA, and check the
-/// audit saw exactly those ascending nestings, no violation, and — the
-/// clock asserting it on every advance — no lock held across a charge.
+/// audit saw exactly those ascending nestings and no violation.
 #[test]
 fn rma_nests_byte_store_locks_in_ascending_order_only() {
     use vphi::backend::RmaCharge;
@@ -268,8 +233,7 @@ fn rma_nests_byte_store_locks_in_ascending_order_only() {
 /// lock (42) — to the backend, which copies from or into guest memory
 /// under `GuestMemState` (84).  Drive guest `send`, `recv` and a batched
 /// submit of sends, at sizes that wrap and grow the ring, and check the
-/// audit saw that edge and no other out of `MsgQueue`, no violation, and —
-/// the clock asserting it on every advance — no lock held across a charge.
+/// audit saw that edge and no other out of `MsgQueue` and no violation.
 #[test]
 fn messages_nest_guest_memory_inside_the_queue_lock_only() {
     use vphi::builder::{VmConfig, VphiHost};
@@ -333,13 +297,11 @@ fn messages_nest_guest_memory_inside_the_queue_lock_only() {
 /// A blocking guest call runs the backend on the calling thread, under
 /// the lane's executor role (DESIGN.md #21) — the one thing a request
 /// handler runs *under*, and not a lock: it is held across the handler's
-/// blocking SCIF calls and its clock advances.  Drive the blocking calls
-/// that cross the most of the stack and check what the audit saw: no
-/// violation (so nothing was held when the role was entered — it is
-/// outermost — and no *lock* was held across a clock advance, which
-/// `connect`'s link transaction and every RMA would have tripped), the
-/// role at the root of the handlers' acquisitions, and nothing ever
-/// acquired before it.
+/// blocking SCIF calls.  Drive the blocking calls that cross the most of
+/// the stack and check what the audit saw: no violation (so nothing was
+/// held when the role was entered — it is outermost), the role at the
+/// root of the handlers' acquisitions, and nothing ever acquired before
+/// it.
 #[test]
 fn blocking_calls_run_under_the_executor_role_and_nothing_else() {
     use vphi::builder::{VmConfig, VphiHost};

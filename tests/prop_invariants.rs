@@ -1,16 +1,16 @@
 //! Property-based tests over the core data structures and invariants
 //! (proptest): allocators never overlap, queues preserve byte streams,
-//! codecs round-trip, the busy-resource never double-books, and the
+//! codecs round-trip, the replayed serial link never double-books, and the
 //! paravirtual overhead identity holds for arbitrary message sizes.
 
 use proptest::prelude::*;
 
 use vphi::protocol::{VphiRequest, VphiResponse};
+use vphi_bench::support::SerialLink;
 use vphi_phi::DeviceMemory;
 use vphi_scif::queue::MsgQueue;
-use vphi_sim_core::clock::BusyResource;
 use vphi_sim_core::cost::{CostModel, PAGE_SIZE};
-use vphi_sim_core::{SimDuration, SimTime};
+use vphi_sim_core::{SimTime, SpanLabel, Timeline};
 use vphi_vmm::GuestMemory;
 
 // ---------------------------------------------------------------- codecs
@@ -196,32 +196,35 @@ proptest! {
     }
 }
 
-// -------------------------------------------------------- busy resource
+// ---------------------------------------------------- replayed serial link
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Grants on a serial resource never overlap and preserve total hold
-    /// time, for arbitrary arrival patterns.
+    /// The busy resource the contention replays queue on, the serial
+    /// link: its transfers never overlap, start no earlier than issued and
+    /// hold the link for their transfer time, for arbitrary arrival
+    /// patterns.
     #[test]
     fn busy_resource_grants_are_disjoint(
-        requests in prop::collection::vec((0u64..10_000, 1u64..5_000), 1..50)
+        requests in prop::collection::vec((0u64..10_000_000, 1u64..1 << 20), 1..50)
     ) {
-        let r = BusyResource::new();
+        let cost = CostModel::paper_calibrated();
+        let mut link = SerialLink::new(&cost);
         let mut grants = Vec::new();
-        let mut total_hold = 0u64;
-        for (at, hold) in requests {
-            let g = r.acquire(SimTime(at), SimDuration(hold));
-            prop_assert!(g.start.0 >= at);
-            prop_assert_eq!(g.end.0 - g.start.0, hold);
-            total_hold += hold;
-            grants.push(g);
+        for (at, bytes) in requests {
+            let mut tl = Timeline::new();
+            let end = link.transmit(SimTime(at), bytes, &mut tl);
+            let start = SimTime(at) + tl.total_for(SpanLabel::LinkContention);
+            let hold = tl.total_for(SpanLabel::LinkTransfer);
+            prop_assert_eq!(hold, cost.link_transfer(bytes));
+            prop_assert_eq!(end, start + hold + cost.link_latency);
+            grants.push((start, start + hold));
         }
-        grants.sort_by_key(|g| g.start);
+        grants.sort();
         for pair in grants.windows(2) {
-            prop_assert!(pair[0].end <= pair[1].start);
+            prop_assert!(pair[0].1 <= pair[1].0);
         }
-        prop_assert_eq!(r.busy_total(), SimDuration(total_hold));
     }
 }
 
