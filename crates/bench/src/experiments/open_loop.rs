@@ -230,41 +230,42 @@ fn replay_grid_point(
         let mut vcpu_free = 0u64;
         let mut lane_free = vec![0u64; lanes];
         // Requests the current batch has accumulated; flushed (and the
-        // doorbell paid once) when full.
+        // doorbell paid once) when full, and once more at the horizon.
         let mut pending: Vec<(u64, usize, u64)> = Vec::new(); // (arrival, class, lane)
         loop {
             // Exponential inter-arrival, seeded: -ln(U)/λ.
             let u = rng.next_f64().max(1e-12);
             let gap = (-u.ln() / rate_per_vm * 1e9) as u64;
             t_ns += gap.max(1);
-            if t_ns >= horizon_ns {
-                break;
-            }
-            // Class by mix share, endpoint by hash, lane by the REAL router.
-            let pick = rng.next_f64();
-            let mut acc = 0.0;
-            let mut class = 0usize;
-            for (i, &(_, share, ..)) in classes.iter().enumerate() {
-                acc += share;
-                if pick < acc {
-                    class = i;
-                    break;
+            let at_horizon = t_ns >= horizon_ns;
+            if !at_horizon {
+                // Class by mix share, endpoint by hash, lane by the REAL router.
+                let pick = rng.next_f64();
+                let mut acc = 0.0;
+                let mut class = 0usize;
+                for (i, &(_, share, ..)) in classes.iter().enumerate() {
+                    acc += share;
+                    if pick < acc {
+                        class = i;
+                        break;
+                    }
+                }
+                let epd = vm * ENDPOINTS_PER_VM + (rng.next_u64() % ENDPOINTS_PER_VM) + 1;
+                let lane =
+                    router.route(&VphiRequest::Send { epd, len: classes[class].0 as u32 }) as u64;
+                pending.push((t_ns, class, lane));
+                if pending.len() < batch {
+                    continue;
                 }
             }
-            let epd = vm * ENDPOINTS_PER_VM + (rng.next_u64() % ENDPOINTS_PER_VM) + 1;
-            let lane =
-                router.route(&VphiRequest::Send { epd, len: classes[class].0 as u32 }) as u64;
-            pending.push((t_ns, class, lane));
-            if pending.len() < batch {
-                continue;
-            }
-            // Flush: the submitter marshals every entry, then one doorbell
-            // covers the batch; each entry's wakeup share is notify/batch
-            // (EVENT_IDX coalesces the burst's completion irqs the same
-            // way the backend's burst drain coalesces its kicks).
+            // Flush — a full batch, or the tail batch short at the horizon:
+            // the submitter marshals every entry, then one doorbell covers
+            // the batch; each entry's wakeup share is notify / entries (the
+            // lane's one irq per batch coalesces the burst's completions
+            // the same way the backend's burst drain coalesces its kicks).
             for &(arrival, class, lane) in &pending {
                 let (_, _, svc, fill, notify) = classes[class];
-                let submit_cost = fill.as_nanos() + notify.as_nanos() / batch as u64;
+                let submit_cost = fill.as_nanos() + notify.as_nanos() / pending.len() as u64;
                 let start = vcpu_free.max(arrival);
                 vcpu_free = start + submit_cost;
                 let lane_start = lane_free[lane as usize].max(vcpu_free);
@@ -272,17 +273,9 @@ fn replay_grid_point(
                 latencies.push(lane_free[lane as usize] - arrival);
             }
             pending.clear();
-        }
-        // Tail batch: flushed short at the horizon.
-        let short = pending.len().max(1) as u64;
-        for &(arrival, class, lane) in &pending {
-            let (_, _, svc, fill, notify) = classes[class];
-            let submit_cost = fill.as_nanos() + notify.as_nanos() / short;
-            let start = vcpu_free.max(arrival);
-            vcpu_free = start + submit_cost;
-            let lane_start = lane_free[lane as usize].max(vcpu_free);
-            lane_free[lane as usize] = lane_start + svc.as_nanos();
-            latencies.push(lane_free[lane as usize] - arrival);
+            if at_horizon {
+                break;
+            }
         }
     }
 

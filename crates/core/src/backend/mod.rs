@@ -327,9 +327,8 @@ impl BackendInner {
 
     /// Service one chain popped from queue lane `q` end-to-end, as the
     /// lane's executor (`held` is its role).  Whether the completion
-    /// interrupts the guest is decided at the used-ring push by the lane's
-    /// [`LaneNotifier`], from the notify hint the requester submitted and
-    /// the `used_event` threshold it published.
+    /// interrupts the guest is decided at the used-ring push, from the
+    /// notify hint the requester submitted and the virtual service time.
     fn process(self: &Arc<Self>, q: usize, chain: DescChain, held: &TrackedRoleGuard<'_>) {
         let (token, trace, hint) = self.channel.claim(q, chain.head);
         let mut tl = Timeline::new();
@@ -398,9 +397,8 @@ impl BackendInner {
     }
 
     /// Write the response header, push used on lane `q`, and let the
-    /// lane's notifier decide — from the requester's hint and the armed
-    /// `used_event` threshold — whether this completion injects the
-    /// lane's virtual interrupt (flushing any batched completions) or is
+    /// requester's hint decide whether this completion injects the lane's
+    /// virtual interrupt (flushing any batched completions) or is
     /// suppressed.  The timeline then flows back to the frontend.  `by`
     /// is the lane executor's role, or `None` on a QEMU worker.
     #[allow(clippy::too_many_arguments)]
@@ -421,7 +419,7 @@ impl BackendInner {
         // child of it.
         let mut ctx = OpCtx::new(&mut tl, trace.at_root());
         let span = ctx.begin("complete", Stage::Completion);
-        let crossed = self.channel.lane_queue(q).push_used(
+        self.channel.lane_queue(q).push_used(
             UsedElem { id: chain.head, len: resp_desc.len },
             self.cost().used_push,
             ctx.tl,
@@ -438,7 +436,7 @@ impl BackendInner {
         if token != 0 {
             notifier.account_wait(hint, svc_ns, by);
         }
-        if !notifier.would_inject(crossed, hint, svc_ns) {
+        if !hint.injects_after(svc_ns) {
             notifier.note_suppressed(slept, by);
         } else if self.faults.fire(FaultSite::PcieMsiLost).is_some() {
             // The MSI vanished: the sleeping guest's watchdog finds the

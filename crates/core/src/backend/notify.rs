@@ -3,19 +3,15 @@
 //! `tests/notify.rs` checks that every such charge a call returns is one
 //! the notifiers counted.
 //!
-//! Every completion the backend pushes flows through here, and the
-//! notifier decides — deterministically, from state the frontend handed
-//! over before its kick — whether the completion warrants a virtual
-//! interrupt (DESIGN.md #16):
-//!
-//! * the requester's [`NotifyHint`] says whether it was still spinning
-//!   (`svc ≤ budget`: no interrupt needed, its spinner reaps the reply) or
-//!   had armed the interrupt and slept;
-//! * the EVENT_IDX comparison, made by the used-ring push
-//!   ([`VirtQueue::push_used`](vphi_virtio::VirtQueue::push_used)), says
-//!   whether this push crossed the `used_event` threshold the guest armed —
-//!   a push short of the threshold is *batched*: it stays pending and the
-//!   next injected irq on the lane delivers it along with its own.
+//! Every completion the backend pushes flows through here.  Whether it
+//! warrants a virtual interrupt is decided by the requester's own
+//! [`NotifyHint`], handed over before its kick
+//! ([`NotifyHint::injects_after`], DESIGN.md #16): the completion injects
+//! when its request led its submission on its lane and its requester had
+//! gone to sleep (`svc > budget`).  A spinner's completion needs no
+//! interrupt — its spinner reaps the reply — and a sleeping follower's is
+//! *batched*: it stays pending and the next injected irq on the lane
+//! delivers it along with its own.
 //!
 //! One injected irq therefore drains every pending used entry on the lane
 //! (the `completions_per_irq` histogram measures the batching), and a
@@ -48,8 +44,8 @@ const PAYLOAD_BUCKETS: usize = 65;
 pub struct LaneNotifyCounters {
     /// Virtual interrupts actually injected (the histogram's total).
     pub irqs_injected: u64,
-    /// Completions that did not inject (spinner reaped it, or it was
-    /// batched behind an armed threshold).
+    /// Completions that did not inject (spinner reaped it, or a sleeping
+    /// follower's, batched into the lane's next irq).
     pub irqs_suppressed: u64,
     /// Completions-per-irq log2 histogram: bucket `b` counts injected
     /// irqs that delivered `[2^b, 2^(b+1))` completions.
@@ -96,15 +92,6 @@ impl LaneNotifier {
             batch_hist: std::array::from_fn(|_| Tally::new()),
             burn: std::array::from_fn(|_| (Tally::new(), Tally::new())),
         }
-    }
-
-    /// Whether a completion warrants an interrupt: its requester is
-    /// asleep (service time exceeded the declared spin budget) *and* its
-    /// used-ring push `crossed` the armed `used_event` threshold.  Pure —
-    /// the caller sequences the fault check (lost MSI) between this
-    /// decision and [`deliver_irq`](LaneNotifier::deliver_irq).
-    pub fn would_inject(&self, crossed: bool, hint: NotifyHint, svc_ns: u64) -> bool {
-        crossed && hint.sleeping_after(svc_ns)
     }
 
     /// Inject the lane's virtual interrupt, flushing the pending batch:
@@ -168,33 +155,20 @@ impl LaneNotifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use vphi_sim_core::CostModel;
-    use vphi_virtio::{Descriptor, UsedElem, VirtQueue};
 
-    const PUSH: SimDuration = SimDuration::from_nanos(600);
-
-    fn lane() -> (LaneNotifier, Arc<VirtQueue>) {
-        let irq_inject = CostModel::paper_calibrated().irq_inject;
-        (LaneNotifier::new(irq_inject), VirtQueue::new(8))
+    fn lane() -> LaneNotifier {
+        LaneNotifier::new(CostModel::paper_calibrated().irq_inject)
     }
 
-    /// Publish one chain — arming the threshold first if its requester
-    /// will sleep — complete it, and report whether the push crossed.
-    #[expect(clippy::disallowed_methods, reason = "stages a completion on a bare queue")]
-    fn push_one(queue: &Arc<VirtQueue>, arm: bool, tl: &mut Timeline) -> bool {
-        let head = queue.prepare_chain(&[Descriptor::readable(0, 1)], arm).unwrap();
-        queue.publish_avail_batch(&[head], PUSH, tl).unwrap();
-        queue.pop_avail_bounded(u64::MAX).unwrap().unwrap();
-        queue.push_used(UsedElem { id: head, len: 0 }, PUSH, tl)
-    }
+    /// A batch entry behind its lane's first.
+    const FOLLOWER: NotifyHint = NotifyHint { leads: false, ..NotifyHint::SLEEP };
 
     #[test]
-    fn sleeping_waiter_with_armed_threshold_gets_the_irq() {
-        let (n, queue) = lane();
+    fn a_sleeping_leader_gets_the_irq() {
+        let n = lane();
         let mut tl = Timeline::new();
-        let crossed = push_one(&queue, true, &mut tl); // the waiter armed, then slept
-        assert!(n.would_inject(crossed, NotifyHint::SLEEP, 1));
+        assert!(NotifyHint::SLEEP.injects_after(1));
         n.deliver_irq(&mut tl, None);
         assert!(tl.total_for(SpanLabel::IrqInject) > SimDuration::ZERO);
         let c = n.counters();
@@ -204,13 +178,13 @@ mod tests {
 
     #[test]
     fn spinner_never_injects() {
-        let (n, queue) = lane();
-        let mut tl = Timeline::new();
-        let crossed = push_one(&queue, true, &mut tl);
+        let n = lane();
+        let tl = Timeline::new();
         // Pure spin, and also an adaptive waiter whose budget covered the
-        // service time: both are reaped by the spinner.
-        assert!(!n.would_inject(crossed, NotifyHint::SPIN, u64::MAX - 1));
-        assert!(!n.would_inject(crossed, NotifyHint { budget_ns: 1000, bucket: 0 }, 999));
+        // service time: both are reaped by the spinner, leading or not.
+        assert!(!NotifyHint::SPIN.injects_after(u64::MAX - 1));
+        assert!(!NotifyHint { budget_ns: 1000, ..NotifyHint::SLEEP }.injects_after(999));
+        assert!(!NotifyHint { budget_ns: 1000, ..FOLLOWER }.injects_after(999));
         n.note_suppressed(false, None);
         assert_eq!(tl.total_for(SpanLabel::IrqInject), SimDuration::ZERO);
         assert_eq!(n.counters().irqs_injected, 0);
@@ -218,23 +192,18 @@ mod tests {
     }
 
     #[test]
-    fn stale_threshold_batches_until_the_next_irq_flushes() {
-        let (n, queue) = lane();
+    fn sleeping_followers_batch_until_the_next_leaders_irq_flushes() {
+        let n = lane();
         let mut tl = Timeline::new();
-        let s1 = push_one(&queue, true, &mut tl); // armed at 0, crosses: 0 → 1
-        assert!(n.would_inject(s1, NotifyHint::SLEEP, 1));
+        assert!(NotifyHint::SLEEP.injects_after(1));
         n.deliver_irq(&mut tl, None);
-        // Threshold still 0 (no new waiter armed): pushes 2 and 3 are
-        // past it, so they batch behind the next crossing.
-        let s2 = push_one(&queue, false, &mut tl);
-        assert!(!n.would_inject(s2, NotifyHint::SLEEP, 1));
-        n.note_suppressed(true, None);
-        let s3 = push_one(&queue, false, &mut tl);
-        assert!(!n.would_inject(s3, NotifyHint::SLEEP, 1));
-        n.note_suppressed(true, None);
-        // A waiter re-arms; its completion's irq flushes the batch of 3.
-        let s4 = push_one(&queue, true, &mut tl);
-        assert!(n.would_inject(s4, NotifyHint::SLEEP, 1));
+        // Two followers of a batch slept: they ride the next irq.
+        for _ in 0..2 {
+            assert!(FOLLOWER.sleeping_after(1) && !FOLLOWER.injects_after(1));
+            n.note_suppressed(true, None);
+        }
+        // The next leader's irq flushes the batch of 3.
+        assert!(NotifyHint::SLEEP.injects_after(1));
         n.deliver_irq(&mut tl, None);
         let c = n.counters();
         assert_eq!(c.irqs_injected, 2);

@@ -27,8 +27,8 @@ pub struct QueueReport {
     pub suppress_windows: u64,
     /// Completion MSIs this lane's notifier injected.
     pub irqs_injected: u64,
-    /// Completions that injected nothing: reaped by a spinner, or batched
-    /// behind an un-crossed `used_event` threshold.
+    /// Completions that injected nothing: reaped by a spinner, or a
+    /// sleeping batch follower's, delivered by the lane's next irq.
     pub irqs_suppressed: u64,
 }
 
@@ -210,7 +210,7 @@ mod tests {
         assert_eq!(after_open.irq_injections, 1);
         assert_eq!(after_open.interrupt_waits, 1);
         // A lone interrupt-scheme request: kick delivered, its sleeping
-        // waiter's threshold crossed, one MSI injected carrying exactly
+        // waiter led its submission, one MSI injected carrying exactly
         // one completion — and the directed wake was not spurious.
         assert_eq!(after_open.kicks_delivered, 1);
         assert_eq!(after_open.irqs_injected, 1);

@@ -15,11 +15,11 @@
 //!   `slots.rs`) — and orchestrate the waiting user-space threads via the
 //!   chosen [`WaitScheme`];
 //! * adaptive completion notification (DESIGN.md #16): each requester
-//!   spins up to a per-(op, payload-bucket) budget, then publishes a
-//!   `used_event` threshold and sleeps on its **own request slot** — the
-//!   backend's lane notifier injects an MSI only when a completion
-//!   crosses an armed threshold, and delivery wakes exactly the requester
-//!   it completed (no wake-all thundering herd, no spurious re-checks);
+//!   spins up to a per-(op, payload-bucket) budget, then sleeps on its
+//!   **own request slot** — the backend injects an MSI only for a
+//!   completion whose request led its submission on its lane and whose
+//!   requester slept, and delivery wakes exactly the requester it
+//!   completed (no wake-all thundering herd, no spurious re-checks);
 //! * that spin-then-sleep is what the *model* charges every request.  The
 //!   host thread behind a blocking call (`transact`) does neither: its
 //!   kick's vm-exit is serviced on that thread (DESIGN.md #21), so the
@@ -59,18 +59,23 @@ use slots::{BatchOp, SlotBody, SlotState, SlotTable};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NotifyHint {
     /// Spin budget: `0` = sleeps immediately (the interrupt scheme),
-    /// `u64::MAX` = spins forever (busy-poll, never arms an interrupt).
+    /// `u64::MAX` = spins forever (busy-poll, never needs an interrupt).
     pub budget_ns: u64,
     /// The request's payload pow2 bucket (`vphi_trace::size_bucket`): the
     /// row of the notifier's ABL-WAIT burn ledger its wait is counted in.
     pub bucket: u8,
+    /// Whether the request leads its submission on its lane: a blocking
+    /// call always does, a batch entry if it is the batch's first on its
+    /// lane.  Only a leader's completion interrupts; a sleeping follower's
+    /// rides the next interrupt on the lane.
+    pub leads: bool,
 }
 
 impl NotifyHint {
     /// Sleep immediately.
-    pub const SLEEP: NotifyHint = NotifyHint { budget_ns: 0, bucket: 0 };
+    pub const SLEEP: NotifyHint = NotifyHint { budget_ns: 0, bucket: 0, leads: true };
     /// Spin forever.
-    pub const SPIN: NotifyHint = NotifyHint { budget_ns: u64::MAX, bucket: 0 };
+    pub const SPIN: NotifyHint = NotifyHint { budget_ns: u64::MAX, bucket: 0, leads: true };
 
     /// Whether a waiter with this hint has given up spinning and gone to
     /// sleep by the time the backend's service has taken `svc_ns`.
@@ -78,9 +83,12 @@ impl NotifyHint {
         svc_ns > self.budget_ns
     }
 
-    /// Whether the waiter spins until its reply lands (arms no interrupt).
-    fn spins_forever(self) -> bool {
-        self.budget_ns == u64::MAX
+    /// Whether the completion of a request with this hint, after `svc_ns`
+    /// of service, injects its lane's interrupt: the request leads its
+    /// submission and its requester slept.  A function of the submission
+    /// and virtual time alone (DESIGN.md #16).
+    pub fn injects_after(self, svc_ns: u64) -> bool {
+        self.leads && self.sleeping_after(svc_ns)
     }
 
     /// This hint, counted under the bucket of a `payload_bytes` payload.
@@ -261,8 +269,8 @@ pub type ExitHandler = Arc<dyn Fn(usize, u64) -> bool + Send + Sync>;
 pub struct FrontendStats {
     /// Requests published: one per blocking call, one per batch entry.
     pub requests: u64,
-    /// Completions taken by a requester that had armed the interrupt and
-    /// slept, and by one that caught its reply spinning.
+    /// Completions taken by a requester that had gone to sleep, and by
+    /// one that caught its reply spinning.
     pub interrupt_waits: u64,
     pub polling_waits: u64,
     pub chunks_sent: u64,
@@ -720,16 +728,13 @@ impl FrontendDriver {
         // inside the ring's critical section, before the head is visible —
         // the backend may pop and claim the chain the instant it is
         // published (another requester's kick can have woken it), and a
-        // claim that finds no registered slot completes to nobody.  The
-        // same critical section arms the interrupt threshold, so the
-        // backend's inject-or-suppress decision sees this waiter's, never
-        // a stale one; a pure spinner arms nothing.
+        // claim that finds no registered slot completes to nobody.  A
+        // blocking call leads its submission, so its hint is the scheme's.
         let ring = ctx.begin("virtio-ring", Stage::VirtioRing);
         let hint = self.notify_hint(req, payload_bytes);
         lane.slots.prepare(token, hint, ctx.fork(), None);
-        let arm = !hint.spins_forever();
         let published = with_chain(headers, extra, |chain| {
-            lane.queue.publish_chain(chain, arm, cost.ring_push, ctx.tl, |head| {
+            lane.queue.publish_chain(chain, cost.ring_push, ctx.tl, |head| {
                 lane.slots.register(token, head)
             })
         });
@@ -804,7 +809,7 @@ impl FrontendDriver {
         let cost = self.kernel.cost();
         let taken = lane.slots.take(token, park, |body: &mut SlotBody| {
             if body.slept {
-                // Armed the interrupt and slept: wake-up, ring re-check,
+                // Slept past its budget: wake-up, ring re-check,
                 // reschedule — the paper's dominant overhead term.
                 tl.charge(SpanLabel::GuestWakeup, cost.guest_wakeup);
             } else {
@@ -864,20 +869,16 @@ impl FrontendDriver {
                 self.free_staging(entry.staging);
                 continue;
             }
-            match self.prepare_batch_entry(entry, ctx) {
-                Ok((q, head, token)) => {
-                    lane_heads[q].push(head);
-                    tokens.push(token);
-                }
+            match self.prepare_batch_entry(entry, &mut lane_heads, ctx) {
+                Ok(token) => tokens.push(token),
                 // The failed entry's resources were already released;
                 // stop accepting, but still flush what was prepared.
                 Err(_) => short = true,
             }
         }
         // One doorbell per touched lane covers every entry on it.  Each
-        // entry's slot and used-event threshold are already registered, so
-        // the backend may claim the whole burst the instant the batch
-        // publish lands.
+        // entry's slot is already registered, so the backend may claim the
+        // whole burst the instant the batch publish lands.
         let mut kicks = 0u64;
         for (q, (lane, heads)) in self.channel.lanes.iter().zip(&lane_heads).enumerate() {
             if heads.is_empty() {
@@ -905,15 +906,18 @@ impl FrontendDriver {
     }
 
     /// Marshal + prepare one batch entry, its bookkeeping parked in its
-    /// slot.  Publish happens at the batch flush; the slot must be
-    /// registered before that (the same register-before-publish discipline
-    /// as the blocking path).
+    /// slot, and add its head to its lane's in `lane_heads`.  Publish
+    /// happens at the batch flush; the slot must be registered before that
+    /// (the same register-before-publish discipline as the blocking path).
+    /// The entry leads its submission if it is the batch's first on its
+    /// lane.
     #[expect(clippy::disallowed_methods, reason = "queue router: the endpoint's hashed lane (#15)")]
     fn prepare_batch_entry(
         &self,
         entry: BatchEntry,
+        lane_heads: &mut [Vec<u16>],
         ctx: &mut OpCtx<'_>,
-    ) -> ScifResult<(usize, u16, ReqToken)> {
+    ) -> ScifResult<ReqToken> {
         let BatchEntry { req, staging, descs, payload_bytes, inbound } = entry;
         let q = self.channel.route(&req);
         ctx.set_queue(q as u16);
@@ -926,9 +930,9 @@ impl FrontendDriver {
                 return Err(e);
             }
         };
-        let hint = self.notify_hint(&req, payload_bytes);
-        let arm = !hint.spins_forever();
-        let head = match with_chain(headers, &descs, |chain| lane.queue.prepare_chain(chain, arm)) {
+        let hint =
+            NotifyHint { leads: lane_heads[q].is_empty(), ..self.notify_hint(&req, payload_bytes) };
+        let head = match with_chain(headers, &descs, |chain| lane.queue.prepare_chain(chain)) {
             Ok(head) => head,
             Err(e) => {
                 lane.slots.release(token);
@@ -946,7 +950,8 @@ impl FrontendDriver {
         };
         lane.slots.prepare(token, hint, ctx.fork(), Some(batch));
         lane.slots.register(token, head);
-        Ok((q, head, token))
+        lane_heads[q].push(head);
+        Ok(token)
     }
 
     /// Reap completed tokens from `interest`, oldest-first: a
@@ -1284,14 +1289,14 @@ mod tests {
                         .mem()
                         .write(vphi_vmm::Gpa(resp_desc.addr), &VphiResponse::ok(7, 8).encode())
                         .unwrap();
-                    let crossed = queue.push_used(
+                    queue.push_used(
                         vphi_virtio::UsedElem { id: chain.head, len: RESP_SIZE as u32 },
                         kernel.cost().used_push,
                         &mut tl,
                     );
                     let svc_ns = tl.total().as_nanos();
                     let slept = hint.sleeping_after(svc_ns);
-                    if notifier.would_inject(crossed, hint, svc_ns) {
+                    if hint.injects_after(svc_ns) {
                         notifier.deliver_irq(&mut tl, None);
                     } else {
                         notifier.note_suppressed(slept, None);

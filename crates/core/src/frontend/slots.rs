@@ -108,6 +108,10 @@ impl SlotState {
 /// Word bit: the body carries a trace fork the backend takes at claim.
 const TRACED: u64 = 1 << 24;
 
+/// Bucket-word bit, above the payload bucket: the request leads its
+/// submission on its lane (`NotifyHint::leads`).
+const LEADS: u64 = 1 << 8;
+
 /// A slot's lock-free summary: `generation << 32 | flags | head << 8 |
 /// state`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,7 +212,7 @@ pub(super) struct RequestSlot {
     word: Published,
     /// The notify hint, written by the requester before the word moves to
     /// `Prepared` and read by the backend after it saw `Published`: its
-    /// spin budget and payload bucket.
+    /// spin budget, and its payload bucket with the [`LEADS`] bit.
     budget_ns: Published,
     bucket: Published,
     /// The slot's header buffer — the request header with the response
@@ -253,7 +257,12 @@ impl RequestSlot {
     }
 
     fn hint(&self) -> NotifyHint {
-        NotifyHint { budget_ns: self.budget_ns.load(), bucket: self.bucket.load() as u8 }
+        let bucket = self.bucket.load();
+        NotifyHint {
+            budget_ns: self.budget_ns.load(),
+            bucket: bucket as u8,
+            leads: bucket & LEADS != 0,
+        }
     }
 }
 
@@ -391,7 +400,7 @@ impl SlotTable {
     ) {
         let Some((slot, word)) = self.current(token) else { return };
         slot.budget_ns.store(hint.budget_ns);
-        slot.bucket.store(u64::from(hint.bucket));
+        slot.bucket.store(u64::from(hint.bucket) | if hint.leads { LEADS } else { 0 });
         let traced = trace.is_armed();
         if !traced && batch.is_none() {
             slot.set(Word { state: SlotState::Prepared, ..word });

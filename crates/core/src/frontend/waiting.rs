@@ -8,7 +8,7 @@
 //! future work: "near-native latency for small data sizes, while retaining
 //! acceptable transfer rate for larger ones."  We generalize that hybrid
 //! into [`WaitScheme::Adaptive`]: every requester spins up to a budget,
-//! then arms the used-ring interrupt threshold and sleeps.  The paper's
+//! then sleeps until its completion's interrupt.  The paper's
 //! static size cut-off is recovered as the fixed-budget special case
 //! ([`WaitScheme::STATIC_HYBRID`]); the default budget is learned per
 //! (op, payload-bucket) from an EWMA of recent service times (DESIGN.md
@@ -36,9 +36,10 @@ pub enum WaitScheme {
     /// paper's implementation, the calibrated 382 µs anchor).
     Interrupt,
     /// Busy-wait on the shared ring: minimal latency, burns the vCPU, and
-    /// never arms an interrupt (the backend suppresses every MSI).
+    /// never needs an interrupt (the backend suppresses every MSI).
     Polling,
-    /// Spin up to a budget, then arm `used_event` and sleep.
+    /// Spin up to a budget, then sleep until the completion's interrupt
+    /// (or, for a batch follower, the interrupt that delivers it).
     Adaptive(SpinBudget),
 }
 

@@ -28,8 +28,8 @@
 //! * **Interrupt-based waiting** (default), plus busy-polling and the
 //!   *adaptive* spin-then-sleep generalization of the hybrid scheme the
 //!   paper proposes as future work ([`frontend::WaitScheme`]), with
-//!   EVENT_IDX-style interrupt suppression in the backend
-//!   ([`backend::LaneNotifier`]).
+//!   interrupt suppression in the backend decided by each request's own
+//!   submission ([`backend::LaneNotifier`]).
 //! * **`KMALLOC_MAX_SIZE` chunking** of large send/recv transfers
 //!   (paper §III "implementation details").
 //! * **Blocking vs worker dispatch** in the backend per opcode

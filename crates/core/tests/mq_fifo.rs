@@ -80,7 +80,6 @@ fn run_one(num_queues: u16, seed: u64) -> HashMap<u64, Vec<u32>> {
                     queue
                         .publish_chain(
                             &[Descriptor::readable(epd, seq)],
-                            false,
                             SimDuration::ZERO,
                             &mut tl,
                             |_| {},

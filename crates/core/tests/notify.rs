@@ -1,13 +1,15 @@
-//! Completion-notification liveness under EVENT_IDX suppression.
+//! Completion-notification liveness, and the rule that decides an
+//! interrupt.
 //!
 //! The adaptive waiter gives the backend permission to *not* interrupt —
 //! so the property that matters is liveness: a requester that decides to
 //! sleep is always eventually woken, for every queue count, scheme, and
-//! interleaving of concurrent requesters.  The prepare/publish discipline
-//! (DESIGN.md #16) is what makes this true: the waiter publishes its
-//! `used_event` threshold *before* the request becomes visible, so the
-//! backend either sees an armed threshold (and injects) or the waiter's
-//! pre-sleep recheck sees the completion.
+//! interleaving of concurrent requesters.  A parked requester is signalled
+//! on its own slot whether or not its completion interrupts (DESIGN.md
+//! #22), so suppression only ever gates a virtual charge.  That charge is
+//! decided by the completion's own submission (DESIGN.md #16): a request
+//! that led its submission on its lane, and whose requester slept,
+//! injects — however the host interleaves the lane's other requesters.
 //!
 //! The chaos half injects the two faults that attack exactly this
 //! guarantee — a lost completion MSI and a delayed used-ring publish —
@@ -28,6 +30,7 @@ use vphi::frontend::WaitScheme;
 use vphi::{Cq, Sq, SqEntry};
 use vphi_dev_support::{drain, serve, sink, GuestRig};
 use vphi_faults::{FaultPlan, FaultPoint, FaultSite};
+use vphi_scif::{Port, ScifAddr};
 use vphi_sim_core::cost::GUEST_WATCHDOG;
 use vphi_sim_core::rng::SplitMix64;
 use vphi_sim_core::units::{KIB, MIB};
@@ -37,8 +40,7 @@ const THREADS: usize = 3;
 const MSGS: usize = 5;
 
 /// Every backend completion is accounted for exactly once: injected,
-/// suppressed, or lost.  And per-token wakes mean no requester ever woke
-/// for someone else's completion.
+/// suppressed, or lost.
 fn assert_ledger_balances(report: &VphiDebugReport) {
     assert_eq!(
         report.irqs_injected + report.irqs_suppressed + report.msi_lost,
@@ -91,6 +93,9 @@ proptest! {
     /// Liveness across queue counts, schemes, and interleavings: every
     /// send returns, nothing stays in flight, the ledger balances, and —
     /// the thundering-herd fix — no requester ever takes a spurious wake.
+    /// Under the interrupt scheme every request is a blocking call that
+    /// sleeps and leads its submission, so every completion injects,
+    /// whichever requesters share a lane.
     #[test]
     fn sleeping_requesters_are_always_woken(seed in any::<u64>()) {
         let schemes = [
@@ -110,6 +115,10 @@ proptest! {
             );
             if scheme == WaitScheme::Polling {
                 prop_assert_eq!(report.irqs_injected, 0, "a spinner never needs an MSI");
+            }
+            if scheme == WaitScheme::Interrupt {
+                prop_assert_eq!(report.irqs_suppressed, 0, "{:?}", report);
+                prop_assert_eq!(report.irqs_injected + report.msi_lost, report.backend_requests);
             }
         }
     }
@@ -174,8 +183,8 @@ fn six_sends(seed: u64, points: Vec<FaultPoint>) -> (SimDuration, VphiDebugRepor
 /// send's completion MSI is the one the plan loses (crossing 7: open=1,
 /// connect=2, sends 3–7).  `batched` picks who runs
 /// the send: a shard thread, for five one-entry batches each reaped before
-/// the next is submitted (every completion crosses the threshold armed at
-/// its own submit), or the guest thread itself, for one blocking
+/// the next is submitted (every entry leads its own batch), or the guest
+/// thread itself, for one blocking
 /// five-chunk `send`.  Either way the five requests slept, four were
 /// interrupted, and the fifth's wake-up came one watchdog period late.
 fn lost_msi_on_a_stalled_send(batched: bool) -> VphiDebugReport {
@@ -224,7 +233,7 @@ fn lost_msi_on_a_stalled_send(batched: bool) -> VphiDebugReport {
 
 /// Targeted: a lost MSI on a completion the requester is *parked* for.
 /// The shard completes the stalled send while its requester sleeps in
-/// `reap`, threshold armed.  The interrupt is a virtual charge, the host
+/// `reap`.  The interrupt is a virtual charge, the host
 /// wake-up is not: the backend's signal ends the park as it would have.
 #[test]
 fn a_reaper_parked_through_a_lost_msi_is_woken_by_its_completion() {
@@ -361,4 +370,77 @@ fn a_wake_up_is_counted_only_where_a_requester_parked() {
         assert_eq!(reaper.join().expect("reaper"), Ok(1));
     });
     assert_eq!(counts(), (1, 1), "one park, ended by the shard's completion");
+}
+
+/// An interrupt is decided by the completion's own submission, not by the
+/// order the host runs a lane's requesters in.  The order is forced on one
+/// lane under the interrupt scheme:
+/// 1. guest thread A's blocking `recv` is parked in the backend, holding
+///    the lane's executor;
+/// 2. thread B's `send` is published behind it and parks on its slot;
+/// 3. only then does the card peer send A's byte.
+///
+/// Both requesters slept and both led their submissions, so each timeline
+/// carries exactly one `IrqInject`, and nothing was suppressed.
+#[test]
+fn two_sleepers_on_one_lane_each_get_their_own_irq() {
+    let host = VphiHost::new(1);
+    let server = host.device_endpoint(0).expect("device endpoint");
+    let mut tl = Timeline::new();
+    let port = server.bind(Port::ANY, &mut tl).expect("bind");
+    server.listen(2, &mut tl).expect("listen");
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    let card = std::thread::spawn(move || {
+        let mut tl = Timeline::new();
+        let to_a = server.accept(&mut tl).expect("accept A");
+        let to_b = server.accept(&mut tl).expect("accept B");
+        released.recv().expect("release");
+        to_a.send(&[1], &mut tl).expect("A's byte");
+        (to_a, to_b)
+    });
+
+    let config = VmConfig::builder().scheme(WaitScheme::Interrupt).num_queues(1).build();
+    let vm = host.spawn_vm(config);
+    let addr = ScifAddr::new(host.device_node(0), port);
+    let a = vm.open_scif(&mut tl).expect("open A");
+    a.connect(addr, &mut tl).expect("connect A");
+    let b = vm.open_scif(&mut tl).expect("open B");
+    b.connect(addr, &mut tl).expect("connect B");
+
+    let channel = vm.frontend().channel();
+    let requests = || vm.backend().inner().requests();
+    let before = VphiDebugReport::collect(&vm);
+    let (a_tl, b_tl) = std::thread::scope(|s| {
+        let a_thread = s.spawn(|| {
+            let mut tl = Timeline::new();
+            assert_eq!(a.recv(&mut [0u8; 1], &mut tl), Ok(1));
+            tl
+        });
+        while requests() == before.backend_requests {
+            std::thread::yield_now();
+        }
+        assert!(channel.lane_queue(0).executor.try_enter().is_none(), "A's recv holds the lane");
+        let parks = channel.waits().parks;
+        let b_thread = s.spawn(|| {
+            let mut tl = Timeline::new();
+            assert_eq!(b.send(&[2], &mut tl), Ok(1));
+            tl
+        });
+        while channel.waits().parks == parks {
+            std::thread::yield_now();
+        }
+        release.send(()).expect("card");
+        (a_thread.join().expect("A"), b_thread.join().expect("B"))
+    });
+
+    let irq_inject = host.cost().irq_inject;
+    assert_eq!(a_tl.total_for(SpanLabel::IrqInject), irq_inject, "A's recv");
+    assert_eq!(b_tl.total_for(SpanLabel::IrqInject), irq_inject, "B's send");
+    let after = VphiDebugReport::collect(&vm);
+    assert_eq!(after.irqs_injected - before.irqs_injected, 2, "{after:?}");
+    assert_eq!(after.irqs_suppressed, before.irqs_suppressed);
+    a.close(&mut tl).expect("close A");
+    b.close(&mut tl).expect("close B");
+    drop(card.join().expect("card"));
+    vm.shutdown();
 }

@@ -16,8 +16,9 @@
 //!   `take_used`) and a device-side API (`pop_avail_bounded`,
 //!   `push_used`), and its kick (guest → device), which the lane's device
 //!   thread sleeps on in `wait_kick` until a kick or the ring's close.
-//!   The device → guest interrupt is decided outside the queue, from whether a push
-//!   crossed the EVENT_IDX `used_event` threshold the guest armed.
+//!   The device → guest interrupt is decided outside the queue, from the
+//!   completed request's own submission: the ring has no interrupt
+//!   threshold.
 
 pub mod queue;
 pub mod ring;

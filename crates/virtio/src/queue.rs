@@ -1,11 +1,10 @@
 //! The split virtqueue.
 //!
-//! One lock protects the descriptor table, avail ring, used ring, the
-//! free-descriptor list and the EVENT_IDX pair.  Guest-side and
-//! device-side APIs are both on [`VirtQueue`]; in the vPHI stack the
-//! frontend driver holds the guest side and the QEMU backend the device
-//! side of the *same* queue — a shared-memory structure, exactly as in
-//! Fig. 2 of the paper.
+//! One lock protects the descriptor table, avail ring, used ring and the
+//! free-descriptor list.  Guest-side and device-side APIs are both on
+//! [`VirtQueue`]; in the vPHI stack the frontend driver holds the guest
+//! side and the QEMU backend the device side of the *same* queue — a
+//! shared-memory structure, exactly as in Fig. 2 of the paper.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -55,15 +54,9 @@ struct QueueState {
     /// published.
     last_avail_idx: u64,
     used: VecDeque<UsedElem>,
-    /// Completions ever pushed onto the used ring (the EVENT_IDX "new"
+    /// Completions ever pushed onto the used ring (the device's used
     /// index).
     used_seq: u64,
-    /// The guest's interrupt threshold (`VIRTIO_F_EVENT_IDX` `used_event`):
-    /// the device need only interrupt when `used_seq` crosses it.  Armed
-    /// and compared under the ring lock, so a push either sees a waiter's
-    /// threshold or was made before the waiter's chain was published — the
-    /// "suppressed but sleeping" race cannot happen (DESIGN.md #16).
-    used_event: u64,
     /// Set when the device dies: no chain is published after it, so the
     /// device's last pass over the ring sees every chain it will ever get.
     /// The one "device gone" state: it also ends the device's wait.
@@ -76,12 +69,11 @@ struct QueueState {
 
 impl QueueState {
     /// Write `descriptors` into free table entries, linked in order, and
-    /// return the head index, arming the interrupt threshold at the
-    /// present used index if `arm`.  The descriptors of every completion
+    /// return the head index.  The descriptors of every completion
     /// on the used ring are recycled first, so a driver that needs nothing
     /// from its completions never drains the ring itself.  Entries come
     /// off the free stack in pop order; nothing is allocated.
-    fn write_chain(&mut self, descriptors: &[Descriptor], arm: bool) -> Result<u16, QueueError> {
+    fn write_chain(&mut self, descriptors: &[Descriptor]) -> Result<u16, QueueError> {
         let n = descriptors.len();
         if n == 0 {
             return Err(QueueError::EmptyChain);
@@ -102,9 +94,6 @@ impl QueueState {
         }
         let head = self.free[top];
         self.free.truncate(top + 1 - n);
-        if arm {
-            self.used_event = self.used_seq;
-        }
         Ok(head)
     }
 
@@ -175,10 +164,10 @@ pub struct VirtQueue {
     size: u16,
     /// The ring, and where the lane's device thread sleeps: a delivered
     /// kick or the ring's close wakes it, signalled only if it is parked.
-    /// Device → guest notification is not here by design: a used-buffer
-    /// interrupt is decided by the backend's `LaneNotifier`, from whether
-    /// a push crossed the EVENT_IDX threshold, so the suppression
-    /// decision has one owner.
+    /// Device → guest notification is not here by design: whether a
+    /// used-buffer push interrupts is decided by the backend, from the
+    /// completed request's own submission (its notify hint), so the ring
+    /// keeps no interrupt state.
     state: WaitCell<QueueState>,
     /// Who is draining the avail ring right now: the device's service
     /// thread for this queue, or a blocking kicker.  Held for a whole
@@ -211,7 +200,6 @@ impl VirtQueue {
                     last_avail_idx: 0,
                     used: VecDeque::new(),
                     used_seq: 0,
-                    used_event: 0,
                     closed: false,
                     kicked: false,
                 },
@@ -254,27 +242,24 @@ impl VirtQueue {
     /// between this call and
     /// [`publish_avail_batch`](VirtQueue::publish_avail_batch);
     /// publishing first races a device woken by *another* thread's kick.
-    /// A driver that will sleep on the chain's completion `arm`s the
-    /// interrupt threshold here, before the chain can complete.
-    pub fn prepare_chain(&self, descriptors: &[Descriptor], arm: bool) -> Result<u16, QueueError> {
-        self.state.lock().write_chain(descriptors, arm)
+    pub fn prepare_chain(&self, descriptors: &[Descriptor]) -> Result<u16, QueueError> {
+        self.state.lock().write_chain(descriptors)
     }
 
     /// [`prepare_chain`](VirtQueue::prepare_chain) and
     /// [`publish_avail_batch`](VirtQueue::publish_avail_batch) of one head
     /// as one critical section, for a driver that publishes one chain at a
     /// time.  The ordering rule is unchanged: `register` runs with the head
-    /// known and the descriptors written (and the threshold armed, if
-    /// `arm`) but *before* the head is visible on the avail ring, so
-    /// head-keyed bookkeeping is in place when the device — possibly
-    /// already running, woken by another thread's kick — pops the chain.
+    /// known and the descriptors written but *before* the head is visible
+    /// on the avail ring, so head-keyed bookkeeping is in place when the
+    /// device — possibly already running, woken by another thread's kick —
+    /// pops the chain.
     /// It runs under the ring lock and must not block or touch the ring.
     /// Returns the chain's avail index; charges one `RingPush`.  A closed
     /// ring refuses the chain before anything is written.
     pub fn publish_chain(
         &self,
         descriptors: &[Descriptor],
-        arm: bool,
         cost_ring_push: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
         register: impl FnOnce(u16),
@@ -284,7 +269,7 @@ impl VirtQueue {
             if st.closed {
                 return Err(QueueError::Closed);
             }
-            let head = st.write_chain(descriptors, arm)?;
+            let head = st.write_chain(descriptors)?;
             register(head);
             st.avail.push_back(head);
             st.last_avail_idx + st.avail.len() as u64
@@ -441,30 +426,25 @@ impl VirtQueue {
         st.counts().parked > 0 && !st.kicked
     }
 
-    /// Push a completion and charge `UsedPush`.  Returns whether the push
-    /// crossed the interrupt threshold the guest armed (EVENT_IDX's
-    /// `vring_need_event`, under the same lock as the push): a caller that
-    /// notifies the guest interrupts only if it did.
+    /// Push a completion and charge `UsedPush`.
     pub fn push_used(
         &self,
         elem: UsedElem,
         cost_used_push: vphi_sim_core::SimDuration,
         tl: &mut Timeline,
-    ) -> bool {
-        let crossed = {
+    ) {
+        {
             let mut st = self.state.lock();
             st.used.push_back(elem);
             st.used_seq = st.used_seq.wrapping_add(1);
             self.completed.store(st.used_seq);
-            need_event(st.used_event, st.used_seq, st.used_seq.wrapping_sub(1))
-        };
+        }
         tl.charge(SpanLabel::UsedPush, cost_used_push);
         // An injected used-ring delay holds the completion for `param` µs
         // before the interrupt path runs.
         if let Some(delay_us) = self.faults.fire(FaultSite::VirtioUsedDelay) {
             tl.charge(SpanLabel::UsedPush, vphi_sim_core::SimDuration::from_micros(delay_us));
         }
-        crossed
     }
 
     /// The device is gone: refuse every later publish
@@ -476,16 +456,6 @@ impl VirtQueue {
         st.closed = true;
         st.notify_all();
     }
-}
-
-/// The virtio-1.x EVENT_IDX predicate (`vring_need_event`): whether moving
-/// the used index from `old` to `new` crossed the guest-armed `event`
-/// threshold.  All arithmetic is wrapping, so the comparison is correct
-/// across index wrap-around.  For a single push (`old == new - 1`) this
-/// reduces to `new == event + 1`: interrupt exactly when the push lands on
-/// the index the guest said it was waiting past.
-fn need_event(event: u64, new: u64, old: u64) -> bool {
-    new.wrapping_sub(event).wrapping_sub(1) < new.wrapping_sub(old)
 }
 
 #[cfg(test)]
@@ -501,7 +471,7 @@ mod tests {
     /// Write and publish one chain; its head.
     fn add(q: &VirtQueue, descs: &[Descriptor], tl: &mut Timeline) -> Result<u16, QueueError> {
         let mut head = 0;
-        q.publish_chain(descs, false, PUSH, tl, |h| head = h).map(|_| head)
+        q.publish_chain(descs, PUSH, tl, |h| head = h).map(|_| head)
     }
 
     /// Pop the next chain, whatever its avail index.
@@ -719,8 +689,8 @@ mod tests {
     #[test]
     fn push_used_queues_the_completion_without_a_side_channel() {
         // No interrupt fires here by construction: the queue has no
-        // notification callback at all — delivery is the LaneNotifier's
-        // decision, made from whether the push crossed the threshold.
+        // notification callback at all — delivery is the backend's
+        // decision, made from the completed request's notify hint.
         let q = VirtQueue::new(4);
         let mut tl = Timeline::new();
         let head = add(&q, &[Descriptor::readable(0, 1)], &mut tl).unwrap();
@@ -734,10 +704,10 @@ mod tests {
     fn avail_indices_count_publishes_and_bound_the_pops() {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
-        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)], false).unwrap();
+        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)]).unwrap();
         assert_eq!(q.publish_avail_batch(&[h1], PUSH, &mut tl), Ok(1));
-        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)], false).unwrap();
-        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
+        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)]).unwrap();
+        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)]).unwrap();
         assert_eq!(q.publish_avail_batch(&[h2, h3], PUSH, &mut tl), Ok(3));
         // Through index 2: the first two chains in ring order, not the
         // third, however often asked.
@@ -749,7 +719,7 @@ mod tests {
         assert_eq!(q.pop_avail_bounded(1).unwrap(), None);
         assert_eq!(pop(&q).unwrap().unwrap().head, h3);
         // Indices keep counting across an empty ring.
-        let h4 = q.prepare_chain(&[Descriptor::readable(0x4, 1)], false).unwrap();
+        let h4 = q.prepare_chain(&[Descriptor::readable(0x4, 1)]).unwrap();
         assert_eq!(q.publish_avail_batch(&[h4], PUSH, &mut tl), Ok(4));
     }
 
@@ -779,7 +749,6 @@ mod tests {
         let idx = q
             .publish_chain(
                 &[Descriptor::readable(0x1000, 8), Descriptor::writable(0x2000, 8)],
-                false,
                 PUSH,
                 &mut tl,
                 |head| registered = Some(head),
@@ -794,7 +763,7 @@ mod tests {
         let too_long = [Descriptor::readable(0, 1); 3];
         let mut called = false;
         assert_eq!(
-            q.publish_chain(&too_long, false, PUSH, &mut tl, |_| called = true),
+            q.publish_chain(&too_long, PUSH, &mut tl, |_| called = true),
             Err(QueueError::NoSpace)
         );
         assert!(!called && !q.avail_pending());
@@ -806,7 +775,7 @@ mod tests {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
         let before = add(&q, &[Descriptor::readable(0, 1)], &mut tl).unwrap();
-        let prepared = q.prepare_chain(&[Descriptor::readable(0, 1)], false).unwrap();
+        let prepared = q.prepare_chain(&[Descriptor::readable(0, 1)]).unwrap();
         q.close();
         assert_eq!(add(&q, &[Descriptor::readable(0, 1)], &mut tl), Err(QueueError::Closed));
         assert_eq!(q.publish_avail_batch(&[prepared], PUSH, &mut tl), Err(QueueError::Closed));
@@ -830,9 +799,9 @@ mod tests {
             left
         };
         let mut tl = Timeline::new();
-        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)], false).unwrap();
+        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)]).unwrap();
         let mine = q.publish_avail_batch(&[h1], PUSH, &mut tl).unwrap();
-        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)], false).unwrap();
+        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)]).unwrap();
         q.publish_avail_batch(&[h2], PUSH, &mut tl).unwrap();
         q.kick(KICK, &mut tl, || handler(mine));
         // One vm-exit: one charge, one counted kick.
@@ -844,7 +813,7 @@ mod tests {
         assert!(q.avail_pending());
         assert!(q.wait_kick(), "the kick was handed on");
         // Nothing left behind: nothing handed on.
-        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
+        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)]).unwrap();
         pop(&q).unwrap().unwrap();
         let mine = q.publish_avail_batch(&[h3], PUSH, &mut tl).unwrap();
         q.kick(KICK, &mut tl, || handler(mine));
@@ -857,7 +826,7 @@ mod tests {
     fn prepared_chain_is_invisible_until_published() {
         let q = VirtQueue::new(4);
         let mut tl = Timeline::new();
-        let head = q.prepare_chain(&[Descriptor::readable(0, 8)], false).unwrap();
+        let head = q.prepare_chain(&[Descriptor::readable(0, 8)]).unwrap();
         // Descriptors are allocated but the device side sees nothing —
         // the window where the driver registers head-keyed bookkeeping.
         assert_eq!(q.free_descriptors(), 3);
@@ -873,9 +842,9 @@ mod tests {
     fn batch_publish_preserves_order_and_charges_per_entry() {
         let q = VirtQueue::new(8);
         let mut tl = Timeline::new();
-        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)], false).unwrap();
-        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)], false).unwrap();
-        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)], false).unwrap();
+        let h1 = q.prepare_chain(&[Descriptor::readable(0x1, 1)]).unwrap();
+        let h2 = q.prepare_chain(&[Descriptor::readable(0x2, 1)]).unwrap();
+        let h3 = q.prepare_chain(&[Descriptor::readable(0x3, 1)]).unwrap();
         assert!(!q.avail_pending());
         q.publish_avail_batch(&[h1, h2, h3], PUSH, &mut tl).unwrap();
         // One ring store per entry — the batch amortizes the kick, not
@@ -966,30 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn a_push_crosses_the_threshold_armed_before_it() {
-        let q = VirtQueue::new(8);
-        let mut tl = Timeline::new();
-        let publish = |arm: bool, tl: &mut Timeline| {
-            let head = q.prepare_chain(&[Descriptor::readable(0x1, 1)], arm).unwrap();
-            q.publish_avail_batch(&[head], PUSH, tl).unwrap();
-            pop(&q).unwrap().unwrap().head
-        };
-        // Armed at 0: the push to 1 crosses.
-        let h1 = publish(true, &mut tl);
-        assert!(q.push_used(UsedElem { id: h1, len: 0 }, PUSH, &mut tl));
-        // Nobody re-armed: the push to 2 is past the threshold and batches.
-        let h2 = publish(false, &mut tl);
-        assert!(!q.push_used(UsedElem { id: h2, len: 0 }, PUSH, &mut tl));
-        // Armed at 2 while a chain published unarmed is still out: the
-        // first push after the arming crosses, whichever chain it completes.
-        let h3 = publish(false, &mut tl);
-        let h4 = publish(true, &mut tl);
-        assert!(q.push_used(UsedElem { id: h3, len: 0 }, PUSH, &mut tl));
-        assert!(!q.push_used(UsedElem { id: h4, len: 0 }, PUSH, &mut tl));
-        assert_eq!(q.used_seq(), 4);
-    }
-
-    #[test]
     fn writing_a_chain_recycles_the_completed_ones_first() {
         let q = VirtQueue::new(4);
         let mut tl = Timeline::new();
@@ -1006,24 +951,7 @@ mod tests {
         assert!(!q.used_pending());
         // A corrupt completion fails the write that finds it.
         q.push_used(UsedElem { id: 9, len: 0 }, PUSH, &mut tl);
-        assert_eq!(q.prepare_chain(&two, false), Err(QueueError::Corrupt));
-    }
-
-    #[test]
-    fn need_event_crossing_semantics() {
-        // Single push: fires exactly when new == event + 1.
-        assert!(need_event(4, 5, 4));
-        assert!(!need_event(4, 4, 3)); // not there yet
-        assert!(!need_event(4, 6, 5)); // already past — guest saw it awake
-
-        // Batched push old..new: fires iff event ∈ [old, new).
-        assert!(need_event(6, 9, 5));
-        assert!(need_event(5, 9, 5));
-        assert!(!need_event(9, 9, 5));
-        assert!(!need_event(4, 9, 5));
-        // Wrap-around stays correct.
-        assert!(need_event(u64::MAX, 0, u64::MAX));
-        assert!(!need_event(2, 0, u64::MAX));
+        assert_eq!(q.prepare_chain(&two), Err(QueueError::Corrupt));
     }
 
     #[test]

@@ -59,7 +59,7 @@ proptest! {
                         .map(|i| Descriptor::readable(0x1000 * (i as u64 + 1), 64))
                         .collect();
                     let mut head = 0;
-                    match q.publish_chain(&descs, false, PUSH, &mut tl, |h| head = h) {
+                    match q.publish_chain(&descs, PUSH, &mut tl, |h| head = h) {
                         Ok(_) => {
                             prop_assert!(free >= n as usize, "add succeeded beyond capacity");
                             free -= n as usize;
@@ -122,7 +122,7 @@ proptest! {
                 }
             })
             .collect();
-        q.publish_chain(&descs, false, PUSH, &mut tl, |_| {}).unwrap();
+        q.publish_chain(&descs, PUSH, &mut tl, |_| {}).unwrap();
         let chain = q.pop_avail_bounded(u64::MAX).unwrap().unwrap().chain;
         prop_assert_eq!(chain.descriptors().len(), descs.len());
         for (got, want) in chain.descriptors().iter().zip(&descs) {
