@@ -35,11 +35,11 @@ pub struct AblCacheRow {
 }
 
 impl AblCacheRow {
-    pub fn cold_ratio(&self) -> f64 {
+    fn cold_ratio(&self) -> f64 {
         self.cold_bw / self.native_bw
     }
 
-    pub fn warm_ratio(&self) -> f64 {
+    fn warm_ratio(&self) -> f64 {
         self.warm_bw / self.native_bw
     }
 }

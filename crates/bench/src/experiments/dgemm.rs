@@ -41,7 +41,7 @@ impl DgemmRow {
 }
 
 /// The matrix orders the figures sweep (inputs from 4 MiB to 1 GiB).
-pub fn dgemm_sizes() -> Vec<u64> {
+fn dgemm_sizes() -> Vec<u64> {
     vec![512, 1024, 2048, 4096, 8192]
 }
 

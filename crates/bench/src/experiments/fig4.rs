@@ -26,7 +26,7 @@ impl Fig4Row {
 }
 
 /// The sizes the figure sweeps.
-pub fn fig4_sizes() -> Vec<u64> {
+fn fig4_sizes() -> Vec<u64> {
     vec![1, 16, 64, 256, KIB, 4 * KIB, 16 * KIB, 64 * KIB]
 }
 

@@ -97,13 +97,13 @@ impl MqScaleReport {
 
     /// Aggregate-throughput speedup of 4 queues over 1 at 4 VMs (the
     /// headline number; acceptance floor 2.5×).
-    pub fn mq_speedup(&self) -> f64 {
+    fn mq_speedup(&self) -> f64 {
         self.row(4, 4).aggregate_bw / self.row(1, 4).aggregate_bw
     }
 
     /// Wall-time improvement of pipelined over monolithic staging
     /// (acceptance floor 20%).
-    pub fn rma_improvement_pct(&self) -> f64 {
+    fn rma_improvement_pct(&self) -> f64 {
         100.0 * self.rma_monolithic.saturating_sub(self.rma_pipelined).as_nanos() as f64
             / self.rma_monolithic.as_nanos().max(1) as f64
     }

@@ -93,7 +93,7 @@ pub struct DoorbellLedger {
 
 impl DoorbellLedger {
     /// Doorbells per submitted entry — amortization means ≪ 1.
-    pub fn kicks_per_submission(&self) -> f64 {
+    fn kicks_per_submission(&self) -> f64 {
         self.batch_kicks as f64 / self.batch_entries.max(1) as f64
     }
 
@@ -123,17 +123,17 @@ impl OpenLoopReport {
     }
 
     /// Highest sustained throughput with p99 within the SLO, batched.
-    pub fn batched_saturation_rps(&self) -> f64 {
+    fn batched_saturation_rps(&self) -> f64 {
         self.saturation(OPEN_LOOP_BATCH)
     }
 
     /// Same knee for the one-request-per-kick model.
-    pub fn single_saturation_rps(&self) -> f64 {
+    fn single_saturation_rps(&self) -> f64 {
         self.saturation(1)
     }
 
     /// The headline number (acceptance floor: 2×).
-    pub fn batching_speedup(&self) -> f64 {
+    fn batching_speedup(&self) -> f64 {
         self.batched_saturation_rps() / self.single_saturation_rps().max(1.0)
     }
 

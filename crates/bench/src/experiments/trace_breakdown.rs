@@ -50,12 +50,12 @@ pub struct TraceStageRow {
 
 impl TraceStageRow {
     /// Sum of the stage decomposition; must reconcile with `vphi`.
-    pub fn stage_sum(&self) -> SimDuration {
+    fn stage_sum(&self) -> SimDuration {
         self.stages.iter().copied().sum()
     }
 
     /// |stage_sum − vphi| as a percentage of the end-to-end latency.
-    pub fn reconcile_err_pct(&self) -> f64 {
+    fn reconcile_err_pct(&self) -> f64 {
         let total = self.vphi.as_nanos() as f64;
         let sum = self.stage_sum().as_nanos() as f64;
         if total == 0.0 {

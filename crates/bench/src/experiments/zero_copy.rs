@@ -46,15 +46,15 @@ pub struct ZeroCopyRow {
 }
 
 impl ZeroCopyRow {
-    pub fn off_ratio(&self) -> f64 {
+    fn off_ratio(&self) -> f64 {
         self.off_bw / self.native_bw
     }
 
-    pub fn zc_cold_ratio(&self) -> f64 {
+    fn zc_cold_ratio(&self) -> f64 {
         self.zc_cold_bw / self.native_bw
     }
 
-    pub fn zc_warm_ratio(&self) -> f64 {
+    fn zc_warm_ratio(&self) -> f64 {
         self.zc_warm_bw / self.native_bw
     }
 }

@@ -10,6 +10,13 @@
 //! with and handing its chain to another thread only bought two context
 //! switches.  The lane's executor role makes the two mutually exclusive,
 //! which is what keeps per-lane FIFO.
+//!
+//! A pass is one loop: pop a chain, run it, and pop again while the pop
+//! saw another chain due — through the kicker's own chain, or, for the
+//! shard, until the ring runs dry.  A chain published while the shard
+//! runs is in its pass if the ring has not run dry before it, and rings
+//! the shard's kick for its next pass if it has.  A pass that starts on a
+//! dead device executes nothing: it retires every chain on the ring.
 
 use std::sync::Arc;
 
@@ -19,7 +26,7 @@ use super::BackendInner;
 
 impl BackendInner {
     /// The shard thread's turn on lane `q`: wait for the executor role,
-    /// then drain everything, and again while more keeps arriving.
+    /// then drain the ring until a pop finds nothing behind it.
     pub(super) fn drain_as_shard(self: &Arc<Self>, q: usize) {
         let executor = self.channel.lane_queue(q).executor.enter();
         self.drain_lane(q, u64::MAX, &executor);
@@ -38,76 +45,63 @@ impl BackendInner {
     /// kick rings it for on the way out.
     pub(super) fn drain_as_kicker(self: &Arc<Self>, q: usize, through: u64) -> bool {
         let queue = self.channel.lane_queue(q);
-        match queue.executor.try_enter() {
-            Some(executor) => self.drain_lane(q, through, &executor),
-            None => queue.avail_pending(),
-        }
+        // On a busy lane, or after a pass that popped nothing (its chain
+        // was somebody else's burst), the kicker has to look.
+        queue
+            .executor
+            .try_enter()
+            .and_then(|executor| self.drain_lane(q, through, &executor))
+            .unwrap_or_else(|| queue.avail_pending())
     }
 
     /// Drain lane `q`'s avail ring in ring order through avail index
-    /// `through`, and report whether the pass left chains on the ring.
-    /// The caller holds the lane's executor role: `held`.
-    fn drain_lane(self: &Arc<Self>, q: usize, through: u64, held: &TrackedRoleGuard<'_>) -> bool {
+    /// `through`, and report whether the pass left chains on the ring —
+    /// `None` if it popped nothing.  The caller holds the lane's executor
+    /// role: `held`.
+    fn drain_lane(
+        self: &Arc<Self>,
+        q: usize,
+        through: u64,
+        held: &TrackedRoleGuard<'_>,
+    ) -> Option<bool> {
         let queue = self.channel.lane_queue(q);
-        // A bounded pass knows its burst before it starts — whatever was
-        // published up to `through` — so it runs each chain as it pops it,
-        // and each pop tells it whether another is due: it never asks the
-        // ring a question whose answer it has.  The shard's burst is what
-        // one doorbell amortized: everything on the ring when it got
-        // there, popped before any of it runs.
-        let bounded = through != u64::MAX;
-        while !self.channel.is_shutdown() {
-            let mut batch = Vec::new();
-            let mut burst = 0u64;
-            // What the last pop saw behind it; a pass that pops nothing
-            // (its chain was somebody else's burst) has to look.
-            let mut left = None;
-            while let Ok(Some(popped)) = queue.pop_avail_bounded(through) {
-                burst += 1;
-                left = Some(popped.left_on_ring);
-                let last = !popped.more_in_bound;
-                if bounded {
-                    self.process(q, popped.chain, held);
-                } else {
-                    batch.push(popped.chain);
-                }
-                if last {
-                    break;
-                }
+        if self.channel.is_shutdown() {
+            // A dead device executes nothing more: the pass lets go of
+            // every chain on the ring, bound or not, and each one's
+            // requester wakes to `ENODEV`.  The ring is closed to new
+            // chains, so whichever executor runs next finds nothing left.
+            // (The descriptors die with the ring: no guest is left to
+            // write the chain that would recycle them.)
+            while let Ok(Some(popped)) = queue.pop_avail_bounded(u64::MAX) {
+                let (token, ..) = self.channel.claim(q, popped.chain.head);
+                self.channel.retire(token);
             }
-            if burst > 0 && bounded {
+            return Some(false);
+        }
+        // Each pop tells the pass whether another chain is due: it never
+        // asks the ring a question whose answer it has.
+        let mut burst = 0u64;
+        while let Ok(Some(popped)) = queue.pop_avail_bounded(through) {
+            burst += 1;
+            if popped.more_in_bound {
+                self.process(q, popped.chain, held);
+                continue;
+            }
+            // The burst is whole at the last pop, and counted before its
+            // last chain runs: whoever that chain's completion wakes finds
+            // the pass counted.
+            if through == u64::MAX {
+                self.stats.note_burst(burst);
+            } else {
                 // The kicker holds the role: a count with no lock prefix.
                 let lane = &self.lanes[q];
                 lane.kicker_drains.bump(held);
                 lane.kicker_chains.add(burst, held);
-            } else if burst > 0 {
-                self.stats.note_burst(burst);
             }
-            for chain in batch {
-                self.process(q, chain, held);
-            }
-            // A bounded pass has popped all it may: the kicker rings the
-            // shard for the rest on its way out.  The shard picks up a
-            // chain posted during the pass before it goes back to
-            // blocking.
-            if bounded {
-                return left.unwrap_or_else(|| queue.avail_pending());
-            }
-            if !queue.avail_pending() {
-                return false;
-            }
+            self.process(q, popped.chain, held);
+            return Some(popped.left_on_ring);
         }
-        // A dead device executes nothing more: the pass lets go of every
-        // chain on the ring, bound or not, and each one's requester wakes
-        // to `ENODEV`.  The ring is closed to new chains, so whichever
-        // executor runs next finds nothing left.  (The descriptors die
-        // with the ring: no guest is left to write the chain that would
-        // recycle them.)
-        while let Ok(Some(popped)) = queue.pop_avail_bounded(u64::MAX) {
-            let (token, ..) = self.channel.claim(q, popped.chain.head);
-            self.channel.retire(token);
-        }
-        false
+        None
     }
 }
 
@@ -176,6 +170,64 @@ mod tests {
         assert_eq!(queue.counters().chains_popped, popped + 3);
         assert!(cq.drain().iter().all(|done| done.result == Ok((1, 0))));
         assert_eq!(sink.join().unwrap(), [1, 2, 3], "ring order is execution order");
+        ep.close(&mut tl).unwrap();
+        vm.shutdown();
+    }
+
+    /// The shard's pass, with what it finds pinned instead of raced: it
+    /// starts on two chains, a recv the card answers only when told and a
+    /// send behind it, and a third chain is published while the recv
+    /// runs.  The pass runs all three, in ring order, as one burst.
+    #[test]
+    fn a_shard_pass_runs_what_is_published_while_it_runs() {
+        let host = VphiHost::new(1);
+        let server = host.device_endpoint(0).unwrap();
+        let mut tl = Timeline::new();
+        server.bind(Port(991), &mut tl).unwrap();
+        server.listen(1, &mut tl).unwrap();
+        let (speak, told) = std::sync::mpsc::channel();
+        let card = std::thread::spawn(move || {
+            let mut tl = Timeline::new();
+            let conn = server.accept(&mut tl).unwrap();
+            told.recv().unwrap();
+            assert_eq!(conn.send(&[1], &mut tl), Ok(1));
+            let mut frames = [0u8; 2];
+            assert_eq!(conn.recv(&mut frames, &mut tl), Ok(2));
+            frames
+        });
+        let vm = host.spawn_vm(VmConfig::builder().num_queues(1).build());
+        let ep = vm.open_scif(&mut tl).unwrap();
+        ep.connect(ScifAddr::new(host.device_node(0), Port(991)), &mut tl).unwrap();
+
+        let inner = vm.backend().inner();
+        let queue = vm.frontend().channel().lane_queue(0);
+        let executor = queue.executor.enter();
+        let mut sq = Sq::new();
+        sq.push(SqEntry::recv(1));
+        sq.push(SqEntry::send(&[2]));
+        let mut cq = Cq::new();
+        cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+        let (served, (drains, chains)) = (inner.requests(), inner.bursts());
+
+        // The shard, let in, runs the recv until the card speaks.  (A pass
+        // that popped ahead has popped the send before it starts the recv.)
+        drop(executor);
+        while inner.requests() == served {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        sq.push(SqEntry::send(&[3]));
+        cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+        speak.send(()).unwrap();
+
+        assert_eq!(ep.reap(&mut cq, 3, 3, &mut tl), Ok(3));
+        let done = cq.drain();
+        assert_eq!(done[0].data.as_deref(), Some(&[1u8][..]));
+        assert!(done.iter().all(|done| done.result == Ok((1, 0))), "{done:?}");
+        assert_eq!(card.join().unwrap(), [2, 3], "ring order is execution order");
+        // The pass has counted its burst once it lets go of the role.
+        drop(queue.executor.enter());
+        let (drains_after, chains_after) = inner.bursts();
+        assert_eq!((drains_after - drains, chains_after - chains), (1, 3), "one pass, one burst");
         ep.close(&mut tl).unwrap();
         vm.shutdown();
     }

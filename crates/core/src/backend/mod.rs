@@ -20,7 +20,7 @@ mod rma;
 pub use dispatch::{Dispatch, DispatchPolicy};
 use dispatch::{PauseLedger, Workers};
 pub use holdings::Holdings;
-pub use notify::{LaneNotifier, LaneNotifyCounters, Recorder, BATCH_BUCKETS};
+pub use notify::{LaneNotifier, LaneNotifyCounters, Recorder};
 pub use reg_cache::RegCacheSnapshot;
 pub use rma::RmaCharge;
 use rma::RmaDir;
@@ -437,7 +437,7 @@ impl BackendInner {
             notifier.account_wait(hint, svc_ns, by);
         }
         if !hint.injects_after(svc_ns) {
-            notifier.note_suppressed(slept, by);
+            notifier.note_suppressed(by);
         } else if self.faults.fire(FaultSite::PcieMsiLost).is_some() {
             // The MSI vanished: the sleeping guest's watchdog finds the
             // reply one period later.

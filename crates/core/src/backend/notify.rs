@@ -10,12 +10,10 @@
 //! when its request led its submission on its lane and its requester had
 //! gone to sleep (`svc > budget`).  A spinner's completion needs no
 //! interrupt — its spinner reaps the reply — and a sleeping follower's is
-//! *batched*: it stays pending and the next injected irq on the lane
-//! delivers it along with its own.
+//! *batched*: the next injected irq on the lane delivers it along with
+//! its own.
 //!
-//! One injected irq therefore drains every pending used entry on the lane
-//! (the `completions_per_irq` histogram measures the batching), and a
-//! suppressed-but-sleeping completion is never lost: its directed
+//! A suppressed-but-sleeping completion is never lost: its directed
 //! completion wake still lands.  A lost MSI never reaches the notifier:
 //! the backend charges the guest's watchdog period in its place.
 //!
@@ -27,13 +25,9 @@
 //! waited for — since the verdict it is computed from is made here.
 
 use vphi_sim_core::{SimDuration, SpanLabel, Timeline};
-use vphi_sync::{Counter, Tally, TrackedRoleGuard};
+use vphi_sync::{Tally, TrackedRoleGuard};
 
 use crate::frontend::{NotifyHint, WaitBucketProfile};
-
-/// Log2 buckets of the completions-per-irq histogram (bucket 15 collects
-/// every batch of 2^15 completions or more).
-pub const BATCH_BUCKETS: usize = 16;
 
 /// Payload pow2 buckets of the burn ledger: `vphi_trace::size_bucket` of
 /// a `u64` is 0 ..= 64.
@@ -42,14 +36,11 @@ const PAYLOAD_BUCKETS: usize = 65;
 /// Snapshot of a lane notifier's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneNotifyCounters {
-    /// Virtual interrupts actually injected (the histogram's total).
+    /// Virtual interrupts actually injected.
     pub irqs_injected: u64,
     /// Completions that did not inject (spinner reaped it, or a sleeping
     /// follower's, batched into the lane's next irq).
     pub irqs_suppressed: u64,
-    /// Completions-per-irq log2 histogram: bucket `b` counts injected
-    /// irqs that delivered `[2^b, 2^(b+1))` completions.
-    pub batch_hist: [u64; BATCH_BUCKETS],
 }
 
 /// Who records a completion: the lane's executor, holding its role, or
@@ -60,14 +51,8 @@ pub type Recorder<'a> = Option<&'a TrackedRoleGuard<'a>>;
 pub struct LaneNotifier {
     /// What delivering the lane's MSI into the guest costs.
     irq_inject: SimDuration,
-    /// Completions suppressed while their requester slept, awaiting the
-    /// next injected irq on this lane (the batch the irq will flush).  A
-    /// count and nothing else: an add that races a flush lands in this
-    /// batch or the next.  Any finisher adds to it, so it stays atomic.
-    pending: Counter,
+    irqs_injected: Tally,
     irqs_suppressed: Tally,
-    /// Injected irqs by batch size; their sum is the injection count.
-    batch_hist: [Tally; BATCH_BUCKETS],
     /// Payload bucket → (virtual ns its requesters burned spinning, true
     /// service ns): the ABL-WAIT spin-cycles-burned vs latency ledger.
     burn: [(Tally, Tally); PAYLOAD_BUCKETS],
@@ -87,34 +72,23 @@ impl LaneNotifier {
     pub fn new(irq_inject: SimDuration) -> Self {
         LaneNotifier {
             irq_inject,
-            pending: Counter::new(0),
+            irqs_injected: Tally::new(),
             irqs_suppressed: Tally::new(),
-            batch_hist: std::array::from_fn(|_| Tally::new()),
             burn: std::array::from_fn(|_| (Tally::new(), Tally::new())),
         }
     }
 
-    /// Inject the lane's virtual interrupt, flushing the pending batch:
-    /// this irq delivers its own completion plus every completion
-    /// suppressed-while-sleeping since the last irq.  An empty batch is
-    /// read, not swapped: an add racing the read rides the next irq, as
-    /// one racing the swap would.
+    /// Inject the lane's virtual interrupt: it delivers its own
+    /// completion plus every completion suppressed-while-sleeping since
+    /// the last irq.
     pub fn deliver_irq(&self, tl: &mut Timeline, by: Recorder<'_>) {
-        let batched = if self.pending.get() == 0 { 0 } else { self.pending.take() };
-        let flushed = batched + 1;
-        let bucket = (63 - flushed.leading_zeros() as usize).min(BATCH_BUCKETS - 1);
-        self.batch_hist[bucket].add_as(1, by);
+        self.irqs_injected.add_as(1, by);
         tl.charge(SpanLabel::IrqInject, self.irq_inject);
     }
 
-    /// Record a completion that did not inject.  `sleeping` completions
-    /// join the pending batch (the next irq on the lane flushes them);
-    /// spinner-reaped ones are simply counted.
-    pub fn note_suppressed(&self, sleeping: bool, by: Recorder<'_>) {
+    /// Record a completion that did not inject.
+    pub fn note_suppressed(&self, by: Recorder<'_>) {
         self.irqs_suppressed.add_as(1, by);
-        if sleeping {
-            self.pending.bump();
-        }
     }
 
     /// Account one completion's wait in the ABL-WAIT ledger, under the
@@ -143,11 +117,9 @@ impl LaneNotifier {
 
     /// Counter snapshot.
     pub fn counters(&self) -> LaneNotifyCounters {
-        let batch_hist: [u64; BATCH_BUCKETS] = std::array::from_fn(|b| self.batch_hist[b].get());
         LaneNotifyCounters {
-            irqs_injected: batch_hist.iter().sum(),
+            irqs_injected: self.irqs_injected.get(),
             irqs_suppressed: self.irqs_suppressed.get(),
-            batch_hist,
         }
     }
 }
@@ -171,9 +143,7 @@ mod tests {
         assert!(NotifyHint::SLEEP.injects_after(1));
         n.deliver_irq(&mut tl, None);
         assert!(tl.total_for(SpanLabel::IrqInject) > SimDuration::ZERO);
-        let c = n.counters();
-        assert_eq!(c.irqs_injected, 1);
-        assert_eq!(c.batch_hist[0], 1, "a lone completion is a batch of one");
+        assert_eq!(n.counters(), LaneNotifyCounters { irqs_injected: 1, irqs_suppressed: 0 });
     }
 
     #[test]
@@ -185,7 +155,7 @@ mod tests {
         assert!(!NotifyHint::SPIN.injects_after(u64::MAX - 1));
         assert!(!NotifyHint { budget_ns: 1000, ..NotifyHint::SLEEP }.injects_after(999));
         assert!(!NotifyHint { budget_ns: 1000, ..FOLLOWER }.injects_after(999));
-        n.note_suppressed(false, None);
+        n.note_suppressed(None);
         assert_eq!(tl.total_for(SpanLabel::IrqInject), SimDuration::ZERO);
         assert_eq!(n.counters().irqs_injected, 0);
         assert_eq!(n.counters().irqs_suppressed, 1);
@@ -200,15 +170,12 @@ mod tests {
         // Two followers of a batch slept: they ride the next irq.
         for _ in 0..2 {
             assert!(FOLLOWER.sleeping_after(1) && !FOLLOWER.injects_after(1));
-            n.note_suppressed(true, None);
+            n.note_suppressed(None);
         }
-        // The next leader's irq flushes the batch of 3.
+        // The next leader's irq delivers all three.
         assert!(NotifyHint::SLEEP.injects_after(1));
         n.deliver_irq(&mut tl, None);
-        let c = n.counters();
-        assert_eq!(c.irqs_injected, 2);
-        assert_eq!(c.irqs_suppressed, 2);
-        assert_eq!(c.batch_hist[0], 1, "first irq carried one completion");
-        assert_eq!(c.batch_hist[1], 1, "second irq flushed a batch of 3 (bucket [2,4))");
+        assert_eq!(n.counters(), LaneNotifyCounters { irqs_injected: 2, irqs_suppressed: 2 });
+        assert_eq!(tl.total_for(SpanLabel::IrqInject), n.irq_inject * 2);
     }
 }

@@ -9,7 +9,6 @@
 use vphi_sim_core::SimDuration;
 use vphi_trace::TraceCounters;
 
-use crate::backend::BATCH_BUCKETS;
 use crate::builder::VphiVm;
 
 /// Per-lane transport counters — one entry per virtqueue, index = lane.
@@ -56,9 +55,6 @@ pub struct VphiDebugReport {
     /// Completions suppressed (spinner-reaped or batched), summed over
     /// lanes.
     pub irqs_suppressed: u64,
-    /// Log2 completions-per-irq histogram summed over lanes: bucket `b`
-    /// counts injected irqs that delivered `[2^b, 2^(b+1))` completions.
-    pub completions_per_irq: [u64; BATCH_BUCKETS],
     /// Per-lane transport counters, one entry per virtqueue.
     pub queues: Vec<QueueReport>,
     // backend
@@ -131,12 +127,6 @@ impl VphiDebugReport {
                 }
             })
             .collect();
-        let mut completions_per_irq = [0u64; BATCH_BUCKETS];
-        for n in &notify {
-            for (b, count) in n.batch_hist.iter().enumerate() {
-                completions_per_irq[b] += count;
-            }
-        }
         // Completion MSIs spread across the lanes, and each lane's
         // notifier is the only injector of its own.
         let irq_injections = notify.iter().map(|n| n.irqs_injected).sum();
@@ -150,9 +140,8 @@ impl VphiDebugReport {
             wait_queue_sleeps: waits.parks,
             spurious_wakeups: waits.spurious,
             kicks_delivered: fe.kicks_delivered,
-            irqs_injected: notify.iter().map(|n| n.irqs_injected).sum(),
+            irqs_injected: irq_injections,
             irqs_suppressed: notify.iter().map(|n| n.irqs_suppressed).sum(),
-            completions_per_irq,
             queues,
             backend_requests: be.requests(),
             worker_dispatches: be.worker_dispatches(),
@@ -210,12 +199,11 @@ mod tests {
         assert_eq!(after_open.irq_injections, 1);
         assert_eq!(after_open.interrupt_waits, 1);
         // A lone interrupt-scheme request: kick delivered, its sleeping
-        // waiter led its submission, one MSI injected carrying exactly
-        // one completion — and the directed wake was not spurious.
+        // waiter led its submission, one MSI injected — and the directed
+        // wake was not spurious.
         assert_eq!(after_open.kicks_delivered, 1);
         assert_eq!(after_open.irqs_injected, 1);
         assert_eq!(after_open.irqs_suppressed, 0);
-        assert_eq!(after_open.completions_per_irq[0], 1);
         assert_eq!(after_open.spurious_wakeups, 0);
         assert_eq!(after_open.queues[0].irqs_injected, 1);
         // `scif_open` carries no endpoint, so it rides lane 0: exactly one

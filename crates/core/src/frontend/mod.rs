@@ -370,8 +370,8 @@ fn budget_from_estimate(est_ns: u64) -> u64 {
 
 /// Chains this long or shorter are laid out on the caller's stack: the
 /// two headers and up to two payload descriptors, which covers every
-/// blocking call (one staging chunk per request, at most).  A batch entry
-/// staged in more chunks than that takes the heap.
+/// request the guest API makes (one staging chunk per request, at most);
+/// only a [`FrontendDriver::transact`] handed more takes the heap.
 const INLINE_CHAIN: usize = 4;
 
 /// Lay out one request's descriptor chain — request header, the `extra`
@@ -431,16 +431,17 @@ pub struct WaitBucketProfile {
 }
 
 /// One entry of an async batch, as handed to
-/// [`FrontendDriver::submit_batch`]: the wire request plus its staged
-/// payload.  Staging ownership transfers to the entry's request slot and
-/// is released when the entry's token is reaped.
+/// [`FrontendDriver::submit_batch`]: the wire request plus its payload,
+/// staged in one chunk at most.  Staging ownership transfers to the
+/// entry's request slot and is released when the entry's token is
+/// reaped.
 pub struct BatchEntry {
     /// The wire request (its `routing_epd` picks the lane).
     pub req: VphiRequest,
-    /// Staged payload buffers, owned until reap.
-    pub staging: Vec<KmallocBuf>,
-    /// Payload descriptors, placed between the two headers.
-    pub descs: Vec<Descriptor>,
+    /// The staged payload chunk, owned until reap.
+    pub staging: Option<KmallocBuf>,
+    /// The payload descriptor, placed between the two headers.
+    pub desc: Option<Descriptor>,
     /// Payload size, for the adaptive waiter's bucket choice.
     pub payload_bytes: u64,
     /// `Some(len)` for inbound ops: unstage up to `len` bytes into the
@@ -918,7 +919,7 @@ impl FrontendDriver {
         lane_heads: &mut [Vec<u16>],
         ctx: &mut OpCtx<'_>,
     ) -> ScifResult<ReqToken> {
-        let BatchEntry { req, staging, descs, payload_bytes, inbound } = entry;
+        let BatchEntry { req, staging, desc, payload_bytes, inbound } = entry;
         let q = self.channel.route(&req);
         ctx.set_queue(q as u16);
         let lane = &self.channel.lanes[q];
@@ -932,14 +933,15 @@ impl FrontendDriver {
         };
         let hint =
             NotifyHint { leads: lane_heads[q].is_empty(), ..self.notify_hint(&req, payload_bytes) };
-        let head = match with_chain(headers, &descs, |chain| lane.queue.prepare_chain(chain)) {
-            Ok(head) => head,
-            Err(e) => {
-                lane.slots.release(token);
-                self.free_staging(staging);
-                return Err(queue_error(e));
-            }
-        };
+        let head =
+            match with_chain(headers, desc.as_slice(), |chain| lane.queue.prepare_chain(chain)) {
+                Ok(head) => head,
+                Err(e) => {
+                    lane.slots.release(token);
+                    self.free_staging(staging);
+                    return Err(queue_error(e));
+                }
+            };
         let batch = BatchOp {
             op: req.opcode(),
             payload_bytes,
@@ -1059,13 +1061,15 @@ impl FrontendDriver {
                 }
                 (batch.staging, batch.inbound)
             }
-            None => (Vec::new(), None),
+            None => (None, None),
         };
         match (inbound, &result) {
             (Some(len), Ok((got, _))) => {
                 let take = (*got).min(len) as usize;
                 let mut buf = vec![0u8; take];
-                match self.unstage(staging, &mut buf, ctx.tl) {
+                let unstaged =
+                    staging.map_or(Ok(()), |chunk| self.unstage_chunk(chunk, &mut buf, ctx.tl));
+                match unstaged {
                     Ok(()) => data = Some(buf),
                     Err(e) => result = Err(e),
                 }
@@ -1215,7 +1219,7 @@ impl FrontendDriver {
     }
 
     /// Free outbound staging after the backend consumed it.
-    pub fn free_staging(&self, bufs: Vec<KmallocBuf>) {
+    pub fn free_staging(&self, bufs: impl IntoIterator<Item = KmallocBuf>) {
         for buf in bufs {
             let _ = self.kernel.kfree(buf);
         }
@@ -1299,7 +1303,7 @@ mod tests {
                     if hint.injects_after(svc_ns) {
                         notifier.deliver_irq(&mut tl, None);
                     } else {
-                        notifier.note_suppressed(slept, None);
+                        notifier.note_suppressed(None);
                     }
                     notifier.account_wait(hint, svc_ns, None);
                     channel.complete(token, &Completion { tl, slept, svc_ns });

@@ -150,7 +150,7 @@ impl Word {
 pub(super) struct BatchOp {
     pub op: u8,
     pub payload_bytes: u64,
-    pub staging: Vec<KmallocBuf>,
+    pub staging: Option<KmallocBuf>,
     pub inbound: Option<u64>,
     pub epd: Option<GuestEpd>,
     /// Set by `cancel_epd`: the reap drains the backend completion

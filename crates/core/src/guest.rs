@@ -379,7 +379,7 @@ impl GuestScif {
                 );
                 // A failed transaction frees the chunk: the backend let go.
                 let resp = resp.and_then(|resp| resp.into_result());
-                let (n, _) = resp.inspect_err(|_| self.driver.free_staging(vec![buf]))?;
+                let (n, _) = resp.inspect_err(|_| self.driver.free_staging([buf]))?;
                 self.driver.unstage_chunk(buf, &mut out[got..got + n as usize], ctx.tl)?;
                 got += n as usize;
                 if (n as usize) < want {
@@ -641,68 +641,59 @@ impl GuestScif {
 
     fn submit_inner(&self, sq: &mut Sq, ctx: &mut OpCtx<'_>) -> ScifResult<Vec<SubmitToken>> {
         let entries = std::mem::take(&mut sq.entries);
+        let chunk = self.driver.chunk_size();
         for e in &entries {
             if let SqOp::Send(data) = &e.0 {
-                if data.len() as u64 > self.driver.chunk_size() {
+                if data.len() as u64 > chunk {
                     return Err(ScifError::Inval);
                 }
             }
         }
-        let mut batch = Vec::with_capacity(entries.len());
-        let mut staged: Result<(), ScifError> = Ok(());
+        let mut batch: Vec<BatchEntry> = Vec::with_capacity(entries.len());
         for e in entries {
-            let entry = match e.0 {
-                SqOp::Send(data) => {
-                    let (bufs, descs) = match self.driver.stage_out(&data, ctx.tl) {
-                        Ok(s) => s,
-                        Err(err) => {
-                            staged = Err(err);
-                            break;
-                        }
-                    };
-                    BatchEntry {
-                        req: VphiRequest::Send { epd: self.epd, len: data.len() as u32 },
-                        staging: bufs,
-                        descs,
-                        payload_bytes: data.len() as u64,
-                        inbound: None,
-                    }
+            // An empty send or recv stages nothing.
+            let staged = match &e.0 {
+                SqOp::Send(data) if !data.is_empty() => {
+                    Some(self.driver.stage_chunk_out(data, ctx.tl))
                 }
+                SqOp::Recv(len) if *len > 0 => {
+                    Some(self.driver.stage_chunk_in((*len).min(chunk), ctx.tl))
+                }
+                _ => None,
+            };
+            let (staging, desc) = match staged.transpose() {
+                Ok(staged) => staged.unzip(),
+                Err(err) => {
+                    for entry in batch {
+                        self.driver.free_staging(entry.staging);
+                    }
+                    return Err(err);
+                }
+            };
+            let entry = match e.0 {
+                SqOp::Send(data) => BatchEntry {
+                    req: VphiRequest::Send { epd: self.epd, len: data.len() as u32 },
+                    staging,
+                    desc,
+                    payload_bytes: data.len() as u64,
+                    inbound: None,
+                },
                 SqOp::Recv(len) => {
-                    let want = len.min(self.driver.chunk_size());
-                    let (bufs, descs) = match self.driver.stage_in(want, ctx.tl) {
-                        Ok(s) => s,
-                        Err(err) => {
-                            staged = Err(err);
-                            break;
-                        }
-                    };
+                    let want = len.min(chunk);
                     BatchEntry {
                         req: VphiRequest::Recv { epd: self.epd, len: want as u32 },
-                        staging: bufs,
-                        descs,
+                        staging,
+                        desc,
                         payload_bytes: want,
                         inbound: Some(want),
                     }
                 }
                 SqOp::Rma(rma) => {
                     let (req, desc, payload_bytes) = rma.wire(self.epd);
-                    BatchEntry {
-                        req,
-                        staging: Vec::new(),
-                        descs: desc.into_iter().collect(),
-                        payload_bytes,
-                        inbound: None,
-                    }
+                    BatchEntry { req, staging: None, desc, payload_bytes, inbound: None }
                 }
             };
             batch.push(entry);
-        }
-        if let Err(err) = staged {
-            for entry in batch {
-                self.driver.free_staging(entry.staging);
-            }
-            return Err(err);
         }
         let tokens = self.driver.submit_batch(batch, &mut *ctx)?;
         Ok(tokens.into_iter().map(SubmitToken::from_raw).collect())

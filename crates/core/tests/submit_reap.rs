@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use vphi::builder::{VmConfig, VphiHost};
 use vphi::frontend::WaitScheme;
 use vphi::{Cq, GuestScif, Sq, SqEntry};
-use vphi_dev_support::{drain, serve};
-use vphi_scif::CardService;
+use vphi_dev_support::{drain, serve, sink};
+use vphi_scif::{CardService, ScifError};
 use vphi_sim_core::rng::SplitMix64;
 use vphi_sim_core::Timeline;
 
@@ -263,4 +263,40 @@ fn card_reset_mid_batch_reaps_every_token_exactly_once() {
     for seed in [11, 47, 2026] {
         chaos_reap_round(seed);
     }
+}
+
+/// A batched send is one ring transaction, so it fits one staging chunk.
+/// A longer one refuses the whole submit with `EINVAL` before any entry,
+/// not even the send ahead of it, is staged or reaches a ring; a send of
+/// exactly one chunk goes through.
+#[test]
+fn a_batched_send_longer_than_a_chunk_is_refused_before_anything_is_staged() {
+    let host = VphiHost::new(1);
+    let server = sink(&host, 0);
+    let vm = host.spawn_vm(VmConfig::default());
+    let mut tl = Timeline::new();
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(server.addr(), &mut tl).unwrap();
+    let chunk = vm.frontend().chunk_size();
+    let seen = || {
+        let fe = vm.frontend().stats();
+        (vm.vm().mem().allocated(), fe.chunks_sent, fe.kicks_delivered, fe.batches_submitted)
+    };
+    let before = seen();
+
+    let mut sq = Sq::new();
+    sq.push(SqEntry::send(b"ahead"));
+    sq.push(SqEntry::send(&vec![7; chunk as usize + 1]));
+    assert_eq!(ep.submit(&mut sq, &mut tl).map(|tokens| tokens.len()), Err(ScifError::Inval));
+    assert_eq!(seen(), before, "(guest RAM, chunks staged, kicks, batches) moved");
+    assert_eq!(vm.frontend().pending_tokens(), 0);
+
+    sq.push(SqEntry::send(&vec![7; chunk as usize]));
+    let mut cq = Cq::new();
+    cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+    assert_eq!(ep.reap(&mut cq, 1, 1, &mut tl), Ok(1));
+    assert_eq!(cq.drain()[0].result, Ok((chunk, 0)));
+    ep.close(&mut tl).unwrap();
+    assert_eq!(server.shutdown(), [chunk]);
+    vm.shutdown();
 }

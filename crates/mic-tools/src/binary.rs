@@ -25,7 +25,7 @@ pub struct MicBinary {
 
 /// The MIC-side MKL closure an MKL-linked sample drags in (sizes match
 /// the MPSS 3.x `lib/mic` shipment to the order the model cares about).
-pub fn mkl_closure() -> Vec<Library> {
+fn mkl_closure() -> Vec<Library> {
     vec![
         Library { name: "libmkl_core.so", bytes: 59 << 20 },
         Library { name: "libmkl_intel_lp64.so", bytes: 28 << 20 },
@@ -38,7 +38,7 @@ pub fn mkl_closure() -> Vec<Library> {
 }
 
 /// A minimal runtime closure (no MKL).
-pub fn minimal_closure() -> Vec<Library> {
+fn minimal_closure() -> Vec<Library> {
     vec![
         Library { name: "libiomp5.so", bytes: 2 << 20 },
         Library { name: "libimf.so", bytes: 3 << 20 },

@@ -43,7 +43,7 @@ impl MpiRank {
         self.size
     }
 
-    pub fn is_root(&self) -> bool {
+    fn is_root(&self) -> bool {
         self.rank == 0
     }
 

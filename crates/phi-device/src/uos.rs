@@ -109,7 +109,7 @@ impl UosScheduler {
     }
 
     /// Fork-join overhead of spawning `threads` (pthread/OpenMP-style).
-    pub fn spawn_overhead(&self, threads: u32) -> SimDuration {
+    fn spawn_overhead(&self, threads: u32) -> SimDuration {
         self.cost.uos_enqueue * threads as u64 + SimDuration::from_micros(30)
     }
 

@@ -211,7 +211,7 @@ impl CostModel {
     }
 
     /// Number of huge pages (and SG descriptors) covering `bytes`.
-    pub fn huge_pages_for(&self, bytes: u64) -> u64 {
+    fn huge_pages_for(&self, bytes: u64) -> u64 {
         bytes.div_ceil(HUGE_PAGE_SIZE).max(1)
     }
 
