@@ -5,6 +5,7 @@
 //! bulk content (binaries, buffer data) travels on the timed lane between
 //! frames.
 
+use vphi::protocol::{Put, Take};
 use vphi_scif::{Scif, ScifError, ScifResult};
 use vphi_sim_core::Timeline;
 
@@ -47,7 +48,8 @@ pub fn read_frame(t: &dyn Scif, tl: &mut Timeline) -> ScifResult<Option<Vec<u8>>
     Ok(Some(payload))
 }
 
-/// Field writer used by the protocol codec.
+/// A frame's writer: each field at its native width, little-endian (the
+/// protocol's [`Put`] impls).
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -58,39 +60,13 @@ impl ByteWriter {
         Self::default()
     }
 
-    pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.push(v);
-        self
-    }
-
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    pub fn f64(&mut self, v: f64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    pub fn str(&mut self, s: &str) -> &mut Self {
-        let bytes = s.as_bytes();
-        self.u32(bytes.len() as u32);
-        self.buf.extend_from_slice(bytes);
-        self
-    }
-
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
 }
 
-/// Field reader used by the protocol codec.
+/// A frame's reader, the inverse of [`ByteWriter`] (the protocol's
+/// [`Take`] impls).
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     at: usize,
@@ -101,39 +77,71 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, at: 0 }
     }
 
-    fn take(&mut self, n: usize) -> ScifResult<&'a [u8]> {
-        if self.at + n > self.buf.len() {
-            return Err(ScifError::Inval);
-        }
-        let s = &self.buf[self.at..self.at + n];
+    /// The next `n` bytes; `None` past the frame.
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let s = self.buf.get(self.at..)?.get(..n)?;
         self.at += n;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> ScifResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn u32(&mut self) -> ScifResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub fn u64(&mut self) -> ScifResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub fn f64(&mut self) -> ScifResult<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub fn str(&mut self) -> ScifResult<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ScifError::Inval)
+        Some(s)
     }
 
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.at
+    }
+}
+
+macro_rules! le_fields {
+    ($($t:ty),*) => {$(
+        impl Put<$t> for ByteWriter {
+            fn put(&mut self, v: &$t) {
+                self.buf.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+
+        impl Take<$t> for ByteReader<'_> {
+            fn take(&mut self) -> Option<$t> {
+                Some(<$t>::from_le_bytes(self.bytes(size_of::<$t>())?.try_into().ok()?))
+            }
+        }
+    )*};
+}
+le_fields!(u8, u32, u64, i32, f64);
+
+/// A string is its `u32` byte length, then its UTF-8 bytes.
+impl Put<String> for ByteWriter {
+    fn put(&mut self, s: &String) {
+        self.put(&(s.len() as u32));
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+}
+
+impl Take<String> for ByteReader<'_> {
+    fn take(&mut self) -> Option<String> {
+        let len: u32 = self.take()?;
+        String::from_utf8(self.bytes(len as usize)?.to_vec()).ok()
+    }
+}
+
+/// A list is its `u32` count, then its items.
+impl Put<Vec<u64>> for ByteWriter {
+    fn put(&mut self, items: &Vec<u64>) {
+        self.put(&(items.len() as u32));
+        items.iter().for_each(|item| self.put(item));
+    }
+}
+
+impl Take<Vec<u64>> for ByteReader<'_> {
+    fn take(&mut self) -> Option<Vec<u64>> {
+        let n: u32 = self.take()?;
+        // The count is guest input: refuse one the frame cannot hold
+        // before sizing anything by it.
+        if n as usize > self.remaining() / 8 {
+            return None;
+        }
+        let mut items = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            items.push(self.take()?);
+        }
+        Some(items)
     }
 }
 
@@ -144,36 +152,45 @@ mod tests {
     #[test]
     fn writer_reader_round_trip() {
         let mut w = ByteWriter::new();
-        w.u8(7).u32(1234).u64(u64::MAX).f64(3.5).str("dgemm_mic");
+        w.put(&7u8);
+        w.put(&1234u32);
+        w.put(&u64::MAX);
+        w.put(&-9i32);
+        w.put(&3.5f64);
+        w.put(&String::from("dgemm_mic"));
+        w.put(&vec![1u64, u64::MAX]);
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 1234);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.f64().unwrap(), 3.5);
-        assert_eq!(r.str().unwrap(), "dgemm_mic");
+        assert_eq!(r.take(), Some(7u8));
+        assert_eq!(r.take(), Some(1234u32));
+        assert_eq!(r.take(), Some(u64::MAX));
+        assert_eq!(r.take(), Some(-9i32));
+        assert_eq!(r.take(), Some(3.5f64));
+        assert_eq!(r.take(), Some(String::from("dgemm_mic")));
+        assert_eq!(r.take(), Some(vec![1u64, u64::MAX]));
         assert_eq!(r.remaining(), 0);
     }
 
     #[test]
     fn reader_rejects_truncation() {
         let mut w = ByteWriter::new();
-        w.str("hello");
+        w.put(&String::from("hello"));
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes[..bytes.len() - 1]);
-        assert!(r.str().is_err());
+        assert_eq!(Take::<String>::take(&mut r), None);
         let mut r = ByteReader::new(&[]);
-        assert!(r.u8().is_err());
-        assert!(r.u64().is_err());
+        assert_eq!(Take::<u8>::take(&mut r), None);
+        assert_eq!(Take::<u64>::take(&mut r), None);
     }
 
     #[test]
     fn empty_and_unicode_strings() {
         let mut w = ByteWriter::new();
-        w.str("").str("αβγ-mic0");
+        w.put(&String::new());
+        w.put(&String::from("αβγ-mic0"));
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.str().unwrap(), "");
-        assert_eq!(r.str().unwrap(), "αβγ-mic0");
+        assert_eq!(r.take(), Some(String::new()));
+        assert_eq!(r.take(), Some(String::from("αβγ-mic0")));
     }
 }

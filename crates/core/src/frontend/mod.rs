@@ -48,7 +48,7 @@ use vphi_virtio::{Descriptor, QueueError, VirtQueue};
 use vphi_vmm::kernel::KmallocBuf;
 use vphi_vmm::{Gpa, GuestKernel};
 
-use crate::protocol::{GuestEpd, VphiRequest, VphiResponse, OPCODES, REQ_SIZE, RESP_SIZE};
+use crate::protocol::{GuestEpd, VphiRequest, VphiResponse, REQ_SIZE, RESP_SIZE};
 use slots::{BatchOp, SlotBody, SlotState, SlotTable};
 
 /// The waiter's pre-kick declaration of how it will wait, riding the
@@ -356,7 +356,7 @@ const BUCKETS: usize = 65;
 struct NotifyPolicy {
     /// opcode → payload pow2 bucket → EWMA of backend service ns.  An
     /// op's row is allocated when its first request completes.
-    ewma: [Option<Box<[Option<u64>; BUCKETS]>>; OPCODES],
+    ewma: [Option<Box<[Option<u64>; BUCKETS]>>; VphiRequest::OPCODES],
 }
 
 /// EWMA smoothing: `est ← est·3/4 + sample/4`.

@@ -621,8 +621,9 @@ impl GuestScif {
     /// exactly one kick — the vm-exit cost is amortized across the batch.
     ///
     /// Tokens are reaped with [`reap`](Self::reap); until then the driver
-    /// owns the entries' staging.  An entry that cannot be staged fails
-    /// the whole submit before anything reaches a ring.
+    /// owns the entries' staging.  A send longer than a chunk, or an entry
+    /// that cannot be staged, fails the whole submit before anything
+    /// reaches a ring and leaves `sq` as it was, to fix and resubmit.
     pub fn submit<'a>(
         &self,
         sq: &mut Sq,
@@ -640,17 +641,16 @@ impl GuestScif {
     }
 
     fn submit_inner(&self, sq: &mut Sq, ctx: &mut OpCtx<'_>) -> ScifResult<Vec<SubmitToken>> {
-        let entries = std::mem::take(&mut sq.entries);
         let chunk = self.driver.chunk_size();
-        for e in &entries {
+        for e in &sq.entries {
             if let SqOp::Send(data) = &e.0 {
                 if data.len() as u64 > chunk {
                     return Err(ScifError::Inval);
                 }
             }
         }
-        let mut batch: Vec<BatchEntry> = Vec::with_capacity(entries.len());
-        for e in entries {
+        let mut batch: Vec<BatchEntry> = Vec::with_capacity(sq.entries.len());
+        for e in &sq.entries {
             // An empty send or recv stages nothing.
             let staged = match &e.0 {
                 SqOp::Send(data) if !data.is_empty() => {
@@ -670,7 +670,7 @@ impl GuestScif {
                     return Err(err);
                 }
             };
-            let entry = match e.0 {
+            let entry = match &e.0 {
                 SqOp::Send(data) => BatchEntry {
                     req: VphiRequest::Send { epd: self.epd, len: data.len() as u32 },
                     staging,
@@ -679,7 +679,7 @@ impl GuestScif {
                     inbound: None,
                 },
                 SqOp::Recv(len) => {
-                    let want = len.min(chunk);
+                    let want = (*len).min(chunk);
                     BatchEntry {
                         req: VphiRequest::Recv { epd: self.epd, len: want as u32 },
                         staging,
@@ -695,6 +695,8 @@ impl GuestScif {
             };
             batch.push(entry);
         }
+        // Only now, with every entry staged, does the batch replace them.
+        sq.entries.clear();
         let tokens = self.driver.submit_batch(batch, &mut *ctx)?;
         Ok(tokens.into_iter().map(SubmitToken::from_raw).collect())
     }

@@ -267,8 +267,8 @@ fn card_reset_mid_batch_reaps_every_token_exactly_once() {
 
 /// A batched send is one ring transaction, so it fits one staging chunk.
 /// A longer one refuses the whole submit with `EINVAL` before any entry,
-/// not even the send ahead of it, is staged or reaches a ring; a send of
-/// exactly one chunk goes through.
+/// not even the send ahead of it, is staged or reaches a ring, and leaves
+/// the `Sq` as it was; a send of exactly one chunk goes through.
 #[test]
 fn a_batched_send_longer_than_a_chunk_is_refused_before_anything_is_staged() {
     let host = VphiHost::new(1);
@@ -290,7 +290,9 @@ fn a_batched_send_longer_than_a_chunk_is_refused_before_anything_is_staged() {
     assert_eq!(ep.submit(&mut sq, &mut tl).map(|tokens| tokens.len()), Err(ScifError::Inval));
     assert_eq!(seen(), before, "(guest RAM, chunks staged, kicks, batches) moved");
     assert_eq!(vm.frontend().pending_tokens(), 0);
+    assert_eq!(sq.len(), 2, "a refused submit keeps the caller's entries");
 
+    let mut sq = Sq::new();
     sq.push(SqEntry::send(&vec![7; chunk as usize]));
     let mut cq = Cq::new();
     cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
@@ -298,5 +300,42 @@ fn a_batched_send_longer_than_a_chunk_is_refused_before_anything_is_staged() {
     assert_eq!(cq.drain()[0].result, Ok((chunk, 0)));
     ep.close(&mut tl).unwrap();
     assert_eq!(server.shutdown(), [chunk]);
+    vm.shutdown();
+}
+
+/// Staging that runs out of guest memory part-way refuses the submit with
+/// `ENOMEM`, gives back the chunk already staged and leaves the `Sq` whole:
+/// once memory is free again the same `Sq` goes through as it stands.
+#[test]
+fn a_batch_whose_staging_runs_out_of_guest_memory_keeps_its_entries() {
+    let host = VphiHost::new(1);
+    let server = sink(&host, 0);
+    let vm = host.spawn_vm(VmConfig::builder().mem_size(16 << 20).build());
+    let mem = vm.vm().mem();
+    let mut tl = Timeline::new();
+    let ep = vm.open_scif(&mut tl).unwrap();
+    ep.connect(server.addr(), &mut tl).unwrap();
+    // Room for exactly one page: the first send stages, the second cannot.
+    let hog = vm.alloc_buf(mem.size() - mem.allocated() - 4096).unwrap();
+    let baseline = mem.allocated();
+    let staged = vm.frontend().stats().chunks_sent;
+
+    let mut sq = Sq::new();
+    sq.push(SqEntry::send(&[1; 4096]));
+    sq.push(SqEntry::send(&[2; 4096]));
+    assert_eq!(ep.submit(&mut sq, &mut tl).map(|tokens| tokens.len()), Err(ScifError::NoMem));
+    assert_eq!(vm.frontend().stats().chunks_sent, staged + 1, "the first send staged");
+    assert_eq!(mem.allocated(), baseline, "the staged chunk was not given back");
+    assert_eq!(vm.frontend().pending_tokens(), 0);
+    assert_eq!(sq.len(), 2, "a refused submit keeps the caller's entries");
+
+    drop(hog);
+    let mut cq = Cq::new();
+    cq.watch(&ep.submit(&mut sq, &mut tl).unwrap());
+    assert!(sq.is_empty());
+    assert_eq!(ep.reap(&mut cq, 2, 2, &mut tl), Ok(2));
+    assert!(cq.drain().iter().all(|e| e.result == Ok((4096, 0))));
+    ep.close(&mut tl).unwrap();
+    assert_eq!(server.shutdown(), [8192]);
     vm.shutdown();
 }

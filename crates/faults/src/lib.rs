@@ -11,8 +11,8 @@
 //! fault fires when its site's *crossing counter* — an atomic bumped once
 //! per traversal of the instrumented code path — reaches the `nth` value
 //! the plan assigned.  Two runs with the same seed therefore produce the
-//! same `encode()` bytes and the same per-site firing schedule, no matter
-//! how the OS interleaves threads.
+//! same plan and the same per-site firing schedule, no matter how the OS
+//! interleaves threads.
 //!
 //! When no plan is armed a [`FaultHook::fire`] is a single atomic load of
 //! an unset `OnceLock` — effectively free, so the hooks stay compiled into
@@ -110,7 +110,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Derive `n_points` faults from `seed`.  The same seed always yields
-    /// a byte-identical [`encode`](Self::encode) output.
+    /// the same plan.
     pub fn from_seed(seed: u64, n_points: usize) -> Self {
         let mut rng = SplitMix64::new(seed);
         let points = (0..n_points)
@@ -127,19 +127,6 @@ impl FaultPlan {
     /// A plan with exactly one fault — handy for targeted tests.
     pub fn single(site: FaultSite, nth: u64, param: u64) -> Self {
         FaultPlan { seed: 0, points: vec![FaultPoint { site, nth, param }] }
-    }
-
-    /// Canonical byte encoding: `seed` then `(site, nth, param)` per point.
-    /// Chaos tests pin "same seed ⇒ byte-identical schedule" on this.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.points.len() * 17);
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        for p in &self.points {
-            out.push(p.site as u8);
-            out.extend_from_slice(&p.nth.to_le_bytes());
-            out.extend_from_slice(&p.param.to_le_bytes());
-        }
-        out
     }
 }
 
@@ -266,8 +253,7 @@ mod tests {
         let a = FaultPlan::from_seed(0xD00D, 16);
         let b = FaultPlan::from_seed(0xD00D, 16);
         assert_eq!(a, b);
-        assert_eq!(a.encode(), b.encode());
-        assert_ne!(a.encode(), FaultPlan::from_seed(0xD00E, 16).encode());
+        assert_ne!(a, FaultPlan::from_seed(0xD00E, 16));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use vphi::builder::{VmConfig, VphiHost, VphiVm};
 use vphi::debugfs::VphiDebugReport;
 use vphi_dev_support::echo_window_server;
-use vphi_faults::{FaultPlan, FaultSite};
+use vphi_faults::{FaultPlan, FaultPoint, FaultSite};
 use vphi_scif::{Prot, RmaFlags, ScifAddr, ScifError};
 use vphi_sim_core::Timeline;
 use vphi_trace::TraceConfig;
@@ -121,11 +121,11 @@ fn chaos_round(seed: u64) {
     // guest dying) end that connection, never the server.
     let server = echo_window_server(&host, 0);
 
-    // Same seed ⇒ byte-identical fault schedule, every time.
+    // Same seed ⇒ the same fault schedule, every time.
     let plan = FaultPlan::from_seed(seed, PLAN_POINTS);
-    assert_eq!(plan.encode(), FaultPlan::from_seed(seed, PLAN_POINTS).encode());
+    assert_eq!(plan, FaultPlan::from_seed(seed, PLAN_POINTS));
     let injector = host.arm_faults(plan.clone());
-    assert_eq!(injector.plan().encode(), plan.encode());
+    assert_eq!(*injector.plan(), plan);
     eprintln!("[chaos dbg] plan: {plan:?}");
 
     // Victim phase: a VM runs its workload while the plan fires.
@@ -213,18 +213,23 @@ fn chaos_env_seed_replay() {
     }
 }
 
-/// The plan generator is stable: pinned bytes for a pinned seed, so a
-/// schedule recorded in a bug report stays replayable forever.
+/// The plan generator is stable: a pinned seed's first points are pinned,
+/// so a schedule recorded in a bug report stays replayable forever.
 #[test]
 fn fault_plans_are_byte_stable() {
     for seed in SEEDS {
-        let a = FaultPlan::from_seed(seed, PLAN_POINTS).encode();
-        let b = FaultPlan::from_seed(seed, PLAN_POINTS).encode();
-        assert_eq!(a, b, "seed {seed} produced diverging schedules");
-        assert_eq!(a.len(), 8 + PLAN_POINTS * 17, "seed {seed}: encoding size changed");
+        let plan = FaultPlan::from_seed(seed, PLAN_POINTS);
+        assert_eq!(plan, FaultPlan::from_seed(seed, PLAN_POINTS), "seed {seed} diverged");
+        assert_eq!(plan.points.len(), PLAN_POINTS, "seed {seed}: plan size changed");
     }
-    // Single-point plans round-trip sites and parameters too.
+    let pinned = [
+        FaultPoint { site: FaultSite::VirtioUsedDelay, nth: 3, param: 350 },
+        FaultPoint { site: FaultSite::PhiCoreLockup, nth: 5, param: 0 },
+        FaultPoint { site: FaultSite::VirtioKickLost, nth: 6, param: 0 },
+    ];
+    assert_eq!(FaultPlan::from_seed(2026, PLAN_POINTS).points[..3], pinned);
+    // Single-point plans keep their sites and parameters too.
     let single = FaultPlan::single(FaultSite::VirtioUsedDelay, 3, 250);
-    assert_eq!(single.encode(), FaultPlan::single(FaultSite::VirtioUsedDelay, 3, 250).encode());
-    assert_ne!(single.encode(), FaultPlan::single(FaultSite::VirtioUsedDelay, 3, 251).encode());
+    assert_eq!(single, FaultPlan::single(FaultSite::VirtioUsedDelay, 3, 250));
+    assert_ne!(single, FaultPlan::single(FaultSite::VirtioUsedDelay, 3, 251));
 }
